@@ -728,6 +728,36 @@ mod tests {
             let err = CheckpointManifest::from_bytes(bad).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad:?}");
         }
+
+        // Well-formed for the parser, but it places a subgroup on a tier
+        // this run does not have (a foreign or bit-flipped manifest):
+        // restore must reject it the same way, not index out of bounds.
+        use mlp_storage::{Backend, MemBackend};
+        let foreign = CheckpointManifest {
+            tag: "t".into(),
+            worker_id: 0,
+            step: 1,
+            iter: 1,
+            subgroups: vec![SubgroupLocation::Prestaged {
+                tier: 7,
+                key: "w0/sub0".into(),
+            }],
+        };
+        let target = MemBackend::new("ckpt");
+        let manifest_key = CheckpointManifest::manifest_key("t", 0);
+        target.write(&manifest_key, &foreign.to_bytes()).unwrap();
+        let tier = crate::func::SharedTier::new(std::sync::Arc::new(MemBackend::new("only")), 1.0);
+        let err = crate::func::MlpFuncEngine::restore(
+            crate::EngineConfig::mlp_offload(),
+            mlp_optim::AdamConfig::default(),
+            &[tier],
+            0,
+            &target,
+            "t",
+        )
+        .err()
+        .expect("tier 7 of 1 cannot be resolved");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     mod manifest_fuzz {

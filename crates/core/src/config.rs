@@ -65,15 +65,6 @@ pub struct EngineConfig {
     /// Optional user-specified tier weights overriding measured bandwidths
     /// (the "2:1" split of §3.5). `None` uses measured bandwidths (Eq. 1).
     pub tier_ratio: Option<Vec<f64>>,
-    /// Run the update phase through the single-pass fused kernel over a
-    /// pooled zero-copy state buffer (unscale + moment update + step + FP16
-    /// emission in one sweep). When `false`, the engine uses the legacy
-    /// multi-pass path (upscale, step, downscale as separate sweeps over
-    /// owned allocations) — kept for A/B benchmarking. This is an
-    /// implementation-level optimization, not one of the paper's ablation
-    /// principles, so both presets enable it.
-    #[serde(default = "default_fused_update")]
-    pub fused_update: bool,
     /// Let optimizer-state flushes started during the update phase drain
     /// lazily into the *next* iteration's forward/backward window instead
     /// of being awaited before the update returns (§3.4's lazy flushing,
@@ -100,10 +91,6 @@ pub struct EngineConfig {
     pub io_engine: EngineKind,
 }
 
-fn default_fused_update() -> bool {
-    true
-}
-
 fn default_bandwidth_alpha() -> f64 {
     0.5
 }
@@ -124,7 +111,6 @@ impl EngineConfig {
             bandwidth_alpha: default_bandwidth_alpha(),
             max_migrations_per_iter: 0,
             tier_ratio: None,
-            fused_update: true,
             deferred_flush_drain: false,
             trace: TraceSink::disabled(),
             io_engine: EngineKind::Auto,
@@ -144,7 +130,6 @@ impl EngineConfig {
             bandwidth_alpha: default_bandwidth_alpha(),
             max_migrations_per_iter: 0,
             tier_ratio: None,
-            fused_update: true,
             deferred_flush_drain: false,
             trace: TraceSink::disabled(),
             io_engine: EngineKind::Auto,

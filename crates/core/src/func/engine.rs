@@ -5,9 +5,11 @@ use std::io;
 use std::sync::Arc;
 
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
+use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_aio::EngineKind;
-use mlp_aio::lock::ProcessExclusiveLock;
+use mlp_optim::accum::GradAccumulator;
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor, OptimizerConfig};
+use mlp_optim::traced::fused_update_f32_traced;
 use mlp_optim::{SubgroupState, SubgroupStateMut};
 use mlp_storage::{Backend, HealthGatedBackend, TierHealth, TracedBackend};
 use mlp_tensor::convert;
@@ -18,7 +20,7 @@ use crate::checkpoint::{CheckpointManifest, CheckpointStats, SubgroupLocation};
 use crate::config::EngineConfig;
 use crate::policy::allocation::{allocate_counts_excluding, assign_subgroups};
 use crate::policy::cache::FramePlan;
-use crate::policy::replan::AdaptivePlanner;
+use crate::policy::replan::{AdaptivePlanner, MigrationStep};
 use crate::stats::TierDistribution;
 
 /// Bookkeeping-invariant failure surfaced as a typed error instead of a
@@ -29,6 +31,17 @@ fn invariant_violation(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// A fetch that delivered fewer bytes than the object holds must fail the
+/// iteration: updating a torn buffer would corrupt the master state.
+fn expect_len(what: &str, idx: usize, got: usize, want: usize) -> io::Result<()> {
+    if got == want {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("short {what} read for subgroup {idx}: got {got} of {want} bytes"),
+    ))
+}
 
 /// A storage tier shared by all worker engines on a node: the backend, the
 /// node-level process-exclusive lock, and the allocation weight (measured
@@ -84,31 +97,102 @@ enum Placement {
     Tier(usize),
 }
 
-/// A host-resident subgroup. The fused pipeline keeps state in the pooled
-/// staging buffer it was fetched into (`[params | momentum | variance]`,
-/// mutated in place, flushed from the same buffer); the multi-pass path
-/// keeps the deserialized owned form.
-enum Resident {
-    Owned(SubgroupState),
-    Pooled { buf: PooledBuffer, n: usize },
+/// A host-resident subgroup: its serialized `[params | momentum | variance]`
+/// state in the pooled staging buffer it was fetched into (updated in
+/// place, flushed from the same buffer).
+struct Resident {
+    buf: PooledBuffer,
+    n: usize,
 }
 
 impl Resident {
-    /// FP32 master parameters (a copy; cold verification/checkpoint path).
-    fn params_vec(&self) -> Vec<f32> {
+    /// FP32 master parameters: the leading `n` f32 words of the layout.
+    fn params(&self) -> &[f32] {
+        self.buf.as_f32(self.n)
+    }
+
+    /// Serialized `[params | momentum | variance]` bytes.
+    fn state_bytes(&self) -> &[u8] {
+        &self.buf.as_bytes()[..self.n * 12]
+    }
+}
+
+/// Host gradient accumulators: the data-path difference between the
+/// ablation rungs below and above "Skip Gradients".
+enum HostGrads {
+    /// FP16 buffers that never touch storage; the update kernel upscales
+    /// them on the fly (delayed in-place conversion).
+    Fp16(GradAccumulator),
+    /// Eagerly upscaled FP32 buffers (the ZeRO-Offload lineage). Before
+    /// the update, [`MlpFuncEngine::flush_gradients`] writes the gradients
+    /// of tier-resident subgroups next to their state and records where
+    /// in `on_tier` — separately from state placement, because the objects
+    /// are transient: the accumulators stay authoritative until the update
+    /// succeeds, so a lost or unreachable gradient object costs a re-flush
+    /// (or nothing), never the iteration.
+    Fp32 {
+        accum: Vec<Vec<f32>>,
+        on_tier: Vec<Option<usize>>,
+    },
+}
+
+impl HostGrads {
+    /// Squared L2 norm of the accumulated gradients after unscaling.
+    fn sq_norm(&self, inv_scale: f32) -> f64 {
         match self {
-            Resident::Owned(st) => st.params.clone(),
-            // Parameters are the leading `n` f32 words of the layout.
-            Resident::Pooled { buf, n } => buf.as_f32(*n).to_vec(),
+            HostGrads::Fp16(acc) => (0..acc.num_subgroups())
+                .map(|idx| fp16_grad_sq_norm(acc.grads(idx), inv_scale))
+                .sum(),
+            HostGrads::Fp32 { accum, .. } => accum
+                .iter()
+                .flatten()
+                .map(|&g| (g as f64 * inv_scale as f64).powi(2))
+                .sum(),
         }
     }
 
-    /// Serialized `[params | momentum | variance]` bytes (a copy).
-    fn state_bytes(&self) -> Vec<u8> {
+    /// Clears the accumulators after a successful update. Returns the
+    /// FP32 gradient bytes the iteration moved through storage, as
+    /// logical once-per-iteration accounting: every gradient object on a
+    /// tier was flushed once and fetched once, however often a failed
+    /// attempt was re-driven.
+    fn finish_iteration(&mut self) -> u64 {
         match self {
-            Resident::Owned(st) => st.to_buffer().into_bytes(),
-            Resident::Pooled { buf, n } => buf.as_bytes()[..n * 12].to_vec(),
+            HostGrads::Fp16(acc) => {
+                acc.reset();
+                0
+            }
+            HostGrads::Fp32 { accum, on_tier } => {
+                let mut bytes = 0;
+                for (g, tier) in accum.iter_mut().zip(on_tier) {
+                    if tier.take().is_some() {
+                        bytes += 2 * 4 * g.len() as u64;
+                    }
+                    g.fill(0.0);
+                }
+                bytes
+            }
         }
+    }
+}
+
+/// A completed pooled read: the staging buffer and the bytes it holds.
+type Filled = (PooledBuffer, usize);
+
+/// The in-flight reads of one prefetched subgroup: its state and, on the
+/// eager-gradient path, the FP32 gradients flushed next to it.
+struct Fetch {
+    state: OpHandle,
+    grad: Option<OpHandle>,
+}
+
+impl Fetch {
+    /// Settles both reads together, so a failure of one never abandons
+    /// the other's handle (and staging buffer) mid-flight.
+    fn wait(self) -> io::Result<(Filled, Option<Filled>)> {
+        let state = self.state.wait_pooled();
+        let grad = self.grad.map(OpHandle::wait_pooled).transpose();
+        Ok((state?, grad?))
     }
 }
 
@@ -146,13 +230,17 @@ pub struct UpdateOutcome {
     pub flushes: usize,
 }
 
-/// One worker's functional MLP-Offload engine.
+/// One worker's functional offloading engine — the only real-bytes
+/// engine: every rung of the Fig. 14/15 ablation ladder, from the
+/// DeepSpeed ZeRO-3 baseline ([`EngineConfig::deepspeed_zero3`]) to full
+/// MLP-Offload ([`EngineConfig::mlp_offload`]), is a configuration of it.
 ///
 /// The control flow mirrors the simulated engine: alternating (or
 /// configured) subgroup order, host-frame retention of the order's tail,
 /// Eq. 1 deficit-based flush placement, lookahead prefetching through the
-/// per-tier asynchronous I/O engines, and delayed FP16→FP32 gradient
-/// conversion at update time.
+/// per-tier asynchronous I/O engines, and either delayed FP16→FP32
+/// gradient conversion at update time or eager FP32 gradients moved
+/// through storage.
 pub struct MlpFuncEngine {
     cfg: EngineConfig,
     optimizer: OptimizerConfig,
@@ -164,13 +252,17 @@ pub struct MlpFuncEngine {
     /// Host-resident subgroups in least-recently-updated order (front =
     /// next eviction victim).
     resident: Vec<(usize, Resident)>,
-    /// Fixed pool of subgroup-state staging buffers: the fused pipeline's
-    /// fetch targets, in-place update workspace, retention frames, and
-    /// flush sources are all the same recycled buffers — zero per-subgroup
-    /// heap allocation on the hot path.
+    /// Fixed pool of subgroup-state staging buffers: the pipeline's fetch
+    /// targets, in-place update workspace, retention frames, and flush
+    /// sources (state and, on the eager path, gradients) are all the same
+    /// recycled buffers — zero per-subgroup heap allocation on the hot
+    /// path.
     state_pool: PinnedPool,
-    /// FP16 gradient accumulation buffers (host), one per subgroup.
-    accum: mlp_optim::accum::GradAccumulator,
+    /// Host gradient accumulators, one buffer per subgroup.
+    grads: HostGrads,
+    /// FP32 gradient bytes the last completed iteration moved through
+    /// storage (see [`HostGrads::finish_iteration`]).
+    last_grad_bytes: u64,
     step: u64,
     iter: u64,
     inv_loss_scale: f32,
@@ -210,15 +302,36 @@ impl MlpFuncEngine {
         initial: Vec<SubgroupState>,
     ) -> io::Result<Self> {
         let optimizer = optimizer.into();
-        assert!(!shared_tiers.is_empty(), "need at least one tier");
-        if let Some(ratio) = &cfg.tier_ratio {
-            assert_eq!(ratio.len(), shared_tiers.len(), "ratio/tier mismatch");
+        // Both the tier list and the ratio come from user configuration
+        // (`EngineConfig::from_deepspeed_json`): reject, don't panic.
+        if shared_tiers.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the engine needs at least one storage tier",
+            ));
+        }
+        if let Some(ratio) = cfg
+            .tier_ratio
+            .as_ref()
+            .filter(|r| r.len() != shared_tiers.len())
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "tier ratio has {} components for {} tiers",
+                    ratio.len(),
+                    shared_tiers.len()
+                ),
+            ));
         }
         // With an enabled sink, each tier's I/O engine stamps its spans
         // with the tier index and the backend is wrapped so the storage
         // medium itself contributes tier_read/tier_write spans (the
-        // per-tier bandwidth summary's input). Disabled, the construction
-        // is untouched — no wrapper, no per-op tracing work.
+        // per-tier bandwidth summary's input). A tier whose own
+        // `aio.trace` is already enabled was instrumented by the caller
+        // and is left alone (a second wrapper would double every span).
+        // Disabled, the construction is untouched — no wrapper, no per-op
+        // tracing work.
         let trace = cfg.trace.clone();
         let tiers: Vec<TierRt> = shared_tiers
             .iter()
@@ -231,7 +344,7 @@ impl MlpFuncEngine {
                 if aio.engine == EngineKind::Auto {
                     aio.engine = cfg.io_engine;
                 }
-                let raw: Arc<dyn Backend> = if trace.is_enabled() {
+                let raw: Arc<dyn Backend> = if trace.is_enabled() && !aio.trace.is_enabled() {
                     aio.trace = trace.clone();
                     aio.trace_tier = ti as i32;
                     Arc::new(TracedBackend::new(
@@ -274,21 +387,31 @@ impl MlpFuncEngine {
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
         let plan = FramePlan::new(cfg.host_frames, cfg.pipeline_depth, cfg.cache_retention);
 
-        // One staging buffer holds any subgroup's full serialized state.
-        // Capacity covers the steady-state held set — retained residents
-        // plus the prefetch window — with headroom for the subgroup being
-        // updated and flushes still in flight on the I/O workers (which
-        // never acquire, so a blocked `acquire` always unblocks when a
-        // flush completes).
+        // One staging buffer holds any subgroup's full serialized state
+        // (or its FP32 gradients). Capacity covers the steady-state held
+        // set — retained residents plus the prefetch window, whose slots
+        // hold a second buffer each when gradients travel through storage
+        // — with headroom for the subgroup being updated and flushes
+        // still in flight on the I/O workers (which never acquire, so a
+        // blocked `acquire` always unblocks when a flush completes).
         let buffer_bytes = subgroup_lens.iter().copied().max().unwrap_or(1).max(1) * 12;
-        let pool_capacity = plan.retain_frames + 2 * plan.pipeline_frames + 2;
+        let buffers_per_slot = if cfg.skip_gradient_offload { 1 } else { 2 };
+        let pool_capacity = plan.retain_frames + 2 * plan.pipeline_frames * buffers_per_slot + 2;
         let state_pool =
             PinnedPool::new_traced(pool_capacity, buffer_bytes, "state", cfg.trace.clone());
 
         let ntiers = tiers.len();
         let mut engine = MlpFuncEngine {
             state_pool,
-            accum: mlp_optim::accum::GradAccumulator::new(&subgroup_lens),
+            grads: if cfg.skip_gradient_offload {
+                HostGrads::Fp16(GradAccumulator::new(&subgroup_lens))
+            } else {
+                HostGrads::Fp32 {
+                    accum: subgroup_lens.iter().map(|&n| vec![0.0; n]).collect(),
+                    on_tier: vec![None; m],
+                }
+            },
+            last_grad_bytes: 0,
             plan,
             placement: assignment.iter().copied().map(Placement::Tier).collect(),
             resident: Vec::new(),
@@ -338,7 +461,7 @@ impl MlpFuncEngine {
 
     /// Enables global gradient-norm clipping at `max_norm` (the one
     /// cross-subgroup coupling; the norm is computed from the host
-    /// FP16 accumulation buffers before the pipeline starts, so subgroup
+    /// accumulation buffers before the pipeline starts, so subgroup
     /// order independence is preserved).
     pub fn set_grad_clip(&mut self, max_norm: Option<f64>) {
         self.grad_clip_max_norm = max_norm;
@@ -363,31 +486,137 @@ impl MlpFuncEngine {
         format!("w{}/sub{}", self.worker_id, idx)
     }
 
+    fn grad_key(&self, idx: usize) -> String {
+        format!("w{}/grad{}", self.worker_id, idx)
+    }
+
+    /// Holds `tier`'s node-level lock across a submission when "Process
+    /// Atomic R/W" is on.
+    fn tier_guard(&self, tier: usize) -> Option<TierGuard> {
+        self.cfg
+            .tier_exclusive_locking
+            .then(|| self.tiers[tier].lock.acquire(self.worker_id))
+    }
+
+    fn submit_read(&self, tier: usize, key: &str, len: usize) -> OpHandle {
+        let buf = self.state_pool.acquire();
+        let _g = self.tier_guard(tier);
+        self.tiers[tier].engine.submit_read_pooled(key, buf, len)
+    }
+
+    fn submit_flush(&self, tier: usize, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
+        let _g = self.tier_guard(tier);
+        self.tiers[tier].engine.submit_write_pooled(key, buf, len)
+    }
+
     /// Accumulates one backward micro-step's FP16 gradients (one slice of
-    /// bits per subgroup, in subgroup-id order). Gradients stay in host
-    /// memory in FP16 — nothing touches storage (the "Skip Gradients"
-    /// principle).
+    /// bits per subgroup, in subgroup-id order). With "Skip Gradients"
+    /// they stay in host memory in FP16 and nothing touches storage;
+    /// without it they are eagerly upscaled into the FP32 accumulators
+    /// (the conversion MLP-Offload delays).
     pub fn accumulate_gradients(&mut self, grads: &[Vec<u16>]) {
         assert_eq!(
             grads.len(),
             self.subgroup_lens.len(),
             "gradient set mismatch"
         );
-        for (idx, g) in grads.iter().enumerate() {
-            self.accum.accumulate(idx, g);
+        match &mut self.grads {
+            HostGrads::Fp16(acc) => {
+                for (idx, g) in grads.iter().enumerate() {
+                    acc.accumulate(idx, g);
+                }
+                acc.end_micro_step();
+            }
+            HostGrads::Fp32 { accum, on_tier } => {
+                // Whatever an earlier flush put on a tier is stale now.
+                on_tier.fill(None);
+                // Upscale into a scratch buffer, then add: measured
+                // faster than one fused `+= upscale(h)` loop, whose
+                // branchy conversion keeps the add from vectorizing.
+                let mut up = Vec::new();
+                for (buf, g) in accum.iter_mut().zip(grads) {
+                    assert_eq!(buf.len(), g.len(), "gradient length mismatch");
+                    up.resize(g.len(), 0.0);
+                    convert::upscale(g, &mut up);
+                    for (b, u) in buf.iter_mut().zip(&up) {
+                        *b += u;
+                    }
+                }
+            }
         }
-        self.accum.end_micro_step();
     }
 
-    /// Runs one update phase: fetch → delayed-upscale → optimizer step →
-    /// flush or retain, in the configured subgroup order with lookahead
-    /// prefetching. Returns the new FP16 parameters per subgroup id.
+    /// The end of the last backward micro-step on the eager-gradient path
+    /// (Fig. 6 top): writes each tier-resident subgroup's FP32 gradients
+    /// next to its state. A no-op with "Skip Gradients".
     ///
-    /// With [`EngineConfig::fused_update`] (the default) each subgroup is
-    /// fetched into a pooled staging buffer, updated in place by the
-    /// single-pass fused kernel, and flushed from the same buffer; the
-    /// legacy multi-pass path (deserialize → upscale → step → downscale →
-    /// re-serialize over owned allocations) is kept for A/B benchmarking.
+    /// Idempotent: gradients already sitting next to their state are
+    /// skipped, and the host accumulators are untouched either way, so
+    /// after a failed flush, a migration or a quarantine-and-drain,
+    /// re-calling the phase moves exactly what is missing.
+    pub fn flush_gradients(&mut self) -> io::Result<()> {
+        if self.cfg.skip_gradient_offload {
+            return Ok(());
+        }
+        // A tier quarantined since the state was placed must be drained
+        // first, or its subgroups' gradients would chase a dead tier.
+        self.drain_quarantined()?;
+        let HostGrads::Fp32 { accum, on_tier } = &self.grads else {
+            return Ok(());
+        };
+        let phase_start = self.cfg.trace.now_ns();
+        let mut handles = Vec::new();
+        for (idx, g) in accum.iter().enumerate() {
+            let Placement::Tier(t) = self.placement[idx] else {
+                continue;
+            };
+            if on_tier[idx] == Some(t) {
+                continue;
+            }
+            let mut buf = self.state_pool.acquire();
+            buf.write_f32(0, g);
+            let handle = self.submit_flush(t, &self.grad_key(idx), buf, g.len() * 4);
+            handles.push((idx, t, handle));
+        }
+        let HostGrads::Fp32 { accum, on_tier } = &mut self.grads else {
+            return Ok(());
+        };
+        let mut bytes = 0;
+        let mut first_err = None;
+        for (idx, t, h) in handles {
+            // A reclaimed payload just drops (the staging buffer
+            // recycles): the gradients still live in the accumulators.
+            match h.wait_flush() {
+                Ok(()) => {
+                    on_tier[idx] = Some(t);
+                    bytes += accum[idx].len() as u64 * 4;
+                }
+                Err((e, _payload)) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if self.cfg.trace.is_enabled() {
+            self.cfg.trace.complete_span(
+                Phase::GradFlush,
+                Attrs::bytes(bytes),
+                phase_start,
+                self.cfg.trace.now_ns(),
+            );
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Runs one update phase: fetch → optimizer step → flush or retain, in
+    /// the configured subgroup order with lookahead prefetching. Returns
+    /// the new FP16 parameters per subgroup id.
+    ///
+    /// Each subgroup is fetched into a pooled staging buffer, updated in
+    /// place by the single-pass fused kernel, and flushed from the same
+    /// buffer. With "Skip Gradients" the kernel upscales the host FP16
+    /// gradients on the fly; without it, gradients that
+    /// [`MlpFuncEngine::flush_gradients`] put on a tier are fetched back
+    /// alongside the state (16 B/param instead of 12).
     ///
     /// # Failure semantics
     ///
@@ -444,14 +673,12 @@ impl MlpFuncEngine {
         };
 
         // Global gradient-norm clipping folds into the inverse loss scale
-        // for this update. The accumulator is untouched until the phase
+        // for this update. The accumulators are untouched until the phase
         // succeeds, so a re-drive recomputes the identical scale.
         let inv_scale = match self.grad_clip_max_norm {
             None => self.inv_loss_scale,
             Some(max_norm) => {
-                let sq: f64 = (0..m)
-                    .map(|idx| fp16_grad_sq_norm(self.accum.grads(idx), self.inv_loss_scale))
-                    .sum();
+                let sq = self.grads.sq_norm(self.inv_loss_scale);
                 self.inv_loss_scale * grad_clip_factor(sq, max_norm)
             }
         };
@@ -463,11 +690,22 @@ impl MlpFuncEngine {
         };
 
         let phase_start = self.cfg.trace.now_ns();
-        let result = if self.cfg.fused_update {
-            self.run_update_fused(&order, &flush_targets, inv_scale, &mut outcome, &mut progress)
-        } else {
-            self.run_update_multipass(&order, &flush_targets, inv_scale, &mut outcome, &mut progress)
-        };
+        // The prefetch window and in-flight flushes live out here so
+        // that, pass outcome aside, everything submitted is drained
+        // before returning — nothing races a re-driven iteration and no
+        // staging buffer stays checked out.
+        let mut pending: VecDeque<(usize, Option<Fetch>)> = VecDeque::new();
+        let mut inflight_flush: HashMap<usize, OpHandle> = HashMap::new();
+        let pass = self.update_pass(
+            &order,
+            &flush_targets,
+            inv_scale,
+            &mut outcome,
+            &mut progress,
+            &mut pending,
+            &mut inflight_flush,
+        );
+        let result = self.drain_inflight(pass, pending, inflight_flush, &mut progress);
         if self.cfg.trace.is_enabled() {
             // The whole update phase as one span; the per-subgroup I/O
             // and kernel spans nest underneath it on the timeline.
@@ -480,7 +718,7 @@ impl MlpFuncEngine {
         }
         match result {
             Ok(()) => {
-                self.accum.reset();
+                self.last_grad_bytes = self.grads.finish_iteration();
                 if self.cfg.adaptive_bandwidth {
                     // Feed the observed per-tier transfer and retry rates
                     // back into the estimator and fold the EMA, closing
@@ -503,6 +741,16 @@ impl MlpFuncEngine {
         self.in_progress.is_some()
     }
 
+    /// FP32 gradient bytes the last completed iteration moved through
+    /// storage: each gradient object flushed to a tier counts once for
+    /// the flush and once for the fetch, however often a failed attempt
+    /// was re-driven (physically re-moved bytes show up on the trace
+    /// timeline and the tier byte counters instead). Always 0 with
+    /// "Skip Gradients".
+    pub fn grad_bytes_through_storage(&self) -> u64 {
+        self.last_grad_bytes
+    }
+
     /// Eq. 1 deficit-based flush tier choice.
     fn pick_flush_tier(flush_targets: &[usize], flush_done: &[usize]) -> usize {
         (0..flush_targets.len())
@@ -515,7 +763,7 @@ impl MlpFuncEngine {
             .unwrap_or(0)
     }
 
-    /// A failed flush hands its payload back through
+    /// A failed flush hands its staging buffer back through
     /// [`OpHandle::wait_flush`]; keep the subgroup host-resident so the
     /// (possibly only) copy of its updated state survives for the
     /// re-driven iteration. Only a backend panic loses the payload — then
@@ -527,25 +775,15 @@ impl MlpFuncEngine {
         payload: Option<ReclaimedWrite>,
         progress: &mut IterProgress,
     ) {
-        let n = self.subgroup_lens[fidx];
         match payload {
             Some(ReclaimedWrite::Pooled(buf)) => {
+                let n = self.subgroup_lens[fidx];
                 self.placement[fidx] = Placement::Host;
-                self.resident.push((fidx, Resident::Pooled { buf, n }));
+                self.resident.push((fidx, Resident { buf, n }));
             }
-            Some(ReclaimedWrite::Bytes(bytes)) => {
-                let step = if progress.updated[fidx] {
-                    self.step
-                } else {
-                    self.step.saturating_sub(1)
-                };
-                self.placement[fidx] = Placement::Host;
-                self.resident
-                    .push((fidx, Resident::Owned(SubgroupState::from_bytes(&bytes, step))));
-            }
-            None => {
-                progress.updated[fidx] = false;
-            }
+            // State flushes are always pooled: anything else is a lost
+            // payload.
+            Some(ReclaimedWrite::Bytes(_)) | None => progress.updated[fidx] = false,
         }
     }
 
@@ -557,19 +795,15 @@ impl MlpFuncEngine {
     fn drain_inflight(
         &mut self,
         pass: io::Result<()>,
-        pending: VecDeque<(usize, Option<OpHandle>)>,
+        pending: VecDeque<(usize, Option<Fetch>)>,
         inflight_flush: HashMap<usize, OpHandle>,
         progress: &mut IterProgress,
     ) -> io::Result<()> {
         let mut first_err = pass.err();
-        for (_, handle) in pending {
-            if let Some(h) = handle {
-                match h.wait_pooled() {
-                    Ok(_) => {} // buffer recycles on drop
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                }
+        for fetch in pending.into_iter().filter_map(|(_, fetch)| fetch) {
+            // Buffers recycle on drop.
+            if let Err(e) = fetch.wait() {
+                first_err.get_or_insert(e);
             }
         }
         for (fidx, h) in inflight_flush {
@@ -578,52 +812,23 @@ impl MlpFuncEngine {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// The fused zero-copy update loop: pooled reads fetch serialized
-    /// state straight into recycled staging buffers, the fused kernel
-    /// (unscale + moment update + step + FP16 emission, one sweep) mutates
-    /// them in place, and retention/flush reuse the very same buffer. The
-    /// hot loop performs no per-subgroup heap allocation for state.
-    fn run_update_fused(
-        &mut self,
-        order: &[usize],
-        flush_targets: &[usize],
-        inv_scale: f32,
-        outcome: &mut UpdateOutcome,
-        progress: &mut IterProgress,
-    ) -> io::Result<()> {
-        // Lookahead prefetch window and in-flight flushes live in the
-        // driver so that, pass outcome aside, everything submitted is
-        // drained before returning — nothing races a re-driven iteration
-        // and no staging buffer stays checked out.
-        let mut pending: VecDeque<(usize, Option<OpHandle>)> = VecDeque::new();
-        let mut inflight_flush: HashMap<usize, OpHandle> = HashMap::new();
-        let pass = self.fused_pass(
-            order,
-            flush_targets,
-            inv_scale,
-            outcome,
-            progress,
-            &mut pending,
-            &mut inflight_flush,
-        );
-        self.drain_inflight(pass, pending, inflight_flush, progress)
-    }
-
+    /// The zero-copy update loop: pooled reads fetch serialized state
+    /// straight into recycled staging buffers, the fused kernel (unscale,
+    /// moment update, step and FP16 emission in one sweep) mutates them
+    /// in place, and retention/flush reuse the very same buffer. The hot
+    /// loop performs no per-subgroup heap allocation for state.
     #[allow(clippy::too_many_arguments)]
-    fn fused_pass(
+    fn update_pass(
         &mut self,
         order: &[usize],
         flush_targets: &[usize],
         inv_scale: f32,
         outcome: &mut UpdateOutcome,
         progress: &mut IterProgress,
-        pending: &mut VecDeque<(usize, Option<OpHandle>)>,
+        pending: &mut VecDeque<(usize, Option<Fetch>)>,
         inflight_flush: &mut HashMap<usize, OpHandle>,
     ) -> io::Result<()> {
         let m = order.len();
@@ -640,72 +845,58 @@ impl MlpFuncEngine {
                 next_to_submit += 1;
                 if self.resident.iter().any(|(i, _)| *i == idx) {
                     pending.push_back((idx, None));
-                } else {
-                    let Placement::Tier(t) = self.placement[idx] else {
-                        return Err(invariant_violation(format!(
-                            "subgroup {idx} is neither host-resident nor placed on a tier"
-                        )));
-                    };
-                    // Write-after-evict fence: a read of a subgroup whose
-                    // flush is still in flight could overtake the write on
-                    // another I/O worker and fetch stale state. On fence
-                    // failure the payload is reclaimed host-side and the
-                    // iteration unwinds.
-                    if let Some(h) = inflight_flush.remove(&idx) {
-                        if let Err((e, payload)) = h.wait_flush() {
-                            self.reclaim_failed_flush(idx, payload, progress);
-                            return Err(e);
-                        }
-                    }
-                    let n = self.subgroup_lens[idx];
-                    let buf = self.state_pool.acquire();
-                    let handle = {
-                        let _g = if self.cfg.tier_exclusive_locking {
-                            Some(self.tiers[t].lock.acquire(self.worker_id))
-                        } else {
-                            None
-                        };
-                        self.tiers[t]
-                            .engine
-                            .submit_read_pooled(&self.key(idx), buf, n * 12)
-                    };
-                    pending.push_back((idx, Some(handle)));
+                    continue;
                 }
+                let Placement::Tier(t) = self.placement[idx] else {
+                    return Err(invariant_violation(format!(
+                        "subgroup {idx} is neither host-resident nor placed on a tier"
+                    )));
+                };
+                // Write-after-evict fence: a read of a subgroup whose
+                // flush is still in flight could overtake the write on
+                // another I/O worker and fetch stale state. On fence
+                // failure the payload is reclaimed host-side and the
+                // iteration unwinds.
+                if let Some(h) = inflight_flush.remove(&idx) {
+                    if let Err((e, payload)) = h.wait_flush() {
+                        self.reclaim_failed_flush(idx, payload, progress);
+                        return Err(e);
+                    }
+                }
+                let n = self.subgroup_lens[idx];
+                // Gradients that went through storage come back with the
+                // state — unless a failed attempt already applied them.
+                let grad_tier = match &self.grads {
+                    HostGrads::Fp32 { on_tier, .. } if !progress.updated[idx] => on_tier[idx],
+                    _ => None,
+                };
+                let fetch = Fetch {
+                    state: self.submit_read(t, &self.key(idx), n * 12),
+                    grad: grad_tier.map(|g| self.submit_read(g, &self.grad_key(idx), n * 4)),
+                };
+                pending.push_back((idx, Some(fetch)));
             }
 
-            let Some((idx, handle)) = pending.pop_front() else {
+            let Some((idx, fetch)) = pending.pop_front() else {
                 return Err(invariant_violation(
                     "prefetch window empty with subgroups still unprocessed".into(),
                 ));
             };
             let n = self.subgroup_lens[idx];
-            let mut res = match handle {
+            let (mut res, fetched_grad) = match fetch {
                 None => {
                     outcome.cache_hits += 1;
-                    let pos = self
-                        .resident
-                        .iter()
-                        .position(|(i, _)| *i == idx)
-                        .ok_or_else(|| {
-                            invariant_violation(format!(
-                                "subgroup {idx} marked host-resident but absent from the residency table"
-                            ))
-                        })?;
-                    self.resident.remove(pos).1
+                    let pos = self.resident_pos(idx)?;
+                    (self.resident.remove(pos).1, None)
                 }
-                Some(h) => {
+                Some(fetch) => {
                     outcome.fetches += 1;
-                    let (buf, got) = h.wait_pooled()?;
-                    if got != n * 12 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "short state read for subgroup {idx}: got {got} of {} bytes",
-                                n * 12
-                            ),
-                        ));
+                    let ((buf, got), grad) = fetch.wait()?;
+                    expect_len("state", idx, got, n * 12)?;
+                    if let Some((_, got)) = &grad {
+                        expect_len("gradient", idx, *got, n * 4)?;
                     }
-                    Resident::Pooled { buf, n }
+                    (Resident { buf, n }, grad.map(|(buf, _)| buf))
                 }
             };
 
@@ -713,46 +904,41 @@ impl MlpFuncEngine {
             if progress.updated[idx] {
                 // Re-driven iteration: this subgroup already carries the
                 // update — re-emit its FP16 image without touching state.
-                match &res {
-                    Resident::Pooled { buf, n } => convert::downscale_par(buf.as_f32(*n), &mut fp16),
-                    Resident::Owned(st) => fp16 = st.fp16_params(),
-                }
+                convert::downscale_par(res.params(), &mut fp16);
             } else {
-                // Single fused pass over the staging buffer: FP16 unscale
-                // + moment update + parameter step + FP16 emission.
-                match &mut res {
-                    Resident::Pooled { buf, n } => {
-                        let mut view = SubgroupStateMut::from_buffer(buf.buffer_mut(), *n);
-                        view.apply_update_fused_traced(
-                            &self.cfg.trace,
-                            idx as i64,
-                            &self.optimizer,
-                            self.step,
-                            self.accum.grads(idx),
-                            inv_scale,
-                            &mut fp16,
-                        );
-                    }
-                    Resident::Owned(st) => {
-                        let mut view = SubgroupStateMut {
-                            params: &mut st.params,
-                            momentum: &mut st.momentum,
-                            variance: &mut st.variance,
-                        };
-                        view.apply_update_fused_traced(
-                            &self.cfg.trace,
-                            idx as i64,
-                            &self.optimizer,
-                            self.step,
-                            self.accum.grads(idx),
-                            inv_scale,
-                            &mut fp16,
-                        );
-                        st.step = self.step;
-                    }
+                // Single fused pass over the staging buffer: unscale +
+                // moment update + parameter step + FP16 emission.
+                let mut view = SubgroupStateMut::from_buffer(res.buf.buffer_mut(), n);
+                match &self.grads {
+                    HostGrads::Fp16(acc) => view.apply_update_fused_traced(
+                        &self.cfg.trace,
+                        idx as i64,
+                        &self.optimizer,
+                        self.step,
+                        acc.grads(idx),
+                        inv_scale,
+                        &mut fp16,
+                    ),
+                    HostGrads::Fp32 { accum, .. } => fused_update_f32_traced(
+                        &self.cfg.trace,
+                        idx as i64,
+                        &self.optimizer,
+                        self.step,
+                        view.params,
+                        view.momentum,
+                        view.variance,
+                        // Host-resident subgroups (and any whose gradient
+                        // object was never flushed) read the accumulator.
+                        fetched_grad
+                            .as_ref()
+                            .map_or(&accum[idx][..], |g| g.as_f32(n)),
+                        inv_scale,
+                        &mut fp16,
+                    ),
                 }
                 progress.updated[idx] = true;
             }
+            drop(fetched_grad); // back to the pool
             outcome.fp16_params[idx] = fp16;
 
             // LRU retention; evict least-recently-updated subgroups while
@@ -769,256 +955,23 @@ impl MlpFuncEngine {
             } else {
                 to_flush.push((idx, res));
             }
-            for (fidx, fres) in to_flush {
+            for (fidx, Resident { buf, n }) in to_flush {
                 let tier = Self::pick_flush_tier(flush_targets, &flush_done);
                 flush_done[tier] += 1;
                 self.placement[fidx] = Placement::Tier(tier);
-                let handle = {
-                    let _g = if self.cfg.tier_exclusive_locking {
-                        Some(self.tiers[tier].lock.acquire(self.worker_id))
-                    } else {
-                        None
-                    };
-                    match fres {
-                        // Flush straight from the staging buffer; it
-                        // returns to the pool when the write completes.
-                        Resident::Pooled { buf, n } => self.tiers[tier]
-                            .engine
-                            .submit_write_pooled(&self.key(fidx), buf, n * 12),
-                        Resident::Owned(st) => self.tiers[tier]
-                            .engine
-                            .submit_write(&self.key(fidx), st.to_buffer().into_bytes()),
-                    }
-                };
+                // Flush straight from the staging buffer; it returns to
+                // the pool when the write completes.
+                let handle = self.submit_flush(tier, &self.key(fidx), buf, n * 12);
                 inflight_flush.insert(fidx, handle);
                 outcome.flushes += 1;
             }
         }
 
-        // The final flush barrier is the driver's unconditional drain.
+        // The final flush barrier is the caller's unconditional drain.
         Ok(())
     }
 
-    /// The legacy multi-pass update loop: every fetch deserializes into an
-    /// owned [`SubgroupState`], gradients are upscaled into a scratch
-    /// FP32 vector, the optimizer sweeps params/moments, parameters are
-    /// downscaled in another sweep, and flushes re-serialize. Kept behind
-    /// `fused_update: false` for A/B benchmarking.
-    fn run_update_multipass(
-        &mut self,
-        order: &[usize],
-        flush_targets: &[usize],
-        inv_scale: f32,
-        outcome: &mut UpdateOutcome,
-        progress: &mut IterProgress,
-    ) -> io::Result<()> {
-        let mut pending: VecDeque<(usize, Option<OpHandle>)> = VecDeque::new();
-        let mut inflight_flush: HashMap<usize, OpHandle> = HashMap::new();
-        let pass = self.multipass_pass(
-            order,
-            flush_targets,
-            inv_scale,
-            outcome,
-            progress,
-            &mut pending,
-            &mut inflight_flush,
-        );
-        // Plain-read handles drain through `wait_pooled`-free paths: the
-        // generic drain only recycles pooled buffers for pooled ops, and
-        // settles every flush.
-        self.drain_inflight_multipass(pass, pending, inflight_flush, progress)
-    }
-
-    /// Multipass twin of [`MlpFuncEngine::drain_inflight`] (pending
-    /// handles are plain reads, not pooled ones).
-    fn drain_inflight_multipass(
-        &mut self,
-        pass: io::Result<()>,
-        pending: VecDeque<(usize, Option<OpHandle>)>,
-        inflight_flush: HashMap<usize, OpHandle>,
-        progress: &mut IterProgress,
-    ) -> io::Result<()> {
-        let mut first_err = pass.err();
-        for (_, handle) in pending {
-            if let Some(h) = handle {
-                if let Err(e) = h.wait() {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        for (fidx, h) in inflight_flush {
-            if let Err((e, payload)) = h.wait_flush() {
-                self.reclaim_failed_flush(fidx, payload, progress);
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn multipass_pass(
-        &mut self,
-        order: &[usize],
-        flush_targets: &[usize],
-        inv_scale: f32,
-        outcome: &mut UpdateOutcome,
-        progress: &mut IterProgress,
-        pending: &mut VecDeque<(usize, Option<OpHandle>)>,
-        inflight_flush: &mut HashMap<usize, OpHandle>,
-    ) -> io::Result<()> {
-        let m = order.len();
-        let retain_capacity = self.plan.retain_frames;
-        let depth = self.plan.pipeline_frames;
-        let mut flush_done = vec![0usize; self.tiers.len()];
-        let mut next_to_submit = 0usize;
-
-        for _ in 0..m {
-            // Top up the prefetch window.
-            while next_to_submit < m && pending.len() < depth {
-                let idx = order[next_to_submit];
-                next_to_submit += 1;
-                if self.resident.iter().any(|(i, _)| *i == idx) {
-                    pending.push_back((idx, None));
-                } else {
-                    let Placement::Tier(t) = self.placement[idx] else {
-                        return Err(invariant_violation(format!(
-                            "subgroup {idx} is neither host-resident nor placed on a tier"
-                        )));
-                    };
-                    if let Some(h) = inflight_flush.remove(&idx) {
-                        // Write-after-evict fence; reclaim on failure.
-                        if let Err((e, payload)) = h.wait_flush() {
-                            self.reclaim_failed_flush(idx, payload, progress);
-                            return Err(e);
-                        }
-                    }
-                    let handle = {
-                        // Tier lock held across submission (the transfer
-                        // itself is exercised exclusively in the simulated
-                        // engine; see module docs).
-                        let _g = if self.cfg.tier_exclusive_locking {
-                            Some(self.tiers[t].lock.acquire(self.worker_id))
-                        } else {
-                            None
-                        };
-                        self.tiers[t].engine.submit_read(&self.key(idx))
-                    };
-                    pending.push_back((idx, Some(handle)));
-                }
-            }
-
-            let Some((idx, handle)) = pending.pop_front() else {
-                return Err(invariant_violation(
-                    "prefetch window empty with subgroups still unprocessed".into(),
-                ));
-            };
-            let n = self.subgroup_lens[idx];
-            // Content step: subgroups already updated by a failed attempt
-            // of this iteration carry `self.step`; everything else still
-            // carries the previous iteration's state.
-            let base_step = if progress.updated[idx] {
-                self.step
-            } else {
-                self.step.saturating_sub(1)
-            };
-            let mut state = match handle {
-                None => {
-                    outcome.cache_hits += 1;
-                    let pos = self
-                        .resident
-                        .iter()
-                        .position(|(i, _)| *i == idx)
-                        .ok_or_else(|| {
-                            invariant_violation(format!(
-                                "subgroup {idx} marked host-resident but absent from the residency table"
-                            ))
-                        })?;
-                    match self.resident.remove(pos).1 {
-                        Resident::Owned(st) => st,
-                        Resident::Pooled { buf, n } => {
-                            SubgroupState::from_bytes(&buf.as_bytes()[..n * 12], base_step)
-                        }
-                    }
-                }
-                Some(h) => {
-                    outcome.fetches += 1;
-                    let bytes = h.wait()?.ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("read of subgroup {idx} returned no payload"),
-                        )
-                    })?;
-                    if bytes.len() != n * 12 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "short state read for subgroup {idx}: got {} of {} bytes",
-                                bytes.len(),
-                                n * 12
-                            ),
-                        ));
-                    }
-                    SubgroupState::from_bytes(&bytes, base_step)
-                }
-            };
-
-            // Delayed in-place mixed-precision conversion + optimizer
-            // step; a re-driven iteration skips subgroups that already
-            // carry the update and only re-emits their FP16 image.
-            if !progress.updated[idx] {
-                state.apply_update_fp16_opt(&self.optimizer, self.accum.grads(idx), inv_scale);
-                progress.updated[idx] = true;
-            }
-            outcome.fp16_params[idx] = state.fp16_params();
-
-            // LRU retention (mirrors the simulated engine): keep the
-            // updated subgroup resident; evict least-recently-updated
-            // ones while over budget (reclaimed flush payloads of a
-            // failed iteration can leave more than one excess resident).
-            let mut to_flush: Vec<(usize, SubgroupState)> = Vec::new();
-            if retain_capacity > 0 {
-                self.placement[idx] = Placement::Host;
-                self.resident.push((idx, Resident::Owned(state)));
-                while self.resident.len() > retain_capacity {
-                    let (fidx, fres) = self.resident.remove(0);
-                    let fstate = match fres {
-                        Resident::Owned(st) => st,
-                        Resident::Pooled { buf, n } => {
-                            SubgroupState::from_bytes(&buf.as_bytes()[..n * 12], self.step)
-                        }
-                    };
-                    to_flush.push((fidx, fstate));
-                }
-            } else {
-                to_flush.push((idx, state));
-            }
-            for (fidx, fstate) in to_flush {
-                let tier = Self::pick_flush_tier(flush_targets, &flush_done);
-                flush_done[tier] += 1;
-                self.placement[fidx] = Placement::Tier(tier);
-                let handle = {
-                    let _g = if self.cfg.tier_exclusive_locking {
-                        Some(self.tiers[tier].lock.acquire(self.worker_id))
-                    } else {
-                        None
-                    };
-                    self.tiers[tier]
-                        .engine
-                        .submit_write(&self.key(fidx), fstate.to_buffer().into_bytes())
-                };
-                inflight_flush.insert(fidx, handle);
-                outcome.flushes += 1;
-            }
-        }
-
-        // The final flush barrier is the driver's unconditional drain.
-        Ok(())
-    }
-
-    /// Staging-buffer pool statistics for the fused pipeline:
+    /// Staging-buffer pool statistics for the update pipeline:
     /// `(lifetime acquisitions, high-water mark, capacity)`. A long
     /// training run shows acquisitions far exceeding the (constant)
     /// high-water mark — the proof that state buffers are recycled rather
@@ -1081,22 +1034,109 @@ impl MlpFuncEngine {
         }
     }
 
-    /// Executes the planner's bounded migration plan: moves up to
-    /// `max_migrations_per_iter` durable subgroup copies toward the
-    /// current Eq. 1 split. Host-resident subgroups are never touched
-    /// (the cache-hit sequence is unchanged) and each step keeps a
-    /// durable copy live at every instant: read the source copy, write
-    /// the destination and wait for it, and only then retire the source.
-    fn run_migrations(&mut self) -> io::Result<()> {
-        let placements: Vec<Option<usize>> = self
-            .placement
+    /// Index of host-resident subgroup `idx` in the residency table.
+    fn resident_pos(&self, idx: usize) -> io::Result<usize> {
+        self.resident
+            .iter()
+            .position(|(i, _)| *i == idx)
+            .ok_or_else(|| {
+                invariant_violation(format!(
+                    "subgroup {idx} marked host-resident but absent from the residency table"
+                ))
+            })
+    }
+
+    /// Reads subgroup `idx`'s durable copy from `tier` through the tier's
+    /// I/O engine (cold paths: verification, checkpoint, migration).
+    fn read_durable(&self, tier: usize, idx: usize) -> io::Result<Vec<u8>> {
+        self.tiers[tier]
+            .engine
+            .submit_read(&self.key(idx))
+            .wait()?
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("read of subgroup {idx} returned no payload"),
+                )
+            })
+    }
+
+    /// Each subgroup's tier, `None` while host-resident (planner input).
+    fn tier_placements(&self) -> Vec<Option<usize>> {
+        self.placement
             .iter()
             .map(|p| match p {
                 Placement::Tier(t) => Some(*t),
                 Placement::Host => None,
             })
-            .collect();
-        let steps = self.planner.plan_migrations(&placements);
+            .collect()
+    }
+
+    /// Moves one durable subgroup copy between tiers, keeping a durable
+    /// copy live at every instant: read the source, write the destination
+    /// and wait for it, flip the placement, and only then retire the
+    /// source. `salvage` reads and deletes *under* the source tier's
+    /// health gate (its breaker refuses normal traffic, but a write-dead
+    /// tier usually still serves reads).
+    fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
+        let key = self.key(step.subgroup);
+        let started = self.cfg.trace.now_ns();
+        let data = {
+            let _g = self.tiers[step.from].lock.acquire(self.worker_id);
+            if salvage {
+                self.tiers[step.from].raw.read(&key)?
+            } else {
+                self.read_durable(step.from, step.subgroup)?
+            }
+        };
+        let bytes = data.len() as u64;
+        {
+            let _g = self.tiers[step.to].lock.acquire(self.worker_id);
+            self.tiers[step.to].engine.submit_write(&key, data).wait()?;
+        }
+        // The destination copy is durable; the source is now garbage.
+        self.placement[step.subgroup] = Placement::Tier(step.to);
+        {
+            // A failed delete leaves a stale source copy behind — a
+            // space leak, not a correctness problem (the key is never
+            // read from the old tier again) — so it does not fail the
+            // iteration.
+            let _g = self.tiers[step.from].lock.acquire(self.worker_id);
+            if salvage {
+                let _ = self.tiers[step.from].raw.delete(&key);
+            } else {
+                let _ = self.tiers[step.from].engine.submit_delete(&key).wait();
+            }
+        }
+        let phase = if salvage {
+            self.drains_done += 1;
+            Phase::Drain
+        } else {
+            self.migrations_done += 1;
+            Phase::Migrate
+        };
+        if self.cfg.trace.is_enabled() {
+            self.cfg.trace.complete_span(
+                phase,
+                Attrs {
+                    tier: step.to as i32,
+                    subgroup: step.subgroup as i64,
+                    bytes,
+                    ..Attrs::NONE
+                },
+                started,
+                self.cfg.trace.now_ns(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Executes the planner's bounded migration plan: moves up to
+    /// `max_migrations_per_iter` durable subgroup copies toward the
+    /// current Eq. 1 split. Host-resident subgroups are never touched
+    /// (the cache-hit sequence is unchanged).
+    fn run_migrations(&mut self) -> io::Result<()> {
+        let steps = self.planner.plan_migrations(&self.tier_placements());
         if self.cfg.trace.is_enabled() {
             self.cfg.trace.instant(
                 Phase::Replan,
@@ -1108,53 +1148,7 @@ impl MlpFuncEngine {
             );
         }
         for step in steps {
-            let key = self.key(step.subgroup);
-            let started = self.cfg.trace.now_ns();
-            let data = {
-                let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-                self.tiers[step.from]
-                    .engine
-                    .submit_read(&key)
-                    .wait()?
-                    .ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "migration read of subgroup {} returned no payload",
-                                step.subgroup
-                            ),
-                        )
-                    })?
-            };
-            let bytes = data.len() as u64;
-            {
-                let _g = self.tiers[step.to].lock.acquire(self.worker_id);
-                self.tiers[step.to].engine.submit_write(&key, data).wait()?;
-            }
-            // The destination copy is durable; the source is now garbage.
-            self.placement[step.subgroup] = Placement::Tier(step.to);
-            {
-                // A failed delete leaves a stale source copy behind — a
-                // space leak, not a correctness problem (the key is never
-                // read from the old tier again) — so it does not fail the
-                // iteration; the engine's op_errors counter records it.
-                let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-                let _ = self.tiers[step.from].engine.submit_delete(&key).wait();
-            }
-            self.migrations_done += 1;
-            if self.cfg.trace.is_enabled() {
-                self.cfg.trace.complete_span(
-                    Phase::Migrate,
-                    Attrs {
-                        tier: step.to as i32,
-                        subgroup: step.subgroup as i64,
-                        bytes,
-                        ..Attrs::NONE
-                    },
-                    started,
-                    self.cfg.trace.now_ns(),
-                );
-            }
+            self.move_durable_copy(step, false)?;
         }
         Ok(())
     }
@@ -1163,10 +1157,10 @@ impl MlpFuncEngine {
     /// latched [`mlp_storage::BreakerState::Quarantined`] since the last
     /// check, excludes those tiers from every future placement decision,
     /// and evacuates their durable subgroup copies to the surviving
-    /// tiers — read the source copy through the *ungated* backend (the
-    /// breaker refuses normal traffic, but salvage reads go under it),
-    /// write the destination through its gated engine and wait, update
-    /// the placement, and only then best-effort-delete the source.
+    /// tiers through the salvage path of
+    /// [`MlpFuncEngine::move_durable_copy`]. Gradient objects on a
+    /// quarantined tier are simply forgotten — the host accumulators
+    /// still hold them.
     ///
     /// Idempotent and resumable: a failure mid-drain leaves the
     /// exclusion latched and the unmoved copies still pointing at the
@@ -1184,6 +1178,11 @@ impl MlpFuncEngine {
             {
                 self.quarantined[t] = true;
                 self.planner.exclude_tier(t);
+                if let HostGrads::Fp32 { on_tier, .. } = &mut self.grads {
+                    for g in on_tier.iter_mut().filter(|g| **g == Some(t)) {
+                        *g = None;
+                    }
+                }
                 if self.cfg.trace.is_enabled() {
                     self.cfg.trace.instant(
                         Phase::Quarantine,
@@ -1205,47 +1204,8 @@ impl MlpFuncEngine {
                 "every storage tier is quarantined; no surviving tier to drain to",
             ));
         }
-        let placements: Vec<Option<usize>> = self
-            .placement
-            .iter()
-            .map(|p| match p {
-                Placement::Tier(t) => Some(*t),
-                Placement::Host => None,
-            })
-            .collect();
-        for step in self.planner.plan_drain(&placements) {
-            let key = self.key(step.subgroup);
-            let started = self.cfg.trace.now_ns();
-            let data = {
-                let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-                self.tiers[step.from].raw.read(&key)?
-            };
-            let bytes = data.len() as u64;
-            {
-                let _g = self.tiers[step.to].lock.acquire(self.worker_id);
-                self.tiers[step.to].engine.submit_write(&key, data).wait()?;
-            }
-            // The survivor copy is durable; the source sits on a dead
-            // tier and its deletion is purely cosmetic — best-effort.
-            self.placement[step.subgroup] = Placement::Tier(step.to);
-            {
-                let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-                let _ = self.tiers[step.from].raw.delete(&key);
-            }
-            self.drains_done += 1;
-            if self.cfg.trace.is_enabled() {
-                self.cfg.trace.complete_span(
-                    Phase::Drain,
-                    Attrs {
-                        tier: step.to as i32,
-                        subgroup: step.subgroup as i64,
-                        bytes,
-                        ..Attrs::NONE
-                    },
-                    started,
-                    self.cfg.trace.now_ns(),
-                );
-            }
+        for step in self.planner.plan_drain(&self.tier_placements()) {
+            self.move_durable_copy(step, true)?;
         }
         Ok(())
     }
@@ -1294,38 +1254,25 @@ impl MlpFuncEngine {
     /// Gathers the FP32 master parameters of every subgroup (reads through
     /// the storage tiers; used for verification and checkpointing).
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
-        let mut out = Vec::with_capacity(self.subgroup_lens.len());
-        for idx in 0..self.subgroup_lens.len() {
-            match self.placement[idx] {
-                Placement::Host => out.push(
-                    self.resident
-                        .iter()
-                        .find(|(i, _)| *i == idx)
-                        .ok_or_else(|| {
-                            invariant_violation(format!(
-                                "subgroup {idx} marked host-resident but absent from the residency table"
-                            ))
-                        })?
-                        .1
-                        .params_vec(),
-                ),
+        (0..self.subgroup_lens.len())
+            .map(|idx| match self.placement[idx] {
+                Placement::Host => Ok(self.resident[self.resident_pos(idx)?].1.params().to_vec()),
                 Placement::Tier(t) => {
-                    let bytes = self
-                        .tiers[t]
-                        .engine
-                        .submit_read(&self.key(idx))
-                        .wait()?
-                        .ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("read of subgroup {idx} returned no payload"),
-                            )
-                        })?;
-                    out.push(SubgroupState::from_bytes(&bytes, self.step).params);
+                    Ok(SubgroupState::from_bytes(&self.read_durable(t, idx)?, self.step).params)
                 }
-            }
+            })
+            .collect()
+    }
+
+    /// Mid-re-drive, some subgroups carry this step's update and the rest
+    /// the previous one: nothing a checkpoint may capture.
+    fn consistent_cut(&self) -> io::Result<()> {
+        if self.in_progress.is_some() {
+            return Err(io::Error::other(
+                "checkpoint refused: a failed update phase awaits re-drive",
+            ));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes a checkpoint of this worker's optimizer state to `target`.
@@ -1333,60 +1280,45 @@ impl MlpFuncEngine {
     /// Host-resident subgroups are copied; subgroups already sitting on a
     /// third-level tier are *pre-staged* (§3.3) and only referenced,
     /// unless `materialize` forces a copy (producing a checkpoint that
-    /// stays valid after further training rewrites the tiers).
+    /// stays valid after further training rewrites the tiers — what a
+    /// DeepSpeed-style engine does at a checkpoint boundary, all of it on
+    /// the critical path).
+    ///
+    /// Refuses to run while a failed update awaits its re-drive: the
+    /// state is mid-transition and not a consistent cut.
     pub fn checkpoint(
         &self,
         target: &dyn mlp_storage::Backend,
         tag: &str,
         materialize: bool,
     ) -> io::Result<(CheckpointManifest, CheckpointStats)> {
+        self.consistent_cut()?;
         let mut stats = CheckpointStats::default();
         let mut subgroups = Vec::with_capacity(self.subgroup_lens.len());
         for idx in 0..self.subgroup_lens.len() {
             let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-            match self.placement[idx] {
+            let copied = match self.placement[idx] {
                 Placement::Host => {
-                    let bytes = self
-                        .resident
-                        .iter()
-                        .find(|(i, _)| *i == idx)
-                        .ok_or_else(|| {
-                            invariant_violation(format!(
-                                "subgroup {idx} marked host-resident but absent from the residency table"
-                            ))
-                        })?
-                        .1
-                        .state_bytes();
-                    stats.copied_bytes += bytes.len() as u64;
+                    let bytes = self.resident[self.resident_pos(idx)?].1.state_bytes();
+                    target.write(&key, bytes)?;
+                    bytes.len()
+                }
+                Placement::Tier(t) if materialize => {
+                    let bytes = self.read_durable(t, idx)?;
                     target.write(&key, &bytes)?;
-                    subgroups.push(SubgroupLocation::Target { key });
+                    bytes.len()
                 }
-                Placement::Tier(t) => {
-                    let tier_key = self.key(idx);
-                    if materialize {
-                        let bytes = self
-                            .tiers[t]
-                            .engine
-                            .submit_read(&tier_key)
-                            .wait()?
-                            .ok_or_else(|| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("read of subgroup {idx} returned no payload"),
-                                )
-                            })?;
-                        stats.copied_bytes += bytes.len() as u64;
-                        target.write(&key, &bytes)?;
-                        subgroups.push(SubgroupLocation::Target { key });
-                    } else {
-                        stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
-                        subgroups.push(SubgroupLocation::Prestaged {
-                            tier: t,
-                            key: tier_key,
-                        });
-                    }
+                Placement::Tier(tier) => {
+                    stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
+                    subgroups.push(SubgroupLocation::Prestaged {
+                        tier,
+                        key: self.key(idx),
+                    });
+                    continue;
                 }
-            }
+            };
+            stats.copied_bytes += copied as u64;
+            subgroups.push(SubgroupLocation::Target { key });
         }
         let manifest = CheckpointManifest {
             tag: tag.to_string(),
@@ -1420,6 +1352,7 @@ impl MlpFuncEngine {
         tag: &str,
     ) -> io::Result<crate::checkpoint::PendingCheckpoint> {
         use crate::checkpoint::{PendingCheckpoint, PendingEntry};
+        self.consistent_cut()?;
         let started_ns = self.cfg.trace.now_ns();
         let mut entries = Vec::with_capacity(self.subgroup_lens.len());
         let mut stats = CheckpointStats::default();
@@ -1431,17 +1364,8 @@ impl MlpFuncEngine {
                         entries.push(PendingEntry::Reused { idx, key });
                         continue;
                     }
-                    let bytes = self
-                        .resident
-                        .iter()
-                        .find(|(i, _)| *i == idx)
-                        .ok_or_else(|| {
-                            invariant_violation(format!(
-                                "subgroup {idx} marked host-resident but absent from the residency table"
-                            ))
-                        })?
-                        .1
-                        .state_bytes();
+                    let resident = &self.resident[self.resident_pos(idx)?].1;
+                    let bytes = resident.state_bytes().to_vec();
                     let len = bytes.len() as u64;
                     stats.copied_bytes += len;
                     let staging_key =
@@ -1492,9 +1416,21 @@ impl MlpFuncEngine {
         for loc in &manifest.subgroups {
             let bytes = match loc {
                 SubgroupLocation::Target { key } => target.read(key)?,
-                SubgroupLocation::Prestaged { tier, key } => {
-                    shared_tiers[*tier].backend.read(key)?
-                }
+                // The tier index is outside input: a corrupt or foreign
+                // manifest can name a tier this run does not have.
+                SubgroupLocation::Prestaged { tier, key } => shared_tiers
+                    .get(*tier)
+                    .ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "manifest places {key} on tier {tier}, but only {} tiers are configured",
+                                shared_tiers.len()
+                            ),
+                        )
+                    })?
+                    .backend
+                    .read(key)?,
             };
             states.push(SubgroupState::from_bytes(&bytes, manifest.step));
         }
@@ -1789,35 +1725,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_path_is_bit_identical_to_multi_pass_path() {
-        let adam = AdamConfig::default();
-        let mut multi_cfg = EngineConfig::mlp_offload().with_host_frames(5);
-        multi_cfg.fused_update = false;
-        assert!(EngineConfig::mlp_offload().fused_update, "fused is default");
-        let mut fused =
-            MlpFuncEngine::new(EngineConfig::mlp_offload().with_host_frames(5), adam, &tiers(2), 0, init_states(6, 40))
-                .unwrap();
-        let mut multi = MlpFuncEngine::new(multi_cfg, adam, &tiers(2), 0, init_states(6, 40)).unwrap();
-
-        for it in 0..4 {
-            let grads = grads_for(6, 40, it as f32);
-            fused.set_inv_loss_scale(0.25);
-            multi.set_inv_loss_scale(0.25);
-            fused.accumulate_gradients(&grads);
-            multi.accumulate_gradients(&grads);
-            let of = fused.update().unwrap();
-            let om = multi.update().unwrap();
-            assert_eq!(of.fp16_params, om.fp16_params, "iteration {it}");
-            assert_eq!(of.cache_hits, om.cache_hits);
-            assert_eq!(of.flushes, om.flushes);
-        }
-        assert_eq!(
-            fused.master_params().unwrap(),
-            multi.master_params().unwrap()
-        );
-    }
-
-    #[test]
     fn fused_hot_loop_recycles_state_buffers_without_allocating() {
         let adam = AdamConfig::default();
         let subgroups = 12;
@@ -1885,87 +1792,80 @@ mod tests {
     fn permanent_fault_unwinds_cleanly_and_update_is_redrivable() {
         use mlp_storage::{classify, ErrorClass, FaultConfig, FaultInjectBackend};
         let adam = AdamConfig::default();
-        for fused in [true, false] {
-            // Twin engines: a fault-free reference, and one whose every
-            // tier is wrapped in a (initially disarmed) fault injector
-            // that fails every op permanently once armed.
-            let faults: Vec<Arc<FaultInjectBackend>> = (0..2)
-                .map(|i| {
-                    let inject = FaultInjectBackend::new(
-                        Arc::new(MemBackend::new(format!("mem{i}"))) as Arc<dyn Backend>,
-                        FaultConfig::permanent(11, 1.0),
-                    );
-                    inject.set_armed(false);
-                    Arc::new(inject)
-                })
-                .collect();
-            let faulty_tiers: Vec<SharedTier> = faults
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    SharedTier::new(Arc::clone(f) as Arc<dyn Backend>, (2 - i) as f64)
-                })
-                .collect();
-            // 6 host frames over pipeline depth 3 → 3 retained residents,
-            // so the failure exercises cache hits, fetches, and flush
-            // reclamation at once.
-            let mut cfg = EngineConfig::mlp_offload().with_host_frames(6);
-            cfg.fused_update = fused;
-            let mut reference =
-                MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(6, 24)).unwrap();
-            let mut engine =
-                MlpFuncEngine::new(cfg, adam, &faulty_tiers, 0, init_states(6, 24)).unwrap();
+        // Twin engines: a fault-free reference, and one whose every
+        // tier is wrapped in a (initially disarmed) fault injector
+        // that fails every op permanently once armed.
+        let faults: Vec<Arc<FaultInjectBackend>> = (0..2)
+            .map(|i| {
+                let inject = FaultInjectBackend::new(
+                    Arc::new(MemBackend::new(format!("mem{i}"))) as Arc<dyn Backend>,
+                    FaultConfig::permanent(11, 1.0),
+                );
+                inject.set_armed(false);
+                Arc::new(inject)
+            })
+            .collect();
+        let faulty_tiers: Vec<SharedTier> = faults
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                SharedTier::new(Arc::clone(f) as Arc<dyn Backend>, (2 - i) as f64)
+            })
+            .collect();
+        // 6 host frames over pipeline depth 3 → 3 retained residents,
+        // so the failure exercises cache hits, fetches, and flush
+        // reclamation at once.
+        let cfg = EngineConfig::mlp_offload().with_host_frames(6);
+        let mut reference =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(6, 24)).unwrap();
+        let mut engine =
+            MlpFuncEngine::new(cfg, adam, &faulty_tiers, 0, init_states(6, 24)).unwrap();
 
-            // Two clean iterations warm the host cache.
-            for it in 0..2 {
-                let grads = grads_for(6, 24, it as f32);
-                reference.accumulate_gradients(&grads);
-                reference.update().unwrap();
-                engine.accumulate_gradients(&grads);
-                engine.update().unwrap();
-            }
-
-            // The third iteration runs into permanently failing tiers: it
-            // must surface a typed permanent error — no panic, no hang —
-            // with every staging buffer back in the pool.
-            let grads = grads_for(6, 24, 2.0);
+        // Two clean iterations warm the host cache.
+        for it in 0..2 {
+            let grads = grads_for(6, 24, it as f32);
             reference.accumulate_gradients(&grads);
-            let want = reference.update().unwrap();
+            reference.update().unwrap();
             engine.accumulate_gradients(&grads);
-            for f in &faults {
-                f.set_armed(true);
-            }
-            let err = engine.update().unwrap_err();
-            assert_eq!(classify(&err), ErrorClass::Permanent, "fused={fused}: {err}");
-            assert!(engine.update_in_progress());
-            assert!(engine.io_errors() > 0);
-            assert_eq!(
-                engine.state_pool_outstanding(),
-                engine
-                    .resident
-                    .iter()
-                    .filter(|(_, r)| matches!(r, Resident::Pooled { .. }))
-                    .count(),
-                "fused={fused}: only resident subgroups may hold staging buffers"
-            );
-
-            // Heal the tiers and re-drive the same iteration: the result
-            // must be bit-identical to the run that never failed.
-            for f in &faults {
-                f.set_armed(false);
-            }
-            let got = engine.update().unwrap();
-            assert!(!engine.update_in_progress());
-            assert_eq!(
-                got.fp16_params, want.fp16_params,
-                "fused={fused}: re-driven iteration diverged"
-            );
-            assert_eq!(
-                engine.master_params().unwrap(),
-                reference.master_params().unwrap(),
-                "fused={fused}: master state diverged after re-drive"
-            );
+            engine.update().unwrap();
         }
+
+        // The third iteration runs into permanently failing tiers: it
+        // must surface a typed permanent error — no panic, no hang —
+        // with every staging buffer back in the pool.
+        let grads = grads_for(6, 24, 2.0);
+        reference.accumulate_gradients(&grads);
+        let want = reference.update().unwrap();
+        engine.accumulate_gradients(&grads);
+        for f in &faults {
+            f.set_armed(true);
+        }
+        let err = engine.update().unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
+        assert!(engine.update_in_progress());
+        assert!(engine.io_errors() > 0);
+        assert_eq!(
+            engine.state_pool_outstanding(),
+            engine.resident_count(),
+            "only resident subgroups may hold staging buffers"
+        );
+
+        // Heal the tiers and re-drive the same iteration: the result
+        // must be bit-identical to the run that never failed.
+        for f in &faults {
+            f.set_armed(false);
+        }
+        let got = engine.update().unwrap();
+        assert!(!engine.update_in_progress());
+        assert_eq!(
+            got.fp16_params, want.fp16_params,
+            "re-driven iteration diverged"
+        );
+        assert_eq!(
+            engine.master_params().unwrap(),
+            reference.master_params().unwrap(),
+            "master state diverged after re-drive"
+        );
     }
 
     #[test]
@@ -1974,80 +1874,77 @@ mod tests {
             classify, ErrorClass, FaultConfig, FaultInjectBackend, FaultOps, HealthConfig,
         };
         let adam = AdamConfig::default();
-        for fused in [true, false] {
-            // Reference: the identical run over only the surviving tier.
-            // A small host cache keeps most durable copies on the tiers,
-            // so the dying tier actually holds state worth draining.
-            let mut cfg = EngineConfig::mlp_offload().with_host_frames(3);
-            cfg.fused_update = fused;
-            let mut reference =
-                MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(6, 24)).unwrap();
+        // Reference: the identical run over only the surviving tier.
+        // A small host cache keeps most durable copies on the tiers,
+        // so the dying tier actually holds state worth draining.
+        let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+        let mut reference =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(6, 24)).unwrap();
 
-            // Tier 0 dies for writes mid-run; reads keep working (the
-            // salvage path). Hair-trigger breaker: one post-retry
-            // failure latches quarantine.
-            let inject = Arc::new(FaultInjectBackend::new(
-                Arc::new(MemBackend::new("dying")) as Arc<dyn Backend>,
-                FaultConfig::permanent(11, 1.0).with_ops(FaultOps::WritesOnly),
-            ));
-            inject.set_armed(false);
-            let health = TierHealth::new("dying", HealthConfig::hair_trigger());
-            let victim = SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 2.0)
-                .with_health(Arc::clone(&health));
-            let survivor = SharedTier::new(
-                Arc::new(MemBackend::new("survivor")) as Arc<dyn Backend>,
-                1.0,
-            );
-            let mut engine =
-                MlpFuncEngine::new(cfg, adam, &[victim, survivor], 0, init_states(6, 24))
-                    .unwrap();
+        // Tier 0 dies for writes mid-run; reads keep working (the
+        // salvage path). Hair-trigger breaker: one post-retry
+        // failure latches quarantine.
+        let inject = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("dying")) as Arc<dyn Backend>,
+            FaultConfig::permanent(11, 1.0).with_ops(FaultOps::WritesOnly),
+        ));
+        inject.set_armed(false);
+        let health = TierHealth::new("dying", HealthConfig::hair_trigger());
+        let victim = SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 2.0)
+            .with_health(Arc::clone(&health));
+        let survivor = SharedTier::new(
+            Arc::new(MemBackend::new("survivor")) as Arc<dyn Backend>,
+            1.0,
+        );
+        let mut engine =
+            MlpFuncEngine::new(cfg, adam, &[victim, survivor], 0, init_states(6, 24))
+                .unwrap();
 
-            // Two clean iterations warm the cache and spread durable
-            // copies across both tiers; then the tier dies mid-run.
-            for it in 0..2 {
-                let grads = grads_for(6, 24, it as f32);
-                reference.accumulate_gradients(&grads);
-                reference.update().unwrap();
-                engine.accumulate_gradients(&grads);
-                engine.update().unwrap();
-            }
-            let grads = grads_for(6, 24, 2.0);
+        // Two clean iterations warm the cache and spread durable
+        // copies across both tiers; then the tier dies mid-run.
+        for it in 0..2 {
+            let grads = grads_for(6, 24, it as f32);
             reference.accumulate_gradients(&grads);
             reference.update().unwrap();
             engine.accumulate_gradients(&grads);
-            inject.set_armed(true);
-            let err = engine.update().unwrap_err();
-            assert_eq!(classify(&err), ErrorClass::Permanent, "fused={fused}: {err}");
-            assert!(
-                health.is_quarantined(),
-                "fused={fused}: one write failure must latch the hair-trigger breaker"
-            );
-
-            // The re-drive notices the quarantine, evacuates every
-            // durable copy off the dead tier, and completes the same
-            // iteration — with the tier still failing every write.
             engine.update().unwrap();
-            assert_eq!(engine.quarantined_tiers(), vec![0], "fused={fused}");
-            assert!(engine.drains_done() > 0, "fused={fused}: nothing was drained");
-
-            // Two more full iterations entirely without the tier.
-            for it in 3..5 {
-                let grads = grads_for(6, 24, it as f32);
-                reference.accumulate_gradients(&grads);
-                reference.update().unwrap();
-                engine.accumulate_gradients(&grads);
-                engine.update().unwrap();
-            }
-            assert!(
-                engine.placement.iter().all(|p| *p != Placement::Tier(0)),
-                "fused={fused}: a subgroup still lives on the quarantined tier"
-            );
-            assert_eq!(
-                engine.master_params().unwrap(),
-                reference.master_params().unwrap(),
-                "fused={fused}: degraded run diverged from the run without the tier"
-            );
         }
+        let grads = grads_for(6, 24, 2.0);
+        reference.accumulate_gradients(&grads);
+        reference.update().unwrap();
+        engine.accumulate_gradients(&grads);
+        inject.set_armed(true);
+        let err = engine.update().unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
+        assert!(
+            health.is_quarantined(),
+            "one write failure must latch the hair-trigger breaker"
+        );
+
+        // The re-drive notices the quarantine, evacuates every
+        // durable copy off the dead tier, and completes the same
+        // iteration — with the tier still failing every write.
+        engine.update().unwrap();
+        assert_eq!(engine.quarantined_tiers(), vec![0]);
+        assert!(engine.drains_done() > 0, "nothing was drained");
+
+        // Two more full iterations entirely without the tier.
+        for it in 3..5 {
+            let grads = grads_for(6, 24, it as f32);
+            reference.accumulate_gradients(&grads);
+            reference.update().unwrap();
+            engine.accumulate_gradients(&grads);
+            engine.update().unwrap();
+        }
+        assert!(
+            engine.placement.iter().all(|p| *p != Placement::Tier(0)),
+            "a subgroup still lives on the quarantined tier"
+        );
+        assert_eq!(
+            engine.master_params().unwrap(),
+            reference.master_params().unwrap(),
+            "degraded run diverged from the run without the tier"
+        );
     }
 
     #[test]
@@ -2080,6 +1977,84 @@ mod tests {
         let err = engine.update().unwrap_err();
         assert!(err.to_string().contains("quarantined"), "{err}");
         assert!(engine.update().is_err());
+    }
+
+    #[test]
+    fn no_tiers_is_a_typed_error() {
+        let err = MlpFuncEngine::new(
+            EngineConfig::mlp_offload(),
+            AdamConfig::default(),
+            &[],
+            0,
+            init_states(2, 4),
+        )
+        .err()
+        .expect("an engine without tiers cannot offload anything");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn tier_ratio_of_the_wrong_length_is_a_typed_error() {
+        // What `from_deepspeed_json` would hand over for a "2:1:1" ratio
+        // if the caller then opened only two of the tiers.
+        let err = MlpFuncEngine::new(
+            EngineConfig::mlp_offload().with_tier_ratio(vec![2.0, 1.0, 1.0]),
+            AdamConfig::default(),
+            &tiers(2),
+            0,
+            init_states(2, 4),
+        )
+        .err()
+        .expect("three ratio components cannot weigh two tiers");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn eager_gradients_survive_quarantine_between_backward_and_update() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend, FaultOps, HealthConfig};
+        let adam = AdamConfig::default();
+        let cfg = EngineConfig::deepspeed_zero3();
+        let mut reference =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(6, 24)).unwrap();
+
+        let inject = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("dying")) as Arc<dyn Backend>,
+            FaultConfig::permanent(5, 1.0).with_ops(FaultOps::WritesOnly),
+        ));
+        inject.set_armed(false);
+        let health = TierHealth::new("dying", HealthConfig::hair_trigger());
+        let victim = SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 2.0)
+            .with_health(Arc::clone(&health));
+        let survivor = SharedTier::new(Arc::new(MemBackend::new("ok")) as Arc<dyn Backend>, 1.0);
+        let mut engine =
+            MlpFuncEngine::new(cfg, adam, &[victim, survivor], 0, init_states(6, 24)).unwrap();
+
+        for it in 0..3 {
+            let grads = grads_for(6, 24, it as f32);
+            reference.accumulate_gradients(&grads);
+            reference.flush_gradients().unwrap();
+            reference.update().unwrap();
+
+            engine.accumulate_gradients(&grads);
+            if it == 1 {
+                // The tier dies for writes after backward: the gradient
+                // flush fails and latches the breaker; re-calling the
+                // phase drains the tier and flushes next to the new
+                // placements, out of the untouched accumulators.
+                inject.set_armed(true);
+                assert!(engine.flush_gradients().is_err());
+                assert!(health.is_quarantined());
+            }
+            engine.flush_gradients().unwrap();
+            engine.update().unwrap();
+        }
+        assert_eq!(engine.quarantined_tiers(), vec![0]);
+        assert!(engine.placement.iter().all(|p| *p != Placement::Tier(0)));
+        assert_eq!(
+            engine.master_params().unwrap(),
+            reference.master_params().unwrap()
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
     }
 
     #[test]

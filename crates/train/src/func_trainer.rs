@@ -290,30 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_multi_pass_updates_train_identically() {
-        // End-to-end A/B of the `fused_update` flag: the whole run —
-        // losses, scaler behaviour, final state — must be bit-identical,
-        // since the fused kernel reproduces the multi-pass op sequence.
-        let run = |fused: bool| {
-            let task = RegressionTask::new(64, 48, 11);
-            let mut cfg = FuncTrainConfig {
-                optimizer: OptimizerConfig::Adam(mlp_optim::AdamConfig {
-                    lr: 0.05,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            };
-            cfg.engine.fused_update = fused;
-            train(&task, &tiers(), cfg, 25).unwrap()
-        };
-        let fused = run(true);
-        let multi = run(false);
-        assert_eq!(fused.losses, multi.losses);
-        assert_eq!(fused.skipped_steps, multi.skipped_steps);
-        assert_eq!(fused.final_loss_scale, multi.final_loss_scale);
-    }
-
-    #[test]
     fn training_rides_through_transient_faults_bit_identically() {
         use mlp_offload::{AioConfig, RetryPolicy};
         use mlp_storage::{FaultConfig, FaultInjectBackend};

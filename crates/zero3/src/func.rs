@@ -1,37 +1,33 @@
-//! Functional (real-bytes) ZeRO-3 baseline engine.
+//! Functional (real-bytes) ZeRO-3 baseline: a thin adaptor over the one
+//! functional engine.
 //!
-//! Data path per iteration (the DeepSpeed ZeRO-3 + DeepNVMe behaviour the
-//! paper describes in §2/§3.4):
+//! The baseline is [`MlpFuncEngine`] configured as
+//! [`EngineConfig::deepspeed_zero3`] over a single tier — the DeepSpeed
+//! ZeRO-3 + DeepNVMe behaviour the paper describes in §2/§3.4, and the
+//! bottom rung of its Fig. 14 ablation ladder:
 //!
 //! 1. Backward micro-steps deliver FP16 gradients; the engine *eagerly*
 //!    upscales them to FP32 and accumulates in an FP32 host buffer.
 //! 2. After the final micro-step the FP32 gradients are flushed to the
 //!    storage tier next to the subgroup's optimizer state.
 //! 3. The update phase fetches state *and* FP32 gradients (16 B/param
-//!    instead of MLP-Offload's 12 B/param), runs Adam on the CPU, flushes
-//!    the state back (discarding the gradients), in ascending subgroup
-//!    order every iteration, with no cross-iteration host caching.
+//!    instead of MLP-Offload's 12 B/param), runs the optimizer on the CPU,
+//!    and flushes the state back, in ascending subgroup order every
+//!    iteration, with no cross-iteration host caching.
 //!
-//! I/O failures (after the engine-level retry policy gave up) surface as
-//! typed errors with every in-flight operation drained and every staging
-//! buffer back in the pool; re-calling the failed phase re-drives it to
-//! the bit-identical result of a run that never failed (gradients stay in
-//! the host accumulators until the update succeeds, and a failed state
-//! flush leaves the previous object intact).
+//! Fetch, update, flush, failure unwinding and re-drive all live in
+//! [`MlpFuncEngine`]; this type only keeps the single-backend signatures
+//! its callers (the benchmark above all) were written against.
 
-use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
-use mlp_aio::engine::{AioConfig, AioEngine, OpHandle};
-use mlp_optim::optimizer::OptimizerConfig;
-use mlp_optim::traced::fused_update_f32_traced;
-use mlp_optim::{AdamConfig, SubgroupState, SubgroupStateMut};
+use mlp_aio::engine::AioConfig;
+use mlp_offload::checkpoint::CheckpointStats;
+use mlp_offload::func::{MlpFuncEngine, SharedTier};
+use mlp_offload::EngineConfig;
+use mlp_optim::{AdamConfig, SubgroupState};
 use mlp_storage::Backend;
-use mlp_tensor::convert;
-use mlp_tensor::pool::PinnedPool;
-use mlp_tensor::HostBuffer;
-use mlp_trace::{Attrs, Phase, TraceSink};
 
 /// Result of one baseline update phase.
 #[derive(Debug)]
@@ -41,49 +37,16 @@ pub struct Zero3UpdateOutcome {
     /// Subgroups fetched (always all of them: the baseline thrashes).
     pub fetches: usize,
     /// FP32 gradient bytes moved through storage this iteration, as
-    /// *logical per-iteration accounting*: flushed once during backward
-    /// plus fetched once per subgroup during update, regardless of how
-    /// many times a failed attempt was re-driven. Physically re-moved
-    /// bytes (re-flushes, re-fetches) show up on the trace timeline and
-    /// the tier byte counters instead.
+    /// *logical per-iteration accounting*
+    /// ([`MlpFuncEngine::grad_bytes_through_storage`]): flushed once
+    /// during backward plus fetched once per subgroup during update,
+    /// regardless of how many times a failed attempt was re-driven.
     pub grad_bytes_through_storage: u64,
 }
 
 /// The functional ZeRO-3 baseline over a single storage backend.
 pub struct Zero3FuncEngine {
-    engine: AioEngine,
-    adam: AdamConfig,
-    /// The same Adam parameters as an [`OptimizerConfig`], for the fused
-    /// kernel.
-    opt: OptimizerConfig,
-    worker_id: usize,
-    subgroup_lens: Vec<usize>,
-    /// FP32 gradient accumulation buffers (host side). Kept intact until
-    /// the update phase succeeds, so a failed iteration can re-drive.
-    grad_accum: Vec<Vec<f32>>,
-    /// Staging buffers for pooled state/gradient fetches and flushes
-    /// (fused path): sized for the largest subgroup's serialized state.
-    pool: PinnedPool,
-    pipeline_depth: usize,
-    /// Single-pass fused update over pooled buffers (default); `false`
-    /// falls back to the allocating multi-pass path for A/B comparison.
-    fused: bool,
-    step: u64,
-    iter: u64,
-    inv_loss_scale: f32,
-    /// Gradient bytes flushed by the last successful `flush_gradients`
-    /// (assigned, not accumulated: a re-driven flush is idempotent).
-    grad_flush_bytes: u64,
-    /// Gradient bytes consumed by this iteration's update, accounted at
-    /// each subgroup's durability transition — so a subgroup fetched in
-    /// a failed attempt and re-fetched on the re-drive counts once.
-    grad_fetch_bytes: u64,
-    /// Observability sink (cloned from [`AioConfig::trace`]; disabled by
-    /// default, in which case every instrumentation point is a no-op).
-    trace: TraceSink,
-    /// Per-subgroup "this iteration's update is durable on storage" bits
-    /// of a failed update phase awaiting a re-drive.
-    in_progress: Option<Vec<bool>>,
+    inner: MlpFuncEngine,
 }
 
 impl Zero3FuncEngine {
@@ -99,7 +62,8 @@ impl Zero3FuncEngine {
     }
 
     /// Creates the engine with an explicit I/O configuration (worker
-    /// count, queue depth, transient-error retry policy).
+    /// count, queue depth, transient-error retry policy). An enabled
+    /// [`AioConfig::trace`] also receives the engine's own spans.
     pub fn with_aio(
         backend: Arc<dyn Backend>,
         adam: AdamConfig,
@@ -107,603 +71,90 @@ impl Zero3FuncEngine {
         initial: Vec<SubgroupState>,
         aio: AioConfig,
     ) -> io::Result<Self> {
-        let trace = aio.trace.clone();
-        let engine = AioEngine::new(backend, aio);
-        let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
-        let pipeline_depth = 3;
-        // The fused path holds two pooled buffers per in-flight subgroup
-        // (state + gradients, both fit a state-sized buffer); blocked
-        // acquires unblock as I/O workers complete flushes, so a small
-        // fixed pool bounds staging memory without deadlock.
-        let buffer_bytes = subgroup_lens.iter().copied().max().unwrap_or(1).max(1) * 12;
-        let pool = PinnedPool::new_traced(2 * pipeline_depth + 4, buffer_bytes, "zero3", trace.clone());
-        let me = Zero3FuncEngine {
-            grad_accum: subgroup_lens.iter().map(|&n| vec![0.0; n]).collect(),
-            engine,
-            opt: OptimizerConfig::from(adam),
-            adam,
-            worker_id,
-            subgroup_lens,
-            pool,
-            pipeline_depth,
-            fused: true,
-            step: 0,
-            iter: 0,
-            inv_loss_scale: 1.0,
-            grad_flush_bytes: 0,
-            grad_fetch_bytes: 0,
-            trace,
-            in_progress: None,
-        };
-        let mut handles = Vec::new();
-        for (idx, state) in initial.iter().enumerate() {
-            handles.push(
-                me.engine
-                    .submit_write(&me.state_key(idx), state.to_buffer().into_bytes()),
-            );
-        }
-        for h in handles {
-            h.wait()?;
-        }
-        Ok(me)
+        let (cfg, tiers) = Self::setup(backend, aio);
+        MlpFuncEngine::new(cfg, adam, &tiers, worker_id, initial).map(|inner| Self { inner })
+    }
+
+    /// The baseline as a configuration of the one engine.
+    fn setup(backend: Arc<dyn Backend>, aio: AioConfig) -> (EngineConfig, [SharedTier; 1]) {
+        let cfg = EngineConfig::deepspeed_zero3().with_trace(aio.trace.clone());
+        (cfg, [SharedTier::new(backend, 1.0).with_aio(aio)])
     }
 
     /// Sets the inverse loss scale applied to gradients before the update.
     pub fn set_inv_loss_scale(&mut self, inv: f32) {
-        self.inv_loss_scale = inv;
-    }
-
-    /// Selects the fused single-pass update path (`true`, the default) or
-    /// the legacy allocating multi-pass path (`false`) for A/B comparison.
-    pub fn set_fused(&mut self, fused: bool) {
-        self.fused = fused;
+        self.inner.set_inv_loss_scale(inv);
     }
 
     /// Number of subgroups.
     pub fn num_subgroups(&self) -> usize {
-        self.subgroup_lens.len()
+        self.inner.num_subgroups()
     }
 
     /// Whether a failed update phase is awaiting a re-drive.
     pub fn update_in_progress(&self) -> bool {
-        self.in_progress.is_some()
+        self.inner.update_in_progress()
     }
 
     /// Transient-error re-attempts performed by the I/O retry layer.
     pub fn io_retries(&self) -> u64 {
-        self.engine.retries()
+        self.inner.io_retries()
     }
 
     /// Operations that ultimately failed (after retries).
     pub fn io_errors(&self) -> u64 {
-        self.engine.op_errors()
+        self.inner.io_errors()
     }
 
-    /// Staging buffers currently checked out of the pool (0 between
-    /// phases — anything else is a leak).
+    /// Staging buffers checked out of the pool beyond those holding
+    /// host-resident state (0 between phases — anything else is a leak).
+    /// A failed state flush keeps its payload host-resident for the
+    /// re-drive, which is not a leak.
     pub fn pool_outstanding(&self) -> usize {
-        self.pool.outstanding()
-    }
-
-    fn state_key(&self, idx: usize) -> String {
-        format!("w{}/sub{}", self.worker_id, idx)
-    }
-
-    fn grad_key(&self, idx: usize) -> String {
-        format!("w{}/grad{}", self.worker_id, idx)
+        self.inner.state_pool_outstanding() - self.inner.resident_count()
     }
 
     /// One backward micro-step: eagerly upscale the FP16 gradients to FP32
     /// and accumulate on the host (the conversion MLP-Offload delays).
     pub fn accumulate_gradients(&mut self, grads: &[Vec<u16>]) {
-        assert_eq!(
-            grads.len(),
-            self.subgroup_lens.len(),
-            "gradient set mismatch"
-        );
-        for (buf, g) in self.grad_accum.iter_mut().zip(grads) {
-            assert_eq!(buf.len(), g.len(), "gradient length mismatch");
-            let mut up = vec![0.0f32; g.len()];
-            convert::upscale(g, &mut up);
-            for (b, u) in buf.iter_mut().zip(&up) {
-                *b += u;
-            }
-        }
+        self.inner.accumulate_gradients(grads);
     }
 
     /// Flushes the accumulated FP32 gradients to storage (the end of the
-    /// last backward micro-step in Fig. 6 top).
-    ///
-    /// The fused configuration stages each flush through a recycled pooled
-    /// buffer (acquisition blocks on pool exhaustion, bounding staging
-    /// memory); the multi-pass configuration allocates per subgroup.
-    ///
-    /// On failure the accumulators are untouched — re-calling re-flushes
-    /// every subgroup's gradients (writes are idempotent), so a transient
-    /// outage costs one retry, not the iteration.
+    /// last backward micro-step in Fig. 6 top). On failure the
+    /// accumulators are untouched — re-calling flushes what is missing.
     pub fn flush_gradients(&mut self) -> io::Result<()> {
-        let phase_start = self.trace.now_ns();
-        let mut handles = Vec::new();
-        let mut total = 0u64;
-        for (idx, g) in self.grad_accum.iter().enumerate() {
-            let nbytes = g.len() * 4;
-            total += nbytes as u64;
-            if self.fused {
-                let mut buf = self.pool.acquire();
-                buf.buffer_mut().write_f32(0, g);
-                handles.push(
-                    self.engine
-                        .submit_write_pooled(&self.grad_key(idx), buf, nbytes),
-                );
-            } else {
-                let mut buf = HostBuffer::zeroed(nbytes);
-                buf.write_f32(0, g);
-                handles.push(
-                    self.engine
-                        .submit_write(&self.grad_key(idx), buf.into_bytes()),
-                );
-            }
-        }
-        let mut first_err: Option<io::Error> = None;
-        for h in handles {
-            // Reclaimed payloads just drop (staging buffers recycle): the
-            // gradients still live in the host accumulators.
-            if let Err((e, _payload)) = h.wait_flush() {
-                first_err.get_or_insert(e);
-            }
-        }
-        if self.trace.is_enabled() {
-            self.trace.complete_span(
-                Phase::GradFlush,
-                Attrs::bytes(total),
-                phase_start,
-                self.trace.now_ns(),
-            );
-        }
-        match first_err {
-            None => {
-                self.grad_flush_bytes = total;
-                Ok(())
-            }
-            Some(e) => Err(e),
-        }
+        self.inner.flush_gradients()
     }
 
     /// Runs one update phase in ascending subgroup order: fetch state +
-    /// FP32 gradients, Adam, flush state back.
-    ///
-    /// The fused configuration fetches into pooled staging buffers via
-    /// [`mlp_storage::Backend::read_into`], runs the single-pass fused
-    /// kernel over the state buffer in place, and flushes from the same
-    /// buffer; the multi-pass configuration deserializes, scales, steps,
-    /// downscales, and re-serializes with per-subgroup allocations.
-    ///
-    /// # Failure semantics
-    ///
-    /// An I/O error unwinds the phase cleanly (in-flight ops drained,
-    /// staging buffers recycled) and the engine stays re-drivable:
-    /// calling `update` again re-drives the *same* iteration. Subgroups
-    /// whose updated state already reached storage are only re-read for
-    /// their FP16 image; the rest re-run Adam from their (intact)
-    /// pre-update state and the untouched gradient accumulators.
+    /// FP32 gradients, optimizer step, flush state back. An I/O error
+    /// unwinds cleanly and calling `update` again re-drives the *same*
+    /// iteration (see [`MlpFuncEngine::update`]).
     pub fn update(&mut self) -> io::Result<Zero3UpdateOutcome> {
-        let m = self.subgroup_lens.len();
-        // Fresh iteration vs re-drive of a failed one.
-        let mut progress = match self.in_progress.take() {
-            Some(p) => p,
-            None => {
-                self.step += 1;
-                vec![false; m]
-            }
-        };
-        let mut outcome = Zero3UpdateOutcome {
-            fp16_params: vec![Vec::new(); m],
-            fetches: 0,
-            grad_bytes_through_storage: 0,
-        };
-        let phase_start = self.trace.now_ns();
-        let result = if self.fused {
-            self.run_update_fused(&mut outcome, &mut progress)
-        } else {
-            self.run_update_multipass(&mut outcome, &mut progress)
-        };
-        if self.trace.is_enabled() {
-            self.trace.complete_span(
-                Phase::Update,
-                Attrs::NONE,
-                phase_start,
-                self.trace.now_ns(),
-            );
-        }
-        match result {
-            Ok(()) => {
-                for buf in &mut self.grad_accum {
-                    buf.fill(0.0);
-                }
-                outcome.grad_bytes_through_storage = self.grad_flush_bytes + self.grad_fetch_bytes;
-                self.grad_flush_bytes = 0;
-                self.grad_fetch_bytes = 0;
-                self.iter += 1;
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.in_progress = Some(progress);
-                Err(e)
-            }
-        }
-    }
-
-    /// Settles every operation still in flight after a pass: pending
-    /// fetches recycle their staging buffers, and each flush marks its
-    /// subgroup durable on success. A failed flush leaves the previous
-    /// object intact (its reclaimed payload just drops), so the subgroup
-    /// stays marked for a full re-update. Gradient-fetch bytes are
-    /// accounted here, at the durability transition, so each subgroup
-    /// contributes exactly once per iteration no matter how many times
-    /// a failed attempt re-fetched it. Returns the first error,
-    /// preferring the pass's own.
-    fn drain_update(
-        &mut self,
-        pass: io::Result<()>,
-        pending: VecDeque<(usize, OpHandle, Option<OpHandle>)>,
-        flush_handles: Vec<(usize, OpHandle)>,
-        progress: &mut [bool],
-        pooled: bool,
-    ) -> io::Result<()> {
-        let mut first_err = pass.err();
-        for (_, state_h, grad_h) in pending {
-            for h in std::iter::once(state_h).chain(grad_h) {
-                let settled = if pooled {
-                    h.wait_pooled().map(|_| ()) // buffer recycles on drop
-                } else {
-                    h.wait().map(|_| ())
-                };
-                if let Err(e) = settled {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        for (idx, h) in flush_handles {
-            match h.wait_flush() {
-                Ok(()) => {
-                    progress[idx] = true;
-                    self.grad_fetch_bytes += (self.subgroup_lens[idx] * 4) as u64;
-                }
-                Err((e, _payload)) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    fn run_update_fused(
-        &mut self,
-        outcome: &mut Zero3UpdateOutcome,
-        progress: &mut [bool],
-    ) -> io::Result<()> {
-        let mut pending: VecDeque<(usize, OpHandle, Option<OpHandle>)> = VecDeque::new();
-        let mut flush_handles: Vec<(usize, OpHandle)> = Vec::new();
-        let pass = self.fused_pass(outcome, progress, &mut pending, &mut flush_handles);
-        self.drain_update(pass, pending, flush_handles, progress, true)
-    }
-
-    fn fused_pass(
-        &mut self,
-        outcome: &mut Zero3UpdateOutcome,
-        progress: &mut [bool],
-        pending: &mut VecDeque<(usize, OpHandle, Option<OpHandle>)>,
-        flush_handles: &mut Vec<(usize, OpHandle)>,
-    ) -> io::Result<()> {
-        let m = self.subgroup_lens.len();
-        let mut next_to_submit = 0usize;
-
-        for _ in 0..m {
-            while next_to_submit < m && pending.len() < self.pipeline_depth {
-                let idx = next_to_submit;
-                next_to_submit += 1;
-                let n = self.subgroup_lens[idx];
-                let state_buf = self.pool.acquire();
-                let state_h =
-                    self.engine
-                        .submit_read_pooled(&self.state_key(idx), state_buf, n * 12);
-                // Subgroups whose update is already durable (re-drive)
-                // need no gradient fetch.
-                let grad_h = if progress[idx] {
-                    None
-                } else {
-                    let grad_buf = self.pool.acquire();
-                    Some(
-                        self.engine
-                            .submit_read_pooled(&self.grad_key(idx), grad_buf, n * 4),
-                    )
-                };
-                pending.push_back((idx, state_h, grad_h));
-            }
-            let Some((idx, state_h, grad_h)) = pending.pop_front() else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "prefetch window empty with subgroups still unprocessed",
-                ));
-            };
-            let n = self.subgroup_lens[idx];
-            // Settle this subgroup's paired fetches together so a failure
-            // of one cannot abandon the other's handle mid-flight.
-            let (mut state_buf, state_n) = match state_h.wait_pooled() {
-                Ok(v) => v,
-                Err(e) => {
-                    if let Some(gh) = grad_h {
-                        let _ = gh.wait_pooled();
-                    }
-                    return Err(e);
-                }
-            };
-            if state_n != n * 12 {
-                if let Some(gh) = grad_h {
-                    let _ = gh.wait_pooled();
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "short state read for subgroup {idx}: got {state_n} of {} bytes",
-                        n * 12
-                    ),
-                ));
-            }
-            outcome.fetches += 1;
-
-            match grad_h {
-                Some(gh) => {
-                    let (grad_buf, grad_n) = gh.wait_pooled()?;
-                    if grad_n != n * 4 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "short gradient read for subgroup {idx}: got {grad_n} of {} bytes",
-                                n * 4
-                            ),
-                        ));
-                    }
-                    // Single fused pass: scale + Adam + FP16 emission,
-                    // mutating the fetched state buffer in place.
-                    let mut fp16 = vec![0u16; n];
-                    {
-                        let view = SubgroupStateMut::from_buffer(state_buf.buffer_mut(), n);
-                        fused_update_f32_traced(
-                            &self.trace,
-                            idx as i64,
-                            &self.opt,
-                            self.step,
-                            view.params,
-                            view.momentum,
-                            view.variance,
-                            grad_buf.as_f32(n),
-                            self.inv_loss_scale,
-                            &mut fp16,
-                        );
-                    }
-                    outcome.fp16_params[idx] = fp16;
-                    drop(grad_buf); // back to the pool
-
-                    // Flush straight from the staging buffer; `progress`
-                    // is marked durable at drain, once acknowledged.
-                    flush_handles.push((
-                        idx,
-                        self.engine
-                            .submit_write_pooled(&self.state_key(idx), state_buf, n * 12),
-                    ));
-                }
-                None => {
-                    // Re-drive: storage already holds the updated state —
-                    // re-emit its FP16 image and recycle the buffer.
-                    let mut fp16 = vec![0u16; n];
-                    convert::downscale_par(state_buf.as_f32(n), &mut fp16);
-                    outcome.fp16_params[idx] = fp16;
-                }
-            }
-        }
-
-        // The flush barrier is the caller's unconditional drain.
-        Ok(())
-    }
-
-    fn run_update_multipass(
-        &mut self,
-        outcome: &mut Zero3UpdateOutcome,
-        progress: &mut [bool],
-    ) -> io::Result<()> {
-        let mut pending: VecDeque<(usize, OpHandle, Option<OpHandle>)> = VecDeque::new();
-        let mut flush_handles: Vec<(usize, OpHandle)> = Vec::new();
-        let pass = self.multipass_pass(outcome, progress, &mut pending, &mut flush_handles);
-        self.drain_update(pass, pending, flush_handles, progress, false)
-    }
-
-    fn multipass_pass(
-        &mut self,
-        outcome: &mut Zero3UpdateOutcome,
-        progress: &mut [bool],
-        pending: &mut VecDeque<(usize, OpHandle, Option<OpHandle>)>,
-        flush_handles: &mut Vec<(usize, OpHandle)>,
-    ) -> io::Result<()> {
-        let m = self.subgroup_lens.len();
-        let mut next_to_submit = 0usize;
-
-        for _ in 0..m {
-            while next_to_submit < m && pending.len() < self.pipeline_depth {
-                let idx = next_to_submit;
-                next_to_submit += 1;
-                let state_h = self.engine.submit_read(&self.state_key(idx));
-                let grad_h = if progress[idx] {
-                    None
-                } else {
-                    Some(self.engine.submit_read(&self.grad_key(idx)))
-                };
-                pending.push_back((idx, state_h, grad_h));
-            }
-            let Some((idx, state_h, grad_h)) = pending.pop_front() else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "prefetch window empty with subgroups still unprocessed",
-                ));
-            };
-            let n = self.subgroup_lens[idx];
-            let state_bytes = match state_h.wait() {
-                Ok(b) => b.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("state read of subgroup {idx} returned no payload"),
-                    )
-                })?,
-                Err(e) => {
-                    if let Some(gh) = grad_h {
-                        let _ = gh.wait();
-                    }
-                    return Err(e);
-                }
-            };
-            if state_bytes.len() != n * 12 {
-                if let Some(gh) = grad_h {
-                    let _ = gh.wait();
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "short state read for subgroup {idx}: got {} of {} bytes",
-                        state_bytes.len(),
-                        n * 12
-                    ),
-                ));
-            }
-            outcome.fetches += 1;
-            // Subgroups already durable carry this step's state; the rest
-            // still carry the previous iteration's.
-            let base_step = if progress[idx] {
-                self.step
-            } else {
-                self.step.saturating_sub(1)
-            };
-            let mut state = SubgroupState::from_bytes(&state_bytes, base_step);
-
-            match grad_h {
-                Some(gh) => {
-                    let grad_bytes = gh.wait()?.ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("gradient read of subgroup {idx} returned no payload"),
-                        )
-                    })?;
-                    if grad_bytes.len() != n * 4 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "short gradient read for subgroup {idx}: got {} of {} bytes",
-                                grad_bytes.len(),
-                                n * 4
-                            ),
-                        ));
-                    }
-                    let grads = HostBuffer::from_bytes(grad_bytes);
-                    let mut g = grads.read_f32(0, state.len());
-                    if self.inv_loss_scale != 1.0 {
-                        for x in &mut g {
-                            *x *= self.inv_loss_scale;
-                        }
-                    }
-                    state.apply_update(&self.adam, &g);
-                    outcome.fp16_params[idx] = state.fp16_params();
-
-                    flush_handles.push((
-                        idx,
-                        self.engine
-                            .submit_write(&self.state_key(idx), state.to_buffer().into_bytes()),
-                    ));
-                }
-                None => {
-                    // Re-drive: state already updated on storage.
-                    outcome.fp16_params[idx] = state.fp16_params();
-                }
-            }
-        }
-
-        // The flush barrier is the caller's unconditional drain.
-        Ok(())
+        let out = self.inner.update()?;
+        Ok(Zero3UpdateOutcome {
+            fp16_params: out.fp16_params,
+            fetches: out.fetches,
+            grad_bytes_through_storage: self.inner.grad_bytes_through_storage(),
+        })
     }
 
     /// Writes a full synchronous checkpoint: every subgroup's durable
-    /// state is read back from the training backend and copied into
-    /// `target`, then the manifest is published — all on the critical
-    /// path, nothing overlapped. This is the blocking baseline the
-    /// asynchronous [`CheckpointPipeline`] is measured against (and what
-    /// DeepSpeed-style engines do at a checkpoint boundary).
-    ///
-    /// Refuses to run while a failed update awaits its re-drive (the
-    /// storage state is mid-transition and not a consistent cut).
+    /// state is copied into `target`, then the manifest is published —
+    /// all on the critical path, nothing overlapped. This is the blocking
+    /// baseline the asynchronous [`CheckpointPipeline`] is measured
+    /// against. Refused while a failed update awaits its re-drive.
     ///
     /// [`CheckpointPipeline`]: mlp_offload::checkpoint::CheckpointPipeline
-    pub fn checkpoint(
-        &self,
-        target: &dyn Backend,
-        tag: &str,
-    ) -> io::Result<mlp_offload::checkpoint::CheckpointStats> {
-        use mlp_offload::checkpoint::{CheckpointManifest, CheckpointStats, SubgroupLocation};
-        if self.in_progress.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
-                "checkpoint refused: a failed update phase awaits re-drive",
-            ));
-        }
-        let mut stats = CheckpointStats::default();
-        let mut subgroups = Vec::with_capacity(self.subgroup_lens.len());
-        for idx in 0..self.subgroup_lens.len() {
-            let start = self.trace.now_ns();
-            let bytes = self
-                .engine
-                .submit_read(&self.state_key(idx))
-                .wait()?
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("state read of subgroup {idx} returned no payload"),
-                    )
-                })?;
-            let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-            target.write(&key, &bytes)?;
-            stats.copied_bytes += bytes.len() as u64;
-            if self.trace.is_enabled() {
-                self.trace.complete_span(
-                    Phase::CkptFlush,
-                    Attrs {
-                        tid: self.worker_id as u32,
-                        subgroup: idx as i64,
-                        bytes: bytes.len() as u64,
-                        ..Attrs::NONE
-                    },
-                    start,
-                    self.trace.now_ns(),
-                );
-            }
-            subgroups.push(SubgroupLocation::Target { key });
-        }
-        let manifest = CheckpointManifest {
-            tag: tag.to_string(),
-            worker_id: self.worker_id,
-            step: self.step,
-            iter: self.iter,
-            subgroups,
-        };
-        target.write(
-            &CheckpointManifest::manifest_key(tag, self.worker_id),
-            &manifest.to_bytes(),
-        )?;
+    pub fn checkpoint(&self, target: &dyn Backend, tag: &str) -> io::Result<CheckpointStats> {
+        let (_manifest, stats) = self.inner.checkpoint(target, tag, true)?;
         Ok(stats)
     }
 
-    /// Rebuilds a baseline engine from a checkpoint written by
-    /// [`Zero3FuncEngine::checkpoint`], resuming at the recorded
-    /// optimizer step.
+    /// Rebuilds a baseline engine over `backend` from a checkpoint
+    /// written by [`Zero3FuncEngine::checkpoint`], resuming at the
+    /// recorded optimizer step.
     pub fn restore(
         backend: Arc<dyn Backend>,
         adam: AdamConfig,
@@ -711,51 +162,21 @@ impl Zero3FuncEngine {
         target: &dyn Backend,
         tag: &str,
     ) -> io::Result<Self> {
-        use mlp_offload::checkpoint::{CheckpointManifest, SubgroupLocation};
-        let body = target.read(&CheckpointManifest::manifest_key(tag, worker_id))?;
-        let manifest = CheckpointManifest::from_bytes(&body)?;
-        let mut states = Vec::with_capacity(manifest.subgroups.len());
-        for loc in &manifest.subgroups {
-            let bytes = match loc {
-                SubgroupLocation::Target { key } => target.read(key)?,
-                SubgroupLocation::Prestaged { .. } => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "baseline checkpoints copy everything; pre-staged entry is foreign",
-                    ))
-                }
-            };
-            states.push(SubgroupState::from_bytes(&bytes, manifest.step));
-        }
-        let mut me = Self::new(backend, adam, worker_id, states)?;
-        me.step = manifest.step;
-        me.iter = manifest.iter;
-        Ok(me)
+        let (cfg, tiers) = Self::setup(backend, AioConfig::default());
+        MlpFuncEngine::restore(cfg, adam, &tiers, worker_id, target, tag)
+            .map(|inner| Self { inner })
     }
 
     /// Gathers the FP32 master parameters of every subgroup.
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
-        let mut out = Vec::with_capacity(self.subgroup_lens.len());
-        for idx in 0..self.subgroup_lens.len() {
-            let bytes = self
-                .engine
-                .submit_read(&self.state_key(idx))
-                .wait()?
-                .ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("state read of subgroup {idx} returned no payload"),
-                    )
-                })?;
-            out.push(SubgroupState::from_bytes(&bytes, self.step).params);
-        }
-        Ok(out)
+        self.inner.master_params()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlp_offload::func::MlpFuncEngine;
     use mlp_storage::MemBackend;
     use mlp_tensor::F16;
 
@@ -860,45 +281,55 @@ mod tests {
         assert_eq!(o.fetches, 3);
     }
 
+    /// The adaptor adds nothing but the signature: the one engine in
+    /// ZeRO-3 configuration over one tier produces the same bits and the
+    /// same byte counts.
     #[test]
-    fn fused_path_is_bit_identical_to_multi_pass_path() {
+    fn adaptor_is_the_engine_in_zero3_configuration() {
         let adam = AdamConfig::default();
-        let mk = |name: &str| {
-            Zero3FuncEngine::new(
-                Arc::new(MemBackend::new(name)),
-                adam,
-                0,
-                init_states(4, 24),
-            )
-            .unwrap()
-        };
-        let mut fused = mk("fused");
-        assert!(fused.fused, "fused path is the default");
-        let mut multi = mk("multi");
-        multi.set_fused(false);
+        let mut adaptor = Zero3FuncEngine::new(
+            Arc::new(MemBackend::new("adaptor")),
+            adam,
+            0,
+            init_states(4, 24),
+        )
+        .unwrap();
+        let tier = SharedTier::new(Arc::new(MemBackend::new("direct")) as Arc<dyn Backend>, 1.0);
+        let mut direct = MlpFuncEngine::new(
+            EngineConfig::deepspeed_zero3(),
+            adam,
+            &[tier],
+            0,
+            init_states(4, 24),
+        )
+        .unwrap();
 
         for it in 0..3 {
             let grads = grads_for(4, 24, it as f32);
-            for e in [&mut fused, &mut multi] {
-                e.set_inv_loss_scale(0.5);
-                e.accumulate_gradients(&grads);
-                e.flush_gradients().unwrap();
-            }
-            let of = fused.update().unwrap();
-            let om = multi.update().unwrap();
-            assert_eq!(of.fp16_params, om.fp16_params, "iteration {it}");
+            adaptor.set_inv_loss_scale(0.5);
+            adaptor.accumulate_gradients(&grads);
+            adaptor.flush_gradients().unwrap();
+            let a = adaptor.update().unwrap();
+            direct.set_inv_loss_scale(0.5);
+            direct.accumulate_gradients(&grads);
+            direct.flush_gradients().unwrap();
+            let d = direct.update().unwrap();
+            assert_eq!(a.fp16_params, d.fp16_params, "iteration {it}");
+            assert_eq!(a.fetches, d.fetches);
             assert_eq!(
-                of.grad_bytes_through_storage,
-                om.grad_bytes_through_storage
+                a.grad_bytes_through_storage,
+                direct.grad_bytes_through_storage()
             );
+            assert_eq!((d.cache_hits, d.flushes), (0, 4), "the baseline thrashes");
         }
         assert_eq!(
-            fused.master_params().unwrap(),
-            multi.master_params().unwrap()
+            adaptor.master_params().unwrap(),
+            direct.master_params().unwrap()
         );
-        // The fused engine's staging pool was recycled, not grown.
-        assert!(fused.pool.acquires() > fused.pool.capacity() as u64);
-        assert!(fused.pool.high_water() <= fused.pool.capacity());
+        // The staging pool was recycled, not grown.
+        let (acquires, high_water, capacity) = direct.state_pool_stats();
+        assert!(acquires > capacity as u64);
+        assert!(high_water <= capacity);
     }
 
     #[test]
@@ -923,6 +354,22 @@ mod tests {
         b.update().unwrap();
 
         assert_eq!(a.master_params().unwrap(), b.master_params().unwrap());
+
+        // Flushing after every micro-step must not leave the update
+        // reading the first, by then stale (here: wrong-signed), gradient
+        // object.
+        let uniform = |v: f32| vec![vec![F16::from_f32(v).to_bits(); 8]];
+        let mut c = mk();
+        c.accumulate_gradients(&g1);
+        c.flush_gradients().unwrap();
+        c.accumulate_gradients(&uniform(-0.75));
+        c.flush_gradients().unwrap();
+        c.update().unwrap();
+        let mut d = mk();
+        d.accumulate_gradients(&uniform(-0.5));
+        d.flush_gradients().unwrap();
+        d.update().unwrap();
+        assert_eq!(c.master_params().unwrap(), d.master_params().unwrap());
     }
 
     /// Regression: `grad_bytes_through_storage` is per-iteration logical
@@ -948,60 +395,14 @@ mod tests {
         let clean = reference.update().unwrap();
 
         // Sweep seeds so the failed attempt exercises mixed outcomes
-        // (fetches that succeed, flushes that fail, …) across both paths.
-        for fused in [true, false] {
-            for seed in 0..8u64 {
-                let inject = FaultInjectBackend::new(
-                    Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-                    FaultConfig::permanent(seed, 0.5),
-                );
-                inject.set_armed(false);
-                let inject = Arc::new(inject);
-                let mut engine = Zero3FuncEngine::new(
-                    Arc::clone(&inject) as Arc<dyn Backend>,
-                    adam,
-                    0,
-                    init_states(4, 16),
-                )
-                .unwrap();
-                engine.set_fused(fused);
-                engine.accumulate_gradients(&grads);
-                engine.flush_gradients().unwrap();
-
-                inject.set_armed(true);
-                let mut redriven = engine.update();
-                inject.set_armed(false);
-                while redriven.is_err() {
-                    redriven = engine.update();
-                }
-                assert_eq!(
-                    redriven.unwrap().grad_bytes_through_storage,
-                    clean.grad_bytes_through_storage,
-                    "fused={fused} seed={seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn permanent_fault_unwinds_cleanly_and_phases_are_redrivable() {
-        use mlp_storage::{classify, ErrorClass, FaultConfig, FaultInjectBackend};
-        let adam = AdamConfig::default();
-        for fused in [true, false] {
+        // (fetches that succeed, flushes that fail, …).
+        for seed in 0..8u64 {
             let inject = FaultInjectBackend::new(
                 Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-                FaultConfig::permanent(23, 1.0),
+                FaultConfig::permanent(seed, 0.5),
             );
             inject.set_armed(false);
             let inject = Arc::new(inject);
-            let mut reference = Zero3FuncEngine::new(
-                Arc::new(MemBackend::new("ref")),
-                adam,
-                0,
-                init_states(4, 16),
-            )
-            .unwrap();
-            reference.set_fused(fused);
             let mut engine = Zero3FuncEngine::new(
                 Arc::clone(&inject) as Arc<dyn Backend>,
                 adam,
@@ -1009,51 +410,89 @@ mod tests {
                 init_states(4, 16),
             )
             .unwrap();
-            engine.set_fused(fused);
-
-            // One clean iteration.
-            let grads = grads_for(4, 16, 0.0);
-            for e in [&mut reference, &mut engine] {
-                e.accumulate_gradients(&grads);
-                e.flush_gradients().unwrap();
-                e.update().unwrap();
-            }
-
-            // Second iteration: gradient flush fails against a dead tier,
-            // then succeeds once healed (accumulators are untouched).
-            let grads = grads_for(4, 16, 1.0);
-            reference.accumulate_gradients(&grads);
-            reference.flush_gradients().unwrap();
-            let want = reference.update().unwrap();
-
             engine.accumulate_gradients(&grads);
-            inject.set_armed(true);
-            let err = engine.flush_gradients().unwrap_err();
-            assert_eq!(classify(&err), ErrorClass::Permanent, "fused={fused}");
-            assert_eq!(engine.pool_outstanding(), 0, "fused={fused}: no leak");
-            inject.set_armed(false);
             engine.flush_gradients().unwrap();
 
-            // The update phase fails mid-iteration, unwinds, and re-drives
-            // to the bit-identical result.
             inject.set_armed(true);
-            let err = engine.update().unwrap_err();
-            assert_eq!(classify(&err), ErrorClass::Permanent, "fused={fused}");
-            assert!(engine.update_in_progress());
-            assert_eq!(engine.pool_outstanding(), 0, "fused={fused}: no leak");
-            assert!(engine.io_errors() > 0);
+            let mut redriven = engine.update();
             inject.set_armed(false);
-            let got = engine.update().unwrap();
-            assert!(!engine.update_in_progress());
+            while redriven.is_err() {
+                redriven = engine.update();
+            }
             assert_eq!(
-                got.fp16_params, want.fp16_params,
-                "fused={fused}: re-driven iteration diverged"
-            );
-            assert_eq!(
-                engine.master_params().unwrap(),
-                reference.master_params().unwrap(),
-                "fused={fused}"
+                redriven.unwrap().grad_bytes_through_storage,
+                clean.grad_bytes_through_storage,
+                "seed={seed}"
             );
         }
+    }
+
+    #[test]
+    fn permanent_fault_unwinds_cleanly_and_phases_are_redrivable() {
+        use mlp_storage::{classify, ErrorClass, FaultConfig, FaultInjectBackend};
+        let adam = AdamConfig::default();
+        let inject = FaultInjectBackend::new(
+            Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+            FaultConfig::permanent(23, 1.0),
+        );
+        inject.set_armed(false);
+        let inject = Arc::new(inject);
+        let mut reference = Zero3FuncEngine::new(
+            Arc::new(MemBackend::new("ref")),
+            adam,
+            0,
+            init_states(4, 16),
+        )
+        .unwrap();
+        let mut engine = Zero3FuncEngine::new(
+            Arc::clone(&inject) as Arc<dyn Backend>,
+            adam,
+            0,
+            init_states(4, 16),
+        )
+        .unwrap();
+
+        // One clean iteration.
+        let grads = grads_for(4, 16, 0.0);
+        for e in [&mut reference, &mut engine] {
+            e.accumulate_gradients(&grads);
+            e.flush_gradients().unwrap();
+            e.update().unwrap();
+        }
+
+        // Second iteration: gradient flush fails against a dead tier,
+        // then succeeds once healed (accumulators are untouched).
+        let grads = grads_for(4, 16, 1.0);
+        reference.accumulate_gradients(&grads);
+        reference.flush_gradients().unwrap();
+        let want = reference.update().unwrap();
+
+        engine.accumulate_gradients(&grads);
+        inject.set_armed(true);
+        let err = engine.flush_gradients().unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent);
+        assert_eq!(engine.pool_outstanding(), 0, "no leak");
+        inject.set_armed(false);
+        engine.flush_gradients().unwrap();
+
+        // The update phase fails mid-iteration, unwinds, and re-drives
+        // to the bit-identical result.
+        inject.set_armed(true);
+        let err = engine.update().unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent);
+        assert!(engine.update_in_progress());
+        assert_eq!(engine.pool_outstanding(), 0, "no leak");
+        assert!(engine.io_errors() > 0);
+        inject.set_armed(false);
+        let got = engine.update().unwrap();
+        assert!(!engine.update_in_progress());
+        assert_eq!(
+            got.fp16_params, want.fp16_params,
+            "re-driven iteration diverged"
+        );
+        assert_eq!(
+            engine.master_params().unwrap(),
+            reference.master_params().unwrap()
+        );
     }
 }

@@ -4,16 +4,17 @@
 //! The comparison baseline: DeepSpeed ZeRO-3 with the DeepNVMe
 //! asynchronous offloading engine (Fig. 6 top).
 //!
-//! In simulated mode the baseline is the unified engine of [`mlp_offload`]
+//! In both modes the baseline is the unified engine of [`mlp_offload`]
 //! with every MLP-Offload optimization disabled
-//! ([`baseline_sim_config`] = [`mlp_offload::EngineConfig::deepspeed_zero3`])
-//! and a single NVMe tier — exactly how the paper's Fig. 14 ablation
-//! treats it. In functional mode the data path genuinely differs, so
-//! [`func::Zero3FuncEngine`] implements it separately: FP16 gradients are
-//! *eagerly* upscaled to FP32 during the backward pass, accumulated in
-//! FP32 on the host, flushed through storage, and fetched back alongside
+//! ([`mlp_offload::EngineConfig::deepspeed_zero3`]) and a single NVMe tier
+//! — exactly how the paper's Fig. 14 ablation treats it. With "Skip
+//! Gradients" off, the functional engine *eagerly* upscales FP16
+//! gradients to FP32 during the backward pass, accumulates them in FP32 on
+//! the host, flushes them through storage, and fetches them back alongside
 //! the optimizer state during the update — the redundant round trip
-//! MLP-Offload's delayed conversion removes.
+//! MLP-Offload's delayed conversion removes. [`func::Zero3FuncEngine`] is
+//! a thin adaptor that gives that configuration a single-backend
+//! signature; it holds no update loop of its own.
 
 pub mod func;
 

@@ -6,11 +6,16 @@
 
 use std::sync::Arc;
 
+use mlp_offload_suite::mlp_model::Subgroup;
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
-use mlp_offload_suite::mlp_offload::{EngineConfig, OrderPolicy};
+use mlp_offload_suite::mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
+use mlp_offload_suite::mlp_offload::{AblationStage, EngineConfig, OrderPolicy};
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
+use mlp_offload_suite::mlp_sim::Sim;
+use mlp_offload_suite::mlp_storage::spec::{testbed1_nvme, testbed1_pfs};
 use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
 use mlp_offload_suite::mlp_tensor::F16;
+use mlp_offload_suite::mlp_trace::{Phase, TraceSink};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -142,6 +147,147 @@ fn two_workers_share_tiers_without_interference() {
         let got = h.join().unwrap();
         for (g, st) in got.iter().zip(r) {
             assert_eq!(g, &st.params);
+        }
+    }
+}
+
+/// Payload bytes the engine's own tier instrumentation saw cross into or
+/// out of the tiers since the last call (`events()` drains the sink).
+fn tier_bytes(trace: &TraceSink) -> u64 {
+    trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.phase, Phase::TierRead | Phase::TierWrite))
+        .map(|e| e.bytes)
+        .sum()
+}
+
+/// One iteration as every rung drives it: a single backward micro-step,
+/// the gradient-flush phase (a no-op from "+ Skip Gradients" up), update.
+fn iterate(engine: &mut MlpFuncEngine, grads: &[Vec<u16>]) -> (usize, usize, usize, u64) {
+    engine.accumulate_gradients(grads);
+    engine.flush_gradients().unwrap();
+    let o = engine.update().unwrap();
+    (
+        o.cache_hits,
+        o.fetches,
+        o.flushes,
+        engine.grad_bytes_through_storage(),
+    )
+}
+
+/// Fig. 14 in real bytes: each rung of the ablation ladder is one policy
+/// switch on the same engine, and what it saves is a closed form of the
+/// subgroup count `m` and the retained frames `r`.
+#[test]
+fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
+    const RETAINED: usize = 3;
+    let (m, n) = (SUBGROUPS as u64, LEN as u64);
+    let mut finals = Vec::new();
+    for stage in AblationStage::ladder() {
+        let trace = TraceSink::enabled();
+        let mut engine = MlpFuncEngine::new(
+            stage
+                .config()
+                .with_host_frames(3 + RETAINED)
+                .with_trace(trace.clone()),
+            AdamConfig::default(),
+            &tiers(1),
+            0,
+            states(11),
+        )
+        .unwrap();
+        // Two warm-up iterations fill the cache; then one iteration in
+        // each direction of the alternating order.
+        let grads = grad_set(77, 4);
+        for g in &grads[..2] {
+            iterate(&mut engine, g);
+        }
+        tier_bytes(&trace);
+        for g in &grads[2..] {
+            iterate(&mut engine, g);
+        }
+        let per_iter = tier_bytes(&trace) / 2;
+
+        // State is read and written at 12 B/param; FP32 gradients add a
+        // 4 B/param write and a 4 B/param read below "+ Skip Gradients".
+        // Only subgroups that are not retained move at all.
+        let (per_param, moving) = match stage {
+            AblationStage::Baseline => (32, m),
+            AblationStage::EnableCaching => (32, m - RETAINED as u64),
+            AblationStage::SkipGradients | AblationStage::ProcessAtomicRw => {
+                (24, m - RETAINED as u64)
+            }
+        };
+        assert_eq!(per_iter, per_param * moving * n, "{}", stage.label());
+        assert_eq!(
+            per_iter as f64 / (m * n) as f64,
+            per_param as f64 * moving as f64 / m as f64,
+            "{}: bytes through the tier per parameter",
+            stage.label()
+        );
+        finals.push(engine.master_params().unwrap());
+    }
+    for (stage, got) in AblationStage::ladder().iter().zip(&finals) {
+        assert_eq!(got, &finals[0], "{} changed the math", stage.label());
+    }
+}
+
+/// First slice of the ROADMAP's "same step trace" test: for every rung,
+/// the real-bytes engine and the virtual-time engine, given the same
+/// subgroup count, frame budget and tiers, agree on what each iteration
+/// does — cache hits, fetches, flushes, and gradient bytes through
+/// storage — from the cold start on.
+#[test]
+fn functional_and_simulated_engines_count_the_same_steps() {
+    for stage in AblationStage::ladder() {
+        for n_tiers in [1usize, 2] {
+            let cfg = stage.config().with_host_frames(3 + 2);
+            let mut func = MlpFuncEngine::new(
+                cfg.clone(),
+                AdamConfig::default(),
+                &tiers(n_tiers),
+                0,
+                states(11),
+            )
+            .unwrap();
+
+            let sim = Sim::new();
+            let spec = NodeSpec {
+                tier_specs: [testbed1_nvme(), testbed1_pfs()][..n_tiers].to_vec(),
+                gpus: 1,
+                d2h_bps: 55e9,
+                cpu_update_params_per_s: 8e9,
+                conv_bytes_per_s: 65e9,
+            };
+            let subgroups = (0..SUBGROUPS)
+                .map(|id| Subgroup {
+                    id,
+                    params: LEN as u64,
+                })
+                .collect();
+            let simulated = SimWorker::new(NodeSimEnv::new(&sim, &spec), 0, cfg, subgroups);
+
+            for (it, grads) in grad_set(77, 4).iter().enumerate() {
+                let (backward, update) = sim.block_on({
+                    let w = simulated.clone();
+                    async move { (w.run_backward(1e-3, true).await, w.run_update().await) }
+                });
+                // The simulator reports the flushed gradient bytes; the
+                // same bytes are fetched back during the update.
+                let want = (
+                    update.cache_hits,
+                    update.fetches,
+                    update.flushes,
+                    2 * backward.grad_bytes_offloaded,
+                );
+                assert_eq!(
+                    iterate(&mut func, grads),
+                    want,
+                    "{} over {n_tiers} tier(s), iteration {it}",
+                    stage.label()
+                );
+            }
         }
     }
 }
