@@ -18,15 +18,14 @@ use mlp_trace::{Attrs, Phase};
 
 use crate::checkpoint::{CheckpointManifest, CheckpointStats, SubgroupLocation};
 use crate::config::EngineConfig;
-use crate::policy::allocation::{allocate_counts_excluding, assign_subgroups};
-use crate::policy::cache::FramePlan;
-use crate::policy::replan::{AdaptivePlanner, MigrationStep};
+use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
+use crate::policy::replan::MigrationStep;
 use crate::stats::TierDistribution;
 
 /// Bookkeeping-invariant failure surfaced as a typed error instead of a
-/// panic: a poisoned placement/residency table must fail the iteration
-/// (callers re-drive or report it) rather than tear down the engine
-/// mid-flight with unflushed state in the pipeline.
+/// panic: it must fail the iteration (callers re-drive or report it)
+/// rather than tear down the engine mid-flight with unflushed state in
+/// the pipeline.
 fn invariant_violation(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -89,12 +88,6 @@ impl SharedTier {
         self.health = Some(health);
         self
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Placement {
-    Host,
-    Tier(usize),
 }
 
 /// A host-resident subgroup: its serialized `[params | momentum | variance]`
@@ -179,6 +172,14 @@ impl HostGrads {
 /// A completed pooled read: the staging buffer and the bytes it holds.
 type Filled = (PooledBuffer, usize);
 
+/// One slot of the prefetch window.
+enum Staged {
+    /// Cache hit: the retained frame, lent by the ledger.
+    Hit(Resident),
+    /// Reads in flight.
+    Fetch(Fetch),
+}
+
 /// The in-flight reads of one prefetched subgroup: its state and, on the
 /// eager-gradient path, the FP32 gradients flushed next to it.
 struct Fetch {
@@ -235,23 +236,25 @@ pub struct UpdateOutcome {
 /// DeepSpeed ZeRO-3 baseline ([`EngineConfig::deepspeed_zero3`]) to full
 /// MLP-Offload ([`EngineConfig::mlp_offload`]), is a configuration of it.
 ///
-/// The control flow mirrors the simulated engine: alternating (or
-/// configured) subgroup order, host-frame retention of the order's tail,
-/// Eq. 1 deficit-based flush placement, lookahead prefetching through the
-/// per-tier asynchronous I/O engines, and either delayed FP16→FP32
-/// gradient conversion at update time or eager FP32 gradients moved
-/// through storage.
+/// Every scheduling decision — subgroup order, hit or fetch, which
+/// resident to evict and to which tier (Eq. 1), what to migrate or drain
+/// — comes from the [`SubgroupLedger`] it shares with the simulated
+/// engine. This type executes them in real bytes: lookahead prefetching
+/// through the per-tier asynchronous I/O engines, the fused update kernel
+/// over pooled staging buffers, write-after-evict fences, re-drive of a
+/// failed iteration, and either delayed FP16→FP32 gradient conversion at
+/// update time or eager FP32 gradients moved through storage.
 pub struct MlpFuncEngine {
     cfg: EngineConfig,
     optimizer: OptimizerConfig,
     worker_id: usize,
     tiers: Vec<TierRt>,
-    plan: FramePlan,
     subgroup_lens: Vec<usize>,
-    placement: Vec<Placement>,
-    /// Host-resident subgroups in least-recently-updated order (front =
-    /// next eviction victim).
-    resident: Vec<(usize, Resident)>,
+    /// Placement, retention and the flush split: one slot per subgroup,
+    /// host-resident ones holding their pooled staging buffer. Its
+    /// planner folds the observed per-tier transfer and retry rates into
+    /// live bandwidth estimates (§3.3).
+    ledger: SubgroupLedger<Resident>,
     /// Fixed pool of subgroup-state staging buffers: the pipeline's fetch
     /// targets, in-place update workspace, retention frames, and flush
     /// sources (state and, on the eager path, gradients) are all the same
@@ -264,28 +267,18 @@ pub struct MlpFuncEngine {
     /// storage (see [`HostGrads::finish_iteration`]).
     last_grad_bytes: u64,
     step: u64,
-    iter: u64,
     inv_loss_scale: f32,
     /// Optional global gradient-norm clipping threshold.
     grad_clip_max_norm: Option<f64>,
     /// Set when an update phase failed mid-flight; the next `update` call
     /// re-drives the same iteration instead of starting a new one.
     in_progress: Option<IterProgress>,
-    /// Closed-loop §3.3 planner: folds the observed per-tier transfer
-    /// rates and retry rates into live bandwidth estimates, re-splits the
-    /// flush writes each iteration, and plans the bounded durable-copy
-    /// migrations executed at iteration boundaries.
-    planner: AdaptivePlanner,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
     io_snapshot: Vec<(u64, f64, u64)>,
     /// Durable-copy migrations executed so far.
     migrations_done: u64,
-    /// Tiers whose breaker has latched [`mlp_storage::BreakerState::Quarantined`]
-    /// and that the engine has excluded from placement (mirror of the
-    /// planner's exclusion mask, consulted on the flush path).
-    quarantined: Vec<bool>,
     /// Durable copies evacuated off quarantined tiers so far.
     drains_done: u64,
 }
@@ -379,13 +372,10 @@ impl MlpFuncEngine {
             Some(r) => r.clone(),
             None => tiers.iter().map(|t| t.weight).collect(),
         };
-        let mut planner =
-            AdaptivePlanner::new(weights.clone(), cfg.bandwidth_alpha, cfg.max_migrations_per_iter);
-        planner.attach_trace(&cfg.trace);
         let m = initial.len();
-        let assignment = assign_subgroups(m, &weights);
+        let ledger = SubgroupLedger::new(&cfg, m, weights);
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
-        let plan = FramePlan::new(cfg.host_frames, cfg.pipeline_depth, cfg.cache_retention);
+        let plan = ledger.plan;
 
         // One staging buffer holds any subgroup's full serialized state
         // (or its FP32 gradients). Capacity covers the steady-state held
@@ -412,23 +402,18 @@ impl MlpFuncEngine {
                 }
             },
             last_grad_bytes: 0,
-            plan,
-            placement: assignment.iter().copied().map(Placement::Tier).collect(),
-            resident: Vec::new(),
+            ledger,
             subgroup_lens,
             tiers,
             cfg,
             optimizer,
             worker_id,
             step: 0,
-            iter: 0,
             inv_loss_scale: 1.0,
             grad_clip_max_norm: None,
             in_progress: None,
-            planner,
             io_snapshot: vec![(0, 0.0, 0); ntiers],
             migrations_done: 0,
-            quarantined: vec![false; ntiers],
             drains_done: 0,
         };
 
@@ -436,7 +421,10 @@ impl MlpFuncEngine {
         // iteration).
         let mut handles = Vec::new();
         for (idx, state) in initial.iter().enumerate() {
-            let tier = assignment[idx];
+            // Nothing is retained yet: every slot names a tier.
+            let Place::Tier(tier) = engine.place(idx)? else {
+                continue;
+            };
             let _g = engine.tiers[tier].lock.acquire(engine.worker_id);
             handles.push(
                 engine.tiers[tier]
@@ -479,7 +467,15 @@ impl MlpFuncEngine {
 
     /// Completed update phases.
     pub fn iterations_done(&self) -> u64 {
-        self.iter
+        self.ledger.iterations_done
+    }
+
+    /// Where subgroup `idx` rests. Only an update pass borrows frames
+    /// from the ledger, and it returns every one before it ends.
+    fn place(&self, idx: usize) -> io::Result<Place<'_, Resident>> {
+        self.ledger.place(idx).ok_or_else(|| {
+            invariant_violation(format!("subgroup {idx} is checked out by an update pass"))
+        })
     }
 
     fn key(&self, idx: usize) -> String {
@@ -496,6 +492,13 @@ impl MlpFuncEngine {
         self.cfg
             .tier_exclusive_locking
             .then(|| self.tiers[tier].lock.acquire(self.worker_id))
+    }
+
+    /// Records `[start_ns, now]` as a `phase` span (free when the sink is
+    /// disabled).
+    fn span(&self, phase: Phase, attrs: Attrs, start_ns: u64) {
+        let trace = &self.cfg.trace;
+        trace.complete_span(phase, attrs, start_ns, trace.now_ns());
     }
 
     fn submit_read(&self, tier: usize, key: &str, len: usize) -> OpHandle {
@@ -567,7 +570,7 @@ impl MlpFuncEngine {
         let phase_start = self.cfg.trace.now_ns();
         let mut handles = Vec::new();
         for (idx, g) in accum.iter().enumerate() {
-            let Placement::Tier(t) = self.placement[idx] else {
+            let Some(Place::Tier(t)) = self.ledger.place(idx) else {
                 continue;
             };
             if on_tier[idx] == Some(t) {
@@ -596,14 +599,7 @@ impl MlpFuncEngine {
                 }
             }
         }
-        if self.cfg.trace.is_enabled() {
-            self.cfg.trace.complete_span(
-                Phase::GradFlush,
-                Attrs::bytes(bytes),
-                phase_start,
-                self.cfg.trace.now_ns(),
-            );
-        }
+        self.span(Phase::GradFlush, Attrs::bytes(bytes), phase_start);
         first_err.map_or(Ok(()), Err)
     }
 
@@ -646,18 +642,9 @@ impl MlpFuncEngine {
             self.run_migrations()?;
         }
         let m = self.subgroup_lens.len();
-        let order = self.cfg.order.order(self.iter, m);
-        let weights: Vec<f64> = match &self.cfg.tier_ratio {
-            Some(r) => r.clone(),
-            // Closed loop (§3.3): re-split this iteration's flush writes
-            // on the live estimates instead of construction-time weights.
-            None if self.cfg.adaptive_bandwidth => self.planner.estimates().to_vec(),
-            None => self.tiers.iter().map(|t| t.weight).collect(),
-        };
-        // Eq. 1 proportions over the surviving tiers (a quarantined
-        // tier's target is 0, so the deficit picker never selects it);
-        // actual flush count depends on cache hits.
-        let flush_targets = allocate_counts_excluding(m.max(1), &weights, &self.quarantined);
+        // A re-drive restarts the same iteration: same order, and a
+        // split re-sized over whatever tiers survive by now.
+        self.ledger.begin_iteration();
 
         // Fresh iteration vs re-drive of a failed one: the step advances
         // once per iteration, and the resume bitmap records which
@@ -694,11 +681,9 @@ impl MlpFuncEngine {
         // that, pass outcome aside, everything submitted is drained
         // before returning — nothing races a re-driven iteration and no
         // staging buffer stays checked out.
-        let mut pending: VecDeque<(usize, Option<Fetch>)> = VecDeque::new();
+        let mut pending: VecDeque<(usize, Staged)> = VecDeque::new();
         let mut inflight_flush: HashMap<usize, OpHandle> = HashMap::new();
         let pass = self.update_pass(
-            &order,
-            &flush_targets,
             inv_scale,
             &mut outcome,
             &mut progress,
@@ -706,27 +691,19 @@ impl MlpFuncEngine {
             &mut inflight_flush,
         );
         let result = self.drain_inflight(pass, pending, inflight_flush, &mut progress);
-        if self.cfg.trace.is_enabled() {
-            // The whole update phase as one span; the per-subgroup I/O
-            // and kernel spans nest underneath it on the timeline.
-            self.cfg.trace.complete_span(
-                Phase::Update,
-                Attrs::NONE,
-                phase_start,
-                self.cfg.trace.now_ns(),
-            );
-        }
+        // The whole update phase as one span; the per-subgroup I/O and
+        // kernel spans nest underneath it on the timeline.
+        self.span(Phase::Update, Attrs::NONE, phase_start);
         match result {
             Ok(()) => {
                 self.last_grad_bytes = self.grads.finish_iteration();
                 if self.cfg.adaptive_bandwidth {
                     // Feed the observed per-tier transfer and retry rates
-                    // back into the estimator and fold the EMA, closing
-                    // the §3.3 loop for the next iteration's split.
+                    // back into the estimator; ending the iteration folds
+                    // the EMA, closing the §3.3 loop for the next split.
                     self.feed_planner();
-                    self.planner.end_iteration();
                 }
-                self.iter += 1;
+                self.ledger.end_iteration();
                 Ok(outcome)
             }
             Err(e) => {
@@ -751,18 +728,6 @@ impl MlpFuncEngine {
         self.last_grad_bytes
     }
 
-    /// Eq. 1 deficit-based flush tier choice.
-    fn pick_flush_tier(flush_targets: &[usize], flush_done: &[usize]) -> usize {
-        (0..flush_targets.len())
-            .filter(|&t| flush_targets[t] > 0)
-            .min_by(|&a, &b| {
-                let fa = flush_done[a] as f64 / flush_targets[a] as f64;
-                let fb = flush_done[b] as f64 / flush_targets[b] as f64;
-                fa.total_cmp(&fb).then(a.cmp(&b))
-            })
-            .unwrap_or(0)
-    }
-
     /// A failed flush hands its staging buffer back through
     /// [`OpHandle::wait_flush`]; keep the subgroup host-resident so the
     /// (possibly only) copy of its updated state survives for the
@@ -778,8 +743,7 @@ impl MlpFuncEngine {
         match payload {
             Some(ReclaimedWrite::Pooled(buf)) => {
                 let n = self.subgroup_lens[fidx];
-                self.placement[fidx] = Placement::Host;
-                self.resident.push((fidx, Resident { buf, n }));
+                self.ledger.reclaim(fidx, Resident { buf, n });
             }
             // State flushes are always pooled: anything else is a lost
             // payload.
@@ -788,22 +752,28 @@ impl MlpFuncEngine {
     }
 
     /// Drains every operation still in flight after a pass, successful or
-    /// not: pending reads settle (their staging buffers recycle), and
-    /// flushes settle with failed ones reclaiming their payload into the
-    /// host cache. Returns the first error encountered, preferring the
-    /// pass's own.
+    /// not: pending reads settle (their staging buffers recycle), cache
+    /// hits the pass never reached go back to the ledger, and flushes
+    /// settle with failed ones reclaiming their payload into the host
+    /// cache. Returns the first error encountered, preferring the pass's
+    /// own.
     fn drain_inflight(
         &mut self,
         pass: io::Result<()>,
-        pending: VecDeque<(usize, Option<Fetch>)>,
+        pending: VecDeque<(usize, Staged)>,
         inflight_flush: HashMap<usize, OpHandle>,
         progress: &mut IterProgress,
     ) -> io::Result<()> {
         let mut first_err = pass.err();
-        for fetch in pending.into_iter().filter_map(|(_, fetch)| fetch) {
-            // Buffers recycle on drop.
-            if let Err(e) = fetch.wait() {
-                first_err.get_or_insert(e);
+        for (idx, staged) in pending {
+            match staged {
+                Staged::Hit(res) => self.ledger.reclaim(idx, res),
+                // Buffers recycle on drop.
+                Staged::Fetch(fetch) => {
+                    if let Err(e) = fetch.wait() {
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
         }
         for (fidx, h) in inflight_flush {
@@ -820,37 +790,29 @@ impl MlpFuncEngine {
     /// moment update, step and FP16 emission in one sweep) mutates them
     /// in place, and retention/flush reuse the very same buffer. The hot
     /// loop performs no per-subgroup heap allocation for state.
-    #[allow(clippy::too_many_arguments)]
     fn update_pass(
         &mut self,
-        order: &[usize],
-        flush_targets: &[usize],
         inv_scale: f32,
         outcome: &mut UpdateOutcome,
         progress: &mut IterProgress,
-        pending: &mut VecDeque<(usize, Option<Fetch>)>,
+        pending: &mut VecDeque<(usize, Staged)>,
         inflight_flush: &mut HashMap<usize, OpHandle>,
     ) -> io::Result<()> {
-        let m = order.len();
-        let retain_capacity = self.plan.retain_frames;
-        let depth = self.plan.pipeline_frames;
-        let mut flush_done = vec![0usize; self.tiers.len()];
-        let mut next_to_submit = 0usize;
+        let depth = self.ledger.plan.pipeline_frames;
 
-        for _ in 0..m {
+        for _ in 0..self.subgroup_lens.len() {
             // Top up the prefetch window: keep up to `pipeline_depth`
-            // reads in flight.
-            while next_to_submit < m && pending.len() < depth {
-                let idx = order[next_to_submit];
-                next_to_submit += 1;
-                if self.resident.iter().any(|(i, _)| *i == idx) {
-                    pending.push_back((idx, None));
-                    continue;
-                }
-                let Placement::Tier(t) = self.placement[idx] else {
-                    return Err(invariant_violation(format!(
-                        "subgroup {idx} is neither host-resident nor placed on a tier"
-                    )));
+            // subgroups staged or in flight.
+            while pending.len() < depth {
+                let Some((idx, lookup)) = self.ledger.next_lookup() else {
+                    break;
+                };
+                let t = match lookup {
+                    Lookup::Hit(res) => {
+                        pending.push_back((idx, Staged::Hit(res)));
+                        continue;
+                    }
+                    Lookup::Fetch { tier } => tier,
                 };
                 // Write-after-evict fence: a read of a subgroup whose
                 // flush is still in flight could overtake the write on
@@ -874,22 +836,21 @@ impl MlpFuncEngine {
                     state: self.submit_read(t, &self.key(idx), n * 12),
                     grad: grad_tier.map(|g| self.submit_read(g, &self.grad_key(idx), n * 4)),
                 };
-                pending.push_back((idx, Some(fetch)));
+                pending.push_back((idx, Staged::Fetch(fetch)));
             }
 
-            let Some((idx, fetch)) = pending.pop_front() else {
+            let Some((idx, staged)) = pending.pop_front() else {
                 return Err(invariant_violation(
                     "prefetch window empty with subgroups still unprocessed".into(),
                 ));
             };
             let n = self.subgroup_lens[idx];
-            let (mut res, fetched_grad) = match fetch {
-                None => {
+            let (mut res, fetched_grad) = match staged {
+                Staged::Hit(res) => {
                     outcome.cache_hits += 1;
-                    let pos = self.resident_pos(idx)?;
-                    (self.resident.remove(pos).1, None)
+                    (res, None)
                 }
-                Some(fetch) => {
+                Staged::Fetch(fetch) => {
                     outcome.fetches += 1;
                     let ((buf, got), grad) = fetch.wait()?;
                     expect_len("state", idx, got, n * 12)?;
@@ -941,28 +902,17 @@ impl MlpFuncEngine {
             drop(fetched_grad); // back to the pool
             outcome.fp16_params[idx] = fp16;
 
-            // LRU retention; evict least-recently-updated subgroups while
-            // over budget (reclaimed flush payloads of a failed iteration
-            // can leave more than one excess resident). The evicted
-            // buffer is flushed as-is.
-            let mut to_flush: Vec<(usize, Resident)> = Vec::new();
-            if retain_capacity > 0 {
-                self.placement[idx] = Placement::Host;
-                self.resident.push((idx, res));
-                while self.resident.len() > retain_capacity {
-                    to_flush.push(self.resident.remove(0));
-                }
-            } else {
-                to_flush.push((idx, res));
-            }
-            for (fidx, Resident { buf, n }) in to_flush {
-                let tier = Self::pick_flush_tier(flush_targets, &flush_done);
-                flush_done[tier] += 1;
-                self.placement[fidx] = Placement::Tier(tier);
-                // Flush straight from the staging buffer; it returns to
-                // the pool when the write completes.
-                let handle = self.submit_flush(tier, &self.key(fidx), buf, n * 12);
-                inflight_flush.insert(fidx, handle);
+            // Whatever the retention budget pushes out is flushed as-is,
+            // straight from its staging buffer, which returns to the pool
+            // when the write completes.
+            for Eviction {
+                subgroup,
+                frame: Resident { buf, n },
+                tier,
+            } in self.ledger.retire(idx, res)
+            {
+                let handle = self.submit_flush(tier, &self.key(subgroup), buf, n * 12);
+                inflight_flush.insert(subgroup, handle);
                 outcome.flushes += 1;
             }
         }
@@ -993,7 +943,7 @@ impl MlpFuncEngine {
 
     /// Host-resident subgroup count.
     pub fn resident_count(&self) -> usize {
-        self.resident.len()
+        self.ledger.resident_count()
     }
 
     /// Records the I/O each tier performed since the last feed into the
@@ -1003,19 +953,16 @@ impl MlpFuncEngine {
     /// per-transfer timings).
     fn feed_planner(&mut self) {
         for t in 0..self.tiers.len() {
-            let (r, w) = self.tiers[t].engine.bytes_moved();
-            let bytes = r + w;
-            let busy = self.tiers[t].engine.busy_seconds();
-            let retries = self.tiers[t].engine.retries();
+            let (bytes, busy, retries) = self.io_counters(t);
             let (pb, pbusy, pr) = self.io_snapshot[t];
             let dbytes = bytes.saturating_sub(pb);
             let dbusy = busy - pbusy;
             let dretries = retries.saturating_sub(pr);
             if dbytes > 0 && dbusy > 0.0 {
-                self.planner.record(t, dbytes, dbusy);
+                self.ledger.planner.record(t, dbytes, dbusy);
             }
             if dretries > 0 {
-                self.planner.record_retries(t, dretries);
+                self.ledger.planner.record_retries(t, dretries);
             }
             self.io_snapshot[t] = (bytes, busy, retries);
         }
@@ -1024,26 +971,14 @@ impl MlpFuncEngine {
     /// Re-bases the planner-feed snapshot on the tiers' current counters,
     /// discarding any I/O performed since the last feed.
     fn refresh_io_snapshot(&mut self) {
-        for t in 0..self.tiers.len() {
-            let (r, w) = self.tiers[t].engine.bytes_moved();
-            self.io_snapshot[t] = (
-                r + w,
-                self.tiers[t].engine.busy_seconds(),
-                self.tiers[t].engine.retries(),
-            );
-        }
+        self.io_snapshot = (0..self.tiers.len()).map(|t| self.io_counters(t)).collect();
     }
 
-    /// Index of host-resident subgroup `idx` in the residency table.
-    fn resident_pos(&self, idx: usize) -> io::Result<usize> {
-        self.resident
-            .iter()
-            .position(|(i, _)| *i == idx)
-            .ok_or_else(|| {
-                invariant_violation(format!(
-                    "subgroup {idx} marked host-resident but absent from the residency table"
-                ))
-            })
+    /// Tier `t`'s cumulative `(bytes_moved, busy_seconds, retries)`.
+    fn io_counters(&self, t: usize) -> (u64, f64, u64) {
+        let engine = &self.tiers[t].engine;
+        let (r, w) = engine.bytes_moved();
+        (r + w, engine.busy_seconds(), engine.retries())
     }
 
     /// Reads subgroup `idx`'s durable copy from `tier` through the tier's
@@ -1059,17 +994,6 @@ impl MlpFuncEngine {
                     format!("read of subgroup {idx} returned no payload"),
                 )
             })
-    }
-
-    /// Each subgroup's tier, `None` while host-resident (planner input).
-    fn tier_placements(&self) -> Vec<Option<usize>> {
-        self.placement
-            .iter()
-            .map(|p| match p {
-                Placement::Tier(t) => Some(*t),
-                Placement::Host => None,
-            })
-            .collect()
     }
 
     /// Moves one durable subgroup copy between tiers, keeping a durable
@@ -1095,7 +1019,7 @@ impl MlpFuncEngine {
             self.tiers[step.to].engine.submit_write(&key, data).wait()?;
         }
         // The destination copy is durable; the source is now garbage.
-        self.placement[step.subgroup] = Placement::Tier(step.to);
+        self.ledger.relocate(step);
         {
             // A failed delete leaves a stale source copy behind — a
             // space leak, not a correctness problem (the key is never
@@ -1115,19 +1039,13 @@ impl MlpFuncEngine {
             self.migrations_done += 1;
             Phase::Migrate
         };
-        if self.cfg.trace.is_enabled() {
-            self.cfg.trace.complete_span(
-                phase,
-                Attrs {
-                    tier: step.to as i32,
-                    subgroup: step.subgroup as i64,
-                    bytes,
-                    ..Attrs::NONE
-                },
-                started,
-                self.cfg.trace.now_ns(),
-            );
-        }
+        let attrs = Attrs {
+            tier: step.to as i32,
+            subgroup: step.subgroup as i64,
+            bytes,
+            ..Attrs::NONE
+        };
+        self.span(phase, attrs, started);
         Ok(())
     }
 
@@ -1136,17 +1054,11 @@ impl MlpFuncEngine {
     /// current Eq. 1 split. Host-resident subgroups are never touched
     /// (the cache-hit sequence is unchanged).
     fn run_migrations(&mut self) -> io::Result<()> {
-        let steps = self.planner.plan_migrations(&self.tier_placements());
-        if self.cfg.trace.is_enabled() {
-            self.cfg.trace.instant(
-                Phase::Replan,
-                Attrs {
-                    bytes: steps.len() as u64,
-                    ..Attrs::NONE
-                },
-                self.cfg.trace.now_ns(),
-            );
-        }
+        // Between update phases nothing is in flight: every tier copy is
+        // settled.
+        let steps = self.ledger.plan_migrations(|_| false);
+        let (trace, planned) = (&self.cfg.trace, Attrs::bytes(steps.len() as u64));
+        trace.instant(Phase::Replan, planned, trace.now_ns());
         for step in steps {
             self.move_durable_copy(step, false)?;
         }
@@ -1170,41 +1082,37 @@ impl MlpFuncEngine {
     /// panic.
     fn drain_quarantined(&mut self) -> io::Result<()> {
         for t in 0..self.tiers.len() {
-            if !self.quarantined[t]
+            if !self.ledger.planner.excluded()[t]
                 && self.tiers[t]
                     .health
                     .as_ref()
                     .is_some_and(|h| h.is_quarantined())
             {
-                self.quarantined[t] = true;
-                self.planner.exclude_tier(t);
+                self.ledger.planner.exclude_tier(t);
                 if let HostGrads::Fp32 { on_tier, .. } = &mut self.grads {
                     for g in on_tier.iter_mut().filter(|g| **g == Some(t)) {
                         *g = None;
                     }
                 }
-                if self.cfg.trace.is_enabled() {
-                    self.cfg.trace.instant(
-                        Phase::Quarantine,
-                        Attrs {
-                            tier: t as i32,
-                            ..Attrs::NONE
-                        },
-                        self.cfg.trace.now_ns(),
-                    );
-                }
+                let attrs = Attrs {
+                    tier: t as i32,
+                    ..Attrs::NONE
+                };
+                let trace = &self.cfg.trace;
+                trace.instant(Phase::Quarantine, attrs, trace.now_ns());
             }
         }
-        if !self.quarantined.iter().any(|&q| q) {
+        let surviving = self.ledger.planner.surviving_tiers();
+        if surviving == self.tiers.len() {
             return Ok(());
         }
-        if self.planner.surviving_tiers() == 0 {
+        if surviving == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::Other,
                 "every storage tier is quarantined; no surviving tier to drain to",
             ));
         }
-        for step in self.planner.plan_drain(&self.tier_placements()) {
+        for step in self.ledger.plan_drain(|_| false) {
             self.move_durable_copy(step, true)?;
         }
         Ok(())
@@ -1212,9 +1120,8 @@ impl MlpFuncEngine {
 
     /// Tier indices currently quarantined (excluded from placement).
     pub fn quarantined_tiers(&self) -> Vec<usize> {
-        (0..self.quarantined.len())
-            .filter(|&t| self.quarantined[t])
-            .collect()
+        let excluded = self.ledger.planner.excluded();
+        (0..excluded.len()).filter(|&t| excluded[t]).collect()
     }
 
     /// Durable copies evacuated off quarantined tiers so far.
@@ -1225,13 +1132,13 @@ impl MlpFuncEngine {
     /// Live per-tier bandwidth estimates (bytes/second, or the
     /// construction-time weights until the first adaptive fold).
     pub fn bandwidth_estimates(&self) -> Vec<f64> {
-        self.planner.estimates().to_vec()
+        self.ledger.planner.estimates().to_vec()
     }
 
     /// Re-plans the adaptive planner has completed (estimator folds, one
     /// per adaptive iteration).
     pub fn planner_replans(&self) -> u64 {
-        self.planner.replans()
+        self.ledger.planner.replans()
     }
 
     /// Durable-copy migrations executed between tiers so far.
@@ -1255,9 +1162,9 @@ impl MlpFuncEngine {
     /// the storage tiers; used for verification and checkpointing).
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
         (0..self.subgroup_lens.len())
-            .map(|idx| match self.placement[idx] {
-                Placement::Host => Ok(self.resident[self.resident_pos(idx)?].1.params().to_vec()),
-                Placement::Tier(t) => {
+            .map(|idx| match self.place(idx)? {
+                Place::Host(res) => Ok(res.params().to_vec()),
+                Place::Tier(t) => {
                     Ok(SubgroupState::from_bytes(&self.read_durable(t, idx)?, self.step).params)
                 }
             })
@@ -1297,18 +1204,18 @@ impl MlpFuncEngine {
         let mut subgroups = Vec::with_capacity(self.subgroup_lens.len());
         for idx in 0..self.subgroup_lens.len() {
             let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-            let copied = match self.placement[idx] {
-                Placement::Host => {
-                    let bytes = self.resident[self.resident_pos(idx)?].1.state_bytes();
+            let copied = match self.place(idx)? {
+                Place::Host(res) => {
+                    let bytes = res.state_bytes();
                     target.write(&key, bytes)?;
                     bytes.len()
                 }
-                Placement::Tier(t) if materialize => {
+                Place::Tier(t) if materialize => {
                     let bytes = self.read_durable(t, idx)?;
                     target.write(&key, &bytes)?;
                     bytes.len()
                 }
-                Placement::Tier(tier) => {
+                Place::Tier(tier) => {
                     stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
                     subgroups.push(SubgroupLocation::Prestaged {
                         tier,
@@ -1324,7 +1231,7 @@ impl MlpFuncEngine {
             tag: tag.to_string(),
             worker_id: self.worker_id,
             step: self.step,
-            iter: self.iter,
+            iter: self.ledger.iterations_done,
             subgroups,
         };
         target.write(
@@ -1357,14 +1264,13 @@ impl MlpFuncEngine {
         let mut entries = Vec::with_capacity(self.subgroup_lens.len());
         let mut stats = CheckpointStats::default();
         for idx in 0..self.subgroup_lens.len() {
-            match self.placement[idx] {
-                Placement::Host => {
+            match self.place(idx)? {
+                Place::Host(resident) => {
                     if let Some(key) = pipe.reusable_upload(idx, self.step) {
                         stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
                         entries.push(PendingEntry::Reused { idx, key });
                         continue;
                     }
-                    let resident = &self.resident[self.resident_pos(idx)?].1;
                     let bytes = resident.state_bytes().to_vec();
                     let len = bytes.len() as u64;
                     stats.copied_bytes += len;
@@ -1378,7 +1284,7 @@ impl MlpFuncEngine {
                         handle,
                     });
                 }
-                Placement::Tier(t) => {
+                Place::Tier(t) => {
                     stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
                     entries.push(PendingEntry::Prestaged {
                         idx,
@@ -1392,7 +1298,7 @@ impl MlpFuncEngine {
             tag: tag.to_string(),
             worker_id: self.worker_id,
             step: self.step,
-            iter: self.iter,
+            iter: self.ledger.iterations_done,
             entries,
             stats,
             started_ns,
@@ -1436,25 +1342,15 @@ impl MlpFuncEngine {
         }
         let mut engine = MlpFuncEngine::new(cfg, optimizer, shared_tiers, worker_id, states)?;
         engine.step = manifest.step;
-        engine.iter = manifest.iter;
+        engine.ledger.iterations_done = manifest.iter;
         Ok(engine)
     }
 
     /// Where each subgroup's state lives right now (Fig. 10, functional
     /// mode).
     pub fn tier_distribution(&self) -> TierDistribution {
-        let mut dist = TierDistribution {
-            host_bytes: 0,
-            tier_bytes: vec![0; self.tiers.len()],
-        };
-        for (idx, p) in self.placement.iter().enumerate() {
-            let bytes = self.subgroup_lens[idx] as u64 * 12;
-            match p {
-                Placement::Host => dist.host_bytes += bytes,
-                Placement::Tier(t) => dist.tier_bytes[*t] += bytes,
-            }
-        }
-        dist
+        self.ledger
+            .tier_distribution(|idx| self.subgroup_lens[idx] as u64 * 12)
     }
 }
 
@@ -1753,7 +1649,7 @@ mod tests {
             "high water {high_water} within pool capacity {capacity}"
         );
         // Steady state: only the retained residents still hold buffers.
-        assert_eq!(engine.state_pool.outstanding(), engine.resident.len());
+        assert_eq!(engine.state_pool.outstanding(), engine.resident_count());
     }
 
     #[test]
@@ -1936,8 +1832,9 @@ mod tests {
             engine.accumulate_gradients(&grads);
             engine.update().unwrap();
         }
-        assert!(
-            engine.placement.iter().all(|p| *p != Placement::Tier(0)),
+        assert_eq!(
+            engine.tier_distribution().tier_bytes[0],
+            0,
             "a subgroup still lives on the quarantined tier"
         );
         assert_eq!(
@@ -2049,7 +1946,7 @@ mod tests {
             engine.update().unwrap();
         }
         assert_eq!(engine.quarantined_tiers(), vec![0]);
-        assert!(engine.placement.iter().all(|p| *p != Placement::Tier(0)));
+        assert_eq!(engine.tier_distribution().tier_bytes[0], 0);
         assert_eq!(
             engine.master_params().unwrap(),
             reference.master_params().unwrap()

@@ -25,7 +25,9 @@
 //!    gradients stay in host memory and are upscaled during the update,
 //!    eliminating FP32 gradient traffic through storage.
 //!
-//! Two engines implement these policies:
+//! Every scheduling decision (order, hit or fetch, eviction, the Eq. 1
+//! flush split, what to migrate or drain) is made once, by the
+//! [`policy::ledger::SubgroupLedger`]; two engines execute them:
 //!
 //! * [`sim::SimWorker`] — virtual-time engine over [`mlp_sim`] used to
 //!   reproduce the paper's performance figures. A single configurable

@@ -71,6 +71,23 @@ pub fn allocate_counts_excluding(m: usize, bandwidths: &[f64], excluded: &[bool]
     counts
 }
 
+/// The Eq. 1 deficit rule: of the tiers with a non-zero target, the one
+/// that has received the smallest fraction of it so far (ties → lower
+/// index); `None` when no tier has a target.
+pub fn most_behind(targets: &[usize], done: &[usize]) -> Option<usize> {
+    targets
+        .iter()
+        .zip(done)
+        .enumerate()
+        .filter(|(_, (&target, _))| target > 0)
+        .min_by(|(a, (&ta, &da)), (b, (&tb, &db))| {
+            let fa = da as f64 / ta as f64;
+            let fb = db as f64 / tb as f64;
+            fa.total_cmp(&fb).then(a.cmp(b))
+        })
+        .map(|(t, _)| t)
+}
+
 /// Assigns each of `m` subgroups a tier index, interleaving tiers so
 /// consecutive subgroups use different I/O paths where possible (enabling
 /// the parallel multi-path fetches of Fig. 6). The per-tier totals equal
@@ -78,26 +95,16 @@ pub fn allocate_counts_excluding(m: usize, bandwidths: &[f64], excluded: &[bool]
 pub fn assign_subgroups(m: usize, bandwidths: &[f64]) -> Vec<usize> {
     let targets = allocate_counts(m, bandwidths);
     let mut placed = vec![0usize; targets.len()];
-    let mut out = Vec::with_capacity(m);
-    for _ in 0..m {
-        // Weighted round-robin: pick the tier that has consumed the
-        // smallest fraction of its target so far (ties → lower index).
-        let tier = (0..targets.len())
-            .filter(|&t| placed[t] < targets[t])
-            .min_by(|&a, &b| {
-                let fa = placed[a] as f64 / targets[a] as f64;
-                let fb = placed[b] as f64 / targets[b] as f64;
-                fa.total_cmp(&fb).then(a.cmp(&b))
-            })
-            // lint:allow(hot-path-panic): unreachable by construction —
-            // `allocate_counts` returns counts summing to exactly `m`, and
-            // the loop places exactly `m` subgroups, so an unsaturated
-            // tier always exists; pure CPU-side planning, no I/O in flight
-            .expect("targets sum to m");
-        placed[tier] += 1;
-        out.push(tier);
-    }
-    out
+    (0..m)
+        .map(|_| {
+            // Weighted round-robin. The targets sum to exactly `m`, so
+            // until all `m` are placed some tier is below its target, and
+            // a tier below its target is always behind a saturated one.
+            let tier = most_behind(&targets, &placed).unwrap_or(0);
+            placed[tier] += 1;
+            tier
+        })
+        .collect()
 }
 
 /// Adaptive per-tier bandwidth estimation (§3.3): a tier's first real

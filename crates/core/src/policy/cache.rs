@@ -40,14 +40,6 @@ impl FramePlan {
             retain_frames,
         }
     }
-
-    /// Which positions of an `m`-subgroup processing order are retained in
-    /// host memory at iteration end: the final `retain_frames` positions
-    /// (the tail, which the alternating order visits first next time).
-    pub fn retained_positions(&self, m: usize) -> std::ops::Range<usize> {
-        let keep = self.retain_frames.min(m);
-        (m - keep)..m
-    }
 }
 
 #[cfg(test)]
@@ -66,19 +58,11 @@ mod tests {
     fn surplus_frames_become_cache() {
         let plan = FramePlan::new(10, 3, true);
         assert_eq!(plan.retain_frames, 7);
-        assert_eq!(plan.retained_positions(100), 93..100);
     }
 
     #[test]
     fn retain_disabled_gives_zero_cache() {
         let plan = FramePlan::new(10, 3, false);
         assert_eq!(plan.retain_frames, 0);
-        assert!(plan.retained_positions(100).is_empty());
-    }
-
-    #[test]
-    fn small_shards_retain_at_most_everything() {
-        let plan = FramePlan::new(50, 3, true);
-        assert_eq!(plan.retained_positions(5), 0..5);
     }
 }

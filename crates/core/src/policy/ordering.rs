@@ -42,16 +42,20 @@ impl OrderPolicy {
     /// subgroups are retained across iterations: the retained set is the
     /// tail of the previous order, which the current order visits first
     /// only when the direction flips.
+    ///
+    /// For a repeating scan the closed form assumes the prefetch
+    /// lookahead does not reach the retained tail before the scan starts
+    /// evicting it (`budget + lookahead <= m`, or everything fits).
     pub fn expected_hits(self, iter: u64, m: usize, budget: usize) -> usize {
         if iter == 0 {
             return 0; // cold start: nothing resident yet
         }
-        let budget = budget.min(m);
         match self {
             // Tail of ascending order = highest ids; the next ascending
-            // pass visits them last, after they were evicted to make room.
-            OrderPolicy::Ascending | OrderPolicy::Descending => 0,
-            OrderPolicy::Alternating => budget,
+            // pass visits them last, after they were evicted to make room
+            // — unless the whole shard fits and nothing is ever evicted.
+            OrderPolicy::Ascending | OrderPolicy::Descending if budget < m => 0,
+            _ => budget.min(m),
         }
     }
 }
@@ -95,6 +99,7 @@ mod tests {
         assert_eq!(OrderPolicy::Alternating.expected_hits(1, 100, 20), 20);
         assert_eq!(OrderPolicy::Ascending.expected_hits(1, 100, 20), 0);
         assert_eq!(OrderPolicy::Alternating.expected_hits(3, 10, 50), 10);
+        assert_eq!(OrderPolicy::Descending.expected_hits(1, 10, 10), 10);
     }
 
     proptest! {

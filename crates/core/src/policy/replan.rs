@@ -129,11 +129,6 @@ impl AdaptivePlanner {
         self.publish_estimates();
     }
 
-    /// The underlying bandwidth estimator.
-    pub fn estimator(&self) -> &BandwidthEstimator {
-        &self.estimator
-    }
-
     /// Records one observed transfer against `tier` (see
     /// [`BandwidthEstimator::record`]).
     // lint:hot-root — fed from I/O completion paths every transfer
@@ -150,11 +145,6 @@ impl AdaptivePlanner {
     /// Current per-tier bandwidth estimates.
     pub fn estimates(&self) -> &[f64] {
         self.estimator.estimates()
-    }
-
-    /// Migration budget per iteration boundary.
-    pub fn max_migrations_per_iter(&self) -> usize {
-        self.max_migrations_per_iter
     }
 
     /// Removes `tier` from planning permanently: it is never again a
@@ -209,6 +199,25 @@ impl AdaptivePlanner {
         }
     }
 
+    /// Durable copies per tier under `placements`, and the Eq. 1 split of
+    /// that many copies over the surviving tiers on the current estimates.
+    /// `None` when there is nothing to move or nowhere to move it.
+    fn counts_and_targets(&self, placements: &[Option<usize>]) -> Option<(Vec<usize>, Vec<usize>)> {
+        let mut counts = vec![0usize; self.estimator.num_tiers()];
+        for &p in placements.iter().flatten() {
+            if let Some(c) = counts.get_mut(p) {
+                *c += 1;
+            }
+        }
+        let durable: usize = counts.iter().sum();
+        if durable == 0 || self.surviving_tiers() == 0 {
+            return None;
+        }
+        let targets =
+            allocate_counts_excluding(durable, self.estimator.estimates(), &self.excluded);
+        Some((counts, targets))
+    }
+
     /// Plans at most `max_migrations_per_iter` durable-copy moves that
     /// bring the per-tier counts toward the Eq. 1 split for the current
     /// estimates.
@@ -222,22 +231,13 @@ impl AdaptivePlanner {
     /// target or the budget is spent.
     pub fn plan_migrations(&mut self, placements: &[Option<usize>]) -> Vec<MigrationStep> {
         let ntiers = self.estimator.num_tiers();
-        if self.max_migrations_per_iter == 0 || ntiers < 2 || self.surviving_tiers() == 0 {
+        if self.max_migrations_per_iter == 0 || ntiers < 2 {
             return Vec::new();
         }
+        let Some((mut counts, targets)) = self.counts_and_targets(placements) else {
+            return Vec::new();
+        };
         let mut current: Vec<Option<usize>> = placements.to_vec();
-        let mut counts = vec![0usize; ntiers];
-        for p in current.iter().flatten() {
-            if *p < ntiers {
-                counts[*p] += 1;
-            }
-        }
-        let durable: usize = counts.iter().sum();
-        if durable == 0 {
-            return Vec::new();
-        }
-        let targets =
-            allocate_counts_excluding(durable, self.estimator.estimates(), &self.excluded);
         let mut steps = Vec::new();
         while steps.len() < self.max_migrations_per_iter {
             // Most over-full donor and most under-full receiver, ties
@@ -286,21 +286,12 @@ impl AdaptivePlanner {
     /// "no survivors" into a typed error before training continues).
     pub fn plan_drain(&mut self, placements: &[Option<usize>]) -> Vec<MigrationStep> {
         let ntiers = self.estimator.num_tiers();
-        if !self.excluded.iter().any(|&e| e) || self.surviving_tiers() == 0 {
+        if !self.excluded.iter().any(|&e| e) {
             return Vec::new();
         }
-        let mut counts = vec![0usize; ntiers];
-        for p in placements.iter().flatten() {
-            if *p < ntiers {
-                counts[*p] += 1;
-            }
-        }
-        let durable: usize = counts.iter().sum();
-        if durable == 0 {
+        let Some((mut counts, targets)) = self.counts_and_targets(placements) else {
             return Vec::new();
-        }
-        let targets =
-            allocate_counts_excluding(durable, self.estimator.estimates(), &self.excluded);
+        };
         let mut steps = Vec::new();
         for (subgroup, p) in placements.iter().enumerate() {
             let Some(from) = *p else { continue };

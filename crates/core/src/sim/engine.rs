@@ -27,9 +27,8 @@ use mlp_sim::sync::{MutexGuard, Notify, SemGuard, Semaphore};
 use mlp_trace::{Attrs, Phase};
 
 use crate::config::EngineConfig;
-use crate::policy::allocation::{allocate_counts_excluding, assign_subgroups};
-use crate::policy::cache::FramePlan;
-use crate::policy::replan::AdaptivePlanner;
+use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
+use crate::policy::replan::MigrationStep;
 use crate::sim::env::NodeSimEnv;
 use crate::stats::{BackwardStats, IoEvent, IoKind, TierDistribution, UpdateStats};
 
@@ -43,29 +42,17 @@ pub fn virtual_ns(secs: f64) -> u64 {
 
 use virtual_ns as vns;
 
-/// Where a subgroup's optimizer state currently lives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Placement {
-    /// Resident in a host frame.
-    Host,
-    /// Offloaded to the indexed third-level tier.
-    Tier(usize),
-}
-
 struct WorkerState {
-    placement: Vec<Placement>,
+    /// Placement, retention and the flush split: one slot per subgroup,
+    /// host-resident ones pinning their frame permit.
+    ledger: SubgroupLedger<SemGuard>,
     /// Flush-completion signals per subgroup, so a fetch of a subgroup
     /// whose eviction flush is still in flight waits for it (data would be
     /// torn otherwise; in virtual time this is a timing fence).
     flushing: std::collections::HashMap<usize, Notify>,
-    /// Frames pinned by subgroups retained across iterations, in
-    /// least-recently-updated order (front = LRU eviction victim).
-    retained: Vec<(usize, SemGuard)>,
     /// Whether FP32 gradients for a subgroup are currently offloaded
     /// alongside it (baseline gradient path).
     grads_on_tier: Vec<bool>,
-    iter: u64,
-    planner: AdaptivePlanner,
     /// Flushes left in flight by a deferred-drain update phase, settled
     /// at the start of the next one (or by [`SimWorker::drain_flushes`]).
     pending_flushes: Vec<mlp_sim::JoinHandle<()>>,
@@ -78,7 +65,6 @@ struct Inner {
     env: NodeSimEnv,
     worker_id: usize,
     cfg: EngineConfig,
-    plan: FramePlan,
     subgroups: Vec<Subgroup>,
     frames: Semaphore,
     state: RefCell<WorkerState>,
@@ -86,16 +72,9 @@ struct Inner {
 
 /// One worker process's offloading engine (virtual time). Cheap to clone;
 /// clones share state (used to move the engine into pipeline tasks).
+#[derive(Clone)]
 pub struct SimWorker {
     inner: Rc<Inner>,
-}
-
-impl Clone for SimWorker {
-    fn clone(&self) -> Self {
-        SimWorker {
-            inner: Rc::clone(&self.inner),
-        }
-    }
 }
 
 impl SimWorker {
@@ -116,42 +95,29 @@ impl SimWorker {
                 "tier ratio must match tier count"
             );
         }
-        let plan = FramePlan::new(cfg.host_frames, cfg.pipeline_depth, cfg.cache_retention);
         let m = subgroups.len();
-        let weights = cfg
-            .tier_ratio
-            .clone()
-            .unwrap_or_else(|| env.model_bandwidths());
-        let assignment = assign_subgroups(m, &weights);
-        for (sub, &t) in subgroups.iter().zip(&assignment) {
-            env.tiers[t].account(sub.state_bytes());
-        }
         // §3.3: after each iteration the observed transfer bandwidths are
         // EMA-folded into B_i (alpha from config; 0.5 by default so a
         // one-iteration blip does not erase the accumulated estimate).
-        let mut planner = AdaptivePlanner::new(
-            env.model_bandwidths(),
-            cfg.bandwidth_alpha,
-            cfg.max_migrations_per_iter,
-        );
-        planner.attach_trace(&cfg.trace);
-        let frames = Semaphore::new(&env.sim, plan.total_frames);
+        let ledger = SubgroupLedger::new(&cfg, m, env.model_bandwidths());
+        for (idx, sub) in subgroups.iter().enumerate() {
+            if let Some(Place::Tier(t)) = ledger.place(idx) {
+                env.tiers[t].account(sub.state_bytes());
+            }
+        }
+        let frames = Semaphore::new(&env.sim, ledger.plan.total_frames);
         SimWorker {
             inner: Rc::new(Inner {
                 state: RefCell::new(WorkerState {
                     flushing: std::collections::HashMap::new(),
-                    placement: assignment.into_iter().map(Placement::Tier).collect(),
-                    retained: Vec::new(),
+                    ledger,
                     grads_on_tier: vec![false; m],
-                    iter: 0,
-                    planner,
                     pending_flushes: Vec::new(),
                     ckpt_staged: Vec::new(),
                 }),
                 env,
                 worker_id,
                 cfg,
-                plan,
                 subgroups,
                 frames,
             }),
@@ -165,7 +131,7 @@ impl SimWorker {
 
     /// Completed iterations.
     pub fn iterations_done(&self) -> u64 {
-        self.inner.state.borrow().iter
+        self.inner.state.borrow().ledger.iterations_done
     }
 
     /// The engine's configuration.
@@ -177,40 +143,25 @@ impl SimWorker {
     /// memory and the third-level tiers (Fig. 10).
     pub fn tier_distribution(&self) -> TierDistribution {
         let st = self.inner.state.borrow();
-        let mut dist = TierDistribution {
-            host_bytes: 0,
-            tier_bytes: vec![0; self.inner.env.num_tiers()],
-        };
-        for (sub, p) in self.inner.subgroups.iter().zip(&st.placement) {
-            match p {
-                Placement::Host => dist.host_bytes += sub.state_bytes(),
-                Placement::Tier(t) => dist.tier_bytes[*t] += sub.state_bytes(),
-            }
-        }
-        dist
+        st.ledger
+            .tier_distribution(|idx| self.inner.subgroups[idx].state_bytes())
     }
 
     /// Current adaptive bandwidth estimates (§3.3).
     pub fn bandwidth_estimates(&self) -> Vec<f64> {
-        self.inner.state.borrow().planner.estimates().to_vec()
+        let st = self.inner.state.borrow();
+        st.ledger.planner.estimates().to_vec()
     }
 
     /// Re-plans completed by the adaptive planner (estimator folds).
     pub fn planner_replans(&self) -> u64 {
-        self.inner.state.borrow().planner.replans()
+        self.inner.state.borrow().ledger.planner.replans()
     }
 
     /// Durable-copy migrations executed so far.
     pub fn planner_migrations(&self) -> u64 {
-        self.inner.state.borrow().planner.migrations_planned()
-    }
-
-    fn allocation_weights(&self) -> Vec<f64> {
-        self.inner
-            .cfg
-            .tier_ratio
-            .clone()
-            .unwrap_or_else(|| self.inner.state.borrow().planner.estimates().to_vec())
+        let st = self.inner.state.borrow();
+        st.ledger.planner.migrations_planned()
     }
 
     async fn maybe_lock(&self, tier: usize) -> Option<MutexGuard> {
@@ -227,21 +178,41 @@ impl SimWorker {
         sub.state_bytes() + if grads { sub.fp32_grad_bytes() } else { 0 }
     }
 
-    /// Removes `idx` from the resident set if present (cache hit).
-    fn take_retained(&self, idx: usize) -> Option<SemGuard> {
-        let mut st = self.inner.state.borrow_mut();
-        let pos = st.retained.iter().position(|(i, _)| *i == idx)?;
-        Some(st.retained.remove(pos).1)
+    /// One transfer against `tier`, holding the node-level tier lock if
+    /// enabled. Returns its `(start, end)` in virtual seconds, measured
+    /// inside the lock: transfer timing feeds the bandwidth estimator and
+    /// must not include deferral due to the concurrency control.
+    async fn transfer(&self, tier: usize, bytes: u64, write: bool) -> (f64, f64) {
+        let sim = &self.inner.env.sim;
+        let _lock = self.maybe_lock(tier).await;
+        let start = sim.now_secs();
+        if write {
+            self.inner.env.tiers[tier].write(bytes).await;
+        } else {
+            self.inner.env.tiers[tier].read(bytes).await;
+        }
+        (start, sim.now_secs())
     }
 
-    /// Pops the least-recently-updated resident for eviction.
-    fn pop_lru_retained(&self) -> Option<(usize, SemGuard)> {
-        let mut st = self.inner.state.borrow_mut();
-        if st.retained.is_empty() {
-            None
-        } else {
-            Some(st.retained.remove(0))
+    /// Stamps `[start_s, now]` as a `phase` span on this worker's lane;
+    /// `io` is the `(tier, subgroup, bytes)` of a transfer.
+    fn span(&self, phase: Phase, io: Option<(usize, usize, u64)>, start_s: f64) {
+        let trace = &self.inner.cfg.trace;
+        let mut attrs = Attrs {
+            tid: self.inner.worker_id as u32,
+            ..Attrs::NONE
+        };
+        if let Some((tier, subgroup, bytes)) = io {
+            attrs.tier = tier as i32;
+            attrs.subgroup = subgroup as i64;
+            attrs.bytes = bytes;
         }
+        trace.complete_span(
+            phase,
+            attrs,
+            vns(start_s),
+            vns(self.inner.env.sim.now_secs()),
+        );
     }
 
     /// Runs the backward pass: GPU compute emits each subgroup's FP16
@@ -273,30 +244,18 @@ impl SimWorker {
                     // Eager upscale on the host (every micro-step).
                     this.inner.env.conv.transfer(sub.fp16_grad_bytes()).await;
                     if final_micro_step {
-                        let tier = match this.inner.state.borrow().placement[idx] {
-                            Placement::Tier(t) => Some(t),
-                            Placement::Host => None,
+                        let tier = match this.inner.state.borrow().ledger.place(idx) {
+                            Some(Place::Tier(t)) => Some(t),
+                            _ => None,
                         };
                         if let Some(t) = tier {
                             let gstart = this.inner.env.sim.now_secs();
-                            {
-                                let _lock = this.maybe_lock(t).await;
-                                this.inner.env.tiers[t].write(sub.fp32_grad_bytes()).await;
-                            }
-                            if this.inner.cfg.trace.is_enabled() {
-                                this.inner.cfg.trace.complete_span(
-                                    Phase::GradFlush,
-                                    Attrs {
-                                        tid: this.inner.worker_id as u32,
-                                        tier: t as i32,
-                                        subgroup: idx as i64,
-                                        bytes: sub.fp32_grad_bytes(),
-                                        ..Attrs::NONE
-                                    },
-                                    vns(gstart),
-                                    vns(this.inner.env.sim.now_secs()),
-                                );
-                            }
+                            this.transfer(t, sub.fp32_grad_bytes(), true).await;
+                            this.span(
+                                Phase::GradFlush,
+                                Some((t, idx, sub.fp32_grad_bytes())),
+                                gstart,
+                            );
                             this.inner.state.borrow_mut().grads_on_tier[idx] = true;
                             offloaded = sub.fp32_grad_bytes();
                         }
@@ -316,20 +275,7 @@ impl SimWorker {
             out.grad_bytes_offloaded += offloaded;
         }
         out.duration_s = sim.now_secs() - t0;
-        if self.inner.cfg.trace.is_enabled() {
-            self.inner
-                .cfg
-                .trace
-                .complete_span(
-                    Phase::Backward,
-                    Attrs {
-                        tid: self.inner.worker_id as u32,
-                        ..Attrs::NONE
-                    },
-                    vns(t0),
-                    vns(sim.now_secs()),
-                );
-        }
+        self.span(Phase::Backward, None, t0);
         out
     }
 
@@ -343,17 +289,7 @@ impl SimWorker {
         let t0 = sim.now_secs();
         let m = self.inner.subgroups.len();
         let ntiers = self.inner.env.num_tiers();
-        let iter = self.inner.state.borrow().iter;
-        let order = self.inner.cfg.order.order(iter, m);
-        let weights = self.allocation_weights();
-        // Eq. 1 proportions for flush placement, over the surviving tiers
-        // (a quarantined tier's target is 0, so the deficit rule never
-        // selects it). The number of flushes this iteration depends on
-        // cache hits, so targets are sized for the worst case; only the
-        // ratios drive the deficit rule.
-        let excluded = self.inner.state.borrow().planner.excluded().to_vec();
-        let flush_targets = allocate_counts_excluding(m.max(1), &weights, &excluded);
-        let mut flush_done = vec![0usize; ntiers];
+        self.inner.state.borrow_mut().ledger.begin_iteration();
 
         let stats = Rc::new(RefCell::new(UpdateStats {
             bytes_read_by_tier: vec![0; ntiers],
@@ -365,15 +301,20 @@ impl SimWorker {
         let (tx, rx) = channel::<(usize, SemGuard, bool)>(&sim);
         let prefetcher = sim.spawn({
             let this = self.clone();
-            let order = order.clone();
             let stats = Rc::clone(&stats);
-            let sim = sim.clone();
             async move {
-                for idx in order {
-                    if let Some(frame) = this.take_retained(idx) {
-                        tx.send((idx, frame, true));
-                        continue;
-                    }
+                loop {
+                    let next = this.inner.state.borrow_mut().ledger.next_lookup();
+                    let Some((idx, lookup)) = next else {
+                        break;
+                    };
+                    let tier = match lookup {
+                        Lookup::Hit(frame) => {
+                            tx.send((idx, frame, true));
+                            continue;
+                        }
+                        Lookup::Fetch { tier } => tier,
+                    };
                     let frame = this.inner.frames.acquire().await;
                     // Fence on an in-flight eviction flush of this subgroup.
                     let pending_flush = this
@@ -386,29 +327,13 @@ impl SimWorker {
                     if let Some(wait) = pending_flush {
                         wait.await;
                     }
-                    let tier = match this.inner.state.borrow().placement[idx] {
-                        Placement::Tier(t) => t,
-                        // lint:allow(hot-path-panic): deterministic virtual-time
-                        // simulation — a placement-table invariant breach here is
-                        // a modelling bug, not a runtime I/O failure; failing
-                        // fast keeps simulated results trustworthy
-                        Placement::Host => unreachable!("non-retained subgroup marked Host"),
-                    };
                     let bytes = this.fetch_bytes(idx);
-                    // Acquire the tier lock first: transfer timing feeds the
-                    // bandwidth estimator and must not include deferral due
-                    // to the concurrency control.
-                    let lock = this.maybe_lock(tier).await;
-                    let start = sim.now_secs();
-                    this.inner.env.tiers[tier].read(bytes).await;
-                    let end = sim.now_secs();
-                    drop(lock);
+                    let (start, end) = this.transfer(tier, bytes, false).await;
                     this.inner.env.tiers[tier].release(bytes);
                     {
                         let mut st = this.inner.state.borrow_mut();
                         st.grads_on_tier[idx] = false;
-                        st.placement[idx] = Placement::Host;
-                        st.planner.record(tier, bytes, end - start);
+                        st.ledger.planner.record(tier, bytes, end - start);
                     }
                     {
                         let mut s = stats.borrow_mut();
@@ -424,20 +349,7 @@ impl SimWorker {
                             bytes,
                         });
                     }
-                    if this.inner.cfg.trace.is_enabled() {
-                        this.inner.cfg.trace.complete_span(
-                            Phase::Fetch,
-                            Attrs {
-                                tid: this.inner.worker_id as u32,
-                                tier: tier as i32,
-                                subgroup: idx as i64,
-                                bytes,
-                                ..Attrs::NONE
-                            },
-                            vns(start),
-                            vns(end),
-                        );
-                    }
+                    this.span(Phase::Fetch, Some((tier, idx, bytes)), start);
                     tx.send((idx, frame, false));
                 }
             }
@@ -469,56 +381,29 @@ impl SimWorker {
             }));
             stats.borrow_mut().params_updated += sub.params;
 
-            // LRU retention: every updated subgroup stays resident in its
-            // host frame; when the resident set exceeds the cache budget,
-            // the least-recently-updated one is evicted (lazily flushed).
-            // Under the alternating order the retained tail of one
-            // iteration is exactly the head of the next (all hits); under a
-            // repeating scan order the residents are recycled before the
-            // scan comes back around — the cache thrashing of §3.1.
-            let mut to_flush: Option<(usize, SemGuard)> = None;
-            if self.inner.plan.retain_frames > 0 {
-                let mut st = self.inner.state.borrow_mut();
-                st.placement[idx] = Placement::Host;
-                st.retained.push((idx, frame));
-                if st.retained.len() > self.inner.plan.retain_frames {
-                    drop(st);
-                    to_flush = self.pop_lru_retained();
-                }
-            } else {
-                to_flush = Some((idx, frame));
-            }
-            if let Some((fidx, fframe)) = to_flush {
-                // Lazy flush to the tier with the largest remaining Eq. 1
-                // deficit for this iteration.
-                let tier = (0..ntiers)
-                    .filter(|&t| flush_targets[t] > 0)
-                    .min_by(|&a, &b| {
-                        let fa = flush_done[a] as f64 / flush_targets[a] as f64;
-                        let fb = flush_done[b] as f64 / flush_targets[b] as f64;
-                        fa.total_cmp(&fb).then(a.cmp(&b))
-                    })
-                    .unwrap_or(0);
-                flush_done[tier] += 1;
-                // Destination decided now so concurrent bookkeeping sees a
-                // consistent placement; the write completes asynchronously.
-                {
-                    let mut st = self.inner.state.borrow_mut();
-                    st.placement[fidx] = Placement::Tier(tier);
-                    st.flushing.insert(fidx, Notify::new(&sim));
-                }
+            // Whatever the retention budget pushes out is lazily flushed.
+            // Its destination is already recorded, so concurrent
+            // bookkeeping sees a consistent placement; the write completes
+            // asynchronously.
+            let evicted = self.inner.state.borrow_mut().ledger.retire(idx, frame);
+            for Eviction {
+                subgroup: fidx,
+                frame: fframe,
+                tier,
+            } in evicted
+            {
+                self.inner
+                    .state
+                    .borrow_mut()
+                    .flushing
+                    .insert(fidx, Notify::new(&sim));
                 let fsub = self.inner.subgroups[fidx];
                 flush_handles.push(sim.spawn({
                     let this = self.clone();
                     let stats = Rc::clone(&stats);
-                    let sim = sim.clone();
                     async move {
-                        let lock = this.maybe_lock(tier).await;
-                        let start = sim.now_secs();
-                        this.inner.env.tiers[tier].write(fsub.state_bytes()).await;
-                        let end = sim.now_secs();
-                        drop(lock);
-                        this.inner.state.borrow_mut().planner.record(
+                        let (start, end) = this.transfer(tier, fsub.state_bytes(), true).await;
+                        this.inner.state.borrow_mut().ledger.planner.record(
                             tier,
                             fsub.state_bytes(),
                             end - start,
@@ -537,20 +422,7 @@ impl SimWorker {
                                 bytes: fsub.state_bytes(),
                             });
                         }
-                        if this.inner.cfg.trace.is_enabled() {
-                            this.inner.cfg.trace.complete_span(
-                                Phase::Flush,
-                                Attrs {
-                                    tid: this.inner.worker_id as u32,
-                                    tier: tier as i32,
-                                    subgroup: fidx as i64,
-                                    bytes: fsub.state_bytes(),
-                                    ..Attrs::NONE
-                                },
-                                vns(start),
-                                vns(end),
-                            );
-                        }
+                        this.span(Phase::Flush, Some((tier, fidx, fsub.state_bytes())), start);
                         if let Some(n) = this.inner.state.borrow_mut().flushing.remove(&fidx) {
                             n.notify_all();
                         }
@@ -586,11 +458,8 @@ impl SimWorker {
 
         {
             let mut st = self.inner.state.borrow_mut();
-            stats.borrow_mut().retained = st.retained.len();
-            if self.inner.cfg.adaptive_bandwidth {
-                st.planner.end_iteration();
-            }
-            st.iter += 1;
+            stats.borrow_mut().retained = st.ledger.resident_count();
+            st.ledger.end_iteration();
         }
         if self.inner.cfg.adaptive_bandwidth && self.inner.cfg.max_migrations_per_iter > 0 {
             self.run_migrations(&stats).await;
@@ -600,110 +469,76 @@ impl SimWorker {
             .map(RefCell::into_inner)
             .unwrap_or_else(|rc| rc.borrow().clone());
         out.duration_s = sim.now_secs() - t0;
-        if self.inner.cfg.trace.is_enabled() {
-            self.inner
-                .cfg
-                .trace
-                .complete_span(
-                    Phase::Update,
-                    Attrs {
-                        tid: self.inner.worker_id as u32,
-                        ..Attrs::NONE
-                    },
-                    vns(t0),
-                    vns(sim.now_secs()),
-                );
-        }
+        self.span(Phase::Update, None, t0);
         out
     }
 
-    /// Executes the planner's bounded migration plan at the iteration
-    /// boundary: for each step, read the durable copy from its source
-    /// tier, write it to the destination, then release the source
-    /// capacity — the copy exists somewhere durable at every instant.
-    ///
-    /// Only tier-resident subgroups with no in-flight eviction flush are
-    /// candidates (deferred-drain flushes settle at the *next* update's
-    /// start), so host-retained residents — and with them the Alternating
-    /// cache-hit sequence — are untouched.
-    async fn run_migrations(&self, stats: &Rc<RefCell<UpdateStats>>) {
-        let sim = self.inner.env.sim.clone();
-        let steps = {
+    /// Moves one durable subgroup copy between tiers in virtual time:
+    /// read the source, write the destination, and only then release the
+    /// source's capacity — the copy exists somewhere durable at every
+    /// instant. `salvage` reads off a quarantined tier: timed, but not fed
+    /// to the planner (the tier is excluded; its estimate is dead
+    /// weight). Returns the bytes moved.
+    async fn move_durable_copy(&self, step: MigrationStep, salvage: bool) -> u64 {
+        let bytes = self.inner.subgroups[step.subgroup].state_bytes();
+        let started = self.inner.env.sim.now_secs();
+        let (rstart, rend) = self.transfer(step.from, bytes, false).await;
+        if !salvage {
             let mut st = self.inner.state.borrow_mut();
-            let flushing: Vec<usize> = st.flushing.keys().copied().collect();
-            let placements: Vec<Option<usize>> = st
-                .placement
-                .iter()
-                .enumerate()
-                .map(|(i, p)| match p {
-                    Placement::Tier(t) if !flushing.contains(&i) => Some(*t),
-                    _ => None,
-                })
-                .collect();
-            st.planner.plan_migrations(&placements)
-        };
-        if self.inner.cfg.trace.is_enabled() {
-            self.inner.cfg.trace.instant(
-                Phase::Replan,
-                Attrs {
-                    tid: self.inner.worker_id as u32,
-                    bytes: steps.len() as u64,
-                    ..Attrs::NONE
-                },
-                vns(sim.now_secs()),
-            );
+            st.ledger.planner.record(step.from, bytes, rend - rstart);
         }
+        let (wstart, wend) = self.transfer(step.to, bytes, true).await;
+        // Destination accounted by `write`; the source is released only
+        // now that the new durable copy exists.
+        self.inner.env.tiers[step.from].release(bytes);
+        {
+            let mut st = self.inner.state.borrow_mut();
+            st.ledger.planner.record(step.to, bytes, wend - wstart);
+            st.ledger.relocate(step);
+        }
+        let phase = if salvage {
+            Phase::Drain
+        } else {
+            Phase::Migrate
+        };
+        self.span(phase, Some((step.to, step.subgroup, bytes)), started);
+        bytes
+    }
+
+    /// The planner's view of what may move: subgroups whose eviction
+    /// flush is still in flight are skipped (deferred-drain flushes settle
+    /// at the *next* update's start), and the ledger never offers a
+    /// host-retained resident — so the Alternating cache-hit sequence is
+    /// untouched.
+    fn plan_moves(&self, drain: bool) -> Vec<MigrationStep> {
+        let mut st = self.inner.state.borrow_mut();
+        let WorkerState {
+            ledger, flushing, ..
+        } = &mut *st;
+        let in_flight = |idx| flushing.contains_key(&idx);
+        if drain {
+            ledger.plan_drain(in_flight)
+        } else {
+            ledger.plan_migrations(in_flight)
+        }
+    }
+
+    /// Executes the planner's bounded migration plan at the iteration
+    /// boundary.
+    async fn run_migrations(&self, stats: &Rc<RefCell<UpdateStats>>) {
+        let steps = self.plan_moves(false);
+        let attrs = Attrs {
+            tid: self.inner.worker_id as u32,
+            bytes: steps.len() as u64,
+            ..Attrs::NONE
+        };
+        let now = vns(self.inner.env.sim.now_secs());
+        self.inner.cfg.trace.instant(Phase::Replan, attrs, now);
         for step in steps {
-            let sub = self.inner.subgroups[step.subgroup];
-            let bytes = sub.state_bytes();
-            let mstart = sim.now_secs();
-            {
-                let lock = self.maybe_lock(step.from).await;
-                let start = sim.now_secs();
-                self.inner.env.tiers[step.from].read(bytes).await;
-                let secs = sim.now_secs() - start;
-                drop(lock);
-                self.inner
-                    .state
-                    .borrow_mut()
-                    .planner
-                    .record(step.from, bytes, secs);
-            }
-            {
-                let lock = self.maybe_lock(step.to).await;
-                let start = sim.now_secs();
-                self.inner.env.tiers[step.to].write(bytes).await;
-                let secs = sim.now_secs() - start;
-                drop(lock);
-                self.inner
-                    .state
-                    .borrow_mut()
-                    .planner
-                    .record(step.to, bytes, secs);
-            }
-            // Destination accounted by `write`; source released only now
-            // that the new durable copy exists.
-            self.inner.env.tiers[step.from].release(bytes);
-            self.inner.state.borrow_mut().placement[step.subgroup] = Placement::Tier(step.to);
-            {
-                let mut s = stats.borrow_mut();
-                s.migrations += 1;
-                s.bytes_migrated += bytes;
-            }
-            if self.inner.cfg.trace.is_enabled() {
-                self.inner.cfg.trace.complete_span(
-                    Phase::Migrate,
-                    Attrs {
-                        tid: self.inner.worker_id as u32,
-                        tier: step.to as i32,
-                        subgroup: step.subgroup as i64,
-                        bytes,
-                        ..Attrs::NONE
-                    },
-                    vns(mstart),
-                    vns(sim.now_secs()),
-                );
-            }
+            let bytes = self.move_durable_copy(step, false).await;
+            let mut s = stats.borrow_mut();
+            s.migrations += 1;
+            s.bytes_migrated += bytes;
         }
     }
 
@@ -718,75 +553,23 @@ impl SimWorker {
     ///
     /// Returns the number of copies evacuated.
     pub async fn quarantine_tier(&self, tier: usize) -> usize {
-        let sim = self.inner.env.sim.clone();
-        let steps = {
-            let mut st = self.inner.state.borrow_mut();
-            st.planner.exclude_tier(tier);
-            let flushing: Vec<usize> = st.flushing.keys().copied().collect();
-            let placements: Vec<Option<usize>> = st
-                .placement
-                .iter()
-                .enumerate()
-                .map(|(i, p)| match p {
-                    Placement::Tier(t) if !flushing.contains(&i) => Some(*t),
-                    _ => None,
-                })
-                .collect();
-            st.planner.plan_drain(&placements)
+        self.inner
+            .state
+            .borrow_mut()
+            .ledger
+            .planner
+            .exclude_tier(tier);
+        let steps = self.plan_moves(true);
+        let attrs = Attrs {
+            tid: self.inner.worker_id as u32,
+            tier: tier as i32,
+            ..Attrs::NONE
         };
-        if self.inner.cfg.trace.is_enabled() {
-            self.inner.cfg.trace.instant(
-                Phase::Quarantine,
-                Attrs {
-                    tid: self.inner.worker_id as u32,
-                    tier: tier as i32,
-                    ..Attrs::NONE
-                },
-                vns(sim.now_secs()),
-            );
-        }
+        let now = vns(self.inner.env.sim.now_secs());
+        self.inner.cfg.trace.instant(Phase::Quarantine, attrs, now);
         let evacuated = steps.len();
         for step in steps {
-            let sub = self.inner.subgroups[step.subgroup];
-            let bytes = sub.state_bytes();
-            let dstart = sim.now_secs();
-            // Salvage read off the dying tier: timed, but not fed to the
-            // planner (the tier is excluded; its estimate is dead weight).
-            {
-                let lock = self.maybe_lock(step.from).await;
-                self.inner.env.tiers[step.from].read(bytes).await;
-                drop(lock);
-            }
-            {
-                let lock = self.maybe_lock(step.to).await;
-                let start = sim.now_secs();
-                self.inner.env.tiers[step.to].write(bytes).await;
-                let secs = sim.now_secs() - start;
-                drop(lock);
-                self.inner
-                    .state
-                    .borrow_mut()
-                    .planner
-                    .record(step.to, bytes, secs);
-            }
-            // Destination accounted by `write`; the source copy is
-            // released only once the survivor copy is durable.
-            self.inner.env.tiers[step.from].release(bytes);
-            self.inner.state.borrow_mut().placement[step.subgroup] = Placement::Tier(step.to);
-            if self.inner.cfg.trace.is_enabled() {
-                self.inner.cfg.trace.complete_span(
-                    Phase::Drain,
-                    Attrs {
-                        tid: self.inner.worker_id as u32,
-                        tier: step.to as i32,
-                        subgroup: step.subgroup as i64,
-                        bytes,
-                        ..Attrs::NONE
-                    },
-                    vns(dstart),
-                    vns(sim.now_secs()),
-                );
-            }
+            self.move_durable_copy(step, true).await;
         }
         evacuated
     }
@@ -846,46 +629,24 @@ impl SimWorker {
         let m = self.inner.subgroups.len();
         for idx in 0..m {
             let sub = self.inner.subgroups[idx];
-            match self.inner.state.borrow().placement[idx] {
-                // A durable copy already exists on a third-level tier (or
-                // its eviction flush is in flight and fenced): pre-staged.
-                Placement::Tier(_) => {
-                    stats.prestaged_bytes += sub.state_bytes();
-                    continue;
-                }
-                Placement::Host => stats.copied_bytes += sub.state_bytes(),
+            // A durable copy already exists on a third-level tier (or its
+            // eviction flush is in flight and fenced): pre-staged.
+            if let Some(Place::Tier(_)) = self.inner.state.borrow().ledger.place(idx) {
+                stats.prestaged_bytes += sub.state_bytes();
+                continue;
             }
+            stats.copied_bytes += sub.state_bytes();
             let this = self.clone();
             handles.push(sim.spawn(async move {
                 let sim = this.inner.env.sim.clone();
                 let bytes = this.inner.subgroups[idx].state_bytes();
-                let wid = this.inner.worker_id as u32;
                 let fstart = sim.now_secs();
-                {
-                    let _lock = this.maybe_lock(fast_tier).await;
-                    this.inner.env.tiers[fast_tier].write(bytes).await;
-                }
-                if this.inner.cfg.trace.is_enabled() {
-                    this.inner.cfg.trace.complete_span(
-                        Phase::CkptFlush,
-                        Attrs {
-                            tid: wid,
-                            tier: fast_tier as i32,
-                            subgroup: idx as i64,
-                            bytes,
-                            ..Attrs::NONE
-                        },
-                        vns(fstart),
-                        vns(sim.now_secs()),
-                    );
-                }
+                this.transfer(fast_tier, bytes, true).await;
+                this.span(Phase::CkptFlush, Some((fast_tier, idx, bytes)), fstart);
                 match object_tier {
                     Some(o) if o != fast_tier => {
                         let tstart = sim.now_secs();
-                        {
-                            let _lock = this.maybe_lock(fast_tier).await;
-                            this.inner.env.tiers[fast_tier].read(bytes).await;
-                        }
+                        this.transfer(fast_tier, bytes, false).await;
                         {
                             // The node-level exclusive lock protects
                             // seek-bound NVMe/PFS tiers from thrashing; an
@@ -901,20 +662,7 @@ impl SimWorker {
                             };
                             this.inner.env.tiers[o].write(bytes).await;
                         }
-                        if this.inner.cfg.trace.is_enabled() {
-                            this.inner.cfg.trace.complete_span(
-                                Phase::CkptTrickle,
-                                Attrs {
-                                    tid: wid,
-                                    tier: o as i32,
-                                    subgroup: idx as i64,
-                                    bytes,
-                                    ..Attrs::NONE
-                                },
-                                vns(tstart),
-                                vns(sim.now_secs()),
-                            );
-                        }
+                        this.span(Phase::CkptTrickle, Some((o, idx, bytes)), tstart);
                         // Staging copy pruned once the object copy is
                         // durable; the object copy outlives the call.
                         this.inner.env.tiers[fast_tier].release(bytes);

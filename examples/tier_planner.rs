@@ -50,7 +50,10 @@ fn main() {
     println!("measuring tiers (16 MiB blocks x 8)...");
     let mut weights = Vec::new();
     for (name, backend) in &backends {
-        let sample = measure_backend(backend.as_ref(), 16 << 20, 8);
+        let sample = measure_backend(backend.as_ref(), 16 << 20, 8).unwrap_or_else(|e| {
+            eprintln!("cannot measure {name}: {e}");
+            std::process::exit(1);
+        });
         println!(
             "  {name}: read {:.2} GB/s, write {:.2} GB/s -> B_i = {:.2} GB/s",
             sample.read_bps / 1e9,

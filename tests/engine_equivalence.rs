@@ -233,16 +233,21 @@ fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
     }
 }
 
-/// First slice of the ROADMAP's "same step trace" test: for every rung,
+/// Toward the ROADMAP's "same step trace" test: for every rung,
 /// the real-bytes engine and the virtual-time engine, given the same
 /// subgroup count, frame budget and tiers, agree on what each iteration
 /// does — cache hits, fetches, flushes, and gradient bytes through
-/// storage — from the cold start on.
+/// storage — and on where it leaves every subgroup (host share and each
+/// tier's share), from the cold start on. The split is pinned: the
+/// functional engine's adaptive estimates are wall-clock.
 #[test]
 fn functional_and_simulated_engines_count_the_same_steps() {
     for stage in AblationStage::ladder() {
         for n_tiers in [1usize, 2] {
-            let cfg = stage.config().with_host_frames(3 + 2);
+            let cfg = stage
+                .config()
+                .with_host_frames(3 + 2)
+                .with_tier_ratio([2.0, 1.0][..n_tiers].to_vec());
             let mut func = MlpFuncEngine::new(
                 cfg.clone(),
                 AdamConfig::default(),
@@ -285,6 +290,12 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                     iterate(&mut func, grads),
                     want,
                     "{} over {n_tiers} tier(s), iteration {it}",
+                    stage.label()
+                );
+                assert_eq!(
+                    func.tier_distribution().fractions(),
+                    simulated.tier_distribution().fractions(),
+                    "{} over {n_tiers} tier(s), placement after iteration {it}",
                     stage.label()
                 );
             }

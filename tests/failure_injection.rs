@@ -468,7 +468,13 @@ fn checkpoint_pipeline_absorbs_transient_object_store_faults() {
     use mlp_offload_suite::mlp_trace::TraceSink;
 
     let adam = AdamConfig::default();
-    let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+    // The split is pinned: left adaptive, each twin re-splits its flushes
+    // on its own wall-clock bandwidth estimates, so the twins' placements
+    // — and with them the manifests' pre-staged tier indices — would
+    // differ by timing rather than by anything under test.
+    let cfg = EngineConfig::mlp_offload()
+        .with_host_frames(5)
+        .with_tier_ratio(vec![2.0, 1.0]);
     let tiers = || {
         vec![
             SharedTier::new(Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>, 2.0),
