@@ -4,7 +4,7 @@
 //! [`AioEngine`] is the stable façade: `submit_*` / `wait*` / `drain`,
 //! retry/backoff, statistics, and trace instrumentation are identical no
 //! matter which engine backend moves the bytes. The backend — worker
-//! pool, inline sync, mmap, or io_uring — is selected per
+//! pool, inline sync, or io_uring — is selected per
 //! [`AioConfig::engine`] (default: probe-based auto-selection, see
 //! [`crate::io_engine::EngineKind`]).
 //!
@@ -28,7 +28,7 @@ use mlp_tensor::PooledBuffer;
 use mlp_trace::{Counter, Gauge, Phase, TraceSink};
 
 use crate::completion::{CompletionSlot, PendingGauge};
-use crate::io_engine::{EngineCaps, EngineKind, EngineShared, IoEngine};
+use crate::io_engine::{EngineKind, EngineShared, IoEngine};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -119,10 +119,10 @@ impl RetryPolicy {
 ///   default, [`EngineKind::Auto`], probes the host (io_uring syscall
 ///   availability) and the backend (file-backed or not) and picks the
 ///   fastest engine that fits; pin a specific kind to override.
-/// * [`AioConfig::workers`] — thread count for the thread-backed engines
-///   (`Pool`, `Mmap`). Defaults to half the host's logical CPUs, clamped
-///   to `2..=8`: offload I/O should overlap compute, not displace it,
-///   and blocking-pool throughput flattens past a handful of threads.
+/// * [`AioConfig::workers`] — thread count of the `Pool` engine.
+///   Defaults to half the host's logical CPUs, clamped to `2..=8`:
+///   offload I/O should overlap compute, not displace it, and
+///   blocking-pool throughput flattens past a handful of threads.
 ///   Ignored by `Sync` (inline) and `Uring` (single driver thread).
 /// * [`AioConfig::queue_depth`] — bound on queued + in-flight ops before
 ///   `submit_*` blocks; also the io_uring submission-queue size.
@@ -137,10 +137,10 @@ impl RetryPolicy {
 #[derive(Clone, Debug)]
 pub struct AioConfig {
     /// The I/O engine backend that executes operations; see
-    /// [`crate::io_engine`] for the capability matrix.
+    /// [`crate::io_engine`] for what each one does.
     pub engine: EngineKind,
     /// I/O worker threads (the tier's preferred I/O parallelism; a PFS
-    /// benefits from several, §3.2). Used by the thread-backed engines.
+    /// benefits from several, §3.2). Used by the `Pool` engine.
     pub workers: usize,
     /// Maximum queued + in-flight operations before `submit_*` blocks,
     /// modelling a bounded kernel submission queue.
@@ -150,10 +150,11 @@ pub struct AioConfig {
     /// Observability sink. When enabled, every completed operation
     /// records an [`Phase::AioRead`]/[`Phase::AioWrite`]/
     /// [`Phase::AioDelete`] span, each re-attempt an
-    /// [`Phase::AioRetry`] instant, and the engine mirrors its internal
-    /// operation meters into the sink's metrics registry under
-    /// `aio.<backend>.<meter>`. Disabled by default,
-    /// which keeps the per-op path free of any tracing work.
+    /// [`Phase::AioRetry`] instant, and the engine's operation counters
+    /// are the sink's metrics-registry cells `aio.<backend>.<meter>`
+    /// (engines sharing a sink *and* a backend name share those cells, so
+    /// their accessors report the sum). Disabled by default, which keeps
+    /// the per-op path free of any tracing work.
     pub trace: TraceSink,
     /// Storage-tier index stamped on this engine's trace events so the
     /// timeline and the per-tier bandwidth summary can attribute I/O
@@ -317,17 +318,20 @@ pub struct OpHandle {
 impl OpHandle {
     /// Blocks until the operation completes and returns its result.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the operation was a pooled read (use
-    /// [`OpHandle::wait_pooled`] so the staging buffer is not lost).
+    /// The operation's own I/O error, or [`io::ErrorKind::InvalidInput`]
+    /// if it was a pooled read — collect those with
+    /// [`OpHandle::wait_pooled`]; here the staging buffer drops back to
+    /// its pool.
     pub fn wait(self) -> io::Result<Option<Vec<u8>>> {
         match self.state.take_result()? {
             OpOutput::None => Ok(None),
             OpOutput::Bytes(b) => Ok(Some(b)),
-            // lint:allow(hot-path-panic): documented API-misuse panic (see
-            // the `# Panics` section), not an I/O failure path
-            OpOutput::Pooled(..) => panic!("pooled read completion requires wait_pooled"),
+            OpOutput::Pooled(..) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "pooled read completion requires wait_pooled",
+            )),
         }
     }
 
@@ -351,16 +355,17 @@ impl OpHandle {
     /// Blocks until a pooled read completes and returns the staging
     /// buffer (its first `len` bytes hold the object).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the operation was not submitted via
-    /// [`AioEngine::submit_read_pooled`].
+    /// The operation's own I/O error, or [`io::ErrorKind::InvalidInput`]
+    /// if it was not submitted via [`AioEngine::submit_read_pooled`].
     pub fn wait_pooled(self) -> io::Result<(PooledBuffer, usize)> {
         match self.state.take_result()? {
             OpOutput::Pooled(buf, len) => Ok((buf, len)),
-            // lint:allow(hot-path-panic): documented API-misuse panic (see
-            // the `# Panics` section), not an I/O failure path
-            _ => panic!("wait_pooled on a non-pooled operation"),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "wait_pooled on a non-pooled operation",
+            )),
         }
     }
 
@@ -381,69 +386,52 @@ impl OpHandle {
     }
 }
 
-/// Engine counters. Every atomic here is a pure monotonic statistic —
-/// incremented by workers, read by reporting accessors, never used to
-/// publish other state — which is why `Relaxed` is sound for all of them
-/// (each site carries a `relaxed-ok` annotation the workspace lint
-/// checks). The pending-op count is *not* a statistic (drain blocks on
-/// it), so it lives in the mutex-guarded [`PendingGauge`] instead.
-#[derive(Default)]
+/// Engine counters, held once: the operation counters *are* the
+/// [`mlp_trace`] registry cells `aio.<backend>.<meter>` when the engine
+/// is constructed with an enabled [`TraceSink`], and detached cells of
+/// the same type otherwise — the [`AioEngine`] accessors and the
+/// registry read the same memory, so they cannot disagree. The
+/// pending-op count is *not* a statistic (drain blocks on it), so it
+/// lives in the mutex-guarded [`PendingGauge`]; `inflight` mirrors it
+/// for the registry.
 pub(crate) struct Stats {
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
-    pub(crate) read_bytes: AtomicU64,
-    pub(crate) write_bytes: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    /// Ops retired by the deadline watchdog with a typed `TimedOut`
-    /// error (also counted in `errors`).
-    pub(crate) timeouts: AtomicU64,
-    /// Real completions that arrived after the watchdog had already
-    /// timed the op out; their result is dropped.
-    pub(crate) late_completions: AtomicU64,
-    pub(crate) busy_nanos: AtomicU64,
-    /// Submitted-but-not-completed count with the `drain` barrier; see
-    /// [`crate::completion::PendingGauge`] for the protocol.
-    pub(crate) pending: PendingGauge,
-}
-
-/// Registry-backed mirrors of the engine's [`Stats`], published under
-/// `aio.<backend>.<meter>` when the engine is constructed with an
-/// enabled [`TraceSink`]. Detached (free-floating, never exported)
-/// when tracing is off, so the mirror writes stay off the books.
-pub(crate) struct TraceMeters {
     pub(crate) reads: Counter,
     pub(crate) writes: Counter,
     pub(crate) read_bytes: Counter,
     pub(crate) write_bytes: Counter,
     pub(crate) retries: Counter,
     pub(crate) errors: Counter,
-    /// Ops retired by the deadline watchdog with a typed `TimedOut`.
+    /// Ops retired by the deadline watchdog with a typed `TimedOut`
+    /// error (also counted in `errors`).
     pub(crate) timeouts: Counter,
-    /// Real completions that lost the publish race to the watchdog.
+    /// Real completions that arrived after the watchdog had already
+    /// timed the op out; their result is dropped.
     pub(crate) late_completions: Counter,
     /// Batched io_uring submissions (`io_uring_enter` calls that pushed
-    /// at least one SQE). Only the uring driver writes this, so model
-    /// checking builds (which compile the raw engines out) see it dead.
-    #[cfg_attr(loom, allow(dead_code))]
+    /// at least one SQE). Only the uring driver writes this, so builds
+    /// that compile it out see the field dead.
+    #[cfg_attr(not(feature = "uring"), allow(dead_code))]
     pub(crate) batches: Counter,
-    /// Ops served by an engine's raw kernel path (io_uring SQE, mmap)
-    /// instead of a portable backend call.
+    /// Ops served by the io_uring raw kernel path instead of a portable
+    /// backend call.
     pub(crate) raw_ops: Counter,
-    /// Ops an engine intended for its raw path but degraded to the
-    /// portable backend call (decorated backend, oversized object,
-    /// filesystem refusal, raw-path error). Written only by the raw
-    /// engines, which model checking builds compile out.
-    #[cfg_attr(loom, allow(dead_code))]
+    /// Ops the uring engine intended for its raw path but degraded to
+    /// the portable backend call (decorated backend, oversized object,
+    /// filesystem refusal, raw-path error).
+    #[cfg_attr(not(feature = "uring"), allow(dead_code))]
     pub(crate) fallback_ops: Counter,
-    /// Submitted-but-not-completed ops, mirrored from the pending gauge.
+    /// Submitted-but-not-completed ops, mirrored from `pending`.
     pub(crate) inflight: Gauge,
+    pub(crate) busy_nanos: AtomicU64,
+    /// Submitted-but-not-completed count with the `drain` barrier; see
+    /// [`crate::completion::PendingGauge`] for the protocol.
+    pub(crate) pending: PendingGauge,
 }
 
-impl TraceMeters {
+impl Stats {
     pub(crate) fn new(trace: &TraceSink, backend: &str) -> Self {
         let c = |meter: &str| trace.counter(&format!("aio.{backend}.{meter}"));
-        TraceMeters {
+        Stats {
             reads: c("reads"),
             writes: c("writes"),
             read_bytes: c("read_bytes"),
@@ -456,7 +444,26 @@ impl TraceMeters {
             raw_ops: c("raw_ops"),
             fallback_ops: c("fallback_ops"),
             inflight: trace.gauge(&format!("aio.{backend}.inflight")),
+            busy_nanos: AtomicU64::new(0),
+            pending: PendingGauge::new(),
         }
+    }
+
+    /// Success bookkeeping for a read of `n` bytes.
+    pub(crate) fn record_read(&self, state: &OpState, n: usize) {
+        // Release: paired with the Acquire in OpHandle::bytes, which may
+        // read this outside the completion mutex.
+        state.bytes.store(n, Ordering::Release);
+        self.reads.inc();
+        self.read_bytes.add(n as u64);
+    }
+
+    /// Success bookkeeping for a write of `n` bytes.
+    pub(crate) fn record_write(&self, state: &OpState, n: usize) {
+        // Release: paired with the Acquire in OpHandle::bytes.
+        state.bytes.store(n, Ordering::Release);
+        self.writes.inc();
+        self.write_bytes.add(n as u64);
     }
 }
 
@@ -484,15 +491,7 @@ pub(crate) fn execute_op(
         OpKind::Write(data) => {
             match retry.run(op_retries, sleeper, || backend.write(key, &data)) {
                 Ok(()) => {
-                    // Release: paired with the Acquire in OpHandle::bytes,
-                    // which may read this outside the completion mutex.
-                    state.bytes.store(data.len(), Ordering::Release);
-                    // relaxed-ok: monotonic stats counter, read only for reporting
-                    stats.writes.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .write_bytes
-                        // relaxed-ok: monotonic stats counter, read only for reporting
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
+                    stats.record_write(state, data.len());
                     Ok(OpOutput::None)
                 }
                 Err(e) => {
@@ -509,12 +508,7 @@ pub(crate) fn execute_op(
             }) {
                 Ok(()) => {
                     drop(buf); // staging buffer back to its pool
-                    // Release: paired with the Acquire in OpHandle::bytes.
-                    state.bytes.store(len, Ordering::Release);
-                    // relaxed-ok: monotonic stats counter, read only for reporting
-                    stats.writes.fetch_add(1, Ordering::Relaxed);
-                    // relaxed-ok: monotonic stats counter, read only for reporting
-                    stats.write_bytes.fetch_add(len as u64, Ordering::Relaxed);
+                    stats.record_write(state, len);
                     Ok(OpOutput::None)
                 }
                 Err(e) => {
@@ -525,14 +519,7 @@ pub(crate) fn execute_op(
         }
         OpKind::Read => {
             let data = retry.run(op_retries, sleeper, || backend.read(key))?;
-            // Release: paired with the Acquire in OpHandle::bytes.
-            state.bytes.store(data.len(), Ordering::Release);
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            stats.reads.fetch_add(1, Ordering::Relaxed);
-            stats
-                .read_bytes
-                // relaxed-ok: monotonic stats counter, read only for reporting
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            stats.record_read(state, data.len());
             Ok(OpOutput::Bytes(data))
         }
         OpKind::ReadPooled(mut buf, len) => {
@@ -543,12 +530,7 @@ pub(crate) fn execute_op(
                 // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
                 backend.read_into(key, &mut buf.buffer_mut().as_bytes_mut()[..len])
             })?;
-            // Release: paired with the Acquire in OpHandle::bytes.
-            state.bytes.store(n, Ordering::Release);
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            stats.reads.fetch_add(1, Ordering::Relaxed);
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            stats.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
+            stats.record_read(state, n);
             Ok(OpOutput::Pooled(buf, n))
         }
         OpKind::Delete => {
@@ -569,7 +551,6 @@ pub struct AioEngine {
     shared: Arc<EngineShared>,
     backend_name: String,
     engine_name: &'static str,
-    caps: EngineCaps,
     /// Deadline supervisor, present iff [`AioConfig::deadline`] is set.
     /// Declared (and therefore dropped) after `engine`, so in-flight ops
     /// stranded by a hung backend still time out during engine teardown.
@@ -587,7 +568,6 @@ impl AioEngine {
         let shared = Arc::new(EngineShared::new(backend, &config));
         let kind = config.engine.resolve(&*shared.backend);
         let engine = crate::io_engine::build(kind, Arc::clone(&shared), &config);
-        let caps = engine.caps();
         #[cfg(not(loom))]
         let watchdog = config
             .deadline
@@ -597,7 +577,6 @@ impl AioEngine {
             shared,
             backend_name,
             engine_name: kind.name(),
-            caps,
             #[cfg(not(loom))]
             watchdog,
         }
@@ -606,12 +585,7 @@ impl AioEngine {
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind) -> OpHandle {
         self.shared.stats.pending.inc();
-        if self.shared.trace.is_enabled() {
-            self.shared
-                .meters
-                .inflight
-                .set(self.shared.stats.pending.current() as u64);
-        }
+        self.shared.note_inflight();
         let state = Arc::new(OpState {
             result: CompletionSlot::new(),
             bytes: AtomicUsize::new(0),
@@ -691,42 +665,27 @@ impl AioEngine {
         self.engine_name
     }
 
-    /// Capabilities of the selected engine backend.
-    pub fn capabilities(&self) -> EngineCaps {
-        self.caps
-    }
-
     /// (reads, writes) completed *successfully* so far; failed operations
     /// are counted by [`AioEngine::op_errors`] instead.
     pub fn ops_completed(&self) -> (u64, u64) {
-        (
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.shared.stats.reads.load(Ordering::Relaxed),
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.shared.stats.writes.load(Ordering::Relaxed),
-        )
+        let stats = &self.shared.stats;
+        (stats.reads.get(), stats.writes.get())
     }
 
     /// (read bytes, written bytes) moved by successful operations.
     pub fn bytes_moved(&self) -> (u64, u64) {
-        (
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.shared.stats.read_bytes.load(Ordering::Relaxed),
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.shared.stats.write_bytes.load(Ordering::Relaxed),
-        )
+        let stats = &self.shared.stats;
+        (stats.read_bytes.get(), stats.write_bytes.get())
     }
 
     /// Transient-error re-attempts performed by the retry layer.
     pub fn retries(&self) -> u64 {
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.shared.stats.retries.load(Ordering::Relaxed)
+        self.shared.stats.retries.get()
     }
 
     /// Operations that ultimately failed (after any retries).
     pub fn op_errors(&self) -> u64 {
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.shared.stats.errors.load(Ordering::Relaxed)
+        self.shared.stats.errors.get()
     }
 
     /// Operations retired by the deadline watchdog with a typed
@@ -734,15 +693,13 @@ impl AioEngine {
     /// [`AioEngine::op_errors`]). Always 0 when
     /// [`AioConfig::deadline`] is `None`.
     pub fn op_timeouts(&self) -> u64 {
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.shared.stats.timeouts.load(Ordering::Relaxed)
+        self.shared.stats.timeouts.get()
     }
 
     /// Completions that arrived after the watchdog had already timed
     /// their op out; the late result is dropped.
     pub fn late_completions(&self) -> u64 {
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.shared.stats.late_completions.load(Ordering::Relaxed)
+        self.shared.stats.late_completions.get()
     }
 
     /// Cumulative worker busy time in seconds (sums across workers,
@@ -996,6 +953,32 @@ mod tests {
         let h = e.submit_read_pooled("nope", pool.acquire(), 16);
         assert!(h.wait_pooled().is_err());
         assert_eq!(pool.outstanding(), 0, "buffer returned on error");
+    }
+
+    /// API misuse is a typed error, not a panic: `wait` on a pooled read
+    /// reports `InvalidInput` and the staging buffer recycles.
+    #[test]
+    fn wait_on_a_pooled_read_is_invalid_input_and_recycles_the_buffer() {
+        use mlp_tensor::PinnedPool;
+        let e = engine(1);
+        e.submit_write("k", vec![3u8; 8]).wait().unwrap();
+        let pool = PinnedPool::new(1, 16);
+        let err = e
+            .submit_read_pooled("k", pool.acquire(), 16)
+            .wait()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(pool.outstanding(), 0, "buffer returned to its pool");
+        assert_eq!(e.op_errors(), 0, "the read itself succeeded");
+    }
+
+    #[test]
+    fn wait_pooled_on_a_plain_op_is_invalid_input() {
+        let e = engine(1);
+        let err = e.submit_write("k", vec![1]).wait_pooled().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let err = e.submit_read("k").wait_pooled().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]
@@ -1318,6 +1301,72 @@ mod tests {
         let err = h.wait().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         assert_eq!(e.op_timeouts(), 1);
+    }
+
+    /// The engine's counters exist once: every `aio.<backend>.*` registry
+    /// counter of a traced engine is the cell its accessor reads, on every
+    /// completion path — success, retried transient, permanent error,
+    /// watchdog timeout with its late completion, and a submission
+    /// rejected at teardown (which the mirrored meters used to miss).
+    #[test]
+    fn registry_counters_equal_the_accessors_on_every_path() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend};
+        let trace = TraceSink::enabled();
+        // Two transient glitches, then (once armed) a 400 ms stall per op.
+        let stall = Arc::new(FaultInjectBackend::new(
+            Arc::new(EventuallyBackend::new(2)) as Arc<dyn Backend>,
+            FaultConfig::none(7).with_latency_spikes(1.0, Duration::from_millis(400)),
+        ));
+        stall.set_armed(false);
+        let e = AioEngine::new(
+            Arc::clone(&stall) as Arc<dyn Backend>,
+            AioConfig {
+                workers: 1,
+                queue_depth: 8,
+                retry: fast_retry(4),
+                deadline: Some(Duration::from_millis(50)),
+                trace: trace.clone(),
+                ..AioConfig::default()
+            },
+        );
+        e.submit_write("k", vec![5u8; 16]).wait().unwrap(); // two glitches first
+        assert_eq!(e.submit_read("k").wait().unwrap().unwrap().len(), 16);
+        assert!(e.submit_read("nope").wait().is_err());
+        stall.set_armed(true);
+        let err = e.submit_write("hang", vec![1u8; 8]).wait().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        let t0 = std::time::Instant::now();
+        while e.late_completions() == 0 && t0.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        e.shared.stats.pending.inc();
+        e.shared.reject(Op {
+            key: "rejected".to_string(),
+            kind: OpKind::Delete,
+            state: Arc::new(OpState {
+                result: CompletionSlot::new(),
+                bytes: AtomicUsize::new(0),
+                reclaim: Mutex::new(None),
+            }),
+        });
+
+        let (reads, writes) = e.ops_completed();
+        let (read_bytes, write_bytes) = e.bytes_moved();
+        // The stalled write lands late but does land: 2 writes, 24 bytes.
+        assert_eq!((reads, writes, read_bytes, write_bytes), (1, 2, 16, 24));
+        assert_eq!((e.retries(), e.op_errors()), (2, 3));
+        assert_eq!((e.op_timeouts(), e.late_completions()), (1, 1));
+        assert_eq!(e.pending_ops(), 0);
+        let snap = trace.metrics_snapshot();
+        let registry = |m: &str| snap.counter(&format!("aio.eventually+faults.{m}"));
+        assert_eq!(registry("reads"), Some(reads));
+        assert_eq!(registry("writes"), Some(writes));
+        assert_eq!(registry("read_bytes"), Some(read_bytes));
+        assert_eq!(registry("write_bytes"), Some(write_bytes));
+        assert_eq!(registry("retries"), Some(e.retries()));
+        assert_eq!(registry("errors"), Some(e.op_errors()));
+        assert_eq!(registry("timeouts"), Some(e.op_timeouts()));
+        assert_eq!(registry("late_completions"), Some(e.late_completions()));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The pluggable I/O engine subsystem: one completion protocol, four ways
-//! to move the bytes.
+//! The pluggable I/O engine subsystem: one completion protocol, three
+//! ways to move the bytes.
 //!
 //! [`AioEngine`](crate::AioEngine) is a façade; the actual byte movement
 //! is delegated to an engine backend selected by
@@ -11,9 +11,6 @@
 //! * **`sync`** — inline execution on the submitting thread. Zero
 //!   threads, zero queues; the portable fallback and the baseline other
 //!   engines are measured against.
-//! * **`mmap`** — a worker pool whose *reads* of file-backed objects go
-//!   through `mmap`+copy instead of `read(2)`, the read-mostly fetch
-//!   path. Writes and non-file backends use the portable path.
 //! * **`uring`** — a single driver thread batching operations into a
 //!   Linux io_uring submission queue at configurable depth, with
 //!   registered 4096-aligned bounce buffers and opportunistic `O_DIRECT`.
@@ -21,13 +18,13 @@
 //!
 //! # The capability-dispatch rule
 //!
-//! Raw kernel paths (io_uring, mmap) need a *file*, but the [`Backend`]
+//! The raw kernel path (io_uring) needs a *file*, but the [`Backend`]
 //! contract is key/value. The bridge is
 //! [`Backend::raw_target`](mlp_storage::Backend::raw_target): plainly
 //! file-backed backends (`DirBackend`) expose per-key filesystem
 //! coordinates, while in-memory backends and **every decorator** (fault
-//! injection, checksumming, tracing) decline. Engines treat the raw path
-//! as pure opportunism — any obstacle (decorated backend, oversized
+//! injection, checksumming, tracing) decline. The engine treats the raw
+//! path as pure opportunism — any obstacle (decorated backend, oversized
 //! object, filesystem refusing `O_DIRECT`, raw I/O error) degrades that
 //! single operation to the same portable backend call the pool engine
 //! makes, preserving retry, classification, and decorator semantics.
@@ -43,16 +40,8 @@
 //! engine backends. Every engine funnels through
 //! [`EngineShared::run_op`]/[`EngineShared::finish_op`], so the
 //! model-checked publish-then-retire invariants hold for all of them by
-//! construction.
-//!
-//! # Capability matrix
-//!
-//! ```
-//! let m = mlp_aio::io_engine::capability_matrix();
-//! for name in ["pool", "sync", "mmap", "uring"] {
-//!     assert!(m.contains(name), "missing {name} in:\n{m}");
-//! }
-//! ```
+//! construction. Which engine a configuration resolved to is reported
+//! by [`AioEngine::engine_name`](crate::AioEngine::engine_name).
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,17 +53,17 @@ use mlp_sync::Arc;
 use mlp_storage::Backend;
 use mlp_trace::{Attrs, Phase, TraceSink};
 
-use crate::engine::{
-    execute_op, AioConfig, Op, OpOutput, OpState, RetryPolicy, Stats, TraceMeters,
-};
+use crate::engine::{execute_op, AioConfig, Op, OpOutput, OpState, RetryPolicy, Stats};
 
 pub(crate) mod pool;
 pub(crate) mod sync_engine;
 
-#[cfg(all(unix, not(loom)))]
-pub(crate) mod mmap;
-
-#[cfg(all(unix, not(loom)))]
+#[cfg(all(
+    target_os = "linux",
+    feature = "uring",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(loom)
+))]
 pub(crate) mod sys;
 
 #[cfg(all(
@@ -99,21 +88,14 @@ pub enum EngineKind {
     Pool,
     /// Inline execution on the submitting thread.
     Sync,
-    /// Worker pool with an mmap fast path for file-backed reads.
-    Mmap,
     /// Batched io_uring submission on a single driver thread.
     Uring,
 }
 
 impl EngineKind {
-    /// The concrete (non-`Auto`) kinds, in capability-matrix order.
-    pub fn all() -> [EngineKind; 4] {
-        [
-            EngineKind::Pool,
-            EngineKind::Sync,
-            EngineKind::Mmap,
-            EngineKind::Uring,
-        ]
+    /// The concrete (non-`Auto`) kinds, in engine-matrix order.
+    pub fn all() -> [EngineKind; 3] {
+        [EngineKind::Pool, EngineKind::Sync, EngineKind::Uring]
     }
 
     /// Stable lowercase name (matches [`AioEngine::engine_name`]
@@ -123,7 +105,6 @@ impl EngineKind {
             EngineKind::Auto => "auto",
             EngineKind::Pool => "pool",
             EngineKind::Sync => "sync",
-            EngineKind::Mmap => "mmap",
             EngineKind::Uring => "uring",
         }
     }
@@ -139,8 +120,8 @@ impl EngineKind {
     }
 
     /// Why this kind can or cannot run here. `Unsupported` is a
-    /// legitimate host limitation (non-unix target, feature compiled
-    /// out, kernel or seccomp policy denying `io_uring_setup`) that
+    /// legitimate host limitation (feature compiled out, kernel or
+    /// seccomp policy denying `io_uring_setup`) that
     /// engine-matrix tests skip loudly; `Broken` means the engine
     /// *should* work but its probe failed for an unexpected reason, and
     /// [`for_each_engine!`](crate::for_each_engine) fails the test run
@@ -150,57 +131,7 @@ impl EngineKind {
             EngineKind::Auto | EngineKind::Pool | EngineKind::Sync => {
                 EngineAvailability::Available
             }
-            EngineKind::Mmap => {
-                if cfg!(all(unix, not(loom))) {
-                    EngineAvailability::Available
-                } else {
-                    EngineAvailability::Unsupported(
-                        "mmap engine requires a unix target (non-loom build)".to_string(),
-                    )
-                }
-            }
             EngineKind::Uring => uring_availability(),
-        }
-    }
-
-    /// What the engine offers *when it is available* (the static column
-    /// of the capability matrix; availability on this host is
-    /// [`EngineKind::is_available`]).
-    pub fn static_caps(self) -> EngineCaps {
-        match self {
-            EngineKind::Auto => EngineKind::Pool.static_caps(),
-            EngineKind::Pool => EngineCaps {
-                engine: "pool",
-                async_submission: true,
-                batched_submission: false,
-                raw_file_io: false,
-                o_direct: false,
-                registered_buffers: false,
-            },
-            EngineKind::Sync => EngineCaps {
-                engine: "sync",
-                async_submission: false,
-                batched_submission: false,
-                raw_file_io: false,
-                o_direct: false,
-                registered_buffers: false,
-            },
-            EngineKind::Mmap => EngineCaps {
-                engine: "mmap",
-                async_submission: true,
-                batched_submission: false,
-                raw_file_io: true,
-                o_direct: false,
-                registered_buffers: false,
-            },
-            EngineKind::Uring => EngineCaps {
-                engine: "uring",
-                async_submission: true,
-                batched_submission: true,
-                raw_file_io: true,
-                o_direct: true,
-                registered_buffers: true,
-            },
         }
     }
 
@@ -232,51 +163,6 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
-/// What an engine backend can do, reported by
-/// [`AioEngine::capabilities`](crate::AioEngine::capabilities).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Engine name (same as [`EngineKind::name`]).
-    pub engine: &'static str,
-    /// Submission returns before the operation executes (false only for
-    /// the inline `sync` engine).
-    pub async_submission: bool,
-    /// Multiple operations enter the kernel in one syscall.
-    pub batched_submission: bool,
-    /// File-backed objects can bypass the portable backend calls.
-    pub raw_file_io: bool,
-    /// The raw path can open files with `O_DIRECT` (page-cache bypass).
-    pub o_direct: bool,
-    /// Buffers are pre-registered with the kernel
-    /// (`IORING_REGISTER_BUFFERS`), skipping per-op pinning.
-    pub registered_buffers: bool,
-}
-
-/// The engine capability matrix for this host, one row per engine:
-/// static capabilities plus whether the engine can run here (compile-time
-/// features and the io_uring runtime probe).
-pub fn capability_matrix() -> String {
-    let mut out = String::from(
-        "engine | available | async | batched | raw-file | O_DIRECT | reg-buffers\n\
-         -------|-----------|-------|---------|----------|----------|------------\n",
-    );
-    let yn = |b: bool| if b { "yes" } else { "no" };
-    for kind in EngineKind::all() {
-        let c = kind.static_caps();
-        out.push_str(&format!(
-            "{:<6} | {:<9} | {:<5} | {:<7} | {:<8} | {:<8} | {}\n",
-            c.engine,
-            yn(kind.is_available()),
-            yn(c.async_submission),
-            yn(c.batched_submission),
-            yn(c.raw_file_io),
-            yn(c.o_direct),
-            yn(c.registered_buffers),
-        ));
-    }
-    out
-}
-
 /// Whether an engine can run on this host, and if not, whether that is
 /// a legitimate host limitation or a bug. See
 /// [`EngineKind::availability`].
@@ -285,8 +171,8 @@ pub enum EngineAvailability {
     /// The engine runs here.
     Available,
     /// This host/target cannot run the engine for an *expected* reason
-    /// (feature compiled out, non-unix target, kernel or seccomp policy
-    /// denying the syscall): engine-matrix tests skip it loudly.
+    /// (feature compiled out, kernel or seccomp policy denying the
+    /// syscall): engine-matrix tests skip it loudly.
     Unsupported(String),
     /// The engine should run here but its availability probe failed for
     /// an unexpected reason: engine-matrix tests fail instead of
@@ -343,8 +229,6 @@ fn uring_availability() -> EngineAvailability {
 /// [`EngineShared`]. Teardown is Drop: close the submission path, finish
 /// already-accepted ops, join threads.
 pub(crate) trait IoEngine: Send + Sync {
-    /// What this engine can do.
-    fn caps(&self) -> EngineCaps;
     /// Accepts an operation. May block for backpressure (bounded
     /// queues); must eventually publish exactly one completion for the
     /// op through [`EngineShared::finish_op`] / [`EngineShared::run_op`]
@@ -354,14 +238,13 @@ pub(crate) trait IoEngine: Send + Sync {
 }
 
 /// Everything the engine backends share: the storage backend, retry
-/// policy, statistics, and the trace/completion protocol. One instance
+/// policy, counters, and the trace/completion protocol. One instance
 /// per [`AioEngine`](crate::AioEngine), behind an `Arc` so engine
 /// threads outliving a submit call keep it alive.
 pub(crate) struct EngineShared {
     pub(crate) backend: Arc<dyn Backend>,
     pub(crate) retry: RetryPolicy,
     pub(crate) stats: Stats,
-    pub(crate) meters: TraceMeters,
     pub(crate) trace: TraceSink,
     pub(crate) trace_tier: i32,
     /// Per-op deadline enforced by the watchdog (`None` = unsupervised).
@@ -373,12 +256,10 @@ pub(crate) struct EngineShared {
 
 impl EngineShared {
     pub(crate) fn new(backend: Arc<dyn Backend>, config: &AioConfig) -> Self {
-        let meters = TraceMeters::new(&config.trace, backend.name());
         EngineShared {
+            stats: Stats::new(&config.trace, backend.name()),
             backend,
             retry: config.retry.clone(),
-            stats: Stats::default(),
-            meters,
             trace: config.trace.clone(),
             trace_tier: config.trace_tier,
             deadline: config.deadline,
@@ -423,12 +304,12 @@ impl EngineShared {
         self.finish_op(phase, t0, span_start, retried, &state, result, false);
     }
 
-    /// Completes one op: folds per-op retries and errors into the stats,
-    /// records the trace span and meter mirrors, then publishes the
-    /// result and retires the op from the pending gauge — in that order
-    /// (a drainer released early would race the waiter for this very
-    /// completion). `raw` marks ops served by an engine's raw kernel
-    /// path (counted separately in the meters).
+    /// Completes one op: folds per-op retries and errors into the
+    /// counters, records the trace span, then publishes the result and
+    /// retires the op from the pending gauge — in that order (a drainer
+    /// released early would race the waiter for this very completion).
+    /// `raw` marks ops served by an engine's raw kernel path (counted
+    /// separately).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_op(
         &self,
@@ -441,22 +322,22 @@ impl EngineShared {
         raw: bool,
     ) {
         if retried > 0 {
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.stats.retries.fetch_add(retried, Ordering::Relaxed);
+            self.stats.retries.add(retried);
         }
         if result.is_err() {
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            self.stats.errors.inc();
+        }
+        if raw {
+            self.stats.raw_ops.inc();
         }
         self.stats
             .busy_nanos
             // relaxed-ok: monotonic stats counter, read only for reporting
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if self.trace.is_enabled() {
-            let bytes = state.bytes.load(Ordering::Acquire) as u64;
             let attrs = Attrs {
                 tier: self.trace_tier,
-                bytes,
+                bytes: state.bytes.load(Ordering::Acquire) as u64,
                 ..Attrs::NONE
             };
             let end_ns = self.trace.now_ns();
@@ -464,25 +345,6 @@ impl EngineShared {
                 self.trace.instant(Phase::AioRetry, attrs, end_ns);
             }
             self.trace.complete_span(phase, attrs, span_start, end_ns);
-            self.meters.retries.add(retried);
-            if raw {
-                self.meters.raw_ops.inc();
-            }
-            if result.is_ok() {
-                match phase {
-                    Phase::AioRead => {
-                        self.meters.reads.inc();
-                        self.meters.read_bytes.add(bytes);
-                    }
-                    Phase::AioWrite => {
-                        self.meters.writes.inc();
-                        self.meters.write_bytes.add(bytes);
-                    }
-                    _ => {}
-                }
-            } else {
-                self.meters.errors.inc();
-            }
         }
         // Publish, *then* retire from the pending gauge — and only if
         // this publication won: the deadline watchdog may have already
@@ -490,16 +352,27 @@ impl EngineShared {
         // which case this late real completion is counted and dropped
         // rather than retiring the op a second time.
         if state.result.publish(result) {
-            self.stats.pending.dec();
-            if self.trace.is_enabled() {
-                self.meters.inflight.set(self.stats.pending.current() as u64);
-            }
+            self.retire();
         } else {
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.stats.late_completions.fetch_add(1, Ordering::Relaxed);
-            if self.trace.is_enabled() {
-                self.meters.late_completions.inc();
-            }
+            self.stats.late_completions.inc();
+        }
+    }
+
+    /// Removes one completed op from the pending gauge and mirrors the
+    /// new count into the `inflight` registry gauge.
+    fn retire(&self) {
+        self.stats.pending.dec();
+        self.note_inflight();
+    }
+
+    /// Mirrors the pending count into the `inflight` registry gauge.
+    /// Traced engines only: the count sits behind the pending gauge's
+    /// mutex, which an untraced engine has no reason to take again.
+    pub(crate) fn note_inflight(&self) {
+        if self.trace.is_enabled() {
+            self.stats
+                .inflight
+                .set(self.stats.pending.current() as u64);
         }
     }
 
@@ -519,74 +392,29 @@ impl EngineShared {
             ),
         );
         if state.result.publish(Err(err)) {
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            self.stats.pending.dec();
-            if self.trace.is_enabled() {
-                self.meters.timeouts.inc();
-                self.meters.errors.inc();
-                self.meters.inflight.set(self.stats.pending.current() as u64);
-            }
+            self.stats.timeouts.inc();
+            self.stats.errors.inc();
+            self.retire();
         }
-    }
-
-    /// Success bookkeeping for a raw-path read of `n` bytes (the raw
-    /// paths bypass [`execute_op`], which does this for the portable
-    /// path).
-    #[cfg(all(unix, not(loom)))]
-    pub(crate) fn record_read(&self, state: &OpState, n: usize) {
-        // Release: paired with the Acquire in OpHandle::bytes.
-        state.bytes.store(n, Ordering::Release);
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.stats.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Success bookkeeping for a raw-path write of `n` bytes.
-    #[cfg(all(
-        target_os = "linux",
-        feature = "uring",
-        any(target_arch = "x86_64", target_arch = "aarch64"),
-        not(loom)
-    ))]
-    pub(crate) fn record_write(&self, state: &OpState, n: usize) {
-        // Release: paired with the Acquire in OpHandle::bytes.
-        state.bytes.store(n, Ordering::Release);
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.stats.write_bytes.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Poisons an op that could not even be accepted (submission queue
     /// closed mid-teardown). The op's payload (and any pooled staging
     /// buffer) drops here, recycling the buffer.
     pub(crate) fn reject(&self, op: Op) {
-        // relaxed-ok: monotonic stats counter, read only for reporting
-        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        self.stats.errors.inc();
         if op.state.result.publish(Err(io::Error::other(format!(
             "submission queue closed before {} was enqueued",
             op.key
         )))) {
-            self.stats.pending.dec();
-        }
-    }
-
-    /// Counts one raw-path op degraded to the portable backend call.
-    #[cfg(all(unix, not(loom)))]
-    pub(crate) fn note_fallback(&self) {
-        if self.trace.is_enabled() {
-            self.meters.fallback_ops.inc();
+            self.retire();
         }
     }
 }
 
-/// Builds the engine backend for a resolved (non-`Auto`) kind. Kinds the
-/// build cannot honour on this target degrade to `pool` — the portable
-/// superset — so a config requesting `uring` on macOS still works (the
+/// Builds the engine backend for a resolved (non-`Auto`) kind. `uring`
+/// on a build that cannot honour it degrades to `pool` — the portable
+/// superset — so a config requesting it on macOS still works (the
 /// engine-matrix tests use [`EngineKind::is_available`] to skip instead).
 pub(crate) fn build(
     kind: EngineKind,
@@ -594,62 +422,27 @@ pub(crate) fn build(
     config: &AioConfig,
 ) -> Box<dyn IoEngine> {
     match kind {
-        EngineKind::Auto | EngineKind::Pool => Box::new(pool::PoolEngine::new(
+        EngineKind::Sync => Box::new(sync_engine::SyncEngine::new(shared, config.queue_depth)),
+        #[cfg(all(
+            target_os = "linux",
+            feature = "uring",
+            any(target_arch = "x86_64", target_arch = "aarch64"),
+            not(loom)
+        ))]
+        EngineKind::Uring => Box::new(uring::UringEngine::new(shared, config.queue_depth)),
+        _ => Box::new(pool::PoolEngine::new(
             shared,
             config.workers,
             config.queue_depth,
         )),
-        EngineKind::Sync => Box::new(sync_engine::SyncEngine::new(shared)),
-        EngineKind::Mmap => {
-            #[cfg(all(unix, not(loom)))]
-            {
-                Box::new(mmap::MmapEngine::new(
-                    shared,
-                    config.workers,
-                    config.queue_depth,
-                ))
-            }
-            #[cfg(not(all(unix, not(loom))))]
-            {
-                Box::new(pool::PoolEngine::new(
-                    shared,
-                    config.workers,
-                    config.queue_depth,
-                ))
-            }
-        }
-        EngineKind::Uring => {
-            #[cfg(all(
-                target_os = "linux",
-                feature = "uring",
-                any(target_arch = "x86_64", target_arch = "aarch64"),
-                not(loom)
-            ))]
-            {
-                Box::new(uring::UringEngine::new(shared, config.queue_depth))
-            }
-            #[cfg(not(all(
-                target_os = "linux",
-                feature = "uring",
-                any(target_arch = "x86_64", target_arch = "aarch64"),
-                not(loom)
-            )))]
-            {
-                Box::new(pool::PoolEngine::new(
-                    shared,
-                    config.workers,
-                    config.queue_depth,
-                ))
-            }
-        }
     }
 }
 
 /// Runs a block once per *available* engine kind — the engine-matrix
 /// pattern the fault/round-trip suites use so one test body covers
-/// `pool`, `sync`, `mmap`, and `uring`. Kinds this host legitimately
-/// cannot run ([`EngineAvailability::Unsupported`]: no io_uring kernel,
-/// seccomp denial, non-unix target) are skipped *loudly*; a kind whose
+/// `pool`, `sync`, and `uring`. Kinds this host legitimately cannot run
+/// ([`EngineAvailability::Unsupported`]: no io_uring kernel, seccomp
+/// denial, feature compiled out) are skipped *loudly*; a kind whose
 /// probe failed for a non-capability reason
 /// ([`EngineAvailability::Broken`]) panics instead, so CI goes red on a
 /// hollow matrix rather than silently passing with the engine untested.
@@ -732,14 +525,14 @@ impl OpDriver for crate::AioEngine {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use mlp_storage::{DirBackend, MemBackend};
+    use mlp_storage::{ChecksummedBackend, DirBackend, MemBackend, TracedBackend};
 
     #[test]
     fn kind_names_are_stable_and_distinct() {
         let mut names: Vec<&str> = EngineKind::all().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 3);
         assert_eq!(EngineKind::Auto.name(), "auto");
         assert_eq!(EngineKind::default(), EngineKind::Auto);
     }
@@ -796,19 +589,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// The selection rule the module docs promise: every decorator
+    /// declines `raw_target`, so `Auto` over a *decorated* file backend
+    /// is `Pool` in every build — with or without io_uring.
     #[test]
-    fn capability_matrix_has_one_row_per_engine() {
-        let m = capability_matrix();
-        // Header + separator + four engine rows.
-        assert_eq!(m.trim_end().lines().count(), 6, "{m}");
-        assert!(m.contains("O_DIRECT"));
-    }
-
-    #[test]
-    fn uring_caps_dominate_pool_caps() {
-        let uring = EngineKind::Uring.static_caps();
-        assert!(uring.batched_submission && uring.o_direct && uring.registered_buffers);
-        let pool = EngineKind::Pool.static_caps();
-        assert!(pool.async_submission && !pool.raw_file_io);
+    fn auto_resolves_to_pool_for_decorated_file_backends() {
+        let root = std::env::temp_dir().join(format!(
+            "mlp-aio-resolve-decorated-{}",
+            std::process::id()
+        ));
+        let dir: Arc<dyn Backend> = Arc::new(DirBackend::new("dir", &root).unwrap());
+        let traced = TracedBackend::new(Arc::clone(&dir), 0, TraceSink::disabled());
+        assert_eq!(EngineKind::Auto.resolve(&traced), EngineKind::Pool);
+        let summed = ChecksummedBackend::new(dir);
+        assert_eq!(EngineKind::Auto.resolve(&summed), EngineKind::Pool);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

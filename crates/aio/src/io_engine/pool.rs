@@ -1,5 +1,7 @@
 //! The bounded-queue worker-pool engine — the original `AioEngine`
-//! execution model, now one [`IoEngine`] among several.
+//! execution model, and the crate's only channel + workers +
+//! join-on-drop body (the `sync` engine's deadline mode borrows it with
+//! one worker).
 //!
 //! `workers` threads loop over a crossbeam channel bounded at
 //! `queue_depth` (submission blocks when full, modelling a bounded
@@ -11,7 +13,7 @@ use mlp_sync::{thread, Arc};
 
 use crossbeam::channel::{bounded, Sender};
 
-use super::{EngineCaps, EngineKind, EngineShared, IoEngine};
+use super::{EngineShared, IoEngine};
 use crate::engine::Op;
 
 pub(crate) struct PoolEngine {
@@ -49,10 +51,6 @@ impl PoolEngine {
 }
 
 impl IoEngine for PoolEngine {
-    fn caps(&self) -> EngineCaps {
-        EngineKind::Pool.static_caps()
-    }
-
     fn submit(&self, op: Op) {
         // `tx` is Some until Drop, and submit cannot race Drop (it takes
         // `&self`, Drop takes `&mut self`); the disconnected-channel arm

@@ -15,115 +15,52 @@
 //! (crate::AioConfig::deadline) by itself: a hung backend call would
 //! hang the *submitter*, before any waiter exists for the watchdog to
 //! unblock. So when a deadline is configured the engine runs ops on a
-//! single helper thread instead, and `submit` blocks only until a
-//! completion is *published* — by the helper (the normal case) or by
+//! one-worker [`PoolEngine`] instead, and `submit` blocks only until a
+//! completion is *published* — by the worker (the normal case) or by
 //! the watchdog's typed `TimedOut` (a hung backend). Submission
 //! ordering, single-op-at-a-time execution, and
 //! "completion available when `submit` returns" are all preserved; the
 //! only observable difference is that a dead backend now costs each op
-//! one deadline instead of forever.
+//! one deadline instead of forever. A hung call wedges the worker, so
+//! every later op times out at its own deadline without executing (the
+//! degraded mode the tier breaker quarantines) and, as on the pool
+//! engine, submission blocks once `queue_depth` such ops are parked.
 
-use mlp_sync::{thread, Arc};
+use mlp_sync::Arc;
 
-use super::{EngineCaps, EngineKind, EngineShared, IoEngine};
+use super::pool::PoolEngine;
+use super::{EngineShared, IoEngine};
 use crate::engine::Op;
 
 pub(crate) struct SyncEngine {
     shared: Arc<EngineShared>,
-    /// Helper-thread runner, present iff a deadline is configured.
-    #[cfg(not(loom))]
-    bounded: Option<BoundedRunner>,
+    /// The one-worker pool of deadline mode, present iff a deadline is
+    /// configured.
+    helper: Option<PoolEngine>,
 }
 
 impl SyncEngine {
-    pub(crate) fn new(shared: Arc<EngineShared>) -> Self {
-        #[cfg(not(loom))]
-        let bounded = shared
+    pub(crate) fn new(shared: Arc<EngineShared>, queue_depth: usize) -> Self {
+        let helper = shared
             .deadline
             .is_some()
-            .then(|| BoundedRunner::spawn(Arc::clone(&shared)));
-        SyncEngine {
-            shared,
-            #[cfg(not(loom))]
-            bounded,
-        }
+            .then(|| PoolEngine::new(Arc::clone(&shared), 1, queue_depth));
+        SyncEngine { shared, helper }
     }
 }
 
 impl IoEngine for SyncEngine {
-    fn caps(&self) -> EngineCaps {
-        EngineKind::Sync.static_caps()
-    }
-
     fn submit(&self, op: Op) {
-        #[cfg(not(loom))]
-        if let Some(runner) = &self.bounded {
-            runner.run_bounded(&self.shared, op);
-            return;
-        }
-        self.shared.run_op(op);
-    }
-}
-
-/// One long-lived helper thread executing ops in submission order, so
-/// the inline engine stays single-stream under a deadline. A hung
-/// backend call wedges the helper (every subsequent op then times out
-/// at its own deadline without executing — the degraded mode the tier
-/// breaker quarantines); it does not wedge the submitter.
-#[cfg(not(loom))]
-struct BoundedRunner {
-    /// `Option` so Drop can close the channel before joining.
-    tx: Option<std::sync::mpsc::Sender<Op>>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-#[cfg(not(loom))]
-impl BoundedRunner {
-    fn spawn(shared: Arc<EngineShared>) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<Op>();
-        let handle = thread::Builder::new()
-            .name(format!("aio-sync-{}", shared.backend.name()))
-            .spawn(move || {
-                while let Ok(op) = rx.recv() {
-                    shared.run_op(op);
-                }
-            })
-            // lint:allow(hot-path-panic): spawn happens once at engine
-            // construction, not on the per-op I/O path
-            .expect("spawn aio sync helper");
-        BoundedRunner {
-            tx: Some(tx),
-            handle: Some(handle),
-        }
-    }
-
-    /// Hands the op to the helper and blocks until *some* completion is
-    /// published for it — the helper's real result, or the watchdog's
-    /// timeout. The watchdog guarantees publication within the deadline
-    /// (ops are registered before submission), so this wait is bounded.
-    fn run_bounded(&self, shared: &EngineShared, op: Op) {
-        let state = Arc::clone(&op.state);
-        match self.tx.as_ref() {
-            Some(tx) => {
-                if let Err(err) = tx.send(op) {
-                    return shared.reject(err.0);
-                }
+        match &self.helper {
+            Some(helper) => {
+                // The watchdog guarantees publication within the deadline
+                // (ops are registered before submission), so this wait is
+                // bounded even when the worker is wedged.
+                let state = Arc::clone(&op.state);
+                helper.submit(op);
+                state.result.wait_published();
             }
-            None => return shared.reject(op),
-        }
-        state.result.wait_published();
-    }
-}
-
-#[cfg(not(loom))]
-impl Drop for BoundedRunner {
-    /// Closes the queue and joins the helper; a backend call that never
-    /// returns blocks teardown here, same as the pool engine joining a
-    /// wedged worker.
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            None => self.shared.run_op(op),
         }
     }
 }

@@ -60,7 +60,7 @@ use mlp_trace::{Attrs, Phase};
 use crate::engine::{Op, OpKind, OpOutput, OpState};
 
 use super::sys::Ring;
-use super::{EngineCaps, EngineKind, EngineShared, IoEngine};
+use super::{EngineShared, IoEngine};
 
 #[cfg(target_arch = "x86_64")]
 const O_DIRECT: i32 = 0x4000;
@@ -108,10 +108,6 @@ impl UringEngine {
 }
 
 impl IoEngine for UringEngine {
-    fn caps(&self) -> EngineCaps {
-        EngineKind::Uring.static_caps()
-    }
-
     fn submit(&self, op: Op) {
         match self.tx.as_ref() {
             Some(tx) => {
@@ -269,7 +265,7 @@ fn drive(shared: Arc<EngineShared>, rx: Receiver<Op>, ring_depth: u32) {
         match ring.submit_and_wait(1) {
             Ok(_) => {
                 if batch > 0 && shared.trace.is_enabled() {
-                    shared.meters.batches.inc();
+                    shared.stats.batches.inc();
                     shared.trace.complete_span(
                         Phase::AioBatch,
                         Attrs {
@@ -353,7 +349,7 @@ fn admit(
     };
     let Some(slot) = free.pop() else {
         // Defensive: the driver only admits while slots are free.
-        shared.note_fallback();
+        shared.stats.fallback_ops.inc();
         return shared.run_op(op);
     };
     let t0 = Instant::now();
@@ -384,7 +380,7 @@ fn admit(
                 let _ = std::fs::remove_file(tmp);
             }
             free.push(slot);
-            shared.note_fallback();
+            shared.stats.fallback_ops.inc();
             shared.run_op(Op {
                 key,
                 kind: payload.into_kind(),
@@ -660,7 +656,7 @@ fn complete(
     match payload {
         Payload::Read => {
             let data = ring.slot_bytes(slot, logical_len).to_vec();
-            shared.record_read(&state, logical_len);
+            shared.stats.record_read(&state, logical_len);
             shared.finish_op(
                 Phase::AioRead,
                 t0,
@@ -676,7 +672,7 @@ fn complete(
             // the waiter with no copy at all.
             // lint:allow(hot-path-panic): parked by this same slot's stage
             let data = ring.take_owned(slot).expect("parked zero-copy destination");
-            shared.record_read(&state, logical_len);
+            shared.stats.record_read(&state, logical_len);
             shared.finish_op(
                 Phase::AioRead,
                 t0,
@@ -690,7 +686,7 @@ fn complete(
         Payload::ReadPooled(mut buf, _window) => {
             buf.buffer_mut().as_bytes_mut()[..logical_len]
                 .copy_from_slice(ring.slot_bytes(slot, logical_len));
-            shared.record_read(&state, logical_len);
+            shared.stats.record_read(&state, logical_len);
             shared.finish_op(
                 Phase::AioRead,
                 t0,
@@ -707,7 +703,7 @@ fn complete(
             match promote(&file, tmp.as_deref(), &path, fsync, logical_len, sqe_len) {
                 Ok(()) => {
                     drop(payload); // pooled staging buffer back to its pool
-                    shared.record_write(&state, logical_len);
+                    shared.stats.record_write(&state, logical_len);
                     shared.finish_op(
                         Phase::AioWrite,
                         t0,
@@ -722,7 +718,7 @@ fn complete(
                     if let Some(tmp) = &tmp {
                         let _ = std::fs::remove_file(tmp);
                     }
-                    shared.note_fallback();
+                    shared.stats.fallback_ops.inc();
                     shared.run_op(Op {
                         key,
                         kind: payload.into_kind(),
@@ -764,7 +760,7 @@ fn fall_back(shared: &EngineShared, f: InFlight) {
     if let Some(tmp) = &f.tmp {
         let _ = std::fs::remove_file(tmp);
     }
-    shared.note_fallback();
+    shared.stats.fallback_ops.inc();
     let InFlight {
         key,
         state,

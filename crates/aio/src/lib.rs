@@ -12,11 +12,11 @@
 //!   ([`engine::OpHandle`]), delegating byte movement to a pluggable
 //!   [`io_engine::EngineKind`] backend.
 //! * [`io_engine`] — the engine backends behind the façade: the original
-//!   bounded worker **pool**, an inline **sync** fallback, an **mmap**
-//!   read path, and a batched **io_uring** driver (feature `uring`,
-//!   runtime-probed) with `O_DIRECT` and registered 4096-aligned bounce
-//!   buffers. `EngineKind::Auto` picks per host and backend; see
-//!   [`io_engine::capability_matrix`].
+//!   bounded worker **pool**, an inline **sync** fallback, and a batched
+//!   **io_uring** driver (feature `uring`, runtime-probed) with
+//!   `O_DIRECT` and registered 4096-aligned bounce buffers.
+//!   `EngineKind::Auto` picks per host and backend;
+//!   [`engine::AioEngine::engine_name`] reports the choice.
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
@@ -33,9 +33,10 @@
 //!   (§3.2, §3.5).
 //!
 //! The crate root denies `unsafe`; the single sanctioned exception is
-//! the syscall shim `io_engine/sys.rs` (module-scoped allow, pinned by
-//! the workspace `unsafe-confinement` lint), which keeps raw kernel
-//! interfaces out of every engine driver.
+//! the io_uring syscall shim `io_engine/sys.rs` (module-scoped allow,
+//! pinned by the workspace `unsafe-confinement` lint, compiled only with
+//! the `uring` feature), which keeps raw kernel interfaces out of the
+//! engine driver — a default build of this crate contains no `unsafe`.
 
 pub mod completion;
 pub mod engine;
@@ -46,5 +47,5 @@ mod watchdog;
 
 pub use completion::{CompletionSlot, PendingGauge};
 pub use engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite, RetryPolicy};
-pub use io_engine::{capability_matrix, EngineAvailability, EngineCaps, EngineKind};
+pub use io_engine::{EngineAvailability, EngineKind};
 pub use lock::ProcessExclusiveLock;

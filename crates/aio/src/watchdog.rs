@@ -10,7 +10,7 @@
 //! without a completion the watchdog publishes a typed
 //! [`std::io::ErrorKind::TimedOut`] error to the op's completion slot and
 //! retires it from the pending gauge. Waiters unblock within the
-//! deadline on all four engine backends, with an error the taxonomy
+//! deadline on every engine backend, with an error the taxonomy
 //! classifies transient — exactly the signal the tier-health breaker
 //! ([`mlp_storage::health`]) counts toward opening.
 //!

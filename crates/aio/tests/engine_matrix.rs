@@ -1,6 +1,6 @@
 //! Engine-matrix acceptance suite: every test body runs once per
 //! *available* [`EngineKind`] via [`for_each_engine!`], so the pool,
-//! sync, mmap, and io_uring drivers are all held to the same contract
+//! sync, and io_uring drivers are all held to the same contract
 //! on the host actually running the tests. Engines whose kind is
 //! unavailable (e.g. `uring` off-Linux or with the feature disabled)
 //! are skipped with a report line, never silently.
@@ -307,7 +307,6 @@ fn pinned_engine_reports_its_kind_or_falls_back_visibly() {
             name == kind.name() || name == EngineKind::Pool.name(),
             "{kind}: engine resolved to unexpected '{name}'"
         );
-        assert_eq!(engine.capabilities().engine, name);
     });
 }
 

@@ -1,7 +1,7 @@
 //! Model-checked engine-level submission/completion protocol
 //! (`RUSTFLAGS="--cfg loom" cargo test -p mlp-aio --test loom_engine`).
 //!
-//! The channel-based engines (pool, mmap, uring) park their workers in
+//! The channel-based engines (pool, uring) park their workers in
 //! `crossbeam` receives the explorer cannot schedule, and the raw
 //! engines are compiled out under `--cfg loom` anyway; the **sync**
 //! engine, which runs every op inline through the same

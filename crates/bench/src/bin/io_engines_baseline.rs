@@ -1,5 +1,5 @@
 //! `io_engines_baseline` — sweeps every available `IoEngine` backend
-//! (pool / sync / mmap / uring) across queue depths over real files and
+//! (pool / sync / uring) across queue depths over real files and
 //! writes the machine-readable baseline tracked in
 //! `BENCH_io_engines.json`.
 //!

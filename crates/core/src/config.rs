@@ -14,7 +14,6 @@
 //! { "mlp_offload": { "tiers": ["/local/nvme", "/lustre/run"], "ratio": "2:1" } }
 //! ```
 
-use mlp_aio::EngineKind;
 use mlp_trace::TraceSink;
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +21,10 @@ use crate::policy::allocation::parse_ratio;
 use crate::policy::ordering::OrderPolicy;
 
 /// Full engine configuration.
+///
+/// Which `mlp-aio` backend moves a tier's bytes is not configured here:
+/// it is a property of the tier (`SharedTier::with_aio` pins an
+/// `EngineKind`; the default probes the host per tier).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Subgroup processing order per iteration.
@@ -80,15 +83,6 @@ pub struct EngineConfig {
     /// presets still holds.
     #[serde(skip)]
     pub trace: TraceSink,
-    /// I/O engine backend for every tier whose [`AioConfig`] leaves the
-    /// choice at `Auto` (see [`EngineKind`] and the capability matrix in
-    /// `mlp-aio`). Not serialized: like the trace sink, the engine is a
-    /// property of the host the run lands on, not of the preset — `Auto`
-    /// probes the kernel and filesystem at engine construction.
-    ///
-    /// [`AioConfig`]: mlp_aio::AioConfig
-    #[serde(skip)]
-    pub io_engine: EngineKind,
 }
 
 fn default_bandwidth_alpha() -> f64 {
@@ -113,7 +107,6 @@ impl EngineConfig {
             tier_ratio: None,
             deferred_flush_drain: false,
             trace: TraceSink::disabled(),
-            io_engine: EngineKind::Auto,
         }
     }
 
@@ -132,7 +125,6 @@ impl EngineConfig {
             tier_ratio: None,
             deferred_flush_drain: false,
             trace: TraceSink::disabled(),
-            io_engine: EngineKind::Auto,
         }
     }
 
@@ -162,15 +154,6 @@ impl EngineConfig {
     pub fn with_adaptive_replan(mut self, max_migrations_per_iter: usize) -> Self {
         self.adaptive_bandwidth = true;
         self.max_migrations_per_iter = max_migrations_per_iter;
-        self
-    }
-
-    /// Pins the I/O engine backend for every tier that does not pin its
-    /// own (tiers whose `AioConfig.engine` is already non-`Auto` keep
-    /// their choice). The default, [`EngineKind::Auto`], probes the host
-    /// at construction and is the right answer outside A/B comparisons.
-    pub fn with_io_engine(mut self, kind: EngineKind) -> Self {
-        self.io_engine = kind;
         self
     }
 

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
-use mlp_aio::EngineKind;
 use mlp_optim::accum::GradAccumulator;
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor, OptimizerConfig};
 use mlp_optim::traced::fused_update_f32_traced;
@@ -53,8 +52,8 @@ pub struct SharedTier {
     pub lock: ProcessExclusiveLock,
     /// Eq. 1 weight (bytes/second or ratio component).
     pub weight: f64,
-    /// I/O engine configuration for this tier (worker count, queue depth,
-    /// transient-error retry policy).
+    /// I/O engine configuration for this tier (engine kind, worker count,
+    /// queue depth, transient-error retry policy).
     pub aio: AioConfig,
     /// Optional circuit breaker supervising the tier. When set, every
     /// data op is routed through the breaker gate, completed ops feed it
@@ -331,12 +330,6 @@ impl MlpFuncEngine {
             .enumerate()
             .map(|(ti, t)| {
                 let mut aio = t.aio.clone();
-                // A tier that pinned its own engine keeps it; everything
-                // left at Auto inherits the config-level choice (which is
-                // itself Auto unless the run pinned one for A/B).
-                if aio.engine == EngineKind::Auto {
-                    aio.engine = cfg.io_engine;
-                }
                 let raw: Arc<dyn Backend> = if trace.is_enabled() && !aio.trace.is_enabled() {
                     aio.trace = trace.clone();
                     aio.trace_tier = ti as i32;

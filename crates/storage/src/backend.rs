@@ -56,8 +56,8 @@ pub trait Backend: Send + Sync + 'static {
     fn contains(&self, key: &str) -> bool;
     /// A short display name for diagnostics.
     fn name(&self) -> &str;
-    /// Raw-file escape hatch for kernel-backed I/O engines (io_uring,
-    /// mmap): the filesystem coordinates of `key`, if this backend is
+    /// Raw-file escape hatch for kernel-backed I/O engines
+    /// (io_uring): the filesystem coordinates of `key`, if this backend is
     /// plainly file-backed.
     ///
     /// The default returns `None`, which is the correct answer for

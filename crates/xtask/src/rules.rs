@@ -14,8 +14,9 @@
 //!   `// SAFETY:` comment explaining the proof obligation.
 //! * `unsafe-confinement` — `unsafe` may appear only in `mlp-tensor`
 //!   (the pinned-buffer FFI layer) and the sanctioned syscall shim
-//!   `crates/aio/src/io_engine/sys.rs` (the io_uring/mmap kernel
-//!   interface, module-scoped `#![allow(unsafe_code)]`); every other
+//!   `crates/aio/src/io_engine/sys.rs` (the io_uring kernel
+//!   interface and its ring mappings, compiled only with the `uring`
+//!   feature, module-scoped `#![allow(unsafe_code)]`); every other
 //!   crate root must carry `#![deny(unsafe_code)]` so the compiler
 //!   enforces it too.
 //! * `raw-io-confinement` — raw kernel I/O (`syscall`, `io_uring_*`,
@@ -307,7 +308,9 @@ fn raw_io_confinement(ctx: &FileCtx) -> Vec<Violation> {
     if RAW_IO_ALLOWED_CRATES.contains(&ctx.crate_dir.as_str()) {
         return Vec::new();
     }
-    // Tokens that mark a direct kernel I/O interface. `mmap`/`munmap`
+    // Tokens that mark a direct kernel I/O interface (`mmap`/`munmap`
+    // stay listed though no engine maps files any more: the ring shim
+    // maps its queues, and nothing else should start). `mmap`/`munmap`
     // and `syscall` are word-bounded so identifiers like `mmap_like`
     // or prose in string literals don't trip; `custom_flags(` is the
     // only stable std doorway to O_DIRECT opens.

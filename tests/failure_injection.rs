@@ -243,7 +243,7 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
 fn transient_faults_are_invisible_to_training_on_every_engine() {
     // The tier-map template above, swept across every available
     // `IoEngine` backend: tier "a" is a real directory so the raw
-    // engines (mmap, io_uring) drive their file paths, tier "b" injects
+    // engine (io_uring) drives its file paths, tier "b" injects
     // 20% seeded transient faults through the portable path. Whatever
     // backend serves the I/O, a multi-iteration run must stay
     // bit-identical to the fault-free worker-pool twin.
