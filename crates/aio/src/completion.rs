@@ -58,10 +58,19 @@ impl<T> CompletionSlot<T> {
     /// Returns whether this call was the winning publication.
     // lint:hot-root — completion hand-off, runs on every worker thread
     pub fn publish(&self, value: T) -> bool {
+        self.publish_with(value, || {})
+    }
+
+    /// [`CompletionSlot::publish`], running `on_win` if this publication
+    /// wins — before any waiter can observe the value, so whatever it
+    /// records (the watchdog's timeout counters) is visible to a caller
+    /// the moment its `wait` returns.
+    pub fn publish_with(&self, value: T, on_win: impl FnOnce()) -> bool {
         let mut guard = self.value.lock();
         if guard.published {
             return false;
         }
+        on_win();
         guard.value = Some(value);
         guard.published = true;
         // Notify while still holding the lock: a waiter observing the

@@ -1094,9 +1094,13 @@ mod tests {
         let pool = PinnedPool::new(1, 32);
         let h = e.submit_write_pooled("k", pool.acquire(), 32);
         assert!(h.wait().is_err());
-        assert_eq!(pool.outstanding(), 0, "buffer returned on write failure");
         assert_eq!(e.ops_completed(), (0, 0));
         assert_eq!(e.op_errors(), 1);
+        // The waiter wakes when the failure is published; the worker may
+        // still hold the op state (and the payload in it) for a moment
+        // after that. Joining the workers makes "returned" a fact.
+        drop(e);
+        assert_eq!(pool.outstanding(), 0, "buffer returned on write failure");
     }
 
     #[test]

@@ -391,9 +391,11 @@ impl EngineShared {
                 self.backend.name(),
             ),
         );
-        if state.result.publish(Err(err)) {
+        let counted = || {
             self.stats.timeouts.inc();
             self.stats.errors.inc();
+        };
+        if state.result.publish_with(Err(err), counted) {
             self.retire();
         }
     }

@@ -3,38 +3,48 @@
 //! join-on-drop body (the `sync` engine's deadline mode borrows it with
 //! one worker).
 //!
-//! `workers` threads loop over a crossbeam channel bounded at
-//! `queue_depth` (submission blocks when full, modelling a bounded
+//! `workers` threads loop over a `std::sync::mpsc::sync_channel` bounded
+//! at `queue_depth` (submission blocks when full, modelling a bounded
 //! kernel submission queue) and run every op through the shared portable
-//! path. Fully backend-agnostic: decorators, in-memory backends, and
+//! path. The receiver sits behind one facade `Mutex`: one idle worker
+//! parks in `recv`, the others queue on the lock, and the lock is
+//! released before the op runs. Fully backend-agnostic: decorators, in-memory backends, and
 //! directory backends all behave identically.
 
-use mlp_sync::{thread, Arc};
+use std::sync::mpsc::{sync_channel, SyncSender};
 
-use crossbeam::channel::{bounded, Sender};
+use mlp_sync::{thread, Arc, Mutex};
 
 use super::{EngineShared, IoEngine};
 use crate::engine::Op;
 
 pub(crate) struct PoolEngine {
     /// `Option` so Drop can close the channel before joining.
-    tx: Option<Sender<Op>>,
+    tx: Option<SyncSender<Op>>,
     workers: Vec<thread::JoinHandle<()>>,
     shared: Arc<EngineShared>,
 }
 
 impl PoolEngine {
     pub(crate) fn new(shared: Arc<EngineShared>, workers: usize, queue_depth: usize) -> Self {
-        let (tx, rx) = bounded::<Op>(queue_depth);
+        let (tx, rx) = sync_channel::<Op>(queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
             .map(|i| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("aio-{}-{}", shared.backend.name(), i))
-                    .spawn(move || {
-                        while let Ok(op) = rx.recv() {
-                            shared.run_op(op);
+                    .spawn(move || loop {
+                        // lint:allow(blocking-under-lock): the receiver
+                        // lock *is* the idle-worker queue — one worker
+                        // parks in `recv`, the rest park on the lock, and
+                        // nothing else ever takes it. A statement of its
+                        // own, so the guard drops before the op runs.
+                        let next = rx.lock().recv();
+                        match next {
+                            Ok(op) => shared.run_op(op),
+                            Err(_) => break,
                         }
                     })
                     // lint:allow(hot-path-panic): worker spawn happens once
@@ -60,7 +70,7 @@ impl IoEngine for PoolEngine {
         match self.tx.as_ref() {
             Some(tx) => {
                 if let Err(err) = tx.send(op) {
-                    self.shared.reject(err.into_inner());
+                    self.shared.reject(err.0);
                 }
             }
             None => self.shared.reject(op),

@@ -47,11 +47,10 @@ use std::io;
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::OpenOptionsExt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::time::Instant;
 
 use mlp_sync::{thread, Arc};
-
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 
 use mlp_storage::{unique_tmp_sibling, RawFileTarget};
 use mlp_tensor::PooledBuffer;
@@ -81,14 +80,14 @@ const MAX_RING_DEPTH: usize = 128;
 const EINVAL: i32 = 22;
 
 pub(crate) struct UringEngine {
-    tx: Option<Sender<Op>>,
+    tx: Option<SyncSender<Op>>,
     driver: Option<thread::JoinHandle<()>>,
     shared: Arc<EngineShared>,
 }
 
 impl UringEngine {
     pub(crate) fn new(shared: Arc<EngineShared>, queue_depth: usize) -> Self {
-        let (tx, rx) = bounded::<Op>(queue_depth);
+        let (tx, rx) = sync_channel::<Op>(queue_depth);
         let ring_depth = queue_depth.clamp(1, MAX_RING_DEPTH) as u32;
         let driver = {
             let shared = Arc::clone(&shared);
@@ -112,7 +111,7 @@ impl IoEngine for UringEngine {
         match self.tx.as_ref() {
             Some(tx) => {
                 if let Err(err) = tx.send(op) {
-                    self.shared.reject(err.into_inner());
+                    self.shared.reject(err.0);
                 }
             }
             None => self.shared.reject(op),

@@ -2,7 +2,7 @@
 //! (`RUSTFLAGS="--cfg loom" cargo test -p mlp-aio --test loom_engine`).
 //!
 //! The channel-based engines (pool, uring) park their workers in
-//! `crossbeam` receives the explorer cannot schedule, and the raw
+//! `std::sync::mpsc` receives the explorer cannot schedule, and the raw
 //! engines are compiled out under `--cfg loom` anyway; the **sync**
 //! engine, which runs every op inline through the same
 //! `EngineShared::run_op` protocol the others share, is the

@@ -28,10 +28,12 @@
 //! regressed by more than 10% (the simulation is virtual-time
 //! deterministic, so a real change is the only way to move them).
 
+use mlp_bench::{baseline_args, check_against_committed, round_to, write_baseline};
 use mlp_model::Subgroup;
 use mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
 use mlp_offload::EngineConfig;
 use mlp_sim::Sim;
+use mlp_trace::json::Value;
 use mlp_train::testbed1;
 
 /// Subgroups in the optimizer-state partition.
@@ -101,22 +103,8 @@ fn run_variant(name: &'static str, cfg: EngineConfig) -> VariantResult {
     }
 }
 
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_adaptive_replan.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check_path = Some(it.next().expect("--check needs a baseline path"));
-        } else {
-            out_path = a;
-        }
-    }
+    let (out_path, check_path) = baseline_args("BENCH_adaptive_replan.json");
 
     let mut static_cfg = EngineConfig::mlp_offload();
     static_cfg.cache_retention = false;
@@ -153,71 +141,29 @@ fn main() {
         recovery * 100.0
     );
 
-    let doc = serde_json::json!({
-        "benchmark": "adaptive_replan",
-        "description": "Closed-loop re-planning under mid-run bandwidth degradation — post-collapse tail iteration seconds for static / adaptive / oracle planners and the fraction of the oracle's win the adaptive planner recovers",
-        "subgroups": SUBGROUPS,
-        "params_per_subgroup": PARAMS,
-        "iterations": ITERS,
-        "degrade_at": DEGRADE_AT,
-        "pfs_load_factor": LOAD_FACTOR,
-        "tail_iterations": TAIL,
-        "migrations_per_iter": MIGRATIONS_PER_ITER,
-        "recovery_of_oracle_win": round2(recovery),
-        "results": variants.iter().map(|v| serde_json::json!({
-            "variant": v.name,
-            "pre_mean_s": round2(v.pre_mean_s),
-            "tail_mean_s": round2(v.tail_mean_s),
-            "migrations": v.migrations,
-        })).collect::<Vec<_>>(),
-    });
-    std::fs::write(
-        &out_path,
-        serde_json::to_string_pretty(&doc).expect("serializable") + "\n",
-    )
-    .expect("write baseline");
-    println!("wrote {out_path}");
+    // Keys in the committed file's (alphabetical) order.
+    let doc = Value::obj([
+        ("benchmark", "adaptive_replan".into()),
+        ("degrade_at", DEGRADE_AT.into()),
+        ("description", "Closed-loop re-planning under mid-run bandwidth degradation — post-collapse tail iteration seconds for static / adaptive / oracle planners and the fraction of the oracle's win the adaptive planner recovers".into()),
+        ("iterations", ITERS.into()),
+        ("migrations_per_iter", MIGRATIONS_PER_ITER.into()),
+        ("params_per_subgroup", PARAMS.into()),
+        ("pfs_load_factor", LOAD_FACTOR.into()),
+        ("recovery_of_oracle_win", round_to(recovery, 2).into()),
+        ("results", variants.iter().map(|v| Value::obj([
+            ("migrations", v.migrations.into()),
+            ("pre_mean_s", round_to(v.pre_mean_s, 2).into()),
+            ("tail_mean_s", round_to(v.tail_mean_s, 2).into()),
+            ("variant", v.name.into()),
+        ])).collect()),
+        ("subgroups", SUBGROUPS.into()),
+        ("tail_iterations", TAIL.into()),
+    ]);
+    write_baseline(&out_path, &doc);
 
     if let Some(committed) = check_path {
-        let body = std::fs::read_to_string(&committed).expect("read committed baseline");
-        let old: serde_json::Value = serde_json::from_str(&body).expect("parse committed baseline");
-        let mut failures = Vec::new();
-        for v in &variants {
-            let old_tail = old["results"]
-                .as_array()
-                .expect("results array")
-                .iter()
-                .find(|r| r["variant"].as_str() == Some(v.name))
-                .and_then(|r| r["tail_mean_s"].as_f64())
-                .expect("committed tail_mean_s");
-            // >10% slower than the committed number is a regression; a
-            // faster number is progress, reported but not fatal (the
-            // committed file should then be regenerated).
-            let ratio = v.tail_mean_s / old_tail;
-            eprintln!(
-                "check {:>8}: tail {:.2}s vs committed {:.2}s ({:+.1}%)",
-                v.name,
-                v.tail_mean_s,
-                old_tail,
-                (ratio - 1.0) * 100.0
-            );
-            if ratio > 1.10 {
-                failures.push(format!(
-                    "{}: tail iteration time regressed {:.1}% (got {:.2}s, committed {:.2}s)",
-                    v.name,
-                    (ratio - 1.0) * 100.0,
-                    v.tail_mean_s,
-                    old_tail
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("BASELINE REGRESSION:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("baseline check passed ({committed})");
+        let fresh = variants.each_ref().map(|v| (v.name, v.tail_mean_s));
+        check_against_committed(&committed, "tail_mean_s", &fresh);
     }
 }

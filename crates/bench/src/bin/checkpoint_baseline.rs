@@ -29,10 +29,12 @@
 //! time regressed by more than 10% (virtual time is deterministic, so a
 //! real change is the only way to move them).
 
+use mlp_bench::{baseline_args, check_against_committed, round_to, write_baseline};
 use mlp_model::zoo;
 use mlp_offload::EngineConfig;
 use mlp_storage::spec::object_store;
 use mlp_train::driver::{run, TrainSetup};
+use mlp_trace::json::Value;
 use mlp_train::testbed1;
 
 /// Iterations per variant.
@@ -80,22 +82,8 @@ fn run_variant(name: &'static str, every: usize, sync: bool) -> VariantResult {
     }
 }
 
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_checkpoint.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--check" {
-            check_path = Some(it.next().expect("--check needs a baseline path"));
-        } else {
-            out_path = a;
-        }
-    }
+    let (out_path, check_path) = baseline_args("BENCH_checkpoint.json");
 
     let variants = [
         run_variant("none", 0, false),
@@ -126,62 +114,23 @@ fn main() {
         hidden * 100.0
     );
 
-    let doc = serde_json::json!({
-        "benchmark": "checkpoint",
-        "description": "Critical-path cost of per-iteration checkpointing to NVMe + object store — mean iteration seconds without checkpoints, with blocking checkpoints, and with the asynchronous two-hop pipeline, plus the fraction of the blocking overhead the pipeline hides behind backward compute",
-        "iterations": ITERS,
-        "warmup": WARMUP,
-        "hidden_fraction": round2(hidden),
-        "results": variants.iter().map(|v| serde_json::json!({
-            "variant": v.name,
-            "mean_iter_s": round2(v.mean_iter_s),
-            "ckpt_copied_bytes": v.ckpt_copied_bytes,
-        })).collect::<Vec<_>>(),
-    });
-    std::fs::write(
-        &out_path,
-        serde_json::to_string_pretty(&doc).expect("serializable") + "\n",
-    )
-    .expect("write baseline");
-    println!("wrote {out_path}");
+    // Keys in the committed file's (alphabetical) order.
+    let doc = Value::obj([
+        ("benchmark", "checkpoint".into()),
+        ("description", "Critical-path cost of per-iteration checkpointing to NVMe + object store — mean iteration seconds without checkpoints, with blocking checkpoints, and with the asynchronous two-hop pipeline, plus the fraction of the blocking overhead the pipeline hides behind backward compute".into()),
+        ("hidden_fraction", round_to(hidden, 2).into()),
+        ("iterations", ITERS.into()),
+        ("results", variants.iter().map(|v| Value::obj([
+            ("ckpt_copied_bytes", v.ckpt_copied_bytes.into()),
+            ("mean_iter_s", round_to(v.mean_iter_s, 2).into()),
+            ("variant", v.name.into()),
+        ])).collect()),
+        ("warmup", WARMUP.into()),
+    ]);
+    write_baseline(&out_path, &doc);
 
     if let Some(committed) = check_path {
-        let body = std::fs::read_to_string(&committed).expect("read committed baseline");
-        let old: serde_json::Value = serde_json::from_str(&body).expect("parse committed baseline");
-        let mut failures = Vec::new();
-        for v in &variants {
-            let old_mean = old["results"]
-                .as_array()
-                .expect("results array")
-                .iter()
-                .find(|r| r["variant"].as_str() == Some(v.name))
-                .and_then(|r| r["mean_iter_s"].as_f64())
-                .expect("committed mean_iter_s");
-            let ratio = v.mean_iter_s / old_mean;
-            eprintln!(
-                "check {:>6}: {:.2} s/iter vs committed {:.2} ({:+.1}%)",
-                v.name,
-                v.mean_iter_s,
-                old_mean,
-                (ratio - 1.0) * 100.0
-            );
-            if ratio > 1.10 {
-                failures.push(format!(
-                    "{}: mean iteration time regressed {:.1}% (got {:.2}s, committed {:.2}s)",
-                    v.name,
-                    (ratio - 1.0) * 100.0,
-                    v.mean_iter_s,
-                    old_mean
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("BASELINE REGRESSION:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("baseline check passed ({committed})");
+        let fresh = variants.each_ref().map(|v| (v.name, v.mean_iter_s));
+        check_against_committed(&committed, "mean_iter_s", &fresh);
     }
 }

@@ -26,8 +26,10 @@
 use std::sync::Arc;
 
 use mlp_aio::{AioConfig, AioEngine, EngineKind};
+use mlp_bench::{round_to, write_baseline};
 use mlp_storage::microbench::{measure_driver, measure_driver_mixed, DrivePlan, OpDriver};
 use mlp_storage::{Backend, DirBackend};
+use mlp_trace::json::Value;
 
 /// Payload bytes per object: one bounce-buffer-sized block (256 KiB),
 /// large enough that per-op throughput is I/O-bound, small enough that
@@ -138,33 +140,29 @@ fn main() {
             .find(|r| r.engine == engine && r.queue_depth == depth && r.workload == workload)
             .map(|r| r.mb_per_s)
     };
-    let mut speedups = serde_json::Map::new();
+    let mut speedups = Vec::new();
     for depth in DEPTHS.iter().filter(|&&d| d >= 32) {
         if let (Some(u), Some(p)) = (at("uring", *depth, "mixed"), at("pool", *depth, "mixed")) {
             let ratio = u / p;
             eprintln!("uring/pool mixed speedup @depth {depth} = {ratio:.2}x");
-            speedups.insert(
-                format!("depth_{depth}"),
-                serde_json::json!((ratio * 100.0).round() / 100.0),
-            );
+            speedups.push((format!("depth_{depth}"), Value::from(round_to(ratio, 2))));
         }
     }
 
-    let doc = serde_json::json!({
-        "benchmark": "io_engines",
-        "description": "IoEngine backend comparison over real files — flush (all-writes), fetch (all-reads), and mixed steady-state MB/s per engine and queue depth",
-        "block_bytes": BLOCK_BYTES,
-        "blocks": BLOCKS,
-        "skipped_engines": skipped,
-        "uring_over_pool_mixed": speedups,
-        "results": rows.iter().map(|r| serde_json::json!({
-            "engine": r.engine,
-            "queue_depth": r.queue_depth,
-            "workload": r.workload,
-            "mb_per_s": (r.mb_per_s * 10.0).round() / 10.0,
-        })).collect::<Vec<_>>(),
-    });
-    std::fs::write(&out_path, serde_json::to_string_pretty(&doc).expect("serializable") + "\n")
-        .expect("write baseline");
-    println!("wrote {out_path}");
+    // Keys in the committed file's (alphabetical) order.
+    let doc = Value::obj([
+        ("benchmark", "io_engines".into()),
+        ("block_bytes", BLOCK_BYTES.into()),
+        ("blocks", BLOCKS.into()),
+        ("description", "IoEngine backend comparison over real files — flush (all-writes), fetch (all-reads), and mixed steady-state MB/s per engine and queue depth".into()),
+        ("results", rows.iter().map(|r| Value::obj([
+            ("engine", r.engine.into()),
+            ("mb_per_s", round_to(r.mb_per_s, 1).into()),
+            ("queue_depth", r.queue_depth.into()),
+            ("workload", r.workload.into()),
+        ])).collect()),
+        ("skipped_engines", skipped.into_iter().map(Value::from).collect()),
+        ("uring_over_pool_mixed", Value::Obj(speedups)),
+    ]);
+    write_baseline(&out_path, &doc);
 }

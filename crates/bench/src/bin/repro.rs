@@ -25,7 +25,16 @@
 
 use mlp_bench::timeline::{export_timeline_trace_every, render_timeline};
 use mlp_bench::*;
+use mlp_trace::json::Value;
 use mlp_train::experiments as exp;
+
+/// `--json`: the rows as a pretty-printed array of objects.
+fn print_json<'a, R: 'a>(rows: &'a [R])
+where
+    Value: From<&'a R>,
+{
+    println!("{}", rows.iter().map(Value::from).collect::<Value>().pretty());
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,10 +86,7 @@ fn main() {
         ($rows:expr, $render:expr) => {{
             let rows = $rows;
             if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&rows).expect("serializable rows")
-                );
+                print_json(&rows);
             } else {
                 $render(&rows);
             }
@@ -116,10 +122,7 @@ fn main() {
         matched = true;
         let rows = exp::model_scaling();
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&rows).expect("serializable rows")
-            );
+            print_json(&rows);
         } else {
             if all || cmd == "fig7" {
                 render_fig7(&rows);
@@ -139,10 +142,7 @@ fn main() {
         matched = true;
         let rows = exp::weak_scaling();
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&rows).expect("serializable rows")
-            );
+            print_json(&rows);
         } else {
             if all || cmd == "fig11" {
                 render_fig11(&rows);
@@ -160,10 +160,7 @@ fn main() {
         matched = true;
         let rows = exp::fig14_ablation_nvme();
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&rows).expect("serializable rows")
-            );
+            print_json(&rows);
         } else {
             render_ablation(
                 "Fig. 14: ablation on node-local NVMe only (paper: up to 1.6x)",
@@ -175,10 +172,7 @@ fn main() {
         matched = true;
         let rows = exp::fig15_ablation_pfs();
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&rows).expect("serializable rows")
-            );
+            print_json(&rows);
         } else {
             render_ablation(
                 "Fig. 15: ablation with PFS multi-path (paper: 2.5x over DeepSpeed ZeRO-3)",
@@ -190,10 +184,7 @@ fn main() {
     if all || cmd == "sensitivity" {
         matched = true;
         if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&exp::subgroup_size_sweep()).expect("rows")
-            );
+            print_json(&exp::subgroup_size_sweep());
         } else {
             render_subgroup_sweep(&exp::subgroup_size_sweep());
             render_cache_sweep(&exp::cache_sweep());

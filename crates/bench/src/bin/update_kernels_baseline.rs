@@ -19,10 +19,12 @@
 
 use std::time::Instant;
 
+use mlp_bench::{round_to, write_baseline};
 use mlp_optim::adam::AdamConfig;
 use mlp_optim::fused::fused_update_fp16;
 use mlp_optim::optimizer::{AdagradConfig, LionConfig, OptimizerConfig, SgdConfig};
 use mlp_tensor::{convert, F16};
+use mlp_trace::json::Value;
 
 /// Effective bytes of memory traffic per element, fused path.
 const FUSED_BYTES_PER_ELEM: f64 = 28.0;
@@ -139,7 +141,7 @@ fn main() {
 
     // Headline ratio the baseline tracks: fused vs multi-pass speedup in
     // elements/s at 16M, per optimizer.
-    let mut speedups = serde_json::Map::new();
+    let mut speedups = Vec::new();
     for (name, _) in &optimizers {
         let at = |path: &str| {
             results
@@ -150,28 +152,28 @@ fn main() {
         };
         let ratio = at("fused") / at("multi_pass");
         eprintln!("{name}: fused/multi_pass speedup @16M = {ratio:.2}x");
-        speedups.insert(
-            name.to_string(),
-            serde_json::json!((ratio * 100.0).round() / 100.0),
-        );
+        speedups.push((name.to_string(), Value::from(round_to(ratio, 2))));
     }
+    speedups.sort_by(|a, b| a.0.cmp(&b.0));
 
-    let doc = serde_json::json!({
-        "benchmark": "update_kernels",
-        "description": "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer",
-        "bytes_per_element": { "fused": FUSED_BYTES_PER_ELEM, "multi_pass": MULTI_BYTES_PER_ELEM },
-        "threads": std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-        "speedup_at_16m": speedups,
-        "results": results.iter().map(|m| serde_json::json!({
-            "optimizer": m.optimizer,
-            "elements": m.elements,
-            "path": m.path,
-            "elements_per_s": m.elements_per_s.round(),
-            "gb_per_s": (m.gb_per_s * 1000.0).round() / 1000.0,
-            "iters": m.iters,
-        })).collect::<Vec<_>>(),
-    });
-    std::fs::write(&out_path, serde_json::to_string_pretty(&doc).expect("serializable") + "\n")
-        .expect("write baseline");
-    println!("wrote {out_path}");
+    // Keys in the committed file's (alphabetical) order.
+    let doc = Value::obj([
+        ("benchmark", "update_kernels".into()),
+        ("bytes_per_element", Value::obj([
+            ("fused", FUSED_BYTES_PER_ELEM.into()),
+            ("multi_pass", MULTI_BYTES_PER_ELEM.into()),
+        ])),
+        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer".into()),
+        ("results", results.iter().map(|m| Value::obj([
+            ("elements", m.elements.into()),
+            ("elements_per_s", m.elements_per_s.round().into()),
+            ("gb_per_s", round_to(m.gb_per_s, 3).into()),
+            ("iters", m.iters.into()),
+            ("optimizer", m.optimizer.into()),
+            ("path", m.path.into()),
+        ])).collect()),
+        ("speedup_at_16m", Value::Obj(speedups)),
+        ("threads", std::thread::available_parallelism().map_or(1, |p| p.get()).into()),
+    ]);
+    write_baseline(&out_path, &doc);
 }

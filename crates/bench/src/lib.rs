@@ -3,14 +3,78 @@
 
 //! Shared formatting for the reproduction harness: renders each
 //! experiment's rows the way the paper's tables and figure captions report
-//! them, plus the traced Fig. 5 timeline export ([`timeline`]).
+//! them, plus the traced Fig. 5 timeline export ([`timeline`]) and what
+//! the `*_baseline` binaries share (argument parsing, the `BENCH_*.json`
+//! writer, the `--check` comparison).
 
 pub mod timeline;
 
+use mlp_trace::json::{self, Value};
 use mlp_train::experiments::{
     AblationRow, CacheSweepRow, CheckpointRow, CostRow, CxlRow, Fig13Row, Fig3Row, Fig4Row,
     Fig5Point, MotivationRow, ScalingRow, SubgroupSizeRow, WeakScalingRow,
 };
+
+/// `x` rounded to `decimals` places, as the baselines store their numbers.
+pub fn round_to(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
+}
+
+/// Parses a baseline binary's `[OUTPUT_PATH] [--check COMMITTED_PATH]`.
+pub fn baseline_args(default_out: &str) -> (String, Option<String>) {
+    let mut out_path = default_out.to_string();
+    let mut check_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--check" {
+            check_path = Some(args.next().expect("--check needs a baseline path"));
+        } else {
+            out_path = arg;
+        }
+    }
+    (out_path, check_path)
+}
+
+/// Writes `doc` in the committed `BENCH_*.json` layout (pretty-printed,
+/// trailing newline), so a regenerated file diffs in values only.
+pub fn write_baseline(path: &str, doc: &Value) {
+    std::fs::write(path, doc.pretty() + "\n").expect("write baseline");
+    println!("wrote {path}");
+}
+
+/// `--check`: holds each variant's fresh `metric` seconds against
+/// `results[variant].metric` of the committed baseline. More than 10%
+/// slower on any variant prints the regressions and exits 1; faster is
+/// progress, reported but not fatal (regenerate the committed file then).
+pub fn check_against_committed(committed: &str, metric: &str, fresh: &[(&str, f64)]) {
+    let body = std::fs::read_to_string(committed).expect("read committed baseline");
+    let old = json::parse(&body).expect("parse committed baseline");
+    let results = old.get("results").and_then(Value::as_array).expect("results array");
+    let mut failures = Vec::new();
+    for &(variant, new) in fresh {
+        let old = results
+            .iter()
+            .find(|r| r.get("variant").and_then(Value::as_str) == Some(variant))
+            .and_then(|r| r.get(metric)?.as_f64())
+            .unwrap_or_else(|| panic!("committed {metric} of {variant}"));
+        let change = (new / old - 1.0) * 100.0;
+        eprintln!("check {variant:>12}: {metric} {new:.2}s vs committed {old:.2}s ({change:+.1}%)");
+        if change > 10.0 {
+            failures.push(format!(
+                "{variant}: {metric} regressed {change:.1}% (got {new:.2}s, committed {old:.2}s)"
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        eprintln!("BASELINE REGRESSION:");
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
+    println!("baseline check passed ({committed})");
+}
 
 /// Prints an ASCII table with a title.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

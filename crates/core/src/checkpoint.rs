@@ -21,12 +21,11 @@ use std::sync::Arc;
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle};
 use mlp_storage::{Backend, TierHealth, TierSpec};
 use mlp_trace::{Attrs, Counter, Phase, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::stats::TierDistribution;
 
 /// Where one subgroup's state lives inside a checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubgroupLocation {
     /// Copied into the checkpoint target under this key.
     Target {
@@ -46,7 +45,7 @@ pub enum SubgroupLocation {
 }
 
 /// A functional-mode checkpoint: enough to rebuild a worker's engine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointManifest {
     /// User-chosen tag.
     pub tag: String,
@@ -149,7 +148,7 @@ impl CheckpointManifest {
 }
 
 /// Byte accounting of one checkpoint.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Bytes copied into the checkpoint target (host-resident state).
     pub copied_bytes: u64,
@@ -170,7 +169,7 @@ impl CheckpointStats {
 }
 
 /// How much of the optimizer state a checkpoint still has to move.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PrestageReport {
     /// Bytes already on persistent tiers (pre-staged "for free").
     pub prestaged_bytes: u64,
@@ -762,7 +761,7 @@ mod tests {
 
     mod manifest_fuzz {
         use super::super::*;
-        use proptest::prelude::*;
+        use mlp_testkit::{cases, DEFAULT_CASES};
 
         /// A valid serialized manifest with `n` subgroup lines, some
         /// prestaged, keys derived from `salt`.
@@ -799,39 +798,40 @@ mod tests {
             }
         }
 
-        proptest! {
-            #[test]
-            fn truncation_never_panics(
-                n in 0usize..12,
-                salt in 0usize..64,
-                cut in 0usize..4096,
-            ) {
+        #[test]
+        fn truncation_never_panics() {
+            cases(DEFAULT_CASES, |g| {
+                let n = g.range(0usize..12);
+                let salt = g.range(0usize..64);
+                let cut = g.range(0usize..4096);
                 let full = wire(n, salt);
                 let cut = cut % full.len().max(1);
                 assert_typed(&full[..cut]);
-            }
+            });
+        }
 
-            #[test]
-            fn bit_flips_never_panic(
-                n in 0usize..12,
-                salt in 0usize..64,
-                flips in proptest::collection::vec((0usize..4096, 0u8..8), 1..6),
-            ) {
+        #[test]
+        fn bit_flips_never_panic() {
+            cases(DEFAULT_CASES, |g| {
+                let n = g.range(0usize..12);
+                let salt = g.range(0usize..64);
+                let flips = g.vec(1..6, |g| (g.range(0usize..4096), g.range(0u8..8)));
                 let mut bytes = wire(n, salt);
                 for (pos, bit) in flips {
                     let pos = pos % bytes.len();
                     bytes[pos] ^= 1 << bit;
                 }
                 assert_typed(&bytes);
-            }
+            });
+        }
 
-            #[test]
-            fn duplicated_and_dropped_lines_never_panic(
-                n in 1usize..12,
-                salt in 0usize..64,
-                line in 0usize..24,
-                duplicate in proptest::bool::ANY,
-            ) {
+        #[test]
+        fn duplicated_and_dropped_lines_never_panic() {
+            cases(DEFAULT_CASES, |g| {
+                let n = g.range(1usize..12);
+                let salt = g.range(0usize..64);
+                let line = g.range(0usize..24);
+                let duplicate = g.bool();
                 let full = wire(n, salt);
                 let text = String::from_utf8(full).unwrap();
                 let mut lines: Vec<&str> = text.lines().collect();
@@ -844,7 +844,7 @@ mod tests {
                 let mut mutated = lines.join("\n");
                 mutated.push('\n');
                 assert_typed(mutated.as_bytes());
-            }
+            });
         }
     }
 

@@ -14,8 +14,8 @@
 //! { "mlp_offload": { "tiers": ["/local/nvme", "/lustre/run"], "ratio": "2:1" } }
 //! ```
 
+use mlp_trace::json::{self, Value};
 use mlp_trace::TraceSink;
-use serde::{Deserialize, Serialize};
 
 use crate::policy::allocation::parse_ratio;
 use crate::policy::ordering::OrderPolicy;
@@ -25,7 +25,7 @@ use crate::policy::ordering::OrderPolicy;
 /// Which `mlp-aio` backend moves a tier's bytes is not configured here:
 /// it is a property of the tier (`SharedTier::with_aio` pins an
 /// `EngineKind`; the default probes the host per tier).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Subgroup processing order per iteration.
     pub order: OrderPolicy,
@@ -55,7 +55,6 @@ pub struct EngineConfig {
     /// hiccup, a single contended transfer) swing the estimate all the
     /// way to the raw observation; 1.0 is memoryless.
     /// Only meaningful with `adaptive_bandwidth`.
-    #[serde(default = "default_bandwidth_alpha")]
     pub bandwidth_alpha: f64,
     /// Migration budget of the adaptive planner: how many subgroups'
     /// durable copies one iteration boundary may move between tiers to
@@ -63,7 +62,6 @@ pub struct EngineConfig {
     /// disables migration — adaptive mode then only re-splits flush
     /// writes, exactly the pre-planner behaviour. Only meaningful with
     /// `adaptive_bandwidth`.
-    #[serde(default)]
     pub max_migrations_per_iter: usize,
     /// Optional user-specified tier weights overriding measured bandwidths
     /// (the "2:1" split of §3.5). `None` uses measured bandwidths (Eq. 1).
@@ -75,13 +73,10 @@ pub struct EngineConfig {
     /// reproduction numbers are unchanged; the `repro --trace` driver
     /// enables it for the MLP-Offload engine to demonstrate the Figure 5
     /// flush/backward overlap.
-    #[serde(default)]
     pub deferred_flush_drain: bool,
-    /// Observability sink (disabled by default = zero cost). Not part of
-    /// the serialized configuration: a trace is a per-run artifact, not a
-    /// preset. Disabled sinks compare equal, so config equality between
-    /// presets still holds.
-    #[serde(skip)]
+    /// Observability sink (disabled by default = zero cost). A trace is
+    /// a per-run artifact, not a preset; disabled sinks compare equal, so
+    /// config equality between presets still holds.
     pub trace: TraceSink,
 }
 
@@ -158,42 +153,51 @@ impl EngineConfig {
     }
 
     /// Parses the §3.5 DeepSpeed-style JSON configuration. Returns the
-    /// engine config plus the tier directory list.
-    pub fn from_deepspeed_json(json: &str) -> Result<(Self, Vec<String>), String> {
-        #[derive(Deserialize)]
-        struct Root {
-            mlp_offload: Section,
+    /// engine config plus the tier directory list. Anything but an object
+    /// with an `mlp_offload` object holding `tiers` (a non-empty array of
+    /// strings) and optionally `ratio` (a string) is an `Err` naming the
+    /// offending key; other keys are ignored, as DeepSpeed's are here.
+    pub fn from_deepspeed_json(text: &str) -> Result<(Self, Vec<String>), String> {
+        let root = json::parse(text).map_err(|e| format!("bad mlp_offload config: {e}"))?;
+        if !matches!(root, Value::Obj(_)) {
+            return Err("bad mlp_offload config: the document root must be an object".into());
         }
-        #[derive(Deserialize)]
-        struct Section {
-            tiers: Vec<String>,
-            #[serde(default)]
-            ratio: Option<String>,
-        }
-        let root: Root =
-            serde_json::from_str(json).map_err(|e| format!("bad mlp_offload config: {e}"))?;
-        if root.mlp_offload.tiers.is_empty() {
+        let section = match root.get("mlp_offload") {
+            Some(section @ Value::Obj(_)) => section,
+            Some(_) => return Err("mlp_offload must be an object".into()),
+            None => return Err("missing key mlp_offload".into()),
+        };
+        let tiers: Vec<String> = section
+            .get("tiers")
+            .and_then(Value::as_array)
+            .and_then(|dirs| dirs.iter().map(|d| d.as_str().map(str::to_owned)).collect())
+            .ok_or("mlp_offload.tiers must be an array of directory strings")?;
+        if tiers.is_empty() {
             return Err("mlp_offload.tiers must list at least one directory".into());
         }
         let mut cfg = EngineConfig::mlp_offload();
-        if let Some(r) = &root.mlp_offload.ratio {
-            let weights = parse_ratio(r)?;
-            if weights.len() != root.mlp_offload.tiers.len() {
-                return Err(format!(
-                    "ratio {r:?} has {} components for {} tiers",
-                    weights.len(),
-                    root.mlp_offload.tiers.len()
-                ));
+        match section.get("ratio") {
+            None | Some(Value::Null) => {}
+            Some(Value::Str(r)) => {
+                let weights = parse_ratio(r)?;
+                if weights.len() != tiers.len() {
+                    return Err(format!(
+                        "mlp_offload.ratio {r:?} has {} components for {} tiers",
+                        weights.len(),
+                        tiers.len()
+                    ));
+                }
+                cfg.tier_ratio = Some(weights);
             }
-            cfg.tier_ratio = Some(weights);
+            Some(_) => return Err("mlp_offload.ratio must be a string like \"2:1\"".into()),
         }
-        Ok((cfg, root.mlp_offload.tiers))
+        Ok((cfg, tiers))
     }
 }
 
 /// The Fig. 14/15 progressive-activation ladder. Each stage includes all
 /// previous ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AblationStage {
     /// DeepSpeed ZeRO-3 baseline.
     Baseline,
@@ -307,5 +311,26 @@ mod tests {
         assert!(EngineConfig::from_deepspeed_json(json).is_err());
         let json = r#"{ "mlp_offload": { "tiers": [] } }"#;
         assert!(EngineConfig::from_deepspeed_json(json).is_err());
+    }
+
+    #[test]
+    fn json_config_rejects_malformed_documents_naming_the_key() {
+        let cases = [
+            (r#"["mlp_offload"]"#, "root must be an object"),
+            (r#"{ "zero_optimization": {} }"#, "missing key mlp_offload"),
+            (r#"{ "mlp_offload": "on" }"#, "mlp_offload must be an object"),
+            (r#"{ "mlp_offload": {} }"#, "mlp_offload.tiers"),
+            (r#"{ "mlp_offload": { "tiers": "/a" } }"#, "mlp_offload.tiers"),
+            (r#"{ "mlp_offload": { "tiers": ["/a", 7] } }"#, "mlp_offload.tiers"),
+            (r#"{ "mlp_offload": { "tiers": ["/a", "/b"], "ratio": 2 } }"#, "mlp_offload.ratio"),
+            (r#"{ "mlp_offload": { "tiers": ["/a"], "ratio": "x" } }"#, "ratio"),
+            (r#"{ "mlp_offload": { "tiers": ["/a"] } } trailing"#, "trailing data"),
+            (r#"{ "mlp_offload": { "tiers": ["/a"] }"#, "JSON parse error"),
+            ("", "JSON parse error"),
+        ];
+        for (json, needle) in cases {
+            let err = EngineConfig::from_deepspeed_json(json).expect_err(json);
+            assert!(err.contains(needle), "{json:?} gave {err:?}, expected it to name {needle:?}");
+        }
     }
 }

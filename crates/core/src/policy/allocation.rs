@@ -268,7 +268,7 @@ pub fn parse_ratio(s: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn testbed1_split_is_two_to_one() {
@@ -421,75 +421,78 @@ mod tests {
         assert!(parse_ratio("").is_err());
     }
 
-    proptest! {
-        #[test]
-        fn counts_always_sum_to_m(
-            m in 0usize..500,
-            bw in proptest::collection::vec(0.1f64..100.0, 1..6),
-        ) {
+    #[test]
+    fn counts_always_sum_to_m() {
+        cases(DEFAULT_CASES, |g| {
+            let m = g.range(0usize..500);
+            let bw = g.vec(1..6, |g| g.range(0.1f64..100.0));
             let counts = allocate_counts(m, &bw);
-            prop_assert_eq!(counts.iter().sum::<usize>(), m);
-        }
+            assert_eq!(counts.iter().sum::<usize>(), m);
+        });
+    }
 
-        #[test]
-        fn counts_are_proportional_within_one(
-            m in 1usize..500,
-            bw in proptest::collection::vec(0.1f64..100.0, 1..6),
-        ) {
+    #[test]
+    fn counts_are_proportional_within_one() {
+        cases(DEFAULT_CASES, |g| {
+            let m = g.range(1usize..500);
+            let bw = g.vec(1..6, |g| g.range(0.1f64..100.0));
             let counts = allocate_counts(m, &bw);
             let total: f64 = bw.iter().sum();
             for (c, b) in counts.iter().zip(&bw) {
                 let exact = m as f64 * b / total;
-                prop_assert!((*c as f64 - exact).abs() <= 1.0 + 1e-9,
+                assert!((*c as f64 - exact).abs() <= 1.0 + 1e-9,
                     "count {c} vs exact {exact}");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn counts_are_stable_across_runs(
-            m in 0usize..500,
-            bw in proptest::collection::vec(0.1f64..100.0, 1..6),
-        ) {
+    #[test]
+    fn counts_are_stable_across_runs() {
+        cases(DEFAULT_CASES, |g| {
+            let m = g.range(0usize..500);
+            let bw = g.vec(1..6, |g| g.range(0.1f64..100.0));
             // Largest-remainder rounding is a pure deterministic function
             // of its inputs — including under exact remainder ties.
-            prop_assert_eq!(allocate_counts(m, &bw), allocate_counts(m, &bw));
-        }
+            assert_eq!(allocate_counts(m, &bw), allocate_counts(m, &bw));
+        });
+    }
 
-        #[test]
-        fn counts_are_monotone_in_bandwidth(
-            m in 0usize..500,
-            bw in proptest::collection::vec(0.1f64..100.0, 2..6),
-        ) {
+    #[test]
+    fn counts_are_monotone_in_bandwidth() {
+        cases(DEFAULT_CASES, |g| {
+            let m = g.range(0usize..500);
+            let bw = g.vec(2..6, |g| g.range(0.1f64..100.0));
             // A strictly faster tier never receives fewer subgroups than a
             // slower one (with index as the documented tie-break).
             let counts = allocate_counts(m, &bw);
             for i in 0..bw.len() {
                 for j in 0..bw.len() {
                     if bw[i] > bw[j] {
-                        prop_assert!(
+                        assert!(
                             counts[i] + 1 >= counts[j],
                             "bw {} > {} but counts {} < {} - 1",
                             bw[i], bw[j], counts[i], counts[j]
                         );
                         if bw[i] / bw[j] > 1.0 + 1e-9 {
-                            prop_assert!(counts[i] >= counts[j]);
+                            assert!(counts[i] >= counts[j]);
                         }
                     }
                 }
             }
-        }
+        });
+    }
 
-        #[test]
-        fn assignment_is_a_permutation_of_counts(
-            m in 0usize..300,
-            bw in proptest::collection::vec(0.1f64..100.0, 1..5),
-        ) {
+    #[test]
+    fn assignment_is_a_permutation_of_counts() {
+        cases(DEFAULT_CASES, |g| {
+            let m = g.range(0usize..300);
+            let bw = g.vec(1..5, |g| g.range(0.1f64..100.0));
             let assign = assign_subgroups(m, &bw);
             let counts = allocate_counts(m, &bw);
-            prop_assert_eq!(assign.len(), m);
+            assert_eq!(assign.len(), m);
             for (t, &c) in counts.iter().enumerate() {
-                prop_assert_eq!(assign.iter().filter(|&&x| x == t).count(), c);
+                assert_eq!(assign.iter().filter(|&&x| x == t).count(), c);
             }
-        }
+        });
     }
 }

@@ -7,10 +7,8 @@
 //! processed in the next, turning the baseline's cache thrashing into
 //! guaranteed hits.
 
-use serde::{Deserialize, Serialize};
-
 /// How the update phase orders subgroup processing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OrderPolicy {
     /// Ascending ids every iteration (DeepSpeed ZeRO-3's sequential order —
     /// thrashes the host cache).
@@ -63,7 +61,7 @@ impl OrderPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn ascending_is_identity() {
@@ -102,17 +100,16 @@ mod tests {
         assert_eq!(OrderPolicy::Descending.expected_hits(1, 10, 10), 10);
     }
 
-    proptest! {
-        #[test]
-        fn order_is_always_a_permutation(
-            iter in 0u64..10,
-            m in 0usize..200,
-        ) {
+    #[test]
+    fn order_is_always_a_permutation() {
+        cases(DEFAULT_CASES, |g| {
+            let iter = g.range(0u64..10);
+            let m = g.range(0usize..200);
             for p in [OrderPolicy::Ascending, OrderPolicy::Alternating, OrderPolicy::Descending] {
                 let mut o = p.order(iter, m);
                 o.sort_unstable();
-                prop_assert_eq!(o, (0..m).collect::<Vec<_>>());
+                assert_eq!(o, (0..m).collect::<Vec<_>>());
             }
-        }
+        });
     }
 }

@@ -321,7 +321,7 @@ impl AdaptivePlanner {
 mod tests {
     use super::*;
     use crate::policy::allocation::allocate_counts;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     fn planner(bw: Vec<f64>, max: usize) -> AdaptivePlanner {
         AdaptivePlanner::new(bw, 0.5, max)
@@ -460,14 +460,13 @@ mod tests {
         assert_eq!(snap.counter("planner.migrations"), Some(steps.len() as u64));
     }
 
-    proptest! {
-        #[test]
-        fn migration_plans_are_bounded_and_improve_balance(
-            n in 1usize..40,
-            ntiers in 2usize..5,
-            budget in 0usize..10,
-            seed in 0u64..1000,
-        ) {
+    #[test]
+    fn migration_plans_are_bounded_and_improve_balance() {
+        cases(DEFAULT_CASES, |g| {
+            let n = g.range(1usize..40);
+            let ntiers = g.range(2usize..5);
+            let budget = g.range(0usize..10);
+            let seed = g.range(0u64..1000);
             let bw: Vec<f64> = (0..ntiers).map(|t| 1.0 + (t as f64) + (seed % 7) as f64).collect();
             let mut p = AdaptivePlanner::new(bw, 0.5, budget);
             // Pseudo-random placement: some host-resident, rest on tiers.
@@ -478,14 +477,14 @@ mod tests {
                 })
                 .collect();
             let steps = p.plan_migrations(&placements);
-            prop_assert!(steps.len() <= budget);
+            assert!(steps.len() <= budget);
 
             let mut counts = vec![0usize; ntiers];
             for p in placements.iter().flatten() { counts[*p] += 1; }
             let durable: usize = counts.iter().sum();
             if durable == 0 {
-                prop_assert!(steps.is_empty());
-                return Ok(());
+                assert!(steps.is_empty());
+                return;
             }
             let targets = allocate_counts(durable, p.estimates());
             let imbalance = |c: &[usize]| -> usize {
@@ -495,17 +494,17 @@ mod tests {
             let mut moved = std::collections::HashSet::new();
             for s in &steps {
                 // Valid, movable, distinct subgroups; real tier indices.
-                prop_assert!(placements[s.subgroup].is_some());
-                prop_assert!(moved.insert(s.subgroup), "subgroup moved twice");
-                prop_assert!(s.from < ntiers && s.to < ntiers && s.from != s.to);
+                assert!(placements[s.subgroup].is_some());
+                assert!(moved.insert(s.subgroup), "subgroup moved twice");
+                assert!(s.from < ntiers && s.to < ntiers && s.from != s.to);
                 counts[s.from] -= 1;
                 counts[s.to] += 1;
             }
             let after = imbalance(&counts);
-            prop_assert!(after <= before, "plan must not worsen balance");
+            assert!(after <= before, "plan must not worsen balance");
             if before > 0 && budget > 0 {
-                prop_assert!(after < before, "plan must make progress");
+                assert!(after < before, "plan must make progress");
             }
-        }
+        });
     }
 }

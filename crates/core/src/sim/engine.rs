@@ -1290,7 +1290,7 @@ mod prop_tests {
     use crate::sim::env::NodeSpec;
     use mlp_sim::Sim;
     use mlp_storage::spec::{testbed1_nvme, testbed1_pfs};
-    use proptest::prelude::*;
+    use mlp_testkit::cases;
 
     fn run_iterations(
         m: usize,
@@ -1330,17 +1330,9 @@ mod prop_tests {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn engine_invariants_hold_for_any_configuration(
-            m in 1usize..20,
-            frames in 3usize..12,
-            order_pick in 0u8..3,
-            locking in proptest::bool::ANY,
-            two_tiers in proptest::bool::ANY,
-        ) {
+    #[test]
+    fn engine_invariants_hold_for_any_configuration() {
+        let check = |m: usize, frames: usize, order_pick: u8, locking: bool, two_tiers: bool| {
             let order = match order_pick {
                 0 => OrderPolicy::Ascending,
                 1 => OrderPolicy::Alternating,
@@ -1350,55 +1342,61 @@ mod prop_tests {
             let all = run_iterations(m, params, frames, order, locking, two_tiers, 3);
             for (i, stats) in all.iter().enumerate() {
                 // Every subgroup is processed exactly once per iteration.
-                prop_assert_eq!(stats.fetches + stats.cache_hits, m, "iter {}", i);
+                assert_eq!(stats.fetches + stats.cache_hits, m, "iter {}", i);
                 // Every subgroup ends the iteration flushed or retained;
                 // under a repeating scan order a resident can additionally
                 // be evicted *before* its visit and then refetched (the
                 // §3.1 thrash double-handling), so flushes can exceed the
                 // non-retained count — but never fall short of it.
-                prop_assert!(stats.flushes + stats.retained >= m, "iter {}", i);
+                assert!(stats.flushes + stats.retained >= m, "iter {}", i);
                 if i == 0 || order == OrderPolicy::Alternating {
                     // Cold start and the alternating order never evict a
                     // subgroup ahead of its visit.
-                    prop_assert_eq!(stats.flushes + stats.retained, m, "iter {}", i);
+                    assert_eq!(stats.flushes + stats.retained, m, "iter {}", i);
                 }
-                prop_assert_eq!(stats.params_updated, m as u64 * params);
+                assert_eq!(stats.params_updated, m as u64 * params);
                 // Cold start has no hits.
                 if i == 0 {
-                    prop_assert_eq!(stats.cache_hits, 0);
+                    assert_eq!(stats.cache_hits, 0);
                 }
                 // Bytes accounting matches op counts (state = 12 B/param).
                 let written: u64 = stats.bytes_written_by_tier.iter().sum();
-                prop_assert_eq!(written, stats.flushes as u64 * params * 12);
+                assert_eq!(written, stats.flushes as u64 * params * 12);
                 let read: u64 = stats.bytes_read_by_tier.iter().sum();
-                prop_assert_eq!(read, stats.fetches as u64 * params * 12);
+                assert_eq!(read, stats.fetches as u64 * params * 12);
                 // Events match counters.
                 let ev_fetch = stats.events.iter().filter(|e| e.kind == IoKind::Fetch).count();
                 let ev_flush = stats.events.iter().filter(|e| e.kind == IoKind::Flush).count();
-                prop_assert_eq!(ev_fetch, stats.fetches);
-                prop_assert_eq!(ev_flush, stats.flushes);
+                assert_eq!(ev_fetch, stats.fetches);
+                assert_eq!(ev_flush, stats.flushes);
                 // Durations are positive and events fall inside the phase.
-                prop_assert!(stats.duration_s > 0.0);
+                assert!(stats.duration_s > 0.0);
             }
             // Steady state: alternating order hits its retained set.
             if order == OrderPolicy::Alternating && m > frames {
                 let expected = frames.saturating_sub(3).min(m);
-                prop_assert_eq!(all[1].cache_hits, expected);
+                assert_eq!(all[1].cache_hits, expected);
             }
-        }
+        };
+        // Pinned: a configuration a past run of this property failed on.
+        check(4, 4, 0, false, false);
+        cases(24, |g| {
+            check(g.range(1usize..20), g.range(3usize..12), g.range(0u8..3), g.bool(), g.bool())
+        });
+    }
 
-        #[test]
-        fn virtual_time_is_reproducible(
-            m in 1usize..12,
-            frames in 3usize..8,
-        ) {
+    #[test]
+    fn virtual_time_is_reproducible() {
+        cases(24, |g| {
+            let m = g.range(1usize..12);
+            let frames = g.range(3usize..8);
             let a = run_iterations(m, 5_000_000, frames, OrderPolicy::Alternating, true, true, 2);
             let b = run_iterations(m, 5_000_000, frames, OrderPolicy::Alternating, true, true, 2);
             for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.duration_s.to_bits(), y.duration_s.to_bits());
-                prop_assert_eq!(x.fetches, y.fetches);
-                prop_assert_eq!(x.cache_hits, y.cache_hits);
+                assert_eq!(x.duration_s.to_bits(), y.duration_s.to_bits());
+                assert_eq!(x.fetches, y.fetches);
+                assert_eq!(x.cache_hits, y.cache_hits);
             }
-        }
+        });
     }
 }

@@ -2,10 +2,8 @@
 //! movement, cache behaviour, and the per-subgroup I/O event timeline that
 //! backs the Fig. 5 reproduction.
 
-use serde::{Deserialize, Serialize};
-
 /// What an I/O event did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoKind {
     /// Subgroup fetched from a tier into host memory.
     Fetch,
@@ -16,7 +14,7 @@ pub enum IoKind {
 }
 
 /// One storage I/O operation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct IoEvent {
     /// Subgroup id.
     pub subgroup: usize,
@@ -40,7 +38,7 @@ impl IoEvent {
 }
 
 /// Statistics of one update phase for one worker.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct UpdateStats {
     /// Wall (virtual) duration of the update phase, seconds.
     pub duration_s: f64,
@@ -48,13 +46,11 @@ pub struct UpdateStats {
     pub cache_hits: usize,
     /// Durable copies the adaptive planner moved between tiers at this
     /// iteration's boundary (0 unless `max_migrations_per_iter` > 0).
-    #[serde(default)]
     pub migrations: usize,
     /// Bytes moved by those migrations (read from the source tier plus an
     /// equal write to the destination; this field counts the payload once
     /// and is *not* included in `bytes_read_by_tier`/`bytes_written_by_tier`,
     /// which track the fetch/flush pipeline only).
-    #[serde(default)]
     pub bytes_migrated: u64,
     /// Subgroups fetched from storage.
     pub fetches: usize,
@@ -101,7 +97,7 @@ impl UpdateStats {
 }
 
 /// Statistics of one backward pass for one worker.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BackwardStats {
     /// Wall (virtual) duration including any gradient I/O that outlives
     /// the compute, seconds.
@@ -115,7 +111,7 @@ pub struct BackwardStats {
 }
 
 /// A full iteration's breakdown for one worker (the Fig. 7 bars).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct IterationBreakdown {
     /// Forward-pass seconds.
     pub forward_s: f64,
@@ -127,7 +123,6 @@ pub struct IterationBreakdown {
     /// boundary: the full flush + trickle cost for a synchronous
     /// checkpoint, close to zero for the asynchronous pipeline (whose
     /// I/O settles during the next iteration instead).
-    #[serde(default)]
     pub checkpoint_s: f64,
 }
 
@@ -139,7 +134,7 @@ impl IterationBreakdown {
 }
 
 /// Where the optimizer state lives at an iteration boundary (Fig. 10).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TierDistribution {
     /// Bytes resident in host memory.
     pub host_bytes: u64,

@@ -1,7 +1,5 @@
 //! Transformer architecture description and derived quantities.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per FP16 value.
 pub const FP16_BYTES: u64 = 2;
 /// Bytes per FP32 value.
@@ -13,7 +11,7 @@ pub const FP32_BYTES: u64 = 4;
 pub const OPTIM_STATE_BYTES_PER_PARAM: u64 = 3 * FP32_BYTES;
 
 /// A decoder-only transformer configuration (Table 2 of the paper).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Display name, e.g. `"40B"`.
     pub name: String,

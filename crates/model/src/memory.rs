@@ -6,8 +6,6 @@
 //! over for caching subgroups — the quantity that drives the cache-friendly
 //! reordering win.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{ModelConfig, FP16_BYTES};
 use crate::shard::ShardLayout;
 
@@ -15,7 +13,7 @@ use crate::shard::ShardLayout;
 pub const GIB: u64 = 1 << 30;
 
 /// Estimated memory footprints for one training configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MemoryEstimate {
     /// Per-GPU bytes: FP16 shard parameters + activation checkpoints +
     /// one subgroup's FP16 gradients.

@@ -7,12 +7,10 @@
 //! same way. The per-GPU memory model shows *why* offloading becomes
 //! necessary: below a certain GPU count no legal layout fits without it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{ModelConfig, FP16_BYTES, OPTIM_STATE_BYTES_PER_PARAM};
 
 /// One way to lay a model across a GPU grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Layout {
     /// Tensor-parallel degree (horizontal layer split, intra-node).
     pub tensor: usize,

@@ -3,8 +3,6 @@
 //! *subgroups* — the unit of offloading, prefetching, and update
 //! computation throughout this workspace (§2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{ModelConfig, FP16_BYTES, FP32_BYTES, OPTIM_STATE_BYTES_PER_PARAM};
 
 /// The paper's subgroup size: 100 million parameters (chosen over
@@ -13,7 +11,7 @@ use crate::config::{ModelConfig, FP16_BYTES, FP32_BYTES, OPTIM_STATE_BYTES_PER_P
 pub const DEFAULT_SUBGROUP_PARAMS: u64 = 100_000_000;
 
 /// One subgroup of a rank's model shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Subgroup {
     /// Index within the owning rank's shard (0-based, processing order in
     /// the first iteration is ascending id).
@@ -46,7 +44,7 @@ impl Subgroup {
 
 /// How a model is partitioned across data-parallel ranks (ZeRO-3: optimizer
 /// state, gradients, and parameters are all sharded).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShardLayout {
     /// Total trainable parameters.
     pub total_params: u64,
@@ -79,7 +77,7 @@ impl ShardLayout {
 }
 
 /// A rank's shard decomposed into subgroups.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SubgroupLayout {
     subgroups: Vec<Subgroup>,
     shard_params: u64,
@@ -135,7 +133,7 @@ impl SubgroupLayout {
 mod tests {
     use super::*;
     use crate::zoo;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn rank_params_sum_to_total() {
@@ -177,40 +175,40 @@ mod tests {
         assert!(layout.is_empty());
     }
 
-    proptest! {
-        #[test]
-        fn sharding_is_exact_partition(
-            total in 1u64..10_000_000_000,
-            world in 1usize..64,
-        ) {
+    #[test]
+    fn sharding_is_exact_partition() {
+        cases(DEFAULT_CASES, |g| {
+            let total = g.range(1u64..10_000_000_000);
+            let world = g.range(1usize..64);
             let layout = ShardLayout {
                 total_params: total,
                 world_size: world,
             };
             let sum: u64 = (0..world).map(|r| layout.params_for_rank(r)).sum();
-            prop_assert_eq!(sum, total);
+            assert_eq!(sum, total);
             // Balanced within one parameter.
             let max = (0..world).map(|r| layout.params_for_rank(r)).max().unwrap();
             let min = (0..world).map(|r| layout.params_for_rank(r)).min().unwrap();
-            prop_assert!(max - min <= 1);
-        }
+            assert!(max - min <= 1);
+        });
+    }
 
-        #[test]
-        fn subgrouping_is_exact_partition(
-            shard in 0u64..20_000_000_000,
-            sub in 1u64..2_000_000_000,
-        ) {
+    #[test]
+    fn subgrouping_is_exact_partition() {
+        cases(DEFAULT_CASES, |g| {
+            let shard = g.range(0u64..20_000_000_000);
+            let sub = g.range(1u64..2_000_000_000);
             let layout = SubgroupLayout::new(shard, sub);
             let sum: u64 = layout.subgroups().iter().map(|s| s.params).sum();
-            prop_assert_eq!(sum, shard);
+            assert_eq!(sum, shard);
             // All but the last subgroup are full-size.
             for s in layout.subgroups().iter().rev().skip(1) {
-                prop_assert_eq!(s.params, sub);
+                assert_eq!(s.params, sub);
             }
             // Ids are consecutive from zero.
             for (i, s) in layout.subgroups().iter().enumerate() {
-                prop_assert_eq!(s.id, i);
+                assert_eq!(s.id, i);
             }
-        }
+        });
     }
 }

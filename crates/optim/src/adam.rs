@@ -1,12 +1,10 @@
 //! Adam/AdamW update kernels over FP32 master state.
 
-use mlp_tensor::PAR_CHUNK;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use mlp_tensor::{par_for_each, PAR_CHUNK};
 
 /// Adam hyper-parameters (defaults match the common LLM pre-training
 /// recipe: lr 1e-4, β₁ 0.9, β₂ 0.95, ε 1e-8, no decoupled weight decay).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,
@@ -113,7 +111,7 @@ pub fn adam_step(
     }
 }
 
-/// Rayon-parallel [`adam_step`]; bitwise identical to the scalar kernel
+/// Parallel [`adam_step`]; bitwise identical to the scalar kernel
 /// (each element's update is independent).
 pub fn adam_step_par(
     cfg: &AdamConfig,
@@ -128,12 +126,14 @@ pub fn adam_step_par(
     if params.len() < PAR_CHUNK {
         return adam_step(cfg, step, params, momentum, variance, grads);
     }
-    params
-        .par_chunks_mut(PAR_CHUNK)
-        .zip(momentum.par_chunks_mut(PAR_CHUNK))
-        .zip(variance.par_chunks_mut(PAR_CHUNK))
-        .zip(grads.par_chunks(PAR_CHUNK))
-        .for_each(|(((p, m), v), g)| adam_step(cfg, step, p, m, v, g));
+    par_for_each(
+        params
+            .chunks_mut(PAR_CHUNK)
+            .zip(momentum.chunks_mut(PAR_CHUNK))
+            .zip(variance.chunks_mut(PAR_CHUNK))
+            .zip(grads.chunks(PAR_CHUNK)),
+        |(((p, m), v), g)| adam_step(cfg, step, p, m, v, g),
+    );
 }
 
 /// Measures sustained CPU update throughput in parameters/second for the

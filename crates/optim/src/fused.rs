@@ -7,7 +7,7 @@
 //! `downscale_par`) sweeps the subgroup state 4–6 times through DRAM and
 //! materializes an FP32 gradient buffer per subgroup. The kernels here do
 //! what ZeRO-Offload's fused CPU-Adam does — unscale, moment update,
-//! parameter step, and FP16 parameter emission in a single rayon-chunked
+//! parameter step, and FP16 parameter emission in a single `PAR_CHUNK`-chunked
 //! pass — via *strip-mined fusion*: each chunk is processed in small
 //! L1-resident tiles, and within a tile the three sweeps run back to back
 //! over a stack scratch buffer. Each inner sweep keeps the exact loop
@@ -24,15 +24,14 @@
 //! bitwise identical (property-tested below) and engines can switch
 //! between the paths per config flag without changing trajectories.
 
-use mlp_tensor::{convert, PAR_CHUNK};
-use rayon::prelude::*;
+use mlp_tensor::{convert, par_for_each, PAR_CHUNK};
 
 use crate::optimizer::OptimizerConfig;
 
 /// Elements per L1-resident tile (2 KiB of f32 scratch on the stack).
 const TILE: usize = 512;
 
-/// Fused kernel over one rayon chunk: FP16-bits gradients, strip-mined
+/// Fused kernel over one `PAR_CHUNK` chunk: FP16-bits gradients, strip-mined
 /// into [`TILE`]-element sub-ranges.
 // lint:allow(transitive-panic): tile ranges are min-clamped to
 // params.len() and all slice lengths are asserted equal by check_lens
@@ -65,7 +64,7 @@ fn fused_chunk_fp16(
     }
 }
 
-/// Fused kernel over one rayon chunk: FP32 gradients (the ZeRO-3
+/// Fused kernel over one `PAR_CHUNK` chunk: FP32 gradients (the ZeRO-3
 /// baseline's eager-conversion data path), strip-mined like
 /// [`fused_chunk_fp16`].
 // lint:allow(transitive-panic): tile ranges are min-clamped to
@@ -108,7 +107,7 @@ fn check_lens(params: usize, slot1: usize, slot2: usize, grads: usize, out: usiz
     assert_eq!(params, out, "params/fp16_out length mismatch");
 }
 
-/// Fused, rayon-chunked update from FP16 gradient bits: unscale + moment
+/// Fused, `PAR_CHUNK`-chunked update from FP16 gradient bits: unscale + moment
 /// update + parameter step + FP16 parameter emission in one pass over the
 /// state. `step` is 1-based. Bitwise identical to
 /// `upscale_scaled` → [`OptimizerConfig::step_par`] → `downscale`
@@ -141,15 +140,15 @@ pub fn fused_update_fp16(
             opt, step, params, slot1, slot2, grads_fp16, inv_scale, fp16_out,
         );
     }
-    params
-        .par_chunks_mut(PAR_CHUNK)
-        .zip(slot1.par_chunks_mut(PAR_CHUNK))
-        .zip(slot2.par_chunks_mut(PAR_CHUNK))
-        .zip(grads_fp16.par_chunks(PAR_CHUNK))
-        .zip(fp16_out.par_chunks_mut(PAR_CHUNK))
-        .for_each(|((((p, s1), s2), g), out)| {
-            fused_chunk_fp16(opt, step, p, s1, s2, g, inv_scale, out)
-        });
+    par_for_each(
+        params
+            .chunks_mut(PAR_CHUNK)
+            .zip(slot1.chunks_mut(PAR_CHUNK))
+            .zip(slot2.chunks_mut(PAR_CHUNK))
+            .zip(grads_fp16.chunks(PAR_CHUNK))
+            .zip(fp16_out.chunks_mut(PAR_CHUNK)),
+        |((((p, s1), s2), g), out)| fused_chunk_fp16(opt, step, p, s1, s2, g, inv_scale, out),
+    );
 }
 
 /// [`fused_update_fp16`] for FP32 gradients (used by the functional
@@ -181,15 +180,15 @@ pub fn fused_update_f32(
     if params.len() < PAR_CHUNK {
         return fused_chunk_f32(opt, step, params, slot1, slot2, grads, inv_scale, fp16_out);
     }
-    params
-        .par_chunks_mut(PAR_CHUNK)
-        .zip(slot1.par_chunks_mut(PAR_CHUNK))
-        .zip(slot2.par_chunks_mut(PAR_CHUNK))
-        .zip(grads.par_chunks(PAR_CHUNK))
-        .zip(fp16_out.par_chunks_mut(PAR_CHUNK))
-        .for_each(|((((p, s1), s2), g), out)| {
-            fused_chunk_f32(opt, step, p, s1, s2, g, inv_scale, out)
-        });
+    par_for_each(
+        params
+            .chunks_mut(PAR_CHUNK)
+            .zip(slot1.chunks_mut(PAR_CHUNK))
+            .zip(slot2.chunks_mut(PAR_CHUNK))
+            .zip(grads.chunks(PAR_CHUNK))
+            .zip(fp16_out.chunks_mut(PAR_CHUNK)),
+        |((((p, s1), s2), g), out)| fused_chunk_f32(opt, step, p, s1, s2, g, inv_scale, out),
+    );
 }
 
 #[cfg(test)]
@@ -198,7 +197,7 @@ mod tests {
     use crate::adam::AdamConfig;
     use crate::optimizer::{AdagradConfig, LionConfig, SgdConfig};
     use mlp_tensor::convert;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, Gen, DEFAULT_CASES};
 
     /// The multi-pass composition the fused kernel replaces: materialize
     /// an FP32 gradient buffer (upscale × inverse loss scale), run the
@@ -279,7 +278,7 @@ mod tests {
 
     #[test]
     fn fused_parallel_path_matches_scalar_above_chunk_threshold() {
-        let n = PAR_CHUNK + 1717; // forces the rayon path with a ragged tail
+        let n = PAR_CHUNK + 1717; // forces the parallel path with a ragged tail
         let grads: Vec<u16> = (0..n as u32).map(|i| (i * 197) as u16 % 0x7C00).collect();
         for opt in optimizer_zoo() {
             let mut a = (vec![0.5f32; n], vec![0.0f32; n], vec![0.0f32; n]);
@@ -342,56 +341,55 @@ mod tests {
     /// FP16 bit patterns biased toward the hard cases: subnormals, zero,
     /// and ordinary finite values (both signs). Infinities/NaNs excluded —
     /// the loss scaler skips those steps before any kernel runs.
-    fn grad_bits() -> impl Strategy<Value = u16> {
-        prop_oneof![
+    fn grad_bits(g: &mut Gen) -> u16 {
+        let either_sign = |g: &mut Gen, m: u16| if g.bool() { m | 0x8000 } else { m };
+        match g.range(0u8..4) {
             // subnormal magnitude (exponent 0, nonzero mantissa) ± sign
-            (1u16..0x0400).prop_flat_map(|m| prop_oneof![Just(m), Just(m | 0x8000)]),
+            0 => {
+                let m = g.range(1u16..0x0400);
+                either_sign(g, m)
+            }
             // any finite value
-            (0u16..0x7C00).prop_flat_map(|m| prop_oneof![Just(m), Just(m | 0x8000)]),
-            Just(0u16),
-            Just(0x8000u16), // -0.0
-        ]
+            1 => {
+                let m = g.range(0u16..0x7C00);
+                either_sign(g, m)
+            }
+            2 => 0,
+            _ => 0x8000, // -0.0
+        }
     }
 
-    fn optimizer_strategy() -> impl Strategy<Value = OptimizerConfig> {
-        let wd = prop_oneof![Just(0.0f32), 0.001f32..0.2];
-        let wd2 = prop_oneof![Just(0.0f32), 0.001f32..0.2];
-        let wd3 = prop_oneof![Just(0.0f32), 0.001f32..0.2];
-        prop_oneof![
-            wd.prop_map(|weight_decay| {
-                OptimizerConfig::Adam(AdamConfig {
-                    weight_decay,
-                    ..AdamConfig::default()
-                })
+    fn optimizer(g: &mut Gen) -> OptimizerConfig {
+        let kind = g.range(0u8..4);
+        let weight_decay = if g.bool() { 0.0 } else { g.range(0.001f32..0.2) };
+        match kind {
+            0 => OptimizerConfig::Adam(AdamConfig {
+                weight_decay,
+                ..AdamConfig::default()
             }),
-            wd2.prop_map(|weight_decay| {
-                OptimizerConfig::Sgd(SgdConfig {
-                    weight_decay,
-                    ..SgdConfig::default()
-                })
+            1 => OptimizerConfig::Sgd(SgdConfig {
+                weight_decay,
+                ..SgdConfig::default()
             }),
-            Just(OptimizerConfig::Adagrad(AdagradConfig::default())),
-            wd3.prop_map(|weight_decay| {
-                OptimizerConfig::Lion(LionConfig {
-                    weight_decay,
-                    ..LionConfig::default()
-                })
+            2 => OptimizerConfig::Adagrad(AdagradConfig::default()),
+            _ => OptimizerConfig::Lion(LionConfig {
+                weight_decay,
+                ..LionConfig::default()
             }),
-        ]
+        }
     }
 
-    proptest! {
-        /// The acceptance property: for every optimizer, any finite FP16
-        /// gradients (subnormals included), any inverse loss scale, and
-        /// weight-decay-enabled configs, the fused kernel is bit-identical
-        /// to the existing upscale → step → downscale composition.
-        #[test]
-        fn fused_is_bit_identical_to_multi_pass(
-            opt in optimizer_strategy(),
-            grads in proptest::collection::vec(grad_bits(), 1..300),
-            inv_scale in prop_oneof![Just(1.0f32), 1e-4f32..16.0],
-            step in 1u64..50,
-        ) {
+    /// The acceptance property: for every optimizer, any finite FP16
+    /// gradients (subnormals included), any inverse loss scale, and
+    /// weight-decay-enabled configs, the fused kernel is bit-identical
+    /// to the existing upscale → step → downscale composition.
+    #[test]
+    fn fused_is_bit_identical_to_multi_pass() {
+        cases(DEFAULT_CASES, |g| {
+            let opt = optimizer(g);
+            let grads = g.vec(1..300, grad_bits);
+            let inv_scale = if g.bool() { 1.0 } else { g.range(1e-4f32..16.0) };
+            let step = g.range(1u64..50);
             let n = grads.len();
             let mut a = (
                 (0..n).map(|i| ((i * 7) as f32 * 0.03).cos()).collect::<Vec<f32>>(),
@@ -406,19 +404,19 @@ mod tests {
             fused_update_fp16(
                 &opt, step, &mut b.0, &mut b.1, &mut b.2, &grads, inv_scale, &mut got_h,
             );
-            prop_assert_eq!(
+            assert_eq!(
                 a.0.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                 b.0.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
             );
-            prop_assert_eq!(
+            assert_eq!(
                 a.1.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                 b.1.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
             );
-            prop_assert_eq!(
+            assert_eq!(
                 a.2.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                 b.2.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
             );
-            prop_assert_eq!(expect_h, got_h);
-        }
+            assert_eq!(expect_h, got_h);
+        });
     }
 }

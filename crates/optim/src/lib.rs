@@ -9,7 +9,7 @@
 //! pass (§2). The computation is embarrassingly parallel across subgroups —
 //! the property the cache-friendly reordering optimization exploits (§3.2).
 //!
-//! * [`adam`] — the update kernels (scalar and rayon-parallel) and
+//! * [`adam`] — the update kernels (scalar and parallel) and
 //!   [`adam::AdamConfig`].
 //! * [`fused`] — single-pass fused mixed-precision update kernels
 //!   (unscale + moment update + step + FP16 emission in one sweep), the

@@ -13,14 +13,12 @@
 //! | Adagrad    | unused              | squared-gradient accumulator |
 //! | Lion       | EMA of updates      | unused |
 
-use mlp_tensor::PAR_CHUNK;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use mlp_tensor::{par_for_each, PAR_CHUNK};
 
 use crate::adam::{adam_step, AdamConfig};
 
 /// SGD with (optional) momentum and dampening.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate.
     pub lr: f32,
@@ -41,7 +39,7 @@ impl Default for SgdConfig {
 }
 
 /// Adagrad.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdagradConfig {
     /// Learning rate.
     pub lr: f32,
@@ -59,7 +57,7 @@ impl Default for AdagradConfig {
 }
 
 /// Lion (evolved sign momentum; Chen et al. 2023).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LionConfig {
     /// Learning rate (typically 3–10× smaller than Adam's).
     pub lr: f32,
@@ -83,7 +81,7 @@ impl Default for LionConfig {
 }
 
 /// Any supported optimizer with its hyper-parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptimizerConfig {
     /// Adam / AdamW.
     Adam(AdamConfig),
@@ -196,7 +194,7 @@ impl OptimizerConfig {
         }
     }
 
-    /// Rayon-parallel [`OptimizerConfig::step`] (bitwise identical: every
+    /// Parallel [`OptimizerConfig::step`] (bitwise identical: every
     /// element's update is independent).
     pub fn step_par(
         &self,
@@ -210,12 +208,14 @@ impl OptimizerConfig {
         if params.len() < PAR_CHUNK {
             return self.step(step, params, slot1, slot2, grads);
         }
-        params
-            .par_chunks_mut(PAR_CHUNK)
-            .zip(slot1.par_chunks_mut(PAR_CHUNK))
-            .zip(slot2.par_chunks_mut(PAR_CHUNK))
-            .zip(grads.par_chunks(PAR_CHUNK))
-            .for_each(|(((p, s1), s2), g)| self.step(step, p, s1, s2, g));
+        par_for_each(
+            params
+                .chunks_mut(PAR_CHUNK)
+                .zip(slot1.chunks_mut(PAR_CHUNK))
+                .zip(slot2.chunks_mut(PAR_CHUNK))
+                .zip(grads.chunks(PAR_CHUNK)),
+            |(((p, s1), s2), g)| self.step(step, p, s1, s2, g),
+        );
     }
 
     /// Display name.

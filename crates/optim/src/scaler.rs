@@ -5,10 +5,8 @@
 //! divides gradients by it before the update, growing the scale while
 //! training is stable and backing off on overflow.
 
-use serde::{Deserialize, Serialize};
-
 /// Dynamic loss scaler with multiplicative growth and backoff.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DynamicLossScaler {
     scale: f32,
     growth_factor: f32,

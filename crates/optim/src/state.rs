@@ -279,7 +279,7 @@ impl SubgroupState {
 mod tests {
     use super::*;
     use mlp_tensor::F16;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn mut_view_aliases_serialized_layout() {
@@ -396,19 +396,18 @@ mod tests {
         assert_eq!(F16::from_bits(h[3]).to_f32(), 0.0); // underflow
     }
 
-    proptest! {
-        #[test]
-        fn serialization_round_trip(
-            params in proptest::collection::vec(-1e3f32..1e3, 1..128),
-            step in 0u64..1000,
-        ) {
+    #[test]
+    fn serialization_round_trip() {
+        cases(DEFAULT_CASES, |g| {
+            let params = g.vec(1..128, |g| g.range(-1e3f32..1e3));
+            let step = g.range(0u64..1000);
             let n = params.len();
             let mut st = SubgroupState::new(params);
             st.momentum = (0..n).map(|i| i as f32 * 0.01).collect();
             st.variance = (0..n).map(|i| i as f32 * 0.02).collect();
             st.step = step;
             let back = SubgroupState::from_bytes(st.to_buffer().as_bytes(), step);
-            prop_assert_eq!(back, st);
-        }
+            assert_eq!(back, st);
+        });
     }
 }

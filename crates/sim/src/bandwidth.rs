@@ -562,17 +562,14 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn bytes_are_conserved_under_arbitrary_flows(
-            sizes in proptest::collection::vec(1u64..5_000, 1..12),
-            starts in proptest::collection::vec(0u64..3_000_000_000, 1..12),
-            capacity in 100.0f64..10_000.0,
-        ) {
+    #[test]
+    fn bytes_are_conserved_under_arbitrary_flows() {
+        cases(32, |g| {
+            let sizes = g.vec(1..12, |g| g.range(1u64..5_000));
+            let starts = g.vec(1..12, |g| g.range(0u64..3_000_000_000));
+            let capacity = g.range(100.0f64..10_000.0);
             let sim = Sim::new();
             let link = BwLink::new(&sim, "prop", capacity);
             let n = sizes.len().min(starts.len());
@@ -595,19 +592,19 @@ mod prop_tests {
                 let (bytes, secs) = h.try_take().expect("flow completed");
                 total += bytes;
                 // No flow finishes faster than the full link allows.
-                prop_assert!(
+                assert!(
                     secs + 1e-9 >= bytes as f64 / capacity,
                     "{bytes} B in {secs}s at {capacity} B/s"
                 );
             }
             // Fluid accounting delivers every byte exactly once.
             let delivered = link.total_bytes();
-            prop_assert!(
+            assert!(
                 (delivered - total as f64).abs() < 1.0,
                 "delivered {delivered} of {total}"
             );
-            prop_assert_eq!(link.active_flows(), 0);
-            prop_assert_eq!(link.ops_completed(), n as u64);
-        }
+            assert_eq!(link.active_flows(), 0);
+            assert_eq!(link.ops_completed(), n as u64);
+        });
     }
 }

@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use mlp_sync::Mutex;
 
 /// A blocking key/value storage target. Object keys are engine-chosen
 /// strings (e.g. `"rank0/subgroup17"`).

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mlp_trace::{Attrs, Phase, TraceSink};
-use parking_lot::Mutex;
+use mlp_sync::Mutex;
 
 use crate::backend::Backend;
 use crate::clock::{wall_clock, Sleeper};

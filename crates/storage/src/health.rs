@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlp_trace::TraceSink;
-use parking_lot::Mutex;
+use mlp_sync::Mutex;
 
 use crate::backend::{Backend, RawFileTarget};
 

@@ -33,7 +33,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use mlp_sync::Mutex;
 
 use mlp_trace::{Counter, Gauge, TraceSink};
 
@@ -281,7 +281,7 @@ impl ObjectBackend {
 
     /// Uncoalesced baseline: one GET per requested range. Same result
     /// bytes as [`ObjectBackend::read_ranges`], more request round
-    /// trips; the conformance proptest holds the two paths identical.
+    /// trips; the conformance property test holds the two paths identical.
     pub fn read_ranges_naive(&self, key: &str, ranges: &[(u64, u64)]) -> io::Result<Vec<Vec<u8>>> {
         Self::validate_key(key)?;
         let data = self.stored(key)?;
@@ -395,7 +395,7 @@ impl Backend for ObjectBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn round_trip_and_s3_semantics() {
@@ -498,16 +498,15 @@ mod tests {
         assert_eq!(coalesce_ranges(&[], 5), Vec::<(u64, u64)>::new());
     }
 
-    proptest! {
-        // The acceptance property: coalesced reads are byte-identical
-        // to naive one-GET-per-range reads, for arbitrary (possibly
-        // overlapping, unsorted, empty) in-bounds ranges and any gap.
-        #[test]
-        fn coalesced_reads_match_naive(
-            len in 1usize..2048,
-            gap in 0u64..512,
-            seed_ranges in proptest::collection::vec((0u64..2048, 0u64..512), 0..16),
-        ) {
+    // The acceptance property: coalesced reads are byte-identical to
+    // naive one-GET-per-range reads, for arbitrary (possibly overlapping,
+    // unsorted, empty) in-bounds ranges and any gap.
+    #[test]
+    fn coalesced_reads_match_naive() {
+        cases(DEFAULT_CASES, |g| {
+            let len = g.range(1usize..2048);
+            let gap = g.range(0u64..512);
+            let seed_ranges = g.vec(0..16, |g| (g.range(0u64..2048), g.range(0u64..512)));
             let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
             let ranges: Vec<(u64, u64)> = seed_ranges
                 .into_iter()
@@ -521,28 +520,29 @@ mod tests {
             b.write("k", &payload).unwrap();
             let coalesced = b.read_ranges("k", &ranges).unwrap();
             let naive = b.read_ranges_naive("k", &ranges).unwrap();
-            prop_assert_eq!(coalesced, naive);
-        }
+            assert_eq!(coalesced, naive);
+        });
+    }
 
-        // The coalescing plan covers every non-empty input range and
-        // never merges ranges farther apart than the gap.
-        #[test]
-        fn coalesce_plan_covers_inputs(
-            ranges in proptest::collection::vec((0u64..4096, 0u64..256), 0..24),
-            gap in 0u64..1024,
-        ) {
+    // The coalescing plan covers every non-empty input range and never
+    // merges ranges farther apart than the gap.
+    #[test]
+    fn coalesce_plan_covers_inputs() {
+        cases(DEFAULT_CASES, |g| {
+            let ranges = g.vec(0..24, |g| (g.range(0u64..4096), g.range(0u64..256)));
+            let gap = g.range(0u64..1024);
             let plan = coalesce_ranges(&ranges, gap);
             // Sorted, non-overlapping, gap-respecting.
             for w in plan.windows(2) {
-                prop_assert!(w[0].0 + w[0].1 + gap < w[1].0);
+                assert!(w[0].0 + w[0].1 + gap < w[1].0);
             }
             // Every non-empty input is covered by exactly one plan range.
             for &(o, l) in ranges.iter().filter(|&&(_, l)| l > 0) {
-                prop_assert!(
+                assert!(
                     plan.iter().any(|&(po, pl)| po <= o && o + l <= po + pl),
                     "range {o}+{l} not covered by {plan:?}"
                 );
             }
-        }
+        });
     }
 }

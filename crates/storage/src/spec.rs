@@ -1,12 +1,10 @@
 //! Tier specifications, parameterised from Table 1 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Gigabytes/second in bytes/second.
 pub const GBPS: f64 = 1e9;
 
 /// What kind of storage a tier is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TierKind {
     /// Host DRAM (second-level tier).
     HostMemory,
@@ -32,7 +30,7 @@ impl TierKind {
 }
 
 /// Measured characteristics of one storage tier.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TierSpec {
     /// Display name, e.g. `"nvme"`.
     pub name: String,
@@ -64,7 +62,6 @@ pub struct TierSpec {
     /// aggregate, so effective bandwidth follows the concurrency-
     /// efficiency curve `min(aggregate, streams × per_stream)` — modelled
     /// by [`crate::sim_tier::SimTier`] from the live stream counts.
-    #[serde(default)]
     pub per_stream_bps: f64,
 }
 
@@ -228,9 +225,8 @@ mod tests {
         // bandwidth per stream (the concurrency-efficiency curve).
         assert!(o.op_latency_s >= 10.0 * testbed1_pfs().op_latency_s);
         assert!(o.per_stream_bps > 0.0 && o.per_stream_bps < o.read_bps / 10.0);
-        // Older serialized specs (no per_stream_bps field) stay loadable:
-        // the field carries `#[serde(default)]`, and 0.0 means "single
-        // stream saturates", i.e. the pre-object flat-aggregate model.
+        // 0.0 means "single stream saturates", i.e. the pre-object
+        // flat-aggregate model.
         assert_eq!(testbed1_pfs().per_stream_bps, 0.0);
     }
 

@@ -686,7 +686,7 @@ pub mod sync {
     }
 
     /// RAII guard for [`Mutex`]; releasing it is a scheduler decision
-    /// point, like `parking_lot::MutexGuard`.
+    /// point, like the real `MutexGuard`.
     pub struct MutexGuard<'a, T> {
         lock: &'a Mutex<T>,
         /// `None` transiently while parked in `Condvar::wait` (the wait
@@ -746,7 +746,7 @@ pub mod sync {
         }
 
         /// Atomically releases the guard's mutex and parks; reacquires
-        /// before returning, exactly like `parking_lot::Condvar::wait`.
+        /// before returning, exactly like the real `Condvar::wait`.
         pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
             let c = ctx();
             let mid = guard.lock.id;

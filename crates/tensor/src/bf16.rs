@@ -89,7 +89,7 @@ impl From<BF16> for f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn known_constants() {
@@ -133,21 +133,25 @@ mod tests {
         assert_eq!(BF16::from_f32(above), BF16::INFINITY);
     }
 
-    proptest! {
-        #[test]
-        fn exponent_range_matches_f32(x in proptest::num::f32::NORMAL) {
+    #[test]
+    fn exponent_range_matches_f32() {
+        cases(DEFAULT_CASES, |g| {
+            let x = g.normal_f32();
             // BF16 never overflows a finite normal f32.
             let b = BF16::from_f32(x);
-            prop_assert!(b.is_finite() || x.abs() > 3.3e38);
-        }
+            assert!(b.is_finite() || x.abs() > 3.3e38);
+        });
+    }
 
-        #[test]
-        fn relative_error_bounded(x in -1e30f32..1e30) {
+    #[test]
+    fn relative_error_bounded() {
+        cases(DEFAULT_CASES, |g| {
+            let x = g.range(-1e30f32..1e30);
             let b = BF16::from_f32(x).to_f32();
             if x != 0.0 && x.abs() > f32::MIN_POSITIVE {
                 // 7 mantissa bits → relative error ≤ 2⁻⁸.
-                prop_assert!(((b - x) / x).abs() <= 2.0f32.powi(-8));
+                assert!(((b - x) / x).abs() <= 2.0f32.powi(-8));
             }
-        }
+        });
     }
 }

@@ -8,10 +8,8 @@
 //! sustains tens of GB/s — an order of magnitude above tertiary-storage
 //! fetch bandwidth — which is exactly why the delayed strategy wins.
 
-use rayon::prelude::*;
-
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use crate::PAR_CHUNK;
+use crate::{par_for_each, PAR_CHUNK};
 
 /// Upscales FP16 (raw bits) to FP32, element by element.
 ///
@@ -25,15 +23,20 @@ pub fn upscale(src: &[u16], dst: &mut [f32]) {
     }
 }
 
-/// Parallel [`upscale`] (rayon), chunked to amortize scheduling.
+/// `kernel` over `src` → `dst`: one call below [`PAR_CHUNK`] elements
+/// (fork/join overhead dominates there), matching `PAR_CHUNK` chunks in
+/// parallel from there up.
+fn par_chunks<S: Sync, D: Send>(src: &[S], dst: &mut [D], kernel: impl Fn(&[S], &mut [D]) + Sync) {
+    if src.len() < PAR_CHUNK {
+        return kernel(src, dst);
+    }
+    par_for_each(dst.chunks_mut(PAR_CHUNK).zip(src.chunks(PAR_CHUNK)), |(d, s)| kernel(s, d));
+}
+
+/// Parallel [`upscale`], chunked to amortize scheduling.
 pub fn upscale_par(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
-    if src.len() < PAR_CHUNK {
-        return upscale(src, dst);
-    }
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| upscale(s, d));
+    par_chunks(src, dst, upscale);
 }
 
 /// Downscales FP32 to FP16 bits with round-to-nearest-even.
@@ -48,15 +51,10 @@ pub fn downscale(src: &[f32], dst: &mut [u16]) {
     }
 }
 
-/// Parallel [`downscale`] (rayon).
+/// Parallel [`downscale`].
 pub fn downscale_par(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "downscale length mismatch");
-    if src.len() < PAR_CHUNK {
-        return downscale(src, dst);
-    }
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| downscale(s, d));
+    par_chunks(src, dst, downscale);
 }
 
 /// Upscales `count` FP16 values stored at the *front* of `buf` (little
@@ -121,7 +119,7 @@ pub fn measure_upscale_throughput(elements: usize, repeats: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::f16::F16;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn upscale_matches_scalar_conversion() {
@@ -220,9 +218,10 @@ mod tests {
         upscale_in_place(&mut buf, 2);
     }
 
-    proptest! {
-        #[test]
-        fn in_place_equals_out_of_place(halves in proptest::collection::vec(any::<u16>(), 0..200)) {
+    #[test]
+    fn in_place_equals_out_of_place() {
+        cases(DEFAULT_CASES, |g| {
+            let halves = g.vec(0..200, |g| g.u64() as u16);
             let n = halves.len();
             let mut buf = vec![0u8; n * 4];
             for (i, h) in halves.iter().enumerate() {
@@ -233,9 +232,9 @@ mod tests {
             upscale(&halves, &mut expect);
             for i in 0..n {
                 let got = f32::from_le_bytes(buf[4 * i..4 * i + 4].try_into().unwrap());
-                prop_assert_eq!(got.to_bits(), expect[i].to_bits());
+                assert_eq!(got.to_bits(), expect[i].to_bits());
             }
-        }
+        });
     }
 }
 
@@ -253,12 +252,7 @@ pub fn upscale_scaled(src: &[u16], dst: &mut [f32], scale: f32) {
 /// Parallel [`upscale_scaled`].
 pub fn upscale_scaled_par(src: &[u16], dst: &mut [f32], scale: f32) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
-    if src.len() < PAR_CHUNK {
-        return upscale_scaled(src, dst, scale);
-    }
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| upscale_scaled(s, d, scale));
+    par_chunks(src, dst, |s, d| upscale_scaled(s, d, scale));
 }
 
 /// Fused scale-and-downscale: `dst[i] = f16(src[i] * scale)` (loss scaling
@@ -340,12 +334,7 @@ pub fn downscale_bf16(src: &[f32], dst: &mut [u16]) {
 /// Parallel [`upscale_bf16`].
 pub fn upscale_bf16_par(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
-    if src.len() < PAR_CHUNK {
-        return upscale_bf16(src, dst);
-    }
-    dst.par_chunks_mut(PAR_CHUNK)
-        .zip(src.par_chunks(PAR_CHUNK))
-        .for_each(|(d, s)| upscale_bf16(s, d));
+    par_chunks(src, dst, upscale_bf16);
 }
 
 #[cfg(test)]

@@ -217,7 +217,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn known_constants() {
@@ -333,11 +333,11 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn narrowing_error_within_half_ulp(x in -65504.0f32..65504.0) {
+    #[test]
+    fn narrowing_error_within_half_ulp() {
+        let check = |x: f32| {
             let h = F16::from_f32(x);
-            prop_assert!(h.is_finite());
+            assert!(h.is_finite());
             let back = h.to_f32();
             // Half-ULP bound: ulp(x) for binary16 is 2^(e-10) where e is
             // the exponent of x (clamped to the subnormal scale).
@@ -347,24 +347,34 @@ mod tests {
                 x.abs().log2().floor() as i32
             };
             let half_ulp = 2.0f32.powi(e - 11);
-            prop_assert!(
+            assert!(
                 (back - x).abs() <= half_ulp,
                 "x={x}, back={back}, half_ulp={half_ulp}"
             );
-        }
+        };
+        // Pinned: a subnormal-scale input a past run of this property
+        // failed on.
+        check(7.5688746e-7);
+        cases(DEFAULT_CASES, |g| check(g.range(-65504.0f32..65504.0)));
+    }
 
-        #[test]
-        fn narrowing_is_monotone(a in -65000.0f32..65000.0, b in -65000.0f32..65000.0) {
+    #[test]
+    fn narrowing_is_monotone() {
+        cases(DEFAULT_CASES, |g| {
+            let (a, b) = (g.range(-65000.0f32..65000.0), g.range(-65000.0f32..65000.0));
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(F16::from_f32(lo).to_f32() <= F16::from_f32(hi).to_f32());
-        }
+            assert!(F16::from_f32(lo).to_f32() <= F16::from_f32(hi).to_f32());
+        });
+    }
 
-        #[test]
-        fn sign_preserved(x in proptest::num::f32::NORMAL) {
+    #[test]
+    fn sign_preserved() {
+        cases(DEFAULT_CASES, |g| {
+            let x = g.normal_f32();
             let h = F16::from_f32(x);
             if !h.is_nan() {
-                prop_assert_eq!(h.is_sign_negative(), x.is_sign_negative());
+                assert_eq!(h.is_sign_negative(), x.is_sign_negative());
             }
-        }
+        });
     }
 }

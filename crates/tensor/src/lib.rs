@@ -15,8 +15,9 @@
 //! * [`f16::F16`] — IEEE 754 binary16 implemented from scratch (round to
 //!   nearest even, subnormals, infinities, NaN), exhaustively tested.
 //! * [`bf16::BF16`] — bfloat16 (truncated/rounded binary32).
-//! * [`convert`] — bulk upscale/downscale kernels: scalar, rayon-parallel,
-//!   and the in-place byte-buffer variants the delayed-conversion path uses.
+//! * [`convert`] — bulk upscale/downscale kernels: scalar, parallel
+//!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), and the in-place
+//!   byte-buffer variants the delayed-conversion path uses.
 //! * [`buffer::HostBuffer`] — byte-addressed host staging buffer with typed
 //!   accessors, the unit of I/O for the offloading engines.
 //! * [`pool::PinnedPool`] — explicit pool-based allocation of staging
@@ -39,7 +40,7 @@ pub use buffer::HostBuffer;
 pub use f16::F16;
 pub use pool::{PinnedPool, PooledBuffer};
 
-/// Minimum elements per rayon work item for every bulk kernel in the
+/// Minimum elements per parallel work item for every bulk kernel in the
 /// workspace (conversion, optimizer steps, fused update).
 ///
 /// Below this size the kernels fall back to a single sequential pass —
@@ -50,3 +51,83 @@ pub use pool::{PinnedPool, PooledBuffer};
 /// regardless of the split). Tune it here, once; `mlp-optim` and the fused
 /// update pipeline all chunk by this constant.
 pub const PAR_CHUNK: usize = 64 * 1024;
+
+/// Runs `f` on every item, forked over the host's cores: the items are cut
+/// into one contiguous run per core, the caller's thread takes the first
+/// run and scoped threads take the rest. Every bulk kernel passes zipped
+/// `chunks(PAR_CHUNK)` iterators, so the split points are the callers' and
+/// results do not depend on the core count. No persistent pool: a call
+/// pays one thread spawn per extra core, which is why kernels stay
+/// sequential below [`PAR_CHUNK`].
+///
+/// # Panics
+///
+/// Re-raises on the caller if `f` panicked on any thread.
+pub fn par_for_each<I, F>(items: I, f: F)
+where
+    I: IntoIterator,
+    I::Item: Send,
+    F: Fn(I::Item) + Sync,
+{
+    let mut items: Vec<I::Item> = items.into_iter().collect();
+    let f = &f;
+    // The model checker has no scoped threads (and arithmetic kernels are
+    // no protocol to check): one run under `--cfg loom`.
+    #[cfg(not(loom))]
+    {
+        use mlp_sync::thread;
+        let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let parts = cores.min(items.len());
+        if parts > 1 {
+            let (base, extra) = (items.len() / parts, items.len() % parts);
+            return thread::scope(|scope| {
+                for part in (1..parts).rev() {
+                    let run = items.split_off(part * base + part.min(extra));
+                    scope.spawn(move || run.into_iter().for_each(f));
+                }
+                items.into_iter().for_each(f);
+            });
+        }
+    }
+    items.into_iter().for_each(f);
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::par_for_each;
+    use mlp_sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn par_for_each_visits_every_chunk_once_including_a_ragged_tail() {
+        // 1000 = 142 chunks of 7 + a tail of 6: more chunks than cores.
+        let src: Vec<u32> = (0..1000).collect();
+        let mut dst = vec![0u32; 1000];
+        par_for_each(dst.chunks_mut(7).zip(src.chunks(7)), |(d, s)| {
+            d.iter_mut().zip(s).for_each(|(d, s)| *d += s + 1)
+        });
+        assert!(dst.iter().zip(&src).all(|(d, s)| *d == s + 1));
+    }
+
+    #[test]
+    fn par_for_each_with_fewer_chunks_than_cores_and_none_at_all() {
+        let calls = AtomicUsize::new(0);
+        let mut one = [0u8; 5];
+        par_for_each(one.chunks_mut(64), |c| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            c.fill(9);
+        });
+        assert_eq!((calls.load(Ordering::SeqCst), one), (1, [9; 5]));
+        par_for_each(Vec::<u8>::new(), |_| unreachable!("no items"));
+    }
+
+    #[test]
+    fn par_for_each_re_raises_a_panicking_closure_on_the_caller() {
+        let items: Vec<usize> = (0..64).collect();
+        // The last item lands on a spawned thread whenever there is one,
+        // on the caller's otherwise: either way the caller unwinds.
+        let outcome = std::panic::catch_unwind(|| {
+            par_for_each(items, |i| assert_ne!(i, 63, "kernel failed on item {i}"))
+        });
+        assert!(outcome.is_err());
+    }
+}

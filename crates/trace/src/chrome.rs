@@ -7,8 +7,8 @@
 //! `"M"` metadata records. Timestamps are microseconds with three
 //! decimals, preserving the events' nanosecond resolution exactly.
 //!
-//! [`parse_chrome_trace`] is the inverse: a minimal, dependency-free
-//! JSON reader that re-builds [`TraceEvent`]s from an exported file,
+//! [`parse_chrome_trace`] is the inverse: it re-builds [`TraceEvent`]s
+//! from an exported file through the in-tree [`crate::json`] reader,
 //! verifying on the way that every `"B"` has a matching `"E"`. It
 //! exists so tests can prove the export round-trips (parse → re-emit →
 //! byte-identical) and so downstream tooling can post-process traces
@@ -19,6 +19,7 @@
 use std::collections::HashMap;
 
 use crate::event::{EventKind, Phase, TraceEvent};
+use crate::json::{self, Value};
 
 // ---------------------------------------------------------------------------
 // Emission
@@ -27,22 +28,6 @@ use crate::event::{EventKind, Phase, TraceEvent};
 /// Nanoseconds → microseconds with exactly three decimals (lossless).
 fn fmt_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Exports `events` as a Chrome trace (object form, `traceEvents` key).
@@ -118,14 +103,14 @@ pub fn chrome_trace_json_named(
         parts.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name)
+            json::escape(name)
         ));
     }
     for (pid, tid, name) in thread_names {
         parts.push(format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name)
+            json::escape(name)
         ));
     }
     parts.extend(entries.into_iter().map(|(_, _, _, s)| s));
@@ -134,229 +119,6 @@ pub fn chrome_trace_json_named(
     out.push_str(&parts.join(",\n"));
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
     out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (just enough structure for trace files).
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("chrome trace parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| {
-            b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-        }) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-UTF-8 number"))?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err(&format!("bad number `{text}`")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let len = match b {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xF0 => 4,
-                        b if b >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after JSON document"));
-    }
-    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -390,7 +152,7 @@ fn field_i64(v: &Value, key: &str) -> Result<i64, String> {
 /// begin/end records are unbalanced, when a phase name is unknown, or
 /// when the file is not valid JSON — so this doubles as a validator.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let doc = parse_json(text)?;
+    let doc = json::parse(text)?;
     let entries = match &doc {
         Value::Arr(items) => items.as_slice(),
         Value::Obj(_) => match doc.get("traceEvents") {

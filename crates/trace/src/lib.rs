@@ -59,6 +59,7 @@
 pub mod chrome;
 pub mod csv;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod sink;

@@ -3,8 +3,7 @@
 //! byte-identically, keep its records in monotone timestamp order, and
 //! keep every span's begin/end balanced.
 
-use proptest::prelude::*;
-
+use mlp_testkit::{cases, Gen};
 use mlp_trace::{chrome_trace_json, parse_chrome_trace, EventKind, TraceEvent, ALL_PHASES};
 
 /// SplitMix64: one u64 seed → a stream of independent field values.
@@ -58,53 +57,61 @@ fn record_timestamps(json: &str) -> Vec<f64> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: u64 = 64;
 
-    /// parse(emit(events)) == events, exactly.
-    #[test]
-    fn export_round_trips_to_identical_spans(seeds in proptest::collection::vec(any::<u64>(), 0..60)) {
-        let events = events_from_seeds(&seeds);
+/// parse(emit(events)) == events, exactly.
+#[test]
+fn export_round_trips_to_identical_spans() {
+    cases(CASES, |g| {
+        let events = events_from_seeds(&g.vec(0..60, Gen::u64));
         let json = chrome_trace_json(&events);
         let parsed = parse_chrome_trace(&json).expect("exported trace must parse");
-        prop_assert_eq!(parsed, events);
-    }
+        assert_eq!(parsed, events);
+    });
+}
 
-    /// emit(parse(emit(events))) is byte-identical to emit(events).
-    #[test]
-    fn re_emission_is_byte_identical(seeds in proptest::collection::vec(any::<u64>(), 0..60)) {
-        let events = events_from_seeds(&seeds);
+/// emit(parse(emit(events))) is byte-identical to emit(events).
+#[test]
+fn re_emission_is_byte_identical() {
+    cases(CASES, |g| {
+        let events = events_from_seeds(&g.vec(0..60, Gen::u64));
         let first = chrome_trace_json(&events);
         let reparsed = parse_chrome_trace(&first).expect("first export must parse");
         let second = chrome_trace_json(&reparsed);
-        prop_assert_eq!(second, first);
-    }
+        assert_eq!(second, first);
+    });
+}
 
-    /// Exported records appear in monotone (non-decreasing) timestamp
-    /// order, and begin/end marks are balanced for every span.
-    #[test]
-    fn output_is_time_ordered_and_balanced(seeds in proptest::collection::vec(any::<u64>(), 1..60)) {
-        let events = events_from_seeds(&seeds);
+/// Exported records appear in monotone (non-decreasing) timestamp
+/// order, and begin/end marks are balanced for every span.
+#[test]
+fn output_is_time_ordered_and_balanced() {
+    cases(CASES, |g| {
+        let events = events_from_seeds(&g.vec(1..60, Gen::u64));
         let json = chrome_trace_json(&events);
 
         let ts = record_timestamps(&json);
-        prop_assert!(ts.windows(2).all(|w| w[0] <= w[1]),
-            "timestamps must be non-decreasing: {ts:?}");
+        assert!(
+            ts.windows(2).all(|w| w[0] <= w[1]),
+            "timestamps must be non-decreasing: {ts:?}"
+        );
 
         let begins = json.matches("\"ph\":\"B\"").count();
         let ends = json.matches("\"ph\":\"E\"").count();
         let spans = events.iter().filter(|e| e.kind == EventKind::Span).count();
-        prop_assert_eq!(begins, spans);
-        prop_assert_eq!(begins, ends);
-    }
+        assert_eq!(begins, spans);
+        assert_eq!(begins, ends);
+    });
+}
 
-    /// Corrupting any single span's end record breaks the balance and
-    /// the parser says so (the validator actually validates).
-    #[test]
-    fn parser_rejects_unbalanced_streams(seed in any::<u64>()) {
-        let events = vec![event_from_seed(0, seed | 1)];
+/// Corrupting any single span's end record breaks the balance and
+/// the parser says so (the validator actually validates).
+#[test]
+fn parser_rejects_unbalanced_streams() {
+    cases(CASES, |g| {
         // Force a span so there is an E record to delete.
-        let mut ev = events[0];
+        let mut ev = event_from_seed(0, g.u64() | 1);
         ev.kind = EventKind::Span;
         let json = chrome_trace_json(&[ev]);
         let without_end: String = json
@@ -115,8 +122,8 @@ proptest! {
             // Drop a trailing comma left before the closing bracket.
             .replace(",\n]", "\n]");
         let err = parse_chrome_trace(&without_end).expect_err("must reject");
-        prop_assert!(err.contains("begin without end"), "{}", err);
-    }
+        assert!(err.contains("begin without end"), "{}", err);
+    });
 }
 
 #[test]

@@ -11,12 +11,10 @@
 //! paper's weak-scaling observation — but they are modelled so the
 //! crossover behaviour is honest.
 
-use serde::{Deserialize, Serialize};
-
 use mlp_model::ModelConfig;
 
 /// Network fabric description.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkSpec {
     /// Intra-node GPU↔GPU bandwidth per GPU (NVLink), bytes/second.
     pub intranode_bps: f64,
@@ -25,7 +23,7 @@ pub struct NetworkSpec {
 }
 
 /// Per-iteration communication seconds added to each phase for one rank.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CommTimes {
     /// Added to every forward micro-step (parameter all-gather).
     pub forward_s: f64,

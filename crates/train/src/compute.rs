@@ -7,12 +7,10 @@
 //! forward for 40B on 4×H100, §3.1) and is the standard first-order model
 //! for transformer training time.
 
-use serde::{Deserialize, Serialize};
-
 use mlp_model::ModelConfig;
 
 /// A GPU's sustained training throughput.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GpuSpec {
     /// Sustained mixed-precision FLOP/s during training (well below the
     /// datasheet peak; calibrated so the 40B forward pass takes ~0.6 s on
@@ -40,7 +38,7 @@ pub fn a100() -> GpuSpec {
 }
 
 /// Per-micro-step compute durations for one worker (GPU).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ComputeTimes {
     /// Forward-pass seconds.
     pub forward_s: f64,

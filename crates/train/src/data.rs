@@ -7,10 +7,8 @@
 //! sequences with a Zipfian-ish id distribution and exposes the same
 //! accounting the trainer needs (tokens per micro-step, records consumed).
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic synthetic corpus of fixed-length token records.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyntheticCorpus {
     /// Vocabulary size (LLaMA2: 32 000).
     pub vocab_size: u32,

@@ -8,8 +8,6 @@
 //! parallelism inter-node), so one node is simulated and inter-node
 //! collectives enter as modelled communication time.
 
-use serde::{Deserialize, Serialize};
-
 use mlp_model::config::OPTIM_STATE_BYTES_PER_PARAM;
 use mlp_model::memory::{MemoryEstimate, MemoryInputs};
 use mlp_model::shard::{ShardLayout, DEFAULT_SUBGROUP_PARAMS};
@@ -118,7 +116,7 @@ impl TrainSetup {
 }
 
 /// Everything measured in one simulated iteration (node-level).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IterationResult {
     /// Phase durations.
     pub breakdown: IterationBreakdown,
@@ -419,7 +417,7 @@ pub fn run(setup: &TrainSetup) -> Vec<IterationResult> {
 }
 
 /// Steady-state summary over the non-warmup iterations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Summary {
     /// Mean forward seconds.
     pub forward_s: f64,

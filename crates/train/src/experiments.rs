@@ -1,15 +1,13 @@
 //! One function per paper experiment: each returns the data series behind
 //! a table or figure of the evaluation (§3.1 gap analysis and §4), ready
-//! to be printed by the `repro` binary or measured by the Criterion
-//! benches.
+//! to be printed by the `repro` binary (as a table, or as JSON through the
+//! rows' `Value::from` conversions at the bottom of this file).
 //!
 //! Methodology mirrors §4.1 scaled to simulation: each configuration runs
 //! [`ITERATIONS`] iterations of which the first [`WARMUP`] are discarded
 //! (the paper runs 10 with 2 warmups on real hardware; the simulator is
 //! deterministic and reaches steady state after the first cache-warming
 //! iteration).
-
-use serde::{Deserialize, Serialize};
 
 use mlp_model::zoo;
 use mlp_model::ModelConfig;
@@ -18,6 +16,7 @@ use mlp_offload::stats::{IoKind, UpdateStats};
 use mlp_offload::EngineConfig;
 use mlp_storage::microbench::measure_sim_tier_concurrent;
 use mlp_storage::TierSpec;
+use mlp_trace::json::Value;
 
 use crate::compute::gpu_only_iteration_secs;
 use crate::driver::{run, summarize, Summary, TrainSetup};
@@ -40,7 +39,7 @@ pub fn iterations() -> usize {
 }
 
 /// The two compared approaches (§4.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Approach {
     /// DeepSpeed ZeRO-3 + DeepNVMe, NVMe offload only.
     DeepSpeedZero3,
@@ -101,7 +100,7 @@ fn standard_setup(
 // ===========================================================================
 
 /// One row of the §3.1 motivation comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MotivationRow {
     /// Where the optimizer state lives.
     pub configuration: String,
@@ -157,7 +156,7 @@ pub fn motivation() -> Vec<MotivationRow> {
 // ===========================================================================
 
 /// One bar of Fig. 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig3Row {
     /// Model name.
     pub model: String,
@@ -211,7 +210,7 @@ pub fn fig3_update_breakdown() -> Vec<Fig3Row> {
 // ===========================================================================
 
 /// One point of the Fig. 4 concurrency sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig4Row {
     /// `"nvme"` or `"pfs"`.
     pub tier: String,
@@ -250,7 +249,7 @@ pub fn fig4_concurrency() -> Vec<Fig4Row> {
 // ===========================================================================
 
 /// One time bin of the Fig. 5 timeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5Point {
     /// Seconds since the start of the update phase (bin midpoint).
     pub t_s: f64,
@@ -306,7 +305,7 @@ pub fn fig5_throughput_timeline() -> Vec<Fig5Point> {
 // ===========================================================================
 
 /// One (model, approach) cell of the Fig. 7–10 study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingRow {
     /// Model name.
     pub model: String,
@@ -367,7 +366,7 @@ pub fn model_scaling() -> Vec<ScalingRow> {
 // ===========================================================================
 
 /// One (nodes, model, approach) cell of the weak-scaling study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WeakScalingRow {
     /// Compute nodes (4 GPUs each).
     pub nodes: usize,
@@ -418,7 +417,7 @@ pub fn weak_scaling() -> Vec<WeakScalingRow> {
 // ===========================================================================
 
 /// One (accumulation, approach) cell of Fig. 13.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig13Row {
     /// Backward micro-steps per update.
     pub accumulation_steps: usize,
@@ -458,7 +457,7 @@ pub fn fig13_grad_accumulation() -> Vec<Fig13Row> {
 // ===========================================================================
 
 /// One (model, stage) cell of the ablation ladders.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Model name.
     pub model: String,
@@ -525,7 +524,7 @@ pub fn fig15_ablation_pfs() -> Vec<AblationRow> {
 // ===========================================================================
 
 /// One row of the checkpoint pre-staging comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CheckpointRow {
     /// Approach label.
     pub approach: String,
@@ -570,7 +569,7 @@ pub fn checkpoint_prestaging() -> Vec<CheckpointRow> {
 // ===========================================================================
 
 /// One row of the §4.4 cost-effectiveness comparison.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CostRow {
     /// Configuration label.
     pub configuration: String,
@@ -627,7 +626,7 @@ pub fn cost_effectiveness() -> Vec<CostRow> {
 // ===========================================================================
 
 /// One row of the CXL-extension study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CxlRow {
     /// Tier set label.
     pub tiers: String,
@@ -683,7 +682,7 @@ pub fn future_cxl() -> Vec<CxlRow> {
 // ===========================================================================
 
 /// One subgroup-size point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SubgroupSizeRow {
     /// Parameters per subgroup.
     pub subgroup_mparams: u64,
@@ -717,7 +716,7 @@ pub fn subgroup_size_sweep() -> Vec<SubgroupSizeRow> {
 }
 
 /// One host-cache-budget point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CacheSweepRow {
     /// Fraction of the estimator's free host memory given to the cache.
     pub cache_fraction: f64,
@@ -749,6 +748,41 @@ pub fn cache_sweep() -> Vec<CacheSweepRow> {
         });
     }
     rows
+}
+
+// ===========================================================================
+// `repro --json`: every row struct as a JSON object
+// ===========================================================================
+
+/// `impl From<&Row> for Value` for each listed row: an object with the
+/// listed fields, in the listed (= declaration) order.
+macro_rules! json_rows {
+    ($($row:ident { $($field:ident),+ })+) => {$(
+        impl From<&$row> for Value {
+            fn from(row: &$row) -> Value {
+                Value::obj([$((stringify!($field), Value::from(row.$field.clone()))),+])
+            }
+        }
+    )+};
+}
+
+json_rows! {
+    MotivationRow { configuration, iteration_s, slowdown_vs_gpu }
+    Fig3Row { model, offload_target, update_s, io_fraction }
+    Fig4Row { tier, procs, agg_read_gbps, agg_write_gbps, mean_latency_s }
+    Fig5Point { t_s, read_gbps, write_gbps }
+    ScalingRow {
+        model, approach, forward_s, backward_s, update_s, total_s, update_mparams_per_s,
+        effective_io_gbps, host_fraction, nvme_fraction, pfs_fraction, cache_hit_rate
+    }
+    WeakScalingRow { nodes, gpus, model, approach, iteration_s, update_mparams_per_s }
+    Fig13Row { accumulation_steps, equivalent_batch, approach, iteration_s }
+    AblationRow { model, stage, multipath, iteration_s, speedup_vs_baseline }
+    CheckpointRow { approach, model, prestaged_fraction, checkpoint_flush_s }
+    CostRow { configuration, gpus, iteration_s, slowdown_vs_gpu_only, cost_effectiveness }
+    CxlRow { tiers, iteration_s, speedup_vs_mlp }
+    SubgroupSizeRow { subgroup_mparams, approach, iteration_s }
+    CacheSweepRow { cache_fraction, iteration_s, cache_hit_rate }
 }
 
 #[cfg(test)]
@@ -921,5 +955,20 @@ mod tests {
                 ds.iteration_s / mlp.iteration_s
             );
         }
+    }
+
+    #[test]
+    fn rows_render_as_json_objects_in_declaration_order() {
+        let row = Fig13Row {
+            accumulation_steps: 4,
+            equivalent_batch: 32,
+            approach: "MLP-Offload".into(),
+            iteration_s: 1.5,
+        };
+        assert_eq!(
+            Value::from(&row).pretty(),
+            "{\n  \"accumulation_steps\": 4,\n  \"equivalent_batch\": 32,\n  \
+             \"approach\": \"MLP-Offload\",\n  \"iteration_s\": 1.5\n}"
+        );
     }
 }

@@ -1,7 +1,5 @@
 //! The paper's testbeds (Table 1).
 
-use serde::{Deserialize, Serialize};
-
 use mlp_storage::spec::{
     testbed1_nvme, testbed1_pfs, testbed2_nvme, testbed2_pfs, TierKind, TierSpec,
 };
@@ -10,7 +8,7 @@ use crate::comm::NetworkSpec;
 use crate::compute::{a100, h100, GpuSpec};
 
 /// One testbed row of Table 1 plus the derived model parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Testbed {
     /// Display name.
     pub name: String,

@@ -26,9 +26,10 @@
 //!   through `AioEngine`/`Backend`, so engine backends stay reachable
 //!   only through the trait.
 //! * `facade-only` — the crates ported onto the `mlp-sync` facade must
-//!   not reach around it to `parking_lot`/`std::sync` primitives
-//!   (except `Arc`), otherwise the loom model checker silently loses
-//!   coverage of those operations.
+//!   not reach around it to `std::sync` locks, condvars, atomics or
+//!   `std::thread` (`Arc` and `std::sync::mpsc` channels are fine; the
+//!   long-gone `parking_lot` stays banned), otherwise the loom model
+//!   checker silently loses coverage of those operations.
 //! * `relaxed-audit` — every `Ordering::Relaxed` must carry a
 //!   `// relaxed-ok: <reason>` annotation asserting the atomic is a
 //!   pure counter (never used to publish cross-thread state).

@@ -92,11 +92,11 @@ fn main() {
         .join(":");
     println!(
         "\nDeepSpeed runtime config snippet:\n{}",
-        serde_json_snippet(&tiers, &ratio)
+        config_snippet(&tiers, &ratio)
     );
 }
 
-fn serde_json_snippet(tiers: &[String], ratio: &str) -> String {
+fn config_snippet(tiers: &[String], ratio: &str) -> String {
     format!(
         "{{ \"mlp_offload\": {{ \"tiers\": [{}], \"ratio\": \"{ratio}\" }} }}",
         tiers

@@ -11,8 +11,7 @@ use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
 use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
 use mlp_offload_suite::mlp_tensor::convert;
 use mlp_offload_suite::mlp_zero3::Zero3FuncEngine;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use mlp_testkit::Gen;
 
 /// Least-squares regression: predict y = X·w*, learn w from (X, y).
 struct Regression {
@@ -23,10 +22,10 @@ struct Regression {
 
 impl Regression {
     fn new(dim: usize, samples: usize, seed: u64) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let w_true: Vec<f32> = (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let mut rng = Gen::new(seed);
+        let w_true: Vec<f32> = (0..dim).map(|_| rng.range(-1.0f32..1.0)).collect();
         let xs: Vec<Vec<f32>> = (0..samples)
-            .map(|_| (0..dim).map(|_| rng.random_range(-1.0..1.0)).collect())
+            .map(|_| (0..dim).map(|_| rng.range(-1.0f32..1.0)).collect())
             .collect();
         let ys: Vec<f32> = xs
             .iter()

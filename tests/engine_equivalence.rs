@@ -16,8 +16,7 @@ use mlp_offload_suite::mlp_storage::spec::{testbed1_nvme, testbed1_pfs};
 use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
 use mlp_offload_suite::mlp_tensor::F16;
 use mlp_offload_suite::mlp_trace::{Phase, TraceSink};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use mlp_testkit::Gen;
 
 const SUBGROUPS: usize = 9;
 const LEN: usize = 33;
@@ -34,20 +33,20 @@ fn tiers(n: usize) -> Vec<SharedTier> {
 }
 
 fn states(seed: u64) -> Vec<SubgroupState> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Gen::new(seed);
     (0..SUBGROUPS)
-        .map(|_| SubgroupState::new((0..LEN).map(|_| rng.random_range(-1.0f32..1.0)).collect()))
+        .map(|_| SubgroupState::new((0..LEN).map(|_| rng.range(-1.0f32..1.0)).collect()))
         .collect()
 }
 
 fn grad_set(seed: u64, iters: usize) -> Vec<Vec<Vec<u16>>> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Gen::new(seed);
     (0..iters)
         .map(|_| {
             (0..SUBGROUPS)
                 .map(|_| {
                     (0..LEN)
-                        .map(|_| F16::from_f32(rng.random_range(-0.2f32..0.2)).to_bits())
+                        .map(|_| F16::from_f32(rng.range(-0.2f32..0.2)).to_bits())
                         .collect()
                 })
                 .collect()

@@ -263,3 +263,108 @@ fn multi_node_update_still_dominates() {
     let summary = summarize(&s, &run(&s), 1);
     assert!(summary.update_s / summary.total_s > 0.6, "{summary:?}");
 }
+
+/// Mean iteration seconds (after 2 warm-ups of 4) of the MLP-Offload
+/// engine on Testbed-1, with the cache-hit rate.
+fn mlp_iteration(
+    cfg: EngineConfig,
+    tiers: Vec<mlp_offload_suite::mlp_storage::TierSpec>,
+    model: mlp_offload_suite::mlp_model::ModelConfig,
+) -> (f64, f64) {
+    let s = setup(cfg, tiers, model);
+    let summary = summarize(&s, &run(&s), 2);
+    (summary.total_s, summary.cache_hit_rate)
+}
+
+/// DESIGN.md ablation #1: Eq. 1 proportional allocation keeps both paths
+/// finishing together; an equal split over unequal tiers makes the slow
+/// path straggle, and NVMe alone has no second path at all (70B).
+#[test]
+fn ablation_proportional_allocation_beats_equal_split_and_single_path() {
+    let tb = testbed1();
+    let iteration_secs = |tier_ratio: Option<Vec<f64>>, multipath: bool| {
+        let mut cfg = EngineConfig::mlp_offload();
+        cfg.tier_ratio = tier_ratio;
+        cfg.adaptive_bandwidth = false;
+        let mut tiers = vec![tb.nvme.clone()];
+        if multipath {
+            tiers.push(tb.pfs.clone());
+        }
+        mlp_iteration(cfg, tiers, zoo::model_70b()).0
+    };
+    let proportional = iteration_secs(None, true);
+    let equal = iteration_secs(Some(vec![1.0, 1.0]), true);
+    let local_only = iteration_secs(None, false);
+    assert!(
+        proportional <= equal + 1e-9 && proportional < local_only,
+        "proportional allocation must win: {proportional:.1} vs {equal:.1} vs {local_only:.1}"
+    );
+}
+
+/// DESIGN.md ablation #2: with host-frame retention on, the alternating
+/// order turns the retained tail into immediate hits; repeating a fixed
+/// direction strands the retained subgroups at the far end of every pass
+/// (40B).
+#[test]
+fn ablation_alternating_order_maximizes_cache_hits() {
+    use mlp_offload_suite::mlp_offload::OrderPolicy;
+    let tb = testbed1();
+    let hit_rate = |order: OrderPolicy| {
+        let mut cfg = EngineConfig::mlp_offload();
+        cfg.order = order;
+        mlp_iteration(cfg, vec![tb.nvme.clone(), tb.pfs.clone()], zoo::model_40b()).1
+    };
+    let alt_hits = hit_rate(OrderPolicy::Alternating);
+    let asc_hits = hit_rate(OrderPolicy::Ascending);
+    let desc_hits = hit_rate(OrderPolicy::Descending);
+    assert!(
+        alt_hits >= asc_hits && alt_hits >= desc_hits,
+        "alternating must maximize hits: {alt_hits} vs {asc_hits}/{desc_hits}"
+    );
+}
+
+/// DESIGN.md ablation #5: external load drops the shared PFS to 30%
+/// capacity after the second of six update phases; adaptive bandwidth
+/// re-estimation (§3.3) re-balances toward the NVMe while the static
+/// split keeps overloading the slow path.
+#[test]
+fn ablation_adaptive_bandwidth_helps_after_pfs_drift() {
+    use mlp_offload_suite::mlp_model::Subgroup;
+    use mlp_offload_suite::mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
+    use mlp_offload_suite::mlp_sim::Sim;
+    use mlp_offload_suite::mlp_storage::spec::{testbed1_nvme, testbed1_pfs};
+
+    let post_drift_update_secs = |adaptive: bool| {
+        let sim = Sim::new();
+        let env = NodeSimEnv::new(
+            &sim,
+            &NodeSpec {
+                tier_specs: vec![testbed1_nvme(), testbed1_pfs()],
+                gpus: 1,
+                d2h_bps: 55e9,
+                cpu_update_params_per_s: 8e9,
+                conv_bytes_per_s: 65e9,
+            },
+        );
+        let mut cfg = EngineConfig::mlp_offload();
+        cfg.adaptive_bandwidth = adaptive;
+        cfg.cache_retention = false; // isolate the allocation effect
+        let subgroups = (0..40).map(|id| Subgroup { id, params: 100_000_000 }).collect();
+        let worker = SimWorker::new(env.clone(), 0, cfg, subgroups);
+        let mut durations = Vec::new();
+        for it in 0..6 {
+            if it == 2 {
+                env.tiers[1].set_load_factor(0.3);
+            }
+            let w = worker.clone();
+            durations.push(sim.block_on(async move { w.run_update().await }).duration_s);
+        }
+        durations[3..].iter().sum::<f64>() / 3.0
+    };
+    let adaptive = post_drift_update_secs(true);
+    let static_alloc = post_drift_update_secs(false);
+    assert!(
+        adaptive < static_alloc,
+        "adaptation must help after drift: {adaptive:.1} vs {static_alloc:.1}"
+    );
+}
