@@ -2,7 +2,8 @@
 //! DeepSpeed-style JSON configuration (§3.5): measure the tiers, place
 //! subgroups per Eq. 1 (or the configured ratio), and train a real
 //! regression task with the optimizer state offloaded through actual
-//! filesystem directories.
+//! filesystem directories — `fsync`ed, each tier behind a circuit breaker
+//! and a 30 s I/O watchdog, as a deployment would run them.
 //!
 //! ```text
 //! train_demo [CONFIG.json] [ITERATIONS]
@@ -16,13 +17,16 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use mlp_aio::AioConfig;
 use mlp_offload::func::SharedTier;
 use mlp_offload::EngineConfig;
 use mlp_optim::adam::AdamConfig;
 use mlp_optim::optimizer::OptimizerConfig;
 use mlp_storage::microbench::measure_backend;
-use mlp_storage::{Backend, DirBackend};
+use mlp_storage::{Backend, DirBackend, HealthConfig, TierHealth};
+use mlp_trace::TraceSink;
 use mlp_train::func_trainer::{train, FuncTrainConfig, RegressionTask};
 
 fn main() {
@@ -57,15 +61,18 @@ fn main() {
         eprintln!("bad config: {e}");
         std::process::exit(1);
     });
-    cfg = cfg.with_host_frames(8);
+    let trace = TraceSink::enabled(); // for the `aio.*` retry/timeout counters
+    cfg = cfg.with_host_frames(8).with_trace(trace.clone());
 
     // Open + microbenchmark each tier (the §3.3 B_i measurement).
     let mut tiers = Vec::new();
+    let mut breakers = Vec::new();
     for dir in &tier_dirs {
-        let backend = Arc::new(DirBackend::new(dir.clone(), dir).unwrap_or_else(|e| {
+        let dir_backend = DirBackend::new(dir.clone(), dir).unwrap_or_else(|e| {
             eprintln!("cannot open tier {dir}: {e}");
             std::process::exit(1);
-        })) as Arc<dyn Backend>;
+        });
+        let backend = Arc::new(dir_backend.with_fsync(true)) as Arc<dyn Backend>;
         let sample = measure_backend(backend.as_ref(), 1 << 20, 4).unwrap_or_else(|e| {
             eprintln!("cannot microbenchmark tier {dir}: {e}");
             std::process::exit(1);
@@ -75,7 +82,14 @@ fn main() {
             sample.read_bps / 1e9,
             sample.write_bps / 1e9
         );
-        tiers.push(SharedTier::new(backend, sample.model_bandwidth_bps()));
+        let health = TierHealth::new(dir.clone(), HealthConfig::default());
+        let aio = AioConfig {
+            deadline: Some(Duration::from_secs(30)),
+            ..AioConfig::default()
+        };
+        let tier = SharedTier::new(backend, sample.model_bandwidth_bps()).with_aio(aio);
+        tiers.push(tier.with_health(Arc::clone(&health)));
+        breakers.push(health);
     }
 
     let task = RegressionTask::new(256, 96, 7);
@@ -91,13 +105,22 @@ fn main() {
     };
     println!("\ntraining a 256-parameter regression task, {iterations} iterations...");
     let report = train(&task, &tiers, train_cfg, iterations).expect("training");
+    let counters = trace.metrics_snapshot().counters;
+    let aio_total = |suffix: &str| -> u64 {
+        let ours = |k: &str| k.starts_with("aio.") && k.ends_with(suffix);
+        counters.iter().filter(|c| ours(&c.0)).map(|c| c.1).sum()
+    };
+    let states: Vec<&str> = breakers.iter().map(|h| h.state().as_str()).collect();
     println!(
-        "loss {:.3} -> {:.6}; {} cache hits; {} overflow steps skipped; final loss scale {:.0}",
+        "loss {:.3} -> {:.6}; {} cache hits; {} overflow steps skipped; final loss scale {:.0}; \
+         breakers {states:?}; {} op timeouts; {} retries",
         report.losses.first().unwrap(),
         report.losses.last().unwrap(),
         report.cache_hits,
         report.skipped_steps,
-        report.final_loss_scale
+        report.final_loss_scale,
+        aio_total(".timeouts"),
+        aio_total(".retries")
     );
 
     if let Some(root) = _tmp_root {

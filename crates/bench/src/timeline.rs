@@ -61,11 +61,8 @@ fn overlap_secs(events: &[TraceEvent], a: Phase, b: Phase) -> f64 {
 /// MLP-Offload with deferred flush drain (pid 1), two iterations each,
 /// and writes the merged Chrome trace to `path`. Returns both runs'
 /// events and overlap metrics for rendering.
-pub fn export_timeline_trace(path: &str) -> std::io::Result<Vec<TimelineRun>> {
-    export_timeline_trace_every(path, 1)
-}
-
-/// [`export_timeline_trace`] with an explicit checkpoint cadence for the
+///
+/// The argument is the checkpoint cadence of the
 /// MLP-Offload run: `checkpoint_every` iterations between asynchronous
 /// two-hop checkpoints (NVMe staging → object store), 0 to disable. The
 /// baseline run never checkpoints, so the checkpoint lanes isolate the
@@ -184,7 +181,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mlp_timeline_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        let runs = export_timeline_trace(path.to_str().unwrap()).unwrap();
+        let runs = export_timeline_trace_every(path.to_str().unwrap(), 1).unwrap();
         assert_eq!(runs.len(), 2);
         let (zero3, mlp) = (&runs[0], &runs[1]);
         assert_eq!(

@@ -35,8 +35,6 @@ pub struct EngineConfig {
     /// Total host frames per worker (subgroup-sized pinned buffers). At
     /// least 3 are used for the pipeline regardless.
     pub host_frames: usize,
-    /// In-flight pipeline depth (prefetch + update + flush).
-    pub pipeline_depth: usize,
     /// Keep FP16 gradients in host memory and upscale during the update
     /// ("Skip Gradients" / delayed in-place conversion). When `false`,
     /// gradients are eagerly upscaled to FP32 during the backward pass and
@@ -47,15 +45,6 @@ pub struct EngineConfig {
     /// Re-estimate tier bandwidths from observed transfers each iteration
     /// (§3.3 adaptation).
     pub adaptive_bandwidth: bool,
-    /// EMA weight of new observations in the bandwidth estimator:
-    /// `estimate ← (1-α)·estimate + α·observed` per iteration. A tier's
-    /// first observation replaces the microbenchmark prior outright
-    /// (warm start); from then on 0.5 reacts within a couple of
-    /// iterations without letting a one-iteration blip (a scheduler
-    /// hiccup, a single contended transfer) swing the estimate all the
-    /// way to the raw observation; 1.0 is memoryless.
-    /// Only meaningful with `adaptive_bandwidth`.
-    pub bandwidth_alpha: f64,
     /// Migration budget of the adaptive planner: how many subgroups'
     /// durable copies one iteration boundary may move between tiers to
     /// chase the live Eq. 1 split. 0 (the default, and both presets)
@@ -72,16 +61,14 @@ pub struct EngineConfig {
     /// made visible on the timeline). Off in both presets so the
     /// reproduction numbers are unchanged; the `repro --trace` driver
     /// enables it for the MLP-Offload engine to demonstrate the Figure 5
-    /// flush/backward overlap.
+    /// flush/backward overlap. Only the virtual-time engine honours it:
+    /// the functional engine always settles its flushes before `update`
+    /// returns and ignores this field.
     pub deferred_flush_drain: bool,
     /// Observability sink (disabled by default = zero cost). A trace is
     /// a per-run artifact, not a preset; disabled sinks compare equal, so
     /// config equality between presets still holds.
     pub trace: TraceSink,
-}
-
-fn default_bandwidth_alpha() -> f64 {
-    0.5
 }
 
 impl EngineConfig {
@@ -93,11 +80,9 @@ impl EngineConfig {
             order: OrderPolicy::Ascending,
             cache_retention: false,
             host_frames: 3,
-            pipeline_depth: 3,
             skip_gradient_offload: false,
             tier_exclusive_locking: false,
             adaptive_bandwidth: false,
-            bandwidth_alpha: default_bandwidth_alpha(),
             max_migrations_per_iter: 0,
             tier_ratio: None,
             deferred_flush_drain: false,
@@ -111,11 +96,9 @@ impl EngineConfig {
             order: OrderPolicy::Alternating,
             cache_retention: true,
             host_frames: 3,
-            pipeline_depth: 3,
             skip_gradient_offload: true,
             tier_exclusive_locking: true,
             adaptive_bandwidth: true,
-            bandwidth_alpha: default_bandwidth_alpha(),
             max_migrations_per_iter: 0,
             tier_ratio: None,
             deferred_flush_drain: false,

@@ -521,7 +521,6 @@ impl MlpFuncEngine {
                 for (idx, g) in grads.iter().enumerate() {
                     acc.accumulate(idx, g);
                 }
-                acc.end_micro_step();
             }
             HostGrads::Fp32 { accum, on_tier } => {
                 // Whatever an earlier flush put on a tier is stale now.
@@ -794,8 +793,8 @@ impl MlpFuncEngine {
         let depth = self.ledger.plan.pipeline_frames;
 
         for _ in 0..self.subgroup_lens.len() {
-            // Top up the prefetch window: keep up to `pipeline_depth`
-            // subgroups staged or in flight.
+            // Top up the prefetch window: keep up to `depth` subgroups
+            // staged or in flight.
             while pending.len() < depth {
                 let Some((idx, lookup)) = self.ledger.next_lookup() else {
                     break;

@@ -23,11 +23,11 @@ pub struct FramePlan {
 }
 
 impl FramePlan {
-    /// Plans `total_frames` (clamped up to the pipeline minimum) with
-    /// `pipeline_depth` working frames. With caching disabled pass
+    /// Plans `total_frames` (clamped up to the pipeline minimum, which is
+    /// also the in-flight depth). With caching disabled pass
     /// `retain = false` to devote everything to the pipeline.
-    pub fn new(total_frames: usize, pipeline_depth: usize, retain: bool) -> Self {
-        let pipeline_frames = pipeline_depth.max(MIN_PIPELINE_FRAMES);
+    pub fn new(total_frames: usize, retain: bool) -> Self {
+        let pipeline_frames = MIN_PIPELINE_FRAMES;
         let total_frames = total_frames.max(pipeline_frames);
         let retain_frames = if retain {
             total_frames - pipeline_frames
@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn minimum_three_frames_enforced() {
-        let plan = FramePlan::new(0, 0, true);
+        let plan = FramePlan::new(0, true);
         assert_eq!(plan.pipeline_frames, 3);
         assert_eq!(plan.total_frames, 3);
         assert_eq!(plan.retain_frames, 0);
@@ -56,13 +56,13 @@ mod tests {
 
     #[test]
     fn surplus_frames_become_cache() {
-        let plan = FramePlan::new(10, 3, true);
+        let plan = FramePlan::new(10, true);
         assert_eq!(plan.retain_frames, 7);
     }
 
     #[test]
     fn retain_disabled_gives_zero_cache() {
-        let plan = FramePlan::new(10, 3, false);
+        let plan = FramePlan::new(10, false);
         assert_eq!(plan.retain_frames, 0);
     }
 }

@@ -114,11 +114,10 @@ impl<F> SubgroupLedger<F> {
     pub fn new(cfg: &EngineConfig, m: usize, bandwidths: Vec<f64>) -> Self {
         let ntiers = bandwidths.len();
         let assignment = assign_subgroups(m, cfg.tier_ratio.as_deref().unwrap_or(&bandwidths));
-        let mut planner =
-            AdaptivePlanner::new(bandwidths, cfg.bandwidth_alpha, cfg.max_migrations_per_iter);
+        let mut planner = AdaptivePlanner::new(bandwidths, cfg.max_migrations_per_iter);
         planner.attach_trace(&cfg.trace);
         SubgroupLedger {
-            plan: FramePlan::new(cfg.host_frames, cfg.pipeline_depth, cfg.cache_retention),
+            plan: FramePlan::new(cfg.host_frames, cfg.cache_retention),
             planner,
             order_policy: cfg.order,
             tier_ratio: cfg.tier_ratio.clone(),

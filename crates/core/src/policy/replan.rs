@@ -63,6 +63,12 @@ impl PlannerMetrics {
     }
 }
 
+/// EMA weight of new observations in the planner's bandwidth estimator
+/// (`estimate ← (1-α)·estimate + α·observed` per iteration): reacts within
+/// a couple of iterations, yet a one-iteration blip (a scheduler hiccup, a
+/// contended transfer) cannot swing the estimate to the raw observation.
+pub(crate) const BANDWIDTH_EMA_ALPHA: f64 = 0.5;
+
 /// The mid-training re-planner: owns the bandwidth estimator, publishes
 /// its decisions as `planner.*` metrics, and computes bounded migration
 /// plans toward the current Eq. 1 split.
@@ -93,13 +99,13 @@ impl std::fmt::Debug for AdaptivePlanner {
 
 impl AdaptivePlanner {
     /// Builds a planner starting from microbenchmark `initial` bandwidths.
-    /// `alpha` is the estimator's EMA weight; `max_migrations_per_iter`
+    /// The EMA weight is `BANDWIDTH_EMA_ALPHA`; `max_migrations_per_iter`
     /// bounds how many durable copies one iteration boundary may move
     /// (0 disables migration — the planner still re-splits flushes).
-    pub fn new(initial: Vec<f64>, alpha: f64, max_migrations_per_iter: usize) -> Self {
+    pub fn new(initial: Vec<f64>, max_migrations_per_iter: usize) -> Self {
         let ntiers = initial.len();
         AdaptivePlanner {
-            estimator: BandwidthEstimator::new(initial, alpha),
+            estimator: BandwidthEstimator::new(initial, BANDWIDTH_EMA_ALPHA),
             max_migrations_per_iter,
             metrics: PlannerMetrics::detached(ntiers),
             replans: 0,
@@ -324,7 +330,7 @@ mod tests {
     use mlp_testkit::{cases, DEFAULT_CASES};
 
     fn planner(bw: Vec<f64>, max: usize) -> AdaptivePlanner {
-        AdaptivePlanner::new(bw, 0.5, max)
+        AdaptivePlanner::new(bw, max)
     }
 
     #[test]
@@ -468,7 +474,7 @@ mod tests {
             let budget = g.range(0usize..10);
             let seed = g.range(0u64..1000);
             let bw: Vec<f64> = (0..ntiers).map(|t| 1.0 + (t as f64) + (seed % 7) as f64).collect();
-            let mut p = AdaptivePlanner::new(bw, 0.5, budget);
+            let mut p = AdaptivePlanner::new(bw, budget);
             // Pseudo-random placement: some host-resident, rest on tiers.
             let placements: Vec<Option<usize>> = (0..n)
                 .map(|i| {

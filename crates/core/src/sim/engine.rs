@@ -914,7 +914,7 @@ mod tests {
         let env = NodeSimEnv::new(&sim, &node(vec![testbed1_nvme(), testbed1_pfs()]));
         let mut cfg = EngineConfig::mlp_offload();
         cfg.cache_retention = false;
-        assert_eq!(cfg.bandwidth_alpha, 0.5, "default EMA weight");
+        assert_eq!(crate::policy::replan::BANDWIDTH_EMA_ALPHA, 0.5, "EMA weight");
         let w = SimWorker::new(env.clone(), 0, cfg, subgroups(20, 100_000_000));
         run_update_once(&w, &sim);
         let settled = w.bandwidth_estimates()[1];

@@ -86,14 +86,6 @@ impl UpdateStats {
         }
         2.0 * state_bytes_total as f64 / self.duration_s
     }
-
-    /// Update throughput in parameters/second.
-    pub fn params_per_sec(&self) -> f64 {
-        if self.duration_s <= 0.0 {
-            return 0.0;
-        }
-        self.params_updated as f64 / self.duration_s
-    }
 }
 
 /// Statistics of one backward pass for one worker.
@@ -167,16 +159,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(stats.effective_io_bps(1_000_000_000), 1e9);
-    }
-
-    #[test]
-    fn params_per_sec() {
-        let stats = UpdateStats {
-            duration_s: 2.0,
-            params_updated: 8_000,
-            ..Default::default()
-        };
-        assert_eq!(stats.params_per_sec(), 4_000.0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 pub mod config;
 pub mod memory;
-pub mod parallelism;
 pub mod shard;
 pub mod zoo;
 

@@ -122,11 +122,6 @@ impl SubgroupLayout {
     pub fn shard_params(&self) -> u64 {
         self.shard_params
     }
-
-    /// Total FP32 optimizer-state bytes across all subgroups.
-    pub fn total_state_bytes(&self) -> u64 {
-        self.subgroups.iter().map(Subgroup::state_bytes).sum()
-    }
 }
 
 #[cfg(test)]

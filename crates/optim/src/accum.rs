@@ -16,7 +16,6 @@ use mlp_tensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
 #[derive(Clone, Debug)]
 pub struct GradAccumulator {
     buffers: Vec<Vec<u16>>,
-    accumulated: usize,
 }
 
 impl GradAccumulator {
@@ -25,18 +24,12 @@ impl GradAccumulator {
     pub fn new(subgroup_lens: &[usize]) -> Self {
         GradAccumulator {
             buffers: subgroup_lens.iter().map(|&n| vec![0u16; n]).collect(),
-            accumulated: 0,
         }
     }
 
     /// Number of subgroups.
     pub fn num_subgroups(&self) -> usize {
         self.buffers.len()
-    }
-
-    /// Micro-steps accumulated since the last [`GradAccumulator::reset`].
-    pub fn accumulated_steps(&self) -> usize {
-        self.accumulated
     }
 
     /// Adds `grads` (FP16 bits) into subgroup `id`'s buffer.
@@ -53,12 +46,6 @@ impl GradAccumulator {
         }
     }
 
-    /// Marks one full backward pass as accumulated (call once per
-    /// micro-step after all subgroups were added).
-    pub fn end_micro_step(&mut self) {
-        self.accumulated += 1;
-    }
-
     /// The accumulated FP16 gradients of subgroup `id`.
     pub fn grads(&self, id: usize) -> &[u16] {
         &self.buffers[id]
@@ -69,12 +56,11 @@ impl GradAccumulator {
         self.buffers.iter().map(|b| b.len() * 2).sum()
     }
 
-    /// Zeroes all buffers and the micro-step counter (after an update).
+    /// Zeroes all buffers (after an update).
     pub fn reset(&mut self) {
         for b in &mut self.buffers {
             b.fill(0);
         }
-        self.accumulated = 0;
     }
 }
 
@@ -91,16 +77,13 @@ mod tests {
     fn accumulates_sums() {
         let mut acc = GradAccumulator::new(&[4]);
         acc.accumulate(0, &[bits(1.0), bits(2.0), bits(-1.0), bits(0.0)]);
-        acc.end_micro_step();
         acc.accumulate(0, &[bits(0.5), bits(0.5), bits(0.5), bits(0.5)]);
-        acc.end_micro_step();
         let got: Vec<f32> = acc
             .grads(0)
             .iter()
             .map(|&b| F16::from_bits(b).to_f32())
             .collect();
         assert_eq!(got, vec![1.5, 2.5, -0.5, 0.5]);
-        assert_eq!(acc.accumulated_steps(), 2);
     }
 
     #[test]
@@ -108,11 +91,9 @@ mod tests {
         let mut acc = GradAccumulator::new(&[2, 3]);
         acc.accumulate(0, &[bits(1.0); 2]);
         acc.accumulate(1, &[bits(1.0); 3]);
-        acc.end_micro_step();
         acc.reset();
         assert!(acc.grads(0).iter().all(|&b| b == 0));
         assert!(acc.grads(1).iter().all(|&b| b == 0));
-        assert_eq!(acc.accumulated_steps(), 0);
     }
 
     #[test]

@@ -136,23 +136,6 @@ pub fn adam_step_par(
     );
 }
 
-/// Measures sustained CPU update throughput in parameters/second for the
-/// parallel kernel (the paper's reference is ~8 000 Mparam/s with state in
-/// host memory).
-pub fn measure_update_throughput(elements: usize, repeats: usize) -> f64 {
-    let cfg = AdamConfig::default();
-    let mut p = vec![0.1f32; elements];
-    let mut m = vec![0.0f32; elements];
-    let mut v = vec![0.0f32; elements];
-    let g = vec![0.01f32; elements];
-    let start = std::time::Instant::now();
-    for step in 1..=repeats as u64 {
-        adam_step_par(&cfg, step, &mut p, &mut m, &mut v, &g);
-        std::hint::black_box(&p);
-    }
-    (elements * repeats) as f64 / start.elapsed().as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

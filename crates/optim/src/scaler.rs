@@ -64,12 +64,6 @@ impl DynamicLossScaler {
             true
         }
     }
-
-    /// Checks a gradient slice for Inf/NaN after unscaling would be applied
-    /// (i.e. checks the raw scaled values).
-    pub fn has_overflow(grads: &[f32]) -> bool {
-        grads.iter().any(|g| !g.is_finite())
-    }
 }
 
 #[cfg(test)]
@@ -100,13 +94,6 @@ mod tests {
             s.update(true);
         }
         assert_eq!(s.scale(), 1.0);
-    }
-
-    #[test]
-    fn overflow_detection() {
-        assert!(DynamicLossScaler::has_overflow(&[0.0, f32::INFINITY]));
-        assert!(DynamicLossScaler::has_overflow(&[f32::NAN]));
-        assert!(!DynamicLossScaler::has_overflow(&[1.0, -2.0]));
     }
 
     #[test]

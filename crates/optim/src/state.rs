@@ -16,7 +16,6 @@ use mlp_tensor::convert;
 use mlp_tensor::HostBuffer;
 
 use crate::adam::{adam_step_par, AdamConfig};
-use crate::fused::fused_update_fp16;
 use crate::optimizer::OptimizerConfig;
 
 /// Borrowed, mutable view of one subgroup's FP32 master state laid out
@@ -67,30 +66,9 @@ impl<'a> SubgroupStateMut<'a> {
     /// is the 1-based step being applied), emitting the new FP16 working
     /// copy into `fp16_out`. Single pass, no gradient materialization;
     /// bitwise identical to [`SubgroupState::apply_update_fp16_opt`]
-    /// followed by [`SubgroupState::fp16_params`].
-    pub fn apply_update_fused(
-        &mut self,
-        opt: &OptimizerConfig,
-        step: u64,
-        grads_fp16: &[u16],
-        inv_scale: f32,
-        fp16_out: &mut [u16],
-    ) {
-        fused_update_fp16(
-            opt,
-            step,
-            self.params,
-            self.momentum,
-            self.variance,
-            grads_fp16,
-            inv_scale,
-            fp16_out,
-        );
-    }
-
-    /// [`SubgroupStateMut::apply_update_fused`] wrapped in a
+    /// followed by [`SubgroupState::fp16_params`]. Runs inside a
     /// [`mlp_trace::Phase::UpdateKernel`] span (see [`crate::traced`]);
-    /// identical to the untraced call when `trace` is disabled.
+    /// free when `trace` is disabled.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_update_fused_traced(
         &mut self,
@@ -114,17 +92,6 @@ impl<'a> SubgroupStateMut<'a> {
             inv_scale,
             fp16_out,
         );
-    }
-
-    /// Copies the view into an owned [`SubgroupState`] (checkpoints,
-    /// tests).
-    pub fn to_owned_state(&self, step: u64) -> SubgroupState {
-        SubgroupState {
-            params: self.params.to_vec(),
-            momentum: self.momentum.to_vec(),
-            variance: self.variance.to_vec(),
-            step,
-        }
     }
 }
 
@@ -162,11 +129,6 @@ impl SubgroupState {
     /// Whether the subgroup is empty.
     pub fn is_empty(&self) -> bool {
         self.params.is_empty()
-    }
-
-    /// Serialized size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.params.len() * 12
     }
 
     /// Applies one Adam step using FP32 gradients.
@@ -293,11 +255,6 @@ mod tests {
             assert_eq!(view.params, &st.params[..]);
             assert_eq!(view.momentum, &st.momentum[..]);
             assert_eq!(view.variance, &st.variance[..]);
-            assert_eq!(view.to_owned_state(3), {
-                let mut s = st.clone();
-                s.step = 3;
-                s
-            });
         }
         {
             let view = SubgroupStateMut::from_buffer(&mut buf, 40);
@@ -324,7 +281,8 @@ mod tests {
 
             let mut view = SubgroupStateMut::from_buffer(&mut buf, 64);
             let mut got_h = vec![0u16; 64];
-            view.apply_update_fused(&opt, step, &grads, 0.5, &mut got_h);
+            let off = mlp_trace::TraceSink::disabled();
+            view.apply_update_fused_traced(&off, 0, &opt, step, &grads, 0.5, &mut got_h);
             assert_eq!(expect_h, got_h, "step {step}");
         }
         assert_eq!(SubgroupState::from_bytes(buf.as_bytes(), 3), {
@@ -341,7 +299,7 @@ mod tests {
         st.variance[99] = 42.0;
         st.step = 11;
         let buf = st.to_buffer();
-        assert_eq!(buf.len(), st.byte_len());
+        assert_eq!(buf.len(), st.len() * 12);
         let back = SubgroupState::from_bytes(buf.as_bytes(), 11);
         assert_eq!(back, st);
     }

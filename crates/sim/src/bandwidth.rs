@@ -5,12 +5,6 @@
 //! equally, so the aggregate throughput stays constant while per-transfer
 //! latency grows linearly with concurrency — exactly the behaviour the paper
 //! measures for NVMe and PFS under concurrent access (Fig. 4).
-//!
-//! An optional *efficiency curve* `eff(n) ∈ (0, 1]` degrades the usable
-//! capacity when `n` transfers are in flight, modelling interleaved-writer
-//! penalties on SSDs and PCIe/controller contention: the paper observes
-//! DeepSpeed's four uncoordinated workers sustaining ~3.2 GB/s on a
-//! 5.3 GB/s NVMe (Fig. 9), which tier-exclusive access recovers (§3.2).
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -34,7 +28,6 @@ struct Flow {
 struct LinkState {
     name: String,
     capacity_bps: f64,
-    efficiency: Rc<dyn Fn(usize) -> f64>,
     flows: Vec<Option<Flow>>,
     free: Vec<usize>,
     active: usize,
@@ -49,7 +42,7 @@ struct LinkState {
 impl LinkState {
     fn rate_per_flow(&self) -> f64 {
         debug_assert!(self.active > 0);
-        self.capacity_bps * (self.efficiency)(self.active) / self.active as f64
+        self.capacity_bps / self.active as f64
     }
 
     /// Advances the fluid model to `now`, draining bytes from active flows.
@@ -139,7 +132,6 @@ impl BwLink {
             state: Rc::new(RefCell::new(LinkState {
                 name: name.into(),
                 capacity_bps,
-                efficiency: Rc::new(|_| 1.0),
                 flows: Vec::new(),
                 free: Vec::new(),
                 active: 0,
@@ -152,21 +144,9 @@ impl BwLink {
         }
     }
 
-    /// Installs a contention-efficiency curve: with `n` concurrent flows the
-    /// usable capacity is `capacity * eff(n)`. `eff(1)` should be `1.0`.
-    pub fn with_efficiency(self, eff: impl Fn(usize) -> f64 + 'static) -> Self {
-        self.state.borrow_mut().efficiency = Rc::new(eff);
-        self
-    }
-
     /// The link's display name.
     pub fn name(&self) -> String {
         self.state.borrow().name.clone()
-    }
-
-    /// Nominal capacity in bytes/second.
-    pub fn capacity_bps(&self) -> f64 {
-        self.state.borrow().capacity_bps
     }
 
     /// Re-points the capacity (models external load shifts on a shared PFS,
@@ -333,23 +313,6 @@ impl Drop for Transfer {
     }
 }
 
-/// Standard contention curve used for storage tiers:
-/// `eff(n) = 1 / (1 + penalty * (n - 1))`.
-///
-/// `penalty = 0` gives perfect sharing. The storage crate calibrates
-/// `penalty` per tier so that uncoordinated multi-process access reproduces
-/// the effective throughputs the paper reports (e.g. ~3.2 GB/s on a
-/// 5.3 GB/s NVMe with 4 workers → penalty ≈ 0.22).
-pub fn contention_curve(penalty: f64) -> impl Fn(usize) -> f64 {
-    move |n| {
-        if n <= 1 {
-            1.0
-        } else {
-            1.0 / (1.0 + penalty * (n as f64 - 1.0))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,27 +382,6 @@ mod tests {
         approx(to_secs(a.try_take().unwrap()), 1.5, 1e-6);
         // B: shared 0.5–1.5 s (50 B), then alone → done at 2.0 s.
         approx(to_secs(b.try_take().unwrap()), 2.0, 1e-6);
-    }
-
-    #[test]
-    fn efficiency_curve_degrades_aggregate() {
-        let sim = Sim::new();
-        let link =
-            BwLink::new(&sim, "ssd", 100.0).with_efficiency(|n| if n > 1 { 0.5 } else { 1.0 });
-        let mut ends = Vec::new();
-        for _ in 0..2 {
-            let l = link.clone();
-            let s = sim.clone();
-            ends.push(sim.spawn(async move {
-                l.transfer(100).await;
-                s.now()
-            }));
-        }
-        sim.run();
-        for h in ends {
-            // Aggregate halved to 50 B/s → 200 bytes take 4 s.
-            approx(to_secs(h.try_take().unwrap()), 4.0, 1e-6);
-        }
     }
 
     #[test]
@@ -531,16 +473,6 @@ mod tests {
         sim.run();
         // 50 B at 100 B/s, then 50 B at 50 B/s → 0.5 + 1.0 = 1.5 s.
         approx(to_secs(a.try_take().unwrap()), 1.5, 1e-6);
-    }
-
-    #[test]
-    fn contention_curve_matches_formula() {
-        let c = contention_curve(0.25);
-        approx(c(1), 1.0, 1e-12);
-        approx(c(2), 1.0 / 1.25, 1e-12);
-        approx(c(5), 1.0 / 2.0, 1e-12);
-        let perfect = contention_curve(0.0);
-        approx(perfect(8), 1.0, 1e-12);
     }
 
     #[test]

@@ -102,21 +102,6 @@ impl<T> Receiver<T> {
             registered: false,
         }
     }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -220,19 +205,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), (123, secs(2.0)));
-    }
-
-    #[test]
-    fn try_recv_and_len() {
-        let sim = Sim::new();
-        let (tx, rx) = channel::<u8>(&sim);
-        assert!(rx.is_empty());
-        tx.send(1);
-        tx.send(2);
-        assert_eq!(rx.len(), 2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]

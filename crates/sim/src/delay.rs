@@ -24,11 +24,6 @@ impl Delay {
             pending: None,
         }
     }
-
-    /// Absolute virtual time at which this delay fires.
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
 }
 
 impl Future for Delay {
@@ -69,7 +64,6 @@ mod tests {
         sim.block_on(async move {
             s.sleep(1.0).await;
             let d = s.sleep(2.0);
-            assert_eq!(d.deadline(), secs(3.0));
             d.await;
             assert_eq!(s.now(), secs(3.0));
         });

@@ -79,7 +79,6 @@ struct Inner {
     tasks: Vec<Slot>,
     free: Vec<TaskId>,
     current: Option<TaskId>,
-    live: usize,
 }
 
 /// Handle to the simulation executor. Cheap to clone; all clones share the
@@ -115,7 +114,6 @@ impl Sim {
                 tasks: Vec::new(),
                 free: Vec::new(),
                 current: None,
-                live: 0,
             })),
         }
     }
@@ -128,11 +126,6 @@ impl Sim {
     /// Current virtual time in seconds (for reporting).
     pub fn now_secs(&self) -> f64 {
         crate::time::to_secs(self.now())
-    }
-
-    /// Number of tasks that have been spawned but not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.borrow().live
     }
 
     /// Spawns a task and returns a [`JoinHandle`] that resolves to its
@@ -173,7 +166,6 @@ impl Sim {
                     inner.tasks.len() - 1
                 }
             };
-            inner.live += 1;
             inner.ready.push_back(id);
             id
         };
@@ -249,8 +241,8 @@ impl Sim {
     /// Runs the simulation until no runnable task or pending event remains.
     /// Returns the final virtual time.
     ///
-    /// Tasks still alive afterwards (see [`Sim::live_tasks`]) are deadlocked:
-    /// they wait on conditions nothing can trigger.
+    /// Tasks still alive afterwards are deadlocked: they wait on conditions
+    /// nothing can trigger.
     pub fn run(&self) -> SimTime {
         loop {
             self.drain_ready();
@@ -317,7 +309,6 @@ impl Sim {
                 Poll::Ready(()) => {
                     inner.tasks[id] = Slot::Empty;
                     inner.free.push(id);
-                    inner.live -= 1;
                 }
                 Poll::Pending => {
                     inner.tasks[id] = Slot::Parked(fut);
@@ -342,13 +333,6 @@ impl<T> JoinHandle<T> {
     /// Takes the task's result if it has completed.
     pub fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().result.take()
-    }
-
-    /// Whether the task has completed (result may already be taken).
-    pub fn is_done(&self) -> bool {
-        // A waiter list left non-empty after completion is impossible: the
-        // completion wrapper drains it.
-        self.state.borrow().result.is_some()
     }
 }
 
@@ -415,7 +399,6 @@ mod tests {
     fn clock_starts_at_zero() {
         let sim = Sim::new();
         assert_eq!(sim.now(), 0);
-        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]
@@ -506,15 +489,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn deadlocked_tasks_are_reported_as_live() {
-        let sim = Sim::new();
-        let never = sim.spawn(std::future::pending::<()>());
-        sim.run();
-        assert_eq!(sim.live_tasks(), 1);
-        assert!(!never.is_done());
     }
 
     #[test]

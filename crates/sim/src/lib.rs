@@ -22,8 +22,7 @@
 //! * [`channel`] — unbounded FIFO channels between simulated processes.
 //! * [`bandwidth::BwLink`] — a processor-sharing ("fluid flow") bandwidth
 //!   resource modelling a storage channel or interconnect: aggregate
-//!   throughput is conserved while per-flow latency grows with concurrency,
-//!   optionally degraded by a contention-efficiency curve.
+//!   throughput is conserved while per-flow latency grows with concurrency.
 //!
 //! # Example
 //!
@@ -44,14 +43,11 @@
 
 pub mod bandwidth;
 pub mod channel;
-pub mod combinators;
 mod delay;
 mod executor;
 pub mod sync;
 pub mod time;
-pub mod trace;
 
-pub use combinators::{race, timeout, Either};
 pub use delay::Delay;
 pub use executor::{JoinHandle, Sim, TaskId};
 pub use time::SimTime;

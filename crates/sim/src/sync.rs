@@ -75,12 +75,6 @@ impl SimMutex {
         }
     }
 
-    /// Whether the lock is currently held (or mid-handoff).
-    pub fn is_locked(&self) -> bool {
-        let s = self.state.borrow();
-        s.locked || s.handoff.is_some()
-    }
-
     /// Number of tasks queued behind the current holder.
     pub fn waiters(&self) -> usize {
         self.state.borrow().queue.len()
@@ -236,36 +230,9 @@ impl Semaphore {
         }
     }
 
-    /// Attempts to take a permit without waiting.
-    pub fn try_acquire(&self) -> Option<SemGuard> {
-        let mut s = self.state.borrow_mut();
-        if s.permits > 0 && s.queue.is_empty() {
-            s.permits -= 1;
-            drop(s);
-            Some(SemGuard {
-                sim: self.sim.clone(),
-                state: Rc::clone(&self.state),
-            })
-        } else {
-            None
-        }
-    }
-
     /// Currently available permits.
     pub fn available(&self) -> usize {
         self.state.borrow().permits
-    }
-
-    /// Number of waiting acquirers.
-    pub fn waiters(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// Adds permits (releases without a guard), waking waiters FIFO.
-    pub fn add_permits(&self, n: usize) {
-        for _ in 0..n {
-            sem_release(&self.sim, &self.state);
-        }
     }
 }
 
@@ -483,7 +450,7 @@ mod tests {
         sim.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
         assert_eq!(sim.now(), crate::time::secs(4.0));
-        assert!(!m.is_locked());
+        assert!(m.try_lock().is_some());
     }
 
     #[test]
@@ -573,22 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_add_permits_wakes_waiters() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(&sim, 0);
-        let sem2 = sem.clone();
-        let h = sim.spawn(async move {
-            let _g = sem2.acquire().await;
-            true
-        });
-        sim.run();
-        assert!(!h.is_done());
-        sem.add_permits(1);
-        sim.run();
-        assert!(h.try_take().unwrap());
-    }
-
-    #[test]
     fn notify_all_wakes_every_registered_waiter() {
         let sim = Sim::new();
         let n = Notify::new(&sim);
@@ -601,7 +552,7 @@ mod tests {
             }));
         }
         sim.run();
-        assert!(handles.iter().all(|h| !h.is_done()));
+        assert!(handles.iter().all(|h| h.try_take().is_none()));
         n.notify_all();
         sim.run();
         for h in handles {
@@ -626,314 +577,5 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    waiters: Vec<TaskId>,
-}
-
-/// A reusable phase barrier for a fixed number of simulated participants
-/// (e.g. the node's worker processes synchronizing between forward,
-/// backward, and update phases).
-pub struct Barrier {
-    sim: Sim,
-    state: Rc<RefCell<BarrierState>>,
-}
-
-impl Barrier {
-    /// Creates a barrier for `parties` participants.
-    pub fn new(sim: &Sim, parties: usize) -> Self {
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            sim: sim.clone(),
-            state: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrives at the barrier; resolves once all parties of this
-    /// generation have arrived. Returns `true` for the last arriver (the
-    /// "leader", mirroring `std::sync::Barrier`).
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-            phase: None,
-        }
-    }
-
-    /// Parties currently waiting.
-    pub fn waiting(&self) -> usize {
-        self.state.borrow().arrived
-    }
-}
-
-impl Clone for Barrier {
-    fn clone(&self) -> Self {
-        Barrier {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    sim: Sim,
-    state: Rc<RefCell<BarrierState>>,
-    /// (generation we joined, whether we are the leader).
-    phase: Option<(u64, bool)>,
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<bool> {
-        let this = &mut *self;
-        let mut s = this.state.borrow_mut();
-        match this.phase {
-            None => {
-                s.arrived += 1;
-                if s.arrived == s.parties {
-                    // Leader: release everyone and open the next generation.
-                    s.arrived = 0;
-                    s.generation += 1;
-                    let waiters = std::mem::take(&mut s.waiters);
-                    drop(s);
-                    for t in waiters {
-                        this.sim.wake(t);
-                    }
-                    Poll::Ready(true)
-                } else {
-                    let gen = s.generation;
-                    let task = this.sim.current_task();
-                    s.waiters.push(task);
-                    this.phase = Some((gen, false));
-                    Poll::Pending
-                }
-            }
-            Some((gen, _)) => {
-                if s.generation > gen {
-                    Poll::Ready(false)
-                } else {
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WaitGroup
-// ---------------------------------------------------------------------------
-
-struct WgState {
-    count: usize,
-    waiters: Vec<TaskId>,
-}
-
-/// Tracks a dynamic set of outstanding operations (e.g. lazily spawned
-/// flush tasks); [`WaitGroup::wait`] resolves when the count returns to
-/// zero.
-pub struct WaitGroup {
-    sim: Sim,
-    state: Rc<RefCell<WgState>>,
-}
-
-impl WaitGroup {
-    /// Creates an empty wait group.
-    pub fn new(sim: &Sim) -> Self {
-        WaitGroup {
-            sim: sim.clone(),
-            state: Rc::new(RefCell::new(WgState {
-                count: 0,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Registers one outstanding operation; drop the token to complete it.
-    pub fn add(&self) -> WgToken {
-        self.state.borrow_mut().count += 1;
-        WgToken {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-        }
-    }
-
-    /// Outstanding operations.
-    pub fn count(&self) -> usize {
-        self.state.borrow().count
-    }
-
-    /// Resolves when no operations are outstanding (immediately if none).
-    pub fn wait(&self) -> WgWait {
-        WgWait {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-            registered: false,
-        }
-    }
-}
-
-impl Clone for WaitGroup {
-    fn clone(&self) -> Self {
-        WaitGroup {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-/// Completion token returned by [`WaitGroup::add`].
-pub struct WgToken {
-    sim: Sim,
-    state: Rc<RefCell<WgState>>,
-}
-
-impl Drop for WgToken {
-    fn drop(&mut self) {
-        let waiters = {
-            let mut s = self.state.borrow_mut();
-            s.count -= 1;
-            if s.count == 0 {
-                std::mem::take(&mut s.waiters)
-            } else {
-                Vec::new()
-            }
-        };
-        for t in waiters {
-            self.sim.wake(t);
-        }
-    }
-}
-
-/// Future returned by [`WaitGroup::wait`].
-pub struct WgWait {
-    sim: Sim,
-    state: Rc<RefCell<WgState>>,
-    registered: bool,
-}
-
-impl Future for WgWait {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.state.borrow_mut();
-        if s.count == 0 {
-            return Poll::Ready(());
-        }
-        let task = self.sim.current_task();
-        if !s.waiters.contains(&task) {
-            s.waiters.push(task);
-        }
-        drop(s);
-        self.registered = true;
-        Poll::Pending
-    }
-}
-
-#[cfg(test)]
-mod barrier_tests {
-    use super::*;
-    use std::rc::Rc;
-
-    #[test]
-    fn barrier_releases_all_parties_together() {
-        let sim = Sim::new();
-        let barrier = Barrier::new(&sim, 3);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..3u64 {
-            let b = barrier.clone();
-            let s = sim.clone();
-            let log = Rc::clone(&log);
-            sim.spawn(async move {
-                s.sleep(i as f64).await; // staggered arrivals
-                let leader = b.wait().await;
-                log.borrow_mut().push((s.now_secs(), i, leader));
-            });
-        }
-        sim.run();
-        let log = log.borrow();
-        // Everyone released at t = 2 s (the last arrival).
-        assert!(
-            log.iter().all(|&(t, _, _)| (t - 2.0).abs() < 1e-9),
-            "{log:?}"
-        );
-        assert_eq!(log.iter().filter(|&&(_, _, l)| l).count(), 1, "one leader");
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        let sim = Sim::new();
-        let barrier = Barrier::new(&sim, 2);
-        let mut handles = Vec::new();
-        for i in 0..2u64 {
-            let b = barrier.clone();
-            let s = sim.clone();
-            handles.push(sim.spawn(async move {
-                let mut times = Vec::new();
-                for round in 0..3u64 {
-                    s.sleep((i + round) as f64 * 0.1).await;
-                    b.wait().await;
-                    times.push(s.now_secs());
-                }
-                times
-            }));
-        }
-        sim.run();
-        let a = handles[0].try_take().unwrap();
-        let b = handles[1].try_take().unwrap();
-        assert_eq!(a, b, "parties must leave every round together");
-    }
-
-    #[test]
-    fn waitgroup_waits_for_dynamic_tasks() {
-        let sim = Sim::new();
-        let wg = WaitGroup::new(&sim);
-        let done = Rc::new(RefCell::new(0));
-        for i in 0..4u64 {
-            let token = wg.add();
-            let s = sim.clone();
-            let done = Rc::clone(&done);
-            sim.spawn(async move {
-                s.sleep(i as f64 * 0.5).await;
-                *done.borrow_mut() += 1;
-                drop(token);
-            });
-        }
-        let wg2 = wg.clone();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            wg2.wait().await;
-            s.now_secs()
-        });
-        sim.run();
-        assert_eq!(*done.borrow(), 4);
-        assert!((h.try_take().unwrap() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_waitgroup_resolves_immediately() {
-        let sim = Sim::new();
-        let wg = WaitGroup::new(&sim);
-        let s = sim.clone();
-        let wg2 = wg.clone();
-        sim.block_on(async move {
-            wg2.wait().await;
-            assert_eq!(s.now(), 0);
-        });
     }
 }

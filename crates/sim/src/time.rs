@@ -28,18 +28,6 @@ pub fn secs(s: f64) -> SimTime {
     }
 }
 
-/// Converts milliseconds to a [`SimTime`] duration.
-#[inline]
-pub fn millis(ms: f64) -> SimTime {
-    secs(ms * 1e-3)
-}
-
-/// Converts microseconds to a [`SimTime`] duration.
-#[inline]
-pub fn micros(us: f64) -> SimTime {
-    secs(us * 1e-6)
-}
-
 /// Converts a [`SimTime`] to floating-point seconds.
 #[inline]
 pub fn to_secs(t: SimTime) -> f64 {
@@ -62,11 +50,5 @@ mod tests {
         assert_eq!(secs(-1.0), 0);
         assert_eq!(secs(f64::NAN), 0);
         assert_eq!(secs(f64::INFINITY), u64::MAX);
-    }
-
-    #[test]
-    fn sub_second_units() {
-        assert_eq!(millis(1.0), 1_000_000);
-        assert_eq!(micros(1.0), 1_000);
     }
 }

@@ -386,59 +386,6 @@ impl TierHealth {
     }
 }
 
-/// The breakers for one engine's tier set, indexed like its tiers.
-#[derive(Clone)]
-pub struct TierHealthSet {
-    tiers: Vec<Arc<TierHealth>>,
-}
-
-impl TierHealthSet {
-    /// One breaker per tier name, all sharing `cfg` and `trace`.
-    pub fn new(names: &[&str], cfg: HealthConfig, trace: TraceSink) -> TierHealthSet {
-        TierHealthSet {
-            tiers: names
-                .iter()
-                .map(|n| TierHealth::with_trace(*n, cfg.clone(), trace.clone()))
-                .collect(),
-        }
-    }
-
-    /// Wraps pre-built breakers (e.g. shared with per-tier AIO engines).
-    pub fn from_tiers(tiers: Vec<Arc<TierHealth>>) -> TierHealthSet {
-        TierHealthSet { tiers }
-    }
-
-    /// The breaker for tier `i`, if the index is in range.
-    pub fn tier(&self, i: usize) -> Option<&Arc<TierHealth>> {
-        self.tiers.get(i)
-    }
-
-    /// Number of supervised tiers.
-    pub fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// Whether the set supervises no tiers.
-    pub fn is_empty(&self) -> bool {
-        self.tiers.is_empty()
-    }
-
-    /// Indices of tiers whose breakers have latched permanently open.
-    pub fn quarantined_indices(&self) -> Vec<usize> {
-        self.tiers
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_quarantined())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Iterates the breakers in tier order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arc<TierHealth>> {
-        self.tiers.iter()
-    }
-}
-
 /// The typed rejection an open or quarantined breaker returns in place
 /// of issuing the op. Deliberately **permanent** under [`classify`]
 /// (crate::classify): retrying into an open breaker is pointless — the
@@ -648,24 +595,6 @@ mod tests {
         assert_eq!(h.counts().trips, 1);
         h.quarantine(); // idempotent
         assert_eq!(h.counts().trips, 1);
-    }
-
-    #[test]
-    fn health_set_reports_quarantined_indices() {
-        let set = TierHealthSet::new(
-            &["nvme", "pfs", "s3"],
-            HealthConfig::hair_trigger(),
-            TraceSink::disabled(),
-        );
-        assert!(set.quarantined_indices().is_empty());
-        set.tier(1).unwrap().record_failure(&failure());
-        assert_eq!(
-            set.tier(1).unwrap().state(),
-            BreakerState::Quarantined,
-            "hair trigger: one failure, one trip, immediate latch"
-        );
-        assert_eq!(set.quarantined_indices(), vec![1]);
-        assert_eq!(set.len(), 3);
     }
 
     #[test]

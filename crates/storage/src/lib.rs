@@ -30,8 +30,8 @@
 //!   quarantined) over the error taxonomy and latency SLOs; the signal
 //!   the quarantine-and-drain path reacts to.
 //! * [`object`] — an emulated S3-like object store (first-byte latency,
-//!   per-stream bandwidth, multipart upload, coalesced range GETs, no
-//!   rename), the third-level tier behind NVMe and the PFS.
+//!   per-stream bandwidth, multipart upload, no rename), the
+//!   third-level tier behind NVMe and the PFS.
 
 pub mod backend;
 pub mod clock;
@@ -51,10 +51,10 @@ pub use fault::{
     FaultOps, ObjectFault, ObjectFaultError,
 };
 pub use health::{
-    breaker_rejection, BreakerState, HealthConfig, HealthGatedBackend, TierHealth, TierHealthSet,
+    breaker_rejection, BreakerState, HealthConfig, HealthGatedBackend, TierHealth,
 };
 pub use integrity::ChecksummedBackend;
-pub use object::{coalesce_ranges, ObjectBackend, ObjectConfig};
+pub use object::{ObjectBackend, ObjectConfig};
 pub use sim_tier::SimTier;
 pub use spec::{TierKind, TierSpec};
 pub use traced::TracedBackend;

@@ -6,7 +6,6 @@
 //! concurrency sweep behind Fig. 4).
 
 use std::io;
-use std::sync::Arc;
 
 use mlp_sim::Sim;
 
@@ -198,52 +197,6 @@ pub fn measure_driver_mixed(driver: &dyn OpDriver, plan: DrivePlan) -> io::Resul
     Ok((plan.block_bytes * plan.blocks) as f64 / secs)
 }
 
-/// Concurrent measurement of a real backend from `procs` threads (the
-/// Fig. 4 setup): returns the aggregate sample plus mean per-op latency.
-pub fn measure_backend_concurrent(
-    backend: Arc<dyn Backend>,
-    block_bytes: usize,
-    blocks_per_proc: usize,
-    procs: usize,
-) -> io::Result<(BandwidthSample, f64)> {
-    assert!(procs > 0, "need at least one process");
-    let t0 = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for p in 0..procs {
-        let backend = Arc::clone(&backend);
-        handles.push(std::thread::spawn(move || -> io::Result<f64> {
-            let data = vec![0x5Au8; block_bytes];
-            let mut op_secs = 0.0;
-            for i in 0..blocks_per_proc {
-                let key = format!("__mb{p}/{i}");
-                let t = std::time::Instant::now();
-                backend.write(&key, &data)?;
-                let back = backend.read(&key)?;
-                std::hint::black_box(back.len());
-                op_secs += t.elapsed().as_secs_f64();
-                let _ = backend.delete(&key);
-            }
-            Ok(op_secs / blocks_per_proc as f64)
-        }));
-    }
-    let mut latency_sum = 0.0;
-    for h in handles {
-        latency_sum += h.join().map_err(|_| {
-            io::Error::new(io::ErrorKind::Other, "microbench thread panicked")
-        })??;
-    }
-    let mean_latency = latency_sum / procs as f64;
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    let total = (block_bytes * blocks_per_proc * procs) as f64;
-    Ok((
-        BandwidthSample {
-            read_bps: total / wall,
-            write_bps: total / wall,
-        },
-        mean_latency,
-    ))
-}
-
 /// One point of the Fig. 4 concurrency sweep on a simulated tier:
 /// `procs` simulated processes each stream `bytes_per_proc` of writes then
 /// reads. Returns (aggregate sample, per-process mean op latency seconds).
@@ -389,14 +342,5 @@ mod tests {
         let bps = measure_driver_mixed(&BackendDriver(&b), plan).expect("measure");
         assert!(bps > 0.0);
         assert_eq!(b.object_count(), 0);
-    }
-
-    #[test]
-    fn concurrent_backend_measurement_runs() {
-        let backend: Arc<dyn Backend> = Arc::new(MemBackend::new("mem"));
-        let (sample, latency) =
-            measure_backend_concurrent(backend, 1 << 16, 4, 3).expect("measure");
-        assert!(sample.read_bps > 0.0);
-        assert!(latency >= 0.0);
     }
 }

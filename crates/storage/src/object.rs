@@ -3,8 +3,8 @@
 //! Object stores behave unlike both NVMe and a PFS: every request pays a
 //! high first-byte latency, a *single* stream is capped well below the
 //! aggregate bandwidth (throughput comes from concurrency), objects are
-//! immutable blobs published atomically (there is no rename), large
-//! uploads go through multipart PUTs, and partial reads are range GETs.
+//! immutable blobs published atomically (there is no rename), and large
+//! uploads go through multipart PUTs.
 //! [`ObjectBackend`] emulates exactly those semantics over an in-memory
 //! object map so the functional engines and the checkpoint pipeline can
 //! be exercised against object-store behaviour without a network:
@@ -12,17 +12,12 @@
 //! * **First-byte latency** — every GET/PUT sleeps
 //!   [`ObjectConfig::first_byte_latency`] before bytes move.
 //! * **Per-stream bandwidth** — each request is throttled to
-//!   [`ObjectConfig::stream_bps`]; parallel parts/ranges scale throughput
+//!   [`ObjectConfig::stream_bps`]; parallel parts scale throughput
 //!   (the concurrency-efficiency curve mirrored by
 //!   [`TierSpec::object_store`](crate::spec::object_store) in sim mode).
 //! * **Multipart upload** — payloads larger than
 //!   [`ObjectConfig::part_size`] upload as concurrent parts and publish
 //!   atomically at completion; readers never observe a partial object.
-//! * **Range GETs with coalescing** — [`ObjectBackend::read_ranges`]
-//!   merges ranges closer than [`ObjectConfig::coalesce_gap`] into one
-//!   GET each ([`coalesce_ranges`]), trading wasted gap bytes for saved
-//!   request round-trips (the light-speed-io strategy); results are
-//!   byte-identical to issuing one GET per range.
 //!
 //! The backend declines [`Backend::raw_target`] (objects are not files),
 //! so kernel-backed I/O engines serve it through the portable path —
@@ -47,21 +42,18 @@ pub struct ObjectConfig {
     /// test preset uses zero.
     pub first_byte_latency: Duration,
     /// Per-stream bandwidth cap in bytes/second (`None` = unthrottled).
-    /// Aggregate throughput scales with concurrent parts/range GETs, the
-    /// defining object-store curve.
+    /// Aggregate throughput scales with concurrent parts, the defining
+    /// object-store curve.
     pub stream_bps: Option<f64>,
-    /// Concurrent part uploads / range GETs issued per request.
+    /// Concurrent part uploads issued per request.
     pub max_concurrency: usize,
     /// Payloads larger than this upload as multipart parts of this size.
     pub part_size: usize,
-    /// Ranges whose gap is at most this many bytes are merged into one
-    /// GET by [`ObjectBackend::read_ranges`].
-    pub coalesce_gap: u64,
 }
 
 impl ObjectConfig {
     /// Zero-latency, unthrottled preset for deterministic tests: the
-    /// semantics (multipart, coalescing, atomic publish) stay on, only
+    /// semantics (multipart, atomic publish) stay on, only
     /// the timing emulation is disabled.
     pub fn deterministic() -> Self {
         ObjectConfig {
@@ -69,21 +61,6 @@ impl ObjectConfig {
             stream_bps: None,
             max_concurrency: 4,
             part_size: 8 << 20,
-            coalesce_gap: 1 << 20,
-        }
-    }
-
-    /// An S3-like profile: 30 ms first byte, ~400 MB/s per stream, 16-way
-    /// concurrency, 8 MiB parts, 4 MiB coalesce gap. Only for latency/
-    /// bandwidth-sensitive experiments — tests should prefer
-    /// [`ObjectConfig::deterministic`].
-    pub fn emulated() -> Self {
-        ObjectConfig {
-            first_byte_latency: Duration::from_millis(30),
-            stream_bps: Some(400e6),
-            max_concurrency: 16,
-            part_size: 8 << 20,
-            coalesce_gap: 4 << 20,
         }
     }
 }
@@ -94,34 +71,6 @@ impl Default for ObjectConfig {
     }
 }
 
-/// Merges byte ranges whose gap is at most `gap` into covering ranges.
-///
-/// Input ranges are `(offset, len)`; the result is sorted by offset,
-/// non-overlapping, and covers every non-empty input range (empty ranges
-/// contribute nothing). This is the planning half of coalesced range
-/// reads: fewer GETs at the price of fetching up to `gap` wasted bytes
-/// between merged neighbours.
-pub fn coalesce_ranges(ranges: &[(u64, u64)], gap: u64) -> Vec<(u64, u64)> {
-    let mut sorted: Vec<(u64, u64)> = ranges.iter().copied().filter(|&(_, len)| len > 0).collect();
-    sorted.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for (start, len) in sorted {
-        let end = start.saturating_add(len);
-        match out.last_mut() {
-            Some((cur_start, cur_len)) => {
-                let cur_end = cur_start.saturating_add(*cur_len);
-                if start <= cur_end.saturating_add(gap) {
-                    *cur_len = end.max(cur_end) - *cur_start;
-                } else {
-                    out.push((start, len));
-                }
-            }
-            None => out.push((start, len)),
-        }
-    }
-    out
-}
-
 /// The emulated S3-like object store. Cheap to share behind an `Arc`;
 /// all methods take `&self`.
 pub struct ObjectBackend {
@@ -130,8 +79,6 @@ pub struct ObjectBackend {
     map: Mutex<HashMap<String, Arc<Vec<u8>>>>,
     puts: Counter,
     gets: Counter,
-    ranges_requested: Counter,
-    range_gets: Counter,
     multipart_parts: Counter,
     multipart_uploads: Counter,
     inflight: Gauge,
@@ -166,8 +113,6 @@ impl ObjectBackend {
         ObjectBackend {
             puts: c("puts"),
             gets: c("gets"),
-            ranges_requested: c("ranges_requested"),
-            range_gets: c("range_gets"),
             multipart_parts: c("multipart_parts"),
             multipart_uploads: c("multipart_uploads"),
             inflight: trace.gauge(&format!("object.{name}.inflight")),
@@ -251,70 +196,6 @@ impl ObjectBackend {
             .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no object {key}")))
     }
-
-    /// One range GET: `len` bytes at `offset`. Errors with
-    /// [`io::ErrorKind::InvalidInput`] if the range exceeds the object.
-    pub fn read_range(&self, key: &str, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-        let mut out = self.read_ranges(key, &[(offset, len)])?;
-        out.pop().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "range read produced no output",
-            )
-        })
-    }
-
-    /// Coalesced range GETs: merges ranges closer than the configured
-    /// gap ([`coalesce_ranges`]), fetches the merged ranges as parallel
-    /// streams, and returns each *requested* range's bytes in input
-    /// order — byte-identical to issuing one GET per range.
-    pub fn read_ranges(&self, key: &str, ranges: &[(u64, u64)]) -> io::Result<Vec<Vec<u8>>> {
-        Self::validate_key(key)?;
-        let data = self.stored(key)?;
-        let plan = coalesce_ranges(ranges, self.cfg.coalesce_gap);
-        self.ranges_requested.add(ranges.len() as u64);
-        self.range_gets.add(plan.len() as u64);
-        let sizes: Vec<u64> = plan.iter().map(|&(_, len)| len).collect();
-        self.parallel_streams(&sizes);
-        self.slice_ranges(key, &data, ranges)
-    }
-
-    /// Uncoalesced baseline: one GET per requested range. Same result
-    /// bytes as [`ObjectBackend::read_ranges`], more request round
-    /// trips; the conformance property test holds the two paths identical.
-    pub fn read_ranges_naive(&self, key: &str, ranges: &[(u64, u64)]) -> io::Result<Vec<Vec<u8>>> {
-        Self::validate_key(key)?;
-        let data = self.stored(key)?;
-        self.ranges_requested.add(ranges.len() as u64);
-        self.range_gets.add(ranges.len() as u64);
-        let sizes: Vec<u64> = ranges.iter().map(|&(_, len)| len).collect();
-        self.parallel_streams(&sizes);
-        self.slice_ranges(key, &data, ranges)
-    }
-
-    fn slice_ranges(
-        &self,
-        key: &str,
-        data: &[u8],
-        ranges: &[(u64, u64)],
-    ) -> io::Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(ranges.len());
-        for &(offset, len) in ranges {
-            let end = offset.checked_add(len).filter(|&e| e <= data.len() as u64);
-            let Some(end) = end else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "range {offset}+{len} exceeds object {key} ({} bytes)",
-                        data.len()
-                    ),
-                ));
-            };
-            // lint:allow(transitive-panic): in-bounds — the typed-error guard above rejects end > data.len()
-            out.push(data[offset as usize..end as usize].to_vec());
-        }
-        Ok(out)
-    }
 }
 
 impl Backend for ObjectBackend {
@@ -395,7 +276,6 @@ impl Backend for ObjectBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_testkit::{cases, DEFAULT_CASES};
 
     #[test]
     fn round_trip_and_s3_semantics() {
@@ -448,101 +328,5 @@ mod tests {
         // Small payloads stay single PUTs.
         b.write("small", &[1; 10]).unwrap();
         assert_eq!(b.puts.get(), 1);
-    }
-
-    #[test]
-    fn range_gets_slice_the_object() {
-        let b = ObjectBackend::new("obj");
-        let payload: Vec<u8> = (0..100u8).collect();
-        b.write("k", &payload).unwrap();
-        assert_eq!(b.read_range("k", 10, 5).unwrap(), payload[10..15]);
-        assert_eq!(b.read_range("k", 0, 0).unwrap(), Vec::<u8>::new());
-        assert_eq!(
-            b.read_range("k", 90, 20).unwrap_err().kind(),
-            io::ErrorKind::InvalidInput
-        );
-        assert_eq!(
-            b.read_range("missing", 0, 1).unwrap_err().kind(),
-            io::ErrorKind::NotFound
-        );
-    }
-
-    #[test]
-    fn close_ranges_coalesce_into_fewer_gets() {
-        let cfg = ObjectConfig {
-            coalesce_gap: 8,
-            ..ObjectConfig::deterministic()
-        };
-        let b = ObjectBackend::with_config("obj", cfg);
-        let payload: Vec<u8> = (0..200u8).collect();
-        b.write("k", &payload).unwrap();
-        // Two close ranges + one far range → 2 GETs for 3 requests.
-        let out = b.read_ranges("k", &[(0, 10), (15, 10), (100, 10)]).unwrap();
-        assert_eq!(out[0], payload[0..10]);
-        assert_eq!(out[1], payload[15..25]);
-        assert_eq!(out[2], payload[100..110]);
-        assert_eq!(b.ranges_requested.get(), 3);
-        assert_eq!(b.range_gets.get(), 2);
-    }
-
-    #[test]
-    fn coalesce_plan_merges_and_sorts() {
-        assert_eq!(
-            coalesce_ranges(&[(50, 10), (0, 10), (12, 4)], 2),
-            vec![(0, 16), (50, 10)]
-        );
-        // Overlapping ranges merge regardless of gap.
-        assert_eq!(coalesce_ranges(&[(0, 10), (5, 10)], 0), vec![(0, 15)]);
-        // Zero-length ranges contribute nothing.
-        assert_eq!(coalesce_ranges(&[(3, 0)], 0), Vec::<(u64, u64)>::new());
-        assert_eq!(coalesce_ranges(&[], 5), Vec::<(u64, u64)>::new());
-    }
-
-    // The acceptance property: coalesced reads are byte-identical to
-    // naive one-GET-per-range reads, for arbitrary (possibly overlapping,
-    // unsorted, empty) in-bounds ranges and any gap.
-    #[test]
-    fn coalesced_reads_match_naive() {
-        cases(DEFAULT_CASES, |g| {
-            let len = g.range(1usize..2048);
-            let gap = g.range(0u64..512);
-            let seed_ranges = g.vec(0..16, |g| (g.range(0u64..2048), g.range(0u64..512)));
-            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let ranges: Vec<(u64, u64)> = seed_ranges
-                .into_iter()
-                .map(|(o, l)| {
-                    let o = o % len as u64;
-                    (o, l.min(len as u64 - o))
-                })
-                .collect();
-            let cfg = ObjectConfig { coalesce_gap: gap, ..ObjectConfig::deterministic() };
-            let b = ObjectBackend::with_config("obj", cfg);
-            b.write("k", &payload).unwrap();
-            let coalesced = b.read_ranges("k", &ranges).unwrap();
-            let naive = b.read_ranges_naive("k", &ranges).unwrap();
-            assert_eq!(coalesced, naive);
-        });
-    }
-
-    // The coalescing plan covers every non-empty input range and never
-    // merges ranges farther apart than the gap.
-    #[test]
-    fn coalesce_plan_covers_inputs() {
-        cases(DEFAULT_CASES, |g| {
-            let ranges = g.vec(0..24, |g| (g.range(0u64..4096), g.range(0u64..256)));
-            let gap = g.range(0u64..1024);
-            let plan = coalesce_ranges(&ranges, gap);
-            // Sorted, non-overlapping, gap-respecting.
-            for w in plan.windows(2) {
-                assert!(w[0].0 + w[0].1 + gap < w[1].0);
-            }
-            // Every non-empty input is covered by exactly one plan range.
-            for &(o, l) in ranges.iter().filter(|&&(_, l)| l > 0) {
-                assert!(
-                    plan.iter().any(|&(po, pl)| po <= o && o + l <= po + pl),
-                    "range {o}+{l} not covered by {plan:?}"
-                );
-            }
-        });
     }
 }

@@ -177,41 +177,6 @@ impl SimTier {
         self.shared.used_bytes.get()
     }
 
-    /// Whether `bytes` more would exceed the tier's capacity.
-    pub fn would_overflow(&self, bytes: u64) -> bool {
-        self.shared.used_bytes.get() + bytes > self.spec.capacity_bytes
-    }
-
-    /// Whether the tier is currently in (penalized) mixed read/write mode.
-    pub fn is_mixed_mode(&self) -> bool {
-        self.shared.mixed.get()
-    }
-
-    /// Total bytes read so far (fluid-model accounting).
-    pub fn bytes_read(&self) -> f64 {
-        self.read_link.total_bytes()
-    }
-
-    /// Total bytes written so far.
-    pub fn bytes_written(&self) -> f64 {
-        self.write_link.total_bytes()
-    }
-
-    /// Seconds the read link was busy.
-    pub fn read_busy_seconds(&self) -> f64 {
-        self.read_link.busy_seconds()
-    }
-
-    /// Seconds the write link was busy.
-    pub fn write_busy_seconds(&self) -> f64 {
-        self.write_link.busy_seconds()
-    }
-
-    /// In-flight reads + writes.
-    pub fn active_ops(&self) -> usize {
-        self.shared.active_reads.get() + self.shared.active_writes.get()
-    }
-
     /// Scales both link capacities (models external PFS load, §3.3).
     /// The factor persists across mixed-mode transitions and composes
     /// with the interleaving penalty.
@@ -299,7 +264,6 @@ mod tests {
         sim.run();
         approx(r.try_take().unwrap(), 1.0, 0.01);
         approx(w.try_take().unwrap(), 1.0, 0.01);
-        assert!(!tier.is_mixed_mode(), "penalty lifted once idle");
     }
 
     #[test]

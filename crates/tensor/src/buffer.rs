@@ -130,19 +130,6 @@ impl HostBuffer {
             .collect()
     }
 
-    /// Copies `dst.len()` little-endian `f32`s starting at byte `offset`
-    /// into `dst` without allocating.
-    pub fn read_f32_into(&self, offset: usize, dst: &mut [f32]) {
-        let end = offset + dst.len() * 4;
-        assert!(end <= self.len, "read_f32_into out of bounds");
-        for (d, c) in dst
-            .iter_mut()
-            .zip(self.as_bytes()[offset..end].chunks_exact(4))
-        {
-            *d = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        }
-    }
-
     /// Writes `src` as little-endian `f32`s starting at byte `offset`.
     ///
     /// # Panics
@@ -153,29 +140,6 @@ impl HostBuffer {
         assert!(end <= self.len, "write_f32 out of bounds");
         for (c, s) in self.as_bytes_mut()[offset..end]
             .chunks_exact_mut(4)
-            .zip(src)
-        {
-            c.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Copies `count` little-endian `u16`s (FP16 bit patterns) starting at
-    /// byte `offset`.
-    pub fn read_u16(&self, offset: usize, count: usize) -> Vec<u16> {
-        let end = offset + count * 2;
-        assert!(end <= self.len, "read_u16 out of bounds");
-        self.as_bytes()[offset..end]
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes([c[0], c[1]]))
-            .collect()
-    }
-
-    /// Writes `src` as little-endian `u16`s starting at byte `offset`.
-    pub fn write_u16(&mut self, offset: usize, src: &[u16]) {
-        let end = offset + src.len() * 2;
-        assert!(end <= self.len, "write_u16 out of bounds");
-        for (c, s) in self.as_bytes_mut()[offset..end]
-            .chunks_exact_mut(2)
             .zip(src)
         {
             c.copy_from_slice(&s.to_le_bytes());
@@ -199,24 +163,6 @@ mod tests {
         let vals = [1.5f32, -2.25, 0.0, f32::MAX];
         buf.write_f32(8, &vals);
         assert_eq!(buf.read_f32(8, 4), vals);
-    }
-
-    #[test]
-    fn u16_round_trip() {
-        let mut buf = HostBuffer::zeroed(32);
-        let vals = [0u16, 1, 0x7C00, 0xFFFF];
-        buf.write_u16(4, &vals);
-        assert_eq!(buf.read_u16(4, 4), vals);
-    }
-
-    #[test]
-    fn read_into_avoids_allocation_and_matches() {
-        let mut buf = HostBuffer::zeroed(40);
-        let vals: Vec<f32> = (0..10).map(|i| i as f32 * 0.5).collect();
-        buf.write_f32(0, &vals);
-        let mut out = vec![0.0f32; 10];
-        buf.read_f32_into(0, &mut out);
-        assert_eq!(out, vals);
     }
 
     #[test]

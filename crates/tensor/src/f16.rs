@@ -66,29 +66,10 @@ impl F16 {
         (self.0 & EXP_MASK) == EXP_MASK && (self.0 & MAN_MASK) != 0
     }
 
-    /// Whether the value is ±∞.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & MAN_MASK) == 0
-    }
-
     /// Whether the value is finite (neither NaN nor ±∞).
     #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
-    }
-
-    /// Whether the value is subnormal (non-zero with a zero exponent).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & MAN_MASK) != 0
-    }
-
-    /// Sign bit set (true for negative values, including -0 and negative
-    /// NaNs).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        self.0 & SIGN_MASK != 0
     }
 }
 
@@ -373,7 +354,7 @@ mod tests {
             let x = g.normal_f32();
             let h = F16::from_f32(x);
             if !h.is_nan() {
-                assert_eq!(h.is_sign_negative(), x.is_sign_negative());
+                assert_eq!(h.to_bits() & SIGN_MASK != 0, x.is_sign_negative());
             }
         });
     }

@@ -14,10 +14,9 @@
 //!
 //! * [`f16::F16`] — IEEE 754 binary16 implemented from scratch (round to
 //!   nearest even, subnormals, infinities, NaN), exhaustively tested.
-//! * [`bf16::BF16`] — bfloat16 (truncated/rounded binary32).
-//! * [`convert`] — bulk upscale/downscale kernels: scalar, parallel
-//!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), and the in-place
-//!   byte-buffer variants the delayed-conversion path uses.
+//! * [`convert`] — bulk upscale/downscale kernels: scalar and parallel
+//!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), plain and fused
+//!   with the loss-scale multiply the delayed-conversion path applies.
 //! * [`buffer::HostBuffer`] — byte-addressed host staging buffer with typed
 //!   accessors, the unit of I/O for the offloading engines.
 //! * [`pool::PinnedPool`] — explicit pool-based allocation of staging
@@ -28,14 +27,12 @@
 //!   of the I/O engine subsystem in `mlp-aio`.
 
 pub mod aligned;
-pub mod bf16;
 pub mod buffer;
 pub mod convert;
 pub mod f16;
 pub mod pool;
 
 pub use aligned::{AlignedBuf, AlignedPool, DIRECT_IO_ALIGN};
-pub use bf16::BF16;
 pub use buffer::HostBuffer;
 pub use f16::F16;
 pub use pool::{PinnedPool, PooledBuffer};

@@ -23,9 +23,8 @@
 //!   tiers.
 //! * Exporters — [`chrome_trace_json`] for `chrome://tracing` /
 //!   Perfetto timelines (with [`parse_chrome_trace`] as the verified
-//!   inverse), [`events_csv`]/[`metrics_csv`] for the figure pipeline,
-//!   and [`IoSummary`] for the plain-text per-tier bytes/bandwidth
-//!   table printed at the end of a run.
+//!   inverse) and [`IoSummary`] for the plain-text per-tier
+//!   bytes/bandwidth table printed at the end of a run.
 //!
 //! The only runtime dependency is `mlp-sync`; everything else —
 //! including the Chrome JSON writer *and reader* — is implemented
@@ -57,7 +56,6 @@
 //! ```
 
 pub mod chrome;
-pub mod csv;
 pub mod event;
 pub mod json;
 pub mod metrics;
@@ -66,7 +64,6 @@ pub mod sink;
 pub mod summary;
 
 pub use chrome::{chrome_trace_json, chrome_trace_json_named, parse_chrome_trace};
-pub use csv::{events_csv, metrics_csv};
 pub use event::{Attrs, EventKind, IoDirection, Phase, TraceEvent, ALL_PHASES};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,

@@ -116,18 +116,6 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive upper bound of bucket `i` (`0` for bucket 0, else
-/// `2^i - 1`), for rendering.
-pub fn bucket_upper_bound(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
-    }
-}
-
 impl Histogram {
     /// A histogram not attached to any registry (used by disabled sinks).
     pub fn detached() -> Histogram {
@@ -173,23 +161,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Upper bound of the bucket containing quantile `q` in `[0, 1]`
-    /// (a log2-resolution approximation; 0 if empty).
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return bucket_upper_bound(i);
-            }
-        }
-        bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
     }
 }
 
@@ -302,14 +273,10 @@ mod tests {
         assert_eq!(bucket_index(3), 2);
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
-        for i in 0..HISTOGRAM_BUCKETS {
-            // Every sample at a bucket's upper bound stays in that bucket.
-            assert!(bucket_index(bucket_upper_bound(i)) <= i, "bucket {i}");
-        }
     }
 
     #[test]
-    fn histogram_mean_and_quantiles() {
+    fn histogram_mean_and_snapshot() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("fetch.bytes");
         for v in [0u64, 1, 2, 4, 1024] {
@@ -319,8 +286,6 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 1031);
         assert!((s.mean() - 206.2).abs() < 1e-9);
-        assert_eq!(s.quantile_upper_bound(0.0), 0);
-        assert_eq!(s.quantile_upper_bound(1.0), 2047);
         // Snapshot is reflected by the registry snapshot too.
         let snap = reg.snapshot();
         assert_eq!(snap.histograms.len(), 1);

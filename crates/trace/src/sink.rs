@@ -211,14 +211,6 @@ pub struct SpanGuard {
     start_ns: u64,
 }
 
-impl SpanGuard {
-    /// Updates the byte count attributed to the span (e.g. once the
-    /// transfer size is known).
-    pub fn set_bytes(&mut self, bytes: u64) {
-        self.attrs.bytes = bytes;
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(sink) = &self.sink {
@@ -267,10 +259,7 @@ mod tests {
     #[test]
     fn span_guard_records_on_drop() {
         let s = TraceSink::with_capacity(16);
-        {
-            let mut g = s.span(Phase::UpdateKernel, Attrs::NONE);
-            g.set_bytes(4096);
-        }
+        drop(s.span(Phase::UpdateKernel, Attrs::bytes(4096)));
         let evs = s.events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].phase, Phase::UpdateKernel);

@@ -106,13 +106,6 @@ impl TrainSetup {
         self.engine_cfg = self.engine_cfg.with_adaptive_replan(max_migrations_per_iter);
         self
     }
-
-    /// Sets the EMA smoothing factor for the bandwidth estimator
-    /// (1.0 = trust the latest observation, 0.0 = never update).
-    pub fn with_bandwidth_alpha(mut self, alpha: f64) -> Self {
-        self.engine_cfg.bandwidth_alpha = alpha;
-        self
-    }
 }
 
 /// Everything measured in one simulated iteration (node-level).
@@ -544,8 +537,7 @@ mod tests {
             EngineConfig::mlp_offload(),
             vec![tb.nvme.clone(), tb.pfs.clone()],
         )
-        .with_adaptive_replan(budget)
-        .with_bandwidth_alpha(0.5);
+        .with_adaptive_replan(budget);
         let workers = adaptive.world_size();
         let sub_bytes = adaptive.subgroup_params * 12;
         let mut total = 0;

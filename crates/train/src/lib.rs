@@ -11,7 +11,6 @@
 
 pub mod comm;
 pub mod compute;
-pub mod data;
 pub mod driver;
 pub mod experiments;
 pub mod func_trainer;

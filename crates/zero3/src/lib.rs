@@ -19,9 +19,3 @@
 pub mod func;
 
 pub use func::Zero3FuncEngine;
-pub use mlp_offload::EngineConfig;
-
-/// The simulated-engine configuration for the baseline.
-pub fn baseline_sim_config() -> EngineConfig {
-    EngineConfig::deepspeed_zero3()
-}
