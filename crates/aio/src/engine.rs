@@ -1,5 +1,5 @@
 //! The asynchronous I/O engine: submission queue → pluggable
-//! [`IoEngine`](crate::io_engine::IoEngine) backend → completion handles.
+//! `IoEngine` backend → completion handles.
 //!
 //! [`AioEngine`] is the stable façade: `submit_*` / `wait*` / `drain`,
 //! retry/backoff, statistics, and trace instrumentation are identical no
@@ -559,7 +559,7 @@ pub struct AioEngine {
 }
 
 impl AioEngine {
-    /// Builds the configured [`IoEngine`] backend over `backend` (see
+    /// Builds the configured `IoEngine` backend over `backend` (see
     /// [`AioConfig::engine`]; the default auto-selects by probing).
     pub fn new(backend: Arc<dyn Backend>, config: AioConfig) -> Self {
         assert!(config.workers > 0, "need at least one I/O worker");
@@ -659,7 +659,7 @@ impl AioEngine {
         &self.backend_name
     }
 
-    /// Name of the selected [`IoEngine`] backend (after auto-selection),
+    /// Name of the selected `IoEngine` backend (after auto-selection),
     /// e.g. `"pool"` or `"uring"`.
     pub fn engine_name(&self) -> &'static str {
         self.engine_name

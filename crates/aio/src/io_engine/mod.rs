@@ -19,8 +19,7 @@
 //! # The capability-dispatch rule
 //!
 //! The raw kernel path (io_uring) needs a *file*, but the [`Backend`]
-//! contract is key/value. The bridge is
-//! [`Backend::raw_target`](mlp_storage::Backend::raw_target): plainly
+//! contract is key/value. The bridge is [`Backend::raw_target`]: plainly
 //! file-backed backends (`DirBackend`) expose per-key filesystem
 //! coordinates, while in-memory backends and **every decorator** (fault
 //! injection, checksumming, tracing) decline. The engine treats the raw
@@ -36,9 +35,9 @@
 //!
 //! Completion hand-off ([`CompletionSlot`](crate::CompletionSlot)),
 //! drain ([`PendingGauge`](crate::PendingGauge)), retry/backoff, stats,
-//! and trace instrumentation live in [`EngineShared`], *outside* the
+//! and trace instrumentation live in `EngineShared`, *outside* the
 //! engine backends. Every engine funnels through
-//! [`EngineShared::run_op`]/[`EngineShared::finish_op`], so the
+//! `EngineShared::run_op`/`EngineShared::finish_op`, so the
 //! model-checked publish-then-retire invariants hold for all of them by
 //! construction. Which engine a configuration resolved to is reported
 //! by [`AioEngine::engine_name`](crate::AioEngine::engine_name).
@@ -98,8 +97,9 @@ impl EngineKind {
         [EngineKind::Pool, EngineKind::Sync, EngineKind::Uring]
     }
 
-    /// Stable lowercase name (matches [`AioEngine::engine_name`]
-    /// (crate::AioEngine::engine_name) and bench/CI labels).
+    /// Stable lowercase name (matches
+    /// [`AioEngine::engine_name`](crate::AioEngine::engine_name) and
+    /// bench/CI labels).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Auto => "auto",

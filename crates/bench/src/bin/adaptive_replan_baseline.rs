@@ -13,7 +13,7 @@
 //! * `static` — Eq. 1 split frozen at the construction-time bandwidths;
 //!   it keeps routing 40% of the flushes to the collapsed tier.
 //! * `adaptive` — the closed loop: observed transfer rates fold into the
-//!   [`BandwidthEstimator`] each iteration, flush writes re-split on the
+//!   `BandwidthEstimator` each iteration, flush writes re-split on the
 //!   live estimates, and a bounded number of durable copies migrate
 //!   between tiers at iteration boundaries.
 //! * `oracle` — knows the post-degradation bandwidths a priori and plans

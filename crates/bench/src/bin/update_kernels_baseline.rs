@@ -1,8 +1,10 @@
 //! `update_kernels_baseline` — measures the fused single-pass update
 //! kernel against the legacy multi-pass pipeline (upscale sweep →
 //! optimizer sweep → downscale sweep) for every optimizer at 1M and 16M
-//! elements, and writes the machine-readable baseline consumed by CI and
-//! tracked in `BENCH_update_kernels.json`.
+//! elements, plus the layers under and beside it — the bulk FP16⇄FP32
+//! conversions and host gradient accumulation — and writes the
+//! machine-readable baseline consumed by CI and tracked in
+//! `BENCH_update_kernels.json`.
 //!
 //! ```text
 //! update_kernels_baseline [OUTPUT_PATH]   (default: BENCH_update_kernels.json)
@@ -16,20 +18,32 @@
 //! FP32 gradient scratch vector (4 B write + 4 B read), re-reads the
 //! parameters for the downscale sweep (4 B), and re-writes FP16 (2 B on
 //! top of the same 26): 40 B/element plus a heap allocation per call.
+//!
+//! The `convert` rows (paths `upscale`, `upscale_scaled`, `downscale`) are
+//! the sequential `mlp_tensor::convert` loops every kernel above is built
+//! from, 6 B/element each. The `accumulate` rows run
+//! `GradAccumulator::accumulate` over the same element count cut into
+//! `PAR_CHUNK` subgroups: `store` is an iteration's first micro-step
+//! (`reset` + a storing `accumulate`: 2 B zeroed, 2 B read, 2 B written),
+//! `add` every later one (2 × 2 B read, 2 B written).
 
 use std::time::Instant;
 
 use mlp_bench::{round_to, write_baseline};
+use mlp_optim::accum::GradAccumulator;
 use mlp_optim::adam::AdamConfig;
 use mlp_optim::fused::fused_update_fp16;
 use mlp_optim::optimizer::{AdagradConfig, LionConfig, OptimizerConfig, SgdConfig};
-use mlp_tensor::{convert, F16};
+use mlp_tensor::{convert, F16, PAR_CHUNK};
 use mlp_trace::json::Value;
 
 /// Effective bytes of memory traffic per element, fused path.
 const FUSED_BYTES_PER_ELEM: f64 = 28.0;
 /// Effective bytes of memory traffic per element, multi-pass path.
 const MULTI_BYTES_PER_ELEM: f64 = 40.0;
+/// Effective bytes of memory traffic per element of one conversion sweep
+/// or one accumulation micro-step.
+const SWEEP_BYTES_PER_ELEM: f64 = 6.0;
 
 struct Measurement {
     optimizer: &'static str,
@@ -40,23 +54,68 @@ struct Measurement {
     iters: u64,
 }
 
+/// Gradients every row reads: finite, both signs, a few hundred distinct
+/// values.
+fn grads_fp16(n: usize) -> Vec<u16> {
+    (0..n)
+        .map(|i| F16::from_f32(((i % 1000) as f32 - 500.0) * 1e-4).to_bits())
+        .collect()
+}
+
+/// Times `run(step)` over `n` elements: one warm-up call (page-in + branch
+/// warm), then at least ~2 s and at least 10 calls (long enough to ride
+/// out scheduler noise on small shared machines).
+fn time(
+    optimizer: &'static str,
+    n: usize,
+    path: &'static str,
+    bytes_per_elem: f64,
+    mut run: impl FnMut(u64),
+) -> Measurement {
+    let mut step = 1u64;
+    run(step);
+
+    let mut iters = 0u64;
+    let start = Instant::now();
+    loop {
+        step += 1;
+        run(step);
+        iters += 1;
+        if iters >= 10 && start.elapsed().as_secs_f64() >= 2.0 {
+            break;
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    let elements_per_s = (n as f64 * iters as f64) / secs;
+    Measurement {
+        optimizer,
+        elements: n,
+        path,
+        elements_per_s,
+        gb_per_s: elements_per_s * bytes_per_elem / 1e9,
+        iters,
+    }
+}
+
 fn measure(
     name: &'static str,
     opt: &OptimizerConfig,
     n: usize,
     fused: bool,
 ) -> Measurement {
-    let grads_fp16: Vec<u16> = (0..n)
-        .map(|i| F16::from_f32(((i % 1000) as f32 - 500.0) * 1e-4).to_bits())
-        .collect();
+    let grads_fp16 = grads_fp16(n);
     let inv_scale = 1.0 / 1024.0;
     let mut params = vec![0.1f32; n];
     let mut slot1 = vec![0.0f32; n];
     let mut slot2 = vec![0.0f32; n];
     let mut fp16_out = vec![0u16; n];
-    let mut step = 0u64;
 
-    let mut run = |step: u64| {
+    let (path, bytes) = if fused {
+        ("fused", FUSED_BYTES_PER_ELEM)
+    } else {
+        ("multi_pass", MULTI_BYTES_PER_ELEM)
+    };
+    time(name, n, path, bytes, |step| {
         if fused {
             fused_update_fp16(
                 opt,
@@ -74,39 +133,36 @@ fn measure(
             opt.step_par(step, &mut params, &mut slot1, &mut slot2, &scratch);
             convert::downscale_par(&params, &mut fp16_out);
         }
-    };
+    })
+}
 
-    // Warm-up (page-in + branch warm).
-    step += 1;
-    run(step);
-
-    // Measure for at least ~2 s and at least 10 iterations (long enough to
-    // ride out scheduler noise on small shared machines).
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        step += 1;
-        run(step);
-        iters += 1;
-        if iters >= 10 && start.elapsed().as_secs_f64() >= 2.0 {
-            break;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let elements_per_s = (n as f64 * iters as f64) / secs;
-    let bytes = if fused {
-        FUSED_BYTES_PER_ELEM
-    } else {
-        MULTI_BYTES_PER_ELEM
-    };
-    Measurement {
-        optimizer: name,
-        elements: n,
-        path: if fused { "fused" } else { "multi_pass" },
-        elements_per_s,
-        gb_per_s: elements_per_s * bytes / 1e9,
-        iters,
-    }
+/// The three sequential conversion sweeps and the two kinds of
+/// accumulation micro-step, at `n` elements.
+fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
+    let half = grads_fp16(n);
+    let mut single = vec![0.0f32; n];
+    let mut half_out = vec![0u16; n];
+    let micro_step: Vec<Vec<u16>> = half.chunks(PAR_CHUNK).map(<[u16]>::to_vec).collect();
+    let lens: Vec<usize> = micro_step.iter().map(Vec::len).collect();
+    let mut acc = GradAccumulator::new(&lens);
+    vec![
+        time("convert", n, "upscale", SWEEP_BYTES_PER_ELEM, |_| {
+            convert::upscale(&half, &mut single)
+        }),
+        time("convert", n, "upscale_scaled", SWEEP_BYTES_PER_ELEM, |_| {
+            convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0)
+        }),
+        time("convert", n, "downscale", SWEEP_BYTES_PER_ELEM, |_| {
+            convert::downscale(&single, &mut half_out)
+        }),
+        time("accumulate", n, "store", SWEEP_BYTES_PER_ELEM, |_| {
+            acc.reset();
+            acc.accumulate(&micro_step);
+        }),
+        time("accumulate", n, "add", SWEEP_BYTES_PER_ELEM, |_| {
+            acc.accumulate(&micro_step)
+        }),
+    ]
 }
 
 fn main() {
@@ -122,20 +178,20 @@ fn main() {
 
     let mut results = Vec::new();
     for n in [1usize << 20, 1 << 24] {
-        for (name, opt) in &optimizers {
-            for fused in [true, false] {
-                let m = measure(name, opt, n, fused);
-                eprintln!(
-                    "{:>8} {:>9} {:>10}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters)",
-                    m.optimizer,
-                    m.elements,
-                    m.path,
-                    m.elements_per_s / 1e6,
-                    m.gb_per_s,
-                    m.iters
-                );
-                results.push(m);
-            }
+        let fused_vs_multi_pass = optimizers.iter().flat_map(|(name, opt)| {
+            [true, false].map(|fused| measure(name, opt, n, fused))
+        });
+        for m in fused_vs_multi_pass.chain(measure_conversions_and_accumulation(n)) {
+            eprintln!(
+                "{:>10} {:>9} {:>14}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters)",
+                m.optimizer,
+                m.elements,
+                m.path,
+                m.elements_per_s / 1e6,
+                m.gb_per_s,
+                m.iters
+            );
+            results.push(m);
         }
     }
 
@@ -162,8 +218,9 @@ fn main() {
         ("bytes_per_element", Value::obj([
             ("fused", FUSED_BYTES_PER_ELEM.into()),
             ("multi_pass", MULTI_BYTES_PER_ELEM.into()),
+            ("sweep", SWEEP_BYTES_PER_ELEM.into()),
         ])),
-        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer".into()),
+        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = reset + first micro-step, add = every later one)".into()),
         ("results", results.iter().map(|m| Value::obj([
             ("elements", m.elements.into()),
             ("elements_per_s", m.elements_per_s.round().into()),

@@ -6,12 +6,13 @@ use std::sync::Arc;
 
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
-use mlp_optim::accum::GradAccumulator;
+use mlp_optim::accum::{for_each_subgroup, GradAccumulator};
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor, OptimizerConfig};
 use mlp_optim::traced::fused_update_f32_traced;
 use mlp_optim::{SubgroupState, SubgroupStateMut};
 use mlp_storage::{Backend, HealthGatedBackend, TierHealth, TracedBackend};
 use mlp_tensor::convert;
+use mlp_tensor::f16::f16_bits_to_f32;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
 use mlp_trace::{Attrs, Phase};
 
@@ -511,32 +512,16 @@ impl MlpFuncEngine {
     /// without it they are eagerly upscaled into the FP32 accumulators
     /// (the conversion MLP-Offload delays).
     pub fn accumulate_gradients(&mut self, grads: &[Vec<u16>]) {
-        assert_eq!(
-            grads.len(),
-            self.subgroup_lens.len(),
-            "gradient set mismatch"
-        );
         match &mut self.grads {
-            HostGrads::Fp16(acc) => {
-                for (idx, g) in grads.iter().enumerate() {
-                    acc.accumulate(idx, g);
-                }
-            }
+            HostGrads::Fp16(acc) => acc.accumulate(grads),
             HostGrads::Fp32 { accum, on_tier } => {
                 // Whatever an earlier flush put on a tier is stale now.
                 on_tier.fill(None);
-                // Upscale into a scratch buffer, then add: measured
-                // faster than one fused `+= upscale(h)` loop, whose
-                // branchy conversion keeps the add from vectorizing.
-                let mut up = Vec::new();
-                for (buf, g) in accum.iter_mut().zip(grads) {
-                    assert_eq!(buf.len(), g.len(), "gradient length mismatch");
-                    up.resize(g.len(), 0.0);
-                    convert::upscale(g, &mut up);
-                    for (b, u) in buf.iter_mut().zip(&up) {
-                        *b += u;
+                for_each_subgroup(accum, grads, |buf, g| {
+                    for (b, &h) in buf.iter_mut().zip(g) {
+                        *b += f16_bits_to_f32(h);
                     }
-                }
+                });
             }
         }
     }
@@ -1240,7 +1225,7 @@ impl MlpFuncEngine {
     /// and subgroups whose object-store upload is still current at this
     /// optimizer step are skipped entirely (incremental checkpointing).
     ///
-    /// The returned [`PendingCheckpoint`] must be settled with
+    /// The returned [`PendingCheckpoint`](crate::checkpoint::PendingCheckpoint) must be settled with
     /// [`CheckpointPipeline::drain`], which trickles the staged bytes to
     /// the object store, verifies, publishes the manifest, and prunes.
     ///
@@ -1578,6 +1563,45 @@ mod tests {
         b.update().unwrap();
 
         assert_eq!(a.master_params().unwrap(), b.master_params().unwrap());
+
+        // Two micro-steps of *different* gradients (the first is stored,
+        // the second added), two iterations (the accumulator stores again
+        // after its reset), −0 and a subnormal among them: bit-identical
+        // to the never-offloaded reference fed the sum accumulated
+        // sequentially, one widen-add-narrow per micro-step.
+        let micro_step = |seed: f32| {
+            let mut g = grads_for(3, 8, seed);
+            g[0][0] = 0x8000; // −0
+            g[1][1] = 0x0003; // subnormal
+            g[2][2] = 0x83FF; // the largest negative subnormal: two sum to a normal
+            g
+        };
+        let add = |acc: u16, g: u16| F16::from_f32(F16(acc).to_f32() + F16(g).to_f32()).to_bits();
+        let mut reference = init_states(3, 8);
+        let mut engine = MlpFuncEngine::new(
+            EngineConfig::mlp_offload().with_host_frames(2),
+            adam,
+            &tiers(2),
+            0,
+            init_states(3, 8),
+        )
+        .unwrap();
+        for it in 0..2 {
+            let (first, second) = (micro_step(it as f32), micro_step(it as f32 + 0.5));
+            engine.accumulate_gradients(&first);
+            engine.accumulate_gradients(&second);
+            engine.update().unwrap();
+            let sum: Vec<Vec<u16>> = first
+                .iter()
+                .zip(&second)
+                .map(|(f, s)| f.iter().zip(s).map(|(&f, &s)| add(add(0, f), s)).collect())
+                .collect();
+            reference_update(&mut reference, &adam, &sum);
+        }
+        for (got, want) in engine.master_params().unwrap().iter().zip(&reference) {
+            let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want.params));
+        }
     }
 
     #[test]

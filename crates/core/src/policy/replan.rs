@@ -1,6 +1,6 @@
 //! Online adaptive re-planning: the closed loop over §3.3.
 //!
-//! [`allocate_counts`] gives the Eq. 1 split for a *given* set of tier
+//! [`allocate_counts`](crate::policy::allocation::allocate_counts) gives the Eq. 1 split for a *given* set of tier
 //! bandwidths; the [`BandwidthEstimator`] tracks what those bandwidths
 //! *actually are* from observed transfers. The [`AdaptivePlanner`] closes
 //! the loop: every iteration it folds the observations, re-splits flush
@@ -23,7 +23,7 @@
 //! * **Determinism** — given the same placements and estimates the plan
 //!   is identical: donors/receivers and the subgroups moved between them
 //!   are selected with index-order tie-breaks, and the underlying
-//!   rounding ([`allocate_counts`]) is itself deterministic under ties.
+//!   rounding (`allocate_counts`) is itself deterministic under ties.
 
 use mlp_trace::{Counter, Gauge, TraceSink};
 

@@ -2,27 +2,27 @@
 //!
 //! The paper's delayed-conversion argument (§3.2) only holds if the host
 //! side of the update phase keeps up with the storage tiers: FP16→FP32
-//! conversion and the optimizer step must together sustain tens of GB/s.
-//! The multi-pass composition (`upscale_scaled` → `step_par` →
-//! `downscale_par`) sweeps the subgroup state 4–6 times through DRAM and
-//! materializes an FP32 gradient buffer per subgroup. The kernels here do
-//! what ZeRO-Offload's fused CPU-Adam does — unscale, moment update,
-//! parameter step, and FP16 parameter emission in a single `PAR_CHUNK`-chunked
-//! pass — via *strip-mined fusion*: each chunk is processed in small
-//! L1-resident tiles, and within a tile the three sweeps run back to back
-//! over a stack scratch buffer. Each inner sweep keeps the exact loop
-//! shape of its multi-pass counterpart (so it vectorizes identically; a
-//! single interleaved per-element loop defeats the autovectorizer on the
-//! branchy FP16 conversions), while the subgroup-sized arrays are still
-//! loaded and stored exactly once and no FP32 gradient buffer is ever
-//! allocated — the scratch is `TILE` (512) elements on the stack.
+//! conversion and the optimizer step must together outrun a tier fetch by
+//! a wide margin. The multi-pass composition (`upscale_scaled` →
+//! `step_par` → `downscale_par`) sweeps the subgroup state 4–6 times
+//! through DRAM and materializes an FP32 gradient buffer per subgroup.
+//! The kernels here do what ZeRO-Offload's fused CPU-Adam does — unscale,
+//! moment update, parameter step, and FP16 parameter emission in a single
+//! `PAR_CHUNK`-chunked pass — via *strip-mined fusion*: each chunk is
+//! processed in small L1-resident tiles, and within a tile the three
+//! sweeps run back to back over a stack scratch buffer. What the tiles
+//! buy: the subgroup-sized state arrays are loaded and stored exactly
+//! once, and no FP32 gradient buffer is ever allocated — the scratch is
+//! `TILE` (512) elements, 2 KiB, on the stack. Each inner sweep is the
+//! very loop of its multi-pass counterpart, and all three vectorize (the
+//! conversions are select-only, see [`mlp_tensor::f16`]).
 //!
 //! Bit-exactness: a tile *is* the multi-pass composition
 //! ([`mlp_tensor::convert::upscale_scaled`] → [`OptimizerConfig::step`] →
 //! [`mlp_tensor::convert::downscale`]) applied to a sub-range, and every
 //! element's update is independent of the others, so the fused results are
-//! bitwise identical (property-tested below) and engines can switch
-//! between the paths per config flag without changing trajectories.
+//! bitwise identical (property-tested below); the multi-pass kernels stay
+//! as the reference the tests and the benchmark oracle compare against.
 
 use mlp_tensor::{convert, par_for_each, PAR_CHUNK};
 

@@ -185,9 +185,16 @@ impl MemBackend {
 impl Backend for MemBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         Self::throttle(self.write_bps, data.len());
-        self.map
-            .lock()
-            .insert(key.to_string(), Arc::new(data.to_vec()));
+        let mut map = self.map.lock();
+        // Overwrite in place when nothing else holds the old object: a
+        // reader inside `read`/`read_into` holds a clone of the `Arc`, so
+        // it keeps the old bytes whole and the key gets a fresh object.
+        match map.get_mut(key).and_then(Arc::get_mut) {
+            Some(old) if old.len() == data.len() => old.copy_from_slice(data),
+            _ => {
+                map.insert(key.to_string(), Arc::new(data.to_vec()));
+            }
+        }
         Ok(())
     }
 
@@ -451,6 +458,37 @@ mod tests {
         assert_eq!(b.read("k").unwrap(), vec![2, 3]);
         assert_eq!(b.object_count(), 1);
         assert_eq!(b.total_bytes(), 2);
+    }
+
+    /// A same-length overwrite reuses the stored object — unless a reader
+    /// holds it: `read_into` clones the `Arc`, sleeps out the throttle, then
+    /// copies, and must still copy the bytes it found.
+    #[test]
+    fn mem_backend_overwrite_in_place_never_reaches_a_reader() {
+        let (old, new) = (vec![1u8; 4096], vec![2u8; 4096]);
+        let b = Arc::new(MemBackend::throttled("slow-read", 4096.0 / 0.4, 1e12));
+        b.write("k", &old).unwrap(); // first write
+        let (entered, enter) = std::sync::mpsc::channel();
+        let reader = {
+            let b = Arc::clone(&b);
+            std::thread::spawn(move || {
+                let mut dst = vec![0u8; 4096];
+                entered.send(()).unwrap();
+                b.read_into("k", &mut dst).unwrap(); // 0.4 s inside
+                dst
+            })
+        };
+        enter.recv().unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        b.write("k", &new).unwrap(); // same length, reader inside
+        assert_eq!(reader.join().unwrap(), old, "the reader's object changed under it");
+        assert_eq!(b.read("k").unwrap(), new);
+
+        b.write("k", &old).unwrap(); // same length, nobody inside: in place
+        assert_eq!(b.read("k").unwrap(), old);
+        b.write("k", &new[..100]).unwrap(); // different length
+        assert_eq!(b.read("k").unwrap(), &new[..100]);
+        assert_eq!((b.object_count(), b.total_bytes()), (1, 100));
     }
 
     #[test]

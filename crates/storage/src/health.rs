@@ -387,8 +387,8 @@ impl TierHealth {
 }
 
 /// The typed rejection an open or quarantined breaker returns in place
-/// of issuing the op. Deliberately **permanent** under [`classify`]
-/// (crate::classify): retrying into an open breaker is pointless — the
+/// of issuing the op. Deliberately **permanent** under
+/// [`classify`](crate::classify): retrying into an open breaker is pointless — the
 /// open→half-open cooldown is counted in *fresh* ops hitting
 /// [`TierHealth::allow`], not in retry spins of one op.
 pub fn breaker_rejection(tier: &str, state: BreakerState) -> io::Error {

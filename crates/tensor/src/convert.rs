@@ -4,9 +4,14 @@
 //! mixed-precision gradient conversion* (§3.2): FP16 gradients parked in the
 //! host accumulation buffer are upscaled to FP32 on the fly during the
 //! update phase, instead of being eagerly upscaled and flushed through the
-//! storage tiers during the backward pass. On a modern CPU this conversion
-//! sustains tens of GB/s — an order of magnitude above tertiary-storage
-//! fetch bandwidth — which is exactly why the delayed strategy wins.
+//! storage tiers during the backward pass. The loops below are plain
+//! element-wise sweeps over the select-only scalar conversions of
+//! [`crate::f16`], which is what lets them vectorize: one core of the shared
+//! 2-vCPU reference box upscales 1.2–2.2 Gelem/s (7–13 GB/s of traffic,
+//! against 0.5 Gelem/s for the branchy conversions) and downscales
+//! 0.7–1.0 Gelem/s (`BENCH_update_kernels.json`, `convert` rows, three runs)
+//! — two orders of magnitude above the tertiary-storage fetch bandwidths
+//! the benchmark emulates, which is exactly why the delayed strategy wins.
 
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use crate::{par_for_each, PAR_CHUNK};

@@ -7,6 +7,22 @@
 //! crate) because the conversion *is* part of the system under study.
 //!
 //! Layout: 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
+//!
+//! Both conversions are *select-only*: every candidate result is computed
+//! unconditionally with integer and floating-point arithmetic and compares
+//! pick one, so there is no data-dependent branch and every bulk loop over
+//! them ([`crate::convert`], the fused update tiles, gradient accumulation)
+//! autovectorizes at baseline x86-64 from this one source path — no
+//! `std::arch`, no target features, no `unsafe`. The algorithms lean on the
+//! hardware's own rounding (a multiplication by `2¹¹²` renormalizes
+//! subnormals, an addition of `0.5` rounds to the subnormal grid), so they
+//! assume the default floating-point environment: round to nearest, no
+//! flush-to-zero or denormals-are-zero — which Rust code is entitled to
+//! assume and nothing in this workspace changes. The branchy scalar
+//! versions they replaced live on in this module's tests as the reference:
+//! widening is compared bit for bit on all 2¹⁶ inputs, narrowing on a
+//! boundary grid plus a million random patterns, and on all 2³² inputs in
+//! an `#[ignore]`d sweep.
 
 /// A 16-bit IEEE 754 binary16 value, stored as its bit pattern.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -97,108 +113,228 @@ impl From<F16> for f32 {
     }
 }
 
+/// `2¹¹²` as an `f32`: moves a binary16 exponent field sitting in binary32
+/// position (bias 15) onto the binary32 bias (127).
+const WIDEN_SCALE: f32 = f32::from_bits((127 + 112) << 23);
+/// `0.5` as binary32 bits: adding it as a float lines a magnitude below
+/// `2⁻¹⁴` up so that its ten binary16 mantissa bits are the low bits of the
+/// sum, rounded to nearest even by the addition itself.
+const SUBNORMAL_MAGIC: u32 = ((127 - 15) + (23 - 10) + 1) << 23;
+
 /// Converts an `f32` bit-exactly to binary16 bits with round-to-nearest-even.
-#[inline]
+///
+/// Select-only: the three candidates (infinity/NaN, subnormal, normal) are
+/// all computed from the magnitude `a` and two compares pick one, so a loop
+/// over this function has no data-dependent branch and vectorizes.
+///
+/// * `a ≥ 2¹⁶` (exponent field ≥ 143, NaNs included): `0x7C00`, or for a NaN
+///   `0x7C00 | 0x0200 | payload >> 13` — the forced quiet bit keeps a
+///   signalling payload that would truncate to zero a NaN.
+/// * `a < 2⁻¹⁴`: `(a + 0.5) − 0.5`, the addition in floating point and the
+///   subtraction on the bit patterns. `0.5` has ulp `2⁻²⁴`, the binary16
+///   subnormal spacing, so the hardware addition does the rounding; anything
+///   at or below `2⁻²⁵` (binary32 subnormals too) becomes zero and the top of
+///   the range carries into `0x0400 = 2⁻¹⁴`.
+/// * otherwise: rebias the exponent, add `0xFFF` plus the lowest kept
+///   mantissa bit (round to nearest, ties to even) and drop 13 bits; a
+///   mantissa carry walks into the exponent, up to infinity, as IEEE
+///   encoding wants.
+///
+/// Assumes the default floating-point environment (round to nearest, no
+/// flush-to-zero), which Rust code is entitled to and nothing here changes.
+#[inline(always)]
 pub fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
+    let sign = (bits >> 16) & 0x8000;
+    let a = bits & 0x7FFF_FFFF;
 
-    if exp == 0xFF {
-        // Infinity or NaN. Preserve NaN-ness; force the quiet bit so a
-        // signalling payload that would truncate to zero stays a NaN.
-        return if man == 0 {
-            sign | EXP_MASK
-        } else {
-            sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK)
-        };
-    }
+    let nan = 0x7C00 | 0x0200 | ((a >> 13) & 0x03FF);
+    let inf_nan = if a > 0x7F80_0000 { nan } else { 0x7C00 };
+    let subnormal = (f32::from_bits(a) + f32::from_bits(SUBNORMAL_MAGIC))
+        .to_bits()
+        .wrapping_sub(SUBNORMAL_MAGIC);
+    // Wrapping: below 2⁻¹⁴ this candidate is garbage and discarded.
+    let rebias_and_round = 0x0FFF_u32.wrapping_sub((127 - 15) << 23);
+    let normal = a.wrapping_add(rebias_and_round).wrapping_add((a >> 13) & 1) >> 13;
 
-    // Unbiased exponent of the f32 value (normals; subnormal f32 inputs are
-    // far below the f16 subnormal range and flush to zero below).
-    let unbiased = exp - 127;
-    let half_exp = unbiased + 15;
-
-    if half_exp >= 0x1F {
-        // Overflow → ±∞.
-        return sign | EXP_MASK;
-    }
-
-    if half_exp <= 0 {
-        // Result is subnormal (or underflows to zero). The implicit leading
-        // one must be materialized, then the 24-bit significand is shifted
-        // right by (14 - unbiased) with round-to-nearest-even.
-        if half_exp < -10 {
-            // Below half the smallest subnormal: rounds to signed zero.
-            return sign;
-        }
-        // The result mantissa is round(significand × 2^(unbiased+1)) since
-        // value = significand × 2^(unbiased−23) and man16 = value × 2²⁴.
-        let significand = man | 0x0080_0000; // implicit bit
-        let shift = (-unbiased - 1) as u32; // in [14, 24]
-        let halfway = 1u32 << (shift - 1);
-        let mask = (1u32 << shift) - 1;
-        let mut half_man = (significand >> shift) as u16;
-        let rem = significand & mask;
-        if rem > halfway || (rem == halfway && (half_man & 1) == 1) {
-            half_man += 1; // may carry into the exponent: 0x0400 = 2^-14 ✓
-        }
-        return sign | half_man;
-    }
-
-    // Normal result: keep 10 of the 23 mantissa bits, rounding to nearest
-    // even on the discarded 13 bits. The mantissa increment may carry into
-    // the exponent, which is exactly correct in IEEE encoding (including a
-    // carry to infinity).
-    let mut out = sign | ((half_exp as u16) << 10) | ((man >> 13) as u16);
-    let rem = man & 0x1FFF;
-    if rem > 0x1000 || (rem == 0x1000 && (out & 1) == 1) {
-        out += 1;
-    }
-    out
+    let finite = if a < (127 - 14) << 23 { subnormal } else { normal };
+    let magnitude = if a >= (127 + 16) << 23 { inf_nan } else { finite };
+    (sign | magnitude) as u16
 }
 
 /// Widens binary16 bits exactly to an `f32`.
-#[inline]
+///
+/// Select-only, like [`f32_to_f16_bits`]: the 15 magnitude bits shifted into
+/// binary32 position read as `value × 2⁻¹¹²` (the exponent field is still
+/// biased by 15), so one multiplication by `2¹¹²` rebiases normals and —
+/// because the product of a binary32 subnormal and a power of two is exact —
+/// renormalizes binary16 subnormals too. An all-ones binary16 exponent lands
+/// on `2¹⁶`: there the binary32 exponent is filled with ones (±∞), and the
+/// quiet bit is set when a mantissa makes it a NaN (payload kept).
+///
+/// Assumes the default floating-point environment (no denormals-are-zero).
+#[inline(always)]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & SIGN_MASK) as u32) << 16;
-    let exp = ((h & EXP_MASK) >> 10) as u32;
-    let man = (h & MAN_MASK) as u32;
-
-    let bits = match exp {
-        0 => {
-            if man == 0 {
-                sign // ±0
-            } else {
-                // Subnormal: value = man × 2⁻²⁴ with the highest set bit of
-                // `man` at position p becoming the implicit bit, so the f32
-                // exponent is p − 24 (biased: 103 + p = 113 − lz).
-                let lz = man.leading_zeros() - 21; // zeros above bit 10 → 10 − p
-                let man = (man << lz) & MAN_MASK as u32; // implicit bit at 10, masked off
-                let exp32 = 113 - lz;
-                sign | (exp32 << 23) | (man << 13)
-            }
-        }
-        0x1F => {
-            if man == 0 {
-                sign | 0x7F80_0000 // ±∞
-            } else {
-                sign | 0x7FC0_0000 | (man << 13) // NaN, keep payload, quiet
-            }
-        }
-        _ => {
-            let exp32 = exp + 127 - 15;
-            sign | (exp32 << 23) | (man << 13)
-        }
-    };
-    f32::from_bits(bits)
+    let scaled = f32::from_bits(((h & !SIGN_MASK) as u32) << 13) * WIDEN_SCALE;
+    let inf_nan = if scaled >= 65536.0 { 0x7F80_0000 } else { 0 };
+    let quiet = if scaled > 65536.0 { 0x0040_0000 } else { 0 };
+    f32::from_bits(scaled.to_bits() | inf_nan | quiet | sign)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_testkit::{cases, DEFAULT_CASES};
+    use mlp_testkit::{cases, Gen, DEFAULT_CASES};
+
+    /// The branchy scalar narrowing the select-only [`f32_to_f16_bits`]
+    /// replaced, kept as the reference it must match bit for bit.
+    fn reference_f32_to_f16_bits(x: f32) -> u16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let man = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Infinity or NaN. Preserve NaN-ness; force the quiet bit so a
+            // signalling payload that would truncate to zero stays a NaN.
+            return if man == 0 {
+                sign | EXP_MASK
+            } else {
+                sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK)
+            };
+        }
+
+        // Unbiased exponent of the f32 value (normals; subnormal f32 inputs are
+        // far below the f16 subnormal range and flush to zero below).
+        let unbiased = exp - 127;
+        let half_exp = unbiased + 15;
+
+        if half_exp >= 0x1F {
+            // Overflow → ±∞.
+            return sign | EXP_MASK;
+        }
+
+        if half_exp <= 0 {
+            // Result is subnormal (or underflows to zero). The implicit leading
+            // one must be materialized, then the 24-bit significand is shifted
+            // right by (14 - unbiased) with round-to-nearest-even.
+            if half_exp < -10 {
+                // Below half the smallest subnormal: rounds to signed zero.
+                return sign;
+            }
+            // The result mantissa is round(significand × 2^(unbiased+1)) since
+            // value = significand × 2^(unbiased−23) and man16 = value × 2²⁴.
+            let significand = man | 0x0080_0000; // implicit bit
+            let shift = (-unbiased - 1) as u32; // in [14, 24]
+            let halfway = 1u32 << (shift - 1);
+            let mask = (1u32 << shift) - 1;
+            let mut half_man = (significand >> shift) as u16;
+            let rem = significand & mask;
+            if rem > halfway || (rem == halfway && (half_man & 1) == 1) {
+                half_man += 1; // may carry into the exponent: 0x0400 = 2^-14 ✓
+            }
+            return sign | half_man;
+        }
+
+        // Normal result: keep 10 of the 23 mantissa bits, rounding to nearest
+        // even on the discarded 13 bits. The mantissa increment may carry into
+        // the exponent, which is exactly correct in IEEE encoding (including a
+        // carry to infinity).
+        let mut out = sign | ((half_exp as u16) << 10) | ((man >> 13) as u16);
+        let rem = man & 0x1FFF;
+        if rem > 0x1000 || (rem == 0x1000 && (out & 1) == 1) {
+            out += 1;
+        }
+        out
+    }
+
+    /// The branchy scalar widening [`f16_bits_to_f32`] replaced.
+    fn reference_f16_bits_to_f32(h: u16) -> f32 {
+        let sign = ((h & SIGN_MASK) as u32) << 16;
+        let exp = ((h & EXP_MASK) >> 10) as u32;
+        let man = (h & MAN_MASK) as u32;
+
+        let bits = match exp {
+            0 => {
+                if man == 0 {
+                    sign // ±0
+                } else {
+                    // Subnormal: value = man × 2⁻²⁴ with the highest set bit of
+                    // `man` at position p becoming the implicit bit, so the f32
+                    // exponent is p − 24 (biased: 103 + p = 113 − lz).
+                    let lz = man.leading_zeros() - 21; // zeros above bit 10 → 10 − p
+                    let man = (man << lz) & MAN_MASK as u32; // implicit bit at 10, masked off
+                    let exp32 = 113 - lz;
+                    sign | (exp32 << 23) | (man << 13)
+                }
+            }
+            0x1F => {
+                if man == 0 {
+                    sign | 0x7F80_0000 // ±∞
+                } else {
+                    sign | 0x7FC0_0000 | (man << 13) // NaN, keep payload, quiet
+                }
+            }
+            _ => {
+                let exp32 = exp + 127 - 15;
+                sign | (exp32 << 23) | (man << 13)
+            }
+        };
+        f32::from_bits(bits)
+    }
+
+    fn assert_narrowing_matches_reference(bits: u32) {
+        let x = f32::from_bits(bits);
+        assert_eq!(
+            f32_to_f16_bits(x),
+            reference_f32_to_f16_bits(x),
+            "narrowing {bits:#010x}"
+        );
+    }
+
+    #[test]
+    fn widening_is_bit_identical_to_the_branchy_reference() {
+        // As bits, so NaN payloads, the quiet bit and −0 are compared too.
+        for h in 0..=u16::MAX {
+            assert_eq!(
+                f16_bits_to_f32(h).to_bits(),
+                reference_f16_bits_to_f32(h).to_bits(),
+                "widening {h:#06x}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_is_bit_identical_to_the_branchy_reference() {
+        // Every exponent (zero/subnormal and infinity/NaN ones included)
+        // around every rounding boundary of the 13 dropped mantissa bits,
+        // both signs: ±0, ±∞, quiet and signalling NaNs are all on the grid.
+        let mantissas = [0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF];
+        for exp in 0..=0xFFu32 {
+            for man in mantissas {
+                for sign in [0, 0x8000_0000] {
+                    assert_narrowing_matches_reference(sign | (exp << 23) | man);
+                }
+            }
+        }
+        let mut g = Gen::new(0xF16);
+        for _ in 0..1 << 20 {
+            assert_narrowing_matches_reference(g.u64() as u32);
+        }
+    }
+
+    /// All 2³² inputs, ≈ 13 s in release on one core:
+    /// `cargo test --release -p mlp-tensor -- --ignored`.
+    #[test]
+    #[ignore = "full 2^32 sweep; run in release"]
+    fn narrowing_is_bit_identical_to_the_branchy_reference_for_every_f32() {
+        crate::par_for_each(0..=0xFFu32, |top| {
+            for low in 0..1u32 << 24 {
+                assert_narrowing_matches_reference((top << 24) | low);
+            }
+        });
+    }
 
     #[test]
     fn known_constants() {

@@ -13,7 +13,9 @@
 //! Provided:
 //!
 //! * [`f16::F16`] — IEEE 754 binary16 implemented from scratch (round to
-//!   nearest even, subnormals, infinities, NaN), exhaustively tested.
+//!   nearest even, subnormals, infinities, NaN) with branch-free
+//!   conversions that vectorize, exhaustively tested against a branchy
+//!   scalar reference.
 //! * [`convert`] — bulk upscale/downscale kernels: scalar and parallel
 //!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), plain and fused
 //!   with the loss-scale multiply the delayed-conversion path applies.
