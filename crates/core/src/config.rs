@@ -33,7 +33,13 @@ pub struct EngineConfig {
     /// ("Enable Caching").
     pub cache_retention: bool,
     /// Total host frames per worker (subgroup-sized pinned buffers). At
-    /// least 3 are used for the pipeline regardless.
+    /// least 3 are used for the pipeline regardless; with "Enable
+    /// Caching" the rest retain subgroups across iterations. The split
+    /// is a budget on what *rests* in host memory between update phases,
+    /// not on the pipeline's depth: during an update the functional
+    /// engine's prefetch window borrows every frame that is not holding
+    /// a retained subgroup at that moment (DESIGN.md §7), so a larger
+    /// budget also means a deeper window.
     pub host_frames: usize,
     /// Keep FP16 gradients in host memory and upscale during the update
     /// ("Skip Gradients" / delayed in-place conversion). When `false`,

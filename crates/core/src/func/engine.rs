@@ -1,6 +1,6 @@
 //! Real-bytes offloading engine over [`mlp_aio`] and storage backends.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 
@@ -250,6 +250,11 @@ pub struct MlpFuncEngine {
     worker_id: usize,
     tiers: Vec<TierRt>,
     subgroup_lens: Vec<usize>,
+    /// Object names of each subgroup's state (`w{worker}/sub{idx}`) and
+    /// FP32 gradients (`w{worker}/grad{idx}`), built once: the update
+    /// loop names an object per fetch and per flush.
+    keys: Vec<String>,
+    grad_keys: Vec<String>,
     /// Placement, retention and the flush split: one slot per subgroup,
     /// host-resident ones holding their pooled staging buffer. Its
     /// planner folds the observed per-tier transfer and retry rates into
@@ -397,6 +402,10 @@ impl MlpFuncEngine {
             },
             last_grad_bytes: 0,
             ledger,
+            keys: (0..m).map(|idx| format!("w{worker_id}/sub{idx}")).collect(),
+            grad_keys: (0..m)
+                .map(|idx| format!("w{worker_id}/grad{idx}"))
+                .collect(),
             subgroup_lens,
             tiers,
             cfg,
@@ -423,7 +432,7 @@ impl MlpFuncEngine {
             handles.push(
                 engine.tiers[tier]
                     .engine
-                    .submit_write(&engine.key(idx), state.to_buffer().into_bytes()),
+                    .submit_write(engine.key(idx), state.to_buffer().into_bytes()),
             );
         }
         for h in handles {
@@ -472,12 +481,12 @@ impl MlpFuncEngine {
         })
     }
 
-    fn key(&self, idx: usize) -> String {
-        format!("w{}/sub{}", self.worker_id, idx)
+    fn key(&self, idx: usize) -> &str {
+        &self.keys[idx]
     }
 
-    fn grad_key(&self, idx: usize) -> String {
-        format!("w{}/grad{}", self.worker_id, idx)
+    fn grad_key(&self, idx: usize) -> &str {
+        &self.grad_keys[idx]
     }
 
     /// Holds `tier`'s node-level lock across a submission when "Process
@@ -555,7 +564,7 @@ impl MlpFuncEngine {
             }
             let mut buf = self.state_pool.acquire();
             buf.write_f32(0, g);
-            let handle = self.submit_flush(t, &self.grad_key(idx), buf, g.len() * 4);
+            let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
             handles.push((idx, t, handle));
         }
         let HostGrads::Fp32 { accum, on_tier } = &mut self.grads else {
@@ -659,7 +668,7 @@ impl MlpFuncEngine {
         // before returning — nothing races a re-driven iteration and no
         // staging buffer stays checked out.
         let mut pending: VecDeque<(usize, Staged)> = VecDeque::new();
-        let mut inflight_flush: HashMap<usize, OpHandle> = HashMap::new();
+        let mut inflight_flush: VecDeque<(usize, OpHandle)> = VecDeque::new();
         let pass = self.update_pass(
             inv_scale,
             &mut outcome,
@@ -728,6 +737,20 @@ impl MlpFuncEngine {
         }
     }
 
+    /// Waits for subgroup `fidx`'s eviction flush; a failed one reclaims
+    /// its payload host-side and returns the error.
+    fn settle_flush(
+        &mut self,
+        fidx: usize,
+        handle: OpHandle,
+        progress: &mut IterProgress,
+    ) -> io::Result<()> {
+        handle.wait_flush().map_err(|(e, payload)| {
+            self.reclaim_failed_flush(fidx, payload, progress);
+            e
+        })
+    }
+
     /// Drains every operation still in flight after a pass, successful or
     /// not: pending reads settle (their staging buffers recycle), cache
     /// hits the pass never reached go back to the ledger, and flushes
@@ -738,7 +761,7 @@ impl MlpFuncEngine {
         &mut self,
         pass: io::Result<()>,
         pending: VecDeque<(usize, Staged)>,
-        inflight_flush: HashMap<usize, OpHandle>,
+        inflight_flush: VecDeque<(usize, OpHandle)>,
         progress: &mut IterProgress,
     ) -> io::Result<()> {
         let mut first_err = pass.err();
@@ -754,12 +777,135 @@ impl MlpFuncEngine {
             }
         }
         for (fidx, h) in inflight_flush {
-            if let Err((e, payload)) = h.wait_flush() {
-                self.reclaim_failed_flush(fidx, payload, progress);
+            if let Err(e) = self.settle_flush(fidx, h, progress) {
                 first_err.get_or_insert(e);
             }
         }
         first_err.map_or(Ok(()), Err)
+    }
+
+    /// Flushes each eviction as-is, straight from its staging buffer,
+    /// which returns to the pool when the write completes.
+    fn flush_evicted(
+        &self,
+        evicted: Vec<Eviction<Resident>>,
+        outcome: &mut UpdateOutcome,
+        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
+    ) {
+        for Eviction {
+            subgroup,
+            frame: Resident { buf, n },
+            tier,
+        } in evicted
+        {
+            let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
+            inflight_flush.push_back((subgroup, handle));
+            outcome.flushes += 1;
+        }
+    }
+
+    /// Tops the prefetch window up from the iteration's order, which is
+    /// known in full: as deep as the state pool has free buffers for.
+    /// [`MIN_PIPELINE_FRAMES`](crate::policy::cache::MIN_PIPELINE_FRAMES)
+    /// is the window's floor — below it a fetch waits for a buffer —
+    /// and the pool is its only bound.
+    fn top_up(
+        &mut self,
+        outcome: &mut UpdateOutcome,
+        progress: &mut IterProgress,
+        pending: &mut VecDeque<(usize, Staged)>,
+        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
+    ) -> io::Result<()> {
+        let floor = self.ledger.plan.pipeline_frames;
+        // State, plus the FP32 gradients flushed next to it on the
+        // eager-gradient path.
+        let buffers_per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
+        while let Some(hit) = self.ledger.next_is_hit() {
+            let deep = pending.len() >= floor;
+            if hit {
+                // A hit borrows the frame its subgroup was retained in,
+                // so an empty pool never stops it. Beyond the floor it is
+                // taken only while the window holds nothing but hits —
+                // the retained head of an alternating order. A resident
+                // the order reaches behind a fetch is the retained tail
+                // of a repeating scan, which LRU evicts before a window
+                // of the floor's depth gets there (§3.1's thrash): looked
+                // up any earlier it would silently become a hit, here
+                // and not in the virtual-time engine.
+                if deep && pending.iter().any(|(_, s)| matches!(s, Staged::Fetch(_))) {
+                    break;
+                }
+            } else {
+                // Only this thread acquires from the pool, so buffers
+                // counted free here stay free until the reads below take
+                // them.
+                let free = self
+                    .state_pool
+                    .capacity()
+                    .saturating_sub(self.state_pool.outstanding());
+                if free < buffers_per_fetch {
+                    if deep {
+                        break;
+                    }
+                    // Below the floor the fetch is mandatory, and the
+                    // pool's condvar is no place to wait for it: a failed
+                    // flush keeps its buffer for the reclaim and would
+                    // never signal it. Wait for what can free a buffer
+                    // instead — the oldest flush in flight, else the
+                    // retirement of a staged subgroup, else the eviction
+                    // of residents a failed attempt reclaimed beyond the
+                    // budget (they can hold the whole pool).
+                    if let Some((fidx, handle)) = inflight_flush.pop_front() {
+                        self.settle_flush(fidx, handle, progress)?;
+                        continue;
+                    }
+                    if !pending.is_empty() {
+                        break;
+                    }
+                    let evicted = self.ledger.evict_excess();
+                    if evicted.is_empty() {
+                        return Err(invariant_violation(format!(
+                            "state pool exhausted ({free} of {} buffers free) with nothing in flight",
+                            self.state_pool.capacity()
+                        )));
+                    }
+                    self.flush_evicted(evicted, outcome, inflight_flush);
+                    continue;
+                }
+            }
+            let Some((idx, lookup)) = self.ledger.next_lookup() else {
+                break;
+            };
+            let t = match lookup {
+                Lookup::Hit(res) => {
+                    pending.push_back((idx, Staged::Hit(res)));
+                    continue;
+                }
+                Lookup::Fetch { tier } => tier,
+            };
+            // Write-after-evict fence: a read of a subgroup whose flush
+            // is still in flight could overtake the write on another I/O
+            // worker and fetch stale state. On fence failure the payload
+            // is reclaimed host-side and the iteration unwinds.
+            if let Some(at) = inflight_flush.iter().position(|(f, _)| *f == idx) {
+                if let Some((_, handle)) = inflight_flush.remove(at) {
+                    self.settle_flush(idx, handle, progress)?;
+                }
+            }
+            let n = self.subgroup_lens[idx];
+            // Gradients that went through storage come back with the
+            // state — unless a failed attempt already applied them.
+            let grad_tier = match &self.grads {
+                HostGrads::Fp32 { on_tier, .. } if !progress.updated[idx] => on_tier[idx],
+                _ => None,
+            };
+            let fetch = Fetch {
+                state: self.submit_read(t, self.key(idx), n * 12),
+                grad: grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4)),
+            };
+            pending.push_back((idx, Staged::Fetch(fetch)));
+        }
+        Ok(())
     }
 
     /// The zero-copy update loop: pooled reads fetch serialized state
@@ -767,53 +913,30 @@ impl MlpFuncEngine {
     /// moment update, step and FP16 emission in one sweep) mutates them
     /// in place, and retention/flush reuse the very same buffer. The hot
     /// loop performs no per-subgroup heap allocation for state.
+    ///
+    /// The pipeline is work-conserving with what the ledger knows: the
+    /// window runs as far ahead as the pool allows
+    /// ([`MlpFuncEngine::top_up`]), and every eviction leaves as soon as
+    /// the order makes it certain ([`SubgroupLedger::retire_ahead`]), so
+    /// the frames it frees feed the window and the tail of flushes
+    /// overlaps the tail of fetches instead of following it.
     fn update_pass(
         &mut self,
         inv_scale: f32,
         outcome: &mut UpdateOutcome,
         progress: &mut IterProgress,
         pending: &mut VecDeque<(usize, Staged)>,
-        inflight_flush: &mut HashMap<usize, OpHandle>,
+        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
     ) -> io::Result<()> {
-        let depth = self.ledger.plan.pipeline_frames;
-
         for _ in 0..self.subgroup_lens.len() {
-            // Top up the prefetch window: keep up to `depth` subgroups
-            // staged or in flight.
-            while pending.len() < depth {
-                let Some((idx, lookup)) = self.ledger.next_lookup() else {
-                    break;
-                };
-                let t = match lookup {
-                    Lookup::Hit(res) => {
-                        pending.push_back((idx, Staged::Hit(res)));
-                        continue;
-                    }
-                    Lookup::Fetch { tier } => tier,
-                };
-                // Write-after-evict fence: a read of a subgroup whose
-                // flush is still in flight could overtake the write on
-                // another I/O worker and fetch stale state. On fence
-                // failure the payload is reclaimed host-side and the
-                // iteration unwinds.
-                if let Some(h) = inflight_flush.remove(&idx) {
-                    if let Err((e, payload)) = h.wait_flush() {
-                        self.reclaim_failed_flush(idx, payload, progress);
-                        return Err(e);
-                    }
+            self.top_up(outcome, progress, pending, inflight_flush)?;
+            // Settle the flushes that have finished: a dead tier fails
+            // the pass here, at the next subgroup, not after every
+            // remaining one has moved its bytes.
+            while inflight_flush.front().is_some_and(|(_, h)| h.is_done()) {
+                if let Some((fidx, handle)) = inflight_flush.pop_front() {
+                    self.settle_flush(fidx, handle, progress)?;
                 }
-                let n = self.subgroup_lens[idx];
-                // Gradients that went through storage come back with the
-                // state — unless a failed attempt already applied them.
-                let grad_tier = match &self.grads {
-                    HostGrads::Fp32 { on_tier, .. } if !progress.updated[idx] => on_tier[idx],
-                    _ => None,
-                };
-                let fetch = Fetch {
-                    state: self.submit_read(t, &self.key(idx), n * 12),
-                    grad: grad_tier.map(|g| self.submit_read(g, &self.grad_key(idx), n * 4)),
-                };
-                pending.push_back((idx, Staged::Fetch(fetch)));
             }
 
             let Some((idx, staged)) = pending.pop_front() else {
@@ -879,19 +1002,10 @@ impl MlpFuncEngine {
             drop(fetched_grad); // back to the pool
             outcome.fp16_params[idx] = fp16;
 
-            // Whatever the retention budget pushes out is flushed as-is,
-            // straight from its staging buffer, which returns to the pool
-            // when the write completes.
-            for Eviction {
-                subgroup,
-                frame: Resident { buf, n },
-                tier,
-            } in self.ledger.retire(idx, res)
-            {
-                let handle = self.submit_flush(tier, &self.key(subgroup), buf, n * 12);
-                inflight_flush.insert(subgroup, handle);
-                outcome.flushes += 1;
-            }
+            // Whatever is certain to leave the host this iteration is
+            // flushed now, while its buffer is hot.
+            let evicted = self.ledger.retire_ahead(idx, res);
+            self.flush_evicted(evicted, outcome, inflight_flush);
         }
 
         // The final flush barrier is the caller's unconditional drain.
@@ -963,7 +1077,7 @@ impl MlpFuncEngine {
     fn read_durable(&self, tier: usize, idx: usize) -> io::Result<Vec<u8>> {
         self.tiers[tier]
             .engine
-            .submit_read(&self.key(idx))
+            .submit_read(self.key(idx))
             .wait()?
             .ok_or_else(|| {
                 io::Error::new(
@@ -980,7 +1094,7 @@ impl MlpFuncEngine {
     /// health gate (its breaker refuses normal traffic, but a write-dead
     /// tier usually still serves reads).
     fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
-        let key = self.key(step.subgroup);
+        let key = self.key(step.subgroup).to_owned();
         let started = self.cfg.trace.now_ns();
         let data = {
             let _g = self.tiers[step.from].lock.acquire(self.worker_id);
@@ -1196,7 +1310,7 @@ impl MlpFuncEngine {
                     stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
                     subgroups.push(SubgroupLocation::Prestaged {
                         tier,
-                        key: self.key(idx),
+                        key: self.key(idx).to_owned(),
                     });
                     continue;
                 }
@@ -1266,7 +1380,7 @@ impl MlpFuncEngine {
                     entries.push(PendingEntry::Prestaged {
                         idx,
                         tier: t,
-                        key: self.key(idx),
+                        key: self.key(idx).to_owned(),
                     });
                 }
             }
@@ -1532,6 +1646,39 @@ mod tests {
     }
 
     #[test]
+    fn hits_follow_the_closed_form_under_the_deeper_window() {
+        use crate::policy::ordering::OrderPolicy;
+        // Shards a free pool (8 buffers) could swallow whole among them:
+        // the window may run that deep, but a repeating scan must still
+        // find its retained tail evicted when it gets there (§3.1's
+        // thrash, 0 hits), exactly as the virtual-time engine does at
+        // `MIN_PIPELINE_FRAMES` of lookahead.
+        for order in [
+            OrderPolicy::Ascending,
+            OrderPolicy::Alternating,
+            OrderPolicy::Descending,
+        ] {
+            for (m, retain) in [(9usize, 3usize), (12, 6), (16, 13), (7, 0), (6, 9)] {
+                let mut cfg = EngineConfig::mlp_offload().with_host_frames(3 + retain);
+                cfg.order = order;
+                let adam = AdamConfig::default();
+                let mut engine =
+                    MlpFuncEngine::new(cfg, adam, &tiers(2), 0, init_states(m, 8)).unwrap();
+                for iter in 0..4u64 {
+                    engine.accumulate_gradients(&grads_for(m, 8, iter as f32));
+                    let outcome = engine.update().unwrap();
+                    assert_eq!(
+                        outcome.cache_hits,
+                        order.expected_hits(iter, m, retain),
+                        "{order:?} m={m} retain={retain} iter={iter}"
+                    );
+                    assert_eq!(outcome.cache_hits + outcome.fetches, m);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gradient_accumulation_sums_micro_steps() {
         let adam = AdamConfig::default();
         // Two micro-steps of g vs one micro-step of 2g must agree (values
@@ -1787,11 +1934,15 @@ mod tests {
         };
         let adam = AdamConfig::default();
         // Reference: the identical run over only the surviving tier.
-        // A small host cache keeps most durable copies on the tiers,
-        // so the dying tier actually holds state worth draining.
+        // A small host cache and a shard three times the staging pool
+        // (8 buffers: the pipeline pulls at most that many subgroups
+        // host-side before the write fault fires, and the reclaim keeps
+        // them there) leave most durable copies on the tiers, so the
+        // dying tier actually holds state worth draining.
+        const SHARD: usize = 24;
         let cfg = EngineConfig::mlp_offload().with_host_frames(3);
         let mut reference =
-            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(6, 24)).unwrap();
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(SHARD, 24)).unwrap();
 
         // Tier 0 dies for writes mid-run; reads keep working (the
         // salvage path). Hair-trigger breaker: one post-retry
@@ -1809,19 +1960,18 @@ mod tests {
             1.0,
         );
         let mut engine =
-            MlpFuncEngine::new(cfg, adam, &[victim, survivor], 0, init_states(6, 24))
-                .unwrap();
+            MlpFuncEngine::new(cfg, adam, &[victim, survivor], 0, init_states(SHARD, 24)).unwrap();
 
         // Two clean iterations warm the cache and spread durable
         // copies across both tiers; then the tier dies mid-run.
         for it in 0..2 {
-            let grads = grads_for(6, 24, it as f32);
+            let grads = grads_for(SHARD, 24, it as f32);
             reference.accumulate_gradients(&grads);
             reference.update().unwrap();
             engine.accumulate_gradients(&grads);
             engine.update().unwrap();
         }
-        let grads = grads_for(6, 24, 2.0);
+        let grads = grads_for(SHARD, 24, 2.0);
         reference.accumulate_gradients(&grads);
         reference.update().unwrap();
         engine.accumulate_gradients(&grads);
@@ -1842,7 +1992,7 @@ mod tests {
 
         // Two more full iterations entirely without the tier.
         for it in 3..5 {
-            let grads = grads_for(6, 24, it as f32);
+            let grads = grads_for(SHARD, 24, it as f32);
             reference.accumulate_gradients(&grads);
             reference.update().unwrap();
             engine.accumulate_gradients(&grads);
@@ -1858,6 +2008,300 @@ mod tests {
             reference.master_params().unwrap(),
             "degraded run diverged from the run without the tier"
         );
+    }
+
+    /// A memory tier that, once `armed`, fails the writes of worker 0's
+    /// `doomed` subgroups: at once, or — failing `together` — only when
+    /// all of them have arrived, as flushes to a device that times out
+    /// fail late and all at the same time.
+    struct DoomedWrites {
+        inner: MemBackend,
+        armed: std::sync::atomic::AtomicBool,
+        doomed: Vec<String>,
+        together: bool,
+        arrived: std::sync::Mutex<usize>,
+        all_arrived: std::sync::Condvar,
+    }
+
+    impl DoomedWrites {
+        fn new(doomed: std::ops::Range<usize>, together: bool) -> Arc<Self> {
+            Arc::new(DoomedWrites {
+                inner: MemBackend::new("doomed"),
+                armed: false.into(),
+                doomed: doomed.map(|idx| format!("w0/sub{idx}")).collect(),
+                together,
+                arrived: 0.into(),
+                all_arrived: Default::default(),
+            })
+        }
+
+        fn arm(&self, armed: bool) {
+            self.armed.store(armed, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl Backend for DoomedWrites {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            let armed = self.armed.load(std::sync::atomic::Ordering::SeqCst);
+            if !armed || !self.doomed.iter().any(|k| k == key) {
+                return self.inner.write(key, data);
+            }
+            if self.together {
+                let mut arrived = self.arrived.lock().unwrap();
+                *arrived += 1;
+                self.all_arrived.notify_all();
+                // The timeout only keeps a broken engine from hanging the
+                // suite: the assertions after the pass catch it.
+                let patience = std::time::Duration::from_secs(10);
+                let _all = self
+                    .all_arrived
+                    .wait_timeout_while(arrived, patience, |n| *n < self.doomed.len())
+                    .unwrap();
+            }
+            Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                format!("{key}: device gone"),
+            ))
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.inner.read(key)
+        }
+        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+            self.inner.read_into(key, dst)
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// One iteration on a fault-free twin and on the engine under test,
+    /// from the same gradients.
+    fn iterate_both(
+        twin: &mut MlpFuncEngine,
+        engine: &mut MlpFuncEngine,
+        seed: f32,
+    ) -> (UpdateOutcome, io::Result<UpdateOutcome>) {
+        let grads = grads_for(twin.num_subgroups(), 24, seed);
+        twin.accumulate_gradients(&grads);
+        engine.accumulate_gradients(&grads);
+        (twin.update().unwrap(), engine.update())
+    }
+
+    #[test]
+    fn dead_tier_fails_the_pass_within_a_pool_of_flushes_and_the_redrive_is_exact() {
+        use mlp_storage::{classify, ErrorClass};
+        const SHARD: usize = 64;
+        let adam = AdamConfig::default();
+        // 16 retained frames: 48 flushes per steady-state iteration
+        // through a pool of 24. The third iteration runs in ascending
+        // order, so its 21st flush and every later one is doomed.
+        let cfg = EngineConfig::mlp_offload().with_host_frames(3 + 16);
+        let dying = DoomedWrites::new(20..SHARD, false);
+        let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(SHARD, 24)).unwrap();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(SHARD, 24)).unwrap();
+        for it in 0..2 {
+            iterate_both(&mut twin, &mut engine, it as f32).1.unwrap();
+        }
+
+        // Each failed flush keeps its staging buffer for the reclaim, so
+        // the pool bounds how many can be submitted unnoticed — and the
+        // pass notices sooner than that, at a subgroup boundary.
+        dying.arm(true);
+        let (want, failed_pass) = iterate_both(&mut twin, &mut engine, 2.0);
+        let err = failed_pass.unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
+        let (_, _, capacity) = engine.state_pool_stats();
+        let failed = engine.io_errors();
+        assert!(
+            0 < failed && failed < capacity as u64,
+            "{failed} flushes went to the dead tier before the pass noticed (pool of {capacity})"
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+
+        // Healed, the re-drive finishes the same iteration exactly.
+        dying.arm(false);
+        let got = engine.update().unwrap();
+        assert_eq!(
+            got.fp16_params, want.fp16_params,
+            "re-driven iteration diverged"
+        );
+        for it in 3..5 {
+            let (want, got) = iterate_both(&mut twin, &mut engine, it as f32);
+            let got = got.unwrap();
+            assert_eq!(
+                (got.cache_hits, got.fetches, got.flushes),
+                (want.cache_hits, want.fetches, want.flushes),
+                "iteration {it}"
+            );
+        }
+        assert_eq!(
+            engine.master_params().unwrap(),
+            twin.master_params().unwrap()
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    #[test]
+    fn reclaimed_residents_holding_the_whole_pool_are_evicted_not_waited_for() {
+        const SHARD: usize = 12;
+        let adam = AdamConfig::default();
+        // No retention: a pool of 8, every subgroup flushed every
+        // iteration. The third iteration runs in ascending order; its
+        // first four flushes succeed and its last eight — a pool's worth
+        // — fail together, so the final drain reclaims all of them and
+        // the residents hold every staging buffer while the re-drive's
+        // first subgroup sits on the tier.
+        let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+        let device = DoomedWrites::new(4..SHARD, true);
+        // A worker per blocked write and then some: the reads must get by.
+        let aio = AioConfig {
+            workers: 16,
+            ..AioConfig::deterministic()
+        };
+        let tier = SharedTier::new(Arc::clone(&device) as Arc<dyn Backend>, 1.0).with_aio(aio);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(SHARD, 24)).unwrap();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(SHARD, 24)).unwrap();
+        for it in 0..2 {
+            iterate_both(&mut twin, &mut engine, it as f32).1.unwrap();
+        }
+        device.arm(true);
+        let (want, failed_pass) = iterate_both(&mut twin, &mut engine, 2.0);
+        failed_pass.unwrap_err();
+        let (_, _, capacity) = engine.state_pool_stats();
+        assert_eq!(capacity, 8);
+        assert_eq!(
+            engine.resident_count(),
+            capacity,
+            "every failed flush is reclaimed"
+        );
+        assert_eq!(
+            engine.state_pool_outstanding(),
+            capacity,
+            "no staging buffer is free"
+        );
+
+        // The re-drive must fetch subgroup 0 first: nothing is in flight
+        // and nothing is staged, so only an eviction can free a buffer.
+        device.arm(false);
+        let got = engine.update().unwrap();
+        assert_eq!(
+            got.fp16_params, want.fp16_params,
+            "re-driven iteration diverged"
+        );
+        iterate_both(&mut twin, &mut engine, 3.0).1.unwrap();
+        assert_eq!(
+            engine.master_params().unwrap(),
+            twin.master_params().unwrap()
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    #[test]
+    fn tail_flushes_overlap_tail_fetches_and_the_window_runs_as_deep_as_the_pool() {
+        use crate::policy::cache::MIN_PIPELINE_FRAMES;
+        const SHARD: usize = 16;
+        let adam = AdamConfig::default();
+        // 768-byte subgroups at 128 kB/s: 6 ms per fetch and per flush,
+        // orders of magnitude above the kernel and the bookkeeping, on
+        // two workers per tier.
+        let slow_tiers = |n: usize| -> Vec<SharedTier> {
+            (0..n)
+                .map(|i| {
+                    let medium = MemBackend::throttled(format!("slow{i}"), 128e3, 128e3);
+                    SharedTier::new(Arc::new(medium) as Arc<dyn Backend>, 1.0)
+                        .with_aio(AioConfig::deterministic())
+                })
+                .collect()
+        };
+        let trace = mlp_trace::TraceSink::enabled();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(3 + SHARD / 4)
+            .with_tier_ratio(vec![1.0, 1.0])
+            .with_trace(trace.clone());
+        let mut engine =
+            MlpFuncEngine::new(cfg, adam, &slow_tiers(2), 0, init_states(SHARD, 64)).unwrap();
+        for it in 0..3 {
+            engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+            engine.update().unwrap();
+        }
+        trace.events(); // keep the steady-state iteration only
+        engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
+        let outcome = engine.update().unwrap();
+        assert_eq!(
+            (outcome.cache_hits, outcome.fetches, outcome.flushes),
+            (SHARD / 4, SHARD - SHARD / 4, SHARD - SHARD / 4)
+        );
+        let events = trace.events();
+        let of = |phase: Phase| events.iter().filter(move |e| e.phase == phase);
+
+        // The last flush is under way before the last fetch is over: the
+        // evictions left when the order made them certain, not after the
+        // retained tail had been fetched.
+        let last_write_begins = of(Phase::AioWrite).map(|e| e.ts_ns).max().unwrap();
+        let last_read_ends = of(Phase::AioRead).map(|e| e.end_ns()).max().unwrap();
+        assert!(
+            last_write_begins < last_read_ends,
+            "last flush began {} ns after the last fetch ended",
+            last_write_begins - last_read_ends
+        );
+
+        // Reads outstanding — submitted (every state-pool acquire here is
+        // a fetch) and not completed — as each new one is submitted: the
+        // window is deeper than its floor.
+        let mut read_ends: Vec<u64> = of(Phase::AioRead).map(|e| e.end_ns()).collect();
+        read_ends.sort_unstable();
+        let mut submits: Vec<u64> = of(Phase::PoolAcquire).map(|e| e.ts_ns).collect();
+        submits.sort_unstable();
+        assert_eq!(submits.len(), outcome.fetches);
+        let deepest = submits
+            .iter()
+            .enumerate()
+            .map(|(k, &at)| k + 1 - read_ends.partition_point(|&end| end <= at))
+            .max()
+            .unwrap();
+        assert!(
+            deepest > MIN_PIPELINE_FRAMES,
+            "at most {deepest} reads were ever outstanding"
+        );
+        let (_, high_water, capacity) = engine.state_pool_stats();
+        assert!(
+            high_water <= capacity,
+            "{high_water} buffers out of a pool of {capacity}"
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+
+        // The eager-gradient rung prefetches two buffers per subgroup;
+        // the deeper window must not ask the pool for more than it has
+        // (it would wait forever: nothing else returns buffers).
+        let mut baseline = MlpFuncEngine::new(
+            EngineConfig::deepspeed_zero3(),
+            adam,
+            &slow_tiers(1),
+            0,
+            init_states(SHARD, 64),
+        )
+        .unwrap();
+        for it in 0..2 {
+            baseline.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+            baseline.flush_gradients().unwrap();
+            let outcome = baseline.update().unwrap();
+            assert_eq!((outcome.fetches, outcome.flushes), (SHARD, SHARD));
+        }
+        let (_, high_water, capacity) = baseline.state_pool_stats();
+        assert!(
+            high_water <= capacity,
+            "{high_water} buffers out of a pool of {capacity}"
+        );
+        assert_eq!(baseline.state_pool_outstanding(), 0);
     }
 
     #[test]

@@ -6,8 +6,17 @@
 //! subgroup being lazily flushed, the current being updated, and the next
 //! being prefetched"); everything above that can retain subgroups across
 //! iterations for the cache-friendly reordering win.
+//!
+//! The minimum is the *floor* of the prefetch window, not its depth. The
+//! virtual-time engine looks exactly that far ahead; the functional
+//! engine waits for a staging buffer only below it and otherwise
+//! prefetches as deep as its pool has free buffers — which, since
+//! evictions leave as soon as the order makes them certain
+//! ([`SubgroupLedger::retire_ahead`](crate::policy::ledger::SubgroupLedger::retire_ahead)),
+//! includes the retained frames for the whole middle of an iteration.
 
 /// Pipeline minimum: one flushing + one updating + one prefetching frame.
+/// The floor of the prefetch window (see the module docs).
 pub const MIN_PIPELINE_FRAMES: usize = 3;
 
 /// How a worker's host frames are split between the pipeline working set
@@ -23,8 +32,8 @@ pub struct FramePlan {
 }
 
 impl FramePlan {
-    /// Plans `total_frames` (clamped up to the pipeline minimum, which is
-    /// also the in-flight depth). With caching disabled pass
+    /// Plans `total_frames` (clamped up to the pipeline minimum, the
+    /// floor of the in-flight depth). With caching disabled pass
     /// `retain = false` to devote everything to the pipeline.
     pub fn new(total_frames: usize, retain: bool) -> Self {
         let pipeline_frames = MIN_PIPELINE_FRAMES;

@@ -12,7 +12,16 @@
 //!   budget — under the alternating order the retained tail of one
 //!   iteration is exactly the head of the next (all hits), under a
 //!   repeating scan the residents are recycled before the scan comes
-//!   back around (the cache thrashing of §3.1);
+//!   back around (the cache thrashing of §3.1). Because the whole order
+//!   is known, most evictions are certain long before LRU forces them:
+//!   whatever an iteration ends with is its last `retain_frames`
+//!   retirees, so anything retiring earlier will have left by then. The
+//!   ledger decides *what* is evicted and *where* — one LRU queue, one
+//!   Eq. 1 sequence; each executor decides *when* it asks:
+//!   [`SubgroupLedger::retire`] hands an eviction out at the retirement
+//!   that overflows the budget, [`SubgroupLedger::retire_ahead`] as soon
+//!   as it is certain — the same evictions to the same tiers, only
+//!   earlier;
 //! * the Eq. 1 flush split (§3.3): every evicted subgroup goes to the
 //!   surviving tier furthest behind its share of the iteration's
 //!   flushes, sized from the configured ratio or the planner's live
@@ -101,6 +110,13 @@ pub struct SubgroupLedger<F> {
     resident: usize,
     order: Vec<usize>,
     cursor: usize,
+    /// Retirements since [`SubgroupLedger::begin_iteration`].
+    retired: usize,
+    /// Residents the iteration started with — retained by the previous
+    /// one or reclaimed from a failed attempt — that its order has not
+    /// looked up yet. They are the oldest entries of `lru`, and the only
+    /// residents a lookup can still turn into hits.
+    carried: usize,
     flush_targets: Vec<usize>,
     flush_done: Vec<usize>,
 }
@@ -129,6 +145,8 @@ impl<F> SubgroupLedger<F> {
             iterations_done: 0,
             order: Vec::new(),
             cursor: 0,
+            retired: 0,
+            carried: 0,
             flush_targets: vec![0; ntiers],
             flush_done: vec![0; ntiers],
         }
@@ -153,6 +171,8 @@ impl<F> SubgroupLedger<F> {
         let m = self.slots.len();
         self.order = self.order_policy.order(self.iterations_done, m);
         self.cursor = 0;
+        self.retired = 0;
+        self.carried = self.resident;
         let weights = self
             .tier_ratio
             .as_deref()
@@ -173,6 +193,7 @@ impl<F> SubgroupLedger<F> {
         match std::mem::replace(slot, Slot::Lent) {
             Slot::Host { frame, .. } => {
                 self.resident -= 1;
+                self.carried = self.carried.saturating_sub(1);
                 Some((idx, Lookup::Hit(frame)))
             }
             Slot::Tier(tier) => {
@@ -185,6 +206,14 @@ impl<F> SubgroupLedger<F> {
         }
     }
 
+    /// Whether the next subgroup of the iteration's order is retained: its
+    /// lookup will be a [`Lookup::Hit`], which lends a frame instead of
+    /// needing one. `None` once the order is exhausted.
+    pub fn next_is_hit(&self) -> Option<bool> {
+        let idx = *self.order.get(self.cursor)?;
+        Some(matches!(self.slots.get(idx), Some(Slot::Host { .. })))
+    }
+
     /// Retires updated subgroup `idx` into the resident set as its most
     /// recently updated member, then evicts least-recently-updated
     /// residents until the set fits the retention budget again — usually
@@ -194,8 +223,52 @@ impl<F> SubgroupLedger<F> {
     // lint:hot-root — once per subgroup per iteration, ahead of every flush
     pub fn retire(&mut self, idx: usize, frame: F) -> Vec<Eviction<F>> {
         self.reclaim(idx, frame);
+        self.retired += 1;
+        self.evict_excess()
+    }
+
+    /// [`SubgroupLedger::retire`] for an executor that wants each
+    /// eviction as soon as it is certain rather than when LRU forces it.
+    /// The iteration ends with its last `retain_frames` retirees, so once
+    /// no resident carried into the iteration is still waiting for its
+    /// lookup — until then one may yet be a hit, and `retire`'s rule
+    /// alone applies — every resident beyond what the retirements still
+    /// to come leave room for is going to be evicted, oldest first. This
+    /// hands those out now: the evictions `retire` would make, in the
+    /// same LRU order and to the same Eq. 1 tiers, none later and most
+    /// `retain_frames` retirements earlier — while the frame is still
+    /// cache-hot, and leaving the retained frames free for the whole
+    /// middle of the iteration. The ledger decides *what* and *where*
+    /// either way; *when* to ask is the executor's choice (the
+    /// virtual-time engine keeps asking late, DESIGN.md §7).
+    // lint:hot-root — once per subgroup per iteration, ahead of every flush
+    pub fn retire_ahead(&mut self, idx: usize, frame: F) -> Vec<Eviction<F>> {
+        let mut evicted = self.retire(idx, frame);
+        if self.carried == 0 {
+            let to_come = self.order.len().saturating_sub(self.retired);
+            self.evict_down_to(
+                self.plan.retain_frames.saturating_sub(to_come),
+                &mut evicted,
+            );
+        }
+        evicted
+    }
+
+    /// Evicts whatever exceeds the retention budget right now, without a
+    /// retirement: the residents [`SubgroupLedger::reclaim`] left over
+    /// budget, which the next retirement would evict anyway. For an
+    /// executor whose frames they hold and that cannot reach that
+    /// retirement without one.
+    pub fn evict_excess(&mut self) -> Vec<Eviction<F>> {
         let mut evicted = Vec::new();
-        while self.resident > self.plan.retain_frames {
+        self.evict_down_to(self.plan.retain_frames, &mut evicted);
+        evicted
+    }
+
+    /// Evicts least-recently-updated residents until at most `budget`
+    /// remain, each to the tier Eq. 1 picks for the next flush.
+    fn evict_down_to(&mut self, budget: usize, evicted: &mut Vec<Eviction<F>>) {
+        while self.resident > budget {
             let Some((subgroup, frame)) = self.pop_lru() else {
                 break;
             };
@@ -209,7 +282,6 @@ impl<F> SubgroupLedger<F> {
                 tier,
             });
         }
-        evicted
     }
 
     /// Puts `frame` back as subgroup `idx`'s host-resident state without
@@ -251,6 +323,9 @@ impl<F> SubgroupLedger<F> {
             }
             if let Slot::Host { frame, .. } = std::mem::replace(slot, Slot::Lent) {
                 self.resident -= 1;
+                // Carried-over residents are older than anything this
+                // iteration retired: while any is left, the front is one.
+                self.carried = self.carried.saturating_sub(1);
                 return Some((idx, frame));
             }
         }
@@ -487,6 +562,138 @@ mod tests {
         assert_eq!(l.resident_count(), 2);
         assert!(matches!(l.place(1), Some(Place::Host(&1))));
         assert!(matches!(l.place(0), Some(Place::Host(&0))));
+    }
+
+    /// [`run_iteration`] for either entry point and any lookahead; a pass
+    /// that does not `complete` stops short of `end_iteration`, as one
+    /// whose final flushes fail does. Returns the hits and the evictions
+    /// in order as `(retirement index, subgroup, tier)`.
+    fn drive(
+        ledger: &mut SubgroupLedger<usize>,
+        lookahead: usize,
+        ahead: bool,
+        complete: bool,
+    ) -> (usize, Vec<(usize, usize, usize)>) {
+        ledger.begin_iteration();
+        let mut window = VecDeque::new();
+        let (mut hits, mut evicted, mut retired) = (0, Vec::new(), 0);
+        loop {
+            while window.len() < lookahead {
+                let Some((idx, lookup)) = ledger.next_lookup() else {
+                    break;
+                };
+                hits += usize::from(matches!(lookup, Lookup::Hit(_)));
+                window.push_back(idx);
+            }
+            let Some(idx) = window.pop_front() else {
+                break;
+            };
+            let evictions = if ahead {
+                ledger.retire_ahead(idx, idx)
+            } else {
+                ledger.retire(idx, idx)
+            };
+            for e in evictions {
+                assert_eq!(e.frame, e.subgroup, "an eviction must carry its own frame");
+                evicted.push((retired, e.subgroup, e.tier));
+            }
+            retired += 1;
+        }
+        assert_eq!(retired, ledger.slots.len());
+        if complete {
+            ledger.end_iteration();
+        }
+        (hits, evicted)
+    }
+
+    #[test]
+    fn the_foresighted_ledger_is_lru_only_earlier() {
+        use mlp_testkit::{cases, DEFAULT_CASES};
+        cases(DEFAULT_CASES, |g| {
+            let order = [
+                OrderPolicy::Ascending,
+                OrderPolicy::Alternating,
+                OrderPolicy::Descending,
+            ][g.range(0usize..3)];
+            let m = g.range(1usize..65);
+            let retain = g.range(0usize..m + 4);
+            let lookahead = [1, 3, m][g.range(0usize..3)];
+            let ratio =
+                [vec![1.0], vec![2.0, 1.0], vec![5.3, 3.6, 1.0]][g.range(0usize..3)].clone();
+            let what = format!("{order:?} m={m} retain={retain} lookahead={lookahead} {ratio:?}");
+            let mut lazy = ledger(order, m, retain, ratio.clone());
+            let mut ahead = ledger(order, m, retain, ratio);
+
+            // One iteration on both ledgers from the same state: same
+            // hits, same evictions to the same tiers and none later, the
+            // same placement afterwards, the budget re-established.
+            let twin_iteration =
+                |lazy: &mut SubgroupLedger<usize>, ahead: &mut SubgroupLedger<usize>| {
+                    let (lazy_hits, late) = drive(lazy, lookahead, false, true);
+                    let (hits, early) = drive(ahead, lookahead, true, true);
+                    assert_eq!(hits, lazy_hits, "{what}: hits");
+                    let sequence = |e: &[(usize, usize, usize)]| -> Vec<(usize, usize)> {
+                        e.iter()
+                            .map(|&(_, subgroup, tier)| (subgroup, tier))
+                            .collect()
+                    };
+                    assert_eq!(
+                        sequence(&early),
+                        sequence(&late),
+                        "{what}: eviction sequence"
+                    );
+                    for (e, l) in early.iter().zip(&late) {
+                        assert!(e.0 <= l.0, "{what}: {e:?} handed out after the lazy {l:?}");
+                    }
+                    for idx in 0..m {
+                        let tier_of = |l: &SubgroupLedger<usize>| match l.place(idx) {
+                            Some(Place::Tier(t)) => Some(t),
+                            Some(Place::Host(_)) => None,
+                            None => panic!("{what}: subgroup {idx} still lent out"),
+                        };
+                        assert_eq!(tier_of(ahead), tier_of(lazy), "{what}: subgroup {idx}");
+                    }
+                    assert!(ahead.resident_count() <= retain, "{what}: over budget");
+                    (hits, early, late)
+                };
+
+            for iter in 0..6u64 {
+                let (hits, early, late) = twin_iteration(&mut lazy, &mut ahead);
+                // The closed form's caveat: a repeating scan's lookahead
+                // must not reach the retained tail before the scan starts
+                // evicting it.
+                if order == OrderPolicy::Alternating || retain >= m || retain + lookahead <= m {
+                    assert_eq!(
+                        hits,
+                        order.expected_hits(iter, m, retain),
+                        "{what} iter={iter}"
+                    );
+                }
+                // From the cold start nothing is carried over, so every
+                // eviction is certain at the evicted subgroup's own
+                // retirement: `retain` retirements before LRU forces it.
+                if iter == 0 {
+                    assert_eq!(early.len(), m.saturating_sub(retain), "{what}");
+                    for (at, (e, l)) in early.iter().zip(&late).enumerate() {
+                        assert_eq!((e.0, l.0), (at, at + retain), "{what}");
+                    }
+                }
+            }
+
+            // A pass whose last flushes fail: their payloads come back
+            // over budget, and the re-drive of the same iteration starts
+            // with carried-over residents neither rule may evict early.
+            let (_, late) = drive(&mut lazy, lookahead, false, false);
+            let (_, early) = drive(&mut ahead, lookahead, true, false);
+            assert_eq!(early.len(), late.len(), "{what}");
+            let failed = g.range(0usize..late.len().min(8) + 1);
+            for &(_, subgroup, _) in late.iter().rev().take(failed) {
+                lazy.reclaim(subgroup, subgroup);
+                ahead.reclaim(subgroup, subgroup);
+            }
+            twin_iteration(&mut lazy, &mut ahead);
+            twin_iteration(&mut lazy, &mut ahead);
+        });
     }
 
     #[test]
