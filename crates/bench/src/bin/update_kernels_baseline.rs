@@ -24,17 +24,28 @@
 //! from, 6 B/element each. The `accumulate` rows run
 //! `GradAccumulator::accumulate` over the same element count cut into
 //! `PAR_CHUNK` subgroups: `store` is an iteration's first micro-step
-//! (`reset` + a storing `accumulate`: 2 B zeroed, 2 B read, 2 B written),
-//! `add` every later one (2 × 2 B read, 2 B written).
+//! (an O(1) `reset` + a storing `accumulate`: 2 B read, 2 B written,
+//! 4 B/element), `add` every later one (2 × 2 B read, 2 B written).
+//!
+//! Every row names the vector-width `level` it ran at. The rows above go
+//! through the kernels' entry points, which dispatch to the widest level
+//! the host has (`mlp_tensor::simd`; `simd_level` in the output) — of a
+//! `multi_pass` row only the two conversion sweeps do, its optimizer sweep
+//! being the portable reference loop. The last block repeats the kernels' *bodies* — `fused_chunk_fp16` under
+//! Adam, `upscale_scaled`, `downscale`, `store_f16`, `add_f16` — once per
+//! level the host has, on one core over one cache-resident `PAR_CHUNK`
+//! chunk, where nothing but the instantiation differs. That block is the
+//! guard on the dispatcher's inlining contract: a level that measures like
+//! `portable` did not inline.
 
 use std::time::Instant;
 
 use mlp_bench::{round_to, write_baseline};
-use mlp_optim::accum::GradAccumulator;
+use mlp_optim::accum::{add_f16, store_f16, GradAccumulator};
 use mlp_optim::adam::AdamConfig;
-use mlp_optim::fused::fused_update_fp16;
+use mlp_optim::fused::{fused_chunk_fp16, fused_update_fp16};
 use mlp_optim::optimizer::{AdagradConfig, LionConfig, OptimizerConfig, SgdConfig};
-use mlp_tensor::{convert, F16, PAR_CHUNK};
+use mlp_tensor::{at_host_width, convert, SimdLevel, F16, PAR_CHUNK};
 use mlp_trace::json::Value;
 
 /// Effective bytes of memory traffic per element, fused path.
@@ -42,13 +53,17 @@ const FUSED_BYTES_PER_ELEM: f64 = 28.0;
 /// Effective bytes of memory traffic per element, multi-pass path.
 const MULTI_BYTES_PER_ELEM: f64 = 40.0;
 /// Effective bytes of memory traffic per element of one conversion sweep
-/// or one accumulation micro-step.
+/// or one adding accumulation micro-step.
 const SWEEP_BYTES_PER_ELEM: f64 = 6.0;
+/// Effective bytes of memory traffic per element of a storing accumulation
+/// micro-step.
+const STORE_BYTES_PER_ELEM: f64 = 4.0;
 
 struct Measurement {
     optimizer: &'static str,
     elements: usize,
     path: &'static str,
+    level: &'static str,
     elements_per_s: f64,
     gb_per_s: f64,
     iters: u64,
@@ -64,11 +79,14 @@ fn grads_fp16(n: usize) -> Vec<u16> {
 
 /// Times `run(step)` over `n` elements: one warm-up call (page-in + branch
 /// warm), then at least ~2 s and at least 10 calls (long enough to ride
-/// out scheduler noise on small shared machines).
+/// out scheduler noise on small shared machines). `level` is the width
+/// `run` executes at: [`SimdLevel::widest`] through a dispatching entry
+/// point.
 fn time(
     optimizer: &'static str,
     n: usize,
     path: &'static str,
+    level: SimdLevel,
     bytes_per_elem: f64,
     mut run: impl FnMut(u64),
 ) -> Measurement {
@@ -91,6 +109,7 @@ fn time(
         optimizer,
         elements: n,
         path,
+        level: level.name(),
         elements_per_s,
         gb_per_s: elements_per_s * bytes_per_elem / 1e9,
         iters,
@@ -115,7 +134,7 @@ fn measure(
     } else {
         ("multi_pass", MULTI_BYTES_PER_ELEM)
     };
-    time(name, n, path, bytes, |step| {
+    time(name, n, path, SimdLevel::widest(), bytes, |step| {
         if fused {
             fused_update_fp16(
                 opt,
@@ -137,7 +156,8 @@ fn measure(
 }
 
 /// The three sequential conversion sweeps and the two kinds of
-/// accumulation micro-step, at `n` elements.
+/// accumulation micro-step, at `n` elements. The sweeps are bodies that
+/// run at their caller's width: dispatched here as `*_par` does per chunk.
 fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
     let half = grads_fp16(n);
     let mut single = vec![0.0f32; n];
@@ -145,22 +165,81 @@ fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
     let micro_step: Vec<Vec<u16>> = half.chunks(PAR_CHUNK).map(<[u16]>::to_vec).collect();
     let lens: Vec<usize> = micro_step.iter().map(Vec::len).collect();
     let mut acc = GradAccumulator::new(&lens);
+    let widest = SimdLevel::widest();
     vec![
-        time("convert", n, "upscale", SWEEP_BYTES_PER_ELEM, |_| {
-            convert::upscale(&half, &mut single)
+        time("convert", n, "upscale", widest, SWEEP_BYTES_PER_ELEM, |_| {
+            at_host_width(
+                #[inline(always)]
+                || convert::upscale(&half, &mut single),
+            )
         }),
-        time("convert", n, "upscale_scaled", SWEEP_BYTES_PER_ELEM, |_| {
-            convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0)
+        time("convert", n, "upscale_scaled", widest, SWEEP_BYTES_PER_ELEM, |_| {
+            at_host_width(
+                #[inline(always)]
+                || convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0),
+            )
         }),
-        time("convert", n, "downscale", SWEEP_BYTES_PER_ELEM, |_| {
-            convert::downscale(&single, &mut half_out)
+        time("convert", n, "downscale", widest, SWEEP_BYTES_PER_ELEM, |_| {
+            at_host_width(
+                #[inline(always)]
+                || convert::downscale(&single, &mut half_out),
+            )
         }),
-        time("accumulate", n, "store", SWEEP_BYTES_PER_ELEM, |_| {
+        time("accumulate", n, "store", widest, STORE_BYTES_PER_ELEM, |_| {
             acc.reset();
             acc.accumulate(&micro_step);
         }),
-        time("accumulate", n, "add", SWEEP_BYTES_PER_ELEM, |_| {
+        time("accumulate", n, "add", widest, SWEEP_BYTES_PER_ELEM, |_| {
             acc.accumulate(&micro_step)
+        }),
+    ]
+}
+
+/// The kernels' bodies compiled at `level`, on one core over one
+/// cache-resident `PAR_CHUNK` chunk: the same five loops at every level,
+/// so the rows differ by the instantiation alone.
+fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
+    let n = PAR_CHUNK;
+    let adam = OptimizerConfig::Adam(AdamConfig::default());
+    let half = grads_fp16(n);
+    let mut params = vec![0.1f32; n];
+    let mut slot1 = vec![0.0f32; n];
+    let mut slot2 = vec![0.0f32; n];
+    let mut half_out = vec![0u16; n];
+    let mut summed = vec![0u16; n];
+    vec![
+        time("adam", n, "fused_chunk", level, FUSED_BYTES_PER_ELEM, |step| {
+            level.run(
+                #[inline(always)]
+                || {
+                    let (p, s1, s2) = (&mut params[..], &mut slot1[..], &mut slot2[..]);
+                    fused_chunk_fp16(&adam, step, p, s1, s2, &half, 1.0 / 1024.0, &mut half_out)
+                },
+            )
+        }),
+        time("convert", n, "upscale_scaled", level, SWEEP_BYTES_PER_ELEM, |_| {
+            level.run(
+                #[inline(always)]
+                || convert::upscale_scaled(&half, &mut params, 1.0 / 1024.0),
+            )
+        }),
+        time("convert", n, "downscale", level, SWEEP_BYTES_PER_ELEM, |_| {
+            level.run(
+                #[inline(always)]
+                || convert::downscale(&params, &mut half_out),
+            )
+        }),
+        time("accumulate", n, "store", level, STORE_BYTES_PER_ELEM, |_| {
+            level.run(
+                #[inline(always)]
+                || store_f16(&mut summed, &half),
+            )
+        }),
+        time("accumulate", n, "add", level, SWEEP_BYTES_PER_ELEM, |_| {
+            level.run(
+                #[inline(always)]
+                || add_f16(&mut summed, &half),
+            )
         }),
     ]
 }
@@ -176,24 +255,32 @@ fn main() {
         ("lion", OptimizerConfig::Lion(LionConfig::default())),
     ];
 
+    eprintln!("dispatching at {}", SimdLevel::widest().name());
     let mut results = Vec::new();
+    let mut report = |m: Measurement| {
+        eprintln!(
+            "{:>10} {:>9} {:>14} {:>8}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters)",
+            m.optimizer,
+            m.elements,
+            m.path,
+            m.level,
+            m.elements_per_s / 1e6,
+            m.gb_per_s,
+            m.iters
+        );
+        results.push(m);
+    };
     for n in [1usize << 20, 1 << 24] {
         let fused_vs_multi_pass = optimizers.iter().flat_map(|(name, opt)| {
             [true, false].map(|fused| measure(name, opt, n, fused))
         });
-        for m in fused_vs_multi_pass.chain(measure_conversions_and_accumulation(n)) {
-            eprintln!(
-                "{:>10} {:>9} {:>14}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters)",
-                m.optimizer,
-                m.elements,
-                m.path,
-                m.elements_per_s / 1e6,
-                m.gb_per_s,
-                m.iters
-            );
-            results.push(m);
-        }
+        fused_vs_multi_pass
+            .chain(measure_conversions_and_accumulation(n))
+            .for_each(&mut report);
     }
+    SimdLevel::available()
+        .flat_map(measure_bodies_at)
+        .for_each(&mut report);
 
     // Headline ratio the baseline tracks: fused vs multi-pass speedup in
     // elements/s at 16M, per optimizer.
@@ -218,17 +305,20 @@ fn main() {
         ("bytes_per_element", Value::obj([
             ("fused", FUSED_BYTES_PER_ELEM.into()),
             ("multi_pass", MULTI_BYTES_PER_ELEM.into()),
+            ("store", STORE_BYTES_PER_ELEM.into()),
             ("sweep", SWEEP_BYTES_PER_ELEM.into()),
         ])),
-        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = reset + first micro-step, add = every later one)".into()),
+        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = first micro-step after an O(1) reset, add = every later one), all at simd_level, the widest vector width the host has; plus the kernel bodies on one core over one PAR_CHUNK chunk once per level the host has (fused_chunk = fused_chunk_fp16 under Adam)".into()),
         ("results", results.iter().map(|m| Value::obj([
             ("elements", m.elements.into()),
             ("elements_per_s", m.elements_per_s.round().into()),
             ("gb_per_s", round_to(m.gb_per_s, 3).into()),
             ("iters", m.iters.into()),
+            ("level", m.level.into()),
             ("optimizer", m.optimizer.into()),
             ("path", m.path.into()),
         ])).collect()),
+        ("simd_level", SimdLevel::widest().name().into()),
         ("speedup_at_16m", Value::Obj(speedups)),
         ("threads", std::thread::available_parallelism().map_or(1, |p| p.get()).into()),
     ]);

@@ -6,13 +6,12 @@ use std::sync::Arc;
 
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
-use mlp_optim::accum::{for_each_subgroup, GradAccumulator};
+use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor, OptimizerConfig};
 use mlp_optim::traced::fused_update_f32_traced;
 use mlp_optim::{SubgroupState, SubgroupStateMut};
 use mlp_storage::{Backend, HealthGatedBackend, TierHealth, TracedBackend};
 use mlp_tensor::convert;
-use mlp_tensor::f16::f16_bits_to_f32;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
 use mlp_trace::{Attrs, Phase};
 
@@ -126,6 +125,10 @@ enum HostGrads {
     Fp32 {
         accum: Vec<Vec<f32>>,
         on_tier: Vec<Option<usize>>,
+        /// No micro-step since the last update: `accum` stands for zero,
+        /// whatever it holds, and the next micro-step stores (the
+        /// [`GradAccumulator`]'s rule).
+        empty: bool,
     },
 }
 
@@ -144,7 +147,25 @@ impl HostGrads {
         }
     }
 
-    /// Clears the accumulators after a successful update. Returns the
+    /// Before anything reads the accumulators: with no micro-step since
+    /// the last update they stand for zero gradients but still hold that
+    /// update's, so this (rare) phase sweeps them to the zeros it must
+    /// apply. A no-op once a micro-step has stored.
+    fn materialize_zeros(&mut self) {
+        match self {
+            HostGrads::Fp16(acc) => acc.materialize_zeros(),
+            HostGrads::Fp32 { accum, empty, .. } => {
+                if *empty {
+                    for g in accum {
+                        g.fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forgets the accumulated gradients after a successful update, in
+    /// O(1): the next micro-step stores over them. Returns the
     /// FP32 gradient bytes the iteration moved through storage, as
     /// logical once-per-iteration accounting: every gradient object on a
     /// tier was flushed once and fetched once, however often a failed
@@ -155,13 +176,17 @@ impl HostGrads {
                 acc.reset();
                 0
             }
-            HostGrads::Fp32 { accum, on_tier } => {
+            HostGrads::Fp32 {
+                accum,
+                on_tier,
+                empty,
+            } => {
+                *empty = true;
                 let mut bytes = 0;
-                for (g, tier) in accum.iter_mut().zip(on_tier) {
+                for (g, tier) in accum.iter().zip(on_tier) {
                     if tier.take().is_some() {
                         bytes += 2 * 4 * g.len() as u64;
                     }
-                    g.fill(0.0);
                 }
                 bytes
             }
@@ -398,6 +423,7 @@ impl MlpFuncEngine {
                 HostGrads::Fp32 {
                     accum: subgroup_lens.iter().map(|&n| vec![0.0; n]).collect(),
                     on_tier: vec![None; m],
+                    empty: true,
                 }
             },
             last_grad_bytes: 0,
@@ -523,14 +549,18 @@ impl MlpFuncEngine {
     pub fn accumulate_gradients(&mut self, grads: &[Vec<u16>]) {
         match &mut self.grads {
             HostGrads::Fp16(acc) => acc.accumulate(grads),
-            HostGrads::Fp32 { accum, on_tier } => {
+            HostGrads::Fp32 {
+                accum,
+                on_tier,
+                empty,
+            } => {
                 // Whatever an earlier flush put on a tier is stale now.
                 on_tier.fill(None);
-                for_each_subgroup(accum, grads, |buf, g| {
-                    for (b, &h) in buf.iter_mut().zip(g) {
-                        *b += f16_bits_to_f32(h);
-                    }
-                });
+                if std::mem::take(empty) {
+                    for_each_subgroup(accum, grads, store_f32);
+                } else {
+                    for_each_subgroup(accum, grads, add_f32);
+                }
             }
         }
     }
@@ -550,11 +580,22 @@ impl MlpFuncEngine {
         // A tier quarantined since the state was placed must be drained
         // first, or its subgroups' gradients would chase a dead tier.
         self.drain_quarantined()?;
-        let HostGrads::Fp32 { accum, on_tier } = &self.grads else {
+        self.grads.materialize_zeros();
+        let HostGrads::Fp32 { accum, on_tier, .. } = &self.grads else {
             return Ok(());
         };
         let phase_start = self.cfg.trace.now_ns();
-        let mut handles = Vec::new();
+        let mut inflight = VecDeque::new();
+        let mut landed = Vec::new();
+        let mut first_err = None;
+        // A reclaimed payload just drops (the staging buffer recycles):
+        // the gradients still live in the accumulators.
+        let mut settle = |(idx, t, h): (usize, usize, OpHandle)| match h.wait_flush() {
+            Ok(()) => landed.push((idx, t)),
+            Err((e, _payload)) => {
+                first_err.get_or_insert(e);
+            }
+        };
         for (idx, g) in accum.iter().enumerate() {
             let Some(Place::Tier(t)) = self.ledger.place(idx) else {
                 continue;
@@ -562,28 +603,33 @@ impl MlpFuncEngine {
             if on_tier[idx] == Some(t) {
                 continue;
             }
-            let mut buf = self.state_pool.acquire();
+            // Never the pool's condvar: a failed flush keeps its buffer
+            // until it is settled and would not signal it. With no buffer
+            // free, the oldest flush in flight is what frees one.
+            let mut buf = loop {
+                if let Some(buf) = self.state_pool.try_acquire() {
+                    break buf;
+                }
+                let Some(oldest) = inflight.pop_front() else {
+                    return Err(invariant_violation(format!(
+                        "state pool exhausted (all {} buffers out) with no gradient flush in flight",
+                        self.state_pool.capacity()
+                    )));
+                };
+                settle(oldest);
+            };
             buf.write_f32(0, g);
             let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
-            handles.push((idx, t, handle));
+            inflight.push_back((idx, t, handle));
         }
-        let HostGrads::Fp32 { accum, on_tier } = &mut self.grads else {
+        inflight.into_iter().for_each(&mut settle);
+        let HostGrads::Fp32 { accum, on_tier, .. } = &mut self.grads else {
             return Ok(());
         };
         let mut bytes = 0;
-        let mut first_err = None;
-        for (idx, t, h) in handles {
-            // A reclaimed payload just drops (the staging buffer
-            // recycles): the gradients still live in the accumulators.
-            match h.wait_flush() {
-                Ok(()) => {
-                    on_tier[idx] = Some(t);
-                    bytes += accum[idx].len() as u64 * 4;
-                }
-                Err((e, _payload)) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+        for (idx, t) in landed {
+            on_tier[idx] = Some(t);
+            bytes += accum[idx].len() as u64 * 4;
         }
         self.span(Phase::GradFlush, Attrs::bytes(bytes), phase_start);
         first_err.map_or(Ok(()), Err)
@@ -628,6 +674,7 @@ impl MlpFuncEngine {
             self.run_migrations()?;
         }
         let m = self.subgroup_lens.len();
+        self.grads.materialize_zeros();
         // A re-drive restarts the same iteration: same order, and a
         // split re-sized over whatever tiers survive by now.
         self.ledger.begin_iteration();
@@ -2021,18 +2068,30 @@ mod tests {
         together: bool,
         arrived: std::sync::Mutex<usize>,
         all_arrived: std::sync::Condvar,
+        /// Writes that went through.
+        written: std::sync::atomic::AtomicUsize,
     }
 
     impl DoomedWrites {
         fn new(doomed: std::ops::Range<usize>, together: bool) -> Arc<Self> {
+            Self::of("sub", doomed, together)
+        }
+
+        /// Dooms the subgroups' `object`s: `sub` (state) or `grad`.
+        fn of(object: &str, doomed: std::ops::Range<usize>, together: bool) -> Arc<Self> {
             Arc::new(DoomedWrites {
                 inner: MemBackend::new("doomed"),
                 armed: false.into(),
-                doomed: doomed.map(|idx| format!("w0/sub{idx}")).collect(),
+                doomed: doomed.map(|idx| format!("w0/{object}{idx}")).collect(),
                 together,
                 arrived: 0.into(),
                 all_arrived: Default::default(),
+                written: 0.into(),
             })
+        }
+
+        fn written(&self) -> usize {
+            self.written.load(std::sync::atomic::Ordering::SeqCst)
         }
 
         fn arm(&self, armed: bool) {
@@ -2044,7 +2103,9 @@ mod tests {
         fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
             let armed = self.armed.load(std::sync::atomic::Ordering::SeqCst);
             if !armed || !self.doomed.iter().any(|k| k == key) {
-                return self.inner.write(key, data);
+                self.inner.write(key, data)?;
+                self.written.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                return Ok(());
             }
             if self.together {
                 let mut arrived = self.arrived.lock().unwrap();
@@ -2147,6 +2208,99 @@ mod tests {
             twin.master_params().unwrap()
         );
         assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    #[test]
+    fn dead_tier_fails_the_gradient_flush_typed_and_the_reflush_moves_what_is_missing() {
+        use mlp_storage::{classify, ErrorClass};
+        const SHARD: usize = 64;
+        let adam = AdamConfig::default();
+        // The eager-gradient path: 64 tier-resident subgroups, each with a
+        // gradient object to flush, through a pool of 14 staging buffers.
+        let cfg = EngineConfig::deepspeed_zero3();
+        let dying = DoomedWrites::of("grad", 0..SHARD, false);
+        let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(SHARD, 24)).unwrap();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(SHARD, 24)).unwrap();
+        let (_, _, capacity) = engine.state_pool_stats();
+        assert!(capacity < SHARD, "a pool of {capacity} cannot hold every failed flush");
+
+        let grads = grads_for(SHARD, 24, 0.0);
+        twin.accumulate_gradients(&grads);
+        twin.flush_gradients().unwrap();
+        let want = twin.update().unwrap();
+
+        // Every gradient write fails and a failed flush keeps its staging
+        // buffer until it is settled: the phase must settle as it goes.
+        // On its own thread, so that waiting on the pool shows as a
+        // timeout here instead of hanging the suite.
+        engine.accumulate_gradients(&grads);
+        dying.arm(true);
+        let before = dying.written();
+        let (done, phase) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let flushed = engine.flush_gradients();
+            let _ = done.send((engine, flushed));
+        });
+        let (mut engine, flushed) = phase
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("flush_gradients is waiting for a buffer nothing will return");
+        let err = flushed.unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
+        assert_eq!(engine.io_errors(), SHARD as u64);
+        assert_eq!(dying.written(), before);
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+
+        // Healed, a second call moves exactly the objects that are missing
+        // (a third none), out of the untouched accumulators.
+        dying.arm(false);
+        engine.flush_gradients().unwrap();
+        assert_eq!(dying.written(), before + SHARD - engine.resident_count());
+        engine.flush_gradients().unwrap();
+        assert_eq!(dying.written(), before + SHARD - engine.resident_count());
+        let got = engine.update().unwrap();
+        assert_eq!(got.fp16_params, want.fp16_params);
+        assert_eq!(
+            engine.grad_bytes_through_storage(),
+            twin.grad_bytes_through_storage()
+        );
+        assert_eq!(
+            engine.master_params().unwrap(),
+            twin.master_params().unwrap()
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    #[test]
+    fn an_update_with_no_micro_step_since_the_last_applies_zero_gradients() {
+        let adam = AdamConfig::default();
+        // Both kinds of host accumulator, neither swept between updates.
+        for cfg in [
+            EngineConfig::mlp_offload().with_host_frames(5),
+            EngineConfig::deepspeed_zero3(),
+        ] {
+            let mut reference = init_states(6, 40);
+            let mut engine = MlpFuncEngine::new(cfg, adam, &tiers(2), 0, init_states(6, 40)).unwrap();
+            let zeros = vec![vec![0u16; 40]; 6];
+            for (it, grads) in [Some(grads_for(6, 40, 0.0)), None, None, Some(grads_for(6, 40, 3.0))]
+                .into_iter()
+                .enumerate()
+            {
+                if let Some(grads) = &grads {
+                    engine.accumulate_gradients(grads);
+                }
+                // The eager path flushes what the update then fetches: with
+                // no micro-step that must be zeros too, not the last
+                // iteration's gradients.
+                engine.flush_gradients().unwrap();
+                engine.update().unwrap();
+                reference_update(&mut reference, &adam, grads.as_ref().unwrap_or(&zeros));
+                for (idx, (got, want)) in engine.master_params().unwrap().iter().zip(&reference).enumerate() {
+                    assert_eq!(got, &want.params, "iteration {it}, subgroup {idx}");
+                }
+            }
+        }
     }
 
     #[test]

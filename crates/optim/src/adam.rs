@@ -1,4 +1,32 @@
 //! Adam/AdamW update kernels over FP32 master state.
+//!
+//! # The formula as implemented
+//!
+//! With `m`, `v` the moments after this step's decay-and-add,
+//!
+//! ```text
+//! step_size = lr / (1 − β₁ᵗ)          once per call
+//! bc2       = 1 / sqrt(1 − β₂ᵗ)       once per call
+//! p        −= step_size · (m / (sqrt(v) · bc2 + ε))
+//! p        −= lr · weight_decay · p_old        (AdamW, when enabled)
+//! ```
+//!
+//! which is the textbook `p −= lr · m̂ / (sqrt(v̂) + ε)` with `m̂ = m / (1 −
+//! β₁ᵗ)`, `v̂ = v / (1 − β₂ᵗ)`: `sqrt(v̂) = sqrt(v) · bc2`, so `ε` is still
+//! added to `sqrt(v̂)`. It is the form DeepSpeed's `cpu_adam` and PyTorch's
+//! `adam` run — both bias corrections hoisted out of the element loop as
+//! two scalars — and it costs one division and one square root per element
+//! where the textbook order of operations costs three and one; the divider
+//! is what bounds this kernel once the FP16 conversions around it are wide
+//! (`BENCH_update_kernels.json`: fused SGD, which has no division, against
+//! fused Adam). The two scalars are computed in `f32` from `(cfg, step)`
+//! alone, so fused tiles, `PAR_CHUNK` chunks and the multi-pass reference —
+//! which all go through [`adam_elem`](self) — agree bit for bit.
+//!
+//! The values differ from the textbook order's by rounding only; that order
+//! lives on in this module's tests as the closeness reference (the
+//! parameter delta stays within 4 `f32` ulp — 4 × 2⁻²³ relative, the eight
+//! roundings' worst case — of it evaluated in `f64`).
 
 use mlp_tensor::{par_for_each, PAR_CHUNK};
 
@@ -30,24 +58,25 @@ impl Default for AdamConfig {
     }
 }
 
-/// Bias-correction terms `1 - βᵏ` for step `k`, hoisted out of the
-/// per-element kernel (computed once per slice pass).
-#[inline]
+/// The two bias corrections of step `step` as the scalars the element
+/// kernel multiplies by, hoisted out of it (computed once per slice pass):
+/// `(lr / (1 − β₁ᵗ), 1 / sqrt(1 − β₂ᵗ))`.
+#[inline(always)]
 pub(crate) fn adam_bias(cfg: &AdamConfig, step: u64) -> (f32, f32) {
-    (
-        1.0 - cfg.beta1.powi(step as i32),
-        1.0 - cfg.beta2.powi(step as i32),
-    )
+    let bias1 = 1.0 - cfg.beta1.powi(step as i32);
+    let bias2 = 1.0 - cfg.beta2.powi(step as i32);
+    (cfg.lr / bias1, 1.0 / bias2.sqrt())
 }
 
-/// One parameter's Adam update. Shared by the multi-pass kernel below and
-/// the fused single-pass kernel in [`crate::fused`], so the two paths are
-/// bitwise identical by construction.
+/// One parameter's Adam update from [`adam_bias`]'s `(step_size, bc2)`.
+/// Shared by the multi-pass kernel below and the fused single-pass kernel
+/// in [`crate::fused`], so the two paths are bitwise identical by
+/// construction.
 #[inline(always)]
 pub(crate) fn adam_elem(
     cfg: &AdamConfig,
-    bias1: f32,
-    bias2: f32,
+    step_size: f32,
+    bc2: f32,
     p: &mut f32,
     momentum: &mut f32,
     variance: &mut f32,
@@ -57,11 +86,9 @@ pub(crate) fn adam_elem(
     let v = cfg.beta2 * *variance + (1.0 - cfg.beta2) * g * g;
     *momentum = m;
     *variance = v;
-    let m_hat = m / bias1;
-    let v_hat = v / bias2;
     let old = *p;
     let mut new = old;
-    new -= cfg.lr * m_hat / (v_hat.sqrt() + cfg.eps);
+    new -= step_size * (m / (v.sqrt() * bc2 + cfg.eps));
     if cfg.weight_decay != 0.0 {
         new -= cfg.lr * cfg.weight_decay * old;
     }
@@ -74,6 +101,7 @@ pub(crate) fn adam_elem(
 /// # Panics
 ///
 /// Panics on length mismatch or `step == 0`.
+#[inline(always)]
 // lint:allow(transitive-panic): element loop bounded by params.len();
 // equal slice lengths asserted on entry (the documented contract)
 pub fn adam_step(
@@ -97,12 +125,12 @@ pub fn adam_step(
         "params/variance length mismatch"
     );
 
-    let (bias1, bias2) = adam_bias(cfg, step);
+    let (step_size, bc2) = adam_bias(cfg, step);
     for i in 0..params.len() {
         adam_elem(
             cfg,
-            bias1,
-            bias2,
+            step_size,
+            bc2,
             &mut params[i],
             &mut momentum[i],
             &mut variance[i],
@@ -139,9 +167,68 @@ pub fn adam_step_par(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlp_testkit::{cases, Gen, DEFAULT_CASES};
 
     fn close(a: f32, b: f32, tol: f32) {
         assert!((a - b).abs() <= tol, "expected {b} ± {tol}, got {a}");
+    }
+
+    /// The textbook order of operations — `m̂ = m / (1 − β₁ᵗ)`, `v̂ = v / (1 −
+    /// β₂ᵗ)`, `Δ = lr · m̂ / (sqrt(v̂) + ε)`, three divisions and a square
+    /// root — evaluated in `f64` from the moments the kernel stored and the
+    /// `f32` bias terms every form starts from: the parameter delta the
+    /// one-divide kernel must stay close to.
+    fn textbook_delta(cfg: &AdamConfig, step: u64, m: f32, v: f32) -> f64 {
+        let bias1 = f64::from(1.0 - cfg.beta1.powi(step as i32));
+        let bias2 = f64::from(1.0 - cfg.beta2.powi(step as i32));
+        let (m_hat, v_hat) = (f64::from(m) / bias1, f64::from(v) / bias2);
+        f64::from(cfg.lr) * m_hat / (v_hat.sqrt() + f64::from(cfg.eps))
+    }
+
+    #[test]
+    fn one_divide_delta_is_within_4_ulp_of_the_textbook_update() {
+        let magnitude = |g: &mut Gen| 10f32.powf(g.range(-6.0f32..1.0));
+        cases(4 * DEFAULT_CASES, |g| {
+            let cfg = AdamConfig {
+                lr: g.range(1e-5f32..1e-1),
+                beta1: g.range(0.5f32..0.99),
+                beta2: g.range(0.9f32..0.9999),
+                eps: 1e-8,
+                weight_decay: if g.bool() { 0.0 } else { g.range(1e-3f32..0.2) },
+            };
+            let step = if g.bool() { g.range(1u64..20) } else { g.range(20u64..100_001) };
+            // Moments, gradient and parameter over seven decades, both
+            // signs: everything a step computes stays a normal `f32`.
+            let signed = |g: &mut Gen| g.range(-1.0f32..1.0) * magnitude(g);
+            let (m0, v0, grad, p0) = (signed(g), magnitude(g).powi(2), signed(g), signed(g));
+
+            // From p = 0 the new parameter *is* the negated delta, exactly
+            // (and the decay term is zero).
+            let (mut p, mut m, mut v) = ([0.0f32], [m0], [v0]);
+            adam_step(&cfg, step, &mut p, &mut m, &mut v, &[grad]);
+            let delta = -p[0];
+            let want = textbook_delta(&cfg, step, m[0], v[0]);
+            // 4 ulp as a relative bound, 4 × 2⁻²³ (an ulp being taken at the
+            // bottom of its binade): what the kernel's eight roundings —
+            // `lr / bias1`, `sqrt(bias2)`, its reciprocal, `sqrt(v)`, `· bc2`,
+            // `+ ε`, the division, `· step_size` — add up to at worst.
+            let ulp = f64::from(f32::EPSILON) * want.abs();
+            assert!(
+                (f64::from(delta) - want).abs() <= 4.0 * ulp,
+                "delta {delta:e} vs textbook {want:e} ({} ulp) at step {step}, {cfg:?}",
+                (f64::from(delta) - want).abs() / ulp
+            );
+
+            // From any p the same delta is applied once, and the AdamW decay
+            // term is the untouched `lr · weight_decay · p_old`.
+            let (mut p, mut m, mut v) = ([p0], [m0], [v0]);
+            adam_step(&cfg, step, &mut p, &mut m, &mut v, &[grad]);
+            let mut expect = p0 - delta;
+            if cfg.weight_decay != 0.0 {
+                expect -= cfg.lr * cfg.weight_decay * p0;
+            }
+            assert_eq!(p[0].to_bits(), expect.to_bits());
+        });
     }
 
     #[test]

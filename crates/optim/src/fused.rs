@@ -15,7 +15,19 @@
 //! once, and no FP32 gradient buffer is ever allocated — the scratch is
 //! `TILE` (512) elements, 2 KiB, on the stack. Each inner sweep is the
 //! very loop of its multi-pass counterpart, and all three vectorize (the
-//! conversions are select-only, see [`mlp_tensor::f16`]).
+//! conversions are select-only, see [`mlp_tensor::f16`]) — at the widest
+//! vector width the host CPU reports: the public entry points run the chunk
+//! kernel through [`mlp_tensor::at_host_width`], *inside* each chunk so the
+//! scoped threads of the parallel path run at width too, and the chunk
+//! kernels with everything under them ([`OptimizerConfig::step`],
+//! `adam_step`, the `convert` sweeps, the scalar conversions) are
+//! `#[inline(always)]` bodies that compile at their caller's width. On one
+//! core of the 2-vCPU reference box (AVX-512; `BENCH_update_kernels.json`,
+//! three runs) fused Adam over one cache-resident `PAR_CHUNK` chunk runs at
+//! 442–451 Melem/s portable, 681–698 at `avx2` and 889–913 at `avx512`; on
+//! both cores, dispatched, 1.47–1.51 Gelem/s at 1 Mi elements and 1.28–1.45
+//! at 16 Mi (36–42 GB/s of traffic), against 0.57 and 0.74 before the
+//! dispatch and the one-divide Adam ([`crate::adam`]).
 //!
 //! Bit-exactness: a tile *is* the multi-pass composition
 //! ([`mlp_tensor::convert::upscale_scaled`] → [`OptimizerConfig::step`] →
@@ -24,7 +36,7 @@
 //! bitwise identical (property-tested below); the multi-pass kernels stay
 //! as the reference the tests and the benchmark oracle compare against.
 
-use mlp_tensor::{convert, par_for_each, PAR_CHUNK};
+use mlp_tensor::{at_host_width, convert, par_for_each, PAR_CHUNK};
 
 use crate::optimizer::OptimizerConfig;
 
@@ -32,11 +44,17 @@ use crate::optimizer::OptimizerConfig;
 const TILE: usize = 512;
 
 /// Fused kernel over one `PAR_CHUNK` chunk: FP16-bits gradients, strip-mined
-/// into [`TILE`]-element sub-ranges.
+/// into `TILE`-element sub-ranges. This is the *body* — `#[inline(always)]`
+/// like everything it calls down to the element loops, so it compiles at its
+/// caller's vector width: [`fused_update_fp16`] runs it at the host's, a
+/// bare call is the portable kernel, and `update_kernels_baseline` runs it
+/// inside [`mlp_tensor::SimdLevel::run`] once per level. Slice lengths are
+/// the caller's to match.
+#[inline(always)]
 // lint:allow(transitive-panic): tile ranges are min-clamped to
 // params.len() and all slice lengths are asserted equal by check_lens
 // at the public entry
-fn fused_chunk_fp16(
+pub fn fused_chunk_fp16(
     opt: &OptimizerConfig,
     step: u64,
     params: &mut [f32],
@@ -66,7 +84,8 @@ fn fused_chunk_fp16(
 
 /// Fused kernel over one `PAR_CHUNK` chunk: FP32 gradients (the ZeRO-3
 /// baseline's eager-conversion data path), strip-mined like
-/// [`fused_chunk_fp16`].
+/// [`fused_chunk_fp16`] and a body like it.
+#[inline(always)]
 // lint:allow(transitive-panic): tile ranges are min-clamped to
 // params.len() and all slice lengths are asserted equal by check_lens
 // at the public entry
@@ -135,10 +154,16 @@ pub fn fused_update_fp16(
         grads_fp16.len(),
         fp16_out.len(),
     );
+    // Dispatched inside the chunk, so the scoped threads of the parallel
+    // path run at the host's width too.
+    let chunk = |p: &mut [f32], s1: &mut [f32], s2: &mut [f32], g: &[u16], out: &mut [u16]| {
+        at_host_width(
+            #[inline(always)]
+            || fused_chunk_fp16(opt, step, p, s1, s2, g, inv_scale, out),
+        )
+    };
     if params.len() < PAR_CHUNK {
-        return fused_chunk_fp16(
-            opt, step, params, slot1, slot2, grads_fp16, inv_scale, fp16_out,
-        );
+        return chunk(params, slot1, slot2, grads_fp16, fp16_out);
     }
     par_for_each(
         params
@@ -147,7 +172,7 @@ pub fn fused_update_fp16(
             .zip(slot2.chunks_mut(PAR_CHUNK))
             .zip(grads_fp16.chunks(PAR_CHUNK))
             .zip(fp16_out.chunks_mut(PAR_CHUNK)),
-        |((((p, s1), s2), g), out)| fused_chunk_fp16(opt, step, p, s1, s2, g, inv_scale, out),
+        |((((p, s1), s2), g), out)| chunk(p, s1, s2, g, out),
     );
 }
 
@@ -177,8 +202,14 @@ pub fn fused_update_f32(
         grads.len(),
         fp16_out.len(),
     );
+    let chunk = |p: &mut [f32], s1: &mut [f32], s2: &mut [f32], g: &[f32], out: &mut [u16]| {
+        at_host_width(
+            #[inline(always)]
+            || fused_chunk_f32(opt, step, p, s1, s2, g, inv_scale, out),
+        )
+    };
     if params.len() < PAR_CHUNK {
-        return fused_chunk_f32(opt, step, params, slot1, slot2, grads, inv_scale, fp16_out);
+        return chunk(params, slot1, slot2, grads, fp16_out);
     }
     par_for_each(
         params
@@ -187,7 +218,7 @@ pub fn fused_update_f32(
             .zip(slot2.chunks_mut(PAR_CHUNK))
             .zip(grads.chunks(PAR_CHUNK))
             .zip(fp16_out.chunks_mut(PAR_CHUNK)),
-        |((((p, s1), s2), g), out)| fused_chunk_f32(opt, step, p, s1, s2, g, inv_scale, out),
+        |((((p, s1), s2), g), out)| chunk(p, s1, s2, g, out),
     );
 }
 
@@ -196,7 +227,7 @@ mod tests {
     use super::*;
     use crate::adam::AdamConfig;
     use crate::optimizer::{AdagradConfig, LionConfig, SgdConfig};
-    use mlp_tensor::convert;
+    use mlp_tensor::{convert, F16};
     use mlp_testkit::{cases, Gen, DEFAULT_CASES};
 
     /// The multi-pass composition the fused kernel replaces: materialize
@@ -271,6 +302,76 @@ mod tests {
                     assert_bits_eq(&a.1, &b.1, opt.name());
                     assert_bits_eq(&a.2, &b.2, opt.name());
                     assert_eq!(expect_h, got_h, "{} fp16 emission", opt.name());
+                }
+            }
+        }
+    }
+
+    /// FP16 gradient bits that walk the whole pattern space — every
+    /// exponent, both signs — with the special values planted every eighth
+    /// element: ±0, ±∞, quiet and signalling NaNs, the smallest and the
+    /// largest subnormal.
+    fn every_kind_of_grad(n: usize) -> Vec<u16> {
+        const PLANTED: [u16; 8] = [0, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFD01, 0x0001, 0x83FF];
+        (0..n)
+            .map(|i| match i % 8 {
+                0 => PLANTED[(i / 8) % 8],
+                _ => (i as u32).wrapping_mul(2_654_435_761).rotate_left(9) as u16,
+            })
+            .collect()
+    }
+
+    /// One step from finite state at every level the host has, against the
+    /// portable one: both kernels, the whole zoo, the lengths around every
+    /// loop boundary. One step, because a NaN gradient then meets finite
+    /// state only and its payload has one way to propagate.
+    #[test]
+    fn every_level_is_the_portable_kernel_bit_for_bit() {
+        use mlp_tensor::SimdLevel;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0, 1, TILE - 1, TILE + 1, 1000, PAR_CHUNK + 1717] {
+            let state = (
+                (0..n).map(|i| (i as f32).sin()).collect::<Vec<f32>>(),
+                (0..n).map(|i| (i as f32 * 0.7).cos() * 1e-2).collect::<Vec<f32>>(),
+                (0..n).map(|i| (i % 13) as f32 * 1e-4).collect::<Vec<f32>>(),
+            );
+            let grads_fp16 = every_kind_of_grad(n);
+            // The FP32 kernel's own hard cases on top of the widened ones: a
+            // binary32 subnormal and a signalling binary32 NaN.
+            let mut grads_f32: Vec<f32> = grads_fp16.iter().map(|&h| F16(h).to_f32()).collect();
+            let specials = [1e-40, f32::from_bits(0x7F80_0001)].into_iter().cycle();
+            for (g, special) in grads_f32.iter_mut().skip(3).step_by(8).zip(specials) {
+                *g = special;
+            }
+            let step = 1 + n as u64 % 7;
+            for opt in optimizer_zoo() {
+                let run = |level: SimdLevel, fp16_grads: bool| {
+                    let (mut p, mut s1, mut s2) = state.clone();
+                    let mut out = vec![0u16; n];
+                    level.run(
+                        #[inline(always)]
+                        || {
+                            let (p, s1, s2) = (&mut p[..], &mut s1[..], &mut s2[..]);
+                            if fp16_grads {
+                                fused_chunk_fp16(&opt, step, p, s1, s2, &grads_fp16, 0.37, &mut out)
+                            } else {
+                                fused_chunk_f32(&opt, step, p, s1, s2, &grads_f32, 0.37, &mut out)
+                            }
+                        },
+                    );
+                    (bits(&p), bits(&s1), bits(&s2), out)
+                };
+                for fp16_grads in [true, false] {
+                    let mut levels = SimdLevel::available();
+                    let portable = run(levels.next().expect("portable is always there"), fp16_grads);
+                    for level in levels {
+                        assert!(
+                            run(level, fp16_grads) == portable,
+                            "{} at {}, n = {n}, fp16 gradients: {fp16_grads}",
+                            opt.name(),
+                            level.name()
+                        );
+                    }
                 }
             }
         }

@@ -160,6 +160,10 @@ pub(crate) fn lion_elem(cfg: &LionConfig, p: &mut f32, slot1: &mut f32, g: f32) 
 impl OptimizerConfig {
     /// Applies one step over a parameter slice (scalar kernel). `step` is
     /// 1-based; `slot1`/`slot2` are the persistent per-parameter state.
+    /// `#[inline(always)]`: the fused tiles instantiate it at the host's
+    /// vector width (`mlp_tensor::simd`); called bare it is the portable
+    /// loop, which is what the multi-pass reference runs.
+    #[inline(always)]
     // lint:allow(transitive-panic): element loops bounded by params.len();
     // equal slice lengths asserted on entry (the documented contract)
     pub fn step(

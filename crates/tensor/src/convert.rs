@@ -6,21 +6,34 @@
 //! update phase, instead of being eagerly upscaled and flushed through the
 //! storage tiers during the backward pass. The loops below are plain
 //! element-wise sweeps over the select-only scalar conversions of
-//! [`crate::f16`], which is what lets them vectorize: one core of the shared
-//! 2-vCPU reference box upscales 1.2–2.2 Gelem/s (7–13 GB/s of traffic,
-//! against 0.5 Gelem/s for the branchy conversions) and downscales
-//! 0.7–1.0 Gelem/s (`BENCH_update_kernels.json`, `convert` rows, three runs)
-//! — two orders of magnitude above the tertiary-storage fetch bandwidths
-//! the benchmark emulates, which is exactly why the delayed strategy wins.
+//! [`crate::f16`], which is what lets them vectorize — at whatever width
+//! they are compiled for. The sequential kernels ([`upscale`],
+//! [`upscale_scaled`], [`downscale`]) are `#[inline(always)]` *bodies*:
+//! they run at their caller's width, which is how the fused update tiles
+//! and a [`crate::simd::SimdLevel::run`] closure get them at the host's;
+//! called bare they are the portable loop. The `*_par` entry points
+//! dispatch ([`crate::at_host_width`]) inside each chunk.
+//!
+//! Measured on one core of the shared 2-vCPU reference box, whose CPU has
+//! AVX-512 (`BENCH_update_kernels.json`, three runs): over one
+//! cache-resident `PAR_CHUNK` chunk `upscale_scaled` runs at 2.3 Gelem/s
+//! portable, 4.2 at `avx2` and 6.4–6.5 at `avx512`, `downscale` at 1.15–1.17,
+//! 2.2–2.3 and 4.8–5.2; streaming 1 Mi–16 Mi elements through DRAM at the
+//! dispatched width, upscaling runs at 3.3–4.1 Gelem/s (20–25 GB/s of
+//! traffic) and downscaling at 3.1–4.1 — two orders of magnitude above the
+//! tertiary-storage fetch bandwidths the benchmark emulates, which is
+//! exactly why the delayed strategy wins.
 
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits};
-use crate::{par_for_each, PAR_CHUNK};
+use crate::{at_host_width, par_for_each, PAR_CHUNK};
 
-/// Upscales FP16 (raw bits) to FP32, element by element.
+/// Upscales FP16 (raw bits) to FP32, element by element, at the caller's
+/// vector width (see the [module docs](self)).
 ///
 /// # Panics
 ///
 /// Panics if `src` and `dst` differ in length.
+#[inline(always)]
 pub fn upscale(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -28,10 +41,17 @@ pub fn upscale(src: &[u16], dst: &mut [f32]) {
     }
 }
 
-/// `kernel` over `src` → `dst`: one call below [`PAR_CHUNK`] elements
-/// (fork/join overhead dominates there), matching `PAR_CHUNK` chunks in
-/// parallel from there up.
+/// `kernel` over `src` → `dst` at the host's vector width: one call below
+/// [`PAR_CHUNK`] elements (fork/join overhead dominates there), matching
+/// `PAR_CHUNK` chunks in parallel from there up — dispatched per chunk, so
+/// the scoped threads run at width too.
 fn par_chunks<S: Sync, D: Send>(src: &[S], dst: &mut [D], kernel: impl Fn(&[S], &mut [D]) + Sync) {
+    let kernel = |s: &[S], d: &mut [D]| {
+        at_host_width(
+            #[inline(always)]
+            || kernel(s, d),
+        )
+    };
     if src.len() < PAR_CHUNK {
         return kernel(src, dst);
     }
@@ -44,11 +64,13 @@ pub fn upscale_par(src: &[u16], dst: &mut [f32]) {
     par_chunks(src, dst, upscale);
 }
 
-/// Downscales FP32 to FP16 bits with round-to-nearest-even.
+/// Downscales FP32 to FP16 bits with round-to-nearest-even, at the
+/// caller's vector width (see the [module docs](self)).
 ///
 /// # Panics
 ///
 /// Panics if `src` and `dst` differ in length.
+#[inline(always)]
 pub fn downscale(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "downscale length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -118,7 +140,9 @@ mod tests {
 /// Fused upscale-and-scale: `dst[i] = f32(src[i]) * scale`, the exact
 /// operation the delayed-conversion update path performs (FP16 gradient →
 /// FP32 × inverse loss scale) — fusing avoids a second pass over the
-/// gradient buffer.
+/// gradient buffer. Runs at the caller's vector width (see the
+/// [module docs](self)).
+#[inline(always)]
 pub fn upscale_scaled(src: &[u16], dst: &mut [f32], scale: f32) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
@@ -129,7 +153,12 @@ pub fn upscale_scaled(src: &[u16], dst: &mut [f32], scale: f32) {
 /// Parallel [`upscale_scaled`].
 pub fn upscale_scaled_par(src: &[u16], dst: &mut [f32], scale: f32) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
-    par_chunks(src, dst, |s, d| upscale_scaled(s, d, scale));
+    par_chunks(
+        src,
+        dst,
+        #[inline(always)]
+        |s, d| upscale_scaled(s, d, scale),
+    );
 }
 
 #[cfg(test)]

@@ -12,17 +12,23 @@
 //! unconditionally with integer and floating-point arithmetic and compares
 //! pick one, so there is no data-dependent branch and every bulk loop over
 //! them ([`crate::convert`], the fused update tiles, gradient accumulation)
-//! autovectorizes at baseline x86-64 from this one source path — no
-//! `std::arch`, no target features, no `unsafe`. The algorithms lean on the
+//! autovectorizes from this one source path — no `std::arch` intrinsic, no
+//! second implementation. The path is *instantiated* once per vector width:
+//! the scalar conversions are `#[inline(always)]`, and [`crate::simd`] runs
+//! the loops over them inside a `target_feature` function picked from what
+//! the host CPU reports (baseline x86-64, AVX2, AVX-512), which is also
+//! where the workspace's only conversion-related `unsafe` lives — the call
+//! into that function, behind its detection. The algorithms lean on the
 //! hardware's own rounding (a multiplication by `2¹¹²` renormalizes
 //! subnormals, an addition of `0.5` rounds to the subnormal grid), so they
 //! assume the default floating-point environment: round to nearest, no
 //! flush-to-zero or denormals-are-zero — which Rust code is entitled to
-//! assume and nothing in this workspace changes. The branchy scalar
-//! versions they replaced live on in this module's tests as the reference:
-//! widening is compared bit for bit on all 2¹⁶ inputs, narrowing on a
-//! boundary grid plus a million random patterns, and on all 2³² inputs in
-//! an `#[ignore]`d sweep.
+//! assume, nothing in this workspace changes, and no vector width alters.
+//! The branchy scalar versions they replaced live on in this module's tests
+//! as the reference: widening is compared bit for bit on all 2¹⁶ inputs,
+//! narrowing on a boundary grid plus a million random patterns, both again
+//! through the bulk loops at every level the host has, and narrowing on all
+//! 2³² inputs (scalar and per level) in an `#[ignore]`d sweep.
 
 /// A 16-bit IEEE 754 binary16 value, stored as its bit pattern.
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -185,6 +191,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{convert, SimdLevel};
     use mlp_testkit::{cases, Gen, DEFAULT_CASES};
 
     /// The branchy scalar narrowing the select-only [`f32_to_f16_bits`]
@@ -305,33 +312,92 @@ mod tests {
         }
     }
 
+    /// Every exponent (zero/subnormal and infinity/NaN ones included)
+    /// around every rounding boundary of the 13 dropped mantissa bits, both
+    /// signs — ±0, ±∞, quiet and signalling NaNs are all on the grid — and
+    /// 2²⁰ seeded patterns.
+    fn narrowing_inputs() -> Vec<u32> {
+        let mantissas = [0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF];
+        let mut g = Gen::new(0xF16);
+        (0..=0xFFu32)
+            .flat_map(|exp| mantissas.map(|man| (exp << 23) | man))
+            .flat_map(|magnitude| [magnitude, 0x8000_0000 | magnitude])
+            .chain(std::iter::repeat_with(|| g.u64() as u32).take(1 << 20))
+            .collect()
+    }
+
     #[test]
     fn narrowing_is_bit_identical_to_the_branchy_reference() {
-        // Every exponent (zero/subnormal and infinity/NaN ones included)
-        // around every rounding boundary of the 13 dropped mantissa bits,
-        // both signs: ±0, ±∞, quiet and signalling NaNs are all on the grid.
-        let mantissas = [0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF];
-        for exp in 0..=0xFFu32 {
-            for man in mantissas {
-                for sign in [0, 0x8000_0000] {
-                    assert_narrowing_matches_reference(sign | (exp << 23) | man);
-                }
-            }
-        }
-        let mut g = Gen::new(0xF16);
-        for _ in 0..1 << 20 {
-            assert_narrowing_matches_reference(g.u64() as u32);
+        for bits in narrowing_inputs() {
+            assert_narrowing_matches_reference(bits);
         }
     }
 
-    /// All 2³² inputs, ≈ 13 s in release on one core:
+    /// [`convert::downscale`] over `bits` at every level the host has,
+    /// against the branchy reference.
+    fn assert_bulk_narrowing_matches_reference(bits: &[u32]) {
+        let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let want: Vec<u16> = src.iter().map(|&x| reference_f32_to_f16_bits(x)).collect();
+        let mut got = vec![0u16; src.len()];
+        for level in SimdLevel::available() {
+            level.run(
+                #[inline(always)]
+                || convert::downscale(&src, &mut got),
+            );
+            if let Some(at) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                panic!(
+                    "narrowing {:#010x} at {}: {:#06x}, reference {:#06x}",
+                    bits[at],
+                    level.name(),
+                    got[at],
+                    want[at]
+                );
+            }
+        }
+    }
+
+    /// The bulk loops are the scalar conversions instantiated once per
+    /// vector width ([`crate::simd`]): at every level the host has, widening
+    /// (plain and scaled) on all 2¹⁶ inputs and narrowing on the grid.
+    #[test]
+    fn bulk_conversions_match_the_branchy_reference_at_every_level() {
+        assert_bulk_narrowing_matches_reference(&narrowing_inputs());
+        let halves: Vec<u16> = (0..=u16::MAX).collect();
+        for level in SimdLevel::available() {
+            let mut plain = vec![0.0f32; halves.len()];
+            let mut scaled = vec![0.0f32; halves.len()];
+            level.run(
+                #[inline(always)]
+                || {
+                    convert::upscale(&halves, &mut plain);
+                    convert::upscale_scaled(&halves, &mut scaled, 0.37);
+                },
+            );
+            for (&h, (p, s)) in halves.iter().zip(plain.iter().zip(&scaled)) {
+                let want = reference_f16_bits_to_f32(h);
+                assert_eq!(p.to_bits(), want.to_bits(), "widening {h:#06x} at {}", level.name());
+                assert_eq!(
+                    s.to_bits(),
+                    (want * 0.37).to_bits(),
+                    "scaled widening {h:#06x} at {}",
+                    level.name()
+                );
+            }
+        }
+    }
+
+    /// All 2³² inputs, scalar and in bulk at every level the host has,
+    /// ≈ 20 s in release on two cores:
     /// `cargo test --release -p mlp-tensor -- --ignored`.
     #[test]
-    #[ignore = "full 2^32 sweep; run in release"]
+    #[ignore = "full 2^32 sweep per level; run in release"]
     fn narrowing_is_bit_identical_to_the_branchy_reference_for_every_f32() {
+        const BLOCK: u32 = 1 << 16;
         crate::par_for_each(0..=0xFFu32, |top| {
-            for low in 0..1u32 << 24 {
-                assert_narrowing_matches_reference((top << 24) | low);
+            for block in (0..1u32 << 24).step_by(BLOCK as usize) {
+                let bits: Vec<u32> = (block..block + BLOCK).map(|low| (top << 24) | low).collect();
+                bits.iter().for_each(|&b| assert_narrowing_matches_reference(b));
+                assert_bulk_narrowing_matches_reference(&bits);
             }
         });
     }

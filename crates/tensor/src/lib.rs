@@ -19,6 +19,9 @@
 //! * [`convert`] — bulk upscale/downscale kernels: scalar and parallel
 //!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), plain and fused
 //!   with the loss-scale multiply the delayed-conversion path applies.
+//! * [`simd`] — [`at_host_width`]: the same loops instantiated per vector
+//!   width (portable, AVX2, AVX-512) and picked from what the host CPU
+//!   reports; every width computes the portable one's bits.
 //! * [`buffer::HostBuffer`] — byte-addressed host staging buffer with typed
 //!   accessors, the unit of I/O for the offloading engines.
 //! * [`pool::PinnedPool`] — explicit pool-based allocation of staging
@@ -33,11 +36,13 @@ pub mod buffer;
 pub mod convert;
 pub mod f16;
 pub mod pool;
+pub mod simd;
 
 pub use aligned::{AlignedBuf, AlignedPool, DIRECT_IO_ALIGN};
 pub use buffer::HostBuffer;
 pub use f16::F16;
 pub use pool::{PinnedPool, PooledBuffer};
+pub use simd::{at_host_width, SimdLevel};
 
 /// Minimum elements per parallel work item for every bulk kernel in the
 /// workspace (conversion, optimizer steps, fused update).
