@@ -228,7 +228,11 @@ pub(crate) enum OpKind {
     Write(Vec<u8>),
     /// Write from a pooled staging buffer (first `len` bytes); the buffer
     /// returns to its pool when the op completes — the paper's explicit
-    /// pool-based allocation for asynchronous flushes (§3.5).
+    /// pool-based allocation for asynchronous flushes (§3.5). When `len`
+    /// is the whole buffer the backend gets the frame itself
+    /// ([`Backend::write_frame`]) and the pool may get back the frame of
+    /// the object it displaced: same size, and a recycled buffer never
+    /// promised its contents.
     WritePooled(PooledBuffer, usize),
     Read,
     /// Read into the first `len` bytes of a pooled staging buffer via
@@ -501,10 +505,20 @@ pub(crate) fn execute_op(
                 }
             }
         }
-        OpKind::WritePooled(buf, len) => {
+        OpKind::WritePooled(mut buf, len) => {
+            // A write of the whole staging buffer hands the backend the
+            // frame itself, which a memory-class tier exchanges for the
+            // object it displaces instead of copying (a failed attempt
+            // leaves the frame untouched, so a retry and the reclaim
+            // below still hold the payload). A shorter window is copied.
+            let whole_frame = len == buf.buffer().len();
             match retry.run(op_retries, sleeper, || {
-                // lint:allow(transitive-panic): window in-bounds — submit_write_pooled asserts len <= buffer
-                backend.write(key, &buf.buffer().as_bytes()[..len])
+                if whole_frame {
+                    backend.write_frame(key, buf.buffer_mut())
+                } else {
+                    // lint:allow(transitive-panic): window in-bounds — submit_write_pooled asserts len <= buffer
+                    backend.write(key, &buf.buffer().as_bytes()[..len])
+                }
             }) {
                 Ok(()) => {
                     drop(buf); // staging buffer back to its pool
@@ -1132,6 +1146,72 @@ mod tests {
         assert_eq!(pool.outstanding(), 1, "caller holds the reclaimed buffer");
         drop(buf);
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// A whole-buffer pooled write reaches the backend as a frame: over
+    /// an object of its own size it is exchanged, not copied, and a
+    /// failed, retried one hands the *payload* back — never the object
+    /// it would have displaced.
+    #[test]
+    fn whole_frame_pooled_writes_exchange_and_a_failed_one_reclaims_its_payload() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend};
+        use mlp_tensor::PinnedPool;
+        let mem = Arc::new(MemBackend::new("mem"));
+        let fault = Arc::new(FaultInjectBackend::new(
+            Arc::clone(&mem) as Arc<dyn Backend>,
+            FaultConfig::transient(5, 1.0),
+        ));
+        fault.set_armed(false);
+        let e = AioEngine::new(
+            Arc::clone(&fault) as Arc<dyn Backend>,
+            AioConfig {
+                workers: 1,
+                queue_depth: 8,
+                retry: fast_retry(3),
+                ..AioConfig::default()
+            },
+        );
+        let pool = PinnedPool::new(2, 64);
+        let filled = |fill: u8| {
+            let mut buf = pool.acquire();
+            buf.buffer_mut().as_bytes_mut().fill(fill);
+            buf
+        };
+        // First write: nothing to displace, the frame is copied in.
+        e.submit_write_pooled("k", filled(1), 64).wait_flush().unwrap();
+        assert_eq!(mem.touches().exchanged_frames, 0);
+
+        fault.set_armed(true);
+        let (err, payload) = e
+            .submit_write_pooled("k", filled(2), 64)
+            .wait_flush()
+            .unwrap_err();
+        assert!(err.to_string().contains("giving up after 3 attempts"), "{err}");
+        assert_eq!(e.retries(), 2);
+        let Some(ReclaimedWrite::Pooled(buf)) = payload else {
+            panic!("expected the staging buffer back");
+        };
+        assert_eq!(buf.as_bytes(), &[2u8; 64], "the payload, not the old object");
+        assert_eq!(mem.read("k").unwrap(), vec![1u8; 64], "old object intact");
+
+        // Re-driven on a healed tier, the same buffer is exchanged.
+        fault.set_armed(false);
+        let copied = mem.touches().write_copied_bytes;
+        e.submit_write_pooled("k", buf, 64).wait_flush().unwrap();
+        assert_eq!(mem.read("k").unwrap(), vec![2u8; 64]);
+        let touches = mem.touches();
+        assert_eq!(
+            (touches.exchanged_frames, touches.write_copied_bytes),
+            (1, copied)
+        );
+        // A window shorter than the buffer is copied, as ever.
+        e.submit_write_pooled("k", filled(3), 16).wait_flush().unwrap();
+        assert_eq!(mem.read("k").unwrap(), vec![3u8; 16]);
+        assert_eq!(mem.touches().exchanged_frames, 1);
+        // The pool still owns two buffers of its size.
+        assert_eq!(pool.outstanding(), 0);
+        let (a, b) = (pool.acquire(), pool.acquire());
+        assert_eq!((a.len(), b.len()), (64, 64));
     }
 
     #[test]

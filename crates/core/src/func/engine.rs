@@ -446,22 +446,31 @@ impl MlpFuncEngine {
             drains_done: 0,
         };
 
-        // Initial population: synchronous writes (not part of any measured
-        // iteration).
-        let mut handles = Vec::new();
+        // Initial population (not part of any measured iteration): each
+        // subgroup is serialized straight into a pooled frame and flushed
+        // from it, so staging memory is bounded by the pool and the first
+        // object a memory-class tier holds is already a frame it can
+        // exchange.
+        let mut inflight: VecDeque<OpHandle> = VecDeque::new();
         for (idx, state) in initial.iter().enumerate() {
             // Nothing is retained yet: every slot names a tier.
             let Place::Tier(tier) = engine.place(idx)? else {
                 continue;
             };
+            let mut buf = engine.acquire_settling("population write", || {
+                inflight
+                    .pop_front()
+                    .map_or(Ok(false), |oldest| oldest.wait().map(|_| true))
+            })?;
+            state.write_to(buf.buffer_mut());
             let _g = engine.tiers[tier].lock.acquire(engine.worker_id);
-            handles.push(
-                engine.tiers[tier]
-                    .engine
-                    .submit_write(engine.key(idx), state.to_buffer().into_bytes()),
-            );
+            inflight.push_back(engine.tiers[tier].engine.submit_write_pooled(
+                engine.key(idx),
+                buf,
+                state.len() * 12,
+            ));
         }
-        for h in handles {
+        for h in inflight {
             h.wait()?;
         }
         // The population writes above are not part of any measured
@@ -528,6 +537,29 @@ impl MlpFuncEngine {
     fn span(&self, phase: Phase, attrs: Attrs, start_ns: u64) {
         let trace = &self.cfg.trace;
         trace.complete_span(phase, attrs, start_ns, trace.now_ns());
+    }
+
+    /// A free staging buffer for a phase that only writes. Never the
+    /// pool's condvar: a failed write keeps its buffer until it is settled
+    /// and would not signal it. With no buffer free, the oldest write in
+    /// flight is what frees one: `settle_oldest` settles it, or reports
+    /// that nothing is in flight.
+    fn acquire_settling(
+        &self,
+        what: &str,
+        mut settle_oldest: impl FnMut() -> io::Result<bool>,
+    ) -> io::Result<PooledBuffer> {
+        loop {
+            if let Some(buf) = self.state_pool.try_acquire() {
+                return Ok(buf);
+            }
+            if !settle_oldest()? {
+                return Err(invariant_violation(format!(
+                    "state pool exhausted (all {} buffers out) with no {what} in flight",
+                    self.state_pool.capacity()
+                )));
+            }
+        }
     }
 
     fn submit_read(&self, tier: usize, key: &str, len: usize) -> OpHandle {
@@ -603,21 +635,9 @@ impl MlpFuncEngine {
             if on_tier[idx] == Some(t) {
                 continue;
             }
-            // Never the pool's condvar: a failed flush keeps its buffer
-            // until it is settled and would not signal it. With no buffer
-            // free, the oldest flush in flight is what frees one.
-            let mut buf = loop {
-                if let Some(buf) = self.state_pool.try_acquire() {
-                    break buf;
-                }
-                let Some(oldest) = inflight.pop_front() else {
-                    return Err(invariant_violation(format!(
-                        "state pool exhausted (all {} buffers out) with no gradient flush in flight",
-                        self.state_pool.capacity()
-                    )));
-                };
-                settle(oldest);
-            };
+            let mut buf = self.acquire_settling("gradient flush", || {
+                Ok(inflight.pop_front().map(&mut settle).is_some())
+            })?;
             buf.write_f32(0, g);
             let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
             inflight.push_back((idx, t, handle));
@@ -1843,6 +1863,9 @@ mod tests {
             init_states(subgroups, 16),
         )
         .unwrap();
+        // Population serialized each subgroup into a pooled frame.
+        let (populated, _, _) = engine.state_pool_stats();
+        assert_eq!(populated, subgroups as u64);
         let mut fetched = 0u64;
         for it in 0..iters {
             engine.accumulate_gradients(&grads_for(subgroups, 16, it as f32));
@@ -1850,7 +1873,7 @@ mod tests {
         }
         let (acquires, high_water, capacity) = engine.state_pool_stats();
         // Every fetch acquired a staging buffer from the pool...
-        assert_eq!(acquires, fetched, "one pooled acquire per fetch");
+        assert_eq!(acquires - populated, fetched, "one pooled acquire per fetch");
         assert!(acquires > capacity as u64, "enough traffic to prove reuse");
         // ...while the working set never exceeded the fixed pool: the hot
         // fetch → fused-update → flush loop allocated zero state buffers.
@@ -1860,6 +1883,99 @@ mod tests {
         );
         // Steady state: only the retained residents still hold buffers.
         assert_eq!(engine.state_pool.outstanding(), engine.resident_count());
+    }
+
+    /// Touches per byte through a memory-class tier: a steady-state
+    /// iteration copies each fetched subgroup once (the durable copy must
+    /// stay on the tier) and copies nothing on flush — a whole staging
+    /// frame trades places with the object it displaces. A subgroup
+    /// shorter than the frame cannot trade and is copied, as before.
+    #[test]
+    fn steady_state_flushes_exchange_frames_and_fetches_copy_once() {
+        use mlp_storage::MemTouches;
+        const LEN: usize = 48;
+        let adam = AdamConfig::default();
+        for short_last in [false, true] {
+            let mut initial = init_states(8, LEN);
+            if short_last {
+                let last = initial.last_mut().unwrap();
+                *last = SubgroupState::new(last.params[..LEN / 3].to_vec());
+            }
+            let lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
+            let grads_at = |it: usize| -> Vec<Vec<u16>> {
+                let mut grads = grads_for(8, LEN, it as f32);
+                for (g, &n) in grads.iter_mut().zip(&lens) {
+                    g.truncate(n);
+                }
+                grads
+            };
+            let mems: Vec<Arc<MemBackend>> = (0..2)
+                .map(|i| Arc::new(MemBackend::new(format!("mem{i}"))))
+                .collect();
+            let shared: Vec<SharedTier> = mems
+                .iter()
+                .map(|m| SharedTier::new(Arc::clone(m) as Arc<dyn Backend>, 1.0))
+                .collect();
+            let touches = || -> MemTouches {
+                let (a, b) = (mems[0].touches(), mems[1].touches());
+                MemTouches {
+                    write_copied_bytes: a.write_copied_bytes + b.write_copied_bytes,
+                    read_copied_bytes: a.read_copied_bytes + b.read_copied_bytes,
+                    exchanged_frames: a.exchanged_frames + b.exchanged_frames,
+                }
+            };
+            // The split is pinned: adaptive estimates are wall-clock.
+            let cfg = EngineConfig::mlp_offload()
+                .with_host_frames(5)
+                .with_tier_ratio(vec![2.0, 1.0]);
+            let mut reference = initial.clone();
+            let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, initial).unwrap();
+            let pool = engine.state_pool_stats();
+            // Two cycles of the alternating order: by then every subgroup
+            // has an object on each tier its flushes ever pick.
+            for it in 0..4 {
+                let grads = grads_at(it);
+                reference_update(&mut reference, &adam, &grads);
+                engine.accumulate_gradients(&grads);
+                engine.update().unwrap();
+            }
+
+            // One more cycle, counted.
+            let before = touches();
+            let (mut fetches, mut flushes) = (0u64, 0u64);
+            for it in 4..6 {
+                let grads = grads_at(it);
+                reference_update(&mut reference, &adam, &grads);
+                engine.accumulate_gradients(&grads);
+                let outcome = engine.update().unwrap();
+                assert!(outcome.fetches > 0 && outcome.flushes > 0);
+                fetches += outcome.fetches as u64;
+                flushes += outcome.flushes as u64;
+            }
+            let after = touches();
+            let read = after.read_copied_bytes - before.read_copied_bytes;
+            let copied = after.write_copied_bytes - before.write_copied_bytes;
+            let exchanged = after.exchanged_frames - before.exchanged_frames;
+            if short_last {
+                // Only the short subgroup's flushes copy, 12 n bytes each.
+                let short_bytes = 12 * lens[7] as u64;
+                assert!(copied > 0 && copied % short_bytes == 0, "{copied} bytes copied");
+                assert_eq!(exchanged + copied / short_bytes, flushes);
+            } else {
+                assert_eq!((copied, exchanged), (0, flushes));
+                assert_eq!(read, fetches * 12 * LEN as u64);
+            }
+
+            // Exchanged frames keep the pool whole, and the bits right.
+            let (_, high_water, capacity) = engine.state_pool_stats();
+            assert_eq!(capacity, pool.2);
+            assert!(high_water <= capacity);
+            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+            let got = engine.master_params().unwrap();
+            for (idx, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g, &r.params, "subgroup {idx} diverged");
+            }
+        }
     }
 
     #[test]

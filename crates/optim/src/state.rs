@@ -198,12 +198,22 @@ impl SubgroupState {
 
     /// Serializes into a [`HostBuffer`] (`params | momentum | variance`).
     pub fn to_buffer(&self) -> HostBuffer {
+        let mut buf = HostBuffer::zeroed(self.params.len() * 12);
+        self.write_to(&mut buf);
+        buf
+    }
+
+    /// Serializes into the first `12 * len` bytes of `buf` — straight into
+    /// a pooled staging frame, with no buffer of its own in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` is shorter than `12 * len` bytes.
+    pub fn write_to(&self, buf: &mut HostBuffer) {
         let n = self.params.len();
-        let mut buf = HostBuffer::zeroed(n * 12);
         buf.write_f32(0, &self.params);
         buf.write_f32(n * 4, &self.momentum);
         buf.write_f32(n * 8, &self.variance);
-        buf
     }
 
     /// Deserializes from bytes produced by [`SubgroupState::to_buffer`].
@@ -219,7 +229,7 @@ impl SubgroupState {
             "state bytes must be a multiple of 12"
         );
         let n = bytes.len() / 12;
-        let buf = HostBuffer::from_bytes(bytes.to_vec());
+        let buf = HostBuffer::from_slice(bytes);
         SubgroupState {
             params: buf.read_f32(0, n),
             momentum: buf.read_f32(n * 4, n),

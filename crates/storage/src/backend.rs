@@ -9,20 +9,55 @@
 //!   realistic fast/slow tier asymmetries without touching the filesystem.
 //! * [`DirBackend`] — one file per key under a root directory; what a real
 //!   deployment would point at `/local/nvme` and `/lustre/project`.
+//!
+//! # Whole-frame writes
+//!
+//! A flush hands the tier a whole staging frame through
+//! [`Backend::write_frame`], and what that costs depends on the medium.
+//! A memory-class tier ([`MemBackend`], standing in for byte-addressable
+//! media such as the CXL pool `repro cxl` models) keeps its objects in
+//! the same [`HostBuffer`] frames the staging pool recycles, so it
+//! *exchanges*: the frame becomes the object and the object it displaces
+//! becomes the frame — no byte is copied. Every
+//! backend that must read each byte anyway keeps the default, which is
+//! [`Backend::write`] of the frame's bytes: [`DirBackend`] hands them to
+//! the kernel, [`crate::ObjectBackend`] streams them in parts,
+//! [`crate::ChecksummedBackend`] sums them and stores them behind a
+//! header. The decorators that do not rewrite the payload
+//! ([`crate::TracedBackend`], [`crate::HealthGatedBackend`],
+//! [`crate::FaultInjectBackend`]) forward the frame with their
+//! bookkeeping unchanged, so the medium underneath decides.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mlp_sync::Mutex;
+use mlp_tensor::HostBuffer;
 
 /// A blocking key/value storage target. Object keys are engine-chosen
 /// strings (e.g. `"rank0/subgroup17"`).
 pub trait Backend: Send + Sync + 'static {
     /// Stores `data` under `key`, replacing any previous value.
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()>;
+    /// Stores the whole of `frame` under `key`, replacing any previous
+    /// value — the flush path of a staging buffer whose every byte is
+    /// payload.
+    ///
+    /// On `Ok` the object is stored and `frame` holds unspecified bytes
+    /// of the same length: a backend may keep the frame's allocation as
+    /// the object and hand back the one it displaced (see the module
+    /// docs). On `Err` `frame` is untouched, so a failed flush still
+    /// owns the only copy of its payload.
+    ///
+    /// The default is [`Backend::write`] of the frame's bytes, which is
+    /// right for every backend that has to read them all.
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        self.write(key, frame.as_bytes())
+    }
     /// Retrieves the value stored under `key`.
     fn read(&self, key: &str) -> io::Result<Vec<u8>>;
     /// Reads the object stored under `key` into the front of `dst`,
@@ -128,23 +163,39 @@ pub fn unique_tmp_sibling(path: &Path) -> io::Result<PathBuf> {
 // MemBackend
 // ---------------------------------------------------------------------------
 
+/// How a [`MemBackend`] has moved its payloads so far — the "touches per
+/// byte through storage" of a memory-class tier, read by tests.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemTouches {
+    /// Bytes copied into stored objects by [`Backend::write`] and by the
+    /// [`Backend::write_frame`] calls that could not exchange.
+    pub write_copied_bytes: u64,
+    /// Bytes copied out of stored objects by [`Backend::read`] and
+    /// [`Backend::read_into`].
+    pub read_copied_bytes: u64,
+    /// [`Backend::write_frame`] calls served by a frame exchange.
+    pub exchanged_frames: u64,
+}
+
 /// In-memory backend with optional read/write throttling.
+///
+/// Objects are [`HostBuffer`]s, the staging pool's own frame type, so a
+/// whole-frame write can exchange buffers with the object it displaces
+/// instead of copying into it.
 pub struct MemBackend {
     name: String,
-    map: Mutex<HashMap<String, Arc<Vec<u8>>>>,
+    map: Mutex<HashMap<String, Arc<HostBuffer>>>,
     read_bps: Option<f64>,
     write_bps: Option<f64>,
+    write_copied_bytes: AtomicU64,
+    read_copied_bytes: AtomicU64,
+    exchanged_frames: AtomicU64,
 }
 
 impl MemBackend {
     /// Unthrottled in-memory backend.
     pub fn new(name: impl Into<String>) -> Self {
-        MemBackend {
-            name: name.into(),
-            map: Mutex::new(HashMap::new()),
-            read_bps: None,
-            write_bps: None,
-        }
+        Self::with_throttle(name.into(), None, None)
     }
 
     /// Throttled backend: reads/writes sleep `bytes / bps`. Use to model a
@@ -154,11 +205,18 @@ impl MemBackend {
             read_bps > 0.0 && write_bps > 0.0,
             "throughput must be positive"
         );
+        Self::with_throttle(name.into(), Some(read_bps), Some(write_bps))
+    }
+
+    fn with_throttle(name: String, read_bps: Option<f64>, write_bps: Option<f64>) -> Self {
         MemBackend {
-            name: name.into(),
+            name,
             map: Mutex::new(HashMap::new()),
-            read_bps: Some(read_bps),
-            write_bps: Some(write_bps),
+            read_bps,
+            write_bps,
+            write_copied_bytes: AtomicU64::new(0),
+            read_copied_bytes: AtomicU64::new(0),
+            exchanged_frames: AtomicU64::new(0),
         }
     }
 
@@ -172,6 +230,15 @@ impl MemBackend {
         self.map.lock().values().map(|v| v.len()).sum()
     }
 
+    /// Copy and exchange counts so far.
+    pub fn touches(&self) -> MemTouches {
+        MemTouches {
+            write_copied_bytes: self.write_copied_bytes.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
+            read_copied_bytes: self.read_copied_bytes.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
+            exchanged_frames: self.exchanged_frames.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
+        }
+    }
+
     fn throttle(bps: Option<f64>, bytes: usize) {
         if let Some(bps) = bps {
             let secs = bytes as f64 / bps;
@@ -179,6 +246,22 @@ impl MemBackend {
                 std::thread::sleep(Duration::from_secs_f64(secs));
             }
         }
+    }
+
+    /// The stored object, shared: a reader copies out of it after the map
+    /// lock is released (and after its throttle sleep), and holding the
+    /// `Arc` is what keeps a concurrent write off these bytes.
+    fn object(&self, key: &str) -> io::Result<Arc<HostBuffer>> {
+        self.map
+            .lock()
+            .get(key)
+            .cloned()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no object {key}")))
+    }
+
+    fn tally(counter: &AtomicU64, by: usize) {
+        // relaxed-ok: monotonic stats counter, read only by `touches`
+        counter.fetch_add(by as u64, Ordering::Relaxed);
     }
 }
 
@@ -190,31 +273,46 @@ impl Backend for MemBackend {
         // reader inside `read`/`read_into` holds a clone of the `Arc`, so
         // it keeps the old bytes whole and the key gets a fresh object.
         match map.get_mut(key).and_then(Arc::get_mut) {
-            Some(old) if old.len() == data.len() => old.copy_from_slice(data),
+            Some(old) if old.len() == data.len() => old.as_bytes_mut().copy_from_slice(data),
             _ => {
-                map.insert(key.to_string(), Arc::new(data.to_vec()));
+                map.insert(key.to_string(), Arc::new(HostBuffer::from_slice(data)));
+            }
+        }
+        Self::tally(&self.write_copied_bytes, data.len());
+        Ok(())
+    }
+
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        Self::throttle(self.write_bps, frame.len());
+        let mut map = self.map.lock();
+        // Same rule as the in-place overwrite above, without the copy:
+        // when nothing else holds the displaced object and it is exactly
+        // one frame, the two trade allocations.
+        match map.get_mut(key).and_then(Arc::get_mut) {
+            Some(old) if old.len() == frame.len() => {
+                std::mem::swap(old, frame);
+                Self::tally(&self.exchanged_frames, 1);
+            }
+            _ => {
+                map.insert(key.to_string(), Arc::new(frame.clone()));
+                Self::tally(&self.write_copied_bytes, frame.len());
             }
         }
         Ok(())
     }
 
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
-        let data =
-            self.map.lock().get(key).cloned().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no object {key}"))
-            })?;
+        let data = self.object(key)?;
         Self::throttle(self.read_bps, data.len());
-        Ok(data.as_ref().clone())
+        Self::tally(&self.read_copied_bytes, data.len());
+        Ok(data.as_bytes().to_vec())
     }
 
     fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
         // One copy straight from the shared stored value into the
-        // caller's buffer — `read` would clone the whole Vec a second
+        // caller's buffer — `read` would clone the whole object a second
         // time only for the caller to deserialize and drop it.
-        let data =
-            self.map.lock().get(key).cloned().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no object {key}"))
-            })?;
+        let data = self.object(key)?;
         if data.len() > dst.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -227,7 +325,8 @@ impl Backend for MemBackend {
         }
         Self::throttle(self.read_bps, data.len());
         // lint:allow(transitive-panic): in-bounds — the typed-error guard above rejects data.len() > dst.len()
-        dst[..data.len()].copy_from_slice(&data);
+        dst[..data.len()].copy_from_slice(data.as_bytes());
+        Self::tally(&self.read_copied_bytes, data.len());
         Ok(data.len())
     }
 
@@ -489,6 +588,137 @@ mod tests {
         b.write("k", &new[..100]).unwrap(); // different length
         assert_eq!(b.read("k").unwrap(), &new[..100]);
         assert_eq!((b.object_count(), b.total_bytes()), (1, 100));
+    }
+
+    /// Twin of the test above for the exchange: a reader inside
+    /// `read`/`read_into` holds exactly the handle `object` returns, from
+    /// before its throttle sleep until after its copy, and a frame must
+    /// never trade places with an object someone is reading.
+    #[test]
+    fn mem_backend_frame_exchange_never_reaches_a_reader() {
+        let (old, new) = (vec![1u8; 4096], vec![2u8; 4096]);
+        let b = MemBackend::new("mem");
+        b.write("k", &old).unwrap();
+        let reader = b.object("k").unwrap(); // a reader, inside
+        let mut frame = HostBuffer::from_slice(&new);
+        b.write_frame("k", &mut frame).unwrap();
+        assert_eq!(reader.as_bytes(), old, "the reader's object changed under it");
+        assert_eq!(b.read("k").unwrap(), new);
+        assert_eq!(b.touches().exchanged_frames, 0, "copied into a fresh object");
+        assert_eq!(frame.len(), new.len());
+        drop(reader);
+
+        // Nobody inside: the frame becomes the object, the displaced
+        // object becomes the frame, and no byte is copied.
+        let copied = b.touches().write_copied_bytes;
+        let mut frame = HostBuffer::from_slice(&old);
+        b.write_frame("k", &mut frame).unwrap();
+        assert_eq!(b.read("k").unwrap(), old);
+        assert_eq!(frame.len(), old.len());
+        let touches = b.touches();
+        assert_eq!(
+            (touches.exchanged_frames, touches.write_copied_bytes),
+            (1, copied)
+        );
+    }
+
+    /// A frame only trades places with an object of its own length;
+    /// otherwise — and for a key the tier has never seen — it is copied
+    /// into a fresh object, and the accounting stays exact either way.
+    #[test]
+    fn mem_backend_frame_of_another_length_or_a_new_key_inserts() {
+        let b = MemBackend::new("mem");
+        let mut frame = HostBuffer::from_slice(&[7u8; 96]);
+        b.write_frame("new", &mut frame).unwrap();
+        assert_eq!(frame.as_bytes(), &[7u8; 96], "a copy leaves the frame alone");
+        assert_eq!((b.object_count(), b.total_bytes()), (1, 96));
+
+        b.write("k", &[1u8; 64]).unwrap();
+        b.write_frame("k", &mut frame).unwrap(); // 96 over 64
+        assert_eq!(b.read("k").unwrap(), vec![7u8; 96]);
+        assert_eq!((b.object_count(), b.total_bytes()), (2, 192));
+        assert_eq!(b.touches().exchanged_frames, 0);
+
+        let mut next = HostBuffer::from_slice(&[8u8; 96]);
+        b.write_frame("k", &mut next).unwrap(); // 96 over 96
+        assert_eq!(b.read("k").unwrap(), vec![8u8; 96]);
+        assert_eq!(next.as_bytes(), &[7u8; 96], "the displaced object");
+        assert_eq!((b.object_count(), b.total_bytes()), (2, 192));
+        assert_eq!(b.touches().exchanged_frames, 1);
+    }
+
+    /// Frames traded in while readers copy out (what the `tsan` CI job
+    /// watches): every read is one writer's whole payload, never a blend.
+    #[test]
+    fn mem_backend_concurrent_readers_see_whole_frames() {
+        let b = MemBackend::new("mem");
+        b.write("k", &[0u8; 4096]).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut dst = [0u8; 4096];
+                    for _ in 0..500 {
+                        assert_eq!(b.read_into("k", &mut dst).unwrap(), 4096);
+                        assert!(dst.iter().all(|&x| x == dst[0]), "blended frames");
+                    }
+                });
+            }
+            s.spawn(|| {
+                let mut frame = HostBuffer::zeroed(4096);
+                for fill in 1..=250u8 {
+                    frame.as_bytes_mut().fill(fill);
+                    b.write_frame("k", &mut frame).unwrap();
+                }
+            });
+        });
+        let touches = b.touches();
+        assert_eq!(
+            touches.exchanged_frames * 4096 + touches.write_copied_bytes,
+            251 * 4096,
+            "every write either traded a frame or copied one"
+        );
+        assert_eq!((b.object_count(), b.total_bytes()), (1, 4096));
+    }
+
+    /// `write_frame` stores what `write` stores: the default impl (file,
+    /// checksummed) and every forwarding decorator read back byte for
+    /// byte the same, first write and overwrite.
+    #[test]
+    fn write_frame_agrees_with_write_on_every_backend() {
+        use crate::{
+            ChecksummedBackend, FaultConfig, FaultInjectBackend, HealthConfig,
+            HealthGatedBackend, TierHealth, TracedBackend,
+        };
+        let root = temp_root("frame");
+        let mem = || Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
+        let backends: Vec<Arc<dyn Backend>> = vec![
+            mem(),
+            Arc::new(DirBackend::new("dir", &root).unwrap()),
+            Arc::new(ChecksummedBackend::new(mem())),
+            Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
+            Arc::new(HealthGatedBackend::new(
+                mem(),
+                TierHealth::new("mem", HealthConfig::default()),
+            )),
+            Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),
+        ];
+        for b in backends {
+            for fill in [3u8, 4] {
+                let payload = vec![fill; 120];
+                b.write("by-write", &payload).unwrap();
+                let mut frame = HostBuffer::from_slice(&payload);
+                b.write_frame("by-frame", &mut frame).unwrap();
+                assert_eq!(frame.len(), payload.len(), "{}", b.name());
+                assert_eq!(b.read("by-frame").unwrap(), payload, "{}", b.name());
+                assert_eq!(
+                    b.read("by-frame").unwrap(),
+                    b.read("by-write").unwrap(),
+                    "{}",
+                    b.name()
+                );
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

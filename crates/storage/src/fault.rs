@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_trace::{Attrs, Phase, TraceSink};
 use mlp_sync::Mutex;
+use mlp_tensor::HostBuffer;
+use mlp_trace::{Attrs, Phase, TraceSink};
 
 use crate::backend::Backend;
 use crate::clock::{wall_clock, Sleeper};
@@ -564,21 +565,34 @@ impl FaultInjectBackend {
             format!("injected stale read-after-PUT on {key}"),
         )
     }
-}
 
-impl Backend for FaultInjectBackend {
-    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+    /// Draws one write attempt's verdict — exactly one `decide` per
+    /// attempt, whichever entry point carries the payload.
+    ///
+    /// A failed write never tears the stored object or touches the
+    /// payload: the fault fires before the inner backend is reached,
+    /// matching the atomic write-then-rename guarantee of `DirBackend`
+    /// and the all-or-nothing multipart publish of `ObjectBackend`.
+    fn admit_write(&self, key: &str) -> io::Result<()> {
         match self.decide(key, OpShape::Write) {
-            // A failed write never tears the stored object: the fault
-            // fires before the inner backend is touched, matching the
-            // atomic write-then-rename guarantee of `DirBackend` and the
-            // all-or-nothing multipart publish of `ObjectBackend`.
             Verdict::Transient => Err(Self::transient_error(key)),
             Verdict::Permanent => Err(Self::permanent_error(key)),
             Verdict::Throttle => Err(Self::throttle_error(key)),
             Verdict::MultipartPartFail => Err(Self::multipart_error(key)),
-            _ => self.inner.write(key, data),
+            _ => Ok(()),
         }
+    }
+}
+
+impl Backend for FaultInjectBackend {
+    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        self.admit_write(key)?;
+        self.inner.write(key, data)
+    }
+
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        self.admit_write(key)?;
+        self.inner.write_frame(key, frame)
     }
 
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
@@ -725,6 +739,37 @@ mod tests {
         assert_eq!(a, b, "same seed, same per-key sequence, same faults");
         assert_eq!(ca, cb);
         assert!(ca.transient > 0, "30% over 40 ops must fire");
+    }
+
+    /// A whole-frame write draws exactly one verdict per attempt, like
+    /// `write`: the same seed yields the same fault schedule whichever
+    /// entry point carries the payload, and a refused frame is untouched.
+    #[test]
+    fn write_frame_follows_the_write_fault_schedule() {
+        let cfg = || {
+            FaultConfig::transient(99, 0.3)
+                .with_throttling(0.1)
+                .with_multipart_part_failures(0.1)
+        };
+        let (by_write, by_frame) = (faulty(cfg()), faulty(cfg()));
+        let mut fired = 0;
+        for i in 0..60u8 {
+            let key = format!("k{}", i % 4);
+            let payload = [i; 16];
+            let mut frame = HostBuffer::from_slice(&payload);
+            let want = by_write.write(&key, &payload).map_err(|e| e.to_string());
+            let got = by_frame.write_frame(&key, &mut frame).map_err(|e| e.to_string());
+            assert_eq!(got, want, "attempt {i}");
+            if got.is_err() {
+                fired += 1;
+                assert_eq!(frame.as_bytes(), &payload, "attempt {i}");
+            }
+        }
+        assert!(fired > 0, "the schedule must fire");
+        assert_eq!(by_frame.counts(), by_write.counts());
+        for key in ["k0", "k1", "k2", "k3"] {
+            assert_eq!(by_frame.inner.read(key).ok(), by_write.inner.read(key).ok());
+        }
     }
 
     #[test]

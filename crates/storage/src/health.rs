@@ -31,8 +31,9 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mlp_trace::TraceSink;
 use mlp_sync::Mutex;
+use mlp_tensor::HostBuffer;
+use mlp_trace::TraceSink;
 
 use crate::backend::{Backend, RawFileTarget};
 
@@ -458,6 +459,12 @@ impl Backend for HealthGatedBackend {
         self.observe(started, self.inner.write(key, data))
     }
 
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        self.gate()?;
+        let started = Instant::now();
+        self.observe(started, self.inner.write_frame(key, frame))
+    }
+
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
         self.gate()?;
         let started = Instant::now();
@@ -612,7 +619,10 @@ mod tests {
         let gated = HealthGatedBackend::new(inner, Arc::clone(&health));
 
         // Successful ops pass through and keep the breaker closed.
-        gated.write("k", b"payload").unwrap();
+        gated.write("k", b"draft..").unwrap();
+        gated
+            .write_frame("k", &mut HostBuffer::from_slice(b"payload"))
+            .unwrap();
         assert_eq!(gated.read("k").unwrap(), b"payload");
         assert_eq!(health.state(), BreakerState::Closed);
 
@@ -629,6 +639,12 @@ mod tests {
         let err = gated.write("k2", b"x").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert_eq!(classify(&err), ErrorClass::Permanent);
+        let mut frame = HostBuffer::from_slice(b"frame");
+        let rejected = health.counts().rejected;
+        let err = gated.write_frame("k2", &mut frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+        assert_eq!(health.counts().rejected, rejected + 1);
+        assert_eq!(frame.as_bytes(), b"frame", "a refused frame is untouched");
         assert!(!gated.inner().contains("k2"));
     }
 

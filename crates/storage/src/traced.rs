@@ -11,6 +11,7 @@
 use std::io;
 use std::sync::Arc;
 
+use mlp_tensor::HostBuffer;
 use mlp_trace::{Attrs, Counter, Phase, TraceSink};
 
 use crate::backend::Backend;
@@ -56,20 +57,31 @@ impl TracedBackend {
         self.trace
             .complete_span(phase, attrs, start_ns, self.trace.now_ns());
     }
+
+    /// One write of `len` bytes, however the inner backend is handed
+    /// them: the same span and the same counter for a copy and an
+    /// exchange.
+    fn traced_write(&self, len: usize, write: impl FnOnce() -> io::Result<()>) -> io::Result<()> {
+        if !self.trace.is_enabled() {
+            return write();
+        }
+        let start = self.trace.now_ns();
+        let result = write();
+        if result.is_ok() {
+            self.record(Phase::TierWrite, len as u64, start);
+            self.write_bytes.add(len as u64);
+        }
+        result
+    }
 }
 
 impl Backend for TracedBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
-        if !self.trace.is_enabled() {
-            return self.inner.write(key, data);
-        }
-        let start = self.trace.now_ns();
-        let result = self.inner.write(key, data);
-        if result.is_ok() {
-            self.record(Phase::TierWrite, data.len() as u64, start);
-            self.write_bytes.add(data.len() as u64);
-        }
-        result
+        self.traced_write(data.len(), || self.inner.write(key, data))
+    }
+
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        self.traced_write(frame.len(), || self.inner.write_frame(key, frame))
     }
 
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
@@ -134,7 +146,10 @@ mod tests {
         let sink = TraceSink::enabled();
         let b = TracedBackend::new(Arc::new(MemBackend::new("mem")), 1, sink.clone());
         b.write("k", &[7u8; 100]).unwrap();
-        assert_eq!(b.read("k").unwrap().len(), 100);
+        // A whole-frame write is a tier write like any other.
+        b.write_frame("k", &mut HostBuffer::from_slice(&[8u8; 100]))
+            .unwrap();
+        assert_eq!(b.read("k").unwrap(), vec![8u8; 100]);
         let mut dst = [0u8; 128];
         assert_eq!(b.read_into("k", &mut dst).unwrap(), 100);
 
@@ -147,7 +162,7 @@ mod tests {
             .iter()
             .filter(|e| e.phase == Phase::TierRead)
             .collect();
-        assert_eq!(writes.len(), 1);
+        assert_eq!(writes.len(), 2);
         assert_eq!(reads.len(), 2);
         for e in writes.iter().chain(&reads) {
             assert_eq!(e.kind, EventKind::Span);
@@ -156,11 +171,11 @@ mod tests {
         }
 
         let metrics = sink.metrics_snapshot();
-        assert_eq!(metrics.counter("tier.mem.write_bytes"), Some(100));
+        assert_eq!(metrics.counter("tier.mem.write_bytes"), Some(200));
         assert_eq!(metrics.counter("tier.mem.read_bytes"), Some(200));
 
         let summary = mlp_trace::IoSummary::from_events(&events);
-        assert_eq!(summary.tier(1, IoDirection::Write).bytes, 100);
+        assert_eq!(summary.tier(1, IoDirection::Write).bytes, 200);
         assert_eq!(summary.tier(1, IoDirection::Read).bytes, 200);
     }
 

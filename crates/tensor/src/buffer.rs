@@ -31,9 +31,9 @@ impl HostBuffer {
     }
 
     /// Creates a buffer holding a copy of `data`.
-    pub fn from_bytes(data: Vec<u8>) -> Self {
+    pub fn from_slice(data: &[u8]) -> Self {
         let mut buf = HostBuffer::zeroed(data.len());
-        buf.as_bytes_mut().copy_from_slice(&data);
+        buf.as_bytes_mut().copy_from_slice(data);
         buf
     }
 
@@ -69,13 +69,6 @@ impl HostBuffer {
         // allocation (no aliasing), and writing any byte value keeps the
         // underlying u32s initialized and valid.
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
-    }
-
-    /// Consumes the buffer, returning its contents as plain bytes (copies:
-    /// the aligned backing store cannot be transferred to a `Vec<u8>`
-    /// without changing the allocation's layout).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.as_bytes().to_vec()
     }
 
     /// In-place `f32` view of the first `count` elements (bytes
@@ -194,8 +187,8 @@ mod tests {
         let mut buf = HostBuffer::zeroed(7);
         assert_eq!(buf.len(), 7);
         buf.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(buf.clone().into_bytes(), vec![1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(HostBuffer::from_bytes(vec![9; 5]).as_bytes(), &[9u8; 5]);
+        assert_eq!(buf.as_bytes(), &[1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(HostBuffer::from_slice(&[9; 5]).as_bytes(), &[9u8; 5]);
     }
 
     #[test]
