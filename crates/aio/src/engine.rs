@@ -3,10 +3,9 @@
 //!
 //! [`AioEngine`] is the stable façade: `submit_*` / `wait*` / `drain`,
 //! retry/backoff, statistics, and trace instrumentation are identical no
-//! matter which engine backend moves the bytes. The backend — worker
-//! pool, inline sync, or io_uring — is selected per
-//! [`AioConfig::engine`] (default: probe-based auto-selection, see
-//! [`crate::io_engine::EngineKind`]).
+//! matter which engine backend runs the operation. The backend — worker
+//! pool or inline sync — is named by [`AioConfig::engine`] (default:
+//! the pool; see [`crate::io_engine::EngineKind`]).
 //!
 //! Failure semantics: every backend call runs under the engine's
 //! [`RetryPolicy`] (bounded attempts with exponential backoff for
@@ -115,17 +114,16 @@ impl RetryPolicy {
 ///
 /// # Tuning knobs
 ///
-/// * [`AioConfig::engine`] — which [`EngineKind`] moves the bytes. The
-///   default, [`EngineKind::Auto`], probes the host (io_uring syscall
-///   availability) and the backend (file-backed or not) and picks the
-///   fastest engine that fits; pin a specific kind to override.
+/// * [`AioConfig::engine`] — which [`EngineKind`] runs the operations.
+///   The default is [`EngineKind::Pool`]; [`EngineKind::Sync`] is for
+///   tests that need inline execution.
 /// * [`AioConfig::workers`] — thread count of the `Pool` engine.
 ///   Defaults to half the host's logical CPUs, clamped to `2..=8`:
 ///   offload I/O should overlap compute, not displace it, and
 ///   blocking-pool throughput flattens past a handful of threads.
-///   Ignored by `Sync` (inline) and `Uring` (single driver thread).
+///   Ignored by `Sync` (inline).
 /// * [`AioConfig::queue_depth`] — bound on queued + in-flight ops before
-///   `submit_*` blocks; also the io_uring submission-queue size.
+///   `submit_*` blocks.
 ///   Defaults to `32 × workers`, clamped to `64..=512`: deep enough to
 ///   keep a high-queue-depth NVMe busy, shallow enough to bound staging
 ///   memory.
@@ -177,14 +175,14 @@ pub struct AioConfig {
 }
 
 impl Default for AioConfig {
-    /// Probe-derived defaults: `Auto` engine selection, workers/queue
-    /// depth sized from the host's logical CPU count (see the type-level
-    /// docs for the formulas). Use [`AioConfig::deterministic`] where
+    /// Probe-derived defaults: the `Pool` engine, workers/queue depth
+    /// sized from the host's logical CPU count (see the type-level docs
+    /// for the formulas). Use [`AioConfig::deterministic`] where
     /// host-independent behaviour matters more than throughput.
     fn default() -> Self {
         let workers = probed_default_workers();
         AioConfig {
-            engine: EngineKind::Auto,
+            engine: EngineKind::Pool,
             workers,
             queue_depth: (workers * 32).clamp(64, 512),
             retry: RetryPolicy::default(),
@@ -411,19 +409,6 @@ pub(crate) struct Stats {
     /// Real completions that arrived after the watchdog had already
     /// timed the op out; their result is dropped.
     pub(crate) late_completions: Counter,
-    /// Batched io_uring submissions (`io_uring_enter` calls that pushed
-    /// at least one SQE). Only the uring driver writes this, so builds
-    /// that compile it out see the field dead.
-    #[cfg_attr(not(feature = "uring"), allow(dead_code))]
-    pub(crate) batches: Counter,
-    /// Ops served by the io_uring raw kernel path instead of a portable
-    /// backend call.
-    pub(crate) raw_ops: Counter,
-    /// Ops the uring engine intended for its raw path but degraded to
-    /// the portable backend call (decorated backend, oversized object,
-    /// filesystem refusal, raw-path error).
-    #[cfg_attr(not(feature = "uring"), allow(dead_code))]
-    pub(crate) fallback_ops: Counter,
     /// Submitted-but-not-completed ops, mirrored from `pending`.
     pub(crate) inflight: Gauge,
     pub(crate) busy_nanos: AtomicU64,
@@ -444,9 +429,6 @@ impl Stats {
             errors: c("errors"),
             timeouts: c("timeouts"),
             late_completions: c("late_completions"),
-            batches: c("batches"),
-            raw_ops: c("raw_ops"),
-            fallback_ops: c("fallback_ops"),
             inflight: trace.gauge(&format!("aio.{backend}.inflight")),
             busy_nanos: AtomicU64::new(0),
             pending: PendingGauge::new(),
@@ -563,8 +545,6 @@ pub struct AioEngine {
     /// before the shared state; always `Some` while the engine is live.
     engine: Option<Box<dyn IoEngine>>,
     shared: Arc<EngineShared>,
-    backend_name: String,
-    engine_name: &'static str,
     /// Deadline supervisor, present iff [`AioConfig::deadline`] is set.
     /// Declared (and therefore dropped) after `engine`, so in-flight ops
     /// stranded by a hung backend still time out during engine teardown.
@@ -574,14 +554,12 @@ pub struct AioEngine {
 
 impl AioEngine {
     /// Builds the configured `IoEngine` backend over `backend` (see
-    /// [`AioConfig::engine`]; the default auto-selects by probing).
+    /// [`AioConfig::engine`]).
     pub fn new(backend: Arc<dyn Backend>, config: AioConfig) -> Self {
         assert!(config.workers > 0, "need at least one I/O worker");
         assert!(config.queue_depth > 0, "queue depth must be positive");
-        let backend_name = backend.name().to_string();
         let shared = Arc::new(EngineShared::new(backend, &config));
-        let kind = config.engine.resolve(&*shared.backend);
-        let engine = crate::io_engine::build(kind, Arc::clone(&shared), &config);
+        let engine = crate::io_engine::build(Arc::clone(&shared), &config);
         #[cfg(not(loom))]
         let watchdog = config
             .deadline
@@ -589,8 +567,6 @@ impl AioEngine {
         AioEngine {
             engine: Some(engine),
             shared,
-            backend_name,
-            engine_name: kind.name(),
             #[cfg(not(loom))]
             watchdog,
         }
@@ -666,17 +642,6 @@ impl AioEngine {
     /// Enqueues an asynchronous delete of `key`.
     pub fn submit_delete(&self, key: &str) -> OpHandle {
         self.submit(key, OpKind::Delete)
-    }
-
-    /// Name of the underlying backend.
-    pub fn backend_name(&self) -> &str {
-        &self.backend_name
-    }
-
-    /// Name of the selected `IoEngine` backend (after auto-selection),
-    /// e.g. `"pool"` or `"uring"`.
-    pub fn engine_name(&self) -> &'static str {
-        self.engine_name
     }
 
     /// (reads, writes) completed *successfully* so far; failed operations

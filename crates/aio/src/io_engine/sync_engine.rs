@@ -1,10 +1,11 @@
 //! The inline (plain-sync) engine: zero threads, zero queues.
 //!
 //! `submit` executes the operation on the calling thread through the
-//! shared portable path and returns with the completion already
-//! published, so `wait` never blocks. Submission-side asynchrony is
-//! gone — this is the portable fallback and the baseline the
-//! engine-sweep benchmark measures the others against — but every other
+//! shared path and returns with the completion already published, so
+//! `wait` never blocks. Submission-side asynchrony is gone — no
+//! production path runs this engine; it is the test substrate: the one
+//! the loom explorer can schedule, and the one a test picks when an op
+//! must have finished by the time `submit_*` returns — but every other
 //! contract (retry, panic poisoning, stats, trace spans, pooled-buffer
 //! recycling, drain) holds unchanged because the execution body is the
 //! same [`EngineShared::run_op`].

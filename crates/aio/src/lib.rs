@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 //! Asynchronous I/O engine — the reproduction's libaio/DeepNVMe layer.
 //!
@@ -11,12 +11,9 @@
 //!   bounded in-flight operations, and completion handles
 //!   ([`engine::OpHandle`]), delegating byte movement to a pluggable
 //!   [`io_engine::EngineKind`] backend.
-//! * [`io_engine`] — the engine backends behind the façade: the original
-//!   bounded worker **pool**, an inline **sync** fallback, and a batched
-//!   **io_uring** driver (feature `uring`, runtime-probed) with
-//!   `O_DIRECT` and registered 4096-aligned bounce buffers.
-//!   `EngineKind::Auto` picks per host and backend;
-//!   [`engine::AioEngine::engine_name`] reports the choice.
+//! * [`io_engine`] — the engine backends behind the façade: the bounded
+//!   worker **pool** every production path runs, and an inline **sync**
+//!   engine for tests that need an op finished when `submit_*` returns.
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
@@ -31,12 +28,6 @@
 //!   multi-thread-shared locking mechanism": all I/O threads of one worker
 //!   process share the tier while other worker processes are excluded
 //!   (§3.2, §3.5).
-//!
-//! The crate root denies `unsafe`; the single sanctioned exception is
-//! the io_uring syscall shim `io_engine/sys.rs` (module-scoped allow,
-//! pinned by the workspace `unsafe-confinement` lint, compiled only with
-//! the `uring` feature), which keeps raw kernel interfaces out of the
-//! engine driver — a default build of this crate contains no `unsafe`.
 
 pub mod completion;
 pub mod engine;
@@ -47,5 +38,5 @@ mod watchdog;
 
 pub use completion::{CompletionSlot, PendingGauge};
 pub use engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite, RetryPolicy};
-pub use io_engine::{EngineAvailability, EngineKind};
+pub use io_engine::EngineKind;
 pub use lock::ProcessExclusiveLock;

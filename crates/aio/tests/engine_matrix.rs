@@ -1,12 +1,9 @@
 //! Engine-matrix acceptance suite: every test body runs once per
-//! *available* [`EngineKind`] via [`for_each_engine!`], so the pool,
-//! sync, and io_uring drivers are all held to the same contract
-//! on the host actually running the tests. Engines whose kind is
-//! unavailable (e.g. `uring` off-Linux or with the feature disabled)
-//! are skipped with a report line, never silently.
+//! [`EngineKind`], so the pool and sync engines are held to the same
+//! contract.
 //!
 //! The matrix covers the four behaviours ISSUE acceptance cares about:
-//! round trips on file and memory backends (raw and portable paths),
+//! round trips on file, memory and object-store backends,
 //! pooled-buffer reads/writes, error semantics (`NotFound`, no
 //! poisoning), and seeded 20% transient fault injection with
 //! bit-identical re-drives through the in-worker retry layer.
@@ -18,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_aio::{for_each_engine, AioConfig, AioEngine, EngineKind, RetryPolicy};
+use mlp_aio::{AioConfig, AioEngine, EngineKind, RetryPolicy};
 use mlp_storage::{
     Backend, DirBackend, FaultConfig, FaultInjectBackend, MemBackend, ObjectBackend, ObjectConfig,
 };
@@ -57,14 +54,13 @@ fn temp_root(tag: &str, kind: EngineKind) -> std::path::PathBuf {
     dir
 }
 
-/// Payload sizes chosen to straddle every raw-path regime: sub-sector,
-/// unaligned multi-sector, exactly aligned, and larger than the uring
-/// engine's bounce buffers (which must degrade, not truncate).
+/// Payload sizes from one byte to a few hundred KiB, page-aligned and
+/// not.
 const SIZES: &[usize] = &[1, 9, 4096, 10_000, 3 * 4096, 300 * 1024];
 
 #[test]
 fn every_available_engine_round_trips_on_files() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let root = temp_root("files", kind);
         let backend = Arc::new(DirBackend::new("dir", &root).unwrap()) as Arc<dyn Backend>;
         let engine = AioEngine::new(backend, config_for(kind));
@@ -84,37 +80,12 @@ fn every_available_engine_round_trips_on_files() {
         assert_eq!((reads, writes), (SIZES.len() as u64, SIZES.len() as u64));
         drop(engine);
         let _ = std::fs::remove_dir_all(&root);
-    });
-}
-
-#[test]
-fn every_available_engine_round_trips_under_direct_io_hint() {
-    // `with_direct_io(true)` lets raw engines open O_DIRECT; unaligned
-    // payloads then exercise the padded-write-then-truncate protocol.
-    // On filesystems that refuse O_DIRECT the engines must degrade to
-    // buffered I/O with identical results.
-    for_each_engine!(|kind| {
-        let root = temp_root("direct", kind);
-        let backend = DirBackend::new("dir", &root).unwrap().with_direct_io(true);
-        let engine = AioEngine::new(Arc::new(backend) as Arc<dyn Backend>, config_for(kind));
-        for (i, &size) in SIZES.iter().enumerate() {
-            let key = format!("obj/{i}");
-            let payload: Vec<u8> = (0..size).map(|b| (b % 253) as u8).collect();
-            engine.submit_write(&key, payload.clone()).wait().unwrap();
-            let back = engine.submit_read(&key).wait().unwrap().unwrap();
-            assert_eq!(back.len(), payload.len(), "{kind}: size {size} truncated");
-            assert_eq!(back, payload, "{kind}: size {size} corrupted");
-        }
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&root);
-    });
+    }
 }
 
 #[test]
 fn every_available_engine_round_trips_in_memory() {
-    // MemBackend exposes no raw target, so every engine must serve this
-    // through the portable path (the raw engines' degradation leg).
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let backend = Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
         let engine = AioEngine::new(backend, config_for(kind));
         engine.submit_write("k", vec![7u8; 10_000]).wait().unwrap();
@@ -124,12 +95,12 @@ fn every_available_engine_round_trips_in_memory() {
             "{kind}: in-memory round trip corrupted"
         );
         engine.submit_delete("k").wait().unwrap();
-    });
+    }
 }
 
 #[test]
 fn pooled_buffers_round_trip_on_every_engine() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let root = temp_root("pooled", kind);
         let backend = Arc::new(DirBackend::new("dir", &root).unwrap()) as Arc<dyn Backend>;
         let engine = AioEngine::new(backend, config_for(kind));
@@ -160,12 +131,12 @@ fn pooled_buffers_round_trip_on_every_engine() {
         drop(engine);
         assert_eq!(pool.outstanding(), 0, "{kind}: pooled buffers leaked");
         let _ = std::fs::remove_dir_all(&root);
-    });
+    }
 }
 
 #[test]
 fn undersized_pooled_reads_fail_with_invalid_input_on_every_engine() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let root = temp_root("undersized", kind);
         let backend = Arc::new(DirBackend::new("dir", &root).unwrap()) as Arc<dyn Backend>;
         let engine = AioEngine::new(backend, config_for(kind));
@@ -183,12 +154,12 @@ fn undersized_pooled_reads_fail_with_invalid_input_on_every_engine() {
         drop(engine);
         assert_eq!(pool.outstanding(), 0, "{kind}: error path leaked a buffer");
         let _ = std::fs::remove_dir_all(&root);
-    });
+    }
 }
 
 #[test]
 fn missing_keys_surface_not_found_on_every_engine() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let root = temp_root("missing", kind);
         let backend = Arc::new(DirBackend::new("dir", &root).unwrap()) as Arc<dyn Backend>;
         let engine = AioEngine::new(backend, config_for(kind));
@@ -207,17 +178,16 @@ fn missing_keys_surface_not_found_on_every_engine() {
         );
         drop(engine);
         let _ = std::fs::remove_dir_all(&root);
-    });
+    }
 }
 
 #[test]
 fn every_available_engine_round_trips_on_the_object_store() {
-    // The emulated S3-like backend exposes no raw file target, so every
-    // engine serves it through the portable path — including payloads
-    // large enough to take the multipart-upload route. Deletes must be
+    // The emulated S3-like backend, including payloads large enough to
+    // take the multipart-upload route. Deletes must be
     // real (a checkpoint prune must not leave ghosts) and missing keys
     // must stay typed NotFound.
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let store = Arc::new(ObjectBackend::with_config(
             "s3",
             ObjectConfig::deterministic(),
@@ -246,7 +216,7 @@ fn every_available_engine_round_trips_on_the_object_store() {
             io::ErrorKind::NotFound,
             "{kind}: deleted object must be NotFound, got {err}"
         );
-    });
+    }
 }
 
 #[test]
@@ -254,7 +224,7 @@ fn transient_faults_are_invisible_on_every_engine() {
     // The ISSUE acceptance bar: 20% seeded transient faults, and every
     // re-driven read stays bit-identical to the original payload while
     // the retry counters actually move.
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let inject = Arc::new(FaultInjectBackend::new(
             Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
             FaultConfig::transient(41, 0.2),
@@ -291,23 +261,7 @@ fn transient_faults_are_invisible_on_every_engine() {
         );
         assert!(engine.retries() > 0, "{kind}: retry layer never engaged");
         assert_eq!(engine.op_errors(), 0, "{kind}: transient fault leaked out");
-    });
-}
-
-#[test]
-fn pinned_engine_reports_its_kind_or_falls_back_visibly() {
-    // Pinning a kind must either deliver that engine or (when the kind
-    // is unavailable at runtime) visibly fall back to the portable pool
-    // — never a silent third option.
-    for_each_engine!(|kind| {
-        let backend = Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
-        let engine = AioEngine::new(backend, config_for(kind));
-        let name = engine.engine_name();
-        assert!(
-            name == kind.name() || name == EngineKind::Pool.name(),
-            "{kind}: engine resolved to unexpected '{name}'"
-        );
-    });
+    }
 }
 
 /// Tentpole: a hung backend (latency fault far beyond the deadline)
@@ -318,7 +272,7 @@ fn pinned_engine_reports_its_kind_or_falls_back_visibly() {
 /// counted as a *late completion*, never retiring the op twice.
 #[test]
 fn hung_backend_surfaces_typed_timeout_on_every_engine() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let fault = Arc::new(FaultInjectBackend::new(
             Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
             FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(600)),
@@ -363,14 +317,14 @@ fn hung_backend_surfaces_typed_timeout_on_every_engine() {
         fault.set_armed(false);
         engine.submit_write("k2", vec![1u8; 8]).wait().unwrap();
         assert_eq!(engine.op_timeouts(), 1, "{kind}: healthy op timed out");
-    });
+    }
 }
 
 /// Deadline sanity: fast ops under a generous deadline never trip the
 /// watchdog, and behaviour matches the unsupervised engine bit for bit.
 #[test]
 fn deadline_never_fires_for_fast_ops_on_any_engine() {
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let backend = Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
         let engine = AioEngine::new(
             backend,
@@ -390,5 +344,5 @@ fn deadline_never_fires_for_fast_ops_on_any_engine() {
         assert_eq!(engine.op_timeouts(), 0, "{kind}: spurious timeout");
         assert_eq!(engine.late_completions(), 0, "{kind}");
         assert_eq!(engine.op_errors(), 0, "{kind}");
-    });
+    }
 }

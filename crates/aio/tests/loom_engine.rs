@@ -1,14 +1,12 @@
 //! Model-checked engine-level submission/completion protocol
 //! (`RUSTFLAGS="--cfg loom" cargo test -p mlp-aio --test loom_engine`).
 //!
-//! The channel-based engines (pool, uring) park their workers in
-//! `std::sync::mpsc` receives the explorer cannot schedule, and the raw
-//! engines are compiled out under `--cfg loom` anyway; the **sync**
-//! engine, which runs every op inline through the same
-//! `EngineShared::run_op` protocol the others share, is the
+//! The pool engine parks its workers in `std::sync::mpsc` receives the
+//! explorer cannot schedule; the **sync** engine, which runs every op
+//! inline through the same `EngineShared::run_op` protocol, is the
 //! model-checkable representative. What these schedules prove —
 //! publish-before-retire ordering, no lost completion wakeups, drain
-//! seeing every op — holds for the shared completion path all engines
+//! seeing every op — holds for the shared completion path both engines
 //! funnel through.
 
 #![cfg(loom)]

@@ -91,54 +91,17 @@ pub trait Backend: Send + Sync + 'static {
     fn contains(&self, key: &str) -> bool;
     /// A short display name for diagnostics.
     fn name(&self) -> &str;
-    /// Raw-file escape hatch for kernel-backed I/O engines
-    /// (io_uring): the filesystem coordinates of `key`, if this backend is
-    /// plainly file-backed.
-    ///
-    /// The default returns `None`, which is the correct answer for
-    /// in-memory backends **and for every decorator** (fault injection,
-    /// checksumming, tracing): declining the escape hatch forces engines
-    /// back onto the portable [`Backend::read`]/[`Backend::write`] calls,
-    /// so decorators always stay on the data path. Engines treat a `Some`
-    /// answer as an optimization opportunity, never a requirement — they
-    /// must fall back to the portable calls per-op whenever the raw path
-    /// cannot serve the operation.
-    ///
-    /// Raw writers must preserve the backend's publication protocol:
-    /// write the payload to a unique sibling tmp file (see
-    /// [`unique_tmp_sibling`]) and atomically rename it over
-    /// [`RawFileTarget::path`], honouring [`RawFileTarget::fsync`].
-    fn raw_target(&self, _key: &str) -> Option<RawFileTarget> {
-        None
-    }
-}
-
-/// Filesystem coordinates of one object, as reported by
-/// [`Backend::raw_target`].
-#[derive(Clone, Debug)]
-pub struct RawFileTarget {
-    /// The file storing the object. May not exist yet (raw writes create
-    /// it via tmp-and-rename; raw reads of a missing object fail with
-    /// `NotFound`, matching the portable path).
-    pub path: PathBuf,
-    /// Whether writes must `fsync` before renaming into place (the
-    /// backend's durability contract, e.g. a checkpoint target).
-    pub fsync: bool,
-    /// Whether the backend permits `O_DIRECT` opens on this file. A hint:
-    /// engines still probe the filesystem once and degrade to buffered
-    /// I/O when the open fails.
-    pub direct_io: bool,
 }
 
 /// Derives a unique tmp-file sibling of `path` (same directory, same full
 /// file name plus a `.pid.counter.tmp` suffix).
 ///
-/// Shared by [`DirBackend::write`] and the raw-write paths of the I/O
-/// engines so every writer follows the same torn-write-proof protocol:
-/// the pid + process-wide counter keep two concurrent writers of the same
-/// key on distinct tmp files, and keeping the full file name avoids the
-/// historical `with_extension` collision between dotted keys.
-pub fn unique_tmp_sibling(path: &Path) -> io::Result<PathBuf> {
+/// [`DirBackend::write`] is the one writer of the torn-write-proof
+/// tmp → sync → rename protocol: the pid + process-wide counter keep two
+/// concurrent writers of the same key on distinct tmp files, and keeping
+/// the full file name avoids the historical `with_extension` collision
+/// between dotted keys.
+fn unique_tmp_sibling(path: &Path) -> io::Result<PathBuf> {
     let file_name = path
         .file_name()
         .ok_or_else(|| {
@@ -354,7 +317,6 @@ pub struct DirBackend {
     name: String,
     root: PathBuf,
     fsync: bool,
-    direct_io: bool,
 }
 
 impl DirBackend {
@@ -366,24 +328,17 @@ impl DirBackend {
             name: name.into(),
             root,
             fsync: false,
-            direct_io: true,
         })
     }
 
-    /// Forces an `fsync` after every write — required when the directory
-    /// is a checkpoint target that must survive power loss, optional for
+    /// Makes every write durable before it returns: the file is synced
+    /// before the rename and the parent directory after it (a rename, or
+    /// a directory the write had to create, is only an un-synced
+    /// directory entry until then). Required when the directory is a
+    /// checkpoint target that must survive power loss, optional for
     /// offload staging (a crash loses the training run anyway).
     pub fn with_fsync(mut self, fsync: bool) -> Self {
         self.fsync = fsync;
-        self
-    }
-
-    /// Whether raw I/O engines may try `O_DIRECT` on this directory
-    /// (default `true`; engines probe and fall back on filesystems that
-    /// reject the flag, so disabling is only needed to *force* buffered
-    /// I/O, e.g. to keep a benchmark in page cache).
-    pub fn with_direct_io(mut self, direct_io: bool) -> Self {
-        self.direct_io = direct_io;
         self
     }
 
@@ -411,9 +366,11 @@ static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 impl Backend for DirBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         let path = self.path_for(key)?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
+        // `path_for` joins a non-empty key onto the root, so there is
+        // always a parent, at or below the root.
+        let parent = path.parent().unwrap_or(&self.root);
+        let created_parent = self.fsync && !parent.is_dir();
+        std::fs::create_dir_all(parent)?;
         // Write-then-rename for atomic replacement, as a real offloading
         // engine must not expose torn subgroup state to a concurrent fetch
         // (see `unique_tmp_sibling` for the tmp-naming rationale).
@@ -427,7 +384,18 @@ impl Backend for DirBackend {
             } else {
                 std::fs::write(&tmp, data)?;
             }
-            std::fs::rename(&tmp, &path)
+            std::fs::rename(&tmp, &path)?;
+            if self.fsync {
+                // The rename lives in the parent directory, and a parent
+                // this write created lives in *its* parent, up to the root.
+                for dir in parent.ancestors() {
+                    std::fs::File::open(dir)?.sync_all()?;
+                    if !created_parent || dir == self.root {
+                        break;
+                    }
+                }
+            }
+            Ok(())
         })();
         if result.is_err() {
             // Best-effort cleanup; the target object (old version) is
@@ -470,15 +438,6 @@ impl Backend for DirBackend {
 
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn raw_target(&self, key: &str) -> Option<RawFileTarget> {
-        let path = self.path_for(key).ok()?;
-        Some(RawFileTarget {
-            path,
-            fsync: self.fsync,
-            direct_io: self.direct_io,
-        })
     }
 }
 
@@ -785,8 +744,11 @@ mod tests {
     fn dir_backend_fsync_round_trips() {
         let root = temp_root("fsync");
         let b = DirBackend::new("dir", &root).unwrap().with_fsync(true);
-        b.write("durable", &[1, 2, 3]).unwrap();
-        assert_eq!(b.read("durable").unwrap(), vec![1, 2, 3]);
+        // A nested key makes the write create (and sync) its directories.
+        for key in ["durable", "a/b/c"] {
+            b.write(key, &[1, 2, 3]).unwrap();
+            assert_eq!(b.read(key).unwrap(), vec![1, 2, 3]);
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -862,29 +824,6 @@ mod tests {
         assert_eq!(b.read("model.bin").unwrap(), vec![1u8; 8]);
         assert_eq!(b.read("model.dat").unwrap(), vec![2u8; 9]);
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn raw_target_reports_dir_backend_coordinates() {
-        let root = temp_root("raw");
-        let b = DirBackend::new("dir", &root).unwrap().with_fsync(true);
-        let t = b.raw_target("rank0/sub1").expect("file-backed");
-        assert_eq!(t.path, root.join("rank0/sub1"));
-        assert!(t.fsync);
-        assert!(t.direct_io);
-        let t = b
-            .with_direct_io(false)
-            .raw_target("rank0/sub1")
-            .expect("file-backed");
-        assert!(!t.direct_io);
-        // Escaping keys get no raw coordinates either.
-        let root2 = temp_root("raw2");
-        let b2 = DirBackend::new("dir", &root2).unwrap();
-        assert!(b2.raw_target("../evil").is_none());
-        // MemBackend (and, via the default impl, every decorator) declines.
-        assert!(MemBackend::new("mem").raw_target("k").is_none());
-        let _ = std::fs::remove_dir_all(&root);
-        let _ = std::fs::remove_dir_all(&root2);
     }
 
     #[test]

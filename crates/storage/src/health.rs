@@ -35,7 +35,7 @@ use mlp_sync::Mutex;
 use mlp_tensor::HostBuffer;
 use mlp_trace::TraceSink;
 
-use crate::backend::{Backend, RawFileTarget};
+use crate::backend::Backend;
 
 /// The breaker state machine's position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -408,10 +408,8 @@ pub fn breaker_rejection(tier: &str, state: BreakerState) -> io::Error {
 /// Layering (see DESIGN.md §15): the gate sits *under* the AIO retry
 /// layer, so each backend attempt is accounted — a retry storm against a
 /// dying tier reaches the failure threshold faster, which is the point.
-/// Metadata ops (`contains`) and the raw-file escape hatch are not
-/// gated: `contains` serves verification/drain bookkeeping, and
-/// declining `raw_target` keeps kernel-backed engines on the gated
-/// portable path.
+/// Metadata ops (`contains`) are not gated: they serve
+/// verification/drain bookkeeping.
 pub struct HealthGatedBackend {
     inner: Arc<dyn Backend>,
     health: Arc<TierHealth>,
@@ -490,10 +488,6 @@ impl Backend for HealthGatedBackend {
 
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn raw_target(&self, _key: &str) -> Option<RawFileTarget> {
-        None // decorators stay on the data path (see Backend docs)
     }
 }
 
@@ -663,8 +657,6 @@ mod tests {
         assert!(gated.contains("sub0"));
         assert!(gated.read("sub0").is_err(), "data path is refused");
         assert_eq!(gated.inner().read("sub0").unwrap(), b"copy");
-        // Decorators decline the raw-file escape hatch.
-        assert!(gated.raw_target("sub0").is_none());
         assert_eq!(gated.name(), "nvme");
     }
 

@@ -44,9 +44,7 @@ pub mod sim_tier;
 pub mod spec;
 pub mod traced;
 
-pub use backend::{
-    unique_tmp_sibling, Backend, DirBackend, MemBackend, MemTouches, RawFileTarget,
-};
+pub use backend::{Backend, DirBackend, MemBackend, MemTouches};
 pub use clock::{wall_clock, FakeSleeper, Sleeper, WallClockSleeper};
 pub use fault::{
     classify, is_transient, object_fault, ErrorClass, FaultConfig, FaultCounts, FaultInjectBackend,

@@ -64,139 +64,6 @@ pub fn measure_backend(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Driver-parameterized harness (engine × queue-depth sweeps)
-// ---------------------------------------------------------------------------
-
-/// One operation of a driver workload: what to do to a key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DriveOp {
-    /// Store a synthetic payload of this many bytes under the key.
-    Write(usize),
-    /// Fetch the object stored under the key (and discard it).
-    Read,
-    /// Remove the key.
-    Delete,
-}
-
-/// Shape of one measured configuration for the driver harness.
-#[derive(Clone, Copy, Debug)]
-pub struct DrivePlan {
-    /// Payload bytes per object.
-    pub block_bytes: usize,
-    /// Number of objects per phase.
-    pub blocks: usize,
-    /// In-flight window the driver must sustain (1 = strictly serial).
-    pub queue_depth: usize,
-}
-
-/// Something that can execute a batch of storage operations while keeping
-/// up to `queue_depth` of them in flight.
-///
-/// Two families implement this: [`BackendDriver`] (direct blocking
-/// backend calls, queue depth collapses to 1) and `mlp-aio`'s
-/// `AioEngine` (asynchronous submission through whichever `IoEngine` is
-/// selected). The same harness therefore drives both the
-/// engine-comparison bench (`BENCH_io_engines.json`) and ad-hoc tier
-/// measurements, so numbers across engines are directly comparable.
-pub trait OpDriver {
-    /// Display name, e.g. `"backend:mem"` or `"uring[dir]"`.
-    fn driver_name(&self) -> String;
-    /// Executes every op, keeping at most `queue_depth` in flight, and
-    /// returns once all have completed. The first op failure aborts the
-    /// batch (pending ops may still complete).
-    fn drive(&self, ops: &[(String, DriveOp)], queue_depth: usize) -> io::Result<()>;
-}
-
-/// The trivial [`OpDriver`]: serial blocking calls straight into a
-/// [`Backend`] (the pre-engine behaviour, and the queue-depth-1 baseline
-/// every engine is compared against).
-pub struct BackendDriver<'a>(pub &'a dyn Backend);
-
-impl OpDriver for BackendDriver<'_> {
-    fn driver_name(&self) -> String {
-        format!("backend:{}", self.0.name())
-    }
-
-    fn drive(&self, ops: &[(String, DriveOp)], _queue_depth: usize) -> io::Result<()> {
-        for (key, op) in ops {
-            match op {
-                DriveOp::Write(bytes) => self.0.write(key, &vec![0xA5u8; *bytes])?,
-                DriveOp::Read => {
-                    let back = self.0.read(key)?;
-                    std::hint::black_box(back.len());
-                }
-                DriveOp::Delete => self.0.delete(key)?,
-            }
-        }
-        Ok(())
-    }
-}
-
-fn plan_keys(plan: &DrivePlan) -> Vec<String> {
-    (0..plan.blocks).map(|i| format!("__microbench/{i}")).collect()
-}
-
-fn ops_for(keys: &[String], op: DriveOp) -> Vec<(String, DriveOp)> {
-    keys.iter().map(|k| (k.clone(), op)).collect()
-}
-
-/// Measures a driver with separate flush (all-writes) and fetch
-/// (all-reads) phases — the driver-parameterized generalization of
-/// [`measure_backend`]. Objects are deleted afterwards.
-pub fn measure_driver(driver: &dyn OpDriver, plan: DrivePlan) -> io::Result<BandwidthSample> {
-    assert!(
-        plan.blocks > 0 && plan.block_bytes > 0 && plan.queue_depth > 0,
-        "need data to measure"
-    );
-    let keys = plan_keys(&plan);
-
-    let t0 = std::time::Instant::now();
-    driver.drive(&ops_for(&keys, DriveOp::Write(plan.block_bytes)), plan.queue_depth)?;
-    let write_secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let t0 = std::time::Instant::now();
-    driver.drive(&ops_for(&keys, DriveOp::Read), plan.queue_depth)?;
-    let read_secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let _ = driver.drive(&ops_for(&keys, DriveOp::Delete), plan.queue_depth);
-
-    let total = (plan.block_bytes * plan.blocks) as f64;
-    Ok(BandwidthSample {
-        read_bps: total / read_secs,
-        write_bps: total / write_secs,
-    })
-}
-
-/// Measures a mixed 50/50 fetch/flush workload: after an untimed
-/// pre-population pass, the timed batch alternates reads and writes over
-/// the key set, which is the pattern the offload engines see in steady
-/// state (fetch subgroup *i+1* while flushing subgroup *i*). Returns
-/// aggregate throughput in bytes/second.
-pub fn measure_driver_mixed(driver: &dyn OpDriver, plan: DrivePlan) -> io::Result<f64> {
-    assert!(
-        plan.blocks > 0 && plan.block_bytes > 0 && plan.queue_depth > 0,
-        "need data to measure"
-    );
-    let keys = plan_keys(&plan);
-    driver.drive(&ops_for(&keys, DriveOp::Write(plan.block_bytes)), plan.queue_depth)?;
-
-    let mixed: Vec<(String, DriveOp)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let op = if i % 2 == 0 { DriveOp::Read } else { DriveOp::Write(plan.block_bytes) };
-            (k.clone(), op)
-        })
-        .collect();
-    let t0 = std::time::Instant::now();
-    driver.drive(&mixed, plan.queue_depth)?;
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let _ = driver.drive(&ops_for(&keys, DriveOp::Delete), plan.queue_depth);
-    Ok((plan.block_bytes * plan.blocks) as f64 / secs)
-}
-
 /// One point of the Fig. 4 concurrency sweep on a simulated tier:
 /// `procs` simulated processes each stream `bytes_per_proc` of writes then
 /// reads. Returns (aggregate sample, per-process mean op latency seconds).
@@ -323,24 +190,5 @@ mod tests {
                 spec.name
             );
         }
-    }
-
-    #[test]
-    fn backend_driver_matches_direct_measurement_shape() {
-        let b = MemBackend::throttled("m", 200e6, 200e6);
-        let plan = DrivePlan { block_bytes: 1 << 18, blocks: 8, queue_depth: 1 };
-        let s = measure_driver(&BackendDriver(&b), plan).expect("measure");
-        assert!(s.read_bps > 0.0 && s.write_bps > 0.0);
-        assert_eq!(b.object_count(), 0, "harness must clean up its keys");
-        assert!(BackendDriver(&b).driver_name().starts_with("backend:"));
-    }
-
-    #[test]
-    fn mixed_measurement_cleans_up_and_reports_positive_bandwidth() {
-        let b = MemBackend::new("m");
-        let plan = DrivePlan { block_bytes: 4096, blocks: 10, queue_depth: 4 };
-        let bps = measure_driver_mixed(&BackendDriver(&b), plan).expect("measure");
-        assert!(bps > 0.0);
-        assert_eq!(b.object_count(), 0);
     }
 }

@@ -18,10 +18,6 @@
 //! * **Multipart upload** — payloads larger than
 //!   [`ObjectConfig::part_size`] upload as concurrent parts and publish
 //!   atomically at completion; readers never observe a partial object.
-//!
-//! The backend declines [`Backend::raw_target`] (objects are not files),
-//! so kernel-backed I/O engines serve it through the portable path —
-//! exactly how a real S3 client library would sit under `mlp-aio`.
 
 use std::collections::HashMap;
 use std::io;
@@ -268,9 +264,6 @@ impl Backend for ObjectBackend {
     fn name(&self) -> &str {
         &self.name
     }
-
-    // raw_target: default `None` — objects are not files, so kernel
-    // engines stay on the portable path, like a real S3 client.
 }
 
 #[cfg(test)]
@@ -293,9 +286,8 @@ mod tests {
             b.read("ckpt/a").unwrap_err().kind(),
             io::ErrorKind::NotFound
         );
-        // Empty keys are rejected, objects are not files.
+        // Empty keys are rejected.
         assert!(b.write("", &[1]).is_err());
-        assert!(b.raw_target("ckpt/a").is_none());
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! through [`HostBuffer::as_f32_mut`], so the backing storage is allocated
 //! as `u32` words: the data pointer is always 4-byte aligned and
 //! reinterpreting it as `f32` is sound (every bit pattern is a valid
-//! `f32`/`u8`). That reinterpretation — together with the aligned bounce
-//! buffers in [`crate::aligned`] and the syscall shim in `mlp-aio` — is one
-//! of the few contained uses of `unsafe` in the workspace; all copy-based
-//! accessors (`from_le_bytes`/`to_le_bytes`) remain safe code.
+//! `f32`/`u8`). That reinterpretation is one of the few contained uses
+//! of `unsafe` in the workspace; all copy-based accessors
+//! (`from_le_bytes`/`to_le_bytes`) remain safe code.
 
 /// A byte-addressed staging buffer with a 4-byte-aligned backing store.
 #[derive(Clone, Default)]

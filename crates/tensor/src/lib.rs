@@ -27,18 +27,13 @@
 //! * [`pool::PinnedPool`] — explicit pool-based allocation of staging
 //!   buffers (mirrors MLP-Offload's "explicit pool-based allocations for
 //!   asynchronous fetch/flush operations", §3.5).
-//! * [`aligned::AlignedBuf`] / [`aligned::AlignedPool`] — 4096-aligned
-//!   bounce buffers for the `O_DIRECT` / io_uring registered-buffer paths
-//!   of the I/O engine subsystem in `mlp-aio`.
 
-pub mod aligned;
 pub mod buffer;
 pub mod convert;
 pub mod f16;
 pub mod pool;
 pub mod simd;
 
-pub use aligned::{AlignedBuf, AlignedPool, DIRECT_IO_ALIGN};
 pub use buffer::HostBuffer;
 pub use f16::F16;
 pub use pool::{PinnedPool, PooledBuffer};

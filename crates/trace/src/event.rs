@@ -47,10 +47,6 @@ pub enum Phase {
     AioWrite,
     /// An `AioEngine` delete op, submit-to-completion.
     AioDelete,
-    /// One batched submission by an `IoEngine` driver (io_uring): the
-    /// span covers `io_uring_enter` for a group of SQEs; `bytes` is the
-    /// batch size in ops, not payload bytes.
-    AioBatch,
     /// A retry re-issued by the `AioEngine` backoff policy (instant).
     AioRetry,
     /// A fault injected by `FaultInjectBackend` (instant).
@@ -105,7 +101,6 @@ pub const ALL_PHASES: &[Phase] = &[
     Phase::AioRead,
     Phase::AioWrite,
     Phase::AioDelete,
-    Phase::AioBatch,
     Phase::AioRetry,
     Phase::FaultInject,
     Phase::PoolAcquire,
@@ -136,7 +131,6 @@ impl Phase {
             Phase::AioRead => "aio_read",
             Phase::AioWrite => "aio_write",
             Phase::AioDelete => "aio_delete",
-            Phase::AioBatch => "aio_batch",
             Phase::AioRetry => "aio_retry",
             Phase::FaultInject => "fault_inject",
             Phase::PoolAcquire => "pool_acquire",

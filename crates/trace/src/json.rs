@@ -399,7 +399,7 @@ mod tests {
             );
             seen += 1;
         }
-        assert_eq!(seen, 5, "five committed BENCH_*.json baselines");
+        assert_eq!(seen, 4, "four committed BENCH_*.json baselines");
     }
 
     #[test]

@@ -13,18 +13,13 @@
 //! * `safety-comment` — every `unsafe` keyword must be preceded by a
 //!   `// SAFETY:` comment explaining the proof obligation.
 //! * `unsafe-confinement` — `unsafe` may appear only in `mlp-tensor`
-//!   (the pinned-buffer FFI layer) and the sanctioned syscall shim
-//!   `crates/aio/src/io_engine/sys.rs` (the io_uring kernel
-//!   interface and its ring mappings, compiled only with the `uring`
-//!   feature, module-scoped `#![allow(unsafe_code)]`); every other
-//!   crate root must carry `#![deny(unsafe_code)]` so the compiler
-//!   enforces it too.
+//!   (the pinned-buffer FFI layer); every other crate root must carry
+//!   `#![deny(unsafe_code)]` (or `forbid`) so the compiler enforces it
+//!   too.
 //! * `raw-io-confinement` — raw kernel I/O (`syscall`, `io_uring_*`,
 //!   `mmap`/`munmap`, `O_DIRECT` opens via `custom_flags`, `libc`) may
-//!   appear only inside `crates/aio` (where the `IoEngine` trait owns
-//!   dispatch) and `mlp-tensor`'s FFI layer. Every other crate must go
-//!   through `AioEngine`/`Backend`, so engine backends stay reachable
-//!   only through the trait.
+//!   appear only in `mlp-tensor`'s FFI layer. Every other crate moves
+//!   bytes through `AioEngine`/`Backend` and `std::fs`.
 //! * `facade-only` — the crates ported onto the `mlp-sync` facade must
 //!   not reach around it to `std::sync` locks, condvars, atomics or
 //!   `std::thread` (`Arc` and `std::sync::mpsc` channels are fine; the
@@ -48,12 +43,9 @@ pub const HOT_PATH_CRATES: &[&str] = &["aio", "storage", "tensor", "core", "zero
 pub const FACADE_CRATES: &[&str] = &["aio", "tensor", "trace"];
 /// The only crate allowed to contain `unsafe` code.
 pub const UNSAFE_ALLOWED_CRATES: &[&str] = &["tensor"];
-/// Individually sanctioned `unsafe` files outside those crates: the
-/// aio syscall shim that every raw engine driver funnels through.
-pub const UNSAFE_ALLOWED_FILES: &[&str] = &["crates/aio/src/io_engine/sys.rs"];
 /// Crates allowed to touch raw kernel I/O interfaces (see
-/// `raw-io-confinement`): the engine subsystem and the FFI layer.
-pub const RAW_IO_ALLOWED_CRATES: &[&str] = &["aio", "tensor"];
+/// `raw-io-confinement`): the FFI layer.
+pub const RAW_IO_ALLOWED_CRATES: &[&str] = &["tensor"];
 
 /// A lexed source file plus the workspace context the rules need.
 pub struct FileCtx {
@@ -265,8 +257,7 @@ fn safety_comment(ctx: &FileCtx) -> Vec<Violation> {
 
 fn unsafe_confinement(ctx: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
-    let allowed = UNSAFE_ALLOWED_CRATES.contains(&ctx.crate_dir.as_str())
-        || UNSAFE_ALLOWED_FILES.contains(&ctx.rel_path.as_str());
+    let allowed = UNSAFE_ALLOWED_CRATES.contains(&ctx.crate_dir.as_str());
     if !allowed {
         for (i, line) in ctx.code.iter().enumerate() {
             if word_positions(line, "unsafe").is_empty() {
@@ -309,12 +300,11 @@ fn raw_io_confinement(ctx: &FileCtx) -> Vec<Violation> {
     if RAW_IO_ALLOWED_CRATES.contains(&ctx.crate_dir.as_str()) {
         return Vec::new();
     }
-    // Tokens that mark a direct kernel I/O interface (`mmap`/`munmap`
-    // stay listed though no engine maps files any more: the ring shim
-    // maps its queues, and nothing else should start). `mmap`/`munmap`
-    // and `syscall` are word-bounded so identifiers like `mmap_like`
-    // or prose in string literals don't trip; `custom_flags(` is the
-    // only stable std doorway to O_DIRECT opens.
+    // Tokens that mark a direct kernel I/O interface (no crate uses
+    // one; a crate that starts must say why in a waiver).
+    // `mmap`/`munmap` and `syscall` are word-bounded so identifiers
+    // like `mmap_like` or prose in string literals don't trip;
+    // `custom_flags(` is the only stable std doorway to O_DIRECT opens.
     const WORD_TOKENS: &[&str] = &["syscall", "mmap", "munmap", "libc", "io_uring_setup", "io_uring_enter"];
     const LITERAL_TOKENS: &[&str] = &[".custom_flags(", "O_DIRECT"];
     let mut out = Vec::new();
@@ -332,10 +322,9 @@ fn raw_io_confinement(ctx: &FileCtx) -> Vec<Violation> {
                 line: i + 1,
                 rule: "raw-io-confinement",
                 msg: format!(
-                    "`{tok}` outside the engine subsystem (crate `{}`): raw \
-                     kernel I/O must stay behind the `IoEngine` trait in \
-                     crates/aio — submit through `AioEngine` or add a \
-                     `Backend::raw_target` coordinate instead; waive with \
+                    "`{tok}` outside mlp-tensor (crate `{}`): no crate talks \
+                     to the kernel's raw I/O interfaces — move the bytes \
+                     through `AioEngine`/`Backend` instead; waive with \
                      `// lint:allow(raw-io-confinement): <reason>`",
                     ctx.crate_dir
                 ),
@@ -551,29 +540,17 @@ mod tests {
         assert!(unsafe_confinement(&tensor_root).is_empty());
     }
 
-    #[test]
-    fn aio_syscall_shim_is_individually_sanctioned() {
-        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: fine.\n    unsafe { *p }\n}\n";
-        let shim = FileCtx::from_source("crates/aio/src/io_engine/sys.rs", "aio", src);
-        assert!(unsafe_confinement(&shim).is_empty());
-
-        // Only that exact path is sanctioned: a sibling engine driver
-        // with unsafe code is still a violation.
-        let driver = FileCtx::from_source("crates/aio/src/io_engine/uring.rs", "aio", src);
-        assert_eq!(rules_of(&unsafe_confinement(&driver)), vec!["unsafe-confinement"]);
-    }
-
     // ---- raw-io-confinement --------------------------------------------
 
     #[test]
-    fn raw_io_outside_the_engine_subsystem_is_flagged() {
+    fn raw_io_outside_the_ffi_layer_is_flagged() {
         let src = "let fd = syscall(425, 8, &mut p, 0, 0, 0, 0);\nopts.custom_flags(O_DIRECT);\nlet m = mmap(core::ptr::null_mut(), len, 3, 2, fd, 0);\n";
         let v = raw_io_confinement(&ctx("storage", src));
         assert_eq!(v.len(), 3, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "raw-io-confinement"));
 
-        // The engine subsystem and the FFI layer own these interfaces.
-        assert!(raw_io_confinement(&ctx("aio", src)).is_empty());
+        assert_eq!(raw_io_confinement(&ctx("aio", src)).len(), 3);
+        // The FFI layer owns these interfaces.
         assert!(raw_io_confinement(&ctx("tensor", src)).is_empty());
     }
 

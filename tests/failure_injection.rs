@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_offload_suite::mlp_aio::{for_each_engine, AioConfig, RetryPolicy};
+use mlp_offload_suite::mlp_aio::{AioConfig, EngineKind, RetryPolicy};
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
@@ -241,12 +241,11 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
 
 #[test]
 fn transient_faults_are_invisible_to_training_on_every_engine() {
-    // The tier-map template above, swept across every available
-    // `IoEngine` backend: tier "a" is a real directory so the raw
-    // engine (io_uring) drives its file paths, tier "b" injects
-    // 20% seeded transient faults through the portable path. Whatever
-    // backend serves the I/O, a multi-iteration run must stay
-    // bit-identical to the fault-free worker-pool twin.
+    // The tier-map template above, swept across every `IoEngine`
+    // backend: tier "a" is a real directory, tier "b" injects 20%
+    // seeded transient faults. Whichever engine serves the I/O, a
+    // multi-iteration run must stay bit-identical to the fault-free
+    // worker-pool twin.
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(8);
 
@@ -263,7 +262,7 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
     }
     let want_master = want.master_params().unwrap();
 
-    for_each_engine!(|kind| {
+    for kind in EngineKind::all() {
         let root = std::env::temp_dir().join(format!(
             "mlp-fault-matrix-{}-{}",
             kind.name(),
@@ -310,7 +309,7 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
         assert!(engine.io_retries() > 0, "{kind}: retries never recorded");
         drop(engine);
         let _ = std::fs::remove_dir_all(&root);
-    });
+    }
 }
 
 #[test]
