@@ -464,15 +464,14 @@ impl Stats {
 /// (dropped here), and panic (dropped during unwind).
 // lint:hot-root — retry/execute loop every AIO worker runs per op
 pub(crate) fn execute_op(
-    backend: &dyn Backend,
-    retry: &RetryPolicy,
-    sleeper: &dyn Sleeper,
-    stats: &Stats,
+    shared: &EngineShared,
     op_retries: &AtomicU64,
     state: &OpState,
     key: &str,
     kind: OpKind,
 ) -> io::Result<OpOutput> {
+    let (backend, sleeper): (&dyn Backend, &dyn Sleeper) = (&*shared.backend, &*shared.sleeper);
+    let (retry, stats) = (&shared.retry, &shared.stats);
     match kind {
         OpKind::Write(data) => {
             match retry.run(op_retries, sleeper, || backend.write(key, &data)) {
@@ -1041,7 +1040,7 @@ mod tests {
             AioConfig::default(),
         );
         let h = e.submit_write("k", vec![0u8; 64]);
-        assert!(!matches!(h.wait(), Ok(_)));
+        assert!(h.wait().is_err());
         assert!(e.submit_read("k").wait().is_err());
         assert_eq!(e.ops_completed(), (0, 0), "failures are not completions");
         assert_eq!(e.bytes_moved(), (0, 0), "failed ops move no bytes");

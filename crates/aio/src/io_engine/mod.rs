@@ -133,16 +133,7 @@ impl EngineShared {
         // buffer back to its pool on the way) and poison the completion
         // slot with an error.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_op(
-                &*self.backend,
-                &self.retry,
-                &*self.sleeper,
-                &self.stats,
-                &op_retries,
-                &state,
-                &key,
-                kind,
-            )
+            execute_op(self, &op_retries, &state, &key, kind)
         }))
         .unwrap_or_else(|_| {
             Err(io::Error::other(format!(

@@ -192,7 +192,7 @@ fn every_available_engine_round_trips_on_the_object_store() {
             "s3",
             ObjectConfig::deterministic(),
         ));
-        let part = store.config().part_size as usize;
+        let part = store.config().part_size;
         let engine = AioEngine::new(Arc::clone(&store) as Arc<dyn Backend>, config_for(kind));
         let sizes = [1usize, 4096, part - 1, part + 1, 3 * part + 17];
         for (i, &size) in sizes.iter().enumerate() {

@@ -11,10 +11,18 @@
 //!   checkpoint  §3.3 checkpoint pre-staging
 //!   cost        §4.4 cost-effectiveness comparison
 //!   cxl         §5 future-work CXL extension
+//!   adaptive_replan      §3.3 re-planning after the PFS collapses mid-run
+//!   degradation          permanent tier loss mid-run
+//!   checkpoint_pipeline  §3.3 asynchronous two-hop checkpoints
 //!   all         everything (default)
 //! ```
 //!
-//! `--json` emits the raw rows as JSON instead of ASCII tables.
+//! `--json` prints, instead of ASCII tables, one document
+//! `{"sections": [{"id", "title", "rows"}]}` holding the selected
+//! experiments' rows, floats at six decimals. A section id
+//! (`model_scaling` for Figs. 7–10, `weak_scaling` for Figs. 11–12,
+//! `sensitivity_subgroup`, `sensitivity_cache`) is a subcommand too.
+//! `repro all --json` is `BENCH_paper.json` byte for byte; CI diffs them.
 //!
 //! `--trace <out.json>` runs the 40B Fig. 5 scenario with tracing enabled
 //! for both approaches and writes a merged Chrome trace (see
@@ -24,17 +32,7 @@
 //! spans land on the same timeline, overlapping the next backward pass.
 
 use mlp_bench::timeline::{export_timeline_trace_every, render_timeline};
-use mlp_bench::*;
-use mlp_trace::json::Value;
-use mlp_train::experiments as exp;
-
-/// `--json`: the rows as a pretty-printed array of objects.
-fn print_json<'a, R: 'a>(rows: &'a [R])
-where
-    Value: From<&'a R>,
-{
-    println!("{}", rows.iter().map(Value::from).collect::<Value>().pretty());
-}
+use mlp_bench::{document, render_tables, run_experiments};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,132 +80,20 @@ fn main() {
     }
     let cmd = explicit_cmd.unwrap_or_else(|| "all".to_string());
 
-    macro_rules! emit {
-        ($rows:expr, $render:expr) => {{
-            let rows = $rows;
-            if json {
-                print_json(&rows);
-            } else {
-                $render(&rows);
-            }
-        }};
+    let tables = cmd == "all" || cmd == "tables";
+    if tables && !json {
+        render_tables();
     }
-
-    let all = cmd == "all";
-    let mut matched = all;
-
-    if all || cmd == "tables" {
-        matched = true;
-        if !json {
-            render_tables();
-        }
-    }
-    if all || cmd == "motivation" {
-        matched = true;
-        emit!(exp::motivation(), render_motivation);
-    }
-    if all || cmd == "fig3" {
-        matched = true;
-        emit!(exp::fig3_update_breakdown(), render_fig3);
-    }
-    if all || cmd == "fig4" {
-        matched = true;
-        emit!(exp::fig4_concurrency(), render_fig4);
-    }
-    if all || cmd == "fig5" {
-        matched = true;
-        emit!(exp::fig5_throughput_timeline(), render_fig5);
-    }
-    if all || ["fig7", "fig8", "fig9", "fig10"].contains(&cmd.as_str()) {
-        matched = true;
-        let rows = exp::model_scaling();
-        if json {
-            print_json(&rows);
-        } else {
-            if all || cmd == "fig7" {
-                render_fig7(&rows);
-            }
-            if all || cmd == "fig8" {
-                render_fig8(&rows);
-            }
-            if all || cmd == "fig9" {
-                render_fig9(&rows);
-            }
-            if all || cmd == "fig10" {
-                render_fig10(&rows);
-            }
-        }
-    }
-    if all || cmd == "fig11" || cmd == "fig12" {
-        matched = true;
-        let rows = exp::weak_scaling();
-        if json {
-            print_json(&rows);
-        } else {
-            if all || cmd == "fig11" {
-                render_fig11(&rows);
-            }
-            if all || cmd == "fig12" {
-                render_fig12(&rows);
-            }
-        }
-    }
-    if all || cmd == "fig13" {
-        matched = true;
-        emit!(exp::fig13_grad_accumulation(), render_fig13);
-    }
-    if all || cmd == "fig14" {
-        matched = true;
-        let rows = exp::fig14_ablation_nvme();
-        if json {
-            print_json(&rows);
-        } else {
-            render_ablation(
-                "Fig. 14: ablation on node-local NVMe only (paper: up to 1.6x)",
-                &rows,
-            );
-        }
-    }
-    if all || cmd == "fig15" {
-        matched = true;
-        let rows = exp::fig15_ablation_pfs();
-        if json {
-            print_json(&rows);
-        } else {
-            render_ablation(
-                "Fig. 15: ablation with PFS multi-path (paper: 2.5x over DeepSpeed ZeRO-3)",
-                &rows,
-            );
-        }
-    }
-
-    if all || cmd == "sensitivity" {
-        matched = true;
-        if json {
-            print_json(&exp::subgroup_size_sweep());
-        } else {
-            render_subgroup_sweep(&exp::subgroup_size_sweep());
-            render_cache_sweep(&exp::cache_sweep());
-        }
-    }
-    if all || cmd == "checkpoint" {
-        matched = true;
-        emit!(exp::checkpoint_prestaging(), render_checkpoint);
-    }
-    if all || cmd == "cost" {
-        matched = true;
-        emit!(exp::cost_effectiveness(), render_cost);
-    }
-    if all || cmd == "cxl" {
-        matched = true;
-        emit!(exp::future_cxl(), render_cxl);
-    }
-
-    if !matched {
+    let sections = run_experiments(&cmd, !json);
+    if sections.is_empty() && !tables {
         eprintln!(
             "unknown subcommand {cmd:?}; expected one of: tables motivation fig3 fig4 fig5 \
-             fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 sensitivity checkpoint cost cxl all"
+             fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 sensitivity checkpoint cost cxl \
+             adaptive_replan degradation checkpoint_pipeline all"
         );
         std::process::exit(2);
+    }
+    if json {
+        println!("{}", document(sections).pretty());
     }
 }

@@ -1,79 +1,224 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-//! Shared formatting for the reproduction harness: renders each
-//! experiment's rows the way the paper's tables and figure captions report
-//! them, plus the traced Fig. 5 timeline export ([`timeline`]) and what
-//! the `*_baseline` binaries share (argument parsing, the `BENCH_*.json`
-//! writer, the `--check` comparison).
+//! The reproduction harness: which experiments `repro` runs
+//! ([`run_experiments`]), how their rows print as the paper's tables and
+//! figure captions report them, how they become the one results document
+//! committed as `BENCH_paper.json` ([`document`]), and the traced Fig. 5
+//! timeline export ([`timeline`]).
 
 pub mod timeline;
 
-use mlp_trace::json::{self, Value};
+use mlp_trace::json::Value;
 use mlp_train::experiments::{
-    AblationRow, CacheSweepRow, CheckpointRow, CostRow, CxlRow, Fig13Row, Fig3Row, Fig4Row,
-    Fig5Point, MotivationRow, ScalingRow, SubgroupSizeRow, WeakScalingRow,
+    self as exp, AblationRow, CacheSweepRow, CheckpointPipelineRow, CheckpointRow, CostRow, CxlRow,
+    DegradationRow, Fig13Row, Fig3Row, Fig4Row, Fig5Point, MotivationRow, ReplanRow, ScalingRow,
+    SubgroupSizeRow, WeakScalingRow,
 };
 
-/// `x` rounded to `decimals` places, as the baselines store their numbers.
+/// `x` rounded to `decimals` places, as the committed files store their
+/// numbers.
 pub fn round_to(x: f64, decimals: i32) -> f64 {
     let scale = 10f64.powi(decimals);
     (x * scale).round() / scale
 }
 
-/// Parses a baseline binary's `[OUTPUT_PATH] [--check COMMITTED_PATH]`.
-pub fn baseline_args(default_out: &str) -> (String, Option<String>) {
-    let mut out_path = default_out.to_string();
-    let mut check_path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--check" {
-            check_path = Some(args.next().expect("--check needs a baseline path"));
-        } else {
-            out_path = arg;
-        }
+/// Decimal places every float of the results document is written at: an
+/// exact diff must not hinge on the last bit of a libm call.
+const DOCUMENT_DECIMALS: i32 = 6;
+
+/// `v` with every float rounded to [`DOCUMENT_DECIMALS`] places.
+fn at_document_precision(v: Value) -> Value {
+    match v {
+        // `+ 0.0`: what rounds to zero from below prints `0.0`, not `-0.0`.
+        Value::Num(n) => Value::Num(round_to(n, DOCUMENT_DECIMALS) + 0.0),
+        Value::Arr(items) => items.into_iter().map(at_document_precision).collect(),
+        Value::Obj(fields) => Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k, at_document_precision(v)))
+                .collect(),
+        ),
+        other => other,
     }
-    (out_path, check_path)
 }
 
-/// Writes `doc` in the committed `BENCH_*.json` layout (pretty-printed,
-/// trailing newline), so a regenerated file diffs in values only.
-pub fn write_baseline(path: &str, doc: &Value) {
-    std::fs::write(path, doc.pretty() + "\n").expect("write baseline");
-    println!("wrote {path}");
+/// The results document over `sections`: what `repro --json` prints and,
+/// for `repro all`, what `BENCH_paper.json` holds byte for byte.
+pub fn document(sections: Vec<Value>) -> Value {
+    Value::obj([("sections", Value::Arr(sections))])
 }
 
-/// `--check`: holds each variant's fresh `metric` seconds against
-/// `results[variant].metric` of the committed baseline. More than 10%
-/// slower on any variant prints the regressions and exits 1; faster is
-/// progress, reported but not fatal (regenerate the committed file then).
-pub fn check_against_committed(committed: &str, metric: &str, fresh: &[(&str, f64)]) {
-    let body = std::fs::read_to_string(committed).expect("read committed baseline");
-    let old = json::parse(&body).expect("parse committed baseline");
-    let results = old.get("results").and_then(Value::as_array).expect("results array");
-    let mut failures = Vec::new();
-    for &(variant, new) in fresh {
-        let old = results
-            .iter()
-            .find(|r| r.get("variant").and_then(Value::as_str) == Some(variant))
-            .and_then(|r| r.get(metric)?.as_f64())
-            .unwrap_or_else(|| panic!("committed {metric} of {variant}"));
-        let change = (new / old - 1.0) * 100.0;
-        eprintln!("check {variant:>12}: {metric} {new:.2}s vs committed {old:.2}s ({change:+.1}%)");
-        if change > 10.0 {
-            failures.push(format!(
-                "{variant}: {metric} regressed {change:.1}% (got {new:.2}s, committed {old:.2}s)"
-            ));
+/// The subcommand that prints a table, and the printer, over rows of `R`.
+type Table<R> = (&'static str, fn(&[R]));
+
+/// The experiments one `repro` subcommand selects, run in document order.
+struct Selection<'a> {
+    cmd: &'a str,
+    print_tables: bool,
+    sections: Vec<Value>,
+}
+
+impl Selection<'_> {
+    /// Runs `rows` when the subcommand is `all`, the section `id` or one of
+    /// the `tables` names; records the section and, when tables are asked
+    /// for, prints those the subcommand names.
+    fn experiment<R>(&mut self, id: &str, title: &str, rows: fn() -> Vec<R>, tables: &[Table<R>])
+    where
+        for<'r> Value: From<&'r R>,
+    {
+        let whole = self.cmd == "all" || self.cmd == id;
+        if !(whole || tables.iter().any(|(name, _)| *name == self.cmd)) {
+            return;
         }
-    }
-    if !failures.is_empty() {
-        eprintln!("BASELINE REGRESSION:");
-        for f in &failures {
-            eprintln!("  {f}");
+        let rows = rows();
+        if self.print_tables {
+            for (name, render) in tables {
+                if whole || *name == self.cmd {
+                    render(&rows);
+                }
+            }
         }
-        std::process::exit(1);
+        self.sections.push(Value::obj([
+            ("id", id.into()),
+            ("title", title.into()),
+            (
+                "rows",
+                at_document_precision(rows.iter().map(Value::from).collect()),
+            ),
+        ]));
     }
-    println!("baseline check passed ({committed})");
+}
+
+/// Runs the experiments `cmd` selects — `all`, a section id, or a figure
+/// drawn from a section (`fig7` … `fig10`, `fig11`, `fig12`, `sensitivity`)
+/// — and returns their `{id, title, rows}` sections, none when `cmd` names
+/// no experiment. With `print_tables` each one's tables go to stdout as it
+/// finishes.
+pub fn run_experiments(cmd: &str, print_tables: bool) -> Vec<Value> {
+    let mut s = Selection {
+        cmd,
+        print_tables,
+        sections: Vec::new(),
+    };
+    s.experiment(
+        "motivation",
+        "§3.1 motivation: 20B iteration time by offload target",
+        exp::motivation,
+        &[("motivation", render_motivation)],
+    );
+    s.experiment(
+        "fig3",
+        "Fig. 3: update duration, host vs SSD offload",
+        exp::fig3_update_breakdown,
+        &[("fig3", render_fig3)],
+    );
+    s.experiment(
+        "fig4",
+        "Fig. 4: tier throughput under concurrency",
+        exp::fig4_concurrency,
+        &[("fig4", render_fig4)],
+    );
+    s.experiment(
+        "fig5",
+        "Fig. 5: I/O throughput timeline, 40B baseline update on NVMe",
+        exp::fig5_throughput_timeline,
+        &[("fig5", render_fig5)],
+    );
+    s.experiment(
+        "model_scaling",
+        "Figs. 7-10: single-node model-size scaling, Testbed-1",
+        exp::model_scaling,
+        &[
+            ("fig7", render_fig7),
+            ("fig8", render_fig8),
+            ("fig9", render_fig9),
+            ("fig10", render_fig10),
+        ],
+    );
+    s.experiment(
+        "weak_scaling",
+        "Figs. 11-12: weak scaling, Testbed-2",
+        exp::weak_scaling,
+        &[("fig11", render_fig11), ("fig12", render_fig12)],
+    );
+    s.experiment(
+        "fig13",
+        "Fig. 13: gradient accumulation, 40B",
+        exp::fig13_grad_accumulation,
+        &[("fig13", render_fig13)],
+    );
+    s.experiment(
+        "fig14",
+        "Fig. 14: ablation on node-local NVMe only",
+        exp::fig14_ablation_nvme,
+        &[("fig14", |rows| {
+            render_ablation(
+                "Fig. 14: ablation on node-local NVMe only (paper: up to 1.6x)",
+                rows,
+            )
+        })],
+    );
+    s.experiment(
+        "fig15",
+        "Fig. 15: ablation with PFS multi-path",
+        exp::fig15_ablation_pfs,
+        &[("fig15", |rows| {
+            render_ablation(
+                "Fig. 15: ablation with PFS multi-path (paper: 2.5x over DeepSpeed ZeRO-3)",
+                rows,
+            )
+        })],
+    );
+    s.experiment(
+        "sensitivity_subgroup",
+        "§4.1 sensitivity: subgroup size, 40B",
+        exp::subgroup_size_sweep,
+        &[("sensitivity", render_subgroup_sweep)],
+    );
+    s.experiment(
+        "sensitivity_cache",
+        "sensitivity: host-cache budget, 40B MLP-Offload",
+        exp::cache_sweep,
+        &[("sensitivity", render_cache_sweep)],
+    );
+    s.experiment(
+        "checkpoint",
+        "§3.3 checkpoint pre-staging",
+        exp::checkpoint_prestaging,
+        &[("checkpoint", render_checkpoint)],
+    );
+    s.experiment(
+        "cost",
+        "§4.4 cost-effectiveness: 70B on 80 GPUs vs 8 GPUs + offload",
+        exp::cost_effectiveness,
+        &[("cost", render_cost)],
+    );
+    s.experiment(
+        "cxl",
+        "§5 future work: CXL memory pool as an additional I/O path",
+        exp::future_cxl,
+        &[("cxl", render_cxl)],
+    );
+    s.experiment(
+        "adaptive_replan",
+        "§3.3 adaptive re-plan: the PFS collapses mid-run",
+        exp::adaptive_replan,
+        &[("adaptive_replan", render_adaptive_replan)],
+    );
+    s.experiment(
+        "degradation",
+        "graceful degradation: the PFS is quarantined mid-run",
+        exp::degradation,
+        &[("degradation", render_degradation)],
+    );
+    s.experiment(
+        "checkpoint_pipeline",
+        "§3.3 checkpoint pipeline: critical-path cost of per-iteration checkpoints, 40B",
+        exp::checkpoint_pipeline,
+        &[("checkpoint_pipeline", render_checkpoint_pipeline)],
+    );
+    s.sections
 }
 
 /// Prints an ASCII table with a title.
@@ -462,6 +607,93 @@ pub fn render_cache_sweep(rows: &[CacheSweepRow]) {
     );
 }
 
+/// Renders the adaptive re-plan scenario.
+pub fn render_adaptive_replan(rows: &[ReplanRow]) {
+    print_table(
+        &format!(
+            "3.3 adaptive re-plan: PFS at {:.0}% from update {} of {}, tail = last {}",
+            exp::REPLAN_PFS_LOAD_FACTOR * 100.0,
+            exp::SCENARIO_EVENT_AT,
+            exp::SCENARIO_ITERS,
+            exp::SCENARIO_TAIL
+        ),
+        &[
+            "planner",
+            "pre (s)",
+            "tail (s)",
+            "migrations",
+            "recovery of oracle win",
+        ],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.variant.clone(),
+                    s2(r.pre_mean_s),
+                    s2(r.tail_mean_s),
+                    r.migrations.to_string(),
+                    pct(r.recovery_of_oracle_win),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+}
+
+/// Renders the permanent-tier-loss scenario.
+pub fn render_degradation(rows: &[DegradationRow]) {
+    print_table(
+        &format!(
+            "graceful degradation: PFS quarantined before update {} of {}, tail = last {}",
+            exp::SCENARIO_EVENT_AT,
+            exp::SCENARIO_ITERS,
+            exp::SCENARIO_TAIL
+        ),
+        &[
+            "variant",
+            "pre (s)",
+            "tail (s)",
+            "drained",
+            "tail vs single tier",
+        ],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.variant.clone(),
+                    s2(r.pre_mean_s),
+                    s2(r.tail_mean_s),
+                    r.drained.to_string(),
+                    format!("{:+.1}%", r.tail_overhead_vs_single_tier * 100.0),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+}
+
+/// Renders the checkpoint-pipeline scenario.
+pub fn render_checkpoint_pipeline(rows: &[CheckpointPipelineRow]) {
+    print_table(
+        "3.3 checkpoint pipeline: 40B, NVMe + PFS + object store, a checkpoint every iteration",
+        &[
+            "checkpoints",
+            "iteration (s)",
+            "copied (GB)",
+            "overhead hidden",
+        ],
+        &rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.variant.clone(),
+                    s2(r.mean_iter_s),
+                    s1(r.ckpt_copied_bytes as f64 / 1e9),
+                    pct(r.hidden_fraction),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+}
+
 /// Renders Tables 1 and 2 from the encoded constants.
 pub fn render_tables() {
     let t1 = mlp_train::testbed1();
@@ -534,6 +766,60 @@ pub fn render_tables() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_results_document_repeats_parses_and_is_the_committed_file() {
+        let build = || document(run_experiments("all", false)).pretty() + "\n";
+        let text = build();
+        assert!(text == build(), "two builds of the document differ");
+
+        let doc = mlp_trace::json::parse(&text).expect("one JSON value");
+        let sections = doc.get("sections").and_then(Value::as_array);
+        let ids: Vec<&str> = sections
+            .expect("a sections array")
+            .iter()
+            .map(|s| s.get("id").and_then(Value::as_str).expect("section id"))
+            .collect();
+        assert!(ids.iter().all(|id| !id.is_empty()), "{ids:?}");
+        let unique: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "duplicate section id in {ids:?}");
+
+        let committed = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_paper.json"
+        ))
+        .expect("read BENCH_paper.json");
+        let moved = text
+            .lines()
+            .zip(committed.lines())
+            .position(|(fresh, old)| fresh != old);
+        assert!(
+            text == committed,
+            "BENCH_paper.json differs from `repro all --json` from line {:?} \
+             (fresh `{}`); if the move is meant, regenerate the file",
+            moved.map(|l| l + 1),
+            moved
+                .and_then(|l| text.lines().nth(l))
+                .unwrap_or("<length only>")
+        );
+    }
+
+    #[test]
+    fn a_figure_name_selects_its_section_and_an_unknown_name_selects_nothing() {
+        let ids = |cmd| -> Vec<String> {
+            run_experiments(cmd, false)
+                .iter()
+                .map(|s| s.get("id").and_then(Value::as_str).expect("id").to_string())
+                .collect()
+        };
+        assert_eq!(ids("fig12"), ["weak_scaling"]);
+        assert_eq!(ids("weak_scaling"), ["weak_scaling"]);
+        assert_eq!(
+            ids("sensitivity"),
+            ["sensitivity_subgroup", "sensitivity_cache"]
+        );
+        assert!(ids("fig6").is_empty());
+    }
 
     #[test]
     fn table_printer_handles_empty_and_ragged_titles() {

@@ -773,7 +773,7 @@ mod tests {
                 iter: (salt / 2) as u64,
                 subgroups: (0..n)
                     .map(|i| {
-                        if (i + salt) % 3 == 0 {
+                        if (i + salt).is_multiple_of(3) {
                             SubgroupLocation::Prestaged {
                                 tier: (i + salt) % 4,
                                 key: format!("w{}/sub{i}", salt % 7),

@@ -24,7 +24,7 @@ use crate::policy::ordering::OrderPolicy;
 ///
 /// Which `mlp-aio` backend moves a tier's bytes is not configured here:
 /// it is a property of the tier (`SharedTier::with_aio` pins an
-/// `EngineKind`; the default probes the host per tier).
+/// `EngineKind`; the default is `Pool`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Subgroup processing order per iteration.
@@ -304,7 +304,9 @@ mod tests {
 
     #[test]
     fn json_config_rejects_malformed_documents_naming_the_key() {
+        let too_deep = "[".repeat(1_000_000);
         let cases = [
+            (too_deep.as_str(), "nesting deeper than 128 levels"),
             (r#"["mlp_offload"]"#, "root must be an object"),
             (r#"{ "zero_optimization": {} }"#, "missing key mlp_offload"),
             (r#"{ "mlp_offload": "on" }"#, "mlp_offload must be an object"),
@@ -318,8 +320,9 @@ mod tests {
             ("", "JSON parse error"),
         ];
         for (json, needle) in cases {
-            let err = EngineConfig::from_deepspeed_json(json).expect_err(json);
-            assert!(err.contains(needle), "{json:?} gave {err:?}, expected it to name {needle:?}");
+            let shown = &json[..json.len().min(80)];
+            let err = EngineConfig::from_deepspeed_json(json).expect_err(shown);
+            assert!(err.contains(needle), "{shown:?} gave {err:?}, expected it to name {needle:?}");
         }
     }
 }

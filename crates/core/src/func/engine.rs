@@ -1265,8 +1265,7 @@ impl MlpFuncEngine {
             return Ok(());
         }
         if surviving == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::Other,
+            return Err(io::Error::other(
                 "every storage tier is quarantined; no surviving tier to drain to",
             ));
         }

@@ -970,8 +970,8 @@ mod tests {
     /// The ROADMAP acceptance scenario: a tier's bandwidth collapses
     /// mid-run; the adaptive planner must recover ≥90% of the iteration
     /// time an oracle re-plan achieves, where the static planner stays
-    /// degraded. (The committed BENCH_adaptive_replan.json tracks the
-    /// same scenario at benchmark scale.)
+    /// degraded. (`experiments::adaptive_replan` runs the same scenario
+    /// at benchmark scale.)
     #[test]
     fn adaptive_planner_recovers_oracle_iteration_time_after_degradation() {
         const DEGRADE_AT: usize = 4;
@@ -1211,8 +1211,7 @@ mod tests {
             let events = trace.events();
             let backward = events
                 .iter()
-                .filter(|e| e.phase == Phase::Backward)
-                .last()
+                .rfind(|e| e.phase == Phase::Backward)
                 .copied()
                 .expect("backward span");
             let flushes: Vec<_> = events

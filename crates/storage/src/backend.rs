@@ -331,12 +331,13 @@ impl DirBackend {
         })
     }
 
-    /// Makes every write durable before it returns: the file is synced
-    /// before the rename and the parent directory after it (a rename, or
-    /// a directory the write had to create, is only an un-synced
-    /// directory entry until then). Required when the directory is a
-    /// checkpoint target that must survive power loss, optional for
-    /// offload staging (a crash loses the training run anyway).
+    /// Makes every write and delete durable before it returns: the file
+    /// is synced before the rename and the parent directory after it, and
+    /// after an unlink (a rename, an unlink, or a directory the write had
+    /// to create, is only an un-synced directory entry until then).
+    /// Required when the directory is a checkpoint target that must
+    /// survive power loss, optional for offload staging (a crash loses
+    /// the training run anyway).
     pub fn with_fsync(mut self, fsync: bool) -> Self {
         self.fsync = fsync;
         self
@@ -426,8 +427,15 @@ impl Backend for DirBackend {
     }
 
     fn delete(&self, key: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.path_for(key)?) {
+        let path = self.path_for(key)?;
+        match std::fs::remove_file(&path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Ok(()) if self.fsync => {
+                // The unlink is an un-synced directory entry until then: a
+                // pruned manifest or a migrated-away source copy would
+                // reappear after power loss.
+                std::fs::File::open(path.parent().unwrap_or(&self.root))?.sync_all()
+            }
             other => other,
         }
     }
@@ -748,6 +756,9 @@ mod tests {
         for key in ["durable", "a/b/c"] {
             b.write(key, &[1, 2, 3]).unwrap();
             assert_eq!(b.read(key).unwrap(), vec![1, 2, 3]);
+            b.delete(key).unwrap();
+            assert!(!b.contains(key));
+            b.delete(key).unwrap(); // absent: still Ok, nothing to sync
         }
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -96,7 +96,7 @@ pub fn chrome_trace_json_named(
             }
         }
     }
-    entries.sort_by(|a, b| (a.0, a.1, a.2).cmp(&(b.0, b.1, b.2)));
+    entries.sort_by_key(|e| (e.0, e.1, e.2));
 
     let mut parts: Vec<String> = Vec::with_capacity(entries.len() + 8);
     for (pid, name) in process_names {
@@ -177,7 +177,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
             .get("name")
             .and_then(Value::as_str)
             .ok_or("event missing `name`")?;
-        let phase = Phase::from_str(name).ok_or_else(|| format!("unknown phase `{name}`"))?;
+        let phase: Phase = name.parse()?;
         let pid = field_u64(entry, "pid")? as u32;
         let tid = field_u64(entry, "tid")? as u32;
         let ts_ns = us_to_ns(

@@ -31,8 +31,6 @@ pub enum Phase {
     Backward,
     /// Gradient shard written toward a storage tier.
     GradFlush,
-    /// Gradient shard read back from a storage tier.
-    GradFetch,
     /// Optimizer-state subgroup read from a tier into host memory.
     Fetch,
     /// Optimizer-state subgroup written from host memory to a tier.
@@ -93,7 +91,6 @@ pub const ALL_PHASES: &[Phase] = &[
     Phase::Forward,
     Phase::Backward,
     Phase::GradFlush,
-    Phase::GradFetch,
     Phase::Fetch,
     Phase::Flush,
     Phase::Update,
@@ -123,7 +120,6 @@ impl Phase {
             Phase::Forward => "forward",
             Phase::Backward => "backward",
             Phase::GradFlush => "grad_flush",
-            Phase::GradFetch => "grad_fetch",
             Phase::Fetch => "fetch",
             Phase::Flush => "flush",
             Phase::Update => "update",
@@ -146,18 +142,11 @@ impl Phase {
         }
     }
 
-    /// Inverse of [`Phase::as_str`] (used by the Chrome-JSON parser).
-    pub fn from_str(s: &str) -> Option<Phase> {
-        ALL_PHASES.iter().copied().find(|p| p.as_str() == s)
-    }
-
     /// Which way this phase moves bytes through storage, if it does.
     /// Drives the per-tier read/write split in the summary table.
     pub fn direction(self) -> Option<IoDirection> {
         match self {
-            Phase::GradFetch | Phase::Fetch | Phase::AioRead | Phase::TierRead => {
-                Some(IoDirection::Read)
-            }
+            Phase::Fetch | Phase::AioRead | Phase::TierRead => Some(IoDirection::Read),
             Phase::GradFlush
             | Phase::Flush
             | Phase::AioWrite
@@ -166,6 +155,19 @@ impl Phase {
             | Phase::CkptTrickle => Some(IoDirection::Write),
             _ => None,
         }
+    }
+}
+
+/// Inverse of [`Phase::as_str`] (used by the Chrome-JSON parser).
+impl std::str::FromStr for Phase {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Phase, String> {
+        ALL_PHASES
+            .iter()
+            .copied()
+            .find(|p| p.as_str() == s)
+            .ok_or_else(|| format!("unknown phase `{s}`"))
     }
 }
 
@@ -285,16 +287,18 @@ mod tests {
     #[test]
     fn phase_names_round_trip() {
         for &p in ALL_PHASES {
-            assert_eq!(Phase::from_str(p.as_str()), Some(p), "{p:?}");
+            assert_eq!(p.as_str().parse(), Ok(p), "{p:?}");
         }
-        assert_eq!(Phase::from_str("nonsense"), None);
+        assert_eq!(
+            "nonsense".parse::<Phase>(),
+            Err("unknown phase `nonsense`".to_string())
+        );
     }
 
     #[test]
     fn directions_cover_the_io_phases() {
         assert_eq!(Phase::Fetch.direction(), Some(IoDirection::Read));
         assert_eq!(Phase::Flush.direction(), Some(IoDirection::Write));
-        assert_eq!(Phase::GradFetch.direction(), Some(IoDirection::Read));
         assert_eq!(Phase::GradFlush.direction(), Some(IoDirection::Write));
         assert_eq!(Phase::CkptFlush.direction(), Some(IoDirection::Write));
         assert_eq!(Phase::CkptTrickle.direction(), Some(IoDirection::Write));

@@ -4,10 +4,10 @@
 //! Three things go through it: Chrome trace re-import
 //! ([`crate::parse_chrome_trace`]), the §3.5 DeepSpeed-style engine
 //! configuration (`EngineConfig::from_deepspeed_json`), and every JSON
-//! document the bench binaries write (`repro --json` rows, the committed
-//! `BENCH_*.json` baselines). Objects keep their fields in insertion
+//! document the bench binaries write (`repro --json`, the committed
+//! `BENCH_*.json` files). Objects keep their fields in insertion
 //! order and [`Value::pretty`] prints them two-space indented — the layout
-//! of the committed baselines, so parse → print is byte-identical on them
+//! of the committed files, so parse → print is byte-identical on them
 //! and a regenerated file diffs in values only.
 
 /// A JSON value. Integers stay integers (`12`, not `12.0`) so counts and
@@ -172,9 +172,16 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input comes from outside the program (user
+/// configuration, imported traces), so unbounded nesting is a stack
+/// overflow; nothing the workspace reads or writes nests past six.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -208,8 +215,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -217,6 +224,17 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, one level further down.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
@@ -364,6 +382,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -399,7 +418,7 @@ mod tests {
             );
             seen += 1;
         }
-        assert_eq!(seen, 4, "four committed BENCH_*.json baselines");
+        assert_eq!(seen, 2, "two committed BENCH_*.json files");
     }
 
     #[test]
@@ -455,6 +474,16 @@ mod tests {
             "-",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_error_names_the_depth() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        for bad in [nested(MAX_DEPTH + 1), "[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = parse(&bad).expect_err("too deep");
+            assert!(err.contains("deeper than 128 levels"), "{err}");
         }
     }
 }

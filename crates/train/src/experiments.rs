@@ -10,11 +10,14 @@
 //! iteration).
 
 use mlp_model::zoo;
-use mlp_model::ModelConfig;
+use mlp_model::{ModelConfig, Subgroup};
 use mlp_offload::config::AblationStage;
+use mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
 use mlp_offload::stats::{IoKind, UpdateStats};
 use mlp_offload::EngineConfig;
+use mlp_sim::Sim;
 use mlp_storage::microbench::measure_sim_tier_concurrent;
+use mlp_storage::spec::object_store;
 use mlp_storage::TierSpec;
 use mlp_trace::json::Value;
 
@@ -22,21 +25,11 @@ use crate::compute::gpu_only_iteration_secs;
 use crate::driver::{run, summarize, Summary, TrainSetup};
 use crate::testbed::{host_memory_tier, testbed1, testbed2, Testbed};
 
-/// Default iterations simulated per configuration (override with the
-/// `MLP_REPRO_ITERS` environment variable; the paper runs 10 with 2
+/// Iterations simulated per configuration (the paper runs 10 with 2
 /// warmups on hardware, the simulator is deterministic after warmup).
 pub const ITERATIONS: usize = 4;
 /// Leading iterations excluded from averages.
 pub const WARMUP: usize = 2;
-
-/// Iterations to simulate, honouring `MLP_REPRO_ITERS` (min `WARMUP + 1`).
-pub fn iterations() -> usize {
-    std::env::var("MLP_REPRO_ITERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(ITERATIONS)
-        .max(WARMUP + 1)
-}
 
 /// The two compared approaches (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +68,7 @@ impl Approach {
 
 fn run_summary(setup: &TrainSetup) -> Summary {
     let results = run(setup);
-    summarize(setup, &results, WARMUP.min(results.len() - 1))
+    summarize(setup, &results, WARMUP)
 }
 
 fn standard_setup(
@@ -91,7 +84,7 @@ fn standard_setup(
         approach.tiers(tb),
     );
     s.nodes = nodes;
-    s.iterations = iterations();
+    s.iterations = ITERATIONS;
     s
 }
 
@@ -126,7 +119,7 @@ pub fn motivation() -> Vec<MotivationRow> {
         EngineConfig::deepspeed_zero3(),
         vec![host_memory_tier()],
     );
-    cpu_setup.iterations = iterations();
+    cpu_setup.iterations = ITERATIONS;
     let cpu = run_summary(&cpu_setup);
 
     // NVMe offload: the DeepSpeed baseline.
@@ -190,7 +183,7 @@ pub fn fig3_update_breakdown() -> Vec<Fig3Row> {
             EngineConfig::deepspeed_zero3(),
             tiers,
         );
-        setup.iterations = iterations();
+        setup.iterations = ITERATIONS;
         let s = run_summary(&setup);
         // Pure CPU compute time for the node's updates; the remainder of
         // the phase is I/O wait.
@@ -485,7 +478,7 @@ fn ablation(models: &[ModelConfig], multipath: bool) -> Vec<AblationRow> {
                 vec![tb.nvme.clone()]
             };
             let mut setup = TrainSetup::new(tb.clone(), model.clone(), stage.config(), tiers);
-            setup.iterations = iterations();
+            setup.iterations = ITERATIONS;
             let s = run_summary(&setup);
             let base = *baseline_s.get_or_insert(s.total_s);
             rows.push(AblationRow {
@@ -665,7 +658,7 @@ pub fn future_cxl() -> Vec<CxlRow> {
             EngineConfig::mlp_offload(),
             tiers,
         );
-        setup.iterations = iterations();
+        setup.iterations = ITERATIONS;
         let s = run_summary(&setup);
         let b = *base.get_or_insert(s.total_s);
         rows.push(CxlRow {
@@ -751,6 +744,282 @@ pub fn cache_sweep() -> Vec<CacheSweepRow> {
 }
 
 // ===========================================================================
+// §3.3 scenarios: one worker's update phase through a mid-run tier event
+// ===========================================================================
+
+/// Subgroups the scenario worker owns (× [`SCENARIO_PARAMS`] × 12 B =
+/// 28.8 GB of optimizer state).
+const SCENARIO_SUBGROUPS: usize = 24;
+/// Parameters per scenario subgroup.
+const SCENARIO_PARAMS: u64 = 100_000_000;
+/// Update phases per scenario variant.
+pub const SCENARIO_ITERS: usize = 20;
+/// The update phase before which the tier event (collapse, quarantine)
+/// happens.
+pub const SCENARIO_EVENT_AT: usize = 6;
+/// Trailing update phases averaged as the steady state after the event
+/// (leaves the estimator's EMA, migrations and drained placements a few
+/// iterations to settle).
+pub const SCENARIO_TAIL: usize = 8;
+/// Load factor the PFS collapses to in [`adaptive_replan`].
+pub const REPLAN_PFS_LOAD_FACTOR: f64 = 0.15;
+/// Durable copies the adaptive planner may migrate per iteration.
+const REPLAN_MIGRATIONS_PER_ITER: usize = 4;
+
+/// One Testbed-1 worker running update phases alone over `tiers`.
+struct ScenarioNode {
+    env: NodeSimEnv,
+    worker: SimWorker,
+}
+
+impl ScenarioNode {
+    fn new(tiers: Vec<TierSpec>, cfg: EngineConfig) -> Self {
+        let tb = testbed1();
+        let sim = Sim::new();
+        let env = NodeSimEnv::new(
+            &sim,
+            &NodeSpec {
+                tier_specs: tiers,
+                gpus: 1,
+                d2h_bps: tb.d2h_bps,
+                cpu_update_params_per_s: tb.cpu_update_params_per_s,
+                conv_bytes_per_s: tb.conv_bytes_per_s,
+            },
+        );
+        let subgroups = (0..SCENARIO_SUBGROUPS)
+            .map(|id| Subgroup {
+                id,
+                params: SCENARIO_PARAMS,
+            })
+            .collect();
+        let worker = SimWorker::new(env.clone(), 0, cfg, subgroups);
+        ScenarioNode { env, worker }
+    }
+
+    /// Runs the scenario's update phases, calling `event` before phase
+    /// [`SCENARIO_EVENT_AT`]; returns the mean update seconds before the
+    /// event and over the last [`SCENARIO_TAIL`] phases.
+    fn pre_and_tail_mean_s(&self, mut event: impl FnMut(&Self)) -> (f64, f64) {
+        let durations: Vec<f64> = (0..SCENARIO_ITERS)
+            .map(|i| {
+                if i == SCENARIO_EVENT_AT {
+                    event(self);
+                }
+                let w = self.worker.clone();
+                self.env
+                    .sim
+                    .block_on(async move { w.run_update().await })
+                    .duration_s
+            })
+            .collect();
+        let mean = |d: &[f64]| d.iter().sum::<f64>() / d.len() as f64;
+        (
+            mean(&durations[..SCENARIO_EVENT_AT]),
+            mean(&durations[SCENARIO_ITERS - SCENARIO_TAIL..]),
+        )
+    }
+}
+
+/// The MLP-Offload configuration the tier-event scenarios start from: no
+/// host retention (isolates the allocation effect) and a static Eq. 1
+/// split.
+fn static_split_config() -> EngineConfig {
+    let mut cfg = EngineConfig::mlp_offload();
+    cfg.cache_retention = false;
+    cfg.adaptive_bandwidth = false;
+    cfg
+}
+
+/// One planner variant of the adaptive re-plan scenario.
+#[derive(Clone, Debug)]
+pub struct ReplanRow {
+    /// `static`, `adaptive` or `oracle`.
+    pub variant: String,
+    /// Mean update seconds before the PFS collapses.
+    pub pre_mean_s: f64,
+    /// Mean update seconds over the post-collapse tail.
+    pub tail_mean_s: f64,
+    /// Durable copies the planner migrated between tiers.
+    pub migrations: u64,
+    /// Share of the oracle's tail win over the static planner that this
+    /// variant achieves (0 for `static`, 1 for `oracle`).
+    pub recovery_of_oracle_win: f64,
+}
+
+/// §3.3 closed loop: NVMe + PFS, and external load collapses the PFS to
+/// [`REPLAN_PFS_LOAD_FACTOR`] of its bandwidth mid-run. `static` keeps
+/// the construction-time Eq. 1 split (40% of the flushes still go to the
+/// collapsed tier); `adaptive` folds observed transfer rates into the
+/// estimator, re-splits flushes on them and migrates a bounded number of
+/// durable copies per iteration; `oracle` plans for the post-collapse
+/// bandwidths from iteration zero (the re-plan quality upper bound).
+pub fn adaptive_replan() -> Vec<ReplanRow> {
+    let tb = testbed1();
+    let mut adaptive = EngineConfig::mlp_offload();
+    adaptive.cache_retention = false;
+    adaptive.max_migrations_per_iter = REPLAN_MIGRATIONS_PER_ITER;
+    let mut oracle = static_split_config();
+    oracle.tier_ratio = Some(vec![
+        tb.nvme.read_bps.min(tb.nvme.write_bps),
+        tb.pfs.read_bps.min(tb.pfs.write_bps) * REPLAN_PFS_LOAD_FACTOR,
+    ]);
+
+    let mut rows: Vec<ReplanRow> = [
+        ("static", static_split_config()),
+        ("adaptive", adaptive),
+        ("oracle", oracle),
+    ]
+    .into_iter()
+    .map(|(variant, cfg)| {
+        let node = ScenarioNode::new(vec![tb.nvme.clone(), tb.pfs.clone()], cfg);
+        let (pre_mean_s, tail_mean_s) =
+            node.pre_and_tail_mean_s(|n| n.env.tiers[1].set_load_factor(REPLAN_PFS_LOAD_FACTOR));
+        ReplanRow {
+            variant: variant.into(),
+            pre_mean_s,
+            tail_mean_s,
+            migrations: node.worker.planner_migrations(),
+            recovery_of_oracle_win: 0.0,
+        }
+    })
+    .collect();
+    let (static_s, oracle_s) = (rows[0].tail_mean_s, rows[2].tail_mean_s);
+    for r in &mut rows {
+        r.recovery_of_oracle_win = (static_s - r.tail_mean_s) / (static_s - oracle_s);
+    }
+    rows
+}
+
+/// One variant of the permanent-tier-loss scenario.
+#[derive(Clone, Debug)]
+pub struct DegradationRow {
+    /// `two_tier`, `tier_loss` or `single_tier`.
+    pub variant: String,
+    /// Mean update seconds before the loss.
+    pub pre_mean_s: f64,
+    /// Mean update seconds over the post-loss tail.
+    pub tail_mean_s: f64,
+    /// Durable copies drained off the quarantined tier.
+    pub drained: usize,
+    /// Tail relative to the `single_tier` tail, minus one.
+    pub tail_overhead_vs_single_tier: f64,
+}
+
+/// Graceful degradation (DESIGN.md §15): `two_tier` keeps NVMe + PFS
+/// healthy throughout; `tier_loss` has the PFS quarantined mid-run
+/// (`SimWorker::quarantine_tier`, the sim-side entry of the breaker
+/// path), its durable copies drain to the NVMe and the planner never
+/// targets it again; `single_tier` never had the PFS. Losing a tier must
+/// cost its bandwidth share and a one-off drain, nothing more.
+pub fn degradation() -> Vec<DegradationRow> {
+    let tb = testbed1();
+    let both = || vec![tb.nvme.clone(), tb.pfs.clone()];
+    let mut rows: Vec<DegradationRow> = [
+        ("two_tier", both(), false),
+        ("tier_loss", both(), true),
+        ("single_tier", vec![tb.nvme.clone()], false),
+    ]
+    .into_iter()
+    .map(|(variant, tiers, lose_pfs)| {
+        let node = ScenarioNode::new(tiers, static_split_config());
+        let mut drained = 0;
+        let (pre_mean_s, tail_mean_s) = node.pre_and_tail_mean_s(|n| {
+            if lose_pfs {
+                let w = n.worker.clone();
+                drained = n.env.sim.block_on(async move {
+                    w.drain_flushes().await;
+                    w.quarantine_tier(1).await
+                });
+            }
+        });
+        DegradationRow {
+            variant: variant.into(),
+            pre_mean_s,
+            tail_mean_s,
+            drained,
+            tail_overhead_vs_single_tier: 0.0,
+        }
+    })
+    .collect();
+    let single_s = rows[2].tail_mean_s;
+    for r in &mut rows {
+        r.tail_overhead_vs_single_tier = r.tail_mean_s / single_s - 1.0;
+    }
+    rows
+}
+
+/// Iterations per variant of [`checkpoint_pipeline`].
+const CHECKPOINT_ITERS: usize = 6;
+/// Leading [`checkpoint_pipeline`] iterations excluded from the mean
+/// (first-touch placement).
+const CHECKPOINT_WARMUP: usize = 1;
+
+/// One variant of the checkpoint-pipeline scenario.
+#[derive(Clone, Debug)]
+pub struct CheckpointPipelineRow {
+    /// `none`, `sync` or `async`.
+    pub variant: String,
+    /// Mean iteration seconds after warmup.
+    pub mean_iter_s: f64,
+    /// Bytes the checkpoints copied over the whole run.
+    pub ckpt_copied_bytes: u64,
+    /// Share of the blocking variant's checkpoint overhead this variant
+    /// keeps off the critical path (1 for `none`, 0 for `sync`).
+    pub hidden_fraction: f64,
+}
+
+/// §3.3 two-hop checkpoint pipeline: one Testbed-1 node trains the 40B
+/// model over NVMe + PFS + object store and checkpoints every iteration.
+/// `none` is the iteration-time floor; `sync` completes the NVMe flush and
+/// the object-store trickle inside the iteration; `async` leaves them in
+/// flight to drain behind the next backward pass. At 40B the NVMe is
+/// close to saturated by training's own deferred flushes during backward,
+/// so the pipeline can only reclaim the tier's remaining idle time.
+pub fn checkpoint_pipeline() -> Vec<CheckpointPipelineRow> {
+    let tb = testbed1();
+    let mut rows: Vec<CheckpointPipelineRow> =
+        [("none", 0, false), ("sync", 1, true), ("async", 1, false)]
+            .into_iter()
+            .map(|(variant, every, sync)| {
+                let mut cfg = EngineConfig::mlp_offload();
+                cfg.deferred_flush_drain = true;
+                // The object store is the checkpoint target only: a negligible
+                // allocation weight keeps training state on NVMe + PFS.
+                cfg.tier_ratio = Some(vec![
+                    tb.nvme.model_bandwidth_bps(),
+                    tb.pfs.model_bandwidth_bps(),
+                    1e-6,
+                ]);
+                let tiers = vec![tb.nvme.clone(), tb.pfs.clone(), object_store()];
+                let mut setup = TrainSetup::new(tb.clone(), zoo::model_40b(), cfg, tiers)
+                    .with_checkpoint_every(every);
+                setup.iterations = CHECKPOINT_ITERS;
+                setup.checkpoint_sync = sync;
+                let results = run(&setup);
+                CheckpointPipelineRow {
+                    variant: variant.into(),
+                    mean_iter_s: results[CHECKPOINT_WARMUP..]
+                        .iter()
+                        .map(|r| r.breakdown.total_s())
+                        .sum::<f64>()
+                        / (CHECKPOINT_ITERS - CHECKPOINT_WARMUP) as f64,
+                    ckpt_copied_bytes: results
+                        .iter()
+                        .filter_map(|r| r.checkpoint.as_ref())
+                        .map(|c| c.copied_bytes)
+                        .sum(),
+                    hidden_fraction: 0.0,
+                }
+            })
+            .collect();
+    let (none_s, sync_s) = (rows[0].mean_iter_s, rows[1].mean_iter_s);
+    for r in &mut rows {
+        r.hidden_fraction = 1.0 - (r.mean_iter_s - none_s) / (sync_s - none_s);
+    }
+    rows
+}
+
+// ===========================================================================
 // `repro --json`: every row struct as a JSON object
 // ===========================================================================
 
@@ -783,6 +1052,9 @@ json_rows! {
     CxlRow { tiers, iteration_s, speedup_vs_mlp }
     SubgroupSizeRow { subgroup_mparams, approach, iteration_s }
     CacheSweepRow { cache_fraction, iteration_s, cache_hit_rate }
+    ReplanRow { variant, pre_mean_s, tail_mean_s, migrations, recovery_of_oracle_win }
+    DegradationRow { variant, pre_mean_s, tail_mean_s, drained, tail_overhead_vs_single_tier }
+    CheckpointPipelineRow { variant, mean_iter_s, ckpt_copied_bytes, hidden_fraction }
 }
 
 #[cfg(test)]
@@ -955,6 +1227,68 @@ mod tests {
                 ds.iteration_s / mlp.iteration_s
             );
         }
+    }
+
+    #[test]
+    fn adaptive_replan_recovers_the_oracles_win() {
+        let rows = adaptive_replan();
+        let [st, ad, or] = &rows[..] else {
+            panic!("three variants, got {}", rows.len())
+        };
+        assert!(
+            st.tail_mean_s > or.tail_mean_s * 1.5,
+            "static must lose badly post-degradation for the scenario to discriminate"
+        );
+        assert!(
+            ad.recovery_of_oracle_win >= 0.9,
+            "adaptive planner recovered only {:.0}% of the oracle's win",
+            ad.recovery_of_oracle_win * 100.0
+        );
+    }
+
+    #[test]
+    fn tier_loss_settles_at_the_single_tier_rate() {
+        let rows = degradation();
+        let [two, loss, single] = &rows[..] else {
+            panic!("three variants, got {}", rows.len())
+        };
+        assert!(
+            loss.drained > 0,
+            "the quarantined PFS held no durable copies — the scenario does not exercise the drain"
+        );
+        assert!(
+            two.tail_mean_s < single.tail_mean_s,
+            "the second tier must be worth something or the loss costs nothing"
+        );
+        assert!(
+            loss.tail_overhead_vs_single_tier.abs() <= 0.05,
+            "post-loss tail {:.2}s diverges {:.1}% from the single-tier reference {:.2}s",
+            loss.tail_mean_s,
+            loss.tail_overhead_vs_single_tier * 100.0,
+            single.tail_mean_s
+        );
+    }
+
+    #[test]
+    fn async_checkpoints_hide_part_of_the_blocking_overhead() {
+        let rows = checkpoint_pipeline();
+        let [none, sync, async_] = &rows[..] else {
+            panic!("three variants, got {}", rows.len())
+        };
+        assert!(none.ckpt_copied_bytes == 0 && sync.ckpt_copied_bytes > 0);
+        assert_eq!(
+            sync.ckpt_copied_bytes, async_.ckpt_copied_bytes,
+            "both checkpointing variants must move identical bytes"
+        );
+        assert!(
+            sync.mean_iter_s > none.mean_iter_s,
+            "blocking checkpoints must cost critical-path time for the scenario to discriminate"
+        );
+        assert!(
+            async_.hidden_fraction >= 0.15,
+            "async pipeline hid only {:.0}% of the sync checkpoint overhead",
+            async_.hidden_fraction * 100.0
+        );
     }
 
     #[test]

@@ -649,7 +649,7 @@ fn scan_guards(ctx: &FileCtx, i: usize, line: &str, in_test: bool, out: &mut Vec
         // `match expr.lock()` temporaries which live for the whole arm
         // block.
         let has_let = line[..p].contains("let ");
-        let is_match = word_positions(&line[..p], "match").first().is_some();
+        let is_match = !word_positions(&line[..p], "match").is_empty();
         let end = if has_let || is_match {
             let block_close = enclosing_block_end(&ctx.code, i, p);
             let binding = has_let.then(|| binding_name(&line[..p])).flatten();

@@ -184,7 +184,7 @@ impl Workspace {
 
     fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.fns.len()];
-        for idx in 0..self.fns.len() {
+        for (idx, callees) in adj.iter_mut().enumerate() {
             let f = self.fn_at(idx);
             if f.is_test {
                 continue;
@@ -196,7 +196,7 @@ impl Workspace {
                 }
                 for k in self.resolve(self.fns[idx].0, call) {
                     if k != idx && seen.insert(k) {
-                        adj[idx].push(k);
+                        callees.push(k);
                     }
                 }
             }
@@ -211,9 +211,9 @@ impl Workspace {
         let mut parent: Vec<Option<usize>> = vec![None; self.fns.len()];
         let mut visited = vec![false; self.fns.len()];
         let mut queue = VecDeque::new();
-        for idx in 0..self.fns.len() {
+        for (idx, seen) in visited.iter_mut().enumerate() {
             if self.fn_at(idx).hot_root && !self.fn_at(idx).is_test {
-                visited[idx] = true;
+                *seen = true;
                 queue.push_back(idx);
             }
         }

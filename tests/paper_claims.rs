@@ -6,8 +6,21 @@ use mlp_offload_suite::mlp_model::zoo;
 use mlp_offload_suite::mlp_offload::config::AblationStage;
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_train::driver::{run, summarize, TrainSetup};
-use mlp_offload_suite::mlp_train::experiments;
+use mlp_offload_suite::mlp_train::experiments::{self, ScalingRow, WeakScalingRow};
 use mlp_offload_suite::mlp_train::{testbed1, testbed2};
+use std::sync::OnceLock;
+
+/// The Figs. 7–10 rows, computed once for every test that reads them.
+fn model_scaling() -> &'static [ScalingRow] {
+    static ROWS: OnceLock<Vec<ScalingRow>> = OnceLock::new();
+    ROWS.get_or_init(experiments::model_scaling)
+}
+
+/// The Figs. 11–12 rows, computed once for both tests that read them.
+fn weak_scaling() -> &'static [WeakScalingRow] {
+    static ROWS: OnceLock<Vec<WeakScalingRow>> = OnceLock::new();
+    ROWS.get_or_init(experiments::weak_scaling)
+}
 
 fn setup(
     cfg: EngineConfig,
@@ -53,7 +66,7 @@ fn fig7_baseline_40b_phase_breakdown() {
 /// models) faster than DeepSpeed ZeRO-3 on Testbed-1.
 #[test]
 fn fig7_mlp_speedup_across_models() {
-    let rows = experiments::model_scaling();
+    let rows = model_scaling();
     for model in ["40B", "70B", "120B"] {
         let ds = rows
             .iter()
@@ -83,7 +96,7 @@ fn fig7_mlp_speedup_across_models() {
 /// approach, and MLP-Offload is ~1.8–2.8× higher.
 #[test]
 fn fig8_update_throughput_flat_and_separated() {
-    let rows = experiments::model_scaling();
+    let rows = model_scaling();
     let ds: Vec<f64> = rows
         .iter()
         .filter(|r| r.approach.starts_with("DeepSpeed"))
@@ -111,8 +124,8 @@ fn fig8_update_throughput_flat_and_separated() {
 /// baseline's and decays as larger models cache a smaller fraction.
 #[test]
 fn fig9_effective_io_gap_and_decay() {
-    let rows = experiments::model_scaling();
-    let mlp: Vec<&experiments::ScalingRow> = rows
+    let rows = model_scaling();
+    let mlp: Vec<&ScalingRow> = rows
         .iter()
         .filter(|r| r.approach.starts_with("MLP"))
         .collect();
@@ -137,7 +150,7 @@ fn fig9_effective_io_gap_and_decay() {
 /// Testbed-1, which the paper rounds to its "2:1" statement).
 #[test]
 fn fig10_state_split_tracks_bandwidths() {
-    let rows = experiments::model_scaling();
+    let rows = model_scaling();
     for r in rows.iter().filter(|r| r.approach.starts_with("MLP")) {
         let offloaded = r.nvme_fraction + r.pfs_fraction;
         let nvme_share = r.nvme_fraction / offloaded;
@@ -187,7 +200,7 @@ fn fig14_15_ablation_monotone_and_in_range() {
 /// divides across nodes (the paper's "up to 2×" at 8 nodes).
 #[test]
 fn fig11_weak_scaling_gap() {
-    let rows = experiments::weak_scaling();
+    let rows = weak_scaling();
     for nodes in [1usize, 2, 8] {
         let ds = rows
             .iter()
@@ -219,7 +232,7 @@ fn fig11_weak_scaling_gap() {
 /// approaches (independent node-local NVMe I/O).
 #[test]
 fn fig12_update_throughput_scales() {
-    let rows = experiments::weak_scaling();
+    let rows = weak_scaling();
     for approach in ["DeepSpeed", "MLP"] {
         let series: Vec<f64> = rows
             .iter()
