@@ -23,7 +23,6 @@ use mlp_aio::AioConfig;
 use mlp_offload::func::SharedTier;
 use mlp_offload::EngineConfig;
 use mlp_optim::adam::AdamConfig;
-use mlp_optim::optimizer::OptimizerConfig;
 use mlp_storage::microbench::measure_backend;
 use mlp_storage::{Backend, DirBackend, HealthConfig, TierHealth};
 use mlp_trace::TraceSink;
@@ -96,10 +95,10 @@ fn main() {
     let train_cfg = FuncTrainConfig {
         engine: cfg,
         subgroup_len: 32,
-        optimizer: OptimizerConfig::Adam(AdamConfig {
+        optimizer: AdamConfig {
             lr: 0.05,
             ..AdamConfig::default()
-        }),
+        },
         grad_clip: Some(50.0),
         ..FuncTrainConfig::default()
     };

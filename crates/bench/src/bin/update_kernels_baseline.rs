@@ -1,7 +1,6 @@
 //! `update_kernels_baseline` — measures the fused single-pass update
-//! kernel against the legacy multi-pass pipeline (upscale sweep →
-//! optimizer sweep → downscale sweep) for every optimizer at 1M and 16M
-//! elements, plus the layers under and beside it — the bulk FP16⇄FP32
+//! Adam kernel against the legacy multi-pass pipeline (upscale sweep →
+//! Adam sweep → downscale sweep) at 1M and 16M elements, plus the layers under and beside it — the bulk FP16⇄FP32
 //! conversions and host gradient accumulation — and writes the
 //! machine-readable baseline consumed by CI and tracked in
 //! `BENCH_update_kernels.json`.
@@ -10,7 +9,7 @@
 //! update_kernels_baseline [OUTPUT_PATH]   (default: BENCH_update_kernels.json)
 //! ```
 //!
-//! Reported per (optimizer, size, path): elements/second and effective
+//! Reported per (kernel, size, path): elements/second and effective
 //! GB/s of memory traffic. The byte counts per element differ by design —
 //! that asymmetry *is* the optimization. Fused touches each state array
 //! once (12 B read + 12 B write), the FP16 gradients once (2 B), and the
@@ -42,9 +41,8 @@ use std::time::Instant;
 
 use mlp_bench::round_to;
 use mlp_optim::accum::{add_f16, store_f16, GradAccumulator};
-use mlp_optim::adam::AdamConfig;
+use mlp_optim::adam::{adam_step_par, AdamConfig};
 use mlp_optim::fused::{fused_chunk_fp16, fused_update_fp16};
-use mlp_optim::optimizer::{AdagradConfig, LionConfig, OptimizerConfig, SgdConfig};
 use mlp_tensor::{at_host_width, convert, SimdLevel, F16, PAR_CHUNK};
 use mlp_trace::json::Value;
 
@@ -116,17 +114,12 @@ fn time(
     }
 }
 
-fn measure(
-    name: &'static str,
-    opt: &OptimizerConfig,
-    n: usize,
-    fused: bool,
-) -> Measurement {
+fn measure(adam: &AdamConfig, n: usize, fused: bool) -> Measurement {
     let grads_fp16 = grads_fp16(n);
     let inv_scale = 1.0 / 1024.0;
     let mut params = vec![0.1f32; n];
-    let mut slot1 = vec![0.0f32; n];
-    let mut slot2 = vec![0.0f32; n];
+    let mut momentum = vec![0.0f32; n];
+    let mut variance = vec![0.0f32; n];
     let mut fp16_out = vec![0u16; n];
 
     let (path, bytes) = if fused {
@@ -134,14 +127,14 @@ fn measure(
     } else {
         ("multi_pass", MULTI_BYTES_PER_ELEM)
     };
-    time(name, n, path, SimdLevel::widest(), bytes, |step| {
+    time("adam", n, path, SimdLevel::widest(), bytes, |step| {
         if fused {
             fused_update_fp16(
-                opt,
+                adam,
                 step,
                 &mut params,
-                &mut slot1,
-                &mut slot2,
+                &mut momentum,
+                &mut variance,
                 &grads_fp16,
                 inv_scale,
                 &mut fp16_out,
@@ -149,7 +142,14 @@ fn measure(
         } else {
             let mut scratch = vec![0.0f32; n];
             convert::upscale_scaled_par(&grads_fp16, &mut scratch, inv_scale);
-            opt.step_par(step, &mut params, &mut slot1, &mut slot2, &scratch);
+            adam_step_par(
+                adam,
+                step,
+                &mut params,
+                &mut momentum,
+                &mut variance,
+                &scratch,
+            );
             convert::downscale_par(&params, &mut fp16_out);
         }
     })
@@ -200,11 +200,11 @@ fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
 /// so the rows differ by the instantiation alone.
 fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
     let n = PAR_CHUNK;
-    let adam = OptimizerConfig::Adam(AdamConfig::default());
+    let adam = AdamConfig::default();
     let half = grads_fp16(n);
     let mut params = vec![0.1f32; n];
-    let mut slot1 = vec![0.0f32; n];
-    let mut slot2 = vec![0.0f32; n];
+    let mut momentum = vec![0.0f32; n];
+    let mut variance = vec![0.0f32; n];
     let mut half_out = vec![0u16; n];
     let mut summed = vec![0u16; n];
     vec![
@@ -212,8 +212,8 @@ fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
             level.run(
                 #[inline(always)]
                 || {
-                    let (p, s1, s2) = (&mut params[..], &mut slot1[..], &mut slot2[..]);
-                    fused_chunk_fp16(&adam, step, p, s1, s2, &half, 1.0 / 1024.0, &mut half_out)
+                    let (p, m, v) = (&mut params[..], &mut momentum[..], &mut variance[..]);
+                    fused_chunk_fp16(&adam, step, p, m, v, &half, 1.0 / 1024.0, &mut half_out)
                 },
             )
         }),
@@ -248,12 +248,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_update_kernels.json".to_string());
-    let optimizers: [(&'static str, OptimizerConfig); 4] = [
-        ("adam", OptimizerConfig::Adam(AdamConfig::default())),
-        ("sgd", OptimizerConfig::Sgd(SgdConfig::default())),
-        ("adagrad", OptimizerConfig::Adagrad(AdagradConfig::default())),
-        ("lion", OptimizerConfig::Lion(LionConfig::default())),
-    ];
+    let adam = AdamConfig::default();
 
     eprintln!("dispatching at {}", SimdLevel::widest().name());
     let mut results = Vec::new();
@@ -271,10 +266,9 @@ fn main() {
         results.push(m);
     };
     for n in [1usize << 20, 1 << 24] {
-        let fused_vs_multi_pass = optimizers.iter().flat_map(|(name, opt)| {
-            [true, false].map(|fused| measure(name, opt, n, fused))
-        });
-        fused_vs_multi_pass
+        [true, false]
+            .map(|fused| measure(&adam, n, fused))
+            .into_iter()
             .chain(measure_conversions_and_accumulation(n))
             .for_each(&mut report);
     }
@@ -282,22 +276,17 @@ fn main() {
         .flat_map(measure_bodies_at)
         .for_each(&mut report);
 
-    // Headline ratio the baseline tracks: fused vs multi-pass speedup in
-    // elements/s at 16M, per optimizer.
-    let mut speedups = Vec::new();
-    for (name, _) in &optimizers {
-        let at = |path: &str| {
-            results
-                .iter()
-                .find(|m| m.optimizer == *name && m.elements == 1 << 24 && m.path == path)
-                .expect("measured")
-                .elements_per_s
-        };
-        let ratio = at("fused") / at("multi_pass");
-        eprintln!("{name}: fused/multi_pass speedup @16M = {ratio:.2}x");
-        speedups.push((name.to_string(), Value::from(round_to(ratio, 2))));
-    }
-    speedups.sort_by(|a, b| a.0.cmp(&b.0));
+    // Headline ratio the baseline tracks: fused vs multi-pass Adam speedup
+    // in elements/s at 16M.
+    let at = |path: &str| {
+        results
+            .iter()
+            .find(|m| m.optimizer == "adam" && m.elements == 1 << 24 && m.path == path)
+            .expect("measured")
+            .elements_per_s
+    };
+    let speedup = at("fused") / at("multi_pass");
+    eprintln!("adam: fused/multi_pass speedup @16M = {speedup:.2}x");
 
     // Keys in the committed file's (alphabetical) order.
     let doc = Value::obj([
@@ -319,7 +308,7 @@ fn main() {
             ("path", m.path.into()),
         ])).collect()),
         ("simd_level", SimdLevel::widest().name().into()),
-        ("speedup_at_16m", Value::Obj(speedups)),
+        ("speedup_at_16m", Value::obj([("adam", round_to(speedup, 2).into())])),
         ("threads", std::thread::available_parallelism().map_or(1, |p| p.get()).into()),
     ]);
     std::fs::write(&out_path, doc.pretty() + "\n").expect("write baseline");

@@ -70,9 +70,25 @@ impl CheckpointManifest {
         format!("ckpt/{tag}/w{worker_id}/sub{idx}")
     }
 
+    /// Refuses, with `InvalidInput`, a caller-chosen tag the wire format
+    /// cannot carry: an empty one, or one holding `\n` or `\r` (the
+    /// parser reads lines, and `str::lines` drops a trailing `\r`). Both
+    /// checkpoint entry points run it before writing anything, so a
+    /// checkpoint that reports success can be restored.
+    pub(crate) fn check_tag(tag: &str) -> io::Result<()> {
+        if tag.is_empty() || tag.contains(['\n', '\r']) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("checkpoint tag {tag:?} must be non-empty and hold no line break"),
+            ));
+        }
+        Ok(())
+    }
+
     /// Serializes the manifest into its stable line-based wire format
     /// (`mlpckpt v1`). Tags and keys must not contain newlines — keys are
-    /// engine-generated and never do; tags are caller-chosen.
+    /// engine-generated and never do; both checkpoint entry points refuse
+    /// a tag that does before writing anything.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::new();
         out.push_str("mlpckpt v1\n");
@@ -633,14 +649,14 @@ impl CheckpointPipeline {
     pub fn restore(
         &self,
         cfg: crate::EngineConfig,
-        optimizer: impl Into<mlp_optim::optimizer::OptimizerConfig>,
+        adam: mlp_optim::AdamConfig,
         shared_tiers: &[crate::func::SharedTier],
         worker_id: usize,
         tag: &str,
     ) -> io::Result<crate::func::MlpFuncEngine> {
         let engine = crate::func::MlpFuncEngine::restore(
             cfg,
-            optimizer,
+            adam,
             shared_tiers,
             worker_id,
             &*self.object_backend,

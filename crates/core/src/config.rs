@@ -168,7 +168,7 @@ impl EngineConfig {
         match section.get("ratio") {
             None | Some(Value::Null) => {}
             Some(Value::Str(r)) => {
-                let weights = parse_ratio(r)?;
+                let weights = parse_ratio(r).map_err(|e| format!("mlp_offload.ratio {e}"))?;
                 if weights.len() != tiers.len() {
                     return Err(format!(
                         "mlp_offload.ratio {r:?} has {} components for {} tiers",
@@ -314,7 +314,9 @@ mod tests {
             (r#"{ "mlp_offload": { "tiers": "/a" } }"#, "mlp_offload.tiers"),
             (r#"{ "mlp_offload": { "tiers": ["/a", 7] } }"#, "mlp_offload.tiers"),
             (r#"{ "mlp_offload": { "tiers": ["/a", "/b"], "ratio": 2 } }"#, "mlp_offload.ratio"),
-            (r#"{ "mlp_offload": { "tiers": ["/a"], "ratio": "x" } }"#, "ratio"),
+            (r#"{ "mlp_offload": { "tiers": ["/a"], "ratio": "x" } }"#, "mlp_offload.ratio"),
+            (r#"{ "mlp_offload": { "tiers": ["/a", "/b"], "ratio": "inf:1" } }"#, "mlp_offload.ratio"),
+            (r#"{ "mlp_offload": { "tiers": ["/a", "/b"], "ratio": "1e309:1" } }"#, "mlp_offload.ratio"),
             (r#"{ "mlp_offload": { "tiers": ["/a"] } } trailing"#, "trailing data"),
             (r#"{ "mlp_offload": { "tiers": ["/a"] }"#, "JSON parse error"),
             ("", "JSON parse error"),

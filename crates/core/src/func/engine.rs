@@ -7,9 +7,9 @@ use std::sync::Arc;
 use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
-use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor, OptimizerConfig};
+use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor};
 use mlp_optim::traced::fused_update_f32_traced;
-use mlp_optim::{SubgroupState, SubgroupStateMut};
+use mlp_optim::{AdamConfig, SubgroupState, SubgroupStateMut};
 use mlp_storage::{Backend, HealthGatedBackend, TierHealth, TracedBackend};
 use mlp_tensor::convert;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
@@ -271,7 +271,7 @@ pub struct UpdateOutcome {
 /// update time or eager FP32 gradients moved through storage.
 pub struct MlpFuncEngine {
     cfg: EngineConfig,
-    optimizer: OptimizerConfig,
+    adam: AdamConfig,
     worker_id: usize,
     tiers: Vec<TierRt>,
     subgroup_lens: Vec<usize>,
@@ -319,12 +319,11 @@ impl MlpFuncEngine {
     /// training, as in the paper's cold start).
     pub fn new(
         cfg: EngineConfig,
-        optimizer: impl Into<OptimizerConfig>,
+        adam: AdamConfig,
         shared_tiers: &[SharedTier],
         worker_id: usize,
         initial: Vec<SubgroupState>,
     ) -> io::Result<Self> {
-        let optimizer = optimizer.into();
         // Both the tier list and the ratio come from user configuration
         // (`EngineConfig::from_deepspeed_json`): reject, don't panic.
         if shared_tiers.is_empty() {
@@ -435,7 +434,7 @@ impl MlpFuncEngine {
             subgroup_lens,
             tiers,
             cfg,
-            optimizer,
+            adam,
             worker_id,
             step: 0,
             inv_loss_scale: 1.0,
@@ -491,11 +490,6 @@ impl MlpFuncEngine {
     /// order independence is preserved).
     pub fn set_grad_clip(&mut self, max_norm: Option<f64>) {
         self.grad_clip_max_norm = max_norm;
-    }
-
-    /// The configured optimizer.
-    pub fn optimizer(&self) -> &OptimizerConfig {
-        &self.optimizer
     }
 
     /// Number of subgroups.
@@ -1041,7 +1035,7 @@ impl MlpFuncEngine {
                     HostGrads::Fp16(acc) => view.apply_update_fused_traced(
                         &self.cfg.trace,
                         idx as i64,
-                        &self.optimizer,
+                        &self.adam,
                         self.step,
                         acc.grads(idx),
                         inv_scale,
@@ -1050,7 +1044,7 @@ impl MlpFuncEngine {
                     HostGrads::Fp32 { accum, .. } => fused_update_f32_traced(
                         &self.cfg.trace,
                         idx as i64,
-                        &self.optimizer,
+                        &self.adam,
                         self.step,
                         view.params,
                         view.momentum,
@@ -1322,15 +1316,21 @@ impl MlpFuncEngine {
             .map(|idx| match self.place(idx)? {
                 Place::Host(res) => Ok(res.params().to_vec()),
                 Place::Tier(t) => {
-                    Ok(SubgroupState::from_bytes(&self.read_durable(t, idx)?, self.step).params)
+                    let bytes = self.read_durable(t, idx)?;
+                    expect_len("state", idx, bytes.len(), self.subgroup_lens[idx] * 12)?;
+                    Ok(SubgroupState::from_bytes(&bytes, self.step)?.params)
                 }
             })
             .collect()
     }
 
-    /// Mid-re-drive, some subgroups carry this step's update and the rest
-    /// the previous one: nothing a checkpoint may capture.
-    fn consistent_cut(&self) -> io::Result<()> {
+    /// What both checkpoint entry points refuse before writing anything:
+    /// a tag the manifest cannot carry
+    /// ([`CheckpointManifest::check_tag`]), and a cut taken mid-re-drive,
+    /// when some subgroups carry this step's update and the rest the
+    /// previous one.
+    fn checkpoint_preflight(&self, tag: &str) -> io::Result<()> {
+        CheckpointManifest::check_tag(tag)?;
         if self.in_progress.is_some() {
             return Err(io::Error::other(
                 "checkpoint refused: a failed update phase awaits re-drive",
@@ -1348,15 +1348,16 @@ impl MlpFuncEngine {
     /// DeepSpeed-style engine does at a checkpoint boundary, all of it on
     /// the critical path).
     ///
-    /// Refuses to run while a failed update awaits its re-drive: the
-    /// state is mid-transition and not a consistent cut.
+    /// Refuses to run while a failed update awaits its re-drive (the
+    /// state is mid-transition and not a consistent cut), and refuses an
+    /// empty or multi-line `tag` with `InvalidInput`.
     pub fn checkpoint(
         &self,
         target: &dyn mlp_storage::Backend,
         tag: &str,
         materialize: bool,
     ) -> io::Result<(CheckpointManifest, CheckpointStats)> {
-        self.consistent_cut()?;
+        self.checkpoint_preflight(tag)?;
         let mut stats = CheckpointStats::default();
         let mut subgroups = Vec::with_capacity(self.subgroup_lens.len());
         for idx in 0..self.subgroup_lens.len() {
@@ -1416,7 +1417,7 @@ impl MlpFuncEngine {
         tag: &str,
     ) -> io::Result<crate::checkpoint::PendingCheckpoint> {
         use crate::checkpoint::{PendingCheckpoint, PendingEntry};
-        self.consistent_cut()?;
+        self.checkpoint_preflight(tag)?;
         let started_ns = self.cfg.trace.now_ns();
         let mut entries = Vec::with_capacity(self.subgroup_lens.len());
         let mut stats = CheckpointStats::default();
@@ -1467,7 +1468,7 @@ impl MlpFuncEngine {
     /// set (pre-staged references are resolved against it).
     pub fn restore(
         cfg: EngineConfig,
-        optimizer: impl Into<OptimizerConfig>,
+        adam: AdamConfig,
         shared_tiers: &[SharedTier],
         worker_id: usize,
         target: &dyn mlp_storage::Backend,
@@ -1495,9 +1496,9 @@ impl MlpFuncEngine {
                     .backend
                     .read(key)?,
             };
-            states.push(SubgroupState::from_bytes(&bytes, manifest.step));
+            states.push(SubgroupState::from_bytes(&bytes, manifest.step)?);
         }
-        let mut engine = MlpFuncEngine::new(cfg, optimizer, shared_tiers, worker_id, states)?;
+        let mut engine = MlpFuncEngine::new(cfg, adam, shared_tiers, worker_id, states)?;
         engine.step = manifest.step;
         engine.ledger.iterations_done = manifest.iter;
         Ok(engine)
@@ -1514,7 +1515,6 @@ impl MlpFuncEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_optim::AdamConfig;
     use mlp_storage::MemBackend;
     use mlp_tensor::F16;
 

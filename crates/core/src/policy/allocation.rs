@@ -255,13 +255,14 @@ impl BandwidthEstimator {
 
 /// Parses a ratio string like `"2:1"` into relative weights, the
 /// user-facing subgroup-distribution override of §3.5 ("a 2:1 split
-/// between /local/ and /remote/").
+/// between /local/ and /remote/"). Every component must be positive and
+/// finite: `"inf:1"` parses as `f64` but is no bandwidth weight.
 pub fn parse_ratio(s: &str) -> Result<Vec<f64>, String> {
     let parts: Result<Vec<f64>, _> = s.split(':').map(|p| p.trim().parse::<f64>()).collect();
     match parts {
-        Ok(v) if !v.is_empty() && v.iter().all(|&x| x > 0.0) => Ok(v),
-        Ok(_) => Err(format!("ratio {s:?} must have positive components")),
-        Err(e) => Err(format!("bad ratio {s:?}: {e}")),
+        Ok(v) if v.iter().all(|&x| x > 0.0 && x.is_finite()) => Ok(v),
+        Ok(_) => Err(format!("{s:?} must have positive, finite components")),
+        Err(e) => Err(format!("{s:?} is not numbers separated by ':': {e}")),
     }
 }
 

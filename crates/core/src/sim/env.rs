@@ -73,13 +73,13 @@ impl NodeSimEnv {
         assert!(!spec.tier_specs.is_empty(), "node needs at least one tier");
         assert_eq!(tiers.len(), spec.tier_specs.len(), "tier/spec mismatch");
         let locks = spec.tier_specs.iter().map(|_| SimMutex::new(sim)).collect();
-        let cpu = BwLink::new(sim, "cpu-update", spec.cpu_update_params_per_s);
-        let conv = BwLink::new(sim, "fp16-upscale", spec.conv_bytes_per_s);
+        let cpu = BwLink::new(sim, spec.cpu_update_params_per_s);
+        let conv = BwLink::new(sim, spec.conv_bytes_per_s);
         let d2h = (0..spec.gpus)
-            .map(|g| BwLink::new(sim, format!("d2h{g}"), spec.d2h_bps))
+            .map(|_| BwLink::new(sim, spec.d2h_bps))
             .collect();
         let h2d = (0..spec.gpus)
-            .map(|g| BwLink::new(sim, format!("h2d{g}"), spec.d2h_bps))
+            .map(|_| BwLink::new(sim, spec.d2h_bps))
             .collect();
         NodeSimEnv {
             sim: sim.clone(),

@@ -161,11 +161,6 @@ impl GradAccumulator {
         &self.buffers[id]
     }
 
-    /// Total bytes held by the accumulator (what the host must reserve).
-    pub fn total_bytes(&self) -> usize {
-        self.buffers.iter().map(|b| b.len() * 2).sum()
-    }
-
     /// Forgets the sums (after an update) without touching the buffers: the
     /// next micro-step stores over every one of them whole, so a sweep here
     /// would be overwritten unread. Until then they still *hold* the
@@ -246,12 +241,6 @@ mod tests {
         acc.accumulate(&[vec![0x8000; 2], vec![0x7D00; 3]]);
         assert_eq!(acc.grads(0), [0; 2], "−0 stored as +0");
         assert_eq!(acc.grads(1), [0x7F00; 3], "signalling NaN stored quiet");
-    }
-
-    #[test]
-    fn total_bytes_counts_fp16() {
-        let acc = GradAccumulator::new(&[10, 20]);
-        assert_eq!(acc.total_bytes(), 60);
     }
 
     #[test]

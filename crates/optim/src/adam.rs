@@ -18,10 +18,11 @@
 //! two scalars — and it costs one division and one square root per element
 //! where the textbook order of operations costs three and one; the divider
 //! is what bounds this kernel once the FP16 conversions around it are wide
-//! (`BENCH_update_kernels.json`: fused SGD, which has no division, against
-//! fused Adam). The two scalars are computed in `f32` from `(cfg, step)`
-//! alone, so fused tiles, `PAR_CHUNK` chunks and the multi-pass reference —
-//! which all go through [`adam_elem`](self) — agree bit for bit.
+//! (PR 20's sizing runs, ROADMAP item 5: the one divide alone −13 %, the
+//! vector width alone −23 %). The two scalars are computed in `f32` from
+//! `(cfg, step)` alone, so fused tiles, `PAR_CHUNK` chunks and the
+//! multi-pass reference — which all go through [`adam_elem`](self) — agree
+//! bit for bit.
 //!
 //! The values differ from the textbook order's by rounding only; that order
 //! lives on in this module's tests as the closeness reference (the

@@ -21,9 +21,11 @@
 //! * [`accum::GradAccumulator`] — the host-resident FP16 gradient
 //!   accumulation buffer (§4.5).
 //! * [`scaler::DynamicLossScaler`] — standard mixed-precision loss scaling.
-//! * [`optimizer::OptimizerConfig`] — the optimizer zoo (Adam, SGD,
-//!   Adagrad, Lion) over one serializable two-slot state layout, plus
-//!   global gradient-norm clipping helpers.
+//! * [`optimizer`] — global gradient-norm clipping helpers, and the
+//!   [`OptimizerConfig`] alias of [`AdamConfig`] that `benchmark/` binds.
+//!
+//! Adam is the only optimizer: every engine, trainer and oracle calls
+//! [`adam::adam_step`] (or its parallel form) on an [`AdamConfig`].
 
 pub mod accum;
 pub mod adam;

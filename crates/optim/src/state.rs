@@ -12,11 +12,12 @@
 //! additionally moves FP32 gradients through storage, the MLP-Offload
 //! engine deliberately does not (delayed in-place conversion, §3.2).
 
+use std::io;
+
 use mlp_tensor::convert;
 use mlp_tensor::HostBuffer;
 
 use crate::adam::{adam_step_par, AdamConfig};
-use crate::optimizer::OptimizerConfig;
 
 /// Borrowed, mutable view of one subgroup's FP32 master state laid out
 /// contiguously in a single staging buffer (`[params | momentum |
@@ -29,9 +30,9 @@ use crate::optimizer::OptimizerConfig;
 pub struct SubgroupStateMut<'a> {
     /// Master parameters.
     pub params: &'a mut [f32],
-    /// Optimizer slot 1 (Adam first moment; see [`crate::optimizer`]).
+    /// Adam first moment.
     pub momentum: &'a mut [f32],
-    /// Optimizer slot 2 (Adam second moment).
+    /// Adam second moment.
     pub variance: &'a mut [f32],
 }
 
@@ -62,10 +63,10 @@ impl<'a> SubgroupStateMut<'a> {
         self.params.is_empty()
     }
 
-    /// Applies one fused optimizer step from FP16 gradient bits (`step`
+    /// Applies one fused Adam step from FP16 gradient bits (`step`
     /// is the 1-based step being applied), emitting the new FP16 working
     /// copy into `fp16_out`. Single pass, no gradient materialization;
-    /// bitwise identical to [`SubgroupState::apply_update_fp16_opt`]
+    /// bitwise identical to [`SubgroupState::apply_update_fp16`]
     /// followed by [`SubgroupState::fp16_params`]. Runs inside a
     /// [`mlp_trace::Phase::UpdateKernel`] span (see [`crate::traced`]);
     /// free when `trace` is disabled.
@@ -74,7 +75,7 @@ impl<'a> SubgroupStateMut<'a> {
         &mut self,
         trace: &mlp_trace::TraceSink,
         subgroup: i64,
-        opt: &OptimizerConfig,
+        cfg: &AdamConfig,
         step: u64,
         grads_fp16: &[u16],
         inv_scale: f32,
@@ -83,7 +84,7 @@ impl<'a> SubgroupStateMut<'a> {
         crate::traced::fused_update_fp16_traced(
             trace,
             subgroup,
-            opt,
+            cfg,
             step,
             self.params,
             self.momentum,
@@ -144,28 +145,19 @@ impl SubgroupState {
         );
     }
 
-    /// Applies one step of any [`OptimizerConfig`] using FP32 gradients
-    /// (the two state slots are reinterpreted per optimizer; see
-    /// [`crate::optimizer`]).
-    pub fn apply_update_opt(&mut self, opt: &OptimizerConfig, grads: &[f32]) {
-        self.step += 1;
-        opt.step_par(
-            self.step,
-            &mut self.params,
-            &mut self.momentum,
-            &mut self.variance,
-            grads,
-        );
+    /// Applies one Adam step from FP16 gradient bits, upscaling on the fly
+    /// (the delayed-conversion path); `inv_scale` multiplies the gradients
+    /// first (inverse loss scale). The multi-pass reference the engines'
+    /// fused kernel is bit-identical to.
+    pub fn apply_update_fp16(&mut self, cfg: &AdamConfig, grads_fp16: &[u16], inv_scale: f32) {
+        self.apply_update_fp16_opt(cfg, grads_fp16, inv_scale);
     }
 
-    /// [`SubgroupState::apply_update_opt`] from FP16 gradient bits with
-    /// on-the-fly upscaling (delayed conversion) and inverse loss scaling.
-    pub fn apply_update_fp16_opt(
-        &mut self,
-        opt: &OptimizerConfig,
-        grads_fp16: &[u16],
-        inv_scale: f32,
-    ) {
+    /// The body of [`SubgroupState::apply_update_fp16`], under the name
+    /// `benchmark/src/sut.rs` binds: a contract shim that goes (its body
+    /// moving into `apply_update_fp16`) when a `benchmark` issue renames
+    /// the call (ROADMAP item 1).
+    pub fn apply_update_fp16_opt(&mut self, cfg: &AdamConfig, grads_fp16: &[u16], inv_scale: f32) {
         assert_eq!(
             grads_fp16.len(),
             self.params.len(),
@@ -174,25 +166,6 @@ impl SubgroupState {
         let mut grads = vec![0.0f32; grads_fp16.len()];
         // Fused upscale × inverse-loss-scale: one pass over the buffer.
         convert::upscale_scaled_par(grads_fp16, &mut grads, inv_scale);
-        self.apply_update_opt(opt, &grads);
-    }
-
-    /// Applies one Adam step from FP16 gradient bits, upscaling on the fly
-    /// (the delayed-conversion path). `scale` divides the gradients first
-    /// (inverse loss scale).
-    pub fn apply_update_fp16(&mut self, cfg: &AdamConfig, grads_fp16: &[u16], inv_scale: f32) {
-        assert_eq!(
-            grads_fp16.len(),
-            self.params.len(),
-            "gradient length mismatch"
-        );
-        let mut grads = vec![0.0f32; grads_fp16.len()];
-        convert::upscale_par(grads_fp16, &mut grads);
-        if inv_scale != 1.0 {
-            for g in &mut grads {
-                *g *= inv_scale;
-            }
-        }
         self.apply_update(cfg, &grads);
     }
 
@@ -220,22 +193,28 @@ impl SubgroupState {
     /// `step` is tracked host-side (it is rank-global), so the caller
     /// supplies it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bytes` is not a multiple of 12.
-    pub fn from_bytes(bytes: &[u8], step: u64) -> Self {
-        assert!(
-            bytes.len().is_multiple_of(12),
-            "state bytes must be a multiple of 12"
-        );
+    /// `InvalidData`, naming the length, if `bytes` is not a multiple of
+    /// 12 (a torn object: the bytes come from storage).
+    pub fn from_bytes(bytes: &[u8], step: u64) -> io::Result<Self> {
+        if !bytes.len().is_multiple_of(12) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "subgroup state of {} bytes is not a multiple of 12",
+                    bytes.len()
+                ),
+            ));
+        }
         let n = bytes.len() / 12;
         let buf = HostBuffer::from_slice(bytes);
-        SubgroupState {
+        Ok(SubgroupState {
             params: buf.read_f32(0, n),
             momentum: buf.read_f32(n * 4, n),
             variance: buf.read_f32(n * 8, n),
             step,
-        }
+        })
     }
 
     /// The FP16 working copy of the parameters (what is pushed back to the
@@ -271,7 +250,7 @@ mod tests {
             view.params[0] = 123.0;
             view.variance[0] = 7.0;
         }
-        let back = SubgroupState::from_bytes(buf.as_bytes(), 0);
+        let back = SubgroupState::from_bytes(buf.as_bytes(), 0).unwrap();
         assert_eq!(back.params[0], 123.0);
         assert_eq!(back.variance[0], 7.0);
         assert_eq!(back.momentum[7], -1.5);
@@ -279,23 +258,23 @@ mod tests {
 
     #[test]
     fn fused_view_update_matches_owned_multi_pass() {
-        let opt = OptimizerConfig::default();
+        let cfg = AdamConfig::default();
         let grads: Vec<u16> = (0..64u32)
             .map(|i| F16::from_f32((i as f32 - 32.0) * 0.125).to_bits())
             .collect();
         let mut owned = SubgroupState::new((0..64).map(|i| (i as f32).cos()).collect());
         let mut buf = owned.to_buffer();
         for step in 1..=3 {
-            owned.apply_update_fp16_opt(&opt, &grads, 0.5);
+            owned.apply_update_fp16(&cfg, &grads, 0.5);
             let expect_h = owned.fp16_params();
 
             let mut view = SubgroupStateMut::from_buffer(&mut buf, 64);
             let mut got_h = vec![0u16; 64];
             let off = mlp_trace::TraceSink::disabled();
-            view.apply_update_fused_traced(&off, 0, &opt, step, &grads, 0.5, &mut got_h);
+            view.apply_update_fused_traced(&off, 0, &cfg, step, &grads, 0.5, &mut got_h);
             assert_eq!(expect_h, got_h, "step {step}");
         }
-        assert_eq!(SubgroupState::from_bytes(buf.as_bytes(), 3), {
+        assert_eq!(SubgroupState::from_bytes(buf.as_bytes(), 3).unwrap(), {
             let mut s = owned.clone();
             s.step = 3;
             s
@@ -310,7 +289,7 @@ mod tests {
         st.step = 11;
         let buf = st.to_buffer();
         assert_eq!(buf.len(), st.len() * 12);
-        let back = SubgroupState::from_bytes(buf.as_bytes(), 11);
+        let back = SubgroupState::from_bytes(buf.as_bytes(), 11).unwrap();
         assert_eq!(back, st);
     }
 
@@ -374,7 +353,7 @@ mod tests {
             st.momentum = (0..n).map(|i| i as f32 * 0.01).collect();
             st.variance = (0..n).map(|i| i as f32 * 0.02).collect();
             st.step = step;
-            let back = SubgroupState::from_bytes(st.to_buffer().as_bytes(), step);
+            let back = SubgroupState::from_bytes(st.to_buffer().as_bytes(), step).unwrap();
             assert_eq!(back, st);
         });
     }

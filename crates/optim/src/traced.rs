@@ -9,11 +9,11 @@
 
 use mlp_trace::{Attrs, Phase, TraceSink};
 
+use crate::adam::AdamConfig;
 use crate::fused::{fused_update_f32, fused_update_fp16};
-use crate::optimizer::OptimizerConfig;
 
 /// Bytes swept by one fused update over `n` parameters: three FP32 state
-/// arrays (params + two moment slots) read and written, the FP16
+/// arrays (params + the two Adam moments) read and written, the FP16
 /// gradient bits read, and the FP16 working copy written.
 pub fn fused_sweep_bytes(n: usize) -> u64 {
     (n * (12 + 2 + 2)) as u64
@@ -26,23 +26,23 @@ pub fn fused_sweep_bytes(n: usize) -> u64 {
 pub fn fused_update_fp16_traced(
     trace: &TraceSink,
     subgroup: i64,
-    opt: &OptimizerConfig,
+    cfg: &AdamConfig,
     step: u64,
     params: &mut [f32],
-    slot1: &mut [f32],
-    slot2: &mut [f32],
+    momentum: &mut [f32],
+    variance: &mut [f32],
     grads_fp16: &[u16],
     inv_scale: f32,
     fp16_out: &mut [u16],
 ) {
     if !trace.is_enabled() {
         return fused_update_fp16(
-            opt, step, params, slot1, slot2, grads_fp16, inv_scale, fp16_out,
+            cfg, step, params, momentum, variance, grads_fp16, inv_scale, fp16_out,
         );
     }
     let start = trace.now_ns();
     fused_update_fp16(
-        opt, step, params, slot1, slot2, grads_fp16, inv_scale, fp16_out,
+        cfg, step, params, momentum, variance, grads_fp16, inv_scale, fp16_out,
     );
     finish(trace, subgroup, params.len(), start);
 }
@@ -54,20 +54,24 @@ pub fn fused_update_fp16_traced(
 pub fn fused_update_f32_traced(
     trace: &TraceSink,
     subgroup: i64,
-    opt: &OptimizerConfig,
+    cfg: &AdamConfig,
     step: u64,
     params: &mut [f32],
-    slot1: &mut [f32],
-    slot2: &mut [f32],
+    momentum: &mut [f32],
+    variance: &mut [f32],
     grads: &[f32],
     inv_scale: f32,
     fp16_out: &mut [u16],
 ) {
     if !trace.is_enabled() {
-        return fused_update_f32(opt, step, params, slot1, slot2, grads, inv_scale, fp16_out);
+        return fused_update_f32(
+            cfg, step, params, momentum, variance, grads, inv_scale, fp16_out,
+        );
     }
     let start = trace.now_ns();
-    fused_update_f32(opt, step, params, slot1, slot2, grads, inv_scale, fp16_out);
+    fused_update_f32(
+        cfg, step, params, momentum, variance, grads, inv_scale, fp16_out,
+    );
     finish(trace, subgroup, params.len(), start);
 }
 
@@ -87,7 +91,6 @@ fn finish(trace: &TraceSink, subgroup: i64, n: usize, start_ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::OptimizerConfig;
     use mlp_tensor::convert;
 
     fn state(n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
@@ -103,19 +106,19 @@ mod tests {
     #[test]
     fn traced_wrapper_matches_bare_kernel() {
         let n = 100;
-        let opt = OptimizerConfig::default();
+        let cfg = AdamConfig::default();
         let mut grads = vec![0u16; n];
         convert::downscale(&vec![0.01f32; n], &mut grads);
 
         let (mut p1, mut m1, mut v1) = state(n);
         let mut out1 = vec![0u16; n];
-        fused_update_fp16(&opt, 1, &mut p1, &mut m1, &mut v1, &grads, 1.0, &mut out1);
+        fused_update_fp16(&cfg, 1, &mut p1, &mut m1, &mut v1, &grads, 1.0, &mut out1);
 
         for sink in [TraceSink::disabled(), TraceSink::enabled()] {
             let (mut p2, mut m2, mut v2) = state(n);
             let mut out2 = vec![0u16; n];
             fused_update_fp16_traced(
-                &sink, 7, &opt, 1, &mut p2, &mut m2, &mut v2, &grads, 1.0, &mut out2,
+                &sink, 7, &cfg, 1, &mut p2, &mut m2, &mut v2, &grads, 1.0, &mut out2,
             );
             assert_eq!(p1, p2);
             assert_eq!(m1, m2);
@@ -128,11 +131,13 @@ mod tests {
     fn enabled_sink_records_a_kernel_span() {
         let n = 64;
         let sink = TraceSink::enabled();
-        let opt = OptimizerConfig::default();
+        let cfg = AdamConfig::default();
         let (mut p, mut m, mut v) = state(n);
         let grads = vec![0.01f32; n];
         let mut out = vec![0u16; n];
-        fused_update_f32_traced(&sink, 3, &opt, 1, &mut p, &mut m, &mut v, &grads, 1.0, &mut out);
+        fused_update_f32_traced(
+            &sink, 3, &cfg, 1, &mut p, &mut m, &mut v, &grads, 1.0, &mut out,
+        );
 
         let events = sink.events();
         assert_eq!(events.len(), 1);

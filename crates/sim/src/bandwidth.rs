@@ -26,7 +26,6 @@ struct Flow {
 }
 
 struct LinkState {
-    name: String,
     capacity_bps: f64,
     flows: Vec<Option<Flow>>,
     free: Vec<usize>,
@@ -122,7 +121,7 @@ impl Clone for BwLink {
 impl BwLink {
     /// Creates a link with the given capacity in bytes/second and perfect
     /// sharing (no contention penalty).
-    pub fn new(sim: &Sim, name: impl Into<String>, capacity_bps: f64) -> Self {
+    pub fn new(sim: &Sim, capacity_bps: f64) -> Self {
         assert!(
             capacity_bps > 0.0 && capacity_bps.is_finite(),
             "capacity must be positive"
@@ -130,7 +129,6 @@ impl BwLink {
         BwLink {
             sim: sim.clone(),
             state: Rc::new(RefCell::new(LinkState {
-                name: name.into(),
                 capacity_bps,
                 flows: Vec::new(),
                 free: Vec::new(),
@@ -142,11 +140,6 @@ impl BwLink {
                 ops_completed: 0,
             })),
         }
-    }
-
-    /// The link's display name.
-    pub fn name(&self) -> String {
-        self.state.borrow().name.clone()
     }
 
     /// Re-points the capacity (models external load shifts on a shared PFS,
@@ -325,7 +318,7 @@ mod tests {
     #[test]
     fn single_flow_takes_bytes_over_capacity() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "nvme", 1e9); // 1 GB/s
+        let link = BwLink::new(&sim, 1e9); // 1 GB/s
         let l = link.clone();
         let s = sim.clone();
         let t = sim.block_on(async move {
@@ -339,7 +332,7 @@ mod tests {
     #[test]
     fn two_equal_flows_share_fairly() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "nvme", 100.0);
+        let link = BwLink::new(&sim, 100.0);
         let mut ends = Vec::new();
         for _ in 0..2 {
             let l = link.clone();
@@ -359,7 +352,7 @@ mod tests {
     #[test]
     fn staggered_flows_follow_piecewise_rates() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "nvme", 100.0);
+        let link = BwLink::new(&sim, 100.0);
         let a = sim.spawn({
             let l = link.clone();
             let s = sim.clone();
@@ -391,7 +384,7 @@ mod tests {
         // (aggregate throughput) stays flat.
         for n in [1usize, 2, 4, 8] {
             let sim = Sim::new();
-            let link = BwLink::new(&sim, "nvme", 1000.0);
+            let link = BwLink::new(&sim, 1000.0);
             for _ in 0..n {
                 let l = link.clone();
                 sim.spawn(async move { l.transfer(1000).await });
@@ -408,7 +401,7 @@ mod tests {
     #[test]
     fn zero_byte_transfer_is_instant() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "x", 10.0);
+        let link = BwLink::new(&sim, 10.0);
         let l = link.clone();
         let s = sim.clone();
         sim.block_on(async move {
@@ -420,7 +413,7 @@ mod tests {
     #[test]
     fn cancelled_transfer_frees_bandwidth() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "x", 100.0);
+        let link = BwLink::new(&sim, 100.0);
         let a = sim.spawn({
             let l = link.clone();
             let s = sim.clone();
@@ -453,7 +446,7 @@ mod tests {
     #[test]
     fn capacity_change_mid_flight_applies() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "pfs", 100.0);
+        let link = BwLink::new(&sim, 100.0);
         let a = sim.spawn({
             let l = link.clone();
             let s = sim.clone();
@@ -478,7 +471,7 @@ mod tests {
     #[test]
     fn busy_time_excludes_idle_gaps() {
         let sim = Sim::new();
-        let link = BwLink::new(&sim, "x", 100.0);
+        let link = BwLink::new(&sim, 100.0);
         let l = link.clone();
         let s = sim.clone();
         sim.block_on(async move {
@@ -503,7 +496,7 @@ mod prop_tests {
             let starts = g.vec(1..12, |g| g.range(0u64..3_000_000_000));
             let capacity = g.range(100.0f64..10_000.0);
             let sim = Sim::new();
-            let link = BwLink::new(&sim, "prop", capacity);
+            let link = BwLink::new(&sim, capacity);
             let n = sizes.len().min(starts.len());
             let mut handles = Vec::new();
             for i in 0..n {

@@ -16,10 +16,14 @@
 //!   `(seed, key, per-key op sequence)`, so a seeded test run injects the
 //!   same faults at the same logical points regardless of I/O-worker
 //!   interleaving.
+//!
+//! An object store's own failure modes — throttling, a failed multipart
+//! part, a stale read-after-PUT — reach the retry layer as nothing but a
+//! transient error on one direction of traffic: inject them as
+//! [`FaultConfig::transient`] restricted with [`FaultOps::ReadsOnly`] or
+//! [`FaultOps::WritesOnly`].
 
 use std::collections::HashMap;
-use std::error::Error as StdError;
-use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,84 +73,12 @@ pub fn classify(e: &io::Error) -> ErrorClass {
             return ErrorClass::Transient;
         }
     }
-    // Object-store failure modes (throttling, failed multipart parts,
-    // stale reads) are retried by every real S3 client.
-    if object_fault(e).is_some() {
-        return ErrorClass::Transient;
-    }
     ErrorClass::Permanent
 }
 
 /// Shorthand for `classify(e) == ErrorClass::Transient`.
 pub fn is_transient(e: &io::Error) -> bool {
     classify(e) == ErrorClass::Transient
-}
-
-/// Object-store-specific failure modes, carried as the payload of an
-/// `io::Error` so [`classify`] can recognize them without string
-/// matching. All three are *transient* by the taxonomy: an S3-style
-/// client retries a `SlowDown`, re-uploads a failed part, and re-reads
-/// until the PUT becomes visible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ObjectFault {
-    /// Request-rate throttling (HTTP 503 `SlowDown`): the store sheds
-    /// load; back off and retry.
-    Throttle,
-    /// One part of a multipart upload failed mid-stream; the upload as a
-    /// whole never became visible, so a retry re-drives the whole PUT.
-    MultipartPartFailed,
-    /// Read-after-PUT returned a stale or not-yet-visible version
-    /// (eventual-consistency lag); re-reading converges.
-    StaleRead,
-}
-
-impl ObjectFault {
-    /// Stable short name (used in error messages and test assertions).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ObjectFault::Throttle => "throttle",
-            ObjectFault::MultipartPartFailed => "multipart_part_failed",
-            ObjectFault::StaleRead => "stale_read",
-        }
-    }
-}
-
-/// The typed error payload wrapping an [`ObjectFault`].
-#[derive(Debug)]
-pub struct ObjectFaultError {
-    fault: ObjectFault,
-    detail: String,
-}
-
-impl ObjectFaultError {
-    /// Builds the carrying `io::Error` for a fault on `key`.
-    pub fn io_error(fault: ObjectFault, detail: impl Into<String>) -> io::Error {
-        io::Error::other(ObjectFaultError {
-            fault,
-            detail: detail.into(),
-        })
-    }
-
-    /// Which object-store failure mode this is.
-    pub fn fault(&self) -> ObjectFault {
-        self.fault
-    }
-}
-
-impl fmt::Display for ObjectFaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "object-store {}: {}", self.fault.as_str(), self.detail)
-    }
-}
-
-impl StdError for ObjectFaultError {}
-
-/// Extracts the object-store failure mode from an `io::Error`, if it
-/// carries one.
-pub fn object_fault(e: &io::Error) -> Option<ObjectFault> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<ObjectFaultError>())
-        .map(|o| o.fault)
 }
 
 // ---------------------------------------------------------------------------
@@ -176,14 +108,6 @@ pub struct FaultConfig {
     pub latency_spike_p: f64,
     /// Duration of an injected latency spike.
     pub latency_spike: Duration,
-    /// Probability that an op is throttled (object-store 503 `SlowDown`).
-    pub throttle_p: f64,
-    /// Probability that a write fails as a broken multipart part
-    /// (write-shaped ops only; the stored object stays untouched).
-    pub multipart_part_fail_p: f64,
-    /// Probability that a read observes eventual-consistency lag and
-    /// fails as a stale read-after-PUT (read-shaped ops only).
-    pub stale_read_p: f64,
     /// Which op directions faults apply to. Defaults to [`FaultOps::All`];
     /// [`FaultOps::WritesOnly`] models a tier that degrades on ingest
     /// while existing durable copies stay readable — the shape the
@@ -230,9 +154,6 @@ impl FaultConfig {
             short_read_p: 0.0,
             latency_spike_p: 0.0,
             latency_spike: Duration::ZERO,
-            throttle_p: 0.0,
-            multipart_part_fail_p: 0.0,
-            stale_read_p: 0.0,
             ops: FaultOps::All,
         }
     }
@@ -266,24 +187,6 @@ impl FaultConfig {
         self
     }
 
-    /// Adds object-store throttling (`SlowDown`) at probability `p`.
-    pub fn with_throttling(mut self, p: f64) -> Self {
-        self.throttle_p = p;
-        self
-    }
-
-    /// Adds multipart-part failures on writes at probability `p`.
-    pub fn with_multipart_part_failures(mut self, p: f64) -> Self {
-        self.multipart_part_fail_p = p;
-        self
-    }
-
-    /// Adds stale read-after-PUT failures on reads at probability `p`.
-    pub fn with_stale_reads(mut self, p: f64) -> Self {
-        self.stale_read_p = p;
-        self
-    }
-
     /// Restricts injection to the given op directions.
     pub fn with_ops(mut self, ops: FaultOps) -> Self {
         self.ops = ops;
@@ -303,13 +206,6 @@ pub struct FaultCounts {
     pub short_reads: u64,
     /// Latency spikes injected.
     pub latency_spikes: u64,
-    /// Object-store throttles injected (also counted in `transient`).
-    pub throttles: u64,
-    /// Multipart-part failures injected (also counted in `transient`).
-    pub multipart_part_fails: u64,
-    /// Stale read-after-PUT failures injected (also counted in
-    /// `transient`).
-    pub stale_reads: u64,
     /// Operations that reached the inner backend unharmed.
     pub passed: u64,
 }
@@ -328,9 +224,6 @@ struct FaultStats {
     permanent: AtomicU64,
     short_reads: AtomicU64,
     latency_spikes: AtomicU64,
-    throttles: AtomicU64,
-    multipart_part_fails: AtomicU64,
-    stale_reads: AtomicU64,
     passed: AtomicU64,
 }
 
@@ -344,9 +237,6 @@ enum Verdict {
     Transient,
     Permanent,
     ShortRead,
-    Throttle,
-    MultipartPartFail,
-    StaleRead,
 }
 
 /// Backend decorator injecting deterministic faults around any inner
@@ -429,9 +319,6 @@ impl FaultInjectBackend {
             permanent: self.stats.permanent.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
             short_reads: self.stats.short_reads.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
             latency_spikes: self.stats.latency_spikes.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
-            throttles: self.stats.throttles.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
-            multipart_part_fails: self.stats.multipart_part_fails.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
-            stale_reads: self.stats.stale_reads.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
             passed: self.stats.passed.load(Ordering::Relaxed), // relaxed-ok: stats snapshot
         }
     }
@@ -462,9 +349,8 @@ impl FaultInjectBackend {
     }
 
     /// Draws the verdict for one operation on `key`, applying any latency
-    /// spike as a side effect. `shape` gates direction-specific faults
-    /// (short/stale reads, multipart-part failures) and the
-    /// [`FaultOps`] direction filter.
+    /// spike as a side effect. `shape` gates the direction-specific fault
+    /// (short reads) and the [`FaultOps`] direction filter.
     fn decide(&self, key: &str, shape: OpShape) -> Verdict {
         if !self.armed.load(Ordering::SeqCst) || !self.cfg.ops.applies(shape) {
             self.stats.passed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
@@ -503,30 +389,6 @@ impl FaultInjectBackend {
             self.note_injection();
             return Verdict::ShortRead;
         }
-        if self.cfg.throttle_p > 0.0 && self.roll(kh, seq, 4) < self.cfg.throttle_p {
-            self.stats.throttles.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.stats.transient.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.note_injection();
-            return Verdict::Throttle;
-        }
-        if matches!(shape, OpShape::Write)
-            && self.cfg.multipart_part_fail_p > 0.0
-            && self.roll(kh, seq, 5) < self.cfg.multipart_part_fail_p
-        {
-            self.stats.multipart_part_fails.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.stats.transient.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.note_injection();
-            return Verdict::MultipartPartFail;
-        }
-        if matches!(shape, OpShape::Read)
-            && self.cfg.stale_read_p > 0.0
-            && self.roll(kh, seq, 6) < self.cfg.stale_read_p
-        {
-            self.stats.stale_reads.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.stats.transient.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-            self.note_injection();
-            return Verdict::StaleRead;
-        }
         self.stats.passed.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
         Verdict::Pass
     }
@@ -545,27 +407,6 @@ impl FaultInjectBackend {
         )
     }
 
-    fn throttle_error(key: &str) -> io::Error {
-        ObjectFaultError::io_error(
-            ObjectFault::Throttle,
-            format!("injected 503 SlowDown on {key}"),
-        )
-    }
-
-    fn multipart_error(key: &str) -> io::Error {
-        ObjectFaultError::io_error(
-            ObjectFault::MultipartPartFailed,
-            format!("injected multipart part failure on {key}"),
-        )
-    }
-
-    fn stale_read_error(key: &str) -> io::Error {
-        ObjectFaultError::io_error(
-            ObjectFault::StaleRead,
-            format!("injected stale read-after-PUT on {key}"),
-        )
-    }
-
     /// Draws one write attempt's verdict — exactly one `decide` per
     /// attempt, whichever entry point carries the payload.
     ///
@@ -577,8 +418,6 @@ impl FaultInjectBackend {
         match self.decide(key, OpShape::Write) {
             Verdict::Transient => Err(Self::transient_error(key)),
             Verdict::Permanent => Err(Self::permanent_error(key)),
-            Verdict::Throttle => Err(Self::throttle_error(key)),
-            Verdict::MultipartPartFail => Err(Self::multipart_error(key)),
             _ => Ok(()),
         }
     }
@@ -599,10 +438,6 @@ impl Backend for FaultInjectBackend {
         match self.decide(key, OpShape::Read) {
             Verdict::Transient => Err(Self::transient_error(key)),
             Verdict::Permanent => Err(Self::permanent_error(key)),
-            Verdict::Throttle => Err(Self::throttle_error(key)),
-            Verdict::StaleRead => Err(Self::stale_read_error(key)),
-            // Gated to write-shaped ops in `decide`; kept panic-free.
-            Verdict::MultipartPartFail => Err(Self::transient_error(key)),
             Verdict::ShortRead => Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 format!("injected short read on {key}"),
@@ -615,10 +450,6 @@ impl Backend for FaultInjectBackend {
         match self.decide(key, OpShape::Read) {
             Verdict::Transient => Err(Self::transient_error(key)),
             Verdict::Permanent => Err(Self::permanent_error(key)),
-            Verdict::Throttle => Err(Self::throttle_error(key)),
-            Verdict::StaleRead => Err(Self::stale_read_error(key)),
-            // Gated to write-shaped ops in `decide`; kept panic-free.
-            Verdict::MultipartPartFail => Err(Self::transient_error(key)),
             Verdict::ShortRead => {
                 // Land a genuine partial prefix in the caller's buffer —
                 // a retry must fully overwrite it.
@@ -642,7 +473,6 @@ impl Backend for FaultInjectBackend {
         match self.decide(key, OpShape::Delete) {
             Verdict::Transient => Err(Self::transient_error(key)),
             Verdict::Permanent => Err(Self::permanent_error(key)),
-            Verdict::Throttle => Err(Self::throttle_error(key)),
             _ => self.inner.delete(key),
         }
     }
@@ -746,11 +576,7 @@ mod tests {
     /// entry point carries the payload, and a refused frame is untouched.
     #[test]
     fn write_frame_follows_the_write_fault_schedule() {
-        let cfg = || {
-            FaultConfig::transient(99, 0.3)
-                .with_throttling(0.1)
-                .with_multipart_part_failures(0.1)
-        };
+        let cfg = || FaultConfig::transient(99, 0.3);
         let (by_write, by_frame) = (faulty(cfg()), faulty(cfg()));
         let mut fired = 0;
         for i in 0..60u8 {
@@ -797,63 +623,6 @@ mod tests {
         assert_eq!(b.read("k").unwrap().len(), 64);
         assert!(t0.elapsed() >= Duration::from_millis(10));
         assert_eq!(b.counts().latency_spikes, 1);
-    }
-
-    #[test]
-    fn throttle_surfaces_typed_transient_slowdown() {
-        let b = faulty(FaultConfig::none(11).with_throttling(1.0));
-        let e = b.read("k").unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::Throttle));
-        assert!(is_transient(&e), "{e}");
-        assert!(e.to_string().contains("SlowDown"), "{e}");
-        let e = b.write("k", &[1]).unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::Throttle));
-        let e = b.delete("k").unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::Throttle));
-        assert_eq!(b.counts().throttles, 3);
-        assert_eq!(b.counts().transient, 3, "throttles count as transient");
-    }
-
-    #[test]
-    fn multipart_part_failure_hits_writes_only_and_never_tears() {
-        let b = faulty(FaultConfig::none(12).with_multipart_part_failures(1.0));
-        let e = b.write("k", &[9u8; 32]).unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::MultipartPartFailed));
-        assert!(is_transient(&e), "{e}");
-        // Reads are not write-shaped: they pass.
-        assert_eq!(b.read("k").unwrap(), vec![7u8; 64], "prior object intact");
-        assert_eq!(b.counts().multipart_part_fails, 1);
-    }
-
-    #[test]
-    fn stale_read_after_put_hits_reads_only() {
-        let b = faulty(FaultConfig::none(13).with_stale_reads(1.0));
-        b.write("k", &[1u8; 8]).unwrap();
-        let e = b.read("k").unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::StaleRead));
-        assert!(is_transient(&e), "{e}");
-        let mut dst = [0u8; 8];
-        let e = b.read_into("k", &mut dst).unwrap_err();
-        assert_eq!(object_fault(&e), Some(ObjectFault::StaleRead));
-        assert_eq!(b.counts().stale_reads, 2);
-        // A re-read converges once injection stops (the retry contract).
-        b.set_armed(false);
-        assert_eq!(b.read("k").unwrap(), vec![1u8; 8]);
-    }
-
-    #[test]
-    fn object_faults_all_classify_transient() {
-        for f in [
-            ObjectFault::Throttle,
-            ObjectFault::MultipartPartFailed,
-            ObjectFault::StaleRead,
-        ] {
-            let e = ObjectFaultError::io_error(f, "x");
-            assert_eq!(classify(&e), ErrorClass::Transient, "{f:?}");
-            assert_eq!(object_fault(&e), Some(f));
-        }
-        // A bare Other error without the payload stays permanent.
-        assert_eq!(classify(&io::Error::other("x")), ErrorClass::Permanent);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! * [`integrity`] — CRC-32 framing that turns silent corruption of
 //!   offloaded state into an I/O error at fetch time.
 //! * [`fault`] — the transient/permanent error taxonomy shared with the
-//!   retry layer (including object-store failure modes: throttling,
-//!   failed multipart parts, stale reads), and a deterministic (seeded)
-//!   fault-injecting backend decorator for exercising it.
+//!   retry layer, and a deterministic (seeded) fault-injecting backend
+//!   decorator for exercising it.
 //! * [`clock`] — the injectable [`Sleeper`] behind every deliberate
 //!   delay (retry backoff, latency spikes), so deterministic suites run
 //!   off a fake instead of the wall clock.
@@ -47,8 +46,7 @@ pub mod traced;
 pub use backend::{Backend, DirBackend, MemBackend, MemTouches};
 pub use clock::{wall_clock, FakeSleeper, Sleeper, WallClockSleeper};
 pub use fault::{
-    classify, is_transient, object_fault, ErrorClass, FaultConfig, FaultCounts, FaultInjectBackend,
-    FaultOps, ObjectFault, ObjectFaultError,
+    classify, is_transient, ErrorClass, FaultConfig, FaultCounts, FaultInjectBackend, FaultOps,
 };
 pub use health::{
     breaker_rejection, BreakerState, HealthConfig, HealthGatedBackend, TierHealth,

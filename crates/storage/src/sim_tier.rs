@@ -60,8 +60,8 @@ impl Drop for DirGuard<'_> {
 impl SimTier {
     /// Creates a tier from its spec.
     pub fn new(sim: &Sim, spec: &TierSpec) -> Self {
-        let read_link = BwLink::new(sim, format!("{}:read", spec.name), spec.read_bps);
-        let write_link = BwLink::new(sim, format!("{}:write", spec.name), spec.write_bps);
+        let read_link = BwLink::new(sim, spec.read_bps);
+        let write_link = BwLink::new(sim, spec.write_bps);
         SimTier {
             spec: spec.clone(),
             sim: sim.clone(),

@@ -40,8 +40,6 @@ pub struct TierSpec {
     pub read_bps: f64,
     /// Sequential write throughput, bytes/second.
     pub write_bps: f64,
-    /// Capacity in bytes (effectively unbounded for a PFS).
-    pub capacity_bytes: u64,
     /// Efficiency of both links while reads and writes are in flight
     /// simultaneously (interleaved mixed I/O). Single-direction streaming
     /// keeps full bandwidth regardless of concurrency (the flat aggregate
@@ -73,8 +71,6 @@ impl TierSpec {
     }
 }
 
-const TIB: u64 = 1 << 40;
-
 /// Testbed-1 (JLSE, 4×H100) node-local NVMe: 6.9 GB/s read, 5.3 GB/s write.
 pub fn testbed1_nvme() -> TierSpec {
     TierSpec {
@@ -82,7 +78,6 @@ pub fn testbed1_nvme() -> TierSpec {
         kind: TierKind::Nvme,
         read_bps: 6.9 * GBPS,
         write_bps: 5.3 * GBPS,
-        capacity_bytes: 3 * TIB, // 2× 1.6 TB RAID
         mixed_rw_efficiency: 0.43,
         op_latency_s: 100e-6,
         per_stream_bps: 0.0,
@@ -96,7 +91,6 @@ pub fn testbed1_pfs() -> TierSpec {
         kind: TierKind::Pfs,
         read_bps: 3.6 * GBPS,
         write_bps: 3.6 * GBPS,
-        capacity_bytes: 1024 * TIB, // 1 PB
         mixed_rw_efficiency: 0.75,
         op_latency_s: 500e-6,
         per_stream_bps: 0.0,
@@ -111,7 +105,6 @@ pub fn testbed2_nvme() -> TierSpec {
         kind: TierKind::Nvme,
         read_bps: 13.5 * GBPS,
         write_bps: 4.8 * GBPS,
-        capacity_bytes: 3 * TIB,
         mixed_rw_efficiency: 0.43,
         op_latency_s: 100e-6,
         per_stream_bps: 0.0,
@@ -126,7 +119,6 @@ pub fn testbed2_pfs() -> TierSpec {
         kind: TierKind::Pfs,
         read_bps: 6.9 * GBPS,
         write_bps: 13.7 * GBPS,
-        capacity_bytes: 100 * 1024 * TIB, // 100 PB
         mixed_rw_efficiency: 0.75,
         op_latency_s: 500e-6,
         per_stream_bps: 0.0,
@@ -146,7 +138,6 @@ pub fn object_store() -> TierSpec {
         kind: TierKind::ObjectStore,
         read_bps: 5.0 * GBPS,
         write_bps: 5.0 * GBPS,
-        capacity_bytes: 1024 * 1024 * TIB, // 1 EB
         mixed_rw_efficiency: 0.9,
         op_latency_s: 30e-3,
         per_stream_bps: 0.4 * GBPS,
@@ -163,7 +154,6 @@ pub fn cxl_pool() -> TierSpec {
         kind: TierKind::HostMemory,
         read_bps: 30.0 * GBPS,
         write_bps: 25.0 * GBPS,
-        capacity_bytes: TIB, // 1 TB pooled expansion
         mixed_rw_efficiency: 1.0,
         op_latency_s: 2e-6,
         per_stream_bps: 0.0,

@@ -58,12 +58,6 @@ fn par_chunks<S: Sync, D: Send>(src: &[S], dst: &mut [D], kernel: impl Fn(&[S], 
     par_for_each(dst.chunks_mut(PAR_CHUNK).zip(src.chunks(PAR_CHUNK)), |(d, s)| kernel(s, d));
 }
 
-/// Parallel [`upscale`], chunked to amortize scheduling.
-pub fn upscale_par(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "upscale length mismatch");
-    par_chunks(src, dst, upscale);
-}
-
 /// Downscales FP32 to FP16 bits with round-to-nearest-even, at the
 /// caller's vector width (see the [module docs](self)).
 ///
@@ -121,8 +115,8 @@ mod tests {
         let src: Vec<u16> = (0..200_000u32).map(|i| (i % 65_536) as u16).collect();
         let mut seq = vec![0.0f32; src.len()];
         let mut par = vec![0.0f32; src.len()];
-        upscale(&src, &mut seq);
-        upscale_par(&src, &mut par);
+        upscale_scaled(&src, &mut seq, 0.5);
+        upscale_scaled_par(&src, &mut par, 0.5);
         assert_eq!(
             seq.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             par.iter().map(|f| f.to_bits()).collect::<Vec<_>>()

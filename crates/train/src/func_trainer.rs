@@ -11,9 +11,8 @@
 
 use mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload::EngineConfig;
-use mlp_optim::optimizer::OptimizerConfig;
 use mlp_optim::scaler::DynamicLossScaler;
-use mlp_optim::SubgroupState;
+use mlp_optim::{AdamConfig, SubgroupState};
 use mlp_tensor::convert;
 use mlp_trace::{Attrs, Phase};
 
@@ -98,8 +97,8 @@ impl GradientSource for RegressionTask {
 pub struct FuncTrainConfig {
     /// Offloading engine configuration.
     pub engine: EngineConfig,
-    /// Optimizer.
-    pub optimizer: OptimizerConfig,
+    /// Adam hyper-parameters.
+    pub optimizer: AdamConfig,
     /// Parameters per subgroup.
     pub subgroup_len: usize,
     /// Global gradient-norm clip (None disables).
@@ -119,7 +118,7 @@ impl Default for FuncTrainConfig {
         FuncTrainConfig {
             // 3 pipeline frames + 5 cache frames by default.
             engine: EngineConfig::mlp_offload().with_host_frames(8),
-            optimizer: OptimizerConfig::default(),
+            optimizer: AdamConfig::default(),
             subgroup_len: 32,
             grad_clip: Some(1.0),
             initial_loss_scale: 1024.0,
@@ -252,10 +251,10 @@ mod tests {
     fn regression_learns_through_the_full_loop() {
         let task = RegressionTask::new(64, 48, 9);
         let cfg = FuncTrainConfig {
-            optimizer: OptimizerConfig::Adam(mlp_optim::AdamConfig {
+            optimizer: AdamConfig {
                 lr: 0.05,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
         };
         let report = train(&task, &tiers(), cfg, 60).unwrap();
@@ -270,10 +269,10 @@ mod tests {
         let task = RegressionTask::new(32, 32, 4);
         let cfg = FuncTrainConfig {
             initial_loss_scale: 1e8, // guaranteed FP16 overflow at first
-            optimizer: OptimizerConfig::Adam(mlp_optim::AdamConfig {
+            optimizer: AdamConfig {
                 lr: 0.05,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
         };
         let report = train(&task, &tiers(), cfg, 80).unwrap();
@@ -296,10 +295,10 @@ mod tests {
         use std::time::Duration;
 
         let cfg = || FuncTrainConfig {
-            optimizer: OptimizerConfig::Adam(mlp_optim::AdamConfig {
+            optimizer: AdamConfig {
                 lr: 0.05,
                 ..Default::default()
-            }),
+            },
             // Should a fault still surface past the op-level retries, the
             // trainer re-drives the phase instead of aborting the run.
             iteration_retries: 64,

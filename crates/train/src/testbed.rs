@@ -89,7 +89,6 @@ pub fn host_memory_tier() -> TierSpec {
         kind: TierKind::HostMemory,
         read_bps: 100e9,
         write_bps: 100e9,
-        capacity_bytes: u64::MAX,
         mixed_rw_efficiency: 1.0,
         op_latency_s: 1e-6,
         per_stream_bps: 0.0,

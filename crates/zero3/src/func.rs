@@ -86,11 +86,6 @@ impl Zero3FuncEngine {
         self.inner.set_inv_loss_scale(inv);
     }
 
-    /// Number of subgroups.
-    pub fn num_subgroups(&self) -> usize {
-        self.inner.num_subgroups()
-    }
-
     /// Whether a failed update phase is awaiting a re-drive.
     pub fn update_in_progress(&self) -> bool {
         self.inner.update_in_progress()

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use mlp_offload_suite::mlp_offload::func::SharedTier;
 use mlp_offload_suite::mlp_optim::adam::AdamConfig;
-use mlp_offload_suite::mlp_optim::optimizer::OptimizerConfig;
 use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
 use mlp_offload_suite::mlp_train::func_trainer::{train, FuncTrainConfig, RegressionTask};
 
@@ -28,10 +27,10 @@ fn main() {
     ] {
         let cfg = FuncTrainConfig {
             initial_loss_scale: scale,
-            optimizer: OptimizerConfig::Adam(AdamConfig {
+            optimizer: AdamConfig {
                 lr: 0.05,
                 ..AdamConfig::default()
-            }),
+            },
             ..FuncTrainConfig::default()
         };
         let report = train(&task, &tiers, cfg, 80).expect("training");

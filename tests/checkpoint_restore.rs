@@ -2,6 +2,7 @@
 //! checkpoint must continue training exactly where it left off, and
 //! pre-staged subgroups (§3.3) must be referenced rather than copied.
 
+use std::io::ErrorKind;
 use std::sync::Arc;
 
 use mlp_offload_suite::mlp_offload::checkpoint::{CheckpointPipeline, SubgroupLocation};
@@ -223,5 +224,100 @@ fn restore_fails_cleanly_on_missing_checkpoint() {
     )
     .err()
     .expect("missing checkpoint must error");
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert_eq!(err.kind(), ErrorKind::NotFound);
+}
+
+#[test]
+fn torn_state_objects_surface_typed_errors_not_panics() {
+    let cfg = EngineConfig::mlp_offload();
+
+    // A durable tier copy one whole record short: a multiple of 12, but not
+    // this subgroup's length. A cold engine retains nothing, so every
+    // subgroup is read from its tier.
+    let shared = tiers();
+    let cold =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    let tier = shared
+        .iter()
+        .find(|t| t.backend.contains("w0/sub0"))
+        .expect("subgroup 0 is offloaded");
+    let bytes = tier.backend.read("w0/sub0").unwrap();
+    tier.backend
+        .write("w0/sub0", &bytes[..bytes.len() - 12])
+        .unwrap();
+    let err = cold
+        .master_params()
+        .expect_err("a short copy must not shrink the subgroup");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+
+    // A materialized checkpoint object cut 5 bytes short: not whole
+    // 12-byte records.
+    let shared = tiers();
+    let mut engine =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    step(&mut engine, 0);
+    let ckpt = MemBackend::new("pfs-checkpoint");
+    let (manifest, _) = engine.checkpoint(&ckpt, "torn", true).unwrap();
+    let SubgroupLocation::Target { key } = &manifest.subgroups[0] else {
+        panic!("a materialized checkpoint copies every subgroup");
+    };
+    let bytes = ckpt.read(key).unwrap();
+    ckpt.write(key, &bytes[..bytes.len() - 5]).unwrap();
+    let err = MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &ckpt, "torn")
+        .err()
+        .expect("a torn object must not restore");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string().contains(&(LEN * 12 - 5).to_string()),
+        "{err}"
+    );
+}
+
+#[test]
+fn checkpoint_refuses_tags_the_manifest_cannot_carry() {
+    let shared = tiers();
+    let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+    let mut engine =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    step(&mut engine, 0);
+    let target = MemBackend::new("pfs-checkpoint");
+    let staging = Arc::new(MemBackend::new("nvme-staging"));
+    let object = Arc::new(MemBackend::new("s3"));
+    let mut pipe = CheckpointPipeline::new(
+        Arc::clone(&staging) as Arc<dyn Backend>,
+        Arc::clone(&object) as Arc<dyn Backend>,
+        TraceSink::disabled(),
+    );
+    for tag in ["", "a\nb", "a\r", "a\r\nb", "\n"] {
+        let refusals = [
+            (
+                "MlpFuncEngine::checkpoint",
+                engine.checkpoint(&target, tag, false).err(),
+            ),
+            (
+                "MlpFuncEngine::start_checkpoint",
+                engine.start_checkpoint(&pipe, tag).err(),
+            ),
+            (
+                "CheckpointPipeline::checkpoint",
+                pipe.checkpoint(&engine, tag).err(),
+            ),
+        ];
+        for (entry, err) in refusals {
+            let err = err.unwrap_or_else(|| panic!("{entry} accepted tag {tag:?}"));
+            assert_eq!(
+                err.kind(),
+                ErrorKind::InvalidInput,
+                "{entry}, tag {tag:?}: {err}"
+            );
+        }
+    }
+    assert_eq!(
+        target.object_count() + staging.object_count() + object.object_count(),
+        0,
+        "a refused checkpoint writes nothing"
+    );
+    // A one-line tag still round-trips.
+    engine.checkpoint(&target, "one line", false).unwrap();
+    MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &target, "one line").unwrap();
 }

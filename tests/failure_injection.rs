@@ -180,9 +180,11 @@ fn engine_composes_with_checksummed_backend() {
 
 #[test]
 fn transient_faults_on_every_tier_are_invisible_to_training() {
-    // 20% seeded transient faults on both tiers; the in-worker retry
-    // layer must absorb them so a multi-iteration run stays bit-identical
-    // to a fault-free twin.
+    // 20% seeded transient faults on both tiers, plus 10% short reads —
+    // the one fault that leaves partial bytes in the pooled staging frame
+    // before it errors, so the retried fetch must overwrite them; the
+    // in-worker retry layer must absorb both so a multi-iteration run
+    // stays bit-identical to a fault-free twin.
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(8);
 
@@ -198,7 +200,7 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
         .map(|(name, seed)| {
             Arc::new(FaultInjectBackend::new(
                 Arc::new(MemBackend::new(*name)) as Arc<dyn Backend>,
-                FaultConfig::transient(*seed, 0.2),
+                FaultConfig::transient(*seed, 0.2).with_short_reads(0.1),
             ))
         })
         .collect();
@@ -230,6 +232,8 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
     // The faults really fired and the retry layer really moved.
     let fired: u64 = injectors.iter().map(|i| i.counts().transient).sum();
     assert!(fired > 0, "injection must have fired");
+    let short: u64 = injectors.iter().map(|i| i.counts().short_reads).sum();
+    assert!(short > 0, "short reads must have fired");
     assert!(engine.io_retries() > 0, "retries must have been recorded");
     // Identical residency as the clean twin: nothing leaked from the pool.
     assert_eq!(
