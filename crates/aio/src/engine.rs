@@ -68,12 +68,13 @@ impl RetryPolicy {
     }
 
     /// The backoff slept after `failed_attempts` attempts have failed
-    /// (exponential in the attempt count, capped at `max_backoff`).
+    /// (exponential in the attempt count, capped at `max_backoff`). A
+    /// product too large for a `Duration` saturates to the cap.
     pub fn backoff_for(&self, failed_attempts: u32) -> Duration {
         let exp = failed_attempts.saturating_sub(1).min(32);
         let factor = self.backoff_multiplier.max(1.0).powi(exp as i32);
         let backoff = self.base_backoff.as_secs_f64() * factor;
-        Duration::from_secs_f64(backoff).min(self.max_backoff)
+        Duration::try_from_secs_f64(backoff).map_or(self.max_backoff, |d| d.min(self.max_backoff))
     }
 
     /// Runs `f` under this policy, bumping `retries` once per re-attempt.
@@ -1430,5 +1431,18 @@ mod tests {
         assert_eq!(p.backoff_for(3), Duration::from_millis(4));
         assert_eq!(p.backoff_for(4), Duration::from_millis(5), "capped");
         assert_eq!(p.backoff_for(30), Duration::from_millis(5), "capped");
+
+        // Products past `Duration::MAX` saturate to the cap, not panic.
+        let huge_multiplier = RetryPolicy {
+            max_attempts: 40,
+            backoff_multiplier: 1e3,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(huge_multiplier.backoff_for(35), huge_multiplier.max_backoff);
+        let huge_base = RetryPolicy {
+            base_backoff: Duration::from_secs(u64::MAX / 2),
+            ..RetryPolicy::default()
+        };
+        assert_eq!(huge_base.backoff_for(3), huge_base.max_backoff);
     }
 }

@@ -29,6 +29,7 @@ impl PoolEngine {
     pub(crate) fn new(shared: Arc<EngineShared>, workers: usize, queue_depth: usize) -> Self {
         let (tx, rx) = sync_channel::<Op>(queue_depth);
         let rx = Arc::new(Mutex::new(rx));
+        #[expect(clippy::expect_used, reason = "spawned once, at engine construction")]
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -36,10 +37,9 @@ impl PoolEngine {
                 thread::Builder::new()
                     .name(format!("aio-{}-{}", shared.backend.name(), i))
                     .spawn(move || loop {
-                        // lint:allow(blocking-under-lock): the receiver
-                        // lock *is* the idle-worker queue — one worker
-                        // parks in `recv`, the rest park on the lock, and
-                        // nothing else ever takes it. A statement of its
+                        // The receiver lock *is* the idle-worker queue: one
+                        // worker parks in `recv`, the rest park on the lock,
+                        // and nothing else ever takes it. A statement of its
                         // own, so the guard drops before the op runs.
                         let next = rx.lock().recv();
                         match next {
@@ -47,8 +47,6 @@ impl PoolEngine {
                             Err(_) => break,
                         }
                     })
-                    // lint:allow(hot-path-panic): worker spawn happens once
-                    // at engine construction, not on the per-op I/O path
                     .expect("spawn aio worker")
             })
             .collect();

@@ -1,5 +1,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Hot-path discipline (DESIGN.md §9): the library neither panics nor
+// prints; tests may (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 //! Asynchronous I/O engine — the reproduction's libaio/DeepNVMe layer.
 //!

@@ -57,11 +57,10 @@ impl Watchdog {
     /// on every subsequently registered op.
     pub(crate) fn spawn(shared: Arc<EngineShared>, deadline: Duration) -> Self {
         let (tx, rx) = channel::<Entry>();
+        #[expect(clippy::expect_used, reason = "spawned once, at engine construction")]
         let handle = thread::Builder::new()
             .name(format!("aio-watchdog-{}", shared.backend.name()))
             .spawn(move || supervise(&shared, &rx))
-            // lint:allow(hot-path-panic): spawn happens once at engine
-            // construction, not on the per-op I/O path
             .expect("spawn aio watchdog");
         Watchdog {
             tx: Some(tx),

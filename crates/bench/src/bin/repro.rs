@@ -31,6 +31,8 @@
 //! checkpoint cadence (default 1; 0 disables): checkpoint flush/trickle
 //! spans land on the same timeline, overlapping the next backward pass.
 
+#![forbid(unsafe_code)]
+
 use mlp_bench::timeline::{export_timeline_trace_every, render_timeline};
 use mlp_bench::{document, render_tables, run_experiments};
 

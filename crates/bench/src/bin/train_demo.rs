@@ -16,6 +16,8 @@
 //! { "mlp_offload": { "tiers": ["/tmp/.../nvme", "/tmp/.../pfs"], "ratio": "2:1" } }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -37,6 +37,8 @@
 //! guard on the dispatcher's inlining contract: a level that measures like
 //! `portable` did not inline.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use mlp_bench::round_to;

@@ -359,10 +359,10 @@ impl SimWorker {
         let mut flush_handles = Vec::new();
         let mut h2d_handles = Vec::new();
         for _ in 0..m {
-            // lint:allow(hot-path-panic): deterministic virtual-time
-            // simulation — the prefetcher task sends exactly `m` frames by
-            // construction; a short channel is a modelling bug worth a
-            // loud failure, not a recoverable I/O error
+            // The prefetcher task sends exactly `m` frames by construction:
+            // a short channel is a modelling bug worth a loud failure, not a
+            // recoverable I/O error.
+            #[expect(clippy::expect_used, reason = "the prefetcher sends all `m` frames")]
             let (idx, frame, was_hit) = rx.recv().await.expect("prefetcher sends all subgroups");
             let sub = self.inner.subgroups[idx];
             if was_hit {

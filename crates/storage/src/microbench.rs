@@ -89,11 +89,9 @@ pub fn measure_sim_tier_concurrent(
     }
     sim.run();
     let write_secs = sim.now_secs();
+    #[expect(clippy::expect_used, reason = "sim.run() completes every task")]
     let write_latency: f64 = write_handles
         .iter()
-        // lint:allow(hot-path-panic): virtual-time simulation — sim.run()
-        // returns only once every spawned task completed, so the result is
-        // always present; an empty take is a simulator bug
         .map(|h| h.try_take().expect("write done"))
         .sum::<f64>()
         / procs as f64;
@@ -112,11 +110,9 @@ pub fn measure_sim_tier_concurrent(
     }
     sim.run();
     let read_secs = sim.now_secs() - read_start;
+    #[expect(clippy::expect_used, reason = "sim.run() completes every task")]
     let read_latency: f64 = read_handles
         .iter()
-        // lint:allow(hot-path-panic): virtual-time simulation — sim.run()
-        // returns only once every spawned task completed, so the result is
-        // always present; an empty take is a simulator bug
         .map(|h| h.try_take().expect("read done"))
         .sum::<f64>()
         / procs as f64;

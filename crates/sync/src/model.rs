@@ -196,12 +196,9 @@ struct ExecAbort;
 
 type Guard<'a> = std::sync::MutexGuard<'a, ExecState>;
 
-// lint:allow(lock-order): checker-internal scheduler lock. Every facade
-// operation under `--cfg loom` briefly takes `m` to record the step, so
-// the call graph sees `m` "inside" every user lock and (via the blocking
-// protocols it mediates) user locks "inside" `m` — a false ABBA. In
-// reality `m` is strictly innermost: it is released before any user code
-// or blocking wait runs.
+/// The checker-internal scheduler lock. Every facade operation under
+/// `--cfg loom` briefly takes it to record the step; it is strictly
+/// innermost, released before any user code or blocking wait runs.
 fn plock(m: &StdMutex<ExecState>) -> Guard<'_> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

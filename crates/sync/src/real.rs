@@ -99,9 +99,9 @@ pub mod atomic {
 }
 
 /// Thread spawning for engine workers. `scope` is re-exported for
-/// fork/join fan-outs (the update kernels' `par_for_each`, the xtask
-/// linter's file analysis); the loom model does not provide scoped
-/// threads, so loom-checked protocols must stick to `spawn`/`JoinHandle`.
+/// fork/join fan-outs (the update kernels' `par_for_each`); the loom
+/// model does not provide scoped threads, so loom-checked protocols must
+/// stick to `spawn`/`JoinHandle`.
 pub mod thread {
     pub use std::thread::{
         available_parallelism, scope, sleep, spawn, yield_now, Builder, JoinHandle, Scope,

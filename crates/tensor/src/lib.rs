@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+// Hot-path discipline (DESIGN.md §9): the library neither panics nor
+// prints; tests may (clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+// The workspace's only `unsafe` (every other crate root denies it) states
+// its proof obligation in a `// SAFETY:` comment.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Mixed-precision tensor substrate for the MLP-Offload reproduction.
 //!
@@ -116,7 +124,7 @@ mod tests {
             c.fill(9);
         });
         assert_eq!((calls.load(Ordering::SeqCst), one), (1, [9; 5]));
-        par_for_each(Vec::<u8>::new(), |_| unreachable!("no items"));
+        par_for_each(Vec::<u8>::new(), |_| panic!("no items"));
     }
 
     #[test]

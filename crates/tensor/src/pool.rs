@@ -165,16 +165,14 @@ pub struct PooledBuffer {
 
 impl PooledBuffer {
     /// Immutable access to the underlying buffer.
+    #[expect(clippy::expect_used, reason = "Some from construction until Drop")]
     pub fn buffer(&self) -> &HostBuffer {
-        // lint:allow(hot-path-panic): the Option is Some from construction
-        // until Drop takes it; no caller can reach this afterwards
         self.buf.as_ref().expect("buffer present until drop")
     }
 
     /// Mutable access to the underlying buffer.
+    #[expect(clippy::expect_used, reason = "Some from construction until Drop")]
     pub fn buffer_mut(&mut self) -> &mut HostBuffer {
-        // lint:allow(hot-path-panic): the Option is Some from construction
-        // until Drop takes it; no caller can reach this afterwards
         self.buf.as_mut().expect("buffer present until drop")
     }
 }

@@ -1,27 +1,25 @@
-//! Negative fixture: exercises every shape the four analyses look at —
-//! a hot root, nested guards, a meter registration — without violating
-//! anything. The whole tree must lint clean.
-
-use mlp_sync::Mutex;
+//! Negative fixture: exercises every shape the two analyses look at —
+//! a hot root with a call chain, a waived panic site, a meter
+//! registration — without violating anything. The whole tree must lint
+//! clean.
 
 pub struct Engine {
-    order_a: Mutex<u32>,
-    order_b: Mutex<u32>,
+    slots: Vec<u32>,
 }
 
 impl Engine {
     // lint:hot-root — fixture clean path
     pub fn submit(&self) -> u32 {
-        let a = self.order_a.lock();
-        let b = self.order_b.lock();
-        saturating(*a, *b)
+        saturating(self.first(), self.spare())
     }
 
-    /// Same acquisition order as `submit`: consistent, no cycle.
-    pub fn other(&self) -> u32 {
-        let a = self.order_a.lock();
-        let b = self.order_b.lock();
-        *a + *b
+    fn first(&self) -> u32 {
+        self.slots.first().copied().unwrap_or(0)
+    }
+
+    #[expect(clippy::expect_used, reason = "fixture: the slot exists by construction")]
+    fn spare(&self) -> u32 {
+        self.slots.get(1).copied().expect("two slots")
     }
 }
 

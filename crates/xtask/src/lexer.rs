@@ -7,7 +7,7 @@
 //!   string/char-literal *contents* blanked to spaces (delimiters are
 //!   kept so column positions line up with the original), and
 //! * the **comment channel** — only comment text, everything else
-//!   blanked — where `// SAFETY:`, `// relaxed-ok:`, and
+//!   blanked — where `// relaxed-ok:`, `// lint:hot-root` and
 //!   `// lint:allow(...)` annotations live.
 //!
 //! The lexer understands line comments, nested block comments, string

@@ -1,22 +1,16 @@
 //! Workspace invariant analysis, used by the `xtask` binary and by the
-//! fixture-driven integration tests under `tests/`.
-//!
-//! Two layers:
+//! fixture-driven integration tests under `tests/`. It checks what the
+//! compiler and clippy cannot (DESIGN.md §9, §13):
 //!
 //! * **Textual rules** ([`rules`]) — per-file, per-line checks over the
-//!   lexed channels ([`lexer`]): panic discipline, unsafe confinement,
-//!   facade usage, `Relaxed` audits, trace-sink discipline.
+//!   lexed channels ([`lexer`]): facade usage and `Relaxed` audits.
 //! * **Semantic pass** ([`parser`] + [`semantic`]) — a workspace-wide
-//!   item-level parse producing a call graph, lock-acquisition scopes,
-//!   and meter-name literals, on which four global analyses run:
-//!   transitive panic reachability from annotated hot roots, lock-order
-//!   inversion (cycle) detection, blocking-under-lock, and
-//!   metric-name drift against OBSERVABILITY.md.
+//!   item-level parse producing a call graph and meter-name literals, on
+//!   which two global analyses run: transitive panic reachability from
+//!   annotated hot roots, and metric-name drift against OBSERVABILITY.md.
 //!
-//! Everything is dependency-free except the workspace's own `mlp-sync`
-//! facade (used for the scoped-thread fan-out in the binary), matching
-//! the linter's original philosophy: the tool that checks the build
-//! must not complicate the build.
+//! Everything is dependency-free: the tool that checks the build must
+//! not complicate the build.
 
 #![deny(unsafe_code)]
 

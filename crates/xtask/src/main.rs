@@ -1,226 +1,91 @@
 //! Workspace automation. Currently one subcommand:
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--root <dir>] [--semantic] [--json]
+//! cargo run -p xtask -- lint [--root <dir>]
 //! ```
 //!
-//! walks every crate's `src/` (plus the root suite package) and enforces
-//! the concurrency/safety invariants described in [`xtask::rules`].
-//! `--semantic` additionally runs the workspace-wide analyses in
-//! [`xtask::semantic`] (call/lock graphs, transitive panic
-//! reachability, lock-order cycles, blocking-under-lock, metric drift).
-//! `--json` swaps the line-oriented text report for a JSON array of
-//! GitHub-annotation-compatible findings; text stays the default and
-//! byte-stable. Exits non-zero if any violation is found, so CI can
+//! walks every crate's `src/` (plus the root suite package), runs the
+//! per-file rules in [`xtask::rules`] and then the workspace-wide
+//! analyses in [`xtask::semantic`] (transitive panic reachability,
+//! metric drift). Exits non-zero if any violation is found, so CI can
 //! gate on it.
-//!
-//! File lexing/linting/parsing fans out over `mlp_sync::thread::scope`
-//! workers; results are reassembled in file order so output is
-//! deterministic regardless of parallelism.
 
 #![deny(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtask::rules::{check_file, FileCtx, Violation};
+use xtask::rules::{check_file, FileCtx};
 use xtask::{find_workspace_root, lint_targets, parser, rel_path, semantic};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
+        Some("lint") => match parse_root(&args[1..]) {
+            Ok(root) => lint(&root),
+            Err(msg) => {
+                eprintln!("{msg}");
+                ExitCode::from(2)
+            }
+        },
         Some(other) => {
             eprintln!("unknown subcommand `{other}`; try `lint`");
             ExitCode::from(2)
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint [--root <dir>] [--semantic] [--json]");
+            eprintln!("usage: cargo run -p xtask -- lint [--root <dir>]");
             ExitCode::from(2)
         }
     }
 }
 
-struct Options {
-    root: PathBuf,
-    semantic: bool,
-    json: bool,
-}
-
-fn lint(args: &[String]) -> ExitCode {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let targets = lint_targets(&opts.root);
-    let files = targets.len();
-
-    // Per-file work (read + lex + textual rules + optional parse) is
-    // embarrassingly parallel: chunk the target list round-robin over
-    // scoped workers, each writing its own pre-allocated slot so the
-    // reassembled order is the file order, independent of scheduling.
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(targets.len().max(1));
-    type FileResult = Result<(Vec<Violation>, Option<parser::ParsedFile>), String>;
-    let mut slots: Vec<Option<FileResult>> = Vec::new();
-    slots.resize_with(targets.len(), || None);
-
-    {
-        let slot_refs: Vec<&mut Option<FileResult>> = slots.iter_mut().collect();
-        let mut work: Vec<(usize, &std::path::Path, &str, &mut Option<FileResult>)> = targets
-            .iter()
-            .zip(slot_refs)
-            .enumerate()
-            .map(|(i, ((p, c), s))| (i, p.as_path(), c.as_str(), s))
-            .collect();
-        let mut chunks: Vec<Vec<_>> = Vec::new();
-        chunks.resize_with(workers, Vec::new);
-        for item in work.drain(..) {
-            let w = item.0 % workers;
-            chunks[w].push(item);
-        }
-        mlp_sync::thread::scope(|s| {
-            for chunk in chunks.drain(..) {
-                let root = &opts.root;
-                let want_parse = opts.semantic;
-                s.spawn(move || {
-                    for (_, path, crate_dir, slot) in chunk {
-                        let rel = rel_path(root, path);
-                        *slot = Some(match std::fs::read_to_string(path) {
-                            Ok(src) => {
-                                let ctx = FileCtx::from_source(&rel, crate_dir, &src);
-                                let v = check_file(&ctx);
-                                let parsed = want_parse.then(|| parser::parse(&ctx));
-                                Ok((v, parsed))
-                            }
-                            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-                        });
-                    }
-                });
-            }
-        });
-    }
-
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut parsed: Vec<parser::ParsedFile> = Vec::new();
-    for slot in slots {
-        match slot.expect("every lint slot is filled by its worker") {
-            Ok((v, p)) => {
-                violations.extend(v);
-                parsed.extend(p);
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
+fn lint(root: &std::path::Path) -> ExitCode {
+    let targets = lint_targets(root);
+    let mut violations = Vec::new();
+    let mut parsed = Vec::new();
+    for (path, crate_dir) in &targets {
+        let src = match std::fs::read_to_string(path) {
+            Ok(src) => src,
+            Err(e) => {
+                eprintln!("error: cannot read {}: {e}", path.display());
                 return ExitCode::from(2);
             }
-        }
+        };
+        let ctx = FileCtx::from_source(&rel_path(root, path), crate_dir, &src);
+        violations.extend(check_file(&ctx));
+        parsed.push(parser::parse(&ctx));
     }
 
-    if opts.semantic {
-        let ws = semantic::Workspace::build(parsed);
-        let obs = opts.root.join("OBSERVABILITY.md");
-        let doc = std::fs::read_to_string(&obs)
-            .ok()
-            .map(|text| semantic::parse_observability(&rel_path(&opts.root, &obs), &text));
-        violations.extend(ws.analyze(doc.as_ref()));
-    }
-
+    let obs = root.join("OBSERVABILITY.md");
+    let doc = std::fs::read_to_string(&obs)
+        .ok()
+        .map(|text| semantic::parse_observability(&rel_path(root, &obs), &text));
+    violations.extend(semantic::Workspace::build(parsed).analyze(doc.as_ref()));
     violations.sort_by(|a, b| (&a.rel_path, a.line, a.rule).cmp(&(&b.rel_path, b.line, b.rule)));
 
-    if opts.json {
-        print!("{}", render_json(&violations));
-    } else {
-        for v in &violations {
-            println!("{v}");
-        }
-        if violations.is_empty() {
-            println!("lint: {files} files clean");
-        } else {
-            println!("lint: {} violation(s) across {files} files", violations.len());
-        }
+    for v in &violations {
+        println!("{v}");
     }
+    let files = targets.len();
     if violations.is_empty() {
+        println!("lint: {files} files clean");
         ExitCode::SUCCESS
     } else {
+        println!(
+            "lint: {} violation(s) across {files} files",
+            violations.len()
+        );
         ExitCode::FAILURE
     }
 }
 
-/// GitHub-annotation-compatible findings: one object per violation with
-/// the fields the annotation action expects (`file`, `line`,
-/// `annotation_level`, `title`, `message`).
-fn render_json(violations: &[Violation]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"file\": {}, \"line\": {}, \"end_line\": {}, \
-             \"annotation_level\": \"failure\", \"title\": {}, \"message\": {}}}",
-            json_str(&v.rel_path),
-            v.line,
-            v.line,
-            json_str(v.rule),
-            json_str(&v.msg)
-        ));
-    }
-    if !violations.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut it = args.iter();
-    let mut root = None;
-    let mut semantic = false;
-    let mut json = false;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => {
-                root = Some(PathBuf::from(
-                    it.next().ok_or("--root requires a directory argument")?,
-                ));
-            }
-            "--semantic" => semantic = true,
-            "--json" => json = true,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => find_workspace_root().ok_or_else(|| {
+fn parse_root(args: &[String]) -> Result<PathBuf, String> {
+    match args {
+        [] => find_workspace_root().ok_or_else(|| {
             "could not find workspace root (no Cargo.toml with [workspace]); pass --root"
                 .to_string()
-        })?,
-    };
-    Ok(Options {
-        root,
-        semantic,
-        json,
-    })
+        }),
+        [flag, dir] if flag == "--root" => Ok(PathBuf::from(dir)),
+        [flag] if flag == "--root" => Err("--root requires a directory argument".to_string()),
+        [other, ..] => Err(format!("unknown argument `{other}`")),
+    }
 }

@@ -10,19 +10,14 @@
 //! * call sites (free calls, `Type::assoc` calls, `.method(` calls)
 //!   with a best-effort qualifier for later name resolution,
 //! * panic sites (`panic!`-family macros, `.unwrap()`, `.expect(`,
-//!   and slice/array indexing),
-//! * lock-guard acquisition scopes (`.lock()` on the `mlp-sync`
-//!   facade), with canonical lock identities and `drop()`-aware scope
-//!   ends,
-//! * potentially-blocking operations (file I/O, `Condvar::wait`,
-//!   channel/thread joins, backend calls),
+//!   and slice/array indexing) and their waivers,
 //! * trace meter registrations (`counter(` / `gauge(` / `histogram(`),
 //!   including the one-line meter-closure idiom
 //!   (`let c = |m: &str| trace.counter(&format!("aio.{b}.{m}"));`).
 //!
 //! Everything is a *best-effort, over-approximating* extraction; the
 //! blind spots (trait-object dispatch targets, macro-generated code,
-//! non-lexical guard lifetimes) are documented in DESIGN.md §13.
+//! std APIs that panic) are documented in DESIGN.md §13.
 
 use crate::lexer::Literal;
 use crate::rules::{annotated, is_ident_byte, waived, word_positions, FileCtx};
@@ -39,8 +34,6 @@ pub struct ParsedFile {
     /// All string literals (the semantic pass reads `Phase::as_str`
     /// span names out of these).
     pub literals: Vec<Literal>,
-    /// Per-line test-region flags, kept for the analyses.
-    pub in_test: Vec<bool>,
     /// Crate directories this file references through `mlp_*` paths
     /// (`use mlp_sync::Mutex` → `"sync"`). Call resolution only follows
     /// edges into the caller's own crate or a referenced one, so a
@@ -62,13 +55,12 @@ pub struct FnDef {
     pub is_test: bool,
     /// `// lint:hot-root` annotation above the signature.
     pub hot_root: bool,
-    /// Rules waived for the entire body via `lint:allow(rule)` above
-    /// the signature.
-    pub waivers: Vec<String>,
+    /// Every panic site in the body is waived: `lint:allow(transitive-panic)`
+    /// above the signature, or `lint:allow-file(transitive-panic)` anywhere
+    /// in the file.
+    pub panics_waived: bool,
     pub calls: Vec<Call>,
     pub panics: Vec<PanicSite>,
-    pub guards: Vec<GuardScope>,
-    pub blocking: Vec<BlockSite>,
 }
 
 /// One call site inside a function body.
@@ -79,9 +71,6 @@ pub struct Call {
     pub method: bool,
     pub line: usize,
     pub in_test: bool,
-    /// `lint:allow(lock-order)` at the call site: drop interprocedural
-    /// ordering edges through this call.
-    pub waived_lock_order: bool,
 }
 
 /// One potential panic site.
@@ -89,35 +78,8 @@ pub struct PanicSite {
     pub line: usize,
     /// Human label: `panic!`, `.unwrap()`, `indexing`...
     pub what: &'static str,
-    /// Waived via `lint:allow(hot-path-panic)` or
-    /// `lint:allow(transitive-panic)` at the site.
-    pub waived: bool,
-    pub in_test: bool,
-}
-
-/// One facade-guard acquisition and the lines it may be live.
-pub struct GuardScope {
-    /// Canonical lock identity: `crate/file_stem.receiver_tail`.
-    pub lock: String,
-    /// The raw receiver expression (`self.shared.state`), kept to tell
-    /// true re-entrant acquisition apart from two instances whose
-    /// receivers merely share a field name.
-    pub recv: String,
-    pub line: usize,
-    pub col: usize,
-    /// 0-based last line the guard can be live (inclusive).
-    pub end: usize,
-    pub waived: bool,
-    pub in_test: bool,
-}
-
-/// One potentially-blocking operation.
-pub struct BlockSite {
-    pub line: usize,
-    pub what: String,
-    /// A condvar wait (flagged only when a *second* guard is live:
-    /// waiting with one guard is the normal condvar protocol).
-    pub condvar: bool,
+    /// Waived via `lint:allow(transitive-panic)` at the site, or by an
+    /// `#[expect(clippy::<its lint>)]` on the statement or fn around it.
     pub waived: bool,
     pub in_test: bool,
 }
@@ -139,22 +101,18 @@ const KEYWORDS: &[&str] = &[
 
 /// Parse one lexed file into items and sites.
 pub fn parse(ctx: &FileCtx) -> ParsedFile {
-    let code = &ctx.code;
-    let impls = impl_ranges(code);
+    let impls = impl_ranges(&ctx.code);
     let mut fns = collect_fns(ctx, &impls);
     attribute_sites(ctx, &mut fns);
-    // File-level waivers (`lint:allow` + `-file(rule): reason` spelled
-    // as one token in a comment) extend every fn in the file — the
-    // escape for whole files that are deliberate non-production paths,
-    // like the model checker whose schedule aborts *are* panics.
-    for rule in file_waivers(ctx) {
-        for f in fns.iter_mut() {
-            if !f.waivers.contains(&rule) {
-                f.waivers.push(rule.clone());
-            }
-        }
+    // The escape for whole files that are deliberate non-production
+    // paths, like the model checker whose schedule aborts *are* panics.
+    if ctx
+        .comments
+        .iter()
+        .any(|l| l.contains("lint:allow-file(transitive-panic)"))
+    {
+        fns.iter_mut().for_each(|f| f.panics_waived = true);
     }
-    propagate_fn_waivers(&mut fns);
     let (meters, asserted_meters) = collect_meters(ctx);
     ParsedFile {
         rel_path: ctx.rel_path.clone(),
@@ -163,28 +121,8 @@ pub fn parse(ctx: &FileCtx) -> ParsedFile {
         meters,
         asserted_meters,
         literals: ctx.literals.clone(),
-        in_test: ctx.in_test.clone(),
         ext_crates: ext_crates(ctx),
     }
-}
-
-/// Rules waived for the whole file via `lint:allow-file(rule): reason`
-/// in any comment line.
-fn file_waivers(ctx: &FileCtx) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in &ctx.comments {
-        let mut rest = line.as_str();
-        while let Some(p) = rest.find("lint:allow-file(") {
-            rest = &rest[p + "lint:allow-file(".len()..];
-            if let Some(q) = rest.find(')') {
-                let rule = rest[..q].trim().to_owned();
-                if !rule.is_empty() && !out.contains(&rule) {
-                    out.push(rule);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Workspace crates referenced via `mlp_*` paths, as crate directory
@@ -214,29 +152,6 @@ fn ext_crates(ctx: &FileCtx) -> Vec<String> {
         }
     }
     out
-}
-
-/// A fn-level waiver covers every site in the body, so the analyses
-/// (including transitive ones like the lock graph) can rely on the
-/// per-site flags alone.
-fn propagate_fn_waivers(fns: &mut [FnDef]) {
-    for f in fns.iter_mut() {
-        for w in &f.waivers {
-            match w.as_str() {
-                "lock-order" => {
-                    f.guards.iter_mut().for_each(|g| g.waived = true);
-                    f.calls.iter_mut().for_each(|c| c.waived_lock_order = true);
-                }
-                "blocking-under-lock" => {
-                    f.blocking.iter_mut().for_each(|b| b.waived = true);
-                }
-                "transitive-panic" => {
-                    f.panics.iter_mut().for_each(|p| p.waived = true);
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 // ---- items -------------------------------------------------------------
@@ -395,17 +310,6 @@ fn collect_fns(ctx: &FileCtx, impls: &[(usize, usize, String)]) -> Vec<FnDef> {
                 Some(t) => format!("{}::{}::{}", ctx.rel_path, t, name),
                 None => format!("{}::{}", ctx.rel_path, name),
             };
-            let mut waivers = Vec::new();
-            for rule in [
-                "transitive-panic",
-                "lock-order",
-                "blocking-under-lock",
-                "metric-drift",
-            ] {
-                if annotated(ctx, i, &format!("lint:allow({rule})")) {
-                    waivers.push(rule.to_owned());
-                }
-            }
             out.push(FnDef {
                 name,
                 qual,
@@ -414,11 +318,9 @@ fn collect_fns(ctx: &FileCtx, impls: &[(usize, usize, String)]) -> Vec<FnDef> {
                 has_body,
                 is_test: ctx.in_test[i],
                 hot_root: annotated(ctx, i, "lint:hot-root"),
-                waivers,
+                panics_waived: waived(ctx, i, "transitive-panic"),
                 calls: Vec::new(),
                 panics: Vec::new(),
-                guards: Vec::new(),
-                blocking: Vec::new(),
             });
         }
     }
@@ -427,11 +329,11 @@ fn collect_fns(ctx: &FileCtx, impls: &[(usize, usize, String)]) -> Vec<FnDef> {
 
 // ---- sites -------------------------------------------------------------
 
-/// Scan the whole file for call/panic/guard/blocking sites and attach
-/// each to the innermost containing function.
-fn attribute_sites(ctx: &FileCtx, fns: &mut Vec<FnDef>) {
+/// Scan the whole file for call and panic sites and attach each to the
+/// innermost containing function.
+fn attribute_sites(ctx: &FileCtx, fns: &mut [FnDef]) {
     // Innermost containing fn per site line: smallest enclosing range.
-    let owner_of = |line: usize, fns: &Vec<FnDef>| -> Option<usize> {
+    let owner_of = |line: usize, fns: &[FnDef]| -> Option<usize> {
         fns.iter()
             .enumerate()
             .filter(|(_, f)| f.has_body && f.line <= line && line <= f.end)
@@ -440,21 +342,17 @@ fn attribute_sites(ctx: &FileCtx, fns: &mut Vec<FnDef>) {
     };
     // Definition lines: `fn name(` must not read as a call to `name`.
     let def_sites: Vec<(usize, String)> = fns.iter().map(|f| (f.line, f.name.clone())).collect();
+    let expects = expect_waivers(&ctx.code);
 
-    for i in 0..ctx.code.len() {
+    for (i, line) in ctx.code.iter().enumerate() {
         let Some(k) = owner_of(i, fns) else { continue };
-        let line = ctx.code[i].clone();
         let in_test = ctx.in_test[i];
-
-        scan_calls(ctx, i, &line, in_test, &def_sites, &mut fns[k].calls);
-        scan_panics(ctx, i, &line, in_test, &mut fns[k].panics);
-        scan_blocking(ctx, i, &line, in_test, &mut fns[k].blocking);
-        scan_guards(ctx, i, &line, in_test, &mut fns[k].guards);
+        scan_calls(i, line, in_test, &def_sites, &mut fns[k].calls);
+        scan_panics(ctx, i, line, &expects, &mut fns[k].panics);
     }
 }
 
 fn scan_calls(
-    ctx: &FileCtx,
     i: usize,
     line: &str,
     in_test: bool,
@@ -508,7 +406,6 @@ fn scan_calls(
             method,
             line: i,
             in_test,
-            waived_lock_order: waived(ctx, i, "lock-order"),
         });
         at = end;
     }
@@ -531,32 +428,59 @@ fn path_before(line: &str, end: usize) -> String {
     line[s..end].trim_matches(|c| c == '.' || c == ':').to_owned()
 }
 
-fn scan_panics(ctx: &FileCtx, i: usize, line: &str, in_test: bool, out: &mut Vec<PanicSite>) {
-    let site_waived = waived(ctx, i, "hot-path-panic") || waived(ctx, i, "transitive-panic");
-    let mut push = |what: &'static str| {
+/// Panic-family calls and macros: (code pattern, label, the clippy lint
+/// that denies it in the hot crates).
+const PANIC_CALLS: &[(&str, &str, &str)] = &[
+    (".unwrap()", "`.unwrap()`", "unwrap_used"),
+    (".expect(", "`.expect()`", "expect_used"),
+];
+const PANIC_MACROS: &[(&str, &str, &str)] = &[
+    ("panic!", "`panic!`", "panic"),
+    ("unreachable!", "`unreachable!`", "unreachable"),
+    ("todo!", "`todo!`", "todo"),
+    ("unimplemented!", "`unimplemented!`", "unimplemented"),
+];
+
+/// An `#[expect(clippy::…)]` attribute: the clippy lints it names and the
+/// lines of the statement or item it annotates, attribute included.
+struct ExpectWaiver {
+    lints: Vec<String>,
+    first: usize,
+    last: usize,
+}
+
+fn scan_panics(
+    ctx: &FileCtx,
+    i: usize,
+    line: &str,
+    expects: &[ExpectWaiver],
+    out: &mut Vec<PanicSite>,
+) {
+    let commented = waived(ctx, i, "transitive-panic");
+    let mut push = |what: &'static str, lint: Option<&str>| {
+        let expected = lint.is_some_and(|lint| {
+            expects
+                .iter()
+                .any(|e| e.first <= i && i <= e.last && e.lints.iter().any(|l| l == lint))
+        });
         out.push(PanicSite {
             line: i,
             what,
-            waived: site_waived,
-            in_test,
+            waived: commented || expected,
+            in_test: ctx.in_test[i],
         })
     };
-    for (pat, what) in [(".unwrap()", "`.unwrap()`"), (".expect(", "`.expect()`")] {
+    for (pat, what, lint) in PANIC_CALLS {
         if line.contains(pat) {
-            push(what);
+            push(what, Some(lint));
         }
     }
-    for (mac, what) in [
-        ("panic!", "`panic!`"),
-        ("unreachable!", "`unreachable!`"),
-        ("todo!", "`todo!`"),
-        ("unimplemented!", "`unimplemented!`"),
-    ] {
+    for (mac, what, lint) in PANIC_MACROS {
         if word_positions(line, &mac[..mac.len() - 1])
             .iter()
             .any(|&p| line[p..].starts_with(mac))
         {
-            push(what);
+            push(what, Some(lint));
         }
     }
     // Indexing `expr[...]`: `[` directly after an ident, `)` or `]`.
@@ -568,179 +492,65 @@ fn scan_panics(ctx: &FileCtx, i: usize, line: &str, in_test: bool, out: &mut Vec
             if line[p..].starts_with("[..]") {
                 continue;
             }
-            push("indexing");
+            push("indexing", None);
         }
     }
 }
 
-/// Blocking-operation tokens: substring patterns over the code channel.
-const BLOCKING_TOKENS: &[&str] = &[
-    "std::fs::",
-    "File::open(",
-    "File::create(",
-    "OpenOptions::new",
-    ".sync_all(",
-    ".sync_data(",
-    ".read_to_end(",
-    ".read_to_string(",
-    ".write_all(",
-    "thread::sleep",
-    ".recv()",
-    ".join()",
-    ".wait()",
-    ".take_blocking(",
-    ".acquire(",
-    ".read_into(",
-];
-/// Condvar waits; only a problem with a *second* guard live.
-const CONDVAR_TOKENS: &[&str] = &[".wait(&mut", ".wait_while(", ".wait_timeout("];
-/// Backend trait calls: blocking tier I/O when the receiver is a
-/// backend handle.
-const BACKEND_METHODS: &[&str] = &[".read(", ".write(", ".delete(", ".contains("];
-
-fn scan_blocking(ctx: &FileCtx, i: usize, line: &str, in_test: bool, out: &mut Vec<BlockSite>) {
-    let site_waived = waived(ctx, i, "blocking-under-lock");
-    for tok in CONDVAR_TOKENS {
-        if line.contains(tok) {
-            out.push(BlockSite {
-                line: i,
-                what: format!("`{}`", tok.trim_end_matches("&mut")),
-                condvar: true,
-                waived: site_waived,
-                in_test,
-            });
-        }
-    }
-    for tok in BLOCKING_TOKENS {
-        if line.contains(tok) {
-            out.push(BlockSite {
-                line: i,
-                what: format!("`{tok}`"),
-                condvar: false,
-                waived: site_waived,
-                in_test,
-            });
-        }
-    }
-    for tok in BACKEND_METHODS {
-        for (p, _) in line.match_indices(tok) {
-            let recv = path_before(line, p);
-            let tail = recv.rsplit(['.', ':']).next().unwrap_or("");
-            if tail == "backend" || tail.ends_with("_backend") || tail == "inner" && ctx.crate_dir == "storage" {
-                out.push(BlockSite {
-                    line: i,
-                    what: format!("backend call `{tok})`"),
-                    condvar: false,
-                    waived: site_waived,
-                    in_test,
-                });
-            }
-        }
-    }
-}
-
-fn scan_guards(ctx: &FileCtx, i: usize, line: &str, in_test: bool, out: &mut Vec<GuardScope>) {
-    for (p, _) in line.match_indices(".lock()") {
-        let recv = path_before(line, p);
-        let lock = lock_identity(ctx, &recv, i);
-        // Scope: a `let`-bound guard lives to the end of the enclosing
-        // block (or an explicit `drop(binding)`); a temporary lives to
-        // the end of its statement — approximated as its line, except
-        // `match expr.lock()` temporaries which live for the whole arm
-        // block.
-        let has_let = line[..p].contains("let ");
-        let is_match = !word_positions(&line[..p], "match").is_empty();
-        let end = if has_let || is_match {
-            let block_close = enclosing_block_end(&ctx.code, i, p);
-            let binding = has_let.then(|| binding_name(&line[..p])).flatten();
-            match binding {
-                Some(b) => drop_line(&ctx.code, i, block_close, &b).unwrap_or(block_close),
-                None => block_close,
-            }
-        } else {
-            i
+/// Every `#[expect(clippy::…)]` attribute in the file with the span it
+/// covers: up to the `;` that ends a statement, or the `}` that closes an
+/// item's body (a `let` statement's blocks do not end it). The span is
+/// what rustc's `unfulfilled_lint_expectations` holds the attribute to,
+/// so one waiver serves both tools.
+fn expect_waivers(code: &[String]) -> Vec<ExpectWaiver> {
+    let mut out = Vec::new();
+    for (first, line) in code.iter().enumerate() {
+        let Some(col) = line.find("#[expect(") else {
+            continue;
         };
-        out.push(GuardScope {
-            lock,
-            recv,
-            line: i,
-            col: p,
-            end,
-            waived: waived(ctx, i, "lock-order"),
-            in_test,
-        });
-    }
-}
-
-/// Canonical lock identity: `crate_dir/file_stem.receiver_tail`, so the
-/// same field locked from several methods of one type maps to one node.
-/// Unknown receivers (e.g. a guard returned by a helper call) get a
-/// line-unique identity: they can extend chains but never falsely merge.
-fn lock_identity(ctx: &FileCtx, recv: &str, lineno: usize) -> String {
-    let stem = std::path::Path::new(&ctx.rel_path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let segs: Vec<&str> = recv
-        .split(['.', ':'])
-        .filter(|s| !s.is_empty() && *s != "self")
-        .collect();
-    let tail = match segs.as_slice() {
-        [] => return format!("{}/{stem}.expr@{}", ctx.crate_dir, lineno + 1),
-        // Tuple-field access (`state.0`): keep the named parent too.
-        [.., a, b] if b.chars().all(|c| c.is_ascii_digit()) => format!("{a}.{b}"),
-        [.., a] => (*a).to_owned(),
-    };
-    format!("{}/{stem}.{tail}", ctx.crate_dir)
-}
-
-/// First ident of the pattern in `let <pat> = ...` (the text before the
-/// `=`). Tuple patterns return `None`.
-fn binding_name(before: &str) -> Option<String> {
-    let p = before.rfind("let ")?;
-    let pat = before[p + 4..].split('=').next()?.trim();
-    let pat = pat.trim_start_matches("mut ").trim_start();
-    if pat.starts_with('(') {
-        return None;
-    }
-    let name: String = pat
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!name.is_empty()).then_some(name)
-}
-
-/// Last line of the block enclosing position (line, col): scan forward
-/// tracking depth; the `}` that takes depth negative closes the block.
-fn enclosing_block_end(code: &[String], line: usize, col: usize) -> usize {
-    let mut depth = 0i32;
-    let mut l = line;
-    let mut c = col;
-    while l < code.len() {
-        let bytes = code[l].as_bytes();
-        while c < bytes.len() {
-            match bytes[c] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return l;
-                    }
+        let mut attr = String::new();
+        let mut in_attr = true;
+        let mut is_let = None;
+        let mut depth = 0i32;
+        let mut last = code.len() - 1;
+        'scan: for (l, text) in code.iter().enumerate().skip(first) {
+            let from = if l == first { col + 1 } else { 0 };
+            for (c, b) in text.bytes().enumerate().skip(from) {
+                let top = depth == 0;
+                match b {
+                    b'(' | b'[' | b'{' => depth += 1,
+                    b')' | b']' | b'}' => depth -= 1,
+                    _ => {}
                 }
-                _ => {}
+                if in_attr {
+                    // The attribute's own brackets, up to its `]`.
+                    in_attr = depth > 0;
+                    attr.push(b as char);
+                    continue;
+                }
+                if top && is_let.is_none() && b.is_ascii_alphabetic() {
+                    is_let = Some(text[c..].starts_with("let "));
+                }
+                let closes_item = b == b'}' && depth == 0 && is_let != Some(true);
+                if depth < 0 || (b == b';' && depth == 0) || closes_item {
+                    last = l;
+                    break 'scan;
+                }
             }
-            c += 1;
         }
-        l += 1;
-        c = 0;
+        let lints = attr
+            .split("clippy::")
+            .skip(1)
+            .map(|s| {
+                s.bytes()
+                    .take_while(|b| is_ident_byte(*b))
+                    .map(char::from)
+                    .collect()
+            })
+            .collect();
+        out.push(ExpectWaiver { lints, first, last });
     }
-    code.len().saturating_sub(1)
-}
-
-/// Line of an explicit `drop(<binding>)` between `from` and `to`.
-fn drop_line(code: &[String], from: usize, to: usize, binding: &str) -> Option<usize> {
-    let needle = format!("drop({binding})");
-    (from..=to.min(code.len() - 1)).find(|&l| code[l].contains(&needle))
+    out
 }
 
 // ---- meters ------------------------------------------------------------
@@ -918,39 +728,46 @@ fn f(v: &[u8], x: Option<u8>) -> u8 {
     // lint:allow(transitive-panic): bounded by caller contract
     let c = v[1];
     let d = &v[..];
+    #[expect(clippy::expect_used, reason = \"spawned once\")]
+    let e = spawn()
+        .expect(\"spawn\");
+    #[expect(clippy::expect_used, reason = \"names one lint only\")]
+    let g = x.unwrap();
     panic!(\"boom\")
 }
-";
-        let p = parsed("aio", src);
-        let f = &p.fns[0];
-        let live: Vec<_> = f.panics.iter().filter(|s| !s.waived).collect();
-        assert_eq!(live.len(), 3, "{:?}", live.iter().map(|s| (s.line, s.what)).collect::<Vec<_>>());
-        assert!(f.panics.iter().any(|s| s.waived && s.line == 4));
-        // `&v[..]` is infallible full-range slicing — line 5 clean.
-        assert!(!f.panics.iter().any(|s| s.line == 5));
-    }
-
-    #[test]
-    fn guard_scopes_track_let_drop_and_temporaries() {
-        let src = "\
-fn f(&self) {
-    let mut st = self.shared.state.lock();
-    st.n += 1;
-    drop(st);
-    self.other.lock().touch();
-    {
-        let g = self.inner.lock();
-        g.use_it();
-    }
+#[expect(clippy::expect_used, reason = \"Some until drop\")]
+fn h(x: Option<u8>) -> u8 {
+    x.expect(\"present\")
+}
+fn after(x: Option<u8>) -> u8 {
+    x.expect(\"live\")
 }
 ";
         let p = parsed("aio", src);
-        let g = &p.fns[0].guards;
-        assert_eq!(g.len(), 3, "{:?}", g.iter().map(|x| &x.lock).collect::<Vec<_>>());
-        assert_eq!(g[0].lock, "aio/file.state");
-        assert_eq!((g[0].line, g[0].end), (1, 3)); // ends at drop(st)
-        assert_eq!((g[1].line, g[1].end), (4, 4)); // temporary: one line
-        assert_eq!((g[2].line, g[2].end), (6, 8)); // inner block close
+        let live = |f: &FnDef| -> Vec<(usize, &str)> {
+            f.panics
+                .iter()
+                .filter(|s| !s.waived)
+                .map(|s| (s.line, s.what))
+                .collect()
+        };
+        assert_eq!(
+            live(&p.fns[0]),
+            vec![
+                (1, "indexing"),
+                (2, "`.unwrap()`"),
+                (10, "`.unwrap()`"),
+                (11, "`panic!`")
+            ]
+        );
+        assert!(p.fns[0].panics.iter().any(|s| s.waived && s.line == 4));
+        // `&v[..]` is infallible full-range slicing — line 5 clean.
+        assert!(!p.fns[0].panics.iter().any(|s| s.line == 5));
+        // Statement form: the attribute covers the whole `let`.
+        assert!(p.fns[0].panics.iter().any(|s| s.waived && s.line == 8));
+        // Fn form covers the body, and ends with it.
+        assert!(live(&p.fns[1]).is_empty());
+        assert_eq!(live(&p.fns[2]), vec![(18, "`.expect()`")]);
     }
 
     #[test]
@@ -979,25 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_sites_and_condvar_waits() {
-        let src = "\
-fn f(&self, cv: &Condvar) {
-    let mut st = self.state.lock();
-    cv.wait(&mut st);
-    std::fs::write(\"x\", b\"y\");
-    self.backend.read(key);
-    handle.wait();
-}
-";
-        let p = parsed("aio", src);
-        let b = &p.fns[0].blocking;
-        assert!(b.iter().any(|s| s.condvar && s.line == 2));
-        assert!(b.iter().any(|s| !s.condvar && s.line == 3));
-        assert!(b.iter().any(|s| s.what.starts_with("backend call") && s.line == 4));
-        assert!(b.iter().any(|s| s.what == "`.wait()`" && s.line == 5));
-    }
-
-    #[test]
     fn hot_root_annotation_and_fn_waivers() {
         let src = "\
 // lint:hot-root — entry of the submit path
@@ -1008,7 +806,7 @@ fn setup(v: &[u8]) -> u8 { v[0] }
 ";
         let p = parsed("aio", src);
         assert!(p.fns[0].hot_root);
-        assert!(p.fns[1].waivers.iter().any(|w| w == "transitive-panic"));
+        assert!(p.fns[1].panics_waived);
     }
 
     #[test]

@@ -1,40 +1,25 @@
 //! Workspace-wide semantic analyses over the [`crate::parser`] output.
 //!
-//! Four global checks run on the assembled workspace (DESIGN.md §13):
+//! Two global checks run on the assembled workspace (DESIGN.md §13):
 //!
 //! * **`transitive-panic`** — graph reachability from `lint:hot-root`
 //!   annotated functions to any unwaived panic site (`panic!`-family,
 //!   `.unwrap()`, `.expect(`, indexing), through the resolved call
-//!   graph. The textual `hot-path-panic` rule checks each *line* of the
-//!   hot crates; this check follows the hot paths wherever they lead,
-//!   including into cold crates.
-//! * **`lock-order`** — a global lock-ordering digraph from nested
-//!   guard scopes (direct nesting and acquisitions made by callees
-//!   while a guard is live). Any strongly-connected component is a
-//!   potential ABBA deadlock and fails the pass; same-receiver nested
-//!   acquisition is reported as re-entrant locking (the `mlp-sync`
-//!   mutexes are not re-entrant).
-//! * **`blocking-under-lock`** — file I/O, handle waits, channel
-//!   receives, or backend tier calls while a facade guard is live on an
-//!   engine-side path; `Condvar::wait` only counts with a *second*
-//!   guard live (waiting releases just its own mutex).
+//!   graph. Clippy's panic lints judge each *site* of the hot crates;
+//!   this check follows the hot paths wherever they lead, including
+//!   into cold crates, and flags indexing only where a hot path reaches.
 //! * **`metric-drift`** — every meter name registered in non-test code
 //!   must appear in OBSERVABILITY.md and vice versa (`{...}`
 //!   placeholders match as wildcards); every `Phase::as_str` span name
 //!   must be in the taxonomy table and vice versa; every meter name
 //!   asserted by a test must be emitted by some code path.
 //!
-//! All analyses are best-effort over-approximations; known blind spots
+//! Both analyses are best-effort over-approximations; known blind spots
 //! and the waiver policy are documented in DESIGN.md §13.
 
 use crate::parser::{wildcard, ParsedFile};
 use crate::rules::Violation;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-
-/// Crates whose code runs on the engine side of the I/O stack: the
-/// blocking-under-lock rule applies here (a stalled worker stalls the
-/// submit→complete→reclaim pipeline).
-pub const ENGINE_SIDE_CRATES: &[&str] = &["aio", "storage", "tensor", "core", "zero3", "trace"];
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Callee names never resolved through the call graph: std-predominant
 /// names where by-name resolution would wire unrelated code together.
@@ -172,10 +157,7 @@ impl Workspace {
     /// in doc-less fixture trees: the doc-drift checks are skipped, the
     /// test-assertion check still runs).
     pub fn analyze(&self, doc: Option<&DocNames>) -> Vec<Violation> {
-        let mut out = Vec::new();
-        out.extend(self.transitive_panic());
-        out.extend(self.lock_order());
-        out.extend(self.blocking_under_lock());
+        let mut out = self.transitive_panic();
         out.extend(self.metric_drift(doc));
         out
     }
@@ -233,7 +215,7 @@ impl Workspace {
         let mut reported: HashSet<(usize, usize, &str)> = HashSet::new();
         for &idx in &order {
             let f = self.fn_at(idx);
-            if f.waivers.iter().any(|w| w == "transitive-panic") {
+            if f.panics_waived {
                 continue; // fn-level waiver covers every site in the body
             }
             let path = {
@@ -265,208 +247,6 @@ impl Workspace {
                          <reason>`",
                         site.what
                     ),
-                });
-            }
-        }
-        out
-    }
-
-    // ---- lock-order inversion ------------------------------------------
-
-    /// Transitive lock-acquisition sets per function (fixpoint).
-    fn trans_locks(&self, adj: &[Vec<usize>]) -> Vec<HashSet<String>> {
-        let mut sets: Vec<HashSet<String>> = self
-            .fns
-            .iter()
-            .enumerate()
-            .map(|(idx, _)| {
-                self.fn_at(idx)
-                    .guards
-                    .iter()
-                    .filter(|g| !g.in_test && !g.waived)
-                    .map(|g| g.lock.clone())
-                    .collect()
-            })
-            .collect();
-        loop {
-            let mut changed = false;
-            for idx in 0..self.fns.len() {
-                for &k in &adj[idx] {
-                    if sets[k].is_empty() {
-                        continue;
-                    }
-                    let add: Vec<String> = sets[k]
-                        .iter()
-                        .filter(|l| !sets[idx].contains(*l))
-                        .cloned()
-                        .collect();
-                    if !add.is_empty() {
-                        sets[idx].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        sets
-    }
-
-    fn lock_order(&self) -> Vec<Violation> {
-        let adj = self.adjacency();
-        let trans = self.trans_locks(&adj);
-        let mut out = Vec::new();
-        // Edge map: (from, to) → first example site "file:line".
-        let mut edges: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
-
-        for idx in 0..self.fns.len() {
-            let f = self.fn_at(idx);
-            if f.is_test {
-                continue;
-            }
-            let file = self.file_of(idx);
-            for g in &f.guards {
-                if g.in_test || g.waived {
-                    continue;
-                }
-                // Direct nesting: another acquisition inside g's scope.
-                for h in &f.guards {
-                    if h.in_test || h.waived {
-                        continue;
-                    }
-                    let after = (h.line, h.col) > (g.line, g.col);
-                    if !after || h.line > g.end {
-                        continue;
-                    }
-                    if g.lock == h.lock {
-                        // Same lock id: re-entrant only if the receiver
-                        // text matches (else likely two instances).
-                        if g.recv == h.recv {
-                            out.push(Violation {
-                                rel_path: file.rel_path.clone(),
-                                line: h.line + 1,
-                                rule: "lock-order",
-                                msg: format!(
-                                    "re-entrant acquisition of `{}` (first taken at \
-                                     line {}): mlp-sync mutexes are not re-entrant — \
-                                     this deadlocks",
-                                    g.lock,
-                                    g.line + 1
-                                ),
-                            });
-                        }
-                        continue;
-                    }
-                    edges
-                        .entry((g.lock.clone(), h.lock.clone()))
-                        .or_insert_with(|| (file.rel_path.clone(), h.line + 1));
-                }
-                // Interprocedural: callee acquisitions while g is live.
-                for call in &f.calls {
-                    if call.in_test || call.waived_lock_order {
-                        continue;
-                    }
-                    if call.line < g.line || call.line > g.end {
-                        continue;
-                    }
-                    for k in self.resolve(self.fns[idx].0, call) {
-                        for l in &trans[k] {
-                            if *l == g.lock {
-                                continue; // instance-ambiguous; see DESIGN.md §13
-                            }
-                            edges
-                                .entry((g.lock.clone(), l.clone()))
-                                .or_insert_with(|| (file.rel_path.clone(), call.line + 1));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Any SCC with ≥ 2 locks is a potential ABBA inversion.
-        for scc in sccs(&edges) {
-            if scc.len() < 2 {
-                continue;
-            }
-            let mut cyc_edges: Vec<String> = edges
-                .iter()
-                .filter(|((a, b), _)| scc.contains(a) && scc.contains(b))
-                .map(|((a, b), (f, l))| format!("{a} → {b} at {f}:{l}"))
-                .collect();
-            cyc_edges.sort();
-            let (file, line) = edges
-                .iter()
-                .find(|((a, b), _)| scc.contains(a) && scc.contains(b))
-                .map(|(_, (f, l))| (f.clone(), *l))
-                .unwrap_or_default();
-            out.push(Violation {
-                rel_path: file,
-                line,
-                rule: "lock-order",
-                msg: format!(
-                    "lock-order cycle over {{{}}}: {}; establish one global \
-                     order or waive an edge with `// lint:allow(lock-order): \
-                     <reason>`",
-                    scc.join(", "),
-                    cyc_edges.join("; ")
-                ),
-            });
-        }
-        out
-    }
-
-    // ---- blocking under a live guard -----------------------------------
-
-    fn blocking_under_lock(&self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for idx in 0..self.fns.len() {
-            let f = self.fn_at(idx);
-            let file = self.file_of(idx);
-            if f.is_test || !ENGINE_SIDE_CRATES.contains(&file.crate_dir.as_str()) {
-                continue;
-            }
-            if f.waivers.iter().any(|w| w == "blocking-under-lock") {
-                continue;
-            }
-            for b in &f.blocking {
-                if b.in_test || b.waived {
-                    continue;
-                }
-                let live: Vec<&str> = f
-                    .guards
-                    .iter()
-                    .filter(|g| !g.in_test && g.line <= b.line && b.line <= g.end)
-                    .map(|g| g.lock.as_str())
-                    .collect();
-                let threshold = if b.condvar { 2 } else { 1 };
-                if live.len() < threshold {
-                    continue;
-                }
-                let msg = if b.condvar {
-                    format!(
-                        "{} with {} facade guards live ({}): the wait releases \
-                         only its own mutex — every other guard is held across \
-                         the sleep",
-                        b.what,
-                        live.len(),
-                        live.join(", ")
-                    )
-                } else {
-                    format!(
-                        "{} while facade guard on `{}` is live: a blocked \
-                         engine thread holding a lock stalls the \
-                         submit→complete→reclaim pipeline; waive with \
-                         `// lint:allow(blocking-under-lock): <reason>`",
-                        b.what,
-                        live.join("`, `")
-                    )
-                };
-                out.push(Violation {
-                    rel_path: file.rel_path.clone(),
-                    line: b.line + 1,
-                    rule: "blocking-under-lock",
-                    msg,
                 });
             }
         }
@@ -604,77 +384,6 @@ fn compatible(a: &str, b: &str) -> bool {
             .all(|(x, y)| x == y || *x == "*" || *y == "*")
 }
 
-/// Tarjan's strongly-connected components over the edge map.
-fn sccs(edges: &BTreeMap<(String, String), (String, usize)>) -> Vec<Vec<String>> {
-    let mut nodes: Vec<&str> = Vec::new();
-    let mut index_of: HashMap<&str, usize> = HashMap::new();
-    for (a, b) in edges.keys() {
-        for n in [a.as_str(), b.as_str()] {
-            if !index_of.contains_key(n) {
-                index_of.insert(n, nodes.len());
-                nodes.push(n);
-            }
-        }
-    }
-    let mut adj = vec![Vec::new(); nodes.len()];
-    for (a, b) in edges.keys() {
-        adj[index_of[a.as_str()]].push(index_of[b.as_str()]);
-    }
-
-    // Iterative Tarjan (explicit stack; recursion depth is unbounded
-    // on pathological graphs).
-    let n = nodes.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        // (node, next child position)
-        let mut call: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(nodes[w].to_owned());
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort();
-                    out.push(comp);
-                }
-                call.pop();
-                if let Some(&mut (u, _)) = call.last_mut() {
-                    low[u] = low[u].min(low[v]);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Parse OBSERVABILITY.md (or a fixture equivalent): backticked names
 /// in the *first cell* of markdown table rows, outside code fences.
 /// Dotted names are meters, dotless names are span/phase names. A row
@@ -776,75 +485,6 @@ fn unrelated(v: &[u8]) -> u8 { v[0] }
         assert_eq!(tp.len(), 1, "{tp:?}");
         assert_eq!(tp[0].line, 4);
         assert!(tp[0].msg.contains("submit → step_one → step_two"), "{}", tp[0].msg);
-    }
-
-    #[test]
-    fn lock_order_cycle_across_files_is_detected() {
-        let a = "\
-pub fn ab(x: &S, y: &T) {
-    let g = x.alpha.lock();
-    let h = y.beta.lock();
-    g.use_with(h);
-}
-";
-        let b = "\
-pub fn ba(x: &S, y: &T) {
-    let h = y.beta.lock();
-    let g = x.alpha.lock();
-    h.use_with(g);
-}
-";
-        let w = ws(&[
-            ("crates/aio/src/m.rs", "aio", a),
-            ("crates/aio/src/m.rs", "aio", b),
-        ]);
-        // Same file stem so both receivers canonicalize into one pair
-        // of lock identities with opposite ordering.
-        let v = w.analyze(None);
-        let lo: Vec<_> = v.iter().filter(|x| x.rule == "lock-order").collect();
-        assert_eq!(lo.len(), 1, "{lo:?}");
-        assert!(lo[0].msg.contains("cycle"), "{}", lo[0].msg);
-    }
-
-    #[test]
-    fn reentrant_acquisition_is_flagged() {
-        let src = "\
-pub fn f(s: &S) {
-    let g = s.state.lock();
-    let h = s.state.lock();
-    g.merge(h);
-}
-";
-        let v = ws(&[("crates/aio/src/r.rs", "aio", src)]).analyze(None);
-        assert!(
-            v.iter().any(|x| x.rule == "lock-order" && x.msg.contains("re-entrant")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn blocking_under_lock_fires_and_condvar_needs_two_guards() {
-        let src = "\
-pub fn bad(s: &S) {
-    let g = s.state.lock();
-    std::fs::write(\"p\", b\"x\");
-    drop(g);
-}
-pub fn normal_wait(s: &S, cv: &Condvar) {
-    let mut g = s.state.lock();
-    cv.wait(&mut g);
-}
-pub fn double_wait(s: &S, cv: &Condvar) {
-    let a = s.state.lock();
-    let mut b = s.other.lock();
-    cv.wait(&mut b);
-}
-";
-        let v = ws(&[("crates/aio/src/b.rs", "aio", src)]).analyze(None);
-        let bl: Vec<_> = v.iter().filter(|x| x.rule == "blocking-under-lock").collect();
-        assert_eq!(bl.len(), 2, "{bl:?}");
-        assert_eq!(bl[0].line, 3);
-        assert_eq!(bl[1].line, 13);
     }
 
     #[test]

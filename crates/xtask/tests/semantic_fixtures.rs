@@ -36,24 +36,6 @@ fn rendered(violations: &[Violation]) -> String {
 }
 
 #[test]
-fn lock_cycle_fixture_fires() {
-    let v = analyze("lock_cycle");
-    assert!(
-        v.iter().any(|v| v.rule == "lock-order"
-            && v.msg.contains("cycle")
-            && v.msg.contains("storage/lib.l1")
-            && v.msg.contains("storage/lib.l2")),
-        "expected a lock-order cycle over l1/l2, got:\n{}",
-        rendered(&v)
-    );
-    assert!(
-        v.iter().all(|v| v.rule == "lock-order"),
-        "unexpected extra rules:\n{}",
-        rendered(&v)
-    );
-}
-
-#[test]
 fn transitive_panic_fixture_fires_three_deep() {
     let v = analyze("transitive_panic");
     assert!(
@@ -86,22 +68,6 @@ fn undocumented_meter_fixture_fires_both_directions() {
     );
     assert!(
         v.iter().all(|v| v.rule == "metric-drift"),
-        "unexpected extra rules:\n{}",
-        rendered(&v)
-    );
-}
-
-#[test]
-fn blocking_under_lock_fixture_fires() {
-    let v = analyze("blocking_under_lock");
-    assert!(
-        v.iter()
-            .any(|v| v.rule == "blocking-under-lock" && v.msg.contains("std::fs::")),
-        "expected blocking file I/O under the guard, got:\n{}",
-        rendered(&v)
-    );
-    assert!(
-        v.iter().all(|v| v.rule == "blocking-under-lock"),
         "unexpected extra rules:\n{}",
         rendered(&v)
     );

@@ -120,6 +120,61 @@ fn materialized_checkpoint_survives_further_training() {
     assert_eq!(restored.master_params().unwrap(), snapshot_params);
 }
 
+/// A pre-staged subgroup is a reference to the live tier key, which the
+/// next update overwrites in place, so a non-materialized checkpoint
+/// restores mixed-step state without an error. See ROADMAP item 13 for
+/// the fix (detect, then pin).
+#[test]
+#[ignore = "known defect: a pre-staged checkpoint stops being restorable once training moves on"]
+fn prestaged_checkpoint_survives_further_training() {
+    // The split is pinned so the placement, and so the count, repeats.
+    let cfg = EngineConfig::mlp_offload()
+        .with_host_frames(5)
+        .with_tier_ratio(vec![2.0, 1.0]);
+    // Per k further iterations: how many subgroups a successful restore
+    // got wrong. A typed error counts as none.
+    let stale: Vec<(usize, usize)> = [1, 2, 5]
+        .into_iter()
+        .map(|more| {
+            let shared = tiers();
+            let ckpt = MemBackend::new("pfs-checkpoint");
+            let mut engine =
+                MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states())
+                    .unwrap();
+            for it in 0..3 {
+                step(&mut engine, it);
+            }
+            let (_, stats) = engine.checkpoint(&ckpt, "it3", false).unwrap();
+            assert_eq!((stats.prestaged_bytes, stats.copied_bytes), (960, 480));
+            let at_checkpoint = engine.master_params().unwrap();
+            for it in 3..3 + more {
+                step(&mut engine, it);
+            }
+            let restored = MlpFuncEngine::restore(
+                cfg.clone(),
+                AdamConfig::default(),
+                &shared,
+                0,
+                &ckpt,
+                "it3",
+            )
+            .and_then(|e| e.master_params());
+            let wrong = restored.map_or(0, |params| {
+                params
+                    .iter()
+                    .zip(&at_checkpoint)
+                    .filter(|(got, want)| got != want)
+                    .count()
+            });
+            (more, wrong)
+        })
+        .collect();
+    assert!(
+        stale.iter().all(|&(_, wrong)| wrong == 0),
+        "(further iterations, subgroups of {SUBGROUPS} restored from the wrong step): {stale:?}"
+    );
+}
+
 #[test]
 fn prestaged_fraction_grows_with_smaller_cache() {
     let ckpt = MemBackend::new("target");
