@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use mlp_aio::{AioConfig, AioEngine, EngineKind, RetryPolicy};
 use mlp_storage::{
-    Backend, DirBackend, FaultConfig, FaultInjectBackend, MemBackend, ObjectBackend, ObjectConfig,
+    Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, HealthConfig,
+    HealthGatedBackend, MemBackend, ObjectBackend, ObjectConfig, TierHealth,
 };
 use mlp_tensor::PinnedPool;
 
@@ -317,6 +318,52 @@ fn hung_backend_surfaces_typed_timeout_on_every_engine() {
         fault.set_armed(false);
         engine.submit_write("k2", vec![1u8; 8]).wait().unwrap();
         assert_eq!(engine.op_timeouts(), 1, "{kind}: healthy op timed out");
+    }
+}
+
+/// Known defect, pinned: a deadline timeout never reaches the tier-health
+/// breaker. Only `HealthGatedBackend` feeds the breaker, and only when the
+/// backend call *returns*; the watchdog's `TimedOut` goes to the waiter
+/// alone, and the hung call's late return is then recorded as a success.
+/// With a hair-trigger breaker one timed-out op should open it; today it
+/// stays `Closed` with zero failures, so this test fails until timeouts
+/// are routed to the breaker (ROADMAP item 7).
+#[test]
+#[ignore = "known defect: a watchdog timeout never reaches the tier breaker (ROADMAP item 7)"]
+fn hung_tier_timeout_reaches_the_breaker() {
+    for kind in EngineKind::all() {
+        let fault = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+            FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(400)),
+        ));
+        let health = TierHealth::new("mem", HealthConfig::hair_trigger());
+        let gated = HealthGatedBackend::new(fault as Arc<dyn Backend>, Arc::clone(&health));
+        let engine = AioEngine::new(
+            Arc::new(gated) as Arc<dyn Backend>,
+            AioConfig {
+                deadline: Some(Duration::from_millis(50)),
+                retry: RetryPolicy::none(),
+                workers: 1,
+                ..config_for(kind)
+            },
+        );
+        let (err, _payload) = engine
+            .submit_write("k", vec![7u8; 64])
+            .wait_flush()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{kind}: {err}");
+        // The gate observes the hung call before the engine counts it late.
+        let t1 = std::time::Instant::now();
+        while engine.late_completions() == 0 && t1.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(engine.late_completions(), 1, "{kind}: late completion lost");
+        assert_ne!(
+            health.state(),
+            BreakerState::Closed,
+            "{kind}: the timeout never reached the breaker ({:?})",
+            health.counts()
+        );
     }
 }
 

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use mlp_model::Subgroup;
 use mlp_sim::channel::channel;
-use mlp_sim::sync::{MutexGuard, Notify, SemGuard, Semaphore};
+use mlp_sim::sync::{Notify, SemGuard, Semaphore};
 use mlp_trace::{Attrs, Phase};
 
 use crate::config::EngineConfig;
@@ -164,9 +164,9 @@ impl SimWorker {
         st.ledger.planner.migrations_planned()
     }
 
-    async fn maybe_lock(&self, tier: usize) -> Option<MutexGuard> {
+    async fn maybe_lock(&self, tier: usize) -> Option<SemGuard> {
         if self.inner.cfg.tier_exclusive_locking {
-            Some(self.inner.env.locks[tier].lock().await)
+            Some(self.inner.env.locks[tier].acquire().await)
         } else {
             None
         }

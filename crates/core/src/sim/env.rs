@@ -8,7 +8,7 @@
 //! contention effects the paper studies come from.
 
 use mlp_sim::bandwidth::BwLink;
-use mlp_sim::sync::SimMutex;
+use mlp_sim::sync::Semaphore;
 use mlp_sim::Sim;
 use mlp_storage::{SimTier, TierSpec};
 
@@ -38,8 +38,9 @@ pub struct NodeSimEnv {
     pub sim: Sim,
     /// Third-level tiers, index-aligned with `NodeSpec::tier_specs`.
     pub tiers: Vec<SimTier>,
-    /// Node-level exclusive lock per tier ("Process Atomic R/W").
-    pub locks: Vec<SimMutex>,
+    /// Node-level exclusive lock per tier ("Process Atomic R/W"): a
+    /// one-permit FIFO semaphore.
+    pub locks: Vec<Semaphore>,
     /// CPU update capacity; transfer units are *parameters*.
     pub cpu: BwLink,
     /// FP16→FP32 conversion capacity; transfer units are FP16 bytes.
@@ -72,7 +73,11 @@ impl NodeSimEnv {
         assert!(spec.gpus > 0, "node needs at least one GPU");
         assert!(!spec.tier_specs.is_empty(), "node needs at least one tier");
         assert_eq!(tiers.len(), spec.tier_specs.len(), "tier/spec mismatch");
-        let locks = spec.tier_specs.iter().map(|_| SimMutex::new(sim)).collect();
+        let locks = spec
+            .tier_specs
+            .iter()
+            .map(|_| Semaphore::new(sim, 1))
+            .collect();
         let cpu = BwLink::new(sim, spec.cpu_update_params_per_s);
         let conv = BwLink::new(sim, spec.conv_bytes_per_s);
         let d2h = (0..spec.gpus)

@@ -5,7 +5,7 @@
 //! process model.
 //!
 //! The offloading engines in this workspace are written as ordinary `async`
-//! code (`tier.read(sub).await`, `lock.lock().await`, ...). In *simulated
+//! code (`tier.read(sub).await`, `lock.acquire().await`, ...). In *simulated
 //! mode* those futures run on the single-threaded executor provided here: a
 //! virtual clock advances instantly between events, so an iteration that
 //! takes minutes of "paper time" simulates in microseconds, and every run is
@@ -16,9 +16,9 @@
 //! * [`Sim`] — the executor handle: [`Sim::spawn`], [`Sim::run`],
 //!   [`Sim::block_on`], and the virtual clock ([`Sim::now`]).
 //! * [`Delay`] (via [`Sim::sleep`] / [`Sim::sleep_ns`]) — virtual-time timers.
-//! * [`sync::SimMutex`], [`sync::Semaphore`], [`sync::Notify`] — FIFO
-//!   cooperative synchronization primitives used for tier-exclusive locks and
-//!   bounded host-buffer slots.
+//! * [`sync::Semaphore`], [`sync::Notify`] — FIFO cooperative
+//!   synchronization primitives; a one-permit semaphore is the
+//!   tier-exclusive lock, a many-permit one bounds host-buffer slots.
 //! * [`channel`] — unbounded FIFO channels between simulated processes.
 //! * [`bandwidth::BwLink`] — a processor-sharing ("fluid flow") bandwidth
 //!   resource modelling a storage channel or interconnect: aggregate

@@ -15,176 +15,6 @@ use std::task::{Context, Poll};
 use crate::executor::{Sim, TaskId};
 
 // ---------------------------------------------------------------------------
-// SimMutex
-// ---------------------------------------------------------------------------
-
-struct MutexState {
-    locked: bool,
-    /// FIFO queue of waiting (ticket, task).
-    queue: VecDeque<(u64, TaskId)>,
-    /// Ticket that currently owns a pending lock handoff.
-    handoff: Option<u64>,
-    next_ticket: u64,
-}
-
-/// An asynchronous, FIFO-fair mutual-exclusion lock.
-///
-/// Used to model *tier-exclusive concurrency control*: only one worker
-/// process on a node may access a given storage tier at a time (§3.2).
-pub struct SimMutex {
-    sim: Sim,
-    state: Rc<RefCell<MutexState>>,
-}
-
-impl SimMutex {
-    /// Creates an unlocked mutex.
-    pub fn new(sim: &Sim) -> Self {
-        SimMutex {
-            sim: sim.clone(),
-            state: Rc::new(RefCell::new(MutexState {
-                locked: false,
-                queue: VecDeque::new(),
-                handoff: None,
-                next_ticket: 0,
-            })),
-        }
-    }
-
-    /// Acquires the lock, waiting in FIFO order.
-    pub fn lock(&self) -> MutexLock {
-        MutexLock {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-            ticket: None,
-            acquired: false,
-        }
-    }
-
-    /// Attempts to acquire without waiting.
-    pub fn try_lock(&self) -> Option<MutexGuard> {
-        let mut s = self.state.borrow_mut();
-        if !s.locked && s.handoff.is_none() && s.queue.is_empty() {
-            s.locked = true;
-            drop(s);
-            Some(MutexGuard {
-                sim: self.sim.clone(),
-                state: Rc::clone(&self.state),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Number of tasks queued behind the current holder.
-    pub fn waiters(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-}
-
-impl Clone for SimMutex {
-    fn clone(&self) -> Self {
-        SimMutex {
-            sim: self.sim.clone(),
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-fn mutex_release(sim: &Sim, state: &Rc<RefCell<MutexState>>) {
-    let mut s = state.borrow_mut();
-    if let Some((ticket, task)) = s.queue.pop_front() {
-        // Hand the lock to the next waiter: `locked` stays true so nobody
-        // can barge in between release and the waiter's next poll.
-        s.handoff = Some(ticket);
-        drop(s);
-        sim.wake(task);
-    } else {
-        s.locked = false;
-    }
-}
-
-/// Future returned by [`SimMutex::lock`].
-pub struct MutexLock {
-    sim: Sim,
-    state: Rc<RefCell<MutexState>>,
-    ticket: Option<u64>,
-    acquired: bool,
-}
-
-impl Future for MutexLock {
-    type Output = MutexGuard;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<MutexGuard> {
-        let this = &mut *self;
-        let mut s = this.state.borrow_mut();
-        match this.ticket {
-            None => {
-                if !s.locked && s.handoff.is_none() && s.queue.is_empty() {
-                    s.locked = true;
-                    drop(s);
-                    this.acquired = true;
-                    Poll::Ready(MutexGuard {
-                        sim: this.sim.clone(),
-                        state: Rc::clone(&this.state),
-                    })
-                } else {
-                    let ticket = s.next_ticket;
-                    s.next_ticket += 1;
-                    let task = this.sim.current_task();
-                    s.queue.push_back((ticket, task));
-                    this.ticket = Some(ticket);
-                    Poll::Pending
-                }
-            }
-            Some(ticket) => {
-                if s.handoff == Some(ticket) {
-                    s.handoff = None;
-                    drop(s);
-                    this.acquired = true;
-                    Poll::Ready(MutexGuard {
-                        sim: this.sim.clone(),
-                        state: Rc::clone(&this.state),
-                    })
-                } else {
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-impl Drop for MutexLock {
-    fn drop(&mut self) {
-        if self.acquired {
-            return;
-        }
-        let Some(ticket) = self.ticket else { return };
-        let mut s = self.state.borrow_mut();
-        if s.handoff == Some(ticket) {
-            // We were granted the lock but dropped before observing it:
-            // behave as an immediate release.
-            s.handoff = None;
-            drop(s);
-            mutex_release(&self.sim, &self.state);
-        } else {
-            s.queue.retain(|&(t, _)| t != ticket);
-        }
-    }
-}
-
-/// RAII guard; releases the mutex (waking the next waiter) on drop.
-pub struct MutexGuard {
-    sim: Sim,
-    state: Rc<RefCell<MutexState>>,
-}
-
-impl Drop for MutexGuard {
-    fn drop(&mut self) {
-        mutex_release(&self.sim, &self.state);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Semaphore
 // ---------------------------------------------------------------------------
 
@@ -198,9 +28,12 @@ struct SemState {
 
 /// FIFO counting semaphore.
 ///
-/// Models bounded resources such as the configurable number of pinned host
-/// buffer slots that cap how many subgroups may be in flight at once (the
-/// paper's "minimum of three subgroups": flush + update + prefetch, §4.1).
+/// With one permit it is the *tier-exclusive* lock: only one worker
+/// process on a node may access a given storage tier at a time (§3.2).
+/// With more it models bounded resources such as the configurable number of
+/// pinned host buffer slots that cap how many subgroups may be in flight at
+/// once (the paper's "minimum of three subgroups": flush + update +
+/// prefetch, §4.1).
 pub struct Semaphore {
     sim: Sim,
     state: Rc<RefCell<SemState>>,
@@ -433,110 +266,68 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn mutex_grants_in_fifo_order() {
-        let sim = Sim::new();
-        let m = SimMutex::new(&sim);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..4 {
-            let m = m.clone();
-            let s = sim.clone();
-            let log = Rc::clone(&log);
-            sim.spawn(async move {
-                let _g = m.lock().await;
-                log.borrow_mut().push(i);
-                s.sleep(1.0).await;
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-        assert_eq!(sim.now(), crate::time::secs(4.0));
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn mutex_serializes_critical_sections() {
-        let sim = Sim::new();
-        let m = SimMutex::new(&sim);
-        let active = Rc::new(RefCell::new((0usize, 0usize))); // (current, max)
-        for _ in 0..5 {
-            let m = m.clone();
-            let s = sim.clone();
-            let active = Rc::clone(&active);
-            sim.spawn(async move {
-                let _g = m.lock().await;
-                {
-                    let mut a = active.borrow_mut();
-                    a.0 += 1;
-                    a.1 = a.1.max(a.0);
-                }
-                s.sleep(0.5).await;
-                active.borrow_mut().0 -= 1;
-            });
-        }
-        sim.run();
-        assert_eq!(active.borrow().1, 1);
-    }
-
-    #[test]
-    fn try_lock_fails_while_held() {
-        let sim = Sim::new();
-        let m = SimMutex::new(&sim);
-        let g = m.try_lock().unwrap();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
     fn dropped_waiter_leaves_queue_consistent() {
         let sim = Sim::new();
-        let m = SimMutex::new(&sim);
-        let m2 = m.clone();
-        let s = sim.clone();
+        let sem = Semaphore::new(&sim, 1);
+        let sem2 = sem.clone();
         sim.block_on(async move {
-            let g = m2.try_lock().unwrap();
-            // Create a waiter, poll it once so it joins the queue, then drop
-            // it before it is ever granted (cancellation path).
+            // Poll a waiter once so it joins the queue, then drop it before
+            // it is granted (cancellation path).
+            let g = sem2.acquire().await;
             {
-                let mut fut = std::pin::pin!(m2.lock());
+                let mut fut = std::pin::pin!(sem2.acquire());
                 std::future::poll_fn(|cx| {
                     assert!(fut.as_mut().poll(cx).is_pending());
                     std::task::Poll::Ready(())
                 })
                 .await;
-                assert_eq!(m2.waiters(), 1);
             }
-            assert_eq!(m2.waiters(), 0);
             drop(g);
-            // Lock must be acquirable again.
-            let _g2 = m2.lock().await;
-            let _ = s;
+            assert_eq!(sem2.available(), 1, "release skipped the dropped waiter");
+            // Grant a queued waiter, then drop it before it observes the
+            // grant: the permit is forwarded, not lost.
+            let g = sem2.acquire().await;
+            {
+                let mut fut = std::pin::pin!(sem2.acquire());
+                std::future::poll_fn(|cx| {
+                    assert!(fut.as_mut().poll(cx).is_pending());
+                    std::task::Poll::Ready(())
+                })
+                .await;
+                drop(g);
+                assert_eq!(sem2.available(), 0, "granted to the waiter");
+            }
+            assert_eq!(sem2.available(), 1);
+            let _g = sem2.acquire().await;
         });
     }
 
     #[test]
     fn semaphore_caps_concurrency() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(&sim, 3);
-        let active = Rc::new(RefCell::new((0usize, 0usize)));
-        for _ in 0..10 {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let active = Rc::clone(&active);
-            sim.spawn(async move {
-                let _g = sem.acquire().await;
-                {
-                    let mut a = active.borrow_mut();
-                    a.0 += 1;
-                    a.1 = a.1.max(a.0);
-                }
-                s.sleep(1.0).await;
-                active.borrow_mut().0 -= 1;
-            });
+        // One permit is the tier lock: critical sections never overlap.
+        for permits in [1, 3] {
+            let sim = Sim::new();
+            let sem = Semaphore::new(&sim, permits);
+            let active = Rc::new(RefCell::new((0usize, 0usize))); // (current, max)
+            for _ in 0..10 {
+                let sem = sem.clone();
+                let s = sim.clone();
+                let active = Rc::clone(&active);
+                sim.spawn(async move {
+                    let _g = sem.acquire().await;
+                    {
+                        let mut a = active.borrow_mut();
+                        a.0 += 1;
+                        a.1 = a.1.max(a.0);
+                    }
+                    s.sleep(1.0).await;
+                    active.borrow_mut().0 -= 1;
+                });
+            }
+            sim.run();
+            assert_eq!(active.borrow().1, permits);
+            assert_eq!(sem.available(), permits);
         }
-        sim.run();
-        assert_eq!(active.borrow().1, 3);
-        assert_eq!(sem.available(), 3);
     }
 
     #[test]

@@ -179,20 +179,7 @@ impl TierHealth {
     /// A closed breaker for the tier named `name` (the meter-family
     /// key: `health.{name}.*`).
     pub fn new(name: impl Into<String>, cfg: HealthConfig) -> Arc<TierHealth> {
-        Arc::new(TierHealth {
-            name: name.into(),
-            cfg,
-            inner: Mutex::new(Inner {
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                consecutive_slo_violations: 0,
-                rejections_since_open: 0,
-                probe_successes: 0,
-                trips_since_close: 0,
-                counts: HealthCounts::default(),
-            }),
-            trace: TraceSink::disabled(),
-        })
+        TierHealth::with_trace(name, cfg, TraceSink::disabled())
     }
 
     /// As [`TierHealth::new`] with an observability sink: state changes
@@ -202,9 +189,8 @@ impl TierHealth {
         cfg: HealthConfig,
         trace: TraceSink,
     ) -> Arc<TierHealth> {
-        let name = name.into();
         let h = TierHealth {
-            name,
+            name: name.into(),
             cfg,
             inner: Mutex::new(Inner {
                 state: BreakerState::Closed,

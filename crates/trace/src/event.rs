@@ -227,8 +227,8 @@ impl Default for Attrs {
     }
 }
 
-/// One recorded event. Fixed-size and `Copy` so the ring can store it
-/// inline and producers never allocate.
+/// One recorded event. Fixed-size and `Copy` so the sink stores it
+/// inline in its reserved buffer and producers never allocate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Global sequence number (allocation order across all producers).
@@ -255,7 +255,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Placeholder record used to initialize ring slots.
+    /// A record with no tier, subgroup, bytes or time: the base for
+    /// struct-update syntax when only a few fields matter.
     pub const EMPTY: TraceEvent = TraceEvent {
         seq: 0,
         kind: EventKind::Instant,

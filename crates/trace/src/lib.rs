@@ -14,9 +14,7 @@
 //!   components (the aio engine, the pinned pool, the storage tiers,
 //!   the fused optimizer kernels, the engines and trainer) record
 //!   [`TraceEvent`]s and update metrics through it.
-//! * [`EventRing`] — the lock-cheap bounded MPMC ring behind the sink,
-//!   built on the `mlp-sync` facade so `--cfg loom` model-checks its
-//!   producer/consumer protocol (`tests/loom_ring.rs`).
+//!   Events go into one `Vec` behind one lock, in sequence order.
 //! * [`MetricsRegistry`] — typed counters, gauges, and fixed
 //!   log2-bucket histograms, unifying the ad-hoc counters that
 //!   previously lived in `core::stats`, `AioEngine`, and the storage
@@ -59,7 +57,6 @@ pub mod chrome;
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod ring;
 pub mod sink;
 pub mod summary;
 
@@ -68,6 +65,5 @@ pub use event::{Attrs, EventKind, IoDirection, Phase, TraceEvent, ALL_PHASES};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use ring::EventRing;
-pub use sink::{SpanGuard, TraceSink, DEFAULT_RING_CAPACITY};
+pub use sink::{SpanGuard, TraceSink};
 pub use summary::{human_bytes, IoSummary, TierIo};

@@ -2,10 +2,18 @@
 //!
 //! [`TraceSink`] is a cheap clone-able handle that is either *disabled*
 //! (the default — a `None` inside, so every record call is one branch
-//! and returns) or *enabled* (an `Arc` of ring + registry + clock
+//! and returns) or *enabled* (an `Arc` of event log + registry + clock
 //! epoch). Engines store it in their config structs; instrumented
 //! components clone it freely. Disabled sinks make instrumentation
-//! zero-cost: no event is constructed, no atomic touched.
+//! zero-cost: no event is constructed, no lock taken.
+//!
+//! An enabled sink keeps its events in one `Vec` behind one
+//! [`mlp_sync::Mutex`], reserved up front to the sink's capacity: a
+//! push takes the lock, stamps the next sequence number and appends, so
+//! push order is sequence order and a drain needs no sort. Nothing is
+//! ever dropped; a push that finds `capacity` events already buffered
+//! still appends and is counted ([`TraceSink::overflow_count`]) as a
+//! sign the capacity is too small for the drain interval.
 //!
 //! Timestamps are nanoseconds relative to the sink's creation instant
 //! ([`TraceSink::now_ns`]) for wall-clock components, while the
@@ -15,21 +23,42 @@
 
 use std::time::Instant;
 
-use mlp_sync::atomic::{AtomicU64, Ordering};
-use mlp_sync::Arc;
+use mlp_sync::{Arc, Mutex};
 
 use crate::event::{Attrs, EventKind, Phase, TraceEvent};
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::ring::EventRing;
 
-/// Default event-ring capacity (events, each ~80 bytes).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+/// Capacity of [`TraceSink::enabled`] (events, each ~80 bytes).
+const DEFAULT_CAPACITY: usize = 1 << 16;
+
+/// What the sink's lock guards.
+struct EventLog {
+    /// Events recorded since the last drain, in push order.
+    events: Vec<TraceEvent>,
+    /// Sequence number of the next push; keeps counting across drains.
+    next_seq: u64,
+    /// Pushes that found `capacity` events already buffered.
+    overflowed: u64,
+}
 
 struct SinkShared {
-    ring: EventRing,
-    seq: AtomicU64,
+    log: Mutex<EventLog>,
+    capacity: usize,
     metrics: MetricsRegistry,
     epoch: Instant,
+}
+
+impl SinkShared {
+    /// Stamps `ev` with the next sequence number and appends it.
+    fn push(&self, mut ev: TraceEvent) {
+        let mut log = self.log.lock();
+        ev.seq = log.next_seq;
+        log.next_seq += 1;
+        if log.events.len() >= self.capacity {
+            log.overflowed += 1;
+        }
+        log.events.push(ev);
+    }
 }
 
 /// Clone-able, possibly-disabled recording handle. See module docs.
@@ -44,17 +73,22 @@ impl TraceSink {
         TraceSink { inner: None }
     }
 
-    /// An enabled sink with the default ring capacity.
+    /// An enabled sink with the default capacity.
     pub fn enabled() -> TraceSink {
-        TraceSink::with_capacity(DEFAULT_RING_CAPACITY)
+        TraceSink::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// An enabled sink with at least `capacity` ring slots.
+    /// An enabled sink that buffers `capacity` events between drains
+    /// before it counts overflows.
     pub fn with_capacity(capacity: usize) -> TraceSink {
         TraceSink {
             inner: Some(Arc::new(SinkShared {
-                ring: EventRing::with_capacity(capacity),
-                seq: AtomicU64::new(0),
+                log: Mutex::new(EventLog {
+                    events: Vec::with_capacity(capacity),
+                    next_seq: 0,
+                    overflowed: 0,
+                }),
+                capacity,
                 metrics: MetricsRegistry::new(),
                 epoch: Instant::now(),
             })),
@@ -82,8 +116,8 @@ impl TraceSink {
     /// disabled.
     pub fn complete_span(&self, phase: Phase, attrs: Attrs, start_ns: u64, end_ns: u64) {
         if let Some(s) = &self.inner {
-            let ev = TraceEvent {
-                seq: s.seq.fetch_add(1, Ordering::AcqRel),
+            s.push(TraceEvent {
+                seq: 0,
                 kind: EventKind::Span,
                 phase,
                 pid: attrs.pid,
@@ -93,16 +127,15 @@ impl TraceSink {
                 bytes: attrs.bytes,
                 ts_ns: start_ns,
                 dur_ns: end_ns.saturating_sub(start_ns),
-            };
-            s.ring.push(ev);
+            });
         }
     }
 
     /// Records a point event at `ts_ns`. No-op when disabled.
     pub fn instant(&self, phase: Phase, attrs: Attrs, ts_ns: u64) {
         if let Some(s) = &self.inner {
-            let ev = TraceEvent {
-                seq: s.seq.fetch_add(1, Ordering::AcqRel),
+            s.push(TraceEvent {
+                seq: 0,
                 kind: EventKind::Instant,
                 phase,
                 pid: attrs.pid,
@@ -112,8 +145,7 @@ impl TraceSink {
                 bytes: attrs.bytes,
                 ts_ns,
                 dur_ns: 0,
-            };
-            s.ring.push(ev);
+            });
         }
     }
 
@@ -153,11 +185,12 @@ impl TraceSink {
         }
     }
 
-    /// Drains every event recorded so far, sorted by sequence number.
-    /// Call after producers quiesce (end of run). Empty when disabled.
+    /// Drains every event recorded since the last call, in sequence
+    /// order. Call after producers quiesce (end of run). Empty when
+    /// disabled.
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(s) => s.ring.drain(),
+            Some(s) => s.log.lock().events.drain(..).collect(),
             None => Vec::new(),
         }
     }
@@ -170,11 +203,11 @@ impl TraceSink {
         }
     }
 
-    /// How many events took the ring's archive slow path (0 = the ring
-    /// capacity was sufficient).
+    /// How many pushes found `capacity` events already buffered (0 =
+    /// the capacity was sufficient). Those events are kept all the same.
     pub fn overflow_count(&self) -> u64 {
         match &self.inner {
-            Some(s) => s.ring.overflow_count(),
+            Some(s) => s.log.lock().overflowed,
             None => 0,
         }
     }
@@ -183,7 +216,11 @@ impl TraceSink {
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(s) => write!(f, "TraceSink(enabled, ~{} buffered)", s.ring.len()),
+            Some(s) => write!(
+                f,
+                "TraceSink(enabled, {} buffered)",
+                s.log.lock().events.len()
+            ),
             None => write!(f, "TraceSink(disabled)"),
         }
     }
@@ -284,5 +321,76 @@ mod tests {
         c.add(123);
         s.clone().counter("tier0.write_bytes").add(1);
         assert_eq!(s.metrics_snapshot().counter("tier0.write_bytes"), Some(124));
+    }
+
+    fn seqs(evs: &[TraceEvent]) -> Vec<u64> {
+        evs.iter().map(|e| e.seq).collect()
+    }
+
+    #[test]
+    fn seq_keeps_counting_across_drains() {
+        let s = TraceSink::with_capacity(4);
+        for round in 0..3u64 {
+            for i in 0..4 {
+                s.instant(Phase::Fetch, Attrs::NONE, i);
+            }
+            assert_eq!(
+                seqs(&s.events()),
+                (round * 4..round * 4 + 4).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(s.overflow_count(), 0);
+    }
+
+    #[test]
+    fn pushes_beyond_capacity_are_kept_in_order_and_counted() {
+        let s = TraceSink::with_capacity(4);
+        for i in 0..10 {
+            s.instant(Phase::Fetch, Attrs::NONE, i * 10);
+        }
+        assert_eq!(s.overflow_count(), 6);
+        let evs = s.events();
+        assert_eq!(seqs(&evs), (0..10).collect::<Vec<_>>(), "no event lost");
+        assert!(evs.iter().zip(0..).all(|(e, i)| e.ts_ns == i * 10));
+        // A drain does not reset the count.
+        s.instant(Phase::Fetch, Attrs::NONE, 0);
+        assert_eq!(s.overflow_count(), 6);
+    }
+
+    #[test]
+    fn concurrent_producers_lose_nothing() {
+        let s = TraceSink::with_capacity(64);
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let s = s.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1000 {
+                        s.instant(Phase::Fetch, Attrs::bytes(t), i);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("producer thread");
+        }
+        let evs = s.events();
+        assert_eq!(evs.len(), 4000);
+        assert_eq!(
+            seqs(&evs),
+            (0..4000).collect::<Vec<_>>(),
+            "push order is seq order"
+        );
+        for t in 0..4u64 {
+            let mine: Vec<u64> = evs
+                .iter()
+                .filter(|e| e.bytes == t)
+                .map(|e| e.ts_ns)
+                .collect();
+            assert_eq!(
+                mine,
+                (0..1000).collect::<Vec<_>>(),
+                "producer {t} in its own order"
+            );
+        }
     }
 }
