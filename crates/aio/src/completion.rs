@@ -79,6 +79,16 @@ impl<T> CompletionSlot<T> {
         true
     }
 
+    /// Runs `f` under the slot's lock unless a value was ever published:
+    /// an I/O worker reports an attempt to the tier breaker only while
+    /// the watchdog has not timed its op out.
+    pub(crate) fn if_unpublished(&self, f: impl FnOnce()) {
+        let guard = self.value.lock();
+        if !guard.published {
+            f();
+        }
+    }
+
     /// Blocks until a value is published, then consumes it. At most one
     /// caller gets the value; concurrent callers after it keep waiting —
     /// the engine hands each `OpHandle` to a single waiter by move, so

@@ -10,10 +10,11 @@
 //! Failure semantics: every backend call runs under the engine's
 //! [`RetryPolicy`] (bounded attempts with exponential backoff for
 //! *transient* errors, immediate surfacing of *permanent* ones — see
-//! [`mlp_storage::fault::classify`]), completions are counted only on
-//! success (failed ops increment the `errors` counter instead), and a
-//! panicking backend poisons the op's completion slot with an
-//! [`io::Error`] rather than leaving waiters blocked forever.
+//! [`mlp_storage::fault::classify`]) and the tier breaker
+//! ([`AioConfig::health`]), completions are counted only on success
+//! (failed ops increment the `errors` counter instead), and a panicking
+//! backend poisons the op's completion slot with an [`io::Error`] rather
+//! than leaving waiters blocked forever.
 
 use std::io;
 use std::time::Duration;
@@ -22,7 +23,7 @@ use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use mlp_sync::{Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
-use mlp_storage::{wall_clock, Backend, Sleeper};
+use mlp_storage::{wall_clock, Backend, Sleeper, TierHealth};
 use mlp_tensor::PooledBuffer;
 use mlp_trace::{Counter, Gauge, Phase, TraceSink};
 
@@ -168,6 +169,11 @@ pub struct AioConfig {
     /// completion is counted ([`AioEngine::late_completions`]) and
     /// dropped. `None` (the default) disables the watchdog entirely.
     pub deadline: Option<Duration>,
+    /// The tier's circuit breaker (`None`, the default: none). Every
+    /// backend attempt is admitted — or refused with the permanent
+    /// [`mlp_storage::breaker_rejection`] — then observed: its latency or
+    /// its error; a deadline timeout counts as a failure.
+    pub health: Option<Arc<TierHealth>>,
     /// The sleeper behind retry backoff delays. Production uses the wall
     /// clock; deterministic fault suites inject a
     /// [`mlp_storage::FakeSleeper`] so injected retry storms cost no
@@ -190,6 +196,7 @@ impl Default for AioConfig {
             trace: TraceSink::disabled(),
             trace_tier: -1,
             deadline: None,
+            health: None,
             sleeper: wall_clock(),
         }
     }
@@ -209,6 +216,7 @@ impl AioConfig {
             trace: TraceSink::disabled(),
             trace_tier: -1,
             deadline: None,
+            health: None,
             sleeper: wall_clock(),
         }
     }
@@ -291,6 +299,9 @@ pub(crate) struct Op {
     pub(crate) key: String,
     pub(crate) kind: OpKind,
     pub(crate) state: Arc<OpState>,
+    /// Skips breaker admission (the drain's evacuation of a quarantined
+    /// tier); retry, outcome accounting and the deadline still apply.
+    pub(crate) salvage: bool,
 }
 
 pub(crate) struct OpState {
@@ -454,7 +465,8 @@ impl Stats {
     }
 }
 
-/// Executes one operation against the backend under the retry policy.
+/// Executes one operation against the backend under the tier's failure
+/// policy ([`EngineShared::run_attempts`]).
 ///
 /// Completion counters (`reads`/`writes`/`*_bytes`) are bumped only on
 /// success; failures are the caller's to count, and re-attempts land in
@@ -470,12 +482,12 @@ pub(crate) fn execute_op(
     state: &OpState,
     key: &str,
     kind: OpKind,
+    salvage: bool,
 ) -> io::Result<OpOutput> {
-    let (backend, sleeper): (&dyn Backend, &dyn Sleeper) = (&*shared.backend, &*shared.sleeper);
-    let (retry, stats) = (&shared.retry, &shared.stats);
+    let (backend, stats) = (&*shared.backend, &shared.stats);
     match kind {
         OpKind::Write(data) => {
-            match retry.run(op_retries, sleeper, || backend.write(key, &data)) {
+            match shared.run_attempts(op_retries, state, salvage, || backend.write(key, &data)) {
                 Ok(()) => {
                     stats.record_write(state, data.len());
                     Ok(OpOutput::None)
@@ -494,7 +506,7 @@ pub(crate) fn execute_op(
             // leaves the frame untouched, so a retry and the reclaim
             // below still hold the payload). A shorter window is copied.
             let whole_frame = len == buf.buffer().len();
-            match retry.run(op_retries, sleeper, || {
+            match shared.run_attempts(op_retries, state, salvage, || {
                 if whole_frame {
                     backend.write_frame(key, buf.buffer_mut())
                 } else {
@@ -514,7 +526,7 @@ pub(crate) fn execute_op(
             }
         }
         OpKind::Read => {
-            let data = retry.run(op_retries, sleeper, || backend.read(key))?;
+            let data = shared.run_attempts(op_retries, state, salvage, || backend.read(key))?;
             stats.record_read(state, data.len());
             Ok(OpOutput::Bytes(data))
         }
@@ -522,7 +534,7 @@ pub(crate) fn execute_op(
             // A retried attempt overwrites whatever a failed partial read
             // left in the window; on error the buffer drops here and
             // recycles to its pool.
-            let n = retry.run(op_retries, sleeper, || {
+            let n = shared.run_attempts(op_retries, state, salvage, || {
                 // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
                 backend.read_into(key, &mut buf.buffer_mut().as_bytes_mut()[..len])
             })?;
@@ -530,7 +542,7 @@ pub(crate) fn execute_op(
             Ok(OpOutput::Pooled(buf, n))
         }
         OpKind::Delete => {
-            retry.run(op_retries, sleeper, || backend.delete(key))?;
+            shared.run_attempts(op_retries, state, salvage, || backend.delete(key))?;
             Ok(OpOutput::None)
         }
     }
@@ -573,7 +585,7 @@ impl AioEngine {
     }
 
     // lint:hot-root — common submit path under every public submit_* entry
-    fn submit(&self, key: &str, kind: OpKind) -> OpHandle {
+    fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
         self.shared.stats.pending.inc();
         self.shared.note_inflight();
         let state = Arc::new(OpState {
@@ -585,6 +597,7 @@ impl AioEngine {
             key: key.to_string(),
             kind,
             state: Arc::clone(&state),
+            salvage,
         };
         // Register with the watchdog *before* the engine sees the op, so
         // even an inline engine's execution is already supervised.
@@ -605,7 +618,7 @@ impl AioEngine {
     /// Enqueues an asynchronous write (flush) of `data` under `key`.
     /// Blocks only if the submission queue is full.
     pub fn submit_write(&self, key: &str, data: Vec<u8>) -> OpHandle {
-        self.submit(key, OpKind::Write(data))
+        self.submit(key, OpKind::Write(data), false)
     }
 
     /// Enqueues an asynchronous write of the first `len` bytes of a
@@ -617,12 +630,12 @@ impl AioEngine {
     /// Panics if `len` exceeds the buffer's size.
     pub fn submit_write_pooled(&self, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
         assert!(len <= buf.buffer().len(), "len exceeds staging buffer");
-        self.submit(key, OpKind::WritePooled(buf, len))
+        self.submit(key, OpKind::WritePooled(buf, len), false)
     }
 
     /// Enqueues an asynchronous read (fetch) of `key`.
     pub fn submit_read(&self, key: &str) -> OpHandle {
-        self.submit(key, OpKind::Read)
+        self.submit(key, OpKind::Read, false)
     }
 
     /// Enqueues an asynchronous read of `key` into the first `len` bytes
@@ -636,12 +649,32 @@ impl AioEngine {
     /// Panics if `len` exceeds the buffer's size.
     pub fn submit_read_pooled(&self, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
         assert!(len <= buf.buffer().len(), "len exceeds staging buffer");
-        self.submit(key, OpKind::ReadPooled(buf, len))
+        self.submit(key, OpKind::ReadPooled(buf, len), false)
     }
 
     /// Enqueues an asynchronous delete of `key`.
     pub fn submit_delete(&self, key: &str) -> OpHandle {
-        self.submit(key, OpKind::Delete)
+        self.submit(key, OpKind::Delete, false)
+    }
+
+    /// [`AioEngine::submit_read`] past the tier breaker's admission: the
+    /// read that evacuates a durable copy off a quarantined tier (a
+    /// write-dead tier usually still serves reads). Retry, outcome
+    /// accounting and the deadline apply as to any op.
+    pub fn submit_salvage_read(&self, key: &str) -> OpHandle {
+        self.submit(key, OpKind::Read, true)
+    }
+
+    /// [`AioEngine::submit_delete`] past the tier breaker's admission:
+    /// retires an evacuated copy (see [`AioEngine::submit_salvage_read`]).
+    pub fn submit_salvage_delete(&self, key: &str) -> OpHandle {
+        self.submit(key, OpKind::Delete, true)
+    }
+
+    /// The tier breaker this engine admits and feeds
+    /// ([`AioConfig::health`]).
+    pub fn health(&self) -> Option<&Arc<TierHealth>> {
+        self.shared.health.as_ref()
     }
 
     /// (reads, writes) completed *successfully* so far; failed operations
@@ -1397,6 +1430,7 @@ mod tests {
                 bytes: AtomicUsize::new(0),
                 reclaim: Mutex::new(None),
             }),
+            salvage: false,
         });
 
         let (reads, writes) = e.ops_completed();

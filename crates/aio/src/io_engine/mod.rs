@@ -16,15 +16,16 @@
 //!   finished by the time `submit_*` returns.
 //!
 //! Both make the same portable [`Backend`] call, so every decorator
-//! (fault injection, checksumming, health gating, tracing) sees every
-//! operation on either engine.
+//! (fault injection, checksumming, tracing) sees every operation on
+//! either engine.
 //!
 //! # Shared protocol
 //!
 //! Completion hand-off ([`CompletionSlot`](crate::CompletionSlot)),
-//! drain ([`PendingGauge`](crate::PendingGauge)), retry/backoff, stats,
-//! and trace instrumentation live in `EngineShared`, *outside* the
-//! engine backends. Every engine funnels through
+//! drain ([`PendingGauge`](crate::PendingGauge)), the tier's failure
+//! policy (retry/backoff, breaker, deadline timeouts), stats, and trace
+//! instrumentation live in `EngineShared`, *outside* the engine
+//! backends. Every engine funnels through
 //! `EngineShared::run_op`/`EngineShared::finish_op`, so the
 //! model-checked publish-then-retire invariants hold for both by
 //! construction.
@@ -36,7 +37,7 @@ use std::time::Instant;
 use mlp_sync::atomic::{AtomicU64, Ordering};
 use mlp_sync::Arc;
 
-use mlp_storage::Backend;
+use mlp_storage::{breaker_rejection, Backend, TierHealth};
 use mlp_trace::{Attrs, Phase, TraceSink};
 
 use crate::engine::{execute_op, AioConfig, Op, OpOutput, OpState, RetryPolicy, Stats};
@@ -98,6 +99,8 @@ pub(crate) struct EngineShared {
     pub(crate) trace_tier: i32,
     /// Per-op deadline enforced by the watchdog (`None` = unsupervised).
     pub(crate) deadline: Option<std::time::Duration>,
+    /// The tier breaker that admits and hears every attempt, if any.
+    pub(crate) health: Option<Arc<TierHealth>>,
     /// Injected delay source for retry backoff (see
     /// [`mlp_storage::Sleeper`]); the wall clock in production.
     pub(crate) sleeper: Arc<dyn mlp_storage::Sleeper>,
@@ -112,6 +115,7 @@ impl EngineShared {
             trace: config.trace.clone(),
             trace_tier: config.trace_tier,
             deadline: config.deadline,
+            health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
         }
     }
@@ -122,7 +126,12 @@ impl EngineShared {
     /// `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
     pub(crate) fn run_op(&self, op: Op) {
         let t0 = Instant::now();
-        let Op { key, kind, state } = op;
+        let Op {
+            key,
+            kind,
+            state,
+            salvage,
+        } = op;
         let phase = kind.phase();
         let span_start = self.trace.now_ns();
         // Per-op retry count, folded into the shared counter afterwards
@@ -133,7 +142,7 @@ impl EngineShared {
         // buffer back to its pool on the way) and poison the completion
         // slot with an error.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_op(self, &op_retries, &state, &key, kind)
+            execute_op(self, &op_retries, &state, &key, kind, salvage)
         }))
         .unwrap_or_else(|_| {
             Err(io::Error::other(format!(
@@ -142,6 +151,34 @@ impl EngineShared {
         });
         let retried = op_retries.load(Ordering::Acquire);
         self.finish_op(phase, t0, span_start, retried, &state, result);
+    }
+
+    /// Runs one op's attempts under the tier's failure policy: retry of
+    /// transient errors, and each attempt admitted by the breaker (unless
+    /// `salvage`) and then observed — unless the watchdog has timed the
+    /// op out meanwhile, which [`EngineShared::time_out`] recorded.
+    pub(crate) fn run_attempts<T>(
+        &self,
+        op_retries: &AtomicU64,
+        state: &OpState,
+        salvage: bool,
+        mut attempt: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.retry.run(op_retries, &*self.sleeper, || {
+            let Some(health) = &self.health else {
+                return attempt();
+            };
+            if !salvage && !health.allow() {
+                return Err(breaker_rejection(health.tier_name(), health.state()));
+            }
+            let started = Instant::now();
+            let result = attempt();
+            state.result.if_unpublished(|| match &result {
+                Ok(_) => health.record_success(started.elapsed()),
+                Err(e) => health.record_failure(e),
+            });
+            result
+        })
     }
 
     /// Completes one op: folds per-op retries and errors into the
@@ -211,9 +248,10 @@ impl EngineShared {
 
     /// Retires an op whose deadline expired: publishes a typed
     /// [`io::ErrorKind::TimedOut`] error and, if that publication won
-    /// (the real completion has not landed), removes the op from the
-    /// pending gauge so `drain` cannot hang on a dead backend. Called
-    /// only by the watchdog thread.
+    /// (the real completion has not landed), records it as a breaker
+    /// failure and removes the op from the pending gauge so `drain`
+    /// cannot hang on a dead backend. Called only by the watchdog
+    /// thread.
     #[cfg(not(loom))]
     pub(crate) fn time_out(&self, key: &str, state: &OpState) {
         let err = io::Error::new(
@@ -227,6 +265,9 @@ impl EngineShared {
         let counted = || {
             self.stats.timeouts.inc();
             self.stats.errors.inc();
+            if let Some(health) = &self.health {
+                health.record_failure(&io::ErrorKind::TimedOut.into());
+            }
         };
         if state.result.publish_with(Err(err), counted) {
             self.retire();

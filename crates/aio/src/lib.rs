@@ -29,6 +29,8 @@
 //!   thread that turns a hung backend into a typed
 //!   [`std::io::ErrorKind::TimedOut`] completion within the deadline on
 //!   every engine backend, instead of a stuck `wait_flush`/`drain`.
+//! * Tier breaker ([`engine::AioConfig::health`]) — admits each backend
+//!   attempt and hears its outcome, deadline timeouts included.
 //! * [`lock::ProcessExclusiveLock`] — the paper's "process-exclusive
 //!   multi-thread-shared locking mechanism": all I/O threads of one worker
 //!   process share the tier while other worker processes are excluded

@@ -11,18 +11,17 @@
 //! [`std::io::ErrorKind::TimedOut`] error to the op's completion slot and
 //! retires it from the pending gauge. Waiters unblock within the
 //! deadline on every engine backend, with an error the taxonomy
-//! classifies transient. The tier-health breaker
-//! ([`mlp_storage::health`]) does not see it: the breaker is fed only by
-//! `HealthGatedBackend` when the backend call returns, and the hung
-//! call's late return counts there as a success (a known gap, pinned by
-//! an ignored test in `tests/engine_matrix.rs`).
+//! classifies transient. When the engine has a tier breaker
+//! ([`mlp_storage::health`]) the timeout is recorded there as a failure,
+//! so a tier that hangs consistently trips it like one that errors.
 //!
 //! The hung backend call itself keeps running (there is no portable way
 //! to cancel a blocking syscall). When it eventually finishes, its
 //! publication loses the first-wins race in
 //! [`CompletionSlot`](crate::CompletionSlot) — sticky even after the
 //! timeout error was consumed — and the engine counts a
-//! *late completion* instead of retiring the op a second time.
+//! *late completion* instead of retiring the op a second time; the
+//! breaker hears nothing of it.
 //!
 //! Deadlines are registered in submission order and every op shares one
 //! configured deadline duration, so the internal queue is naturally

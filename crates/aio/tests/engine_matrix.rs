@@ -15,10 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_aio::{AioConfig, AioEngine, EngineKind, RetryPolicy};
+use mlp_aio::{AioConfig, AioEngine, EngineKind, ReclaimedWrite, RetryPolicy};
 use mlp_storage::{
-    Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, HealthConfig,
-    HealthGatedBackend, MemBackend, ObjectBackend, ObjectConfig, TierHealth,
+    Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, HealthConfig, MemBackend,
+    ObjectBackend, ObjectConfig, TierHealth,
 };
 use mlp_tensor::PinnedPool;
 
@@ -321,15 +321,11 @@ fn hung_backend_surfaces_typed_timeout_on_every_engine() {
     }
 }
 
-/// Known defect, pinned: a deadline timeout never reaches the tier-health
-/// breaker. Only `HealthGatedBackend` feeds the breaker, and only when the
-/// backend call *returns*; the watchdog's `TimedOut` goes to the waiter
-/// alone, and the hung call's late return is then recorded as a success.
-/// With a hair-trigger breaker one timed-out op should open it; today it
-/// stays `Closed` with zero failures, so this test fails until timeouts
-/// are routed to the breaker (ROADMAP item 7).
+/// A deadline timeout reaches the tier breaker: with a hair-trigger
+/// breaker one timed-out op opens it, on every engine, and the hung
+/// call's late return is counted late without being reported to the
+/// breaker.
 #[test]
-#[ignore = "known defect: a watchdog timeout never reaches the tier breaker (ROADMAP item 7)"]
 fn hung_tier_timeout_reaches_the_breaker() {
     for kind in EngineKind::all() {
         let fault = Arc::new(FaultInjectBackend::new(
@@ -337,13 +333,13 @@ fn hung_tier_timeout_reaches_the_breaker() {
             FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(400)),
         ));
         let health = TierHealth::new("mem", HealthConfig::hair_trigger());
-        let gated = HealthGatedBackend::new(fault as Arc<dyn Backend>, Arc::clone(&health));
         let engine = AioEngine::new(
-            Arc::new(gated) as Arc<dyn Backend>,
+            fault as Arc<dyn Backend>,
             AioConfig {
                 deadline: Some(Duration::from_millis(50)),
                 retry: RetryPolicy::none(),
                 workers: 1,
+                health: Some(Arc::clone(&health)),
                 ..config_for(kind)
             },
         );
@@ -352,18 +348,175 @@ fn hung_tier_timeout_reaches_the_breaker() {
             .wait_flush()
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{kind}: {err}");
-        // The gate observes the hung call before the engine counts it late.
-        let t1 = std::time::Instant::now();
-        while engine.late_completions() == 0 && t1.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(engine.late_completions(), 1, "{kind}: late completion lost");
         assert_ne!(
             health.state(),
             BreakerState::Closed,
             "{kind}: the timeout never reached the breaker ({:?})",
             health.counts()
         );
+        wait_for_late_completion(&engine, kind);
+        assert_eq!(health.counts().failures, 1, "{kind}");
+    }
+}
+
+/// The hung call's late return is not the tier's answer: it must not
+/// count as a success. A breaker that trips on two consecutive failures
+/// or on one latency-SLO violation sees two timed-out ops as two
+/// failures in a row, with the first op's late (slow) return between
+/// them recorded as nothing.
+#[test]
+fn late_return_of_a_timed_out_op_is_not_a_breaker_success() {
+    for kind in EngineKind::all() {
+        let fault = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+            FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(300)),
+        ));
+        let health = TierHealth::new(
+            "mem",
+            HealthConfig {
+                failure_threshold: 2,
+                ..HealthConfig::hair_trigger()
+            }
+            .with_latency_slo(Duration::from_millis(100), 1),
+        );
+        let engine = AioEngine::new(
+            fault as Arc<dyn Backend>,
+            AioConfig {
+                deadline: Some(Duration::from_millis(50)),
+                retry: RetryPolicy::none(),
+                workers: 1,
+                health: Some(Arc::clone(&health)),
+                ..config_for(kind)
+            },
+        );
+        assert!(engine.submit_write("a", vec![1u8; 8]).wait().is_err());
+        wait_for_late_completion(&engine, kind);
+        let counts = health.counts();
+        assert_eq!((counts.failures, counts.slo_violations), (1, 0), "{kind}");
+        assert_eq!(health.state(), BreakerState::Closed, "{kind}");
+        assert!(engine.submit_write("b", vec![2u8; 8]).wait().is_err());
+        assert_eq!(health.state(), BreakerState::Quarantined, "{kind}");
+    }
+}
+
+/// Blocks until the engine has counted its one late completion.
+fn wait_for_late_completion(engine: &AioEngine, kind: EngineKind) {
+    let t0 = std::time::Instant::now();
+    while engine.late_completions() == 0 && t0.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(engine.late_completions(), 1, "{kind}: late completion lost");
+}
+
+/// The breaker admits and observes every backend attempt, below retry:
+/// a transient error retried twice is three failures; two permanent
+/// failures trip a two-failure breaker; from then on every op is refused
+/// with the typed rejection — permanent, so retry stops dead — without
+/// touching the backend, and a refused pooled write hands its frame
+/// back untouched.
+#[test]
+fn breaker_admits_and_observes_every_attempt_on_every_engine() {
+    for kind in EngineKind::all() {
+        let flaky = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("flaky")) as Arc<dyn Backend>,
+            FaultConfig::transient(3, 1.0),
+        ));
+        let health = TierHealth::new(
+            "flaky",
+            HealthConfig {
+                failure_threshold: 10,
+                ..HealthConfig::default()
+            },
+        );
+        let engine = AioEngine::new(
+            flaky as Arc<dyn Backend>,
+            AioConfig {
+                retry: test_retry(3),
+                health: Some(Arc::clone(&health)),
+                ..config_for(kind)
+            },
+        );
+        assert!(engine.submit_read("k").wait().is_err());
+        assert_eq!((engine.retries(), health.counts().failures), (2, 3), "{kind}");
+
+        let mem = Arc::new(MemBackend::new("nvme"));
+        let health = TierHealth::new(
+            "nvme",
+            HealthConfig {
+                failure_threshold: 2,
+                max_trips: 1,
+                ..HealthConfig::default()
+            },
+        );
+        let engine = AioEngine::new(
+            Arc::clone(&mem) as Arc<dyn Backend>,
+            AioConfig {
+                retry: test_retry(3),
+                health: Some(Arc::clone(&health)),
+                ..config_for(kind)
+            },
+        );
+        let pool = PinnedPool::new(1, 7);
+        engine.submit_write("k", b"draft..".to_vec()).wait().unwrap();
+        let mut frame = pool.acquire();
+        frame.buffer_mut().as_bytes_mut().copy_from_slice(b"payload");
+        engine.submit_write_pooled("k", frame, 7).wait().unwrap();
+        assert_eq!(engine.submit_read("k").wait().unwrap().unwrap(), b"payload");
+        assert_eq!(health.state(), BreakerState::Closed, "{kind}");
+
+        assert!(engine.submit_read("missing").wait().is_err());
+        assert!(engine.submit_read("missing").wait().is_err());
+        assert!(health.is_quarantined(), "{kind}");
+        assert_eq!(health.counts().failures, 2, "{kind}");
+
+        let err = engine.submit_write("k2", vec![1]).wait().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{kind}: {err}");
+        assert_eq!(mlp_storage::classify(&err), mlp_storage::ErrorClass::Permanent);
+        assert_eq!(engine.retries(), 0, "{kind}: a rejection was retried");
+        let rejected = health.counts().rejected;
+        let mut frame = pool.acquire();
+        frame.buffer_mut().as_bytes_mut().copy_from_slice(b"frame..");
+        let (err, payload) = engine
+            .submit_write_pooled("k2", frame, 7)
+            .wait_flush()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{kind}: {err}");
+        assert_eq!(health.counts().rejected, rejected + 1, "{kind}");
+        let Some(ReclaimedWrite::Pooled(frame)) = payload else {
+            panic!("{kind}: the refused frame was not handed back");
+        };
+        assert_eq!(frame.as_bytes(), b"frame..", "{kind}: refused frame touched");
+        assert!(!mem.contains("k2"), "{kind}: a refused op reached the backend");
+    }
+}
+
+/// Salvage ops skip admission and nothing else: on a quarantined tier a
+/// normal read is refused, while the salvage read and delete that
+/// evacuate a surviving copy go through and do not count as rejections.
+#[test]
+fn salvage_ops_skip_admission_on_every_engine() {
+    for kind in EngineKind::all() {
+        let mem = Arc::new(MemBackend::new("nvme"));
+        let health = TierHealth::new("nvme", HealthConfig::default());
+        let engine = AioEngine::new(
+            Arc::clone(&mem) as Arc<dyn Backend>,
+            AioConfig {
+                health: Some(Arc::clone(&health)),
+                ..config_for(kind)
+            },
+        );
+        engine.submit_write("sub0", b"copy".to_vec()).wait().unwrap();
+        health.quarantine();
+
+        let err = engine.submit_read("sub0").wait().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{kind}: {err}");
+        let rejected = health.counts().rejected;
+        let copy = engine.submit_salvage_read("sub0").wait().unwrap();
+        assert_eq!(copy.as_deref(), Some(&b"copy"[..]), "{kind}");
+        engine.submit_salvage_delete("sub0").wait().unwrap();
+        assert!(!mem.contains("sub0"), "{kind}: salvage delete did not land");
+        assert_eq!(health.counts().rejected, rejected, "{kind}");
+        assert!(health.is_quarantined(), "{kind}");
     }
 }
 

@@ -10,7 +10,7 @@ use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor};
 use mlp_optim::traced::fused_update_f32_traced;
 use mlp_optim::{AdamConfig, SubgroupState, SubgroupStateMut};
-use mlp_storage::{Backend, HealthGatedBackend, TierHealth, TracedBackend};
+use mlp_storage::{Backend, TierHealth, TracedBackend};
 use mlp_tensor::convert;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
 use mlp_trace::{Attrs, Phase};
@@ -53,13 +53,8 @@ pub struct SharedTier {
     /// Eq. 1 weight (bytes/second or ratio component).
     pub weight: f64,
     /// I/O engine configuration for this tier (engine kind, worker count,
-    /// queue depth, transient-error retry policy).
+    /// queue depth, transient-error retry policy, deadline, breaker).
     pub aio: AioConfig,
-    /// Optional circuit breaker supervising the tier. When set, every
-    /// data op is routed through the breaker gate, completed ops feed it
-    /// back, and a quarantined breaker triggers quarantine-and-drain at
-    /// the next update boundary (DESIGN.md §15).
-    pub health: Option<Arc<TierHealth>>,
 }
 
 impl SharedTier {
@@ -71,20 +66,23 @@ impl SharedTier {
             lock: ProcessExclusiveLock::new(),
             weight,
             aio: AioConfig::default(),
-            health: None,
         }
     }
 
     /// Overrides the tier's I/O configuration (e.g. a tighter or looser
-    /// [`mlp_aio::engine::RetryPolicy`] for a flaky tier).
+    /// [`mlp_aio::engine::RetryPolicy`] for a flaky tier), its breaker
+    /// included: attach one with [`SharedTier::with_health`] after.
     pub fn with_aio(mut self, aio: AioConfig) -> Self {
         self.aio = aio;
         self
     }
 
-    /// Attaches a circuit breaker supervising this tier.
+    /// Attaches a circuit breaker supervising this tier
+    /// ([`AioConfig::health`]): the tier's I/O engine admits and observes
+    /// every attempt through it, and a quarantined breaker triggers
+    /// quarantine-and-drain at the next update boundary (DESIGN.md §15).
     pub fn with_health(mut self, health: Arc<TierHealth>) -> Self {
-        self.health = Some(health);
+        self.aio.health = Some(health);
         self
     }
 }
@@ -224,12 +222,6 @@ impl Fetch {
 
 struct TierRt {
     engine: AioEngine,
-    /// The tier's backend *below* the health gate: the salvage path.
-    /// Quarantine-and-drain evacuates surviving copies through this even
-    /// though the gated engine refuses normal traffic (a write-dead tier
-    /// usually still serves reads).
-    raw: Arc<dyn Backend>,
-    health: Option<Arc<TierHealth>>,
     lock: ProcessExclusiveLock,
     weight: f64,
 }
@@ -360,7 +352,7 @@ impl MlpFuncEngine {
             .enumerate()
             .map(|(ti, t)| {
                 let mut aio = t.aio.clone();
-                let raw: Arc<dyn Backend> = if trace.is_enabled() && !aio.trace.is_enabled() {
+                let backend: Arc<dyn Backend> = if trace.is_enabled() && !aio.trace.is_enabled() {
                     aio.trace = trace.clone();
                     aio.trace_tier = ti as i32;
                     Arc::new(TracedBackend::new(
@@ -371,21 +363,8 @@ impl MlpFuncEngine {
                 } else {
                     Arc::clone(&t.backend)
                 };
-                // The health gate sits above tracing and below the I/O
-                // engine: per-attempt accounting (a retry storm trips the
-                // breaker faster) and rejections that never touch the
-                // medium.
-                let gated: Arc<dyn Backend> = match &t.health {
-                    Some(h) => Arc::new(HealthGatedBackend::new(
-                        Arc::clone(&raw),
-                        Arc::clone(h),
-                    )),
-                    None => Arc::clone(&raw),
-                };
                 TierRt {
-                    engine: AioEngine::new(gated, aio),
-                    raw,
-                    health: t.health.clone(),
+                    engine: AioEngine::new(backend, aio),
                     lock: t.lock.clone(),
                     weight: t.weight,
                 }
@@ -1134,36 +1113,37 @@ impl MlpFuncEngine {
     }
 
     /// Reads subgroup `idx`'s durable copy from `tier` through the tier's
-    /// I/O engine (cold paths: verification, checkpoint, migration).
-    fn read_durable(&self, tier: usize, idx: usize) -> io::Result<Vec<u8>> {
-        self.tiers[tier]
-            .engine
-            .submit_read(self.key(idx))
-            .wait()?
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("read of subgroup {idx} returned no payload"),
-                )
-            })
+    /// I/O engine (cold paths: verification, checkpoint, migration; a
+    /// `salvage` read skips the tier breaker's admission).
+    fn read_durable(&self, tier: usize, idx: usize, salvage: bool) -> io::Result<Vec<u8>> {
+        let engine = &self.tiers[tier].engine;
+        let key = self.key(idx);
+        let read = if salvage {
+            engine.submit_salvage_read(key)
+        } else {
+            engine.submit_read(key)
+        };
+        read.wait()?.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("read of subgroup {idx} returned no payload"),
+            )
+        })
     }
 
     /// Moves one durable subgroup copy between tiers, keeping a durable
     /// copy live at every instant: read the source, write the destination
     /// and wait for it, flip the placement, and only then retire the
-    /// source. `salvage` reads and deletes *under* the source tier's
-    /// health gate (its breaker refuses normal traffic, but a write-dead
-    /// tier usually still serves reads).
+    /// source. `salvage` reads and deletes past the source tier's breaker
+    /// (it refuses normal traffic, but a write-dead tier usually still
+    /// serves reads) — still through its I/O engine, so under its retry
+    /// policy and deadline.
     fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
         let key = self.key(step.subgroup).to_owned();
         let started = self.cfg.trace.now_ns();
         let data = {
             let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-            if salvage {
-                self.tiers[step.from].raw.read(&key)?
-            } else {
-                self.read_durable(step.from, step.subgroup)?
-            }
+            self.read_durable(step.from, step.subgroup, salvage)?
         };
         let bytes = data.len() as u64;
         {
@@ -1178,11 +1158,13 @@ impl MlpFuncEngine {
             // read from the old tier again) — so it does not fail the
             // iteration.
             let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-            if salvage {
-                let _ = self.tiers[step.from].raw.delete(&key);
+            let engine = &self.tiers[step.from].engine;
+            let delete = if salvage {
+                engine.submit_salvage_delete(&key)
             } else {
-                let _ = self.tiers[step.from].engine.submit_delete(&key).wait();
-            }
+                engine.submit_delete(&key)
+            };
+            let _ = delete.wait();
         }
         let phase = if salvage {
             self.drains_done += 1;
@@ -1236,8 +1218,8 @@ impl MlpFuncEngine {
         for t in 0..self.tiers.len() {
             if !self.ledger.planner.excluded()[t]
                 && self.tiers[t]
-                    .health
-                    .as_ref()
+                    .engine
+                    .health()
                     .is_some_and(|h| h.is_quarantined())
             {
                 self.ledger.planner.exclude_tier(t);
@@ -1316,7 +1298,7 @@ impl MlpFuncEngine {
             .map(|idx| match self.place(idx)? {
                 Place::Host(res) => Ok(res.params().to_vec()),
                 Place::Tier(t) => {
-                    let bytes = self.read_durable(t, idx)?;
+                    let bytes = self.read_durable(t, idx, false)?;
                     expect_len("state", idx, bytes.len(), self.subgroup_lens[idx] * 12)?;
                     Ok(SubgroupState::from_bytes(&bytes, self.step)?.params)
                 }
@@ -1369,7 +1351,7 @@ impl MlpFuncEngine {
                     bytes.len()
                 }
                 Place::Tier(t) if materialize => {
-                    let bytes = self.read_durable(t, idx)?;
+                    let bytes = self.read_durable(t, idx, false)?;
                     target.write(&key, &bytes)?;
                     bytes.len()
                 }
@@ -2603,6 +2585,65 @@ mod tests {
         let err = engine.update().unwrap_err();
         assert!(err.to_string().contains("quarantined"), "{err}");
         assert!(engine.update().is_err());
+    }
+
+    /// The drain's salvage I/O goes through the quarantined tier's own
+    /// I/O engine, so its deadline holds there too: a tier whose reads
+    /// hang fails `update()` with a typed `TimedOut` within a few
+    /// deadlines instead of stalling the drain for as long as the tier
+    /// does. The scenario runs on a thread under a harness timeout, so
+    /// a drain that ignores the deadline fails the test, not hangs it.
+    #[test]
+    fn drain_salvage_read_honours_the_deadline() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend, FaultOps, HealthConfig};
+        use std::time::{Duration, Instant};
+        const DEADLINE: Duration = Duration::from_millis(100);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let stall = Arc::new(FaultInjectBackend::new(
+                Arc::new(MemBackend::new("hung")) as Arc<dyn Backend>,
+                FaultConfig::none(9)
+                    .with_latency_spikes(1.0, Duration::from_secs(1))
+                    .with_ops(FaultOps::ReadsOnly),
+            ));
+            stall.set_armed(false);
+            let health = TierHealth::new("hung", HealthConfig::default());
+            let aio = AioConfig {
+                deadline: Some(DEADLINE),
+                ..AioConfig::default()
+            };
+            let victim = SharedTier::new(Arc::clone(&stall) as Arc<dyn Backend>, 2.0)
+                .with_aio(aio)
+                .with_health(Arc::clone(&health));
+            let survivor =
+                SharedTier::new(Arc::new(MemBackend::new("ok")) as Arc<dyn Backend>, 1.0);
+            let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+            let mut engine = MlpFuncEngine::new(
+                cfg,
+                AdamConfig::default(),
+                &[victim, survivor],
+                0,
+                init_states(12, 24),
+            )
+            .unwrap();
+            engine.accumulate_gradients(&grads_for(12, 24, 0.0));
+            engine.update().unwrap();
+            // Quarantined, with durable copies still on it whose reads
+            // now hang far past the deadline.
+            health.quarantine();
+            stall.set_armed(true);
+            engine.accumulate_gradients(&grads_for(12, 24, 1.0));
+            let t0 = Instant::now();
+            let result = engine.update().map(|_| ());
+            let _ = tx.send((result, t0.elapsed()));
+        });
+        let (result, took) = rx
+            .recv_timeout(20 * DEADLINE)
+            .expect("no result from update() within 20 deadlines");
+        scenario.join().expect("scenario thread");
+        let err = result.expect_err("a timed-out salvage read cannot complete the drain");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(took < 10 * DEADLINE, "update() took {took:?}");
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! the kernel, [`crate::ObjectBackend`] streams them in parts,
 //! [`crate::ChecksummedBackend`] sums them and stores them behind a
 //! header. The decorators that do not rewrite the payload
-//! ([`crate::TracedBackend`], [`crate::HealthGatedBackend`],
-//! [`crate::FaultInjectBackend`]) forward the frame with their
-//! bookkeeping unchanged, so the medium underneath decides.
+//! ([`crate::TracedBackend`], [`crate::FaultInjectBackend`]) forward the
+//! frame with their bookkeeping unchanged, so the medium underneath
+//! decides. The tier breaker is not a decorator: the tier's I/O engine
+//! consults it around each attempt.
 
 use std::collections::HashMap;
 use std::io;
@@ -652,10 +653,7 @@ mod tests {
     /// byte the same, first write and overwrite.
     #[test]
     fn write_frame_agrees_with_write_on_every_backend() {
-        use crate::{
-            ChecksummedBackend, FaultConfig, FaultInjectBackend, HealthConfig,
-            HealthGatedBackend, TierHealth, TracedBackend,
-        };
+        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend, TracedBackend};
         let root = temp_root("frame");
         let mem = || Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
         let backends: Vec<Arc<dyn Backend>> = vec![
@@ -663,10 +661,6 @@ mod tests {
             Arc::new(DirBackend::new("dir", &root).unwrap()),
             Arc::new(ChecksummedBackend::new(mem())),
             Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
-            Arc::new(HealthGatedBackend::new(
-                mem(),
-                TierHealth::new("mem", HealthConfig::default()),
-            )),
             Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),
         ];
         for b in backends {

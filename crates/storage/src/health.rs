@@ -21,21 +21,20 @@
 //! driven by consecutive-failure and consecutive-SLO-violation counts,
 //! and the open→half-open cooldown is counted in *rejected ops*, not
 //! wall-clock time — so seeded fault tests reproduce the same breaker
-//! trajectory on every run. When a breaker reaches [`Quarantined`] the
-//! engines evacuate the tier's durable copies (quarantine-and-drain,
+//! trajectory on every run. The tier's I/O engine (`mlp-aio`) feeds it:
+//! each backend attempt is admitted and then observed, and a deadline
+//! timeout counts as a failure. When a breaker reaches [`Quarantined`]
+//! the engines evacuate the tier's durable copies (quarantine-and-drain,
 //! DESIGN.md §15) instead of retrying into it forever.
 //!
 //! [`Quarantined`]: BreakerState::Quarantined
 
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mlp_sync::Mutex;
-use mlp_tensor::HostBuffer;
 use mlp_trace::TraceSink;
-
-use crate::backend::Backend;
 
 /// The breaker state machine's position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -152,6 +151,7 @@ pub struct HealthCounts {
     pub probes: u64,
 }
 
+#[derive(Debug)]
 struct Inner {
     state: BreakerState,
     consecutive_failures: u32,
@@ -168,6 +168,7 @@ struct Inner {
 /// One tier's circuit breaker. Thread-safe; clone the [`Arc`] into
 /// every layer that observes the tier (the AIO engine records op
 /// outcomes, the planner reads the state at iteration boundaries).
+#[derive(Debug)]
 pub struct TierHealth {
     name: String,
     cfg: HealthConfig,
@@ -385,98 +386,6 @@ pub fn breaker_rejection(tier: &str, state: BreakerState) -> io::Error {
     )
 }
 
-/// A [`Backend`] decorator that routes every data op through the tier's
-/// circuit breaker: ops are refused with a typed
-/// [`breaker_rejection`] while the breaker is open or quarantined, and
-/// every completed op feeds the breaker back — successes with their
-/// observed latency (driving the SLO trip), failures as-is.
-///
-/// Layering (see DESIGN.md §15): the gate sits *under* the AIO retry
-/// layer, so each backend attempt is accounted — a retry storm against a
-/// dying tier reaches the failure threshold faster, which is the point.
-/// Metadata ops (`contains`) are not gated: they serve
-/// verification/drain bookkeeping.
-pub struct HealthGatedBackend {
-    inner: Arc<dyn Backend>,
-    health: Arc<TierHealth>,
-}
-
-impl HealthGatedBackend {
-    /// Gates `inner` behind `health`.
-    pub fn new(inner: Arc<dyn Backend>, health: Arc<TierHealth>) -> HealthGatedBackend {
-        HealthGatedBackend { inner, health }
-    }
-
-    /// The breaker this gate consults.
-    pub fn health(&self) -> &Arc<TierHealth> {
-        &self.health
-    }
-
-    /// The ungated backend — the evacuation path: quarantine-and-drain
-    /// reads a dying tier's surviving copies through this even though
-    /// the gate refuses normal traffic.
-    pub fn inner(&self) -> &Arc<dyn Backend> {
-        &self.inner
-    }
-
-    fn gate(&self) -> io::Result<()> {
-        if self.health.allow() {
-            Ok(())
-        } else {
-            Err(breaker_rejection(self.health.tier_name(), self.health.state()))
-        }
-    }
-
-    fn observe<T>(&self, started: Instant, result: io::Result<T>) -> io::Result<T> {
-        match &result {
-            Ok(_) => self.health.record_success(started.elapsed()),
-            Err(e) => self.health.record_failure(e),
-        }
-        result
-    }
-}
-
-impl Backend for HealthGatedBackend {
-    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
-        self.gate()?;
-        let started = Instant::now();
-        self.observe(started, self.inner.write(key, data))
-    }
-
-    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
-        self.gate()?;
-        let started = Instant::now();
-        self.observe(started, self.inner.write_frame(key, frame))
-    }
-
-    fn read(&self, key: &str) -> io::Result<Vec<u8>> {
-        self.gate()?;
-        let started = Instant::now();
-        self.observe(started, self.inner.read(key))
-    }
-
-    fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
-        self.gate()?;
-        let started = Instant::now();
-        let result = self.inner.read_into(key, dst);
-        self.observe(started, result)
-    }
-
-    fn delete(&self, key: &str) -> io::Result<()> {
-        self.gate()?;
-        let started = Instant::now();
-        self.observe(started, self.inner.delete(key))
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.inner.contains(key)
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,68 +491,6 @@ mod tests {
         assert_eq!(h.counts().trips, 1);
         h.quarantine(); // idempotent
         assert_eq!(h.counts().trips, 1);
-    }
-
-    #[test]
-    fn gated_backend_feeds_the_breaker_and_rejects_once_tripped() {
-        use crate::backend::MemBackend;
-        use crate::fault::{classify, ErrorClass};
-
-        let inner: Arc<dyn Backend> = Arc::new(MemBackend::new("nvme"));
-        let cfg = HealthConfig {
-            failure_threshold: 2,
-            max_trips: 1,
-            ..HealthConfig::default()
-        };
-        let health = TierHealth::new("nvme", cfg);
-        let gated = HealthGatedBackend::new(inner, Arc::clone(&health));
-
-        // Successful ops pass through and keep the breaker closed.
-        gated.write("k", b"draft..").unwrap();
-        gated
-            .write_frame("k", &mut HostBuffer::from_slice(b"payload"))
-            .unwrap();
-        assert_eq!(gated.read("k").unwrap(), b"payload");
-        assert_eq!(health.state(), BreakerState::Closed);
-
-        // Two real failures (missing key) trip it; one trip latches
-        // quarantine under max_trips = 1.
-        assert!(gated.read("missing").is_err());
-        assert!(gated.read("missing").is_err());
-        assert!(health.is_quarantined());
-        assert_eq!(health.counts().failures, 2);
-
-        // From here every data op is refused with the typed rejection —
-        // permanent under the taxonomy, so retry layers stop dead — and
-        // the inner backend is never touched.
-        let err = gated.write("k2", b"x").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        assert_eq!(classify(&err), ErrorClass::Permanent);
-        let mut frame = HostBuffer::from_slice(b"frame");
-        let rejected = health.counts().rejected;
-        let err = gated.write_frame("k2", &mut frame).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-        assert_eq!(health.counts().rejected, rejected + 1);
-        assert_eq!(frame.as_bytes(), b"frame", "a refused frame is untouched");
-        assert!(!gated.inner().contains("k2"));
-    }
-
-    #[test]
-    fn gated_backend_leaves_metadata_and_salvage_paths_open() {
-        use crate::backend::MemBackend;
-
-        let inner: Arc<dyn Backend> = Arc::new(MemBackend::new("nvme"));
-        let health = TierHealth::new("nvme", HealthConfig::default());
-        let gated = HealthGatedBackend::new(Arc::clone(&inner), Arc::clone(&health));
-        gated.write("sub0", b"copy").unwrap();
-        health.quarantine();
-
-        // `contains` is not gated (verification bookkeeping) and the
-        // ungated inner handle still serves evacuation reads.
-        assert!(gated.contains("sub0"));
-        assert!(gated.read("sub0").is_err(), "data path is refused");
-        assert_eq!(gated.inner().read("sub0").unwrap(), b"copy");
-        assert_eq!(gated.name(), "nvme");
     }
 
     #[test]

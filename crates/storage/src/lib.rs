@@ -53,9 +53,7 @@ pub use clock::{wall_clock, FakeSleeper, Sleeper, WallClockSleeper};
 pub use fault::{
     classify, is_transient, ErrorClass, FaultConfig, FaultCounts, FaultInjectBackend, FaultOps,
 };
-pub use health::{
-    breaker_rejection, BreakerState, HealthConfig, HealthGatedBackend, TierHealth,
-};
+pub use health::{breaker_rejection, BreakerState, HealthConfig, TierHealth};
 pub use integrity::ChecksummedBackend;
 pub use object::{ObjectBackend, ObjectConfig};
 pub use sim_tier::SimTier;

@@ -185,6 +185,16 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
     // before it errors, so the retried fetch must overwrite them; the
     // in-worker retry layer must absorb both so a multi-iteration run
     // stays bit-identical to a fault-free twin.
+    //
+    // Which faults fire is a hash of (tier seed, key, per-key op count),
+    // and which tier holds a key moves with the wall-clock bandwidth
+    // estimates, so both assertions below are chances over that hash,
+    // each op's draw an independent uniform. A read attempt is short
+    // with p = 0.8 × 0.1 = 0.08: with the ≥ 200 fetches asserted below,
+    // no short read at all has p ≤ 0.92^200 ≈ 6e-8. An attempt fails
+    // with p ≤ 0.2 + 0.08 = 0.28, so an op exhausts 16 attempts with
+    // p ≤ 0.28^16 ≈ 1.4e-9, ≤ 1e-6 over the run's few hundred ops.
+    const SUBGROUPS: usize = 64;
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(8);
 
@@ -193,7 +203,7 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
         SharedTier::new(Arc::new(MemBackend::new("b")) as Arc<dyn Backend>, 1.0),
     ];
     let mut want =
-        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(6, 16)).unwrap();
+        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(SUBGROUPS, 16)).unwrap();
 
     let injectors: Vec<Arc<FaultInjectBackend>> = [("a", 31u64), ("b", 63u64)]
         .iter()
@@ -209,20 +219,23 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
         .zip([2.0, 1.0])
         .map(|(inject, bw)| {
             SharedTier::new(Arc::clone(inject) as Arc<dyn Backend>, bw).with_aio(AioConfig {
-                retry: test_retry(8),
+                retry: test_retry(16),
                 ..AioConfig::default()
             })
         })
         .collect();
-    let mut engine = MlpFuncEngine::new(cfg, adam, &faulty_tiers, 0, states(6, 16)).unwrap();
+    let mut engine =
+        MlpFuncEngine::new(cfg, adam, &faulty_tiers, 0, states(SUBGROUPS, 16)).unwrap();
 
+    let mut fetches = 0;
     for it in 0..4 {
-        let g = grads(6, 16);
+        let g = grads(SUBGROUPS, 16);
         want.accumulate_gradients(&g);
         engine.accumulate_gradients(&g);
         let w = want.update().unwrap();
         let o = engine.update().unwrap();
         assert_eq!(o.fp16_params, w.fp16_params, "iteration {it} diverged");
+        fetches += o.fetches;
     }
     assert_eq!(
         engine.master_params().unwrap(),
@@ -230,6 +243,7 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
     );
 
     // The faults really fired and the retry layer really moved.
+    assert!(fetches >= 200, "{fetches} fetches: the odds above need 200");
     let fired: u64 = injectors.iter().map(|i| i.counts().transient).sum();
     assert!(fired > 0, "injection must have fired");
     let short: u64 = injectors.iter().map(|i| i.counts().short_reads).sum();
