@@ -12,9 +12,11 @@
 //!   wait-before-publish orders both terminate, and (b) the checker still
 //!   *detects* the skipped-publish variant as a deadlock.
 //! * [`PendingGauge`] — the submitted-but-not-completed count behind
-//!   [`crate::AioEngine::drain`]. Invariant: every `inc` is matched by
-//!   exactly one `dec`, and `drain` returns only once the count reaches
-//!   zero with no completion unaccounted (no lost `all_done` wakeup).
+//!   [`crate::AioEngine::drain`]. Invariant: every `inc` (by a submitter)
+//!   is matched by exactly one `dec` (by the worker or watchdog that
+//!   published the op's completion first), and `drain` returns only once
+//!   the count reaches zero with no completion unaccounted (no lost
+//!   `all_done` wakeup).
 
 use mlp_sync::{Condvar, Mutex};
 
@@ -101,19 +103,6 @@ impl<T> CompletionSlot<T> {
                 Some(v) => return v,
                 None => self.done.wait(&mut guard),
             }
-        }
-    }
-
-    /// Blocks until *some* publication has landed, without consuming it.
-    /// The inline (`sync`) engine uses this under a configured deadline:
-    /// the op runs on a helper thread, and submission returns as soon as
-    /// either the real completion or the watchdog's timeout is published,
-    /// preserving "completion available when `submit` returns" without
-    /// hanging the submitter on a dead backend.
-    pub fn wait_published(&self) {
-        let mut guard = self.value.lock();
-        while !guard.published {
-            self.done.wait(&mut guard);
         }
     }
 
@@ -219,19 +208,6 @@ mod tests {
         assert_eq!(slot.take_blocking(), 1);
         assert!(!slot.publish(2), "slot re-armed after consume");
         assert!(!slot.is_set());
-    }
-
-    #[test]
-    fn wait_published_does_not_consume() {
-        let slot = Arc::new(CompletionSlot::new());
-        let s2 = Arc::clone(&slot);
-        let waiter = std::thread::spawn(move || s2.wait_published());
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        assert!(slot.publish(9));
-        waiter.join().unwrap();
-        slot.wait_published(); // already published: returns immediately
-        assert_eq!(slot.take_blocking(), 9);
-        slot.wait_published(); // sticky: consumed but still published
     }
 
     #[test]

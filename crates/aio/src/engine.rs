@@ -1,11 +1,11 @@
-//! The asynchronous I/O engine: submission queue → pluggable
-//! `IoEngine` backend → completion handles.
+//! The asynchronous I/O engine: a bounded submission queue → a pool of
+//! worker threads making blocking [`Backend`] calls → completion handles.
 //!
-//! [`AioEngine`] is the stable façade: `submit_*` / `wait*` / `drain`,
-//! retry/backoff, statistics, and trace instrumentation are identical no
-//! matter which engine backend runs the operation. The backend — worker
-//! pool or inline sync — is named by [`AioConfig::engine`] (default:
-//! the pool; see [`crate::io_engine::EngineKind`]).
+//! Every op runs through one body, `EngineShared::run_op`, whichever
+//! worker picks it up: retry, the tier breaker, stats, trace spans, and
+//! the publish-then-retire completion protocol (model-checked in
+//! `tests/loom_completion.rs`). The deadline watchdog completes ops
+//! through the same shared state.
 //!
 //! Failure semantics: every backend call runs under the engine's
 //! [`RetryPolicy`] (bounded attempts with exponential backoff for
@@ -17,18 +17,19 @@
 //! than leaving waiters blocked forever.
 
 use std::io;
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::time::{Duration, Instant};
 
 use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use mlp_sync::{Arc, Mutex};
+use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
-use mlp_storage::{wall_clock, Backend, Sleeper, TierHealth};
+use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
 use mlp_tensor::PooledBuffer;
-use mlp_trace::{Counter, Gauge, Phase, TraceSink};
+use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
 use crate::completion::{CompletionSlot, PendingGauge};
-use crate::io_engine::{EngineKind, EngineShared, IoEngine};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -116,14 +117,10 @@ impl RetryPolicy {
 ///
 /// # Tuning knobs
 ///
-/// * [`AioConfig::engine`] — which [`EngineKind`] runs the operations.
-///   The default is [`EngineKind::Pool`]; [`EngineKind::Sync`] is for
-///   tests that need inline execution.
-/// * [`AioConfig::workers`] — thread count of the `Pool` engine.
+/// * [`AioConfig::workers`] — I/O worker thread count.
 ///   Defaults to half the host's logical CPUs, clamped to `2..=8`:
 ///   offload I/O should overlap compute, not displace it, and
 ///   blocking-pool throughput flattens past a handful of threads.
-///   Ignored by `Sync` (inline).
 /// * [`AioConfig::queue_depth`] — bound on queued + in-flight ops before
 ///   `submit_*` blocks.
 ///   Defaults to `32 × workers`, clamped to `64..=512`: deep enough to
@@ -133,17 +130,16 @@ impl RetryPolicy {
 ///
 /// Benchmarks and deterministic tests should start from
 /// [`AioConfig::deterministic`], which pins the pre-probing values
-/// (`Pool`, 2 workers, depth 64) so results do not vary with the host.
+/// (2 workers, depth 64) so results do not vary with the host.
 #[derive(Clone, Debug)]
 pub struct AioConfig {
-    /// The I/O engine backend that executes operations; see
-    /// [`crate::io_engine`] for what each one does.
-    pub engine: EngineKind,
     /// I/O worker threads (the tier's preferred I/O parallelism; a PFS
-    /// benefits from several, §3.2). Used by the `Pool` engine.
+    /// benefits from several, §3.2). An engine with no worker running
+    /// completes every op with a typed error naming its backend.
     pub workers: usize,
     /// Maximum queued + in-flight operations before `submit_*` blocks,
-    /// modelling a bounded kernel submission queue.
+    /// modelling a bounded kernel submission queue; `0` hands each op
+    /// straight to an idle worker.
     pub queue_depth: usize,
     /// Retry policy applied to every backend call inside the workers.
     pub retry: RetryPolicy,
@@ -164,10 +160,10 @@ pub struct AioConfig {
     /// every in-flight op and, on expiry, publishes a typed
     /// [`io::ErrorKind::TimedOut`] error to the op's completion slot —
     /// a hung backend becomes a prompt `Timeout` instead of a stuck
-    /// `wait_flush`, on every engine backend. The backend call itself
-    /// keeps running (there is no portable way to cancel it); its late
-    /// completion is counted ([`AioEngine::late_completions`]) and
-    /// dropped. `None` (the default) disables the watchdog entirely.
+    /// `wait_flush`. The backend call itself keeps running (there is no
+    /// portable way to cancel it); its late completion is counted
+    /// ([`AioEngine::late_completions`]) and dropped. `None` (the
+    /// default) disables the watchdog entirely.
     pub deadline: Option<Duration>,
     /// The tier's circuit breaker (`None`, the default: none). Every
     /// backend attempt is admitted — or refused with the permanent
@@ -182,14 +178,13 @@ pub struct AioConfig {
 }
 
 impl Default for AioConfig {
-    /// Probe-derived defaults: the `Pool` engine, workers/queue depth
-    /// sized from the host's logical CPU count (see the type-level docs
-    /// for the formulas). Use [`AioConfig::deterministic`] where
-    /// host-independent behaviour matters more than throughput.
+    /// Probe-derived defaults: workers/queue depth sized from the host's
+    /// logical CPU count (see the type-level docs for the formulas). Use
+    /// [`AioConfig::deterministic`] where host-independent behaviour
+    /// matters more than throughput.
     fn default() -> Self {
         let workers = probed_default_workers();
         AioConfig {
-            engine: EngineKind::Pool,
             workers,
             queue_depth: (workers * 32).clamp(64, 512),
             retry: RetryPolicy::default(),
@@ -203,21 +198,14 @@ impl Default for AioConfig {
 }
 
 impl AioConfig {
-    /// The historical fixed-size configuration (`Pool` engine, 2 workers,
-    /// queue depth 64): identical behaviour on every host, no probing.
-    /// Deterministic tests and cross-host comparable benchmarks start
-    /// here.
+    /// The historical fixed-size configuration (2 workers, queue depth
+    /// 64): identical behaviour on every host. Deterministic tests and
+    /// cross-host comparable benchmarks start here.
     pub fn deterministic() -> Self {
         AioConfig {
-            engine: EngineKind::Pool,
             workers: 2,
             queue_depth: 64,
-            retry: RetryPolicy::default(),
-            trace: TraceSink::disabled(),
-            trace_tier: -1,
-            deadline: None,
-            health: None,
-            sleeper: wall_clock(),
+            ..AioConfig::default()
         }
     }
 }
@@ -294,7 +282,7 @@ impl std::fmt::Debug for ReclaimedWrite {
     }
 }
 
-/// One queued operation: the unit an [`IoEngine`] executes.
+/// One queued operation: the unit a worker executes.
 pub(crate) struct Op {
     pub(crate) key: String,
     pub(crate) kind: OpKind,
@@ -465,6 +453,201 @@ impl Stats {
     }
 }
 
+/// What the workers and the watchdog share: the storage backend, the
+/// tier's failure policy, counters, and the trace/completion protocol.
+/// One instance per [`AioEngine`], behind an `Arc` so a worker outliving
+/// a submit call keeps it alive.
+pub(crate) struct EngineShared {
+    pub(crate) backend: Arc<dyn Backend>,
+    retry: RetryPolicy,
+    stats: Stats,
+    trace: TraceSink,
+    trace_tier: i32,
+    /// The tier breaker that admits and hears every attempt, if any.
+    health: Option<Arc<TierHealth>>,
+    /// Injected delay source for retry backoff (see
+    /// [`mlp_storage::Sleeper`]); the wall clock in production.
+    sleeper: Arc<dyn Sleeper>,
+}
+
+impl EngineShared {
+    fn new(backend: Arc<dyn Backend>, config: &AioConfig) -> Self {
+        EngineShared {
+            stats: Stats::new(&config.trace, backend.name()),
+            backend,
+            retry: config.retry.clone(),
+            trace: config.trace.clone(),
+            trace_tier: config.trace_tier,
+            health: config.health.clone(),
+            sleeper: Arc::clone(&config.sleeper),
+        }
+    }
+
+    /// Executes one op against the backend — retry, catch-unwind
+    /// poisoning, stats, trace, publish-then-retire. The worker loop is
+    /// exactly `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
+    fn run_op(&self, op: Op) {
+        let t0 = Instant::now();
+        let Op {
+            key,
+            kind,
+            state,
+            salvage,
+        } = op;
+        let phase = kind.phase();
+        let span_start = self.trace.now_ns();
+        // Per-op retry count, folded into the shared counter afterwards
+        // so the trace can tell which op re-attempted.
+        let op_retries = AtomicU64::new(0);
+        // A panicking backend must not leave waiters blocked on a result
+        // that never arrives: catch the unwind (dropping any staging
+        // buffer back to its pool on the way) and poison the completion
+        // slot with an error.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            execute_op(self, &op_retries, &state, &key, kind, salvage)
+        }))
+        .unwrap_or_else(|_| {
+            Err(io::Error::other(format!(
+                "I/O worker panicked while processing {key}"
+            )))
+        });
+        let retried = op_retries.load(Ordering::Acquire);
+        self.finish_op(phase, t0, span_start, retried, &state, result);
+    }
+
+    /// Runs one op's attempts under the tier's failure policy: retry of
+    /// transient errors, and each attempt admitted by the breaker (unless
+    /// `salvage`) and then observed — unless the watchdog has timed the
+    /// op out meanwhile, which [`EngineShared::time_out`] recorded.
+    fn run_attempts<T>(
+        &self,
+        op_retries: &AtomicU64,
+        state: &OpState,
+        salvage: bool,
+        mut attempt: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.retry.run(op_retries, &*self.sleeper, || {
+            let Some(health) = &self.health else {
+                return attempt();
+            };
+            if !salvage && !health.allow() {
+                return Err(breaker_rejection(health.tier_name(), health.state()));
+            }
+            let started = Instant::now();
+            let result = attempt();
+            state.result.if_unpublished(|| match &result {
+                Ok(_) => health.record_success(started.elapsed()),
+                Err(e) => health.record_failure(e),
+            });
+            result
+        })
+    }
+
+    /// Completes one op: folds per-op retries and errors into the
+    /// counters, records the trace span, then publishes the result and
+    /// retires the op from the pending gauge — in that order (a drainer
+    /// released early would race the waiter for this very completion).
+    fn finish_op(
+        &self,
+        phase: Phase,
+        t0: Instant,
+        span_start: u64,
+        retried: u64,
+        state: &OpState,
+        result: io::Result<OpOutput>,
+    ) {
+        if retried > 0 {
+            self.stats.retries.add(retried);
+        }
+        if result.is_err() {
+            self.stats.errors.inc();
+        }
+        self.stats
+            .busy_nanos
+            // relaxed-ok: monotonic stats counter, read only for reporting
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if self.trace.is_enabled() {
+            let attrs = Attrs {
+                tier: self.trace_tier,
+                bytes: state.bytes.load(Ordering::Acquire) as u64,
+                ..Attrs::NONE
+            };
+            let end_ns = self.trace.now_ns();
+            for _ in 0..retried {
+                self.trace.instant(Phase::AioRetry, attrs, end_ns);
+            }
+            self.trace.complete_span(phase, attrs, span_start, end_ns);
+        }
+        // Publish, *then* retire from the pending gauge — and only if
+        // this publication won: the deadline watchdog may have already
+        // timed the op out (publishing `TimedOut` and retiring it), in
+        // which case this late real completion is counted and dropped
+        // rather than retiring the op a second time.
+        if state.result.publish(result) {
+            self.retire();
+        } else {
+            self.stats.late_completions.inc();
+        }
+    }
+
+    /// Removes one completed op from the pending gauge and mirrors the
+    /// new count into the `inflight` registry gauge.
+    fn retire(&self) {
+        self.stats.pending.dec();
+        self.note_inflight();
+    }
+
+    /// Mirrors the pending count into the `inflight` registry gauge.
+    /// Traced engines only: the count sits behind the pending gauge's
+    /// mutex, which an untraced engine has no reason to take again.
+    fn note_inflight(&self) {
+        if self.trace.is_enabled() {
+            self.stats.inflight.set(self.stats.pending.current() as u64);
+        }
+    }
+
+    /// Retires an op whose `deadline` expired: publishes a typed
+    /// [`io::ErrorKind::TimedOut`] error and, if that publication won
+    /// (the real completion has not landed), records it as a breaker
+    /// failure and removes the op from the pending gauge so `drain`
+    /// cannot hang on a dead backend. Called only by the watchdog
+    /// thread.
+    #[cfg(not(loom))]
+    pub(crate) fn time_out(&self, key: &str, state: &OpState, deadline: Duration) {
+        let err = io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!(
+                "aio op on {key} exceeded its {deadline:?} deadline (backend {} unresponsive)",
+                self.backend.name(),
+            ),
+        );
+        let counted = || {
+            self.stats.timeouts.inc();
+            self.stats.errors.inc();
+            if let Some(health) = &self.health {
+                health.record_failure(&io::ErrorKind::TimedOut.into());
+            }
+        };
+        if state.result.publish_with(Err(err), counted) {
+            self.retire();
+        }
+    }
+
+    /// Poisons an op no worker will run: none is running (none could be
+    /// spawned), or the queue closed mid-teardown. The op's payload (and
+    /// any pooled staging buffer) drops here, recycling the buffer.
+    fn reject(&self, op: Op) {
+        self.stats.errors.inc();
+        if op.state.result.publish(Err(io::Error::other(format!(
+            "no I/O worker of backend {} is running to take {}",
+            self.backend.name(),
+            op.key
+        )))) {
+            self.retire();
+        }
+    }
+}
+
 /// Executes one operation against the backend under the tier's failure
 /// policy ([`EngineShared::run_attempts`]).
 ///
@@ -476,7 +659,7 @@ impl Stats {
 /// their pool on every path: success (write) / handed back (read), error
 /// (dropped here), and panic (dropped during unwind).
 // lint:hot-root — retry/execute loop every AIO worker runs per op
-pub(crate) fn execute_op(
+fn execute_op(
     shared: &EngineShared,
     op_retries: &AtomicU64,
     state: &OpState,
@@ -548,36 +731,61 @@ pub(crate) fn execute_op(
     }
 }
 
-/// A per-tier asynchronous I/O engine.
+/// A per-tier asynchronous I/O engine: [`AioConfig::workers`] threads
+/// loop over a `std::sync::mpsc::sync_channel` bounded at
+/// [`AioConfig::queue_depth`] (submission blocks when it is full). The
+/// receiver sits behind one facade `Mutex`: one idle worker parks in
+/// `recv`, the others queue on the lock, and the lock is released before
+/// the op runs.
 ///
-/// Dropping the engine closes the submission queue and joins the engine
-/// backend's threads; all already-submitted operations complete first.
+/// Dropping the engine closes the submission queue and joins the
+/// workers; all already-submitted operations complete first.
 pub struct AioEngine {
-    /// `Option` so Drop can tear the backend down (joining its threads)
-    /// before the shared state; always `Some` while the engine is live.
-    engine: Option<Box<dyn IoEngine>>,
+    /// `Option` so Drop can close the queue before joining the workers;
+    /// always `Some` while the engine is live.
+    tx: Option<SyncSender<Op>>,
+    workers: Vec<thread::JoinHandle<()>>,
     shared: Arc<EngineShared>,
     /// Deadline supervisor, present iff [`AioConfig::deadline`] is set.
-    /// Declared (and therefore dropped) after `engine`, so in-flight ops
+    /// A field, so it drops only after Drop has joined the workers: ops
     /// stranded by a hung backend still time out during engine teardown.
     #[cfg(not(loom))]
     watchdog: Option<crate::watchdog::Watchdog>,
 }
 
 impl AioEngine {
-    /// Builds the configured `IoEngine` backend over `backend` (see
-    /// [`AioConfig::engine`]).
+    /// Spawns the worker threads over `backend`. A worker the OS refuses
+    /// to spawn is left out; with none running, every op completes with
+    /// a typed error naming the backend.
     pub fn new(backend: Arc<dyn Backend>, config: AioConfig) -> Self {
-        assert!(config.workers > 0, "need at least one I/O worker");
-        assert!(config.queue_depth > 0, "queue depth must be positive");
         let shared = Arc::new(EngineShared::new(backend, &config));
-        let engine = crate::io_engine::build(Arc::clone(&shared), &config);
+        let (tx, rx) = sync_channel::<Op>(config.queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..config.workers)
+            .filter_map(|i| {
+                let rx = Arc::clone(&rx);
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("aio-{}-{i}", shared.backend.name()))
+                    .spawn(move || loop {
+                        // A statement of its own, so the receiver lock
+                        // drops before the op runs.
+                        let next = rx.lock().recv();
+                        match next {
+                            Ok(op) => shared.run_op(op),
+                            Err(_) => break,
+                        }
+                    })
+                    .ok()
+            })
+            .collect();
         #[cfg(not(loom))]
         let watchdog = config
             .deadline
             .map(|d| crate::watchdog::Watchdog::spawn(Arc::clone(&shared), d));
         AioEngine {
-            engine: Some(engine),
+            tx: Some(tx),
+            workers,
             shared,
             #[cfg(not(loom))]
             watchdog,
@@ -599,17 +807,21 @@ impl AioEngine {
             state: Arc::clone(&state),
             salvage,
         };
-        // Register with the watchdog *before* the engine sees the op, so
-        // even an inline engine's execution is already supervised.
+        // Register with the watchdog *before* a worker can see the op.
         #[cfg(not(loom))]
         if let Some(wd) = &self.watchdog {
             wd.register(key, &state);
         }
-        match self.engine.as_ref() {
-            Some(engine) => engine.submit(op),
-            // Unreachable through safe use (`engine` is `Some` until
-            // Drop, and submission borrows the engine Drop consumes),
-            // but poison the completion rather than wedge a waiter.
+        // `tx` is `Some` until Drop, which submission cannot race (it
+        // borrows `&self`). A send fails only once every receiver is
+        // gone: no worker is running. Either way the op is poisoned, not
+        // lost with its waiter.
+        match &self.tx {
+            Some(tx) => {
+                if let Err(err) = tx.send(op) {
+                    self.shared.reject(err.0);
+                }
+            }
             None => self.shared.reject(op),
         }
         OpHandle { state }
@@ -736,13 +948,16 @@ impl AioEngine {
 }
 
 impl Drop for AioEngine {
+    /// Closes the submission queue and joins the workers; queued ops
+    /// complete (and publish) first. The watchdog (when configured)
+    /// outlives this join — its own Drop runs afterwards, with the
+    /// fields — so ops stranded by a hung backend still surface as
+    /// timeouts instead of wedging waiters.
     fn drop(&mut self) {
-        // Dropping the engine backend closes its submission queue and
-        // joins its threads; already-submitted ops complete first. The
-        // watchdog (when configured) outlives this join — its own Drop
-        // runs afterwards via field order — so ops stranded by a hung
-        // backend still surface as timeouts instead of wedging waiters.
-        self.engine.take();
+        drop(self.tx.take());
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1046,6 +1261,37 @@ mod tests {
         assert_eq!(e.pending_ops(), 0);
         let (_, w) = e.ops_completed();
         assert_eq!(w, 6);
+    }
+
+    /// Any worker count and queue depth builds an engine: with no worker
+    /// running every op fails with a typed error naming the backend and
+    /// `drain` still returns; a zero-depth queue hands each op straight
+    /// to a worker.
+    #[test]
+    fn zero_workers_fail_typed_and_a_zero_depth_queue_round_trips() {
+        for (workers, queue_depth) in [(0, 16), (0, 0), (1, 0)] {
+            let e = AioEngine::new(
+                Arc::new(MemBackend::new("mem")),
+                AioConfig {
+                    workers,
+                    queue_depth,
+                    ..AioConfig::default()
+                },
+            );
+            let flushed = e.submit_write("k", vec![1, 2, 3]).wait_flush();
+            let read = e.submit_read("k").wait();
+            e.drain();
+            assert_eq!(e.pending_ops(), 0, "{workers} workers, depth {queue_depth}");
+            if workers == 0 {
+                let (err, _) = flushed.unwrap_err();
+                assert!(err.to_string().contains("backend mem"), "{err}");
+                assert!(read.is_err());
+                assert_eq!(e.op_errors(), 2);
+            } else {
+                flushed.unwrap();
+                assert_eq!(read.unwrap().unwrap(), vec![1, 2, 3]);
+            }
+        }
     }
 
     #[test]
@@ -1352,37 +1598,6 @@ mod tests {
         assert_eq!(sleeper.sleeps(), 2, "one backoff per re-attempt");
         // 10 s after the first failure, 20 s after the second.
         assert_eq!(sleeper.total_slept(), Duration::from_secs(30));
-    }
-
-    /// The inline engine cannot block the *submitter* on a hung backend:
-    /// under a deadline, submission is bounded by the watchdog's typed
-    /// timeout even though the backend call stalls far longer.
-    #[test]
-    fn sync_engine_submission_is_bounded_by_the_deadline() {
-        use mlp_storage::{FaultConfig, FaultInjectBackend};
-        let fault = Arc::new(FaultInjectBackend::new(
-            Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-            FaultConfig::none(7).with_latency_spikes(1.0, Duration::from_millis(400)),
-        ));
-        let e = AioEngine::new(
-            fault as Arc<dyn Backend>,
-            AioConfig {
-                engine: EngineKind::Sync,
-                deadline: Some(Duration::from_millis(20)),
-                retry: RetryPolicy::none(),
-                ..AioConfig::deterministic()
-            },
-        );
-        let t0 = std::time::Instant::now();
-        let h = e.submit_write("k", vec![1u8; 8]);
-        assert!(
-            t0.elapsed() < Duration::from_millis(300),
-            "sync submit hung past the deadline: {:?}",
-            t0.elapsed()
-        );
-        let err = h.wait().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
-        assert_eq!(e.op_timeouts(), 1);
     }
 
     /// The engine's counters exist once: every `aio.<backend>.*` registry

@@ -12,13 +12,9 @@
 //! asynchronous-I/O queue and polls completions while the CPU computes
 //! (§3.5). This crate reproduces that architecture in portable Rust:
 //!
-//! * [`engine::AioEngine`] — a per-tier engine with a submission queue,
-//!   bounded in-flight operations, and completion handles
-//!   ([`engine::OpHandle`]), delegating byte movement to a pluggable
-//!   [`io_engine::EngineKind`] backend.
-//! * [`io_engine`] — the engine backends behind the façade: the bounded
-//!   worker **pool** every production path runs, and an inline **sync**
-//!   engine for tests that need an op finished when `submit_*` returns.
+//! * [`engine::AioEngine`] — a per-tier engine: a bounded submission
+//!   queue, a pool of worker threads making blocking backend calls, and
+//!   completion handles ([`engine::OpHandle`]).
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
@@ -27,8 +23,8 @@
 //!   wall-clock time.
 //! * Deadline watchdog ([`engine::AioConfig::deadline`]) — a supervisor
 //!   thread that turns a hung backend into a typed
-//!   [`std::io::ErrorKind::TimedOut`] completion within the deadline on
-//!   every engine backend, instead of a stuck `wait_flush`/`drain`.
+//!   [`std::io::ErrorKind::TimedOut`] completion within the deadline,
+//!   instead of a stuck `wait_flush`/`drain`.
 //! * Tier breaker ([`engine::AioConfig::health`]) — admits each backend
 //!   attempt and hears its outcome, deadline timeouts included.
 //! * [`lock::ProcessExclusiveLock`] — the paper's "process-exclusive
@@ -38,12 +34,10 @@
 
 pub mod completion;
 pub mod engine;
-pub mod io_engine;
 pub mod lock;
 #[cfg(not(loom))]
 mod watchdog;
 
 pub use completion::{CompletionSlot, PendingGauge};
 pub use engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite, RetryPolicy};
-pub use io_engine::EngineKind;
 pub use lock::ProcessExclusiveLock;

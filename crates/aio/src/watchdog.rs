@@ -5,12 +5,11 @@
 //! stopped answering, a latency fault far beyond any SLO — used to hang
 //! `wait`/`wait_flush`/`drain` indefinitely: retries only help when the
 //! backend call *returns*. The watchdog closes that gap at the protocol
-//! layer, engine-agnostically: every submitted op is registered here
-//! before it reaches the engine backend, and when its deadline expires
-//! without a completion the watchdog publishes a typed
-//! [`std::io::ErrorKind::TimedOut`] error to the op's completion slot and
-//! retires it from the pending gauge. Waiters unblock within the
-//! deadline on every engine backend, with an error the taxonomy
+//! layer: every submitted op is registered here before it reaches the
+//! submission queue, and when its deadline expires without a completion
+//! the watchdog publishes a typed [`std::io::ErrorKind::TimedOut`] error
+//! to the op's completion slot and retires it from the pending gauge.
+//! Waiters unblock within the deadline, with an error the taxonomy
 //! classifies transient. When the engine has a tier breaker
 //! ([`mlp_storage::health`]) the timeout is recorded there as a failure,
 //! so a tier that hangs consistently trips it like one that errors.
@@ -35,8 +34,7 @@ use std::time::{Duration, Instant};
 
 use mlp_sync::{thread, Arc};
 
-use crate::engine::OpState;
-use crate::io_engine::EngineShared;
+use crate::engine::{EngineShared, OpState};
 
 /// One supervised in-flight op. `Weak` so the watchdog never extends an
 /// op's lifetime: a consumed-and-dropped op simply fails to upgrade.
@@ -62,7 +60,7 @@ impl Watchdog {
         #[expect(clippy::expect_used, reason = "spawned once, at engine construction")]
         let handle = thread::Builder::new()
             .name(format!("aio-watchdog-{}", shared.backend.name()))
-            .spawn(move || supervise(&shared, &rx))
+            .spawn(move || supervise(&shared, &rx, deadline))
             .expect("spawn aio watchdog");
         Watchdog {
             tx: Some(tx),
@@ -71,9 +69,8 @@ impl Watchdog {
         }
     }
 
-    /// Registers an op. Must be called before the op is handed to the
-    /// engine backend, so the inline (`sync`) engine's ops are already
-    /// supervised while they execute.
+    /// Registers an op. Called before the op is queued, so it is
+    /// supervised from the moment a worker can pick it up.
     pub(crate) fn register(&self, key: &str, state: &Arc<OpState>) {
         let entry = Entry {
             state: Arc::downgrade(state),
@@ -102,7 +99,7 @@ impl Drop for Watchdog {
 /// The supervisor loop: accept registrations, time out the expired.
 /// Entries arrive in deadline order (one shared deadline duration), so
 /// only the front of the queue can expire next.
-fn supervise(shared: &EngineShared, rx: &Receiver<Entry>) {
+fn supervise(shared: &EngineShared, rx: &Receiver<Entry>, deadline: Duration) {
     let mut queue: VecDeque<Entry> = VecDeque::new();
     loop {
         let next = match queue.front() {
@@ -119,11 +116,11 @@ fn supervise(shared: &EngineShared, rx: &Receiver<Entry>) {
         if let Some(entry) = next {
             queue.push_back(entry);
         }
-        expire_front(shared, &mut queue, Instant::now());
+        expire_front(shared, &mut queue, deadline);
     }
     // Teardown: the engine keeps the watchdog alive while it joins its
-    // backend threads, so a final sweep still times out ops a hung
-    // backend would otherwise strand mid-drop.
+    // workers, so a final sweep still times out ops a hung backend would
+    // otherwise strand mid-drop.
     while let Some(front) = queue.front() {
         let wait = front.expires.saturating_duration_since(Instant::now());
         if !wait.is_zero() {
@@ -131,7 +128,7 @@ fn supervise(shared: &EngineShared, rx: &Receiver<Entry>) {
             // (dead Weak) is discarded without waiting its full deadline.
             mlp_sync::thread::sleep(wait.min(Duration::from_millis(10)));
         }
-        expire_front(shared, &mut queue, Instant::now());
+        expire_front(shared, &mut queue, deadline);
         // Drop entries whose op already completed and was consumed.
         while queue.front().is_some_and(|e| e.state.upgrade().is_none()) {
             queue.pop_front();
@@ -140,7 +137,8 @@ fn supervise(shared: &EngineShared, rx: &Receiver<Entry>) {
 }
 
 /// Times out every expired entry at the front of the queue.
-fn expire_front(shared: &EngineShared, queue: &mut VecDeque<Entry>, now: Instant) {
+fn expire_front(shared: &EngineShared, queue: &mut VecDeque<Entry>, deadline: Duration) {
+    let now = Instant::now();
     while queue.front().is_some_and(|e| e.expires <= now) {
         let Some(entry) = queue.pop_front() else {
             break;
@@ -148,6 +146,6 @@ fn expire_front(shared: &EngineShared, queue: &mut VecDeque<Entry>, now: Instant
         let Some(state) = entry.state.upgrade() else {
             continue; // op completed and its handle was dropped
         };
-        shared.time_out(&entry.key, &state);
+        shared.time_out(&entry.key, &state, deadline);
     }
 }

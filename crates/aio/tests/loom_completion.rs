@@ -88,6 +88,43 @@ fn drain_waits_for_every_completion() {
 }
 
 #[test]
+fn drain_observes_completions_of_concurrent_submitters() {
+    // The engine's op path end to end: two submitter threads each `inc`
+    // the gauge and queue an op (handed over by join: the explorer
+    // cannot schedule the engine's channel); one worker publishes each
+    // completion, then retires it, racing a drain on this thread that
+    // must return only once both completions are published.
+    mlp_sync::model::model(|| {
+        let gauge = Arc::new(PendingGauge::new());
+        let submitters: Vec<_> = (0..2u32)
+            .map(|i| {
+                let g = Arc::clone(&gauge);
+                thread::spawn(move || {
+                    g.inc();
+                    (i, Arc::new(CompletionSlot::new()))
+                })
+            })
+            .collect();
+        let ops: Vec<_> = submitters.into_iter().filter_map(|t| t.join().ok()).collect();
+        let handles: Vec<_> = ops.iter().map(|(i, slot)| (*i, Arc::clone(slot))).collect();
+        let g = Arc::clone(&gauge);
+        let worker = thread::spawn(move || {
+            for (i, slot) in ops {
+                slot.publish(i);
+                g.dec();
+            }
+        });
+        gauge.drain();
+        assert_eq!(handles.len(), 2);
+        for (i, slot) in handles {
+            assert!(slot.is_set(), "drain returned before op {i} was published");
+            assert_eq!(slot.take_blocking(), i);
+        }
+        let _ = worker.join();
+    });
+}
+
+#[test]
 fn publish_happens_before_gauge_retirement() {
     // The worker-loop ordering invariant: the completion must be
     // published before the op retires from the pending gauge, otherwise

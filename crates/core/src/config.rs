@@ -22,9 +22,9 @@ use crate::policy::ordering::OrderPolicy;
 
 /// Full engine configuration.
 ///
-/// Which `mlp-aio` backend moves a tier's bytes is not configured here:
-/// it is a property of the tier (`SharedTier::with_aio` pins an
-/// `EngineKind`; the default is `Pool`).
+/// A tier's I/O (worker count, queue depth, retry, deadline, breaker) is
+/// not configured here: it is a property of the tier
+/// (`SharedTier::with_aio`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineConfig {
     /// Subgroup processing order per iteration.

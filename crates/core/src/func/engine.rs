@@ -52,8 +52,8 @@ pub struct SharedTier {
     pub lock: ProcessExclusiveLock,
     /// Eq. 1 weight (bytes/second or ratio component).
     pub weight: f64,
-    /// I/O engine configuration for this tier (engine kind, worker count,
-    /// queue depth, transient-error retry policy, deadline, breaker).
+    /// I/O engine configuration for this tier (worker count, queue depth,
+    /// transient-error retry policy, deadline, breaker).
     pub aio: AioConfig,
 }
 
@@ -1459,12 +1459,18 @@ impl MlpFuncEngine {
         let body = target.read(&CheckpointManifest::manifest_key(tag, worker_id))?;
         let manifest = CheckpointManifest::from_bytes(&body)?;
         let mut states = Vec::with_capacity(manifest.subgroups.len());
+        // Pre-staged subgroups are read through their tier's own I/O
+        // engine: its retry policy, deadline and breaker.
+        let tier_io: Vec<AioEngine> = shared_tiers
+            .iter()
+            .map(|t| AioEngine::new(Arc::clone(&t.backend), t.aio.clone()))
+            .collect();
         for loc in &manifest.subgroups {
             let bytes = match loc {
                 SubgroupLocation::Target { key } => target.read(key)?,
                 // The tier index is outside input: a corrupt or foreign
                 // manifest can name a tier this run does not have.
-                SubgroupLocation::Prestaged { tier, key } => shared_tiers
+                SubgroupLocation::Prestaged { tier, key } => tier_io
                     .get(*tier)
                     .ok_or_else(|| {
                         io::Error::new(
@@ -1475,8 +1481,14 @@ impl MlpFuncEngine {
                             ),
                         )
                     })?
-                    .backend
-                    .read(key)?,
+                    .submit_read(key)
+                    .wait()?
+                    .ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("read of pre-staged {key} returned no payload"),
+                        )
+                    })?,
             };
             states.push(SubgroupState::from_bytes(&bytes, manifest.step)?);
         }
@@ -2658,6 +2670,26 @@ mod tests {
         .err()
         .expect("an engine without tiers cannot offload anything");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn a_tier_without_io_workers_is_a_typed_error() {
+        let aio = AioConfig {
+            workers: 0,
+            ..AioConfig::deterministic()
+        };
+        let idle = SharedTier::new(Arc::new(MemBackend::new("idle")) as Arc<dyn Backend>, 1.0)
+            .with_aio(aio);
+        let err = MlpFuncEngine::new(
+            EngineConfig::mlp_offload(),
+            AdamConfig::default(),
+            &[idle],
+            0,
+            init_states(2, 4),
+        )
+        .err()
+        .expect("no worker can offload the initial state");
+        assert!(err.to_string().contains("backend idle"), "{err}");
     }
 
     #[test]

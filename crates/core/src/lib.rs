@@ -52,7 +52,7 @@ pub mod sim;
 pub mod stats;
 
 pub use config::{AblationStage, EngineConfig};
-pub use mlp_aio::{AioConfig, EngineKind, RetryPolicy};
+pub use mlp_aio::{AioConfig, RetryPolicy};
 pub use policy::allocation::BandwidthEstimator;
 pub use policy::ordering::OrderPolicy;
 pub use policy::replan::{AdaptivePlanner, MigrationStep};

@@ -1,15 +1,12 @@
 //! Chaos suite: the deterministic crash-point matrix (DESIGN.md §15)
 //! driven over real storage — every checkpoint-pipeline kill point ×
-//! {directory, object-store} publication tiers × {pool, sync} I/O
-//! engines. The invariant at every cell: a crash leaves either a
-//! bit-identically restorable checkpoint or a clean typed error — zero
-//! panics, zero torn manifests, and the commit point (the manifest PUT)
-//! never moves.
+//! {directory, object-store} publication tiers. The invariant at every
+//! cell: a crash leaves either a bit-identically restorable checkpoint or
+//! a clean typed error — zero panics, zero torn manifests, and the commit
+//! point (the manifest PUT) never moves.
 
 use std::sync::Arc;
 
-use mlp_offload_suite::mlp_aio::io_engine::EngineKind;
-use mlp_offload_suite::mlp_aio::AioConfig;
 use mlp_offload_suite::mlp_offload::checkpoint::{
     CheckpointManifest, CheckpointPipeline, CrashPoint, ALL_CRASH_POINTS,
 };
@@ -54,13 +51,6 @@ fn step(engine: &mut MlpFuncEngine, seed: usize) {
     engine.update().unwrap();
 }
 
-fn aio(kind: EngineKind) -> AioConfig {
-    AioConfig {
-        engine: kind,
-        ..AioConfig::default()
-    }
-}
-
 /// The publication-tier half of the matrix: a real filesystem directory
 /// or the emulated S3-like object store.
 fn object_tier(label: &str, root: &std::path::Path) -> Arc<dyn Backend> {
@@ -74,19 +64,17 @@ fn object_tier(label: &str, root: &std::path::Path) -> Arc<dyn Backend> {
 #[test]
 fn crash_point_matrix_over_real_tiers_and_engines() {
     let root = std::env::temp_dir().join(format!("mlp-chaos-{}", std::process::id()));
-    for kind in [EngineKind::Pool, EngineKind::Sync] {
-        for tier in ["dir", "object"] {
-            for &cp in ALL_CRASH_POINTS {
-                let cell = root.join(format!("{kind:?}-{tier}-{cp:?}"));
-                run_cell(kind, tier, cp, &cell);
-                println!("chaos cell ok: {kind:?} × {tier} × {cp:?}");
-            }
+    for tier in ["dir", "object"] {
+        for &cp in ALL_CRASH_POINTS {
+            let cell = root.join(format!("{tier}-{cp:?}"));
+            run_cell(tier, cp, &cell);
+            println!("chaos cell ok: {tier} × {cp:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
 
-fn run_cell(kind: EngineKind, tier: &str, cp: CrashPoint, cell: &std::path::Path) {
+fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
     let trace = TraceSink::disabled();
     let shared = tiers();
     // host_frames ≫ subgroups keeps every subgroup host-resident, so
@@ -101,13 +89,8 @@ fn run_cell(kind: EngineKind, tier: &str, cp: CrashPoint, cell: &std::path::Path
     let staging: Arc<dyn Backend> =
         Arc::new(DirBackend::new("stage", cell.join("stage")).unwrap());
     let object = object_tier(tier, cell);
-    let mut pipe = CheckpointPipeline::with_aio(
-        Arc::clone(&staging),
-        Arc::clone(&object),
-        trace.clone(),
-        aio(kind),
-        aio(kind),
-    );
+    let mut pipe =
+        CheckpointPipeline::new(Arc::clone(&staging), Arc::clone(&object), trace.clone());
     pipe.checkpoint(&engine, "c0").unwrap();
     let at_c0 = engine.master_params().unwrap();
 
@@ -119,31 +102,25 @@ fn run_cell(kind: EngineKind, tier: &str, cp: CrashPoint, cell: &std::path::Path
     assert_eq!(
         err.kind(),
         std::io::ErrorKind::Interrupted,
-        "{kind:?}/{tier}/{cp:?}: crash must surface typed"
+        "{tier}/{cp:?}: crash must surface typed"
     );
 
     // Simulated restart: a fresh pipeline over the same stores. The
     // commit point is the manifest PUT — c1 is visible iff the crash
     // came after it.
-    let pipe2 = CheckpointPipeline::with_aio(
-        Arc::clone(&staging),
-        Arc::clone(&object),
-        trace,
-        aio(kind),
-        aio(kind),
-    );
+    let pipe2 = CheckpointPipeline::new(Arc::clone(&staging), Arc::clone(&object), trace);
     let c1_published = object.contains(&CheckpointManifest::manifest_key("c1", 0));
     assert_eq!(
         c1_published,
         cp == CrashPoint::AfterPublish,
-        "{kind:?}/{tier}/{cp:?}: the commit point moved"
+        "{tier}/{cp:?}: the commit point moved"
     );
     // No torn manifests: whatever manifest exists parses.
     for tag in ["c0", "c1"] {
         let key = CheckpointManifest::manifest_key(tag, 0);
         if object.contains(&key) {
             CheckpointManifest::from_bytes(&object.read(&key).unwrap())
-                .unwrap_or_else(|e| panic!("{kind:?}/{tier}/{cp:?}: torn manifest {tag}: {e}"));
+                .unwrap_or_else(|e| panic!("{tier}/{cp:?}: torn manifest {tag}: {e}"));
         }
     }
     let (tag, want) = if c1_published {
@@ -157,7 +134,7 @@ fn run_cell(kind: EngineKind, tier: &str, cp: CrashPoint, cell: &std::path::Path
     assert_eq!(
         &restored.master_params().unwrap(),
         want,
-        "{kind:?}/{tier}/{cp:?}: restore of {tag} diverged"
+        "{tier}/{cp:?}: restore of {tag} diverged"
     );
     // A crash after the commit leaves the previous checkpoint intact
     // too (prune never ran).
@@ -168,7 +145,7 @@ fn run_cell(kind: EngineKind, tier: &str, cp: CrashPoint, cell: &std::path::Path
         assert_eq!(
             prev.master_params().unwrap(),
             at_c0,
-            "{kind:?}/{tier}/{cp:?}: c0 lost after post-commit crash"
+            "{tier}/{cp:?}: c0 lost after post-commit crash"
         );
     }
 }

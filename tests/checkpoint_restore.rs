@@ -2,8 +2,9 @@
 //! checkpoint must continue training exactly where it left off, and
 //! pre-staged subgroups (§3.3) must be referenced rather than copied.
 
-use std::io::ErrorKind;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::io::{self, ErrorKind};
+use std::sync::{Arc, Mutex};
 
 use mlp_offload_suite::mlp_offload::checkpoint::{CheckpointPipeline, SubgroupLocation};
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
@@ -50,6 +51,41 @@ fn step(engine: &mut MlpFuncEngine, seed: usize) {
     engine.update().unwrap();
 }
 
+/// A tier handle whose first read of each object fails with a transient
+/// error; later reads reach the wrapped store.
+struct FirstReadFails {
+    inner: Arc<dyn Backend>,
+    read_before: Mutex<HashSet<String>>,
+}
+
+impl Backend for FirstReadFails {
+    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        self.inner.write(key, data)
+    }
+
+    fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+        if self.read_before.lock().unwrap().insert(key.to_string()) {
+            return Err(io::Error::new(
+                ErrorKind::Interrupted,
+                format!("first read of {key}"),
+            ));
+        }
+        self.inner.read(key)
+    }
+
+    fn delete(&self, key: &str) -> io::Result<()> {
+        self.inner.delete(key)
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
 #[test]
 fn restore_resumes_exactly_where_training_left_off() {
     let shared = tiers();
@@ -90,6 +126,39 @@ fn restore_resumes_exactly_where_training_left_off() {
         resumed.master_params().unwrap(),
         straight.master_params().unwrap()
     );
+}
+
+/// Pre-staged subgroups come back through the tier's I/O engine, so its
+/// retry policy absorbs a transient read error instead of failing the
+/// restore.
+#[test]
+fn prestaged_restore_retries_transient_tier_read_errors() {
+    let shared = tiers();
+    let ckpt = MemBackend::new("pfs-checkpoint");
+    let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+    let mut engine =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    for it in 0..3 {
+        step(&mut engine, it);
+    }
+    let (_, stats) = engine.checkpoint(&ckpt, "it3", false).unwrap();
+    assert!(stats.prestaged_bytes > 0, "tier residents must pre-stage");
+    let want = engine.master_params().unwrap();
+    drop(engine);
+
+    let flaky: Vec<SharedTier> = shared
+        .iter()
+        .map(|t| SharedTier {
+            backend: Arc::new(FirstReadFails {
+                inner: Arc::clone(&t.backend),
+                read_before: Mutex::new(HashSet::new()),
+            }),
+            ..t.clone()
+        })
+        .collect();
+    let restored =
+        MlpFuncEngine::restore(cfg, AdamConfig::default(), &flaky, 0, &ckpt, "it3").unwrap();
+    assert_eq!(restored.master_params().unwrap(), want);
 }
 
 #[test]

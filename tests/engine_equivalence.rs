@@ -153,10 +153,9 @@ fn two_workers_share_tiers_without_interference() {
 /// §3.2 "Process Atomic R/W": while one worker's transfer is on a tier no
 /// other worker's is (`SimWorker::transfer` holds the lock that long).
 /// `MlpFuncEngine::{submit_read, submit_flush}` and the population loop
-/// release it once the op is queued, so this fails on the default `pool`
-/// engine (it passes on the inline `sync` engine, whose ops run under the
-/// guard) — see ROADMAP "Tier lock covers the transfer" for the invariant
-/// the fix must keep.
+/// release it once the op is queued, so this fails while an aio worker
+/// still runs the transfer — see ROADMAP "Tier lock covers the transfer"
+/// for the invariant the fix must keep.
 #[test]
 #[ignore = "known defect: the tier lock is released at submission, not completion"]
 fn tier_exclusive_lock_covers_the_transfer_not_just_the_submission() {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_offload_suite::mlp_aio::{AioConfig, EngineKind, RetryPolicy};
+use mlp_offload_suite::mlp_aio::{AioConfig, RetryPolicy};
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
@@ -259,11 +259,10 @@ fn transient_faults_on_every_tier_are_invisible_to_training() {
 
 #[test]
 fn transient_faults_are_invisible_to_training_on_every_engine() {
-    // The tier-map template above, swept across every `IoEngine`
-    // backend: tier "a" is a real directory, tier "b" injects 20%
-    // seeded transient faults. Whichever engine serves the I/O, a
+    // The tier-map template above over real files: tier "a" is a
+    // directory, tier "b" injects 20% seeded transient faults. A
     // multi-iteration run must stay bit-identical to the fault-free
-    // worker-pool twin.
+    // in-memory twin.
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(8);
 
@@ -280,54 +279,43 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
     }
     let want_master = want.master_params().unwrap();
 
-    for kind in EngineKind::all() {
-        let root = std::env::temp_dir().join(format!(
-            "mlp-fault-matrix-{}-{}",
-            kind.name(),
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&root).unwrap();
-        let inject = Arc::new(FaultInjectBackend::new(
-            Arc::new(MemBackend::new("b")) as Arc<dyn Backend>,
-            FaultConfig::transient(97, 0.2),
-        ));
-        let faulty_tiers = vec![
-            SharedTier::new(
-                Arc::new(mlp_offload_suite::mlp_storage::DirBackend::new("a", &root).unwrap())
-                    as Arc<dyn Backend>,
-                2.0,
-            )
-            .with_aio(AioConfig {
-                engine: kind,
-                retry: test_retry(8),
-                ..AioConfig::default()
-            }),
-            SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 1.0).with_aio(AioConfig {
-                engine: kind,
-                retry: test_retry(8),
-                ..AioConfig::default()
-            }),
-        ];
-        let mut engine =
-            MlpFuncEngine::new(cfg.clone(), adam, &faulty_tiers, 0, states(6, 16)).unwrap();
-        for (it, want_params) in want_out.iter().enumerate() {
-            engine.accumulate_gradients(&grads(6, 16));
-            let o = engine.update().unwrap();
-            assert_eq!(&o.fp16_params, want_params, "{kind}: iteration {it} diverged");
-        }
-        assert_eq!(
-            engine.master_params().unwrap(),
-            want_master,
-            "{kind}: master weights diverged"
-        );
-        assert!(
-            inject.counts().transient > 0,
-            "{kind}: injection never fired"
-        );
-        assert!(engine.io_retries() > 0, "{kind}: retries never recorded");
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&root);
+    let root = std::env::temp_dir().join(format!("mlp-fault-matrix-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    let inject = Arc::new(FaultInjectBackend::new(
+        Arc::new(MemBackend::new("b")) as Arc<dyn Backend>,
+        FaultConfig::transient(97, 0.2),
+    ));
+    let faulty_tiers = vec![
+        SharedTier::new(
+            Arc::new(mlp_offload_suite::mlp_storage::DirBackend::new("a", &root).unwrap())
+                as Arc<dyn Backend>,
+            2.0,
+        )
+        .with_aio(AioConfig {
+            retry: test_retry(8),
+            ..AioConfig::default()
+        }),
+        SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 1.0).with_aio(AioConfig {
+            retry: test_retry(8),
+            ..AioConfig::default()
+        }),
+    ];
+    let mut engine =
+        MlpFuncEngine::new(cfg.clone(), adam, &faulty_tiers, 0, states(6, 16)).unwrap();
+    for (it, want_params) in want_out.iter().enumerate() {
+        engine.accumulate_gradients(&grads(6, 16));
+        let o = engine.update().unwrap();
+        assert_eq!(&o.fp16_params, want_params, "iteration {it} diverged");
     }
+    assert_eq!(
+        engine.master_params().unwrap(),
+        want_master,
+        "master weights diverged"
+    );
+    assert!(inject.counts().transient > 0, "injection never fired");
+    assert!(engine.io_retries() > 0, "retries never recorded");
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
