@@ -145,7 +145,7 @@ pub struct AioConfig {
     pub retry: RetryPolicy,
     /// Observability sink. When enabled, every completed operation
     /// records an [`Phase::AioRead`]/[`Phase::AioWrite`]/
-    /// [`Phase::AioDelete`] span, each re-attempt an
+    /// [`Phase::AioDelete`]/[`Phase::AioLink`] span, each re-attempt an
     /// [`Phase::AioRetry`] instant, and the engine's operation counters
     /// are the sink's metrics-registry cells `aio.<backend>.<meter>`
     /// (engines sharing a sink *and* a backend name share those cells, so
@@ -236,6 +236,9 @@ pub(crate) enum OpKind {
     /// [`OpHandle::wait_pooled`].
     ReadPooled(PooledBuffer, usize),
     Delete,
+    /// [`Backend::link`] of the op's key to this one: a metadata op that
+    /// moves no bytes, like `Delete`.
+    Link(String),
 }
 
 impl OpKind {
@@ -245,13 +248,14 @@ impl OpKind {
             OpKind::Write(..) | OpKind::WritePooled(..) => Phase::AioWrite,
             OpKind::Read | OpKind::ReadPooled(..) => Phase::AioRead,
             OpKind::Delete => Phase::AioDelete,
+            OpKind::Link(_) => Phase::AioLink,
         }
     }
 }
 
 /// What a completed operation produced.
 pub(crate) enum OpOutput {
-    /// Writes and deletes.
+    /// Writes, deletes and links.
     None,
     /// Plain reads.
     Bytes(Vec<u8>),
@@ -311,7 +315,7 @@ impl OpState {
 
 /// Completion handle for a submitted operation.
 ///
-/// Reads resolve to `Ok(Some(bytes))`, writes and deletes to `Ok(None)`;
+/// Reads resolve to `Ok(Some(bytes))`, writes, deletes and links to `Ok(None)`;
 /// pooled reads resolve through [`OpHandle::wait_pooled`].
 pub struct OpHandle {
     state: Arc<OpState>,
@@ -728,6 +732,10 @@ fn execute_op(
             shared.run_attempts(op_retries, state, salvage, || backend.delete(key))?;
             Ok(OpOutput::None)
         }
+        OpKind::Link(to) => {
+            shared.run_attempts(op_retries, state, salvage, || backend.link(key, &to))?;
+            Ok(OpOutput::None)
+        }
     }
 }
 
@@ -867,6 +875,18 @@ impl AioEngine {
     /// Enqueues an asynchronous delete of `key`.
     pub fn submit_delete(&self, key: &str) -> OpHandle {
         self.submit(key, OpKind::Delete, false)
+    }
+
+    /// Enqueues an asynchronous [`Backend::link`]: `to` keeps the bytes
+    /// `from` holds when the op runs.
+    pub fn submit_link(&self, from: &str, to: &str) -> OpHandle {
+        self.submit(from, OpKind::Link(to.to_string()), false)
+    }
+
+    /// Whether `key` exists on the backend: metadata, which neither
+    /// retries nor reaches the breaker.
+    pub fn contains(&self, key: &str) -> bool {
+        self.shared.backend.contains(key)
     }
 
     /// [`AioEngine::submit_read`] past the tier breaker's admission: the

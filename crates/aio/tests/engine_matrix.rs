@@ -235,6 +235,37 @@ fn transient_faults_are_invisible() {
     assert_eq!(engine.op_errors(), 0, "transient fault leaked out");
 }
 
+/// A pin is an op like any other: re-driven through transient faults,
+/// untouched by later writes of its source, and a missing source is a
+/// typed `NotFound`.
+#[test]
+fn links_retry_and_keep_their_bytes() {
+    let inject = Arc::new(FaultInjectBackend::new(
+        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+        FaultConfig::transient(7, 0.3),
+    ));
+    let engine = AioEngine::new(
+        Arc::clone(&inject) as Arc<dyn Backend>,
+        AioConfig {
+            retry: test_retry(16),
+            ..AioConfig::deterministic()
+        },
+    );
+    engine.submit_write("live", vec![1; 64]).wait().unwrap();
+    let pins: Vec<_> = (0..8).map(|i| format!("pin{i}")).collect();
+    for pin in &pins {
+        engine.submit_link("live", pin).wait().unwrap();
+    }
+    engine.submit_write("live", vec![2; 64]).wait().unwrap();
+    for pin in &pins {
+        assert!(engine.contains(pin));
+        assert_eq!(engine.submit_read(pin).wait().unwrap().unwrap(), vec![1; 64], "{pin}");
+    }
+    assert!(engine.retries() > 0, "retry layer never engaged");
+    let err = engine.submit_link("missing", "pin0").wait().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+}
+
 /// Tentpole: a hung backend (latency fault far beyond the deadline)
 /// surfaces as a typed `TimedOut` within the configured deadline — not
 /// as a stuck `wait_flush`/`drain`. The injected

@@ -9,10 +9,12 @@
 //! ([`PrestageReport`]) and implements the engine itself
 //! ([`CheckpointPipeline`]): a two-hop *flush → trickle* pipeline that
 //! stages host-resident state on a fast durable tier, copies it to the
-//! object store in the background, and commits with a single atomic
-//! manifest PUT. The safety ordering — flush → verify → publish → prune —
-//! guarantees the previous checkpoint stays restorable until the new one
-//! is fully durable (see `DESIGN.md` §14).
+//! object store in the background, pins the tier-resident state where it
+//! lies, and commits with a single atomic manifest PUT. The safety
+//! ordering — flush → verify → publish → prune — guarantees the previous
+//! checkpoint stays restorable until the new one is fully durable (see
+//! `DESIGN.md` §14). It is the one way to write or read a functional
+//! checkpoint.
 
 use std::collections::HashMap;
 use std::io;
@@ -32,14 +34,14 @@ pub enum SubgroupLocation {
         /// Object key in the checkpoint target.
         key: String,
     },
-    /// Already durable on a third-level tier (pre-staged, §3.3); the
-    /// checkpoint references it instead of copying. Valid until the next
-    /// update phase rewrites the tier object — the window in which the
-    /// paper's asynchronous checkpoint engine completes its flush.
+    /// Already durable on a third-level tier (pre-staged, §3.3), and
+    /// pinned there under the checkpoint's own key
+    /// ([`mlp_storage::Backend::link`]): the checkpoint references it
+    /// instead of copying, and further training never rewrites it.
     Prestaged {
         /// Tier index within the engine's virtual tier.
         tier: usize,
-        /// Object key on that tier.
+        /// The pin's object key on that tier.
         key: String,
     },
 }
@@ -65,15 +67,16 @@ impl CheckpointManifest {
         format!("ckpt/{tag}/w{worker_id}/manifest")
     }
 
-    /// Object key for a copied subgroup.
+    /// Object key of a subgroup in a checkpoint: a copy in the object
+    /// store, or a pin on the subgroup's tier.
     pub fn subgroup_key(tag: &str, worker_id: usize, idx: usize) -> String {
         format!("ckpt/{tag}/w{worker_id}/sub{idx}")
     }
 
     /// Refuses, with `InvalidInput`, a caller-chosen tag the wire format
     /// cannot carry: an empty one, or one holding `\n` or `\r` (the
-    /// parser reads lines, and `str::lines` drops a trailing `\r`). Both
-    /// checkpoint entry points run it before writing anything, so a
+    /// parser reads lines, and `str::lines` drops a trailing `\r`).
+    /// `start_checkpoint` runs it before writing anything, so a
     /// checkpoint that reports success can be restored.
     pub(crate) fn check_tag(tag: &str) -> io::Result<()> {
         if tag.is_empty() || tag.contains(['\n', '\r']) {
@@ -87,8 +90,8 @@ impl CheckpointManifest {
 
     /// Serializes the manifest into its stable line-based wire format
     /// (`mlpckpt v1`). Tags and keys must not contain newlines — keys are
-    /// engine-generated and never do; both checkpoint entry points refuse
-    /// a tag that does before writing anything.
+    /// engine-generated and never do; `start_checkpoint` refuses a tag
+    /// that does before writing anything.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::new();
         out.push_str("mlpckpt v1\n");
@@ -289,22 +292,13 @@ pub(crate) enum PendingEntry {
         /// The in-flight staging write.
         handle: OpHandle,
     },
-    /// Already durable in the object store at the current optimizer step
-    /// (incremental skip).
-    Reused {
+    /// Already durable: an object-store upload still current at this
+    /// optimizer step (incremental skip), or a pin (§3.3 pre-staging).
+    Durable {
         /// Subgroup id.
         idx: usize,
-        /// Existing object key, re-referenced by the new manifest.
-        key: String,
-    },
-    /// Referenced in place on a third-level tier (§3.3 pre-staging).
-    Prestaged {
-        /// Subgroup id.
-        idx: usize,
-        /// Tier index within the engine's tier set.
-        tier: usize,
-        /// Object key on that tier.
-        key: String,
+        /// Where the new manifest will point.
+        location: SubgroupLocation,
     },
 }
 
@@ -323,6 +317,8 @@ pub struct PendingCheckpoint {
     pub(crate) entries: Vec<PendingEntry>,
     pub(crate) stats: CheckpointStats,
     pub(crate) started_ns: u64,
+    /// The engine's tier I/O engines, which hold its pins.
+    pub(crate) tiers: Vec<Arc<AioEngine>>,
 }
 
 impl PendingCheckpoint {
@@ -345,12 +341,12 @@ impl PendingCheckpoint {
 /// 2. **trickle** — staged bytes are copied to the object store; subgroups
 ///    whose upload from a previous checkpoint is still current (same
 ///    optimizer step) are skipped and re-referenced (*incremental*);
-/// 3. **verify** — every object key the new manifest will reference must
-///    exist before publication;
+/// 3. **verify** — every object the new manifest will reference, copied
+///    or pinned, must exist before publication;
 /// 4. **publish** — the manifest is written with a single PUT (atomic on
 ///    an object store: no rename needed);
 /// 5. **prune** — only now are staging copies, superseded subgroup
-///    objects, and the previous manifest deleted.
+///    objects, the previous manifest and its pins deleted.
 ///
 /// A crash anywhere before step 4 leaves the previous checkpoint fully
 /// intact; a crash after it leaves the new one committed. There is no
@@ -362,7 +358,9 @@ pub struct CheckpointPipeline {
     object: AioEngine,
     trace: TraceSink,
     uploaded: HashMap<usize, UploadedSubgroup>,
-    last_tag: Option<String>,
+    /// The last manifest this pipeline published: pruned, with its pins,
+    /// once a successor is published.
+    last: Option<CheckpointManifest>,
     /// Breaker supervising the staging tier. When it quarantines, the
     /// pipeline retargets: flushes go direct-to-object (losing the fast
     /// first hop, keeping durability) and trickle reads fall back to
@@ -406,7 +404,7 @@ impl CheckpointPipeline {
             staging_backend: staging,
             object_backend: object,
             uploaded: HashMap::new(),
-            last_tag: None,
+            last: None,
             staging_health: None,
             crash_point: None,
             flush_bytes: trace.counter("ckpt.flush_bytes"),
@@ -478,8 +476,9 @@ impl CheckpointPipeline {
 
     /// Settles a pending checkpoint: waits for the staging flushes,
     /// trickles the staged bytes into the object store, verifies every
-    /// referenced object, publishes the manifest, and prunes staging
-    /// copies plus superseded objects. Returns the published manifest.
+    /// referenced object and pin, publishes the manifest, and prunes
+    /// staging copies plus superseded objects and pins. Returns the
+    /// published manifest.
     pub fn drain(
         &mut self,
         pending: PendingCheckpoint,
@@ -492,6 +491,7 @@ impl CheckpointPipeline {
             entries,
             stats,
             started_ns,
+            tiers,
         } = pending;
 
         self.crash_if(CrashPoint::BeforeFlushSettle)?;
@@ -511,12 +511,7 @@ impl CheckpointPipeline {
                     flushed_bytes += bytes;
                     staged.push((idx, staging_key, bytes));
                 }
-                PendingEntry::Reused { idx, key } => {
-                    locations.push((idx, SubgroupLocation::Target { key }));
-                }
-                PendingEntry::Prestaged { idx, tier, key } => {
-                    locations.push((idx, SubgroupLocation::Prestaged { tier, key }));
-                }
+                PendingEntry::Durable { idx, location } => locations.push((idx, location)),
             }
         }
         let flush_end = self.trace.now_ns();
@@ -567,16 +562,21 @@ impl CheckpointPipeline {
         }
         self.crash_if(CrashPoint::AfterTrickle)?;
 
-        // Stage 3: verify — every object the manifest references must be
-        // readable before we commit to it.
+        // Stage 3: verify — every object the manifest references, in the
+        // object store or pinned on a tier, must exist before we commit
+        // to it (its length is checked where restore parses it).
         for (_, loc) in &locations {
-            if let SubgroupLocation::Target { key } = loc {
-                if !self.object_backend.contains(key) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::NotFound,
-                        format!("checkpoint object {key} missing before publish"),
-                    ));
+            let (present, key) = match loc {
+                SubgroupLocation::Target { key } => (self.object_backend.contains(key), key),
+                SubgroupLocation::Prestaged { tier, key } => {
+                    (tiers.get(*tier).is_some_and(|t| t.contains(key)), key)
                 }
+            };
+            if !present {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("checkpoint object {key} missing before publish"),
+                ));
             }
         }
         self.crash_if(CrashPoint::AfterVerify)?;
@@ -601,9 +601,9 @@ impl CheckpointPipeline {
 
         // Stage 5: prune — staging copies (from whichever store holds
         // them — a retargeted flush staged on the object store),
-        // superseded subgroup objects, and the previous manifest.
-        // Failures here are non-fatal (the new checkpoint is already
-        // committed); deletes are idempotent.
+        // superseded subgroup objects, the previous manifest and the pins
+        // only it names. Failures here are non-fatal (the new checkpoint
+        // is already committed); deletes are idempotent.
         for (_, staging_key, _) in &staged {
             let _ = self.staging_backend.delete(staging_key);
             let _ = self.object_backend.delete(staging_key);
@@ -616,12 +616,20 @@ impl CheckpointPipeline {
                 }
             }
         }
-        if let Some(prev) = self.last_tag.replace(tag) {
-            if prev != manifest.tag {
+        if let Some(prev) = self.last.replace(manifest.clone()) {
+            if prev.tag != tag {
                 let _ = self
                     .object_backend
-                    .delete(&CheckpointManifest::manifest_key(&prev, worker_id));
+                    .delete(&CheckpointManifest::manifest_key(&prev.tag, worker_id));
                 self.pruned_objects.inc();
+            }
+            for loc in prev.subgroups.iter().filter(|l| !manifest.subgroups.contains(l)) {
+                if let SubgroupLocation::Prestaged { tier, key } = loc {
+                    if let Some(io) = tiers.get(*tier) {
+                        let _ = io.submit_delete(key).wait();
+                        self.pruned_objects.inc();
+                    }
+                }
             }
         }
 
@@ -645,7 +653,7 @@ impl CheckpointPipeline {
 
     /// Rebuilds a worker engine from a checkpoint this pipeline published
     /// (manifest and copied subgroups read from the object store,
-    /// pre-staged subgroups resolved against `shared_tiers`).
+    /// pre-staged subgroups from their pins on `shared_tiers`).
     pub fn restore(
         &self,
         cfg: crate::EngineConfig,
@@ -1091,17 +1099,86 @@ mod tests {
             );
         }
 
+        /// A checkpoint's pins on the engine's tiers, by presence.
+        fn pins(shared: &[SharedTier], tag: &str) -> Vec<String> {
+            (0..5)
+                .map(|idx| CheckpointManifest::subgroup_key(tag, 0, idx))
+                .filter(|key| shared.iter().any(|t| t.backend.contains(key)))
+                .collect()
+        }
+
+        /// Pins live exactly as long as a published manifest names them:
+        /// c1's prune deletes c0's, and a second checkpoint at the same
+        /// optimizer step (the incremental path) re-pins and still
+        /// restores once training has moved on.
+        #[test]
+        fn pins_are_pruned_with_the_manifest_that_named_them() {
+            let shared = tiers(2);
+            let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+            let adam = AdamConfig::default();
+            let mut engine =
+                MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states(5, 24)).unwrap();
+            step(&mut engine, 5, 24, 0.0);
+            let (mut pipe, _staging) = pipeline_over_mem(&TraceSink::disabled());
+            pipe.checkpoint(&engine, "c0").unwrap();
+            assert!(!pins(&shared, "c0").is_empty(), "c0 pins its tier residents");
+
+            step(&mut engine, 5, 24, 1.0);
+            let (m1, _) = pipe.checkpoint(&engine, "c1").unwrap();
+            assert_eq!(pins(&shared, "c0"), Vec::<String>::new(), "c0's pins outlived it");
+            for loc in &m1.subgroups {
+                if let SubgroupLocation::Prestaged { tier, key } = loc {
+                    assert!(shared[*tier].backend.contains(key), "c1 lost its pin {key}");
+                }
+            }
+
+            let at_c1 = engine.master_params().unwrap();
+            pipe.checkpoint(&engine, "c2").unwrap();
+            assert_eq!(pins(&shared, "c1"), Vec::<String>::new());
+            step(&mut engine, 5, 24, 2.0);
+            let restored = pipe.restore(cfg, adam, &shared, 0, "c2").unwrap();
+            assert_eq!(restored.master_params().unwrap(), at_c1);
+        }
+
+        /// Verify checks the pins as well as the copies: one lost between
+        /// `start_checkpoint` and `drain` fails the checkpoint before its
+        /// manifest PUT, and the previous checkpoint still restores.
+        #[test]
+        fn a_lost_pin_fails_verify_before_publish() {
+            let shared = tiers(2);
+            let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+            let adam = AdamConfig::default();
+            let mut engine =
+                MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states(5, 24)).unwrap();
+            step(&mut engine, 5, 24, 0.0);
+            let (mut pipe, _staging) = pipeline_over_mem(&TraceSink::disabled());
+            pipe.checkpoint(&engine, "c0").unwrap();
+            let at_c0 = engine.master_params().unwrap();
+
+            step(&mut engine, 5, 24, 1.0);
+            let pending = engine.start_checkpoint(&pipe, "c1").unwrap();
+            let lost = pins(&shared, "c1").remove(0);
+            for t in &shared {
+                t.backend.delete(&lost).unwrap();
+            }
+            let err = pipe.drain(pending).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+            let object = pipe.object_backend();
+            assert!(!object.contains(&CheckpointManifest::manifest_key("c1", 0)));
+
+            step(&mut engine, 5, 24, 2.0);
+            let restored = pipe.restore(cfg, adam, &shared, 0, "c0").unwrap();
+            assert_eq!(restored.master_params().unwrap(), at_c0);
+        }
+
         #[test]
         fn every_crash_point_leaves_a_restorable_checkpoint() {
             for &cp in ALL_CRASH_POINTS {
                 let trace = TraceSink::disabled();
                 let shared = tiers(2);
-                // host_frames 10 ≫ 5 subgroups: everything stays
-                // host-resident, so both checkpoints are fully copied
-                // (no prestaged references that a later update phase
-                // would invalidate — the harness needs c0 to stay
-                // restorable after training moves on).
-                let cfg = EngineConfig::mlp_offload().with_host_frames(10);
+                // Two of five subgroups stay cached: both checkpoints pin
+                // the other three on their tiers.
+                let cfg = EngineConfig::mlp_offload().with_host_frames(5);
                 let mut engine = MlpFuncEngine::new(
                     cfg.clone(),
                     AdamConfig::default(),
@@ -1119,15 +1196,21 @@ mod tests {
                     Arc::clone(&object) as Arc<dyn Backend>,
                     trace.clone(),
                 );
-                pipe.checkpoint(&engine, "c0").unwrap();
+                let (_, c0) = pipe.checkpoint(&engine, "c0").unwrap();
                 let at_c0 = engine.master_params().unwrap();
 
                 step(&mut engine, 5, 24, 1.0);
                 let at_c1 = engine.master_params().unwrap();
                 let pending = engine.start_checkpoint(&pipe, "c1").unwrap();
+                let c1 = pending.stats();
+                assert!(c0.prestaged_bytes > 0 && c1.prestaged_bytes > 0, "{cp:?}");
                 pipe.set_crash_point(Some(cp));
                 let err = pipe.drain(pending).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::Interrupted, "{cp:?}");
+                // Training moves on past the crash, rewriting live tier
+                // keys, before either checkpoint is restored.
+                step(&mut engine, 5, 24, 2.0);
+                step(&mut engine, 5, 24, 3.0);
 
                 // Simulated restart: a fresh pipeline over the same
                 // stores. The commit point is the manifest PUT — c1 is

@@ -15,7 +15,10 @@ use mlp_tensor::convert;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
 use mlp_trace::{Attrs, Phase};
 
-use crate::checkpoint::{CheckpointManifest, CheckpointStats, SubgroupLocation};
+use crate::checkpoint::{
+    CheckpointManifest, CheckpointPipeline, CheckpointStats, PendingCheckpoint, PendingEntry,
+    SubgroupLocation,
+};
 use crate::config::EngineConfig;
 use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
 use crate::policy::replan::MigrationStep;
@@ -221,7 +224,9 @@ impl Fetch {
 }
 
 struct TierRt {
-    engine: AioEngine,
+    /// Shared with the checkpoints that pin subgroups on this tier: their
+    /// drain verifies the pins, and its prune deletes superseded ones.
+    engine: Arc<AioEngine>,
     lock: ProcessExclusiveLock,
     weight: f64,
 }
@@ -364,7 +369,7 @@ impl MlpFuncEngine {
                     Arc::clone(&t.backend)
                 };
                 TierRt {
-                    engine: AioEngine::new(backend, aio),
+                    engine: Arc::new(AioEngine::new(backend, aio)),
                     lock: t.lock.clone(),
                     weight: t.weight,
                 }
@@ -1113,7 +1118,7 @@ impl MlpFuncEngine {
     }
 
     /// Reads subgroup `idx`'s durable copy from `tier` through the tier's
-    /// I/O engine (cold paths: verification, checkpoint, migration; a
+    /// I/O engine (cold paths: verification, migration, drain; a
     /// `salvage` read skips the tier breaker's admission).
     fn read_durable(&self, tier: usize, idx: usize, salvage: bool) -> io::Result<Vec<u8>> {
         let engine = &self.tiers[tier].engine;
@@ -1292,7 +1297,7 @@ impl MlpFuncEngine {
     }
 
     /// Gathers the FP32 master parameters of every subgroup (reads through
-    /// the storage tiers; used for verification and checkpointing).
+    /// the storage tiers; used for verification).
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
         (0..self.subgroup_lens.len())
             .map(|idx| match self.place(idx)? {
@@ -1306,133 +1311,69 @@ impl MlpFuncEngine {
             .collect()
     }
 
-    /// What both checkpoint entry points refuse before writing anything:
-    /// a tag the manifest cannot carry
-    /// ([`CheckpointManifest::check_tag`]), and a cut taken mid-re-drive,
-    /// when some subgroups carry this step's update and the rest the
-    /// previous one.
-    fn checkpoint_preflight(&self, tag: &str) -> io::Result<()> {
+    /// Starts an asynchronous two-hop checkpoint through `pipe`: host-
+    /// resident subgroups are submitted to the staging tier (the writes
+    /// run on the I/O engine's workers while training continues),
+    /// subgroups whose object-store upload is still current at this
+    /// optimizer step are skipped entirely (incremental checkpointing),
+    /// and tier-resident subgroups are *pre-staged* (§3.3): each is
+    /// pinned on its own tier under
+    /// [`CheckpointManifest::subgroup_key`] before this returns, so the
+    /// next update's flush of the live key never reaches it.
+    ///
+    /// Refuses, before anything is written, an empty or multi-line `tag`
+    /// (`InvalidInput`: the manifest could not carry it) and a cut
+    /// taken while a failed update awaits its re-drive (some subgroups
+    /// would carry this step's update and the rest the previous one).
+    ///
+    /// The returned [`PendingCheckpoint`] must be settled with
+    /// [`CheckpointPipeline::drain`], which trickles the staged bytes to
+    /// the object store, verifies, publishes the manifest, and prunes.
+    pub fn start_checkpoint(
+        &self,
+        pipe: &CheckpointPipeline,
+        tag: &str,
+    ) -> io::Result<PendingCheckpoint> {
         CheckpointManifest::check_tag(tag)?;
         if self.in_progress.is_some() {
             return Err(io::Error::other(
                 "checkpoint refused: a failed update phase awaits re-drive",
             ));
         }
-        Ok(())
-    }
-
-    /// Writes a checkpoint of this worker's optimizer state to `target`.
-    ///
-    /// Host-resident subgroups are copied; subgroups already sitting on a
-    /// third-level tier are *pre-staged* (§3.3) and only referenced,
-    /// unless `materialize` forces a copy (producing a checkpoint that
-    /// stays valid after further training rewrites the tiers — what a
-    /// DeepSpeed-style engine does at a checkpoint boundary, all of it on
-    /// the critical path).
-    ///
-    /// Refuses to run while a failed update awaits its re-drive (the
-    /// state is mid-transition and not a consistent cut), and refuses an
-    /// empty or multi-line `tag` with `InvalidInput`.
-    pub fn checkpoint(
-        &self,
-        target: &dyn mlp_storage::Backend,
-        tag: &str,
-        materialize: bool,
-    ) -> io::Result<(CheckpointManifest, CheckpointStats)> {
-        self.checkpoint_preflight(tag)?;
-        let mut stats = CheckpointStats::default();
-        let mut subgroups = Vec::with_capacity(self.subgroup_lens.len());
-        for idx in 0..self.subgroup_lens.len() {
-            let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-            let copied = match self.place(idx)? {
-                Place::Host(res) => {
-                    let bytes = res.state_bytes();
-                    target.write(&key, bytes)?;
-                    bytes.len()
-                }
-                Place::Tier(t) if materialize => {
-                    let bytes = self.read_durable(t, idx, false)?;
-                    target.write(&key, &bytes)?;
-                    bytes.len()
-                }
-                Place::Tier(tier) => {
-                    stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
-                    subgroups.push(SubgroupLocation::Prestaged {
-                        tier,
-                        key: self.key(idx).to_owned(),
-                    });
-                    continue;
-                }
-            };
-            stats.copied_bytes += copied as u64;
-            subgroups.push(SubgroupLocation::Target { key });
-        }
-        let manifest = CheckpointManifest {
-            tag: tag.to_string(),
-            worker_id: self.worker_id,
-            step: self.step,
-            iter: self.ledger.iterations_done,
-            subgroups,
-        };
-        target.write(
-            &CheckpointManifest::manifest_key(tag, self.worker_id),
-            &manifest.to_bytes(),
-        )?;
-        Ok((manifest, stats))
-    }
-
-    /// Starts an asynchronous two-hop checkpoint through `pipe`: host-
-    /// resident subgroups are submitted to the staging tier (the writes
-    /// run on the I/O engine's workers while training continues),
-    /// tier-resident subgroups are referenced in place (§3.3 pre-staging),
-    /// and subgroups whose object-store upload is still current at this
-    /// optimizer step are skipped entirely (incremental checkpointing).
-    ///
-    /// The returned [`PendingCheckpoint`](crate::checkpoint::PendingCheckpoint) must be settled with
-    /// [`CheckpointPipeline::drain`], which trickles the staged bytes to
-    /// the object store, verifies, publishes the manifest, and prunes.
-    ///
-    /// [`CheckpointPipeline::drain`]: crate::checkpoint::CheckpointPipeline::drain
-    pub fn start_checkpoint(
-        &self,
-        pipe: &crate::checkpoint::CheckpointPipeline,
-        tag: &str,
-    ) -> io::Result<crate::checkpoint::PendingCheckpoint> {
-        use crate::checkpoint::{PendingCheckpoint, PendingEntry};
-        self.checkpoint_preflight(tag)?;
         let started_ns = self.cfg.trace.now_ns();
         let mut entries = Vec::with_capacity(self.subgroup_lens.len());
+        let mut pins = Vec::new();
         let mut stats = CheckpointStats::default();
         for idx in 0..self.subgroup_lens.len() {
-            match self.place(idx)? {
-                Place::Host(resident) => {
-                    if let Some(key) = pipe.reusable_upload(idx, self.step) {
-                        stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
-                        entries.push(PendingEntry::Reused { idx, key });
+            let bytes = self.subgroup_lens[idx] as u64 * 12;
+            let location = match self.place(idx)? {
+                Place::Host(resident) => match pipe.reusable_upload(idx, self.step) {
+                    Some(key) => SubgroupLocation::Target { key },
+                    None => {
+                        stats.copied_bytes += bytes;
+                        let staging_key = format!("ckptstage/{tag}/w{}/sub{idx}", self.worker_id);
+                        let handle =
+                            pipe.submit_flush(&staging_key, resident.state_bytes().to_vec());
+                        entries.push(PendingEntry::Flushing {
+                            idx,
+                            staging_key,
+                            bytes,
+                            handle,
+                        });
                         continue;
                     }
-                    let bytes = resident.state_bytes().to_vec();
-                    let len = bytes.len() as u64;
-                    stats.copied_bytes += len;
-                    let staging_key =
-                        format!("ckptstage/{tag}/w{}/sub{idx}", self.worker_id);
-                    let handle = pipe.submit_flush(&staging_key, bytes);
-                    entries.push(PendingEntry::Flushing {
-                        idx,
-                        staging_key,
-                        bytes: len,
-                        handle,
-                    });
+                },
+                Place::Tier(tier) => {
+                    let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
+                    pins.push(self.tiers[tier].engine.submit_link(self.key(idx), &key));
+                    SubgroupLocation::Prestaged { tier, key }
                 }
-                Place::Tier(t) => {
-                    stats.prestaged_bytes += self.subgroup_lens[idx] as u64 * 12;
-                    entries.push(PendingEntry::Prestaged {
-                        idx,
-                        tier: t,
-                        key: self.key(idx).to_owned(),
-                    });
-                }
-            }
+            };
+            stats.prestaged_bytes += bytes;
+            entries.push(PendingEntry::Durable { idx, location });
+        }
+        for pin in pins {
+            pin.wait()?;
         }
         Ok(PendingCheckpoint {
             tag: tag.to_string(),
@@ -1442,13 +1383,15 @@ impl MlpFuncEngine {
             entries,
             stats,
             started_ns,
+            tiers: self.tiers.iter().map(|t| Arc::clone(&t.engine)).collect(),
         })
     }
 
-    /// Rebuilds a worker engine from a checkpoint written by
-    /// [`MlpFuncEngine::checkpoint`]. `shared_tiers` must be the same tier
-    /// set (pre-staged references are resolved against it).
-    pub fn restore(
+    /// Rebuilds a worker engine from the checkpoint `tag` published to
+    /// `target` ([`CheckpointPipeline::restore`]). `shared_tiers` must be
+    /// the same tier set: pre-staged subgroups are read from their pins
+    /// on it.
+    pub(crate) fn restore(
         cfg: EngineConfig,
         adam: AdamConfig,
         shared_tiers: &[SharedTier],
@@ -1973,30 +1916,22 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips_pooled_residents() {
-        let adam = AdamConfig::default();
-        let mut engine = MlpFuncEngine::new(
+        let (adam, cfg, shared) = (
+            AdamConfig::default(),
             EngineConfig::mlp_offload().with_host_frames(6),
-            adam,
-            &tiers(2),
-            0,
-            init_states(5, 24),
-        )
-        .unwrap();
+            tiers(2),
+        );
+        let mut engine =
+            MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, init_states(5, 24)).unwrap();
         for it in 0..3 {
             engine.accumulate_gradients(&grads_for(5, 24, it as f32));
             engine.update().unwrap();
         }
-        let target = MemBackend::new("ckpt");
-        engine.checkpoint(&target, "t0", true).unwrap();
-        let restored = MlpFuncEngine::restore(
-            EngineConfig::mlp_offload().with_host_frames(6),
-            adam,
-            &tiers(2),
-            0,
-            &target,
-            "t0",
-        )
-        .unwrap();
+        let mem = |name| Arc::new(MemBackend::new(name)) as Arc<dyn Backend>;
+        let mut pipe =
+            CheckpointPipeline::new(mem("stage"), mem("ckpt"), mlp_trace::TraceSink::disabled());
+        pipe.checkpoint(&engine, "t0").unwrap();
+        let restored = pipe.restore(cfg, adam, &shared, 0, "t0").unwrap();
         assert_eq!(
             restored.master_params().unwrap(),
             engine.master_params().unwrap()

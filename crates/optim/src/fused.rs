@@ -234,8 +234,8 @@ mod tests {
     use mlp_tensor::{convert, F16};
     use mlp_testkit::{cases, Gen, DEFAULT_CASES};
 
-    /// The multi-pass composition the fused kernel replaces: materialize
-    /// an FP32 gradient buffer (upscale × inverse loss scale), run the
+    /// The multi-pass composition the fused kernel replaces: fill an
+    /// FP32 gradient buffer (upscale × inverse loss scale), run the
     /// optimizer pass, then downscale the parameters in a separate pass.
     fn multi_pass_fp16(
         cfg: &AdamConfig,

@@ -27,7 +27,8 @@
 //! ([`crate::TracedBackend`], [`crate::FaultInjectBackend`]) forward the
 //! frame with their bookkeeping unchanged, so the medium underneath
 //! decides. The tier breaker is not a decorator: the tier's I/O engine
-//! consults it around each attempt.
+//! consults it around each attempt. [`Backend::link`] is decided the same
+//! way, by the medium under the decorators.
 
 use std::collections::HashMap;
 use std::io;
@@ -86,6 +87,16 @@ pub trait Backend: Send + Sync + 'static {
         dst[..data.len()].copy_from_slice(&data);
         Ok(data.len())
     }
+    /// Makes `to` name the bytes `from` holds now, replacing any object
+    /// there; later writes to `from` never reach `to`. A missing `from` is
+    /// `NotFound`, with `to` untouched. A checkpoint pins a tier-resident
+    /// subgroup this way while training rewrites its live key.
+    ///
+    /// The default copies ([`Backend::write`] of [`Backend::read`]);
+    /// [`MemBackend`] shares the object and [`DirBackend`] hard-links it.
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        self.write(to, &self.read(from)?)
+    }
     /// Removes `key` if present.
     fn delete(&self, key: &str) -> io::Result<()>;
     /// Whether `key` currently exists.
@@ -97,11 +108,11 @@ pub trait Backend: Send + Sync + 'static {
 /// Derives a unique tmp-file sibling of `path` (same directory, same full
 /// file name plus a `.pid.counter.tmp` suffix).
 ///
-/// [`DirBackend::write`] is the one writer of the torn-write-proof
-/// tmp → sync → rename protocol: the pid + process-wide counter keep two
-/// concurrent writers of the same key on distinct tmp files, and keeping
-/// the full file name avoids the historical `with_extension` collision
-/// between dotted keys.
+/// `DirBackend::publish`, behind its `write` and `link`, is the one writer
+/// of the torn-write-proof tmp → sync → rename protocol: the pid +
+/// process-wide counter keep two concurrent writers of the same key on
+/// distinct tmp files, and keeping the full file name avoids the
+/// historical `with_extension` collision between dotted keys.
 fn unique_tmp_sibling(path: &Path) -> io::Result<PathBuf> {
     let file_name = path
         .file_name()
@@ -294,6 +305,14 @@ impl Backend for MemBackend {
         Ok(data.len())
     }
 
+    /// Shares the object: no byte moves, and while the pin holds it both
+    /// overwrite paths above see a second holder and insert afresh.
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        let object = self.object(from)?;
+        self.map.lock().insert(to.to_string(), object);
+        Ok(())
+    }
+
     fn delete(&self, key: &str) -> io::Result<()> {
         self.map.lock().remove(key);
         Ok(())
@@ -332,7 +351,7 @@ impl DirBackend {
         })
     }
 
-    /// Makes every write and delete durable before it returns: the file
+    /// Makes every write, link and delete durable before it returns: the file
     /// is synced before the rename and the parent directory after it, and
     /// after an unlink (a rename, an unlink, or a directory the write had
     /// to create, is only an un-synced directory entry until then).
@@ -360,32 +379,21 @@ impl DirBackend {
         }
         Ok(self.root.join(key))
     }
-}
 
-/// Process-wide counter making concurrent tmp-file names unique.
-static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl Backend for DirBackend {
-    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+    /// Puts the file `fill` creates at a tmp sibling in place under `key`
+    /// by rename, for atomic replacement: a real offloading engine must
+    /// not expose torn subgroup state to a concurrent fetch (see
+    /// `unique_tmp_sibling` for the tmp-naming rationale).
+    fn publish(&self, key: &str, fill: impl FnOnce(&Path) -> io::Result<()>) -> io::Result<()> {
         let path = self.path_for(key)?;
         // `path_for` joins a non-empty key onto the root, so there is
         // always a parent, at or below the root.
         let parent = path.parent().unwrap_or(&self.root);
         let created_parent = self.fsync && !parent.is_dir();
         std::fs::create_dir_all(parent)?;
-        // Write-then-rename for atomic replacement, as a real offloading
-        // engine must not expose torn subgroup state to a concurrent fetch
-        // (see `unique_tmp_sibling` for the tmp-naming rationale).
         let tmp = unique_tmp_sibling(&path)?;
         let result = (|| {
-            if self.fsync {
-                use std::io::Write;
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(data)?;
-                f.sync_all()?;
-            } else {
-                std::fs::write(&tmp, data)?;
-            }
+            fill(&tmp)?;
             std::fs::rename(&tmp, &path)?;
             if self.fsync {
                 // The rename lives in the parent directory, and a parent
@@ -405,6 +413,29 @@ impl Backend for DirBackend {
             let _ = std::fs::remove_file(&tmp);
         }
         result
+    }
+}
+
+/// Process-wide counter making concurrent tmp-file names unique.
+static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+impl Backend for DirBackend {
+    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        self.publish(key, |tmp| {
+            let mut f = std::fs::File::create(tmp)?;
+            std::io::Write::write_all(&mut f, data)?;
+            if self.fsync {
+                f.sync_all()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// A hard link: `to` keeps the inode `from` names now, and the next
+    /// write of `from` renames a new inode into place.
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        let from = self.path_for(from)?;
+        self.publish(to, |tmp| std::fs::hard_link(&from, tmp))
     }
 
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
@@ -679,6 +710,63 @@ mod tests {
                 );
             }
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A pin keeps the bytes its source held, whatever is written to the
+    /// source next, on every medium and through every decorator; and on
+    /// a memory tier it costs one copy, at the next flush.
+    #[test]
+    fn link_pins_the_bytes_on_every_backend() {
+        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend, ObjectBackend};
+        use crate::TracedBackend;
+        let root = temp_root("link");
+        let mem = || Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
+        let backends: Vec<Arc<dyn Backend>> = vec![
+            mem(),
+            Arc::new(DirBackend::new("dir", root.join("a")).unwrap()),
+            Arc::new(DirBackend::new("dir", root.join("b")).unwrap().with_fsync(true)),
+            Arc::new(ObjectBackend::new("object")),
+            Arc::new(ChecksummedBackend::new(mem())),
+            Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
+            Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),
+        ];
+        for (i, b) in backends.iter().enumerate() {
+            b.write("live", &[1; 96]).unwrap();
+            b.write("pin/k", &[9; 8]).unwrap();
+            b.link("live", "pin/k").unwrap(); // over an existing object
+            b.write("live", &[2; 96]).unwrap();
+            assert_eq!(b.read("pin/k").unwrap(), [1; 96], "{i}: a write reached the pin");
+            b.link("live", "pin/k").unwrap();
+            let mut frame = HostBuffer::from_slice(&[3; 96]);
+            b.write_frame("live", &mut frame).unwrap();
+            assert_eq!(b.read("pin/k").unwrap(), [2; 96], "{i}: a frame reached the pin");
+            assert_eq!(b.read("live").unwrap(), [3; 96], "{i}");
+            let err = b.link("missing", "pin/k").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::NotFound, "{i}");
+            assert_eq!(b.read("pin/k").unwrap(), [2; 96], "{i}: a failed link moved the pin");
+        }
+
+        let b = MemBackend::new("mem");
+        let mut frame = HostBuffer::from_slice(&[1; 96]);
+        b.write_frame("live", &mut frame).unwrap();
+        let linked = b.touches();
+        b.link("live", "pin").unwrap();
+        assert_eq!(b.touches(), linked, "the link moved bytes");
+        let flushes: Vec<_> = (2..4u8)
+            .map(|fill| {
+                frame.as_bytes_mut().fill(fill);
+                b.write_frame("live", &mut frame).unwrap();
+                b.touches()
+            })
+            .collect();
+        let delta = |t: MemTouches, from: MemTouches| {
+            let copied = t.write_copied_bytes - from.write_copied_bytes;
+            (copied, t.exchanged_frames - from.exchanged_frames)
+        };
+        assert_eq!(delta(flushes[0], linked), (96, 0), "the pinned frame was exchanged");
+        assert_eq!(delta(flushes[1], flushes[0]), (0, 1), "the flush after it copied");
+        assert_eq!((b.read("pin").unwrap(), b.read("live").unwrap()), (vec![1; 96], vec![3; 96]));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

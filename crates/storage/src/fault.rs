@@ -434,6 +434,12 @@ impl Backend for FaultInjectBackend {
         self.inner.write_frame(key, frame)
     }
 
+    /// Draws one write verdict on `to`: the link creates that object.
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        self.admit_write(to)?;
+        self.inner.link(from, to)
+    }
+
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
         match self.decide(key, OpShape::Read) {
             Verdict::Transient => Err(Self::transient_error(key)),

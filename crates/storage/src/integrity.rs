@@ -90,6 +90,11 @@ impl Backend for ChecksummedBackend {
         Ok(framed)
     }
 
+    /// The stored object carries its own trailer, so the medium links it.
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.link(from, to)
+    }
+
     fn delete(&self, key: &str) -> io::Result<()> {
         self.inner.delete(key)
     }

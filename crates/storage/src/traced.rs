@@ -110,6 +110,10 @@ impl Backend for TracedBackend {
         result
     }
 
+    fn link(&self, from: &str, to: &str) -> io::Result<()> {
+        self.inner.link(from, to)
+    }
+
     fn delete(&self, key: &str) -> io::Result<()> {
         self.inner.delete(key)
     }

@@ -45,6 +45,8 @@ pub enum Phase {
     AioWrite,
     /// An `AioEngine` delete op, submit-to-completion.
     AioDelete,
+    /// An `AioEngine` link op (a checkpoint pin), submit-to-completion.
+    AioLink,
     /// A retry re-issued by the `AioEngine` backoff policy (instant).
     AioRetry,
     /// A fault injected by `FaultInjectBackend` (instant).
@@ -98,6 +100,7 @@ pub const ALL_PHASES: &[Phase] = &[
     Phase::AioRead,
     Phase::AioWrite,
     Phase::AioDelete,
+    Phase::AioLink,
     Phase::AioRetry,
     Phase::FaultInject,
     Phase::PoolAcquire,
@@ -127,6 +130,7 @@ impl Phase {
             Phase::AioRead => "aio_read",
             Phase::AioWrite => "aio_write",
             Phase::AioDelete => "aio_delete",
+            Phase::AioLink => "aio_link",
             Phase::AioRetry => "aio_retry",
             Phase::FaultInject => "fault_inject",
             Phase::PoolAcquire => "pool_acquire",

@@ -23,7 +23,6 @@ use std::io;
 use std::sync::Arc;
 
 use mlp_aio::engine::AioConfig;
-use mlp_offload::checkpoint::CheckpointStats;
 use mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload::EngineConfig;
 use mlp_optim::{AdamConfig, SubgroupState};
@@ -135,33 +134,6 @@ impl Zero3FuncEngine {
         })
     }
 
-    /// Writes a full synchronous checkpoint: every subgroup's durable
-    /// state is copied into `target`, then the manifest is published —
-    /// all on the critical path, nothing overlapped. This is the blocking
-    /// baseline the asynchronous [`CheckpointPipeline`] is measured
-    /// against. Refused while a failed update awaits its re-drive.
-    ///
-    /// [`CheckpointPipeline`]: mlp_offload::checkpoint::CheckpointPipeline
-    pub fn checkpoint(&self, target: &dyn Backend, tag: &str) -> io::Result<CheckpointStats> {
-        let (_manifest, stats) = self.inner.checkpoint(target, tag, true)?;
-        Ok(stats)
-    }
-
-    /// Rebuilds a baseline engine over `backend` from a checkpoint
-    /// written by [`Zero3FuncEngine::checkpoint`], resuming at the
-    /// recorded optimizer step.
-    pub fn restore(
-        backend: Arc<dyn Backend>,
-        adam: AdamConfig,
-        worker_id: usize,
-        target: &dyn Backend,
-        tag: &str,
-    ) -> io::Result<Self> {
-        let (cfg, tiers) = Self::setup(backend, AioConfig::default());
-        MlpFuncEngine::restore(cfg, adam, &tiers, worker_id, target, tag)
-            .map(|inner| Self { inner })
-    }
-
     /// Gathers the FP32 master parameters of every subgroup.
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
         self.inner.master_params()
@@ -219,43 +191,6 @@ mod tests {
         for (g, r) in got.iter().zip(&reference) {
             assert_eq!(g, &r.params);
         }
-    }
-
-    #[test]
-    fn sync_checkpoint_restores_bit_identically() {
-        let adam = AdamConfig::default();
-        let mut engine = Zero3FuncEngine::new(
-            Arc::new(MemBackend::new("mem")),
-            adam,
-            0,
-            init_states(4, 24),
-        )
-        .unwrap();
-        let drive = |e: &mut Zero3FuncEngine, seed: f32| {
-            e.accumulate_gradients(&grads_for(4, 24, seed));
-            e.flush_gradients().unwrap();
-            e.update().unwrap();
-        };
-        drive(&mut engine, 0.0);
-        let target = MemBackend::new("ckpt");
-        let stats = engine.checkpoint(&target, "t0").unwrap();
-        assert!(stats.copied_bytes > 0, "baseline copies everything");
-        // Diverge the original past the checkpoint, then resume the twin
-        // from the checkpoint and replay: both must land on the same bits.
-        drive(&mut engine, 1.0);
-        let mut resumed = Zero3FuncEngine::restore(
-            Arc::new(MemBackend::new("mem2")),
-            adam,
-            0,
-            &target,
-            "t0",
-        )
-        .unwrap();
-        drive(&mut resumed, 1.0);
-        assert_eq!(
-            resumed.master_params().unwrap(),
-            engine.master_params().unwrap()
-        );
     }
 
     #[test]

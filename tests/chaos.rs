@@ -3,7 +3,10 @@
 //! {directory, object-store} publication tiers. The invariant at every
 //! cell: a crash leaves either a bit-identically restorable checkpoint or
 //! a clean typed error — zero panics, zero torn manifests, and the commit
-//! point (the manifest PUT) never moves.
+//! point (the manifest PUT) never moves. Both checkpoints pre-stage, and
+//! training continues past the crash before either is restored; in the
+//! directory cell the engine's tiers are directories too, so its pins are
+//! hard links.
 
 use std::sync::Arc;
 
@@ -20,11 +23,19 @@ use mlp_offload_suite::mlp_trace::TraceSink;
 const SUBGROUPS: usize = 5;
 const LEN: usize = 24;
 
-fn tiers() -> Vec<SharedTier> {
-    vec![
-        SharedTier::new(Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>, 2.0),
-        SharedTier::new(Arc::new(MemBackend::new("pfs")) as Arc<dyn Backend>, 1.0),
-    ]
+/// The engine's two tiers: directories under the cell in the `dir` cell,
+/// so its pins are real hard links, and in-memory otherwise.
+fn tiers(label: &str, cell: &std::path::Path) -> Vec<SharedTier> {
+    [("nvme", 2.0), ("pfs", 1.0)]
+        .into_iter()
+        .map(|(name, weight)| {
+            let backend: Arc<dyn Backend> = match label {
+                "dir" => Arc::new(DirBackend::new(name, cell.join(name)).unwrap()),
+                _ => Arc::new(MemBackend::new(name)),
+            };
+            SharedTier::new(backend, weight)
+        })
+        .collect()
 }
 
 fn states() -> Vec<SubgroupState> {
@@ -76,12 +87,10 @@ fn crash_point_matrix_over_real_tiers_and_engines() {
 
 fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
     let trace = TraceSink::disabled();
-    let shared = tiers();
-    // host_frames ≫ subgroups keeps every subgroup host-resident, so
-    // both checkpoints are fully copied — no prestaged references a
-    // later update would invalidate (c0 must stay restorable after
-    // training moves on past the crash).
-    let cfg = EngineConfig::mlp_offload().with_host_frames(10);
+    let shared = tiers(tier, cell);
+    // Two of five subgroups stay cached: both checkpoints pin the other
+    // three on their tiers.
+    let cfg = EngineConfig::mlp_offload().with_host_frames(5);
     let mut engine =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     step(&mut engine, 0);
@@ -91,12 +100,17 @@ fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
     let object = object_tier(tier, cell);
     let mut pipe =
         CheckpointPipeline::new(Arc::clone(&staging), Arc::clone(&object), trace.clone());
-    pipe.checkpoint(&engine, "c0").unwrap();
+    let (_, c0) = pipe.checkpoint(&engine, "c0").unwrap();
     let at_c0 = engine.master_params().unwrap();
 
     step(&mut engine, 1);
     let at_c1 = engine.master_params().unwrap();
     let pending = engine.start_checkpoint(&pipe, "c1").unwrap();
+    let c1 = pending.stats();
+    assert!(
+        c0.prestaged_bytes > 0 && c1.prestaged_bytes > 0,
+        "{tier}/{cp:?}: both checkpoints pre-stage"
+    );
     pipe.set_crash_point(Some(cp));
     let err = pipe.drain(pending).unwrap_err();
     assert_eq!(
@@ -104,6 +118,10 @@ fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
         std::io::ErrorKind::Interrupted,
         "{tier}/{cp:?}: crash must surface typed"
     );
+    // Training moves on past the crash, rewriting live tier keys, before
+    // either checkpoint is restored.
+    step(&mut engine, 2);
+    step(&mut engine, 3);
 
     // Simulated restart: a fresh pipeline over the same stores. The
     // commit point is the manifest PUT — c1 is visible iff the crash

@@ -1,12 +1,15 @@
-//! Checkpoint/restore through the functional engine: resuming from a
-//! checkpoint must continue training exactly where it left off, and
-//! pre-staged subgroups (§3.3) must be referenced rather than copied.
+//! Checkpoint/restore through the functional engine and
+//! `CheckpointPipeline`: resuming from a checkpoint must continue
+//! training exactly where it left off, and pre-staged subgroups (§3.3)
+//! must be pinned on their tiers rather than copied.
 
 use std::collections::HashSet;
 use std::io::{self, ErrorKind};
 use std::sync::{Arc, Mutex};
 
-use mlp_offload_suite::mlp_offload::checkpoint::{CheckpointPipeline, SubgroupLocation};
+use mlp_offload_suite::mlp_offload::checkpoint::{
+    CheckpointManifest, CheckpointPipeline, SubgroupLocation,
+};
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
@@ -51,6 +54,15 @@ fn step(engine: &mut MlpFuncEngine, seed: usize) {
     engine.update().unwrap();
 }
 
+/// A pipeline over in-memory staging and object stores.
+fn pipeline() -> CheckpointPipeline {
+    CheckpointPipeline::new(
+        Arc::new(MemBackend::new("nvme-staging")) as Arc<dyn Backend>,
+        Arc::new(MemBackend::new("pfs-checkpoint")) as Arc<dyn Backend>,
+        TraceSink::disabled(),
+    )
+}
+
 /// A tier handle whose first read of each object fails with a transient
 /// error; later reads reach the wrapped store.
 struct FirstReadFails {
@@ -89,7 +101,7 @@ impl Backend for FirstReadFails {
 #[test]
 fn restore_resumes_exactly_where_training_left_off() {
     let shared = tiers();
-    let ckpt = MemBackend::new("pfs-checkpoint");
+    let mut pipe = pipeline();
     let cfg = EngineConfig::mlp_offload().with_host_frames(5);
 
     // Uninterrupted run: 6 iterations.
@@ -105,7 +117,7 @@ fn restore_resumes_exactly_where_training_left_off() {
     for it in 0..3 {
         step(&mut first, it);
     }
-    let (_manifest, stats) = first.checkpoint(&ckpt, "it3", false).unwrap();
+    let (_manifest, stats) = pipe.checkpoint(&first, "it3").unwrap();
     assert!(
         stats.prestaged_bytes > 0,
         "tier-resident subgroups must pre-stage"
@@ -113,8 +125,9 @@ fn restore_resumes_exactly_where_training_left_off() {
     assert!(stats.copied_bytes > 0, "host-resident subgroups must copy");
     drop(first);
 
-    let mut resumed =
-        MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &ckpt, "it3").unwrap();
+    let mut resumed = pipe
+        .restore(cfg, AdamConfig::default(), &shared, 0, "it3")
+        .unwrap();
     assert_eq!(resumed.iterations_done(), 3);
     for it in 3..6 {
         step(&mut resumed, it);
@@ -134,14 +147,14 @@ fn restore_resumes_exactly_where_training_left_off() {
 #[test]
 fn prestaged_restore_retries_transient_tier_read_errors() {
     let shared = tiers();
-    let ckpt = MemBackend::new("pfs-checkpoint");
+    let mut pipe = pipeline();
     let cfg = EngineConfig::mlp_offload().with_host_frames(5);
     let mut engine =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     for it in 0..3 {
         step(&mut engine, it);
     }
-    let (_, stats) = engine.checkpoint(&ckpt, "it3", false).unwrap();
+    let (_, stats) = pipe.checkpoint(&engine, "it3").unwrap();
     assert!(stats.prestaged_bytes > 0, "tier residents must pre-stage");
     let want = engine.master_params().unwrap();
     drop(engine);
@@ -156,110 +169,62 @@ fn prestaged_restore_retries_transient_tier_read_errors() {
             ..t.clone()
         })
         .collect();
-    let restored =
-        MlpFuncEngine::restore(cfg, AdamConfig::default(), &flaky, 0, &ckpt, "it3").unwrap();
+    let restored = pipe
+        .restore(cfg, AdamConfig::default(), &flaky, 0, "it3")
+        .unwrap();
     assert_eq!(restored.master_params().unwrap(), want);
 }
 
+/// A pre-staged subgroup is pinned on its tier under the checkpoint's own
+/// key, so the updates that rewrite the live key never reach it: the
+/// checkpoint restores bit-identically however far training has moved
+/// on, and still without copying the tier residents.
 #[test]
-fn materialized_checkpoint_survives_further_training() {
-    let shared = tiers();
-    let ckpt = MemBackend::new("pfs-checkpoint");
-    let cfg = EngineConfig::mlp_offload();
-
-    let mut engine =
-        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
-    step(&mut engine, 0);
-    let (manifest, stats) = engine.checkpoint(&ckpt, "full", true).unwrap();
-    assert_eq!(stats.prestaged_bytes, 0, "materialize must copy everything");
-    assert!(manifest.subgroups.iter().all(|l| matches!(
-        l,
-        mlp_offload_suite::mlp_offload::checkpoint::SubgroupLocation::Target { .. }
-    )));
-    let snapshot_params = engine.master_params().unwrap();
-
-    // Keep training: tier objects get rewritten.
-    for it in 1..4 {
-        step(&mut engine, it);
-    }
-
-    // The materialized checkpoint still restores the old snapshot.
-    let restored =
-        MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &ckpt, "full").unwrap();
-    assert_eq!(restored.master_params().unwrap(), snapshot_params);
-}
-
-/// A pre-staged subgroup is a reference to the live tier key, which the
-/// next update overwrites in place, so a non-materialized checkpoint
-/// restores mixed-step state without an error. See ROADMAP item 13 for
-/// the fix (detect, then pin).
-#[test]
-#[ignore = "known defect: a pre-staged checkpoint stops being restorable once training moves on"]
 fn prestaged_checkpoint_survives_further_training() {
-    // The split is pinned so the placement, and so the count, repeats.
+    // The split is pinned so the placement, and so the byte split, repeats.
     let cfg = EngineConfig::mlp_offload()
         .with_host_frames(5)
         .with_tier_ratio(vec![2.0, 1.0]);
-    // Per k further iterations: how many subgroups a successful restore
-    // got wrong. A typed error counts as none.
-    let stale: Vec<(usize, usize)> = [1, 2, 5]
-        .into_iter()
-        .map(|more| {
-            let shared = tiers();
-            let ckpt = MemBackend::new("pfs-checkpoint");
-            let mut engine =
-                MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states())
-                    .unwrap();
-            for it in 0..3 {
-                step(&mut engine, it);
-            }
-            let (_, stats) = engine.checkpoint(&ckpt, "it3", false).unwrap();
-            assert_eq!((stats.prestaged_bytes, stats.copied_bytes), (960, 480));
-            let at_checkpoint = engine.master_params().unwrap();
-            for it in 3..3 + more {
-                step(&mut engine, it);
-            }
-            let restored = MlpFuncEngine::restore(
-                cfg.clone(),
-                AdamConfig::default(),
-                &shared,
-                0,
-                &ckpt,
-                "it3",
-            )
-            .and_then(|e| e.master_params());
-            let wrong = restored.map_or(0, |params| {
-                params
-                    .iter()
-                    .zip(&at_checkpoint)
-                    .filter(|(got, want)| got != want)
-                    .count()
-            });
-            (more, wrong)
-        })
-        .collect();
-    assert!(
-        stale.iter().all(|&(_, wrong)| wrong == 0),
-        "(further iterations, subgroups of {SUBGROUPS} restored from the wrong step): {stale:?}"
-    );
+    for more in [1, 2, 5] {
+        let shared = tiers();
+        let mut pipe = pipeline();
+        let mut engine =
+            MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+        for it in 0..3 {
+            step(&mut engine, it);
+        }
+        let (_, stats) = pipe.checkpoint(&engine, "it3").unwrap();
+        assert_eq!((stats.prestaged_bytes, stats.copied_bytes), (960, 480));
+        let at_checkpoint = engine.master_params().unwrap();
+        for it in 3..3 + more {
+            step(&mut engine, it);
+        }
+        let restored = pipe
+            .restore(cfg.clone(), AdamConfig::default(), &shared, 0, "it3")
+            .unwrap();
+        assert_eq!(
+            restored.master_params().unwrap(),
+            at_checkpoint,
+            "restored after {more} further iterations"
+        );
+    }
 }
 
 #[test]
 fn prestaged_fraction_grows_with_smaller_cache() {
-    let ckpt = MemBackend::new("target");
     // Tiny cache → almost everything on tiers → high pre-staged fraction.
     let small_cache = EngineConfig::mlp_offload().with_host_frames(3);
     let mut small =
         MlpFuncEngine::new(small_cache, AdamConfig::default(), &tiers(), 0, states()).unwrap();
     step(&mut small, 0);
-    let (_, s_small) = small.checkpoint(&ckpt, "a", false).unwrap();
+    let (_, s_small) = pipeline().checkpoint(&small, "a").unwrap();
 
     // Huge cache → everything host-resident → everything copied.
     let big_cache = EngineConfig::mlp_offload().with_host_frames(64);
     let mut big =
         MlpFuncEngine::new(big_cache, AdamConfig::default(), &tiers(), 0, states()).unwrap();
     step(&mut big, 0);
-    let (_, s_big) = big.checkpoint(&ckpt, "b", false).unwrap();
+    let (_, s_big) = pipeline().checkpoint(&big, "b").unwrap();
 
     assert!(s_small.prestaged_fraction() > s_big.prestaged_fraction());
     assert_eq!(s_big.prestaged_fraction(), 0.0);
@@ -333,21 +298,21 @@ fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
     assert_eq!(m.counter("ckpt.checkpoints"), Some(1));
     assert_eq!(m.counter("ckpt.restores"), Some(1));
     assert!(m.counter("ckpt.trickle_bytes").unwrap_or(0) > 0);
+    assert!(m.counter("ckpt.prestaged_bytes").unwrap_or(0) > 0);
 }
 
 #[test]
 fn restore_fails_cleanly_on_missing_checkpoint() {
-    let ckpt = MemBackend::new("empty");
-    let err = MlpFuncEngine::restore(
-        EngineConfig::mlp_offload(),
-        AdamConfig::default(),
-        &tiers(),
-        0,
-        &ckpt,
-        "nope",
-    )
-    .err()
-    .expect("missing checkpoint must error");
+    let err = pipeline()
+        .restore(
+            EngineConfig::mlp_offload(),
+            AdamConfig::default(),
+            &tiers(),
+            0,
+            "nope",
+        )
+        .err()
+        .expect("missing checkpoint must error");
     assert_eq!(err.kind(), ErrorKind::NotFound);
 }
 
@@ -374,27 +339,40 @@ fn torn_state_objects_surface_typed_errors_not_panics() {
         .expect_err("a short copy must not shrink the subgroup");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
 
-    // A materialized checkpoint object cut 5 bytes short: not whole
-    // 12-byte records.
+    // A checkpointed object cut 5 bytes short, a copy in the object store
+    // or a pin on a tier: not whole 12-byte records.
+    let cfg = cfg.with_host_frames(5);
     let shared = tiers();
     let mut engine =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     step(&mut engine, 0);
-    let ckpt = MemBackend::new("pfs-checkpoint");
-    let (manifest, _) = engine.checkpoint(&ckpt, "torn", true).unwrap();
-    let SubgroupLocation::Target { key } = &manifest.subgroups[0] else {
-        panic!("a materialized checkpoint copies every subgroup");
-    };
-    let bytes = ckpt.read(key).unwrap();
-    ckpt.write(key, &bytes[..bytes.len() - 5]).unwrap();
-    let err = MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &ckpt, "torn")
-        .err()
-        .expect("a torn object must not restore");
-    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-    assert!(
-        err.to_string().contains(&(LEN * 12 - 5).to_string()),
-        "{err}"
-    );
+    let mut pipe = pipeline();
+    let (manifest, _) = pipe.checkpoint(&engine, "torn").unwrap();
+    for pinned in [false, true] {
+        let (store, key) = manifest
+            .subgroups
+            .iter()
+            .find_map(|loc| match loc {
+                SubgroupLocation::Target { key } if !pinned => Some((pipe.object_backend(), key)),
+                SubgroupLocation::Prestaged { tier, key } if pinned => {
+                    Some((&shared[*tier].backend, key))
+                }
+                _ => None,
+            })
+            .expect("the checkpoint holds both location kinds");
+        let bytes = store.read(key).unwrap();
+        store.write(key, &bytes[..bytes.len() - 5]).unwrap();
+        let err = pipe
+            .restore(cfg.clone(), AdamConfig::default(), &shared, 0, "torn")
+            .err()
+            .expect("a torn object must not restore");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "pinned {pinned}: {err}");
+        assert!(
+            err.to_string().contains(&(LEN * 12 - 5).to_string()),
+            "pinned {pinned}: {err}"
+        );
+        store.write(key, &bytes).unwrap();
+    }
 }
 
 #[test]
@@ -404,7 +382,6 @@ fn checkpoint_refuses_tags_the_manifest_cannot_carry() {
     let mut engine =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     step(&mut engine, 0);
-    let target = MemBackend::new("pfs-checkpoint");
     let staging = Arc::new(MemBackend::new("nvme-staging"));
     let object = Arc::new(MemBackend::new("s3"));
     let mut pipe = CheckpointPipeline::new(
@@ -414,10 +391,6 @@ fn checkpoint_refuses_tags_the_manifest_cannot_carry() {
     );
     for tag in ["", "a\nb", "a\r", "a\r\nb", "\n"] {
         let refusals = [
-            (
-                "MlpFuncEngine::checkpoint",
-                engine.checkpoint(&target, tag, false).err(),
-            ),
             (
                 "MlpFuncEngine::start_checkpoint",
                 engine.start_checkpoint(&pipe, tag).err(),
@@ -435,13 +408,19 @@ fn checkpoint_refuses_tags_the_manifest_cannot_carry() {
                 "{entry}, tag {tag:?}: {err}"
             );
         }
+        let pinned = (0..SUBGROUPS).map(|idx| CheckpointManifest::subgroup_key(tag, 0, idx));
+        assert!(
+            !pinned.into_iter().any(|key| shared.iter().any(|t| t.backend.contains(&key))),
+            "a refused checkpoint pins nothing"
+        );
     }
     assert_eq!(
-        target.object_count() + staging.object_count() + object.object_count(),
+        staging.object_count() + object.object_count(),
         0,
         "a refused checkpoint writes nothing"
     );
     // A one-line tag still round-trips.
-    engine.checkpoint(&target, "one line", false).unwrap();
-    MlpFuncEngine::restore(cfg, AdamConfig::default(), &shared, 0, &target, "one line").unwrap();
+    pipe.checkpoint(&engine, "one line").unwrap();
+    pipe.restore(cfg, AdamConfig::default(), &shared, 0, "one line")
+        .unwrap();
 }
