@@ -1114,7 +1114,8 @@ mod tests {
         #[test]
         fn pins_are_pruned_with_the_manifest_that_named_them() {
             let shared = tiers(2);
-            let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+            // Three of five subgroups rest in the host frames, two pinned.
+            let cfg = EngineConfig::mlp_offload().with_host_frames(3);
             let adam = AdamConfig::default();
             let mut engine =
                 MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states(5, 24)).unwrap();
@@ -1146,7 +1147,7 @@ mod tests {
         #[test]
         fn a_lost_pin_fails_verify_before_publish() {
             let shared = tiers(2);
-            let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+            let cfg = EngineConfig::mlp_offload().with_host_frames(3);
             let adam = AdamConfig::default();
             let mut engine =
                 MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states(5, 24)).unwrap();
@@ -1176,9 +1177,9 @@ mod tests {
             for &cp in ALL_CRASH_POINTS {
                 let trace = TraceSink::disabled();
                 let shared = tiers(2);
-                // Two of five subgroups stay cached: both checkpoints pin
-                // the other three on their tiers.
-                let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+                // Three of five subgroups stay cached: both checkpoints
+                // pin the other two on their tiers.
+                let cfg = EngineConfig::mlp_offload().with_host_frames(3);
                 let mut engine = MlpFuncEngine::new(
                     cfg.clone(),
                     AdamConfig::default(),

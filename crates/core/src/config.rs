@@ -34,12 +34,16 @@ pub struct EngineConfig {
     pub cache_retention: bool,
     /// Total host frames per worker (subgroup-sized pinned buffers). At
     /// least 3 are used for the pipeline regardless; with "Enable
-    /// Caching" the rest retain subgroups across iterations. The split
-    /// is a budget on what *rests* in host memory between update phases,
-    /// not on the pipeline's depth: during an update the functional
-    /// engine's prefetch window borrows every frame that is not holding
-    /// a retained subgroup at that moment (DESIGN.md §7), so a larger
-    /// budget also means a deeper window.
+    /// Caching" subgroups rest in host memory between update phases. The
+    /// budget is on what *rests*, not on the pipeline's depth. The
+    /// functional engine rests subgroups in all of its frames: the
+    /// pipeline needs three only while an update runs, and the
+    /// iteration's certain evictions free them before it does. Its
+    /// prefetch window borrows every frame that is not holding a retained
+    /// subgroup at that moment (DESIGN.md §7), so a larger budget also
+    /// means a deeper window. The virtual-time engine's frames are
+    /// semaphore permits, so its subgroups rest only in the frames beyond
+    /// the pipeline's three.
     pub host_frames: usize,
     /// Keep FP16 gradients in host memory and upscale during the update
     /// ("Skip Gradients" / delayed in-place conversion). When `false`,

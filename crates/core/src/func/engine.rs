@@ -20,6 +20,7 @@ use crate::checkpoint::{
     SubgroupLocation,
 };
 use crate::config::EngineConfig;
+use crate::policy::cache::Resting;
 use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
 use crate::policy::replan::MigrationStep;
 use crate::stats::TierDistribution;
@@ -380,17 +381,23 @@ impl MlpFuncEngine {
             None => tiers.iter().map(|t| t.weight).collect(),
         };
         let m = initial.len();
-        let ledger = SubgroupLedger::new(&cfg, m, weights);
+        // Residents rest in every frame between update phases: each
+        // iteration's certain evictions free the pipeline's frames before
+        // its window needs them (`retire_ahead`).
+        let ledger = SubgroupLedger::with_resting(&cfg, m, weights, Resting::EveryFrame);
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
         let plan = ledger.plan;
 
         // One staging buffer holds any subgroup's full serialized state
         // (or its FP32 gradients). Capacity covers the steady-state held
-        // set — retained residents plus the prefetch window, whose slots
-        // hold a second buffer each when gradients travel through storage
-        // — with headroom for the subgroup being updated and flushes
-        // still in flight on the I/O workers (which never acquire, so a
-        // blocked `acquire` always unblocks when a flush completes).
+        // set — the frames beyond the pipeline's plus the prefetch window,
+        // whose slots hold a second buffer each when gradients travel
+        // through storage — with headroom for the subgroup being updated
+        // and flushes still in flight on the I/O workers (which never
+        // acquire, so a blocked `acquire` always unblocks when a flush
+        // completes). Resting in all `total_frames` takes three more, and
+        // the `6·buffers_per_slot − 1` still free at rest cover the
+        // window's floor.
         let buffer_bytes = subgroup_lens.iter().copied().max().unwrap_or(1).max(1) * 12;
         let buffers_per_slot = if cfg.skip_gradient_offload { 1 } else { 2 };
         let pool_capacity = plan.retain_frames + 2 * plan.pipeline_frames * buffers_per_slot + 2;
@@ -1631,38 +1638,41 @@ mod tests {
     #[test]
     fn cache_hits_appear_from_second_iteration() {
         let adam = AdamConfig::default();
+        // Subgroups rest in all 5 host frames between update phases.
         let mut engine = MlpFuncEngine::new(
-            EngineConfig::mlp_offload().with_host_frames(3 + 2),
+            EngineConfig::mlp_offload().with_host_frames(5),
             adam,
             &tiers(1),
             0,
-            init_states(6, 8),
+            init_states(8, 8),
         )
         .unwrap();
-        engine.accumulate_gradients(&grads_for(6, 8, 0.0));
+        engine.accumulate_gradients(&grads_for(8, 8, 0.0));
         let o0 = engine.update().unwrap();
         assert_eq!(o0.cache_hits, 0);
-        engine.accumulate_gradients(&grads_for(6, 8, 1.0));
+        engine.accumulate_gradients(&grads_for(8, 8, 1.0));
         let o1 = engine.update().unwrap();
-        assert_eq!(o1.cache_hits, 2, "retained tail reused after order flip");
-        assert_eq!(o1.fetches, 4);
+        assert_eq!(o1.cache_hits, 5, "retained tail reused after order flip");
+        assert_eq!(o1.fetches, 3);
     }
 
     #[test]
     fn hits_follow_the_closed_form_under_the_deeper_window() {
         use crate::policy::ordering::OrderPolicy;
-        // Shards a free pool (8 buffers) could swallow whole among them:
-        // the window may run that deep, but a repeating scan must still
-        // find its retained tail evicted when it gets there (§3.1's
+        // Shards a free pool (8 buffers and up) could swallow whole among
+        // them: the window may run that deep, but a repeating scan must
+        // still find its retained tail evicted when it gets there (§3.1's
         // thrash, 0 hits), exactly as the virtual-time engine does at
-        // `MIN_PIPELINE_FRAMES` of lookahead.
+        // `MIN_PIPELINE_FRAMES` of lookahead. Subgroups rest in every host
+        // frame, so the budget is `frames`, and `m = frames + 3` is the
+        // deepest scan the closed form still covers.
         for order in [
             OrderPolicy::Ascending,
             OrderPolicy::Alternating,
             OrderPolicy::Descending,
         ] {
-            for (m, retain) in [(9usize, 3usize), (12, 6), (16, 13), (7, 0), (6, 9)] {
-                let mut cfg = EngineConfig::mlp_offload().with_host_frames(3 + retain);
+            for (m, frames) in [(9usize, 6usize), (12, 9), (19, 16), (7, 3), (6, 12)] {
+                let mut cfg = EngineConfig::mlp_offload().with_host_frames(frames);
                 cfg.order = order;
                 let adam = AdamConfig::default();
                 let mut engine =
@@ -1672,8 +1682,8 @@ mod tests {
                     let outcome = engine.update().unwrap();
                     assert_eq!(
                         outcome.cache_hits,
-                        order.expected_hits(iter, m, retain),
-                        "{order:?} m={m} retain={retain} iter={iter}"
+                        order.expected_hits(iter, m, frames),
+                        "{order:?} m={m} frames={frames} iter={iter}"
                     );
                     assert_eq!(outcome.cache_hits + outcome.fetches, m);
                 }
@@ -1962,10 +1972,10 @@ mod tests {
                 SharedTier::new(Arc::clone(f) as Arc<dyn Backend>, (2 - i) as f64)
             })
             .collect();
-        // 6 host frames over pipeline depth 3 → 3 retained residents,
-        // so the failure exercises cache hits, fetches, and flush
-        // reclamation at once.
-        let cfg = EngineConfig::mlp_offload().with_host_frames(6);
+        // 3 host frames over 6 subgroups → 3 retained residents, so the
+        // failure exercises cache hits, fetches, and flush reclamation at
+        // once.
+        let cfg = EngineConfig::mlp_offload().with_host_frames(3);
         let mut reference =
             MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(6, 24)).unwrap();
         let mut engine =
@@ -2203,10 +2213,10 @@ mod tests {
         use mlp_storage::{classify, ErrorClass};
         const SHARD: usize = 64;
         let adam = AdamConfig::default();
-        // 16 retained frames: 48 flushes per steady-state iteration
+        // 19 retained frames: 45 flushes per steady-state iteration
         // through a pool of 24. The third iteration runs in ascending
         // order, so its 21st flush and every later one is doomed.
-        let cfg = EngineConfig::mlp_offload().with_host_frames(3 + 16);
+        let cfg = EngineConfig::mlp_offload().with_host_frames(19);
         let dying = DoomedWrites::new(20..SHARD, false);
         let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0);
         let mut twin =
@@ -2357,7 +2367,8 @@ mod tests {
         // — fail together, so the final drain reclaims all of them and
         // the residents hold every staging buffer while the re-drive's
         // first subgroup sits on the tier.
-        let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+        let mut cfg = EngineConfig::mlp_offload().with_host_frames(3);
+        cfg.cache_retention = false;
         let device = DoomedWrites::new(4..SHARD, true);
         // A worker per blocked write and then some: the reads must get by.
         let aio = AioConfig {
@@ -2421,8 +2432,9 @@ mod tests {
                 .collect()
         };
         let trace = mlp_trace::TraceSink::enabled();
+        // A quarter of the shard rests in the host frames.
         let cfg = EngineConfig::mlp_offload()
-            .with_host_frames(3 + SHARD / 4)
+            .with_host_frames(SHARD / 4)
             .with_tier_ratio(vec![1.0, 1.0])
             .with_trace(trace.clone());
         let mut engine =
@@ -2691,6 +2703,53 @@ mod tests {
         assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
     }
 
+    /// Resting in every host frame fills buffers the pool already had: its
+    /// capacity is the formula sized for retention beyond the pipeline's
+    /// frames, every resident holds exactly one of them, and what stays
+    /// free at rest is at least the window's floor, so the first fetches
+    /// of an iteration never wait on a resident.
+    #[test]
+    fn no_hit_is_bought_with_memory() {
+        use crate::policy::cache::MIN_PIPELINE_FRAMES;
+        const SHARD: usize = 12;
+        let adam = AdamConfig::default();
+        for h in [3usize, 5, 11, 259] {
+            for skip_gradients in [true, false] {
+                for retention in [true, false] {
+                    let mut cfg = EngineConfig::mlp_offload().with_host_frames(h);
+                    cfg.skip_gradient_offload = skip_gradients;
+                    cfg.cache_retention = retention;
+                    let what =
+                        format!("h={h} skip_gradients={skip_gradients} retention={retention}");
+                    let mut engine =
+                        MlpFuncEngine::new(cfg, adam, &tiers(2), 0, init_states(SHARD, 8)).unwrap();
+                    let buffers_per_slot = if skip_gradients { 1 } else { 2 };
+                    let surplus = if retention {
+                        h - MIN_PIPELINE_FRAMES
+                    } else {
+                        0
+                    };
+                    let capacity = surplus + 2 * MIN_PIPELINE_FRAMES * buffers_per_slot + 2;
+                    let resting = if retention { h.min(SHARD) } else { 0 };
+                    assert_eq!(engine.state_pool_stats().2, capacity, "{what}");
+                    for it in 0..3 {
+                        engine.accumulate_gradients(&grads_for(SHARD, 8, it as f32));
+                        engine.flush_gradients().unwrap();
+                        engine.update().unwrap();
+                        assert_eq!(engine.resident_count(), resting, "{what}, iteration {it}");
+                        assert_eq!(engine.state_pool_outstanding(), resting, "{what}");
+                        let free = capacity - engine.state_pool_outstanding();
+                        assert!(
+                            free >= MIN_PIPELINE_FRAMES * buffers_per_slot,
+                            "{what}: {free} buffers free at rest"
+                        );
+                    }
+                    assert_eq!(engine.state_pool_stats().2, capacity, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn distribution_reflects_retention() {
         let adam = AdamConfig::default();
@@ -2706,7 +2765,7 @@ mod tests {
         engine.accumulate_gradients(&grads_for(10, 4, 0.0));
         engine.update().unwrap();
         let dist = engine.tier_distribution();
-        assert_eq!(dist.host_bytes, 4 * 4 * 12, "4 retained × 4 params × 12 B");
+        assert_eq!(dist.host_bytes, 7 * 4 * 12, "7 retained × 4 params × 12 B");
         assert!((dist.fractions().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

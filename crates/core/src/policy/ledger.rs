@@ -8,13 +8,14 @@
 //!
 //! * the iteration's subgroup order ([`OrderPolicy`], §3.2) and the
 //!   hit-or-fetch decision for each subgroup in it;
-//! * least-recently-updated retention within the [`FramePlan`]'s cache
-//!   budget — under the alternating order the retained tail of one
-//!   iteration is exactly the head of the next (all hits), under a
+//! * least-recently-updated retention within the [`FramePlan`]'s resting
+//!   budget, `rest_frames`, which the executor states when it builds the
+//!   ledger ([`Resting`]) — under the alternating order the retained tail
+//!   of one iteration is exactly the head of the next (all hits), under a
 //!   repeating scan the residents are recycled before the scan comes
 //!   back around (the cache thrashing of §3.1). Because the whole order
 //!   is known, most evictions are certain long before LRU forces them:
-//!   whatever an iteration ends with is its last `retain_frames`
+//!   whatever an iteration ends with is its last `rest_frames`
 //!   retirees, so anything retiring earlier will have left by then. The
 //!   ledger decides *what* is evicted and *where* — one LRU queue, one
 //!   Eq. 1 sequence; each executor decides *when* it asks:
@@ -39,7 +40,7 @@ use std::collections::VecDeque;
 
 use crate::config::EngineConfig;
 use crate::policy::allocation::{allocate_counts_excluding, assign_subgroups, most_behind};
-use crate::policy::cache::FramePlan;
+use crate::policy::cache::{FramePlan, Resting};
 use crate::policy::ordering::OrderPolicy;
 use crate::policy::replan::{AdaptivePlanner, MigrationStep};
 use crate::stats::TierDistribution;
@@ -122,18 +123,32 @@ pub struct SubgroupLedger<F> {
 }
 
 impl<F> SubgroupLedger<F> {
+    /// A ledger whose residents rest beyond the pipeline's frames
+    /// ([`Resting::BeyondPipeline`]); see [`SubgroupLedger::with_resting`].
+    pub fn new(cfg: &EngineConfig, m: usize, bandwidths: Vec<f64>) -> Self {
+        Self::with_resting(cfg, m, bandwidths, Resting::BeyondPipeline)
+    }
+
     /// Places `m` subgroups across the tiers per Eq. 1 (nothing is
     /// retained: the cache warms up during training) and starts the
-    /// planner from `bandwidths`. A configured `tier_ratio` overrides the
-    /// bandwidths for the initial placement and every flush split; its
-    /// length is the caller's to validate.
-    pub fn new(cfg: &EngineConfig, m: usize, bandwidths: Vec<f64>) -> Self {
+    /// planner from `bandwidths`. Residents rest where `resting` says:
+    /// the executor's statement of what its host frames are, from which
+    /// the plan derives the one budget every retention rule uses. A
+    /// configured `tier_ratio` overrides the bandwidths for the initial
+    /// placement and every flush split; its length is the caller's to
+    /// validate.
+    pub fn with_resting(
+        cfg: &EngineConfig,
+        m: usize,
+        bandwidths: Vec<f64>,
+        resting: Resting,
+    ) -> Self {
         let ntiers = bandwidths.len();
         let assignment = assign_subgroups(m, cfg.tier_ratio.as_deref().unwrap_or(&bandwidths));
         let mut planner = AdaptivePlanner::new(bandwidths, cfg.max_migrations_per_iter);
         planner.attach_trace(&cfg.trace);
         SubgroupLedger {
-            plan: FramePlan::new(cfg.host_frames, cfg.cache_retention),
+            plan: FramePlan::new(cfg.host_frames, cfg.cache_retention, resting),
             planner,
             order_policy: cfg.order,
             tier_ratio: cfg.tier_ratio.clone(),
@@ -216,7 +231,7 @@ impl<F> SubgroupLedger<F> {
 
     /// Retires updated subgroup `idx` into the resident set as its most
     /// recently updated member, then evicts least-recently-updated
-    /// residents until the set fits the retention budget again — usually
+    /// residents until the set fits the resting budget again — usually
     /// one, none while the cache warms up, several when reclaimed flush
     /// payloads of a failed attempt left extra residents behind. Each
     /// eviction comes with its Eq. 1 tier chosen and recorded.
@@ -229,15 +244,15 @@ impl<F> SubgroupLedger<F> {
 
     /// [`SubgroupLedger::retire`] for an executor that wants each
     /// eviction as soon as it is certain rather than when LRU forces it.
-    /// The iteration ends with its last `retain_frames` retirees, so once
+    /// The iteration ends with its last `rest_frames` retirees, so once
     /// no resident carried into the iteration is still waiting for its
     /// lookup — until then one may yet be a hit, and `retire`'s rule
     /// alone applies — every resident beyond what the retirements still
     /// to come leave room for is going to be evicted, oldest first. This
     /// hands those out now: the evictions `retire` would make, in the
     /// same LRU order and to the same Eq. 1 tiers, none later and most
-    /// `retain_frames` retirements earlier — while the frame is still
-    /// cache-hot, and leaving the retained frames free for the whole
+    /// `rest_frames` retirements earlier — while the frame is still
+    /// cache-hot, and leaving the resting frames free for the whole
     /// middle of the iteration. The ledger decides *what* and *where*
     /// either way; *when* to ask is the executor's choice (the
     /// virtual-time engine keeps asking late, DESIGN.md §7).
@@ -246,22 +261,19 @@ impl<F> SubgroupLedger<F> {
         let mut evicted = self.retire(idx, frame);
         if self.carried == 0 {
             let to_come = self.order.len().saturating_sub(self.retired);
-            self.evict_down_to(
-                self.plan.retain_frames.saturating_sub(to_come),
-                &mut evicted,
-            );
+            self.evict_down_to(self.plan.rest_frames.saturating_sub(to_come), &mut evicted);
         }
         evicted
     }
 
-    /// Evicts whatever exceeds the retention budget right now, without a
+    /// Evicts whatever exceeds the resting budget right now, without a
     /// retirement: the residents [`SubgroupLedger::reclaim`] left over
     /// budget, which the next retirement would evict anyway. For an
     /// executor whose frames they hold and that cannot reach that
     /// retirement without one.
     pub fn evict_excess(&mut self) -> Vec<Eviction<F>> {
         let mut evicted = Vec::new();
-        self.evict_down_to(self.plan.retain_frames, &mut evicted);
+        self.evict_down_to(self.plan.rest_frames, &mut evicted);
         evicted
     }
 
@@ -424,6 +436,7 @@ impl<F> SubgroupLedger<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::cache::MIN_PIPELINE_FRAMES;
 
     /// A ledger over `ntiers` tiers with the split pinned to `ratio`; the
     /// frame payload is the id of the subgroup it holds.
@@ -433,13 +446,39 @@ mod tests {
         retain: usize,
         ratio: Vec<f64>,
     ) -> SubgroupLedger<usize> {
+        ledger_resting(Resting::BeyondPipeline, order, m, retain, ratio)
+    }
+
+    /// [`ledger`] whose `retain` residents rest where `resting` says: in
+    /// `3 + retain` frames beyond the pipeline, or in all of `retain`
+    /// frames (at least the pipeline's three).
+    fn ledger_resting(
+        resting: Resting,
+        order: OrderPolicy,
+        m: usize,
+        retain: usize,
+        ratio: Vec<f64>,
+    ) -> SubgroupLedger<usize> {
+        let frames = match resting {
+            Resting::BeyondPipeline => MIN_PIPELINE_FRAMES + retain,
+            Resting::EveryFrame => retain,
+        };
         let mut cfg = EngineConfig::mlp_offload()
-            .with_host_frames(3 + retain)
+            .with_host_frames(frames)
             .with_tier_ratio(ratio.clone());
         cfg.order = order;
-        let ledger = SubgroupLedger::new(&cfg, m, ratio);
-        assert_eq!(ledger.plan.retain_frames, retain);
+        let ledger = SubgroupLedger::with_resting(&cfg, m, ratio, resting);
+        assert_eq!(ledger.plan.rest_frames, retain);
         ledger
+    }
+
+    /// The resting kinds that can rest exactly `retain` subgroups.
+    fn restings(retain: usize) -> Vec<Resting> {
+        if retain >= MIN_PIPELINE_FRAMES {
+            vec![Resting::BeyondPipeline, Resting::EveryFrame]
+        } else {
+            vec![Resting::BeyondPipeline]
+        }
     }
 
     /// One iteration the way both engines drive it: lookups run
@@ -485,12 +524,16 @@ mod tests {
             OrderPolicy::Descending,
         ] {
             for m in [1usize, 5, 9, 64] {
-                for retain in [0, 2, m, m + 3] {
-                    let mut l = ledger(order, m, retain, vec![2.0, 1.0]);
+                for (retain, resting) in [0, 2, m, m + 3]
+                    .into_iter()
+                    .flat_map(|r| restings(r).into_iter().map(move |k| (r, k)))
+                {
+                    let mut l = ledger_resting(resting, order, m, retain, vec![2.0, 1.0]);
                     for iter in 0..6u64 {
                         let before = l.resident_count();
                         let (hits, evicted) = run_iteration(&mut l);
-                        let what = format!("{order:?} m={m} retain={retain} iter={iter}");
+                        let what =
+                            format!("{order:?} m={m} retain={retain} {resting:?} iter={iter}");
                         assert_eq!(hits, order.expected_hits(iter, m, retain), "{what}");
                         assert_eq!(l.resident_count(), retain.min(m), "{what}");
                         // Every fetched subgroup displaces one frame's worth.
@@ -620,9 +663,15 @@ mod tests {
             let lookahead = [1, 3, m][g.range(0usize..3)];
             let ratio =
                 [vec![1.0], vec![2.0, 1.0], vec![5.3, 3.6, 1.0]][g.range(0usize..3)].clone();
-            let what = format!("{order:?} m={m} retain={retain} lookahead={lookahead} {ratio:?}");
-            let mut lazy = ledger(order, m, retain, ratio.clone());
-            let mut ahead = ledger(order, m, retain, ratio);
+            // Both entry points at the same resting budget, however the
+            // executor's frames make it up.
+            let kinds = restings(retain);
+            let resting = kinds[g.range(0usize..kinds.len())];
+            let what = format!(
+                "{order:?} m={m} retain={retain} {resting:?} lookahead={lookahead} {ratio:?}"
+            );
+            let mut lazy = ledger_resting(resting, order, m, retain, ratio.clone());
+            let mut ahead = ledger_resting(resting, order, m, retain, ratio);
 
             // One iteration on both ledgers from the same state: same
             // hits, same evictions to the same tiers and none later, the

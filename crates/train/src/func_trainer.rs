@@ -116,7 +116,8 @@ pub struct FuncTrainConfig {
 impl Default for FuncTrainConfig {
     fn default() -> Self {
         FuncTrainConfig {
-            // 3 pipeline frames + 5 cache frames by default.
+            // 8 host frames by default; subgroups rest in all of them
+            // between update phases.
             engine: EngineConfig::mlp_offload().with_host_frames(8),
             optimizer: AdamConfig::default(),
             subgroup_len: 32,

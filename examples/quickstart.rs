@@ -43,7 +43,7 @@ fn main() {
     ];
 
     let adam = AdamConfig::default();
-    let cfg = EngineConfig::mlp_offload().with_host_frames(5); // 3 pipeline + 2 cache
+    let cfg = EngineConfig::mlp_offload().with_host_frames(5); // subgroups rest in all 5 between updates
     let mut engine =
         MlpFuncEngine::new(cfg, adam, &tiers, /* worker */ 0, init()).expect("engine init");
 

@@ -88,9 +88,9 @@ fn crash_point_matrix_over_real_tiers_and_engines() {
 fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
     let trace = TraceSink::disabled();
     let shared = tiers(tier, cell);
-    // Two of five subgroups stay cached: both checkpoints pin the other
-    // three on their tiers.
-    let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+    // Three of five subgroups stay cached: both checkpoints pin the other
+    // two on their tiers.
+    let cfg = EngineConfig::mlp_offload().with_host_frames(3);
     let mut engine =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     step(&mut engine, 0);

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use mlp_offload_suite::mlp_model::Subgroup;
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
+use mlp_offload_suite::mlp_offload::policy::cache::MIN_PIPELINE_FRAMES;
 use mlp_offload_suite::mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
 use mlp_offload_suite::mlp_offload::{AblationStage, EngineConfig, OrderPolicy};
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
@@ -221,7 +222,8 @@ fn iterate(engine: &mut MlpFuncEngine, grads: &[Vec<u16>]) -> (usize, usize, usi
 
 /// Fig. 14 in real bytes: each rung of the ablation ladder is one policy
 /// switch on the same engine, and what it saves is a closed form of the
-/// subgroup count `m` and the retained frames `r`.
+/// subgroup count `m` and the retained frames `r`. On the caching rungs
+/// subgroups rest in every host frame, so `r` is `host_frames`.
 #[test]
 fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
     const RETAINED: usize = 3;
@@ -232,7 +234,7 @@ fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
         let mut engine = MlpFuncEngine::new(
             stage
                 .config()
-                .with_host_frames(3 + RETAINED)
+                .with_host_frames(RETAINED)
                 .with_trace(trace.clone()),
             AdamConfig::default(),
             &tiers(1),
@@ -278,21 +280,26 @@ fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
 
 /// Toward the ROADMAP's "same step trace" test: for every rung,
 /// the real-bytes engine and the virtual-time engine, given the same
-/// subgroup count, frame budget and tiers, agree on what each iteration
+/// subgroup count, resting budget and tiers, agree on what each iteration
 /// does — cache hits, fetches, flushes, and gradient bytes through
 /// storage — and on where it leaves every subgroup (host share and each
-/// tier's share), from the cold start on. The split is pinned: the
+/// tier's share), from the cold start on. The functional engine's
+/// subgroups rest in all `h` of its host frames, the simulator's beyond
+/// its pipeline's, so the same budget is `h` frames for one and
+/// `h + MIN_PIPELINE_FRAMES` for the other. The split is pinned: the
 /// functional engine's adaptive estimates are wall-clock.
 #[test]
 fn functional_and_simulated_engines_count_the_same_steps() {
-    for stage in AblationStage::ladder() {
+    for (stage, h) in AblationStage::ladder()
+        .into_iter()
+        .flat_map(|stage| [(stage, 3), (stage, 5)])
+    {
         for n_tiers in [1usize, 2] {
             let cfg = stage
                 .config()
-                .with_host_frames(3 + 2)
                 .with_tier_ratio([2.0, 1.0][..n_tiers].to_vec());
             let mut func = MlpFuncEngine::new(
-                cfg.clone(),
+                cfg.clone().with_host_frames(h),
                 AdamConfig::default(),
                 &tiers(n_tiers),
                 0,
@@ -314,7 +321,12 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                     params: LEN as u64,
                 })
                 .collect();
-            let simulated = SimWorker::new(NodeSimEnv::new(&sim, &spec), 0, cfg, subgroups);
+            let simulated = SimWorker::new(
+                NodeSimEnv::new(&sim, &spec),
+                0,
+                cfg.with_host_frames(h + MIN_PIPELINE_FRAMES),
+                subgroups,
+            );
 
             for (it, grads) in grad_set(77, 4).iter().enumerate() {
                 let (backward, update) = sim.block_on({
@@ -332,13 +344,13 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                 assert_eq!(
                     iterate(&mut func, grads),
                     want,
-                    "{} over {n_tiers} tier(s), iteration {it}",
+                    "{} at h={h} over {n_tiers} tier(s), iteration {it}",
                     stage.label()
                 );
                 assert_eq!(
                     func.tier_distribution().fractions(),
                     simulated.tier_distribution().fractions(),
-                    "{} over {n_tiers} tier(s), placement after iteration {it}",
+                    "{} at h={h} over {n_tiers} tier(s), placement after iteration {it}",
                     stage.label()
                 );
             }
