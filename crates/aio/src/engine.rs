@@ -16,10 +16,11 @@
 //! backend poisons the op's completion slot with an [`io::Error`] rather
 //! than leaving waiters blocked forever.
 
-use std::io;
+use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::{Duration, Instant};
+use std::{fmt, io};
 
 use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use mlp_sync::{thread, Arc, Mutex};
@@ -100,16 +101,45 @@ impl RetryPolicy {
                     attempt += 1;
                 }
                 Err(e) if attempt > 1 => {
-                    // Preserve the kind so upstream classification still
-                    // sees a transient error, but record the exhaustion.
+                    // Record the exhaustion, keeping the last error as the
+                    // source, so upstream classification still sees its
+                    // class — a raw EIO's included.
                     return Err(io::Error::new(
                         e.kind(),
-                        format!("giving up after {attempt} attempts: {e}"),
+                        RetriesExhausted {
+                            attempts: attempt,
+                            last: e,
+                        },
                     ));
                 }
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+/// An operation's last error once its retry budget is spent, with the
+/// attempts it took. The error itself is the [`source`](Error::source),
+/// which [`mlp_storage::fault::classify`] looks through.
+#[derive(Debug)]
+struct RetriesExhausted {
+    attempts: u32,
+    last: io::Error,
+}
+
+impl fmt::Display for RetriesExhausted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "giving up after {} attempts: {}",
+            self.attempts, self.last
+        )
+    }
+}
+
+impl Error for RetriesExhausted {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        Some(&self.last)
     }
 }
 
@@ -1528,6 +1558,55 @@ mod tests {
         assert_eq!(e.retries(), 2);
         assert_eq!(e.op_errors(), 1);
         assert_eq!(e.ops_completed(), (0, 0));
+    }
+
+    /// Fails every op with the raw OS error `code`.
+    struct RawOsFailure(i32);
+
+    impl Backend for RawOsFailure {
+        fn write(&self, _k: &str, _d: &[u8]) -> io::Result<()> {
+            Err(io::Error::from_raw_os_error(self.0))
+        }
+        fn read(&self, _k: &str) -> io::Result<Vec<u8>> {
+            Err(io::Error::from_raw_os_error(self.0))
+        }
+        fn delete(&self, _k: &str) -> io::Result<()> {
+            Err(io::Error::from_raw_os_error(self.0))
+        }
+        fn contains(&self, _k: &str) -> bool {
+            false
+        }
+        fn name(&self) -> &str {
+            "raw-os"
+        }
+    }
+
+    /// Regression: the exhaustion rewrap kept only the error's kind, and a
+    /// raw EIO or ENOSPC — transient by their codes, which std leaves
+    /// uncategorized — came out of the retry loop permanent.
+    #[test]
+    fn exhausted_retries_keep_the_transient_class_of_raw_os_errors() {
+        for code in [5, 11, 28] {
+            let e = AioEngine::new(
+                Arc::new(RawOsFailure(code)) as Arc<dyn Backend>,
+                AioConfig {
+                    workers: 1,
+                    queue_depth: 8,
+                    retry: fast_retry(3),
+                    ..AioConfig::default()
+                },
+            );
+            let err = e.submit_write("k", vec![1]).wait().unwrap_err();
+            assert_eq!(e.retries(), 2, "code {code}");
+            assert!(
+                err.to_string().contains("giving up after 3 attempts"),
+                "{err}"
+            );
+            assert!(
+                is_transient(&err),
+                "code {code}: {err} classified permanent"
+            );
+        }
     }
 
     #[test]

@@ -352,7 +352,6 @@ impl PendingCheckpoint {
 /// intact; a crash after it leaves the new one committed. There is no
 /// window in which neither is restorable.
 pub struct CheckpointPipeline {
-    staging_backend: Arc<dyn Backend>,
     object_backend: Arc<dyn Backend>,
     staging: AioEngine,
     object: AioEngine,
@@ -399,9 +398,8 @@ impl CheckpointPipeline {
         object_aio: AioConfig,
     ) -> Self {
         CheckpointPipeline {
-            staging: AioEngine::new(Arc::clone(&staging), staging_aio),
+            staging: AioEngine::new(staging, staging_aio),
             object: AioEngine::new(Arc::clone(&object), object_aio),
-            staging_backend: staging,
             object_backend: object,
             uploaded: HashMap::new(),
             last: None,
@@ -529,7 +527,7 @@ impl CheckpointPipeline {
         // back from wherever it actually is.
         let mut trickles = Vec::with_capacity(staged.len());
         for (idx, staging_key, bytes) in &staged {
-            let hop = if self.object_backend.contains(staging_key) {
+            let hop = if self.object.contains(staging_key) {
                 &self.object
             } else {
                 &self.staging
@@ -567,7 +565,7 @@ impl CheckpointPipeline {
         // to it (its length is checked where restore parses it).
         for (_, loc) in &locations {
             let (present, key) = match loc {
-                SubgroupLocation::Target { key } => (self.object_backend.contains(key), key),
+                SubgroupLocation::Target { key } => (self.object.contains(key), key),
                 SubgroupLocation::Prestaged { tier, key } => {
                     (tiers.get(*tier).is_some_and(|t| t.contains(key)), key)
                 }
@@ -602,25 +600,25 @@ impl CheckpointPipeline {
         // Stage 5: prune — staging copies (from whichever store holds
         // them — a retargeted flush staged on the object store),
         // superseded subgroup objects, the previous manifest and the pins
-        // only it names. Failures here are non-fatal (the new checkpoint
-        // is already committed); deletes are idempotent.
+        // only it names, each through its hop's I/O engine. Failures here
+        // are non-fatal (the new checkpoint is already committed); deletes
+        // are idempotent.
         for (_, staging_key, _) in &staged {
-            let _ = self.staging_backend.delete(staging_key);
-            let _ = self.object_backend.delete(staging_key);
+            let _ = self.staging.submit_delete(staging_key).wait();
+            let _ = self.object.submit_delete(staging_key).wait();
         }
         for (idx, key) in fresh {
             if let Some(old) = self.uploaded.insert(idx, UploadedSubgroup { step, key: key.clone() }) {
                 if old.key != key {
-                    let _ = self.object_backend.delete(&old.key);
+                    let _ = self.object.submit_delete(&old.key).wait();
                     self.pruned_objects.inc();
                 }
             }
         }
         if let Some(prev) = self.last.replace(manifest.clone()) {
             if prev.tag != tag {
-                let _ = self
-                    .object_backend
-                    .delete(&CheckpointManifest::manifest_key(&prev.tag, worker_id));
+                let manifest_key = CheckpointManifest::manifest_key(&prev.tag, worker_id);
+                let _ = self.object.submit_delete(&manifest_key).wait();
                 self.pruned_objects.inc();
             }
             for loc in prev.subgroups.iter().filter(|l| !manifest.subgroups.contains(l)) {
@@ -652,8 +650,9 @@ impl CheckpointPipeline {
     }
 
     /// Rebuilds a worker engine from a checkpoint this pipeline published
-    /// (manifest and copied subgroups read from the object store,
-    /// pre-staged subgroups from their pins on `shared_tiers`).
+    /// (manifest and copied subgroups read from the object store through
+    /// its I/O engine, pre-staged subgroups from their pins on
+    /// `shared_tiers`).
     pub fn restore(
         &self,
         cfg: crate::EngineConfig,
@@ -667,7 +666,7 @@ impl CheckpointPipeline {
             adam,
             shared_tiers,
             worker_id,
-            &*self.object_backend,
+            &self.object,
             tag,
         )?;
         self.restores.inc();
@@ -766,7 +765,7 @@ mod tests {
                 key: "w0/sub0".into(),
             }],
         };
-        let target = MemBackend::new("ckpt");
+        let target = std::sync::Arc::new(MemBackend::new("ckpt"));
         let manifest_key = CheckpointManifest::manifest_key("t", 0);
         target.write(&manifest_key, &foreign.to_bytes()).unwrap();
         let tier = crate::func::SharedTier::new(std::sync::Arc::new(MemBackend::new("only")), 1.0);
@@ -775,7 +774,7 @@ mod tests {
             mlp_optim::AdamConfig::default(),
             &[tier],
             0,
-            &target,
+            &AioEngine::new(target, AioConfig::default()),
             "t",
         )
         .err()

@@ -20,8 +20,8 @@ use crate::checkpoint::{
     SubgroupLocation,
 };
 use crate::config::EngineConfig;
-use crate::policy::cache::Resting;
-use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
+use crate::policy::cache::ExecutorKind;
+use crate::policy::ledger::{Load, PassPlan, Place, Step, SubgroupLedger};
 use crate::policy::replan::MigrationStep;
 use crate::stats::TierDistribution;
 
@@ -224,6 +224,21 @@ impl Fetch {
     }
 }
 
+/// An update pass in flight. Loads are issued in plan order, ahead of the
+/// other steps; an eviction may leave before it falls due, never out of
+/// order.
+#[derive(Default)]
+struct PassRun {
+    outcome: UpdateOutcome,
+    /// Plan cursors: the step to look for the next load from, and the one
+    /// before which every eviction has been flushed.
+    load: usize,
+    evict: usize,
+    /// The prefetch window and the eviction flushes in flight, oldest first.
+    pending: VecDeque<(usize, Staged)>,
+    flushes: VecDeque<(usize, OpHandle)>,
+}
+
 struct TierRt {
     /// Shared with the checkpoints that pin subgroups on this tier: their
     /// drain verifies the pins, and its prune deletes superseded ones.
@@ -242,7 +257,7 @@ struct IterProgress {
 }
 
 /// Result of one update phase.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UpdateOutcome {
     /// Updated FP16 parameters per subgroup id (what the GPU receives).
     pub fp16_params: Vec<Vec<u16>>,
@@ -262,11 +277,11 @@ pub struct UpdateOutcome {
 /// Every scheduling decision — subgroup order, hit or fetch, which
 /// resident to evict and to which tier (Eq. 1), what to migrate or drain
 /// — comes from the [`SubgroupLedger`] it shares with the simulated
-/// engine. This type executes them in real bytes: lookahead prefetching
-/// through the per-tier asynchronous I/O engines, the fused update kernel
-/// over pooled staging buffers, write-after-evict fences, re-drive of a
-/// failed iteration, and either delayed FP16→FP32 gradient conversion at
-/// update time or eager FP32 gradients moved through storage.
+/// engine, a [`PassPlan`] per update pass. This type executes them in real
+/// bytes: lookahead prefetching through the per-tier I/O engines, the fused
+/// update kernel over pooled staging buffers, write-after-evict fences,
+/// re-drive of a failed iteration, and either delayed FP16→FP32 gradient
+/// conversion at update time or eager FP32 gradients moved through storage.
 pub struct MlpFuncEngine {
     cfg: EngineConfig,
     adam: AdamConfig,
@@ -283,6 +298,8 @@ pub struct MlpFuncEngine {
     /// planner folds the observed per-tier transfer and retry rates into
     /// live bandwidth estimates (§3.3).
     ledger: SubgroupLedger<Resident>,
+    /// The plan of the current (or last) update pass.
+    pass: PassPlan,
     /// Fixed pool of subgroup-state staging buffers: the pipeline's fetch
     /// targets, in-place update workspace, retention frames, and flush
     /// sources (state and, on the eager path, gradients) are all the same
@@ -382,9 +399,9 @@ impl MlpFuncEngine {
         };
         let m = initial.len();
         // Residents rest in every frame between update phases: each
-        // iteration's certain evictions free the pipeline's frames before
-        // its window needs them (`retire_ahead`).
-        let ledger = SubgroupLedger::with_resting(&cfg, m, weights, Resting::EveryFrame);
+        // pass's evictions leave as soon as they are certain, freeing the
+        // pipeline's frames before its window needs them.
+        let ledger = SubgroupLedger::new(&cfg, m, weights, ExecutorKind::Pool);
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
         let plan = ledger.plan;
 
@@ -418,6 +435,7 @@ impl MlpFuncEngine {
             },
             last_grad_bytes: 0,
             ledger,
+            pass: PassPlan::default(),
             keys: (0..m).map(|idx| format!("w{worker_id}/sub{idx}")).collect(),
             grad_keys: (0..m)
                 .map(|idx| format!("w{worker_id}/grad{idx}"))
@@ -680,9 +698,9 @@ impl MlpFuncEngine {
         }
         let m = self.subgroup_lens.len();
         self.grads.materialize_zeros();
-        // A re-drive restarts the same iteration: same order, and a
-        // split re-sized over whatever tiers survive by now.
-        self.ledger.begin_iteration();
+        // A re-drive restarts the same iteration: same order, planned from
+        // where the failed attempt left each subgroup and the tiers alive.
+        self.pass = self.ledger.begin_iteration();
 
         // Fresh iteration vs re-drive of a failed one: the step advances
         // once per iteration, and the resume bitmap records which
@@ -707,33 +725,21 @@ impl MlpFuncEngine {
                 self.inv_loss_scale * grad_clip_factor(sq, max_norm)
             }
         };
-        let mut outcome = UpdateOutcome {
-            fp16_params: vec![Vec::new(); m],
-            cache_hits: 0,
-            fetches: 0,
-            flushes: 0,
-        };
 
         let phase_start = self.cfg.trace.now_ns();
-        // The prefetch window and in-flight flushes live out here so
-        // that, pass outcome aside, everything submitted is drained
-        // before returning — nothing races a re-driven iteration and no
-        // staging buffer stays checked out.
-        let mut pending: VecDeque<(usize, Staged)> = VecDeque::new();
-        let mut inflight_flush: VecDeque<(usize, OpHandle)> = VecDeque::new();
-        let pass = self.update_pass(
-            inv_scale,
-            &mut outcome,
-            &mut progress,
-            &mut pending,
-            &mut inflight_flush,
-        );
-        let result = self.drain_inflight(pass, pending, inflight_flush, &mut progress);
+        // The pass state lives out here so that, pass outcome aside,
+        // everything submitted is drained before returning — nothing
+        // races a re-driven iteration and no staging buffer stays checked
+        // out.
+        let mut run = PassRun::default();
+        run.outcome.fp16_params = vec![Vec::new(); m];
+        let pass = self.update_pass(inv_scale, &mut run, &mut progress);
+        let result = self.drain_inflight(pass, run, &mut progress);
         // The whole update phase as one span; the per-subgroup I/O and
         // kernel spans nest underneath it on the timeline.
         self.span(Phase::Update, Attrs::NONE, phase_start);
         match result {
-            Ok(()) => {
+            Ok(outcome) => {
                 self.last_grad_bytes = self.grads.finish_iteration();
                 if self.cfg.adaptive_bandwidth {
                     // Feed the observed per-tier transfer and retry rates
@@ -749,6 +755,11 @@ impl MlpFuncEngine {
                 Err(e)
             }
         }
+    }
+
+    /// The plan of the last update pass (or of the one awaiting re-drive).
+    pub fn pass_plan(&self) -> &PassPlan {
+        &self.pass
     }
 
     /// Whether a failed update phase is awaiting a re-drive.
@@ -781,7 +792,7 @@ impl MlpFuncEngine {
         match payload {
             Some(ReclaimedWrite::Pooled(buf)) => {
                 let n = self.subgroup_lens[fidx];
-                self.ledger.reclaim(fidx, Resident { buf, n });
+                self.ledger.rest(fidx, Resident { buf, n });
             }
             // State flushes are always pooled: anything else is a lost
             // payload.
@@ -807,19 +818,18 @@ impl MlpFuncEngine {
     /// not: pending reads settle (their staging buffers recycle), cache
     /// hits the pass never reached go back to the ledger, and flushes
     /// settle with failed ones reclaiming their payload into the host
-    /// cache. Returns the first error encountered, preferring the pass's
-    /// own.
+    /// cache. Returns the pass's outcome, or the first error encountered,
+    /// preferring the pass's own.
     fn drain_inflight(
         &mut self,
         pass: io::Result<()>,
-        pending: VecDeque<(usize, Staged)>,
-        inflight_flush: VecDeque<(usize, OpHandle)>,
+        run: PassRun,
         progress: &mut IterProgress,
-    ) -> io::Result<()> {
+    ) -> io::Result<UpdateOutcome> {
         let mut first_err = pass.err();
-        for (idx, staged) in pending {
+        for (idx, staged) in run.pending {
             match staged {
-                Staged::Hit(res) => self.ledger.reclaim(idx, res),
+                Staged::Hit(res) => self.ledger.rest(idx, res),
                 // Buffers recycle on drop.
                 Staged::Fetch(fetch) => {
                     if let Err(e) = fetch.wait() {
@@ -828,121 +838,115 @@ impl MlpFuncEngine {
                 }
             }
         }
-        for (fidx, h) in inflight_flush {
+        for (fidx, h) in run.flushes {
             if let Err(e) = self.settle_flush(fidx, h, progress) {
                 first_err.get_or_insert(e);
             }
         }
-        first_err.map_or(Ok(()), Err)
+        first_err.map_or(Ok(run.outcome), Err)
     }
 
-    /// Flushes each eviction as-is, straight from its staging buffer,
-    /// which returns to the pool when the write completes.
-    fn flush_evicted(
-        &self,
-        evicted: Vec<Eviction<Resident>>,
-        outcome: &mut UpdateOutcome,
-        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
-    ) {
-        for Eviction {
-            subgroup,
-            frame: Resident { buf, n },
-            tier,
-        } in evicted
-        {
-            let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
-            inflight_flush.push_back((subgroup, handle));
-            outcome.flushes += 1;
-        }
+    /// Flushes the plan's next eviction that has not left yet, as-is from
+    /// its staging buffer, which returns to the pool when the write
+    /// completes. Returns whether there was one.
+    fn flush_next_eviction(&mut self, run: &mut PassRun) -> io::Result<bool> {
+        let steps = &self.pass.steps;
+        let next = (run.evict..steps.len()).find_map(|at| match steps.get(at) {
+            Some(&Step::Evict { subgroup, tier }) => Some((at, subgroup, tier)),
+            _ => None,
+        });
+        let Some((at, subgroup, tier)) = next else {
+            return Ok(false);
+        };
+        run.evict = at + 1;
+        let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
+            invariant_violation(format!("planned eviction {subgroup} is not resting"))
+        })?;
+        let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
+        run.flushes.push_back((subgroup, handle));
+        run.outcome.flushes += 1;
+        Ok(true)
     }
 
-    /// Tops the prefetch window up from the iteration's order, which is
-    /// known in full: as deep as the state pool has free buffers for.
-    /// [`MIN_PIPELINE_FRAMES`](crate::policy::cache::MIN_PIPELINE_FRAMES)
-    /// is the window's floor — below it a fetch waits for a buffer —
-    /// and the pool is its only bound.
+    /// Issues the plan's loads in order: every one that stands before
+    /// step `due` (the update about to run), which is the window's floor
+    /// of [`MIN_PIPELINE_FRAMES`](crate::policy::cache::MIN_PIPELINE_FRAMES)
+    /// — below it a fetch waits for a buffer — and beyond it as many as
+    /// the state pool has free buffers for. Depth changes when a load is
+    /// issued, never what the plan made it.
     fn top_up(
         &mut self,
-        outcome: &mut UpdateOutcome,
+        due: usize,
+        run: &mut PassRun,
         progress: &mut IterProgress,
-        pending: &mut VecDeque<(usize, Staged)>,
-        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
     ) -> io::Result<()> {
-        let floor = self.ledger.plan.pipeline_frames;
         // State, plus the FP32 gradients flushed next to it on the
         // eager-gradient path.
         let buffers_per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
-        while let Some(hit) = self.ledger.next_is_hit() {
-            let deep = pending.len() >= floor;
-            if hit {
-                // A hit borrows the frame its subgroup was retained in,
-                // so an empty pool never stops it. Beyond the floor it is
-                // taken only while the window holds nothing but hits —
-                // the retained head of an alternating order. A resident
-                // the order reaches behind a fetch is the retained tail
-                // of a repeating scan, which LRU evicts before a window
-                // of the floor's depth gets there (§3.1's thrash): looked
-                // up any earlier it would silently become a hit, here
-                // and not in the virtual-time engine.
-                if deep && pending.iter().any(|(_, s)| matches!(s, Staged::Fetch(_))) {
+        while let Some(&step) = self.pass.steps.get(run.load) {
+            let (idx, load) = match step {
+                Step::Load { subgroup, load } => (subgroup, load),
+                _ => {
+                    run.load += 1;
+                    continue;
+                }
+            };
+            let (t, after) = match load {
+                // A hit takes the frame its subgroup rests in, so an
+                // empty pool never stops one.
+                Load::Hit => {
+                    let res = self.ledger.take_hit(idx).ok_or_else(|| {
+                        invariant_violation(format!("planned hit {idx} is not resting"))
+                    })?;
+                    run.pending.push_back((idx, Staged::Hit(res)));
+                    run.load += 1;
+                    continue;
+                }
+                Load::Fetch { tier, after } => (tier, after),
+            };
+            // A copy this pass evicted is read once its eviction has left.
+            if after.is_some_and(|evicted| evicted >= run.evict) {
+                break;
+            }
+            // Only this thread acquires from the pool, so buffers counted
+            // free here stay free until the reads below take them.
+            let free = self
+                .state_pool
+                .capacity()
+                .saturating_sub(self.state_pool.outstanding());
+            if free < buffers_per_fetch {
+                if run.load > due {
                     break;
                 }
-            } else {
-                // Only this thread acquires from the pool, so buffers
-                // counted free here stay free until the reads below take
-                // them.
-                let free = self
-                    .state_pool
-                    .capacity()
-                    .saturating_sub(self.state_pool.outstanding());
-                if free < buffers_per_fetch {
-                    if deep {
-                        break;
-                    }
-                    // Below the floor the fetch is mandatory, and the
-                    // pool's condvar is no place to wait for it: a failed
-                    // flush keeps its buffer for the reclaim and would
-                    // never signal it. Wait for what can free a buffer
-                    // instead — the oldest flush in flight, else the
-                    // retirement of a staged subgroup, else the eviction
-                    // of residents a failed attempt reclaimed beyond the
-                    // budget (they can hold the whole pool).
-                    if let Some((fidx, handle)) = inflight_flush.pop_front() {
-                        self.settle_flush(fidx, handle, progress)?;
-                        continue;
-                    }
-                    if !pending.is_empty() {
-                        break;
-                    }
-                    let evicted = self.ledger.evict_excess();
-                    if evicted.is_empty() {
-                        return Err(invariant_violation(format!(
-                            "state pool exhausted ({free} of {} buffers free) with nothing in flight",
-                            self.state_pool.capacity()
-                        )));
-                    }
-                    self.flush_evicted(evicted, outcome, inflight_flush);
+                // Below the floor the fetch is mandatory, and the pool's
+                // condvar is no place to wait for it: a failed flush keeps
+                // its buffer for the reclaim and would never signal it.
+                // Wait for what can free a buffer instead — the oldest
+                // flush in flight, else the update of a staged subgroup,
+                // else the plan's next eviction (residents a failed attempt
+                // reclaimed can hold the whole pool).
+                if let Some((fidx, handle)) = run.flushes.pop_front() {
+                    self.settle_flush(fidx, handle, progress)?;
                     continue;
                 }
+                if !run.pending.is_empty() {
+                    break;
+                }
+                if !self.flush_next_eviction(run)? {
+                    return Err(invariant_violation(format!(
+                        "state pool exhausted ({free} of {} buffers free) with nothing in flight",
+                        self.state_pool.capacity()
+                    )));
+                }
+                continue;
             }
-            let Some((idx, lookup)) = self.ledger.next_lookup() else {
-                break;
-            };
-            let t = match lookup {
-                Lookup::Hit(res) => {
-                    pending.push_back((idx, Staged::Hit(res)));
-                    continue;
-                }
-                Lookup::Fetch { tier } => tier,
-            };
             // Write-after-evict fence: a read of a subgroup whose flush
             // is still in flight could overtake the write on another I/O
             // worker and fetch stale state. On fence failure the payload
             // is reclaimed host-side and the iteration unwinds.
-            if let Some(at) = inflight_flush.iter().position(|(f, _)| *f == idx) {
-                if let Some((_, handle)) = inflight_flush.remove(at) {
-                    self.settle_flush(idx, handle, progress)?;
-                }
+            let fence = after.and_then(|_| run.flushes.iter().position(|(f, _)| *f == idx));
+            if let Some((_, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
+                self.settle_flush(idx, handle, progress)?;
             }
             let n = self.subgroup_lens[idx];
             // Gradients that went through storage come back with the
@@ -955,7 +959,8 @@ impl MlpFuncEngine {
                 state: self.submit_read(t, self.key(idx), n * 12),
                 grad: grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4)),
             };
-            pending.push_back((idx, Staged::Fetch(fetch)));
+            run.pending.push_back((idx, Staged::Fetch(fetch)));
+            run.load += 1;
         }
         Ok(())
     }
@@ -966,32 +971,38 @@ impl MlpFuncEngine {
     /// in place, and retention/flush reuse the very same buffer. The hot
     /// loop performs no per-subgroup heap allocation for state.
     ///
-    /// The pipeline is work-conserving with what the ledger knows: the
-    /// window runs as far ahead as the pool allows
-    /// ([`MlpFuncEngine::top_up`]), and every eviction leaves as soon as
-    /// the order makes it certain ([`SubgroupLedger::retire_ahead`]), so
-    /// the frames it frees feed the window and the tail of flushes
-    /// overlaps the tail of fetches instead of following it.
+    /// The pass walks the ledger's plan. The pipeline is work-conserving
+    /// with it: the window runs as far ahead as the pool allows
+    /// ([`MlpFuncEngine::top_up`]), and every eviction leaves where the
+    /// plan has it fall due — as soon as it is certain — so the frames it
+    /// frees feed the window and the tail of flushes overlaps the tail
+    /// of fetches instead of following it.
     fn update_pass(
         &mut self,
         inv_scale: f32,
-        outcome: &mut UpdateOutcome,
+        run: &mut PassRun,
         progress: &mut IterProgress,
-        pending: &mut VecDeque<(usize, Staged)>,
-        inflight_flush: &mut VecDeque<(usize, OpHandle)>,
     ) -> io::Result<()> {
-        for _ in 0..self.subgroup_lens.len() {
-            self.top_up(outcome, progress, pending, inflight_flush)?;
+        for at in 0..self.pass.steps.len() {
+            // An eviction is flushed now, while its buffer is hot (unless an
+            // exhausted pool already flushed it); loads are `top_up`'s,
+            // issued as early as the pool allows.
+            let step = self.pass.steps[at];
+            if matches!(step, Step::Evict { .. }) && at >= run.evict {
+                self.flush_next_eviction(run)?;
+            }
+            let Step::Update { .. } = step else { continue };
+            self.top_up(at, run, progress)?;
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
             // remaining one has moved its bytes.
-            while inflight_flush.front().is_some_and(|(_, h)| h.is_done()) {
-                if let Some((fidx, handle)) = inflight_flush.pop_front() {
+            while run.flushes.front().is_some_and(|(_, h)| h.is_done()) {
+                if let Some((fidx, handle)) = run.flushes.pop_front() {
                     self.settle_flush(fidx, handle, progress)?;
                 }
             }
 
-            let Some((idx, staged)) = pending.pop_front() else {
+            let Some((idx, staged)) = run.pending.pop_front() else {
                 return Err(invariant_violation(
                     "prefetch window empty with subgroups still unprocessed".into(),
                 ));
@@ -999,11 +1010,11 @@ impl MlpFuncEngine {
             let n = self.subgroup_lens[idx];
             let (mut res, fetched_grad) = match staged {
                 Staged::Hit(res) => {
-                    outcome.cache_hits += 1;
+                    run.outcome.cache_hits += 1;
                     (res, None)
                 }
                 Staged::Fetch(fetch) => {
-                    outcome.fetches += 1;
+                    run.outcome.fetches += 1;
                     let ((buf, got), grad) = fetch.wait()?;
                     expect_len("state", idx, got, n * 12)?;
                     if let Some((_, got)) = &grad {
@@ -1052,12 +1063,9 @@ impl MlpFuncEngine {
                 progress.updated[idx] = true;
             }
             drop(fetched_grad); // back to the pool
-            outcome.fp16_params[idx] = fp16;
+            run.outcome.fp16_params[idx] = fp16;
 
-            // Whatever is certain to leave the host this iteration is
-            // flushed now, while its buffer is hot.
-            let evicted = self.ledger.retire_ahead(idx, res);
-            self.flush_evicted(evicted, outcome, inflight_flush);
+            self.ledger.rest(idx, res);
         }
 
         // The final flush barrier is the caller's unconditional drain.
@@ -1394,30 +1402,36 @@ impl MlpFuncEngine {
         })
     }
 
-    /// Rebuilds a worker engine from the checkpoint `tag` published to
-    /// `target` ([`CheckpointPipeline::restore`]). `shared_tiers` must be
-    /// the same tier set: pre-staged subgroups are read from their pins
-    /// on it.
+    /// Rebuilds a worker engine from the checkpoint `tag` published
+    /// through `target`, the pipeline's object-store I/O engine
+    /// ([`CheckpointPipeline::restore`]). `shared_tiers` must be the same
+    /// tier set: pre-staged subgroups are read from their pins on it.
     pub(crate) fn restore(
         cfg: EngineConfig,
         adam: AdamConfig,
         shared_tiers: &[SharedTier],
         worker_id: usize,
-        target: &dyn mlp_storage::Backend,
+        target: &AioEngine,
         tag: &str,
     ) -> io::Result<Self> {
-        let body = target.read(&CheckpointManifest::manifest_key(tag, worker_id))?;
+        // Every read goes through an I/O engine — the object store's, or a
+        // pre-staged subgroup's tier's: its retry policy, deadline and breaker.
+        let read = |io: &AioEngine, key: &str| {
+            let missing = format!("read of checkpoint object {key} returned no payload");
+            io.submit_read(key)
+                .wait()?
+                .ok_or_else(|| invariant_violation(missing))
+        };
+        let body = read(target, &CheckpointManifest::manifest_key(tag, worker_id))?;
         let manifest = CheckpointManifest::from_bytes(&body)?;
         let mut states = Vec::with_capacity(manifest.subgroups.len());
-        // Pre-staged subgroups are read through their tier's own I/O
-        // engine: its retry policy, deadline and breaker.
         let tier_io: Vec<AioEngine> = shared_tiers
             .iter()
             .map(|t| AioEngine::new(Arc::clone(&t.backend), t.aio.clone()))
             .collect();
         for loc in &manifest.subgroups {
             let bytes = match loc {
-                SubgroupLocation::Target { key } => target.read(key)?,
+                SubgroupLocation::Target { key } => read(target, key)?,
                 // The tier index is outside input: a corrupt or foreign
                 // manifest can name a tier this run does not have.
                 SubgroupLocation::Prestaged { tier, key } => tier_io
@@ -1430,15 +1444,8 @@ impl MlpFuncEngine {
                                 shared_tiers.len()
                             ),
                         )
-                    })?
-                    .submit_read(key)
-                    .wait()?
-                    .ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("read of pre-staged {key} returned no payload"),
-                        )
-                    })?,
+                    })
+                    .and_then(|io| read(io, key))?,
             };
             states.push(SubgroupState::from_bytes(&bytes, manifest.step)?);
         }

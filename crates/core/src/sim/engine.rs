@@ -8,15 +8,14 @@
 //!
 //! Pipeline structure per update phase:
 //!
-//! * a *prefetch task* walks the iteration's subgroup order, serving cache
-//!   hits from retained host frames and fetching the rest from their tiers
-//!   (holding the node-level tier lock if enabled);
+//! * a *prefetch task* walks the loads of the ledger's [`PassPlan`],
+//!   serving cache hits from retained host frames and fetching the rest
+//!   from their tiers (holding the node-level tier lock if enabled);
 //! * the *update loop* consumes fetched subgroups in order: delayed FP16→
 //!   FP32 gradient upscale (if enabled), CPU Adam over the shared node
 //!   capacity, async host→device parameter push;
-//! * each finished subgroup is either *retained* in a host frame (the tail
-//!   of the order, when caching is on) or *lazily flushed* to the tier the
-//!   Eq. 1 deficit rule picks, releasing its frame.
+//! * each finished subgroup rests in its host frame; whatever the plan
+//!   evicts after it is *lazily flushed* to its Eq. 1 tier, freeing a frame.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,7 +26,8 @@ use mlp_sim::sync::{Notify, SemGuard, Semaphore};
 use mlp_trace::{Attrs, Phase};
 
 use crate::config::EngineConfig;
-use crate::policy::ledger::{Eviction, Lookup, Place, SubgroupLedger};
+use crate::policy::cache::ExecutorKind;
+use crate::policy::ledger::{Load, PassPlan, Place, Step, SubgroupLedger};
 use crate::policy::replan::MigrationStep;
 use crate::sim::env::NodeSimEnv;
 use crate::stats::{BackwardStats, IoEvent, IoKind, TierDistribution, UpdateStats};
@@ -46,9 +46,10 @@ struct WorkerState {
     /// Placement, retention and the flush split: one slot per subgroup,
     /// host-resident ones pinning their frame permit.
     ledger: SubgroupLedger<SemGuard>,
-    /// Flush-completion signals per subgroup, so a fetch of a subgroup
-    /// whose eviction flush is still in flight waits for it (data would be
-    /// torn otherwise; in virtual time this is a timing fence).
+    /// The plan of the current (or last) update pass.
+    pass: Rc<PassPlan>,
+    /// Flush-completion signals per evicted subgroup: the plan's
+    /// write-after-evict fences (timing fences, in virtual time).
     flushing: std::collections::HashMap<usize, Notify>,
     /// Whether FP32 gradients for a subgroup are currently offloaded
     /// alongside it (baseline gradient path).
@@ -99,7 +100,7 @@ impl SimWorker {
         // §3.3: after each iteration the observed transfer bandwidths are
         // EMA-folded into B_i (alpha from config; 0.5 by default so a
         // one-iteration blip does not erase the accumulated estimate).
-        let ledger = SubgroupLedger::new(&cfg, m, env.model_bandwidths());
+        let ledger = SubgroupLedger::new(&cfg, m, env.model_bandwidths(), ExecutorKind::Lazy);
         for (idx, sub) in subgroups.iter().enumerate() {
             if let Some(Place::Tier(t)) = ledger.place(idx) {
                 env.tiers[t].account(sub.state_bytes());
@@ -111,6 +112,7 @@ impl SimWorker {
                 state: RefCell::new(WorkerState {
                     flushing: std::collections::HashMap::new(),
                     ledger,
+                    pass: Rc::default(),
                     grads_on_tier: vec![false; m],
                     pending_flushes: Vec::new(),
                     ckpt_staged: Vec::new(),
@@ -145,6 +147,11 @@ impl SimWorker {
         let st = self.inner.state.borrow();
         st.ledger
             .tier_distribution(|idx| self.inner.subgroups[idx].state_bytes())
+    }
+
+    /// The plan of the last update pass.
+    pub fn pass_plan(&self) -> PassPlan {
+        PassPlan::clone(&self.inner.state.borrow().pass)
     }
 
     /// Current adaptive bandwidth estimates (§3.3).
@@ -287,9 +294,16 @@ impl SimWorker {
         // that ran in between (the Fig. 5 overlap).
         self.drain_flushes().await;
         let t0 = sim.now_secs();
-        let m = self.inner.subgroups.len();
         let ntiers = self.inner.env.num_tiers();
-        self.inner.state.borrow_mut().ledger.begin_iteration();
+        let pass = {
+            let mut st = self.inner.state.borrow_mut();
+            let pass = Rc::new(st.ledger.begin_iteration());
+            // A fenced fetch may reach an eviction before the update loop.
+            st.flushing
+                .extend(pass.evictions().map(|(idx, _)| (idx, Notify::new(&sim))));
+            st.pass = Rc::clone(&pass);
+            pass
+        };
 
         let stats = Rc::new(RefCell::new(UpdateStats {
             bytes_read_by_tier: vec![0; ntiers],
@@ -302,27 +316,28 @@ impl SimWorker {
         let prefetcher = sim.spawn({
             let this = self.clone();
             let stats = Rc::clone(&stats);
+            let pass = Rc::clone(&pass);
             async move {
-                loop {
-                    let next = this.inner.state.borrow_mut().ledger.next_lookup();
-                    let Some((idx, lookup)) = next else {
-                        break;
-                    };
-                    let tier = match lookup {
-                        Lookup::Hit(frame) => {
+                for (idx, load) in pass.loads() {
+                    let (tier, after) = match load {
+                        Load::Hit => {
+                            let frame = this.inner.state.borrow_mut().ledger.take_hit(idx);
+                            // A frame no pass handed back stops the prefetch.
+                            let Some(frame) = frame else { break };
                             tx.send((idx, frame, true));
                             continue;
                         }
-                        Lookup::Fetch { tier } => tier,
+                        Load::Fetch { tier, after } => (tier, after),
                     };
                     let frame = this.inner.frames.acquire().await;
-                    // Fence on an in-flight eviction flush of this subgroup.
+                    // The plan's write-after-evict fence.
                     let pending_flush = this
                         .inner
                         .state
                         .borrow()
                         .flushing
                         .get(&idx)
+                        .filter(|_| after.is_some())
                         .map(Notify::notified);
                     if let Some(wait) = pending_flush {
                         wait.await;
@@ -358,11 +373,12 @@ impl SimWorker {
         // ---- update loop -------------------------------------------------
         let mut flush_handles = Vec::new();
         let mut h2d_handles = Vec::new();
-        for _ in 0..m {
-            // The prefetcher task sends exactly `m` frames by construction:
+        let updates = pass.steps.split(|step| matches!(step, Step::Update { .. }));
+        for due in updates.skip(1) {
+            // The prefetcher task sends every planned load by construction:
             // a short channel is a modelling bug worth a loud failure, not a
             // recoverable I/O error.
-            #[expect(clippy::expect_used, reason = "the prefetcher sends all `m` frames")]
+            #[expect(clippy::expect_used, reason = "the prefetcher sends every load")]
             let (idx, frame, was_hit) = rx.recv().await.expect("prefetcher sends all subgroups");
             let sub = self.inner.subgroups[idx];
             if was_hit {
@@ -380,23 +396,18 @@ impl SimWorker {
                 async move { link.transfer(sub.fp16_param_bytes()).await }
             }));
             stats.borrow_mut().params_updated += sub.params;
+            self.inner.state.borrow_mut().ledger.rest(idx, frame);
 
-            // Whatever the retention budget pushes out is lazily flushed.
-            // Its destination is already recorded, so concurrent
-            // bookkeeping sees a consistent placement; the write completes
-            // asynchronously.
-            let evicted = self.inner.state.borrow_mut().ledger.retire(idx, frame);
-            for Eviction {
-                subgroup: fidx,
-                frame: fframe,
-                tier,
-            } in evicted
-            {
-                self.inner
-                    .state
-                    .borrow_mut()
-                    .flushing
-                    .insert(fidx, Notify::new(&sim));
+            // Whatever the plan evicts after this update (up to the next)
+            // is lazily flushed. Its destination is recorded at once, so
+            // concurrent bookkeeping sees a consistent placement; the write
+            // completes asynchronously and only then releases the frame.
+            for &step in due {
+                let (fidx, tier) = match step {
+                    Step::Evict { subgroup, tier } => (subgroup, tier),
+                    _ => continue,
+                };
+                let fframe = self.inner.state.borrow_mut().ledger.evict(fidx, tier);
                 let fsub = self.inner.subgroups[fidx];
                 flush_handles.push(sim.spawn({
                     let this = self.clone();

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use mlp_offload_suite::mlp_model::Subgroup;
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::policy::cache::MIN_PIPELINE_FRAMES;
+use mlp_offload_suite::mlp_offload::policy::ledger::{Load, PassPlan, Step};
 use mlp_offload_suite::mlp_offload::sim::{NodeSimEnv, NodeSpec, SimWorker};
 use mlp_offload_suite::mlp_offload::{AblationStage, EngineConfig, OrderPolicy};
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
@@ -278,26 +279,62 @@ fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
     }
 }
 
-/// Toward the ROADMAP's "same step trace" test: for every rung,
-/// the real-bytes engine and the virtual-time engine, given the same
-/// subgroup count, resting budget and tiers, agree on what each iteration
-/// does — cache hits, fetches, flushes, and gradient bytes through
-/// storage — and on where it leaves every subgroup (host share and each
-/// tier's share), from the cold start on. The functional engine's
-/// subgroups rest in all `h` of its host frames, the simulator's beyond
-/// its pipeline's, so the same budget is `h` frames for one and
-/// `h + MIN_PIPELINE_FRAMES` for the other. The split is pinned: the
-/// functional engine's adaptive estimates are wall-clock.
+/// A plan's evictions as `(updates before it, subgroup, tier)`.
+fn evictions(plan: &PassPlan) -> Vec<(usize, usize, usize)> {
+    let mut updates = 0;
+    let mut due = Vec::new();
+    for step in &plan.steps {
+        match *step {
+            Step::Update { .. } => updates += 1,
+            Step::Evict { subgroup, tier } => due.push((updates, subgroup, tier)),
+            Step::Load { .. } => {}
+        }
+    }
+    due
+}
+
+/// A planned load as both engines execute it: `None` for a cache hit,
+/// else the tier it fetches from.
+fn loads(plan: &PassPlan) -> Vec<(usize, Option<usize>)> {
+    plan.loads()
+        .map(|(subgroup, load)| match load {
+            Load::Hit => (subgroup, None),
+            Load::Fetch { tier, .. } => (subgroup, Some(tier)),
+        })
+        .collect()
+}
+
+/// The same step trace: for every rung, in every order, the real-bytes
+/// engine and the virtual-time engine, given the same subgroup count,
+/// resting budget and tiers, execute plans with the same loads (subgroup,
+/// hit or tier) in the same order and the same evictions (subgroup, tier)
+/// in the same order — the functional engine's none later than the
+/// simulator's — and each does what its plan counts: cache hits,
+/// fetches, flushes, and the gradient bytes through storage; they leave
+/// every subgroup in the same place (host share and each tier's share),
+/// from the cold start on. The functional engine's subgroups rest in all
+/// `h` of its host frames, the simulator's beyond its pipeline's, so the
+/// same budget is `h` frames for one and `h + MIN_PIPELINE_FRAMES` for
+/// the other. The split is pinned: the functional engine's adaptive
+/// estimates are wall-clock.
 #[test]
 fn functional_and_simulated_engines_count_the_same_steps() {
     for (stage, h) in AblationStage::ladder()
         .into_iter()
         .flat_map(|stage| [(stage, 3), (stage, 5)])
     {
-        for n_tiers in [1usize, 2] {
-            let cfg = stage
+        for (n_tiers, order) in [1usize, 2].into_iter().flat_map(|n| {
+            [
+                OrderPolicy::Ascending,
+                OrderPolicy::Alternating,
+                OrderPolicy::Descending,
+            ]
+            .map(|order| (n, order))
+        }) {
+            let mut cfg = stage
                 .config()
                 .with_tier_ratio([2.0, 1.0][..n_tiers].to_vec());
+            cfg.order = order;
             let mut func = MlpFuncEngine::new(
                 cfg.clone().with_host_frames(h),
                 AdamConfig::default(),
@@ -329,29 +366,48 @@ fn functional_and_simulated_engines_count_the_same_steps() {
             );
 
             for (it, grads) in grad_set(77, 4).iter().enumerate() {
+                let what = format!(
+                    "{} in {order:?} order at h={h} over {n_tiers} tier(s), iteration {it}",
+                    stage.label()
+                );
                 let (backward, update) = sim.block_on({
                     let w = simulated.clone();
                     async move { (w.run_backward(1e-3, true).await, w.run_update().await) }
                 });
+                let got = iterate(&mut func, grads);
+                let (early, late) = (func.pass_plan(), &simulated.pass_plan());
+                assert_eq!(loads(early), loads(late), "{what}: loads");
+                let sequence = |plan: &PassPlan| plan.evictions().collect::<Vec<_>>();
+                assert_eq!(sequence(early), sequence(late), "{what}: evictions");
+                for (f, s) in evictions(early).iter().zip(&evictions(late)) {
+                    assert!(f.0 <= s.0, "{what}: {f:?} due after the simulator's {s:?}");
+                }
+                let counts = |plan: &PassPlan| {
+                    let hits = plan.loads().filter(|&(_, load)| load == Load::Hit).count();
+                    (hits, plan.loads().count() - hits, plan.evictions().count())
+                };
+                assert_eq!(
+                    (got.0, got.1, got.2),
+                    counts(early),
+                    "{what}: the functional engine's steps"
+                );
+                let simulated_steps = (update.cache_hits, update.fetches, update.flushes);
+                assert_eq!(
+                    simulated_steps,
+                    counts(late),
+                    "{what}: the simulator's steps"
+                );
                 // The simulator reports the flushed gradient bytes; the
                 // same bytes are fetched back during the update.
-                let want = (
-                    update.cache_hits,
-                    update.fetches,
-                    update.flushes,
-                    2 * backward.grad_bytes_offloaded,
-                );
                 assert_eq!(
-                    iterate(&mut func, grads),
-                    want,
-                    "{} at h={h} over {n_tiers} tier(s), iteration {it}",
-                    stage.label()
+                    got.3,
+                    2 * backward.grad_bytes_offloaded,
+                    "{what}: gradient bytes"
                 );
                 assert_eq!(
                     func.tier_distribution().fractions(),
                     simulated.tier_distribution().fractions(),
-                    "{} at h={h} over {n_tiers} tier(s), placement after iteration {it}",
-                    stage.label()
+                    "{what}: placement"
                 );
             }
         }

@@ -466,9 +466,10 @@ fn permanent_fault_on_one_tier_surfaces_typed_and_engine_redrives() {
 #[test]
 fn checkpoint_pipeline_absorbs_transient_object_store_faults() {
     // 20% seeded transient faults on the object-store hop of the two-hop
-    // checkpoint pipeline: the object engine's retry layer must absorb
-    // them, so the published checkpoint — and the engine restored from
-    // it — stays bit-identical to a fault-free twin.
+    // checkpoint pipeline, on the way in and on the way back out: the
+    // object engine's retry layer must absorb them, so the published
+    // checkpoint — and the engine restored from it — stays bit-identical
+    // to a fault-free twin.
     use mlp_offload_suite::mlp_offload::checkpoint::{CheckpointManifest, CheckpointPipeline};
     use mlp_offload_suite::mlp_offload::func::SharedTier;
     use mlp_offload_suite::mlp_trace::TraceSink;
@@ -535,12 +536,16 @@ fn checkpoint_pipeline_absorbs_transient_object_store_faults() {
     assert!(inject.counts().transient > 0, "injection must have fired");
     assert!(faulty_pipe.io_retries() > 0, "retries must have moved");
 
-    // Bit-identical publication: the manifests match byte for byte.
+    // Bit-identical publication: the manifests match byte for byte (read
+    // raw, past the injector).
     let key = CheckpointManifest::manifest_key("t0", 0);
-    inject.set_armed(false); // the write path already proved its point
+    inject.set_armed(false);
     assert_eq!(inject.read(&key).unwrap(), clean_store.read(&key).unwrap());
+    inject.set_armed(true);
 
-    // And the restored engine matches the fault-free twin exactly.
+    // And the engine restored through the same faults — every read under
+    // the object engine's retry policy — matches the fault-free twin
+    // exactly.
     let restored = faulty_pipe
         .restore(cfg.clone(), adam, &faulty_tiers, 0, "t0")
         .unwrap();
