@@ -3,9 +3,9 @@
 //!
 //! Every op runs through one body, `EngineShared::run_op`, whichever
 //! worker picks it up: retry, the tier breaker, stats, trace spans, and
-//! the publish-then-retire completion protocol (model-checked in
-//! `tests/loom_completion.rs`). The deadline watchdog completes ops
-//! through the same shared state.
+//! the publication of its whole outcome into the op's one
+//! [`CompletionSlot`] (model-checked in `tests/loom_completion.rs`). The
+//! deadline watchdog answers ops early through the same slot.
 //!
 //! Failure semantics: every backend call runs under the engine's
 //! [`RetryPolicy`] (bounded attempts with exponential backoff for
@@ -22,7 +22,7 @@ use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
-use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use mlp_sync::atomic::{AtomicU64, Ordering};
 use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
@@ -30,7 +30,7 @@ use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
 use mlp_tensor::PooledBuffer;
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
-use crate::completion::{CompletionSlot, PendingGauge};
+use crate::completion::CompletionSlot;
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -192,8 +192,9 @@ pub struct AioConfig {
     /// a hung backend becomes a prompt `Timeout` instead of a stuck
     /// `wait_flush`. The backend call itself keeps running (there is no
     /// portable way to cancel it); its late completion is counted
-    /// ([`AioEngine::late_completions`]) and dropped. `None` (the
-    /// default) disables the watchdog entirely.
+    /// ([`AioEngine::late_completions`]) and kept for
+    /// [`OpHandle::late_flush`]. `None` (the default) disables the
+    /// watchdog entirely.
     pub deadline: Option<Duration>,
     /// The tier's circuit breaker (`None`, the default: none). Every
     /// backend attempt is admitted — or refused with the permanent
@@ -289,32 +290,24 @@ pub(crate) enum OpOutput {
     None,
     /// Plain reads.
     Bytes(Vec<u8>),
-    /// Pooled reads: the staging buffer, filled with `usize` bytes.
-    Pooled(PooledBuffer, usize),
-}
-
-/// The payload of a *failed* write, handed back to the caller through
-/// [`OpHandle::wait_flush`] so the only copy of dirty state is not lost
-/// when a flush fails — the caller can keep it host-resident and re-drive
-/// the flush later.
-pub enum ReclaimedWrite {
-    /// The owned bytes of a failed [`AioEngine::submit_write`].
-    Bytes(Vec<u8>),
-    /// The staging buffer of a failed [`AioEngine::submit_write_pooled`]
-    /// (its contents are untouched by the failure).
+    /// Pooled reads: the filled staging buffer.
     Pooled(PooledBuffer),
 }
 
-impl std::fmt::Debug for ReclaimedWrite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReclaimedWrite::Bytes(b) => write!(f, "ReclaimedWrite::Bytes({} bytes)", b.len()),
-            ReclaimedWrite::Pooled(buf) => {
-                write!(f, "ReclaimedWrite::Pooled({} bytes)", buf.len())
-            }
-        }
-    }
-}
+/// An operation's whole outcome, the one value its slot holds: the output
+/// and the bytes it moved, or the error plus — for a failed pooled write —
+/// the staging buffer, contents untouched, so the only copy of dirty
+/// state survives a failed flush.
+pub(crate) type Outcome = Result<(OpOutput, usize), (io::Error, Option<PooledBuffer>)>;
+
+/// How a write settled: `Ok`, or its error and, for a pooled write, the
+/// staging buffer handed back.
+pub type FlushResult = Result<(), (io::Error, Option<PooledBuffer>)>;
+
+/// Everything an op shares between its waiter, its worker and the
+/// watchdog; the publish/consume protocol (and its model-checked
+/// invariants) live in [`crate::completion`].
+pub(crate) type OpState = CompletionSlot<Outcome>;
 
 /// One queued operation: the unit a worker executes.
 pub(crate) struct Op {
@@ -326,23 +319,6 @@ pub(crate) struct Op {
     pub(crate) salvage: bool,
 }
 
-pub(crate) struct OpState {
-    /// Single-producer completion hand-off; the publish/consume protocol
-    /// (and its model-checked invariants) live in [`crate::completion`].
-    pub(crate) result: CompletionSlot<io::Result<OpOutput>>,
-    pub(crate) bytes: AtomicUsize,
-    /// Failed-write payload, set by the worker before the error is
-    /// published. Dropped (pooled buffers recycle) if the waiter does not
-    /// collect it via [`OpHandle::wait_flush`].
-    pub(crate) reclaim: Mutex<Option<ReclaimedWrite>>,
-}
-
-impl OpState {
-    fn take_result(&self) -> io::Result<OpOutput> {
-        self.result.take_blocking()
-    }
-}
-
 /// Completion handle for a submitted operation.
 ///
 /// Reads resolve to `Ok(Some(bytes))`, writes, deletes and links to `Ok(None)`;
@@ -352,6 +328,14 @@ pub struct OpHandle {
 }
 
 impl OpHandle {
+    /// Blocks until the operation is answered and takes the answer.
+    fn answer(&self) -> Outcome {
+        self.state.take_blocking().unwrap_or_else(|| {
+            let e = io::Error::new(io::ErrorKind::InvalidInput, "operation already answered");
+            Err((e, None))
+        })
+    }
+
     /// Blocks until the operation completes and returns its result.
     ///
     /// # Errors
@@ -361,30 +345,59 @@ impl OpHandle {
     /// [`OpHandle::wait_pooled`]; here the staging buffer drops back to
     /// its pool.
     pub fn wait(self) -> io::Result<Option<Vec<u8>>> {
-        match self.state.take_result()? {
+        match self.answer().map_err(|(e, _)| e)?.0 {
             OpOutput::None => Ok(None),
             OpOutput::Bytes(b) => Ok(Some(b)),
-            OpOutput::Pooled(..) => Err(io::Error::new(
+            OpOutput::Pooled(_) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "pooled read completion requires wait_pooled",
             )),
         }
     }
 
-    /// Blocks until a write completes. On failure, hands back the write's
-    /// payload (owned bytes or pooled staging buffer, contents intact) so
-    /// the caller can keep the dirty state and re-drive the flush — a
-    /// failed flush must not destroy the only copy of updated state.
+    /// Blocks until a write is answered. On failure, hands back a pooled
+    /// write's staging buffer, contents intact, so the caller can keep the
+    /// dirty state and re-drive the flush — a failed flush must not
+    /// destroy the only copy of updated state.
     ///
-    /// The payload is `None` when it could not be preserved (the backend
-    /// panicked mid-write) or when the op was not a write.
-    pub fn wait_flush(self) -> Result<(), (io::Error, Option<ReclaimedWrite>)> {
-        match self.state.take_result() {
-            Ok(_) => Ok(()),
-            Err(e) => {
-                let payload = self.state.reclaim.lock().take();
-                Err((e, payload))
+    /// The buffer is `None` for an owned write, when the backend panicked
+    /// mid-write, and when the deadline answered first
+    /// ([`OpHandle::abandoned`]): the worker still holds it then, and
+    /// [`OpHandle::late_flush`] reports how the write settles. That is
+    /// why this borrows the handle; a second call finds the answer taken
+    /// and fails with [`io::ErrorKind::InvalidInput`].
+    pub fn wait_flush(&self) -> FlushResult {
+        self.answer().map(drop)
+    }
+
+    /// Whether the deadline answered this op before its worker settled
+    /// it; the settlement then comes late, through
+    /// [`OpHandle::late_flush`].
+    pub fn abandoned(&self) -> bool {
+        self.state.answered_early()
+    }
+
+    /// How an [`abandoned`](OpHandle::abandoned) write settled, once its
+    /// worker is done: waits up to `within` for that, and hands the
+    /// outcome out once — a failed pooled write's staging buffer with it.
+    /// `None` when nothing was handed out within `within` (the write is
+    /// still running, or its settlement was already taken), and at once
+    /// for an op that was not abandoned.
+    pub fn late_flush(&self, within: Duration) -> Option<FlushResult> {
+        if !self.abandoned() {
+            return None;
+        }
+        // Polled: a cold path, taken only after a deadline expired.
+        let until = Instant::now() + within;
+        loop {
+            if let Some(outcome) = self.state.take_late() {
+                return Some(outcome.map(drop));
             }
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            thread::sleep(left.min(Duration::from_millis(1)));
         }
     }
 
@@ -396,8 +409,8 @@ impl OpHandle {
     /// The operation's own I/O error, or [`io::ErrorKind::InvalidInput`]
     /// if it was not submitted via [`AioEngine::submit_read_pooled`].
     pub fn wait_pooled(self) -> io::Result<(PooledBuffer, usize)> {
-        match self.state.take_result()? {
-            OpOutput::Pooled(buf, len) => Ok((buf, len)),
+        match self.answer().map_err(|(e, _)| e)? {
+            (OpOutput::Pooled(buf), len) => Ok((buf, len)),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "wait_pooled on a non-pooled operation",
@@ -405,20 +418,9 @@ impl OpHandle {
         }
     }
 
-    /// Whether the operation has completed (result not yet consumed).
+    /// Whether the operation has been answered (answer not yet taken).
     pub fn is_done(&self) -> bool {
-        self.state.result.is_set()
-    }
-
-    /// Bytes moved by the operation (available after successful
-    /// completion; stays 0 for failed ops).
-    ///
-    /// Acquire pairs with the worker's Release store: a caller that
-    /// observes the count also observes every write the operation made
-    /// before publishing it (this is read while the op may still be in
-    /// flight, outside any lock).
-    pub fn bytes(&self) -> usize {
-        self.state.bytes.load(Ordering::Acquire)
+        self.state.is_set()
     }
 }
 
@@ -426,10 +428,7 @@ impl OpHandle {
 /// [`mlp_trace`] registry cells `aio.<backend>.<meter>` when the engine
 /// is constructed with an enabled [`TraceSink`], and detached cells of
 /// the same type otherwise — the [`AioEngine`] accessors and the
-/// registry read the same memory, so they cannot disagree. The
-/// pending-op count is *not* a statistic (drain blocks on it), so it
-/// lives in the mutex-guarded [`PendingGauge`]; `inflight` mirrors it
-/// for the registry.
+/// registry read the same memory, so they cannot disagree.
 pub(crate) struct Stats {
     pub(crate) reads: Counter,
     pub(crate) writes: Counter,
@@ -437,18 +436,17 @@ pub(crate) struct Stats {
     pub(crate) write_bytes: Counter,
     pub(crate) retries: Counter,
     pub(crate) errors: Counter,
-    /// Ops retired by the deadline watchdog with a typed `TimedOut`
+    /// Ops answered early by the deadline watchdog with a typed `TimedOut`
     /// error (also counted in `errors`).
     pub(crate) timeouts: Counter,
     /// Real completions that arrived after the watchdog had already
-    /// timed the op out; their result is dropped.
+    /// timed the op out; their outcome is kept as the op's late
+    /// settlement.
     pub(crate) late_completions: Counter,
-    /// Submitted-but-not-completed ops, mirrored from `pending`.
+    /// Submitted-but-unanswered ops: added on submit, subtracted by the
+    /// publication that answers.
     pub(crate) inflight: Gauge,
     pub(crate) busy_nanos: AtomicU64,
-    /// Submitted-but-not-completed count with the `drain` barrier; see
-    /// [`crate::completion::PendingGauge`] for the protocol.
-    pub(crate) pending: PendingGauge,
 }
 
 impl Stats {
@@ -465,23 +463,17 @@ impl Stats {
             late_completions: c("late_completions"),
             inflight: trace.gauge(&format!("aio.{backend}.inflight")),
             busy_nanos: AtomicU64::new(0),
-            pending: PendingGauge::new(),
         }
     }
 
     /// Success bookkeeping for a read of `n` bytes.
-    pub(crate) fn record_read(&self, state: &OpState, n: usize) {
-        // Release: paired with the Acquire in OpHandle::bytes, which may
-        // read this outside the completion mutex.
-        state.bytes.store(n, Ordering::Release);
+    pub(crate) fn record_read(&self, n: usize) {
         self.reads.inc();
         self.read_bytes.add(n as u64);
     }
 
     /// Success bookkeeping for a write of `n` bytes.
-    pub(crate) fn record_write(&self, state: &OpState, n: usize) {
-        // Release: paired with the Acquire in OpHandle::bytes.
-        state.bytes.store(n, Ordering::Release);
+    pub(crate) fn record_write(&self, n: usize) {
         self.writes.inc();
         self.write_bytes.add(n as u64);
     }
@@ -518,7 +510,7 @@ impl EngineShared {
     }
 
     /// Executes one op against the backend — retry, catch-unwind
-    /// poisoning, stats, trace, publish-then-retire. The worker loop is
+    /// poisoning, stats, trace, publication. The worker loop is
     /// exactly `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
     fn run_op(&self, op: Op) {
         let t0 = Instant::now();
@@ -541,9 +533,8 @@ impl EngineShared {
             execute_op(self, &op_retries, &state, &key, kind, salvage)
         }))
         .unwrap_or_else(|_| {
-            Err(io::Error::other(format!(
-                "I/O worker panicked while processing {key}"
-            )))
+            let e = io::Error::other(format!("I/O worker panicked while processing {key}"));
+            Err((e, None))
         });
         let retried = op_retries.load(Ordering::Acquire);
         self.finish_op(phase, t0, span_start, retried, &state, result);
@@ -569,7 +560,7 @@ impl EngineShared {
             }
             let started = Instant::now();
             let result = attempt();
-            state.result.if_unpublished(|| match &result {
+            state.if_unanswered(|| match &result {
                 Ok(_) => health.record_success(started.elapsed()),
                 Err(e) => health.record_failure(e),
             });
@@ -578,9 +569,7 @@ impl EngineShared {
     }
 
     /// Completes one op: folds per-op retries and errors into the
-    /// counters, records the trace span, then publishes the result and
-    /// retires the op from the pending gauge — in that order (a drainer
-    /// released early would race the waiter for this very completion).
+    /// counters, records the trace span, then publishes the outcome.
     fn finish_op(
         &self,
         phase: Phase,
@@ -588,7 +577,7 @@ impl EngineShared {
         span_start: u64,
         retried: u64,
         state: &OpState,
-        result: io::Result<OpOutput>,
+        result: Outcome,
     ) {
         if retried > 0 {
             self.stats.retries.add(retried);
@@ -603,7 +592,7 @@ impl EngineShared {
         if self.trace.is_enabled() {
             let attrs = Attrs {
                 tier: self.trace_tier,
-                bytes: state.bytes.load(Ordering::Acquire) as u64,
+                bytes: result.as_ref().map_or(0, |&(_, n)| n as u64),
                 ..Attrs::NONE
             };
             let end_ns = self.trace.now_ns();
@@ -612,39 +601,20 @@ impl EngineShared {
             }
             self.trace.complete_span(phase, attrs, span_start, end_ns);
         }
-        // Publish, *then* retire from the pending gauge — and only if
-        // this publication won: the deadline watchdog may have already
-        // timed the op out (publishing `TimedOut` and retiring it), in
-        // which case this late real completion is counted and dropped
-        // rather than retiring the op a second time.
-        if state.result.publish(result) {
-            self.retire();
+        // The deadline watchdog may have answered the op already: this
+        // late outcome is then counted and kept as its late settlement,
+        // and leaves `inflight` alone (the answer took the op off it).
+        if state.publish(result) {
+            self.stats.inflight.sub(1);
         } else {
             self.stats.late_completions.inc();
         }
     }
 
-    /// Removes one completed op from the pending gauge and mirrors the
-    /// new count into the `inflight` registry gauge.
-    fn retire(&self) {
-        self.stats.pending.dec();
-        self.note_inflight();
-    }
-
-    /// Mirrors the pending count into the `inflight` registry gauge.
-    /// Traced engines only: the count sits behind the pending gauge's
-    /// mutex, which an untraced engine has no reason to take again.
-    fn note_inflight(&self) {
-        if self.trace.is_enabled() {
-            self.stats.inflight.set(self.stats.pending.current() as u64);
-        }
-    }
-
-    /// Retires an op whose `deadline` expired: publishes a typed
-    /// [`io::ErrorKind::TimedOut`] error and, if that publication won
-    /// (the real completion has not landed), records it as a breaker
-    /// failure and removes the op from the pending gauge so `drain`
-    /// cannot hang on a dead backend. Called only by the watchdog
+    /// Answers an op whose `deadline` expired with a typed
+    /// [`io::ErrorKind::TimedOut`] error and, if that answer won (the
+    /// real completion has not landed), records it as a breaker failure
+    /// and takes the op off `inflight`. Called only by the watchdog
     /// thread.
     #[cfg(not(loom))]
     pub(crate) fn time_out(&self, key: &str, state: &OpState, deadline: Duration) {
@@ -662,8 +632,8 @@ impl EngineShared {
                 health.record_failure(&io::ErrorKind::TimedOut.into());
             }
         };
-        if state.result.publish_with(Err(err), counted) {
-            self.retire();
+        if state.publish_early(Err((err, None)), counted) {
+            self.stats.inflight.sub(1);
         }
     }
 
@@ -672,12 +642,13 @@ impl EngineShared {
     /// any pooled staging buffer) drops here, recycling the buffer.
     fn reject(&self, op: Op) {
         self.stats.errors.inc();
-        if op.state.result.publish(Err(io::Error::other(format!(
+        let e = io::Error::other(format!(
             "no I/O worker of backend {} is running to take {}",
             self.backend.name(),
             op.key
-        )))) {
-            self.retire();
+        ));
+        if op.state.publish(Err((e, None))) {
+            self.stats.inflight.sub(1);
         }
     }
 }
@@ -689,9 +660,9 @@ impl EngineShared {
 /// success; failures are the caller's to count, and re-attempts land in
 /// `op_retries` (the caller folds them into the shared stats so the
 /// trace can attribute retries to individual operations). Pooled
-/// buffers return to
-/// their pool on every path: success (write) / handed back (read), error
-/// (dropped here), and panic (dropped during unwind).
+/// buffers return to their pool on every path: success (write) / handed
+/// back (read, and a failed write's outcome), a failed read (dropped
+/// here), and panic (dropped during unwind).
 // lint:hot-root — retry/execute loop every AIO worker runs per op
 fn execute_op(
     shared: &EngineShared,
@@ -700,27 +671,22 @@ fn execute_op(
     key: &str,
     kind: OpKind,
     salvage: bool,
-) -> io::Result<OpOutput> {
+) -> Outcome {
     let (backend, stats) = (&*shared.backend, &shared.stats);
+    let failed = |e| (e, None);
     match kind {
         OpKind::Write(data) => {
-            match shared.run_attempts(op_retries, state, salvage, || backend.write(key, &data)) {
-                Ok(()) => {
-                    stats.record_write(state, data.len());
-                    Ok(OpOutput::None)
-                }
-                Err(e) => {
-                    // Preserve the payload for wait_flush reclamation.
-                    *state.reclaim.lock() = Some(ReclaimedWrite::Bytes(data));
-                    Err(e)
-                }
-            }
+            shared
+                .run_attempts(op_retries, state, salvage, || backend.write(key, &data))
+                .map_err(failed)?;
+            stats.record_write(data.len());
+            Ok((OpOutput::None, data.len()))
         }
         OpKind::WritePooled(mut buf, len) => {
             // A write of the whole staging buffer hands the backend the
             // frame itself, which a memory-class tier exchanges for the
             // object it displaces instead of copying (a failed attempt
-            // leaves the frame untouched, so a retry and the reclaim
+            // leaves the frame untouched, so a retry and the outcome
             // below still hold the payload). A shorter window is copied.
             let whole_frame = len == buf.buffer().len();
             match shared.run_attempts(op_retries, state, salvage, || {
@@ -733,38 +699,44 @@ fn execute_op(
             }) {
                 Ok(()) => {
                     drop(buf); // staging buffer back to its pool
-                    stats.record_write(state, len);
-                    Ok(OpOutput::None)
+                    stats.record_write(len);
+                    Ok((OpOutput::None, len))
                 }
-                Err(e) => {
-                    *state.reclaim.lock() = Some(ReclaimedWrite::Pooled(buf));
-                    Err(e)
-                }
+                Err(e) => Err((e, Some(buf))),
             }
         }
         OpKind::Read => {
-            let data = shared.run_attempts(op_retries, state, salvage, || backend.read(key))?;
-            stats.record_read(state, data.len());
-            Ok(OpOutput::Bytes(data))
+            let data = shared
+                .run_attempts(op_retries, state, salvage, || backend.read(key))
+                .map_err(failed)?;
+            let n = data.len();
+            stats.record_read(n);
+            Ok((OpOutput::Bytes(data), n))
         }
         OpKind::ReadPooled(mut buf, len) => {
             // A retried attempt overwrites whatever a failed partial read
             // left in the window; on error the buffer drops here and
             // recycles to its pool.
-            let n = shared.run_attempts(op_retries, state, salvage, || {
-                // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
-                backend.read_into(key, &mut buf.buffer_mut().as_bytes_mut()[..len])
-            })?;
-            stats.record_read(state, n);
-            Ok(OpOutput::Pooled(buf, n))
+            let n = shared
+                .run_attempts(op_retries, state, salvage, || {
+                    // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
+                    backend.read_into(key, &mut buf.buffer_mut().as_bytes_mut()[..len])
+                })
+                .map_err(failed)?;
+            stats.record_read(n);
+            Ok((OpOutput::Pooled(buf), n))
         }
         OpKind::Delete => {
-            shared.run_attempts(op_retries, state, salvage, || backend.delete(key))?;
-            Ok(OpOutput::None)
+            shared
+                .run_attempts(op_retries, state, salvage, || backend.delete(key))
+                .map_err(failed)?;
+            Ok((OpOutput::None, 0))
         }
         OpKind::Link(to) => {
-            shared.run_attempts(op_retries, state, salvage, || backend.link(key, &to))?;
-            Ok(OpOutput::None)
+            shared
+                .run_attempts(op_retries, state, salvage, || backend.link(key, &to))
+                .map_err(failed)?;
+            Ok((OpOutput::None, 0))
         }
     }
 }
@@ -832,13 +804,8 @@ impl AioEngine {
 
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
-        self.shared.stats.pending.inc();
-        self.shared.note_inflight();
-        let state = Arc::new(OpState {
-            result: CompletionSlot::new(),
-            bytes: AtomicUsize::new(0),
-            reclaim: Mutex::new(None),
-        });
+        self.shared.stats.inflight.add(1);
+        let state = Arc::new(CompletionSlot::new());
         let op = Op {
             key: key.to_string(),
             kind,
@@ -962,7 +929,7 @@ impl AioEngine {
         self.shared.stats.errors.get()
     }
 
-    /// Operations retired by the deadline watchdog with a typed
+    /// Operations answered early by the deadline watchdog with a typed
     /// [`io::ErrorKind::TimedOut`] error (also counted in
     /// [`AioEngine::op_errors`]). Always 0 when
     /// [`AioConfig::deadline`] is `None`.
@@ -971,7 +938,7 @@ impl AioEngine {
     }
 
     /// Completions that arrived after the watchdog had already timed
-    /// their op out; the late result is dropped.
+    /// their op out; each is kept for [`OpHandle::late_flush`].
     pub fn late_completions(&self) -> u64 {
         self.shared.stats.late_completions.get()
     }
@@ -981,19 +948,6 @@ impl AioEngine {
     pub fn busy_seconds(&self) -> f64 {
         // relaxed-ok: monotonic stats counter, read only for reporting
         self.shared.stats.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Operations submitted but not yet completed.
-    pub fn pending_ops(&self) -> usize {
-        self.shared.stats.pending.current()
-    }
-
-    /// Blocks until every submitted operation has completed — a
-    /// completion barrier like `io_getevents` draining the whole queue.
-    /// Parked on a condvar, so draining a slow tier does not burn a core.
-    // lint:hot-root — completion barrier on the iteration critical path
-    pub fn drain(&self) {
-        self.shared.stats.pending.drain();
     }
 }
 
@@ -1300,23 +1254,23 @@ mod tests {
     }
 
     #[test]
-    fn drain_waits_for_all_pending_ops() {
+    fn handles_answer_every_pending_op() {
         let backend = Arc::new(MemBackend::throttled("slow", 1e9, 5e6));
         let e = AioEngine::new(backend as Arc<dyn Backend>, AioConfig::default());
-        for i in 0..6 {
-            e.submit_write(&format!("k{i}"), vec![0u8; 10_000]);
+        let handles: Vec<OpHandle> = (0..6)
+            .map(|i| e.submit_write(&format!("k{i}"), vec![0u8; 10_000]))
+            .collect();
+        assert!(handles.iter().any(|h| !h.is_done()));
+        for h in handles {
+            h.wait().unwrap();
         }
-        assert!(e.pending_ops() > 0);
-        e.drain();
-        assert_eq!(e.pending_ops(), 0);
         let (_, w) = e.ops_completed();
         assert_eq!(w, 6);
     }
 
     /// Any worker count and queue depth builds an engine: with no worker
-    /// running every op fails with a typed error naming the backend and
-    /// `drain` still returns; a zero-depth queue hands each op straight
-    /// to a worker.
+    /// running every op fails with a typed error naming the backend; a
+    /// zero-depth queue hands each op straight to a worker.
     #[test]
     fn zero_workers_fail_typed_and_a_zero_depth_queue_round_trips() {
         for (workers, queue_depth) in [(0, 16), (0, 0), (1, 0)] {
@@ -1330,8 +1284,6 @@ mod tests {
             );
             let flushed = e.submit_write("k", vec![1, 2, 3]).wait_flush();
             let read = e.submit_read("k").wait();
-            e.drain();
-            assert_eq!(e.pending_ops(), 0, "{workers} workers, depth {queue_depth}");
             if workers == 0 {
                 let (err, _) = flushed.unwrap_err();
                 assert!(err.to_string().contains("backend mem"), "{err}");
@@ -1342,13 +1294,6 @@ mod tests {
                 assert_eq!(read.unwrap().unwrap(), vec![1, 2, 3]);
             }
         }
-    }
-
-    #[test]
-    fn drain_returns_immediately_when_idle() {
-        let e = engine(1);
-        e.drain();
-        assert_eq!(e.pending_ops(), 0);
     }
 
     #[test]
@@ -1379,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_write_reports_zero_bytes_on_handle() {
+    fn a_failed_write_is_done_with_its_error_and_moves_no_bytes() {
         let e = AioEngine::new(
             Arc::new(FailingBackend(io::ErrorKind::PermissionDenied)) as Arc<dyn Backend>,
             AioConfig::default(),
@@ -1388,8 +1333,13 @@ mod tests {
         while !h.is_done() {
             std::thread::yield_now();
         }
-        assert_eq!(h.bytes(), 0);
-        assert!(h.wait().is_err());
+        assert_eq!(e.bytes_moved(), (0, 0));
+        let (err, payload) = h.wait_flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        assert!(payload.is_none(), "an owned write hands nothing back");
+        assert!(!h.is_done());
+        let again = h.wait_flush().unwrap_err().0;
+        assert_eq!(again.kind(), io::ErrorKind::InvalidInput, "answered twice");
     }
 
     #[test]
@@ -1412,28 +1362,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_writes_hand_their_payload_back_for_redrive() {
+    fn failed_pooled_writes_hand_their_frame_back_for_redrive() {
         use mlp_tensor::PinnedPool;
         let e = AioEngine::new(
             Arc::new(FailingBackend(io::ErrorKind::PermissionDenied)) as Arc<dyn Backend>,
             AioConfig::default(),
         );
-        // Owned write: the bytes come back intact.
-        let h = e.submit_write("k", vec![7u8; 16]);
-        let (err, payload) = h.wait_flush().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        match payload {
-            Some(ReclaimedWrite::Bytes(b)) => assert_eq!(b, vec![7u8; 16]),
-            _ => panic!("expected owned bytes back"),
-        }
-        // Pooled write: the staging buffer comes back intact and is still
-        // accounted as outstanding until the caller drops it.
+        // The staging buffer comes back intact and is still accounted as
+        // outstanding until the caller drops it.
         let pool = PinnedPool::new(1, 16);
         let mut buf = pool.acquire();
         buf.buffer_mut().as_bytes_mut()[..4].copy_from_slice(&[1, 2, 3, 4]);
         let h = e.submit_write_pooled("k", buf, 4);
-        let (_, payload) = h.wait_flush().unwrap_err();
-        let Some(ReclaimedWrite::Pooled(buf)) = payload else {
+        let (err, payload) = h.wait_flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        assert!(!h.abandoned());
+        assert!(h.late_flush(Duration::ZERO).is_none(), "nothing comes late");
+        let Some(buf) = payload else {
             panic!("expected staging buffer back");
         };
         assert_eq!(&buf.as_bytes()[..4], &[1, 2, 3, 4]);
@@ -1482,7 +1427,7 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("giving up after 3 attempts"), "{err}");
         assert_eq!(e.retries(), 2);
-        let Some(ReclaimedWrite::Pooled(buf)) = payload else {
+        let Some(buf) = payload else {
             panic!("expected the staging buffer back");
         };
         assert_eq!(buf.as_bytes(), &[2u8; 64], "the payload, not the old object");
@@ -1626,8 +1571,8 @@ mod tests {
     }
 
     /// Satellite regression: a backend panic used to leave the op's
-    /// completion slot empty forever, hanging `wait`/`wait_pooled` and
-    /// `drain`. The unwind must poison the op with an error instead.
+    /// completion slot empty forever, hanging `wait`/`wait_pooled`. The
+    /// unwind must poison the op with an error instead.
     #[test]
     fn panicking_backend_poisons_waiters_instead_of_hanging() {
         let e = AioEngine::new(
@@ -1640,8 +1585,6 @@ mod tests {
         assert_eq!(e.op_errors(), 1);
         // The worker survived the panic and keeps serving ops.
         e.submit_write("k2", vec![3]).wait().unwrap();
-        e.drain();
-        assert_eq!(e.pending_ops(), 0, "drain not wedged by the panic");
     }
 
     #[test]
@@ -1703,7 +1646,9 @@ mod tests {
     /// counter of a traced engine is the cell its accessor reads, on every
     /// completion path — success, retried transient, permanent error,
     /// watchdog timeout with its late completion, and a submission
-    /// rejected at teardown (which the mirrored meters used to miss).
+    /// rejected at teardown (which the mirrored meters used to miss) —
+    /// and `inflight` is back at 0 once every op was answered, the timed
+    /// out one not taken off twice by its late completion.
     #[test]
     fn registry_counters_equal_the_accessors_on_every_path() {
         use mlp_storage::{FaultConfig, FaultInjectBackend};
@@ -1735,15 +1680,11 @@ mod tests {
         while e.late_completions() == 0 && t0.elapsed() < Duration::from_secs(5) {
             std::thread::sleep(Duration::from_millis(5));
         }
-        e.shared.stats.pending.inc();
+        e.shared.stats.inflight.add(1);
         e.shared.reject(Op {
             key: "rejected".to_string(),
             kind: OpKind::Delete,
-            state: Arc::new(OpState {
-                result: CompletionSlot::new(),
-                bytes: AtomicUsize::new(0),
-                reclaim: Mutex::new(None),
-            }),
+            state: Arc::new(CompletionSlot::new()),
             salvage: false,
         });
 
@@ -1753,8 +1694,8 @@ mod tests {
         assert_eq!((reads, writes, read_bytes, write_bytes), (1, 2, 16, 24));
         assert_eq!((e.retries(), e.op_errors()), (2, 3));
         assert_eq!((e.op_timeouts(), e.late_completions()), (1, 1));
-        assert_eq!(e.pending_ops(), 0);
         let snap = trace.metrics_snapshot();
+        assert_eq!(trace.gauge("aio.eventually+faults.inflight").get(), 0);
         let registry = |m: &str| snap.counter(&format!("aio.eventually+faults.{m}"));
         assert_eq!(registry("reads"), Some(reads));
         assert_eq!(registry("writes"), Some(writes));

@@ -14,7 +14,8 @@
 //!
 //! * [`engine::AioEngine`] — a per-tier engine: a bounded submission
 //!   queue, a pool of worker threads making blocking backend calls, and
-//!   completion handles ([`engine::OpHandle`]).
+//!   completion handles ([`engine::OpHandle`]), each over one
+//!   [`CompletionSlot`] holding the op's whole outcome.
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
@@ -23,8 +24,9 @@
 //!   wall-clock time.
 //! * Deadline watchdog ([`engine::AioConfig::deadline`]) — a supervisor
 //!   thread that turns a hung backend into a typed
-//!   [`std::io::ErrorKind::TimedOut`] completion within the deadline,
-//!   instead of a stuck `wait_flush`/`drain`.
+//!   [`std::io::ErrorKind::TimedOut`] answer within the deadline, instead
+//!   of a stuck `wait_flush`; how the abandoned op settles later stays in
+//!   its slot ([`engine::OpHandle::late_flush`]).
 //! * Tier breaker ([`engine::AioConfig::health`]) — admits each backend
 //!   attempt and hears its outcome, deadline timeouts included.
 //! * [`lock::ProcessExclusiveLock`] — the paper's "process-exclusive
@@ -38,6 +40,6 @@ pub mod lock;
 #[cfg(not(loom))]
 mod watchdog;
 
-pub use completion::{CompletionSlot, PendingGauge};
-pub use engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite, RetryPolicy};
+pub use completion::CompletionSlot;
+pub use engine::{AioConfig, AioEngine, FlushResult, OpHandle, RetryPolicy};
 pub use lock::ProcessExclusiveLock;

@@ -3,12 +3,12 @@
 //!
 //! A hung storage tier — an NFS mount gone stale, an object store that
 //! stopped answering, a latency fault far beyond any SLO — used to hang
-//! `wait`/`wait_flush`/`drain` indefinitely: retries only help when the
-//! backend call *returns*. The watchdog closes that gap at the protocol
-//! layer: every submitted op is registered here before it reaches the
+//! `wait`/`wait_flush` indefinitely: retries only help when the backend
+//! call *returns*. The watchdog closes that gap at the protocol layer:
+//! every submitted op is registered here before it reaches the
 //! submission queue, and when its deadline expires without a completion
-//! the watchdog publishes a typed [`std::io::ErrorKind::TimedOut`] error
-//! to the op's completion slot and retires it from the pending gauge.
+//! the watchdog answers the op's completion slot early with a typed
+//! [`std::io::ErrorKind::TimedOut`] error and takes it off `inflight`.
 //! Waiters unblock within the deadline, with an error the taxonomy
 //! classifies transient. When the engine has a tier breaker
 //! ([`mlp_storage::health`]) the timeout is recorded there as a failure,
@@ -16,11 +16,12 @@
 //!
 //! The hung backend call itself keeps running (there is no portable way
 //! to cancel a blocking syscall). When it eventually finishes, its
-//! publication loses the first-wins race in
-//! [`CompletionSlot`](crate::CompletionSlot) — sticky even after the
-//! timeout error was consumed — and the engine counts a
-//! *late completion* instead of retiring the op a second time; the
-//! breaker hears nothing of it.
+//! publication no longer answers anyone: the
+//! [`CompletionSlot`](crate::CompletionSlot) keeps it as the op's late
+//! settlement, the engine counts a *late completion*, and the breaker
+//! hears nothing of it. Whoever abandoned the op can still learn how it
+//! settled ([`OpHandle::late_flush`](crate::OpHandle::late_flush)) — a
+//! write that landed late already changed the tier.
 //!
 //! Deadlines are registered in submission order and every op shares one
 //! configured deadline duration, so the internal queue is naturally

@@ -11,12 +11,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mlp_aio::{AioConfig, AioEngine, ReclaimedWrite, RetryPolicy};
+use mlp_aio::{AioConfig, AioEngine, RetryPolicy};
 use mlp_storage::{
-    Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, HealthConfig, MemBackend,
-    ObjectBackend, ObjectConfig, TierHealth,
+    Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, FaultOps, HealthConfig,
+    MemBackend, ObjectBackend, ObjectConfig, TierHealth,
 };
 use mlp_tensor::PinnedPool;
+use mlp_trace::TraceSink;
 
 /// Fast-backoff retry policy so fault tests sleep microseconds, not
 /// seconds.
@@ -110,7 +111,6 @@ fn pooled_buffers_round_trip() {
         "pooled round trip corrupted"
     );
     drop(got);
-    engine.drain();
     drop(engine);
     assert_eq!(pool.outstanding(), 0, "pooled buffers leaked");
     let _ = std::fs::remove_dir_all(&root);
@@ -268,10 +268,10 @@ fn links_retry_and_keep_their_bytes() {
 
 /// Tentpole: a hung backend (latency fault far beyond the deadline)
 /// surfaces as a typed `TimedOut` within the configured deadline — not
-/// as a stuck `wait_flush`/`drain`. The injected
-/// stall is 600 ms; the deadline 25 ms; the waiter must unblock in well
-/// under the stall. The stalled call eventually returns and must be
-/// counted as a *late completion*, never retiring the op twice.
+/// as a stuck `wait_flush`. The injected stall is 600 ms; the deadline
+/// 25 ms; the waiter must unblock in well under the stall. The stalled
+/// call eventually returns, is counted as a *late completion*, and its
+/// landed write is handed out once as the op's late settlement.
 #[test]
 fn hung_backend_surfaces_typed_timeout() {
     let fault = Arc::new(FaultInjectBackend::new(
@@ -287,10 +287,8 @@ fn hung_backend_surfaces_typed_timeout() {
         },
     );
     let t0 = std::time::Instant::now();
-    let (err, _payload) = engine
-        .submit_write("k", vec![7u8; 64])
-        .wait_flush()
-        .unwrap_err();
+    let handle = engine.submit_write("k", vec![7u8; 64]);
+    let (err, _payload) = handle.wait_flush().unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert!(
         mlp_storage::is_transient(&err),
@@ -301,17 +299,25 @@ fn hung_backend_surfaces_typed_timeout() {
         "waiter blocked past the deadline ({:?})",
         t0.elapsed()
     );
-    // The watchdog retired the op from the pending gauge, so drain
-    // must return promptly instead of wedging on the stalled call.
-    engine.drain();
-    assert_eq!(engine.pending_ops(), 0, "pending after timeout");
+    assert!(handle.abandoned());
+    assert!(
+        handle.late_flush(Duration::ZERO).is_none(),
+        "settled before the stall ended"
+    );
     assert_eq!(engine.op_timeouts(), 1);
     assert_eq!(engine.op_errors(), 1);
-    // The stalled call eventually finishes; its publication loses
-    // the first-wins race and is counted as late, exactly once.
+    // The stalled call eventually finishes; its publication answers no
+    // one and is counted as late, exactly once, and kept: the write
+    // landed.
     wait_for_late_completion(&engine);
+    assert!(matches!(handle.late_flush(Duration::ZERO), Some(Ok(()))));
+    assert!(
+        handle.late_flush(Duration::ZERO).is_none(),
+        "handed out twice"
+    );
     // The engine stays serviceable once the tier behaves again.
     fault.set_armed(false);
+    assert_eq!(fault.read("k").unwrap(), vec![7u8; 64]);
     engine.submit_write("k2", vec![1u8; 8]).wait().unwrap();
     assert_eq!(engine.op_timeouts(), 1, "healthy op timed out");
 }
@@ -388,6 +394,96 @@ fn late_return_of_a_timed_out_op_is_not_a_breaker_success() {
     assert_eq!(health.state(), BreakerState::Closed);
     assert!(engine.submit_write("b", vec![2u8; 8]).wait().is_err());
     assert_eq!(health.state(), BreakerState::Quarantined);
+}
+
+/// A pooled write that fails only after its deadline answered: the
+/// waiter gets the typed timeout and no frame — the worker still holds
+/// it — and the late settlement hands the failure back with the frame,
+/// contents intact, exactly once.
+#[test]
+fn a_late_failure_hands_its_frame_back_through_the_settlement() {
+    let fault = Arc::new(FaultInjectBackend::new(
+        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+        FaultConfig::permanent(9, 1.0).with_latency_spikes(1.0, Duration::from_millis(200)),
+    ));
+    let engine = AioEngine::new(
+        Arc::clone(&fault) as Arc<dyn Backend>,
+        AioConfig {
+            deadline: Some(Duration::from_millis(25)),
+            retry: RetryPolicy::none(),
+            ..AioConfig::deterministic()
+        },
+    );
+    let pool = PinnedPool::new(1, 8);
+    let mut frame = pool.acquire();
+    frame
+        .buffer_mut()
+        .as_bytes_mut()
+        .copy_from_slice(b"payload!");
+    let handle = engine.submit_write_pooled("k", frame, 8);
+    let (err, payload) = handle.wait_flush().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert!(payload.is_none() && handle.abandoned());
+    let Some(Err((late, Some(frame)))) = handle.late_flush(Duration::from_secs(5)) else {
+        panic!("the late failure did not hand its frame back");
+    };
+    assert_eq!(late.kind(), io::ErrorKind::PermissionDenied, "{late}");
+    assert_eq!(frame.as_bytes(), b"payload!");
+    assert!(
+        handle.late_flush(Duration::ZERO).is_none(),
+        "handed out twice"
+    );
+    assert_eq!(engine.late_completions(), 1);
+    assert!(!fault.contains("k"));
+    drop(frame);
+    assert_eq!(pool.outstanding(), 0);
+}
+
+/// The `inflight` registry gauge of a traced engine counts submitted,
+/// unanswered ops: it rises with a batch, falls as each op is answered —
+/// a timed-out one by its timeout — and is back at 0 after the timed-out
+/// op's late completion, which must not take it off a second time.
+#[test]
+fn inflight_returns_to_zero_after_a_timeout_and_its_late_completion() {
+    let fault = Arc::new(FaultInjectBackend::new(
+        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
+        FaultConfig::none(5)
+            .with_latency_spikes(1.0, Duration::from_millis(200))
+            .with_ops(FaultOps::WritesOnly),
+    ));
+    let trace = TraceSink::enabled();
+    let engine = AioEngine::new(
+        Arc::clone(&fault) as Arc<dyn Backend>,
+        AioConfig {
+            deadline: Some(Duration::from_millis(50)),
+            retry: RetryPolicy::none(),
+            trace: trace.clone(),
+            ..AioConfig::deterministic()
+        },
+    );
+    let inflight = trace.gauge("aio.mem+faults.inflight");
+    fault.set_armed(false);
+    for i in 0..4 {
+        engine
+            .submit_write(&format!("k{i}"), vec![i; 16])
+            .wait()
+            .unwrap();
+    }
+    assert_eq!(inflight.get(), 0);
+    fault.set_armed(true);
+    let stalled = engine.submit_write("k0", vec![9; 16]);
+    let reads: Vec<_> = (0..4)
+        .map(|i| engine.submit_read(&format!("k{i}")))
+        .collect();
+    assert!(inflight.get() >= 1, "the stalled write is not counted");
+    for (i, h) in reads.into_iter().enumerate() {
+        assert_eq!(h.wait().unwrap().unwrap(), vec![i as u8; 16]);
+    }
+    let err = stalled.wait_flush().unwrap_err().0;
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert_eq!(inflight.get(), 0, "every op was answered");
+    wait_for_late_completion(&engine);
+    assert_eq!(inflight.get(), 0, "the late completion was taken off again");
 }
 
 /// Blocks until the engine has counted its one late completion.
@@ -472,7 +568,7 @@ fn breaker_admits_and_observes_every_attempt() {
         .unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
     assert_eq!(health.counts().rejected, rejected + 1);
-    let Some(ReclaimedWrite::Pooled(frame)) = payload else {
+    let Some(frame) = payload else {
         panic!("the refused frame was not handed back");
     };
     assert_eq!(frame.as_bytes(), b"frame..", "refused frame touched");
@@ -519,10 +615,12 @@ fn deadline_never_fires_for_fast_ops() {
             ..AioConfig::deterministic()
         },
     );
-    for i in 0..32 {
-        engine.submit_write(&format!("k{i}"), vec![i as u8; 128]);
+    let writes: Vec<_> = (0..32)
+        .map(|i| engine.submit_write(&format!("k{i}"), vec![i as u8; 128]))
+        .collect();
+    for h in writes {
+        h.wait().unwrap();
     }
-    engine.drain();
     for i in 0..32 {
         let back = engine.submit_read(&format!("k{i}")).wait().unwrap().unwrap();
         assert_eq!(back, vec![i as u8; 128]);

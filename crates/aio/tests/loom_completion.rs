@@ -1,16 +1,17 @@
-//! Model-checked completion/drain protocol
+//! Model-checked completion slot
 //! (`RUSTFLAGS="--cfg loom" cargo test -p mlp-aio --test loom_completion`).
 //!
-//! Exercises the extracted [`mlp_aio::CompletionSlot`]/
-//! [`mlp_aio::PendingGauge`] protocol — the code the engine workers
-//! actually run — including a regression model for the PR 2 stuck-waiter
-//! bug: a worker path that skips publishing leaves `take_blocking` parked
-//! forever, and the checker must find that schedule.
+//! Exercises [`mlp_aio::CompletionSlot`] — the code the engine workers
+//! and the deadline watchdog actually run — including a regression model
+//! for the stuck-waiter bug: a worker path that skips publishing
+//! leaves `take_blocking` parked forever, and the checker must find that
+//! schedule.
 
 #![cfg(loom)]
 
-use mlp_aio::{CompletionSlot, PendingGauge};
+use mlp_aio::CompletionSlot;
 use mlp_sync::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[test]
@@ -23,7 +24,7 @@ fn publish_and_take_terminate_under_all_schedules() {
         let worker = thread::spawn(move || {
             s.publish(42u32);
         });
-        assert_eq!(slot.take_blocking(), 42);
+        assert_eq!(slot.take_blocking(), Some(42));
         let _ = worker.join();
     });
 }
@@ -64,116 +65,61 @@ fn poisoned_publish_unsticks_the_waiter() {
                 s.publish(Ok(()));
             }
         });
-        assert!(slot.take_blocking().is_err());
+        assert!(slot.take_blocking().is_some_and(|r| r.is_err()));
     });
 }
 
+/// A failed write's staging frame; counts its drops.
+struct Frame(Arc<AtomicUsize>);
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+type Settlement = Result<(), (&'static str, Option<Frame>)>;
+
 #[test]
-fn drain_waits_for_every_completion() {
+fn an_early_answer_and_a_late_failed_write_hand_the_frame_back_once() {
+    // The watchdog's early answer races the worker's settlement of a
+    // failed pooled write, and a reconcile asks for the settlement both
+    // before and after the worker is done. Whoever wins, the waiter gets
+    // exactly one answer, the settlement is observed exactly once, and the
+    // frame comes back exactly once — in the worker's answer, or in the
+    // late settlement — without being dropped while it can still be
+    // asked for.
     mlp_sync::model::model(|| {
-        let gauge = Arc::new(PendingGauge::new());
-        gauge.inc();
-        gauge.inc();
-        let mut workers = Vec::new();
-        for _ in 0..2 {
-            let g = Arc::clone(&gauge);
-            workers.push(thread::spawn(move || g.dec()));
-        }
-        gauge.drain();
-        assert_eq!(gauge.current(), 0);
-        for w in workers {
-            let _ = w.join();
-        }
-    });
-}
+        let drops = Arc::new(AtomicUsize::new(0));
+        let slot = Arc::new(CompletionSlot::<Settlement>::new());
+        let (s, frame) = (Arc::clone(&slot), Frame(Arc::clone(&drops)));
+        let worker = thread::spawn(move || s.publish(Err(("write failed", Some(frame)))));
+        let s = Arc::clone(&slot);
+        let watchdog = thread::spawn(move || s.publish_early(Err(("timed out", None)), || {}));
 
-#[test]
-fn drain_observes_completions_of_concurrent_submitters() {
-    // The engine's op path end to end: two submitter threads each `inc`
-    // the gauge and queue an op (handed over by join: the explorer
-    // cannot schedule the engine's channel); one worker publishes each
-    // completion, then retires it, racing a drain on this thread that
-    // must return only once both completions are published.
-    mlp_sync::model::model(|| {
-        let gauge = Arc::new(PendingGauge::new());
-        let submitters: Vec<_> = (0..2u32)
-            .map(|i| {
-                let g = Arc::clone(&gauge);
-                thread::spawn(move || {
-                    g.inc();
-                    (i, Arc::new(CompletionSlot::new()))
-                })
-            })
-            .collect();
-        let ops: Vec<_> = submitters.into_iter().filter_map(|t| t.join().ok()).collect();
-        let handles: Vec<_> = ops.iter().map(|(i, slot)| (*i, Arc::clone(slot))).collect();
-        let g = Arc::clone(&gauge);
-        let worker = thread::spawn(move || {
-            for (i, slot) in ops {
-                slot.publish(i);
-                g.dec();
-            }
-        });
-        gauge.drain();
-        assert_eq!(handles.len(), 2);
-        for (i, slot) in handles {
-            assert!(slot.is_set(), "drain returned before op {i} was published");
-            assert_eq!(slot.take_blocking(), i);
-        }
-        let _ = worker.join();
-    });
-}
+        let answer = slot.take_blocking();
+        assert!(slot.take_blocking().is_none(), "answered twice");
+        let early = slot.take_late();
+        let worker_won = worker.join().unwrap_or(false);
+        let watchdog_won = watchdog.join().unwrap_or(false);
+        assert!(worker_won != watchdog_won, "not exactly one answer");
+        assert_eq!(slot.answered_early(), watchdog_won);
+        let late = match early {
+            Some(late) => Some(late),
+            None => slot.take_late(),
+        };
+        assert!(slot.take_late().is_none(), "settlement observed twice");
 
-#[test]
-fn publish_happens_before_gauge_retirement() {
-    // The worker-loop ordering invariant: the completion must be
-    // published before the op retires from the pending gauge, otherwise
-    // a drainer could observe "all done" while a waiter still blocks on
-    // the in-flight result.
-    mlp_sync::model::model(|| {
-        let slot = Arc::new(CompletionSlot::new());
-        let gauge = Arc::new(PendingGauge::new());
-        gauge.inc();
-        let (s, g) = (Arc::clone(&slot), Arc::clone(&gauge));
-        let worker = thread::spawn(move || {
-            s.publish(7u32);
-            g.dec();
-        });
-        gauge.drain();
-        assert!(
-            slot.is_set(),
-            "drain returned while the completion was unpublished"
-        );
-        assert_eq!(slot.take_blocking(), 7);
-        let _ = worker.join();
+        let (answer, late) = (answer.and_then(Result::err), late.and_then(Result::err));
+        let frames = match (answer, late) {
+            (Some(("write failed", frame)), None) if worker_won => frame,
+            (Some(("timed out", None)), Some(("write failed", frame))) if watchdog_won => frame,
+            _ => panic!("answer and settlement disagree with the winner"),
+        };
+        assert!(frames.is_some(), "the frame was lost");
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "dropped while still owed");
+        drop(frames);
+        drop(slot);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
     });
-}
-
-#[test]
-fn retiring_before_publishing_is_caught() {
-    // Flip the worker's ordering (the bug the invariant above guards
-    // against) and require the checker to find the schedule where drain
-    // returns early.
-    let caught = std::panic::catch_unwind(|| {
-        mlp_sync::model::model(|| {
-            let slot = Arc::new(CompletionSlot::new());
-            let gauge = Arc::new(PendingGauge::new());
-            gauge.inc();
-            let (s, g) = (Arc::clone(&slot), Arc::clone(&gauge));
-            let worker = thread::spawn(move || {
-                g.dec(); // BUG (intentional): retired before publishing
-                s.publish(7u32);
-            });
-            gauge.drain();
-            assert!(
-                slot.is_set(),
-                "drain returned while the completion was unpublished"
-            );
-            let _ = worker.join();
-        });
-    });
-    assert!(
-        caught.is_err(),
-        "the checker must find the early-drain schedule"
-    );
 }

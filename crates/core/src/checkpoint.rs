@@ -505,7 +505,7 @@ impl CheckpointPipeline {
                     bytes,
                     handle,
                 } => {
-                    handle.wait_flush().map_err(|(e, _)| e)?;
+                    handle.wait()?;
                     flushed_bytes += bytes;
                     staged.push((idx, staging_key, bytes));
                 }
@@ -545,7 +545,7 @@ impl CheckpointPipeline {
         let mut trickled_bytes = 0u64;
         let mut fresh: Vec<(usize, String)> = Vec::with_capacity(trickles.len());
         for (idx, key, bytes, handle) in trickles {
-            handle.wait_flush().map_err(|(e, _)| e)?;
+            handle.wait()?;
             trickled_bytes += bytes;
             locations.push((idx, SubgroupLocation::Target { key: key.clone() }));
             fresh.push((idx, key));
@@ -593,8 +593,7 @@ impl CheckpointPipeline {
                 &CheckpointManifest::manifest_key(&tag, worker_id),
                 manifest.to_bytes(),
             )
-            .wait_flush()
-            .map_err(|(e, _)| e)?;
+            .wait()?;
         self.crash_if(CrashPoint::AfterPublish)?;
 
         // Stage 5: prune — staging copies (from whichever store holds

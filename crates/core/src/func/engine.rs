@@ -3,8 +3,9 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use mlp_aio::engine::{AioConfig, AioEngine, OpHandle, ReclaimedWrite};
+use mlp_aio::engine::{AioConfig, AioEngine, OpHandle};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor};
@@ -245,6 +246,8 @@ struct TierRt {
     engine: Arc<AioEngine>,
     lock: ProcessExclusiveLock,
     weight: f64,
+    /// The engine's per-op deadline ([`AioConfig::deadline`]).
+    deadline: Option<Duration>,
 }
 
 /// Resume state of a failed update phase: which subgroups already carry
@@ -318,6 +321,10 @@ pub struct MlpFuncEngine {
     /// Set when an update phase failed mid-flight; the next `update` call
     /// re-drives the same iteration instead of starting a new one.
     in_progress: Option<IterProgress>,
+    /// State evictions of the failed update that the I/O deadline answered
+    /// while their writes still ran, by subgroup: settled by
+    /// [`MlpFuncEngine::reconcile_abandoned`] before the re-drive.
+    abandoned: Vec<(usize, OpHandle)>,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
@@ -387,6 +394,7 @@ impl MlpFuncEngine {
                     Arc::clone(&t.backend)
                 };
                 TierRt {
+                    deadline: aio.deadline,
                     engine: Arc::new(AioEngine::new(backend, aio)),
                     lock: t.lock.clone(),
                     weight: t.weight,
@@ -449,6 +457,7 @@ impl MlpFuncEngine {
             inv_loss_scale: 1.0,
             grad_clip_max_norm: None,
             in_progress: None,
+            abandoned: Vec::new(),
             io_snapshot: vec![(0, 0.0, 0); ntiers],
             migrations_done: 0,
             drains_done: 0,
@@ -613,7 +622,10 @@ impl MlpFuncEngine {
             return Ok(());
         }
         // A tier quarantined since the state was placed must be drained
-        // first, or its subgroups' gradients would chase a dead tier.
+        // first, or its subgroups' gradients would chase a dead tier; and
+        // evictions a failed update abandoned settle before that drain
+        // moves their copies.
+        self.reconcile_abandoned()?;
         self.drain_quarantined()?;
         self.grads.materialize_zeros();
         let HostGrads::Fp32 { accum, on_tier, .. } = &self.grads else {
@@ -680,7 +692,10 @@ impl MlpFuncEngine {
     /// accumulated; subgroups already updated are skipped), producing the
     /// exact result of an iteration that never failed.
     pub fn update(&mut self) -> io::Result<UpdateOutcome> {
-        // Quarantine-and-drain runs first, even ahead of a re-drive:
+        // Evictions a failed attempt abandoned must settle before anything
+        // plans from where they left their subgroups.
+        self.reconcile_abandoned()?;
+        // Quarantine-and-drain runs next, even ahead of a re-drive:
         // evacuation moves bytes, it never mutates them, so a replayed
         // iteration stays bit-identical — and the re-drive may *need*
         // the evacuation, because the failed flush target is often the
@@ -779,39 +794,91 @@ impl MlpFuncEngine {
 
     /// A failed flush hands its staging buffer back through
     /// [`OpHandle::wait_flush`]; keep the subgroup host-resident so the
-    /// (possibly only) copy of its updated state survives for the
-    /// re-driven iteration. Only a backend panic loses the payload — then
-    /// the subgroup falls back to its last durable copy and its resume
-    /// bit is cleared so the re-drive re-applies the gradient.
+    /// (possibly only) copy of its state survives for the re-driven
+    /// iteration. Only a backend panic loses the payload — then the
+    /// subgroup falls back to its last durable copy and its resume bit is
+    /// cleared so the re-drive re-applies the gradient.
     fn reclaim_failed_flush(
         &mut self,
         fidx: usize,
-        payload: Option<ReclaimedWrite>,
+        frame: Option<PooledBuffer>,
         progress: &mut IterProgress,
     ) {
-        match payload {
-            Some(ReclaimedWrite::Pooled(buf)) => {
+        match frame {
+            Some(buf) => {
                 let n = self.subgroup_lens[fidx];
                 self.ledger.rest(fidx, Resident { buf, n });
             }
-            // State flushes are always pooled: anything else is a lost
-            // payload.
-            Some(ReclaimedWrite::Bytes(_)) | None => progress.updated[fidx] = false,
+            None => progress.updated[fidx] = false,
         }
     }
 
     /// Waits for subgroup `fidx`'s eviction flush; a failed one reclaims
-    /// its payload host-side and returns the error.
+    /// its payload host-side and returns the error. One the deadline
+    /// answered is still running, its frame with the worker: whether the
+    /// tier copy carries it is known only once it settles, so its handle
+    /// is kept for [`MlpFuncEngine::reconcile_abandoned`].
     fn settle_flush(
         &mut self,
         fidx: usize,
         handle: OpHandle,
         progress: &mut IterProgress,
     ) -> io::Result<()> {
-        handle.wait_flush().map_err(|(e, payload)| {
-            self.reclaim_failed_flush(fidx, payload, progress);
-            e
-        })
+        let Err((e, frame)) = handle.wait_flush() else {
+            return Ok(());
+        };
+        if frame.is_none() && handle.abandoned() {
+            self.abandoned.push((fidx, handle));
+        } else {
+            self.reclaim_failed_flush(fidx, frame, progress);
+        }
+        Err(e)
+    }
+
+    /// Settles the state evictions a failed update abandoned to the I/O
+    /// deadline, waiting up to one deadline for them. One that landed left
+    /// the tier copy carrying what its frame held, so the subgroup keeps
+    /// its resume bit and the re-drive re-emits its FP16 image from that
+    /// copy instead of applying the gradient again. One that failed hands
+    /// its frame back to rest host-side, as any failed flush does. Any
+    /// still running fails the call with `TimedOut` and is asked again by
+    /// the next one: re-planning while a write may still land could fetch
+    /// either copy.
+    ///
+    /// Only state evictions need this: a late gradient re-flush writes the
+    /// same bytes again, and a late staging, migration or pin write leaves
+    /// only an orphan copy.
+    fn reconcile_abandoned(&mut self) -> io::Result<()> {
+        let Some(mut progress) = self.in_progress.take() else {
+            return Ok(());
+        };
+        let deadline = self.tiers.iter().filter_map(|t| t.deadline).max();
+        let started = Instant::now();
+        let mut running = Vec::new();
+        for (idx, handle) in std::mem::take(&mut self.abandoned) {
+            let within = deadline
+                .unwrap_or_default()
+                .saturating_sub(started.elapsed());
+            match handle.late_flush(within) {
+                Some(Ok(())) => {}
+                Some(Err((_, frame))) => self.reclaim_failed_flush(idx, frame, &mut progress),
+                None => running.push((idx, handle)),
+            }
+        }
+        self.in_progress = Some(progress);
+        let Some(&(idx, _)) = running.first() else {
+            return Ok(());
+        };
+        let count = running.len();
+        self.abandoned = running;
+        Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!(
+                "{count} state flushes the I/O deadline abandoned (subgroup {idx} first) are \
+                 still running after another {:?}; the update cannot re-drive until they settle",
+                started.elapsed()
+            ),
+        ))
     }
 
     /// Drains every operation still in flight after a pass, successful or

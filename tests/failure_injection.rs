@@ -18,8 +18,8 @@ use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
 use mlp_offload_suite::mlp_storage::{
-    classify, Backend, ErrorClass, FaultConfig, FaultInjectBackend, MemBackend, ObjectBackend,
-    ObjectConfig,
+    classify, Backend, ErrorClass, FaultConfig, FaultInjectBackend, FaultOps, MemBackend,
+    ObjectBackend, ObjectConfig,
 };
 use mlp_offload_suite::mlp_zero3::Zero3FuncEngine;
 
@@ -599,4 +599,85 @@ fn zero3_rides_through_transient_faults_bit_identically() {
     assert!(inject.counts().transient > 0, "injection must have fired");
     assert!(engine.io_retries() > 0);
     assert_eq!(engine.pool_outstanding(), 0, "staging buffers leaked");
+}
+
+#[test]
+fn a_flush_the_deadline_abandoned_is_applied_once() {
+    // Every write stalls 300 ms past a 50 ms deadline, so the update
+    // answers `TimedOut` while its evictions are still running; they land
+    // later, each carrying its subgroup's updated state. The re-drive must
+    // take those copies as updated — fetching one and applying the
+    // gradient again would double the step — and stay bit-identical to a
+    // fault-free twin and to plain in-memory Adam. In the last case the
+    // stalled writes fail instead, and their frames must come back to
+    // rest host-side as the updated state.
+    let (n, len) = (8, 24);
+    let adam = AdamConfig::default();
+    let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+    let cases = [
+        (RetryPolicy::default(), FaultConfig::none(3)),
+        (RetryPolicy::none(), FaultConfig::none(3)),
+        (RetryPolicy::none(), FaultConfig::permanent(3, 1.0)),
+    ];
+    for (retry, faults) in cases {
+        let faults = faults
+            .with_latency_spikes(1.0, Duration::from_millis(300))
+            .with_ops(FaultOps::WritesOnly);
+        let case = format!("{retry:?}, {faults:?}");
+        let mut reference = states(n, len);
+        let clean = [SharedTier::new(
+            Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>,
+            1.0,
+        )];
+        let mut want = MlpFuncEngine::new(cfg.clone(), adam, &clean, 0, states(n, len)).unwrap();
+        let inject = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>,
+            faults,
+        ));
+        inject.set_armed(false);
+        let stalling = [
+            SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 1.0).with_aio(AioConfig {
+                deadline: Some(Duration::from_millis(50)),
+                retry,
+                ..AioConfig::deterministic()
+            }),
+        ];
+        let mut engine =
+            MlpFuncEngine::new(cfg.clone(), adam, &stalling, 0, states(n, len)).unwrap();
+        let mut step = |engine: &mut MlpFuncEngine, want: &mut MlpFuncEngine| {
+            let g = grads(n, len);
+            for (st, g) in reference.iter_mut().zip(&g) {
+                st.apply_update_fp16(&adam, g, 1.0);
+            }
+            engine.accumulate_gradients(&g);
+            want.accumulate_gradients(&g);
+            want.update().unwrap()
+        };
+
+        step(&mut engine, &mut want);
+        engine.update().unwrap();
+
+        let w = step(&mut engine, &mut want);
+        inject.set_armed(true);
+        let err = engine.update().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{case}: {err}");
+        assert!(engine.update_in_progress());
+        // Two workers take at least 900 ms for the five stalled writes, so
+        // straight away some are still running: the re-drive refuses,
+        // typed, and asks again next time.
+        let err = engine.update().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{case}: {err}");
+        assert!(err.to_string().contains("still running"), "{case}: {err}");
+        // The abandoned writes settle meanwhile.
+        std::thread::sleep(Duration::from_millis(1500));
+        inject.set_armed(false);
+
+        let o = engine.update().unwrap();
+        assert_eq!(o.fp16_params, w.fp16_params, "{case}: re-drive diverged");
+        let got = engine.master_params().unwrap();
+        for (idx, (g, r)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(g, &r.params, "{case}: subgroup {idx} diverged");
+        }
+        assert_eq!(got, want.master_params().unwrap());
+    }
 }
