@@ -54,14 +54,16 @@ impl<T> CompletionSlot<T> {
         }
     }
 
-    /// The producer's one publication. It answers the waiter unless an
+    /// The producer's one publication. It answers the waiter, running
+    /// `on_win` first, as [`CompletionSlot::publish_early`] does, unless an
     /// early answer came first; then it is kept as the late settlement
     /// ([`CompletionSlot::take_late`]). Returns whether it answered.
     // lint:hot-root — completion hand-off, runs on every worker thread
-    pub fn publish(&self, value: T) -> bool {
+    pub fn publish(&self, value: T, on_win: impl FnOnce()) -> bool {
         let mut guard = self.slot.lock();
         match &mut *guard {
             Slot::Open => {
+                on_win();
                 *guard = Slot::Answered {
                     answer: Some(value),
                     early: false,
@@ -165,7 +167,7 @@ mod tests {
     fn publish_then_take() {
         let slot = CompletionSlot::new();
         assert!(!slot.is_set());
-        assert!(slot.publish(7));
+        assert!(slot.publish(7, || {}));
         assert!(slot.is_set());
         assert_eq!(slot.take_blocking(), Some(7));
         assert!(!slot.is_set());
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn first_publication_wins() {
         let slot = CompletionSlot::new();
-        assert!(slot.publish(1));
+        assert!(slot.publish(1, || {}));
         assert!(!slot.publish_early(2, || panic!("a losing early answer ran on_win")));
         assert_eq!(slot.take_blocking(), Some(1));
         assert!(!slot.answered_early());
@@ -195,7 +197,10 @@ mod tests {
         assert_eq!(slot.take_blocking(), Some(1));
         assert!(slot.answered_early());
         assert_eq!(slot.take_late(), None, "nothing landed yet");
-        assert!(!slot.publish(2), "slot re-armed after consume");
+        assert!(
+            !slot.publish(2, || panic!("a late publication ran on_win")),
+            "slot re-armed after consume"
+        );
         assert!(!slot.is_set());
         assert_eq!(slot.take_late(), Some(2));
         assert_eq!(slot.take_late(), None, "the settlement is handed out once");
@@ -207,7 +212,7 @@ mod tests {
         let s2 = Arc::clone(&slot);
         let waiter = std::thread::spawn(move || s2.take_blocking());
         std::thread::sleep(std::time::Duration::from_millis(10));
-        assert!(slot.publish(42));
+        assert!(slot.publish(42, || {}));
         assert_eq!(waiter.join().unwrap(), Some(42));
     }
 }

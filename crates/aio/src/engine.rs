@@ -601,12 +601,11 @@ impl EngineShared {
             }
             self.trace.complete_span(phase, attrs, span_start, end_ns);
         }
-        // The deadline watchdog may have answered the op already: this
-        // late outcome is then counted and kept as its late settlement,
-        // and leaves `inflight` alone (the answer took the op off it).
-        if state.publish(result) {
-            self.stats.inflight.sub(1);
-        } else {
+        // Answering takes the op off `inflight` before its waiter can
+        // wake. The deadline watchdog may have answered the op already:
+        // this late outcome is then counted and kept as its late
+        // settlement, and leaves `inflight` alone.
+        if !state.publish(result, || self.stats.inflight.sub(1)) {
             self.stats.late_completions.inc();
         }
     }
@@ -628,13 +627,12 @@ impl EngineShared {
         let counted = || {
             self.stats.timeouts.inc();
             self.stats.errors.inc();
+            self.stats.inflight.sub(1);
             if let Some(health) = &self.health {
                 health.record_failure(&io::ErrorKind::TimedOut.into());
             }
         };
-        if state.publish_early(Err((err, None)), counted) {
-            self.stats.inflight.sub(1);
-        }
+        state.publish_early(Err((err, None)), counted);
     }
 
     /// Poisons an op no worker will run: none is running (none could be
@@ -647,9 +645,8 @@ impl EngineShared {
             self.backend.name(),
             op.key
         ));
-        if op.state.publish(Err((e, None))) {
-            self.stats.inflight.sub(1);
-        }
+        op.state
+            .publish(Err((e, None)), || self.stats.inflight.sub(1));
     }
 }
 

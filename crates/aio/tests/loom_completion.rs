@@ -22,7 +22,7 @@ fn publish_and_take_terminate_under_all_schedules() {
         let slot = Arc::new(CompletionSlot::new());
         let s = Arc::clone(&slot);
         let worker = thread::spawn(move || {
-            s.publish(42u32);
+            s.publish(42u32, || {});
         });
         assert_eq!(slot.take_blocking(), Some(42));
         let _ = worker.join();
@@ -41,7 +41,7 @@ fn stuck_waiter_bug_is_detected_when_publish_is_skipped() {
         thread::spawn(move || {
             let backend_panicked = true; // injected fault
             if !backend_panicked {
-                s.publish(Ok(()));
+                s.publish(Ok(()), || {});
             }
             // BUG (intentional): no poison publication on the unwind path.
         });
@@ -60,9 +60,9 @@ fn poisoned_publish_unsticks_the_waiter() {
         thread::spawn(move || {
             let backend_panicked = true; // injected fault
             if backend_panicked {
-                s.publish(Err("worker panicked".into()));
+                s.publish(Err("worker panicked".into()), || {});
             } else {
-                s.publish(Ok(()));
+                s.publish(Ok(()), || {});
             }
         });
         assert!(slot.take_blocking().is_some_and(|r| r.is_err()));
@@ -93,7 +93,7 @@ fn an_early_answer_and_a_late_failed_write_hand_the_frame_back_once() {
         let drops = Arc::new(AtomicUsize::new(0));
         let slot = Arc::new(CompletionSlot::<Settlement>::new());
         let (s, frame) = (Arc::clone(&slot), Frame(Arc::clone(&drops)));
-        let worker = thread::spawn(move || s.publish(Err(("write failed", Some(frame)))));
+        let worker = thread::spawn(move || s.publish(Err(("write failed", Some(frame))), || {}));
         let s = Arc::clone(&slot);
         let watchdog = thread::spawn(move || s.publish_early(Err(("timed out", None)), || {}));
 
@@ -121,5 +121,33 @@ fn an_early_answer_and_a_late_failed_write_hand_the_frame_back_once() {
         drop(frames);
         drop(slot);
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    });
+}
+
+#[test]
+fn the_answers_callback_runs_before_the_waiter_wakes() {
+    // The engine takes an op off its `inflight` gauge in the answering
+    // publication's callback. Whether the worker or the watchdog answers,
+    // a waiter whose wait returned must find the op already off the
+    // gauge, and the losing publication must not take it off again.
+    mlp_sync::model::model(|| {
+        let inflight = Arc::new(AtomicUsize::new(1));
+        let slot = Arc::new(CompletionSlot::<u32>::new());
+        let off = |n: &Arc<AtomicUsize>| {
+            let n = Arc::clone(n);
+            move || {
+                n.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        let (s, answered) = (Arc::clone(&slot), off(&inflight));
+        let worker = thread::spawn(move || s.publish(1, answered));
+        let (s, answered) = (Arc::clone(&slot), off(&inflight));
+        let watchdog = thread::spawn(move || s.publish_early(2, answered));
+
+        assert!(slot.take_blocking().is_some());
+        assert_eq!(inflight.load(Ordering::SeqCst), 0, "woke before the callback");
+        let _ = worker.join();
+        let _ = watchdog.join();
+        assert_eq!(inflight.load(Ordering::SeqCst), 0, "taken off twice");
     });
 }

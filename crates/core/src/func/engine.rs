@@ -336,9 +336,18 @@ pub struct MlpFuncEngine {
 }
 
 impl MlpFuncEngine {
-    /// Creates the engine and offloads the initial optimizer state across
-    /// the tiers per Eq. 1 (retaining nothing: the cache warms up during
-    /// training, as in the paper's cold start).
+    /// Creates the engine born in its steady state: the initial optimizer
+    /// state starts where the first pass wants it. The head of the first
+    /// iteration's order, up to the resting budget
+    /// ([`rest_frames`](crate::policy::cache::FramePlan::rest_frames)),
+    /// rests in pooled host frames, as the last-updated subgroups of a
+    /// previous pass would (§3.2), so the first pass opens with those
+    /// hits. Every other subgroup is offloaded to the tier Eq. 1 places it
+    /// on. With retention off (ZeRO-3) everything is offloaded.
+    ///
+    /// Rejects with `InvalidInput` an empty tier list, a `tier_ratio`
+    /// whose length differs from it, and a tier with no I/O workers (its
+    /// first write would fail).
     pub fn new(
         cfg: EngineConfig,
         adam: AdamConfig,
@@ -346,12 +355,40 @@ impl MlpFuncEngine {
         worker_id: usize,
         initial: Vec<SubgroupState>,
     ) -> io::Result<Self> {
-        // Both the tier list and the ratio come from user configuration
-        // (`EngineConfig::from_deepspeed_json`): reject, don't panic.
+        Self::starting_at(cfg, adam, shared_tiers, worker_id, initial, 0)
+    }
+
+    /// [`MlpFuncEngine::new`] for a run that has completed `iterations`
+    /// update phases: the born residents are the head of the next one's
+    /// order.
+    fn starting_at(
+        cfg: EngineConfig,
+        adam: AdamConfig,
+        shared_tiers: &[SharedTier],
+        worker_id: usize,
+        initial: Vec<SubgroupState>,
+        iterations: u64,
+    ) -> io::Result<Self> {
+        // The tier list, the ratio and the I/O settings come from user
+        // configuration (`EngineConfig::from_deepspeed_json`): reject,
+        // don't panic.
         if shared_tiers.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "the engine needs at least one storage tier",
+            ));
+        }
+        if let Some((ti, t)) = shared_tiers
+            .iter()
+            .enumerate()
+            .find(|(_, t)| t.aio.workers == 0)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "tier {ti} (backend {}) has no I/O workers",
+                    t.backend.name()
+                ),
             ));
         }
         if let Some(ratio) = cfg
@@ -409,7 +446,9 @@ impl MlpFuncEngine {
         // Residents rest in every frame between update phases: each
         // pass's evictions leave as soon as they are certain, freeing the
         // pipeline's frames before its window needs them.
-        let ledger = SubgroupLedger::new(&cfg, m, weights, ExecutorKind::Pool);
+        let mut ledger = SubgroupLedger::new(&cfg, m, weights, ExecutorKind::Pool);
+        ledger.iterations_done = iterations;
+        let born = ledger.take_born();
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
         let plan = ledger.plan;
 
@@ -464,21 +503,25 @@ impl MlpFuncEngine {
         };
 
         // Initial population (not part of any measured iteration): each
-        // subgroup is serialized straight into a pooled frame and flushed
-        // from it, so staging memory is bounded by the pool and the first
-        // object a memory-class tier holds is already a frame it can
-        // exchange.
+        // subgroup is serialized straight into a pooled frame. The
+        // offloaded ones go first, with the whole pool free for their
+        // writes, each flushed from its frame, so staging memory is bounded
+        // by the pool and the first object a memory-class tier holds is
+        // already a frame it can exchange. The born residents' frames are
+        // taken last and rest.
         let mut inflight: VecDeque<OpHandle> = VecDeque::new();
+        let settle_oldest = |inflight: &mut VecDeque<OpHandle>| {
+            inflight
+                .pop_front()
+                .map_or(Ok(false), |oldest| oldest.wait().map(|_| true))
+        };
         for (idx, state) in initial.iter().enumerate() {
-            // Nothing is retained yet: every slot names a tier.
-            let Place::Tier(tier) = engine.place(idx)? else {
+            // A born resident's slot is lent out until its frame rests.
+            let Some(Place::Tier(tier)) = engine.ledger.place(idx) else {
                 continue;
             };
-            let mut buf = engine.acquire_settling("population write", || {
-                inflight
-                    .pop_front()
-                    .map_or(Ok(false), |oldest| oldest.wait().map(|_| true))
-            })?;
+            let mut buf =
+                engine.acquire_settling("population write", || settle_oldest(&mut inflight))?;
             state.write_to(buf.buffer_mut());
             let _g = engine.tiers[tier].lock.acquire(engine.worker_id);
             inflight.push_back(engine.tiers[tier].engine.submit_write_pooled(
@@ -486,6 +529,13 @@ impl MlpFuncEngine {
                 buf,
                 state.len() * 12,
             ));
+        }
+        for idx in born {
+            let mut buf =
+                engine.acquire_settling("population write", || settle_oldest(&mut inflight))?;
+            initial[idx].write_to(buf.buffer_mut());
+            let n = engine.subgroup_lens[idx];
+            engine.ledger.rest(idx, Resident { buf, n });
         }
         for h in inflight {
             h.wait()?;
@@ -1516,9 +1566,9 @@ impl MlpFuncEngine {
             };
             states.push(SubgroupState::from_bytes(&bytes, manifest.step)?);
         }
-        let mut engine = MlpFuncEngine::new(cfg, adam, shared_tiers, worker_id, states)?;
+        let mut engine =
+            MlpFuncEngine::starting_at(cfg, adam, shared_tiers, worker_id, states, manifest.iter)?;
         engine.step = manifest.step;
-        engine.ledger.iterations_done = manifest.iter;
         Ok(engine)
     }
 
@@ -1712,7 +1762,8 @@ mod tests {
     #[test]
     fn cache_hits_appear_from_second_iteration() {
         let adam = AdamConfig::default();
-        // Subgroups rest in all 5 host frames between update phases.
+        // Subgroups rest in all 5 host frames between update phases; the
+        // engine is born with the first order's head resting in them.
         let mut engine = MlpFuncEngine::new(
             EngineConfig::mlp_offload().with_host_frames(5),
             adam,
@@ -1723,11 +1774,64 @@ mod tests {
         .unwrap();
         engine.accumulate_gradients(&grads_for(8, 8, 0.0));
         let o0 = engine.update().unwrap();
-        assert_eq!(o0.cache_hits, 0);
+        assert_eq!((o0.cache_hits, o0.fetches), (5, 3), "born residents");
         engine.accumulate_gradients(&grads_for(8, 8, 1.0));
         let o1 = engine.update().unwrap();
         assert_eq!(o1.cache_hits, 5, "retained tail reused after order flip");
         assert_eq!(o1.fetches, 3);
+    }
+
+    /// The engine is born in its steady state: construction writes only
+    /// the `m − r` subgroups its `r` resting frames do not hold, so the
+    /// first pass already moves what every later one does, and the bits
+    /// are those of a never-offloaded run. A shard that fits its frames
+    /// writes nothing; ZeRO-3, which retains nothing, writes everything.
+    #[test]
+    fn construction_offloads_only_what_the_frames_do_not_hold() {
+        const LEN: usize = 16;
+        let adam = AdamConfig::default();
+        for (cfg, m, r) in [
+            (EngineConfig::mlp_offload().with_host_frames(5), 12, 5),
+            (EngineConfig::mlp_offload().with_host_frames(12), 9, 9),
+            (EngineConfig::deepspeed_zero3(), 12, 0),
+        ] {
+            let mems: Vec<Arc<MemBackend>> = (0..2)
+                .map(|i| Arc::new(MemBackend::new(format!("mem{i}"))))
+                .collect();
+            let shared: Vec<SharedTier> = mems
+                .iter()
+                .map(|b| SharedTier::new(Arc::clone(b) as Arc<dyn Backend>, 1.0))
+                .collect();
+            let what = format!("m={m} r={r}");
+            let mut engine =
+                MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(m, LEN)).unwrap();
+            let stored: usize = mems.iter().map(|b| b.object_count()).sum();
+            assert_eq!(stored, m - r, "{what}: objects written at construction");
+            for b in &mems {
+                let t = b.touches();
+                assert_eq!((t.read_copied_bytes, t.exchanged_frames), (0, 0), "{what}");
+            }
+            let written: u64 = mems.iter().map(|b| b.touches().write_copied_bytes).sum();
+            assert_eq!(written, ((m - r) * LEN * 12) as u64, "{what}: bytes written");
+            assert_eq!(engine.resident_count(), r, "{what}");
+
+            let mut reference = init_states(m, LEN);
+            let mut steps = Vec::new();
+            for it in 0..2 {
+                let grads = grads_for(m, LEN, it as f32);
+                reference_update(&mut reference, &adam, &grads);
+                engine.accumulate_gradients(&grads);
+                engine.flush_gradients().unwrap();
+                let o = engine.update().unwrap();
+                steps.push((o.cache_hits, o.fetches, o.flushes));
+            }
+            assert_eq!(steps[0], (r, m - r, m - r), "{what}: the first pass");
+            assert_eq!(steps[1], steps[0], "{what}: the second pass");
+            let got = engine.master_params().unwrap();
+            for (idx, (g, want)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g, &want.params, "{what}: subgroup {idx} diverged");
+            }
+        }
     }
 
     #[test]
@@ -1739,7 +1843,8 @@ mod tests {
         // thrash, 0 hits), exactly as the virtual-time engine does at
         // `MIN_PIPELINE_FRAMES` of lookahead. Subgroups rest in every host
         // frame, so the budget is `frames`, and `m = frames + 3` is the
-        // deepest scan the closed form still covers.
+        // deepest scan the closed form still covers. The first pass hits
+        // the head its engine was born with, in every order.
         for order in [
             OrderPolicy::Ascending,
             OrderPolicy::Alternating,
@@ -1754,9 +1859,12 @@ mod tests {
                 for iter in 0..4u64 {
                     engine.accumulate_gradients(&grads_for(m, 8, iter as f32));
                     let outcome = engine.update().unwrap();
+                    let hits = match iter {
+                        0 => frames.min(m),
+                        _ => order.expected_hits(iter, m, frames),
+                    };
                     assert_eq!(
-                        outcome.cache_hits,
-                        order.expected_hits(iter, m, frames),
+                        outcome.cache_hits, hits,
                         "{order:?} m={m} frames={frames} iter={iter}"
                     );
                     assert_eq!(outcome.cache_hits + outcome.fetches, m);
@@ -2600,15 +2708,17 @@ mod tests {
         let health = TierHealth::new("only", HealthConfig::hair_trigger());
         let tier = SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 1.0)
             .with_health(Arc::clone(&health));
+        // Three of six subgroups are born resting (the pipeline's minimum
+        // of frames); the other three live on the tier.
         let mut engine = MlpFuncEngine::new(
             EngineConfig::mlp_offload().with_host_frames(2),
             adam,
             &[tier],
             0,
-            init_states(3, 8),
+            init_states(6, 8),
         )
         .unwrap();
-        engine.accumulate_gradients(&grads_for(3, 8, 0.0));
+        engine.accumulate_gradients(&grads_for(6, 8, 0.0));
         inject.set_armed(true);
         // The iteration fails on the dead tier and the breaker latches.
         assert!(engine.update().is_err());
@@ -2835,7 +2945,8 @@ mod tests {
             init_states(10, 4),
         )
         .unwrap();
-        assert_eq!(engine.tier_distribution().host_bytes, 0);
+        // 7 born resting × 4 params × 12 B, then 7 retained.
+        assert_eq!(engine.tier_distribution().host_bytes, 7 * 4 * 12);
         engine.accumulate_gradients(&grads_for(10, 4, 0.0));
         engine.update().unwrap();
         let dist = engine.tier_distribution();

@@ -17,6 +17,14 @@
 //! frame and leave as soon as their eviction is certain, so the frames
 //! leave the resting set exactly while the update pipeline needs them.
 //!
+//! The kind also says how an executor starts. The virtual-time engine
+//! starts cold: everything is placed on the tiers and its cache warms up
+//! during training. The functional engine is born in its steady state:
+//! the head of its starting iteration's order, up to `rest_frames`
+//! subgroups, begins in host frames instead of being offloaded and read
+//! back ([`SubgroupLedger::take_born`](crate::policy::ledger::SubgroupLedger::take_born)),
+//! as the last-updated subgroups of a previous alternating pass would.
+//!
 //! The minimum is the *floor* of the prefetch window, not its depth, and
 //! the lookahead every pass is planned at
 //! ([`plan_pass`](crate::policy::ledger::plan_pass)). The virtual-time
@@ -33,10 +41,13 @@ pub const MIN_PIPELINE_FRAMES: usize = 3;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutorKind {
     /// Frame permits (the virtual-time engine): residents rest beyond the
-    /// pipeline's frames and leave at the update that overflows them.
+    /// pipeline's frames and leave at the update that overflows them. It
+    /// starts cold.
     Lazy,
     /// A staging pool (the functional engine): residents rest in every
-    /// frame and leave as soon as their eviction is certain.
+    /// frame and leave as soon as their eviction is certain. It is born
+    /// with the head of its starting iteration's order resting, up to the
+    /// resting budget, rather than cold.
     Pool,
 }
 

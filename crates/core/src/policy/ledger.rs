@@ -225,8 +225,9 @@ pub struct SubgroupLedger<F> {
     /// The closed-loop §3.3 planner: feed it transfer observations,
     /// exclude quarantined tiers, read its estimates and counters.
     pub planner: AdaptivePlanner,
-    /// Completed iterations; a checkpoint restore sets it so the
-    /// alternating order continues in the checkpointed run's direction.
+    /// Completed iterations; a checkpoint restore sets it, before taking
+    /// the born residents, so the alternating order continues in the
+    /// checkpointed run's direction.
     pub iterations_done: u64,
     order_policy: OrderPolicy,
     /// Pinned flush split; `None` follows the planner's estimates.
@@ -239,13 +240,18 @@ pub struct SubgroupLedger<F> {
 }
 
 impl<F> SubgroupLedger<F> {
-    /// Places `m` subgroups across the tiers per Eq. 1 (nothing is
-    /// retained: the cache warms up during training) and starts the
+    /// Places `m` subgroups across the tiers per Eq. 1 and starts the
     /// planner from `bandwidths`. The executor states its `kind`: what
     /// its host frames are, from which the plan derives the one resting
     /// budget, and when its evictions fall due. A configured `tier_ratio`
     /// overrides the bandwidths for the initial placement and every flush
     /// split; its length is the caller's to validate.
+    ///
+    /// Nothing rests yet. A lazy executor starts cold: its cache warms up
+    /// during training. A pool executor is born in its steady state: it
+    /// takes the head of the starting iteration's order out of the
+    /// placement with [`SubgroupLedger::take_born`] and rests it in host
+    /// frames instead of offloading it.
     pub fn new(cfg: &EngineConfig, m: usize, bandwidths: Vec<f64>, kind: ExecutorKind) -> Self {
         let assignment = assign_subgroups(m, cfg.tier_ratio.as_deref().unwrap_or(&bandwidths));
         let mut planner = AdaptivePlanner::new(bandwidths, cfg.max_migrations_per_iter);
@@ -296,6 +302,34 @@ impl<F> SubgroupLedger<F> {
             self.plan.pipeline_frames,
             &flush_targets,
         )
+    }
+
+    /// The subgroups a pool executor is born with resting: the head of
+    /// the current iteration's order, up to the resting budget, taken out
+    /// of the Eq. 1 placement. Each slot is lent out, as a hit's is,
+    /// until the executor [`SubgroupLedger::rest`]s the subgroup's first
+    /// frame; the executor writes only the others to their tiers. They
+    /// come in the order to rest them, the head's last position first, as
+    /// the previous alternating pass leaves them. Empty for a lazy
+    /// executor and with retention off. Called once, before the first
+    /// pass: only subgroups still placed on a tier are taken.
+    pub fn take_born(&mut self) -> Vec<usize> {
+        if self.kind != ExecutorKind::Pool {
+            return Vec::new();
+        }
+        let mut head = self
+            .order_policy
+            .order(self.iterations_done, self.slots.len());
+        head.truncate(self.plan.rest_frames);
+        head.retain(|&s| match self.slots.get_mut(s) {
+            Some(slot @ Slot::Tier(_)) => {
+                *slot = Slot::Lent;
+                true
+            }
+            _ => false,
+        });
+        head.reverse();
+        head
     }
 
     /// Takes resting subgroup `idx`'s frame, leaving `into` in its slot.
@@ -559,6 +593,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A pool executor is born with the head of its starting iteration's
+    /// order resting, in the order the previous alternating pass would
+    /// have left it; its first pass hits all of it. A lazy executor and a
+    /// ledger without retention start cold.
+    #[test]
+    fn a_pool_ledger_is_born_with_the_head_of_its_first_order() {
+        let m = 8;
+        for (kind, iterations, retention, want) in [
+            (ExecutorKind::Pool, 0, true, vec![4, 3, 2, 1, 0]),
+            (ExecutorKind::Pool, 1, true, vec![3, 4, 5, 6, 7]),
+            (ExecutorKind::Lazy, 0, true, vec![]),
+            (ExecutorKind::Pool, 0, false, vec![]),
+        ] {
+            let mut cfg = EngineConfig::mlp_offload().with_host_frames(5);
+            cfg.cache_retention = retention;
+            let mut l: SubgroupLedger<usize> = SubgroupLedger::new(&cfg, m, vec![1.0], kind);
+            l.iterations_done = iterations;
+            let what = format!("{kind:?} after {iterations} iterations, retention {retention}");
+            let born = l.take_born();
+            assert_eq!(born, want, "{what}");
+            for &s in &born {
+                assert!(l.place(s).is_none(), "{what}: {s} is lent until it rests");
+                l.rest(s, s);
+            }
+            assert_eq!(l.take_born(), Vec::<usize>::new(), "{what}: born twice");
+            let plan = l.begin_iteration();
+            let first: Vec<usize> = plan.loads().take(born.len()).map(|(s, _)| s).collect();
+            assert_eq!(hits(&plan), born.len(), "{what}");
+            assert_eq!(first, born.iter().rev().copied().collect::<Vec<_>>(), "{what}");
+            execute(&mut l, &plan, true);
         }
     }
 

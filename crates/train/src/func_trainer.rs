@@ -303,6 +303,9 @@ mod tests {
             // Should a fault still surface past the op-level retries, the
             // trainer re-drives the phase instead of aborting the run.
             iteration_retries: 64,
+            // 16 subgroups: 8 rest in the host frames, and every iteration
+            // moves the other 8 through the faulty tiers.
+            subgroup_len: 4,
             ..Default::default()
         };
         let task = RegressionTask::new(64, 48, 9);

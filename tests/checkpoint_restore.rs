@@ -303,6 +303,49 @@ fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
     assert!(m.counter("ckpt.prestaged_bytes").unwrap_or(0) > 0);
 }
 
+/// A checkpoint taken after an odd number of iterations restores into an
+/// engine born with the head of the *descending* order resting, the order
+/// its next pass runs in: that pass opens with every resting frame a hit,
+/// as the uninterrupted twin's does, and both land on the same bits.
+#[test]
+fn an_odd_iteration_restore_rests_the_head_of_the_descending_order() {
+    let shared = tiers();
+    let mut pipe = pipeline();
+    // Three frames for six subgroups: the ascending head (0, 1, 2) would
+    // be evicted before the descending pass reaches it.
+    let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+    let pass = |engine: &mut MlpFuncEngine, seed| {
+        engine.accumulate_gradients(&grads(seed));
+        let o = engine.update().unwrap();
+        (o.cache_hits, o.fetches, o.flushes, o.fp16_params)
+    };
+
+    let mut straight =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &tiers(), 0, states()).unwrap();
+    let mut first =
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    for it in 0..3 {
+        step(&mut straight, it);
+        step(&mut first, it);
+    }
+    pipe.checkpoint(&first, "odd").unwrap();
+    drop(first);
+    let mut resumed = pipe
+        .restore(cfg, AdamConfig::default(), &shared, 0, "odd")
+        .unwrap();
+    assert_eq!(resumed.iterations_done(), 3);
+    assert_eq!(resumed.resident_count(), 3);
+
+    let want = pass(&mut straight, 3);
+    let got = pass(&mut resumed, 3);
+    assert_eq!((got.0, got.1, got.2), (3, SUBGROUPS - 3, SUBGROUPS - 3));
+    assert_eq!(got, want, "the first restored pass");
+    assert_eq!(
+        resumed.master_params().unwrap(),
+        straight.master_params().unwrap()
+    );
+}
+
 #[test]
 fn restore_fails_cleanly_on_missing_checkpoint() {
     let err = pipeline()
@@ -323,20 +366,21 @@ fn torn_state_objects_surface_typed_errors_not_panics() {
     let cfg = EngineConfig::mlp_offload();
 
     // A durable tier copy one whole record short: a multiple of 12, but not
-    // this subgroup's length. A cold engine retains nothing, so every
-    // subgroup is read from its tier.
+    // this subgroup's length. A new engine rests the head of its first
+    // order, so the last subgroup is read from its tier.
     let shared = tiers();
-    let cold =
+    let fresh =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
+    let last = format!("w0/sub{}", SUBGROUPS - 1);
     let tier = shared
         .iter()
-        .find(|t| t.backend.contains("w0/sub0"))
-        .expect("subgroup 0 is offloaded");
-    let bytes = tier.backend.read("w0/sub0").unwrap();
+        .find(|t| t.backend.contains(&last))
+        .expect("the last subgroup is offloaded");
+    let bytes = tier.backend.read(&last).unwrap();
     tier.backend
-        .write("w0/sub0", &bytes[..bytes.len() - 12])
+        .write(&last, &bytes[..bytes.len() - 12])
         .unwrap();
-    let err = cold
+    let err = fresh
         .master_params()
         .expect_err("a short copy must not shrink the subgroup");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");

@@ -311,12 +311,16 @@ fn loads(plan: &PassPlan) -> Vec<(usize, Option<usize>)> {
 /// in the same order — the functional engine's none later than the
 /// simulator's — and each does what its plan counts: cache hits,
 /// fetches, flushes, and the gradient bytes through storage; they leave
-/// every subgroup in the same place (host share and each tier's share),
-/// from the cold start on. The functional engine's subgroups rest in all
-/// `h` of its host frames, the simulator's beyond its pipeline's, so the
-/// same budget is `h` frames for one and `h + MIN_PIPELINE_FRAMES` for
-/// the other. The split is pinned: the functional engine's adaptive
-/// estimates are wall-clock.
+/// every subgroup in the same place (host share and each tier's share)
+/// after every pass. The functional engine's subgroups rest in all `h` of
+/// its host frames, the simulator's beyond its pipeline's, so the same
+/// budget is `h` frames for one and `h + MIN_PIPELINE_FRAMES` for the
+/// other. The functional engine is born with the head of the first order
+/// resting in those frames and the simulator cold, so in the first pass
+/// the born head's loads are hits on one side and fetches on the other,
+/// and its gradients never go through storage; every other step is the
+/// same. The split is pinned: the functional engine's adaptive estimates
+/// are wall-clock.
 #[test]
 fn functional_and_simulated_engines_count_the_same_steps() {
     for (stage, h) in AblationStage::ladder()
@@ -376,7 +380,15 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                 });
                 let got = iterate(&mut func, grads);
                 let (early, late) = (func.pass_plan(), &simulated.pass_plan());
-                assert_eq!(loads(early), loads(late), "{what}: loads");
+                let born = match it {
+                    0 if stage.config().cache_retention => h.min(SUBGROUPS),
+                    _ => 0,
+                };
+                let mut want = loads(late);
+                for load in &mut want[..born] {
+                    load.1 = None;
+                }
+                assert_eq!(loads(early), want, "{what}: loads");
                 let sequence = |plan: &PassPlan| plan.evictions().collect::<Vec<_>>();
                 assert_eq!(sequence(early), sequence(late), "{what}: evictions");
                 for (f, s) in evictions(early).iter().zip(&evictions(late)) {
@@ -398,10 +410,12 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                     "{what}: the simulator's steps"
                 );
                 // The simulator reports the flushed gradient bytes; the
-                // same bytes are fetched back during the update.
+                // same bytes are fetched back during the update. The born
+                // residents' gradients stay in host memory.
+                let offloaded = backward.grad_bytes_offloaded;
                 assert_eq!(
                     got.3,
-                    2 * backward.grad_bytes_offloaded,
+                    2 * (offloaded - offloaded / SUBGROUPS as u64 * born as u64),
                     "{what}: gradient bytes"
                 );
                 assert_eq!(

@@ -262,8 +262,8 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
     // The tier-map template above over real files: tier "a" is a
     // directory, tier "b" injects 20% seeded transient faults. A
     // multi-iteration run must stay bit-identical to the fault-free
-    // in-memory twin. Five of six subgroups rest in the host frames, so
-    // every iteration still fetches and flushes one.
+    // in-memory twin. Five of twelve subgroups rest in the host frames, so
+    // every iteration fetches and flushes seven.
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(5);
 
@@ -272,10 +272,10 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
         SharedTier::new(Arc::new(MemBackend::new("b")) as Arc<dyn Backend>, 1.0),
     ];
     let mut want =
-        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(6, 16)).unwrap();
+        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(12, 16)).unwrap();
     let mut want_out = Vec::new();
     for _ in 0..3 {
-        want.accumulate_gradients(&grads(6, 16));
+        want.accumulate_gradients(&grads(12, 16));
         want_out.push(want.update().unwrap().fp16_params);
     }
     let want_master = want.master_params().unwrap();
@@ -302,9 +302,9 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
         }),
     ];
     let mut engine =
-        MlpFuncEngine::new(cfg.clone(), adam, &faulty_tiers, 0, states(6, 16)).unwrap();
+        MlpFuncEngine::new(cfg.clone(), adam, &faulty_tiers, 0, states(12, 16)).unwrap();
     for (it, want_params) in want_out.iter().enumerate() {
-        engine.accumulate_gradients(&grads(6, 16));
+        engine.accumulate_gradients(&grads(12, 16));
         let o = engine.update().unwrap();
         assert_eq!(&o.fp16_params, want_params, "iteration {it} diverged");
     }
