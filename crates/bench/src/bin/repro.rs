@@ -7,7 +7,9 @@
 //!   tables      Tables 1 and 2
 //!   motivation  §3.1 20B offload-target comparison
 //!   fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
+//!   model_scaling weak_scaling   Figs. 7–10 and Figs. 11–12, by section id
 //!   sensitivity subgroup-size and cache-budget sweeps
+//!   sensitivity_subgroup sensitivity_cache   one sweep each
 //!   checkpoint  §3.3 checkpoint pre-staging
 //!   cost        §4.4 cost-effectiveness comparison
 //!   cxl         §5 future-work CXL extension
@@ -19,10 +21,10 @@
 //!
 //! `--json` prints, instead of ASCII tables, one document
 //! `{"sections": [{"id", "title", "rows"}]}` holding the selected
-//! experiments' rows, floats at six decimals. A section id
-//! (`model_scaling` for Figs. 7–10, `weak_scaling` for Figs. 11–12,
-//! `sensitivity_subgroup`, `sensitivity_cache`) is a subcommand too.
-//! `repro all --json` is `BENCH_paper.json` byte for byte; CI diffs them.
+//! experiments' rows, floats at six decimals; `repro all --json` is
+//! `BENCH_paper.json` byte for byte, and CI diffs them. Tables 1 and 2 have
+//! no JSON form: `repro tables --json` exits 2, as an unknown subcommand
+//! does, whose message lists every accepted one.
 //!
 //! `--trace <out.json>` runs the 40B Fig. 5 scenario with tracing enabled
 //! for both approaches and writes a merged Chrome trace (see
@@ -34,7 +36,7 @@
 #![forbid(unsafe_code)]
 
 use mlp_bench::timeline::{export_timeline_trace_every, render_timeline};
-use mlp_bench::{document, render_tables, run_experiments};
+use mlp_bench::{document, render_tables, run_experiments, subcommands};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,16 +84,23 @@ fn main() {
     }
     let cmd = explicit_cmd.unwrap_or_else(|| "all".to_string());
 
+    if cmd == "tables" && json {
+        eprintln!("Tables 1 and 2 have no JSON form; `--json` takes an experiment or `all`");
+        std::process::exit(2);
+    }
     let tables = cmd == "all" || cmd == "tables";
     if tables && !json {
-        render_tables();
+        print!("{}", render_tables());
     }
-    let sections = run_experiments(&cmd, !json);
+    let sections = run_experiments(&cmd, |table| {
+        if !json {
+            print!("{table}");
+        }
+    });
     if sections.is_empty() && !tables {
         eprintln!(
-            "unknown subcommand {cmd:?}; expected one of: tables motivation fig3 fig4 fig5 \
-             fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 sensitivity checkpoint cost cxl \
-             adaptive_replan degradation checkpoint_pipeline all"
+            "unknown subcommand {cmd:?}; expected one of: {}",
+            subcommands().join(" ")
         );
         std::process::exit(2);
     }

@@ -2,19 +2,22 @@
 #![deny(unsafe_code)]
 
 //! The reproduction harness: which experiments `repro` runs
-//! ([`run_experiments`]), how their rows print as the paper's tables and
-//! figure captions report them, how they become the one results document
+//! ([`run_experiments`]) and which subcommands select them
+//! ([`subcommands`]), how their rows print as the paper's tables and figure
+//! captions report them, how they become the one results document
 //! committed as `BENCH_paper.json` ([`document`]), and the traced Fig. 5
 //! timeline export ([`timeline`]).
+//!
+//! A printed table is data: a title and a list of columns over its
+//! section's rows, each a header, a row field as `json_rows!` in
+//! `mlp_train::experiments` names it, and a format. One printer serves every
+//! table, and a row becomes a `Value` once, for its tables and the document.
 
 pub mod timeline;
 
+use mlp_storage::TierSpec;
 use mlp_trace::json::Value;
-use mlp_train::experiments::{
-    self as exp, AblationRow, CacheSweepRow, CheckpointPipelineRow, CheckpointRow, CostRow, CxlRow,
-    DegradationRow, Fig13Row, Fig3Row, Fig4Row, Fig5Point, MotivationRow, ReplanRow, ScalingRow,
-    SubgroupSizeRow, WeakScalingRow,
-};
+use mlp_train::{experiments as exp, Testbed};
 
 /// `x` rounded to `decimals` places, as the committed files store their
 /// numbers.
@@ -49,180 +52,478 @@ pub fn document(sections: Vec<Value>) -> Value {
     Value::obj([("sections", Value::Arr(sections))])
 }
 
-/// The subcommand that prints a table, and the printer, over rows of `R`.
-type Table<R> = (&'static str, fn(&[R]));
-
-/// The experiments one `repro` subcommand selects, run in document order.
-struct Selection<'a> {
-    cmd: &'a str,
-    print_tables: bool,
-    sections: Vec<Value>,
+/// How a column prints its row field.
+#[derive(Clone, Copy, Debug)]
+enum Format {
+    /// Text or an integer, as stored.
+    Plain,
+    /// One decimal.
+    Dec1,
+    /// Two decimals.
+    Dec2,
+    /// A fraction as a whole percent.
+    Percent,
+    /// A fraction as a signed percent with one decimal.
+    SignedPercent,
+    /// Billions (÷ 1e9) with one decimal.
+    Billions,
 }
 
-impl Selection<'_> {
-    /// Runs `rows` when the subcommand is `all`, the section `id` or one of
-    /// the `tables` names; records the section and, when tables are asked
-    /// for, prints those the subcommand names.
-    fn experiment<R>(&mut self, id: &str, title: &str, rows: fn() -> Vec<R>, tables: &[Table<R>])
-    where
-        for<'r> Value: From<&'r R>,
-    {
-        let whole = self.cmd == "all" || self.cmd == id;
-        if !(whole || tables.iter().any(|(name, _)| *name == self.cmd)) {
-            return;
+impl Format {
+    /// The cell for field value `v`: empty for missing text, `NaN` for a missing number.
+    fn cell(self, v: Option<&Value>) -> String {
+        let x = v.and_then(Value::as_f64).unwrap_or(f64::NAN);
+        match self {
+            Format::Plain => match v {
+                Some(Value::Str(s)) => s.clone(),
+                Some(Value::Int(i)) => i.to_string(),
+                _ => String::new(),
+            },
+            Format::Dec1 => format!("{x:.1}"),
+            Format::Dec2 => format!("{x:.2}"),
+            Format::Percent => format!("{:.0}%", x * 100.0),
+            Format::SignedPercent => format!("{:+.1}%", x * 100.0),
+            Format::Billions => format!("{:.1}", x / 1e9),
         }
-        let rows = rows();
-        if self.print_tables {
-            for (name, render) in tables {
-                if whole || *name == self.cmd {
-                    render(&rows);
-                }
-            }
-        }
-        self.sections.push(Value::obj([
-            ("id", id.into()),
-            ("title", title.into()),
-            (
-                "rows",
-                at_document_precision(rows.iter().map(Value::from).collect()),
-            ),
-        ]));
     }
 }
 
-/// Runs the experiments `cmd` selects — `all`, a section id, or a figure
-/// drawn from a section (`fig7` … `fig10`, `fig11`, `fig12`, `sensitivity`)
-/// — and returns their `{id, title, rows}` sections, none when `cmd` names
-/// no experiment. With `print_tables` each one's tables go to stdout as it
-/// finishes.
-pub fn run_experiments(cmd: &str, print_tables: bool) -> Vec<Value> {
-    let mut s = Selection {
-        cmd,
-        print_tables,
-        sections: Vec::new(),
-    };
-    s.experiment(
-        "motivation",
-        "§3.1 motivation: 20B iteration time by offload target",
-        exp::motivation,
-        &[("motivation", render_motivation)],
-    );
-    s.experiment(
-        "fig3",
-        "Fig. 3: update duration, host vs SSD offload",
-        exp::fig3_update_breakdown,
-        &[("fig3", render_fig3)],
-    );
-    s.experiment(
-        "fig4",
-        "Fig. 4: tier throughput under concurrency",
-        exp::fig4_concurrency,
-        &[("fig4", render_fig4)],
-    );
-    s.experiment(
-        "fig5",
-        "Fig. 5: I/O throughput timeline, 40B baseline update on NVMe",
-        exp::fig5_throughput_timeline,
-        &[("fig5", render_fig5)],
-    );
-    s.experiment(
-        "model_scaling",
-        "Figs. 7-10: single-node model-size scaling, Testbed-1",
-        exp::model_scaling,
-        &[
-            ("fig7", render_fig7),
-            ("fig8", render_fig8),
-            ("fig9", render_fig9),
-            ("fig10", render_fig10),
-        ],
-    );
-    s.experiment(
-        "weak_scaling",
-        "Figs. 11-12: weak scaling, Testbed-2",
-        exp::weak_scaling,
-        &[("fig11", render_fig11), ("fig12", render_fig12)],
-    );
-    s.experiment(
-        "fig13",
-        "Fig. 13: gradient accumulation, 40B",
-        exp::fig13_grad_accumulation,
-        &[("fig13", render_fig13)],
-    );
-    s.experiment(
-        "fig14",
-        "Fig. 14: ablation on node-local NVMe only",
-        exp::fig14_ablation_nvme,
-        &[("fig14", |rows| {
-            render_ablation(
-                "Fig. 14: ablation on node-local NVMe only (paper: up to 1.6x)",
-                rows,
-            )
-        })],
-    );
-    s.experiment(
-        "fig15",
-        "Fig. 15: ablation with PFS multi-path",
-        exp::fig15_ablation_pfs,
-        &[("fig15", |rows| {
-            render_ablation(
-                "Fig. 15: ablation with PFS multi-path (paper: 2.5x over DeepSpeed ZeRO-3)",
-                rows,
-            )
-        })],
-    );
-    s.experiment(
-        "sensitivity_subgroup",
-        "§4.1 sensitivity: subgroup size, 40B",
-        exp::subgroup_size_sweep,
-        &[("sensitivity", render_subgroup_sweep)],
-    );
-    s.experiment(
-        "sensitivity_cache",
-        "sensitivity: host-cache budget, 40B MLP-Offload",
-        exp::cache_sweep,
-        &[("sensitivity", render_cache_sweep)],
-    );
-    s.experiment(
-        "checkpoint",
-        "§3.3 checkpoint pre-staging",
-        exp::checkpoint_prestaging,
-        &[("checkpoint", render_checkpoint)],
-    );
-    s.experiment(
-        "cost",
-        "§4.4 cost-effectiveness: 70B on 80 GPUs vs 8 GPUs + offload",
-        exp::cost_effectiveness,
-        &[("cost", render_cost)],
-    );
-    s.experiment(
-        "cxl",
-        "§5 future work: CXL memory pool as an additional I/O path",
-        exp::future_cxl,
-        &[("cxl", render_cxl)],
-    );
-    s.experiment(
-        "adaptive_replan",
-        "§3.3 adaptive re-plan: the PFS collapses mid-run",
-        exp::adaptive_replan,
-        &[("adaptive_replan", render_adaptive_replan)],
-    );
-    s.experiment(
-        "degradation",
-        "graceful degradation: the PFS is quarantined mid-run",
-        exp::degradation,
-        &[("degradation", render_degradation)],
-    );
-    s.experiment(
-        "checkpoint_pipeline",
-        "§3.3 checkpoint pipeline: critical-path cost of per-iteration checkpoints, 40B",
-        exp::checkpoint_pipeline,
-        &[("checkpoint_pipeline", render_checkpoint_pipeline)],
-    );
-    s.sections
+/// A column: its header, the row field it shows, and how.
+type Column = (&'static str, &'static str, Format);
+
+/// A table printed from an experiment's rows.
+struct Table {
+    /// The subcommand that prints this table alone.
+    name: &'static str,
+    title: String,
+    columns: &'static [Column],
+    /// Print about this many rows, evenly spaced; `None` prints them all.
+    sample: Option<usize>,
 }
 
-/// Prints an ASCII table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+/// A table over every row.
+fn table(name: &'static str, title: impl Into<String>, columns: &'static [Column]) -> Table {
+    Table {
+        name,
+        title: title.into(),
+        columns,
+        sample: None,
+    }
+}
+
+impl Table {
+    /// The table's text over `rows`.
+    fn render(&self, rows: &[Value]) -> String {
+        let step = self.sample.map_or(1, |n| (rows.len() / n).max(1));
+        let cells = |row: &Value| -> Vec<String> {
+            let cell = |&(_, field, format): &Column| format.cell(row.get(field));
+            self.columns.iter().map(cell).collect()
+        };
+        let cells: Vec<_> = rows.iter().step_by(step).map(cells).collect();
+        let headers: Vec<&str> = self.columns.iter().map(|c| c.0).collect();
+        print_table(&self.title, &headers, &cells)
+    }
+}
+
+/// One section of the results document and the tables printed from it.
+struct Experiment {
+    id: &'static str,
+    title: &'static str,
+    rows: Box<dyn Fn() -> Vec<Value>>,
+    tables: Vec<Table>,
+}
+
+impl Experiment {
+    /// The tables `cmd` prints: every one for `all` or the id, else those it names.
+    fn tables_for(&self, cmd: &str) -> Vec<&Table> {
+        let whole = cmd == "all" || cmd == self.id;
+        self.tables
+            .iter()
+            .filter(|t| whole || t.name == cmd)
+            .collect()
+    }
+}
+
+/// Section `id`, whose rows `rows` makes.
+fn experiment<R: 'static>(
+    id: &'static str,
+    title: &'static str,
+    rows: fn() -> Vec<R>,
+    tables: Vec<Table>,
+) -> Experiment
+where
+    for<'r> Value: From<&'r R>,
+{
+    Experiment {
+        id,
+        title,
+        rows: Box::new(move || rows().iter().map(Value::from).collect()),
+        tables,
+    }
+}
+
+/// The columns of the Fig. 14 and Fig. 15 ablation ladders.
+const ABLATION: &[Column] = &[
+    ("model", "model", Format::Plain),
+    ("stage", "stage", Format::Plain),
+    ("iteration (s)", "iteration_s", Format::Dec1),
+    ("speedup vs baseline", "speedup_vs_baseline", Format::Dec2),
+];
+
+/// Every experiment, in document order.
+fn experiments() -> Vec<Experiment> {
+    use Format::*;
+    vec![
+        experiment(
+            "motivation",
+            "§3.1 motivation: 20B iteration time by offload target",
+            exp::motivation,
+            vec![table(
+                "motivation",
+                "3.1 motivation: 20B iteration time by offload target (paper: 0.4s / 3.7s / 67s)",
+                &[
+                    ("configuration", "configuration", Plain),
+                    ("iteration (s)", "iteration_s", Dec2),
+                    ("slowdown vs GPU", "slowdown_vs_gpu", Dec1),
+                ],
+            )],
+        ),
+        experiment(
+            "fig3",
+            "Fig. 3: update duration, host vs SSD offload",
+            exp::fig3_update_breakdown,
+            vec![table(
+                "fig3",
+                "Fig. 3: update duration, host vs SSD offload (paper: SSD ~30x slower, 99% I/O)",
+                &[
+                    ("model", "model", Plain),
+                    ("offload", "offload_target", Plain),
+                    ("update (s)", "update_s", Dec1),
+                    ("I/O share", "io_fraction", Percent),
+                ],
+            )],
+        ),
+        experiment(
+            "fig4",
+            "Fig. 4: tier throughput under concurrency",
+            exp::fig4_concurrency,
+            vec![table(
+                "fig4",
+                "Fig. 4: tier throughput under concurrency (aggregate flat, latency grows)",
+                &[
+                    ("tier", "tier", Plain),
+                    ("procs", "procs", Plain),
+                    ("agg read (GB/s)", "agg_read_gbps", Dec2),
+                    ("agg write (GB/s)", "agg_write_gbps", Dec2),
+                    ("mean op latency (s)", "mean_latency_s", Dec2),
+                ],
+            )],
+        ),
+        experiment(
+            "fig5",
+            "Fig. 5: I/O throughput timeline, 40B baseline update on NVMe",
+            exp::fig5_throughput_timeline,
+            vec![Table {
+                sample: Some(24),
+                ..table(
+                    "fig5",
+                    "Fig. 5: I/O throughput timeline, 40B baseline update on NVMe (oscillating, write-bound)",
+                    &[
+                        ("t (s)", "t_s", Dec1),
+                        ("read (GB/s)", "read_gbps", Dec2),
+                        ("write (GB/s)", "write_gbps", Dec2),
+                    ],
+                )
+            }],
+        ),
+        experiment(
+            "model_scaling",
+            "Figs. 7-10: single-node model-size scaling, Testbed-1",
+            exp::model_scaling,
+            vec![
+                table(
+                    "fig7",
+                    "Fig. 7: iteration breakdown vs model size (paper: MLP-Offload up to 2.7x faster)",
+                    &[
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("fwd (s)", "forward_s", Dec2),
+                        ("bwd (s)", "backward_s", Dec1),
+                        ("update (s)", "update_s", Dec1),
+                        ("total (s)", "total_s", Dec1),
+                    ],
+                ),
+                table(
+                    "fig8",
+                    "Fig. 8: update throughput (paper refs: 40000 M/s GPU, 8000 M/s CPU; MLP 1.8-2.4x DS)",
+                    &[
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("update throughput (Mparam/s)", "update_mparams_per_s", Dec1),
+                    ],
+                ),
+                table(
+                    "fig9",
+                    "Fig. 9: effective I/O throughput (paper: DS ~3.2 GB/s, MLP ~2.6x, decaying with size)",
+                    &[
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("effective I/O (GB/s)", "effective_io_gbps", Dec2),
+                        ("cache hit rate", "cache_hit_rate", Percent),
+                    ],
+                ),
+                table(
+                    "fig10",
+                    "Fig. 10: optimizer-state distribution (paper: ~2:1 NVMe:PFS for MLP-Offload)",
+                    &[
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("host", "host_fraction", Percent),
+                        ("nvme", "nvme_fraction", Percent),
+                        ("pfs", "pfs_fraction", Percent),
+                    ],
+                ),
+            ],
+        ),
+        experiment(
+            "weak_scaling",
+            "Figs. 11-12: weak scaling, Testbed-2",
+            exp::weak_scaling,
+            vec![
+                table(
+                    "fig11",
+                    "Fig. 11: weak scaling, iteration time (paper: MLP up to 2x faster at scale)",
+                    &[
+                        ("nodes", "nodes", Plain),
+                        ("GPUs", "gpus", Plain),
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("iteration (s)", "iteration_s", Dec1),
+                    ],
+                ),
+                table(
+                    "fig12",
+                    "Fig. 12: weak scaling, aggregate update throughput",
+                    &[
+                        ("nodes", "nodes", Plain),
+                        ("model", "model", Plain),
+                        ("approach", "approach", Plain),
+                        ("update throughput (Mparam/s)", "update_mparams_per_s", Dec1),
+                    ],
+                ),
+            ],
+        ),
+        experiment(
+            "fig13",
+            "Fig. 13: gradient accumulation, 40B",
+            exp::fig13_grad_accumulation,
+            vec![table(
+                "fig13",
+                "Fig. 13: gradient accumulation, 40B (paper: MLP >= 40% faster throughout)",
+                &[
+                    ("accum steps", "accumulation_steps", Plain),
+                    ("equiv batch", "equivalent_batch", Plain),
+                    ("approach", "approach", Plain),
+                    ("iteration (s)", "iteration_s", Dec1),
+                ],
+            )],
+        ),
+        experiment(
+            "fig14",
+            "Fig. 14: ablation on node-local NVMe only",
+            exp::fig14_ablation_nvme,
+            vec![table(
+                "fig14",
+                "Fig. 14: ablation on node-local NVMe only (paper: up to 1.6x)",
+                ABLATION,
+            )],
+        ),
+        experiment(
+            "fig15",
+            "Fig. 15: ablation with PFS multi-path",
+            exp::fig15_ablation_pfs,
+            vec![table(
+                "fig15",
+                "Fig. 15: ablation with PFS multi-path (paper: 2.5x over DeepSpeed ZeRO-3)",
+                ABLATION,
+            )],
+        ),
+        experiment(
+            "sensitivity_subgroup",
+            "§4.1 sensitivity: subgroup size, 40B",
+            exp::subgroup_size_sweep,
+            vec![table(
+                "sensitivity",
+                "4.1 sensitivity: subgroup size (paper picks 100M over DeepSpeed's 1B default)",
+                &[
+                    ("subgroup (Mparam)", "subgroup_mparams", Plain),
+                    ("approach", "approach", Plain),
+                    ("iteration (s)", "iteration_s", Dec1),
+                ],
+            )],
+        ),
+        experiment(
+            "sensitivity_cache",
+            "sensitivity: host-cache budget, 40B MLP-Offload",
+            exp::cache_sweep,
+            vec![table(
+                "sensitivity",
+                "sensitivity: host-cache budget (40B, MLP-Offload)",
+                &[
+                    ("cache fraction", "cache_fraction", Dec2),
+                    ("iteration (s)", "iteration_s", Dec1),
+                    ("hit rate", "cache_hit_rate", Percent),
+                ],
+            )],
+        ),
+        experiment(
+            "checkpoint",
+            "§3.3 checkpoint pre-staging",
+            exp::checkpoint_prestaging,
+            vec![table(
+                "checkpoint",
+                "3.3 checkpoint pre-staging: persistent fraction and remaining flush time",
+                &[
+                    ("model", "model", Plain),
+                    ("approach", "approach", Plain),
+                    ("pre-staged", "prestaged_fraction", Percent),
+                    ("remaining flush (s, at PFS speed)", "checkpoint_flush_s", Dec1),
+                ],
+            )],
+        ),
+        experiment(
+            "cost",
+            "§4.4 cost-effectiveness: 70B on 80 GPUs vs 8 GPUs + offload",
+            exp::cost_effectiveness,
+            vec![table(
+                "cost",
+                "4.4 cost-effectiveness: 70B on 80 GPUs vs 8 GPUs + offload (paper: ~2x better)",
+                &[
+                    ("configuration", "configuration", Plain),
+                    ("GPUs", "gpus", Plain),
+                    ("iteration (s)", "iteration_s", Dec1),
+                    ("slowdown", "slowdown_vs_gpu_only", Dec1),
+                    ("cost-effectiveness", "cost_effectiveness", Dec2),
+                ],
+            )],
+        ),
+        experiment(
+            "cxl",
+            "§5 future work: CXL memory pool as an additional I/O path",
+            exp::future_cxl,
+            vec![table(
+                "cxl",
+                "5 (future work): CXL memory pool as an additional I/O path (70B, Testbed-1)",
+                &[
+                    ("tier set", "tiers", Plain),
+                    ("iteration (s)", "iteration_s", Dec1),
+                    ("speedup vs MLP-Offload", "speedup_vs_mlp", Dec2),
+                ],
+            )],
+        ),
+        experiment(
+            "adaptive_replan",
+            "§3.3 adaptive re-plan: the PFS collapses mid-run",
+            exp::adaptive_replan,
+            vec![table(
+                "adaptive_replan",
+                format!(
+                    "3.3 adaptive re-plan: PFS at {:.0}% from update {} of {}, tail = last {}",
+                    exp::REPLAN_PFS_LOAD_FACTOR * 100.0,
+                    exp::SCENARIO_EVENT_AT,
+                    exp::SCENARIO_ITERS,
+                    exp::SCENARIO_TAIL
+                ),
+                &[
+                    ("planner", "variant", Plain),
+                    ("pre (s)", "pre_mean_s", Dec2),
+                    ("tail (s)", "tail_mean_s", Dec2),
+                    ("migrations", "migrations", Plain),
+                    ("recovery of oracle win", "recovery_of_oracle_win", Percent),
+                ],
+            )],
+        ),
+        experiment(
+            "degradation",
+            "graceful degradation: the PFS is quarantined mid-run",
+            exp::degradation,
+            vec![table(
+                "degradation",
+                format!(
+                    "graceful degradation: PFS quarantined before update {} of {}, tail = last {}",
+                    exp::SCENARIO_EVENT_AT,
+                    exp::SCENARIO_ITERS,
+                    exp::SCENARIO_TAIL
+                ),
+                &[
+                    ("variant", "variant", Plain),
+                    ("pre (s)", "pre_mean_s", Dec2),
+                    ("tail (s)", "tail_mean_s", Dec2),
+                    ("drained", "drained", Plain),
+                    ("tail vs single tier", "tail_overhead_vs_single_tier", SignedPercent),
+                ],
+            )],
+        ),
+        experiment(
+            "checkpoint_pipeline",
+            "§3.3 checkpoint pipeline: critical-path cost of per-iteration checkpoints, 40B",
+            exp::checkpoint_pipeline,
+            vec![table(
+                "checkpoint_pipeline",
+                "3.3 checkpoint pipeline: 40B, NVMe + PFS + object store, a checkpoint every iteration",
+                &[
+                    ("checkpoints", "variant", Plain),
+                    ("iteration (s)", "mean_iter_s", Dec2),
+                    ("copied (GB)", "ckpt_copied_bytes", Billions),
+                    ("overhead hidden", "hidden_fraction", Percent),
+                ],
+            )],
+        ),
+    ]
+}
+
+/// Runs the experiments `cmd` selects — `all`, a section id, or a table
+/// drawn from a section (`fig7` … `fig10`, `fig11`, `fig12`,
+/// `sensitivity`) — and returns their `{id, title, rows}` sections, none
+/// when `cmd` names no experiment. The text of each table `cmd` selects
+/// goes to `print` as its experiment finishes.
+pub fn run_experiments(cmd: &str, mut print: impl FnMut(String)) -> Vec<Value> {
+    let mut sections = Vec::new();
+    for e in experiments() {
+        let tables = e.tables_for(cmd);
+        if tables.is_empty() {
+            continue;
+        }
+        let rows = (e.rows)();
+        for t in tables {
+            print(t.render(&rows));
+        }
+        sections.push(Value::obj([
+            ("id", e.id.into()),
+            ("title", e.title.into()),
+            ("rows", at_document_precision(Value::Arr(rows))),
+        ]));
+    }
+    sections
+}
+
+/// Every subcommand `repro` accepts: `tables`, each section id followed by
+/// the names of the tables drawn from it, and `all`.
+pub fn subcommands() -> Vec<&'static str> {
+    let mut names = vec!["tables"];
+    for e in experiments() {
+        for name in std::iter::once(e.id).chain(e.tables.iter().map(|t| t.name)) {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+    }
+    names.push("all");
+    names
+}
+
+/// An ASCII table with a title, as text.
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -234,517 +535,46 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         .map(|w| "-".repeat(w + 2))
         .collect::<Vec<_>>()
         .join("+");
-    println!("\n== {title} ==");
-    println!("{line}");
-    let fmt_row = |cells: &[String]| {
-        cells
+    let fmt_row = |cells: Vec<&str>| {
+        let padded: Vec<String> = cells
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!(" {c:<w$} "))
-            .collect::<Vec<_>>()
-            .join("|")
+            .collect();
+        padded.join("|") + "\n"
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!("{line}");
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-    println!("{line}");
+    let body: String = rows
+        .iter()
+        .map(|row| fmt_row(row.iter().map(String::as_str).collect()))
+        .collect();
+    let head = fmt_row(headers.to_vec());
+    format!("\n== {title} ==\n{line}\n{head}{line}\n{body}{line}\n")
 }
 
-fn s1(x: f64) -> String {
-    format!("{x:.1}")
-}
-fn s2(x: f64) -> String {
-    format!("{x:.2}")
-}
-fn pct(x: f64) -> String {
-    format!("{:.0}%", x * 100.0)
-}
-
-/// Renders the §3.1 motivation rows.
-pub fn render_motivation(rows: &[MotivationRow]) {
-    print_table(
-        "3.1 motivation: 20B iteration time by offload target (paper: 0.4s / 3.7s / 67s)",
-        &["configuration", "iteration (s)", "slowdown vs GPU"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.configuration.clone(),
-                    s2(r.iteration_s),
-                    s1(r.slowdown_vs_gpu),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 3.
-pub fn render_fig3(rows: &[Fig3Row]) {
-    print_table(
-        "Fig. 3: update duration, host vs SSD offload (paper: SSD ~30x slower, 99% I/O)",
-        &["model", "offload", "update (s)", "I/O share"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.offload_target.clone(),
-                    s1(r.update_s),
-                    pct(r.io_fraction),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 4.
-pub fn render_fig4(rows: &[Fig4Row]) {
-    print_table(
-        "Fig. 4: tier throughput under concurrency (aggregate flat, latency grows)",
-        &[
-            "tier",
-            "procs",
-            "agg read (GB/s)",
-            "agg write (GB/s)",
-            "mean op latency (s)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.tier.clone(),
-                    r.procs.to_string(),
-                    s2(r.agg_read_gbps),
-                    s2(r.agg_write_gbps),
-                    s2(r.mean_latency_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the Fig. 5 timeline (coarse, at most ~24 rows).
-pub fn render_fig5(points: &[Fig5Point]) {
-    let step = (points.len() / 24).max(1);
-    print_table(
-        "Fig. 5: I/O throughput timeline, 40B baseline update on NVMe (oscillating, write-bound)",
-        &["t (s)", "read (GB/s)", "write (GB/s)"],
-        &points
-            .iter()
-            .step_by(step)
-            .map(|p| vec![s1(p.t_s), s2(p.read_gbps), s2(p.write_gbps)])
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 7 (iteration breakdown) from the scaling rows.
-pub fn render_fig7(rows: &[ScalingRow]) {
-    print_table(
-        "Fig. 7: iteration breakdown vs model size (paper: MLP-Offload up to 2.7x faster)",
-        &[
-            "model",
-            "approach",
-            "fwd (s)",
-            "bwd (s)",
-            "update (s)",
-            "total (s)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.approach.clone(),
-                    s2(r.forward_s),
-                    s1(r.backward_s),
-                    s1(r.update_s),
-                    s1(r.total_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 8 (update throughput) from the scaling rows.
-pub fn render_fig8(rows: &[ScalingRow]) {
-    print_table(
-        "Fig. 8: update throughput (paper refs: 40000 M/s GPU, 8000 M/s CPU; MLP 1.8-2.4x DS)",
-        &["model", "approach", "update throughput (Mparam/s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.approach.clone(),
-                    s1(r.update_mparams_per_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 9 (effective I/O throughput) from the scaling rows.
-pub fn render_fig9(rows: &[ScalingRow]) {
-    print_table(
-        "Fig. 9: effective I/O throughput (paper: DS ~3.2 GB/s, MLP ~2.6x, decaying with size)",
-        &[
-            "model",
-            "approach",
-            "effective I/O (GB/s)",
-            "cache hit rate",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.approach.clone(),
-                    s2(r.effective_io_gbps),
-                    pct(r.cache_hit_rate),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 10 (state distribution) from the scaling rows.
-pub fn render_fig10(rows: &[ScalingRow]) {
-    print_table(
-        "Fig. 10: optimizer-state distribution (paper: ~2:1 NVMe:PFS for MLP-Offload)",
-        &["model", "approach", "host", "nvme", "pfs"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.approach.clone(),
-                    pct(r.host_fraction),
-                    pct(r.nvme_fraction),
-                    pct(r.pfs_fraction),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 11 (weak-scaling iteration time).
-pub fn render_fig11(rows: &[WeakScalingRow]) {
-    print_table(
-        "Fig. 11: weak scaling, iteration time (paper: MLP up to 2x faster at scale)",
-        &["nodes", "GPUs", "model", "approach", "iteration (s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    r.gpus.to_string(),
-                    r.model.clone(),
-                    r.approach.clone(),
-                    s1(r.iteration_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 12 (weak-scaling update throughput).
-pub fn render_fig12(rows: &[WeakScalingRow]) {
-    print_table(
-        "Fig. 12: weak scaling, aggregate update throughput",
-        &["nodes", "model", "approach", "update throughput (Mparam/s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    r.model.clone(),
-                    r.approach.clone(),
-                    s1(r.update_mparams_per_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Fig. 13 (gradient accumulation).
-pub fn render_fig13(rows: &[Fig13Row]) {
-    print_table(
-        "Fig. 13: gradient accumulation, 40B (paper: MLP >= 40% faster throughout)",
-        &["accum steps", "equiv batch", "approach", "iteration (s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.accumulation_steps.to_string(),
-                    r.equivalent_batch.to_string(),
-                    r.approach.clone(),
-                    s1(r.iteration_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders an ablation ladder (Figs. 14/15).
-pub fn render_ablation(title: &str, rows: &[AblationRow]) {
-    print_table(
-        title,
-        &["model", "stage", "iteration (s)", "speedup vs baseline"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.stage.clone(),
-                    s1(r.iteration_s),
-                    s2(r.speedup_vs_baseline),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the §3.3 checkpoint pre-staging rows.
-pub fn render_checkpoint(rows: &[CheckpointRow]) {
-    print_table(
-        "3.3 checkpoint pre-staging: persistent fraction and remaining flush time",
-        &[
-            "model",
-            "approach",
-            "pre-staged",
-            "remaining flush (s, at PFS speed)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.model.clone(),
-                    r.approach.clone(),
-                    pct(r.prestaged_fraction),
-                    s1(r.checkpoint_flush_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the §4.4 cost-effectiveness rows.
-pub fn render_cost(rows: &[CostRow]) {
-    print_table(
-        "4.4 cost-effectiveness: 70B on 80 GPUs vs 8 GPUs + offload (paper: ~2x better)",
-        &[
-            "configuration",
-            "GPUs",
-            "iteration (s)",
-            "slowdown",
-            "cost-effectiveness",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.configuration.clone(),
-                    r.gpus.to_string(),
-                    s1(r.iteration_s),
-                    s1(r.slowdown_vs_gpu_only),
-                    s2(r.cost_effectiveness),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the §5 CXL-extension rows.
-pub fn render_cxl(rows: &[CxlRow]) {
-    print_table(
-        "5 (future work): CXL memory pool as an additional I/O path (70B, Testbed-1)",
-        &["tier set", "iteration (s)", "speedup vs MLP-Offload"],
-        &rows
-            .iter()
-            .map(|r| vec![r.tiers.clone(), s1(r.iteration_s), s2(r.speedup_vs_mlp)])
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the subgroup-size sensitivity rows.
-pub fn render_subgroup_sweep(rows: &[SubgroupSizeRow]) {
-    print_table(
-        "4.1 sensitivity: subgroup size (paper picks 100M over DeepSpeed's 1B default)",
-        &["subgroup (Mparam)", "approach", "iteration (s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.subgroup_mparams.to_string(),
-                    r.approach.clone(),
-                    s1(r.iteration_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the host-cache sensitivity rows.
-pub fn render_cache_sweep(rows: &[CacheSweepRow]) {
-    print_table(
-        "sensitivity: host-cache budget (40B, MLP-Offload)",
-        &["cache fraction", "iteration (s)", "hit rate"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.2}", r.cache_fraction),
-                    s1(r.iteration_s),
-                    pct(r.cache_hit_rate),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the adaptive re-plan scenario.
-pub fn render_adaptive_replan(rows: &[ReplanRow]) {
-    print_table(
-        &format!(
-            "3.3 adaptive re-plan: PFS at {:.0}% from update {} of {}, tail = last {}",
-            exp::REPLAN_PFS_LOAD_FACTOR * 100.0,
-            exp::SCENARIO_EVENT_AT,
-            exp::SCENARIO_ITERS,
-            exp::SCENARIO_TAIL
-        ),
-        &[
-            "planner",
-            "pre (s)",
-            "tail (s)",
-            "migrations",
-            "recovery of oracle win",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.clone(),
-                    s2(r.pre_mean_s),
-                    s2(r.tail_mean_s),
-                    r.migrations.to_string(),
-                    pct(r.recovery_of_oracle_win),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the permanent-tier-loss scenario.
-pub fn render_degradation(rows: &[DegradationRow]) {
-    print_table(
-        &format!(
-            "graceful degradation: PFS quarantined before update {} of {}, tail = last {}",
-            exp::SCENARIO_EVENT_AT,
-            exp::SCENARIO_ITERS,
-            exp::SCENARIO_TAIL
-        ),
-        &[
-            "variant",
-            "pre (s)",
-            "tail (s)",
-            "drained",
-            "tail vs single tier",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.clone(),
-                    s2(r.pre_mean_s),
-                    s2(r.tail_mean_s),
-                    r.drained.to_string(),
-                    format!("{:+.1}%", r.tail_overhead_vs_single_tier * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders the checkpoint-pipeline scenario.
-pub fn render_checkpoint_pipeline(rows: &[CheckpointPipelineRow]) {
-    print_table(
-        "3.3 checkpoint pipeline: 40B, NVMe + PFS + object store, a checkpoint every iteration",
-        &[
-            "checkpoints",
-            "iteration (s)",
-            "copied (GB)",
-            "overhead hidden",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.clone(),
-                    s2(r.mean_iter_s),
-                    s1(r.ckpt_copied_bytes as f64 / 1e9),
-                    pct(r.hidden_fraction),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-/// Renders Tables 1 and 2 from the encoded constants.
-pub fn render_tables() {
+/// Tables 1 and 2 from the encoded constants, as text.
+pub fn render_tables() -> String {
     let t1 = mlp_train::testbed1();
     let t2 = mlp_train::testbed2();
-    print_table(
+    let gbps = |bps: f64, decimals: usize| format!("{:.decimals$}", bps / 1e9);
+    let rw = |tier: &TierSpec| format!("{} | {}", gbps(tier.read_bps, 1), gbps(tier.write_bps, 1));
+    let row = |cells: [&str; 3]| cells.map(String::from).to_vec();
+    let both = |feature: &str, cell: &dyn Fn(&Testbed) -> String| {
+        vec![feature.to_string(), cell(&t1), cell(&t2)]
+    };
+    let testbeds = print_table(
         "Table 1: testbed configurations",
         &["feature", &t1.name, &t2.name],
         &[
-            vec!["GPUs".into(), "4x H100-80GB".into(), "4x A100-40GB".into()],
-            vec![
-                "Pinned D<->H (GB/s)".into(),
-                format!("{:.0}", t1.d2h_bps / 1e9),
-                format!("{:.0}", t2.d2h_bps / 1e9),
-            ],
-            vec![
-                "CPU cores".into(),
-                t1.cpu_cores.to_string(),
-                t2.cpu_cores.to_string(),
-            ],
-            vec!["Host memory (GB)".into(), "512".into(), "512".into()],
-            vec![
-                "NVMe R|W (GB/s)".into(),
-                format!(
-                    "{:.1} | {:.1}",
-                    t1.nvme.read_bps / 1e9,
-                    t1.nvme.write_bps / 1e9
-                ),
-                format!(
-                    "{:.1} | {:.1}",
-                    t2.nvme.read_bps / 1e9,
-                    t2.nvme.write_bps / 1e9
-                ),
-            ],
-            vec!["PFS".into(), "VAST".into(), "Lustre".into()],
-            vec![
-                "PFS R|W (GB/s)".into(),
-                format!(
-                    "{:.1} | {:.1}",
-                    t1.pfs.read_bps / 1e9,
-                    t1.pfs.write_bps / 1e9
-                ),
-                format!(
-                    "{:.1} | {:.1}",
-                    t2.pfs.read_bps / 1e9,
-                    t2.pfs.write_bps / 1e9
-                ),
-            ],
+            row(["GPUs", "4x H100-80GB", "4x A100-40GB"]),
+            both("Pinned D<->H (GB/s)", &|t| gbps(t.d2h_bps, 0)),
+            both("CPU cores", &|t| t.cpu_cores.to_string()),
+            row(["Host memory (GB)", "512", "512"]),
+            both("NVMe R|W (GB/s)", &|t| rw(&t.nvme)),
+            row(["PFS", "VAST", "Lustre"]),
+            both("PFS R|W (GB/s)", &|t| rw(&t.pfs)),
         ],
     );
-
-    let rows: Vec<Vec<String>> = std::iter::once(mlp_model::zoo::model_20b())
+    let models: Vec<Vec<String>> = std::iter::once(mlp_model::zoo::model_20b())
         .chain(mlp_model::zoo::table2())
         .map(|m| {
             vec![
@@ -756,22 +586,30 @@ pub fn render_tables() {
             ]
         })
         .collect();
-    print_table(
-        "Table 2: model configurations (computed sizes from 12*L*D^2 + embeddings)",
-        &["model", "N_L", "D_H", "AH", "params (B)"],
-        &rows,
-    );
+    testbeds
+        + &print_table(
+            "Table 2: model configurations (computed sizes from 12*L*D^2 + embeddings)",
+            &["model", "N_L", "D_H", "AH", "params (B)"],
+            &models,
+        )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// `repro all`'s sections, built once for the tests that read them.
+    fn all_sections() -> &'static [Value] {
+        static SECTIONS: OnceLock<Vec<Value>> = OnceLock::new();
+        SECTIONS.get_or_init(|| run_experiments("all", drop))
+    }
 
     #[test]
     fn the_results_document_repeats_parses_and_is_the_committed_file() {
-        let build = || document(run_experiments("all", false)).pretty() + "\n";
-        let text = build();
-        assert!(text == build(), "two builds of the document differ");
+        let text = document(all_sections().to_vec()).pretty() + "\n";
+        let again = document(run_experiments("all", drop)).pretty() + "\n";
+        assert!(text == again, "two builds of the document differ");
 
         let doc = mlp_trace::json::parse(&text).expect("one JSON value");
         let sections = doc.get("sections").and_then(Value::as_array);
@@ -804,12 +642,46 @@ mod tests {
         );
     }
 
+    /// A misspelt field would print `NaN` or an empty cell and nothing
+    /// else would fail: every column must name a field each row of its
+    /// section holds, of the kind its format prints.
+    #[test]
+    fn every_column_names_a_field_its_rows_hold() {
+        let sections = all_sections();
+        let experiments = experiments();
+        assert_eq!(sections.len(), experiments.len());
+        for (e, section) in experiments.iter().zip(sections) {
+            assert_eq!(section.get("id").and_then(Value::as_str), Some(e.id));
+            let rows = section.get("rows").and_then(Value::as_array);
+            let rows = rows.expect("a rows array");
+            assert!(!rows.is_empty(), "section {} has no rows", e.id);
+            for t in &e.tables {
+                for &(header, field, format) in t.columns {
+                    for row in rows {
+                        let v = row.get(field);
+                        let fits = match format {
+                            Format::Plain => matches!(v, Some(Value::Str(_) | Value::Int(_))),
+                            _ => v.and_then(Value::as_f64).is_some(),
+                        };
+                        assert!(
+                            fits,
+                            "table {}, column {header:?}: field {field:?} is {v:?}, \
+                             which {format:?} does not print",
+                            t.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_figure_name_selects_its_section_and_an_unknown_name_selects_nothing() {
-        let ids = |cmd| -> Vec<String> {
-            run_experiments(cmd, false)
+        let ids = |cmd| -> Vec<&str> {
+            experiments()
                 .iter()
-                .map(|s| s.get("id").and_then(Value::as_str).expect("id").to_string())
+                .filter(|e| !e.tables_for(cmd).is_empty())
+                .map(|e| e.id)
                 .collect()
         };
         assert_eq!(ids("fig12"), ["weak_scaling"]);
@@ -819,15 +691,46 @@ mod tests {
             ["sensitivity_subgroup", "sensitivity_cache"]
         );
         assert!(ids("fig6").is_empty());
+        assert_eq!(ids("all").len(), experiments().len());
+        let names = subcommands();
+        assert_eq!(names.first(), Some(&"tables"));
+        assert_eq!(names.last(), Some(&"all"));
+        for name in names {
+            assert!(
+                name == "tables" || !ids(name).is_empty(),
+                "`{name}` is listed but selects nothing"
+            );
+        }
     }
 
     #[test]
     fn table_printer_handles_empty_and_ragged_titles() {
-        print_table("empty", &["a", "b"], &[]);
-        print_table(
-            "one",
-            &["col"],
-            &[vec!["a-very-long-cell-value".to_string()]],
+        assert_eq!(
+            print_table("empty", &["a", "b"], &[]),
+            "\n== empty ==\n---+---\n a | b \n---+---\n---+---\n"
         );
+        assert_eq!(
+            print_table("one", &["col"], &[vec!["a-very-long-cell".to_string()]]),
+            "\n== one ==\n\
+             ------------------\n col              \n------------------\n\
+             \x20a-very-long-cell \n------------------\n"
+        );
+    }
+
+    #[test]
+    fn each_format_prints_its_cell() {
+        let cell = |format: Format, v: Value| format.cell(Some(&v));
+        assert_eq!(cell(Format::Plain, "40B".into()), "40B");
+        assert_eq!(cell(Format::Plain, 12usize.into()), "12");
+        assert_eq!(cell(Format::Dec1, 30.66.into()), "30.7");
+        assert_eq!(cell(Format::Dec2, 0.127.into()), "0.13");
+        assert_eq!(cell(Format::Dec2, 7usize.into()), "7.00");
+        assert_eq!(cell(Format::Percent, 0.666.into()), "67%");
+        assert_eq!(cell(Format::SignedPercent, 0.0134.into()), "+1.3%");
+        assert_eq!(cell(Format::SignedPercent, (-0.5).into()), "-50.0%");
+        assert_eq!(cell(Format::Billions, 2_340_000_000u64.into()), "2.3");
+        // A missing field prints, and never panics.
+        assert_eq!(Format::Plain.cell(None), "");
+        assert_eq!(Format::Dec1.cell(None), "NaN");
     }
 }

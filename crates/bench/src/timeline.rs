@@ -178,7 +178,7 @@ mod tests {
     /// backward pass, ZeRO-3 does not.
     #[test]
     fn export_shows_fig5_overlap_asymmetry() {
-        let dir = std::env::temp_dir().join("mlp_timeline_test");
+        let dir = std::env::temp_dir().join(format!("mlp_timeline_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
         let runs = export_timeline_trace_every(path.to_str().unwrap(), 1).unwrap();
@@ -217,6 +217,6 @@ mod tests {
         let merged: usize = runs.iter().map(|r| r.events.len()).sum();
         assert_eq!(parsed.len(), merged);
         assert!(parsed.iter().any(|e| e.pid == 1 && e.phase == Phase::Flush));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
