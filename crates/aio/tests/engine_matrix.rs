@@ -1,8 +1,7 @@
 //! Engine acceptance suite, over the real backends: round trips on
-//! file, memory and object-store backends,
-//! pooled-buffer reads/writes, error semantics (`NotFound`, no
-//! poisoning), and seeded 20% transient fault injection with
-//! bit-identical re-drives through the in-worker retry layer.
+//! file and memory backends, pooled-buffer reads/writes, error semantics
+//! (`NotFound`, no poisoning), and seeded 20% transient fault injection
+//! with bit-identical re-drives through the in-worker retry layer.
 
 #![cfg(not(loom))]
 
@@ -14,7 +13,7 @@ use std::time::Duration;
 use mlp_aio::{AioConfig, AioEngine, RetryPolicy};
 use mlp_storage::{
     Backend, BreakerState, DirBackend, FaultConfig, FaultInjectBackend, FaultOps, HealthConfig,
-    MemBackend, ObjectBackend, ObjectConfig, TierHealth,
+    MemBackend, TierHealth,
 };
 use mlp_tensor::PinnedPool;
 use mlp_trace::TraceSink;
@@ -159,40 +158,56 @@ fn missing_keys_surface_not_found() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-#[test]
-fn round_trips_on_the_object_store() {
-    // The emulated S3-like backend, including payloads large enough to
-    // take the multipart-upload route. Deletes must be
-    // real (a checkpoint prune must not leave ghosts) and missing keys
-    // must stay typed NotFound.
-    let store = Arc::new(ObjectBackend::with_config(
-        "s3",
-        ObjectConfig::deterministic(),
-    ));
-    let part = store.config().part_size;
-    let engine = AioEngine::new(Arc::clone(&store) as Arc<dyn Backend>, AioConfig::deterministic());
-    let sizes = [1usize, 4096, part - 1, part + 1, 3 * part + 17];
+/// Files under `dir`, recursively: what a pruned directory must not keep.
+fn files_under(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| if p.is_dir() { files_under(&p) } else { 1 })
+        .sum()
+}
+
+/// Payloads from one byte to tens of MiB round-trip through `backend`,
+/// deletes are real (a checkpoint prune must not leave ghosts; `stored`
+/// counts what the medium holds) and a deleted key stays a typed NotFound.
+fn round_trip_and_prune(backend: Arc<dyn Backend>, stored: impl Fn() -> usize) {
+    const MIB8: usize = 8 << 20;
+    let sizes = [1usize, 4096, MIB8 - 1, MIB8 + 1, 3 * MIB8 + 17];
+    let name = backend.name().to_string();
+    let engine = AioEngine::new(backend, AioConfig::deterministic());
     for (i, &size) in sizes.iter().enumerate() {
         let key = format!("ckpt/t0/w0/sub{i}");
         let payload: Vec<u8> = (0..size).map(|b| (b % 249) as u8).collect();
         engine.submit_write(&key, payload.clone()).wait().unwrap();
         let back = engine.submit_read(&key).wait().unwrap().unwrap();
-        assert_eq!(back, payload, "object size {size} corrupted");
+        assert_eq!(back, payload, "{name}: object size {size} corrupted");
     }
-    assert_eq!(store.object_count(), sizes.len());
+    assert_eq!(stored(), sizes.len(), "{name}");
     for i in 0..sizes.len() {
         engine
             .submit_delete(&format!("ckpt/t0/w0/sub{i}"))
             .wait()
             .unwrap();
     }
-    assert_eq!(store.object_count(), 0, "prune left ghost objects");
+    assert_eq!(stored(), 0, "{name}: prune left ghost objects");
     let err = engine.submit_read("ckpt/t0/w0/sub0").wait().unwrap_err();
     assert_eq!(
         err.kind(),
         io::ErrorKind::NotFound,
-        "deleted object must be NotFound, got {err}"
+        "{name}: deleted object must be NotFound, got {err}"
     );
+}
+
+#[test]
+fn large_objects_round_trip_and_prune_on_both_publication_media() {
+    // The checkpoint pipeline publishes to any backend; the chaos matrix
+    // runs it over memory and a directory.
+    let mem = Arc::new(MemBackend::new("mem"));
+    round_trip_and_prune(Arc::clone(&mem) as Arc<dyn Backend>, || mem.object_count());
+    let root = temp_root("publish");
+    let dir = Arc::new(DirBackend::new("dir", &root).unwrap());
+    round_trip_and_prune(dir, || files_under(&root));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -80,7 +80,6 @@ impl ShardLayout {
 #[derive(Clone, Debug)]
 pub struct SubgroupLayout {
     subgroups: Vec<Subgroup>,
-    shard_params: u64,
 }
 
 impl SubgroupLayout {
@@ -97,10 +96,7 @@ impl SubgroupLayout {
             remaining -= p;
             id += 1;
         }
-        SubgroupLayout {
-            subgroups,
-            shard_params,
-        }
+        SubgroupLayout { subgroups }
     }
 
     /// All subgroups in ascending id order.
@@ -116,11 +112,6 @@ impl SubgroupLayout {
     /// Whether the shard is empty.
     pub fn is_empty(&self) -> bool {
         self.subgroups.is_empty()
-    }
-
-    /// Total parameters across all subgroups.
-    pub fn shard_params(&self) -> u64 {
-        self.shard_params
     }
 }
 

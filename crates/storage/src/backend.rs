@@ -21,9 +21,8 @@
 //! becomes the frame — no byte is copied. Every
 //! backend that must read each byte anyway keeps the default, which is
 //! [`Backend::write`] of the frame's bytes: [`DirBackend`] hands them to
-//! the kernel, [`crate::ObjectBackend`] streams them in parts,
-//! [`crate::ChecksummedBackend`] sums them and stores them behind a
-//! header. The decorators that do not rewrite the payload
+//! the kernel, [`crate::ChecksummedBackend`] sums them and stores them
+//! behind a header. The decorators that do not rewrite the payload
 //! ([`crate::TracedBackend`], [`crate::FaultInjectBackend`]) forward the
 //! frame with their bookkeeping unchanged, so the medium underneath
 //! decides. The tier breaker is not a decorator: the tier's I/O engine
@@ -492,8 +491,9 @@ mod tests {
         assert!(b.contains("a/b"));
         assert_eq!(b.read("a/b").unwrap(), vec![1, 2, 3]);
         b.delete("a/b").unwrap();
+        b.delete("a/b").unwrap(); // idempotent
         assert!(!b.contains("a/b"));
-        assert!(b.read("a/b").is_err());
+        assert_eq!(b.read("a/b").unwrap_err().kind(), io::ErrorKind::NotFound);
     }
 
     #[test]
@@ -515,28 +515,31 @@ mod tests {
         );
     }
 
+    /// A backend with only the required methods, so every provided one
+    /// runs the trait's default.
+    struct Wrap(MemBackend);
+    impl Backend for Wrap {
+        fn write(&self, k: &str, d: &[u8]) -> io::Result<()> {
+            self.0.write(k, d)
+        }
+        fn read(&self, k: &str) -> io::Result<Vec<u8>> {
+            self.0.read(k)
+        }
+        fn delete(&self, k: &str) -> io::Result<()> {
+            self.0.delete(k)
+        }
+        fn contains(&self, k: &str) -> bool {
+            self.0.contains(k)
+        }
+        fn name(&self) -> &str {
+            "wrap"
+        }
+    }
+
     /// The default-impl fallback (read + copy) must agree with the
     /// native overrides.
     #[test]
     fn default_read_into_matches_native() {
-        struct Wrap(MemBackend);
-        impl Backend for Wrap {
-            fn write(&self, k: &str, d: &[u8]) -> io::Result<()> {
-                self.0.write(k, d)
-            }
-            fn read(&self, k: &str) -> io::Result<Vec<u8>> {
-                self.0.read(k)
-            }
-            fn delete(&self, k: &str) -> io::Result<()> {
-                self.0.delete(k)
-            }
-            fn contains(&self, k: &str) -> bool {
-                self.0.contains(k)
-            }
-            fn name(&self) -> &str {
-                "wrap"
-            }
-        }
         let w = Wrap(MemBackend::new("mem"));
         w.write("k", &[1, 2, 3, 4]).unwrap();
         let mut a = [9u8; 6];
@@ -714,11 +717,12 @@ mod tests {
     }
 
     /// A pin keeps the bytes its source held, whatever is written to the
-    /// source next, on every medium and through every decorator; and on
-    /// a memory tier it costs one copy, at the next flush.
+    /// source next, on every medium, through the trait's default and
+    /// through every decorator; and on a memory tier it costs one copy,
+    /// at the next flush.
     #[test]
     fn link_pins_the_bytes_on_every_backend() {
-        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend, ObjectBackend};
+        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend};
         use crate::TracedBackend;
         let root = temp_root("link");
         let mem = || Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
@@ -726,7 +730,7 @@ mod tests {
             mem(),
             Arc::new(DirBackend::new("dir", root.join("a")).unwrap()),
             Arc::new(DirBackend::new("dir", root.join("b")).unwrap().with_fsync(true)),
-            Arc::new(ObjectBackend::new("object")),
+            Arc::new(Wrap(MemBackend::new("default-link"))),
             Arc::new(ChecksummedBackend::new(mem())),
             Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
             Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),

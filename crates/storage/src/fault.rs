@@ -425,7 +425,7 @@ impl FaultInjectBackend {
     /// A failed write never tears the stored object or touches the
     /// payload: the fault fires before the inner backend is reached,
     /// matching the atomic write-then-rename guarantee of `DirBackend`
-    /// and the all-or-nothing multipart publish of `ObjectBackend`.
+    /// and the publish under the map lock of `MemBackend`.
     fn admit_write(&self, key: &str) -> io::Result<()> {
         match self.decide(key, OpShape::Write) {
             Verdict::Transient => Err(Self::transient_error(key)),

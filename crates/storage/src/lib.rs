@@ -33,9 +33,6 @@
 //! * [`health`] — per-tier circuit breakers (closed/open/half-open/
 //!   quarantined) over the error taxonomy and latency SLOs; the signal
 //!   the quarantine-and-drain path reacts to.
-//! * [`object`] — an emulated S3-like object store (first-byte latency,
-//!   per-stream bandwidth, multipart upload, no rename), the
-//!   third-level tier behind NVMe and the PFS.
 
 pub mod backend;
 pub mod clock;
@@ -43,7 +40,6 @@ pub mod fault;
 pub mod health;
 pub mod integrity;
 pub mod microbench;
-pub mod object;
 pub mod sim_tier;
 pub mod spec;
 pub mod traced;
@@ -55,7 +51,6 @@ pub use fault::{
 };
 pub use health::{breaker_rejection, BreakerState, HealthConfig, TierHealth};
 pub use integrity::ChecksummedBackend;
-pub use object::{ObjectBackend, ObjectConfig};
 pub use sim_tier::SimTier;
 pub use spec::{TierKind, TierSpec};
 pub use traced::TracedBackend;

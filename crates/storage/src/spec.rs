@@ -128,10 +128,10 @@ pub fn testbed2_pfs() -> TierSpec {
 /// An S3-like object store as the slowest, widest rung of the hierarchy:
 /// high per-request latency and a per-stream cap far below the aggregate,
 /// so bandwidth must be earned through concurrency (the defining
-/// object-store curve, emulated on the functional path by
-/// [`crate::object::ObjectBackend`]). Reads and writes take separate
-/// server paths, so the mixed-I/O penalty is mild. Capacity is
-/// effectively unbounded.
+/// object-store curve, modelled in virtual time only: the real-bytes
+/// checkpoint pipeline publishes to any [`crate::Backend`]). Reads and
+/// writes take separate server paths, so the mixed-I/O penalty is mild.
+/// Capacity is effectively unbounded.
 pub fn object_store() -> TierSpec {
     TierSpec {
         name: "object".into(),

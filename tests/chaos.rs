@@ -1,6 +1,6 @@
 //! Chaos suite: the deterministic crash-point matrix (DESIGN.md §15)
 //! driven over real storage — every checkpoint-pipeline kill point ×
-//! {directory, object-store} publication tiers. The invariant at every
+//! {directory, in-memory} publication tiers. The invariant at every
 //! cell: a crash leaves either a bit-identically restorable checkpoint or
 //! a clean typed error — zero panics, zero torn manifests, and the commit
 //! point (the manifest PUT) never moves. Both checkpoints pre-stage, and
@@ -16,7 +16,7 @@ use mlp_offload_suite::mlp_offload::checkpoint::{
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
-use mlp_offload_suite::mlp_storage::{Backend, DirBackend, MemBackend, ObjectBackend};
+use mlp_offload_suite::mlp_storage::{Backend, DirBackend, MemBackend};
 use mlp_offload_suite::mlp_tensor::F16;
 use mlp_offload_suite::mlp_trace::TraceSink;
 
@@ -63,11 +63,11 @@ fn step(engine: &mut MlpFuncEngine, seed: usize) {
 }
 
 /// The publication-tier half of the matrix: a real filesystem directory
-/// or the emulated S3-like object store.
+/// or an in-memory store.
 fn object_tier(label: &str, root: &std::path::Path) -> Arc<dyn Backend> {
     match label {
         "dir" => Arc::new(DirBackend::new("object", root.join("object")).unwrap()),
-        "object" => Arc::new(ObjectBackend::new("object")),
+        "mem" => Arc::new(MemBackend::new("object")),
         other => panic!("unknown tier label {other}"),
     }
 }
@@ -75,7 +75,7 @@ fn object_tier(label: &str, root: &std::path::Path) -> Arc<dyn Backend> {
 #[test]
 fn crash_point_matrix_over_real_tiers_and_engines() {
     let root = std::env::temp_dir().join(format!("mlp-chaos-{}", std::process::id()));
-    for tier in ["dir", "object"] {
+    for tier in ["dir", "mem"] {
         for &cp in ALL_CRASH_POINTS {
             let cell = root.join(format!("{tier}-{cp:?}"));
             run_cell(tier, cp, &cell);

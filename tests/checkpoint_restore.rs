@@ -13,7 +13,7 @@ use mlp_offload_suite::mlp_offload::checkpoint::{
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
-use mlp_offload_suite::mlp_storage::{Backend, MemBackend, ObjectBackend, ObjectConfig};
+use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
 use mlp_offload_suite::mlp_tensor::F16;
 use mlp_offload_suite::mlp_trace::TraceSink;
 
@@ -235,7 +235,7 @@ fn prestaged_fraction_grows_with_smaller_cache() {
 #[test]
 fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
     // The acceptance scenario for the asynchronous two-hop pipeline: a
-    // worker trains, checkpoints through NVMe staging into an emulated
+    // worker trains, checkpoints through NVMe staging into an in-memory
     // object store, dies, and a fresh process resumes bit-identically.
     // The published checkpoint deliberately spans both durability
     // domains: host-resident subgroups were trickled into the object
@@ -244,10 +244,7 @@ fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
     let shared = tiers();
     let cfg = EngineConfig::mlp_offload().with_host_frames(5);
     let trace = TraceSink::enabled();
-    let object = Arc::new(ObjectBackend::with_config(
-        "s3",
-        ObjectConfig::deterministic(),
-    ));
+    let object = Arc::new(MemBackend::new("s3"));
     let mut pipe = CheckpointPipeline::new(
         Arc::new(MemBackend::new("nvme-staging")) as Arc<dyn Backend>,
         Arc::clone(&object) as Arc<dyn Backend>,

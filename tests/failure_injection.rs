@@ -19,7 +19,6 @@ use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
 use mlp_offload_suite::mlp_storage::{
     classify, Backend, ErrorClass, FaultConfig, FaultInjectBackend, FaultOps, MemBackend,
-    ObjectBackend, ObjectConfig,
 };
 use mlp_offload_suite::mlp_zero3::Zero3FuncEngine;
 
@@ -500,10 +499,7 @@ fn checkpoint_pipeline_absorbs_transient_object_store_faults() {
     // Fault-free twin pipeline.
     let clean_tiers = tiers();
     let clean_engine = drive(&clean_tiers);
-    let clean_store = Arc::new(ObjectBackend::with_config(
-        "s3",
-        ObjectConfig::deterministic(),
-    ));
+    let clean_store = Arc::new(MemBackend::new("s3"));
     let mut clean_pipe = CheckpointPipeline::new(
         Arc::new(MemBackend::new("stage")) as Arc<dyn Backend>,
         Arc::clone(&clean_store) as Arc<dyn Backend>,
@@ -516,10 +512,7 @@ fn checkpoint_pipeline_absorbs_transient_object_store_faults() {
     let faulty_tiers = tiers();
     let faulty_engine = drive(&faulty_tiers);
     let inject = Arc::new(FaultInjectBackend::new(
-        Arc::new(ObjectBackend::with_config(
-            "s3",
-            ObjectConfig::deterministic(),
-        )) as Arc<dyn Backend>,
+        Arc::new(MemBackend::new("s3")) as Arc<dyn Backend>,
         FaultConfig::transient(41, 0.2),
     ));
     let mut faulty_pipe = CheckpointPipeline::with_aio(
