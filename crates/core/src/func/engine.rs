@@ -1,5 +1,6 @@
 //! Real-bytes offloading engine over [`mlp_aio`] and storage backends.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
@@ -110,6 +111,14 @@ impl Resident {
     fn state_bytes(&self) -> &[u8] {
         &self.buf.as_bytes()[..self.n * 12]
     }
+}
+
+/// Where a subgroup's state is between update phases.
+enum Held<'a> {
+    /// The caller's state, until the first pass loads it.
+    Born(&'a SubgroupState),
+    /// Where the ledger has it.
+    Placed(Place<'a, Resident>),
 }
 
 /// Host gradient accumulators: the data-path difference between the
@@ -309,6 +318,9 @@ pub struct MlpFuncEngine {
     /// recycled buffers — zero per-subgroup heap allocation on the hot
     /// path.
     state_pool: PinnedPool,
+    /// The caller's state of each subgroup the first pass has not loaded
+    /// yet (see [`MlpFuncEngine::new`]).
+    born: Vec<Option<SubgroupState>>,
     /// Host gradient accumulators, one buffer per subgroup.
     grads: HostGrads,
     /// FP32 gradient bytes the last completed iteration moved through
@@ -336,14 +348,13 @@ pub struct MlpFuncEngine {
 }
 
 impl MlpFuncEngine {
-    /// Creates the engine born in its steady state: the initial optimizer
-    /// state starts where the first pass wants it. The head of the first
-    /// iteration's order, up to the resting budget
-    /// ([`rest_frames`](crate::policy::cache::FramePlan::rest_frames)),
-    /// rests in pooled host frames, as the last-updated subgroups of a
-    /// previous pass would (§3.2), so the first pass opens with those
-    /// hits. Every other subgroup is offloaded to the tier Eq. 1 places it
-    /// on. With retention off (ZeRO-3) everything is offloaded.
+    /// Creates the engine born in host memory: construction writes nothing
+    /// to any tier. The engine holds each caller-provided `SubgroupState`
+    /// until the first pass loads it, as a cache hit serialized into a
+    /// pooled frame ([`SubgroupLedger::take_born`]); each subgroup's first
+    /// durable copy is its first eviction, so the first pass reads no
+    /// tier. That is memory the caller already held, but until its first
+    /// update a subgroup stays in host memory rather than tier space.
     ///
     /// Rejects with `InvalidInput` an empty tier list, a `tier_ratio`
     /// whose length differs from it, and a tier with no I/O workers (its
@@ -359,8 +370,7 @@ impl MlpFuncEngine {
     }
 
     /// [`MlpFuncEngine::new`] for a run that has completed `iterations`
-    /// update phases: the born residents are the head of the next one's
-    /// order.
+    /// update phases: its first pass runs in the next one's order.
     fn starting_at(
         cfg: EngineConfig,
         adam: AdamConfig,
@@ -448,7 +458,7 @@ impl MlpFuncEngine {
         // pipeline's frames before its window needs them.
         let mut ledger = SubgroupLedger::new(&cfg, m, weights, ExecutorKind::Pool);
         ledger.iterations_done = iterations;
-        let born = ledger.take_born();
+        ledger.take_born();
         let subgroup_lens: Vec<usize> = initial.iter().map(SubgroupState::len).collect();
         let plan = ledger.plan;
 
@@ -469,7 +479,7 @@ impl MlpFuncEngine {
             PinnedPool::new_traced(pool_capacity, buffer_bytes, "state", cfg.trace.clone());
 
         let ntiers = tiers.len();
-        let mut engine = MlpFuncEngine {
+        Ok(MlpFuncEngine {
             state_pool,
             grads: if cfg.skip_gradient_offload {
                 HostGrads::Fp16(GradAccumulator::new(&subgroup_lens))
@@ -480,6 +490,7 @@ impl MlpFuncEngine {
                     empty: true,
                 }
             },
+            born: initial.into_iter().map(Some).collect(),
             last_grad_bytes: 0,
             ledger,
             pass: PassPlan::default(),
@@ -500,51 +511,7 @@ impl MlpFuncEngine {
             io_snapshot: vec![(0, 0.0, 0); ntiers],
             migrations_done: 0,
             drains_done: 0,
-        };
-
-        // Initial population (not part of any measured iteration): each
-        // subgroup is serialized straight into a pooled frame. The
-        // offloaded ones go first, with the whole pool free for their
-        // writes, each flushed from its frame, so staging memory is bounded
-        // by the pool and the first object a memory-class tier holds is
-        // already a frame it can exchange. The born residents' frames are
-        // taken last and rest.
-        let mut inflight: VecDeque<OpHandle> = VecDeque::new();
-        let settle_oldest = |inflight: &mut VecDeque<OpHandle>| {
-            inflight
-                .pop_front()
-                .map_or(Ok(false), |oldest| oldest.wait().map(|_| true))
-        };
-        for (idx, state) in initial.iter().enumerate() {
-            // A born resident's slot is lent out until its frame rests.
-            let Some(Place::Tier(tier)) = engine.ledger.place(idx) else {
-                continue;
-            };
-            let mut buf =
-                engine.acquire_settling("population write", || settle_oldest(&mut inflight))?;
-            state.write_to(buf.buffer_mut());
-            let _g = engine.tiers[tier].lock.acquire(engine.worker_id);
-            inflight.push_back(engine.tiers[tier].engine.submit_write_pooled(
-                engine.key(idx),
-                buf,
-                state.len() * 12,
-            ));
-        }
-        for idx in born {
-            let mut buf =
-                engine.acquire_settling("population write", || settle_oldest(&mut inflight))?;
-            initial[idx].write_to(buf.buffer_mut());
-            let n = engine.subgroup_lens[idx];
-            engine.ledger.rest(idx, Resident { buf, n });
-        }
-        for h in inflight {
-            h.wait()?;
-        }
-        // The population writes above are not part of any measured
-        // iteration; reset the counter snapshot so the first planner feed
-        // observes only training I/O.
-        engine.refresh_io_snapshot();
-        Ok(engine)
+        })
     }
 
     /// Sets the inverse loss scale applied to gradients before the update.
@@ -570,10 +537,13 @@ impl MlpFuncEngine {
         self.ledger.iterations_done
     }
 
-    /// Where subgroup `idx` rests. Only an update pass borrows frames
+    /// Where subgroup `idx`'s state is. Only an update pass borrows frames
     /// from the ledger, and it returns every one before it ends.
-    fn place(&self, idx: usize) -> io::Result<Place<'_, Resident>> {
-        self.ledger.place(idx).ok_or_else(|| {
+    fn place(&self, idx: usize) -> io::Result<Held<'_>> {
+        if let Some(state) = self.born.get(idx).and_then(Option::as_ref) {
+            return Ok(Held::Born(state));
+        }
+        self.ledger.place(idx).map(Held::Placed).ok_or_else(|| {
             invariant_violation(format!("subgroup {idx} is checked out by an update pass"))
         })
     }
@@ -1010,16 +980,17 @@ impl MlpFuncEngine {
             };
             let (t, after) = match load {
                 // A hit takes the frame its subgroup rests in, so an
-                // empty pool never stops one.
-                Load::Hit => {
-                    let res = self.ledger.take_hit(idx).ok_or_else(|| {
-                        invariant_violation(format!("planned hit {idx} is not resting"))
-                    })?;
-                    run.pending.push_back((idx, Staged::Hit(res)));
-                    run.load += 1;
-                    continue;
-                }
-                Load::Fetch { tier, after } => (tier, after),
+                // empty pool never stops one; a born one has no frame yet
+                // and takes a buffer the way a fetch does.
+                Load::Hit => match self.ledger.take_hit(idx) {
+                    Some(res) => {
+                        run.pending.push_back((idx, Staged::Hit(res)));
+                        run.load += 1;
+                        continue;
+                    }
+                    None => (None, None),
+                },
+                Load::Fetch { tier, after } => (Some(tier), after),
             };
             // A copy this pass evicted is read once its eviction has left.
             if after.is_some_and(|evicted| evicted >= run.evict) {
@@ -1066,6 +1037,20 @@ impl MlpFuncEngine {
                 self.settle_flush(idx, handle, progress)?;
             }
             let n = self.subgroup_lens[idx];
+            let Some(t) = t else {
+                // A born hit: the caller's state, serialized into the
+                // frame it rests in from now on.
+                let state = self.born.get_mut(idx).and_then(Option::take);
+                let state = state.ok_or_else(|| {
+                    invariant_violation(format!("planned hit {idx} is neither resting nor born"))
+                })?;
+                let mut buf = self.state_pool.acquire();
+                state.write_to(buf.buffer_mut());
+                run.pending
+                    .push_back((idx, Staged::Hit(Resident { buf, n })));
+                run.load += 1;
+                continue;
+            };
             // Gradients that went through storage come back with the
             // state — unless a failed attempt already applied them.
             let grad_tier = match &self.grads {
@@ -1209,7 +1194,8 @@ impl MlpFuncEngine {
         self.state_pool.outstanding()
     }
 
-    /// Host-resident subgroup count.
+    /// Subgroups resting in pooled host frames (a born subgroup the
+    /// first pass has not loaded holds no frame and is not counted).
     pub fn resident_count(&self) -> usize {
         self.ledger.resident_count()
     }
@@ -1234,12 +1220,6 @@ impl MlpFuncEngine {
             }
             self.io_snapshot[t] = (bytes, busy, retries);
         }
-    }
-
-    /// Re-bases the planner-feed snapshot on the tiers' current counters,
-    /// discarding any I/O performed since the last feed.
-    fn refresh_io_snapshot(&mut self) {
-        self.io_snapshot = (0..self.tiers.len()).map(|t| self.io_counters(t)).collect();
     }
 
     /// Tier `t`'s cumulative `(bytes_moved, busy_seconds, retries)`.
@@ -1433,8 +1413,9 @@ impl MlpFuncEngine {
     pub fn master_params(&self) -> io::Result<Vec<Vec<f32>>> {
         (0..self.subgroup_lens.len())
             .map(|idx| match self.place(idx)? {
-                Place::Host(res) => Ok(res.params().to_vec()),
-                Place::Tier(t) => {
+                Held::Born(state) => Ok(state.params.clone()),
+                Held::Placed(Place::Host(res)) => Ok(res.params().to_vec()),
+                Held::Placed(Place::Tier(t)) => {
                     let bytes = self.read_durable(t, idx, false)?;
                     expect_len("state", idx, bytes.len(), self.subgroup_lens[idx] * 12)?;
                     Ok(SubgroupState::from_bytes(&bytes, self.step)?.params)
@@ -1444,7 +1425,8 @@ impl MlpFuncEngine {
     }
 
     /// Starts an asynchronous two-hop checkpoint through `pipe`: host-
-    /// resident subgroups are submitted to the staging tier (the writes
+    /// resident subgroups, born ones serialized as the frame they will
+    /// rest in, are submitted to the staging tier (the writes
     /// run on the I/O engine's workers while training continues),
     /// subgroups whose object-store upload is still current at this
     /// optimizer step are skipped entirely (incremental checkpointing),
@@ -1478,27 +1460,32 @@ impl MlpFuncEngine {
         let mut stats = CheckpointStats::default();
         for idx in 0..self.subgroup_lens.len() {
             let bytes = self.subgroup_lens[idx] as u64 * 12;
-            let location = match self.place(idx)? {
-                Place::Host(resident) => match pipe.reusable_upload(idx, self.step) {
-                    Some(key) => SubgroupLocation::Target { key },
-                    None => {
-                        stats.copied_bytes += bytes;
-                        let staging_key = format!("ckptstage/{tag}/w{}/sub{idx}", self.worker_id);
-                        let handle =
-                            pipe.submit_flush(&staging_key, resident.state_bytes().to_vec());
-                        entries.push(PendingEntry::Flushing {
-                            idx,
-                            staging_key,
-                            bytes,
-                            handle,
-                        });
-                        continue;
-                    }
-                },
-                Place::Tier(tier) => {
+            let state = match self.place(idx)? {
+                Held::Placed(Place::Host(resident)) => Cow::Borrowed(resident.state_bytes()),
+                // The bytes of the frame the first pass serializes it into.
+                Held::Born(state) => Cow::Owned(state.to_buffer().as_bytes().to_vec()),
+                Held::Placed(Place::Tier(tier)) => {
                     let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
                     pins.push(self.tiers[tier].engine.submit_link(self.key(idx), &key));
-                    SubgroupLocation::Prestaged { tier, key }
+                    let location = SubgroupLocation::Prestaged { tier, key };
+                    stats.prestaged_bytes += bytes;
+                    entries.push(PendingEntry::Durable { idx, location });
+                    continue;
+                }
+            };
+            let location = match pipe.reusable_upload(idx, self.step) {
+                Some(key) => SubgroupLocation::Target { key },
+                None => {
+                    stats.copied_bytes += bytes;
+                    let staging_key = format!("ckptstage/{tag}/w{}/sub{idx}", self.worker_id);
+                    let handle = pipe.submit_flush(&staging_key, state.into_owned());
+                    entries.push(PendingEntry::Flushing {
+                        idx,
+                        staging_key,
+                        bytes,
+                        handle,
+                    });
+                    continue;
                 }
             };
             stats.prestaged_bytes += bytes;
@@ -1573,7 +1560,7 @@ impl MlpFuncEngine {
     }
 
     /// Where each subgroup's state lives right now (Fig. 10, functional
-    /// mode).
+    /// mode): a born subgroup's is host bytes until its first eviction.
     pub fn tier_distribution(&self) -> TierDistribution {
         self.ledger
             .tier_distribution(|idx| self.subgroup_lens[idx] as u64 * 12)
@@ -1763,7 +1750,8 @@ mod tests {
     fn cache_hits_appear_from_second_iteration() {
         let adam = AdamConfig::default();
         // Subgroups rest in all 5 host frames between update phases; the
-        // engine is born with the first order's head resting in them.
+        // engine is born holding every subgroup, so its first pass serves
+        // each from host memory and fetches nothing.
         let mut engine = MlpFuncEngine::new(
             EngineConfig::mlp_offload().with_host_frames(5),
             adam,
@@ -1774,20 +1762,22 @@ mod tests {
         .unwrap();
         engine.accumulate_gradients(&grads_for(8, 8, 0.0));
         let o0 = engine.update().unwrap();
-        assert_eq!((o0.cache_hits, o0.fetches), (5, 3), "born residents");
+        assert_eq!((o0.cache_hits, o0.fetches), (8, 0), "born in host memory");
         engine.accumulate_gradients(&grads_for(8, 8, 1.0));
         let o1 = engine.update().unwrap();
         assert_eq!(o1.cache_hits, 5, "retained tail reused after order flip");
         assert_eq!(o1.fetches, 3);
     }
 
-    /// The engine is born in its steady state: construction writes only
-    /// the `m − r` subgroups its `r` resting frames do not hold, so the
-    /// first pass already moves what every later one does, and the bits
-    /// are those of a never-offloaded run. A shard that fits its frames
-    /// writes nothing; ZeRO-3, which retains nothing, writes everything.
+    /// The engine is born in host memory: construction writes nothing,
+    /// and until the first update every subgroup is the caller's state.
+    /// The first pass serves every load from it, a hit, and flushes the
+    /// `m − r` subgroups its `r` resting frames cannot keep; from the
+    /// second pass on it moves what every later one does. The bits are
+    /// those of a never-offloaded run; ZeRO-3, which retains nothing, is
+    /// born the same way.
     #[test]
-    fn construction_offloads_only_what_the_frames_do_not_hold() {
+    fn construction_writes_nothing() {
         const LEN: usize = 16;
         let adam = AdamConfig::default();
         for (cfg, m, r) in [
@@ -1805,15 +1795,30 @@ mod tests {
             let what = format!("m={m} r={r}");
             let mut engine =
                 MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(m, LEN)).unwrap();
-            let stored: usize = mems.iter().map(|b| b.object_count()).sum();
-            assert_eq!(stored, m - r, "{what}: objects written at construction");
             for b in &mems {
                 let t = b.touches();
-                assert_eq!((t.read_copied_bytes, t.exchanged_frames), (0, 0), "{what}");
+                let touched = (
+                    b.object_count(),
+                    t.write_copied_bytes,
+                    t.read_copied_bytes,
+                    t.exchanged_frames,
+                );
+                assert_eq!(touched, (0, 0, 0, 0), "{what}: construction touched a tier");
             }
-            let written: u64 = mems.iter().map(|b| b.touches().write_copied_bytes).sum();
-            assert_eq!(written, ((m - r) * LEN * 12) as u64, "{what}: bytes written");
-            assert_eq!(engine.resident_count(), r, "{what}");
+            for t in 0..mems.len() {
+                assert_eq!(engine.io_counters(t), (0, 0.0, 0), "{what}: tier {t}");
+            }
+            let held = (engine.resident_count(), engine.state_pool_outstanding());
+            assert_eq!(held, (0, 0), "{what}");
+
+            // Before the first update: the caller's state, all of it host
+            // bytes.
+            let initial = init_states(m, LEN).into_iter().map(|s| s.params);
+            let initial: Vec<Vec<f32>> = initial.collect();
+            assert_eq!(engine.master_params().unwrap(), initial, "{what}");
+            let dist = engine.tier_distribution();
+            assert_eq!(dist.host_bytes, (m * LEN * 12) as u64, "{what}");
+            assert_eq!(dist.tier_bytes, vec![0, 0], "{what}");
 
             let mut reference = init_states(m, LEN);
             let mut steps = Vec::new();
@@ -1825,12 +1830,13 @@ mod tests {
                 let o = engine.update().unwrap();
                 steps.push((o.cache_hits, o.fetches, o.flushes));
             }
-            assert_eq!(steps[0], (r, m - r, m - r), "{what}: the first pass");
-            assert_eq!(steps[1], steps[0], "{what}: the second pass");
+            assert_eq!(steps[0], (m, 0, m - r), "{what}: the first pass");
+            assert_eq!(steps[1], (r, m - r, m - r), "{what}: the second pass");
             let got = engine.master_params().unwrap();
             for (idx, (g, want)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(g, &want.params, "{what}: subgroup {idx} diverged");
             }
+            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
         }
     }
 
@@ -1844,7 +1850,7 @@ mod tests {
         // `MIN_PIPELINE_FRAMES` of lookahead. Subgroups rest in every host
         // frame, so the budget is `frames`, and `m = frames + 3` is the
         // deepest scan the closed form still covers. The first pass hits
-        // the head its engine was born with, in every order.
+        // every subgroup its engine was born holding, in every order.
         for order in [
             OrderPolicy::Ascending,
             OrderPolicy::Alternating,
@@ -1860,7 +1866,7 @@ mod tests {
                     engine.accumulate_gradients(&grads_for(m, 8, iter as f32));
                     let outcome = engine.update().unwrap();
                     let hits = match iter {
-                        0 => frames.min(m),
+                        0 => m,
                         _ => order.expected_hits(iter, m, frames),
                     };
                     assert_eq!(
@@ -1991,17 +1997,22 @@ mod tests {
             init_states(subgroups, 16),
         )
         .unwrap();
-        // Population serialized each subgroup into a pooled frame.
-        let (populated, _, _) = engine.state_pool_stats();
-        assert_eq!(populated, subgroups as u64);
+        // Construction acquires nothing: the first pass serializes each
+        // born subgroup into a pooled frame, as a fetch reads into one.
+        assert_eq!(engine.state_pool_stats().0, 0);
         let mut fetched = 0u64;
         for it in 0..iters {
             engine.accumulate_gradients(&grads_for(subgroups, 16, it as f32));
             fetched += engine.update().unwrap().fetches as u64;
         }
         let (acquires, high_water, capacity) = engine.state_pool_stats();
-        // Every fetch acquired a staging buffer from the pool...
-        assert_eq!(acquires - populated, fetched, "one pooled acquire per fetch");
+        // Every born hit and every fetch acquired a staging buffer from
+        // the pool...
+        assert_eq!(
+            acquires,
+            subgroups as u64 + fetched,
+            "one pooled acquire per born hit and per fetch"
+        );
         assert!(acquires > capacity as u64, "enough traffic to prove reuse");
         // ...while the working set never exceeded the fixed pool: the hot
         // fetch → fused-update → flush loop allocated zero state buffers.
@@ -2446,6 +2457,58 @@ mod tests {
         assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
     }
 
+    /// A fault on the first pass's first eviction, the first write of any
+    /// subgroup's state, unwinds with every born subgroup still held: not
+    /// loaded yet, resting in a frame, reclaimed from its failed flush or
+    /// on the tier, each either as it was born or as the fault-free twin
+    /// updated it. The re-drive finishes the iteration bit-identically.
+    #[test]
+    fn a_failed_first_eviction_loses_no_born_state_and_the_redrive_is_exact() {
+        use mlp_storage::{classify, ErrorClass};
+        // The pool bounds how many flushes leave unnoticed, so the pass
+        // fails with most of the shard still ahead of it: born, or in the
+        // window.
+        const SHARD: usize = 64;
+        let adam = AdamConfig::default();
+        let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(1), 0, init_states(SHARD, 24)).unwrap();
+        let grads = grads_for(SHARD, 24, 0.0);
+        twin.accumulate_gradients(&grads);
+        let want = twin.update().unwrap();
+        let updated = twin.master_params().unwrap();
+        let (first, _) = twin.pass_plan().evictions().next().unwrap();
+
+        let dying = DoomedWrites::new(first..first + 1, false);
+        dying.arm(true);
+        let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0);
+        let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(SHARD, 24)).unwrap();
+        engine.accumulate_gradients(&grads);
+        let err = engine.update().unwrap_err();
+        assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
+        assert!(engine.update_in_progress());
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        let born = init_states(SHARD, 24).into_iter().map(|s| s.params);
+        for (idx, (held, born)) in engine.master_params().unwrap().iter().zip(born).enumerate() {
+            let kept = held == &born || held == &updated[idx];
+            assert!(kept, "subgroup {idx} lost");
+        }
+
+        dying.arm(false);
+        let got = engine.update().unwrap();
+        assert_eq!(got.fp16_params, want.fp16_params, "re-driven first pass");
+        for it in 1..4 {
+            let (want, got) = iterate_both(&mut twin, &mut engine, it as f32);
+            let got = got.unwrap();
+            assert_eq!(got.fp16_params, want.fp16_params, "iteration {it}");
+        }
+        assert_eq!(
+            engine.master_params().unwrap(),
+            twin.master_params().unwrap()
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
     #[test]
     fn dead_tier_fails_the_gradient_flush_typed_and_the_reflush_moves_what_is_missing() {
         use mlp_storage::{classify, ErrorClass};
@@ -2462,7 +2525,11 @@ mod tests {
         let (_, _, capacity) = engine.state_pool_stats();
         assert!(capacity < SHARD, "a pool of {capacity} cannot hold every failed flush");
 
-        let grads = grads_for(SHARD, 24, 0.0);
+        // The first pass is clean: the engine is born holding every
+        // subgroup, so it flushes no gradients and leaves all 64 on the
+        // tier.
+        iterate_both(&mut twin, &mut engine, 0.0).1.unwrap();
+        let grads = grads_for(SHARD, 24, 1.0);
         twin.accumulate_gradients(&grads);
         twin.flush_gradients().unwrap();
         let want = twin.update().unwrap();
@@ -2682,11 +2749,14 @@ mod tests {
             init_states(SHARD, 64),
         )
         .unwrap();
-        for it in 0..2 {
+        // Its first pass loads nothing from a tier: every subgroup is born
+        // in host memory.
+        for it in 0..3 {
             baseline.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
             baseline.flush_gradients().unwrap();
             let outcome = baseline.update().unwrap();
-            assert_eq!((outcome.fetches, outcome.flushes), (SHARD, SHARD));
+            let fetches = if it == 0 { 0 } else { SHARD };
+            assert_eq!((outcome.fetches, outcome.flushes), (fetches, SHARD));
         }
         let (_, high_water, capacity) = baseline.state_pool_stats();
         assert!(
@@ -2945,8 +3015,8 @@ mod tests {
             init_states(10, 4),
         )
         .unwrap();
-        // 7 born resting × 4 params × 12 B, then 7 retained.
-        assert_eq!(engine.tier_distribution().host_bytes, 7 * 4 * 12);
+        // All 10 born in host memory × 4 params × 12 B, then 7 retained.
+        assert_eq!(engine.tier_distribution().host_bytes, 10 * 4 * 12);
         engine.accumulate_gradients(&grads_for(10, 4, 0.0));
         engine.update().unwrap();
         let dist = engine.tier_distribution();

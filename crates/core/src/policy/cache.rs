@@ -19,11 +19,12 @@
 //!
 //! The kind also says how an executor starts. The virtual-time engine
 //! starts cold: everything is placed on the tiers and its cache warms up
-//! during training. The functional engine is born in its steady state:
-//! the head of its starting iteration's order, up to `rest_frames`
-//! subgroups, begins in host frames instead of being offloaded and read
-//! back ([`SubgroupLedger::take_born`](crate::policy::ledger::SubgroupLedger::take_born)),
-//! as the last-updated subgroups of a previous alternating pass would.
+//! during training. The functional engine is born in host memory: every
+//! subgroup begins where the caller's initial state already is, instead
+//! of being offloaded and read back
+//! ([`SubgroupLedger::take_born`](crate::policy::ledger::SubgroupLedger::take_born)),
+//! so its first pass loads each one as a hit and makes the cold pass's
+//! evictions, to the same tiers, as its first durable copies.
 //!
 //! The minimum is the *floor* of the prefetch window, not its depth, and
 //! the lookahead every pass is planned at
@@ -46,8 +47,8 @@ pub enum ExecutorKind {
     Lazy,
     /// A staging pool (the functional engine): residents rest in every
     /// frame and leave as soon as their eviction is certain. It is born
-    /// with the head of its starting iteration's order resting, up to the
-    /// resting budget, rather than cold.
+    /// with every subgroup in host memory, outside the resting set, rather
+    /// than cold.
     Pool,
 }
 

@@ -1,10 +1,11 @@
 //! The per-worker subgroup ledger: the one owner of *where every
 //! subgroup's optimizer state lives* and of the decisions that move it.
 //!
-//! Each subgroup has exactly one slot — resident in a host frame, or
-//! placed on a third-level tier — so "host-resident" and "holds the
-//! frame" are one fact. On top of the slot table the ledger runs the
-//! paper's scheduling policy, once, for both engines: at
+//! Each subgroup has exactly one slot — resident in a host frame, placed
+//! on a third-level tier, or lent out to its executor (a hit's frame, or
+//! the caller's state a pool executor is born holding) — so "resting"
+//! and "holds the frame" are one fact. On top of the slot table the
+//! ledger runs the paper's scheduling policy, once, for both engines: at
 //! [`SubgroupLedger::begin_iteration`] it plans the whole update pass as
 //! data, a [`PassPlan`] from the pure [`plan_pass`]:
 //!
@@ -205,7 +206,9 @@ enum Slot<F> {
     Host(F),
     /// Offloaded to the indexed tier.
     Tier(usize),
-    /// Frame taken by a hit, until it rests again.
+    /// Host-side outside the resting set: a frame taken by a hit, until
+    /// it rests again, or a subgroup born in the executor's own memory,
+    /// until its first frame rests ([`SubgroupLedger::take_born`]).
     Lent,
 }
 
@@ -225,9 +228,8 @@ pub struct SubgroupLedger<F> {
     /// The closed-loop §3.3 planner: feed it transfer observations,
     /// exclude quarantined tiers, read its estimates and counters.
     pub planner: AdaptivePlanner,
-    /// Completed iterations; a checkpoint restore sets it, before taking
-    /// the born residents, so the alternating order continues in the
-    /// checkpointed run's direction.
+    /// Completed iterations; a checkpoint restore sets it, so the
+    /// alternating order continues in the checkpointed run's direction.
     pub iterations_done: u64,
     order_policy: OrderPolicy,
     /// Pinned flush split; `None` follows the planner's estimates.
@@ -248,10 +250,9 @@ impl<F> SubgroupLedger<F> {
     /// split; its length is the caller's to validate.
     ///
     /// Nothing rests yet. A lazy executor starts cold: its cache warms up
-    /// during training. A pool executor is born in its steady state: it
-    /// takes the head of the starting iteration's order out of the
-    /// placement with [`SubgroupLedger::take_born`] and rests it in host
-    /// frames instead of offloading it.
+    /// during training. A pool executor is born in host memory: it takes
+    /// every subgroup out of the placement with
+    /// [`SubgroupLedger::take_born`] instead of offloading it.
     pub fn new(cfg: &EngineConfig, m: usize, bandwidths: Vec<f64>, kind: ExecutorKind) -> Self {
         let assignment = assign_subgroups(m, cfg.tier_ratio.as_deref().unwrap_or(&bandwidths));
         let mut planner = AdaptivePlanner::new(bandwidths, cfg.max_migrations_per_iter);
@@ -304,32 +305,17 @@ impl<F> SubgroupLedger<F> {
         )
     }
 
-    /// The subgroups a pool executor is born with resting: the head of
-    /// the current iteration's order, up to the resting budget, taken out
-    /// of the Eq. 1 placement. Each slot is lent out, as a hit's is,
-    /// until the executor [`SubgroupLedger::rest`]s the subgroup's first
-    /// frame; the executor writes only the others to their tiers. They
-    /// come in the order to rest them, the head's last position first, as
-    /// the previous alternating pass leaves them. Empty for a lazy
-    /// executor and with retention off. Called once, before the first
-    /// pass: only subgroups still placed on a tier are taken.
-    pub fn take_born(&mut self) -> Vec<usize> {
-        if self.kind != ExecutorKind::Pool {
-            return Vec::new();
-        }
-        let mut head = self
-            .order_policy
-            .order(self.iterations_done, self.slots.len());
-        head.truncate(self.plan.rest_frames);
-        head.retain(|&s| match self.slots.get_mut(s) {
-            Some(slot @ Slot::Tier(_)) => {
-                *slot = Slot::Lent;
-                true
-            }
-            _ => false,
-        });
-        head.reverse();
-        head
+    /// A pool executor is born with every subgroup host-side, where the
+    /// caller handed its state over: each slot leaves the Eq. 1 placement
+    /// and is lent out, as a hit's is, outside the resting set. The first
+    /// pass therefore plans every load as a hit and evicts each subgroup
+    /// only after its update: a lazy executor's cold evictions, to the
+    /// same tiers. The executor serves each such hit from the state it
+    /// holds until it [`SubgroupLedger::rest`]s the subgroup's first frame;
+    /// the first durable copy is the first eviction. Called once, before
+    /// the first pass; a lazy executor never calls it and starts cold.
+    pub fn take_born(&mut self) {
+        self.slots.iter_mut().for_each(|slot| *slot = Slot::Lent);
     }
 
     /// Takes resting subgroup `idx`'s frame, leaving `into` in its slot.
@@ -417,7 +403,8 @@ impl<F> SubgroupLedger<F> {
     }
 
     /// Where subgroup `idx` rests. `None` only for an out-of-range index
-    /// or while an update pass holds the subgroup's frame.
+    /// or while its slot is lent out: an update pass holds its frame, or
+    /// it is born and the first pass has not rested it yet.
     pub fn place(&self, idx: usize) -> Option<Place<'_, F>> {
         match self.slots.get(idx)? {
             Slot::Host(frame) => Some(Place::Host(frame)),
@@ -596,36 +583,55 @@ mod tests {
         }
     }
 
-    /// A pool executor is born with the head of its starting iteration's
-    /// order resting, in the order the previous alternating pass would
-    /// have left it; its first pass hits all of it. A lazy executor and a
-    /// ledger without retention start cold.
+    /// A pool executor is born with every subgroup host-side and none
+    /// resting, with retention and without, whatever its starting
+    /// iteration: its first pass hits all of them in that iteration's
+    /// order and evicts exactly as a lazy executor's cold pass at the same
+    /// budget does, to the same tiers.
     #[test]
-    fn a_pool_ledger_is_born_with_the_head_of_its_first_order() {
+    fn a_pool_ledger_is_born_with_every_subgroup_host_side() {
         let m = 8;
-        for (kind, iterations, retention, want) in [
-            (ExecutorKind::Pool, 0, true, vec![4, 3, 2, 1, 0]),
-            (ExecutorKind::Pool, 1, true, vec![3, 4, 5, 6, 7]),
-            (ExecutorKind::Lazy, 0, true, vec![]),
-            (ExecutorKind::Pool, 0, false, vec![]),
-        ] {
-            let mut cfg = EngineConfig::mlp_offload().with_host_frames(5);
+        for (iterations, retention) in [(0, true), (1, true), (0, false)] {
+            let mut cfg = EngineConfig::mlp_offload()
+                .with_host_frames(5)
+                .with_tier_ratio(vec![2.0, 1.0]);
             cfg.cache_retention = retention;
-            let mut l: SubgroupLedger<usize> = SubgroupLedger::new(&cfg, m, vec![1.0], kind);
-            l.iterations_done = iterations;
-            let what = format!("{kind:?} after {iterations} iterations, retention {retention}");
-            let born = l.take_born();
-            assert_eq!(born, want, "{what}");
-            for &s in &born {
+            let what = format!("after {iterations} iterations, retention {retention}");
+            let ledger = |kind| SubgroupLedger::<usize>::new(&cfg, m, vec![2.0, 1.0], kind);
+            let (mut l, mut cold) = (ledger(ExecutorKind::Pool), ledger(ExecutorKind::Lazy));
+            (l.iterations_done, cold.iterations_done) = (iterations, iterations);
+            cold.plan.rest_frames = l.plan.rest_frames;
+            l.take_born();
+            for s in 0..m {
                 assert!(l.place(s).is_none(), "{what}: {s} is lent until it rests");
+            }
+            assert_eq!(l.resident_count(), 0, "{what}");
+            assert_eq!(l.tier_distribution(|_| 1).host_bytes, m as u64, "{what}");
+            let plan = l.begin_iteration();
+            let order: Vec<usize> = plan.loads().map(|(s, _)| s).collect();
+            assert_eq!(order, cfg.order.order(iterations, m), "{what}");
+            assert_eq!(hits(&plan), m, "{what}");
+            let cold_plan = cold.begin_iteration();
+            assert_eq!(hits(&cold_plan), 0, "{what}: the lazy ledger starts cold");
+            let evictions = |p: &PassPlan| p.evictions().collect::<Vec<_>>();
+            assert_eq!(evictions(&plan), evictions(&cold_plan), "{what}");
+            assert_eq!(plan.evictions().count(), m - l.plan.rest_frames, "{what}");
+            // The executor serves a born hit from its own memory: there is
+            // no frame to take until it rests one.
+            for (s, _) in plan.loads() {
+                assert!(l.take_hit(s).is_none(), "{what}: {s} rests");
                 l.rest(s, s);
             }
-            assert_eq!(l.take_born(), Vec::<usize>::new(), "{what}: born twice");
-            let plan = l.begin_iteration();
-            let first: Vec<usize> = plan.loads().take(born.len()).map(|(s, _)| s).collect();
-            assert_eq!(hits(&plan), born.len(), "{what}");
-            assert_eq!(first, born.iter().rev().copied().collect::<Vec<_>>(), "{what}");
             execute(&mut l, &plan, true);
+            execute(&mut cold, &cold_plan, true);
+            for s in 0..m {
+                let tier = |l: &SubgroupLedger<usize>| match l.place(s) {
+                    Some(Place::Tier(t)) => Some(t),
+                    _ => None,
+                };
+                assert_eq!(tier(&l), tier(&cold), "{what}: subgroup {s}");
+            }
+            assert_eq!(l.resident_count(), l.plan.rest_frames.min(m), "{what}");
         }
     }
 

@@ -8,7 +8,7 @@ use std::io::{self, ErrorKind};
 use std::sync::{Arc, Mutex};
 
 use mlp_offload_suite::mlp_offload::checkpoint::{
-    CheckpointManifest, CheckpointPipeline, SubgroupLocation,
+    CheckpointManifest, CheckpointPipeline, CheckpointStats, SubgroupLocation,
 };
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
@@ -301,9 +301,11 @@ fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
 }
 
 /// A checkpoint taken after an odd number of iterations restores into an
-/// engine born with the head of the *descending* order resting, the order
-/// its next pass runs in: that pass opens with every resting frame a hit,
-/// as the uninterrupted twin's does, and both land on the same bits.
+/// engine born holding every subgroup in host memory, whose next pass runs
+/// in the *descending* order, as the checkpointed run's does: it opens by
+/// resting the head of that order in frames, every load a hit where the
+/// uninterrupted twin fetches what its frames did not keep, and lands on
+/// the twin's bits. From the pass after it the two move the same steps.
 #[test]
 fn an_odd_iteration_restore_rests_the_head_of_the_descending_order() {
     let shared = tiers();
@@ -331,16 +333,72 @@ fn an_odd_iteration_restore_rests_the_head_of_the_descending_order() {
         .restore(cfg, AdamConfig::default(), &shared, 0, "odd")
         .unwrap();
     assert_eq!(resumed.iterations_done(), 3);
-    assert_eq!(resumed.resident_count(), 3);
+    assert_eq!(resumed.resident_count(), 0);
 
     let want = pass(&mut straight, 3);
     let got = pass(&mut resumed, 3);
-    assert_eq!((got.0, got.1, got.2), (3, SUBGROUPS - 3, SUBGROUPS - 3));
-    assert_eq!(got, want, "the first restored pass");
+    let order: Vec<usize> = resumed.pass_plan().loads().map(|(s, _)| s).collect();
+    assert_eq!(order, (0..SUBGROUPS).rev().collect::<Vec<_>>());
+    assert_eq!((got.0, got.1, got.2), (SUBGROUPS, 0, SUBGROUPS - 3));
+    assert_eq!((want.0, want.1, want.2), (3, SUBGROUPS - 3, SUBGROUPS - 3));
+    assert_eq!(got.3, want.3, "the first restored pass");
+    let next = (pass(&mut resumed, 4), pass(&mut straight, 4));
+    assert_eq!(next.0, next.1, "the next pass");
     assert_eq!(
         resumed.master_params().unwrap(),
         straight.master_params().unwrap()
     );
+}
+
+/// A checkpoint started before the first update, right after `new` or
+/// right after a restore, finds every subgroup born in host memory: it
+/// copies each one as a host resident and pins nothing, and what it
+/// restores trains on bit-identically to the uninterrupted twin.
+#[test]
+fn a_checkpoint_before_the_first_update_copies_the_born_subgroups() {
+    let adam = AdamConfig::default();
+    let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+    let shared = tiers();
+    let mut straight = MlpFuncEngine::new(cfg.clone(), adam, &tiers(), 0, states()).unwrap();
+    let born = MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states()).unwrap();
+    let copied = |(manifest, stats): (CheckpointManifest, CheckpointStats)| {
+        let all = SUBGROUPS as u64 * LEN as u64 * 12;
+        assert_eq!(stats.copied_bytes, all, "every subgroup copied");
+        assert_eq!(stats.prestaged_bytes, 0, "nothing pinned");
+        let copy = |loc: &SubgroupLocation| matches!(loc, SubgroupLocation::Target { .. });
+        assert!(manifest.subgroups.iter().all(copy));
+    };
+    let mut after_new = pipeline();
+    copied(after_new.checkpoint(&born, "new").unwrap());
+    drop(born);
+    for tier in &shared {
+        let wrote = tier.backend.contains("w0/sub0");
+        assert!(!wrote, "construction wrote state");
+    }
+
+    // Right after the restore: a pipeline with no upload to reuse copies
+    // every subgroup again.
+    let restored = after_new
+        .restore(cfg.clone(), adam, &shared, 0, "new")
+        .unwrap();
+    let mut after_restore = pipeline();
+    copied(after_restore.checkpoint(&restored, "restored").unwrap());
+    drop(restored);
+
+    let mut from_new = after_new
+        .restore(cfg.clone(), adam, &shared, 0, "new")
+        .unwrap();
+    let mut from_restore = after_restore
+        .restore(cfg, adam, &shared, 0, "restored")
+        .unwrap();
+    for it in 0..3 {
+        step(&mut straight, it);
+        step(&mut from_new, it);
+        step(&mut from_restore, it);
+    }
+    let want = straight.master_params().unwrap();
+    assert_eq!(from_new.master_params().unwrap(), want);
+    assert_eq!(from_restore.master_params().unwrap(), want);
 }
 
 #[test]
@@ -363,23 +421,30 @@ fn torn_state_objects_surface_typed_errors_not_panics() {
     let cfg = EngineConfig::mlp_offload();
 
     // A durable tier copy one whole record short: a multiple of 12, but not
-    // this subgroup's length. A new engine rests the head of its first
-    // order, so the last subgroup is read from its tier.
+    // this subgroup's length. A new engine is born holding every subgroup;
+    // its first (ascending) pass evicts the head of that order to a tier,
+    // where the second reads it back.
     let shared = tiers();
-    let fresh =
+    let mut fresh =
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
-    let last = format!("w0/sub{}", SUBGROUPS - 1);
+    step(&mut fresh, 0);
+    let first = "w0/sub0";
     let tier = shared
         .iter()
-        .find(|t| t.backend.contains(&last))
-        .expect("the last subgroup is offloaded");
-    let bytes = tier.backend.read(&last).unwrap();
+        .find(|t| t.backend.contains(first))
+        .expect("the first subgroup is offloaded");
+    let bytes = tier.backend.read(first).unwrap();
     tier.backend
-        .write(&last, &bytes[..bytes.len() - 12])
+        .write(first, &bytes[..bytes.len() - 12])
         .unwrap();
     let err = fresh
         .master_params()
         .expect_err("a short copy must not shrink the subgroup");
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    fresh.accumulate_gradients(&grads(1));
+    let err = fresh
+        .update()
+        .expect_err("a short copy must not be updated");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
 
     // A checkpointed object cut 5 bytes short, a copy in the object store

@@ -154,8 +154,8 @@ fn two_workers_share_tiers_without_interference() {
 
 /// §3.2 "Process Atomic R/W": while one worker's transfer is on a tier no
 /// other worker's is (`SimWorker::transfer` holds the lock that long).
-/// `MlpFuncEngine::{submit_read, submit_flush}` and the population loop
-/// release it once the op is queued, so this fails while an aio worker
+/// `MlpFuncEngine::{submit_read, submit_flush}` release it once the op
+/// is queued, so this fails while an aio worker
 /// still runs the transfer — see ROADMAP "Tier lock covers the transfer"
 /// for the invariant the fix must keep.
 #[test]
@@ -315,12 +315,12 @@ fn loads(plan: &PassPlan) -> Vec<(usize, Option<usize>)> {
 /// after every pass. The functional engine's subgroups rest in all `h` of
 /// its host frames, the simulator's beyond its pipeline's, so the same
 /// budget is `h` frames for one and `h + MIN_PIPELINE_FRAMES` for the
-/// other. The functional engine is born with the head of the first order
-/// resting in those frames and the simulator cold, so in the first pass
-/// the born head's loads are hits on one side and fetches on the other,
-/// and its gradients never go through storage; every other step is the
-/// same. The split is pinned: the functional engine's adaptive estimates
-/// are wall-clock.
+/// other. The functional engine is born holding every subgroup in host
+/// memory and the simulator cold, so in the first pass every load is a
+/// hit on one side and a fetch on the other, and no gradient goes
+/// through storage; the evictions are the simulator's, and every other
+/// step is the same. The split is pinned: the functional engine's
+/// adaptive estimates are wall-clock.
 #[test]
 fn functional_and_simulated_engines_count_the_same_steps() {
     for (stage, h) in AblationStage::ladder()
@@ -380,10 +380,7 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                 });
                 let got = iterate(&mut func, grads);
                 let (early, late) = (func.pass_plan(), &simulated.pass_plan());
-                let born = match it {
-                    0 if stage.config().cache_retention => h.min(SUBGROUPS),
-                    _ => 0,
-                };
+                let born = if it == 0 { SUBGROUPS } else { 0 };
                 let mut want = loads(late);
                 for load in &mut want[..born] {
                     load.1 = None;
@@ -411,7 +408,7 @@ fn functional_and_simulated_engines_count_the_same_steps() {
                 );
                 // The simulator reports the flushed gradient bytes; the
                 // same bytes are fetched back during the update. The born
-                // residents' gradients stay in host memory.
+                // subgroups' gradients stay in host memory.
                 let offloaded = backward.grad_bytes_offloaded;
                 assert_eq!(
                     got.3,
