@@ -23,7 +23,7 @@ use crate::checkpoint::{
 };
 use crate::config::EngineConfig;
 use crate::policy::cache::ExecutorKind;
-use crate::policy::ledger::{Load, PassPlan, Place, Step, SubgroupLedger};
+use crate::policy::ledger::{Durable, Load, PassPlan, Place, Step, SubgroupLedger};
 use crate::policy::replan::MigrationStep;
 use crate::stats::TierDistribution;
 
@@ -234,6 +234,18 @@ impl Fetch {
     }
 }
 
+/// A state eviction's write: the subgroup, the tier it goes to, and the
+/// durable copy it supersedes.
+#[derive(Clone, Copy)]
+struct Eviction {
+    subgroup: usize,
+    tier: usize,
+    superseded: Durable,
+}
+
+/// Deletes of superseded copies in flight, as `(subgroup, tier, op)`.
+type Retiring = VecDeque<(usize, usize, OpHandle)>;
+
 /// An update pass in flight. Loads are issued in plan order, ahead of the
 /// other steps; an eviction may leave before it falls due, never out of
 /// order.
@@ -244,9 +256,11 @@ struct PassRun {
     /// before which every eviction has been flushed.
     load: usize,
     evict: usize,
-    /// The prefetch window and the eviction flushes in flight, oldest first.
+    /// The prefetch window, the eviction flushes and the deletes of the
+    /// copies they superseded in flight, oldest first.
     pending: VecDeque<(usize, Staged)>,
-    flushes: VecDeque<(usize, OpHandle)>,
+    flushes: VecDeque<(Eviction, OpHandle)>,
+    deletes: Retiring,
 }
 
 struct TierRt {
@@ -266,6 +280,12 @@ struct TierRt {
 /// bit-identical to one that never failed.
 struct IterProgress {
     updated: Vec<bool>,
+    /// Whether each subgroup's newest durable copy carries this
+    /// iteration's gradient: `Some(false)` while it holds the state the
+    /// iteration started from, `None` when it holds neither (a resident
+    /// was updated since its copy was written; a born one has none). An
+    /// eviction whose payload is lost falls back to that copy.
+    copy_updated: Vec<Option<bool>>,
 }
 
 /// Result of one update phase.
@@ -334,9 +354,9 @@ pub struct MlpFuncEngine {
     /// re-drives the same iteration instead of starting a new one.
     in_progress: Option<IterProgress>,
     /// State evictions of the failed update that the I/O deadline answered
-    /// while their writes still ran, by subgroup: settled by
+    /// while their writes still ran: settled by
     /// [`MlpFuncEngine::reconcile_abandoned`] before the re-drive.
-    abandoned: Vec<(usize, OpHandle)>,
+    abandoned: Vec<(Eviction, OpHandle)>,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
@@ -744,8 +764,10 @@ impl MlpFuncEngine {
             Some(p) => p,
             None => {
                 self.step += 1;
+                let on_tier = |idx| matches!(self.ledger.place(idx), Some(Place::Tier(_)));
                 IterProgress {
                     updated: vec![false; m],
+                    copy_updated: (0..m).map(|idx| on_tier(idx).then_some(false)).collect(),
                 }
             }
         };
@@ -815,52 +837,104 @@ impl MlpFuncEngine {
     /// A failed flush hands its staging buffer back through
     /// [`OpHandle::wait_flush`]; keep the subgroup host-resident so the
     /// (possibly only) copy of its state survives for the re-driven
-    /// iteration. Only a backend panic loses the payload — then the
-    /// subgroup falls back to its last durable copy and its resume bit is
-    /// cleared so the re-drive re-applies the gradient.
+    /// iteration. Either way the subgroup goes back to the durable copy
+    /// the eviction superseded, which stays until a write supersedes it.
+    /// Only a backend panic loses the payload — then that copy is the
+    /// subgroup's state, and its resume bit says whether it carries this
+    /// iteration's gradient. A copy older than the iteration cannot stand
+    /// in for the lost state: the subgroup is then lent out with no frame,
+    /// so every later pass fails at its load instead of updating it.
     fn reclaim_failed_flush(
         &mut self,
-        fidx: usize,
+        e: Eviction,
         frame: Option<PooledBuffer>,
         progress: &mut IterProgress,
     ) {
+        let idx = e.subgroup;
         match frame {
             Some(buf) => {
-                let n = self.subgroup_lens[fidx];
-                self.ledger.rest(fidx, Resident { buf, n });
+                self.ledger.fall_back(idx, e.superseded);
+                let n = self.subgroup_lens[idx];
+                self.ledger.rest(idx, Resident { buf, n });
             }
-            None => progress.updated[fidx] = false,
+            None => match progress.copy_updated[idx] {
+                Some(updated) => {
+                    self.ledger.fall_back(idx, e.superseded);
+                    progress.updated[idx] = updated;
+                }
+                // Nothing holds the state the re-drive needs.
+                None => self.ledger.fall_back(idx, Durable::Unknown),
+            },
         }
     }
 
-    /// Waits for subgroup `fidx`'s eviction flush; a failed one reclaims
-    /// its payload host-side and returns the error. One the deadline
-    /// answered is still running, its frame with the worker: whether the
-    /// tier copy carries it is known only once it settles, so its handle
-    /// is kept for [`MlpFuncEngine::reconcile_abandoned`].
+    /// Eviction `e`'s write is durable: submits the deletes of every copy
+    /// it superseded, each through its tier's I/O engine (a quarantined
+    /// tier's past its breaker, as the drain retires copies there). A born
+    /// subgroup's first eviction asks every other tier, and deletes only
+    /// what one holds: what an earlier run left under its key.
+    fn retire(&self, e: Eviction, progress: &mut IterProgress, deletes: &mut Retiring) {
+        progress.copy_updated[e.subgroup] = Some(progress.updated[e.subgroup]);
+        for t in e.superseded.superseded_by(e.tier, self.tiers.len()) {
+            let (engine, key) = (&self.tiers[t].engine, self.key(e.subgroup));
+            if e.superseded == Durable::Unknown && !engine.contains(key) {
+                continue;
+            }
+            let _g = self.tier_guard(t);
+            let delete = if self.ledger.planner.excluded()[t] {
+                engine.submit_salvage_delete(key)
+            } else {
+                engine.submit_delete(key)
+            };
+            deletes.push_back((e.subgroup, t, delete));
+        }
+    }
+
+    /// Waits until a delete from [`MlpFuncEngine::retire`] has settled on
+    /// its tier — one the deadline answered early, up to one more deadline
+    /// — so that it cannot land after a later write of the same key. A
+    /// failed delete leaves a stale copy behind: a space leak, not an
+    /// error, as in [`MlpFuncEngine::move_durable_copy`].
+    fn settle_delete(&self, tier: usize, delete: OpHandle) {
+        let _ = delete.wait_flush();
+        if delete.abandoned() {
+            let _ = delete.late_flush(self.tiers[tier].deadline.unwrap_or_default());
+        }
+    }
+
+    /// Waits for eviction `e`'s flush. One that landed retires the copy it
+    /// superseded; a failed one reclaims its payload host-side and returns
+    /// the error. One the deadline answered is still running, its frame
+    /// with the worker: whether the tier copy carries it is known only
+    /// once it settles, so its handle is kept for
+    /// [`MlpFuncEngine::reconcile_abandoned`], and it retires nothing
+    /// until then.
     fn settle_flush(
         &mut self,
-        fidx: usize,
+        e: Eviction,
         handle: OpHandle,
         progress: &mut IterProgress,
+        deletes: &mut Retiring,
     ) -> io::Result<()> {
-        let Err((e, frame)) = handle.wait_flush() else {
+        let Err((err, frame)) = handle.wait_flush() else {
+            self.retire(e, progress, deletes);
             return Ok(());
         };
         if frame.is_none() && handle.abandoned() {
-            self.abandoned.push((fidx, handle));
+            self.abandoned.push((e, handle));
         } else {
-            self.reclaim_failed_flush(fidx, frame, progress);
+            self.reclaim_failed_flush(e, frame, progress);
         }
-        Err(e)
+        Err(err)
     }
 
     /// Settles the state evictions a failed update abandoned to the I/O
     /// deadline, waiting up to one deadline for them. One that landed left
     /// the tier copy carrying what its frame held, so the subgroup keeps
     /// its resume bit and the re-drive re-emits its FP16 image from that
-    /// copy instead of applying the gradient again. One that failed hands
-    /// its frame back to rest host-side, as any failed flush does. Any
+    /// copy instead of applying the gradient again; the copy it
+    /// superseded is retired now. One that failed hands its frame back to
+    /// rest host-side, as any failed flush does. Any
     /// still running fails the call with `TimedOut` and is asked again by
     /// the next one: re-planning while a write may still land could fetch
     /// either copy.
@@ -874,22 +948,25 @@ impl MlpFuncEngine {
         };
         let deadline = self.tiers.iter().filter_map(|t| t.deadline).max();
         let started = Instant::now();
-        let mut running = Vec::new();
-        for (idx, handle) in std::mem::take(&mut self.abandoned) {
+        let (mut running, mut deletes) = (Vec::new(), Retiring::new());
+        for (e, handle) in std::mem::take(&mut self.abandoned) {
             let within = deadline
                 .unwrap_or_default()
                 .saturating_sub(started.elapsed());
             match handle.late_flush(within) {
-                Some(Ok(())) => {}
-                Some(Err((_, frame))) => self.reclaim_failed_flush(idx, frame, &mut progress),
-                None => running.push((idx, handle)),
+                Some(Ok(())) => self.retire(e, &mut progress, &mut deletes),
+                Some(Err((_, frame))) => self.reclaim_failed_flush(e, frame, &mut progress),
+                None => running.push((e, handle)),
             }
         }
+        for (_, t, delete) in deletes {
+            self.settle_delete(t, delete);
+        }
         self.in_progress = Some(progress);
-        let Some(&(idx, _)) = running.first() else {
+        let Some((e, _)) = running.first() else {
             return Ok(());
         };
-        let count = running.len();
+        let (idx, count) = (e.subgroup, running.len());
         self.abandoned = running;
         Err(io::Error::new(
             io::ErrorKind::TimedOut,
@@ -903,18 +980,26 @@ impl MlpFuncEngine {
 
     /// Drains every operation still in flight after a pass, successful or
     /// not: pending reads settle (their staging buffers recycle), cache
-    /// hits the pass never reached go back to the ledger, and flushes
+    /// hits the pass never reached go back to the ledger, flushes
     /// settle with failed ones reclaiming their payload into the host
-    /// cache. Returns the pass's outcome, or the first error encountered,
-    /// preferring the pass's own.
+    /// cache, and then every delete of a superseded copy settles, so none
+    /// outlives the pass. Returns the pass's outcome, or the first error
+    /// encountered, preferring the pass's own.
     fn drain_inflight(
         &mut self,
         pass: io::Result<()>,
         run: PassRun,
         progress: &mut IterProgress,
     ) -> io::Result<UpdateOutcome> {
+        let PassRun {
+            outcome,
+            pending,
+            flushes,
+            mut deletes,
+            ..
+        } = run;
         let mut first_err = pass.err();
-        for (idx, staged) in run.pending {
+        for (idx, staged) in pending {
             match staged {
                 Staged::Hit(res) => self.ledger.rest(idx, res),
                 // Buffers recycle on drop.
@@ -925,12 +1010,15 @@ impl MlpFuncEngine {
                 }
             }
         }
-        for (fidx, h) in run.flushes {
-            if let Err(e) = self.settle_flush(fidx, h, progress) {
+        for (e, h) in flushes {
+            if let Err(e) = self.settle_flush(e, h, progress, &mut deletes) {
                 first_err.get_or_insert(e);
             }
         }
-        first_err.map_or(Ok(run.outcome), Err)
+        for (_, t, delete) in deletes {
+            self.settle_delete(t, delete);
+        }
+        first_err.map_or(Ok(outcome), Err)
     }
 
     /// Flushes the plan's next eviction that has not left yet, as-is from
@@ -946,11 +1034,25 @@ impl MlpFuncEngine {
             return Ok(false);
         };
         run.evict = at + 1;
-        let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
+        let evicted = self.ledger.evict_superseding(subgroup, tier);
+        let (Resident { buf, n }, superseded) = evicted.ok_or_else(|| {
             invariant_violation(format!("planned eviction {subgroup} is not resting"))
         })?;
+        // A delete of this key on this tier that an earlier eviction of the
+        // pass left must not land after the write.
+        let same_key = |&(s, t, _): &(usize, usize, OpHandle)| (s, t) == (subgroup, tier);
+        while let Some(at) = run.deletes.iter().position(same_key) {
+            if let Some((_, t, delete)) = run.deletes.remove(at) {
+                self.settle_delete(t, delete);
+            }
+        }
         let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
-        run.flushes.push_back((subgroup, handle));
+        let e = Eviction {
+            subgroup,
+            tier,
+            superseded,
+        };
+        run.flushes.push_back((e, handle));
         run.outcome.flushes += 1;
         Ok(true)
     }
@@ -1013,8 +1115,8 @@ impl MlpFuncEngine {
                 // flush in flight, else the update of a staged subgroup,
                 // else the plan's next eviction (residents a failed attempt
                 // reclaimed can hold the whole pool).
-                if let Some((fidx, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(fidx, handle, progress)?;
+                if let Some((e, handle)) = run.flushes.pop_front() {
+                    self.settle_flush(e, handle, progress, &mut run.deletes)?;
                     continue;
                 }
                 if !run.pending.is_empty() {
@@ -1032,9 +1134,9 @@ impl MlpFuncEngine {
             // is still in flight could overtake the write on another I/O
             // worker and fetch stale state. On fence failure the payload
             // is reclaimed host-side and the iteration unwinds.
-            let fence = after.and_then(|_| run.flushes.iter().position(|(f, _)| *f == idx));
-            if let Some((_, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
-                self.settle_flush(idx, handle, progress)?;
+            let fence = after.and_then(|_| run.flushes.iter().position(|(e, _)| e.subgroup == idx));
+            if let Some((e, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
+                self.settle_flush(e, handle, progress, &mut run.deletes)?;
             }
             let n = self.subgroup_lens[idx];
             let Some(t) = t else {
@@ -1097,10 +1199,15 @@ impl MlpFuncEngine {
             self.top_up(at, run, progress)?;
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
-            // remaining one has moved its bytes.
+            // remaining one has moved its bytes. Finished deletes go too.
             while run.flushes.front().is_some_and(|(_, h)| h.is_done()) {
-                if let Some((fidx, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(fidx, handle, progress)?;
+                if let Some((e, handle)) = run.flushes.pop_front() {
+                    self.settle_flush(e, handle, progress, &mut run.deletes)?;
+                }
+            }
+            while run.deletes.front().is_some_and(|(.., h)| h.is_done()) {
+                if let Some((_, t, delete)) = run.deletes.pop_front() {
+                    self.settle_delete(t, delete);
                 }
             }
 
@@ -1271,9 +1378,11 @@ impl MlpFuncEngine {
         self.ledger.relocate(step);
         {
             // A failed delete leaves a stale source copy behind — a
-            // space leak, not a correctness problem (the key is never
-            // read from the old tier again) — so it does not fail the
-            // iteration.
+            // space leak, not a correctness problem: nothing reads a key
+            // from a tier the ledger does not place it on, and the next
+            // write of it there replaces it — so it does not fail the
+            // iteration (nor does the same failure when an eviction
+            // retires the copy it superseded).
             let _g = self.tiers[step.from].lock.acquire(self.worker_id);
             let engine = &self.tiers[step.from].engine;
             let delete = if salvage {
@@ -2027,8 +2136,9 @@ mod tests {
     /// Touches per byte through a memory-class tier: a steady-state
     /// iteration copies each fetched subgroup once (the durable copy must
     /// stay on the tier) and copies nothing on flush — a whole staging
-    /// frame trades places with the object it displaces. A subgroup
-    /// shorter than the frame cannot trade and is copied, as before.
+    /// frame trades places with the object it displaces, or with a spare
+    /// frame when the flush re-places its subgroup. A subgroup shorter
+    /// than the frame cannot trade and is copied, as before.
     #[test]
     fn steady_state_flushes_exchange_frames_and_fetches_copy_once() {
         use mlp_storage::MemTouches;
@@ -2070,8 +2180,9 @@ mod tests {
             let mut reference = initial.clone();
             let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, initial).unwrap();
             let pool = engine.state_pool_stats();
-            // Two cycles of the alternating order: by then every subgroup
-            // has an object on each tier its flushes ever pick.
+            // Two cycles of the alternating order: by then a flush that
+            // re-places its subgroup finds a spare frame on the new tier,
+            // left there by the delete of a copy another one superseded.
             for it in 0..4 {
                 let grads = grads_at(it);
                 reference_update(&mut reference, &adam, &grads);

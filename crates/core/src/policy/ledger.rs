@@ -4,7 +4,10 @@
 //! Each subgroup has exactly one slot — resident in a host frame, placed
 //! on a third-level tier, or lent out to its executor (a hit's frame, or
 //! the caller's state a pool executor is born holding) — so "resting"
-//! and "holds the frame" are one fact. On top of the slot table the
+//! and "holds the frame" are one fact. A host-side slot also records the
+//! tier of the subgroup's newest durable copy ([`Durable`]): the copy its
+//! next eviction supersedes, which the executor retires once the new one
+//! is durable, so a subgroup has at most one. On top of the slot table the
 //! ledger runs the paper's scheduling policy, once, for both engines: at
 //! [`SubgroupLedger::begin_iteration`] it plans the whole update pass as
 //! data, a [`PassPlan`] from the pure [`plan_pass`]:
@@ -193,6 +196,30 @@ pub fn plan_pass(
     PassPlan { steps }
 }
 
+/// The newest durable copy of a host-side subgroup: the one its next
+/// eviction supersedes ([`SubgroupLedger::evict_superseding`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Durable {
+    /// On the indexed tier.
+    On(usize),
+    /// None this run has written or read: a born subgroup. A tier may
+    /// still hold one that an earlier run left under its key.
+    Unknown,
+}
+
+impl Durable {
+    /// The tiers out of `tiers` that can hold a copy an eviction to
+    /// `tier` supersedes: its old tier if that is another, or every other
+    /// tier when the copy is unknown.
+    pub fn superseded_by(self, tier: usize, tiers: usize) -> impl Iterator<Item = usize> {
+        let range = match self {
+            Durable::On(t) => t..t + 1,
+            Durable::Unknown => 0..tiers,
+        };
+        range.filter(move |&t| t != tier)
+    }
+}
+
 /// Where a subgroup rests between update phases.
 pub enum Place<'a, F> {
     /// Retained in this host frame.
@@ -202,14 +229,14 @@ pub enum Place<'a, F> {
 }
 
 enum Slot<F> {
-    /// Retained in this host frame.
-    Host(F),
-    /// Offloaded to the indexed tier.
+    /// Retained in this host frame, over its newest durable copy.
+    Host(F, Durable),
+    /// Offloaded to the indexed tier: its one durable copy.
     Tier(usize),
     /// Host-side outside the resting set: a frame taken by a hit, until
     /// it rests again, or a subgroup born in the executor's own memory,
     /// until its first frame rests ([`SubgroupLedger::take_born`]).
-    Lent,
+    Lent(Durable),
 }
 
 impl<F> Slot<F> {
@@ -315,16 +342,21 @@ impl<F> SubgroupLedger<F> {
     /// the first durable copy is the first eviction. Called once, before
     /// the first pass; a lazy executor never calls it and starts cold.
     pub fn take_born(&mut self) {
-        self.slots.iter_mut().for_each(|slot| *slot = Slot::Lent);
+        let born = || Slot::Lent(Durable::Unknown);
+        self.slots.iter_mut().for_each(|slot| *slot = born());
     }
 
-    /// Takes resting subgroup `idx`'s frame, leaving `into` in its slot.
-    fn take(&mut self, idx: usize, into: Slot<F>) -> Option<F> {
+    /// Takes resting subgroup `idx`'s frame and the durable copy under it,
+    /// leaving `into(copy)` in its slot.
+    fn take(&mut self, idx: usize, into: impl FnOnce(Durable) -> Slot<F>) -> Option<(F, Durable)> {
         let at = self.resting.iter().rposition(|&r| r == idx)?;
-        self.resting.remove(at);
         let slot = self.slots.get_mut(idx)?;
-        match std::mem::replace(slot, into) {
-            Slot::Host(frame) => Some(frame),
+        let Slot::Host(_, copy) = *slot else {
+            return None;
+        };
+        self.resting.remove(at);
+        match std::mem::replace(slot, into(copy)) {
+            Slot::Host(frame, copy) => Some((frame, copy)),
             _ => None,
         }
     }
@@ -335,28 +367,61 @@ impl<F> SubgroupLedger<F> {
     /// in a frame.
     // lint:hot-root — once per cache hit per iteration, ahead of its update
     pub fn take_hit(&mut self, idx: usize) -> Option<F> {
-        self.take(idx, Slot::Lent)
+        self.take(idx, Slot::Lent).map(|(frame, _)| frame)
     }
 
     /// A [`Step::Evict`]'s frame: subgroup `idx` now lives on `tier`, and
     /// the executor flushes the frame there (fencing any later fetch of
-    /// `idx` on that write). `None` if it does not rest in a frame.
+    /// `idx` on that write). `None` if it does not rest in a frame. For an
+    /// executor that retires no copies (the simulator).
     // lint:hot-root — once per eviction per iteration, ahead of its flush
     pub fn evict(&mut self, idx: usize, tier: usize) -> Option<F> {
-        self.take(idx, Slot::Tier(tier))
+        self.evict_superseding(idx, tier).map(|(frame, _)| frame)
+    }
+
+    /// [`SubgroupLedger::evict`] that also reports the durable copy the
+    /// eviction supersedes. Once the write to `tier` is durable, the
+    /// executor deletes that copy from every tier
+    /// [`Durable::superseded_by`] names; should the write fail instead,
+    /// [`SubgroupLedger::fall_back`] returns the subgroup to it.
+    // lint:hot-root — once per eviction per iteration, ahead of its flush
+    pub fn evict_superseding(&mut self, idx: usize, tier: usize) -> Option<(F, Durable)> {
+        self.take(idx, |_| Slot::Tier(tier))
+    }
+
+    /// An eviction of subgroup `idx` whose write failed: it goes back to
+    /// `superseded`, the copy the eviction reported, which the executor
+    /// keeps until a write that supersedes it is durable — onto that
+    /// copy's tier, or lent out when it has none. The executor then
+    /// [`SubgroupLedger::rest`]s the failed write's payload if it got it
+    /// back.
+    pub fn fall_back(&mut self, idx: usize, superseded: Durable) {
+        if let Some(slot @ Slot::Tier(_)) = self.slots.get_mut(idx) {
+            *slot = match superseded {
+                Durable::On(t) => Slot::Tier(t),
+                Durable::Unknown => Slot::Lent(superseded),
+            };
+        }
     }
 
     /// Rests `frame` as subgroup `idx`'s host-resident state, its most
     /// recently updated: an updated frame, a hit the pass never got to,
     /// or the payload of a failed eviction flush (the only surviving copy
-    /// of the updated state). Nothing is evicted here; the next pass's
-    /// plan re-establishes the budget.
+    /// of the updated state). Its newest durable copy is the one it
+    /// was fetched from, or the one it had. Nothing is evicted here; the
+    /// next pass's plan re-establishes the budget.
     // lint:hot-root — once per subgroup per iteration, after its update
     pub fn rest(&mut self, idx: usize, frame: F) {
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if !matches!(std::mem::replace(slot, Slot::Host(frame)), Slot::Host(_)) {
-                self.resting.push_back(idx);
-            }
+        let Some(slot) = self.slots.get_mut(idx) else {
+            return;
+        };
+        let copy = match *slot {
+            Slot::Tier(t) => Durable::On(t),
+            Slot::Host(_, copy) | Slot::Lent(copy) => copy,
+        };
+        let was = std::mem::replace(slot, Slot::Host(frame, copy));
+        if !matches!(was, Slot::Host(..)) {
+            self.resting.push_back(idx);
         }
     }
 
@@ -407,9 +472,9 @@ impl<F> SubgroupLedger<F> {
     /// it is born and the first pass has not rested it yet.
     pub fn place(&self, idx: usize) -> Option<Place<'_, F>> {
         match self.slots.get(idx)? {
-            Slot::Host(frame) => Some(Place::Host(frame)),
+            Slot::Host(frame, _) => Some(Place::Host(frame)),
             Slot::Tier(t) => Some(Place::Tier(*t)),
-            Slot::Lent => None,
+            Slot::Lent(_) => None,
         }
     }
 
@@ -633,6 +698,46 @@ mod tests {
             }
             assert_eq!(l.resident_count(), l.plan.rest_frames.min(m), "{what}");
         }
+    }
+
+    /// Each eviction reports the durable copy it supersedes: none known
+    /// for a born subgroup, else the tier its last frame was fetched from
+    /// or the copy a hit rested over. A failed eviction falls back to it.
+    #[test]
+    fn evictions_report_the_copy_they_supersede() {
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(2)
+            .with_tier_ratio(vec![1.0, 1.0]);
+        let mut l: SubgroupLedger<usize> =
+            SubgroupLedger::new(&cfg, 4, vec![1.0, 1.0], ExecutorKind::Pool);
+        l.take_born();
+        for s in 0..4 {
+            l.rest(s, s);
+        }
+        assert_eq!(l.evict_superseding(0, 1), Some((0, Durable::Unknown)));
+        let others: Vec<usize> = Durable::Unknown.superseded_by(1, 3).collect();
+        assert_eq!(others, [0, 2]);
+        // Fetched back from tier 1, updated and rested: over its copy there.
+        l.rest(0, 0);
+        assert_eq!(l.take_hit(0), Some(0));
+        l.rest(0, 0);
+        assert_eq!(l.evict_superseding(0, 0), Some((0, Durable::On(1))));
+        assert_eq!(Durable::On(1).superseded_by(0, 3).collect::<Vec<_>>(), [1]);
+        assert_eq!(Durable::On(0).superseded_by(0, 3).count(), 0);
+        // The write to tier 0 failed: back on tier 1, the payload on top.
+        l.fall_back(0, Durable::On(1));
+        assert!(matches!(l.place(0), Some(Place::Tier(1))));
+        l.rest(0, 0);
+        assert_eq!(l.evict_superseding(0, 0), Some((0, Durable::On(1))));
+        // A born subgroup's failed first eviction is lent out again.
+        assert_eq!(l.evict_superseding(1, 0), Some((1, Durable::Unknown)));
+        l.fall_back(1, Durable::Unknown);
+        assert!(l.place(1).is_none());
+        l.rest(1, 1);
+        assert_eq!(l.evict_superseding(1, 1), Some((1, Durable::Unknown)));
+        // Only an evicted slot falls back: a resting one is left alone.
+        l.fall_back(2, Durable::On(0));
+        assert!(matches!(l.place(2), Some(Place::Host(&2))));
     }
 
     #[test]

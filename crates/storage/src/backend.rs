@@ -18,7 +18,8 @@
 //! media such as the CXL pool `repro cxl` models) keeps its objects in
 //! the same [`HostBuffer`] frames the staging pool recycles, so it
 //! *exchanges*: the frame becomes the object and the object it displaces
-//! becomes the frame — no byte is copied. Every
+//! becomes the frame — no byte is copied. A key it holds no object for
+//! trades with a spare frame a delete left instead. Every
 //! backend that must read each byte anyway keeps the default, which is
 //! [`Backend::write`] of the frame's bytes: [`DirBackend`] hands them to
 //! the kernel, [`crate::ChecksummedBackend`] sums them and stores them
@@ -147,7 +148,8 @@ pub struct MemTouches {
     /// Bytes copied out of stored objects by [`Backend::read`] and
     /// [`Backend::read_into`].
     pub read_copied_bytes: u64,
-    /// [`Backend::write_frame`] calls served by a frame exchange.
+    /// [`Backend::write_frame`] calls served by a frame exchange, with
+    /// the displaced object or with a spare frame.
     pub exchanged_frames: u64,
 }
 
@@ -155,15 +157,36 @@ pub struct MemTouches {
 ///
 /// Objects are [`HostBuffer`]s, the staging pool's own frame type, so a
 /// whole-frame write can exchange buffers with the object it displaces
-/// instead of copying into it.
+/// instead of copying into it. A delete keeps the frame of an object no
+/// pin or reader shares as a spare, and a write of a key with no object
+/// to trade with takes a spare of its length before it allocates: a
+/// subgroup that moves here from another tier trades frames as well.
 pub struct MemBackend {
     name: String,
-    map: Mutex<HashMap<String, Arc<HostBuffer>>>,
+    map: Mutex<Store>,
     read_bps: Option<f64>,
     write_bps: Option<f64>,
     write_copied_bytes: AtomicU64,
     read_copied_bytes: AtomicU64,
     exchanged_frames: AtomicU64,
+}
+
+/// A [`MemBackend`]'s objects and the spare frames its deletes left.
+#[derive(Default)]
+struct Store {
+    objects: HashMap<String, Arc<HostBuffer>>,
+    /// Frames of deleted objects, for the next write that has no object
+    /// to trade with; never more of them than `objects`, so a tier that
+    /// drains frees its memory.
+    spares: Vec<HostBuffer>,
+}
+
+impl Store {
+    /// A spare frame of exactly `len` bytes, if the store keeps one.
+    fn take_spare(&mut self, len: usize) -> Option<HostBuffer> {
+        let at = self.spares.iter().rposition(|s| s.len() == len)?;
+        Some(self.spares.swap_remove(at))
+    }
 }
 
 impl MemBackend {
@@ -185,7 +208,7 @@ impl MemBackend {
     fn with_throttle(name: String, read_bps: Option<f64>, write_bps: Option<f64>) -> Self {
         MemBackend {
             name,
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(Store::default()),
             read_bps,
             write_bps,
             write_copied_bytes: AtomicU64::new(0),
@@ -196,12 +219,12 @@ impl MemBackend {
 
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.map.lock().len()
+        self.map.lock().objects.len()
     }
 
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        self.map.lock().values().map(|v| v.len()).sum()
+        self.map.lock().objects.values().map(|v| v.len()).sum()
     }
 
     /// Copy and exchange counts so far.
@@ -228,6 +251,7 @@ impl MemBackend {
     fn object(&self, key: &str) -> io::Result<Arc<HostBuffer>> {
         self.map
             .lock()
+            .objects
             .get(key)
             .cloned()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no object {key}")))
@@ -242,14 +266,22 @@ impl MemBackend {
 impl Backend for MemBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         Self::throttle(self.write_bps, data.len());
-        let mut map = self.map.lock();
+        let mut store = self.map.lock();
         // Overwrite in place when nothing else holds the old object: a
         // reader inside `read`/`read_into` holds a clone of the `Arc`, so
-        // it keeps the old bytes whole and the key gets a fresh object.
-        match map.get_mut(key).and_then(Arc::get_mut) {
+        // it keeps the old bytes whole and the key gets another object —
+        // a spare frame of its length if a delete left one.
+        match store.objects.get_mut(key).and_then(Arc::get_mut) {
             Some(old) if old.len() == data.len() => old.as_bytes_mut().copy_from_slice(data),
             _ => {
-                map.insert(key.to_string(), Arc::new(HostBuffer::from_slice(data)));
+                let object = match store.take_spare(data.len()) {
+                    Some(mut spare) => {
+                        spare.as_bytes_mut().copy_from_slice(data);
+                        spare
+                    }
+                    None => HostBuffer::from_slice(data),
+                };
+                store.objects.insert(key.to_string(), Arc::new(object));
             }
         }
         Self::tally(&self.write_copied_bytes, data.len());
@@ -258,20 +290,29 @@ impl Backend for MemBackend {
 
     fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
         Self::throttle(self.write_bps, frame.len());
-        let mut map = self.map.lock();
+        let mut store = self.map.lock();
         // Same rule as the in-place overwrite above, without the copy:
-        // when nothing else holds the displaced object and it is exactly
-        // one frame, the two trade allocations.
-        match map.get_mut(key).and_then(Arc::get_mut) {
-            Some(old) if old.len() == frame.len() => {
+        // the frame trades allocations with the displaced object when
+        // nothing else holds it and it is exactly one frame, else with a
+        // spare of that length. Only a write with neither copies.
+        if let Some(old) = store.objects.get_mut(key).and_then(Arc::get_mut) {
+            if old.len() == frame.len() {
                 std::mem::swap(old, frame);
                 Self::tally(&self.exchanged_frames, 1);
-            }
-            _ => {
-                map.insert(key.to_string(), Arc::new(frame.clone()));
-                Self::tally(&self.write_copied_bytes, frame.len());
+                return Ok(());
             }
         }
+        let object = match store.take_spare(frame.len()) {
+            Some(spare) => {
+                Self::tally(&self.exchanged_frames, 1);
+                std::mem::replace(frame, spare)
+            }
+            None => {
+                Self::tally(&self.write_copied_bytes, frame.len());
+                frame.clone()
+            }
+        };
+        store.objects.insert(key.to_string(), Arc::new(object));
         Ok(())
     }
 
@@ -308,17 +349,27 @@ impl Backend for MemBackend {
     /// overwrite paths above see a second holder and insert afresh.
     fn link(&self, from: &str, to: &str) -> io::Result<()> {
         let object = self.object(from)?;
-        self.map.lock().insert(to.to_string(), object);
+        self.map.lock().objects.insert(to.to_string(), object);
         Ok(())
     }
 
+    /// Keeps the removed object's frame as a spare unless a pin or a
+    /// reader shares it (they keep the bytes), or the store already has
+    /// a spare for every object left.
     fn delete(&self, key: &str) -> io::Result<()> {
-        self.map.lock().remove(key);
+        let mut store = self.map.lock();
+        let Store { objects, spares } = &mut *store;
+        if let Some(frame) = objects.remove(key).and_then(|o| Arc::try_unwrap(o).ok()) {
+            if spares.len() < objects.len() {
+                spares.push(frame);
+            }
+        }
+        spares.truncate(objects.len());
         Ok(())
     }
 
     fn contains(&self, key: &str) -> bool {
-        self.map.lock().contains_key(key)
+        self.map.lock().objects.contains_key(key)
     }
 
     fn name(&self) -> &str {
@@ -625,8 +676,9 @@ mod tests {
     }
 
     /// A frame only trades places with an object of its own length;
-    /// otherwise — and for a key the tier has never seen — it is copied
-    /// into a fresh object, and the accounting stays exact either way.
+    /// otherwise — and for a key the tier has never seen, with no spare
+    /// frame to take — it is copied into a fresh object, and the
+    /// accounting stays exact either way.
     #[test]
     fn mem_backend_frame_of_another_length_or_a_new_key_inserts() {
         let b = MemBackend::new("mem");
@@ -680,6 +732,134 @@ mod tests {
             "every write either traded a frame or copied one"
         );
         assert_eq!((b.object_count(), b.total_bytes()), (1, 4096));
+    }
+
+    /// A deleted object's frame serves the next write of a key the tier
+    /// holds nothing for: `write_frame` trades with it and copies nothing,
+    /// `write` copies into it, and both read back what they stored.
+    #[test]
+    fn mem_backend_deleted_frame_serves_the_next_new_key() {
+        let b = MemBackend::new("mem");
+        for (k, fill) in [("a", 1u8), ("b", 2), ("c", 3)] {
+            b.write(k, &[fill; 96]).unwrap();
+        }
+        b.delete("a").unwrap();
+        let before = b.touches();
+        let mut frame = HostBuffer::from_slice(&[7u8; 96]);
+        b.write_frame("moved", &mut frame).unwrap();
+        let after = b.touches();
+        assert_eq!(after.write_copied_bytes, before.write_copied_bytes, "copied");
+        assert_eq!(after.exchanged_frames, before.exchanged_frames + 1);
+        assert_eq!(frame.as_bytes(), &[1u8; 96], "the frame is the deleted object's");
+        assert_eq!(b.read("moved").unwrap(), vec![7u8; 96]);
+
+        // A spare of another length serves nothing; one of the right
+        // length serves a copying write too.
+        b.delete("b").unwrap();
+        let mut short = HostBuffer::from_slice(&[8u8; 32]);
+        b.write_frame("short", &mut short).unwrap();
+        assert_eq!(b.touches().write_copied_bytes, after.write_copied_bytes + 32);
+        assert_eq!(short.as_bytes(), &[8u8; 32], "a copy leaves the frame alone");
+        b.write("copied", &[9u8; 96]).unwrap();
+        assert_eq!(b.read("copied").unwrap(), vec![9u8; 96]);
+        assert_eq!((b.object_count(), b.total_bytes()), (4, 96 * 3 + 32));
+    }
+
+    /// Deleting a pinned object, or one a reader is copying out of,
+    /// leaves them its bytes and keeps no spare: the next new key copies.
+    #[test]
+    fn mem_backend_delete_of_a_pinned_object_donates_no_frame() {
+        let b = MemBackend::new("mem");
+        b.write("other", &[0u8; 96]).unwrap();
+        b.write("read", &[3u8; 96]).unwrap();
+        let reader = b.object("read").unwrap(); // a reader, inside
+        b.delete("read").unwrap();
+        b.write("live", &[1u8; 96]).unwrap();
+        b.link("live", "pin").unwrap();
+        b.delete("live").unwrap();
+        assert_eq!(reader.as_bytes(), &[3u8; 96], "the reader's object changed");
+        assert_eq!(b.read("pin").unwrap(), vec![1u8; 96]);
+        let before = b.touches();
+        let mut frame = HostBuffer::from_slice(&[2u8; 96]);
+        b.write_frame("new", &mut frame).unwrap();
+        let after = b.touches();
+        assert_eq!(after.write_copied_bytes - before.write_copied_bytes, 96);
+        assert_eq!(after.exchanged_frames, before.exchanged_frames);
+        assert_eq!(b.read("pin").unwrap(), vec![1u8; 96], "the write reached the pin");
+        assert_eq!(b.read("new").unwrap(), vec![2u8; 96]);
+    }
+
+    /// A tier keeps no more spares than objects: once every object is
+    /// deleted, a new key copies again.
+    #[test]
+    fn mem_backend_that_drains_releases_its_spares() {
+        let b = MemBackend::new("mem");
+        for k in ["a", "b", "c"] {
+            b.write(k, &[1u8; 96]).unwrap();
+        }
+        for k in ["a", "b", "c"] {
+            b.delete(k).unwrap();
+        }
+        assert_eq!((b.object_count(), b.total_bytes()), (0, 0));
+        let before = b.touches();
+        let mut frame = HostBuffer::from_slice(&[2u8; 96]);
+        b.write_frame("new", &mut frame).unwrap();
+        let after = b.touches();
+        assert_eq!(after.write_copied_bytes - before.write_copied_bytes, 96);
+        assert_eq!(after.exchanged_frames, before.exchanged_frames);
+    }
+
+    /// Deletes on one thread feed the spares that `write_frame`s on
+    /// another take, while readers copy out (what the `tsan` CI job
+    /// watches): every read is one writer's whole payload, never a blend,
+    /// and a frame a reader holds is never handed to a writer.
+    #[test]
+    fn mem_backend_spare_hand_off_never_reaches_a_reader() {
+        const LEN: usize = 4096;
+        let b = MemBackend::new("mem");
+        for k in 0..8 {
+            b.write(&format!("k{k}"), &[0u8; LEN]).unwrap();
+        }
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut dst = [0u8; LEN];
+                    for i in 0..500 {
+                        match b.read_into(&format!("k{}", i % 8), &mut dst) {
+                            Ok(n) => assert_eq!(n, LEN),
+                            Err(e) => {
+                                assert_eq!(e.kind(), io::ErrorKind::NotFound);
+                                continue;
+                            }
+                        }
+                        assert!(dst.iter().all(|&x| x == dst[0]), "blended frames");
+                    }
+                });
+            }
+            s.spawn(|| {
+                for i in 0..250 {
+                    b.delete(&format!("k{}", i % 8)).unwrap();
+                }
+            });
+            s.spawn(|| {
+                let mut frame = HostBuffer::zeroed(LEN);
+                for i in 0..250usize {
+                    frame.as_bytes_mut().fill((i % 250) as u8 + 1);
+                    b.write_frame(&format!("k{}", (i + 3) % 8), &mut frame).unwrap();
+                }
+            });
+        });
+        let touches = b.touches();
+        assert_eq!(
+            touches.exchanged_frames * LEN as u64 + touches.write_copied_bytes,
+            (8 + 250) * LEN as u64,
+            "every write either traded a frame or copied one"
+        );
+        for k in 0..8 {
+            if let Ok(got) = b.read(&format!("k{k}")) {
+                assert!(got.iter().all(|&x| x == got[0]), "k{k} blended");
+            }
+        }
     }
 
     /// `write_frame` stores what `write` stores: the default impl (file,

@@ -388,8 +388,10 @@ fn a_checkpoint_before_the_first_update_copies_the_born_subgroups() {
     let mut from_new = after_new
         .restore(cfg.clone(), adam, &shared, 0, "new")
         .unwrap();
+    // Its own tier set: two engines of worker 0 on one set would read and
+    // retire each other's objects.
     let mut from_restore = after_restore
-        .restore(cfg, adam, &shared, 0, "restored")
+        .restore(cfg, adam, &tiers(), 0, "restored")
         .unwrap();
     for it in 0..3 {
         step(&mut straight, it);
@@ -399,6 +401,60 @@ fn a_checkpoint_before_the_first_update_copies_the_born_subgroups() {
     let want = straight.master_params().unwrap();
     assert_eq!(from_new.master_params().unwrap(), want);
     assert_eq!(from_restore.master_params().unwrap(), want);
+}
+
+/// A restored engine is born: it knows no durable copy of its subgroups,
+/// while the crashed run left one of each on the tiers. Each subgroup's
+/// first eviction retires its key on every other tier, so after one pass
+/// every subgroup has exactly one object, also those the pass re-placed.
+#[test]
+fn a_restored_run_retires_what_the_crashed_run_left() {
+    let adam = AdamConfig::default();
+    let cfg = EngineConfig::mlp_offload()
+        .with_host_frames(3)
+        .with_tier_ratio(vec![2.0, 1.0]);
+    let shared = tiers();
+    let holders = |idx: usize| -> Vec<usize> {
+        let key = format!("w0/sub{idx}");
+        (0..shared.len())
+            .filter(|&t| shared[t].backend.contains(&key))
+            .collect()
+    };
+    let mut pipe = pipeline();
+    let mut crashed = MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states()).unwrap();
+    step(&mut crashed, 0);
+    pipe.checkpoint(&crashed, "it1").unwrap();
+    for it in 1..4 {
+        step(&mut crashed, it);
+    }
+    drop(crashed);
+    let left: Vec<Vec<usize>> = (0..SUBGROUPS).map(holders).collect();
+    let one_each = left.iter().all(|h| h.len() == 1);
+    assert!(one_each, "the crashed run left {left:?}");
+
+    // The restarted run weights the tiers the other way round, so its
+    // first pass re-places what it evicts.
+    let mut straight = MlpFuncEngine::new(cfg.clone(), adam, &tiers(), 0, states()).unwrap();
+    let cfg = cfg.with_tier_ratio(vec![1.0, 2.0]);
+    let mut resumed = pipe.restore(cfg, adam, &shared, 0, "it1").unwrap();
+    step(&mut straight, 0);
+    step(&mut straight, 1);
+    step(&mut resumed, 1);
+    let moved = resumed
+        .pass_plan()
+        .evictions()
+        .filter(|&(s, tier)| left[s] != [tier])
+        .count();
+    assert!(moved > 0, "no eviction left the crashed run's tier");
+    for idx in 0..SUBGROUPS {
+        assert_eq!(holders(idx).len(), 1, "subgroup {idx}");
+    }
+    step(&mut straight, 2);
+    step(&mut resumed, 2);
+    assert_eq!(
+        resumed.master_params().unwrap(),
+        straight.master_params().unwrap()
+    );
 }
 
 #[test]
