@@ -585,10 +585,14 @@ impl EngineShared {
         if result.is_err() {
             self.stats.errors.inc();
         }
-        self.stats
-            .busy_nanos
-            // relaxed-ok: monotonic stats counter, read only for reporting
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Only the ops that move bytes are busy time: the planner divides
+        // bytes by it, and a tier that retires copies is no slower.
+        if matches!(phase, Phase::AioRead | Phase::AioWrite) {
+            self.stats
+                .busy_nanos
+                // relaxed-ok: monotonic stats counter, read only for reporting
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
         if self.trace.is_enabled() {
             let attrs = Attrs {
                 tier: self.trace_tier,
@@ -940,8 +944,9 @@ impl AioEngine {
         self.shared.stats.late_completions.get()
     }
 
-    /// Cumulative worker busy time in seconds (sums across workers,
-    /// including retry backoff).
+    /// Cumulative worker busy time of reads and writes in seconds (sums
+    /// across workers, including retry backoff); deletes and links move no
+    /// bytes and do not count.
     pub fn busy_seconds(&self) -> f64 {
         // relaxed-ok: monotonic stats counter, read only for reporting
         self.shared.stats.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
@@ -1291,6 +1296,44 @@ mod tests {
                 assert_eq!(read.unwrap().unwrap(), vec![1, 2, 3]);
             }
         }
+    }
+
+    /// Deletes and links that take a while: metadata ops, not transfers.
+    struct SlowMetadata(MemBackend);
+
+    impl Backend for SlowMetadata {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            self.0.write(key, data)
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.0.read(key)
+        }
+        fn link(&self, from: &str, to: &str) -> io::Result<()> {
+            thread::sleep(Duration::from_millis(10));
+            self.0.link(from, to)
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            thread::sleep(Duration::from_millis(10));
+            self.0.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.0.contains(key)
+        }
+        fn name(&self) -> &str {
+            "slow-metadata"
+        }
+    }
+
+    #[test]
+    fn deletes_and_links_are_not_busy_time() {
+        let backend = Arc::new(SlowMetadata(MemBackend::new("mem")));
+        backend.0.write("k", &[1, 2, 3]).unwrap();
+        let e = AioEngine::new(backend as Arc<dyn Backend>, AioConfig::default());
+        e.submit_link("k", "pin").wait().unwrap();
+        e.submit_delete("k").wait().unwrap();
+        e.submit_delete("pin").wait().unwrap();
+        assert_eq!(e.busy_seconds(), 0.0);
+        assert_eq!(e.ops_completed(), (0, 0));
     }
 
     #[test]

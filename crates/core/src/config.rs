@@ -189,8 +189,8 @@ impl EngineConfig {
 }
 
 /// The Fig. 14/15 progressive-activation ladder. Each stage includes all
-/// previous ones.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// previous ones; the declaration order is the ladder's order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AblationStage {
     /// DeepSpeed ZeRO-3 baseline.
     Baseline,
@@ -239,18 +239,6 @@ impl AblationStage {
             AblationStage::SkipGradients => "+ Skip Gradients",
             AblationStage::ProcessAtomicRw => "+ Process Atomic R/W",
         }
-    }
-}
-
-impl PartialOrd for AblationStage {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for AblationStage {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (*self as u8).cmp(&(*other as u8))
     }
 }
 

@@ -6,7 +6,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mlp_aio::engine::{AioConfig, AioEngine, OpHandle};
+use mlp_aio::engine::{AioConfig, AioEngine, FlushResult, OpHandle};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
 use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor};
@@ -23,7 +23,9 @@ use crate::checkpoint::{
 };
 use crate::config::EngineConfig;
 use crate::policy::cache::ExecutorKind;
-use crate::policy::ledger::{Durable, Load, PassPlan, Place, Step, SubgroupLedger};
+use crate::policy::ledger::{
+    Action, Durable, Load, Outcome, PassPlan, Place, Step, SubgroupLedger, TierOp,
+};
 use crate::policy::replan::MigrationStep;
 use crate::stats::TierDistribution;
 
@@ -41,10 +43,8 @@ fn expect_len(what: &str, idx: usize, got: usize, want: usize) -> io::Result<()>
     if got == want {
         return Ok(());
     }
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("short {what} read for subgroup {idx}: got {got} of {want} bytes"),
-    ))
+    let msg = format!("short {what} read for subgroup {idx}: got {got} of {want} bytes");
+    Err(invariant_violation(msg))
 }
 
 /// A storage tier shared by all worker engines on a node: the backend, the
@@ -213,34 +213,9 @@ type Filled = (PooledBuffer, usize);
 enum Staged {
     /// Cache hit: the retained frame, lent by the ledger.
     Hit(Resident),
-    /// Reads in flight.
-    Fetch(Fetch),
-}
-
-/// The in-flight reads of one prefetched subgroup: its state and, on the
-/// eager-gradient path, the FP32 gradients flushed next to it.
-struct Fetch {
-    state: OpHandle,
-    grad: Option<OpHandle>,
-}
-
-impl Fetch {
-    /// Settles both reads together, so a failure of one never abandons
-    /// the other's handle (and staging buffer) mid-flight.
-    fn wait(self) -> io::Result<(Filled, Option<Filled>)> {
-        let state = self.state.wait_pooled();
-        let grad = self.grad.map(OpHandle::wait_pooled).transpose();
-        Ok((state?, grad?))
-    }
-}
-
-/// A state eviction's write: the subgroup, the tier it goes to, and the
-/// durable copy it supersedes.
-#[derive(Clone, Copy)]
-struct Eviction {
-    subgroup: usize,
-    tier: usize,
-    superseded: Durable,
+    /// The reads in flight: of the state and, on the eager-gradient path,
+    /// of the FP32 gradients flushed next to it.
+    Fetch(OpHandle, Option<OpHandle>),
 }
 
 /// Deletes of superseded copies in flight, as `(subgroup, tier, op)`.
@@ -259,7 +234,7 @@ struct PassRun {
     /// The prefetch window, the eviction flushes and the deletes of the
     /// copies they superseded in flight, oldest first.
     pending: VecDeque<(usize, Staged)>,
-    flushes: VecDeque<(Eviction, OpHandle)>,
+    flushes: VecDeque<(usize, OpHandle)>,
     deletes: Retiring,
 }
 
@@ -268,24 +243,25 @@ struct TierRt {
     /// drain verifies the pins, and its prune deletes superseded ones.
     engine: Arc<AioEngine>,
     lock: ProcessExclusiveLock,
-    weight: f64,
     /// The engine's per-op deadline ([`AioConfig::deadline`]).
     deadline: Option<Duration>,
 }
 
-/// Resume state of a failed update phase: which subgroups already carry
-/// this iteration's gradient (their updated state survives host-resident
-/// or on a tier). A re-driven [`MlpFuncEngine::update`] skips re-applying
-/// those and only re-emits their FP16 image, so a retried iteration is
-/// bit-identical to one that never failed.
-struct IterProgress {
-    updated: Vec<bool>,
-    /// Whether each subgroup's newest durable copy carries this
-    /// iteration's gradient: `Some(false)` while it holds the state the
-    /// iteration started from, `None` when it holds neither (a resident
-    /// was updated since its copy was written; a born one has none). An
-    /// eviction whose payload is lost falls back to that copy.
-    copy_updated: Vec<Option<bool>>,
+/// How a write settled, as the ledger's table takes it, and its error: a
+/// missing payload is lost unless the deadline `answered_early`.
+fn flush_outcome(
+    result: FlushResult,
+    answered_early: bool,
+    n: usize,
+) -> (Outcome<Resident>, Option<io::Error>) {
+    match result {
+        Ok(()) => (Outcome::Landed, None),
+        Err((e, None)) if answered_early => (Outcome::Late, Some(e)),
+        Err((e, frame)) => (
+            Outcome::Failed(frame.map(|buf| Resident { buf, n })),
+            Some(e),
+        ),
+    }
 }
 
 /// Result of one update phase.
@@ -350,13 +326,10 @@ pub struct MlpFuncEngine {
     inv_loss_scale: f32,
     /// Optional global gradient-norm clipping threshold.
     grad_clip_max_norm: Option<f64>,
-    /// Set when an update phase failed mid-flight; the next `update` call
-    /// re-drives the same iteration instead of starting a new one.
-    in_progress: Option<IterProgress>,
     /// State evictions of the failed update that the I/O deadline answered
     /// while their writes still ran: settled by
     /// [`MlpFuncEngine::reconcile_abandoned`] before the re-drive.
-    abandoned: Vec<(Eviction, OpHandle)>,
+    abandoned: Vec<(usize, OpHandle)>,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
@@ -464,13 +437,12 @@ impl MlpFuncEngine {
                     deadline: aio.deadline,
                     engine: Arc::new(AioEngine::new(backend, aio)),
                     lock: t.lock.clone(),
-                    weight: t.weight,
                 }
             })
             .collect();
         let weights: Vec<f64> = match &cfg.tier_ratio {
             Some(r) => r.clone(),
-            None => tiers.iter().map(|t| t.weight).collect(),
+            None => shared_tiers.iter().map(|t| t.weight).collect(),
         };
         let m = initial.len();
         // Residents rest in every frame between update phases: each
@@ -526,7 +498,6 @@ impl MlpFuncEngine {
             step: 0,
             inv_loss_scale: 1.0,
             grad_clip_max_norm: None,
-            in_progress: None,
             abandoned: Vec::new(),
             io_snapshot: vec![(0, 0.0, 0); ntiers],
             migrations_done: 0,
@@ -591,29 +562,6 @@ impl MlpFuncEngine {
         trace.complete_span(phase, attrs, start_ns, trace.now_ns());
     }
 
-    /// A free staging buffer for a phase that only writes. Never the
-    /// pool's condvar: a failed write keeps its buffer until it is settled
-    /// and would not signal it. With no buffer free, the oldest write in
-    /// flight is what frees one: `settle_oldest` settles it, or reports
-    /// that nothing is in flight.
-    fn acquire_settling(
-        &self,
-        what: &str,
-        mut settle_oldest: impl FnMut() -> io::Result<bool>,
-    ) -> io::Result<PooledBuffer> {
-        loop {
-            if let Some(buf) = self.state_pool.try_acquire() {
-                return Ok(buf);
-            }
-            if !settle_oldest()? {
-                return Err(invariant_violation(format!(
-                    "state pool exhausted (all {} buffers out) with no {what} in flight",
-                    self.state_pool.capacity()
-                )));
-            }
-        }
-    }
-
     fn submit_read(&self, tier: usize, key: &str, len: usize) -> OpHandle {
         let buf = self.state_pool.acquire();
         let _g = self.tier_guard(tier);
@@ -673,15 +621,11 @@ impl MlpFuncEngine {
         };
         let phase_start = self.cfg.trace.now_ns();
         let mut inflight = VecDeque::new();
-        let mut landed = Vec::new();
-        let mut first_err = None;
         // A reclaimed payload just drops (the staging buffer recycles):
         // the gradients still live in the accumulators.
-        let mut settle = |(idx, t, h): (usize, usize, OpHandle)| match h.wait_flush() {
-            Ok(()) => landed.push((idx, t)),
-            Err((e, _payload)) => {
-                first_err.get_or_insert(e);
-            }
+        let mut settled = Vec::new();
+        let mut settle = |(idx, t, h): (usize, usize, OpHandle)| {
+            settled.push((idx, t, h.wait_flush().map_err(|(e, _payload)| e)));
         };
         for (idx, g) in accum.iter().enumerate() {
             let Some(Place::Tier(t)) = self.ledger.place(idx) else {
@@ -690,9 +634,21 @@ impl MlpFuncEngine {
             if on_tier[idx] == Some(t) {
                 continue;
             }
-            let mut buf = self.acquire_settling("gradient flush", || {
-                Ok(inflight.pop_front().map(&mut settle).is_some())
-            })?;
+            // Never the pool's condvar: a failed write keeps its buffer
+            // until it is settled and would not signal it. With no buffer
+            // free, settling the oldest write in flight frees one.
+            let mut buf = loop {
+                if let Some(buf) = self.state_pool.try_acquire() {
+                    break buf;
+                }
+                let Some(oldest) = inflight.pop_front() else {
+                    return Err(invariant_violation(format!(
+                        "state pool exhausted (all {} buffers out) with no gradient flush in flight",
+                        self.state_pool.capacity()
+                    )));
+                };
+                settle(oldest);
+            };
             buf.write_f32(0, g);
             let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
             inflight.push_back((idx, t, handle));
@@ -701,8 +657,14 @@ impl MlpFuncEngine {
         let HostGrads::Fp32 { accum, on_tier, .. } = &mut self.grads else {
             return Ok(());
         };
-        let mut bytes = 0;
-        for (idx, t) in landed {
+        let (mut bytes, mut first_err) = (0, None);
+        for (idx, t, result) in settled {
+            if let Err(e) = result {
+                self.ledger
+                    .settle(idx, TierOp::GradFlush, Outcome::Failed(None));
+                first_err.get_or_insert(e);
+                continue;
+            }
             on_tier[idx] = Some(t);
             bytes += accum[idx].len() as u64 * 4;
         }
@@ -724,13 +686,12 @@ impl MlpFuncEngine {
     /// # Failure semantics
     ///
     /// An I/O error (after the per-tier retry policy gave up) unwinds the
-    /// phase cleanly: every in-flight operation is drained, staging
-    /// buffers return to the pool, failed flushes reclaim their payload
-    /// back into the host cache, and the error is returned typed — no
-    /// panic, no hang. The engine stays re-drivable: calling `update`
-    /// again re-drives the *same* iteration (gradients are still
-    /// accumulated; subgroups already updated are skipped), producing the
-    /// exact result of an iteration that never failed.
+    /// phase cleanly and is returned typed — no panic, no hang: every op
+    /// in flight settles through the ledger's failure table
+    /// ([`SubgroupLedger::settle`]), and every staging buffer returns to
+    /// the pool. Calling `update` again re-drives the *same* iteration
+    /// from where the table left each subgroup (one already updated is
+    /// only re-emitted), with the exact result of one that never failed.
     pub fn update(&mut self) -> io::Result<UpdateOutcome> {
         // Evictions a failed attempt abandoned must settle before anything
         // plans from where they left their subgroups.
@@ -741,36 +702,21 @@ impl MlpFuncEngine {
         // the evacuation, because the failed flush target is often the
         // very tier that just got quarantined.
         self.drain_quarantined()?;
-        // Bounded durable-copy migration runs strictly at an iteration
-        // boundary: only when starting a fresh iteration (a pending
+        // Fresh iteration vs re-drive of a failed one. Bounded
+        // durable-copy migration runs strictly at an iteration boundary (a
         // re-drive must replay against unchanged placements to stay
-        // bit-identical to an iteration that never failed).
-        if self.in_progress.is_none()
-            && self.cfg.adaptive_bandwidth
-            && self.cfg.max_migrations_per_iter > 0
-        {
-            self.run_migrations()?;
+        // bit-identical to an iteration that never failed), and the step
+        // advances once per iteration.
+        if !self.ledger.in_progress() {
+            if self.cfg.adaptive_bandwidth && self.cfg.max_migrations_per_iter > 0 {
+                self.run_migrations()?;
+            }
+            self.step += 1;
         }
-        let m = self.subgroup_lens.len();
         self.grads.materialize_zeros();
         // A re-drive restarts the same iteration: same order, planned from
         // where the failed attempt left each subgroup and the tiers alive.
         self.pass = self.ledger.begin_iteration();
-
-        // Fresh iteration vs re-drive of a failed one: the step advances
-        // once per iteration, and the resume bitmap records which
-        // subgroups already carry this step's update.
-        let mut progress = match self.in_progress.take() {
-            Some(p) => p,
-            None => {
-                self.step += 1;
-                let on_tier = |idx| matches!(self.ledger.place(idx), Some(Place::Tier(_)));
-                IterProgress {
-                    updated: vec![false; m],
-                    copy_updated: (0..m).map(|idx| on_tier(idx).then_some(false)).collect(),
-                }
-            }
-        };
 
         // Global gradient-norm clipping folds into the inverse loss scale
         // for this update. The accumulators are untouched until the phase
@@ -789,29 +735,23 @@ impl MlpFuncEngine {
         // races a re-driven iteration and no staging buffer stays checked
         // out.
         let mut run = PassRun::default();
-        run.outcome.fp16_params = vec![Vec::new(); m];
-        let pass = self.update_pass(inv_scale, &mut run, &mut progress);
-        let result = self.drain_inflight(pass, run, &mut progress);
+        run.outcome.fp16_params = vec![Vec::new(); self.subgroup_lens.len()];
+        let pass = self.update_pass(inv_scale, &mut run);
+        let drained = self.drain_inflight(run);
         // The whole update phase as one span; the per-subgroup I/O and
         // kernel spans nest underneath it on the timeline.
         self.span(Phase::Update, Attrs::NONE, phase_start);
-        match result {
-            Ok(outcome) => {
-                self.last_grad_bytes = self.grads.finish_iteration();
-                if self.cfg.adaptive_bandwidth {
-                    // Feed the observed per-tier transfer and retry rates
-                    // back into the estimator; ending the iteration folds
-                    // the EMA, closing the §3.3 loop for the next split.
-                    self.feed_planner();
-                }
-                self.ledger.end_iteration();
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.in_progress = Some(progress);
-                Err(e)
-            }
+        // The pass's own error first.
+        let outcome = pass.and(drained)?;
+        self.last_grad_bytes = self.grads.finish_iteration();
+        if self.cfg.adaptive_bandwidth {
+            // Feed the observed per-tier transfer and retry rates back
+            // into the estimator; ending the iteration folds the EMA,
+            // closing the §3.3 loop for the next split.
+            self.feed_planner();
         }
+        self.ledger.end_iteration();
+        Ok(outcome)
     }
 
     /// The plan of the last update pass (or of the one awaiting re-drive).
@@ -821,7 +761,7 @@ impl MlpFuncEngine {
 
     /// Whether a failed update phase is awaiting a re-drive.
     pub fn update_in_progress(&self) -> bool {
-        self.in_progress.is_some()
+        self.ledger.in_progress()
     }
 
     /// FP32 gradient bytes the last completed iteration moved through
@@ -834,191 +774,149 @@ impl MlpFuncEngine {
         self.last_grad_bytes
     }
 
-    /// A failed flush hands its staging buffer back through
-    /// [`OpHandle::wait_flush`]; keep the subgroup host-resident so the
-    /// (possibly only) copy of its state survives for the re-driven
-    /// iteration. Either way the subgroup goes back to the durable copy
-    /// the eviction superseded, which stays until a write supersedes it.
-    /// Only a backend panic loses the payload — then that copy is the
-    /// subgroup's state, and its resume bit says whether it carries this
-    /// iteration's gradient. A copy older than the iteration cannot stand
-    /// in for the lost state: the subgroup is then lent out with no frame,
-    /// so every later pass fails at its load instead of updating it.
-    fn reclaim_failed_flush(
-        &mut self,
-        e: Eviction,
-        frame: Option<PooledBuffer>,
-        progress: &mut IterProgress,
-    ) {
-        let idx = e.subgroup;
-        match frame {
-            Some(buf) => {
-                self.ledger.fall_back(idx, e.superseded);
-                let n = self.subgroup_lens[idx];
-                self.ledger.rest(idx, Resident { buf, n });
+    /// Eviction `idx`'s write is durable: submits the deletes of every
+    /// copy it superseded, each through its tier's I/O engine (a
+    /// quarantined tier's past its breaker, as the drain retires copies
+    /// there). A born subgroup's first eviction asks every other tier, and
+    /// deletes only what one holds: what an earlier run left under its key.
+    fn retire(&self, idx: usize, tier: usize, superseded: Durable, deletes: &mut Retiring) {
+        for t in superseded.superseded_by(tier, self.tiers.len()) {
+            if superseded != Durable::Unknown || self.tiers[t].engine.contains(self.key(idx)) {
+                deletes.push_back((idx, t, self.submit_delete(t, idx)));
             }
-            None => match progress.copy_updated[idx] {
-                Some(updated) => {
-                    self.ledger.fall_back(idx, e.superseded);
-                    progress.updated[idx] = updated;
-                }
-                // Nothing holds the state the re-drive needs.
-                None => self.ledger.fall_back(idx, Durable::Unknown),
-            },
         }
     }
 
-    /// Eviction `e`'s write is durable: submits the deletes of every copy
-    /// it superseded, each through its tier's I/O engine (a quarantined
-    /// tier's past its breaker, as the drain retires copies there). A born
-    /// subgroup's first eviction asks every other tier, and deletes only
-    /// what one holds: what an earlier run left under its key.
-    fn retire(&self, e: Eviction, progress: &mut IterProgress, deletes: &mut Retiring) {
-        progress.copy_updated[e.subgroup] = Some(progress.updated[e.subgroup]);
-        for t in e.superseded.superseded_by(e.tier, self.tiers.len()) {
-            let (engine, key) = (&self.tiers[t].engine, self.key(e.subgroup));
-            if e.superseded == Durable::Unknown && !engine.contains(key) {
-                continue;
-            }
-            let _g = self.tier_guard(t);
-            let delete = if self.ledger.planner.excluded()[t] {
-                engine.submit_salvage_delete(key)
-            } else {
-                engine.submit_delete(key)
-            };
-            deletes.push_back((e.subgroup, t, delete));
+    /// Submits the delete of subgroup `idx`'s copy on `tier` — past the
+    /// breaker of a quarantined tier.
+    fn submit_delete(&self, tier: usize, idx: usize) -> OpHandle {
+        let (engine, key) = (&self.tiers[tier].engine, self.key(idx));
+        let _g = self.tier_guard(tier);
+        if self.ledger.planner.excluded()[tier] {
+            engine.submit_salvage_delete(key)
+        } else {
+            engine.submit_delete(key)
         }
     }
 
-    /// Waits until a delete from [`MlpFuncEngine::retire`] has settled on
-    /// its tier — one the deadline answered early, up to one more deadline
-    /// — so that it cannot land after a later write of the same key. A
-    /// failed delete leaves a stale copy behind: a space leak, not an
-    /// error, as in [`MlpFuncEngine::move_durable_copy`].
-    fn settle_delete(&self, tier: usize, delete: OpHandle) {
-        let _ = delete.wait_flush();
-        if delete.abandoned() {
+    /// Settles a delete of a superseded copy through the ledger's table:
+    /// one the deadline answered gets one more deadline, lest it land after
+    /// a later write of the key; a failed one is a leak, not an error
+    /// (nothing reads a key off a tier the ledger does not place it on).
+    fn settle_delete(&mut self, idx: usize, tier: usize, delete: OpHandle) {
+        let (outcome, _) = flush_outcome(delete.wait_flush(), delete.abandoned(), 0);
+        if self.ledger.settle(idx, TierOp::Retire, outcome) == Action::Wait {
             let _ = delete.late_flush(self.tiers[tier].deadline.unwrap_or_default());
         }
     }
 
-    /// Waits for eviction `e`'s flush. One that landed retires the copy it
-    /// superseded; a failed one reclaims its payload host-side and returns
-    /// the error. One the deadline answered is still running, its frame
-    /// with the worker: whether the tier copy carries it is known only
-    /// once it settles, so its handle is kept for
-    /// [`MlpFuncEngine::reconcile_abandoned`], and it retires nothing
-    /// until then.
+    /// Settles eviction `idx`'s flush through the ledger's table — once
+    /// it is answered, or for one the deadline answered, however it
+    /// settles `late` within that long — and executes the action: retire
+    /// what a landed write superseded, or carry one still running to
+    /// [`MlpFuncEngine::reconcile_abandoned`]. Returns the flush's error.
     fn settle_flush(
         &mut self,
-        e: Eviction,
+        idx: usize,
         handle: OpHandle,
-        progress: &mut IterProgress,
+        late: Option<Duration>,
         deletes: &mut Retiring,
     ) -> io::Result<()> {
-        let Err((err, frame)) = handle.wait_flush() else {
-            self.retire(e, progress, deletes);
-            return Ok(());
+        let n = self.subgroup_lens[idx];
+        let (outcome, err) = match late {
+            None => flush_outcome(handle.wait_flush(), handle.abandoned(), n),
+            Some(within) => handle
+                .late_flush(within)
+                .map_or((Outcome::Late, None), |result| {
+                    flush_outcome(result, false, n)
+                }),
         };
-        if frame.is_none() && handle.abandoned() {
-            self.abandoned.push((e, handle));
-        } else {
-            self.reclaim_failed_flush(e, frame, progress);
+        match self.ledger.settle(idx, TierOp::Evict, outcome) {
+            Action::Retire { tier, superseded } => self.retire(idx, tier, superseded, deletes),
+            Action::Carry => self.abandoned.push((idx, handle)),
+            _ => {}
         }
-        Err(err)
+        err.map_or(Ok(()), Err)
     }
 
-    /// Settles the state evictions a failed update abandoned to the I/O
-    /// deadline, waiting up to one deadline for them. One that landed left
-    /// the tier copy carrying what its frame held, so the subgroup keeps
-    /// its resume bit and the re-drive re-emits its FP16 image from that
-    /// copy instead of applying the gradient again; the copy it
-    /// superseded is retired now. One that failed hands its frame back to
-    /// rest host-side, as any failed flush does. Any
-    /// still running fails the call with `TimedOut` and is asked again by
-    /// the next one: re-planning while a write may still land could fetch
-    /// either copy.
+    /// Waits for both reads of load `idx` together, so a failure of one
+    /// never abandons the other's handle (and staging buffer) mid-flight;
+    /// a failed one settles through the ledger's table.
+    fn settle_fetch(
+        &mut self,
+        idx: usize,
+        state: OpHandle,
+        grad: Option<OpHandle>,
+    ) -> io::Result<(Filled, Option<Filled>)> {
+        let state = state.wait_pooled();
+        let grad = grad.map(OpHandle::wait_pooled).transpose();
+        if state.is_err() || grad.is_err() {
+            let lost = Outcome::Failed(None);
+            self.ledger.settle(idx, TierOp::Fetch, lost);
+        }
+        Ok((state?, grad?))
+    }
+
+    /// Settles the state evictions a failed update carried past the I/O
+    /// deadline, waiting up to one deadline for them: each settlement
+    /// takes its row of the ledger's table. Any still running fails the
+    /// call with `TimedOut` and is asked again by the next one:
+    /// re-planning while a write may still land could fetch either copy.
     ///
     /// Only state evictions need this: a late gradient re-flush writes the
     /// same bytes again, and a late staging, migration or pin write leaves
     /// only an orphan copy.
     fn reconcile_abandoned(&mut self) -> io::Result<()> {
-        let Some(mut progress) = self.in_progress.take() else {
-            return Ok(());
-        };
         let deadline = self.tiers.iter().filter_map(|t| t.deadline).max();
-        let started = Instant::now();
-        let (mut running, mut deletes) = (Vec::new(), Retiring::new());
-        for (e, handle) in std::mem::take(&mut self.abandoned) {
-            let within = deadline
-                .unwrap_or_default()
-                .saturating_sub(started.elapsed());
-            match handle.late_flush(within) {
-                Some(Ok(())) => self.retire(e, &mut progress, &mut deletes),
-                Some(Err((_, frame))) => self.reclaim_failed_flush(e, frame, &mut progress),
-                None => running.push((e, handle)),
-            }
+        let (deadline, started) = (deadline.unwrap_or_default(), Instant::now());
+        let mut deletes = Retiring::new();
+        for (idx, handle) in std::mem::take(&mut self.abandoned) {
+            let within = deadline.saturating_sub(started.elapsed());
+            // A late failure is no error of this call: the re-drive's.
+            let _ = self.settle_flush(idx, handle, Some(within), &mut deletes);
         }
-        for (_, t, delete) in deletes {
-            self.settle_delete(t, delete);
+        for (idx, t, delete) in deletes {
+            self.settle_delete(idx, t, delete);
         }
-        self.in_progress = Some(progress);
-        let Some((e, _)) = running.first() else {
+        let Some(&(idx, _)) = self.abandoned.first() else {
             return Ok(());
         };
-        let (idx, count) = (e.subgroup, running.len());
-        self.abandoned = running;
-        Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!(
-                "{count} state flushes the I/O deadline abandoned (subgroup {idx} first) are \
-                 still running after another {:?}; the update cannot re-drive until they settle",
-                started.elapsed()
-            ),
-        ))
+        let (count, waited) = (self.abandoned.len(), started.elapsed());
+        let msg = format!(
+            "{count} state flushes the I/O deadline abandoned (subgroup {idx} first) are still \
+             running after another {waited:?}; the update cannot re-drive until they settle"
+        );
+        Err(io::Error::new(io::ErrorKind::TimedOut, msg))
     }
 
     /// Drains every operation still in flight after a pass, successful or
     /// not: pending reads settle (their staging buffers recycle), cache
     /// hits the pass never reached go back to the ledger, flushes
-    /// settle with failed ones reclaiming their payload into the host
-    /// cache, and then every delete of a superseded copy settles, so none
+    /// settle, and then every delete of a superseded copy settles, so none
     /// outlives the pass. Returns the pass's outcome, or the first error
-    /// encountered, preferring the pass's own.
-    fn drain_inflight(
-        &mut self,
-        pass: io::Result<()>,
-        run: PassRun,
-        progress: &mut IterProgress,
-    ) -> io::Result<UpdateOutcome> {
-        let PassRun {
-            outcome,
-            pending,
-            flushes,
-            mut deletes,
-            ..
-        } = run;
-        let mut first_err = pass.err();
-        for (idx, staged) in pending {
+    /// encountered.
+    fn drain_inflight(&mut self, mut run: PassRun) -> io::Result<UpdateOutcome> {
+        let mut first_err = None;
+        for (idx, staged) in run.pending {
             match staged {
                 Staged::Hit(res) => self.ledger.rest(idx, res),
                 // Buffers recycle on drop.
-                Staged::Fetch(fetch) => {
-                    if let Err(e) = fetch.wait() {
+                Staged::Fetch(state, grad) => {
+                    if let Err(e) = self.settle_fetch(idx, state, grad) {
                         first_err.get_or_insert(e);
                     }
                 }
             }
         }
-        for (e, h) in flushes {
-            if let Err(e) = self.settle_flush(e, h, progress, &mut deletes) {
+        for (idx, h) in run.flushes {
+            if let Err(e) = self.settle_flush(idx, h, None, &mut run.deletes) {
                 first_err.get_or_insert(e);
             }
         }
-        for (_, t, delete) in deletes {
-            self.settle_delete(t, delete);
+        for (idx, t, delete) in run.deletes {
+            self.settle_delete(idx, t, delete);
         }
-        first_err.map_or(Ok(outcome), Err)
+        first_err.map_or(Ok(run.outcome), Err)
     }
 
     /// Flushes the plan's next eviction that has not left yet, as-is from
@@ -1034,25 +932,19 @@ impl MlpFuncEngine {
             return Ok(false);
         };
         run.evict = at + 1;
-        let evicted = self.ledger.evict_superseding(subgroup, tier);
-        let (Resident { buf, n }, superseded) = evicted.ok_or_else(|| {
+        let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
             invariant_violation(format!("planned eviction {subgroup} is not resting"))
         })?;
         // A delete of this key on this tier that an earlier eviction of the
         // pass left must not land after the write.
         let same_key = |&(s, t, _): &(usize, usize, OpHandle)| (s, t) == (subgroup, tier);
         while let Some(at) = run.deletes.iter().position(same_key) {
-            if let Some((_, t, delete)) = run.deletes.remove(at) {
-                self.settle_delete(t, delete);
+            if let Some((s, t, delete)) = run.deletes.remove(at) {
+                self.settle_delete(s, t, delete);
             }
         }
         let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
-        let e = Eviction {
-            subgroup,
-            tier,
-            superseded,
-        };
-        run.flushes.push_back((e, handle));
+        run.flushes.push_back((subgroup, handle));
         run.outcome.flushes += 1;
         Ok(true)
     }
@@ -1063,12 +955,7 @@ impl MlpFuncEngine {
     /// — below it a fetch waits for a buffer — and beyond it as many as
     /// the state pool has free buffers for. Depth changes when a load is
     /// issued, never what the plan made it.
-    fn top_up(
-        &mut self,
-        due: usize,
-        run: &mut PassRun,
-        progress: &mut IterProgress,
-    ) -> io::Result<()> {
+    fn top_up(&mut self, due: usize, run: &mut PassRun) -> io::Result<()> {
         // State, plus the FP32 gradients flushed next to it on the
         // eager-gradient path.
         let buffers_per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
@@ -1115,8 +1002,8 @@ impl MlpFuncEngine {
                 // flush in flight, else the update of a staged subgroup,
                 // else the plan's next eviction (residents a failed attempt
                 // reclaimed can hold the whole pool).
-                if let Some((e, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(e, handle, progress, &mut run.deletes)?;
+                if let Some((s, handle)) = run.flushes.pop_front() {
+                    self.settle_flush(s, handle, None, &mut run.deletes)?;
                     continue;
                 }
                 if !run.pending.is_empty() {
@@ -1134,9 +1021,9 @@ impl MlpFuncEngine {
             // is still in flight could overtake the write on another I/O
             // worker and fetch stale state. On fence failure the payload
             // is reclaimed host-side and the iteration unwinds.
-            let fence = after.and_then(|_| run.flushes.iter().position(|(e, _)| e.subgroup == idx));
-            if let Some((e, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
-                self.settle_flush(e, handle, progress, &mut run.deletes)?;
+            let fence = after.and_then(|_| run.flushes.iter().position(|&(s, _)| s == idx));
+            if let Some((s, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
+                self.settle_flush(s, handle, None, &mut run.deletes)?;
             }
             let n = self.subgroup_lens[idx];
             let Some(t) = t else {
@@ -1156,14 +1043,12 @@ impl MlpFuncEngine {
             // Gradients that went through storage come back with the
             // state — unless a failed attempt already applied them.
             let grad_tier = match &self.grads {
-                HostGrads::Fp32 { on_tier, .. } if !progress.updated[idx] => on_tier[idx],
+                HostGrads::Fp32 { on_tier, .. } if !self.ledger.carries_update(idx) => on_tier[idx],
                 _ => None,
             };
-            let fetch = Fetch {
-                state: self.submit_read(t, self.key(idx), n * 12),
-                grad: grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4)),
-            };
-            run.pending.push_back((idx, Staged::Fetch(fetch)));
+            let state = self.submit_read(t, self.key(idx), n * 12);
+            let grad = grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4));
+            run.pending.push_back((idx, Staged::Fetch(state, grad)));
             run.load += 1;
         }
         Ok(())
@@ -1181,12 +1066,7 @@ impl MlpFuncEngine {
     /// plan has it fall due — as soon as it is certain — so the frames it
     /// frees feed the window and the tail of flushes overlaps the tail
     /// of fetches instead of following it.
-    fn update_pass(
-        &mut self,
-        inv_scale: f32,
-        run: &mut PassRun,
-        progress: &mut IterProgress,
-    ) -> io::Result<()> {
+    fn update_pass(&mut self, inv_scale: f32, run: &mut PassRun) -> io::Result<()> {
         for at in 0..self.pass.steps.len() {
             // An eviction is flushed now, while its buffer is hot (unless an
             // exhausted pool already flushed it); loads are `top_up`'s,
@@ -1196,18 +1076,18 @@ impl MlpFuncEngine {
                 self.flush_next_eviction(run)?;
             }
             let Step::Update { .. } = step else { continue };
-            self.top_up(at, run, progress)?;
+            self.top_up(at, run)?;
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
             // remaining one has moved its bytes. Finished deletes go too.
             while run.flushes.front().is_some_and(|(_, h)| h.is_done()) {
-                if let Some((e, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(e, handle, progress, &mut run.deletes)?;
+                if let Some((s, handle)) = run.flushes.pop_front() {
+                    self.settle_flush(s, handle, None, &mut run.deletes)?;
                 }
             }
             while run.deletes.front().is_some_and(|(.., h)| h.is_done()) {
-                if let Some((_, t, delete)) = run.deletes.pop_front() {
-                    self.settle_delete(t, delete);
+                if let Some((s, t, delete)) = run.deletes.pop_front() {
+                    self.settle_delete(s, t, delete);
                 }
             }
 
@@ -1222,9 +1102,9 @@ impl MlpFuncEngine {
                     run.outcome.cache_hits += 1;
                     (res, None)
                 }
-                Staged::Fetch(fetch) => {
+                Staged::Fetch(state, grad) => {
                     run.outcome.fetches += 1;
-                    let ((buf, got), grad) = fetch.wait()?;
+                    let ((buf, got), grad) = self.settle_fetch(idx, state, grad)?;
                     expect_len("state", idx, got, n * 12)?;
                     if let Some((_, got)) = &grad {
                         expect_len("gradient", idx, *got, n * 4)?;
@@ -1234,7 +1114,7 @@ impl MlpFuncEngine {
             };
 
             let mut fp16 = vec![0u16; n];
-            if progress.updated[idx] {
+            if self.ledger.carries_update(idx) {
                 // Re-driven iteration: this subgroup already carries the
                 // update — re-emit its FP16 image without touching state.
                 convert::downscale_par(res.params(), &mut fp16);
@@ -1269,7 +1149,7 @@ impl MlpFuncEngine {
                         &mut fp16,
                     ),
                 }
-                progress.updated[idx] = true;
+                self.ledger.settle(idx, TierOp::Update, Outcome::Landed);
             }
             drop(fetched_grad); // back to the pool
             run.outcome.fp16_params[idx] = fp16;
@@ -1347,12 +1227,8 @@ impl MlpFuncEngine {
         } else {
             engine.submit_read(key)
         };
-        read.wait()?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("read of subgroup {idx} returned no payload"),
-            )
-        })
+        let missing = || invariant_violation(format!("read of subgroup {idx} returned no payload"));
+        read.wait()?.ok_or_else(missing)
     }
 
     /// Moves one durable subgroup copy between tiers, keeping a durable
@@ -1366,32 +1242,19 @@ impl MlpFuncEngine {
         let key = self.key(step.subgroup).to_owned();
         let started = self.cfg.trace.now_ns();
         let data = {
-            let _g = self.tiers[step.from].lock.acquire(self.worker_id);
+            let _g = self.tier_guard(step.from);
             self.read_durable(step.from, step.subgroup, salvage)?
         };
         let bytes = data.len() as u64;
         {
-            let _g = self.tiers[step.to].lock.acquire(self.worker_id);
+            let _g = self.tier_guard(step.to);
             self.tiers[step.to].engine.submit_write(&key, data).wait()?;
         }
-        // The destination copy is durable; the source is now garbage.
+        // The destination copy is durable; the source is now garbage,
+        // retired as an eviction retires the copy it superseded.
         self.ledger.relocate(step);
-        {
-            // A failed delete leaves a stale source copy behind — a
-            // space leak, not a correctness problem: nothing reads a key
-            // from a tier the ledger does not place it on, and the next
-            // write of it there replaces it — so it does not fail the
-            // iteration (nor does the same failure when an eviction
-            // retires the copy it superseded).
-            let _g = self.tiers[step.from].lock.acquire(self.worker_id);
-            let engine = &self.tiers[step.from].engine;
-            let delete = if salvage {
-                engine.submit_salvage_delete(&key)
-            } else {
-                engine.submit_delete(&key)
-            };
-            let _ = delete.wait();
-        }
+        let delete = self.submit_delete(step.from, step.subgroup);
+        self.settle_delete(step.subgroup, step.from, delete);
         let phase = if salvage {
             self.drains_done += 1;
             Phase::Drain
@@ -1558,7 +1421,7 @@ impl MlpFuncEngine {
         tag: &str,
     ) -> io::Result<PendingCheckpoint> {
         CheckpointManifest::check_tag(tag)?;
-        if self.in_progress.is_some() {
+        if self.ledger.in_progress() {
             return Err(io::Error::other(
                 "checkpoint refused: a failed update phase awaits re-drive",
             ));
@@ -1647,18 +1510,16 @@ impl MlpFuncEngine {
                 SubgroupLocation::Target { key } => read(target, key)?,
                 // The tier index is outside input: a corrupt or foreign
                 // manifest can name a tier this run does not have.
-                SubgroupLocation::Prestaged { tier, key } => tier_io
-                    .get(*tier)
-                    .ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "manifest places {key} on tier {tier}, but only {} tiers are configured",
-                                shared_tiers.len()
-                            ),
-                        )
-                    })
-                    .and_then(|io| read(io, key))?,
+                SubgroupLocation::Prestaged { tier, key } => {
+                    let n = shared_tiers.len();
+                    let msg = format!(
+                        "manifest places {key} on tier {tier}, but only {n} tiers are configured"
+                    );
+                    read(
+                        tier_io.get(*tier).ok_or_else(|| invariant_violation(msg))?,
+                        key,
+                    )?
+                }
             };
             states.push(SubgroupState::from_bytes(&bytes, manifest.step)?);
         }
@@ -2875,6 +2736,60 @@ mod tests {
             "{high_water} buffers out of a pool of {capacity}"
         );
         assert_eq!(baseline.state_pool_outstanding(), 0);
+    }
+
+    /// With "Process Atomic R/W" off no tier op takes a node lock, the
+    /// drain's moves included: another holder of both tiers' locks does
+    /// not stop the quarantine-and-drain.
+    #[test]
+    fn a_drain_without_tier_locking_ignores_the_tier_locks() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend, FaultOps, HealthConfig};
+        use std::sync::mpsc;
+        const SHARD: usize = 24;
+        let mut cfg = EngineConfig::mlp_offload().with_host_frames(3);
+        cfg.tier_exclusive_locking = false;
+        let inject = Arc::new(FaultInjectBackend::new(
+            Arc::new(MemBackend::new("dying")) as Arc<dyn Backend>,
+            FaultConfig::permanent(11, 1.0).with_ops(FaultOps::WritesOnly),
+        ));
+        inject.set_armed(false);
+        let health = TierHealth::new("dying", HealthConfig::hair_trigger());
+        let shared = [
+            SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 2.0)
+                .with_health(Arc::clone(&health)),
+            SharedTier::new(
+                Arc::new(MemBackend::new("survivor")) as Arc<dyn Backend>,
+                1.0,
+            ),
+        ];
+        let adam = AdamConfig::default();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(SHARD, 24)).unwrap();
+        for it in 0..3 {
+            engine.accumulate_gradients(&grads_for(SHARD, 24, it as f32));
+            inject.set_armed(it == 2);
+            let _ = engine.update();
+        }
+        assert!(health.is_quarantined() && engine.update_in_progress());
+
+        let locks: Vec<ProcessExclusiveLock> = shared.iter().map(|t| t.lock.clone()).collect();
+        let (held, release) = (mpsc::channel(), mpsc::channel::<()>());
+        let holder = std::thread::spawn(move || {
+            let _guards: Vec<TierGuard> = locks.iter().map(|l| l.acquire(7)).collect();
+            held.0.send(()).unwrap();
+            let _ = release.1.recv();
+        });
+        held.1.recv().unwrap();
+        let (done, redrive) = mpsc::channel();
+        std::thread::spawn(move || {
+            let result = engine.update().map(drop);
+            let _ = done.send((engine, result));
+        });
+        let answer = redrive.recv_timeout(Duration::from_secs(30));
+        release.0.send(()).unwrap();
+        holder.join().unwrap();
+        let (engine, result) = answer.expect("the drain waited for a tier lock it must not take");
+        result.unwrap();
+        assert!(engine.drains_done() > 0, "nothing was drained");
     }
 
     #[test]

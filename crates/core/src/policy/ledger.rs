@@ -39,6 +39,11 @@
 //! eviction's by subgroup id and [`SubgroupLedger::rest`]s every frame it
 //! holds back — and is generic only in what a host frame holds (a pooled
 //! staging buffer there, a frame-semaphore permit here).
+//!
+//! What a failed, lost or late tier op does to a subgroup is one table,
+//! [`SubgroupLedger::settle`]: the executor only executes the [`Action`]
+//! it returns, and a re-driven iteration ends bit-identical to one that
+//! never failed.
 
 use std::collections::VecDeque;
 
@@ -197,7 +202,7 @@ pub fn plan_pass(
 }
 
 /// The newest durable copy of a host-side subgroup: the one its next
-/// eviction supersedes ([`SubgroupLedger::evict_superseding`]).
+/// eviction supersedes ([`Action::Retire`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Durable {
     /// On the indexed tier.
@@ -218,6 +223,66 @@ impl Durable {
         };
         range.filter(move |&t| t != tier)
     }
+}
+
+/// An op of an update pass, as [`SubgroupLedger::settle`] takes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TierOp {
+    /// A load's reads of the state (and of the gradients beside it).
+    Fetch,
+    /// The optimizer step, applied in a host frame.
+    Update,
+    /// An eviction's write of the state.
+    Evict,
+    /// A write of the host gradients next to the state.
+    GradFlush,
+    /// A delete of the copy a landed eviction superseded.
+    Retire,
+}
+
+/// How an op settled.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Outcome<F> {
+    /// It did what it was asked.
+    Landed,
+    /// It failed, handing back its payload (a write's frame), or without
+    /// it when a backend panic lost it.
+    Failed(Option<F>),
+    /// The deadline answered it while it still runs.
+    Late,
+}
+
+/// What the executor does about a settled op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// Nothing more.
+    Done,
+    /// Delete the copies `superseded` names ([`Durable::superseded_by`])
+    /// off every tier but `tier`, where the landed eviction put it.
+    Retire {
+        /// The new copy's tier.
+        tier: usize,
+        /// The copy it superseded.
+        superseded: Durable,
+    },
+    /// Keep the op and settle it at the next call, which fails
+    /// `TimedOut` while it still runs.
+    Carry,
+    /// Wait up to one more deadline for the op, then let it go.
+    Wait,
+    /// Nothing holds the state any more: later passes fail at its load.
+    Strand,
+}
+
+/// A subgroup's facts for the open iteration: whether its state carries
+/// the iteration's gradient; whether its newest durable copy does
+/// (`Some(false)`: it holds the start; `None`: neither, being older or
+/// absent); and the copy an eviction in flight supersedes.
+#[derive(Clone, Copy)]
+struct Progress {
+    updated: bool,
+    copy_updated: Option<bool>,
+    flushing: Option<Durable>,
 }
 
 /// Where a subgroup rests between update phases.
@@ -266,6 +331,8 @@ pub struct SubgroupLedger<F> {
     slots: Vec<Slot<F>>,
     /// The subgroups in `Slot::Host`, least recently updated first.
     resting: VecDeque<usize>,
+    /// Each subgroup's facts while an iteration is open, none between.
+    progress: Vec<Progress>,
 }
 
 impl<F> SubgroupLedger<F> {
@@ -293,6 +360,7 @@ impl<F> SubgroupLedger<F> {
             kind,
             slots: assignment.into_iter().map(Slot::Tier).collect(),
             resting: VecDeque::new(),
+            progress: Vec::new(),
             iterations_done: 0,
         }
     }
@@ -302,17 +370,32 @@ impl<F> SubgroupLedger<F> {
         self.resting.len()
     }
 
+    /// Whether an iteration has begun and not ended: between update
+    /// phases, a failed attempt awaits its re-drive.
+    pub fn in_progress(&self) -> bool {
+        !self.progress.is_empty()
+    }
+
     /// Starts (or, after a failed attempt, restarts) the current
     /// iteration and returns its update pass: the order, the Eq. 1 flush
     /// proportions over the surviving tiers, and every load and eviction
     /// from where the subgroups rest now ([`plan_pass`], at the
-    /// pipeline's floor of lookahead).
+    /// pipeline's floor of lookahead). A fresh start resets the facts
+    /// [`SubgroupLedger::settle`] keeps: no state is updated yet.
     ///
     /// # Panics
     ///
     /// Panics if every tier is excluded (callers surface "no surviving
     /// tier" as a typed error before starting an iteration).
     pub fn begin_iteration(&mut self) -> PassPlan {
+        if self.progress.is_empty() {
+            let fresh = |slot: &Slot<F>| Progress {
+                updated: false,
+                copy_updated: slot.tier().map(|_| false),
+                flushing: None,
+            };
+            self.progress = self.slots.iter().map(fresh).collect();
+        }
         let m = self.slots.len();
         let order = self.order_policy.order(self.iterations_done, m);
         let weights = self
@@ -372,34 +455,87 @@ impl<F> SubgroupLedger<F> {
 
     /// A [`Step::Evict`]'s frame: subgroup `idx` now lives on `tier`, and
     /// the executor flushes the frame there (fencing any later fetch of
-    /// `idx` on that write). `None` if it does not rest in a frame. For an
-    /// executor that retires no copies (the simulator).
+    /// `idx` on that write). `None` if it does not rest in a frame. The
+    /// copy the eviction supersedes stays the newest durable one until
+    /// the write settles ([`SubgroupLedger::settle`]).
     // lint:hot-root — once per eviction per iteration, ahead of its flush
     pub fn evict(&mut self, idx: usize, tier: usize) -> Option<F> {
-        self.evict_superseding(idx, tier).map(|(frame, _)| frame)
+        let (frame, superseded) = self.take(idx, |_| Slot::Tier(tier))?;
+        if let Some(p) = self.progress.get_mut(idx) {
+            p.flushing = Some(superseded);
+        }
+        Some(frame)
     }
 
-    /// [`SubgroupLedger::evict`] that also reports the durable copy the
-    /// eviction supersedes. Once the write to `tier` is durable, the
-    /// executor deletes that copy from every tier
-    /// [`Durable::superseded_by`] names; should the write fail instead,
-    /// [`SubgroupLedger::fall_back`] returns the subgroup to it.
-    // lint:hot-root — once per eviction per iteration, ahead of its flush
-    pub fn evict_superseding(&mut self, idx: usize, tier: usize) -> Option<(F, Durable)> {
-        self.take(idx, |_| Slot::Tier(tier))
+    /// Whether subgroup `idx`'s state carries this iteration's gradient:
+    /// a re-driven pass re-emits its FP16 image instead of applying the
+    /// gradient again, and fetches no gradient for it.
+    pub fn carries_update(&self, idx: usize) -> bool {
+        self.progress.get(idx).is_some_and(|p| p.updated)
     }
 
-    /// An eviction of subgroup `idx` whose write failed: it goes back to
-    /// `superseded`, the copy the eviction reported, which the executor
-    /// keeps until a write that supersedes it is durable — onto that
-    /// copy's tier, or lent out when it has none. The executor then
-    /// [`SubgroupLedger::rest`]s the failed write's payload if it got it
-    /// back.
-    pub fn fall_back(&mut self, idx: usize, superseded: Durable) {
+    /// The failure table: how `op` of subgroup `idx` settling as
+    /// `outcome` changes the subgroup's facts and slot, and what the
+    /// executor does next. No I/O.
+    ///
+    /// | op | outcome | effect | action |
+    /// |---|---|---|---|
+    /// | update | landed | the state carries the gradient | done |
+    /// | evict | landed | the new copy holds what the state does | retire the superseded copy |
+    /// | evict | failed, payload back | back onto the superseded copy, the payload rests | done |
+    /// | evict | payload lost | back onto the superseded copy, which is now the state, if it holds the iteration's start or update; else no state | done, or strand |
+    /// | evict | late | none yet | carry; its settlement takes a row above |
+    /// | retire | late | none | wait one more deadline |
+    /// | retire | failed or lost | none: a leaked copy, not an error | done |
+    /// | fetch, grad flush | failed or lost | none: the copy and the host gradients stay | done |
+    pub fn settle(&mut self, idx: usize, op: TierOp, outcome: Outcome<F>) -> Action {
+        let p = match (op, &outcome) {
+            (TierOp::Evict, Outcome::Late) => return Action::Carry,
+            (TierOp::Retire, Outcome::Late) => return Action::Wait,
+            (TierOp::Update, Outcome::Landed) | (TierOp::Evict, _) => self.progress.get_mut(idx),
+            _ => return Action::Done,
+        };
+        let Some(p) = p else {
+            return Action::Done;
+        };
+        if op == TierOp::Update {
+            p.updated = true;
+            return Action::Done;
+        }
+        let Some(superseded) = p.flushing.take() else {
+            return Action::Done;
+        };
+        match outcome {
+            Outcome::Landed => {
+                p.copy_updated = Some(p.updated);
+                let tier = self.slots.get(idx).and_then(Slot::tier);
+                return tier.map_or(Action::Done, |tier| Action::Retire { tier, superseded });
+            }
+            Outcome::Failed(Some(frame)) => {
+                self.fall_back(idx, superseded);
+                self.rest(idx, frame);
+            }
+            _ => match p.copy_updated {
+                Some(updated) => {
+                    p.updated = updated;
+                    self.fall_back(idx, superseded);
+                }
+                None => {
+                    self.fall_back(idx, Durable::Unknown);
+                    return Action::Strand;
+                }
+            },
+        }
+        Action::Done
+    }
+
+    /// An eviction of subgroup `idx` that did not land: back onto
+    /// `copy`'s tier, or lent out with no frame when it has none.
+    fn fall_back(&mut self, idx: usize, copy: Durable) {
         if let Some(slot @ Slot::Tier(_)) = self.slots.get_mut(idx) {
-            *slot = match superseded {
+            *slot = match copy {
                 Durable::On(t) => Slot::Tier(t),
-                Durable::Unknown => Slot::Lent(superseded),
+                Durable::Unknown => Slot::Lent(copy),
             };
         }
     }
@@ -429,6 +565,7 @@ impl<F> SubgroupLedger<F> {
     /// its estimates when adaptive (the next split and migration plan
     /// derive from them) and advances the order.
     pub fn end_iteration(&mut self) {
+        self.progress.clear();
         if self.adaptive {
             self.planner.end_iteration();
         }
@@ -700,9 +837,10 @@ mod tests {
         }
     }
 
-    /// Each eviction reports the durable copy it supersedes: none known
-    /// for a born subgroup, else the tier its last frame was fetched from
-    /// or the copy a hit rested over. A failed eviction falls back to it.
+    /// Each eviction reports the durable copy it supersedes once its
+    /// write lands: none known for a born subgroup, else the tier its
+    /// last frame was fetched from or the copy a hit rested over. A
+    /// failed eviction falls back to it.
     #[test]
     fn evictions_report_the_copy_they_supersede() {
         let cfg = EngineConfig::mlp_offload()
@@ -711,33 +849,254 @@ mod tests {
         let mut l: SubgroupLedger<usize> =
             SubgroupLedger::new(&cfg, 4, vec![1.0, 1.0], ExecutorKind::Pool);
         l.take_born();
+        l.begin_iteration();
         for s in 0..4 {
             l.rest(s, s);
         }
-        assert_eq!(l.evict_superseding(0, 1), Some((0, Durable::Unknown)));
+        let landed = |l: &mut SubgroupLedger<usize>, s| l.settle(s, TierOp::Evict, Outcome::Landed);
+        let retire = |tier, superseded| Action::Retire { tier, superseded };
+        assert_eq!(l.evict(0, 1), Some(0));
+        assert_eq!(landed(&mut l, 0), retire(1, Durable::Unknown));
         let others: Vec<usize> = Durable::Unknown.superseded_by(1, 3).collect();
         assert_eq!(others, [0, 2]);
         // Fetched back from tier 1, updated and rested: over its copy there.
         l.rest(0, 0);
         assert_eq!(l.take_hit(0), Some(0));
         l.rest(0, 0);
-        assert_eq!(l.evict_superseding(0, 0), Some((0, Durable::On(1))));
+        assert_eq!(l.evict(0, 0), Some(0));
+        // The write to tier 0 failed: back on tier 1, the payload on top.
+        let failed = l.settle(0, TierOp::Evict, Outcome::Failed(Some(0)));
+        assert_eq!(failed, Action::Done);
+        assert!(matches!(l.place(0), Some(Place::Host(&0))));
+        assert_eq!(l.evict(0, 0), Some(0));
+        assert_eq!(landed(&mut l, 0), retire(0, Durable::On(1)));
         assert_eq!(Durable::On(1).superseded_by(0, 3).collect::<Vec<_>>(), [1]);
         assert_eq!(Durable::On(0).superseded_by(0, 3).count(), 0);
-        // The write to tier 0 failed: back on tier 1, the payload on top.
-        l.fall_back(0, Durable::On(1));
-        assert!(matches!(l.place(0), Some(Place::Tier(1))));
-        l.rest(0, 0);
-        assert_eq!(l.evict_superseding(0, 0), Some((0, Durable::On(1))));
-        // A born subgroup's failed first eviction is lent out again.
-        assert_eq!(l.evict_superseding(1, 0), Some((1, Durable::Unknown)));
-        l.fall_back(1, Durable::Unknown);
-        assert!(l.place(1).is_none());
-        l.rest(1, 1);
-        assert_eq!(l.evict_superseding(1, 1), Some((1, Durable::Unknown)));
+        // A born subgroup's failed first eviction rests over no copy again.
+        assert_eq!(l.evict(1, 0), Some(1));
+        l.settle(1, TierOp::Evict, Outcome::Failed(Some(1)));
+        assert!(matches!(l.place(1), Some(Place::Host(&1))));
+        assert_eq!(l.evict(1, 1), Some(1));
+        assert_eq!(landed(&mut l, 1), retire(1, Durable::Unknown));
         // Only an evicted slot falls back: a resting one is left alone.
-        l.fall_back(2, Durable::On(0));
+        assert_eq!(
+            l.settle(2, TierOp::Evict, Outcome::Failed(Some(2))),
+            Action::Done
+        );
         assert!(matches!(l.place(2), Some(Place::Host(&2))));
+    }
+
+    /// A lazy ledger of four subgroups over two tiers, mid-iteration: each
+    /// fetched into a frame from its tier, which it returns.
+    fn fetched() -> (SubgroupLedger<usize>, Vec<usize>) {
+        let mut l = ledger(OrderPolicy::Ascending, 4, 4, vec![1.0, 1.0]);
+        l.begin_iteration();
+        let home = (0..4)
+            .map(|s| match l.place(s) {
+                Some(Place::Tier(t)) => t,
+                _ => panic!("subgroup {s} starts on no tier"),
+            })
+            .collect();
+        for s in 0..4 {
+            l.rest(s, s);
+        }
+        (l, home)
+    }
+
+    fn tier_of(l: &SubgroupLedger<usize>, s: usize) -> Option<usize> {
+        match l.place(s) {
+            Some(Place::Tier(t)) => Some(t),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn settle_an_applied_update_and_the_state_carries_the_gradient() {
+        let (mut l, _) = fetched();
+        assert!(!l.carries_update(0));
+        assert_eq!(l.settle(0, TierOp::Update, Outcome::Landed), Action::Done);
+        assert!(l.carries_update(0));
+        assert!(!l.carries_update(1));
+    }
+
+    #[test]
+    fn settle_a_landed_eviction_and_retire_the_copy_it_superseded() {
+        let (mut l, home) = fetched();
+        l.settle(0, TierOp::Update, Outcome::Landed);
+        let to = 1 - home[0];
+        assert_eq!(l.evict(0, to), Some(0));
+        let superseded = Durable::On(home[0]);
+        let landed = l.settle(0, TierOp::Evict, Outcome::Landed);
+        assert_eq!(
+            landed,
+            Action::Retire {
+                tier: to,
+                superseded
+            }
+        );
+        assert_eq!(tier_of(&l, 0), Some(to));
+        // The new copy carries the update: losing a later eviction's
+        // payload falls back to it, updated.
+        l.rest(0, 0);
+        l.evict(0, home[0]);
+        l.settle(0, TierOp::Evict, Outcome::Failed(None));
+        assert_eq!(tier_of(&l, 0), Some(to));
+        assert!(l.carries_update(0));
+    }
+
+    #[test]
+    fn settle_a_failed_eviction_and_rest_its_payload_over_the_superseded_copy() {
+        let (mut l, home) = fetched();
+        l.settle(2, TierOp::Update, Outcome::Landed);
+        l.evict(2, 1 - home[2]);
+        let failed = l.settle(2, TierOp::Evict, Outcome::Failed(Some(2)));
+        assert_eq!(failed, Action::Done);
+        assert!(matches!(l.place(2), Some(Place::Host(&2))));
+        assert!(l.carries_update(2), "the payload is the updated state");
+        // It still rests over its old copy, which a landed eviction retires.
+        l.evict(2, 1 - home[2]);
+        let landed = l.settle(2, TierOp::Evict, Outcome::Landed);
+        let superseded = Durable::On(home[2]);
+        assert_eq!(
+            landed,
+            Action::Retire {
+                tier: 1 - home[2],
+                superseded
+            }
+        );
+    }
+
+    #[test]
+    fn settle_a_lost_payload_onto_a_copy_of_the_iteration() {
+        // The copy the iteration started from: the gradient applies again.
+        let (mut l, home) = fetched();
+        l.settle(1, TierOp::Update, Outcome::Landed);
+        l.evict(1, 1 - home[1]);
+        assert_eq!(
+            l.settle(1, TierOp::Evict, Outcome::Failed(None)),
+            Action::Done
+        );
+        assert_eq!(tier_of(&l, 1), Some(home[1]));
+        assert!(!l.carries_update(1));
+        // A copy an earlier eviction of the pass landed before the update.
+        let (mut l, home) = fetched();
+        l.evict(3, 1 - home[3]);
+        l.settle(3, TierOp::Evict, Outcome::Landed);
+        l.rest(3, 3);
+        l.settle(3, TierOp::Update, Outcome::Landed);
+        l.evict(3, home[3]);
+        l.settle(3, TierOp::Evict, Outcome::Failed(None));
+        assert_eq!(tier_of(&l, 3), Some(1 - home[3]));
+        assert!(!l.carries_update(3));
+    }
+
+    #[test]
+    fn settle_a_lost_payload_with_no_copy_of_the_iteration_and_strand_the_subgroup() {
+        // Resting when the iteration began: its copy is older.
+        let (mut l, home) = fetched();
+        l.end_iteration();
+        l.begin_iteration();
+        l.settle(0, TierOp::Update, Outcome::Landed);
+        l.evict(0, home[0]);
+        assert_eq!(
+            l.settle(0, TierOp::Evict, Outcome::Failed(None)),
+            Action::Strand
+        );
+        assert!(l.place(0).is_none(), "stranded, with no frame to take");
+        assert_eq!(l.take_hit(0), None);
+        // Born: it has no copy at all.
+        let mut l = ledger_for(ExecutorKind::Pool, OrderPolicy::Ascending, 4, 4, vec![1.0]);
+        l.take_born();
+        l.begin_iteration();
+        l.rest(0, 0);
+        l.evict(0, 0);
+        assert_eq!(
+            l.settle(0, TierOp::Evict, Outcome::Failed(None)),
+            Action::Strand
+        );
+        assert!(l.place(0).is_none());
+    }
+
+    #[test]
+    fn settle_a_late_eviction_by_carrying_it_to_its_settlement() {
+        for landed in [true, false] {
+            let (mut l, home) = fetched();
+            l.settle(0, TierOp::Update, Outcome::Landed);
+            let to = 1 - home[0];
+            l.evict(0, to);
+            // Carried for as long as every call that asks finds it running.
+            for _ in 0..2 {
+                assert_eq!(l.settle(0, TierOp::Evict, Outcome::Late), Action::Carry);
+                assert_eq!(tier_of(&l, 0), Some(to));
+            }
+            // Its settlement then takes the landed or the failed row.
+            if landed {
+                let superseded = Durable::On(home[0]);
+                let action = l.settle(0, TierOp::Evict, Outcome::Landed);
+                assert_eq!(
+                    action,
+                    Action::Retire {
+                        tier: to,
+                        superseded
+                    }
+                );
+                assert_eq!(tier_of(&l, 0), Some(to));
+            } else {
+                let action = l.settle(0, TierOp::Evict, Outcome::Failed(Some(0)));
+                assert_eq!(action, Action::Done);
+                assert!(matches!(l.place(0), Some(Place::Host(&0))));
+            }
+            assert!(l.carries_update(0), "landed={landed}");
+        }
+    }
+
+    #[test]
+    fn settle_a_late_delete_by_waiting_one_more_deadline() {
+        let (mut l, _) = fetched();
+        assert_eq!(l.settle(0, TierOp::Retire, Outcome::Late), Action::Wait);
+        assert!(matches!(l.place(0), Some(Place::Host(&0))));
+        // Between iterations too: a migration retires its source copy.
+        l.end_iteration();
+        assert_eq!(l.settle(0, TierOp::Retire, Outcome::Late), Action::Wait);
+    }
+
+    #[test]
+    fn settle_a_failed_delete_as_a_leak_not_an_error() {
+        let (mut l, _) = fetched();
+        for outcome in [Outcome::Failed(None), Outcome::Landed] {
+            assert_eq!(l.settle(0, TierOp::Retire, outcome), Action::Done);
+        }
+        assert!(matches!(l.place(0), Some(Place::Host(&0))));
+        assert!(!l.carries_update(0));
+    }
+
+    #[test]
+    fn settle_a_failed_fetch_or_gradient_flush_and_nothing_changes() {
+        let (mut l, home) = fetched();
+        l.evict(1, home[1]);
+        l.settle(1, TierOp::Evict, Outcome::Landed);
+        for op in [TierOp::Fetch, TierOp::GradFlush] {
+            for outcome in [Outcome::Failed(None), Outcome::Late] {
+                assert_eq!(l.settle(1, op, outcome), Action::Done);
+                assert_eq!(tier_of(&l, 1), Some(home[1]));
+                assert!(!l.carries_update(1));
+            }
+        }
+    }
+
+    /// A fresh iteration forgets the facts; a re-drive of a failed one
+    /// keeps them.
+    #[test]
+    fn a_redrive_keeps_the_facts_a_fresh_iteration_resets() {
+        let (mut l, _) = fetched();
+        assert!(l.in_progress());
+        l.settle(0, TierOp::Update, Outcome::Landed);
+        l.begin_iteration();
+        assert!(l.carries_update(0), "the re-drive re-emits it");
+        l.end_iteration();
+        assert!(!l.in_progress());
+        l.begin_iteration();
+        assert!(!l.carries_update(0));
     }
 
     #[test]

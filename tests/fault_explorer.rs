@@ -1,0 +1,586 @@
+//! Bounded-fault exploration of the update pass's failure table.
+//!
+//! A scripted backend gives chosen ops of one pass an outcome each: a
+//! typed error, a panic that loses the payload, or a stall past the I/O
+//! deadline that the test then releases as landed or as failed. The
+//! explorer runs every single op with every outcome and every pair of ops
+//! with every pair of outcomes that do not stall, plus a fixed stride of
+//! the pairs that do, in the born pass and in a steady-state pass that
+//! re-places evictions (or the first one, where the preset never does),
+//! under `mlp_offload()` and `deepspeed_zero3()`: both subgroup orders and
+//! both gradient paths.
+//!
+//! After each schedule the engine is re-driven to success and trained two
+//! more passes. It must then match plain in-memory Adam bit for bit, hold
+//! every pooled buffer in a resting frame, keep one durable copy per
+//! subgroup on the tiers (a delete that failed may leave one more), and
+//! answer every call: a schedule that does not finish in time is a hang.
+//! A payload lost with no copy of the iteration behind it strands its
+//! subgroup instead, and then every later pass must fail, typed.
+//!
+//! A released stall finishes on its tier before the test's next call. A
+//! stall that outlives the next call is not explored: a retire-delete or
+//! a gradient write the deadline answered can then land after that
+//! call's write of the same key, and overwrite or delete it.
+
+use std::collections::{HashMap, HashSet};
+use std::io;
+use std::sync::{mpsc, Arc, Condvar, Mutex, Once};
+use std::time::{Duration, Instant};
+
+use mlp_offload_suite::mlp_aio::{AioConfig, RetryPolicy};
+use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
+use mlp_offload_suite::mlp_offload::policy::ledger::Load;
+use mlp_offload_suite::mlp_offload::EngineConfig;
+use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
+use mlp_offload_suite::mlp_storage::{Backend, MemBackend};
+use mlp_offload_suite::mlp_tensor::{HostBuffer, F16};
+
+/// Subgroups, over two tiers split 2:1 and three host frames: with six,
+/// no fixed split ever re-places an eviction.
+const M: usize = 8;
+const LEN: usize = 8;
+const RATIO: [f64; 2] = [2.0, 1.0];
+/// The I/O deadline of a schedule that stalls an op.
+const DEADLINE: Duration = Duration::from_millis(20);
+/// A schedule that takes longer than this hangs.
+const HANG: Duration = Duration::from_secs(10);
+/// How many of a pass's pairs with a stalled op run, at an even stride:
+/// each costs a few deadlines.
+const STALLED_PAIRS: usize = 60;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Kind {
+    Read,
+    Write,
+    Delete,
+}
+
+/// One op of the faulted pass: the `nth` of its kind on `key` on `tier`.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct Op {
+    tier: usize,
+    kind: Kind,
+    key: String,
+    nth: usize,
+}
+
+impl Op {
+    fn state_write(&self) -> bool {
+        self.kind == Kind::Write && self.key.contains("/sub")
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fault {
+    Error,
+    Panic,
+    StallLanded,
+    StallFailed,
+}
+
+impl Fault {
+    const ALL: [Fault; 4] = [
+        Fault::Error,
+        Fault::Panic,
+        Fault::StallLanded,
+        Fault::StallFailed,
+    ];
+
+    fn stalls(self) -> bool {
+        matches!(self, Fault::StallLanded | Fault::StallFailed)
+    }
+}
+
+#[derive(Default)]
+struct ScriptState {
+    armed: bool,
+    seen: HashMap<(usize, Kind, String), usize>,
+    /// Every op seen while armed, in the order the tiers saw them.
+    log: Vec<Op>,
+    faults: Vec<(Op, Fault)>,
+    fired: Vec<(Op, Fault)>,
+    released: bool,
+    /// Stalled calls that have not finished yet.
+    stalled: usize,
+}
+
+/// One schedule's faults, shared by both tiers.
+#[derive(Default)]
+struct Script {
+    state: Mutex<ScriptState>,
+    release: Condvar,
+}
+
+impl Script {
+    fn new(faults: &[(Op, Fault)]) -> Arc<Self> {
+        let script = Script::default();
+        script.state.lock().unwrap().faults = faults.to_vec();
+        Arc::new(script)
+    }
+
+    /// Arms the script, counting ops afresh.
+    fn arm(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.armed = true;
+        st.seen.clear();
+        st.log.clear();
+    }
+
+    /// Disarms it and returns the ops it saw and the faults that fired.
+    fn disarm(&self) -> (Vec<Op>, Vec<(Op, Fault)>) {
+        let mut st = self.state.lock().unwrap();
+        st.armed = false;
+        (std::mem::take(&mut st.log), st.fired.clone())
+    }
+
+    /// Lets every stalled call go, as landed or as failed, and waits until
+    /// each has finished on the tier: a released op settles before the
+    /// test's next call. (One that outlives it is a schedule this explorer
+    /// does not run; see the module docs.)
+    fn release(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.released = true;
+        self.release.notify_all();
+        while st.stalled > 0 {
+            st = self.release.wait_timeout(st, HANG).unwrap().0;
+        }
+    }
+
+    /// The fault the script gives this call, if any, counting and logging
+    /// it while armed.
+    fn fault(&self, tier: usize, kind: Kind, key: &str) -> Option<Fault> {
+        let mut st = self.state.lock().unwrap();
+        if !st.armed {
+            return None;
+        }
+        let seen = st.seen.entry((tier, kind, key.to_string())).or_default();
+        let nth = *seen;
+        *seen += 1;
+        let op = Op {
+            tier,
+            kind,
+            key: key.to_string(),
+            nth,
+        };
+        st.log.push(op.clone());
+        let fault = st.faults.iter().find(|(o, _)| *o == op).map(|&(_, f)| f)?;
+        st.stalled += usize::from(fault.stalls());
+        st.fired.push((op, fault));
+        Some(fault)
+    }
+
+    /// Runs one backend call `op` as the script says: as it is, failed,
+    /// panicking, or stalled until [`Script::release`] and then run or
+    /// failed.
+    fn call<T>(
+        &self,
+        tier: usize,
+        kind: Kind,
+        key: &str,
+        op: impl FnOnce() -> io::Result<T>,
+    ) -> io::Result<T> {
+        let Some(fault) = self.fault(tier, kind, key) else {
+            return op();
+        };
+        let failed = || Err(io::Error::other(format!("scripted {fault:?} on {key}")));
+        match fault {
+            Fault::Error => failed(),
+            Fault::Panic => panic!("scripted panic on {key}"),
+            Fault::StallLanded | Fault::StallFailed => {
+                let st = self.state.lock().unwrap();
+                let wait = self.release.wait_timeout_while(st, HANG, |st| !st.released);
+                drop(wait.unwrap());
+                let result = match fault {
+                    Fault::StallLanded => op(),
+                    _ => failed(),
+                };
+                self.state.lock().unwrap().stalled -= 1;
+                self.release.notify_all();
+                result
+            }
+        }
+    }
+}
+
+/// Lets every stalled op go when dropped.
+struct Release<'a>(&'a Script);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// A memory tier whose every call runs as the script says.
+struct Scripted {
+    tier: usize,
+    inner: MemBackend,
+    script: Arc<Script>,
+}
+
+impl Backend for Scripted {
+    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        let write = || self.inner.write(key, data);
+        self.script.call(self.tier, Kind::Write, key, write)
+    }
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        let write = || self.inner.write_frame(key, frame);
+        self.script.call(self.tier, Kind::Write, key, write)
+    }
+    fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+        self.script
+            .call(self.tier, Kind::Read, key, || self.inner.read(key))
+    }
+    fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+        let read = || self.inner.read_into(key, dst);
+        self.script.call(self.tier, Kind::Read, key, read)
+    }
+    fn delete(&self, key: &str) -> io::Result<()> {
+        self.script
+            .call(self.tier, Kind::Delete, key, || self.inner.delete(key))
+    }
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+fn states() -> Vec<SubgroupState> {
+    (0..M)
+        .map(|s| SubgroupState::new((0..LEN).map(|i| ((s * LEN + i) as f32).sin()).collect()))
+        .collect()
+}
+
+fn grads(pass: usize) -> Vec<Vec<u16>> {
+    (0..M)
+        .map(|s| {
+            (0..LEN)
+                .map(|i| F16::from_f32(((s * LEN + i + pass) as f32 * 0.1).cos() * 0.1).to_bits())
+                .collect()
+        })
+        .collect()
+}
+
+/// Plain in-memory Adam after `passes` passes.
+fn reference(passes: usize) -> Vec<Vec<f32>> {
+    let mut states = states();
+    for pass in 0..passes {
+        for (st, g) in states.iter_mut().zip(grads(pass)) {
+            st.apply_update_fp16(&AdamConfig::default(), &g, 1.0);
+        }
+    }
+    states.into_iter().map(|st| st.params).collect()
+}
+
+fn engine(
+    cfg: &EngineConfig,
+    script: &Arc<Script>,
+    deadline: Option<Duration>,
+) -> (MlpFuncEngine, Vec<Arc<Scripted>>) {
+    let aio = AioConfig {
+        retry: RetryPolicy::none(),
+        deadline,
+        ..AioConfig::deterministic()
+    };
+    let tiers: Vec<Arc<Scripted>> = (0..RATIO.len())
+        .map(|tier| {
+            let inner = MemBackend::new(format!("mem{tier}"));
+            let script = Arc::clone(script);
+            Arc::new(Scripted {
+                tier,
+                inner,
+                script,
+            })
+        })
+        .collect();
+    let shared: Vec<SharedTier> = (tiers.iter().zip(RATIO))
+        .map(|(t, w)| SharedTier::new(Arc::clone(t) as Arc<dyn Backend>, w).with_aio(aio.clone()))
+        .collect();
+    let cfg = cfg
+        .clone()
+        .with_host_frames(3)
+        .with_tier_ratio(RATIO.to_vec());
+    let engine = MlpFuncEngine::new(cfg, AdamConfig::default(), &shared, 0, states()).unwrap();
+    (engine, tiers)
+}
+
+/// One call of the pass: the gradient flush (a no-op with "Skip
+/// Gradients") and the update.
+fn attempt(engine: &mut MlpFuncEngine) -> io::Result<()> {
+    engine.flush_gradients()?;
+    engine.update().map(drop)
+}
+
+/// A pass the script does not fault: re-driven while the deadline answers
+/// an op, since on a loaded host a memory tier's op can outlive it too.
+fn drive(engine: &mut MlpFuncEngine) -> io::Result<()> {
+    let mut result = attempt(engine);
+    for _ in 0..3 {
+        match &result {
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => result = attempt(engine),
+            _ => break,
+        }
+    }
+    result
+}
+
+/// The pass a preset's schedules fault, and what its clean run shows.
+struct Target {
+    cfg: EngineConfig,
+    what: String,
+    pass: usize,
+    /// The pass's ops, in the order a clean run saw them.
+    ops: Vec<Op>,
+    /// State writes whose lost payload strands their subgroup: its first
+    /// eviction of the pass, when it was host-side as the pass began.
+    strands: HashSet<Op>,
+}
+
+/// Runs `cfg` clean and returns its born pass and the first steady-state
+/// pass that retires a copy a re-placing eviction superseded.
+fn targets(cfg: &EngineConfig, preset: &str) -> Vec<Target> {
+    let script = Script::new(&[]);
+    let (mut engine, _) = engine(cfg, &script, None);
+    let mut found = Vec::new();
+    for pass in 0..8 {
+        engine.accumulate_gradients(&grads(pass));
+        script.arm();
+        attempt(&mut engine).unwrap();
+        let (ops, _) = script.disarm();
+        // An ascending scan with no cache evicts each subgroup at the
+        // same point of every pass, so the split never re-places one:
+        // its first steady pass stands in.
+        let replaces = ops.iter().any(|op| op.kind == Kind::Delete) || !cfg.cache_retention;
+        if pass > 0 && !replaces {
+            continue;
+        }
+        let plan = engine.pass_plan();
+        let host_side: HashSet<String> = plan
+            .loads()
+            .filter(|(_, load)| matches!(load, Load::Hit | Load::Fetch { after: Some(_), .. }))
+            .map(|(s, _)| format!("w0/sub{s}"))
+            .collect();
+        let mut written = HashSet::new();
+        let strands = (ops.iter().filter(|op| op.state_write()))
+            .filter(|op| written.insert(op.key.clone()) && host_side.contains(&op.key))
+            .cloned()
+            .collect();
+        let what = if pass == 0 { "born" } else { "steady" };
+        found.push(Target {
+            cfg: cfg.clone(),
+            what: format!("{preset}, {what} pass {pass}"),
+            pass,
+            ops,
+            strands,
+        });
+        if pass > 0 {
+            return found;
+        }
+    }
+    panic!("{preset}: no pass in eight re-places an eviction");
+}
+
+/// What a schedule made the engine do besides failing and re-driving.
+#[derive(Default)]
+struct Seen {
+    carried: bool,
+    stranded: bool,
+}
+
+/// Runs one schedule on its own thread and checks it (see the module
+/// docs); a schedule that does not finish within [`HANG`] fails.
+fn explore(target: &Arc<Target>, faults: Vec<(Op, Fault)>) -> Result<Seen, String> {
+    let script = Script::new(&faults);
+    let (done, result) = mpsc::channel();
+    let (t, s) = (Arc::clone(target), Arc::clone(&script));
+    std::thread::spawn(move || {
+        let _ = done.send(schedule(&t, &s));
+    });
+    let outcome = match result.recv_timeout(HANG) {
+        Ok(outcome) => outcome,
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(format!("no answer within {HANG:?}")),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err("the schedule panicked".into()),
+    };
+    script.release();
+    outcome.map_err(|e| format!("{}, faults {faults:?}: {e}", target.what))
+}
+
+fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
+    let stalls = script
+        .state
+        .lock()
+        .unwrap()
+        .faults
+        .iter()
+        .any(|(_, f)| f.stalls());
+    let (mut engine, tiers) = engine(&target.cfg, script, stalls.then_some(DEADLINE));
+    // Declared after the engine, so it drops first: whichever way the
+    // schedule ends, a stalled op is let go before the engine's drop
+    // joins the worker that runs it.
+    let _release = Release(script);
+    for pass in 0..target.pass {
+        engine.accumulate_gradients(&grads(pass));
+        drive(&mut engine).map_err(|e| format!("clean pass {pass}: {e}"))?;
+    }
+    engine.accumulate_gradients(&grads(target.pass));
+    script.arm();
+    let mut result = attempt(&mut engine);
+    let (_, fired) = script.disarm();
+    if result.is_ok() && fired.iter().any(|(op, _)| op.kind != Kind::Delete) {
+        return Err(format!("the faulted pass returned Ok after {fired:?}"));
+    }
+    // A stalled state write is carried: each call fails while it runs.
+    let mut seen = Seen::default();
+    if fired.iter().any(|(op, f)| f.stalls() && op.state_write()) {
+        seen.carried = true;
+        let still = engine.update().map(drop);
+        match &still {
+            Err(e)
+                if e.kind() == io::ErrorKind::TimedOut
+                    && e.to_string().contains("still running") => {}
+            _ => return Err(format!("a carried flush still running gave {still:?}")),
+        }
+    }
+    script.release();
+    seen.stranded = (fired.iter()).any(|(op, f)| *f == Fault::Panic && target.strands.contains(op));
+    if seen.stranded {
+        for _ in 0..2 {
+            match drive(&mut engine) {
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {}
+                other => return Err(format!("a stranded subgroup's pass gave {other:?}")),
+            }
+        }
+        return check_pool(&engine).map(|()| seen);
+    }
+    let mut tries = 0;
+    while let Err(e) = result {
+        tries += 1;
+        if tries > 3 {
+            return Err(format!("still failing after {tries} re-drives: {e}"));
+        }
+        result = attempt(&mut engine);
+    }
+    for pass in target.pass + 1..target.pass + 3 {
+        engine.accumulate_gradients(&grads(pass));
+        drive(&mut engine).map_err(|e| format!("pass {pass}: {e}"))?;
+    }
+    let got = engine.master_params().map_err(|e| e.to_string())?;
+    if got != reference(target.pass + 3) {
+        return Err("the master parameters diverged from in-memory Adam".into());
+    }
+    check_pool(&engine)?;
+    // One durable copy per subgroup a pass has evicted — each one placed
+    // on a tier, or resting over it — and one more at most for each delete
+    // that did not land.
+    let leaks = (fired.iter())
+        .filter(|(op, f)| op.kind == Kind::Delete && *f != Fault::StallLanded)
+        .count();
+    let dist = engine.tier_distribution();
+    let placed = (dist.tier_bytes.iter().sum::<u64>() / (12 * LEN as u64)) as usize;
+    let on = |t: &Scripted, key: &str| {
+        (0..M)
+            .filter(|s| t.contains(&format!("w0/{key}{s}")))
+            .count()
+    };
+    let copies: usize = tiers.iter().map(|t| on(t, "sub")).sum();
+    let subgroups = (0..M)
+        .filter(|s| tiers.iter().any(|t| t.contains(&format!("w0/sub{s}"))))
+        .count();
+    let objects: usize = tiers.iter().map(|t| t.inner.object_count()).sum();
+    let others = objects - copies - tiers.iter().map(|t| on(t, "grad")).sum::<usize>();
+    if subgroups < placed || copies > subgroups + leaks || others > 0 {
+        return Err(format!(
+            "{copies} state copies of {subgroups} subgroups ({placed} on tiers), {others} \
+             other objects, {leaks} failed deletes"
+        ));
+    }
+    Ok(seen)
+}
+
+/// Every pooled buffer is back or resting, once the ops a released stall
+/// let go have finished on their workers.
+fn check_pool(engine: &MlpFuncEngine) -> Result<(), String> {
+    let started = Instant::now();
+    loop {
+        let (out, resting) = (engine.state_pool_outstanding(), engine.resident_count());
+        if out == resting {
+            return Ok(());
+        }
+        if started.elapsed() > Duration::from_secs(2) {
+            return Err(format!(
+                "{out} pooled buffers out for {resting} resting frames"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runs every schedule of `preset` and returns how many ran.
+fn explore_preset(cfg: EngineConfig, preset: &str) -> usize {
+    static QUIET: Once = Once::new();
+    QUIET.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.to_string().contains("scripted panic") {
+                default(info);
+            }
+        }));
+    });
+    let started = Instant::now();
+    let (mut ran, mut carried, mut stranded) = (0, 0, 0);
+    for target in targets(&cfg, preset).into_iter().map(Arc::new) {
+        let ops = &target.ops;
+        let mut schedules: Vec<Vec<(Op, Fault)>> = Vec::new();
+        for op in ops {
+            schedules.extend(Fault::ALL.map(|f| vec![(op.clone(), f)]));
+        }
+        let (mut stalled, mut pairs) = (Vec::new(), Vec::new());
+        for (i, a) in ops.iter().enumerate() {
+            for b in &ops[i + 1..] {
+                for fa in Fault::ALL {
+                    for fb in Fault::ALL {
+                        let pair = vec![(a.clone(), fa), (b.clone(), fb)];
+                        match fa.stalls() || fb.stalls() {
+                            true => stalled.push(pair),
+                            false => pairs.push(pair),
+                        }
+                    }
+                }
+            }
+        }
+        let stride = stalled.len().div_ceil(STALLED_PAIRS).max(1);
+        schedules.extend(pairs);
+        schedules.extend(stalled.into_iter().step_by(stride));
+        println!(
+            "{}: {} ops, {} schedules",
+            target.what,
+            ops.len(),
+            schedules.len()
+        );
+        for faults in schedules {
+            ran += 1;
+            let seen = explore(&target, faults).unwrap_or_else(|e| panic!("schedule {ran}: {e}"));
+            carried += usize::from(seen.carried);
+            stranded += usize::from(seen.stranded);
+        }
+    }
+    println!(
+        "{preset}: {ran} schedules in {:?} ({carried} carried a flush, {stranded} stranded a \
+         subgroup)",
+        started.elapsed()
+    );
+    ran
+}
+
+#[test]
+fn mlp_offload_survives_every_bounded_fault_schedule() {
+    assert!(explore_preset(EngineConfig::mlp_offload(), "mlp_offload") > 0);
+}
+
+#[test]
+fn deepspeed_zero3_survives_every_bounded_fault_schedule() {
+    assert!(explore_preset(EngineConfig::deepspeed_zero3(), "deepspeed_zero3") > 0);
+}
