@@ -16,7 +16,14 @@
 //! [`CompletionSlot::take_late`]: a failed write's frame survives until a
 //! reconcile asks for it (or the slot drops), and whoever abandoned the
 //! op can learn whether its write landed.
+//!
+//! A pooled read may carry a finish stage that runs on the frame it fills
+//! ([`crate::engine::Finish`]). Which thread runs it is one
+//! [`StageClaim`] per op, raced by the worker when its read lands and by
+//! the waiter when it waits before that; the model checker explores that
+//! race too.
 
+use mlp_sync::atomic::{AtomicU32, Ordering};
 use mlp_sync::{Condvar, Mutex};
 
 /// A write-once completion slot with one blocking consumer and an
@@ -158,6 +165,53 @@ impl<T> Default for CompletionSlot<T> {
     }
 }
 
+/// Which thread runs an op's finish stage: one atomic claim, taken by the
+/// worker when its read lands ([`StageClaim::worker`]) or by the waiter
+/// when it waits first ([`StageClaim::waiter`]). The first claim wins;
+/// the loser leaves the stage alone, so it runs exactly once. The winner
+/// runs it before the frame reaches the waiter: the worker before it
+/// publishes, the waiter after it takes the answer.
+#[derive(Debug, Default)]
+pub struct StageClaim(AtomicU32);
+
+const OPEN: u32 = 0;
+const WORKER: u32 = 1;
+const WAITER: u32 = 2;
+
+impl StageClaim {
+    /// An unclaimed stage.
+    pub fn new() -> Self {
+        StageClaim(AtomicU32::new(OPEN))
+    }
+
+    /// The worker's claim: whether it runs the stage.
+    pub fn worker(&self) -> bool {
+        self.claim(WORKER)
+    }
+
+    /// The waiter's claim: whether it runs the stage (again `true` once
+    /// it holds the claim).
+    pub fn waiter(&self) -> bool {
+        self.claim(WAITER)
+    }
+
+    /// Whether either side holds the claim.
+    #[cfg(test)]
+    pub(crate) fn is_claimed(&self) -> bool {
+        self.0.load(Ordering::Acquire) != OPEN
+    }
+
+    fn claim(&self, by: u32) -> bool {
+        match self
+            .0
+            .compare_exchange(OPEN, by, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => true,
+            Err(held) => held == by,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +258,17 @@ mod tests {
         assert!(!slot.is_set());
         assert_eq!(slot.take_late(), Some(2));
         assert_eq!(slot.take_late(), None, "the settlement is handed out once");
+    }
+
+    #[test]
+    fn the_first_claim_wins_and_the_winner_keeps_it() {
+        let claim = StageClaim::new();
+        assert!(claim.waiter());
+        assert!(!claim.worker(), "the worker's claim lost to the waiter's");
+        assert!(claim.waiter(), "the waiter keeps what it claimed");
+        let claim = StageClaim::new();
+        assert!(claim.worker());
+        assert!(!claim.waiter());
     }
 
     #[test]

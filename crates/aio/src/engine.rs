@@ -15,7 +15,14 @@
 //! (failed ops increment the `errors` counter instead), and a panicking
 //! backend poisons the op's completion slot with an [`io::Error`] rather
 //! than leaving waiters blocked forever.
+//!
+//! A pooled read may carry a [`Finish`] stage: work on the frame it fills,
+//! run by the worker that filled it while the bytes are in its cache, or
+//! by the waiter when it waits before the read lands ([`StageClaim`]). The
+//! stage is not I/O: the op's span, busy time and counters end with the
+//! read.
 
+use std::any::Any;
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -27,10 +34,10 @@ use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
 use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
-use mlp_tensor::PooledBuffer;
+use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
-use crate::completion::CompletionSlot;
+use crate::completion::{CompletionSlot, StageClaim};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -193,8 +200,9 @@ pub struct AioConfig {
     /// `wait_flush`. The backend call itself keeps running (there is no
     /// portable way to cancel it); its late completion is counted
     /// ([`AioEngine::late_completions`]) and kept for
-    /// [`OpHandle::late_flush`]. `None` (the default) disables the
-    /// watchdog entirely.
+    /// [`OpHandle::late_flush`]. A staged read's [`Finish`] stage runs
+    /// inside its op's deadline: a worker that runs it publishes after it.
+    /// `None` (the default) disables the watchdog entirely.
     pub deadline: Option<Duration>,
     /// The tier's circuit breaker (`None`, the default: none). Every
     /// backend attempt is admitted — or refused with the permanent
@@ -241,6 +249,23 @@ impl AioConfig {
     }
 }
 
+/// Work a pooled read finishes on the frame it filled, submitted with it
+/// ([`AioEngine::submit_read_finished`]) and handed back to its waiter
+/// ([`OpHandle::wait_finished`]). It runs exactly once after a successful
+/// read, never after a failed one, and before the waiter sees the frame:
+/// on the worker that filled the frame, while the bytes are hot in its
+/// cache, unless the waiter claimed it first ([`StageClaim`]). A panic in
+/// it answers the op as a lost read, and the frame returns to its pool.
+pub trait Finish: Any + Send {
+    /// Finishes `frame`, whose first `len` bytes hold the object read;
+    /// `tier` is the engine's [`AioConfig::trace_tier`] on a worker and
+    /// `-1` on the waiter.
+    fn finish(&mut self, frame: &mut HostBuffer, len: usize, tier: i32);
+}
+
+/// A pooled read's [`Finish`] stage, if it carries one.
+type Stage = Option<Box<dyn Finish>>;
+
 /// Half the logical CPUs, clamped to `2..=8` (see [`AioConfig`] docs).
 fn probed_default_workers() -> usize {
     // lint:allow(facade-only): pure hardware query with no concurrency
@@ -263,9 +288,10 @@ pub(crate) enum OpKind {
     Read,
     /// Read into the first `len` bytes of a pooled staging buffer via
     /// [`Backend::read_into`] — the allocation-free fetch mirroring
-    /// `WritePooled`. The filled buffer is handed back through
-    /// [`OpHandle::wait_pooled`].
-    ReadPooled(PooledBuffer, usize),
+    /// `WritePooled` — with the [`Finish`] stage it carries, if any. The
+    /// filled buffer is handed back through [`OpHandle::wait_pooled`] or
+    /// [`OpHandle::wait_finished`].
+    ReadPooled(PooledBuffer, usize, Stage),
     Delete,
     /// [`Backend::link`] of the op's key to this one: a metadata op that
     /// moves no bytes, like `Delete`.
@@ -290,8 +316,8 @@ pub(crate) enum OpOutput {
     None,
     /// Plain reads.
     Bytes(Vec<u8>),
-    /// Pooled reads: the filled staging buffer.
-    Pooled(PooledBuffer),
+    /// Pooled reads: the filled staging buffer and its stage.
+    Pooled(PooledBuffer, Stage),
 }
 
 /// An operation's whole outcome, the one value its slot holds: the output
@@ -305,9 +331,14 @@ pub(crate) type Outcome = Result<(OpOutput, usize), (io::Error, Option<PooledBuf
 pub type FlushResult = Result<(), (io::Error, Option<PooledBuffer>)>;
 
 /// Everything an op shares between its waiter, its worker and the
-/// watchdog; the publish/consume protocol (and its model-checked
-/// invariants) live in [`crate::completion`].
-pub(crate) type OpState = CompletionSlot<Outcome>;
+/// watchdog; the publish/consume protocol and the stage claim (and their
+/// model-checked invariants) live in [`crate::completion`].
+#[derive(Default)]
+pub(crate) struct OpState {
+    pub(crate) slot: CompletionSlot<Outcome>,
+    /// Who runs a staged read's [`Finish`] stage.
+    claim: StageClaim,
+}
 
 /// One queued operation: the unit a worker executes.
 pub(crate) struct Op {
@@ -330,7 +361,7 @@ pub struct OpHandle {
 impl OpHandle {
     /// Blocks until the operation is answered and takes the answer.
     fn answer(&self) -> Outcome {
-        self.state.take_blocking().unwrap_or_else(|| {
+        self.state.slot.take_blocking().unwrap_or_else(|| {
             let e = io::Error::new(io::ErrorKind::InvalidInput, "operation already answered");
             Err((e, None))
         })
@@ -348,7 +379,7 @@ impl OpHandle {
         match self.answer().map_err(|(e, _)| e)?.0 {
             OpOutput::None => Ok(None),
             OpOutput::Bytes(b) => Ok(Some(b)),
-            OpOutput::Pooled(_) => Err(io::Error::new(
+            OpOutput::Pooled(..) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "pooled read completion requires wait_pooled",
             )),
@@ -374,7 +405,7 @@ impl OpHandle {
     /// it; the settlement then comes late, through
     /// [`OpHandle::late_flush`].
     pub fn abandoned(&self) -> bool {
-        self.state.answered_early()
+        self.state.slot.answered_early()
     }
 
     /// How an [`abandoned`](OpHandle::abandoned) write settled, once its
@@ -390,7 +421,7 @@ impl OpHandle {
         // Polled: a cold path, taken only after a deadline expired.
         let until = Instant::now() + within;
         loop {
-            if let Some(outcome) = self.state.take_late() {
+            if let Some(outcome) = self.state.slot.take_late() {
                 return Some(outcome.map(drop));
             }
             let left = until.saturating_duration_since(Instant::now());
@@ -402,15 +433,47 @@ impl OpHandle {
     }
 
     /// Blocks until a pooled read completes and returns the staging
-    /// buffer (its first `len` bytes hold the object).
+    /// buffer (its first `len` bytes hold the object). A staged read's
+    /// stage drops unrun unless its worker already ran it: claimed first,
+    /// it never runs.
     ///
     /// # Errors
     ///
     /// The operation's own I/O error, or [`io::ErrorKind::InvalidInput`]
-    /// if it was not submitted via [`AioEngine::submit_read_pooled`].
+    /// if it was not submitted via [`AioEngine::submit_read_pooled`] or
+    /// [`AioEngine::submit_read_finished`].
     pub fn wait_pooled(self) -> io::Result<(PooledBuffer, usize)> {
+        self.state.claim.waiter();
+        self.pooled().map(|(buf, len, _)| (buf, len))
+    }
+
+    /// Blocks until a staged read completes and returns its frame, the
+    /// object's length, and the [`Finish`] stage, which has run on the
+    /// frame: on its worker, or here, after the wait, if this waiter
+    /// claimed it before the read landed.
+    ///
+    /// # Errors
+    ///
+    /// The operation's own I/O error; a lost read if the stage panicked
+    /// (the frame returns to its pool); [`io::ErrorKind::InvalidInput`]
+    /// if the op carried no stage of type `F`.
+    pub fn wait_finished<F: Finish>(self) -> io::Result<(PooledBuffer, usize, Box<F>)> {
+        let mine = self.state.claim.waiter();
+        let (mut buf, len, stage) = self.pooled()?;
+        let mismatch = || io::Error::new(io::ErrorKind::InvalidInput, "no stage of that type");
+        let mut stage = stage.ok_or_else(mismatch)?;
+        if mine {
+            let frame = buf.buffer_mut();
+            catch_unwind(AssertUnwindSafe(|| stage.finish(frame, len, -1)))
+                .map_err(|_| stage_panicked("the waiter"))?;
+        }
+        let stage: Box<dyn Any> = stage;
+        Ok((buf, len, stage.downcast().map_err(|_| mismatch())?))
+    }
+
+    fn pooled(&self) -> io::Result<(PooledBuffer, usize, Stage)> {
         match self.answer().map_err(|(e, _)| e)? {
-            (OpOutput::Pooled(buf), len) => Ok((buf, len)),
+            (OpOutput::Pooled(buf, stage), len) => Ok((buf, len, stage)),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "wait_pooled on a non-pooled operation",
@@ -420,8 +483,13 @@ impl OpHandle {
 
     /// Whether the operation has been answered (answer not yet taken).
     pub fn is_done(&self) -> bool {
-        self.state.is_set()
+        self.state.slot.is_set()
     }
+}
+
+/// The lost read a panicking [`Finish`] stage answers its op with.
+fn stage_panicked(who: &str) -> io::Error {
+    io::Error::other(format!("a read's finish stage panicked on {who}"))
 }
 
 /// Engine counters, held once: the operation counters *are* the
@@ -510,8 +578,9 @@ impl EngineShared {
     }
 
     /// Executes one op against the backend — retry, catch-unwind
-    /// poisoning, stats, trace, publication. The worker loop is
-    /// exactly `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
+    /// poisoning, stats, trace, a staged read's finish stage, publication.
+    /// The worker loop is exactly
+    /// `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
     fn run_op(&self, op: Op) {
         let t0 = Instant::now();
         let Op {
@@ -537,7 +606,26 @@ impl EngineShared {
             Err((e, None))
         });
         let retried = op_retries.load(Ordering::Acquire);
-        self.finish_op(phase, t0, span_start, retried, &state, result);
+        self.record(phase, t0, span_start, retried, &result);
+        let result = self.finish_stage(&state.claim, result);
+        self.publish(&state, result);
+    }
+
+    /// Runs a landed read's [`Finish`] stage on this worker, unless the
+    /// waiter claimed it first (then it runs the stage itself). A
+    /// panicking stage turns the outcome into a lost read.
+    fn finish_stage(&self, claim: &StageClaim, result: Outcome) -> Outcome {
+        let Ok((OpOutput::Pooled(mut buf, Some(mut stage)), n)) = result else {
+            return result;
+        };
+        if !claim.worker() {
+            return Ok((OpOutput::Pooled(buf, Some(stage)), n));
+        }
+        let frame = buf.buffer_mut();
+        match catch_unwind(AssertUnwindSafe(|| stage.finish(frame, n, self.trace_tier))) {
+            Ok(()) => Ok((OpOutput::Pooled(buf, Some(stage)), n)),
+            Err(_) => Err((stage_panicked("its worker"), None)),
+        }
     }
 
     /// Runs one op's attempts under the tier's failure policy: retry of
@@ -560,7 +648,7 @@ impl EngineShared {
             }
             let started = Instant::now();
             let result = attempt();
-            state.if_unanswered(|| match &result {
+            state.slot.if_unanswered(|| match &result {
                 Ok(_) => health.record_success(started.elapsed()),
                 Err(e) => health.record_failure(e),
             });
@@ -568,17 +656,9 @@ impl EngineShared {
         })
     }
 
-    /// Completes one op: folds per-op retries and errors into the
-    /// counters, records the trace span, then publishes the outcome.
-    fn finish_op(
-        &self,
-        phase: Phase,
-        t0: Instant,
-        span_start: u64,
-        retried: u64,
-        state: &OpState,
-        result: Outcome,
-    ) {
+    /// Accounts for one op's I/O: folds per-op retries and errors into
+    /// the counters, adds its busy time and records its trace span.
+    fn record(&self, phase: Phase, t0: Instant, span_start: u64, retried: u64, result: &Outcome) {
         if retried > 0 {
             self.stats.retries.add(retried);
         }
@@ -605,11 +685,14 @@ impl EngineShared {
             }
             self.trace.complete_span(phase, attrs, span_start, end_ns);
         }
-        // Answering takes the op off `inflight` before its waiter can
-        // wake. The deadline watchdog may have answered the op already:
-        // this late outcome is then counted and kept as its late
-        // settlement, and leaves `inflight` alone.
-        if !state.publish(result, || self.stats.inflight.sub(1)) {
+    }
+
+    /// Publishes an op's outcome. Answering takes the op off `inflight`
+    /// before its waiter can wake. The deadline watchdog may have answered
+    /// the op already: this late outcome is then counted and kept as its
+    /// late settlement, and leaves `inflight` alone.
+    fn publish(&self, state: &OpState, result: Outcome) {
+        if !state.slot.publish(result, || self.stats.inflight.sub(1)) {
             self.stats.late_completions.inc();
         }
     }
@@ -636,7 +719,7 @@ impl EngineShared {
                 health.record_failure(&io::ErrorKind::TimedOut.into());
             }
         };
-        state.publish_early(Err((err, None)), counted);
+        state.slot.publish_early(Err((err, None)), counted);
     }
 
     /// Poisons an op no worker will run: none is running (none could be
@@ -650,6 +733,7 @@ impl EngineShared {
             op.key
         ));
         op.state
+            .slot
             .publish(Err((e, None)), || self.stats.inflight.sub(1));
     }
 }
@@ -714,7 +798,7 @@ fn execute_op(
             stats.record_read(n);
             Ok((OpOutput::Bytes(data), n))
         }
-        OpKind::ReadPooled(mut buf, len) => {
+        OpKind::ReadPooled(mut buf, len, stage) => {
             // A retried attempt overwrites whatever a failed partial read
             // left in the window; on error the buffer drops here and
             // recycles to its pool.
@@ -725,7 +809,7 @@ fn execute_op(
                 })
                 .map_err(failed)?;
             stats.record_read(n);
-            Ok((OpOutput::Pooled(buf), n))
+            Ok((OpOutput::Pooled(buf, stage), n))
         }
         OpKind::Delete => {
             shared
@@ -806,7 +890,7 @@ impl AioEngine {
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
         self.shared.stats.inflight.add(1);
-        let state = Arc::new(CompletionSlot::new());
+        let state = Arc::new(OpState::default());
         let op = Op {
             key: key.to_string(),
             kind,
@@ -867,7 +951,25 @@ impl AioEngine {
     /// Panics if `len` exceeds the buffer's size.
     pub fn submit_read_pooled(&self, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
         assert!(len <= buf.buffer().len(), "len exceeds staging buffer");
-        self.submit(key, OpKind::ReadPooled(buf, len), false)
+        self.submit(key, OpKind::ReadPooled(buf, len, None), false)
+    }
+
+    /// [`AioEngine::submit_read_pooled`] with a [`Finish`] stage to run on
+    /// the filled frame before its waiter sees it; collect the frame and
+    /// the stage with [`OpHandle::wait_finished`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the buffer's size.
+    pub fn submit_read_finished(
+        &self,
+        key: &str,
+        buf: PooledBuffer,
+        len: usize,
+        stage: Box<dyn Finish>,
+    ) -> OpHandle {
+        assert!(len <= buf.buffer().len(), "len exceeds staging buffer");
+        self.submit(key, OpKind::ReadPooled(buf, len, Some(stage)), false)
     }
 
     /// Enqueues an asynchronous delete of `key`.
@@ -1724,7 +1826,7 @@ mod tests {
         e.shared.reject(Op {
             key: "rejected".to_string(),
             kind: OpKind::Delete,
-            state: Arc::new(CompletionSlot::new()),
+            state: Arc::new(OpState::default()),
             salvage: false,
         });
 
@@ -1773,5 +1875,220 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert_eq!(huge_base.backoff_for(3), huge_base.max_backoff);
+    }
+
+    /// A stage that counts its runs, notes the tier it ran for, adds one
+    /// to every byte of the object, and panics if told to.
+    #[derive(Debug)]
+    struct Bump {
+        runs: Arc<AtomicUsize>,
+        tier: Option<i32>,
+        panics: bool,
+        sleep: Duration,
+    }
+
+    impl Bump {
+        fn new(runs: &Arc<AtomicUsize>) -> Box<Self> {
+            Box::new(Bump {
+                runs: Arc::clone(runs),
+                tier: None,
+                panics: false,
+                sleep: Duration::ZERO,
+            })
+        }
+    }
+
+    impl Finish for Bump {
+        fn finish(&mut self, frame: &mut HostBuffer, len: usize, tier: i32) {
+            self.runs.fetch_add(1, Ordering::SeqCst);
+            self.tier = Some(tier);
+            assert!(!self.panics, "scripted stage panic");
+            std::thread::sleep(self.sleep);
+            for b in &mut frame.as_bytes_mut()[..len] {
+                *b += 1;
+            }
+        }
+    }
+
+    /// A memory backend whose reads of keys starting `gated` block until
+    /// [`Gated::open`].
+    struct Gated {
+        inner: MemBackend,
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gated {
+        fn new() -> Arc<Self> {
+            Arc::new(Gated {
+                inner: MemBackend::new("gated"),
+                open: std::sync::Mutex::new(false),
+                opened: std::sync::Condvar::new(),
+            })
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl Backend for Gated {
+        fn write(&self, k: &str, d: &[u8]) -> io::Result<()> {
+            self.inner.write(k, d)
+        }
+        fn read(&self, k: &str) -> io::Result<Vec<u8>> {
+            self.inner.read(k)
+        }
+        fn read_into(&self, k: &str, dst: &mut [u8]) -> io::Result<usize> {
+            if k.starts_with("gated") {
+                let open = self.open.lock().unwrap();
+                drop(self.opened.wait_while(open, |open| !*open).unwrap());
+            }
+            self.inner.read_into(k, dst)
+        }
+        fn delete(&self, k: &str) -> io::Result<()> {
+            self.inner.delete(k)
+        }
+        fn contains(&self, k: &str) -> bool {
+            self.inner.contains(k)
+        }
+        fn name(&self) -> &str {
+            "gated"
+        }
+    }
+
+    fn gated_engine() -> (Arc<Gated>, AioEngine) {
+        let backend = Gated::new();
+        let engine = AioEngine::new(
+            Arc::clone(&backend) as Arc<dyn Backend>,
+            AioConfig {
+                workers: 2,
+                queue_depth: 16,
+                trace_tier: 3,
+                ..AioConfig::default()
+            },
+        );
+        (backend, engine)
+    }
+
+    /// Waits until the op's worker has published its answer.
+    fn until_done(h: &OpHandle) {
+        while !h.is_done() {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    #[test]
+    fn a_finish_stage_runs_exactly_once_after_a_successful_read() {
+        let e = engine(2);
+        let pool = mlp_tensor::PinnedPool::new(4, 8);
+        e.submit_write("k", vec![7u8; 8]).wait().unwrap();
+        let runs = Arc::new(AtomicUsize::new(0));
+        for worker_first in [true, false] {
+            let before = runs.load(Ordering::SeqCst);
+            let h = e.submit_read_finished("k", pool.acquire(), 8, Bump::new(&runs));
+            if worker_first {
+                until_done(&h);
+            }
+            let (buf, n, stage) = h.wait_finished::<Bump>().unwrap();
+            assert_eq!((n, &buf.as_bytes()[..8]), (8, &[8u8; 8][..]));
+            assert_eq!(runs.load(Ordering::SeqCst), before + 1, "ran once");
+            if worker_first {
+                assert_eq!(stage.tier, Some(-1), "an untiered engine's worker");
+            }
+        }
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_finish_stage_never_runs_after_a_failed_read() {
+        let e = engine(2);
+        let pool = mlp_tensor::PinnedPool::new(1, 8);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let h = e.submit_read_finished("missing", pool.acquire(), 8, Bump::new(&runs));
+        until_done(&h);
+        assert!(h.wait_finished::<Bump>().is_err());
+        let h = e.submit_read_finished("missing", pool.acquire(), 8, Bump::new(&runs));
+        assert!(h.wait_finished::<Bump>().is_err(), "claimed by the waiter");
+        assert_eq!(runs.load(Ordering::SeqCst), 0);
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_panicking_stage_answers_a_lost_read_and_returns_its_buffer() {
+        let e = engine(2);
+        let pool = mlp_tensor::PinnedPool::new(1, 8);
+        e.submit_write("k", vec![1u8; 8]).wait().unwrap();
+        let runs = Arc::new(AtomicUsize::new(0));
+        for worker_first in [true, false] {
+            let mut stage = Bump::new(&runs);
+            stage.panics = true;
+            let h = e.submit_read_finished("k", pool.acquire(), 8, stage);
+            if worker_first {
+                until_done(&h);
+            }
+            let err = h.wait_finished::<Bump>().unwrap_err();
+            assert!(err.to_string().contains("finish stage panicked"), "{err}");
+            assert_eq!(pool.outstanding(), 0, "the frame went back to the pool");
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(e.ops_completed().0, 2, "the reads themselves landed");
+        assert_eq!(e.op_errors(), 0, "a stage is no I/O error");
+    }
+
+    #[test]
+    fn the_read_span_and_busy_time_exclude_the_stage() {
+        let trace = TraceSink::enabled();
+        let e = AioEngine::new(
+            Arc::new(MemBackend::new("mem")),
+            AioConfig {
+                trace: trace.clone(),
+                ..AioConfig::deterministic()
+            },
+        );
+        let pool = mlp_tensor::PinnedPool::new(1, 8);
+        e.submit_write("k", vec![1u8; 8]).wait().unwrap();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut stage = Bump::new(&runs);
+        stage.sleep = Duration::from_millis(50);
+        let h = e.submit_read_finished("k", pool.acquire(), 8, stage);
+        until_done(&h);
+        h.wait_finished::<Bump>().unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert!(e.busy_seconds() < 0.05, "busy {} s", e.busy_seconds());
+        let events = trace.events();
+        let read = events.iter().find(|ev| ev.phase == Phase::AioRead).unwrap();
+        assert!(read.dur_ns < 50_000_000, "aio_read span {} ns", read.dur_ns);
+    }
+
+    #[test]
+    fn a_waiter_that_claims_first_gets_the_frame_back_unstaged() {
+        let (gate, e) = gated_engine();
+        let pool = mlp_tensor::PinnedPool::new(3, 8);
+        e.submit_write("gated", vec![1u8; 8]).wait().unwrap();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let plain = e.submit_read_finished("gated", pool.acquire(), 8, Bump::new(&runs));
+        let staged = e.submit_read_finished("gated", pool.acquire(), 8, Bump::new(&runs));
+        let (plain_claim, staged_claim) = (Arc::clone(&plain.state), Arc::clone(&staged.state));
+        std::thread::scope(|s| {
+            let unstaged = s.spawn(|| plain.wait_pooled().unwrap());
+            let finished = s.spawn(|| staged.wait_finished::<Bump>().unwrap());
+            while !(plain_claim.claim.is_claimed() && staged_claim.claim.is_claimed()) {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            gate.open();
+            let (buf, _) = unstaged.join().unwrap();
+            assert_eq!(&buf.as_bytes()[..8], &[1u8; 8], "unstaged");
+            let (buf, _, stage) = finished.join().unwrap();
+            assert_eq!(&buf.as_bytes()[..8], &[2u8; 8]);
+            assert_eq!(stage.tier, Some(-1), "run by the waiter that claimed it");
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "only the finished read's stage ran");
+        // A read that lands before anyone waits is its worker's, for its tier.
+        let h = e.submit_read_finished("gated", pool.acquire(), 8, Bump::new(&runs));
+        until_done(&h);
+        assert_eq!(h.wait_finished::<Bump>().unwrap().2.tier, Some(3));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 }

@@ -16,6 +16,9 @@
 //!   queue, a pool of worker threads making blocking backend calls, and
 //!   completion handles ([`engine::OpHandle`]), each over one
 //!   [`CompletionSlot`] holding the op's whole outcome.
+//! * [`engine::Finish`] — work a pooled read finishes on the frame it
+//!   filled, on the worker while the bytes are hot unless the waiter
+//!   claims it first ([`StageClaim`]).
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
@@ -40,6 +43,6 @@ pub mod lock;
 #[cfg(not(loom))]
 mod watchdog;
 
-pub use completion::CompletionSlot;
-pub use engine::{AioConfig, AioEngine, FlushResult, OpHandle, RetryPolicy};
+pub use completion::{CompletionSlot, StageClaim};
+pub use engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle, RetryPolicy};
 pub use lock::ProcessExclusiveLock;

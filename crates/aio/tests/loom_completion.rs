@@ -5,11 +5,12 @@
 //! and the deadline watchdog actually run — including a regression model
 //! for the stuck-waiter bug: a worker path that skips publishing
 //! leaves `take_blocking` parked forever, and the checker must find that
-//! schedule.
+//! schedule. It also explores the finish-stage claim ([`mlp_aio::StageClaim`])
+//! raced by a worker whose read lands and a waiter that waits.
 
 #![cfg(loom)]
 
-use mlp_aio::CompletionSlot;
+use mlp_aio::{CompletionSlot, StageClaim};
 use mlp_sync::thread;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -149,5 +150,44 @@ fn the_answers_callback_runs_before_the_waiter_wakes() {
         let _ = worker.join();
         let _ = watchdog.join();
         assert_eq!(inflight.load(Ordering::SeqCst), 0, "taken off twice");
+    });
+}
+
+#[test]
+fn exactly_one_side_runs_the_stage_and_the_waiter_never_sees_it_unfinished() {
+    // A staged read: the worker's read lands (the frame holds 1), it
+    // claims the stage and, winning, runs it (+10) before it publishes;
+    // the waiter claims when it waits and, winning, runs the stage after
+    // it takes the frame. Under every schedule the stage runs exactly
+    // once, and the frame the waiter ends with is finished.
+    mlp_sync::model::model(|| {
+        let slot = Arc::new(CompletionSlot::<u32>::new());
+        let claim = Arc::new(StageClaim::new());
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (s, c, r) = (Arc::clone(&slot), Arc::clone(&claim), Arc::clone(&runs));
+        let worker = thread::spawn(move || {
+            let mut frame = 1;
+            if c.worker() {
+                r.fetch_add(1, Ordering::SeqCst);
+                frame += 10;
+            }
+            s.publish(frame, || {});
+        });
+        let mine = claim.waiter();
+        let mut frame = slot.take_blocking().unwrap_or(0);
+        if mine {
+            runs.fetch_add(1, Ordering::SeqCst);
+            frame += 10;
+        }
+        assert_eq!(
+            frame, 11,
+            "the waiter saw the frame before its stage finished"
+        );
+        let _ = worker.join();
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            1,
+            "the stage ran {runs:?} times"
+        );
     });
 }

@@ -6,16 +6,16 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mlp_aio::engine::{AioConfig, AioEngine, FlushResult, OpHandle};
+use mlp_aio::engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
-use mlp_optim::accum::{add_f32, for_each_subgroup, store_f32, GradAccumulator};
-use mlp_optim::optimizer::{fp16_grad_sq_norm, grad_clip_factor};
-use mlp_optim::traced::fused_update_f32_traced;
+use mlp_optim::grads::{GradRef, HostGrads, SharedGrads};
+use mlp_optim::optimizer::grad_clip_factor;
+use mlp_optim::traced::{apply, Update};
 use mlp_optim::{AdamConfig, SubgroupState, SubgroupStateMut};
 use mlp_storage::{Backend, TierHealth, TracedBackend};
-use mlp_tensor::convert;
 use mlp_tensor::pool::{PinnedPool, PooledBuffer};
-use mlp_trace::{Attrs, Phase};
+use mlp_tensor::{convert, HostBuffer};
+use mlp_trace::{Attrs, Phase, TraceSink};
 
 use crate::checkpoint::{
     CheckpointManifest, CheckpointPipeline, CheckpointStats, PendingCheckpoint, PendingEntry,
@@ -121,91 +121,6 @@ enum Held<'a> {
     Placed(Place<'a, Resident>),
 }
 
-/// Host gradient accumulators: the data-path difference between the
-/// ablation rungs below and above "Skip Gradients".
-enum HostGrads {
-    /// FP16 buffers that never touch storage; the update kernel upscales
-    /// them on the fly (delayed in-place conversion).
-    Fp16(GradAccumulator),
-    /// Eagerly upscaled FP32 buffers (the ZeRO-Offload lineage). Before
-    /// the update, [`MlpFuncEngine::flush_gradients`] writes the gradients
-    /// of tier-resident subgroups next to their state and records where
-    /// in `on_tier` — separately from state placement, because the objects
-    /// are transient: the accumulators stay authoritative until the update
-    /// succeeds, so a lost or unreachable gradient object costs a re-flush
-    /// (or nothing), never the iteration.
-    Fp32 {
-        accum: Vec<Vec<f32>>,
-        on_tier: Vec<Option<usize>>,
-        /// No micro-step since the last update: `accum` stands for zero,
-        /// whatever it holds, and the next micro-step stores (the
-        /// [`GradAccumulator`]'s rule).
-        empty: bool,
-    },
-}
-
-impl HostGrads {
-    /// Squared L2 norm of the accumulated gradients after unscaling.
-    fn sq_norm(&self, inv_scale: f32) -> f64 {
-        match self {
-            HostGrads::Fp16(acc) => (0..acc.num_subgroups())
-                .map(|idx| fp16_grad_sq_norm(acc.grads(idx), inv_scale))
-                .sum(),
-            HostGrads::Fp32 { accum, .. } => accum
-                .iter()
-                .flatten()
-                .map(|&g| (g as f64 * inv_scale as f64).powi(2))
-                .sum(),
-        }
-    }
-
-    /// Before anything reads the accumulators: with no micro-step since
-    /// the last update they stand for zero gradients but still hold that
-    /// update's, so this (rare) phase sweeps them to the zeros it must
-    /// apply. A no-op once a micro-step has stored.
-    fn materialize_zeros(&mut self) {
-        match self {
-            HostGrads::Fp16(acc) => acc.materialize_zeros(),
-            HostGrads::Fp32 { accum, empty, .. } => {
-                if *empty {
-                    for g in accum {
-                        g.fill(0.0);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forgets the accumulated gradients after a successful update, in
-    /// O(1): the next micro-step stores over them. Returns the
-    /// FP32 gradient bytes the iteration moved through storage, as
-    /// logical once-per-iteration accounting: every gradient object on a
-    /// tier was flushed once and fetched once, however often a failed
-    /// attempt was re-driven.
-    fn finish_iteration(&mut self) -> u64 {
-        match self {
-            HostGrads::Fp16(acc) => {
-                acc.reset();
-                0
-            }
-            HostGrads::Fp32 {
-                accum,
-                on_tier,
-                empty,
-            } => {
-                *empty = true;
-                let mut bytes = 0;
-                for (g, tier) in accum.iter().zip(on_tier) {
-                    if tier.take().is_some() {
-                        bytes += 2 * 4 * g.len() as u64;
-                    }
-                }
-                bytes
-            }
-        }
-    }
-}
-
 /// A completed pooled read: the staging buffer and the bytes it holds.
 type Filled = (PooledBuffer, usize);
 
@@ -216,10 +131,46 @@ enum Staged {
     /// The reads in flight: of the state and, on the eager-gradient path,
     /// of the FP32 gradients flushed next to it.
     Fetch(OpHandle, Option<OpHandle>),
+    /// A state read, the subgroup's only one, carrying its [`UpdateStage`].
+    Update(OpHandle),
 }
 
-/// Deletes of superseded copies in flight, as `(subgroup, tier, op)`.
-type Retiring = VecDeque<(usize, usize, OpHandle)>;
+/// The update a fetch's I/O worker applies to the frame it has just filled
+/// ([`Finish`]), unless the driver waits first. It is only proposed until
+/// the pass takes the frame in plan order: an unwind drops an updated
+/// frame as it drops any other, and the tier copy still holds the start.
+struct UpdateStage {
+    trace: TraceSink,
+    idx: usize,
+    update: Update,
+    grads: SharedGrads,
+    /// The FP16 image, allocated by the driver at submission.
+    fp16: Vec<u16>,
+}
+
+impl Finish for UpdateStage {
+    fn finish(&mut self, frame: &mut HostBuffer, len: usize, tier: i32) {
+        // A torn object is the pass's to report (`expect_len`), unswept.
+        if len != self.fp16.len() * 12 {
+            return;
+        }
+        let state = SubgroupStateMut::from_buffer(frame, self.fp16.len());
+        let (idx, grads) = (self.idx as i64, self.grads.get());
+        apply(&self.trace, idx, tier, &self.update, state, grads, &mut self.fp16);
+    }
+}
+
+/// The largest state frame whose fetch carries its update: one that fits
+/// half a core's L2 is still there when the read ends; a larger one is not.
+const HOT_FRAME: usize = 1 << 20;
+
+/// Eviction writes or deletes of superseded copies in flight, as
+/// `(subgroup, tier, op)`.
+type InFlight = VecDeque<(usize, usize, OpHandle)>;
+
+/// An op the I/O deadline answered while it still ran, as `(subgroup,
+/// tier, op, handle)` ([`MlpFuncEngine::settle_carried`]).
+type Carried = (usize, usize, TierOp, OpHandle);
 
 /// An update pass in flight. Loads are issued in plan order, ahead of the
 /// other steps; an eviction may leave before it falls due, never out of
@@ -227,6 +178,8 @@ type Retiring = VecDeque<(usize, usize, OpHandle)>;
 #[derive(Default)]
 struct PassRun {
     outcome: UpdateOutcome,
+    /// The update the pass applies to each subgroup.
+    update: Update,
     /// Plan cursors: the step to look for the next load from, and the one
     /// before which every eviction has been flushed.
     load: usize,
@@ -234,8 +187,8 @@ struct PassRun {
     /// The prefetch window, the eviction flushes and the deletes of the
     /// copies they superseded in flight, oldest first.
     pending: VecDeque<(usize, Staged)>,
-    flushes: VecDeque<(usize, OpHandle)>,
-    deletes: Retiring,
+    flushes: InFlight,
+    deletes: InFlight,
 }
 
 struct TierRt {
@@ -326,10 +279,9 @@ pub struct MlpFuncEngine {
     inv_loss_scale: f32,
     /// Optional global gradient-norm clipping threshold.
     grad_clip_max_norm: Option<f64>,
-    /// State evictions of the failed update that the I/O deadline answered
-    /// while their writes still ran: settled by
-    /// [`MlpFuncEngine::reconcile_abandoned`] before the re-drive.
-    abandoned: Vec<(usize, OpHandle)>,
+    /// State evictions, retire-deletes and gradient writes that the I/O
+    /// deadline answered while they still ran.
+    abandoned: Vec<Carried>,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
@@ -473,15 +425,7 @@ impl MlpFuncEngine {
         let ntiers = tiers.len();
         Ok(MlpFuncEngine {
             state_pool,
-            grads: if cfg.skip_gradient_offload {
-                HostGrads::Fp16(GradAccumulator::new(&subgroup_lens))
-            } else {
-                HostGrads::Fp32 {
-                    accum: subgroup_lens.iter().map(|&n| vec![0.0; n]).collect(),
-                    on_tier: vec![None; m],
-                    empty: true,
-                }
-            },
+            grads: HostGrads::new(&subgroup_lens, !cfg.skip_gradient_offload),
             born: initial.into_iter().map(Some).collect(),
             last_grad_bytes: 0,
             ledger,
@@ -568,6 +512,23 @@ impl MlpFuncEngine {
         self.tiers[tier].engine.submit_read_pooled(key, buf, len)
     }
 
+    /// Submits subgroup `idx`'s state read with its update attached
+    /// ([`UpdateStage`]).
+    fn submit_update(&self, tier: usize, idx: usize, update: Update) -> OpHandle {
+        let n = self.subgroup_lens[idx];
+        let stage = UpdateStage {
+            trace: self.cfg.trace.clone(),
+            idx,
+            update,
+            grads: self.grads.shared(idx),
+            fp16: vec![0; n],
+        };
+        let buf = self.state_pool.acquire();
+        let _g = self.tier_guard(tier);
+        let engine = &self.tiers[tier].engine;
+        engine.submit_read_finished(self.key(idx), buf, n * 12, Box::new(stage))
+    }
+
     fn submit_flush(&self, tier: usize, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
         let _g = self.tier_guard(tier);
         self.tiers[tier].engine.submit_write_pooled(key, buf, len)
@@ -579,22 +540,7 @@ impl MlpFuncEngine {
     /// without it they are eagerly upscaled into the FP32 accumulators
     /// (the conversion MLP-Offload delays).
     pub fn accumulate_gradients(&mut self, grads: &[Vec<u16>]) {
-        match &mut self.grads {
-            HostGrads::Fp16(acc) => acc.accumulate(grads),
-            HostGrads::Fp32 {
-                accum,
-                on_tier,
-                empty,
-            } => {
-                // Whatever an earlier flush put on a tier is stale now.
-                on_tier.fill(None);
-                if std::mem::take(empty) {
-                    for_each_subgroup(accum, grads, store_f32);
-                } else {
-                    for_each_subgroup(accum, grads, add_f32);
-                }
-            }
-        }
+        self.grads.accumulate(grads);
     }
 
     /// The end of the last backward micro-step on the eager-gradient path
@@ -613,8 +559,11 @@ impl MlpFuncEngine {
         // first, or its subgroups' gradients would chase a dead tier; and
         // evictions a failed update abandoned settle before that drain
         // moves their copies.
-        self.reconcile_abandoned()?;
+        self.settle_carried(|&(.., op, _)| op == TierOp::Evict)?;
         self.drain_quarantined()?;
+        // A gradient write a failed call left late must not land after
+        // this phase's write of its key; one on a drained tier is let go.
+        self.settle_carried(|&(.., op, _)| op == TierOp::GradFlush)?;
         self.grads.materialize_zeros();
         let HostGrads::Fp32 { accum, on_tier, .. } = &self.grads else {
             return Ok(());
@@ -625,7 +574,8 @@ impl MlpFuncEngine {
         // the gradients still live in the accumulators.
         let mut settled = Vec::new();
         let mut settle = |(idx, t, h): (usize, usize, OpHandle)| {
-            settled.push((idx, t, h.wait_flush().map_err(|(e, _payload)| e)));
+            let err = h.wait_flush().err().map(|(e, _payload)| e);
+            settled.push((idx, t, h, err));
         };
         for (idx, g) in accum.iter().enumerate() {
             let Some(Place::Tier(t)) = self.ledger.place(idx) else {
@@ -649,7 +599,7 @@ impl MlpFuncEngine {
                 };
                 settle(oldest);
             };
-            buf.write_f32(0, g);
+            buf.write_f32(0, &g[..]);
             let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
             inflight.push_back((idx, t, handle));
         }
@@ -658,10 +608,15 @@ impl MlpFuncEngine {
             return Ok(());
         };
         let (mut bytes, mut first_err) = (0, None);
-        for (idx, t, result) in settled {
-            if let Err(e) = result {
-                self.ledger
-                    .settle(idx, TierOp::GradFlush, Outcome::Failed(None));
+        for (idx, t, h, err) in settled {
+            if let Some(e) = err {
+                let outcome = match h.abandoned() {
+                    true => Outcome::Late,
+                    false => Outcome::Failed(None),
+                };
+                if self.ledger.settle(idx, TierOp::GradFlush, outcome) == Action::Carry {
+                    self.abandoned.push((idx, t, TierOp::GradFlush, h));
+                }
                 first_err.get_or_insert(e);
                 continue;
             }
@@ -677,7 +632,9 @@ impl MlpFuncEngine {
     /// the new FP16 parameters per subgroup id.
     ///
     /// Each subgroup is fetched into a pooled staging buffer, updated in
-    /// place by the single-pass fused kernel, and flushed from the same
+    /// place by the single-pass fused kernel — for a lone state read of a
+    /// small frame, by the I/O worker that filled it unless this thread
+    /// waits for the read first — and flushed from the same
     /// buffer. With "Skip Gradients" the kernel upscales the host FP16
     /// gradients on the fly; without it, gradients that
     /// [`MlpFuncEngine::flush_gradients`] put on a tier are fetched back
@@ -693,9 +650,9 @@ impl MlpFuncEngine {
     /// from where the table left each subgroup (one already updated is
     /// only re-emitted), with the exact result of one that never failed.
     pub fn update(&mut self) -> io::Result<UpdateOutcome> {
-        // Evictions a failed attempt abandoned must settle before anything
+        // Evictions a failed call abandoned must settle before anything
         // plans from where they left their subgroups.
-        self.reconcile_abandoned()?;
+        self.settle_carried(|&(.., op, _)| op == TierOp::Evict)?;
         // Quarantine-and-drain runs next, even ahead of a re-drive:
         // evacuation moves bytes, it never mutates them, so a replayed
         // iteration stays bit-identical — and the re-drive may *need*
@@ -734,9 +691,12 @@ impl MlpFuncEngine {
         // everything submitted is drained before returning — nothing
         // races a re-driven iteration and no staging buffer stays checked
         // out.
-        let mut run = PassRun::default();
+        let mut run = PassRun {
+            update: Update::new(self.adam, self.step, inv_scale),
+            ..PassRun::default()
+        };
         run.outcome.fp16_params = vec![Vec::new(); self.subgroup_lens.len()];
-        let pass = self.update_pass(inv_scale, &mut run);
+        let pass = self.update_pass(&mut run);
         let drained = self.drain_inflight(run);
         // The whole update phase as one span; the per-subgroup I/O and
         // kernel spans nest underneath it on the timeline.
@@ -779,7 +739,7 @@ impl MlpFuncEngine {
     /// quarantined tier's past its breaker, as the drain retires copies
     /// there). A born subgroup's first eviction asks every other tier, and
     /// deletes only what one holds: what an earlier run left under its key.
-    fn retire(&self, idx: usize, tier: usize, superseded: Durable, deletes: &mut Retiring) {
+    fn retire(&self, idx: usize, tier: usize, superseded: Durable, deletes: &mut InFlight) {
         for t in superseded.superseded_by(tier, self.tiers.len()) {
             if superseded != Durable::Unknown || self.tiers[t].engine.contains(self.key(idx)) {
                 deletes.push_back((idx, t, self.submit_delete(t, idx)));
@@ -800,13 +760,13 @@ impl MlpFuncEngine {
     }
 
     /// Settles a delete of a superseded copy through the ledger's table:
-    /// one the deadline answered gets one more deadline, lest it land after
-    /// a later write of the key; a failed one is a leak, not an error
+    /// one the deadline answered is carried, lest it land after a later
+    /// write of the key on its tier; a failed one is a leak, not an error
     /// (nothing reads a key off a tier the ledger does not place it on).
     fn settle_delete(&mut self, idx: usize, tier: usize, delete: OpHandle) {
         let (outcome, _) = flush_outcome(delete.wait_flush(), delete.abandoned(), 0);
-        if self.ledger.settle(idx, TierOp::Retire, outcome) == Action::Wait {
-            let _ = delete.late_flush(self.tiers[tier].deadline.unwrap_or_default());
+        if self.ledger.settle(idx, TierOp::Retire, outcome) == Action::Carry {
+            self.abandoned.push((idx, tier, TierOp::Retire, delete));
         }
     }
 
@@ -814,13 +774,12 @@ impl MlpFuncEngine {
     /// it is answered, or for one the deadline answered, however it
     /// settles `late` within that long — and executes the action: retire
     /// what a landed write superseded, or carry one still running to
-    /// [`MlpFuncEngine::reconcile_abandoned`]. Returns the flush's error.
+    /// [`MlpFuncEngine::settle_carried`]. Returns the flush's error.
     fn settle_flush(
         &mut self,
-        idx: usize,
-        handle: OpHandle,
+        (idx, tier, handle): (usize, usize, OpHandle),
         late: Option<Duration>,
-        deletes: &mut Retiring,
+        deletes: &mut InFlight,
     ) -> io::Result<()> {
         let n = self.subgroup_lens[idx];
         let (outcome, err) = match late {
@@ -833,7 +792,7 @@ impl MlpFuncEngine {
         };
         match self.ledger.settle(idx, TierOp::Evict, outcome) {
             Action::Retire { tier, superseded } => self.retire(idx, tier, superseded, deletes),
-            Action::Carry => self.abandoned.push((idx, handle)),
+            Action::Carry => self.abandoned.push((idx, tier, TierOp::Evict, handle)),
             _ => {}
         }
         err.map_or(Ok(()), Err)
@@ -841,7 +800,8 @@ impl MlpFuncEngine {
 
     /// Waits for both reads of load `idx` together, so a failure of one
     /// never abandons the other's handle (and staging buffer) mid-flight;
-    /// a failed one settles through the ledger's table.
+    /// a failed one settles through the ledger's table. A staged read's
+    /// update never runs here: its frame is handed back as it lands.
     fn settle_fetch(
         &mut self,
         idx: usize,
@@ -857,34 +817,46 @@ impl MlpFuncEngine {
         Ok((state?, grad?))
     }
 
-    /// Settles the state evictions a failed update carried past the I/O
-    /// deadline, waiting up to one deadline for them: each settlement
-    /// takes its row of the ledger's table. Any still running fails the
-    /// call with `TimedOut` and is asked again by the next one:
-    /// re-planning while a write may still land could fetch either copy.
-    ///
-    /// Only state evictions need this: a late gradient re-flush writes the
-    /// same bytes again, and a late staging, migration or pin write leaves
-    /// only an orphan copy.
-    fn reconcile_abandoned(&mut self) -> io::Result<()> {
+    /// Settles the carried ops `which` picks, waiting up to one deadline
+    /// for them: each settlement takes its row of the ledger's table. Any
+    /// still running fails the call with `TimedOut` and is asked again by
+    /// the next one: re-planning while an eviction may still land could
+    /// fetch either copy, and a late delete or gradient write would undo
+    /// the caller's next write of its key on its tier. One on a tier the
+    /// planner excludes is let go: nothing writes there again. A late
+    /// staging, migration or pin write leaves only an orphan copy.
+    fn settle_carried(&mut self, which: impl Fn(&Carried) -> bool) -> io::Result<()> {
+        let excluded = self.ledger.planner.excluded();
+        (self.abandoned).retain(|&(_, t, op, _)| op == TierOp::Evict || !excluded[t]);
         let deadline = self.tiers.iter().filter_map(|t| t.deadline).max();
         let (deadline, started) = (deadline.unwrap_or_default(), Instant::now());
-        let mut deletes = Retiring::new();
-        for (idx, handle) in std::mem::take(&mut self.abandoned) {
+        let due: Vec<_> = self.abandoned.extract_if(.., |c| which(c)).collect();
+        let mut deletes = InFlight::new();
+        for (idx, tier, op, handle) in due {
             let within = deadline.saturating_sub(started.elapsed());
             // A late failure is no error of this call: the re-drive's.
-            let _ = self.settle_flush(idx, handle, Some(within), &mut deletes);
+            if op == TierOp::Evict {
+                let _ = self.settle_flush((idx, tier, handle), Some(within), &mut deletes);
+                continue;
+            }
+            let Some(result) = handle.late_flush(within) else {
+                self.abandoned.push((idx, tier, op, handle));
+                continue;
+            };
+            self.ledger.settle(idx, op, flush_outcome(result, false, 0).0);
         }
         for (idx, t, delete) in deletes {
             self.settle_delete(idx, t, delete);
         }
-        let Some(&(idx, _)) = self.abandoned.first() else {
+        let mut still = self.abandoned.iter().filter(|c| which(c));
+        let Some(&(idx, ..)) = still.next() else {
             return Ok(());
         };
-        let (count, waited) = (self.abandoned.len(), started.elapsed());
+        let (count, waited) = (1 + still.count(), started.elapsed());
         let msg = format!(
-            "{count} state flushes the I/O deadline abandoned (subgroup {idx} first) are still \
-             running after another {waited:?}; the update cannot re-drive until they settle"
+            "{count} writes or deletes the I/O deadline abandoned (subgroup {idx} first) are \
+             still running after another {waited:?}; nothing may touch their objects until they \
+             settle"
         );
         Err(io::Error::new(io::ErrorKind::TimedOut, msg))
     }
@@ -898,18 +870,22 @@ impl MlpFuncEngine {
     fn drain_inflight(&mut self, mut run: PassRun) -> io::Result<UpdateOutcome> {
         let mut first_err = None;
         for (idx, staged) in run.pending {
-            match staged {
-                Staged::Hit(res) => self.ledger.rest(idx, res),
-                // Buffers recycle on drop.
-                Staged::Fetch(state, grad) => {
-                    if let Err(e) = self.settle_fetch(idx, state, grad) {
-                        first_err.get_or_insert(e);
-                    }
+            // Buffers recycle on drop, an updated frame's too: the pass
+            // never took it, so its update was only proposed.
+            let (state, grad) = match staged {
+                Staged::Hit(res) => {
+                    self.ledger.rest(idx, res);
+                    continue;
                 }
+                Staged::Fetch(state, grad) => (state, grad),
+                Staged::Update(state) => (state, None),
+            };
+            if let Err(e) = self.settle_fetch(idx, state, grad) {
+                first_err.get_or_insert(e);
             }
         }
-        for (idx, h) in run.flushes {
-            if let Err(e) = self.settle_flush(idx, h, None, &mut run.deletes) {
+        for flush in run.flushes {
+            if let Err(e) = self.settle_flush(flush, None, &mut run.deletes) {
                 first_err.get_or_insert(e);
             }
         }
@@ -931,20 +907,22 @@ impl MlpFuncEngine {
         let Some((at, subgroup, tier)) = next else {
             return Ok(false);
         };
-        run.evict = at + 1;
-        let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
-            invariant_violation(format!("planned eviction {subgroup} is not resting"))
-        })?;
-        // A delete of this key on this tier that an earlier eviction of the
-        // pass left must not land after the write.
+        // A delete of this key on this tier that an earlier eviction left,
+        // in flight or carried past the deadline, must not land after the
+        // write; one still running fails the pass before the frame leaves.
         let same_key = |&(s, t, _): &(usize, usize, OpHandle)| (s, t) == (subgroup, tier);
         while let Some(at) = run.deletes.iter().position(same_key) {
             if let Some((s, t, delete)) = run.deletes.remove(at) {
                 self.settle_delete(s, t, delete);
             }
         }
+        self.settle_carried(|&(s, t, op, _)| (s, t, op) == (subgroup, tier, TierOp::Retire))?;
+        run.evict = at + 1;
+        let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
+            invariant_violation(format!("planned eviction {subgroup} is not resting"))
+        })?;
         let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
-        run.flushes.push_back((subgroup, handle));
+        run.flushes.push_back((subgroup, tier, handle));
         run.outcome.flushes += 1;
         Ok(true)
     }
@@ -1002,8 +980,8 @@ impl MlpFuncEngine {
                 // flush in flight, else the update of a staged subgroup,
                 // else the plan's next eviction (residents a failed attempt
                 // reclaimed can hold the whole pool).
-                if let Some((s, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(s, handle, None, &mut run.deletes)?;
+                if let Some(flush) = run.flushes.pop_front() {
+                    self.settle_flush(flush, None, &mut run.deletes)?;
                     continue;
                 }
                 if !run.pending.is_empty() {
@@ -1021,9 +999,9 @@ impl MlpFuncEngine {
             // is still in flight could overtake the write on another I/O
             // worker and fetch stale state. On fence failure the payload
             // is reclaimed host-side and the iteration unwinds.
-            let fence = after.and_then(|_| run.flushes.iter().position(|&(s, _)| s == idx));
-            if let Some((s, handle)) = fence.and_then(|at| run.flushes.remove(at)) {
-                self.settle_flush(s, handle, None, &mut run.deletes)?;
+            let fence = after.and_then(|_| run.flushes.iter().position(|&(s, ..)| s == idx));
+            if let Some(flush) = fence.and_then(|at| run.flushes.remove(at)) {
+                self.settle_flush(flush, None, &mut run.deletes)?;
             }
             let n = self.subgroup_lens[idx];
             let Some(t) = t else {
@@ -1041,14 +1019,24 @@ impl MlpFuncEngine {
                 continue;
             };
             // Gradients that went through storage come back with the
-            // state — unless a failed attempt already applied them.
+            // state — unless a failed attempt already applied them. A lone
+            // state read of a frame up to `HOT_FRAME` carries its update.
+            let carries = self.ledger.carries_update(idx);
             let grad_tier = match &self.grads {
-                HostGrads::Fp32 { on_tier, .. } if !self.ledger.carries_update(idx) => on_tier[idx],
+                HostGrads::Fp32 { on_tier, .. } if !carries => on_tier[idx],
                 _ => None,
             };
-            let state = self.submit_read(t, self.key(idx), n * 12);
-            let grad = grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4));
-            run.pending.push_back((idx, Staged::Fetch(state, grad)));
+            let staged = match grad_tier {
+                None if !carries && n * 12 <= HOT_FRAME => {
+                    Staged::Update(self.submit_update(t, idx, run.update))
+                }
+                _ => {
+                    let state = self.submit_read(t, self.key(idx), n * 12);
+                    let grad = grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4));
+                    Staged::Fetch(state, grad)
+                }
+            };
+            run.pending.push_back((idx, staged));
             run.load += 1;
         }
         Ok(())
@@ -1066,7 +1054,7 @@ impl MlpFuncEngine {
     /// plan has it fall due — as soon as it is certain — so the frames it
     /// frees feed the window and the tail of flushes overlaps the tail
     /// of fetches instead of following it.
-    fn update_pass(&mut self, inv_scale: f32, run: &mut PassRun) -> io::Result<()> {
+    fn update_pass(&mut self, run: &mut PassRun) -> io::Result<()> {
         for at in 0..self.pass.steps.len() {
             // An eviction is flushed now, while its buffer is hot (unless an
             // exhausted pool already flushed it); loads are `top_up`'s,
@@ -1080,9 +1068,9 @@ impl MlpFuncEngine {
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
             // remaining one has moved its bytes. Finished deletes go too.
-            while run.flushes.front().is_some_and(|(_, h)| h.is_done()) {
-                if let Some((s, handle)) = run.flushes.pop_front() {
-                    self.settle_flush(s, handle, None, &mut run.deletes)?;
+            while run.flushes.front().is_some_and(|(.., h)| h.is_done()) {
+                if let Some(flush) = run.flushes.pop_front() {
+                    self.settle_flush(flush, None, &mut run.deletes)?;
                 }
             }
             while run.deletes.front().is_some_and(|(.., h)| h.is_done()) {
@@ -1097,10 +1085,10 @@ impl MlpFuncEngine {
                 ));
             };
             let n = self.subgroup_lens[idx];
-            let (mut res, fetched_grad) = match staged {
+            let (mut res, fetched_grad, applied) = match staged {
                 Staged::Hit(res) => {
                     run.outcome.cache_hits += 1;
-                    (res, None)
+                    (res, None, None)
                 }
                 Staged::Fetch(state, grad) => {
                     run.outcome.fetches += 1;
@@ -1109,48 +1097,46 @@ impl MlpFuncEngine {
                     if let Some((_, got)) = &grad {
                         expect_len("gradient", idx, *got, n * 4)?;
                     }
-                    (Resident { buf, n }, grad.map(|(buf, _)| buf))
+                    (Resident { buf, n }, grad.map(|(buf, _)| buf), None)
+                }
+                // Updated by the worker that read it, or by the wait.
+                Staged::Update(state) => {
+                    run.outcome.fetches += 1;
+                    let finished = state.wait_finished::<UpdateStage>();
+                    if finished.is_err() {
+                        self.ledger.settle(idx, TierOp::Fetch, Outcome::Failed(None));
+                    }
+                    let (buf, got, stage) = finished?;
+                    expect_len("state", idx, got, n * 12)?;
+                    (Resident { buf, n }, None, Some(stage.fp16))
                 }
             };
 
-            let mut fp16 = vec![0u16; n];
-            if self.ledger.carries_update(idx) {
+            let fp16 = match applied {
+                Some(fp16) => fp16,
                 // Re-driven iteration: this subgroup already carries the
                 // update — re-emit its FP16 image without touching state.
-                convert::downscale_par(res.params(), &mut fp16);
-            } else {
+                None if self.ledger.carries_update(idx) => {
+                    let mut fp16 = vec![0u16; n];
+                    convert::downscale_par(res.params(), &mut fp16);
+                    fp16
+                }
                 // Single fused pass over the staging buffer: unscale +
                 // moment update + parameter step + FP16 emission.
-                let mut view = SubgroupStateMut::from_buffer(res.buf.buffer_mut(), n);
-                match &self.grads {
-                    HostGrads::Fp16(acc) => view.apply_update_fused_traced(
-                        &self.cfg.trace,
-                        idx as i64,
-                        &self.adam,
-                        self.step,
-                        acc.grads(idx),
-                        inv_scale,
-                        &mut fp16,
-                    ),
-                    HostGrads::Fp32 { accum, .. } => fused_update_f32_traced(
-                        &self.cfg.trace,
-                        idx as i64,
-                        &self.adam,
-                        self.step,
-                        view.params,
-                        view.momentum,
-                        view.variance,
-                        // Host-resident subgroups (and any whose gradient
-                        // object was never flushed) read the accumulator.
-                        fetched_grad
-                            .as_ref()
-                            .map_or(&accum[idx][..], |g| g.as_f32(n)),
-                        inv_scale,
-                        &mut fp16,
-                    ),
+                // Host-resident subgroups (and any whose gradient object
+                // was never flushed) read the accumulator.
+                None => {
+                    let mut fp16 = vec![0u16; n];
+                    let view = SubgroupStateMut::from_buffer(res.buf.buffer_mut(), n);
+                    let grads = (fetched_grad.as_ref())
+                        .map_or(self.grads.get(idx), |g| GradRef::Fp32(g.as_f32(n)));
+                    let (trace, update) = (&self.cfg.trace, &run.update);
+                    apply(trace, idx as i64, -1, update, view, grads, &mut fp16);
+                    fp16
                 }
-                self.ledger.settle(idx, TierOp::Update, Outcome::Landed);
-            }
+            };
+            // The update is taken here, in plan order, whoever applied it.
+            self.ledger.settle(idx, TierOp::Update, Outcome::Landed);
             drop(fetched_grad); // back to the pool
             run.outcome.fp16_params[idx] = fp16;
 
@@ -1246,6 +1232,9 @@ impl MlpFuncEngine {
             self.read_durable(step.from, step.subgroup, salvage)?
         };
         let bytes = data.len() as u64;
+        // A late delete of the key there must not land after this write.
+        let dest = (step.subgroup, step.to, TierOp::Retire);
+        self.settle_carried(|&(s, t, op, _)| (s, t, op) == dest)?;
         {
             let _g = self.tier_guard(step.to);
             self.tiers[step.to].engine.submit_write(&key, data).wait()?;
@@ -2373,6 +2362,117 @@ mod tests {
         (twin.update().unwrap(), engine.update())
     }
 
+    /// The subgroups whose `update_kernel` spans in `events` ran on a
+    /// tier's I/O worker (`on_worker`), or anywhere.
+    fn kernels(events: &[mlp_trace::TraceEvent], on_worker: bool) -> Vec<i64> {
+        let kernel = |e: &&mlp_trace::TraceEvent| e.phase == Phase::UpdateKernel;
+        let ran = |e: &&mlp_trace::TraceEvent| !on_worker || e.tier >= 0;
+        events
+            .iter()
+            .filter(kernel)
+            .filter(ran)
+            .map(|e| e.subgroup)
+            .collect()
+    }
+
+    /// A flush fails while fetches whose update an I/O worker already
+    /// applied wait in the window: the unwind drops those frames, and the
+    /// re-drive applies each subgroup's update exactly once.
+    ///
+    /// The schedule is fixed. The steady pass fetches subgroups 18 down
+    /// to 14 into the five free frames before it waits on anything, and
+    /// only then flushes 23, whose write fails. The tier's one I/O worker
+    /// runs its ops in order, so it reads (and updates) 15 and 14 before
+    /// it fails that write, and lands no later write before it: no frame
+    /// comes back, and at the latest at the update of 15 the pool is dry
+    /// and the pass waits for 23's flush, with 15 and 14 in the window.
+    #[test]
+    fn a_failed_flush_drops_proposed_updates_and_the_redrive_applies_each_once() {
+        const M: usize = 24;
+        const N: usize = 256;
+        let adam = AdamConfig::default();
+        let trace = TraceSink::enabled();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(5)
+            .with_trace(trace.clone());
+        let dying = DoomedWrites::new(23..24, false);
+        let one_worker = AioConfig {
+            workers: 1,
+            ..AioConfig::default()
+        };
+        let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0).with_aio(one_worker);
+        let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(M, N)).unwrap();
+        let mut reference = init_states(M, N);
+        for it in 0..3 {
+            let grads = grads_for(M, N, it as f32);
+            reference_update(&mut reference, &adam, &grads);
+            engine.accumulate_gradients(&grads);
+            if it != 1 {
+                engine.update().unwrap();
+                continue;
+            }
+            drop(trace.events());
+            dying.arm(true);
+            let err = engine.update().unwrap_err();
+            dying.arm(false);
+            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
+            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+            let proposed = kernels(&trace.events(), true);
+            let got = engine.update().unwrap();
+            let redriven = kernels(&trace.events(), false);
+            for s in [15, 14] {
+                assert!(proposed.contains(&s), "{s} was updated on a worker: {proposed:?}");
+                assert!(redriven.contains(&s), "{s}'s update was dropped: {redriven:?}");
+            }
+            let mut once = redriven.clone();
+            once.sort_unstable();
+            once.dedup();
+            assert_eq!(once.len(), redriven.len(), "the re-drive updates each subgroup once");
+            for (idx, st) in reference.iter().enumerate() {
+                assert_eq!(got.fp16_params[idx], st.fp16_params(), "subgroup {idx}");
+            }
+        }
+        let want: Vec<Vec<f32>> = reference.into_iter().map(|st| st.params).collect();
+        assert_eq!(engine.master_params().unwrap(), want);
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    /// The fused update runs on the I/O worker that fetched the subgroup
+    /// (its span names the worker's tier) only where the state read is
+    /// the subgroup's one read, of a frame up to `HOT_FRAME`: never on the
+    /// eager-gradient path, nor for a larger frame. A worker runs it only
+    /// when its read lands before the driver waits, so the MLP preset
+    /// trains until one has.
+    #[test]
+    fn fetch_workers_apply_the_update_only_where_the_state_is_the_only_read() {
+        let big = HOT_FRAME / 12 + 1;
+        for (cfg, m, n, on_workers) in [
+            (EngineConfig::mlp_offload(), 32, 1024, true),
+            (EngineConfig::deepspeed_zero3(), 32, 1024, false),
+            (EngineConfig::mlp_offload(), 8, big, false),
+        ] {
+            let trace = mlp_trace::TraceSink::enabled();
+            let cfg = cfg.with_host_frames(4).with_trace(trace.clone());
+            let mut engine =
+                MlpFuncEngine::new(cfg, AdamConfig::default(), &tiers(2), 0, init_states(m, n))
+                    .unwrap();
+            let (mut kernels_run, mut on_worker) = (0, 0);
+            for it in 0..40 {
+                engine.accumulate_gradients(&grads_for(m, n, it as f32));
+                engine.flush_gradients().unwrap();
+                engine.update().unwrap();
+                let events = trace.events();
+                kernels_run += kernels(&events, false).len();
+                on_worker += kernels(&events, true).len();
+                if it >= 3 && (on_worker > 0 || !on_workers) {
+                    break;
+                }
+            }
+            assert_eq!(kernels_run % m, 0, "one kernel per subgroup and pass");
+            assert_eq!(on_worker > 0, on_workers, "{on_worker} kernels ran on I/O workers");
+        }
+    }
+
     #[test]
     fn dead_tier_fails_the_pass_within_a_pool_of_flushes_and_the_redrive_is_exact() {
         use mlp_storage::{classify, ErrorClass};
@@ -2883,6 +2983,120 @@ mod tests {
         let err = result.expect_err("a timed-out salvage read cannot complete the drain");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         assert!(took < 10 * DEADLINE, "update() took {took:?}");
+    }
+
+    /// A memory backend whose deletes hang, while hung, until released:
+    /// a device that stopped answering them.
+    struct HungDeletes {
+        inner: MemBackend,
+        hung: std::sync::Mutex<bool>,
+        released: std::sync::Condvar,
+        /// Deletes that hung.
+        stuck: std::sync::atomic::AtomicUsize,
+    }
+
+    impl HungDeletes {
+        fn new() -> Arc<Self> {
+            Arc::new(HungDeletes {
+                inner: MemBackend::new("hung"),
+                hung: std::sync::Mutex::new(false),
+                released: std::sync::Condvar::new(),
+                stuck: 0.into(),
+            })
+        }
+
+        fn hang(&self, hung: bool) {
+            *self.hung.lock().unwrap() = hung;
+            self.released.notify_all();
+        }
+    }
+
+    impl Backend for HungDeletes {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            self.inner.write(key, data)
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.inner.read(key)
+        }
+        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+            self.inner.read_into(key, dst)
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            let hung = self.hung.lock().unwrap();
+            if *hung {
+                self.stuck.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            drop(self.released.wait_while(hung, |hung| *hung).unwrap());
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn name(&self) -> &str {
+            "hung"
+        }
+    }
+
+    /// A quarantined tier whose deletes hang for good costs the drain one
+    /// deadline per copy it retires there, and nothing after: nothing
+    /// writes that tier again, so the late deletes are let go, and
+    /// training goes on without the tier, exact. Each hung delete holds
+    /// an I/O worker, so the tier has one per subgroup. The scenario runs
+    /// on a thread under a harness timeout, so an engine that waits for
+    /// the deletes fails the test, not hangs it.
+    #[test]
+    fn a_quarantined_tier_whose_deletes_hang_for_good_does_not_stop_training() {
+        use mlp_storage::HealthConfig;
+        const DEADLINE: Duration = Duration::from_millis(50);
+        const M: usize = 12;
+        let hung = HungDeletes::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let victim = Arc::clone(&hung);
+        let scenario = std::thread::spawn(move || {
+            let health = TierHealth::new("hung", HealthConfig::default());
+            let aio = AioConfig {
+                workers: M,
+                deadline: Some(DEADLINE),
+                ..AioConfig::default()
+            };
+            let tier = SharedTier::new(Arc::clone(&victim) as Arc<dyn Backend>, 2.0)
+                .with_aio(aio)
+                .with_health(Arc::clone(&health));
+            let survivor =
+                SharedTier::new(Arc::new(MemBackend::new("ok")) as Arc<dyn Backend>, 1.0);
+            let cfg = EngineConfig::mlp_offload().with_host_frames(3);
+            let adam = AdamConfig::default();
+            let tiers = [tier, survivor];
+            let mut engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(M, 24)).unwrap();
+            let mut reference = init_states(M, 24);
+            let mut passes = Vec::new();
+            for it in 0..5 {
+                if it == 1 {
+                    health.quarantine();
+                    victim.hang(true);
+                }
+                let grads = grads_for(M, 24, it as f32);
+                reference_update(&mut reference, &adam, &grads);
+                engine.accumulate_gradients(&grads);
+                passes.push(engine.update().map(drop));
+            }
+            let want: Vec<Vec<f32>> = reference.into_iter().map(|st| st.params).collect();
+            let exact = engine.master_params().map(|got| got == want);
+            let _ = tx.send((passes, exact, engine.quarantined_tiers(), engine.drains_done()));
+        });
+        let result = rx.recv_timeout(Duration::from_secs(20));
+        // Lets the workers the deletes hold go, so the engine can drop.
+        hung.hang(false);
+        let (passes, exact, quarantined, drained) = result.expect("no result within 20 s");
+        scenario.join().expect("scenario thread");
+        for (it, pass) in passes.iter().enumerate() {
+            assert!(pass.is_ok(), "pass {it}: {pass:?}");
+        }
+        assert!(exact.unwrap(), "the params diverge from in-memory Adam");
+        assert_eq!(quarantined, vec![0]);
+        assert!(drained > 0, "the drain moved nothing");
+        let stuck = hung.stuck.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(stuck > 0, "no delete hung");
     }
 
     #[test]

@@ -265,11 +265,9 @@ pub enum Action {
         /// The copy it superseded.
         superseded: Durable,
     },
-    /// Keep the op and settle it at the next call, which fails
-    /// `TimedOut` while it still runs.
+    /// Keep the op and settle it before anything touches its object
+    /// again: the next call fails `TimedOut` while it still runs.
     Carry,
-    /// Wait up to one more deadline for the op, then let it go.
-    Wait,
     /// Nothing holds the state any more: later passes fail at its load.
     Strand,
 }
@@ -485,13 +483,20 @@ impl<F> SubgroupLedger<F> {
     /// | evict | failed, payload back | back onto the superseded copy, the payload rests | done |
     /// | evict | payload lost | back onto the superseded copy, which is now the state, if it holds the iteration's start or update; else no state | done, or strand |
     /// | evict | late | none yet | carry; its settlement takes a row above |
-    /// | retire | late | none | wait one more deadline |
+    /// | retire | late | none yet | carry: it must not land after a later write of the key |
     /// | retire | failed or lost | none: a leaked copy, not an error | done |
+    /// | grad flush | late | none yet | carry: it must not land after a later write of the key |
     /// | fetch, grad flush | failed or lost | none: the copy and the host gradients stay | done |
+    ///
+    /// An update is applied in a frame off the executor's thread too (the
+    /// functional engine's I/O workers), but it is only proposed there:
+    /// the executor settles it when it takes the frame in plan order, and
+    /// an unwind that drops the frame first drops the update with it.
     pub fn settle(&mut self, idx: usize, op: TierOp, outcome: Outcome<F>) -> Action {
         let p = match (op, &outcome) {
-            (TierOp::Evict, Outcome::Late) => return Action::Carry,
-            (TierOp::Retire, Outcome::Late) => return Action::Wait,
+            (TierOp::Evict | TierOp::Retire | TierOp::GradFlush, Outcome::Late) => {
+                return Action::Carry
+            }
             (TierOp::Update, Outcome::Landed) | (TierOp::Evict, _) => self.progress.get_mut(idx),
             _ => return Action::Done,
         };
@@ -1051,13 +1056,20 @@ mod tests {
     }
 
     #[test]
-    fn settle_a_late_delete_by_waiting_one_more_deadline() {
-        let (mut l, _) = fetched();
-        assert_eq!(l.settle(0, TierOp::Retire, Outcome::Late), Action::Wait);
-        assert!(matches!(l.place(0), Some(Place::Host(&0))));
-        // Between iterations too: a migration retires its source copy.
-        l.end_iteration();
-        assert_eq!(l.settle(0, TierOp::Retire, Outcome::Late), Action::Wait);
+    fn settle_a_late_delete_or_gradient_flush_by_carrying_it() {
+        for op in [TierOp::Retire, TierOp::GradFlush] {
+            let (mut l, _) = fetched();
+            assert_eq!(l.settle(0, op, Outcome::Late), Action::Carry);
+            assert!(matches!(l.place(0), Some(Place::Host(&0))));
+            // Between iterations too: a migration retires its source copy.
+            l.end_iteration();
+            assert_eq!(l.settle(0, op, Outcome::Late), Action::Carry);
+            // Its settlement, whichever way it went, changes nothing.
+            for outcome in [Outcome::Landed, Outcome::Failed(None)] {
+                assert_eq!(l.settle(0, op, outcome), Action::Done);
+            }
+            assert!(matches!(l.place(0), Some(Place::Host(&0))));
+        }
     }
 
     #[test]
@@ -1075,12 +1087,14 @@ mod tests {
         let (mut l, home) = fetched();
         l.evict(1, home[1]);
         l.settle(1, TierOp::Evict, Outcome::Landed);
-        for op in [TierOp::Fetch, TierOp::GradFlush] {
-            for outcome in [Outcome::Failed(None), Outcome::Late] {
-                assert_eq!(l.settle(1, op, outcome), Action::Done);
-                assert_eq!(tier_of(&l, 1), Some(home[1]));
-                assert!(!l.carries_update(1));
-            }
+        for (op, outcome) in [
+            (TierOp::Fetch, Outcome::Failed(None)),
+            (TierOp::Fetch, Outcome::Late),
+            (TierOp::GradFlush, Outcome::Failed(None)),
+        ] {
+            assert_eq!(l.settle(1, op, outcome), Action::Done);
+            assert_eq!(tier_of(&l, 1), Some(home[1]));
+            assert!(!l.carries_update(1));
         }
     }
 

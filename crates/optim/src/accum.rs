@@ -30,6 +30,8 @@
 //! subgroup set and forks over subgroups ([`for_each_subgroup`]): one
 //! contiguous run of subgroups per core, each at the host's vector width.
 
+use std::sync::Arc;
+
 use mlp_tensor::f16::{f16_bits_to_f32, f32_to_f16_bits};
 use mlp_tensor::{at_host_width, par_for_each, PAR_CHUNK};
 
@@ -45,13 +47,14 @@ use mlp_tensor::{at_host_width, par_for_each, PAR_CHUNK};
 /// # Panics
 ///
 /// Panics if the set sizes or any subgroup's lengths mismatch.
-pub fn for_each_subgroup<T: Send>(
-    buffers: &mut [Vec<T>],
+pub fn for_each_subgroup<T, B: AsMut<[T]> + Send>(
+    buffers: &mut [B],
     grads: &[Vec<u16>],
     kernel: impl Fn(&mut [T], &[u16]) + Sync,
 ) {
     assert_eq!(buffers.len(), grads.len(), "gradient set mismatch");
-    let subgroup = |(buf, g): (&mut Vec<T>, &Vec<u16>)| {
+    let subgroup = |(buf, g): (&mut B, &Vec<u16>)| {
+        let buf = buf.as_mut();
         assert_eq!(buf.len(), g.len(), "gradient length mismatch");
         at_host_width(
             #[inline(always)]
@@ -114,10 +117,13 @@ pub fn add_f32(buf: &mut [f32], g: &[u16]) {
     }
 }
 
-/// FP16 gradient accumulation buffers for one rank's subgroups.
+/// FP16 gradient accumulation buffers for one rank's subgroups, each
+/// shareable with an op that applies it off the caller's thread
+/// ([`GradAccumulator::shared`]); a micro-step copies a buffer only while
+/// such an op still holds it.
 #[derive(Clone, Debug)]
 pub struct GradAccumulator {
-    buffers: Vec<Vec<u16>>,
+    buffers: Vec<Arc<Vec<u16>>>,
     /// No micro-step since `new`/`reset`: the buffers stand for zero,
     /// whatever they hold, and the next micro-step stores.
     empty: bool,
@@ -128,7 +134,10 @@ impl GradAccumulator {
     /// subgroup).
     pub fn new(subgroup_lens: &[usize]) -> Self {
         GradAccumulator {
-            buffers: subgroup_lens.iter().map(|&n| vec![0u16; n]).collect(),
+            buffers: subgroup_lens
+                .iter()
+                .map(|&n| Arc::new(vec![0u16; n]))
+                .collect(),
             empty: true,
         }
     }
@@ -147,10 +156,11 @@ impl GradAccumulator {
     ///
     /// Panics if the number of subgroups or any length mismatches.
     pub fn accumulate(&mut self, grads: &[Vec<u16>]) {
+        let mut buffers: Vec<&mut Vec<u16>> = self.buffers.iter_mut().map(Arc::make_mut).collect();
         if std::mem::take(&mut self.empty) {
-            for_each_subgroup(&mut self.buffers, grads, store_f16);
+            for_each_subgroup(&mut buffers, grads, store_f16);
         } else {
-            for_each_subgroup(&mut self.buffers, grads, add_f16);
+            for_each_subgroup(&mut buffers, grads, add_f16);
         }
     }
 
@@ -159,6 +169,12 @@ impl GradAccumulator {
     /// [`materialize_zeros`](Self::materialize_zeros) first.
     pub fn grads(&self, id: usize) -> &[u16] {
         &self.buffers[id]
+    }
+
+    /// Subgroup `id`'s buffer as a shared handle: what
+    /// [`grads`](Self::grads) reads, for an op that outlives the borrow.
+    pub fn shared(&self, id: usize) -> Arc<Vec<u16>> {
+        Arc::clone(&self.buffers[id])
     }
 
     /// Forgets the sums (after an update) without touching the buffers: the
@@ -177,7 +193,7 @@ impl GradAccumulator {
     pub fn materialize_zeros(&mut self) {
         if self.empty {
             for b in &mut self.buffers {
-                b.fill(0);
+                Arc::make_mut(b).fill(0);
             }
         }
     }

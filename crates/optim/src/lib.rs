@@ -19,7 +19,11 @@
 //!   tiers — and [`state::SubgroupStateMut`], its zero-copy borrowed view
 //!   over a contiguous staging buffer.
 //! * [`accum::GradAccumulator`] — the host-resident FP16 gradient
-//!   accumulation buffer (§4.5).
+//!   accumulation buffer (§4.5) — and [`grads::HostGrads`], an offloading
+//!   engine's gradients on either path, shareable with the I/O worker that
+//!   applies them.
+//! * [`traced::apply`] — the one update entry point: the fused kernel
+//!   over FP16 or FP32 gradients inside an `update_kernel` span.
 //! * [`scaler::DynamicLossScaler`] — standard mixed-precision loss scaling.
 //! * [`optimizer`] — global gradient-norm clipping helpers, and the
 //!   [`OptimizerConfig`] alias of [`AdamConfig`] that `benchmark/` binds.
@@ -30,6 +34,7 @@
 pub mod accum;
 pub mod adam;
 pub mod fused;
+pub mod grads;
 pub mod optimizer;
 pub mod scaler;
 pub mod state;

@@ -62,38 +62,6 @@ impl<'a> SubgroupStateMut<'a> {
     pub fn is_empty(&self) -> bool {
         self.params.is_empty()
     }
-
-    /// Applies one fused Adam step from FP16 gradient bits (`step`
-    /// is the 1-based step being applied), emitting the new FP16 working
-    /// copy into `fp16_out`. Single pass, no gradient materialization;
-    /// bitwise identical to [`SubgroupState::apply_update_fp16`]
-    /// followed by [`SubgroupState::fp16_params`]. Runs inside a
-    /// [`mlp_trace::Phase::UpdateKernel`] span (see [`crate::traced`]);
-    /// free when `trace` is disabled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_update_fused_traced(
-        &mut self,
-        trace: &mlp_trace::TraceSink,
-        subgroup: i64,
-        cfg: &AdamConfig,
-        step: u64,
-        grads_fp16: &[u16],
-        inv_scale: f32,
-        fp16_out: &mut [u16],
-    ) {
-        crate::traced::fused_update_fp16_traced(
-            trace,
-            subgroup,
-            cfg,
-            step,
-            self.params,
-            self.momentum,
-            self.variance,
-            grads_fp16,
-            inv_scale,
-            fp16_out,
-        );
-    }
 }
 
 /// FP32 master state of one subgroup.
@@ -268,10 +236,12 @@ mod tests {
             owned.apply_update_fp16(&cfg, &grads, 0.5);
             let expect_h = owned.fp16_params();
 
-            let mut view = SubgroupStateMut::from_buffer(&mut buf, 64);
+            let view = SubgroupStateMut::from_buffer(&mut buf, 64);
             let mut got_h = vec![0u16; 64];
             let off = mlp_trace::TraceSink::disabled();
-            view.apply_update_fused_traced(&off, 0, &cfg, step, &grads, 0.5, &mut got_h);
+            let grads = crate::grads::GradRef::Fp16(&grads);
+            let update = crate::traced::Update::new(cfg, step, 0.5);
+            crate::traced::apply(&off, 0, -1, &update, view, grads, &mut got_h);
             assert_eq!(expect_h, got_h, "step {step}");
         }
         assert_eq!(SubgroupState::from_bytes(buf.as_bytes(), 3).unwrap(), {

@@ -1,16 +1,19 @@
 //! [`Phase::UpdateKernel`] span recording around the fused optimizer
 //! kernels.
 //!
-//! The kernels in [`crate::fused`] stay pure functions; these wrappers
-//! add the observability envelope — one timeline span per kernel sweep
-//! (subgroup-attributed, byte-weighted) plus a duration sample on the
-//! `optim.fused_update_ns` histogram — and compile down to the bare
+//! The kernels in [`crate::fused`] stay pure functions; [`apply`], the one
+//! update entry point every engine thread calls, adds the observability
+//! envelope — one timeline span per kernel sweep (subgroup- and
+//! tier-attributed, byte-weighted) plus a duration sample on the
+//! `optim.fused_update_ns` histogram — and compiles down to the bare
 //! kernel call when the sink is disabled.
 
 use mlp_trace::{Attrs, Phase, TraceSink};
 
 use crate::adam::AdamConfig;
 use crate::fused::{fused_update_f32, fused_update_fp16};
+use crate::grads::GradRef;
+use crate::state::SubgroupStateMut;
 
 /// Bytes swept by one fused update over `n` parameters: three FP32 state
 /// arrays (params + the two Adam moments) read and written, the FP16
@@ -19,66 +22,68 @@ pub fn fused_sweep_bytes(n: usize) -> u64 {
     (n * (12 + 2 + 2)) as u64
 }
 
-/// [`fused_update_fp16`] wrapped in an [`Phase::UpdateKernel`] span.
-/// `subgroup` labels the span; with a disabled sink this is exactly the
-/// bare kernel call.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_update_fp16_traced(
-    trace: &TraceSink,
-    subgroup: i64,
-    cfg: &AdamConfig,
-    step: u64,
-    params: &mut [f32],
-    momentum: &mut [f32],
-    variance: &mut [f32],
-    grads_fp16: &[u16],
-    inv_scale: f32,
-    fp16_out: &mut [u16],
-) {
-    if !trace.is_enabled() {
-        return fused_update_fp16(
-            cfg, step, params, momentum, variance, grads_fp16, inv_scale, fp16_out,
-        );
-    }
-    let start = trace.now_ns();
-    fused_update_fp16(
-        cfg, step, params, momentum, variance, grads_fp16, inv_scale, fp16_out,
-    );
-    finish(trace, subgroup, params.len(), start);
+/// One iteration's update as each subgroup's kernel applies it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Update {
+    /// The hyper-parameters.
+    pub adam: AdamConfig,
+    /// The 1-based step being applied.
+    pub step: u64,
+    /// The inverse loss scale (folded with any clipping factor).
+    pub inv_scale: f32,
 }
 
-/// [`fused_update_f32`] wrapped in an [`Phase::UpdateKernel`] span (the
-/// functional ZeRO-3 baseline's kernel, whose gradients arrive already
-/// upscaled).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_update_f32_traced(
-    trace: &TraceSink,
-    subgroup: i64,
-    cfg: &AdamConfig,
-    step: u64,
-    params: &mut [f32],
-    momentum: &mut [f32],
-    variance: &mut [f32],
-    grads: &[f32],
-    inv_scale: f32,
-    fp16_out: &mut [u16],
-) {
-    if !trace.is_enabled() {
-        return fused_update_f32(
-            cfg, step, params, momentum, variance, grads, inv_scale, fp16_out,
-        );
+impl Update {
+    /// Step `step` of `adam`, at inverse loss scale `inv_scale`.
+    pub fn new(adam: AdamConfig, step: u64, inv_scale: f32) -> Self {
+        Update {
+            adam,
+            step,
+            inv_scale,
+        }
     }
-    let start = trace.now_ns();
-    fused_update_f32(
-        cfg, step, params, momentum, variance, grads, inv_scale, fp16_out,
-    );
-    finish(trace, subgroup, params.len(), start);
 }
 
-fn finish(trace: &TraceSink, subgroup: i64, n: usize, start_ns: u64) {
+/// Applies `update` to one subgroup's state in place — unscale, moment
+/// update, parameter step and FP16 emission into `fp16_out` in one sweep —
+/// from FP16 or FP32 gradients, inside a [`Phase::UpdateKernel`] span
+/// labelled with `subgroup` and `tier`: the tier whose I/O worker ran it,
+/// `-1` for the engine's own thread. With a disabled sink this is exactly
+/// the bare kernel call.
+///
+/// # Panics
+///
+/// Panics on any length mismatch or `step == 0`.
+pub fn apply(
+    trace: &TraceSink,
+    subgroup: i64,
+    tier: i32,
+    update: &Update,
+    state: SubgroupStateMut<'_>,
+    grads: GradRef<'_>,
+    fp16_out: &mut [u16],
+) {
+    let start = trace.is_enabled().then(|| trace.now_ns());
+    let Update {
+        adam,
+        step,
+        inv_scale,
+    } = *update;
+    let (params, m, v) = (state.params, state.momentum, state.variance);
+    match grads {
+        GradRef::Fp16(g) => fused_update_fp16(&adam, step, params, m, v, g, inv_scale, fp16_out),
+        GradRef::Fp32(g) => fused_update_f32(&adam, step, params, m, v, g, inv_scale, fp16_out),
+    }
+    if let Some(start) = start {
+        finish(trace, subgroup, tier, params.len(), start);
+    }
+}
+
+fn finish(trace: &TraceSink, subgroup: i64, tier: i32, n: usize, start_ns: u64) {
     let end = trace.now_ns();
     let attrs = Attrs {
         subgroup,
+        tier,
         bytes: fused_sweep_bytes(n),
         ..Attrs::NONE
     };
@@ -101,8 +106,20 @@ mod tests {
         )
     }
 
-    /// The traced wrapper must be bitwise identical to the bare kernel
-    /// whether or not the sink is enabled.
+    fn view<'a>(p: &'a mut [f32], m: &'a mut [f32], v: &'a mut [f32]) -> SubgroupStateMut<'a> {
+        SubgroupStateMut {
+            params: p,
+            momentum: m,
+            variance: v,
+        }
+    }
+
+    fn first(adam: AdamConfig) -> Update {
+        Update::new(adam, 1, 1.0)
+    }
+
+    /// The traced entry point must be bitwise identical to the bare
+    /// kernel whether or not the sink is enabled.
     #[test]
     fn traced_wrapper_matches_bare_kernel() {
         let n = 100;
@@ -117,9 +134,8 @@ mod tests {
         for sink in [TraceSink::disabled(), TraceSink::enabled()] {
             let (mut p2, mut m2, mut v2) = state(n);
             let mut out2 = vec![0u16; n];
-            fused_update_fp16_traced(
-                &sink, 7, &cfg, 1, &mut p2, &mut m2, &mut v2, &grads, 1.0, &mut out2,
-            );
+            let state = view(&mut p2, &mut m2, &mut v2);
+            apply(&sink, 7, -1, &first(cfg), state, GradRef::Fp16(&grads), &mut out2);
             assert_eq!(p1, p2);
             assert_eq!(m1, m2);
             assert_eq!(v1, v2);
@@ -135,14 +151,14 @@ mod tests {
         let (mut p, mut m, mut v) = state(n);
         let grads = vec![0.01f32; n];
         let mut out = vec![0u16; n];
-        fused_update_f32_traced(
-            &sink, 3, &cfg, 1, &mut p, &mut m, &mut v, &grads, 1.0, &mut out,
-        );
+        let state = view(&mut p, &mut m, &mut v);
+        apply(&sink, 3, 1, &first(cfg), state, GradRef::Fp32(&grads), &mut out);
 
         let events = sink.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].phase, Phase::UpdateKernel);
         assert_eq!(events[0].subgroup, 3);
+        assert_eq!(events[0].tier, 1, "the tier whose worker ran it");
         assert_eq!(events[0].bytes, fused_sweep_bytes(n));
 
         let snap = sink.metrics_snapshot();

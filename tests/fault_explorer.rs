@@ -18,10 +18,15 @@
 //! A payload lost with no copy of the iteration behind it strands its
 //! subgroup instead, and then every later pass must fail, typed.
 //!
-//! A released stall finishes on its tier before the test's next call. A
-//! stall that outlives the next call is not explored: a retire-delete or
-//! a gradient write the deadline answered can then land after that
-//! call's write of the same key, and overwrite or delete it.
+//! A released stall finishes on its tier before the test's next call,
+//! except a stalled retire-delete or gradient write: the engine carries
+//! those past the deadline, and nothing may touch their object until they
+//! settle. Such a stall outlives the faulted call if that fails, and every
+//! call that succeeds while it is held: it then lands right after the next
+//! write of its key on its tier, the order that would delete or overwrite
+//! a newer copy. It goes at once when a later call fails (the engine is
+//! waiting for it). Two schedules that once lost a newer object that way
+//! are pinned below.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -69,6 +74,12 @@ impl Op {
     fn state_write(&self) -> bool {
         self.kind == Kind::Write && self.key.contains("/sub")
     }
+
+    /// A retire-delete or a gradient write: a stall of it may outlive a
+    /// call (see the module docs).
+    fn outlives(&self) -> bool {
+        self.kind == Kind::Delete || (self.kind == Kind::Write && self.key.contains("/grad"))
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +103,16 @@ impl Fault {
     }
 }
 
+/// How far the stalls that may outlive a call are let go.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+enum Hold {
+    #[default]
+    Held,
+    /// Each lands after the next write of its key on its tier.
+    AfterWrite,
+    Released,
+}
+
 #[derive(Default)]
 struct ScriptState {
     armed: bool,
@@ -101,8 +122,24 @@ struct ScriptState {
     faults: Vec<(Op, Fault)>,
     fired: Vec<(Op, Fault)>,
     released: bool,
-    /// Stalled calls that have not finished yet.
-    stalled: usize,
+    hold: Hold,
+    /// Stalled calls that have not finished yet, as `(tier, key)`, and
+    /// whether each may outlive a call.
+    stalled: Vec<(usize, String, bool)>,
+    /// Keys written on a tier while outliving stalls land after a write.
+    written: HashSet<(usize, String)>,
+}
+
+impl ScriptState {
+    /// Whether the stalled call of `key` on `tier` may go.
+    fn lets_go(&self, tier: usize, key: &str, outlives: bool) -> bool {
+        match (outlives, self.hold) {
+            (false, _) => self.released,
+            (true, Hold::Held) => false,
+            (true, Hold::AfterWrite) => self.written.contains(&(tier, key.to_string())),
+            (true, Hold::Released) => true,
+        }
+    }
 }
 
 /// One schedule's faults, shared by both tiers.
@@ -125,6 +162,7 @@ impl Script {
         st.armed = true;
         st.seen.clear();
         st.log.clear();
+        st.hold = Hold::Held;
     }
 
     /// Disarms it and returns the ops it saw and the faults that fired.
@@ -134,22 +172,65 @@ impl Script {
         (std::mem::take(&mut st.log), st.fired.clone())
     }
 
-    /// Lets every stalled call go, as landed or as failed, and waits until
-    /// each has finished on the tier: a released op settles before the
-    /// test's next call. (One that outlives it is a schedule this explorer
-    /// does not run; see the module docs.)
+    /// Lets every stalled call go, as landed or as failed, except those
+    /// that may outlive a call, and waits until each has finished on the
+    /// tier: a released op settles before the test's next call.
     fn release(&self) {
+        self.let_go(|st| st.released = true);
+    }
+
+    /// Lets every stalled call go, and waits until each has finished.
+    fn release_all(&self) {
+        self.let_go(|st| {
+            st.released = true;
+            st.hold = Hold::Released;
+        });
+    }
+
+    /// After a call of the test: held stalls go at once if it failed, and
+    /// each after the next write of its key if it succeeded.
+    fn after_call<T>(&self, result: &io::Result<T>) {
+        match result {
+            Err(_) => self.release_all(),
+            Ok(_) => self.let_go(|st| st.hold = st.hold.max(Hold::AfterWrite)),
+        }
+    }
+
+    fn let_go(&self, change: impl FnOnce(&mut ScriptState)) {
         let mut st = self.state.lock().unwrap();
-        st.released = true;
+        change(&mut st);
         self.release.notify_all();
-        while st.stalled > 0 {
+        loop {
+            let waiting = |st: &ScriptState| {
+                (st.stalled.iter()).any(|(tier, key, outlives)| st.lets_go(*tier, key, *outlives))
+            };
+            if !waiting(&st) {
+                return;
+            }
             st = self.release.wait_timeout(st, HANG).unwrap().0;
         }
     }
 
-    /// The fault the script gives this call, if any, counting and logging
-    /// it while armed.
-    fn fault(&self, tier: usize, kind: Kind, key: &str) -> Option<Fault> {
+    /// A write of `key` on `tier` landed: a held stall of the key there
+    /// that waits for it lands now, before the writer returns.
+    fn written(&self, tier: usize, key: &str) {
+        let mut st = self.state.lock().unwrap();
+        let on_key = |st: &ScriptState| {
+            (st.stalled.iter()).any(|(t, k, outlives)| *outlives && (*t, &k[..]) == (tier, key))
+        };
+        if st.hold != Hold::AfterWrite || !on_key(&st) {
+            return;
+        }
+        st.written.insert((tier, key.to_string()));
+        self.release.notify_all();
+        while on_key(&st) {
+            st = self.release.wait_timeout(st, HANG).unwrap().0;
+        }
+    }
+
+    /// The fault the script gives this call, if any, and whether a stall
+    /// of it may outlive a call, counting and logging it while armed.
+    fn fault(&self, tier: usize, kind: Kind, key: &str) -> Option<(Fault, bool)> {
         let mut st = self.state.lock().unwrap();
         if !st.armed {
             return None;
@@ -165,9 +246,12 @@ impl Script {
         };
         st.log.push(op.clone());
         let fault = st.faults.iter().find(|(o, _)| *o == op).map(|&(_, f)| f)?;
-        st.stalled += usize::from(fault.stalls());
+        let outlives = op.outlives();
+        if fault.stalls() {
+            st.stalled.push((tier, op.key.clone(), outlives));
+        }
         st.fired.push((op, fault));
-        Some(fault)
+        Some((fault, outlives))
     }
 
     /// Runs one backend call `op` as the script says: as it is, failed,
@@ -180,7 +264,7 @@ impl Script {
         key: &str,
         op: impl FnOnce() -> io::Result<T>,
     ) -> io::Result<T> {
-        let Some(fault) = self.fault(tier, kind, key) else {
+        let Some((fault, outlives)) = self.fault(tier, kind, key) else {
             return op();
         };
         let failed = || Err(io::Error::other(format!("scripted {fault:?} on {key}")));
@@ -189,13 +273,20 @@ impl Script {
             Fault::Panic => panic!("scripted panic on {key}"),
             Fault::StallLanded | Fault::StallFailed => {
                 let st = self.state.lock().unwrap();
-                let wait = self.release.wait_timeout_while(st, HANG, |st| !st.released);
+                let wait = self
+                    .release
+                    .wait_timeout_while(st, HANG, |st| !st.lets_go(tier, key, outlives));
                 drop(wait.unwrap());
                 let result = match fault {
                     Fault::StallLanded => op(),
                     _ => failed(),
                 };
-                self.state.lock().unwrap().stalled -= 1;
+                let mut st = self.state.lock().unwrap();
+                let mine =
+                    |(t, k, o): &(usize, String, bool)| (*t, &k[..], *o) == (tier, key, outlives);
+                if let Some(at) = st.stalled.iter().position(mine) {
+                    st.stalled.remove(at);
+                }
                 self.release.notify_all();
                 result
             }
@@ -208,7 +299,7 @@ struct Release<'a>(&'a Script);
 
 impl Drop for Release<'_> {
     fn drop(&mut self) {
-        self.0.release();
+        self.0.release_all();
     }
 }
 
@@ -222,11 +313,19 @@ struct Scripted {
 impl Backend for Scripted {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         let write = || self.inner.write(key, data);
-        self.script.call(self.tier, Kind::Write, key, write)
+        let written = self.script.call(self.tier, Kind::Write, key, write);
+        if written.is_ok() {
+            self.script.written(self.tier, key);
+        }
+        written
     }
     fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
         let write = || self.inner.write_frame(key, frame);
-        self.script.call(self.tier, Kind::Write, key, write)
+        let written = self.script.call(self.tier, Kind::Write, key, write);
+        if written.is_ok() {
+            self.script.written(self.tier, key);
+        }
+        written
     }
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
         self.script
@@ -316,11 +415,16 @@ fn attempt(engine: &mut MlpFuncEngine) -> io::Result<()> {
 
 /// A pass the script does not fault: re-driven while the deadline answers
 /// an op, since on a loaded host a memory tier's op can outlive it too.
-fn drive(engine: &mut MlpFuncEngine) -> io::Result<()> {
+/// The script hears how each call went.
+fn drive(engine: &mut MlpFuncEngine, script: &Script) -> io::Result<()> {
     let mut result = attempt(engine);
+    script.after_call(&result);
     for _ in 0..3 {
         match &result {
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => result = attempt(engine),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
+                result = attempt(engine);
+                script.after_call(&result);
+            }
             _ => break,
         }
     }
@@ -404,7 +508,7 @@ fn explore(target: &Arc<Target>, faults: Vec<(Op, Fault)>) -> Result<Seen, Strin
         Err(mpsc::RecvTimeoutError::Timeout) => Err(format!("no answer within {HANG:?}")),
         Err(mpsc::RecvTimeoutError::Disconnected) => Err("the schedule panicked".into()),
     };
-    script.release();
+    script.release_all();
     outcome.map_err(|e| format!("{}, faults {faults:?}: {e}", target.what))
 }
 
@@ -423,7 +527,7 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
     let _release = Release(script);
     for pass in 0..target.pass {
         engine.accumulate_gradients(&grads(pass));
-        drive(&mut engine).map_err(|e| format!("clean pass {pass}: {e}"))?;
+        drive(&mut engine, script).map_err(|e| format!("clean pass {pass}: {e}"))?;
     }
     engine.accumulate_gradients(&grads(target.pass));
     script.arm();
@@ -432,11 +536,16 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
     if result.is_ok() && fired.iter().any(|(op, _)| op.kind != Kind::Delete) {
         return Err(format!("the faulted pass returned Ok after {fired:?}"));
     }
+    // A stall that may outlive a call survives a failed faulted call.
+    if result.is_ok() {
+        script.after_call(&result);
+    }
     // A stalled state write is carried: each call fails while it runs.
     let mut seen = Seen::default();
     if fired.iter().any(|(op, f)| f.stalls() && op.state_write()) {
         seen.carried = true;
         let still = engine.update().map(drop);
+        script.after_call(&still);
         match &still {
             Err(e)
                 if e.kind() == io::ErrorKind::TimedOut
@@ -448,7 +557,7 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
     seen.stranded = (fired.iter()).any(|(op, f)| *f == Fault::Panic && target.strands.contains(op));
     if seen.stranded {
         for _ in 0..2 {
-            match drive(&mut engine) {
+            match drive(&mut engine, script) {
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {}
                 other => return Err(format!("a stranded subgroup's pass gave {other:?}")),
             }
@@ -462,10 +571,11 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
             return Err(format!("still failing after {tries} re-drives: {e}"));
         }
         result = attempt(&mut engine);
+        script.after_call(&result);
     }
     for pass in target.pass + 1..target.pass + 3 {
         engine.accumulate_gradients(&grads(pass));
-        drive(&mut engine).map_err(|e| format!("pass {pass}: {e}"))?;
+        drive(&mut engine, script).map_err(|e| format!("pass {pass}: {e}"))?;
     }
     let got = engine.master_params().map_err(|e| e.to_string())?;
     if got != reference(target.pass + 3) {
@@ -583,4 +693,53 @@ fn mlp_offload_survives_every_bounded_fault_schedule() {
 #[test]
 fn deepspeed_zero3_survives_every_bounded_fault_schedule() {
     assert!(explore_preset(EngineConfig::deepspeed_zero3(), "deepspeed_zero3") > 0);
+}
+
+/// Runs one schedule on `preset`'s steady pass.
+fn pinned(cfg: EngineConfig, preset: &str, op: Op, fault: Fault) {
+    let steady = targets(&cfg, preset).into_iter().find(|t| t.pass > 0);
+    let target = Arc::new(steady.expect("a steady pass"));
+    assert!(
+        target.ops.contains(&op),
+        "{preset}: the pass no longer runs {op:?}"
+    );
+    explore(&target, vec![(op, fault)]).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// A retire-delete the deadline answered once landed after the next
+/// pass's write of its key on its tier, deleting the newer copy ("pass 3:
+/// no object w0/sub3").
+#[test]
+fn a_late_retire_delete_never_lands_after_a_newer_write() {
+    let op = Op {
+        tier: 1,
+        kind: Kind::Delete,
+        key: "w0/sub3".into(),
+        nth: 0,
+    };
+    pinned(
+        EngineConfig::mlp_offload(),
+        "mlp_offload",
+        op,
+        Fault::StallLanded,
+    );
+}
+
+/// A gradient write the deadline answered once landed after the next
+/// iteration's write of its key, and that iteration applied the old
+/// gradients.
+#[test]
+fn a_late_gradient_write_never_lands_after_a_newer_write() {
+    let op = Op {
+        tier: 0,
+        kind: Kind::Write,
+        key: "w0/grad0".into(),
+        nth: 0,
+    };
+    pinned(
+        EngineConfig::deepspeed_zero3(),
+        "deepspeed_zero3",
+        op,
+        Fault::StallLanded,
+    );
 }
