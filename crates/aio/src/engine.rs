@@ -16,6 +16,11 @@
 //! backend poisons the op's completion slot with an [`io::Error`] rather
 //! than leaving waiters blocked forever.
 //!
+//! Between the worker and the backend sits the codec stage (`codec.rs`,
+//! [`mlp_tensor::codec`]): a write goes out encoded when the tier's measured
+//! rates say the bytes it saves are worth the CPU, and every read comes
+//! back raw by the length rule, so nothing above this crate sees a frame.
+//!
 //! A pooled read may carry a [`Finish`] stage: work on the frame it fills,
 //! run by the worker that filled it while the bytes are in its cache, or
 //! by the waiter when it waits before the read lands ([`StageClaim`]). The
@@ -37,6 +42,7 @@ use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
 use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
+use crate::codec::{CodecRates, Staged};
 use crate::completion::{CompletionSlot, StageClaim};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
@@ -502,6 +508,10 @@ pub(crate) struct Stats {
     pub(crate) writes: Counter,
     pub(crate) read_bytes: Counter,
     pub(crate) write_bytes: Counter,
+    /// The bytes the backend moved for them: fewer than the logical ones
+    /// where the codec stage framed the object.
+    pub(crate) device_read_bytes: Counter,
+    pub(crate) device_write_bytes: Counter,
     pub(crate) retries: Counter,
     pub(crate) errors: Counter,
     /// Ops answered early by the deadline watchdog with a typed `TimedOut`
@@ -525,6 +535,8 @@ impl Stats {
             writes: c("writes"),
             read_bytes: c("read_bytes"),
             write_bytes: c("write_bytes"),
+            device_read_bytes: c("device_read_bytes"),
+            device_write_bytes: c("device_write_bytes"),
             retries: c("retries"),
             errors: c("errors"),
             timeouts: c("timeouts"),
@@ -534,16 +546,20 @@ impl Stats {
         }
     }
 
-    /// Success bookkeeping for a read of `n` bytes.
-    pub(crate) fn record_read(&self, n: usize) {
+    /// Success bookkeeping for a read of `n` bytes, `device` of them
+    /// from the backend.
+    pub(crate) fn record_read(&self, n: usize, device: usize) {
         self.reads.inc();
         self.read_bytes.add(n as u64);
+        self.device_read_bytes.add(device as u64);
     }
 
-    /// Success bookkeeping for a write of `n` bytes.
-    pub(crate) fn record_write(&self, n: usize) {
+    /// Success bookkeeping for a write of `n` bytes, `device` of them to
+    /// the backend.
+    pub(crate) fn record_write(&self, n: usize, device: usize) {
         self.writes.inc();
         self.write_bytes.add(n as u64);
+        self.device_write_bytes.add(device as u64);
     }
 }
 
@@ -562,6 +578,8 @@ pub(crate) struct EngineShared {
     /// Injected delay source for retry backoff (see
     /// [`mlp_storage::Sleeper`]); the wall clock in production.
     sleeper: Arc<dyn Sleeper>,
+    /// The tier's measured rates, which decide the codec stage.
+    codec: CodecRates,
 }
 
 impl EngineShared {
@@ -574,14 +592,16 @@ impl EngineShared {
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
+            codec: CodecRates::new(),
         }
     }
 
     /// Executes one op against the backend — retry, catch-unwind
-    /// poisoning, stats, trace, a staged read's finish stage, publication.
-    /// The worker loop is exactly
-    /// `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
-    fn run_op(&self, op: Op) {
+    /// poisoning, the codec stage, stats, trace, a staged read's finish
+    /// stage, publication. The worker loop is exactly
+    /// `while let Ok(op) = rx.recv() { shared.run_op(op, &mut scratch) }`,
+    /// `scratch` being the worker's codec frame.
+    fn run_op(&self, op: Op, scratch: &mut HostBuffer) {
         let t0 = Instant::now();
         let Op {
             key,
@@ -599,7 +619,7 @@ impl EngineShared {
         // buffer back to its pool on the way) and poison the completion
         // slot with an error.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_op(self, &op_retries, &state, &key, kind, salvage)
+            execute_op(self, &op_retries, &state, &key, kind, salvage, scratch)
         }))
         .unwrap_or_else(|_| {
             let e = io::Error::other(format!("I/O worker panicked while processing {key}"));
@@ -739,15 +759,18 @@ impl EngineShared {
 }
 
 /// Executes one operation against the backend under the tier's failure
-/// policy ([`EngineShared::run_attempts`]).
+/// policy ([`EngineShared::run_attempts`]), through the codec stage
+/// (`codec.rs`): a write sends the frame the stage left in the
+/// worker's `scratch` when it staged one, and a read decodes what it got.
 ///
 /// Completion counters (`reads`/`writes`/`*_bytes`) are bumped only on
 /// success; failures are the caller's to count, and re-attempts land in
 /// `op_retries` (the caller folds them into the shared stats so the
 /// trace can attribute retries to individual operations). Pooled
 /// buffers return to their pool on every path: success (write) / handed
-/// back (read, and a failed write's outcome), a failed read (dropped
-/// here), and panic (dropped during unwind).
+/// back (read, and a failed write's outcome, its payload untouched by the
+/// stage), a failed read (dropped here), and panic (dropped during
+/// unwind).
 // lint:hot-root — retry/execute loop every AIO worker runs per op
 fn execute_op(
     shared: &EngineShared,
@@ -756,15 +779,28 @@ fn execute_op(
     key: &str,
     kind: OpKind,
     salvage: bool,
+    scratch: &mut HostBuffer,
 ) -> Outcome {
-    let (backend, stats) = (&*shared.backend, &shared.stats);
+    let (backend, stats, codec) = (&*shared.backend, &shared.stats, &shared.codec);
     let failed = |e| (e, None);
     match kind {
-        OpKind::Write(data) => {
+        OpKind::Write(mut data) => {
+            let staged = codec.stage_write(&data, scratch, None);
+            let device = match staged {
+                Staged::Framed(n) => n,
+                _ => data.len(),
+            };
             shared
-                .run_attempts(op_retries, state, salvage, || backend.write(key, &data))
+                .run_attempts(op_retries, state, salvage, || {
+                    let payload = match staged {
+                        Staged::Framed(_) => scratch.as_bytes(),
+                        _ => &data,
+                    };
+                    codec.timed(|| backend.write(key, payload), |_| device)
+                })
                 .map_err(failed)?;
-            stats.record_write(data.len());
+            codec.finish_trial(staged, scratch, &mut data);
+            stats.record_write(data.len(), device);
             Ok((OpOutput::None, data.len()))
         }
         OpKind::WritePooled(mut buf, len) => {
@@ -773,18 +809,34 @@ fn execute_op(
             // object it displaces instead of copying (a failed attempt
             // leaves the frame untouched, so a retry and the outcome
             // below still hold the payload). A shorter window is copied.
+            // An encoded payload goes the same way from the scratch, whose
+            // capacity is the frame's; the frame itself is never written.
             let whole_frame = len == buf.buffer().len();
+            let capacity = whole_frame.then(|| buf.buffer().capacity());
+            let payload = buf.buffer().as_bytes().get(..len).unwrap_or_default();
+            let staged = codec.stage_write(payload, scratch, capacity);
+            let device = match staged {
+                Staged::Framed(n) => n,
+                _ => len,
+            };
             match shared.run_attempts(op_retries, state, salvage, || {
-                if whole_frame {
-                    backend.write_frame(key, buf.buffer_mut())
-                } else {
-                    // lint:allow(transitive-panic): window in-bounds — submit_write_pooled asserts len <= buffer
-                    backend.write(key, &buf.buffer().as_bytes()[..len])
-                }
+                let (frame, len) = match staged {
+                    Staged::Framed(n) => (&mut *scratch, n),
+                    _ => (buf.buffer_mut(), len),
+                };
+                let write = || {
+                    if whole_frame {
+                        backend.write_frame(key, frame)
+                    } else {
+                        backend.write(key, frame.as_bytes().get(..len).unwrap_or_default())
+                    }
+                };
+                codec.timed(write, |_| device)
             }) {
                 Ok(()) => {
+                    codec.finish_trial(staged, scratch, buf.buffer_mut().as_bytes_mut());
                     drop(buf); // staging buffer back to its pool
-                    stats.record_write(len);
+                    stats.record_write(len, device);
                     Ok((OpOutput::None, len))
                 }
                 Err(e) => Err((e, Some(buf))),
@@ -792,23 +844,31 @@ fn execute_op(
         }
         OpKind::Read => {
             let data = shared
-                .run_attempts(op_retries, state, salvage, || backend.read(key))
+                .run_attempts(op_retries, state, salvage, || {
+                    codec.timed(|| backend.read(key), Vec::len)
+                })
                 .map_err(failed)?;
+            let device = data.len();
+            let data = codec.decode_object(key, data).map_err(failed)?;
             let n = data.len();
-            stats.record_read(n);
+            stats.record_read(n, device);
             Ok((OpOutput::Bytes(data), n))
         }
         OpKind::ReadPooled(mut buf, len, stage) => {
             // A retried attempt overwrites whatever a failed partial read
             // left in the window; on error the buffer drops here and
             // recycles to its pool.
-            let n = shared
+            let frame = buf.buffer_mut();
+            let device = shared
                 .run_attempts(op_retries, state, salvage, || {
                     // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
-                    backend.read_into(key, &mut buf.buffer_mut().as_bytes_mut()[..len])
+                    codec.timed(|| backend.read_into(key, &mut frame.as_bytes_mut()[..len]), |&n| n)
                 })
                 .map_err(failed)?;
-            stats.record_read(n);
+            let n = codec
+                .decode_read(key, frame, len, device, scratch)
+                .map_err(failed)?;
+            stats.record_read(n, device);
             Ok((OpOutput::Pooled(buf, stage), n))
         }
         OpKind::Delete => {
@@ -860,6 +920,8 @@ impl AioEngine {
             .filter_map(|i| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
+                // The worker's codec frame, sized by the ops it codes.
+                let mut scratch = HostBuffer::default();
                 thread::Builder::new()
                     .name(format!("aio-{}-{i}", shared.backend.name()))
                     .spawn(move || loop {
@@ -867,7 +929,7 @@ impl AioEngine {
                         // drops before the op runs.
                         let next = rx.lock().recv();
                         match next {
-                            Ok(op) => shared.run_op(op),
+                            Ok(op) => shared.run_op(op, &mut scratch),
                             Err(_) => break,
                         }
                     })
@@ -1016,10 +1078,19 @@ impl AioEngine {
         (stats.reads.get(), stats.writes.get())
     }
 
-    /// (read bytes, written bytes) moved by successful operations.
+    /// (read bytes, written bytes) moved by successful operations, as
+    /// their callers see them: raw, before the codec stage.
     pub fn bytes_moved(&self) -> (u64, u64) {
         let stats = &self.shared.stats;
         (stats.read_bytes.get(), stats.write_bytes.get())
+    }
+
+    /// (read bytes, written bytes) the backend moved for the same
+    /// operations: fewer than [`AioEngine::bytes_moved`] by what the
+    /// codec stage's frames saved.
+    pub fn device_bytes(&self) -> (u64, u64) {
+        let stats = &self.shared.stats;
+        (stats.device_read_bytes.get(), stats.device_write_bytes.get())
     }
 
     /// Transient-error re-attempts performed by the retry layer.

@@ -16,6 +16,10 @@
 //!   queue, a pool of worker threads making blocking backend calls, and
 //!   completion handles ([`engine::OpHandle`]), each over one
 //!   [`CompletionSlot`] holding the op's whole outcome.
+//! * The codec stage — a lossless frame for FP32 state
+//!   ([`mlp_tensor::codec`]) on the tiers whose measured rates make it
+//!   pay, decoded on every read; [`engine::AioEngine::device_bytes`]
+//!   counts what the backend moved.
 //! * [`engine::Finish`] — work a pooled read finishes on the frame it
 //!   filled, on the worker while the bytes are hot unless the waiter
 //!   claims it first ([`StageClaim`]).
@@ -37,6 +41,7 @@
 //!   process share the tier while other worker processes are excluded
 //!   (§3.2, §3.5).
 
+mod codec;
 pub mod completion;
 pub mod engine;
 pub mod lock;

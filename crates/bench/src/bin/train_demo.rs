@@ -111,6 +111,22 @@ fn main() {
         let ours = |k: &str| k.starts_with("aio.") && k.ends_with(suffix);
         counters.iter().filter(|c| ours(&c.0)).map(|c| c.1).sum()
     };
+    // One line per tier: whether its writes went out coded, and the bytes
+    // its device moved against the logical bytes the engine asked for.
+    let bytes = |dir: &str, meters: &[&str]| -> u64 {
+        let ours = |k: &str| meters.iter().any(|m| k == format!("aio.{dir}.{m}"));
+        counters.iter().filter(|c| ours(&c.0)).map(|c| c.1).sum()
+    };
+    for dir in &tier_dirs {
+        let device = bytes(dir, &["device_read_bytes", "device_write_bytes"]);
+        let logical = bytes(dir, &["read_bytes", "write_bytes"]);
+        let coded = bytes(dir, &["device_write_bytes"]) < bytes(dir, &["write_bytes"]);
+        println!(
+            "tier {dir}: codec {} ({:.3} of raw), device / logical bytes {device} / {logical}",
+            if coded { "on" } else { "off" },
+            device as f64 / logical.max(1) as f64
+        );
+    }
     let states: Vec<&str> = breakers.iter().map(|h| h.state().as_str()).collect();
     println!(
         "loss {:.3} -> {:.6}; {} cache hits; {} overflow steps skipped; final loss scale {:.0}; \

@@ -159,8 +159,11 @@ pub struct MemTouches {
 /// whole-frame write can exchange buffers with the object it displaces
 /// instead of copying into it. A delete keeps the frame of an object no
 /// pin or reader shares as a spare, and a write of a key with no object
-/// to trade with takes a spare of its length before it allocates: a
+/// to trade with takes a spare of its capacity before it allocates: a
 /// subgroup that moves here from another tier trades frames as well.
+/// Frames are matched by capacity, not length, so an object shorter than
+/// its frame — one the codec stage above encoded — trades like any other
+/// and keeps its allocation.
 pub struct MemBackend {
     name: String,
     map: Mutex<Store>,
@@ -182,10 +185,13 @@ struct Store {
 }
 
 impl Store {
-    /// A spare frame of exactly `len` bytes, if the store keeps one.
-    fn take_spare(&mut self, len: usize) -> Option<HostBuffer> {
-        let at = self.spares.iter().rposition(|s| s.len() == len)?;
-        Some(self.spares.swap_remove(at))
+    /// A spare frame whose capacity `fits`, if the store keeps one, set to
+    /// `len` bytes.
+    fn take_spare(&mut self, len: usize, fits: impl Fn(usize) -> bool) -> Option<HostBuffer> {
+        let at = self.spares.iter().rposition(|s| fits(s.capacity()))?;
+        let mut spare = self.spares.swap_remove(at);
+        spare.set_len(len);
+        Some(spare)
     }
 }
 
@@ -267,14 +273,18 @@ impl Backend for MemBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         Self::throttle(self.write_bps, data.len());
         let mut store = self.map.lock();
-        // Overwrite in place when nothing else holds the old object: a
-        // reader inside `read`/`read_into` holds a clone of the `Arc`, so
-        // it keeps the old bytes whole and the key gets another object —
-        // a spare frame of its length if a delete left one.
+        // Overwrite in place when nothing else holds the old object and
+        // its allocation holds the data: a reader inside `read`/`read_into`
+        // holds a clone of the `Arc`, so it keeps the old bytes whole and
+        // the key gets another object — a spare frame that holds the data
+        // if a delete left one.
         match store.objects.get_mut(key).and_then(Arc::get_mut) {
-            Some(old) if old.len() == data.len() => old.as_bytes_mut().copy_from_slice(data),
+            Some(old) if data.len() <= old.capacity() => {
+                old.set_len(data.len());
+                old.as_bytes_mut().copy_from_slice(data);
+            }
             _ => {
-                let object = match store.take_spare(data.len()) {
+                let object = match store.take_spare(data.len(), |cap| data.len() <= cap) {
                     Some(mut spare) => {
                         spare.as_bytes_mut().copy_from_slice(data);
                         spare
@@ -289,20 +299,25 @@ impl Backend for MemBackend {
     }
 
     fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
-        Self::throttle(self.write_bps, frame.len());
+        let (len, capacity) = (frame.len(), frame.capacity());
+        Self::throttle(self.write_bps, len);
         let mut store = self.map.lock();
         // Same rule as the in-place overwrite above, without the copy:
         // the frame trades allocations with the displaced object when
-        // nothing else holds it and it is exactly one frame, else with a
-        // spare of that length. Only a write with neither copies.
+        // nothing else holds it and it is an allocation of the frame's
+        // capacity, else with a spare of that capacity. Capacity, not
+        // length: an encoded object is shorter than the frame it lives
+        // in, and the frame handed back gets the length it came with.
+        // Only a write with neither copies.
         if let Some(old) = store.objects.get_mut(key).and_then(Arc::get_mut) {
-            if old.len() == frame.len() {
+            if old.capacity() == capacity {
                 std::mem::swap(old, frame);
+                frame.set_len(len);
                 Self::tally(&self.exchanged_frames, 1);
                 return Ok(());
             }
         }
-        let object = match store.take_spare(frame.len()) {
+        let object = match store.take_spare(len, |cap| cap == capacity) {
             Some(spare) => {
                 Self::tally(&self.exchanged_frames, 1);
                 std::mem::replace(frame, spare)
@@ -787,6 +802,29 @@ mod tests {
         assert_eq!(after.exchanged_frames, before.exchanged_frames);
         assert_eq!(b.read("pin").unwrap(), vec![1u8; 96], "the write reached the pin");
         assert_eq!(b.read("new").unwrap(), vec![2u8; 96]);
+    }
+
+    /// Frames trade by capacity: a frame carrying a shorter object (an
+    /// encoded one) exchanges with a full one, is stored at its own
+    /// length, and the frame handed back has the length it came with.
+    #[test]
+    fn mem_backend_exchanges_frames_of_one_capacity_whatever_their_length() {
+        let b = MemBackend::new("mem");
+        let mut full = HostBuffer::from_slice(&[1u8; 96]);
+        b.write_frame("k", &mut full).unwrap();
+        let mut short = HostBuffer::from_slice(&[2u8; 96]);
+        short.set_len(40);
+        b.write_frame("k", &mut short).unwrap();
+        assert_eq!(b.read("k").unwrap(), vec![2u8; 40]);
+        assert_eq!((short.len(), short.capacity()), (40, 96));
+        let mut again = HostBuffer::from_slice(&[3u8; 96]);
+        b.write_frame("k", &mut again).unwrap();
+        assert_eq!(b.read("k").unwrap(), vec![3u8; 96]);
+        assert_eq!(again.len(), 96, "the pool's frame comes back whole");
+        assert_eq!(b.touches().exchanged_frames, 2);
+        // A copy that fits the object's allocation overwrites it in place.
+        b.write("k", &[4u8; 12]).unwrap();
+        assert_eq!((b.read("k").unwrap(), b.total_bytes()), (vec![4u8; 12], 12));
     }
 
     /// A tier keeps no more spares than objects: once every object is

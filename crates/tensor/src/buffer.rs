@@ -46,6 +46,20 @@ impl HostBuffer {
         self.len == 0
     }
 
+    /// Bytes the buffer can hold without reallocating: its length is at
+    /// most this, and [`HostBuffer::set_len`] moves it within.
+    pub fn capacity(&self) -> usize {
+        self.words.len() * 4
+    }
+
+    /// Sets the length in bytes, clamped to [`HostBuffer::capacity`]. Bytes
+    /// a longer length exposes keep whatever they last held — a recycled
+    /// frame never promised its contents. A frame that carries a shorter
+    /// object (an encoded one, say) keeps its allocation this way.
+    pub fn set_len(&mut self, len: usize) {
+        self.len = len.min(self.capacity());
+    }
+
     /// Read-only byte view.
     pub fn as_bytes(&self) -> &[u8] {
         // SAFETY: `zeroed` allocates `words` with `len.div_ceil(4)` u32s
@@ -188,6 +202,17 @@ mod tests {
         buf.as_bytes_mut().copy_from_slice(&[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(buf.as_bytes(), &[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(HostBuffer::from_slice(&[9; 5]).as_bytes(), &[9u8; 5]);
+    }
+
+    #[test]
+    fn length_moves_within_the_capacity_and_keeps_the_bytes() {
+        let mut buf = HostBuffer::from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(buf.capacity(), 8);
+        buf.set_len(3);
+        assert_eq!((buf.len(), buf.as_bytes()), (3, &[1, 2, 3][..]));
+        buf.set_len(100);
+        assert_eq!(buf.as_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(HostBuffer::zeroed(5).capacity(), 8);
     }
 
     #[test]
