@@ -26,13 +26,21 @@
 //! with a frame header is decoded ([`mlp_tensor::codec::framed_len`]). A
 //! plain read does not know it and trusts the header alone. Either way the
 //! waiter gets raw bytes, whatever the tier wrote and whenever, so mixed
-//! tiers, migrations, links and restores never see a frame.
+//! tiers, migrations, links and restores never see a frame. A header of
+//! the codec's family in another version (an object an older build wrote)
+//! fails the read with `InvalidData` on both paths: it is neither decoded
+//! nor handed up as raw bytes.
+//!
+//! **Meters.** The timings the rule takes are also the tier's coding time:
+//! `aio.{backend}.encode_ns` / `decode_ns` sum every encode and decode,
+//! trials included, with no clock read of their own.
 
 use std::io;
 use std::time::{Duration, Instant};
 
 use mlp_sync::atomic::{AtomicU64, Ordering};
 use mlp_tensor::{codec, HostBuffer};
+use mlp_trace::{Counter, TraceSink};
 
 /// How long a tier whose rule says "raw" waits between trials.
 const TRIAL_EVERY: Duration = Duration::from_millis(100);
@@ -69,21 +77,32 @@ impl Rate {
 /// The fastest a coding kernel has run here, in bytes per second. Coding
 /// is a fixed computation: its cost on this host is its fastest run, and a
 /// slower one was preempted or ran cold — one such run must not outvote
-/// every other and turn a paying codec off.
-#[derive(Default)]
-struct Best(AtomicU64);
+/// every other and turn a paying codec off. Every run's time also adds to
+/// `nanos`, the tier's `aio.{backend}.encode_ns` / `decode_ns` meter.
+struct Best {
+    fastest: AtomicU64,
+    nanos: Counter,
+}
 
 impl Best {
+    fn new(nanos: Counter) -> Self {
+        Best {
+            fastest: AtomicU64::new(0),
+            nanos,
+        }
+    }
+
     fn add(&self, took: Duration, bytes: usize) {
+        self.nanos.add(took.as_nanos() as u64);
         let per_second = bytes as u128 * 1_000_000_000 / took.as_nanos().max(1);
         // relaxed-ok: a monotonic best, as `Rate`'s sums
-        (self.0).fetch_max(u64::try_from(per_second).unwrap_or(u64::MAX), Ordering::Relaxed);
+        self.fastest.fetch_max(u64::try_from(per_second).unwrap_or(u64::MAX), Ordering::Relaxed);
     }
 
     /// Seconds per byte, once a byte was coded.
     fn per_byte(&self) -> Option<f64> {
         // relaxed-ok: a monotonic best
-        let per_second = self.0.load(Ordering::Relaxed);
+        let per_second = self.fastest.load(Ordering::Relaxed);
         (per_second > 0).then(|| 1.0 / per_second as f64)
     }
 }
@@ -118,11 +137,13 @@ pub(crate) struct CodecRates {
 }
 
 impl CodecRates {
-    pub(crate) fn new() -> Self {
+    /// Rates of the tier `backend`, whose coding time `trace` meters.
+    pub(crate) fn new(trace: &TraceSink, backend: &str) -> Self {
+        let c = |meter: &str| trace.counter(&format!("aio.{backend}.{meter}"));
         CodecRates {
             transfer: Rate::default(),
-            encode: Best::default(),
-            decode: Best::default(),
+            encode: Best::new(c("encode_ns")),
+            decode: Best::new(c("decode_ns")),
             coded: AtomicU64::new(0),
             framed: AtomicU64::new(0),
             born: Instant::now(),
@@ -218,7 +239,8 @@ impl CodecRates {
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a frame that does not decode to the window.
+    /// `InvalidData` for a frame that does not decode to the window, or one
+    /// of another codec version.
     pub(crate) fn decode_read(
         &self,
         key: &str,
@@ -227,8 +249,13 @@ impl CodecRates {
         n: usize,
         scratch: &mut HostBuffer,
     ) -> io::Result<usize> {
-        if n >= len || frame.as_bytes().get(..n).and_then(codec::framed_len).is_none() {
+        if n >= len {
             return Ok(n);
+        }
+        match frame.as_bytes().get(..n).map(codec::framed_len) {
+            None | Some(Ok(None)) => return Ok(n),
+            Some(Err(e)) => return Err(undecodable(key, e)),
+            Some(Ok(Some(_))) => {}
         }
         let frame_len = frame.len();
         if scratch.capacity() != frame.capacity() {
@@ -249,9 +276,10 @@ impl CodecRates {
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a frame that does not decode.
+    /// `InvalidData` for a frame that does not decode, or one of another
+    /// codec version.
     pub(crate) fn decode_object(&self, key: &str, data: Vec<u8>) -> io::Result<Vec<u8>> {
-        let Some(raw) = codec::framed_len(&data) else {
+        let Some(raw) = codec::framed_len(&data).map_err(|e| undecodable(key, e))? else {
             return Ok(data);
         };
         let mut out = vec![0; raw];
@@ -306,7 +334,7 @@ mod tests {
     /// Rates of a tier: `transfer_ns` per device byte, the codec's best
     /// `codec_ns` per raw byte each way, frames of `ratio`.
     fn rates(transfer_ns: u64, codec_ns: u64, ratio: f64) -> CodecRates {
-        let rates = CodecRates::new();
+        let rates = CodecRates::new(&TraceSink::disabled(), "test");
         let mib = 1 << 20;
         rates.transfer.add(Duration::from_nanos(transfer_ns * mib as u64), mib);
         rates.encode.add(Duration::from_nanos(codec_ns * mib as u64), mib);
@@ -322,7 +350,7 @@ mod tests {
         assert!(rates(20, 1, 0.875).encodes());
         assert!(!rates(20, 1, 0.95).encodes(), "too little saved");
         assert!(!rates(1, 1, 0.875).encodes(), "a fast device stays raw");
-        assert!(!CodecRates::new().encodes(), "nothing measured yet");
+        assert!(!CodecRates::new(&TraceSink::disabled(), "test").encodes(), "nothing measured yet");
     }
 
     #[test]
@@ -335,7 +363,7 @@ mod tests {
 
     #[test]
     fn a_tier_that_stays_raw_trials_once_a_period() {
-        let rates = CodecRates::new();
+        let rates = CodecRates::new(&TraceSink::disabled(), "test");
         let mut scratch = HostBuffer::default();
         let payload: Vec<u8> = (0..8192u32).flat_map(|i| (i as f32 * 1e-3).to_le_bytes()).collect();
         let trial = rates.stage_write(&payload, &mut scratch, None);

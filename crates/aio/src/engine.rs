@@ -586,13 +586,13 @@ impl EngineShared {
     fn new(backend: Arc<dyn Backend>, config: &AioConfig) -> Self {
         EngineShared {
             stats: Stats::new(&config.trace, backend.name()),
+            codec: CodecRates::new(&config.trace, backend.name()),
             backend,
             retry: config.retry.clone(),
             trace: config.trace.clone(),
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
-            codec: CodecRates::new(),
         }
     }
 

@@ -63,7 +63,9 @@ fn main() {
         std::process::exit(1);
     });
     let trace = TraceSink::enabled(); // for the `aio.*` retry/timeout counters
-    cfg = cfg.with_host_frames(8).with_trace(trace.clone());
+    // Four host frames for the task's eight subgroups: half of them go
+    // through the tiers every iteration.
+    cfg = cfg.with_host_frames(4).with_trace(trace.clone());
 
     // Open + microbenchmark each tier (the §3.3 B_i measurement).
     let mut tiers = Vec::new();
