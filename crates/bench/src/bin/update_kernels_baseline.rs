@@ -36,6 +36,17 @@
 //! chunk, where nothing but the instantiation differs. That block is the
 //! guard on the dispatcher's inlining contract: a level that measures like
 //! `portable` did not inline.
+//!
+//! The `codec` rows guard `mlp_tensor::codec` the same way: its
+//! `encode_body` / `decode_body` once per level, on one core, on the two
+//! objects a `throttled_*` benchmark tier codes — a 1.5 MiB state object
+//! (128 Ki parameters after 12 default-Adam steps over the benchmark's two
+//! FP16 gradient sets, paths `encode_state` / `decode_state`) and a
+//! 512 KiB gradient object (the eager FP32 accumulators after one FP16
+//! micro-step, `encode_grad` / `decode_grad`). Elements are FP32 words and
+//! GB/s counts raw bytes; each rate is the best of at least 1,000 calls,
+//! since coding is a fixed computation that a busy host only slows, and
+//! the stderr line adds the best time per object.
 
 #![forbid(unsafe_code)]
 
@@ -45,7 +56,9 @@ use mlp_bench::round_to;
 use mlp_optim::accum::{add_f16, store_f16, GradAccumulator};
 use mlp_optim::adam::{adam_step_par, AdamConfig};
 use mlp_optim::fused::{fused_chunk_fp16, fused_update_fp16};
-use mlp_tensor::{at_host_width, convert, SimdLevel, F16, PAR_CHUNK};
+use mlp_optim::grads::{GradRef, HostGrads};
+use mlp_optim::SubgroupState;
+use mlp_tensor::{at_host_width, codec, convert, SimdLevel, F16, PAR_CHUNK};
 use mlp_trace::json::Value;
 
 /// Effective bytes of memory traffic per element, fused path.
@@ -246,6 +259,124 @@ fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
     ]
 }
 
+/// Parameters in the subgroup the `codec` rows code: the `throttled_*`
+/// benchmark workloads'.
+const CODEC_PARAMS: usize = 128 << 10;
+
+/// SplitMix64.
+fn split_mix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FP16 gradient bits of the benchmark's shape: random sign and mantissa,
+/// biased exponent 5..=12 (magnitudes 2^-10 … 2^-2).
+fn benchmark_grads(seed: &mut u64, n: usize) -> Vec<u16> {
+    (0..n)
+        .map(|_| {
+            let bits = split_mix(seed) as u16;
+            (bits & 0x8000) | ((5 + ((bits >> 10) & 0x7)) << 10) | (bits & 0x03FF)
+        })
+        .collect()
+}
+
+/// The two objects the `codec` rows code, raw, with their encode and
+/// decode paths: the state of a subgroup whose parameters start uniform in
+/// [-1, 1) after 12 Adam steps over two gradient sets taken in turn
+/// (`mlp-optim`'s `codec_state_ratio` test's state), and its eager FP32
+/// gradients after one micro-step of a set.
+fn codec_objects() -> [(&'static str, &'static str, Vec<u8>); 2] {
+    let mut seed = 42u64;
+    let params =
+        (0..CODEC_PARAMS).map(|_| (split_mix(&mut seed) >> 40) as f32 / (1u32 << 23) as f32 - 1.0);
+    let mut state = SubgroupState::new(params.collect());
+    let sets = [
+        benchmark_grads(&mut seed, CODEC_PARAMS),
+        benchmark_grads(&mut seed, CODEC_PARAMS),
+    ];
+    for step in 1..=12 {
+        state.apply_update_fp16(&AdamConfig::default(), &sets[step % 2], 1.0);
+    }
+    let mut grads = HostGrads::new(&[CODEC_PARAMS], true);
+    grads.accumulate(&sets[..1]);
+    let GradRef::Fp32(words) = grads.get(0) else {
+        panic!("eager accumulators are FP32");
+    };
+    [
+        (
+            "encode_state",
+            "decode_state",
+            state.to_buffer().as_bytes().to_vec(),
+        ),
+        (
+            "encode_grad",
+            "decode_grad",
+            words.iter().flat_map(|w| w.to_le_bytes()).collect(),
+        ),
+    ]
+}
+
+/// The best rate of at least 1,000 calls of `run` (after one warm-up) and
+/// at least one second of them.
+fn best_of(
+    n: usize,
+    path: &'static str,
+    level: SimdLevel,
+    bytes_per_elem: f64,
+    mut run: impl FnMut(),
+) -> Measurement {
+    run();
+    let (mut iters, mut best) = (0u64, f64::MAX);
+    let start = Instant::now();
+    while iters < 1000 || start.elapsed().as_secs_f64() < 1.0 {
+        let t = Instant::now();
+        run();
+        best = best.min(t.elapsed().as_secs_f64());
+        iters += 1;
+    }
+    let elements_per_s = n as f64 / best;
+    Measurement {
+        optimizer: "codec",
+        elements: n,
+        path,
+        level: level.name(),
+        elements_per_s,
+        gb_per_s: elements_per_s * bytes_per_elem / 1e9,
+        iters,
+    }
+}
+
+/// `encode_body` and `decode_body` at `level` on each of `objects`.
+fn measure_codec_at(
+    level: SimdLevel,
+    objects: &[(&'static str, &'static str, Vec<u8>)],
+) -> Vec<Measurement> {
+    let mut rows = Vec::new();
+    for (encode, decode, raw) in objects {
+        let mut frame = vec![0u8; raw.len()];
+        let len = codec::encode(raw, &mut frame).expect("the benchmark's objects code shorter");
+        let mut back = vec![0u8; raw.len()];
+        rows.push(best_of(raw.len() / 4, encode, level, 4.0, || {
+            level.run(
+                #[inline(always)]
+                || codec::encode_body(raw, &mut frame),
+            );
+        }));
+        rows.push(best_of(raw.len() / 4, decode, level, 4.0, || {
+            let decoded = level.run(
+                #[inline(always)]
+                || codec::decode_body(&frame[..len], &mut back),
+            );
+            decoded.expect("decodes");
+        }));
+        assert!(back == *raw, "{decode}: round trip differs");
+    }
+    rows
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -256,14 +387,21 @@ fn main() {
     let mut results = Vec::new();
     let mut report = |m: Measurement| {
         eprintln!(
-            "{:>10} {:>9} {:>14} {:>8}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters)",
+            "{:>10} {:>9} {:>14} {:>8}: {:8.1} Melem/s  {:6.2} GB/s  ({} iters{})",
             m.optimizer,
             m.elements,
             m.path,
             m.level,
             m.elements_per_s / 1e6,
             m.gb_per_s,
-            m.iters
+            m.iters,
+            match m.optimizer {
+                "codec" => format!(
+                    "; best {:.4} ms",
+                    m.elements as f64 / m.elements_per_s * 1e3
+                ),
+                _ => String::new(),
+            }
         );
         results.push(m);
     };
@@ -276,6 +414,10 @@ fn main() {
     }
     SimdLevel::available()
         .flat_map(measure_bodies_at)
+        .for_each(&mut report);
+    let objects = codec_objects();
+    SimdLevel::available()
+        .flat_map(|level| measure_codec_at(level, &objects))
         .for_each(&mut report);
 
     // Headline ratio the baseline tracks: fused vs multi-pass Adam speedup
@@ -299,7 +441,7 @@ fn main() {
             ("store", STORE_BYTES_PER_ELEM.into()),
             ("sweep", SWEEP_BYTES_PER_ELEM.into()),
         ])),
-        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = first micro-step after an O(1) reset, add = every later one), all at simd_level, the widest vector width the host has; plus the kernel bodies on one core over one PAR_CHUNK chunk once per level the host has (fused_chunk = fused_chunk_fp16 under Adam)".into()),
+        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = first micro-step after an O(1) reset, add = every later one), all at simd_level, the widest vector width the host has; plus the kernel bodies on one core over one PAR_CHUNK chunk once per level the host has (fused_chunk = fused_chunk_fp16 under Adam); plus the lossless tier codec's encode and decode bodies once per level on one core, on a benchmark-shaped 1.5 MiB state object and a 512 KiB FP16-born FP32 gradient object (elements = FP32 words, GB/s of raw bytes, best of at least 1,000 calls)".into()),
         ("results", results.iter().map(|m| Value::obj([
             ("elements", m.elements.into()),
             ("elements_per_s", m.elements_per_s.round().into()),

@@ -2735,20 +2735,126 @@ mod tests {
         assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
     }
 
+    /// The order of one pass's tail I/O, forced instead of raced for:
+    /// once armed, the `reads`-th read to reach any backend sharing the
+    /// gate waits until `writes` writes have reached them, for at most
+    /// `patience`; a wait that runs out is recorded and the read goes on.
+    struct TailGate {
+        /// `(armed, reads, writes)` seen since arming.
+        seen: std::sync::Mutex<(bool, usize, usize)>,
+        moved: std::sync::Condvar,
+        expect: (usize, usize),
+        patience: Duration,
+        ran_out: std::sync::atomic::AtomicBool,
+    }
+
+    impl TailGate {
+        fn new(reads: usize, writes: usize, patience: Duration) -> Arc<Self> {
+            Arc::new(TailGate {
+                seen: std::sync::Mutex::new((false, 0, 0)),
+                moved: std::sync::Condvar::new(),
+                expect: (reads, writes),
+                patience,
+                ran_out: false.into(),
+            })
+        }
+
+        fn arm(&self) {
+            *self.seen.lock().unwrap() = (true, 0, 0);
+        }
+
+        fn wrote(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            if seen.0 {
+                seen.2 += 1;
+                self.moved.notify_all();
+            }
+        }
+
+        fn reading(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            if !seen.0 {
+                return;
+            }
+            seen.1 += 1;
+            if seen.1 != self.expect.0 {
+                return;
+            }
+            let writes = self.expect.1;
+            let (seen, waited) = self
+                .moved
+                .wait_timeout_while(seen, self.patience, |seen| seen.2 < writes)
+                .unwrap();
+            drop(seen);
+            if waited.timed_out() {
+                self.ran_out
+                    .store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// A throttled memory tier behind a [`TailGate`].
+    struct Gated {
+        inner: MemBackend,
+        gate: Arc<TailGate>,
+    }
+
+    impl Backend for Gated {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            self.gate.wrote();
+            self.inner.write(key, data)
+        }
+        fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+            self.gate.wrote();
+            self.inner.write_frame(key, frame)
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.gate.reading();
+            self.inner.read(key)
+        }
+        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+            self.gate.reading();
+            self.inner.read_into(key, dst)
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// The tail of a pass's flushes overlaps the tail of its fetches: the
+    /// evictions leave when the order makes them certain, not after the
+    /// retained tail has been fetched. The gate holds the steady-state
+    /// pass's last fetch until its last flush has reached a tier, so an
+    /// engine that flushed the evictions only after the fetches would
+    /// keep it waiting out the gate's patience.
     #[test]
     fn tail_flushes_overlap_tail_fetches_and_the_window_runs_as_deep_as_the_pool() {
         use crate::policy::cache::MIN_PIPELINE_FRAMES;
         const SHARD: usize = 16;
+        const MOVED: usize = SHARD - SHARD / 4;
         let adam = AdamConfig::default();
+        let gate = TailGate::new(MOVED, MOVED, Duration::from_secs(10));
         // 768-byte subgroups at 128 kB/s: 6 ms per fetch and per flush,
         // orders of magnitude above the kernel and the bookkeeping, on
         // two workers per tier.
-        let slow_tiers = |n: usize| -> Vec<SharedTier> {
+        let slow_tiers = |n: usize, gate: Option<&Arc<TailGate>>| -> Vec<SharedTier> {
             (0..n)
                 .map(|i| {
                     let medium = MemBackend::throttled(format!("slow{i}"), 128e3, 128e3);
-                    SharedTier::new(Arc::new(medium) as Arc<dyn Backend>, 1.0)
-                        .with_aio(AioConfig::deterministic())
+                    let backend: Arc<dyn Backend> = match gate {
+                        Some(gate) => Arc::new(Gated {
+                            inner: medium,
+                            gate: Arc::clone(gate),
+                        }),
+                        None => Arc::new(medium),
+                    };
+                    SharedTier::new(backend, 1.0).with_aio(AioConfig::deterministic())
                 })
                 .collect()
         };
@@ -2758,25 +2864,29 @@ mod tests {
             .with_host_frames(SHARD / 4)
             .with_tier_ratio(vec![1.0, 1.0])
             .with_trace(trace.clone());
-        let mut engine =
-            MlpFuncEngine::new(cfg, adam, &slow_tiers(2), 0, init_states(SHARD, 64)).unwrap();
+        let tiers = slow_tiers(2, Some(&gate));
+        let mut engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(SHARD, 64)).unwrap();
         for it in 0..3 {
             engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
             engine.update().unwrap();
         }
         trace.events(); // keep the steady-state iteration only
         engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
+        gate.arm();
         let outcome = engine.update().unwrap();
         assert_eq!(
             (outcome.cache_hits, outcome.fetches, outcome.flushes),
-            (SHARD / 4, SHARD - SHARD / 4, SHARD - SHARD / 4)
+            (SHARD / 4, MOVED, MOVED)
+        );
+        assert!(
+            !gate.ran_out.load(std::sync::atomic::Ordering::SeqCst),
+            "the last fetch waited {:?} for the last flush to reach a tier",
+            gate.patience
         );
         let events = trace.events();
         let of = |phase: Phase| events.iter().filter(move |e| e.phase == phase);
 
-        // The last flush is under way before the last fetch is over: the
-        // evictions left when the order made them certain, not after the
-        // retained tail had been fetched.
+        // Hence the last flush began before the last fetch ended.
         let last_write_begins = of(Phase::AioWrite).map(|e| e.ts_ns).max().unwrap();
         let last_read_ends = of(Phase::AioRead).map(|e| e.end_ns()).max().unwrap();
         assert!(
@@ -2816,7 +2926,7 @@ mod tests {
         let mut baseline = MlpFuncEngine::new(
             EngineConfig::deepspeed_zero3(),
             adam,
-            &slow_tiers(1),
+            &slow_tiers(1, None),
             0,
             init_states(SHARD, 64),
         )

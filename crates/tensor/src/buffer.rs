@@ -191,7 +191,8 @@ mod tests {
     #[test]
     fn in_place_view_survives_byte_writes() {
         let mut buf = HostBuffer::zeroed(8);
-        buf.as_bytes_mut().copy_from_slice(&[0, 0, 128, 63, 0, 0, 0, 64]); // 1.0, 2.0 LE
+        buf.as_bytes_mut()
+            .copy_from_slice(&[0, 0, 128, 63, 0, 0, 0, 64]); // 1.0, 2.0 LE
         assert_eq!(buf.as_f32(2), [1.0, 2.0]);
     }
 

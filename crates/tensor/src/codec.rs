@@ -1,5 +1,5 @@
-//! A lossless codec for FP32 optimizer state: the sign/exponent plane coded,
-//! the mantissa planes kept.
+//! A lossless codec for FP32 tensors at rest: the sign/exponent plane
+//! coded, each lower byte plane kept at the width its block uses.
 //!
 //! Optimizer state (parameters, Adam's two moments) is FP32 words whose low
 //! three bytes are noise — ≈ 8 bits of entropy each — while the high byte
@@ -13,18 +13,37 @@
 //! width costs 3.2–3.7 bits per word, within a bit of the entropy, at a
 //! cost per byte that vectorizes.
 //!
+//! Gradients are another matter. FP32 gradients upcast from FP16 (the eager
+//! accumulators of ZeRO-3 and of every configuration that writes gradients
+//! to a tier) carry FP16's 10-bit mantissa in the top of FP32's 23: the low
+//! 13 bits of every word are zero, so byte 0 holds nothing and byte 1 three
+//! bits (BF16-born words have their low 16 bits zero). So each block also
+//! stores each lower byte plane at its significant width: a plane whose low
+//! `z` bits are zero in every word of the block keeps its `8 − z` high bits
+//! as bit planes, and an all-zero plane costs nothing. A gradient object of
+//! one FP16 micro-step codes to ≈ 0.46 of raw; on state every plane is full
+//! width, stored as it is, and pays three bytes a block for saying so.
+//!
 //! # Frame
 //!
 //! ```text
-//! frame  = "MLz2" · raw_len (u32 LE) · block*       (strictly shorter than raw_len)
+//! frame  = "MLz3" · raw_len (u32 LE) · block*       (strictly shorter than raw_len)
 //! block  = 0 · the block's 4·w bytes as they are
-//!        | k · byte0[w] · byte1[w] · byte2[w] · table[2^k − 1]
+//!        | k · z0 z1 z2 · plane0 · plane1 · plane2 · table[2^k − 1]
 //!            · index[k][⌈w/8⌉] · escape[n]           (k ∈ 1..=4)
+//! plane  = byte[w]                                   (z = 0)
+//!        | bits[8 − z][⌈w/8⌉]                        (z ∈ 1..=8)
 //! ```
 //!
 //! The object is cut into blocks of [`BLOCK_WORDS`] little-endian words (the
-//! last one shorter). The low three bytes of every word go to three byte
-//! planes, stored raw. A coded block then picks the index width `k` that
+//! last one shorter). Byte `i` of every word goes to byte plane `i`; the
+//! high byte (byte 3) is coded. Plane `i`'s width byte `z_i` is the number
+//! of trailing zeros of the OR of its bytes over the block (8 when all are
+//! zero): the plane is stored as its `w` bytes when `z_i = 0`, and
+//! otherwise as the `8 − z_i` bit planes of `byte >> z_i`, the lowest bit
+//! first, in the index's layout below. Where bit planes would not be
+//! shorter than the bytes (a block of a few words), the encoder writes
+//! `z_i = 0`. A coded block then picks the index width `k` that
 //! makes it shortest, as estimated from every eighth word's high byte
 //! (every word's in blocks under 1 Ki words). Its table holds the
 //! `2^k − 1` high bytes that occur most often, most frequent first, and
@@ -45,25 +64,28 @@
 //! A header of the same family in another version (`"MLz"` and another
 //! fourth byte, with a raw length that would otherwise pass) is refused
 //! with [`CodecError::Version`] by [`framed_len`] and [`decode`], so an
-//! object an older build wrote is never taken for raw bytes.
+//! object an older build wrote (`MLz1`, `MLz2`) is never taken for raw
+//! bytes.
 //!
 //! # Kernels
 //!
 //! [`encode`] and [`decode`] run their bodies ([`encode_body`],
 //! [`decode_body`]) at the host's vector width ([`crate::at_host_width`]),
 //! like the conversion kernels. No loop looks a word up in a table. The
-//! plane split and merge are element loops; a word's index is a
-//! compare-and-select over the table's bytes, and a high byte a
-//! compare-and-mask over the indices; the bit planes pack and unpack by
-//! compare-and-mask too, and the escape bitmap is gathered from the planes'
-//! AND eight bytes per multiply. All of these vectorize; the decoder runs
-//! them 64 words at a time, so a block's indices and high bytes never leave
-//! registers. The escapes themselves cost a scalar step each, 64 words per
-//! bitmap word, and the histogram that picks the table is scalar. Every
-//! width produces the portable frame and the portable words, bit for bit.
-//! Decoding validates the frame as it goes: a truncated or corrupted frame
-//! is a [`CodecError`], never a panic and never a read out of bounds.
-//! Integrity is not the codec's job — a checksum below it covers the frame.
+//! plane split (which ORs the words as it goes) and merge are element
+//! loops; a word's index is a compare-and-select over the table's bytes,
+//! and a high byte a compare-and-mask over the indices; the index's and the
+//! narrow byte planes' bit planes pack and unpack by one compare-and-mask
+//! kernel each, and the escape bitmap is gathered from the planes' AND
+//! eight bytes per multiply. All of these vectorize; the decoder runs them
+//! 64 words at a time, so a block's indices, high bytes and narrow planes
+//! never leave registers. The escapes themselves cost a scalar step each,
+//! 64 words per bitmap word, and the histogram that picks the table is
+//! scalar. Every width produces the portable frame and the portable words,
+//! bit for bit. Decoding validates the frame as it goes: a truncated or
+//! corrupted frame is a [`CodecError`], never a panic and never a read out
+//! of bounds. Integrity is not the codec's job — a checksum below it covers
+//! the frame.
 
 use std::fmt;
 
@@ -75,7 +97,7 @@ pub const BLOCK_WORDS: usize = 16 * 1024;
 
 /// What a frame starts with: the codec's family and its version.
 const FAMILY: [u8; 3] = *b"MLz";
-const VERSION: u8 = b'2';
+const VERSION: u8 = b'3';
 /// Magic plus the raw length.
 const HEADER: usize = 8;
 /// The widest index: a table of 15 high bytes.
@@ -288,10 +310,13 @@ impl Escapes {
             let (row, pad) = row.split_at_mut_checked(lanes)?;
             pad.fill(0);
             for (o, lane) in row.iter_mut().zip(and) {
-                *o = (((u64::from_le_bytes(*lane) >> s) & LOW_BITS).wrapping_mul(GATHER) >> 56) as u8;
+                *o = (((u64::from_le_bytes(*lane) >> s) & LOW_BITS).wrapping_mul(GATHER) >> 56)
+                    as u8;
             }
         }
-        let count = and.iter().map(|&lane| u64::from_le_bytes(lane).count_ones() as usize);
+        let count = and
+            .iter()
+            .map(|&lane| u64::from_le_bytes(lane).count_ones() as usize);
         Some((stride, count.sum()))
     }
 
@@ -301,7 +326,6 @@ impl Escapes {
         Some(self.bits.get(..8 * stride)?.chunks_exact(stride))
     }
 }
-
 
 /// Blocks shorter than this count every word's high byte.
 const SAMPLED_FROM: usize = 1024;
@@ -328,7 +352,8 @@ fn sampled_histogram(high: &[u8]) -> [u32; 256] {
         }
     } else {
         for run in runs {
-            let [a, _, _, _, _, _, _, _, b, _, _, _, _, _, _, _, c, _, _, _, _, _, _, _, d, ..] = *run;
+            let [a, _, _, _, _, _, _, _, b, _, _, _, _, _, _, _, c, _, _, _, _, _, _, _, d, ..] =
+                *run;
             bump(h0, a);
             bump(h1, b);
             bump(h2, c);
@@ -408,14 +433,39 @@ fn encode_coded(block: &[[u8; 4]], out: &mut [u8], scratch: &mut Scratch) -> Opt
     // Every escape must leave the block shorter than raw.
     let room = out.len().min(4 * w);
     let (tag, out) = out.get_mut(..room)?.split_first_mut()?;
-    let (p0, out) = out.split_at_mut_checked(w)?;
-    let (p1, out) = out.split_at_mut_checked(w)?;
-    let (p2, out) = out.split_at_mut_checked(w)?;
+    let (widths, out) = out.split_first_chunk_mut::<3>()?;
+    // The planes go out as bytes first; a narrow one is packed over them.
+    let (bytes, _) = out.split_at_mut_checked(3 * w)?;
+    let (p0, rest) = bytes.split_at_mut_checked(w)?;
+    let (p1, p2) = rest.split_at_mut_checked(w)?;
     let high = scratch.high.get_mut(..w)?;
-    split(block, p0, p1, p2, high);
+    let or = split(block, p0, p1, p2, high);
+    let mut at = 0;
+    for (i, z) in (0..3).zip(widths.iter_mut()) {
+        *z = width((or >> (8 * i)) as u8, w);
+        let from = i * w;
+        if *z == 0 {
+            if at != from {
+                out.copy_within(from..from + w, at);
+            }
+            at += w;
+            continue;
+        }
+        let (rows, pad) = scratch.index.get_mut(..8 * p)?.split_at_mut_checked(w)?;
+        rows.copy_from_slice(out.get(from..from + w)?);
+        pad.fill(0);
+        let n = usize::from(8 - *z) * p;
+        pack(
+            scratch.index.get(..8 * p)?,
+            p,
+            *z..8,
+            out.get_mut(at..at + n)?,
+        );
+        at += n;
+    }
     let (table, k) = table_of(&sampled_histogram(high), w);
     let table = table.get(..(1 << k) - 1)?;
-    let (tab, out) = out.split_at_mut_checked(table.len())?;
+    let (tab, out) = out.get_mut(at..)?.split_at_mut_checked(table.len())?;
     tab.copy_from_slice(table);
     let (planes, escapes) = out.split_at_mut_checked(usize::from(k) * p)?;
     // Each word's index: the escape, turned into `t` where the high byte
@@ -430,17 +480,7 @@ fn encode_coded(block: &[[u8; 4]], out: &mut [u8], scratch: &mut Scratch) -> Opt
             *i ^= (escape ^ t) & 0u8.wrapping_sub(u8::from(h == byte));
         }
     }
-    // Row `s` of the indices sets bit `s` of the planes' bytes.
-    let index = scratch.index.get(..8 * p)?;
-    for (b, plane) in (0..k).zip(planes.chunks_exact_mut(p)) {
-        plane.fill(0);
-        for (s, row) in (0..8).zip(index.chunks_exact(p)) {
-            let (bit, at) = (1u8 << b, 1u8 << s);
-            for (o, &i) in plane.iter_mut().zip(row) {
-                *o |= at & 0u8.wrapping_sub(u8::from(i & bit != 0));
-            }
-        }
-    }
+    pack(scratch.index.get(..8 * p)?, p, 0..k, planes);
     let (stride, _) = scratch.escapes.gather(planes, p)?;
     let mut slots = escapes.iter_mut();
     let mut count = 0usize;
@@ -456,16 +496,105 @@ fn encode_coded(block: &[[u8; 4]], out: &mut [u8], scratch: &mut Scratch) -> Opt
         }
     }
     *tag = k;
-    Some(1 + 3 * w + table.len() + usize::from(k) * p + count)
+    Some(1 + widths.len() + at + table.len() + usize::from(k) * p + count)
 }
 
-/// Spreads words over four byte planes, the high byte last.
+/// The width byte of a plane of `w` bytes whose OR is `or`: its trailing
+/// zeros, or 0 where its bit planes would not be shorter than its bytes.
 #[inline(always)]
-fn split(block: &[[u8; 4]], p0: &mut [u8], p1: &mut [u8], p2: &mut [u8], high: &mut [u8]) {
+fn width(or: u8, w: usize) -> u8 {
+    let z = or.trailing_zeros() as u8;
+    if usize::from(8 - z) * w.div_ceil(8) < w {
+        z
+    } else {
+        0
+    }
+}
+
+/// Spreads words over four byte planes, the high byte last, and returns
+/// the words' OR.
+#[inline(always)]
+fn split(block: &[[u8; 4]], p0: &mut [u8], p1: &mut [u8], p2: &mut [u8], high: &mut [u8]) -> u32 {
+    let mut or = 0;
     for ((((&word, d0), d1), d2), h) in block.iter().zip(p0).zip(p1).zip(p2).zip(high) {
         let word = u32::from_le_bytes(word);
-        (*d0, *d1, *d2, *h) = (word as u8, (word >> 8) as u8, (word >> 16) as u8, (word >> 24) as u8);
+        or |= word;
+        (*d0, *d1, *d2, *h) = (
+            word as u8,
+            (word >> 8) as u8,
+            (word >> 16) as u8,
+            (word >> 24) as u8,
+        );
     }
+    or
+}
+
+/// Packs bits `bits` of the `8·p` bytes of `rows` into one `p`-byte bit
+/// plane per bit, the lowest first: bit `s` of a plane's byte `j` is its
+/// bit of row `s`'s byte `j`.
+#[inline(always)]
+fn pack(rows: &[u8], p: usize, bits: std::ops::Range<u8>, planes: &mut [u8]) {
+    for (b, plane) in bits.zip(planes.chunks_exact_mut(p)) {
+        plane.fill(0);
+        for (s, row) in (0..8).zip(rows.chunks_exact(p)) {
+            let (bit, at) = (1u8 << b, 1u8 << s);
+            for (o, &i) in plane.iter_mut().zip(row) {
+                *o |= at & 0u8.wrapping_sub(u8::from(i & bit != 0));
+            }
+        }
+    }
+}
+
+/// [`pack`]'s inverse for 64 bytes of row `s` from byte `j`: each of the
+/// `p`-byte `planes` sets its bit, from `bits`' start up, where its byte
+/// has bit `s` (no bit past the planes' end).
+#[inline(always)]
+fn unpack(planes: &[u8], p: usize, bits: std::ops::Range<u8>, s: u8, j: usize) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (bit, plane) in bits.zip(planes.chunks_exact(p)) {
+        let (at, value) = (1u8 << s, 1u8 << bit);
+        for (o, &b) in out
+            .iter_mut()
+            .zip(&lanes(plane.get(j..).unwrap_or_default()))
+        {
+            *o |= value & 0u8.wrapping_sub(u8::from(b & at != 0));
+        }
+    }
+    out
+}
+
+/// A lower byte plane of a coded block, as the decoder reads it.
+#[derive(Clone, Copy)]
+enum Plane<'a> {
+    /// One byte per word.
+    Bytes(&'a [u8]),
+    /// The bit planes of `byte >> z`, with the `z`.
+    Bits(&'a [u8], u8),
+}
+
+impl<'a> Plane<'a> {
+    /// The bytes of the words from word `s·p + j` on, at least 64 of them
+    /// unless the plane ends first: the plane's own, or 64 unpacked into
+    /// `lanes`.
+    #[inline(always)]
+    fn bytes_at(self, p: usize, s: u8, j: usize, lanes: &'a mut [u8; 64]) -> &'a [u8] {
+        match self {
+            Plane::Bytes(bytes) => bytes.get(usize::from(s) * p + j..).unwrap_or_default(),
+            Plane::Bits(planes, z) => {
+                *lanes = unpack(planes, p, z..8, s, j);
+                lanes
+            }
+        }
+    }
+}
+
+/// Whether every bit past word `w` of `p`-byte bit planes is zero, as an
+/// encoder leaves them.
+#[inline(always)]
+fn padding_clear(planes: &[u8], w: usize, p: usize) -> bool {
+    planes.chunks_exact(p).all(|plane| {
+        (w..8 * p).all(|at| plane.get(at % p).is_none_or(|&b| (b >> (at / p)) & 1 == 0))
+    })
 }
 
 /// Decodes the block at the front of `src` into `block` and returns the
@@ -487,46 +616,46 @@ fn decode_block<'a>(
     if k > MAX_WIDTH {
         return Err(CodecError::Corrupt);
     }
+    let (widths, mut src) = src.split_first_chunk::<3>().ok_or(CodecError::Truncated)?;
+    let mut low = [Plane::Bytes(&[]); 3];
+    for (plane, &z) in low.iter_mut().zip(widths) {
+        let bytes;
+        (bytes, src) = match z {
+            0 => cut(src, w)?,
+            1..=8 => cut(src, usize::from(8 - z) * p)?,
+            _ => return Err(CodecError::Corrupt),
+        };
+        *plane = match z {
+            0 => Plane::Bytes(bytes),
+            _ if padding_clear(bytes, w, p) => Plane::Bits(bytes, z),
+            _ => return Err(CodecError::Corrupt),
+        };
+    }
     let escape = (1u8 << k) - 1;
-    let (p0, src) = cut(src, w)?;
-    let (p1, src) = cut(src, w)?;
-    let (p2, src) = cut(src, w)?;
     let (table, src) = cut(src, usize::from(escape))?;
     let (planes, src) = cut(src, usize::from(k) * p)?;
-    // An encoder leaves every index bit past the block's last word zero.
-    for plane in planes.chunks_exact(p) {
-        for at in w..8 * p {
-            if plane.get(at % p).is_some_and(|&b| (b >> (at / p)) & 1 != 0) {
-                return Err(CodecError::Corrupt);
-            }
-        }
+    if !padding_clear(planes, w, p) {
+        return Err(CodecError::Corrupt);
     }
     let (stride, count) = bitmap.gather(planes, p).ok_or(CodecError::Corrupt)?;
     let (escapes, rest) = cut(src, count)?;
     // Row by row, 64 words at a time: the indices from the planes, the
-    // high bytes from the table, the escapes' over them, and the words.
+    // high bytes from the table, the escapes' over them, the lower bytes,
+    // and the words.
     let mut next = 0usize;
+    let [l0, l1, l2] = low;
     for (s, bits) in (0..8u8).zip(bitmap.rows(stride).ok_or(CodecError::Corrupt)?) {
         let start = usize::from(s) * p;
         let len = w.saturating_sub(start).min(p);
-        let (Some(words), Some(a), Some(b), Some(c)) = (
-            block.get_mut(start..start + len),
-            p0.get(start..),
-            p1.get(start..),
-            p2.get(start..),
-        ) else {
+        let Some(words) = block.get_mut(start..start + len) else {
             break;
         };
-        let chunks = words.chunks_mut(64).zip(a.chunks(64)).zip(b.chunks(64)).zip(c.chunks(64));
         // (`j` first: zipped last, it costs the loop a quarter of its speed.)
-        for (j, ((((words, a), b), c), found)) in (0..).step_by(64).zip(chunks.zip(bits.as_chunks::<8>().0)) {
-            let mut index = [0u8; 64];
-            for (bit, plane) in (0..k).zip(planes.chunks_exact(p)) {
-                let (at, value) = (1u8 << s, 1u8 << bit);
-                for (i, &o) in index.iter_mut().zip(&lanes(plane.get(j..).unwrap_or_default())) {
-                    *i |= value & 0u8.wrapping_sub(u8::from(o & at != 0));
-                }
-            }
+        for (j, (words, found)) in (0..)
+            .step_by(64)
+            .zip(words.chunks_mut(64).zip(bits.as_chunks::<8>().0))
+        {
+            let index = unpack(planes, p, 0..k, s, j);
             let mut high = [0u8; 64];
             for (t, &byte) in (0u8..).zip(table) {
                 for (h, &i) in high.iter_mut().zip(&index) {
@@ -542,6 +671,13 @@ fn decode_block<'a>(
                 next += 1;
                 found &= found - 1;
             }
+            let mut lanes = [[0u8; 64]; 3];
+            let [a, b, c] = &mut lanes;
+            let (a, b, c) = (
+                l0.bytes_at(p, s, j, a),
+                l1.bytes_at(p, s, j, b),
+                l2.bytes_at(p, s, j, c),
+            );
             merge(words, a, b, c, &high);
         }
     }
@@ -625,6 +761,29 @@ mod tests {
             .collect()
     }
 
+    /// Words whose high byte is one of `values` (uniformly) and whose byte
+    /// `i` has exactly `widths[i]` trailing zeros over every block: random
+    /// bits above them, and the lowest of them set in each block's first
+    /// word (none for a width of 8).
+    fn words_with(g: &mut Gen, words: usize, values: &[u8], widths: [u8; 3]) -> Vec<u8> {
+        let mut out: Vec<u8> = (0..words)
+            .flat_map(|_| {
+                let mut word = [0u8; 4];
+                for (b, &z) in word.iter_mut().zip(&widths) {
+                    *b = (g.u64() as u8).checked_shl(u32::from(z)).unwrap_or(0);
+                }
+                word[3] = values[g.range(0..values.len())];
+                word
+            })
+            .collect();
+        for block in out.chunks_mut(4 * BLOCK_WORDS) {
+            for (b, &z) in block.iter_mut().zip(&widths) {
+                *b |= 1u8.checked_shl(u32::from(z)).unwrap_or(0);
+            }
+        }
+        out
+    }
+
     fn round_trip(src: &[u8]) -> Option<usize> {
         let mut frame = vec![0u8; src.len()];
         let n = encode(src, &mut frame)?;
@@ -641,10 +800,22 @@ mod tests {
     struct Block {
         /// The index width; 0 for a raw block.
         k: u8,
+        /// The lower planes' width bytes.
+        widths: [u8; 3],
         table: Vec<u8>,
         escapes: usize,
+        /// Where the index planes start, from the block's tag.
+        index_at: usize,
         /// The block's bytes, tag included.
         bytes: Vec<u8>,
+    }
+
+    /// The bytes a lower plane of `w` words and width byte `z` takes.
+    fn plane_len(z: u8, w: usize) -> usize {
+        match z {
+            0 => w,
+            z => usize::from(8 - z) * w.div_ceil(8),
+        }
     }
 
     /// Walks the blocks of a frame of `raw` bytes the plain way, counting
@@ -655,21 +826,28 @@ mod tests {
         for start in (0..raw / 4).step_by(BLOCK_WORDS) {
             let w = (raw / 4 - start).min(BLOCK_WORDS);
             let (k, p) = (frame[at], w.div_ceil(8));
-            let (mut len, mut table, mut escapes) = (1 + 4 * w, Vec::new(), 0);
+            let (mut len, mut widths, mut table, mut escapes, mut index_at) =
+                (1 + 4 * w, [0; 3], Vec::new(), 0, 0);
             if k != RAW {
                 let entries = (1usize << k) - 1;
-                let t = at + 1 + 3 * w;
-                table = frame[t..t + entries].to_vec();
-                let planes = &frame[t + entries..t + entries + usize::from(k) * p];
+                widths = frame[at + 1..at + 4].try_into().unwrap();
+                let t = 4 + widths.iter().map(|&z| plane_len(z, w)).sum::<usize>();
+                table = frame[at + t..at + t + entries].to_vec();
+                index_at = t + entries;
+                let planes = &frame[at + index_at..at + index_at + usize::from(k) * p];
                 escapes = (0..w)
-                    .filter(|&i| (0..usize::from(k)).all(|b| planes[b * p + i % p] >> (i / p) & 1 == 1))
+                    .filter(|&i| {
+                        (0..usize::from(k)).all(|b| planes[b * p + i % p] >> (i / p) & 1 == 1)
+                    })
                     .count();
-                len = 1 + 3 * w + entries + usize::from(k) * p + escapes;
+                len = index_at + usize::from(k) * p + escapes;
             }
             out.push(Block {
                 k,
+                widths,
                 table,
                 escapes,
+                index_at,
                 bytes: frame[at..at + len].to_vec(),
             });
             at += len;
@@ -678,34 +856,69 @@ mod tests {
         out
     }
 
+    /// `values`, one per word, as `bits` bit planes of `⌈w/8⌉` bytes, the
+    /// plain way: word `i` is bit `i / p` of byte `i % p`.
+    fn bit_planes(values: &[u8], bits: u8) -> Vec<u8> {
+        let p = values.len().div_ceil(8);
+        let mut out = vec![0u8; usize::from(bits) * p];
+        for (i, &x) in values.iter().enumerate() {
+            for bit in 0..usize::from(bits) {
+                out[bit * p + i % p] |= (x >> bit & 1) << (i / p);
+            }
+        }
+        out
+    }
+
     /// The block format written the plain way, one word at a time: the
     /// oracle of the encoder's kernels, and a writer of blocks no encoder
     /// would pick (every word escaped).
     fn reference_block(block: &[[u8; 4]], k: u8, table: &[u8]) -> Vec<u8> {
-        let p = block.len().div_ceil(8);
+        let (w, p) = (block.len(), block.len().div_ceil(8));
         let escape = (1u8 << k) - 1;
         let index: Vec<u8> = block
             .iter()
-            .map(|word| table.iter().position(|&t| t == word[3]).map_or(escape, |i| i as u8))
+            .map(|word| {
+                table
+                    .iter()
+                    .position(|&t| t == word[3])
+                    .map_or(escape, |i| i as u8)
+            })
             .collect();
         let mut out = vec![k];
+        let mut planes = Vec::new();
         for b in 0..3 {
-            out.extend(block.iter().map(|word| word[b]));
-        }
-        out.extend_from_slice(table);
-        for bit in 0..k {
-            let mut plane = vec![0u8; p];
-            for (i, &x) in index.iter().enumerate() {
-                plane[i % p] |= (x >> bit & 1) << (i / p);
+            let bytes: Vec<u8> = block.iter().map(|word| word[b]).collect();
+            let or = bytes.iter().fold(0, |or, &x| or | x);
+            let mut z = (0..8).find(|&z| or >> z & 1 == 1).unwrap_or(8);
+            if usize::from(8 - z) * p >= w {
+                z = 0;
             }
-            out.extend(plane);
+            out.push(z);
+            if z == 0 {
+                planes.extend(bytes);
+            } else {
+                let shifted: Vec<u8> = bytes
+                    .iter()
+                    .map(|&x| x.checked_shr(u32::from(z)).unwrap_or(0))
+                    .collect();
+                planes.extend(bit_planes(&shifted, 8 - z));
+            }
         }
-        out.extend(block.iter().zip(&index).filter(|&(_, &x)| x == escape).map(|(word, _)| word[3]));
+        out.extend(planes);
+        out.extend_from_slice(table);
+        out.extend(bit_planes(&index, k));
+        out.extend(
+            block
+                .iter()
+                .zip(&index)
+                .filter(|&(_, &x)| x == escape)
+                .map(|(word, _)| word[3]),
+        );
         out
     }
 
     fn header(raw: usize) -> Vec<u8> {
-        let mut out = b"MLz2".to_vec();
+        let mut out = b"MLz3".to_vec();
         out.extend_from_slice(&(raw as u32).to_le_bytes());
         out
     }
@@ -735,8 +948,16 @@ mod tests {
     #[test]
     fn state_round_trips_across_block_boundaries_and_codes_to_seven_eighths() {
         let mut g = Gen::new(43);
-        for words in [1, 2, 3, 17, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1, 2 * BLOCK_WORDS + 3]
-        {
+        for words in [
+            1,
+            2,
+            3,
+            17,
+            BLOCK_WORDS - 1,
+            BLOCK_WORDS,
+            BLOCK_WORDS + 1,
+            2 * BLOCK_WORDS + 3,
+        ] {
             let src = state_like(&mut g, words);
             round_trip(&src);
         }
@@ -799,6 +1020,151 @@ mod tests {
         });
     }
 
+    /// Words over `2^k − 1` high bytes with the lower planes at `widths`:
+    /// every level writes and reads the portable frame, and each coded
+    /// block is the plain-way block, at the widths the planes have.
+    fn codes_at_widths_as_the_plain_way_does(g: &mut Gen, k: u8, widths: [u8; 3]) {
+        let values: Vec<u8> = (0..(1u8 << k) - 1).map(|v| 0x30 + 3 * v).collect();
+        let words = g.range(1..2 * BLOCK_WORDS + 64);
+        let src = words_with(g, words, &values, widths);
+        let what = format!("{words} words, width {k}, planes at {widths:?}");
+        let mut levels = SimdLevel::available();
+        let portable = at_level(levels.next().expect("portable is always there"), &src);
+        assert!(portable.1 == src, "{what}");
+        for level in levels {
+            assert!(
+                at_level(level, &src) == portable,
+                "{what}: {}",
+                level.name()
+            );
+        }
+        let frame = portable
+            .0
+            .unwrap_or_else(|| panic!("{what}: codes shorter"));
+        let chunks = src.as_chunks::<4>().0.chunks(BLOCK_WORDS);
+        for (block, words) in blocks(&frame, src.len()).iter().zip(chunks) {
+            let (w, p) = (words.len(), words.len().div_ceil(8));
+            if block.k == RAW {
+                assert!(w < 8, "{what}: a block of {w} words is raw");
+                continue;
+            }
+            assert!(
+                block.bytes == reference_block(words, block.k, &block.table),
+                "{what}"
+            );
+            let expected = widths.map(|z| if usize::from(8 - z) * p < w { z } else { 0 });
+            assert_eq!(block.widths, expected, "{what}: a block of {w} words");
+            if w >= SAMPLED_FROM {
+                assert_eq!(
+                    (block.k, block.escapes),
+                    (k, 0),
+                    "{what}: a block of {w} words"
+                );
+            }
+        }
+    }
+
+    /// Every lower-plane width 0..=8, on each plane alone and on all three,
+    /// beside every index width, at lengths that end mid-byte of the
+    /// planes; then random widths for each plane.
+    #[test]
+    fn every_plane_width_beside_every_index_width_codes_as_the_plain_way_does_at_every_level() {
+        let mut g = Gen::new(45);
+        for k in 1..=MAX_WIDTH {
+            for z in 0..=8u8 {
+                for plane in 0..4 {
+                    let mut widths = [z; 3];
+                    if plane < 3 {
+                        widths = [0; 3];
+                        widths[plane] = z;
+                    }
+                    codes_at_widths_as_the_plain_way_does(&mut g, k, widths);
+                }
+            }
+        }
+        cases(32, |g| {
+            let (k, widths) = (g.range(1..MAX_WIDTH + 1), [(); 3].map(|()| g.range(0..9u8)));
+            codes_at_widths_as_the_plain_way_does(g, k, widths);
+        });
+    }
+
+    /// FP16-born words (the low 13 bits zero): byte 0 costs nothing, byte
+    /// 1 three bits.
+    #[test]
+    fn fp16_born_words_keep_only_their_significant_bits() {
+        let mut g = Gen::new(8);
+        let src: Vec<u8> = (0..3 * BLOCK_WORDS)
+            .flat_map(|_| {
+                let half = crate::F16::from_f32(g.range(-1.0f32..1.0) / 64.0);
+                half.to_f32().to_le_bytes()
+            })
+            .collect();
+        let n = round_trip(&src).expect("codes shorter");
+        let mut frame = vec![0u8; src.len()];
+        encode(&src, &mut frame);
+        for block in blocks(&frame[..n], src.len()) {
+            assert_eq!(block.widths, [8, 5, 0], "{block:?}");
+        }
+        let ratio = n as f64 / src.len() as f64;
+        assert!(ratio < 0.5, "{ratio}");
+    }
+
+    /// Every truncation, and every bit flipped in a width byte, is an
+    /// error; a width past 8 is `Corrupt`, and so is a bit set past the
+    /// last word of a narrow plane.
+    #[test]
+    fn truncated_frames_and_bad_width_bytes_are_typed_errors() {
+        let mut g = Gen::new(12);
+        let src = words_with(
+            &mut g,
+            BLOCK_WORDS + 301,
+            &[0x3C, 0x3D, 0xBC, 0xBD],
+            [8, 5, 0],
+        );
+        let mut frame = vec![0u8; src.len()];
+        let n = encode(&src, &mut frame).expect("codes shorter");
+        frame.truncate(n);
+        let mut dst = vec![0u8; src.len()];
+        for cut in 0..n {
+            assert!(decode(&frame[..cut], &mut dst).is_err(), "cut at {cut}");
+        }
+        let walked = blocks(&frame, src.len());
+        let mut at = HEADER;
+        for block in &walked {
+            assert_eq!(block.widths, [8, 5, 0]);
+            for z in at + 1..at + 4 {
+                for bit in 0..8 {
+                    let mut bad = frame.clone();
+                    bad[z] ^= 1 << bit;
+                    assert!(decode(&bad, &mut dst).is_err(), "bit {bit} of byte {z}");
+                }
+                for past in 9..=u8::MAX {
+                    let mut bad = frame.clone();
+                    bad[z] = past;
+                    assert_eq!(
+                        decode(&bad, &mut dst),
+                        Err(CodecError::Corrupt),
+                        "{past} at {z}"
+                    );
+                }
+            }
+            at += block.bytes.len();
+        }
+        // The tail block is 301 words: byte 1's three bit planes of 38
+        // bytes have 3 bits past them each.
+        let tail = HEADER + walked[0].bytes.len();
+        let (w, p) = (301, 301usize.div_ceil(8));
+        for plane in 0..3 {
+            let mut pad = frame.clone();
+            pad[tail + 4 + plane * p + (w % p)] |= 1 << (w / p);
+            assert_eq!(
+                decode(&pad, &mut dst),
+                Err(CodecError::Corrupt),
+                "plane {plane}"
+            );
+        }
+    }
+
     #[test]
     fn a_block_with_every_word_escaped_decodes_beside_one_that_pays_for_it() {
         for w in [BLOCK_WORDS, 1001] {
@@ -818,7 +1184,16 @@ mod tests {
     fn lengths_that_are_not_whole_words_or_empty_stay_raw() {
         let mut dst = vec![0u8; 1 << 16];
         let state = state_like(&mut Gen::new(1), 3 * BLOCK_WORDS);
-        for len in [0, 1, 2, 3, 5, 4 * 1000 + 1, 4 * BLOCK_WORDS + 2, 12 * BLOCK_WORDS - 1] {
+        for len in [
+            0,
+            1,
+            2,
+            3,
+            5,
+            4 * 1000 + 1,
+            4 * BLOCK_WORDS + 2,
+            12 * BLOCK_WORDS - 1,
+        ] {
             assert_eq!(encode(&state[..len], &mut dst), None, "{len} bytes");
         }
         // A destination too short for the frame leaves the object raw too.
@@ -853,7 +1228,10 @@ mod tests {
         let [block] = &blocks(&frame[..n], src.len())[..] else {
             panic!("one block")
         };
-        assert!(block.k != RAW && block.escapes >= 256 - block.table.len(), "{block:?}");
+        assert!(
+            block.k != RAW && block.escapes >= 256 - block.table.len(),
+            "{block:?}"
+        );
     }
 
     #[test]
@@ -872,7 +1250,11 @@ mod tests {
         ];
         for every in [3, 1] {
             let mut src = state_like(&mut Gen::new(3), 4001);
-            for (word, &bits) in src.chunks_exact_mut(4).step_by(every).zip(specials.iter().cycle()) {
+            for (word, &bits) in src
+                .chunks_exact_mut(4)
+                .step_by(every)
+                .zip(specials.iter().cycle())
+            {
                 word.copy_from_slice(&bits.to_le_bytes());
             }
             round_trip(&src).expect("codes shorter");
@@ -935,9 +1317,11 @@ mod tests {
         }
         // An index bit past the last word (the tail block is 301 words: 5
         // bits past them in each plane) is an error.
-        let [_, last] = &walked[..] else { panic!("two blocks") };
+        let [_, last] = &walked[..] else {
+            panic!("two blocks")
+        };
         let (w, p) = (301, 301usize.div_ceil(8));
-        let planes = tail + 1 + 3 * w + last.table.len();
+        let planes = tail + last.index_at;
         let mut pad = frame.clone();
         pad[planes + (w % p)] |= 1 << (w / p);
         assert_eq!(decode(&pad, &mut dst), Err(CodecError::Corrupt));
@@ -976,7 +1360,7 @@ mod tests {
         let mut frame = vec![0u8; state.len()];
         let n = encode(&state, &mut frame).expect("codes shorter");
         frame.truncate(n);
-        for version in [b'1', b'3', 0] {
+        for version in [b'1', b'2', b'4', 0] {
             let mut other = frame.clone();
             other[3] = version;
             assert_eq!(framed_len(&other), Err(CodecError::Version(version)));

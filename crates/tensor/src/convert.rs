@@ -55,7 +55,10 @@ fn par_chunks<S: Sync, D: Send>(src: &[S], dst: &mut [D], kernel: impl Fn(&[S], 
     if src.len() < PAR_CHUNK {
         return kernel(src, dst);
     }
-    par_for_each(dst.chunks_mut(PAR_CHUNK).zip(src.chunks(PAR_CHUNK)), |(d, s)| kernel(s, d));
+    par_for_each(
+        dst.chunks_mut(PAR_CHUNK).zip(src.chunks(PAR_CHUNK)),
+        |(d, s)| kernel(s, d),
+    );
 }
 
 /// Downscales FP32 to FP16 bits with round-to-nearest-even, at the
@@ -128,7 +131,6 @@ mod tests {
         downscale_par(&par, &mut dpar);
         assert_eq!(dseq, dpar);
     }
-
 }
 
 /// Fused upscale-and-scale: `dst[i] = f32(src[i]) * scale`, the exact

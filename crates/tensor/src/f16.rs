@@ -163,8 +163,16 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
     let rebias_and_round = 0x0FFF_u32.wrapping_sub((127 - 15) << 23);
     let normal = a.wrapping_add(rebias_and_round).wrapping_add((a >> 13) & 1) >> 13;
 
-    let finite = if a < (127 - 14) << 23 { subnormal } else { normal };
-    let magnitude = if a >= (127 + 16) << 23 { inf_nan } else { finite };
+    let finite = if a < (127 - 14) << 23 {
+        subnormal
+    } else {
+        normal
+    };
+    let magnitude = if a >= (127 + 16) << 23 {
+        inf_nan
+    } else {
+        finite
+    };
     (sign | magnitude) as u16
 }
 
@@ -317,7 +325,9 @@ mod tests {
     /// signs — ±0, ±∞, quiet and signalling NaNs are all on the grid — and
     /// 2²⁰ seeded patterns.
     fn narrowing_inputs() -> Vec<u32> {
-        let mantissas = [0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF];
+        let mantissas = [
+            0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x3000, 0x7F_FFFF,
+        ];
         let mut g = Gen::new(0xF16);
         (0..=0xFFu32)
             .flat_map(|exp| mantissas.map(|man| (exp << 23) | man))
@@ -375,7 +385,12 @@ mod tests {
             );
             for (&h, (p, s)) in halves.iter().zip(plain.iter().zip(&scaled)) {
                 let want = reference_f16_bits_to_f32(h);
-                assert_eq!(p.to_bits(), want.to_bits(), "widening {h:#06x} at {}", level.name());
+                assert_eq!(
+                    p.to_bits(),
+                    want.to_bits(),
+                    "widening {h:#06x} at {}",
+                    level.name()
+                );
                 assert_eq!(
                     s.to_bits(),
                     (want * 0.37).to_bits(),
@@ -395,8 +410,11 @@ mod tests {
         const BLOCK: u32 = 1 << 16;
         crate::par_for_each(0..=0xFFu32, |top| {
             for block in (0..1u32 << 24).step_by(BLOCK as usize) {
-                let bits: Vec<u32> = (block..block + BLOCK).map(|low| (top << 24) | low).collect();
-                bits.iter().for_each(|&b| assert_narrowing_matches_reference(b));
+                let bits: Vec<u32> = (block..block + BLOCK)
+                    .map(|low| (top << 24) | low)
+                    .collect();
+                bits.iter()
+                    .for_each(|&b| assert_narrowing_matches_reference(b));
                 assert_bulk_narrowing_matches_reference(&bits);
             }
         });

@@ -27,10 +27,12 @@
 //! * [`convert`] — bulk upscale/downscale kernels: scalar and parallel
 //!   ([`par_for_each`] over [`PAR_CHUNK`]-sized chunks), plain and fused
 //!   with the loss-scale multiply the delayed-conversion path applies.
-//! * [`codec`] — a lossless codec for FP32 state at rest: each block's
+//! * [`codec`] — a lossless codec for FP32 tensors at rest: each block's
 //!   sign/exponent byte plane as 1- to 4-bit indices into its own table
-//!   (the width the block codes shortest at), the other three byte planes
-//!   raw (≈ 0.855 of raw on optimizer state).
+//!   (the width the block codes shortest at), each of the other three byte
+//!   planes at the width its block uses (≈ 0.855 of raw on optimizer
+//!   state, where they are full; ≈ 0.47 on FP32 gradients upcast from
+//!   FP16, whose low 13 bits are zero).
 //! * [`simd`] — [`at_host_width`]: the same loops instantiated per vector
 //!   width (portable, AVX2, AVX-512) and picked from what the host CPU
 //!   reports; every width computes the portable one's bits.
