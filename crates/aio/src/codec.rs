@@ -57,9 +57,10 @@ struct Rate {
 
 impl Rate {
     fn add(&self, took: Duration, bytes: usize) {
-        // relaxed-ok: monotonic rate sums; a reader mixing two updates
-        // misjudges one op's codec choice, never its bytes
-        self.nanos.fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
+        self.nanos
+            // relaxed-ok: monotonic rate sums; a reader mixing two updates
+            // misjudges one op's codec choice, never its bytes
+            .fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
         // relaxed-ok: as above
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
@@ -95,8 +96,11 @@ impl Best {
     fn add(&self, took: Duration, bytes: usize) {
         self.nanos.add(took.as_nanos() as u64);
         let per_second = bytes as u128 * 1_000_000_000 / took.as_nanos().max(1);
-        // relaxed-ok: a monotonic best, as `Rate`'s sums
-        self.fastest.fetch_max(u64::try_from(per_second).unwrap_or(u64::MAX), Ordering::Relaxed);
+        self.fastest.fetch_max(
+            u64::try_from(per_second).unwrap_or(u64::MAX),
+            // relaxed-ok: a monotonic best, as `Rate`'s sums
+            Ordering::Relaxed,
+        );
     }
 
     /// Seconds per byte, once a byte was coded.
@@ -316,8 +320,9 @@ impl CodecRates {
         self.encode.add(started.elapsed(), src.len());
         // relaxed-ok: a rate sum, see `Rate::add`
         self.coded.fetch_add(src.len() as u64, Ordering::Relaxed);
-        // relaxed-ok: as above
-        self.framed.fetch_add(framed.unwrap_or(src.len()) as u64, Ordering::Relaxed);
+        self.framed
+            // relaxed-ok: as above
+            .fetch_add(framed.unwrap_or(src.len()) as u64, Ordering::Relaxed);
         scratch.set_len(framed.unwrap_or(0));
         framed
     }
@@ -336,11 +341,19 @@ mod tests {
     fn rates(transfer_ns: u64, codec_ns: u64, ratio: f64) -> CodecRates {
         let rates = CodecRates::new(&TraceSink::disabled(), "test");
         let mib = 1 << 20;
-        rates.transfer.add(Duration::from_nanos(transfer_ns * mib as u64), mib);
-        rates.encode.add(Duration::from_nanos(codec_ns * mib as u64), mib);
-        rates.decode.add(Duration::from_nanos(codec_ns * mib as u64), mib);
+        rates
+            .transfer
+            .add(Duration::from_nanos(transfer_ns * mib as u64), mib);
+        rates
+            .encode
+            .add(Duration::from_nanos(codec_ns * mib as u64), mib);
+        rates
+            .decode
+            .add(Duration::from_nanos(codec_ns * mib as u64), mib);
         rates.coded.store(mib as u64, Ordering::SeqCst);
-        rates.framed.store((ratio * mib as f64) as u64, Ordering::SeqCst);
+        rates
+            .framed
+            .store((ratio * mib as f64) as u64, Ordering::SeqCst);
         rates
     }
 
@@ -350,7 +363,10 @@ mod tests {
         assert!(rates(20, 1, 0.875).encodes());
         assert!(!rates(20, 1, 0.95).encodes(), "too little saved");
         assert!(!rates(1, 1, 0.875).encodes(), "a fast device stays raw");
-        assert!(!CodecRates::new(&TraceSink::disabled(), "test").encodes(), "nothing measured yet");
+        assert!(
+            !CodecRates::new(&TraceSink::disabled(), "test").encodes(),
+            "nothing measured yet"
+        );
     }
 
     #[test]
@@ -365,7 +381,9 @@ mod tests {
     fn a_tier_that_stays_raw_trials_once_a_period() {
         let rates = CodecRates::new(&TraceSink::disabled(), "test");
         let mut scratch = HostBuffer::default();
-        let payload: Vec<u8> = (0..8192u32).flat_map(|i| (i as f32 * 1e-3).to_le_bytes()).collect();
+        let payload: Vec<u8> = (0..8192u32)
+            .flat_map(|i| (i as f32 * 1e-3).to_le_bytes())
+            .collect();
         let trial = rates.stage_write(&payload, &mut scratch, None);
         let Staged::Trial { prefix, .. } = trial else {
             panic!("the first write trials: {trial:?}");

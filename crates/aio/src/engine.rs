@@ -861,8 +861,11 @@ fn execute_op(
             let frame = buf.buffer_mut();
             let device = shared
                 .run_attempts(op_retries, state, salvage, || {
-                    // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
-                    codec.timed(|| backend.read_into(key, &mut frame.as_bytes_mut()[..len]), |&n| n)
+                    codec.timed(
+                        // lint:allow(transitive-panic): window in-bounds — submit_read_pooled asserts len <= buffer
+                        || backend.read_into(key, &mut frame.as_bytes_mut()[..len]),
+                        |&n| n,
+                    )
                 })
                 .map_err(failed)?;
             let n = codec
@@ -1090,7 +1093,10 @@ impl AioEngine {
     /// codec stage's frames saved.
     pub fn device_bytes(&self) -> (u64, u64) {
         let stats = &self.shared.stats;
-        (stats.device_read_bytes.get(), stats.device_write_bytes.get())
+        (
+            stats.device_read_bytes.get(),
+            stats.device_write_bytes.get(),
+        )
     }
 
     /// Transient-error re-attempts performed by the retry layer.
@@ -1630,7 +1636,9 @@ mod tests {
             buf
         };
         // First write: nothing to displace, the frame is copied in.
-        e.submit_write_pooled("k", filled(1), 64).wait_flush().unwrap();
+        e.submit_write_pooled("k", filled(1), 64)
+            .wait_flush()
+            .unwrap();
         assert_eq!(mem.touches().exchanged_frames, 0);
 
         fault.set_armed(true);
@@ -1638,12 +1646,19 @@ mod tests {
             .submit_write_pooled("k", filled(2), 64)
             .wait_flush()
             .unwrap_err();
-        assert!(err.to_string().contains("giving up after 3 attempts"), "{err}");
+        assert!(
+            err.to_string().contains("giving up after 3 attempts"),
+            "{err}"
+        );
         assert_eq!(e.retries(), 2);
         let Some(buf) = payload else {
             panic!("expected the staging buffer back");
         };
-        assert_eq!(buf.as_bytes(), &[2u8; 64], "the payload, not the old object");
+        assert_eq!(
+            buf.as_bytes(),
+            &[2u8; 64],
+            "the payload, not the old object"
+        );
         assert_eq!(mem.read("k").unwrap(), vec![1u8; 64], "old object intact");
 
         // Re-driven on a healed tier, the same buffer is exchanged.
@@ -1657,7 +1672,9 @@ mod tests {
             (1, copied)
         );
         // A window shorter than the buffer is copied, as ever.
-        e.submit_write_pooled("k", filled(3), 16).wait_flush().unwrap();
+        e.submit_write_pooled("k", filled(3), 16)
+            .wait_flush()
+            .unwrap();
         assert_eq!(mem.read("k").unwrap(), vec![3u8; 16]);
         assert_eq!(mem.touches().exchanged_frames, 1);
         // The pool still owns two buffers of its size.
@@ -2155,7 +2172,11 @@ mod tests {
             assert_eq!(&buf.as_bytes()[..8], &[2u8; 8]);
             assert_eq!(stage.tier, Some(-1), "run by the waiter that claimed it");
         });
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "only the finished read's stage ran");
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            1,
+            "only the finished read's stage ran"
+        );
         // A read that lands before anyone waits is its worker's, for its tier.
         let h = e.submit_read_finished("gated", pool.acquire(), 8, Bump::new(&runs));
         until_done(&h);

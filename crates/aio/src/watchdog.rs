@@ -104,11 +104,13 @@ fn supervise(shared: &EngineShared, rx: &Receiver<Entry>, deadline: Duration) {
     let mut queue: VecDeque<Entry> = VecDeque::new();
     loop {
         let next = match queue.front() {
-            Some(front) => match rx.recv_timeout(front.expires.saturating_duration_since(Instant::now())) {
-                Ok(entry) => Some(entry),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
+            Some(front) => {
+                match rx.recv_timeout(front.expires.saturating_duration_since(Instant::now())) {
+                    Ok(entry) => Some(entry),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
             None => match rx.recv() {
                 Ok(entry) => Some(entry),
                 Err(_) => break,

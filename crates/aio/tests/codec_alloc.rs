@@ -80,7 +80,11 @@ fn an_encoded_op_allocates_no_frame_in_steady_state() {
     let pool = PinnedPool::new(2, FRAME);
     // Every round's payloads up front: each is a frame-sized allocation.
     let payloads: Vec<Vec<Vec<u8>>> = (0..5)
-        .map(|round| (0..4).map(|k| params(10 * round + k, (round + k) as usize % 5)).collect())
+        .map(|round| {
+            (0..4)
+                .map(|k| params(10 * round + k, (round + k) as usize % 5))
+                .collect()
+        })
         .collect();
     let mut rounds = payloads.iter().cycle();
     let mut round = || {
@@ -111,12 +115,18 @@ fn an_encoded_op_allocates_no_frame_in_steady_state() {
         if (after.0 - before.0) * 10 < (after.1 - before.1) * 9 {
             break;
         }
-        assert!(started.elapsed() < Duration::from_secs(20), "the codec never turned on");
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "the codec never turned on"
+        );
     }
     round();
     let before = written(&engine);
     assert_eq!(round() + round(), 0, "frame-sized allocations");
     let after = written(&engine);
     let coded = (after.0 - before.0) as f64 / (after.1 - before.1) as f64;
-    assert!(coded < 0.9, "the counted writes went out coded: {coded:.3} of raw");
+    assert!(
+        coded < 0.9,
+        "the counted writes went out coded: {coded:.3} of raw"
+    );
 }

@@ -57,7 +57,10 @@ fn rounds(engine: &AioEngine, pool: &PinnedPool, rounds: std::ops::Range<u64>) {
         for k in 0..KEYS {
             let want = state(round * 100 + k as u64, FRAME);
             flush(engine, pool, &format!("k{k}"), &want).unwrap();
-            assert!(fetch(engine, pool, &format!("k{k}")) == want, "round {round} key {k}");
+            assert!(
+                fetch(engine, pool, &format!("k{k}")) == want,
+                "round {round} key {k}"
+            );
         }
     }
 }
@@ -83,7 +86,10 @@ fn warm_up(engine: &AioEngine, pool: &PinnedPool) -> u64 {
         if coded_since(engine, before) {
             return round + 1;
         }
-        assert!(started.elapsed() < Duration::from_secs(20), "the codec never turned on");
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "the codec never turned on"
+        );
     }
     unreachable!()
 }
@@ -103,14 +109,21 @@ fn a_slow_tier_turns_the_codec_on_and_every_read_comes_back_raw() {
     let n = warm_up(&engine, &pool);
     let before = written(&engine);
     rounds(&engine, &pool, n..n + 2);
-    assert!(coded_since(&engine, before), "{before:?} -> {:?}", written(&engine));
+    assert!(
+        coded_since(&engine, before),
+        "{before:?} -> {:?}",
+        written(&engine)
+    );
     let ((dr, dw), (lr, lw)) = (engine.device_bytes(), engine.bytes_moved());
     assert!(dw < lw && dr < lr, "device {dr}/{dw}, logical {lr}/{lw}");
     let snap = trace.metrics_snapshot();
     let registry = |m: &str| snap.counter(&format!("aio.slow.{m}"));
     assert_eq!(registry("device_read_bytes"), Some(dr));
     assert_eq!(registry("device_write_bytes"), Some(dw));
-    assert_eq!((registry("read_bytes"), registry("write_bytes")), (Some(lr), Some(lw)));
+    assert_eq!(
+        (registry("read_bytes"), registry("write_bytes")),
+        (Some(lr), Some(lw))
+    );
     assert!(
         (backend.total_bytes() as f64) < 0.9 * (KEYS * FRAME) as f64,
         "{} bytes stored for {KEYS} objects of {FRAME}",
@@ -232,8 +245,15 @@ fn a_failed_encoded_write_hands_back_the_raw_frame_untouched() {
     let asked = backend.asked.load(Ordering::SeqCst);
     assert!(asked < FRAME, "the failed write sent a {asked}-byte frame");
     let back = back.expect("a failed pooled write hands its frame back");
-    assert!(back.buffer().as_bytes() == payload, "the raw payload, untouched");
-    assert_eq!(engine.device_bytes(), before, "a failed write moved nothing");
+    assert!(
+        back.buffer().as_bytes() == payload,
+        "the raw payload, untouched"
+    );
+    assert_eq!(
+        engine.device_bytes(),
+        before,
+        "a failed write moved nothing"
+    );
 
     // Re-driven once the store heals, it lands and reads back raw.
     backend.armed.store(false, Ordering::SeqCst);

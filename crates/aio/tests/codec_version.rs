@@ -33,7 +33,9 @@ fn an_object_of_another_codec_version_fails_pooled_and_plain_reads_typed() {
     backend.write("old", &old_frame(FRAME)).unwrap();
     let engine = AioEngine::new(backend as Arc<dyn Backend>, AioConfig::deterministic());
     let pool = PinnedPool::new(1, FRAME);
-    let pooled = engine.submit_read_pooled("old", pool.acquire(), FRAME).wait_pooled();
+    let pooled = engine
+        .submit_read_pooled("old", pool.acquire(), FRAME)
+        .wait_pooled();
     refused(pooled.map(drop), "pooled read");
     refused(engine.submit_read("old").wait().map(drop), "plain read");
 }
@@ -51,7 +53,9 @@ fn encode_and_decode_time_is_metered_per_tier() {
     );
     // A memory tier stays raw, but its first write trials the codec: one
     // block encoded before the write, decoded once it has landed.
-    let state: Vec<u8> = (0..FRAME / 4).flat_map(|i| (i as f32 * 1e-3).to_le_bytes()).collect();
+    let state: Vec<u8> = (0..FRAME / 4)
+        .flat_map(|i| (i as f32 * 1e-3).to_le_bytes())
+        .collect();
     engine.submit_write("k", state.clone()).wait().unwrap();
     assert!(engine.submit_read("k").wait().unwrap() == Some(state));
     let snap = trace.metrics_snapshot();

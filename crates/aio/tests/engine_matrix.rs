@@ -91,7 +91,10 @@ fn pooled_buffers_round_trip() {
 
     let len = 10_000;
     let mut buf = pool.acquire();
-    for (i, b) in buf.buffer_mut().as_bytes_mut()[..len].iter_mut().enumerate() {
+    for (i, b) in buf.buffer_mut().as_bytes_mut()[..len]
+        .iter_mut()
+        .enumerate()
+    {
         *b = (i % 241) as u8;
     }
     let expect: Vec<u8> = buf.buffer().as_bytes()[..len].to_vec();
@@ -102,7 +105,10 @@ fn pooled_buffers_round_trip() {
         .unwrap();
 
     let dst = pool.acquire();
-    let (got, n) = engine.submit_read_pooled("k", dst, len).wait_pooled().unwrap();
+    let (got, n) = engine
+        .submit_read_pooled("k", dst, len)
+        .wait_pooled()
+        .unwrap();
     assert_eq!(n, len, "pooled read returned wrong length");
     assert_eq!(
         &got.buffer().as_bytes()[..n],
@@ -274,7 +280,11 @@ fn links_retry_and_keep_their_bytes() {
     engine.submit_write("live", vec![2; 64]).wait().unwrap();
     for pin in &pins {
         assert!(engine.contains(pin));
-        assert_eq!(engine.submit_read(pin).wait().unwrap().unwrap(), vec![1; 64], "{pin}");
+        assert_eq!(
+            engine.submit_read(pin).wait().unwrap().unwrap(),
+            vec![1; 64],
+            "{pin}"
+        );
     }
     assert!(engine.retries() > 0, "retry layer never engaged");
     let err = engine.submit_link("missing", "pin0").wait().unwrap_err();
@@ -558,9 +568,15 @@ fn breaker_admits_and_observes_every_attempt() {
         },
     );
     let pool = PinnedPool::new(1, 7);
-    engine.submit_write("k", b"draft..".to_vec()).wait().unwrap();
+    engine
+        .submit_write("k", b"draft..".to_vec())
+        .wait()
+        .unwrap();
     let mut frame = pool.acquire();
-    frame.buffer_mut().as_bytes_mut().copy_from_slice(b"payload");
+    frame
+        .buffer_mut()
+        .as_bytes_mut()
+        .copy_from_slice(b"payload");
     engine.submit_write_pooled("k", frame, 7).wait().unwrap();
     assert_eq!(engine.submit_read("k").wait().unwrap().unwrap(), b"payload");
     assert_eq!(health.state(), BreakerState::Closed);
@@ -572,11 +588,17 @@ fn breaker_admits_and_observes_every_attempt() {
 
     let err = engine.submit_write("k2", vec![1]).wait().unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
-    assert_eq!(mlp_storage::classify(&err), mlp_storage::ErrorClass::Permanent);
+    assert_eq!(
+        mlp_storage::classify(&err),
+        mlp_storage::ErrorClass::Permanent
+    );
     assert_eq!(engine.retries(), 0, "a rejection was retried");
     let rejected = health.counts().rejected;
     let mut frame = pool.acquire();
-    frame.buffer_mut().as_bytes_mut().copy_from_slice(b"frame..");
+    frame
+        .buffer_mut()
+        .as_bytes_mut()
+        .copy_from_slice(b"frame..");
     let (err, payload) = engine
         .submit_write_pooled("k2", frame, 7)
         .wait_flush()
@@ -604,7 +626,10 @@ fn salvage_ops_skip_admission() {
             ..AioConfig::deterministic()
         },
     );
-    engine.submit_write("sub0", b"copy".to_vec()).wait().unwrap();
+    engine
+        .submit_write("sub0", b"copy".to_vec())
+        .wait()
+        .unwrap();
     health.quarantine();
 
     let err = engine.submit_read("sub0").wait().unwrap_err();
@@ -637,7 +662,11 @@ fn deadline_never_fires_for_fast_ops() {
         h.wait().unwrap();
     }
     for i in 0..32 {
-        let back = engine.submit_read(&format!("k{i}")).wait().unwrap().unwrap();
+        let back = engine
+            .submit_read(&format!("k{i}"))
+            .wait()
+            .unwrap()
+            .unwrap();
         assert_eq!(back, vec![i as u8; 128]);
     }
     assert_eq!(engine.op_timeouts(), 0, "spurious timeout");

@@ -116,9 +116,7 @@ fn late_arrivals_queue_behind_existing_waiters() {
     });
     {
         let l = lock.clone();
-        wait_until(deadline, "holder 1 to enqueue", || {
-            l.waiters().contains(&1)
-        });
+        wait_until(deadline, "holder 1 to enqueue", || l.waiters().contains(&1));
     }
     // Holder 2 arrives second; it must still be queued when holder 1 is
     // granted (observed from inside holder 1's critical section).
@@ -128,9 +126,7 @@ fn late_arrivals_queue_behind_existing_waiters() {
     });
     {
         let l = lock.clone();
-        wait_until(deadline, "holder 2 to enqueue", || {
-            l.waiters().contains(&2)
-        });
+        wait_until(deadline, "holder 2 to enqueue", || l.waiters().contains(&2));
     }
 
     drop(held);

@@ -146,7 +146,11 @@ fn the_answers_callback_runs_before_the_waiter_wakes() {
         let watchdog = thread::spawn(move || s.publish_early(2, answered));
 
         assert!(slot.take_blocking().is_some());
-        assert_eq!(inflight.load(Ordering::SeqCst), 0, "woke before the callback");
+        assert_eq!(
+            inflight.load(Ordering::SeqCst),
+            0,
+            "woke before the callback"
+        );
         let _ = worker.join();
         let _ = watchdog.join();
         assert_eq!(inflight.load(Ordering::SeqCst), 0, "taken off twice");

@@ -90,7 +90,10 @@ fn three_party_contention_terminates() {
             assert_eq!(lock.owner(), None);
         },
     );
-    assert!(report.schedules > 100, "bounded search still explored broadly");
+    assert!(
+        report.schedules > 100,
+        "bounded search still explored broadly"
+    );
 }
 
 #[test]
