@@ -1,6 +1,11 @@
-//! The codec stage of a tier's I/O workers ([`mlp_tensor::codec`]): which
+//! The codec stage of a tier's engine ([`mlp_tensor::codec`]): which
 //! writes go out encoded, decided by the rule below from the tier's own
 //! measured rates, and the length rule by which every read comes back raw.
+//! It runs at an op's two edges, never on its I/O worker: the thread that
+//! submits a write encodes it, the thread that takes a read decodes it, so
+//! on a slow tier the update pass decodes, updates and encodes a frame
+//! back to back while it is hot, and a worker — a device lane on a
+//! throttled tier — only moves bytes.
 //!
 //! **The rate rule.** A write goes out encoded when the transfer time the
 //! frame saves beats the CPU time coding costs, per raw byte:
@@ -9,38 +14,38 @@
 //! transfer s/byte × (1 − frame bytes / raw bytes) > (encode + decode) s/byte
 //! ```
 //!
-//! Every rate is measured here, on this tier: the backend calls that moved
-//! bytes (their mean time over the bytes the device saw), the encodes and
-//! the decodes (their best time over raw bytes: coding is a fixed
-//! computation, and a run a preemption slowed must not turn it off).
-//! Nothing is configured. A tier whose rule says "raw" — a memory tier, a
-//! fast disk, or one that has not measured yet — runs a trial at most
-//! every [`TRIAL_EVERY`]: it encodes the first block
-//! of one write before sending it raw, and decodes that frame into the
-//! write's own buffer once the write has landed, so the codec's rates and
-//! ratio stay measured at the cost of ten blocks a second — and a trial a
-//! busy host slowed is out-run within a tenth of a second.
+//! Every rate is measured on this tier: the backend calls that moved bytes
+//! (their mean time over the bytes the device saw, on the workers), the
+//! encodes and the decodes (their best time over raw bytes, wherever they
+//! ran: coding is a fixed computation, and a run a preemption slowed must
+//! not turn it off). Nothing is configured. A tier whose rule says "raw" —
+//! a memory tier, a fast disk, or one that has not measured yet — runs a
+//! trial at most every [`TRIAL_EVERY`]: a submitter encodes the first block
+//! of one write and decodes it back, both in the scratch, and sends the
+//! write raw — ten blocks a second keep the rates and ratio measured, and
+//! a trial a busy host slowed is out-run within a tenth of a second.
 //!
 //! **The length rule.** A pooled read knows the raw length of what it
 //! fetches: an object of that length is raw, and a shorter one that starts
-//! with a frame header is decoded ([`mlp_tensor::codec::framed_len`]). A
-//! plain read does not know it and trusts the header alone. Either way the
-//! waiter gets raw bytes, whatever the tier wrote and whenever, so mixed
-//! tiers, migrations, links and restores never see a frame. A header of
-//! the codec's family in another version (an object an older build wrote)
-//! fails the read with `InvalidData` on both paths: it is neither decoded
-//! nor handed up as raw bytes.
+//! with a frame header is a frame ([`mlp_tensor::codec::framed_len`]). A
+//! plain read does not know it and trusts the header alone. The worker
+//! reads the header, the waiter decodes: it gets raw bytes whatever the
+//! tier wrote and whenever, so mixed tiers, migrations, links and restores
+//! never see a frame. A header of the codec's family in another version
+//! (an object an older build wrote) fails the read with `InvalidData`.
 //!
 //! **Meters.** The timings the rule takes are also the tier's coding time:
 //! `aio.{backend}.encode_ns` / `decode_ns` sum every encode and decode,
-//! trials included, with no clock read of their own.
+//! trials included, each a `codec_encode` / `codec_decode` span on the
+//! thread that ran it.
 
 use std::io;
 use std::time::{Duration, Instant};
 
 use mlp_sync::atomic::{AtomicU64, Ordering};
+use mlp_sync::Mutex;
 use mlp_tensor::{codec, HostBuffer};
-use mlp_trace::{Counter, TraceSink};
+use mlp_trace::{Attrs, Counter, Phase, TraceSink};
 
 /// How long a tier whose rule says "raw" waits between trials.
 const TRIAL_EVERY: Duration = Duration::from_millis(100);
@@ -79,17 +84,19 @@ impl Rate {
 /// is a fixed computation: its cost on this host is its fastest run, and a
 /// slower one was preempted or ran cold — one such run must not outvote
 /// every other and turn a paying codec off. Every run's time also adds to
-/// `nanos`, the tier's `aio.{backend}.encode_ns` / `decode_ns` meter.
+/// `nanos`, the `aio.{backend}.encode_ns` / `decode_ns` meter: a `phase` span.
 struct Best {
     fastest: AtomicU64,
     nanos: Counter,
+    phase: Phase,
 }
 
 impl Best {
-    fn new(nanos: Counter) -> Self {
+    fn new(nanos: Counter, phase: Phase) -> Self {
         Best {
             fastest: AtomicU64::new(0),
             nanos,
+            phase,
         }
     }
 
@@ -111,20 +118,9 @@ impl Best {
     }
 }
 
-/// What one write sends, as the stage left it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Staged {
-    /// The payload as it is.
-    Raw,
-    /// The payload as it is; the scratch holds a trial frame of `frame`
-    /// bytes, coding the payload's first `prefix`.
-    Trial { frame: usize, prefix: usize },
-    /// The scratch's frame of this many bytes, in place of the payload.
-    Framed(usize),
-}
-
-/// A tier's measured transfer and codec rates, shared by its workers.
-pub(crate) struct CodecRates {
+/// A tier's codec stage: its measured rates, shared by its workers,
+/// submitters and waiters, and the scratch frame coding runs through.
+pub(crate) struct CodecStage {
     /// Backend calls that moved bytes: time over the bytes the device saw.
     transfer: Rate,
     /// Encodes, over raw bytes.
@@ -138,20 +134,28 @@ pub(crate) struct CodecRates {
     born: Instant,
     /// Nanoseconds after `born` from which a trial may run.
     next_trial: AtomicU64,
+    /// Where coding spans go, stamped with the engine's tier.
+    trace: TraceSink,
+    tier: i32,
+    /// Trades allocations with the pooled frames; out while a thread codes.
+    scratch: Mutex<HostBuffer>,
 }
 
-impl CodecRates {
-    /// Rates of the tier `backend`, whose coding time `trace` meters.
-    pub(crate) fn new(trace: &TraceSink, backend: &str) -> Self {
+impl CodecStage {
+    /// The stage of tier `tier`, `backend`, whose coding `trace` meters.
+    pub(crate) fn new(trace: &TraceSink, backend: &str, tier: i32) -> Self {
         let c = |meter: &str| trace.counter(&format!("aio.{backend}.{meter}"));
-        CodecRates {
+        CodecStage {
             transfer: Rate::default(),
-            encode: Best::new(c("encode_ns")),
-            decode: Best::new(c("decode_ns")),
+            encode: Best::new(c("encode_ns"), Phase::CodecEncode),
+            decode: Best::new(c("decode_ns"), Phase::CodecDecode),
             coded: AtomicU64::new(0),
             framed: AtomicU64::new(0),
             born: Instant::now(),
             next_trial: AtomicU64::new(0),
+            trace: trace.clone(),
+            tier,
+            scratch: Mutex::new(HostBuffer::default()),
         }
     }
 
@@ -186,111 +190,90 @@ impl CodecRates {
         Ok(out)
     }
 
-    /// Stages a write of `payload`: encodes it whole into `scratch` when
-    /// the rule says so, or a trial prefix when one is due. `frame` is the
-    /// capacity of the staging frame a whole-frame write comes from: an
-    /// encoded frame gets a scratch of the same capacity, so a memory tier
-    /// exchanges it with the object it displaces as it would the frame.
-    pub(crate) fn stage_write(
+    /// A pooled write's submitter: encodes the first `len` bytes of `frame`
+    /// in their place (into the scratch, which then trades allocations with
+    /// it) when the rule says so, and returns the frame's length.
+    pub(crate) fn encode_frame(&self, frame: &mut HostBuffer, len: usize) -> Option<usize> {
+        self.with_scratch(|scratch| {
+            let payload = frame.as_bytes().get(..len).unwrap_or_default();
+            let n = self.encode(payload, scratch, Some(frame.capacity()))?;
+            let full = frame.len();
+            std::mem::swap(frame, scratch);
+            frame.set_len(full);
+            Some(n)
+        })
+    }
+
+    /// An owned write's submitter: `data`, or its frame if the rule says so.
+    pub(crate) fn encode_bytes(&self, data: Vec<u8>) -> Vec<u8> {
+        let framed = self.with_scratch(|scratch| {
+            let n = self.encode(&data, scratch, None)?;
+            scratch.as_bytes().get(..n).map(<[u8]>::to_vec)
+        });
+        framed.unwrap_or(data)
+    }
+
+    /// Encodes `payload` into `scratch` (given exactly `frame` bytes, if
+    /// set) when the rule says so, else runs a trial if one is due.
+    fn encode(
         &self,
         payload: &[u8],
         scratch: &mut HostBuffer,
         frame: Option<usize>,
-    ) -> Staged {
+    ) -> Option<usize> {
         if self.encodes() {
             let capacity = frame.unwrap_or(payload.len().max(scratch.capacity()));
-            return match self.encode_into(payload, scratch, capacity) {
-                Some(n) => Staged::Framed(n),
-                None => Staged::Raw,
-            };
+            return self.encode_into(payload, scratch, capacity);
         }
-        if !self.trial_due() {
-            return Staged::Raw;
-        }
-        let prefix = payload.get(..TRIAL_BYTES).unwrap_or(payload);
-        let capacity = prefix.len().max(scratch.capacity());
-        match self.encode_into(prefix, scratch, capacity) {
-            Some(frame) => Staged::Trial {
-                frame,
-                prefix: prefix.len(),
-            },
-            None => Staged::Raw,
-        }
-    }
-
-    /// Decodes a trial's frame into the front of `dst` — the landed
-    /// write's own payload buffer, which nobody reads again — to time it.
-    pub(crate) fn finish_trial(&self, staged: Staged, scratch: &HostBuffer, dst: &mut [u8]) {
-        let Staged::Trial { frame, prefix } = staged else {
-            return;
-        };
-        if let (Some(frame), Some(dst)) = (scratch.as_bytes().get(..frame), dst.get_mut(..prefix)) {
-            let started = Instant::now();
-            if codec::decode(frame, dst).is_ok() {
-                self.decode.add(started.elapsed(), prefix);
+        if self.trial_due() {
+            // The trial's frame, then its decode, side by side in the
+            // scratch: the payload is never touched.
+            let prefix = payload.get(..TRIAL_BYTES).unwrap_or(payload);
+            let capacity = (2 * prefix.len()).max(scratch.capacity());
+            let n = self.encode_into(prefix, scratch, capacity)?;
+            scratch.set_len(capacity);
+            let (frame, out) = scratch.as_bytes_mut().split_at_mut(prefix.len());
+            if let (Some(frame), Some(out)) = (frame.get(..n), out.get_mut(..prefix.len())) {
+                let _ = self.coding(&self.decode, prefix.len(), || codec::decode(frame, out));
             }
         }
+        None
     }
 
-    /// The length rule for a pooled read: the first `len` bytes of
-    /// `frame` are its window, and the read put `n` bytes at its front.
-    /// Returns the object's raw length: `n` for a raw object (a short one
-    /// too — its length is the caller's to check), or `len` once a frame is
-    /// decoded into the window. The frame's bytes move to `scratch` first,
-    /// by trading the two allocations (the scratch is given the frame's
-    /// capacity first if it has another), so the pool gets back a frame of
-    /// its own size and no byte is copied twice.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a frame that does not decode to the window, or one
-    /// of another codec version.
-    pub(crate) fn decode_read(
+    /// A pooled read's waiter, or a failed write's: decodes the `n`-byte
+    /// frame at the front of `frame` into its first `len` bytes, or fails
+    /// with `InvalidData`. The frame's bytes move to the scratch first by
+    /// trading allocations (the scratch takes the frame's capacity), so the
+    /// pool gets back a frame of its own size and no byte is copied twice.
+    pub(crate) fn decode_frame(
         &self,
-        key: &str,
         frame: &mut HostBuffer,
-        len: usize,
         n: usize,
-        scratch: &mut HostBuffer,
-    ) -> io::Result<usize> {
-        if n >= len {
-            return Ok(n);
-        }
-        match frame.as_bytes().get(..n).map(codec::framed_len) {
-            None | Some(Ok(None)) => return Ok(n),
-            Some(Err(e)) => return Err(undecodable(key, e)),
-            Some(Ok(Some(_))) => {}
-        }
-        let frame_len = frame.len();
-        if scratch.capacity() != frame.capacity() {
-            *scratch = HostBuffer::zeroed(frame.capacity());
-        }
-        std::mem::swap(frame, scratch);
-        frame.set_len(frame_len);
-        let src = scratch.as_bytes().get(..n).unwrap_or_default();
-        let window = frame.as_bytes_mut().get_mut(..len).unwrap_or_default();
-        let started = Instant::now();
-        codec::decode(src, window).map_err(|e| undecodable(key, e))?;
-        self.decode.add(started.elapsed(), len);
-        Ok(len)
+        len: usize,
+    ) -> io::Result<()> {
+        self.with_scratch(|scratch| {
+            let frame_len = frame.len();
+            if scratch.capacity() != frame.capacity() {
+                *scratch = HostBuffer::zeroed(frame.capacity());
+            }
+            std::mem::swap(frame, scratch);
+            frame.set_len(frame_len);
+            let src = scratch.as_bytes().get(..n).unwrap_or_default();
+            let window = frame.as_bytes_mut().get_mut(..len).unwrap_or_default();
+            self.coding(&self.decode, len, || codec::decode(src, window))
+        })
+        .map_err(undecodable)
     }
 
-    /// The length rule for a plain read, which knows no raw length: a
-    /// frame header is decoded, anything else is raw.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a frame that does not decode, or one of another
-    /// codec version.
-    pub(crate) fn decode_object(&self, key: &str, data: Vec<u8>) -> io::Result<Vec<u8>> {
-        let Some(raw) = codec::framed_len(&data).map_err(|e| undecodable(key, e))? else {
+    /// A plain read's waiter, which knows no raw length: a frame header is
+    /// decoded (or fails with `InvalidData`), anything else is raw.
+    pub(crate) fn decode_object(&self, data: Vec<u8>) -> io::Result<Vec<u8>> {
+        let Some(raw) = codec::framed_len(&data).map_err(undecodable)? else {
             return Ok(data);
         };
         let mut out = vec![0; raw];
-        let started = Instant::now();
-        codec::decode(&data, &mut out).map_err(|e| undecodable(key, e))?;
-        self.decode.add(started.elapsed(), raw);
-        Ok(out)
+        let decoded = self.coding(&self.decode, raw, || codec::decode(&data, &mut out));
+        decoded.map(|()| out).map_err(undecodable)
     }
 
     /// Claims the trial slot if it is due.
@@ -315,9 +298,9 @@ impl CodecRates {
             *scratch = HostBuffer::zeroed(capacity);
         }
         scratch.set_len(capacity);
-        let started = Instant::now();
-        let framed = codec::encode(src, scratch.as_bytes_mut());
-        self.encode.add(started.elapsed(), src.len());
+        let framed = self.coding(&self.encode, src.len(), || {
+            codec::encode(src, scratch.as_bytes_mut())
+        });
         // relaxed-ok: a rate sum, see `Rate::add`
         self.coded.fetch_add(src.len() as u64, Ordering::Relaxed);
         self.framed
@@ -326,10 +309,45 @@ impl CodecRates {
         scratch.set_len(framed.unwrap_or(0));
         framed
     }
+
+    /// Runs one encode or decode of `raw` bytes: timed into `best`, and a
+    /// span on the calling thread.
+    fn coding<T>(&self, best: &Best, raw: usize, code: impl FnOnce() -> T) -> T {
+        let (started, start_ns) = (Instant::now(), self.trace.now_ns());
+        let out = code();
+        best.add(started.elapsed(), raw);
+        let (trace, attrs) = (&self.trace, Attrs::tier_bytes(self.tier, raw as u64));
+        trace.complete_span(best.phase, attrs, start_ns, trace.now_ns());
+        out
+    }
+
+    /// Runs `f` on the scratch, taken out of its slot meanwhile: a thread
+    /// that finds it out codes through a frame of its own.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut HostBuffer) -> T) -> T {
+        let mut scratch = std::mem::take(&mut *self.scratch.lock());
+        let out = f(&mut scratch);
+        *self.scratch.lock() = scratch;
+        out
+    }
 }
 
-fn undecodable(key: &str, e: codec::CodecError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("object {key}: {e}"))
+/// The length rule on an object's header, where it lands: the raw length
+/// of `object`, longer than it for a frame, or `InvalidData` for another
+/// codec version's. An object of a pooled read's raw length (`window`) is
+/// raw.
+pub(crate) fn length_rule(key: &str, object: &[u8], window: Option<usize>) -> io::Result<usize> {
+    if window.is_some_and(|len| object.len() >= len) {
+        return Ok(object.len());
+    }
+    let refused = |e| io::Error::new(io::ErrorKind::InvalidData, format!("object {key}: {e}"));
+    Ok(codec::framed_len(object)
+        .map_err(refused)?
+        .unwrap_or(object.len()))
+}
+
+/// A frame its waiter could not decode.
+fn undecodable(e: codec::CodecError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("a read's frame: {e}"))
 }
 
 #[cfg(test)]
@@ -338,8 +356,8 @@ mod tests {
 
     /// Rates of a tier: `transfer_ns` per device byte, the codec's best
     /// `codec_ns` per raw byte each way, frames of `ratio`.
-    fn rates(transfer_ns: u64, codec_ns: u64, ratio: f64) -> CodecRates {
-        let rates = CodecRates::new(&TraceSink::disabled(), "test");
+    fn rates(transfer_ns: u64, codec_ns: u64, ratio: f64) -> CodecStage {
+        let rates = CodecStage::new(&TraceSink::disabled(), "test", -1);
         let mib = 1 << 20;
         rates
             .transfer
@@ -364,7 +382,7 @@ mod tests {
         assert!(!rates(20, 1, 0.95).encodes(), "too little saved");
         assert!(!rates(1, 1, 0.875).encodes(), "a fast device stays raw");
         assert!(
-            !CodecRates::new(&TraceSink::disabled(), "test").encodes(),
+            !CodecStage::new(&TraceSink::disabled(), "test", -1).encodes(),
             "nothing measured yet"
         );
     }
@@ -379,20 +397,23 @@ mod tests {
 
     #[test]
     fn a_tier_that_stays_raw_trials_once_a_period() {
-        let rates = CodecRates::new(&TraceSink::disabled(), "test");
+        let rates = CodecStage::new(&TraceSink::disabled(), "test", -1);
         let mut scratch = HostBuffer::default();
         let payload: Vec<u8> = (0..8192u32)
             .flat_map(|i| (i as f32 * 1e-3).to_le_bytes())
             .collect();
-        let trial = rates.stage_write(&payload, &mut scratch, None);
-        let Staged::Trial { prefix, .. } = trial else {
-            panic!("the first write trials: {trial:?}");
-        };
-        assert_eq!(prefix, TRIAL_BYTES.min(payload.len()));
-        assert_eq!(rates.stage_write(&payload, &mut scratch, None), Staged::Raw);
-        let mut landed = payload.clone();
-        rates.finish_trial(trial, &scratch, &mut landed);
-        assert!(landed == payload, "the trial decodes what it coded");
-        assert!(rates.decode.per_byte().is_some());
+        assert_eq!(rates.encode(&payload, &mut scratch, None), None, "raw");
+        let prefix = TRIAL_BYTES.min(payload.len());
+        assert!(
+            scratch.as_bytes()[prefix..2 * prefix] == payload[..prefix],
+            "the trial decodes what it coded"
+        );
+        assert!(rates.encode.per_byte().is_some() && rates.decode.per_byte().is_some());
+        scratch.as_bytes_mut().fill(0);
+        assert_eq!(rates.encode(&payload, &mut scratch, None), None);
+        assert!(
+            scratch.as_bytes().iter().all(|&b| b == 0),
+            "no second trial"
+        );
     }
 }

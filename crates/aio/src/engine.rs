@@ -16,16 +16,13 @@
 //! backend poisons the op's completion slot with an [`io::Error`] rather
 //! than leaving waiters blocked forever.
 //!
-//! Between the worker and the backend sits the codec stage (`codec.rs`,
-//! [`mlp_tensor::codec`]): a write goes out encoded when the tier's measured
-//! rates say the bytes it saves are worth the CPU, and every read comes
-//! back raw by the length rule, so nothing above this crate sees a frame.
-//!
-//! A pooled read may carry a [`Finish`] stage: work on the frame it fills,
-//! run by the worker that filled it while the bytes are in its cache, or
-//! by the waiter when it waits before the read lands ([`StageClaim`]). The
-//! stage is not I/O: the op's span, busy time and counters end with the
-//! read.
+//! The codec stage (`codec.rs`) runs at an op's edges, never on a worker:
+//! a write's submitter encodes it where the tier's rates say it pays, a
+//! read's waiter decodes it, and nothing above this crate sees a frame. A
+//! pooled read may carry a [`Finish`] stage: work on the frame it fills,
+//! run by the worker that filled it while the bytes are hot, or by the
+//! waiter ([`StageClaim`]). Neither is I/O: an op's span, busy time and
+//! counters cover its transfer.
 
 use std::any::Any;
 use std::error::Error;
@@ -42,7 +39,7 @@ use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
 use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
-use crate::codec::{CodecRates, Staged};
+use crate::codec::{length_rule, CodecStage};
 use crate::completion::{CompletionSlot, StageClaim};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
@@ -260,7 +257,8 @@ impl AioConfig {
 /// ([`OpHandle::wait_finished`]). It runs exactly once after a successful
 /// read, never after a failed one, and before the waiter sees the frame:
 /// on the worker that filled the frame, while the bytes are hot in its
-/// cache, unless the waiter claimed it first ([`StageClaim`]). A panic in
+/// cache, unless the waiter claimed it first ([`StageClaim`]) or the frame
+/// came coded — then the waiter decodes it and runs the stage. A panic in
 /// it answers the op as a lost read, and the frame returns to its pool.
 pub trait Finish: Any + Send {
     /// Finishes `frame`, whose first `len` bytes hold the object read;
@@ -282,15 +280,17 @@ fn probed_default_workers() -> usize {
 }
 
 pub(crate) enum OpKind {
-    Write(Vec<u8>),
+    /// The bytes to send (a frame, if encoded) and their raw length.
+    Write(Vec<u8>, usize),
     /// Write from a pooled staging buffer (first `len` bytes); the buffer
     /// returns to its pool when the op completes — the paper's explicit
     /// pool-based allocation for asynchronous flushes (§3.5). When `len`
     /// is the whole buffer the backend gets the frame itself
     /// ([`Backend::write_frame`]) and the pool may get back the frame of
     /// the object it displaced: same size, and a recycled buffer never
-    /// promised its contents.
-    WritePooled(PooledBuffer, usize),
+    /// promised its contents. An encoded payload's frame is its first
+    /// `framed` bytes.
+    WritePooled(PooledBuffer, usize, Option<usize>),
     Read,
     /// Read into the first `len` bytes of a pooled staging buffer via
     /// [`Backend::read_into`] — the allocation-free fetch mirroring
@@ -320,10 +320,11 @@ impl OpKind {
 pub(crate) enum OpOutput {
     /// Writes, deletes and links.
     None,
-    /// Plain reads.
+    /// Plain reads, as read: a frame until the waiter decodes it.
     Bytes(Vec<u8>),
-    /// Pooled reads: the filled staging buffer and its stage.
-    Pooled(PooledBuffer, Stage),
+    /// Pooled reads: the filled buffer, its stage, and the length of the
+    /// frame at its front when it holds one.
+    Pooled(PooledBuffer, Stage, Option<usize>),
 }
 
 /// An operation's whole outcome, the one value its slot holds: the output
@@ -359,9 +360,13 @@ pub(crate) struct Op {
 /// Completion handle for a submitted operation.
 ///
 /// Reads resolve to `Ok(Some(bytes))`, writes, deletes and links to `Ok(None)`;
-/// pooled reads resolve through [`OpHandle::wait_pooled`].
+/// pooled reads resolve through [`OpHandle::wait_pooled`]. The wait that
+/// takes a read decodes its frame.
 pub struct OpHandle {
     state: Arc<OpState>,
+    shared: Arc<EngineShared>,
+    /// An encoded pooled write's frame and raw lengths, for a hand-back.
+    framed: Option<(usize, usize)>,
 }
 
 impl OpHandle {
@@ -384,7 +389,7 @@ impl OpHandle {
     pub fn wait(self) -> io::Result<Option<Vec<u8>>> {
         match self.answer().map_err(|(e, _)| e)?.0 {
             OpOutput::None => Ok(None),
-            OpOutput::Bytes(b) => Ok(Some(b)),
+            OpOutput::Bytes(b) => self.shared.codec.decode_object(b).map(Some),
             OpOutput::Pooled(..) => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "pooled read completion requires wait_pooled",
@@ -393,9 +398,10 @@ impl OpHandle {
     }
 
     /// Blocks until a write is answered. On failure, hands back a pooled
-    /// write's staging buffer, contents intact, so the caller can keep the
-    /// dirty state and re-drive the flush — a failed flush must not
-    /// destroy the only copy of updated state.
+    /// write's staging buffer, raw payload intact (decoded back here if it
+    /// went out encoded), so the caller can keep the dirty state and
+    /// re-drive the flush — a failed flush must not destroy the only copy
+    /// of updated state.
     ///
     /// The buffer is `None` for an owned write, when the backend panicked
     /// mid-write, and when the deadline answered first
@@ -404,7 +410,19 @@ impl OpHandle {
     /// why this borrows the handle; a second call finds the answer taken
     /// and fails with [`io::ErrorKind::InvalidInput`].
     pub fn wait_flush(&self) -> FlushResult {
-        self.answer().map(drop)
+        self.settled(self.answer())
+    }
+
+    /// A write's outcome, a failed pooled write's payload raw again: a
+    /// frame its submitter encoded decodes back (or is lost, if it fails).
+    fn settled(&self, outcome: Outcome) -> FlushResult {
+        match (outcome.map(drop), self.framed) {
+            (Err((e, Some(mut buf))), Some((n, len))) => {
+                let decoded = self.shared.codec.decode_frame(buf.buffer_mut(), n, len);
+                Err(decoded.map_or_else(|lost| (lost, None), |()| (e, Some(buf))))
+            }
+            (settled, _) => settled,
+        }
     }
 
     /// Whether the deadline answered this op before its worker settled
@@ -428,7 +446,7 @@ impl OpHandle {
         let until = Instant::now() + within;
         loop {
             if let Some(outcome) = self.state.slot.take_late() {
-                return Some(outcome.map(drop));
+                return Some(self.settled(outcome));
             }
             let left = until.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -455,8 +473,9 @@ impl OpHandle {
 
     /// Blocks until a staged read completes and returns its frame, the
     /// object's length, and the [`Finish`] stage, which has run on the
-    /// frame: on its worker, or here, after the wait, if this waiter
-    /// claimed it before the read landed.
+    /// frame: on its worker, or here after the wait — when this waiter
+    /// claimed it before the read landed, or the frame came coded (and is
+    /// decoded here first).
     ///
     /// # Errors
     ///
@@ -479,7 +498,12 @@ impl OpHandle {
 
     fn pooled(&self) -> io::Result<(PooledBuffer, usize, Stage)> {
         match self.answer().map_err(|(e, _)| e)? {
-            (OpOutput::Pooled(buf, stage), len) => Ok((buf, len, stage)),
+            (OpOutput::Pooled(mut buf, stage, framed), len) => {
+                if let Some(n) = framed {
+                    self.shared.codec.decode_frame(buf.buffer_mut(), n, len)?;
+                }
+                Ok((buf, len, stage))
+            }
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "wait_pooled on a non-pooled operation",
@@ -492,6 +516,10 @@ impl OpHandle {
         self.state.slot.is_set()
     }
 }
+
+/// A pooled write [`AioEngine::stage_write`] encoded in place where the
+/// tier's rule says so, for [`AioEngine::submit_staged`].
+pub struct StagedWrite(OpKind, Option<(usize, usize)>);
 
 /// The lost read a panicking [`Finish`] stage answers its op with.
 fn stage_panicked(who: &str) -> io::Error {
@@ -578,15 +606,15 @@ pub(crate) struct EngineShared {
     /// Injected delay source for retry backoff (see
     /// [`mlp_storage::Sleeper`]); the wall clock in production.
     sleeper: Arc<dyn Sleeper>,
-    /// The tier's measured rates, which decide the codec stage.
-    codec: CodecRates,
+    /// The tier's codec stage, run by submitters and waiters.
+    codec: CodecStage,
 }
 
 impl EngineShared {
     fn new(backend: Arc<dyn Backend>, config: &AioConfig) -> Self {
         EngineShared {
             stats: Stats::new(&config.trace, backend.name()),
-            codec: CodecRates::new(&config.trace, backend.name()),
+            codec: CodecStage::new(&config.trace, backend.name(), config.trace_tier),
             backend,
             retry: config.retry.clone(),
             trace: config.trace.clone(),
@@ -597,11 +625,10 @@ impl EngineShared {
     }
 
     /// Executes one op against the backend — retry, catch-unwind
-    /// poisoning, the codec stage, stats, trace, a staged read's finish
-    /// stage, publication. The worker loop is exactly
-    /// `while let Ok(op) = rx.recv() { shared.run_op(op, &mut scratch) }`,
-    /// `scratch` being the worker's codec frame.
-    fn run_op(&self, op: Op, scratch: &mut HostBuffer) {
+    /// poisoning, stats, trace, a staged read's finish stage, publication.
+    /// The worker loop is exactly
+    /// `while let Ok(op) = rx.recv() { shared.run_op(op) }`.
+    fn run_op(&self, op: Op) {
         let t0 = Instant::now();
         let Op {
             key,
@@ -619,7 +646,7 @@ impl EngineShared {
         // buffer back to its pool on the way) and poison the completion
         // slot with an error.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_op(self, &op_retries, &state, &key, kind, salvage, scratch)
+            execute_op(self, &op_retries, &state, &key, kind, salvage)
         }))
         .unwrap_or_else(|_| {
             let e = io::Error::other(format!("I/O worker panicked while processing {key}"));
@@ -631,19 +658,20 @@ impl EngineShared {
         self.publish(&state, result);
     }
 
-    /// Runs a landed read's [`Finish`] stage on this worker, unless the
-    /// waiter claimed it first (then it runs the stage itself). A
-    /// panicking stage turns the outcome into a lost read.
+    /// Runs a landed raw read's [`Finish`] stage on this worker, unless
+    /// the waiter claimed it first (then it runs the stage itself). A
+    /// coded frame is left unclaimed: its waiter decodes it and runs the
+    /// stage. A panicking stage turns the outcome into a lost read.
     fn finish_stage(&self, claim: &StageClaim, result: Outcome) -> Outcome {
-        let Ok((OpOutput::Pooled(mut buf, Some(mut stage)), n)) = result else {
+        let Ok((OpOutput::Pooled(mut buf, Some(mut stage), None), n)) = result else {
             return result;
         };
         if !claim.worker() {
-            return Ok((OpOutput::Pooled(buf, Some(stage)), n));
+            return Ok((OpOutput::Pooled(buf, Some(stage), None), n));
         }
         let frame = buf.buffer_mut();
         match catch_unwind(AssertUnwindSafe(|| stage.finish(frame, n, self.trace_tier))) {
-            Ok(()) => Ok((OpOutput::Pooled(buf, Some(stage)), n)),
+            Ok(()) => Ok((OpOutput::Pooled(buf, Some(stage), None), n)),
             Err(_) => Err((stage_panicked("its worker"), None)),
         }
     }
@@ -694,11 +722,8 @@ impl EngineShared {
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         if self.trace.is_enabled() {
-            let attrs = Attrs {
-                tier: self.trace_tier,
-                bytes: result.as_ref().map_or(0, |&(_, n)| n as u64),
-                ..Attrs::NONE
-            };
+            let bytes = result.as_ref().map_or(0, |&(_, n)| n as u64);
+            let attrs = Attrs::tier_bytes(self.trace_tier, bytes);
             let end_ns = self.trace.now_ns();
             for _ in 0..retried {
                 self.trace.instant(Phase::AioRetry, attrs, end_ns);
@@ -759,18 +784,18 @@ impl EngineShared {
 }
 
 /// Executes one operation against the backend under the tier's failure
-/// policy ([`EngineShared::run_attempts`]), through the codec stage
-/// (`codec.rs`): a write sends the frame the stage left in the
-/// worker's `scratch` when it staged one, and a read decodes what it got.
+/// policy ([`EngineShared::run_attempts`]). It moves bytes and codes none:
+/// a write sends what its submitter staged, and a read reads only its
+/// object's header (the length rule, `codec.rs`) for the raw length its
+/// waiter decodes to.
 ///
 /// Completion counters (`reads`/`writes`/`*_bytes`) are bumped only on
 /// success; failures are the caller's to count, and re-attempts land in
 /// `op_retries` (the caller folds them into the shared stats so the
 /// trace can attribute retries to individual operations). Pooled
 /// buffers return to their pool on every path: success (write) / handed
-/// back (read, and a failed write's outcome, its payload untouched by the
-/// stage), a failed read (dropped here), and panic (dropped during
-/// unwind).
+/// back (read, and a failed write's outcome, its payload untouched), a
+/// failed read (dropped here), and panic (dropped during unwind).
 // lint:hot-root — retry/execute loop every AIO worker runs per op
 fn execute_op(
     shared: &EngineShared,
@@ -779,68 +804,45 @@ fn execute_op(
     key: &str,
     kind: OpKind,
     salvage: bool,
-    scratch: &mut HostBuffer,
 ) -> Outcome {
     let (backend, stats, codec) = (&*shared.backend, &shared.stats, &shared.codec);
     let failed = |e| (e, None);
     match kind {
-        OpKind::Write(mut data) => {
-            let staged = codec.stage_write(&data, scratch, None);
-            let device = match staged {
-                Staged::Framed(n) => n,
-                _ => data.len(),
-            };
+        OpKind::Write(data, raw) => {
             shared
                 .run_attempts(op_retries, state, salvage, || {
-                    let payload = match staged {
-                        Staged::Framed(_) => scratch.as_bytes(),
-                        _ => &data,
-                    };
-                    codec.timed(|| backend.write(key, payload), |_| device)
+                    codec.timed(|| backend.write(key, &data), |_| data.len())
                 })
                 .map_err(failed)?;
-            codec.finish_trial(staged, scratch, &mut data);
-            stats.record_write(data.len(), device);
-            Ok((OpOutput::None, data.len()))
+            stats.record_write(raw, data.len());
+            Ok((OpOutput::None, raw))
         }
-        OpKind::WritePooled(mut buf, len) => {
+        OpKind::WritePooled(mut buf, len, framed) => {
             // A write of the whole staging buffer hands the backend the
             // frame itself, which a memory-class tier exchanges for the
             // object it displaces instead of copying (a failed attempt
             // leaves the frame untouched, so a retry and the outcome
             // below still hold the payload). A shorter window is copied.
-            // An encoded payload goes the same way from the scratch, whose
-            // capacity is the frame's; the frame itself is never written.
-            let whole_frame = len == buf.buffer().len();
-            let capacity = whole_frame.then(|| buf.buffer().capacity());
-            let payload = buf.buffer().as_bytes().get(..len).unwrap_or_default();
-            let staged = codec.stage_write(payload, scratch, capacity);
-            let device = match staged {
-                Staged::Framed(n) => n,
-                _ => len,
-            };
-            match shared.run_attempts(op_retries, state, salvage, || {
-                let (frame, len) = match staged {
-                    Staged::Framed(n) => (&mut *scratch, n),
-                    _ => (buf.buffer_mut(), len),
-                };
+            // An encoded payload goes the same way, at its frame's length.
+            let frame = buf.buffer_mut();
+            let (full, device) = (frame.len(), framed.unwrap_or(len));
+            let whole_frame = len == full;
+            frame.set_len(if whole_frame { device } else { full });
+            let written = shared.run_attempts(op_retries, state, salvage, || {
                 let write = || {
                     if whole_frame {
                         backend.write_frame(key, frame)
                     } else {
-                        backend.write(key, frame.as_bytes().get(..len).unwrap_or_default())
+                        backend.write(key, frame.as_bytes().get(..device).unwrap_or_default())
                     }
                 };
                 codec.timed(write, |_| device)
-            }) {
-                Ok(()) => {
-                    codec.finish_trial(staged, scratch, buf.buffer_mut().as_bytes_mut());
-                    drop(buf); // staging buffer back to its pool
-                    stats.record_write(len, device);
-                    Ok((OpOutput::None, len))
-                }
-                Err(e) => Err((e, Some(buf))),
-            }
+            });
+            frame.set_len(full);
+            // Landed, the staging buffer goes back to its pool here.
+            written.map_err(|e| (e, Some(buf)))?;
+            stats.record_write(len, device);
+            Ok((OpOutput::None, len))
         }
         OpKind::Read => {
             let data = shared
@@ -848,10 +850,8 @@ fn execute_op(
                     codec.timed(|| backend.read(key), Vec::len)
                 })
                 .map_err(failed)?;
-            let device = data.len();
-            let data = codec.decode_object(key, data).map_err(failed)?;
-            let n = data.len();
-            stats.record_read(n, device);
+            let n = length_rule(key, &data, None).map_err(failed)?;
+            stats.record_read(n, data.len());
             Ok((OpOutput::Bytes(data), n))
         }
         OpKind::ReadPooled(mut buf, len, stage) => {
@@ -868,11 +868,13 @@ fn execute_op(
                     )
                 })
                 .map_err(failed)?;
-            let n = codec
-                .decode_read(key, frame, len, device, scratch)
-                .map_err(failed)?;
+            let object = frame.as_bytes().get(..device).unwrap_or_default();
+            let n = length_rule(key, object, Some(len)).map_err(failed)?;
             stats.record_read(n, device);
-            Ok((OpOutput::Pooled(buf, stage), n))
+            Ok((
+                OpOutput::Pooled(buf, stage, (n > device).then_some(device)),
+                n,
+            ))
         }
         OpKind::Delete => {
             shared
@@ -923,8 +925,6 @@ impl AioEngine {
             .filter_map(|i| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
-                // The worker's codec frame, sized by the ops it codes.
-                let mut scratch = HostBuffer::default();
                 thread::Builder::new()
                     .name(format!("aio-{}-{i}", shared.backend.name()))
                     .spawn(move || loop {
@@ -932,7 +932,7 @@ impl AioEngine {
                         // drops before the op runs.
                         let next = rx.lock().recv();
                         match next {
-                            Ok(op) => shared.run_op(op, &mut scratch),
+                            Ok(op) => shared.run_op(op),
                             Err(_) => break,
                         }
                     })
@@ -979,25 +979,52 @@ impl AioEngine {
             }
             None => self.shared.reject(op),
         }
-        OpHandle { state }
+        OpHandle {
+            state,
+            shared: Arc::clone(&self.shared),
+            framed: None,
+        }
     }
 
-    /// Enqueues an asynchronous write (flush) of `data` under `key`.
-    /// Blocks only if the submission queue is full.
+    /// Enqueues an asynchronous write (flush) of `data` under `key`,
+    /// encoded here first when the tier's rule says so. Blocks only if
+    /// the submission queue is full.
     pub fn submit_write(&self, key: &str, data: Vec<u8>) -> OpHandle {
-        self.submit(key, OpKind::Write(data), false)
+        let raw = data.len();
+        let data = self.shared.codec.encode_bytes(data);
+        self.submit(key, OpKind::Write(data, raw), false)
     }
 
     /// Enqueues an asynchronous write of the first `len` bytes of a
-    /// pooled staging buffer; the buffer returns to its pool on
+    /// pooled staging buffer ([`AioEngine::stage_write`], then
+    /// [`AioEngine::submit_staged`]); the buffer returns to its pool on
     /// completion.
     ///
     /// # Panics
     ///
     /// Panics if `len` exceeds the buffer's size.
     pub fn submit_write_pooled(&self, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
+        self.submit_staged(key, self.stage_write(buf, len))
+    }
+
+    /// Stages a pooled write here, encoding the first `len` bytes of `buf`
+    /// in place where the tier's rule says so: before any submission lock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the buffer's size.
+    pub fn stage_write(&self, mut buf: PooledBuffer, len: usize) -> StagedWrite {
         assert!(len <= buf.buffer().len(), "len exceeds staging buffer");
-        self.submit(key, OpKind::WritePooled(buf, len), false)
+        let n = self.shared.codec.encode_frame(buf.buffer_mut(), len);
+        StagedWrite(OpKind::WritePooled(buf, len, n), n.map(|n| (n, len)))
+    }
+
+    /// Enqueues a [`StagedWrite`] under `key`.
+    pub fn submit_staged(&self, key: &str, StagedWrite(kind, framed): StagedWrite) -> OpHandle {
+        OpHandle {
+            framed,
+            ..self.submit(key, kind, false)
+        }
     }
 
     /// Enqueues an asynchronous read (fetch) of `key`.
@@ -1125,7 +1152,8 @@ impl AioEngine {
 
     /// Cumulative worker busy time of reads and writes in seconds (sums
     /// across workers, including retry backoff); deletes and links move no
-    /// bytes and do not count.
+    /// bytes and do not count. Coding and finish stages are not in it: the
+    /// bandwidth estimator that divides bytes by it sees device time.
     pub fn busy_seconds(&self) -> f64 {
         // relaxed-ok: monotonic stats counter, read only for reporting
         self.shared.stats.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9

@@ -18,8 +18,9 @@
 //!   [`CompletionSlot`] holding the op's whole outcome.
 //! * The codec stage — a lossless frame for FP32 state
 //!   ([`mlp_tensor::codec`]) on the tiers whose measured rates make it
-//!   pay, decoded on every read; [`engine::AioEngine::device_bytes`]
-//!   counts what the backend moved.
+//!   pay, encoded by the thread that submits a write and decoded by the
+//!   one that takes a read, never on a worker;
+//!   [`engine::AioEngine::device_bytes`] counts what the backend moved.
 //! * [`engine::Finish`] — work a pooled read finishes on the frame it
 //!   filled, on the worker while the bytes are hot unless the waiter
 //!   claims it first ([`StageClaim`]).
@@ -49,5 +50,5 @@ pub mod lock;
 mod watchdog;
 
 pub use completion::{CompletionSlot, StageClaim};
-pub use engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle, RetryPolicy};
+pub use engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle, RetryPolicy, StagedWrite};
 pub use lock::ProcessExclusiveLock;

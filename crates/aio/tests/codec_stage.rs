@@ -1,11 +1,12 @@
 //! The codec stage on emulated tiers: a slow tier sends FP32 state encoded
 //! and hands every read back raw; a fast one stays raw; a checksum below
 //! the stage covers the frame; a failed encoded write hands back its raw
-//! frame.
+//! frame; and no I/O worker codes: writes are encoded as they are
+//! submitted and reads decoded as they are taken.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mlp_aio::{AioConfig, AioEngine, RetryPolicy};
@@ -263,4 +264,182 @@ fn a_failed_encoded_write_hands_back_the_raw_frame_untouched() {
         .map_err(|(e, _)| e)
         .unwrap();
     assert!(fetch(&engine, &pool, "k1") == payload);
+}
+
+/// A throttled store whose byte-moving calls wait at a gate while it is
+/// closed; a call let through after `fail` fails.
+struct Gated {
+    inner: MemBackend,
+    gate: Mutex<Gate>,
+    moved: Condvar,
+}
+
+#[derive(Default)]
+struct Gate {
+    closed: bool,
+    fail: bool,
+    /// Calls waiting at the gate.
+    held: usize,
+}
+
+impl Gated {
+    fn pass(&self) -> io::Result<()> {
+        let mut gate = self.gate.lock().unwrap();
+        gate.held += 1;
+        self.moved.notify_all();
+        while gate.closed {
+            gate = self.moved.wait(gate).unwrap();
+        }
+        gate.held -= 1;
+        if gate.fail {
+            return Err(io::Error::new(io::ErrorKind::PermissionDenied, "gate"));
+        }
+        Ok(())
+    }
+
+    fn set(&self, closed: bool, fail: bool) {
+        let mut gate = self.gate.lock().unwrap();
+        (gate.closed, gate.fail) = (closed, fail);
+        self.moved.notify_all();
+    }
+
+    /// Waits until `n` calls are held at the gate.
+    fn holding(&self, n: usize) {
+        let gate = self.gate.lock().unwrap();
+        let (gate, waited) = self
+            .moved
+            .wait_timeout_while(gate, Duration::from_secs(20), |g| g.held < n)
+            .unwrap();
+        assert!(
+            !waited.timed_out(),
+            "{} calls at the gate, not {n}",
+            gate.held
+        );
+    }
+}
+
+impl Backend for Gated {
+    fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+        self.pass()?;
+        self.inner.write(key, data)
+    }
+    fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+        self.pass()?;
+        self.inner.write_frame(key, frame)
+    }
+    fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+        self.pass()?;
+        self.inner.read(key)
+    }
+    fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+        self.pass()?;
+        self.inner.read_into(key, dst)
+    }
+    fn delete(&self, key: &str) -> io::Result<()> {
+        self.inner.delete(key)
+    }
+    fn contains(&self, key: &str) -> bool {
+        self.inner.contains(key)
+    }
+    fn name(&self) -> &str {
+        "gated"
+    }
+}
+
+/// Opens the gate when dropped, so a failed assert lets the engine's
+/// workers finish instead of hanging the test.
+struct OpenOnDrop<'a>(&'a Gated);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.set(false, false);
+    }
+}
+
+/// Polls until `done` holds; a bound on liveness, not a timing assert.
+fn until(what: &str, done: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !done() {
+        assert!(started.elapsed() < Duration::from_secs(20), "never: {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn the_io_worker_never_codes() {
+    let backend = Arc::new(Gated {
+        inner: MemBackend::throttled("slow", SLOW_BPS, SLOW_BPS),
+        gate: Mutex::default(),
+        moved: Condvar::new(),
+    });
+    let trace = TraceSink::enabled();
+    let engine = AioEngine::new(
+        Arc::clone(&backend) as Arc<dyn Backend>,
+        AioConfig {
+            workers: 1,
+            retry: RetryPolicy::none(),
+            deadline: Some(Duration::from_secs(1)),
+            trace: trace.clone(),
+            ..AioConfig::deterministic()
+        },
+    );
+    let _open = OpenOnDrop(&backend);
+    let pool = PinnedPool::new(3, FRAME);
+    warm_up(&engine, &pool);
+    let (encode_ns, decode_ns) = (
+        trace.counter("aio.gated.encode_ns"),
+        trace.counter("aio.gated.decode_ns"),
+    );
+    let filled = |payload: &[u8]| {
+        let mut buf = pool.acquire();
+        buf.buffer_mut().as_bytes_mut().copy_from_slice(payload);
+        buf
+    };
+
+    // The one worker waits at the gate with a read, so the write queues
+    // behind it: it was encoded by the time its submission returned.
+    backend.set(true, false);
+    let blocker = engine.submit_read_pooled("k1", pool.acquire(), FRAME);
+    backend.holding(1);
+    let (before, encoded) = (written(&engine), encode_ns.get());
+    let payload = state(91, FRAME);
+    let write = engine.submit_write_pooled("k0", filled(&payload), FRAME);
+    let at_submit = encode_ns.get();
+    assert!(
+        at_submit > encoded,
+        "the write was not encoded at submission"
+    );
+    backend.set(false, false);
+    drop(blocker.wait_pooled().unwrap());
+    write.wait_flush().map_err(|(e, _)| e).unwrap();
+    assert_eq!(encode_ns.get(), at_submit, "the worker encoded");
+    assert!(coded_since(&engine, before), "the write went out coded");
+
+    // The worker answers the read with the frame; its waiter decodes it.
+    let decoded = decode_ns.get();
+    let read = engine.submit_read_pooled("k0", pool.acquire(), FRAME);
+    until("the read is answered", || read.is_done());
+    assert_eq!(decode_ns.get(), decoded, "the worker decoded");
+    let (buf, n) = read.wait_pooled().unwrap();
+    assert!(decode_ns.get() > decoded, "the waiter did not decode");
+    assert!(buf.buffer().as_bytes()[..n] == payload[..]);
+    drop(buf);
+
+    // An encoded write the deadline abandons, then fails: its late
+    // settlement hands back the raw payload, not the frame.
+    backend.set(true, false);
+    let (payload, encoded) = (state(92, FRAME), encode_ns.get());
+    let write = engine.submit_write_pooled("k1", filled(&payload), FRAME);
+    assert!(encode_ns.get() > encoded, "the write was not encoded");
+    let (err, back) = write.wait_flush().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert!(write.abandoned() && back.is_none());
+    backend.set(false, true);
+    let late = write
+        .late_flush(Duration::from_secs(20))
+        .expect("the write settles");
+    let (err, back) = late.unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+    let back = back.expect("a failed pooled write hands its frame back");
+    assert!(back.buffer().as_bytes() == payload, "the raw payload");
 }

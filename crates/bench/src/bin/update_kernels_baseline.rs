@@ -10,7 +10,11 @@
 //! ```
 //!
 //! Reported per (kernel, size, path): elements/second and effective
-//! GB/s of memory traffic. The byte counts per element differ by design —
+//! GB/s of memory traffic, each from the row's fastest call — at least 10
+//! calls and 2 s of them (`codec` rows: 1,000 calls and 1 s). Every row is
+//! a fixed computation that a busy host only slows; a mean over the calls
+//! moved the 16M fused/multi-pass speedup between 1.9× and 4.5× with host
+//! load. The byte counts per element differ by design —
 //! that asymmetry *is* the optimization. Fused touches each state array
 //! once (12 B read + 12 B write), the FP16 gradients once (2 B), and the
 //! FP16 output once (2 B): 28 B/element. Multi-pass adds a materialized
@@ -44,9 +48,8 @@
 //! FP16 gradient sets, paths `encode_state` / `decode_state`) and a
 //! 512 KiB gradient object (the eager FP32 accumulators after one FP16
 //! micro-step, `encode_grad` / `decode_grad`). Elements are FP32 words and
-//! GB/s counts raw bytes; each rate is the best of at least 1,000 calls,
-//! since coding is a fixed computation that a busy host only slows, and
-//! the stderr line adds the best time per object.
+//! GB/s counts raw bytes, and the stderr line adds the best time per
+//! object.
 
 #![forbid(unsafe_code)]
 
@@ -90,34 +93,35 @@ fn grads_fp16(n: usize) -> Vec<u16> {
         .collect()
 }
 
-/// Times `run(step)` over `n` elements: one warm-up call (page-in + branch
-/// warm), then at least ~2 s and at least 10 calls (long enough to ride
-/// out scheduler noise on small shared machines). `level` is the width
-/// `run` executes at: [`SimdLevel::widest`] through a dispatching entry
-/// point.
-fn time(
+/// The best rate of `run` over `n` elements, after one warm-up call
+/// (page-in, branch warm), over at least 10 calls and 2 s of them — a
+/// `codec` row's, 1,000 calls and 1 s. Every row is a fixed computation
+/// that a busy host only slows, so its cost is its fastest call: a mean
+/// would move with the host's load. `level` is the width `run` executes
+/// at: [`SimdLevel::widest`] through a dispatching entry point.
+fn best_of(
     optimizer: &'static str,
     n: usize,
     path: &'static str,
     level: SimdLevel,
     bytes_per_elem: f64,
-    mut run: impl FnMut(u64),
+    mut run: impl FnMut(),
 ) -> Measurement {
-    let mut step = 1u64;
-    run(step);
-
-    let mut iters = 0u64;
+    run();
+    let (calls, secs) = if optimizer == "codec" {
+        (1000, 1.0)
+    } else {
+        (10, 2.0)
+    };
+    let (mut iters, mut best) = (0u64, f64::MAX);
     let start = Instant::now();
-    loop {
-        step += 1;
-        run(step);
+    while iters < calls || start.elapsed().as_secs_f64() < secs {
+        let t = Instant::now();
+        run();
+        best = best.min(t.elapsed().as_secs_f64());
         iters += 1;
-        if iters >= 10 && start.elapsed().as_secs_f64() >= 2.0 {
-            break;
-        }
     }
-    let secs = start.elapsed().as_secs_f64();
-    let elements_per_s = (n as f64 * iters as f64) / secs;
+    let elements_per_s = n as f64 / best;
     Measurement {
         optimizer,
         elements: n,
@@ -142,7 +146,9 @@ fn measure(adam: &AdamConfig, n: usize, fused: bool) -> Measurement {
     } else {
         ("multi_pass", MULTI_BYTES_PER_ELEM)
     };
-    time("adam", n, path, SimdLevel::widest(), bytes, |step| {
+    let mut step = 0u64;
+    best_of("adam", n, path, SimdLevel::widest(), bytes, || {
+        step += 1;
         if fused {
             fused_update_fp16(
                 adam,
@@ -182,29 +188,29 @@ fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
     let mut acc = GradAccumulator::new(&lens);
     let widest = SimdLevel::widest();
     vec![
-        time("convert", n, "upscale", widest, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("convert", n, "upscale", widest, SWEEP_BYTES_PER_ELEM, || {
             at_host_width(
                 #[inline(always)]
                 || convert::upscale(&half, &mut single),
             )
         }),
-        time("convert", n, "upscale_scaled", widest, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("convert", n, "upscale_scaled", widest, SWEEP_BYTES_PER_ELEM, || {
             at_host_width(
                 #[inline(always)]
                 || convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0),
             )
         }),
-        time("convert", n, "downscale", widest, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("convert", n, "downscale", widest, SWEEP_BYTES_PER_ELEM, || {
             at_host_width(
                 #[inline(always)]
                 || convert::downscale(&single, &mut half_out),
             )
         }),
-        time("accumulate", n, "store", widest, STORE_BYTES_PER_ELEM, |_| {
+        best_of("accumulate", n, "store", widest, STORE_BYTES_PER_ELEM, || {
             acc.reset();
             acc.accumulate(&micro_step);
         }),
-        time("accumulate", n, "add", widest, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("accumulate", n, "add", widest, SWEEP_BYTES_PER_ELEM, || {
             acc.accumulate(&micro_step)
         }),
     ]
@@ -222,8 +228,10 @@ fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
     let mut variance = vec![0.0f32; n];
     let mut half_out = vec![0u16; n];
     let mut summed = vec![0u16; n];
+    let mut step = 0u64;
     vec![
-        time("adam", n, "fused_chunk", level, FUSED_BYTES_PER_ELEM, |step| {
+        best_of("adam", n, "fused_chunk", level, FUSED_BYTES_PER_ELEM, || {
+            step += 1;
             level.run(
                 #[inline(always)]
                 || {
@@ -232,25 +240,25 @@ fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
                 },
             )
         }),
-        time("convert", n, "upscale_scaled", level, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("convert", n, "upscale_scaled", level, SWEEP_BYTES_PER_ELEM, || {
             level.run(
                 #[inline(always)]
                 || convert::upscale_scaled(&half, &mut params, 1.0 / 1024.0),
             )
         }),
-        time("convert", n, "downscale", level, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("convert", n, "downscale", level, SWEEP_BYTES_PER_ELEM, || {
             level.run(
                 #[inline(always)]
                 || convert::downscale(&params, &mut half_out),
             )
         }),
-        time("accumulate", n, "store", level, STORE_BYTES_PER_ELEM, |_| {
+        best_of("accumulate", n, "store", level, STORE_BYTES_PER_ELEM, || {
             level.run(
                 #[inline(always)]
                 || store_f16(&mut summed, &half),
             )
         }),
-        time("accumulate", n, "add", level, SWEEP_BYTES_PER_ELEM, |_| {
+        best_of("accumulate", n, "add", level, SWEEP_BYTES_PER_ELEM, || {
             level.run(
                 #[inline(always)]
                 || add_f16(&mut summed, &half),
@@ -319,36 +327,6 @@ fn codec_objects() -> [(&'static str, &'static str, Vec<u8>); 2] {
     ]
 }
 
-/// The best rate of at least 1,000 calls of `run` (after one warm-up) and
-/// at least one second of them.
-fn best_of(
-    n: usize,
-    path: &'static str,
-    level: SimdLevel,
-    bytes_per_elem: f64,
-    mut run: impl FnMut(),
-) -> Measurement {
-    run();
-    let (mut iters, mut best) = (0u64, f64::MAX);
-    let start = Instant::now();
-    while iters < 1000 || start.elapsed().as_secs_f64() < 1.0 {
-        let t = Instant::now();
-        run();
-        best = best.min(t.elapsed().as_secs_f64());
-        iters += 1;
-    }
-    let elements_per_s = n as f64 / best;
-    Measurement {
-        optimizer: "codec",
-        elements: n,
-        path,
-        level: level.name(),
-        elements_per_s,
-        gb_per_s: elements_per_s * bytes_per_elem / 1e9,
-        iters,
-    }
-}
-
 /// `encode_body` and `decode_body` at `level` on each of `objects`.
 fn measure_codec_at(
     level: SimdLevel,
@@ -359,13 +337,13 @@ fn measure_codec_at(
         let mut frame = vec![0u8; raw.len()];
         let len = codec::encode(raw, &mut frame).expect("the benchmark's objects code shorter");
         let mut back = vec![0u8; raw.len()];
-        rows.push(best_of(raw.len() / 4, encode, level, 4.0, || {
+        rows.push(best_of("codec", raw.len() / 4, encode, level, 4.0, || {
             level.run(
                 #[inline(always)]
                 || codec::encode_body(raw, &mut frame),
             );
         }));
-        rows.push(best_of(raw.len() / 4, decode, level, 4.0, || {
+        rows.push(best_of("codec", raw.len() / 4, decode, level, 4.0, || {
             let decoded = level.run(
                 #[inline(always)]
                 || codec::decode_body(&frame[..len], &mut back),
@@ -441,7 +419,7 @@ fn main() {
             ("store", STORE_BYTES_PER_ELEM.into()),
             ("sweep", SWEEP_BYTES_PER_ELEM.into()),
         ])),
-        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = first micro-step after an O(1) reset, add = every later one), all at simd_level, the widest vector width the host has; plus the kernel bodies on one core over one PAR_CHUNK chunk once per level the host has (fused_chunk = fused_chunk_fp16 under Adam); plus the lossless tier codec's encode and decode bodies once per level on one core, on a benchmark-shaped 1.5 MiB state object and a 512 KiB FP16-born FP32 gradient object (elements = FP32 words, GB/s of raw bytes, best of at least 1,000 calls)".into()),
+        ("description", "fused single-pass mixed-precision update vs multi-pass (upscale, step, downscale) — elements/s and effective GB/s per optimizer; plus the sequential conversion sweeps and host gradient accumulation (store = first micro-step after an O(1) reset, add = every later one), all at simd_level, the widest vector width the host has; plus the kernel bodies on one core over one PAR_CHUNK chunk once per level the host has (fused_chunk = fused_chunk_fp16 under Adam); plus the lossless tier codec's encode and decode bodies once per level on one core, on a benchmark-shaped 1.5 MiB state object and a 512 KiB FP16-born FP32 gradient object (elements = FP32 words, GB/s of raw bytes); every rate is its row's fastest call (at least 10 calls and 2 s; codec rows at least 1,000 calls and 1 s)".into()),
         ("results", results.iter().map(|m| Value::obj([
             ("elements", m.elements.into()),
             ("elements_per_s", m.elements_per_s.round().into()),

@@ -491,8 +491,8 @@ impl MlpFuncEngine {
         &self.grad_keys[idx]
     }
 
-    /// Holds `tier`'s node-level lock across a submission when "Process
-    /// Atomic R/W" is on.
+    /// Holds `tier`'s node-level lock across a submission (a flush's is
+    /// encoded before) when "Process Atomic R/W" is on.
     fn tier_guard(&self, tier: usize) -> Option<TierGuard> {
         self.cfg
             .tier_exclusive_locking
@@ -530,8 +530,8 @@ impl MlpFuncEngine {
     }
 
     fn submit_flush(&self, tier: usize, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
-        let _g = self.tier_guard(tier);
-        self.tiers[tier].engine.submit_write_pooled(key, buf, len)
+        let (write, _g) = (self.tiers[tier].engine.stage_write(buf, len), self.tier_guard(tier));
+        self.tiers[tier].engine.submit_staged(key, write)
     }
 
     /// Accumulates one backward micro-step's FP16 gradients (one slice of

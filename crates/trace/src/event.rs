@@ -47,6 +47,12 @@ pub enum Phase {
     AioDelete,
     /// An `AioEngine` link op (a checkpoint pin), submit-to-completion.
     AioLink,
+    /// The codec stage encoding a write, on the thread that submits it
+    /// (span); `bytes` are the raw bytes coded.
+    CodecEncode,
+    /// The codec stage decoding a read's frame, on the thread that takes
+    /// it (span); `bytes` are the raw bytes decoded.
+    CodecDecode,
     /// A retry re-issued by the `AioEngine` backoff policy (instant).
     AioRetry,
     /// A fault injected by `FaultInjectBackend` (instant).
@@ -101,6 +107,8 @@ pub const ALL_PHASES: &[Phase] = &[
     Phase::AioWrite,
     Phase::AioDelete,
     Phase::AioLink,
+    Phase::CodecEncode,
+    Phase::CodecDecode,
     Phase::AioRetry,
     Phase::FaultInject,
     Phase::PoolAcquire,
@@ -131,6 +139,8 @@ impl Phase {
             Phase::AioWrite => "aio_write",
             Phase::AioDelete => "aio_delete",
             Phase::AioLink => "aio_link",
+            Phase::CodecEncode => "codec_encode",
+            Phase::CodecDecode => "codec_decode",
             Phase::AioRetry => "aio_retry",
             Phase::FaultInject => "fault_inject",
             Phase::PoolAcquire => "pool_acquire",
@@ -222,6 +232,14 @@ impl Attrs {
     /// `NONE` with a byte count.
     pub fn bytes(n: u64) -> Attrs {
         Attrs { bytes: n, ..Attrs::NONE }
+    }
+
+    /// `NONE` with a storage tier and a byte count.
+    pub fn tier_bytes(tier: i32, n: u64) -> Attrs {
+        Attrs {
+            tier,
+            ..Attrs::bytes(n)
+        }
     }
 }
 
