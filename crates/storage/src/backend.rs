@@ -514,7 +514,10 @@ impl Backend for DirBackend {
         if len > dst.len() as u64 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("object {key} is {len} bytes but the destination holds {}", dst.len()),
+                format!(
+                    "object {key} is {len} bytes but the destination holds {}",
+                    dst.len()
+                ),
             ));
         }
         let len = len as usize;
@@ -648,7 +651,11 @@ mod tests {
         enter.recv().unwrap();
         std::thread::sleep(Duration::from_millis(100));
         b.write("k", &new).unwrap(); // same length, reader inside
-        assert_eq!(reader.join().unwrap(), old, "the reader's object changed under it");
+        assert_eq!(
+            reader.join().unwrap(),
+            old,
+            "the reader's object changed under it"
+        );
         assert_eq!(b.read("k").unwrap(), new);
 
         b.write("k", &old).unwrap(); // same length, nobody inside: in place
@@ -670,9 +677,17 @@ mod tests {
         let reader = b.object("k").unwrap(); // a reader, inside
         let mut frame = HostBuffer::from_slice(&new);
         b.write_frame("k", &mut frame).unwrap();
-        assert_eq!(reader.as_bytes(), old, "the reader's object changed under it");
+        assert_eq!(
+            reader.as_bytes(),
+            old,
+            "the reader's object changed under it"
+        );
         assert_eq!(b.read("k").unwrap(), new);
-        assert_eq!(b.touches().exchanged_frames, 0, "copied into a fresh object");
+        assert_eq!(
+            b.touches().exchanged_frames,
+            0,
+            "copied into a fresh object"
+        );
         assert_eq!(frame.len(), new.len());
         drop(reader);
 
@@ -699,7 +714,11 @@ mod tests {
         let b = MemBackend::new("mem");
         let mut frame = HostBuffer::from_slice(&[7u8; 96]);
         b.write_frame("new", &mut frame).unwrap();
-        assert_eq!(frame.as_bytes(), &[7u8; 96], "a copy leaves the frame alone");
+        assert_eq!(
+            frame.as_bytes(),
+            &[7u8; 96],
+            "a copy leaves the frame alone"
+        );
         assert_eq!((b.object_count(), b.total_bytes()), (1, 96));
 
         b.write("k", &[1u8; 64]).unwrap();
@@ -763,9 +782,16 @@ mod tests {
         let mut frame = HostBuffer::from_slice(&[7u8; 96]);
         b.write_frame("moved", &mut frame).unwrap();
         let after = b.touches();
-        assert_eq!(after.write_copied_bytes, before.write_copied_bytes, "copied");
+        assert_eq!(
+            after.write_copied_bytes, before.write_copied_bytes,
+            "copied"
+        );
         assert_eq!(after.exchanged_frames, before.exchanged_frames + 1);
-        assert_eq!(frame.as_bytes(), &[1u8; 96], "the frame is the deleted object's");
+        assert_eq!(
+            frame.as_bytes(),
+            &[1u8; 96],
+            "the frame is the deleted object's"
+        );
         assert_eq!(b.read("moved").unwrap(), vec![7u8; 96]);
 
         // A spare of another length serves nothing; one of the right
@@ -773,8 +799,15 @@ mod tests {
         b.delete("b").unwrap();
         let mut short = HostBuffer::from_slice(&[8u8; 32]);
         b.write_frame("short", &mut short).unwrap();
-        assert_eq!(b.touches().write_copied_bytes, after.write_copied_bytes + 32);
-        assert_eq!(short.as_bytes(), &[8u8; 32], "a copy leaves the frame alone");
+        assert_eq!(
+            b.touches().write_copied_bytes,
+            after.write_copied_bytes + 32
+        );
+        assert_eq!(
+            short.as_bytes(),
+            &[8u8; 32],
+            "a copy leaves the frame alone"
+        );
         b.write("copied", &[9u8; 96]).unwrap();
         assert_eq!(b.read("copied").unwrap(), vec![9u8; 96]);
         assert_eq!((b.object_count(), b.total_bytes()), (4, 96 * 3 + 32));
@@ -800,7 +833,11 @@ mod tests {
         let after = b.touches();
         assert_eq!(after.write_copied_bytes - before.write_copied_bytes, 96);
         assert_eq!(after.exchanged_frames, before.exchanged_frames);
-        assert_eq!(b.read("pin").unwrap(), vec![1u8; 96], "the write reached the pin");
+        assert_eq!(
+            b.read("pin").unwrap(),
+            vec![1u8; 96],
+            "the write reached the pin"
+        );
         assert_eq!(b.read("new").unwrap(), vec![2u8; 96]);
     }
 
@@ -883,7 +920,8 @@ mod tests {
                 let mut frame = HostBuffer::zeroed(LEN);
                 for i in 0..250usize {
                     frame.as_bytes_mut().fill((i % 250) as u8 + 1);
-                    b.write_frame(&format!("k{}", (i + 3) % 8), &mut frame).unwrap();
+                    b.write_frame(&format!("k{}", (i + 3) % 8), &mut frame)
+                        .unwrap();
                 }
             });
         });
@@ -912,7 +950,11 @@ mod tests {
             mem(),
             Arc::new(DirBackend::new("dir", &root).unwrap()),
             Arc::new(ChecksummedBackend::new(mem())),
-            Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
+            Arc::new(TracedBackend::new(
+                mem(),
+                0,
+                mlp_trace::TraceSink::enabled(),
+            )),
             Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),
         ];
         for b in backends {
@@ -940,17 +982,25 @@ mod tests {
     /// at the next flush.
     #[test]
     fn link_pins_the_bytes_on_every_backend() {
-        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend};
         use crate::TracedBackend;
+        use crate::{ChecksummedBackend, FaultConfig, FaultInjectBackend};
         let root = temp_root("link");
         let mem = || Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
         let backends: Vec<Arc<dyn Backend>> = vec![
             mem(),
             Arc::new(DirBackend::new("dir", root.join("a")).unwrap()),
-            Arc::new(DirBackend::new("dir", root.join("b")).unwrap().with_fsync(true)),
+            Arc::new(
+                DirBackend::new("dir", root.join("b"))
+                    .unwrap()
+                    .with_fsync(true),
+            ),
             Arc::new(Wrap(MemBackend::new("default-link"))),
             Arc::new(ChecksummedBackend::new(mem())),
-            Arc::new(TracedBackend::new(mem(), 0, mlp_trace::TraceSink::enabled())),
+            Arc::new(TracedBackend::new(
+                mem(),
+                0,
+                mlp_trace::TraceSink::enabled(),
+            )),
             Arc::new(FaultInjectBackend::new(mem(), FaultConfig::none(1))),
         ];
         for (i, b) in backends.iter().enumerate() {
@@ -958,15 +1008,27 @@ mod tests {
             b.write("pin/k", &[9; 8]).unwrap();
             b.link("live", "pin/k").unwrap(); // over an existing object
             b.write("live", &[2; 96]).unwrap();
-            assert_eq!(b.read("pin/k").unwrap(), [1; 96], "{i}: a write reached the pin");
+            assert_eq!(
+                b.read("pin/k").unwrap(),
+                [1; 96],
+                "{i}: a write reached the pin"
+            );
             b.link("live", "pin/k").unwrap();
             let mut frame = HostBuffer::from_slice(&[3; 96]);
             b.write_frame("live", &mut frame).unwrap();
-            assert_eq!(b.read("pin/k").unwrap(), [2; 96], "{i}: a frame reached the pin");
+            assert_eq!(
+                b.read("pin/k").unwrap(),
+                [2; 96],
+                "{i}: a frame reached the pin"
+            );
             assert_eq!(b.read("live").unwrap(), [3; 96], "{i}");
             let err = b.link("missing", "pin/k").unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::NotFound, "{i}");
-            assert_eq!(b.read("pin/k").unwrap(), [2; 96], "{i}: a failed link moved the pin");
+            assert_eq!(
+                b.read("pin/k").unwrap(),
+                [2; 96],
+                "{i}: a failed link moved the pin"
+            );
         }
 
         let b = MemBackend::new("mem");
@@ -986,9 +1048,20 @@ mod tests {
             let copied = t.write_copied_bytes - from.write_copied_bytes;
             (copied, t.exchanged_frames - from.exchanged_frames)
         };
-        assert_eq!(delta(flushes[0], linked), (96, 0), "the pinned frame was exchanged");
-        assert_eq!(delta(flushes[1], flushes[0]), (0, 1), "the flush after it copied");
-        assert_eq!((b.read("pin").unwrap(), b.read("live").unwrap()), (vec![1; 96], vec![3; 96]));
+        assert_eq!(
+            delta(flushes[0], linked),
+            (96, 0),
+            "the pinned frame was exchanged"
+        );
+        assert_eq!(
+            delta(flushes[1], flushes[0]),
+            (0, 1),
+            "the flush after it copied"
+        );
+        assert_eq!(
+            (b.read("pin").unwrap(), b.read("live").unwrap()),
+            (vec![1; 96], vec![3; 96])
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 

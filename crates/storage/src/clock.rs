@@ -87,7 +87,10 @@ mod tests {
         let t0 = std::time::Instant::now();
         s.sleep(Duration::from_secs(3600));
         s.sleep(Duration::from_secs(1800));
-        assert!(t0.elapsed() < Duration::from_millis(100), "fake slept for real");
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "fake slept for real"
+        );
         assert_eq!(s.sleeps(), 2);
         assert_eq!(s.total_slept(), Duration::from_secs(5400));
     }

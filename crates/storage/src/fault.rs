@@ -602,7 +602,9 @@ mod tests {
             let payload = [i; 16];
             let mut frame = HostBuffer::from_slice(&payload);
             let want = by_write.write(&key, &payload).map_err(|e| e.to_string());
-            let got = by_frame.write_frame(&key, &mut frame).map_err(|e| e.to_string());
+            let got = by_frame
+                .write_frame(&key, &mut frame)
+                .map_err(|e| e.to_string());
             assert_eq!(got, want, "attempt {i}");
             if got.is_err() {
                 fired += 1;
@@ -634,9 +636,7 @@ mod tests {
 
     #[test]
     fn latency_spike_delays_but_succeeds() {
-        let b = faulty(
-            FaultConfig::none(3).with_latency_spikes(1.0, Duration::from_millis(15)),
-        );
+        let b = faulty(FaultConfig::none(3).with_latency_spikes(1.0, Duration::from_millis(15)));
         let t0 = std::time::Instant::now();
         assert_eq!(b.read("k").unwrap().len(), 64);
         assert!(t0.elapsed() >= Duration::from_millis(10));
@@ -645,9 +645,7 @@ mod tests {
 
     #[test]
     fn writes_only_faults_leave_reads_untouched() {
-        let b = faulty(
-            FaultConfig::permanent(21, 1.0).with_ops(FaultOps::WritesOnly),
-        );
+        let b = faulty(FaultConfig::permanent(21, 1.0).with_ops(FaultOps::WritesOnly));
         for _ in 0..10 {
             assert_eq!(b.read("k").unwrap(), vec![7u8; 64]);
         }

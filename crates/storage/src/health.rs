@@ -301,10 +301,7 @@ impl TierHealth {
             }
             BreakerState::Closed | BreakerState::Open => {
                 inner.consecutive_failures = 0;
-                let violated = self
-                    .cfg
-                    .latency_slo
-                    .is_some_and(|slo| latency > slo);
+                let violated = self.cfg.latency_slo.is_some_and(|slo| latency > slo);
                 if violated {
                     inner.consecutive_slo_violations += 1;
                     inner.counts.slo_violations += 1;
@@ -382,7 +379,10 @@ impl TierHealth {
 pub fn breaker_rejection(tier: &str, state: BreakerState) -> io::Error {
     io::Error::new(
         io::ErrorKind::ConnectionRefused,
-        format!("tier {tier} circuit breaker is {}: op rejected", state.as_str()),
+        format!(
+            "tier {tier} circuit breaker is {}: op rejected",
+            state.as_str()
+        ),
     )
 }
 

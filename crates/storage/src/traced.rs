@@ -135,11 +135,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_pass_through() {
-        let b = TracedBackend::new(
-            Arc::new(MemBackend::new("mem")),
-            0,
-            TraceSink::disabled(),
-        );
+        let b = TracedBackend::new(Arc::new(MemBackend::new("mem")), 0, TraceSink::disabled());
         b.write("k", &[1, 2, 3]).unwrap();
         assert_eq!(b.read("k").unwrap(), vec![1, 2, 3]);
         assert_eq!(b.name(), "mem");
