@@ -28,10 +28,11 @@ use std::any::Any;
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
-use mlp_sync::atomic::{AtomicU64, Ordering};
+use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
@@ -40,7 +41,7 @@ use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
 use crate::codec::{length_rule, CodecStage};
-use crate::completion::{CompletionSlot, StageClaim};
+use crate::completion::{CompletionSlot, Doorbell, StageClaim};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -608,6 +609,11 @@ pub(crate) struct EngineShared {
     sleeper: Arc<dyn Sleeper>,
     /// The tier's codec stage, run by submitters and waiters.
     codec: CodecStage,
+    /// Reads submitted and not yet finished by a worker: queued or
+    /// running, an early answer notwithstanding.
+    reads_open: AtomicUsize,
+    /// Rung after every answer ([`AioEngine::ring_on_answer`]).
+    bell: OnceLock<Arc<Doorbell>>,
 }
 
 impl EngineShared {
@@ -621,6 +627,23 @@ impl EngineShared {
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
+            reads_open: AtomicUsize::new(0),
+            bell: OnceLock::new(),
+        }
+    }
+
+    /// After an op is answered: rings the attached bell, if any.
+    fn answered(&self) {
+        if let Some(bell) = self.bell.get() {
+            bell.ring();
+        }
+    }
+
+    /// An op of `phase` leaves the queue or its worker: a read leaves the
+    /// count of those queued or running.
+    fn read_closed(&self, phase: Phase) {
+        if phase == Phase::AioRead {
+            self.reads_open.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -654,8 +677,10 @@ impl EngineShared {
         });
         let retried = op_retries.load(Ordering::Acquire);
         self.record(phase, t0, span_start, retried, &result);
+        self.read_closed(phase);
         let result = self.finish_stage(&state.claim, result);
         self.publish(&state, result);
+        self.answered();
     }
 
     /// Runs a landed raw read's [`Finish`] stage on this worker, unless
@@ -764,13 +789,16 @@ impl EngineShared {
                 health.record_failure(&io::ErrorKind::TimedOut.into());
             }
         };
-        state.slot.publish_early(Err((err, None)), counted);
+        if state.slot.publish_early(Err((err, None)), counted) {
+            self.answered();
+        }
     }
 
     /// Poisons an op no worker will run: none is running (none could be
     /// spawned), or the queue closed mid-teardown. The op's payload (and
     /// any pooled staging buffer) drops here, recycling the buffer.
     fn reject(&self, op: Op) {
+        self.read_closed(op.kind.phase());
         self.stats.errors.inc();
         let e = io::Error::other(format!(
             "no I/O worker of backend {} is running to take {}",
@@ -780,6 +808,7 @@ impl EngineShared {
         op.state
             .slot
             .publish(Err((e, None)), || self.stats.inflight.sub(1));
+        self.answered();
     }
 }
 
@@ -891,6 +920,14 @@ fn execute_op(
     }
 }
 
+/// The trace lane of worker `k` of the engine of `tier`
+/// ([`mlp_trace::set_thread_lane`]): `100·(tier + 2) + k`, so tier 0's
+/// workers are 200, 201, …, tier 1's 300, …, and an untiered engine's
+/// (tier −1) 100, ….
+pub fn lane_tid(tier: i32, k: usize) -> u32 {
+    (100 * (i64::from(tier) + 2).max(1) + k as i64) as u32
+}
+
 /// A per-tier asynchronous I/O engine: [`AioConfig::workers`] threads
 /// loop over a `std::sync::mpsc::sync_channel` bounded at
 /// [`AioConfig::queue_depth`] (submission blocks when it is full). The
@@ -925,15 +962,19 @@ impl AioEngine {
             .filter_map(|i| {
                 let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
+                let lane = lane_tid(config.trace_tier, i);
                 thread::Builder::new()
                     .name(format!("aio-{}-{i}", shared.backend.name()))
-                    .spawn(move || loop {
-                        // A statement of its own, so the receiver lock
-                        // drops before the op runs.
-                        let next = rx.lock().recv();
-                        match next {
-                            Ok(op) => shared.run_op(op),
-                            Err(_) => break,
+                    .spawn(move || {
+                        mlp_trace::set_thread_lane(lane);
+                        loop {
+                            // A statement of its own, so the receiver lock
+                            // drops before the op runs.
+                            let next = rx.lock().recv();
+                            match next {
+                                Ok(op) => shared.run_op(op),
+                                Err(_) => break,
+                            }
                         }
                     })
                     .ok()
@@ -955,6 +996,9 @@ impl AioEngine {
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
         self.shared.stats.inflight.add(1);
+        if kind.phase() == Phase::AioRead {
+            self.shared.reads_open.fetch_add(1, Ordering::AcqRel);
+        }
         let state = Arc::new(OpState::default());
         let op = Op {
             key: key.to_string(),
@@ -1093,6 +1137,19 @@ impl AioEngine {
     /// retires an evacuated copy (see [`AioEngine::submit_salvage_read`]).
     pub fn submit_salvage_delete(&self, key: &str) -> OpHandle {
         self.submit(key, OpKind::Delete, true)
+    }
+
+    /// Rings `bell` after every op this engine answers from now on — by
+    /// its worker, the deadline or a rejection ([`Doorbell`]). One bell
+    /// per engine, set once: a second call leaves the first in place.
+    pub fn ring_on_answer(&self, bell: &Arc<Doorbell>) {
+        let _ = self.shared.bell.set(Arc::clone(bell));
+    }
+
+    /// Whether fewer reads are queued or running than the engine has
+    /// workers: a worker will idle unless another read is submitted.
+    pub fn idle_read_lane(&self) -> bool {
+        self.shared.reads_open.load(Ordering::Acquire) < self.workers.len()
     }
 
     /// The tier breaker this engine admits and feeds

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlp_aio::engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle};
+use mlp_aio::Doorbell;
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_optim::grads::{GradRef, HostGrads, SharedGrads};
 use mlp_optim::optimizer::grad_clip_factor;
@@ -290,6 +291,8 @@ pub struct MlpFuncEngine {
     migrations_done: u64,
     /// Durable copies evacuated off quarantined tiers so far.
     drains_done: u64,
+    /// Rung by every op the tiers answer: the update pass's one wait.
+    bell: Arc<Doorbell>,
 }
 
 impl MlpFuncEngine {
@@ -317,7 +320,7 @@ impl MlpFuncEngine {
     /// [`MlpFuncEngine::new`] for a run that has completed `iterations`
     /// update phases: its first pass runs in the next one's order.
     fn starting_at(
-        cfg: EngineConfig,
+        mut cfg: EngineConfig,
         adam: AdamConfig,
         shared_tiers: &[SharedTier],
         worker_id: usize,
@@ -327,47 +330,27 @@ impl MlpFuncEngine {
         // The tier list, the ratio and the I/O settings come from user
         // configuration (`EngineConfig::from_deepspeed_json`): reject,
         // don't panic.
-        if shared_tiers.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the engine needs at least one storage tier",
-            ));
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        let ntiers = shared_tiers.len();
+        if ntiers == 0 {
+            return invalid("the engine needs at least one storage tier".into());
         }
-        if let Some((ti, t)) = shared_tiers
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.aio.workers == 0)
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "tier {ti} (backend {}) has no I/O workers",
-                    t.backend.name()
-                ),
-            ));
+        if let Some((ti, t)) = (shared_tiers.iter().enumerate()).find(|(_, t)| t.aio.workers == 0) {
+            return invalid(format!("tier {ti} (backend {}) has no I/O workers", t.backend.name()));
         }
-        if let Some(ratio) = cfg
-            .tier_ratio
-            .as_ref()
-            .filter(|r| r.len() != shared_tiers.len())
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "tier ratio has {} components for {} tiers",
-                    ratio.len(),
-                    shared_tiers.len()
-                ),
-            ));
+        let ratio = cfg.tier_ratio.as_ref().map_or(ntiers, Vec::len);
+        if ratio != ntiers {
+            return invalid(format!("tier ratio has {ratio} components for {ntiers} tiers"));
         }
-        // With an enabled sink, each tier's I/O engine stamps its spans
-        // with the tier index and the backend is wrapped so the storage
-        // medium itself contributes tier_read/tier_write spans (the
-        // per-tier bandwidth summary's input). A tier whose own
-        // `aio.trace` is already enabled was instrumented by the caller
-        // and is left alone (a second wrapper would double every span).
-        // Disabled, the construction is untouched — no wrapper, no per-op
-        // tracing work.
+        // With an enabled sink, every event lands on this worker's track,
+        // each tier's I/O engine stamps its spans with the tier index, and
+        // the backend is wrapped so the storage medium contributes
+        // tier_read/tier_write spans (the per-tier bandwidth summary's
+        // input). A tier whose own `aio.trace` is already enabled was
+        // instrumented by the caller and is left alone (a second wrapper
+        // would double every span). Disabled, the construction is
+        // untouched — no wrapper, no per-op tracing work.
+        cfg.trace = cfg.trace.for_process(worker_id as u32);
         let trace = cfg.trace.clone();
         let tiers: Vec<TierRt> = shared_tiers
             .iter()
@@ -422,8 +405,10 @@ impl MlpFuncEngine {
         let state_pool =
             PinnedPool::new_traced(pool_capacity, buffer_bytes, "state", cfg.trace.clone());
 
-        let ntiers = tiers.len();
+        let bell = Arc::new(Doorbell::new());
+        tiers.iter().for_each(|t| t.engine.ring_on_answer(&bell));
         Ok(MlpFuncEngine {
+            bell,
             state_pool,
             grads: HostGrads::new(&subgroup_lens, !cfg.skip_gradient_offload),
             born: initial.into_iter().map(Some).collect(),
@@ -1042,6 +1027,30 @@ impl MlpFuncEngine {
         Ok(())
     }
 
+    /// Waits for the window's head load — while the plan's next load
+    /// waits only for a buffer, on a tier with a lane about to idle — as
+    /// one wait that ends on either event: a flush that lands first hands
+    /// its buffer to that load at once. Any other wait is the head's own.
+    fn refill(&mut self, due: usize, run: &mut PassRun) -> io::Result<()> {
+        let per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
+        while let Some((_, Staged::Fetch(head, _) | Staged::Update(head))) = run.pending.front() {
+            let next = self.pass.steps.get(run.load);
+            let Some(&Step::Load { load: Load::Fetch { tier, after }, .. }) = next else { break };
+            if after.is_some_and(|e| e >= run.evict) {
+                break;
+            }
+            let (pool, lane) = (&self.state_pool, &self.tiers[tier].engine);
+            let free = || pool.capacity().saturating_sub(pool.outstanding()) >= per_fetch;
+            self.bell.wait_until(|| head.is_done() || free() && lane.idle_read_lane());
+            let issued = run.load;
+            self.top_up(due, run)?;
+            if run.load == issued {
+                break;
+            }
+        }
+        Ok(())
+    }
+
     /// The zero-copy update loop: pooled reads fetch serialized state
     /// straight into recycled staging buffers, the fused kernel (unscale,
     /// moment update, step and FP16 emission in one sweep) mutates them
@@ -1065,18 +1074,15 @@ impl MlpFuncEngine {
             }
             let Step::Update { .. } = step else { continue };
             self.top_up(at, run)?;
+            self.refill(at, run)?;
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
             // remaining one has moved its bytes. Finished deletes go too.
-            while run.flushes.front().is_some_and(|(.., h)| h.is_done()) {
-                if let Some(flush) = run.flushes.pop_front() {
-                    self.settle_flush(flush, None, &mut run.deletes)?;
-                }
+            while let Some(flush) = run.flushes.pop_front_if(|(.., h)| h.is_done()) {
+                self.settle_flush(flush, None, &mut run.deletes)?;
             }
-            while run.deletes.front().is_some_and(|(.., h)| h.is_done()) {
-                if let Some((s, t, delete)) = run.deletes.pop_front() {
-                    self.settle_delete(s, t, delete);
-                }
+            while let Some((s, t, delete)) = run.deletes.pop_front_if(|(.., h)| h.is_done()) {
+                self.settle_delete(s, t, delete);
             }
 
             let Some((idx, staged)) = run.pending.pop_front() else {
@@ -1153,11 +1159,8 @@ impl MlpFuncEngine {
     /// high-water mark — the proof that state buffers are recycled rather
     /// than reallocated per subgroup.
     pub fn state_pool_stats(&self) -> (u64, usize, usize) {
-        (
-            self.state_pool.acquires(),
-            self.state_pool.high_water(),
-            self.state_pool.capacity(),
-        )
+        let pool = &self.state_pool;
+        (pool.acquires(), pool.high_water(), pool.capacity())
     }
 
     /// Staging buffers currently checked out of the state pool. In steady
@@ -1306,12 +1309,8 @@ impl MlpFuncEngine {
                         *g = None;
                     }
                 }
-                let attrs = Attrs {
-                    tier: t as i32,
-                    ..Attrs::NONE
-                };
                 let trace = &self.cfg.trace;
-                trace.instant(Phase::Quarantine, attrs, trace.now_ns());
+                trace.instant(Phase::Quarantine, Attrs::tier_bytes(t as i32, 0), trace.now_ns());
             }
         }
         let surviving = self.ledger.planner.surviving_tiers();
@@ -2946,6 +2945,154 @@ mod tests {
             "{high_water} buffers out of a pool of {capacity}"
         );
         assert_eq!(baseline.state_pool_outstanding(), 0);
+    }
+
+    /// Holds the `nth` read of an armed pass at its backend until `then`
+    /// reads after it have started there, or until `patience` runs out.
+    struct HeadGate {
+        /// `(armed, reads started)`.
+        seen: std::sync::Mutex<(bool, usize)>,
+        moved: std::sync::Condvar,
+        nth: usize,
+        then: usize,
+        patience: Duration,
+        ran_out: std::sync::atomic::AtomicBool,
+    }
+
+    impl HeadGate {
+        fn reading(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            if !seen.0 {
+                return;
+            }
+            seen.1 += 1;
+            self.moved.notify_all();
+            if seen.1 != self.nth {
+                return;
+            }
+            let until = self.nth + self.then;
+            let (seen, waited) = (self.moved)
+                .wait_timeout_while(seen, self.patience, |seen| seen.1 < until)
+                .unwrap();
+            drop(seen);
+            if waited.timed_out() {
+                self.ran_out
+                    .store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// A throttled memory tier whose reads pass a [`HeadGate`].
+    struct HeadGated {
+        inner: MemBackend,
+        gate: Arc<HeadGate>,
+    }
+
+    impl Backend for HeadGated {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            self.inner.write(key, data)
+        }
+        fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
+            self.inner.write_frame(key, frame)
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.gate.reading();
+            self.inner.read(key)
+        }
+        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+            self.gate.reading();
+            self.inner.read_into(key, dst)
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// A flush that lands while the pass waits for its window's head
+    /// load hands its buffer to the plan's next load at once. Writes are
+    /// 16× slower than reads, so mid-pass the window sits at its floor
+    /// with the next load waiting for a buffer. The gate holds the
+    /// steady-state pass's fifth read until the reads of the rest of the
+    /// window and the next load have started: an engine that issues that
+    /// load only once the held read is taken waits out the patience.
+    #[test]
+    fn a_landed_flush_issues_the_next_load_while_the_head_is_held() {
+        use crate::policy::cache::MIN_PIPELINE_FRAMES;
+        const SHARD: usize = 16;
+        let adam = AdamConfig::default();
+        let gate = Arc::new(HeadGate {
+            seen: std::sync::Mutex::new((false, 0)),
+            moved: std::sync::Condvar::new(),
+            nth: 5,
+            then: MIN_PIPELINE_FRAMES,
+            patience: Duration::from_secs(10),
+            ran_out: false.into(),
+        });
+        // 768-byte subgroups: 1.5 ms a read, 24 ms a write.
+        let inner = MemBackend::throttled("slow", 512e3, 32e3);
+        let gate_of = Arc::clone(&gate);
+        let backend: Arc<dyn Backend> = Arc::new(HeadGated { inner, gate: gate_of });
+        let tiers = vec![SharedTier::new(backend, 1.0).with_aio(AioConfig::deterministic())];
+        let cfg = EngineConfig::mlp_offload().with_host_frames(SHARD / 4);
+        let mut engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(SHARD, 64)).unwrap();
+        for it in 0..3 {
+            engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+            engine.update().unwrap();
+        }
+        engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
+        gate.seen.lock().unwrap().0 = true;
+        let outcome = engine.update().unwrap();
+        assert_eq!((outcome.cache_hits, outcome.fetches), (SHARD / 4, SHARD - SHARD / 4));
+        assert!(
+            !gate.ran_out.load(std::sync::atomic::Ordering::SeqCst),
+            "the next load was not issued within {:?} of the held read",
+            gate.patience
+        );
+        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+    }
+
+    /// Every span carries the thread that ran it: the engine's worker id
+    /// as `pid`, one `tid` for the thread driving it, and one per I/O
+    /// worker of each tier.
+    #[test]
+    fn traced_spans_carry_the_worker_and_the_thread_that_ran_them() {
+        const SHARD: usize = 16;
+        let trace = mlp_trace::TraceSink::enabled();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(SHARD / 4)
+            .with_tier_ratio(vec![1.0, 1.0])
+            .with_trace(trace.clone());
+        let tiers: Vec<SharedTier> = (0..2)
+            .map(|i| {
+                let medium = MemBackend::throttled(format!("slow{i}"), 1e6, 1e6);
+                SharedTier::new(Arc::new(medium), 1.0).with_aio(AioConfig::deterministic())
+            })
+            .collect();
+        let adam = AdamConfig::default();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &tiers, 3, init_states(SHARD, 64)).unwrap();
+        for it in 0..4 {
+            engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+            engine.update().unwrap();
+        }
+        let events = trace.events();
+        assert!(events.iter().all(|e| e.pid == 3), "an event off worker 3's track");
+        let update = events.iter().find(|e| e.phase == Phase::Update).unwrap();
+        assert_eq!(update.tid, mlp_trace::DRIVER_TID);
+        for tier in 0..2 {
+            let lanes: std::collections::BTreeSet<u32> = (events.iter())
+                .filter(|e| e.tier == tier && matches!(e.phase, Phase::AioRead | Phase::AioWrite))
+                .map(|e| e.tid)
+                .collect();
+            let want = [0, 1].map(|k| mlp_aio::engine::lane_tid(tier, k));
+            assert_eq!(lanes, want.into(), "tier {tier}'s I/O lanes");
+            assert!(!lanes.contains(&update.tid));
+        }
     }
 
     /// With "Process Atomic R/W" off no tier op takes a node lock, the

@@ -35,7 +35,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mlp_sync::Mutex;
 use mlp_tensor::HostBuffer;
@@ -201,8 +201,10 @@ impl MemBackend {
         Self::with_throttle(name.into(), None, None)
     }
 
-    /// Throttled backend: reads/writes sleep `bytes / bps`. Use to model a
-    /// slow NVMe or PFS in functional tests.
+    /// Throttled backend: each read or write takes `bytes / bps`, its copy
+    /// or frame exchange inside that time (the call sleeps out what the
+    /// copy left of it), and never less. Use to model a slow NVMe or PFS
+    /// in functional tests.
     pub fn throttled(name: impl Into<String>, read_bps: f64, write_bps: f64) -> Self {
         assert!(
             read_bps > 0.0 && write_bps > 0.0,
@@ -242,18 +244,21 @@ impl MemBackend {
         }
     }
 
-    fn throttle(bps: Option<f64>, bytes: usize) {
+    /// Sleeps out what is left of `bytes / bps` since the call `started`:
+    /// the copy runs inside the modelled time, not on top of it.
+    fn throttle(bps: Option<f64>, bytes: usize, started: Instant) {
         if let Some(bps) = bps {
-            let secs = bytes as f64 / bps;
-            if secs > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(secs));
+            let modelled = Duration::from_secs_f64(bytes as f64 / bps);
+            let left = modelled.saturating_sub(started.elapsed());
+            if !left.is_zero() {
+                std::thread::sleep(left);
             }
         }
     }
 
     /// The stored object, shared: a reader copies out of it after the map
-    /// lock is released (and after its throttle sleep), and holding the
-    /// `Arc` is what keeps a concurrent write off these bytes.
+    /// lock is released, and holding the `Arc` (through its throttle
+    /// sleep) is what keeps a concurrent write off these bytes.
     fn object(&self, key: &str) -> io::Result<Arc<HostBuffer>> {
         self.map
             .lock()
@@ -271,7 +276,7 @@ impl MemBackend {
 
 impl Backend for MemBackend {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
-        Self::throttle(self.write_bps, data.len());
+        let started = Instant::now();
         let mut store = self.map.lock();
         // Overwrite in place when nothing else holds the old object and
         // its allocation holds the data: a reader inside `read`/`read_into`
@@ -294,13 +299,14 @@ impl Backend for MemBackend {
                 store.objects.insert(key.to_string(), Arc::new(object));
             }
         }
+        drop(store);
         Self::tally(&self.write_copied_bytes, data.len());
+        Self::throttle(self.write_bps, data.len(), started);
         Ok(())
     }
 
     fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
-        let (len, capacity) = (frame.len(), frame.capacity());
-        Self::throttle(self.write_bps, len);
+        let (len, capacity, started) = (frame.len(), frame.capacity(), Instant::now());
         let mut store = self.map.lock();
         // Same rule as the in-place overwrite above, without the copy:
         // the frame trades allocations with the displaced object when
@@ -309,39 +315,45 @@ impl Backend for MemBackend {
         // length: an encoded object is shorter than the frame it lives
         // in, and the frame handed back gets the length it came with.
         // Only a write with neither copies.
-        if let Some(old) = store.objects.get_mut(key).and_then(Arc::get_mut) {
-            if old.capacity() == capacity {
+        match store.objects.get_mut(key).and_then(Arc::get_mut) {
+            Some(old) if old.capacity() == capacity => {
                 std::mem::swap(old, frame);
                 frame.set_len(len);
                 Self::tally(&self.exchanged_frames, 1);
-                return Ok(());
+            }
+            _ => {
+                let object = match store.take_spare(len, |cap| cap == capacity) {
+                    Some(spare) => {
+                        Self::tally(&self.exchanged_frames, 1);
+                        std::mem::replace(frame, spare)
+                    }
+                    None => {
+                        Self::tally(&self.write_copied_bytes, frame.len());
+                        frame.clone()
+                    }
+                };
+                store.objects.insert(key.to_string(), Arc::new(object));
             }
         }
-        let object = match store.take_spare(len, |cap| cap == capacity) {
-            Some(spare) => {
-                Self::tally(&self.exchanged_frames, 1);
-                std::mem::replace(frame, spare)
-            }
-            None => {
-                Self::tally(&self.write_copied_bytes, frame.len());
-                frame.clone()
-            }
-        };
-        store.objects.insert(key.to_string(), Arc::new(object));
+        drop(store);
+        Self::throttle(self.write_bps, len, started);
         Ok(())
     }
 
     fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+        let started = Instant::now();
         let data = self.object(key)?;
-        Self::throttle(self.read_bps, data.len());
+        let bytes = data.as_bytes().to_vec();
         Self::tally(&self.read_copied_bytes, data.len());
-        Ok(data.as_bytes().to_vec())
+        Self::throttle(self.read_bps, data.len(), started);
+        Ok(bytes)
     }
 
     fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
         // One copy straight from the shared stored value into the
         // caller's buffer — `read` would clone the whole object a second
         // time only for the caller to deserialize and drop it.
+        let started = Instant::now();
         let data = self.object(key)?;
         if data.len() > dst.len() {
             return Err(io::Error::new(
@@ -353,10 +365,10 @@ impl Backend for MemBackend {
                 ),
             ));
         }
-        Self::throttle(self.read_bps, data.len());
         // lint:allow(transitive-panic): in-bounds — the typed-error guard above rejects data.len() > dst.len()
         dst[..data.len()].copy_from_slice(data.as_bytes());
         Self::tally(&self.read_copied_bytes, data.len());
+        Self::throttle(self.read_bps, data.len(), started);
         Ok(data.len())
     }
 
@@ -631,8 +643,8 @@ mod tests {
     }
 
     /// A same-length overwrite reuses the stored object — unless a reader
-    /// holds it: `read_into` clones the `Arc`, sleeps out the throttle, then
-    /// copies, and must still copy the bytes it found.
+    /// holds it: `read_into` clones the `Arc`, copies, then sleeps out the
+    /// throttle still holding it, and returns the bytes it found.
     #[test]
     fn mem_backend_overwrite_in_place_never_reaches_a_reader() {
         let (old, new) = (vec![1u8; 4096], vec![2u8; 4096]);
@@ -1084,6 +1096,33 @@ mod tests {
             "throttle not applied: {slow_t:?}"
         );
         assert!(slow_t > fast_t);
+    }
+
+    /// The copy runs inside the modelled time, never beside it: each
+    /// emulated op still takes at least `bytes / bps` (a lower bound only;
+    /// how much longer a loaded host makes it is not this test's).
+    #[test]
+    fn every_throttled_op_takes_at_least_its_modelled_time() {
+        let (bps, n) = (4e6, 200_000); // 50 ms an op
+        let b = MemBackend::throttled("slow", bps, bps);
+        let modelled = Duration::from_secs_f64(n as f64 / bps);
+        let data = vec![7u8; n];
+        let (mut dst, mut frame) = (vec![0u8; n], HostBuffer::from_slice(&data));
+        let check = |op: &str, run: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            run();
+            let took = t0.elapsed();
+            assert!(took >= modelled, "{op} took {took:?} < {modelled:?}");
+        };
+        check("write", &mut || b.write("k", &data).unwrap());
+        check("read", &mut || assert_eq!(b.read("k").unwrap(), data));
+        check("read_into", &mut || {
+            assert_eq!(b.read_into("k", &mut dst).unwrap(), n)
+        });
+        check("write_frame", &mut || {
+            b.write_frame("f", &mut frame).unwrap()
+        });
+        assert_eq!((dst, b.read("f").unwrap()), (data.clone(), data));
     }
 
     fn temp_root(tag: &str) -> PathBuf {

@@ -65,5 +65,5 @@ pub use event::{Attrs, EventKind, IoDirection, Phase, TraceEvent, ALL_PHASES};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use sink::{SpanGuard, TraceSink};
+pub use sink::{set_thread_lane, SpanGuard, TraceSink, DRIVER_TID};
 pub use summary::{human_bytes, IoSummary, TierIo};

@@ -21,6 +21,7 @@
 //! timestamps — the exporters only care that all events recorded into
 //! one sink share a timebase.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use mlp_sync::{Arc, Mutex};
@@ -61,16 +62,35 @@ impl SinkShared {
     }
 }
 
+/// The `tid` a process-stamped sink ([`TraceSink::for_process`]) gives
+/// events recorded on a thread that named no lane of its own: the
+/// thread driving the engine.
+pub const DRIVER_TID: u32 = 1;
+
+thread_local! {
+    /// The lane [`set_thread_lane`] named for this thread, if any.
+    static LANE: Cell<Option<u32>> = const { Cell::new(None) };
+}
+
+/// Names the calling thread as lane `tid` for the rest of its life: an
+/// I/O worker calls it once when it starts. Events it records through a
+/// process-stamped sink carry `tid` unless their [`Attrs`] set a track.
+pub fn set_thread_lane(tid: u32) {
+    LANE.with(|lane| lane.set(Some(tid)));
+}
+
 /// Clone-able, possibly-disabled recording handle. See module docs.
 #[derive(Clone, Default)]
 pub struct TraceSink {
     inner: Option<Arc<SinkShared>>,
+    /// The `pid` this handle stamps ([`TraceSink::for_process`]).
+    pid: Option<u32>,
 }
 
 impl TraceSink {
     /// A sink that records nothing (every call is a single branch).
     pub fn disabled() -> TraceSink {
-        TraceSink { inner: None }
+        TraceSink::default()
     }
 
     /// An enabled sink with the default capacity.
@@ -92,6 +112,29 @@ impl TraceSink {
                 metrics: MetricsRegistry::new(),
                 epoch: Instant::now(),
             })),
+            pid: None,
+        }
+    }
+
+    /// A handle to the same sink that records each event whose [`Attrs`]
+    /// leave the track at `(0, 0)` on track `(pid, tid)`: `tid` is the
+    /// lane the recording thread named ([`set_thread_lane`]), else
+    /// [`DRIVER_TID`]. Clones keep the stamp; events recorded through
+    /// other handles, and tracks set explicitly, are left as they are.
+    pub fn for_process(&self, pid: u32) -> TraceSink {
+        TraceSink {
+            pid: Some(pid),
+            ..self.clone()
+        }
+    }
+
+    /// The `(pid, tid)` an event with `attrs` is recorded on.
+    fn track(&self, attrs: &Attrs) -> (u32, u32) {
+        match self.pid {
+            Some(pid) if (attrs.pid, attrs.tid) == (0, 0) => {
+                (pid, LANE.with(Cell::get).unwrap_or(DRIVER_TID))
+            }
+            _ => (attrs.pid, attrs.tid),
         }
     }
 
@@ -116,12 +159,13 @@ impl TraceSink {
     /// disabled.
     pub fn complete_span(&self, phase: Phase, attrs: Attrs, start_ns: u64, end_ns: u64) {
         if let Some(s) = &self.inner {
+            let (pid, tid) = self.track(&attrs);
             s.push(TraceEvent {
                 seq: 0,
                 kind: EventKind::Span,
                 phase,
-                pid: attrs.pid,
-                tid: attrs.tid,
+                pid,
+                tid,
                 tier: attrs.tier,
                 subgroup: attrs.subgroup,
                 bytes: attrs.bytes,
@@ -134,12 +178,13 @@ impl TraceSink {
     /// Records a point event at `ts_ns`. No-op when disabled.
     pub fn instant(&self, phase: Phase, attrs: Attrs, ts_ns: u64) {
         if let Some(s) = &self.inner {
+            let (pid, tid) = self.track(&attrs);
             s.push(TraceEvent {
                 seq: 0,
                 kind: EventKind::Instant,
                 phase,
-                pid: attrs.pid,
-                tid: attrs.tid,
+                pid,
+                tid,
                 tier: attrs.tier,
                 subgroup: attrs.subgroup,
                 bytes: attrs.bytes,
@@ -260,6 +305,37 @@ impl Drop for SpanGuard {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_process_stamped_handle_records_the_thread_lane() {
+        let sink = TraceSink::with_capacity(16);
+        let stamped = sink.for_process(7);
+        assert!(stamped == sink, "one sink, two handles");
+        stamped.instant(Phase::Update, Attrs::NONE, 1);
+        std::thread::spawn({
+            let stamped = stamped.clone();
+            move || {
+                set_thread_lane(201);
+                stamped.instant(Phase::AioRead, Attrs::NONE, 2);
+                sink_of(&stamped).instant(Phase::AioRead, Attrs::NONE, 3);
+            }
+        })
+        .join()
+        .unwrap();
+        let explicit = Attrs { pid: 2, tid: 5, ..Attrs::NONE };
+        stamped.instant(Phase::Update, explicit, 4);
+        sink.instant(Phase::Update, Attrs::NONE, 5);
+        let tracks: Vec<_> = sink.events().iter().map(|e| (e.pid, e.tid)).collect();
+        assert_eq!(tracks, [(7, DRIVER_TID), (7, 201), (0, 0), (2, 5), (0, 0)]);
+    }
+
+    /// The unstamped handle of `s`'s sink.
+    fn sink_of(s: &TraceSink) -> TraceSink {
+        TraceSink {
+            pid: None,
+            ..s.clone()
+        }
+    }
 
     #[test]
     fn disabled_sink_records_nothing_and_costs_nothing() {
