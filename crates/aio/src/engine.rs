@@ -512,6 +512,13 @@ impl OpHandle {
         }
     }
 
+    /// Claims a staged read's [`Finish`] stage for its waiter, as every
+    /// wait that takes the op does on entry: its worker will not run it.
+    /// For a waiter about to block some other way first.
+    pub fn claim_stage(&self) {
+        self.state.claim.waiter();
+    }
+
     /// Whether the operation has been answered (answer not yet taken).
     pub fn is_done(&self) -> bool {
         self.state.slot.is_set()
@@ -609,9 +616,9 @@ pub(crate) struct EngineShared {
     sleeper: Arc<dyn Sleeper>,
     /// The tier's codec stage, run by submitters and waiters.
     codec: CodecStage,
-    /// Reads submitted and not yet finished by a worker: queued or
+    /// Ops submitted and not yet finished by a worker: queued or
     /// running, an early answer notwithstanding.
-    reads_open: AtomicUsize,
+    open: AtomicUsize,
     /// Rung after every answer ([`AioEngine::ring_on_answer`]).
     bell: OnceLock<Arc<Doorbell>>,
 }
@@ -627,7 +634,7 @@ impl EngineShared {
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
-            reads_open: AtomicUsize::new(0),
+            open: AtomicUsize::new(0),
             bell: OnceLock::new(),
         }
     }
@@ -639,12 +646,9 @@ impl EngineShared {
         }
     }
 
-    /// An op of `phase` leaves the queue or its worker: a read leaves the
-    /// count of those queued or running.
-    fn read_closed(&self, phase: Phase) {
-        if phase == Phase::AioRead {
-            self.reads_open.fetch_sub(1, Ordering::AcqRel);
-        }
+    /// An op leaves its worker, or the queue unrun.
+    fn closed(&self) {
+        self.open.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Executes one op against the backend — retry, catch-unwind
@@ -677,7 +681,7 @@ impl EngineShared {
         });
         let retried = op_retries.load(Ordering::Acquire);
         self.record(phase, t0, span_start, retried, &result);
-        self.read_closed(phase);
+        self.closed();
         let result = self.finish_stage(&state.claim, result);
         self.publish(&state, result);
         self.answered();
@@ -798,7 +802,7 @@ impl EngineShared {
     /// spawned), or the queue closed mid-teardown. The op's payload (and
     /// any pooled staging buffer) drops here, recycling the buffer.
     fn reject(&self, op: Op) {
-        self.read_closed(op.kind.phase());
+        self.closed();
         self.stats.errors.inc();
         let e = io::Error::other(format!(
             "no I/O worker of backend {} is running to take {}",
@@ -996,9 +1000,7 @@ impl AioEngine {
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
         self.shared.stats.inflight.add(1);
-        if kind.phase() == Phase::AioRead {
-            self.shared.reads_open.fetch_add(1, Ordering::AcqRel);
-        }
+        self.shared.open.fetch_add(1, Ordering::AcqRel);
         let state = Arc::new(OpState::default());
         let op = Op {
             key: key.to_string(),
@@ -1146,10 +1148,10 @@ impl AioEngine {
         let _ = self.shared.bell.set(Arc::clone(bell));
     }
 
-    /// Whether fewer reads are queued or running than the engine has
-    /// workers: a worker will idle unless another read is submitted.
-    pub fn idle_read_lane(&self) -> bool {
-        self.shared.reads_open.load(Ordering::Acquire) < self.workers.len()
+    /// Whether fewer ops are queued or running than the engine has
+    /// workers: a worker idles unless another op is submitted.
+    pub fn idle_lane(&self) -> bool {
+        self.shared.open.load(Ordering::Acquire) < self.workers.len()
     }
 
     /// The tier breaker this engine admits and feeds

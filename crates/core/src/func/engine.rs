@@ -468,14 +468,6 @@ impl MlpFuncEngine {
         })
     }
 
-    fn key(&self, idx: usize) -> &str {
-        &self.keys[idx]
-    }
-
-    fn grad_key(&self, idx: usize) -> &str {
-        &self.grad_keys[idx]
-    }
-
     /// Holds `tier`'s node-level lock across a submission (a flush's is
     /// encoded before) when "Process Atomic R/W" is on.
     fn tier_guard(&self, tier: usize) -> Option<TierGuard> {
@@ -511,7 +503,7 @@ impl MlpFuncEngine {
         let buf = self.state_pool.acquire();
         let _g = self.tier_guard(tier);
         let engine = &self.tiers[tier].engine;
-        engine.submit_read_finished(self.key(idx), buf, n * 12, Box::new(stage))
+        engine.submit_read_finished(&self.keys[idx], buf, n * 12, Box::new(stage))
     }
 
     fn submit_flush(&self, tier: usize, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
@@ -585,7 +577,7 @@ impl MlpFuncEngine {
                 settle(oldest);
             };
             buf.write_f32(0, &g[..]);
-            let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
+            let handle = self.submit_flush(t, &self.grad_keys[idx], buf, g.len() * 4);
             inflight.push_back((idx, t, handle));
         }
         inflight.into_iter().for_each(&mut settle);
@@ -726,7 +718,7 @@ impl MlpFuncEngine {
     /// deletes only what one holds: what an earlier run left under its key.
     fn retire(&self, idx: usize, tier: usize, superseded: Durable, deletes: &mut InFlight) {
         for t in superseded.superseded_by(tier, self.tiers.len()) {
-            if superseded != Durable::Unknown || self.tiers[t].engine.contains(self.key(idx)) {
+            if superseded != Durable::Unknown || self.tiers[t].engine.contains(&self.keys[idx]) {
                 deletes.push_back((idx, t, self.submit_delete(t, idx)));
             }
         }
@@ -735,7 +727,7 @@ impl MlpFuncEngine {
     /// Submits the delete of subgroup `idx`'s copy on `tier` — past the
     /// breaker of a quarantined tier.
     fn submit_delete(&self, tier: usize, idx: usize) -> OpHandle {
-        let (engine, key) = (&self.tiers[tier].engine, self.key(idx));
+        let (engine, key) = (&self.tiers[tier].engine, &self.keys[idx]);
         let _g = self.tier_guard(tier);
         if self.ledger.planner.excluded()[tier] {
             engine.submit_salvage_delete(key)
@@ -906,7 +898,7 @@ impl MlpFuncEngine {
         let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
             invariant_violation(format!("planned eviction {subgroup} is not resting"))
         })?;
-        let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
+        let handle = self.submit_flush(tier, &self.keys[subgroup], buf, n * 12);
         run.flushes.push_back((subgroup, tier, handle));
         run.outcome.flushes += 1;
         Ok(true)
@@ -1016,8 +1008,8 @@ impl MlpFuncEngine {
                     Staged::Update(self.submit_update(t, idx, run.update))
                 }
                 _ => {
-                    let state = self.submit_read(t, self.key(idx), n * 12);
-                    let grad = grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4));
+                    let state = self.submit_read(t, &self.keys[idx], n * 12);
+                    let grad = grad_tier.map(|g| self.submit_read(g, &self.grad_keys[idx], n * 4));
                     Staged::Fetch(state, grad)
                 }
             };
@@ -1027,21 +1019,26 @@ impl MlpFuncEngine {
         Ok(())
     }
 
-    /// Waits for the window's head load — while the plan's next load
-    /// waits only for a buffer, on a tier with a lane about to idle — as
-    /// one wait that ends on either event: a flush that lands first hands
-    /// its buffer to that load at once. Any other wait is the head's own.
+    /// Waits for the window's head load as one wait that ends on either
+    /// event: the head answered, or a buffer back while a lane of the
+    /// next load's tier idles, which issues that load at once — when it
+    /// waits only for a buffer and no flush is due before it on its tier.
     fn refill(&mut self, due: usize, run: &mut PassRun) -> io::Result<()> {
         let per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
         while let Some((_, Staged::Fetch(head, _) | Staged::Update(head))) = run.pending.front() {
             let next = self.pass.steps.get(run.load);
             let Some(&Step::Load { load: Load::Fetch { tier, after }, .. }) = next else { break };
-            if after.is_some_and(|e| e >= run.evict) {
+            // A flush due before this load on its tier keeps its place.
+            let due_first = (self.pass.steps.get(run.evict..run.load).unwrap_or_default())
+                .iter()
+                .any(|s| matches!(*s, Step::Evict { tier: t, .. } if t == tier));
+            if after.is_some_and(|e| e >= run.evict) || due_first {
                 break;
             }
             let (pool, lane) = (&self.state_pool, &self.tiers[tier].engine);
             let free = || pool.capacity().saturating_sub(pool.outstanding()) >= per_fetch;
-            self.bell.wait_until(|| head.is_done() || free() && lane.idle_read_lane());
+            head.claim_stage();
+            self.bell.wait_until(|| head.is_done() || free() && lane.idle_lane());
             let issued = run.load;
             self.top_up(due, run)?;
             if run.load == issued {
@@ -1210,7 +1207,7 @@ impl MlpFuncEngine {
     /// `salvage` read skips the tier breaker's admission).
     fn read_durable(&self, tier: usize, idx: usize, salvage: bool) -> io::Result<Vec<u8>> {
         let engine = &self.tiers[tier].engine;
-        let key = self.key(idx);
+        let key = &self.keys[idx];
         let read = if salvage {
             engine.submit_salvage_read(key)
         } else {
@@ -1228,7 +1225,7 @@ impl MlpFuncEngine {
     /// serves reads) — still through its I/O engine, so under its retry
     /// policy and deadline.
     fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
-        let key = self.key(step.subgroup).to_owned();
+        let key = self.keys[step.subgroup].clone();
         let started = self.cfg.trace.now_ns();
         let data = {
             let _g = self.tier_guard(step.from);
@@ -1426,7 +1423,7 @@ impl MlpFuncEngine {
                 Held::Born(state) => Cow::Owned(state.to_buffer().as_bytes().to_vec()),
                 Held::Placed(Place::Tier(tier)) => {
                     let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-                    pins.push(self.tiers[tier].engine.submit_link(self.key(idx), &key));
+                    pins.push(self.tiers[tier].engine.submit_link(&self.keys[idx], &key));
                     let location = SubgroupLocation::Prestaged { tier, key };
                     stats.prestaged_bytes += bytes;
                     entries.push(PendingEntry::Durable { idx, location });
@@ -2947,34 +2944,35 @@ mod tests {
         assert_eq!(baseline.state_pool_outstanding(), 0);
     }
 
-    /// Holds the `nth` read of an armed pass at its backend until `then`
-    /// reads after it have started there, or until `patience` runs out.
-    struct HeadGate {
-        /// `(armed, reads started)`.
-        seen: std::sync::Mutex<(bool, usize)>,
+    /// Holds the read of `hold` until the read of `until` starts (both
+    /// state keys), or until `patience` runs out.
+    struct KeyGate {
+        armed: std::sync::atomic::AtomicBool,
+        started: std::sync::Mutex<bool>,
         moved: std::sync::Condvar,
-        nth: usize,
-        then: usize,
+        hold: String,
+        until: String,
         patience: Duration,
         ran_out: std::sync::atomic::AtomicBool,
     }
 
-    impl HeadGate {
-        fn reading(&self) {
-            let mut seen = self.seen.lock().unwrap();
-            if !seen.0 {
+    impl KeyGate {
+        fn reading(&self, key: &str) {
+            if !self.armed.load(std::sync::atomic::Ordering::SeqCst) {
                 return;
             }
-            seen.1 += 1;
-            self.moved.notify_all();
-            if seen.1 != self.nth {
+            let mut started = self.started.lock().unwrap();
+            if key == self.until {
+                *started = true;
+                self.moved.notify_all();
+            }
+            if key != self.hold {
                 return;
             }
-            let until = self.nth + self.then;
-            let (seen, waited) = (self.moved)
-                .wait_timeout_while(seen, self.patience, |seen| seen.1 < until)
+            let (started, waited) = (self.moved)
+                .wait_timeout_while(started, self.patience, |started| !*started)
                 .unwrap();
-            drop(seen);
+            drop(started);
             if waited.timed_out() {
                 self.ran_out
                     .store(true, std::sync::atomic::Ordering::SeqCst);
@@ -2982,13 +2980,12 @@ mod tests {
         }
     }
 
-    /// A throttled memory tier whose reads pass a [`HeadGate`].
-    struct HeadGated {
+    struct KeyGated {
         inner: MemBackend,
-        gate: Arc<HeadGate>,
+        gate: Arc<KeyGate>,
     }
 
-    impl Backend for HeadGated {
+    impl Backend for KeyGated {
         fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
             self.inner.write(key, data)
         }
@@ -2996,11 +2993,11 @@ mod tests {
             self.inner.write_frame(key, frame)
         }
         fn read(&self, key: &str) -> io::Result<Vec<u8>> {
-            self.gate.reading();
+            self.gate.reading(key);
             self.inner.read(key)
         }
         fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
-            self.gate.reading();
+            self.gate.reading(key);
             self.inner.read_into(key, dst)
         }
         fn delete(&self, key: &str) -> io::Result<()> {
@@ -3015,46 +3012,83 @@ mod tests {
     }
 
     /// A flush that lands while the pass waits for its window's head
-    /// load hands its buffer to the plan's next load at once. Writes are
-    /// 16× slower than reads, so mid-pass the window sits at its floor
-    /// with the next load waiting for a buffer. The gate holds the
-    /// steady-state pass's fifth read until the reads of the rest of the
-    /// window and the next load have started: an engine that issues that
-    /// load only once the held read is taken waits out the patience.
+    /// load hands its buffer to the plan's next load at once, when that
+    /// load's tier has an idle lane and no flush due before it. Writes
+    /// are 16× slower than reads, so mid-pass the window sits at its floor
+    /// with the next load waiting for a buffer. For each head `k` whose
+    /// next load `l` (the floor's depth later) reads the same tier, with
+    /// every eviction between them bound for the other tier, the gate
+    /// holds `k`'s read until `l`'s read has started: an engine that
+    /// issues `l` only once `k` is taken waits out the patience.
     #[test]
     fn a_landed_flush_issues_the_next_load_while_the_head_is_held() {
         use crate::policy::cache::MIN_PIPELINE_FRAMES;
         const SHARD: usize = 16;
         let adam = AdamConfig::default();
-        let gate = Arc::new(HeadGate {
-            seen: std::sync::Mutex::new((false, 0)),
-            moved: std::sync::Condvar::new(),
-            nth: 5,
-            then: MIN_PIPELINE_FRAMES,
-            patience: Duration::from_secs(10),
-            ran_out: false.into(),
-        });
-        // 768-byte subgroups: 1.5 ms a read, 24 ms a write.
-        let inner = MemBackend::throttled("slow", 512e3, 32e3);
-        let gate_of = Arc::clone(&gate);
-        let backend: Arc<dyn Backend> = Arc::new(HeadGated { inner, gate: gate_of });
-        let tiers = vec![SharedTier::new(backend, 1.0).with_aio(AioConfig::deterministic())];
-        let cfg = EngineConfig::mlp_offload().with_host_frames(SHARD / 4);
-        let mut engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(SHARD, 64)).unwrap();
-        for it in 0..3 {
-            engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+        let build = |hold: usize, until: usize| {
+            let gate = Arc::new(KeyGate {
+                armed: false.into(),
+                started: std::sync::Mutex::new(false),
+                moved: std::sync::Condvar::new(),
+                hold: format!("w0/sub{hold}"),
+                until: format!("w0/sub{until}"),
+                patience: Duration::from_secs(10),
+                ran_out: false.into(),
+            });
+            // 768-byte subgroups: 1.5 ms a read, 24 ms a write.
+            let tiers: Vec<SharedTier> = (0..2)
+                .map(|i| {
+                    let inner = MemBackend::throttled(format!("slow{i}"), 512e3, 32e3);
+                    let gate = Arc::clone(&gate);
+                    let backend: Arc<dyn Backend> = Arc::new(KeyGated { inner, gate });
+                    SharedTier::new(backend, 1.0).with_aio(AioConfig::deterministic())
+                })
+                .collect();
+            let cfg = (EngineConfig::mlp_offload().with_host_frames(SHARD / 4))
+                .with_tier_ratio(vec![2.0, 1.0]);
+            let engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(SHARD, 64));
+            (engine.unwrap(), gate)
+        };
+        let run = |engine: &mut MlpFuncEngine, passes: std::ops::Range<usize>| {
+            for it in passes {
+                engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
+                engine.update().unwrap();
+            }
+        };
+        // The gated pass is the fourth; the second runs in its order.
+        let (mut engine, _) = build(SHARD, SHARD);
+        run(&mut engine, 0..2);
+        let steps = engine.pass_plan().steps.clone();
+        let fetches: Vec<(usize, usize, usize)> = (steps.iter().enumerate())
+            .filter_map(|(at, step)| match *step {
+                Step::Load { subgroup, load: Load::Fetch { tier, .. } } => Some((at, subgroup, tier)),
+                _ => None,
+            })
+            .collect();
+        let mut held = 0;
+        for w in fetches.windows(MIN_PIPELINE_FRAMES + 1) {
+            let ((_, k, tier), (load_at, l, l_tier)) = (w[0], w[MIN_PIPELINE_FRAMES]);
+            let update_at = steps.iter().position(|s| *s == Step::Update { subgroup: k });
+            let between = &steps[update_at.unwrap()..load_at];
+            let flush_first = between.iter().any(|s| matches!(*s, Step::Evict { tier: t, .. } if t == l_tier));
+            if l_tier != tier || flush_first {
+                continue;
+            }
+            held += 1;
+            let (mut engine, gate) = build(k, l);
+            run(&mut engine, 0..3);
+            engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
+            gate.armed.store(true, std::sync::atomic::Ordering::SeqCst);
             engine.update().unwrap();
+            assert_eq!(&engine.pass_plan().steps, &steps, "the fourth pass ran another plan");
+            assert!(
+                !gate.ran_out.load(std::sync::atomic::Ordering::SeqCst),
+                "the load of subgroup {l} was not issued within {:?} while {k}'s was held",
+                gate.patience
+            );
+            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
         }
-        engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
-        gate.seen.lock().unwrap().0 = true;
-        let outcome = engine.update().unwrap();
-        assert_eq!((outcome.cache_hits, outcome.fetches), (SHARD / 4, SHARD - SHARD / 4));
-        assert!(
-            !gate.ran_out.load(std::sync::atomic::Ordering::SeqCst),
-            "the next load was not issued within {:?} of the held read",
-            gate.patience
-        );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert!(held >= 2, "only {held} heads to hold");
     }
 
     /// Every span carries the thread that ran it: the engine's worker id
