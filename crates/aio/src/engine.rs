@@ -32,7 +32,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
-use mlp_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use mlp_sync::atomic::{AtomicU64, Ordering};
 use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
@@ -616,9 +616,6 @@ pub(crate) struct EngineShared {
     sleeper: Arc<dyn Sleeper>,
     /// The tier's codec stage, run by submitters and waiters.
     codec: CodecStage,
-    /// Ops submitted and not yet finished by a worker: queued or
-    /// running, an early answer notwithstanding.
-    open: AtomicUsize,
     /// Rung after every answer ([`AioEngine::ring_on_answer`]).
     bell: OnceLock<Arc<Doorbell>>,
 }
@@ -634,7 +631,6 @@ impl EngineShared {
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
-            open: AtomicUsize::new(0),
             bell: OnceLock::new(),
         }
     }
@@ -644,11 +640,6 @@ impl EngineShared {
         if let Some(bell) = self.bell.get() {
             bell.ring();
         }
-    }
-
-    /// An op leaves its worker, or the queue unrun.
-    fn closed(&self) {
-        self.open.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Executes one op against the backend — retry, catch-unwind
@@ -681,7 +672,6 @@ impl EngineShared {
         });
         let retried = op_retries.load(Ordering::Acquire);
         self.record(phase, t0, span_start, retried, &result);
-        self.closed();
         let result = self.finish_stage(&state.claim, result);
         self.publish(&state, result);
         self.answered();
@@ -802,7 +792,6 @@ impl EngineShared {
     /// spawned), or the queue closed mid-teardown. The op's payload (and
     /// any pooled staging buffer) drops here, recycling the buffer.
     fn reject(&self, op: Op) {
-        self.closed();
         self.stats.errors.inc();
         let e = io::Error::other(format!(
             "no I/O worker of backend {} is running to take {}",
@@ -1000,7 +989,6 @@ impl AioEngine {
     // lint:hot-root — common submit path under every public submit_* entry
     fn submit(&self, key: &str, kind: OpKind, salvage: bool) -> OpHandle {
         self.shared.stats.inflight.add(1);
-        self.shared.open.fetch_add(1, Ordering::AcqRel);
         let state = Arc::new(OpState::default());
         let op = Op {
             key: key.to_string(),
@@ -1148,10 +1136,11 @@ impl AioEngine {
         let _ = self.shared.bell.set(Arc::clone(bell));
     }
 
-    /// Whether fewer ops are queued or running than the engine has
-    /// workers: a worker idles unless another op is submitted.
+    /// Whether fewer ops are in flight (submitted and not yet answered)
+    /// than the engine has workers: a worker idles unless another op is
+    /// submitted.
     pub fn idle_lane(&self) -> bool {
-        self.shared.open.load(Ordering::Acquire) < self.workers.len()
+        self.shared.stats.inflight.get() < self.workers.len() as u64
     }
 
     /// The tier breaker this engine admits and feeds

@@ -347,9 +347,9 @@ impl MlpFuncEngine {
         // the backend is wrapped so the storage medium contributes
         // tier_read/tier_write spans (the per-tier bandwidth summary's
         // input). A tier whose own `aio.trace` is already enabled was
-        // instrumented by the caller and is left alone (a second wrapper
-        // would double every span). Disabled, the construction is
-        // untouched — no wrapper, no per-op tracing work.
+        // instrumented by the caller and gets no second wrapper (it would
+        // double every span), only this worker's track. Disabled, nothing
+        // is wrapped and no per-op tracing work is done.
         cfg.trace = cfg.trace.for_process(worker_id as u32);
         let trace = cfg.trace.clone();
         let tiers: Vec<TierRt> = shared_tiers
@@ -366,6 +366,7 @@ impl MlpFuncEngine {
                         trace.clone(),
                     ))
                 } else {
+                    aio.trace = aio.trace.for_process(worker_id as u32);
                     Arc::clone(&t.backend)
                 };
                 TierRt {
@@ -1029,10 +1030,10 @@ impl MlpFuncEngine {
             let next = self.pass.steps.get(run.load);
             let Some(&Step::Load { load: Load::Fetch { tier, after }, .. }) = next else { break };
             // A flush due before this load on its tier keeps its place.
-            let due_first = (self.pass.steps.get(run.evict..run.load).unwrap_or_default())
+            let flushes_first = (self.pass.steps.get(run.evict..run.load).unwrap_or_default())
                 .iter()
                 .any(|s| matches!(*s, Step::Evict { tier: t, .. } if t == tier));
-            if after.is_some_and(|e| e >= run.evict) || due_first {
+            if head.is_done() || after.is_some_and(|e| e >= run.evict) || flushes_first {
                 break;
             }
             let (pool, lane) = (&self.state_pool, &self.tiers[tier].engine);
