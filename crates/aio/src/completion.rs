@@ -165,40 +165,6 @@ impl<T> Default for CompletionSlot<T> {
     }
 }
 
-/// One wake-up for several events: every op of the engines it is attached
-/// to ([`crate::AioEngine::ring_on_answer`]) rings it once answered, so a
-/// thread can block until whichever of them comes first — its own op
-/// answered, or a pooled write's staging buffer back in its pool (a write
-/// gives its buffer back before its op is answered).
-#[derive(Default)]
-pub struct Doorbell {
-    lock: Mutex<()>,
-    rung: Condvar,
-}
-
-impl Doorbell {
-    /// A bell nothing has rung.
-    pub fn new() -> Self {
-        Doorbell::default()
-    }
-
-    /// Wakes every waiter to re-check what it waits for. Ringing under
-    /// the lock a waiter holds while it checks is what loses no wake-up.
-    pub fn ring(&self) {
-        let _held = self.lock.lock();
-        self.rung.notify_all();
-    }
-
-    /// Blocks until `ready` holds, checking it now and after each ring:
-    /// what makes it true must ring the bell after it happens.
-    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
-        let mut held = self.lock.lock();
-        while !ready() {
-            self.rung.wait(&mut held);
-        }
-    }
-}
-
 /// Which thread runs an op's finish stage: one atomic claim, taken by the
 /// worker when its read lands ([`StageClaim::worker`]) or by the waiter
 /// when it waits first ([`StageClaim::waiter`]). The first claim wins;

@@ -28,7 +28,6 @@ use std::any::Any;
 use std::error::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use std::{fmt, io};
 
@@ -41,7 +40,7 @@ use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
 use crate::codec::{length_rule, CodecStage};
-use crate::completion::{CompletionSlot, Doorbell, StageClaim};
+use crate::completion::{CompletionSlot, StageClaim};
 
 /// Bounded-attempt exponential-backoff retry of transient I/O errors,
 /// executed inside the I/O workers around every backend call.
@@ -512,13 +511,6 @@ impl OpHandle {
         }
     }
 
-    /// Claims a staged read's [`Finish`] stage for its waiter, as every
-    /// wait that takes the op does on entry: its worker will not run it.
-    /// For a waiter about to block some other way first.
-    pub fn claim_stage(&self) {
-        self.state.claim.waiter();
-    }
-
     /// Whether the operation has been answered (answer not yet taken).
     pub fn is_done(&self) -> bool {
         self.state.slot.is_set()
@@ -616,8 +608,6 @@ pub(crate) struct EngineShared {
     sleeper: Arc<dyn Sleeper>,
     /// The tier's codec stage, run by submitters and waiters.
     codec: CodecStage,
-    /// Rung after every answer ([`AioEngine::ring_on_answer`]).
-    bell: OnceLock<Arc<Doorbell>>,
 }
 
 impl EngineShared {
@@ -631,14 +621,6 @@ impl EngineShared {
             trace_tier: config.trace_tier,
             health: config.health.clone(),
             sleeper: Arc::clone(&config.sleeper),
-            bell: OnceLock::new(),
-        }
-    }
-
-    /// After an op is answered: rings the attached bell, if any.
-    fn answered(&self) {
-        if let Some(bell) = self.bell.get() {
-            bell.ring();
         }
     }
 
@@ -674,7 +656,6 @@ impl EngineShared {
         self.record(phase, t0, span_start, retried, &result);
         let result = self.finish_stage(&state.claim, result);
         self.publish(&state, result);
-        self.answered();
     }
 
     /// Runs a landed raw read's [`Finish`] stage on this worker, unless
@@ -783,9 +764,7 @@ impl EngineShared {
                 health.record_failure(&io::ErrorKind::TimedOut.into());
             }
         };
-        if state.slot.publish_early(Err((err, None)), counted) {
-            self.answered();
-        }
+        state.slot.publish_early(Err((err, None)), counted);
     }
 
     /// Poisons an op no worker will run: none is running (none could be
@@ -801,7 +780,6 @@ impl EngineShared {
         op.state
             .slot
             .publish(Err((e, None)), || self.stats.inflight.sub(1));
-        self.answered();
     }
 }
 
@@ -1127,20 +1105,6 @@ impl AioEngine {
     /// retires an evacuated copy (see [`AioEngine::submit_salvage_read`]).
     pub fn submit_salvage_delete(&self, key: &str) -> OpHandle {
         self.submit(key, OpKind::Delete, true)
-    }
-
-    /// Rings `bell` after every op this engine answers from now on — by
-    /// its worker, the deadline or a rejection ([`Doorbell`]). One bell
-    /// per engine, set once: a second call leaves the first in place.
-    pub fn ring_on_answer(&self, bell: &Arc<Doorbell>) {
-        let _ = self.shared.bell.set(Arc::clone(bell));
-    }
-
-    /// Whether fewer ops are in flight (submitted and not yet answered)
-    /// than the engine has workers: a worker idles unless another op is
-    /// submitted.
-    pub fn idle_lane(&self) -> bool {
-        self.shared.stats.inflight.get() < self.workers.len() as u64
     }
 
     /// The tier breaker this engine admits and feeds

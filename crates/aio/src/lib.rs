@@ -49,6 +49,6 @@ pub mod lock;
 #[cfg(not(loom))]
 mod watchdog;
 
-pub use completion::{CompletionSlot, Doorbell, StageClaim};
+pub use completion::{CompletionSlot, StageClaim};
 pub use engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle, RetryPolicy, StagedWrite};
 pub use lock::ProcessExclusiveLock;

@@ -6,13 +6,11 @@
 //! for the stuck-waiter bug: a worker path that skips publishing
 //! leaves `take_blocking` parked forever, and the checker must find that
 //! schedule. It also explores the finish-stage claim ([`mlp_aio::StageClaim`])
-//! raced by a worker whose read lands and a waiter that waits, and the
-//! [`mlp_aio::Doorbell`] a thread waits on for whichever of several ops
-//! is answered first.
+//! raced by a worker whose read lands and a waiter that waits.
 
 #![cfg(loom)]
 
-use mlp_aio::{CompletionSlot, Doorbell, StageClaim};
+use mlp_aio::{CompletionSlot, StageClaim};
 use mlp_sync::thread;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -195,44 +193,5 @@ fn exactly_one_side_runs_the_stage_and_the_waiter_never_sees_it_unfinished() {
             1,
             "the stage ran {runs:?} times"
         );
-    });
-}
-
-#[test]
-fn a_doorbell_wait_ends_on_the_ring_that_follows_either_event() {
-    // The update pass waits for whichever comes first: its head op
-    // answered, or another op answered (a flush that gave its buffer
-    // back). Each answer rings after it is published; in every schedule
-    // the wait must end.
-    mlp_sync::model::model(|| {
-        let bell = Arc::new(Doorbell::new());
-        let (head, other) = (
-            Arc::new(CompletionSlot::<u32>::new()),
-            Arc::new(CompletionSlot::new()),
-        );
-        let (b, o) = (Arc::clone(&bell), Arc::clone(&other));
-        let worker = thread::spawn(move || {
-            o.publish(1u32, || {});
-            b.ring();
-        });
-        bell.wait_until(|| head.is_set() || other.is_set());
-        assert!(other.is_set());
-        let _ = worker.join();
-    });
-}
-
-#[test]
-fn a_ring_before_its_event_is_detected_as_a_lost_wakeup() {
-    // Regression model: an answer that rings before it publishes can
-    // wake the waiter too early, and then nothing wakes it again.
-    mlp_sync::model::expect_deadlock(|| {
-        let bell = Arc::new(Doorbell::new());
-        let slot = Arc::new(CompletionSlot::new());
-        let (b, s) = (Arc::clone(&bell), Arc::clone(&slot));
-        thread::spawn(move || {
-            b.ring(); // BUG (intentional): rung before the publish
-            s.publish(1u32, || {});
-        });
-        bell.wait_until(|| slot.is_set());
     });
 }

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlp_aio::engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle};
-use mlp_aio::Doorbell;
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
 use mlp_optim::grads::{GradRef, HostGrads, SharedGrads};
 use mlp_optim::optimizer::grad_clip_factor;
@@ -291,8 +290,6 @@ pub struct MlpFuncEngine {
     migrations_done: u64,
     /// Durable copies evacuated off quarantined tiers so far.
     drains_done: u64,
-    /// Rung by every op the tiers answer: the update pass's one wait.
-    bell: Arc<Doorbell>,
 }
 
 impl MlpFuncEngine {
@@ -330,17 +327,38 @@ impl MlpFuncEngine {
         // The tier list, the ratio and the I/O settings come from user
         // configuration (`EngineConfig::from_deepspeed_json`): reject,
         // don't panic.
-        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
-        let ntiers = shared_tiers.len();
-        if ntiers == 0 {
-            return invalid("the engine needs at least one storage tier".into());
+        if shared_tiers.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the engine needs at least one storage tier",
+            ));
         }
-        if let Some((ti, t)) = (shared_tiers.iter().enumerate()).find(|(_, t)| t.aio.workers == 0) {
-            return invalid(format!("tier {ti} (backend {}) has no I/O workers", t.backend.name()));
+        if let Some((ti, t)) = shared_tiers
+            .iter()
+            .enumerate()
+            .find(|(_, t)| t.aio.workers == 0)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "tier {ti} (backend {}) has no I/O workers",
+                    t.backend.name()
+                ),
+            ));
         }
-        let ratio = cfg.tier_ratio.as_ref().map_or(ntiers, Vec::len);
-        if ratio != ntiers {
-            return invalid(format!("tier ratio has {ratio} components for {ntiers} tiers"));
+        if let Some(ratio) = cfg
+            .tier_ratio
+            .as_ref()
+            .filter(|r| r.len() != shared_tiers.len())
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "tier ratio has {} components for {} tiers",
+                    ratio.len(),
+                    shared_tiers.len()
+                ),
+            ));
         }
         // With an enabled sink, every event lands on this worker's track,
         // each tier's I/O engine stamps its spans with the tier index, and
@@ -406,10 +424,8 @@ impl MlpFuncEngine {
         let state_pool =
             PinnedPool::new_traced(pool_capacity, buffer_bytes, "state", cfg.trace.clone());
 
-        let bell = Arc::new(Doorbell::new());
-        tiers.iter().for_each(|t| t.engine.ring_on_answer(&bell));
+        let ntiers = tiers.len();
         Ok(MlpFuncEngine {
-            bell,
             state_pool,
             grads: HostGrads::new(&subgroup_lens, !cfg.skip_gradient_offload),
             born: initial.into_iter().map(Some).collect(),
@@ -469,6 +485,14 @@ impl MlpFuncEngine {
         })
     }
 
+    fn key(&self, idx: usize) -> &str {
+        &self.keys[idx]
+    }
+
+    fn grad_key(&self, idx: usize) -> &str {
+        &self.grad_keys[idx]
+    }
+
     /// Holds `tier`'s node-level lock across a submission (a flush's is
     /// encoded before) when "Process Atomic R/W" is on.
     fn tier_guard(&self, tier: usize) -> Option<TierGuard> {
@@ -504,7 +528,7 @@ impl MlpFuncEngine {
         let buf = self.state_pool.acquire();
         let _g = self.tier_guard(tier);
         let engine = &self.tiers[tier].engine;
-        engine.submit_read_finished(&self.keys[idx], buf, n * 12, Box::new(stage))
+        engine.submit_read_finished(self.key(idx), buf, n * 12, Box::new(stage))
     }
 
     fn submit_flush(&self, tier: usize, key: &str, buf: PooledBuffer, len: usize) -> OpHandle {
@@ -578,7 +602,7 @@ impl MlpFuncEngine {
                 settle(oldest);
             };
             buf.write_f32(0, &g[..]);
-            let handle = self.submit_flush(t, &self.grad_keys[idx], buf, g.len() * 4);
+            let handle = self.submit_flush(t, self.grad_key(idx), buf, g.len() * 4);
             inflight.push_back((idx, t, handle));
         }
         inflight.into_iter().for_each(&mut settle);
@@ -719,7 +743,7 @@ impl MlpFuncEngine {
     /// deletes only what one holds: what an earlier run left under its key.
     fn retire(&self, idx: usize, tier: usize, superseded: Durable, deletes: &mut InFlight) {
         for t in superseded.superseded_by(tier, self.tiers.len()) {
-            if superseded != Durable::Unknown || self.tiers[t].engine.contains(&self.keys[idx]) {
+            if superseded != Durable::Unknown || self.tiers[t].engine.contains(self.key(idx)) {
                 deletes.push_back((idx, t, self.submit_delete(t, idx)));
             }
         }
@@ -728,7 +752,7 @@ impl MlpFuncEngine {
     /// Submits the delete of subgroup `idx`'s copy on `tier` — past the
     /// breaker of a quarantined tier.
     fn submit_delete(&self, tier: usize, idx: usize) -> OpHandle {
-        let (engine, key) = (&self.tiers[tier].engine, &self.keys[idx]);
+        let (engine, key) = (&self.tiers[tier].engine, self.key(idx));
         let _g = self.tier_guard(tier);
         if self.ledger.planner.excluded()[tier] {
             engine.submit_salvage_delete(key)
@@ -899,7 +923,7 @@ impl MlpFuncEngine {
         let Resident { buf, n } = self.ledger.evict(subgroup, tier).ok_or_else(|| {
             invariant_violation(format!("planned eviction {subgroup} is not resting"))
         })?;
-        let handle = self.submit_flush(tier, &self.keys[subgroup], buf, n * 12);
+        let handle = self.submit_flush(tier, self.key(subgroup), buf, n * 12);
         run.flushes.push_back((subgroup, tier, handle));
         run.outcome.flushes += 1;
         Ok(true)
@@ -1009,42 +1033,13 @@ impl MlpFuncEngine {
                     Staged::Update(self.submit_update(t, idx, run.update))
                 }
                 _ => {
-                    let state = self.submit_read(t, &self.keys[idx], n * 12);
-                    let grad = grad_tier.map(|g| self.submit_read(g, &self.grad_keys[idx], n * 4));
+                    let state = self.submit_read(t, self.key(idx), n * 12);
+                    let grad = grad_tier.map(|g| self.submit_read(g, self.grad_key(idx), n * 4));
                     Staged::Fetch(state, grad)
                 }
             };
             run.pending.push_back((idx, staged));
             run.load += 1;
-        }
-        Ok(())
-    }
-
-    /// Waits for the window's head load as one wait that ends on either
-    /// event: the head answered, or a buffer back while a lane of the
-    /// next load's tier idles, which issues that load at once — when it
-    /// waits only for a buffer and no flush is due before it on its tier.
-    fn refill(&mut self, due: usize, run: &mut PassRun) -> io::Result<()> {
-        let per_fetch = if self.cfg.skip_gradient_offload { 1 } else { 2 };
-        while let Some((_, Staged::Fetch(head, _) | Staged::Update(head))) = run.pending.front() {
-            let next = self.pass.steps.get(run.load);
-            let Some(&Step::Load { load: Load::Fetch { tier, after }, .. }) = next else { break };
-            // A flush due before this load on its tier keeps its place.
-            let flushes_first = (self.pass.steps.get(run.evict..run.load).unwrap_or_default())
-                .iter()
-                .any(|s| matches!(*s, Step::Evict { tier: t, .. } if t == tier));
-            if head.is_done() || after.is_some_and(|e| e >= run.evict) || flushes_first {
-                break;
-            }
-            let (pool, lane) = (&self.state_pool, &self.tiers[tier].engine);
-            let free = || pool.capacity().saturating_sub(pool.outstanding()) >= per_fetch;
-            head.claim_stage();
-            self.bell.wait_until(|| head.is_done() || free() && lane.idle_lane());
-            let issued = run.load;
-            self.top_up(due, run)?;
-            if run.load == issued {
-                break;
-            }
         }
         Ok(())
     }
@@ -1072,7 +1067,6 @@ impl MlpFuncEngine {
             }
             let Step::Update { .. } = step else { continue };
             self.top_up(at, run)?;
-            self.refill(at, run)?;
             // Settle the flushes that have finished: a dead tier fails
             // the pass here, at the next subgroup, not after every
             // remaining one has moved its bytes. Finished deletes go too.
@@ -1157,8 +1151,11 @@ impl MlpFuncEngine {
     /// high-water mark — the proof that state buffers are recycled rather
     /// than reallocated per subgroup.
     pub fn state_pool_stats(&self) -> (u64, usize, usize) {
-        let pool = &self.state_pool;
-        (pool.acquires(), pool.high_water(), pool.capacity())
+        (
+            self.state_pool.acquires(),
+            self.state_pool.high_water(),
+            self.state_pool.capacity(),
+        )
     }
 
     /// Staging buffers currently checked out of the state pool. In steady
@@ -1208,7 +1205,7 @@ impl MlpFuncEngine {
     /// `salvage` read skips the tier breaker's admission).
     fn read_durable(&self, tier: usize, idx: usize, salvage: bool) -> io::Result<Vec<u8>> {
         let engine = &self.tiers[tier].engine;
-        let key = &self.keys[idx];
+        let key = self.key(idx);
         let read = if salvage {
             engine.submit_salvage_read(key)
         } else {
@@ -1226,7 +1223,7 @@ impl MlpFuncEngine {
     /// serves reads) — still through its I/O engine, so under its retry
     /// policy and deadline.
     fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
-        let key = self.keys[step.subgroup].clone();
+        let key = self.key(step.subgroup).to_owned();
         let started = self.cfg.trace.now_ns();
         let data = {
             let _g = self.tier_guard(step.from);
@@ -1307,8 +1304,12 @@ impl MlpFuncEngine {
                         *g = None;
                     }
                 }
+                let attrs = Attrs {
+                    tier: t as i32,
+                    ..Attrs::NONE
+                };
                 let trace = &self.cfg.trace;
-                trace.instant(Phase::Quarantine, Attrs::tier_bytes(t as i32, 0), trace.now_ns());
+                trace.instant(Phase::Quarantine, attrs, trace.now_ns());
             }
         }
         let surviving = self.ledger.planner.surviving_tiers();
@@ -1424,7 +1425,7 @@ impl MlpFuncEngine {
                 Held::Born(state) => Cow::Owned(state.to_buffer().as_bytes().to_vec()),
                 Held::Placed(Place::Tier(tier)) => {
                     let key = CheckpointManifest::subgroup_key(tag, self.worker_id, idx);
-                    pins.push(self.tiers[tier].engine.submit_link(&self.keys[idx], &key));
+                    pins.push(self.tiers[tier].engine.submit_link(self.key(idx), &key));
                     let location = SubgroupLocation::Prestaged { tier, key };
                     stats.prestaged_bytes += bytes;
                     entries.push(PendingEntry::Durable { idx, location });
@@ -2943,153 +2944,6 @@ mod tests {
             "{high_water} buffers out of a pool of {capacity}"
         );
         assert_eq!(baseline.state_pool_outstanding(), 0);
-    }
-
-    /// Holds the read of `hold` until the read of `until` starts (both
-    /// state keys), or until `patience` runs out.
-    struct KeyGate {
-        armed: std::sync::atomic::AtomicBool,
-        started: std::sync::Mutex<bool>,
-        moved: std::sync::Condvar,
-        hold: String,
-        until: String,
-        patience: Duration,
-        ran_out: std::sync::atomic::AtomicBool,
-    }
-
-    impl KeyGate {
-        fn reading(&self, key: &str) {
-            if !self.armed.load(std::sync::atomic::Ordering::SeqCst) {
-                return;
-            }
-            let mut started = self.started.lock().unwrap();
-            if key == self.until {
-                *started = true;
-                self.moved.notify_all();
-            }
-            if key != self.hold {
-                return;
-            }
-            let (started, waited) = (self.moved)
-                .wait_timeout_while(started, self.patience, |started| !*started)
-                .unwrap();
-            drop(started);
-            if waited.timed_out() {
-                self.ran_out
-                    .store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-    }
-
-    struct KeyGated {
-        inner: MemBackend,
-        gate: Arc<KeyGate>,
-    }
-
-    impl Backend for KeyGated {
-        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
-            self.inner.write(key, data)
-        }
-        fn write_frame(&self, key: &str, frame: &mut HostBuffer) -> io::Result<()> {
-            self.inner.write_frame(key, frame)
-        }
-        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
-            self.gate.reading(key);
-            self.inner.read(key)
-        }
-        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
-            self.gate.reading(key);
-            self.inner.read_into(key, dst)
-        }
-        fn delete(&self, key: &str) -> io::Result<()> {
-            self.inner.delete(key)
-        }
-        fn contains(&self, key: &str) -> bool {
-            self.inner.contains(key)
-        }
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-    }
-
-    /// A flush that lands while the pass waits for its window's head
-    /// load hands its buffer to the plan's next load at once, when that
-    /// load's tier has an idle lane and no flush due before it. Writes
-    /// are 16× slower than reads, so mid-pass the window sits at its floor
-    /// with the next load waiting for a buffer. For each head `k` whose
-    /// next load `l` (the floor's depth later) reads the same tier, with
-    /// every eviction between them bound for the other tier, the gate
-    /// holds `k`'s read until `l`'s read has started: an engine that
-    /// issues `l` only once `k` is taken waits out the patience.
-    #[test]
-    fn a_landed_flush_issues_the_next_load_while_the_head_is_held() {
-        use crate::policy::cache::MIN_PIPELINE_FRAMES;
-        const SHARD: usize = 16;
-        let adam = AdamConfig::default();
-        let build = |hold: usize, until: usize| {
-            let gate = Arc::new(KeyGate {
-                armed: false.into(),
-                started: std::sync::Mutex::new(false),
-                moved: std::sync::Condvar::new(),
-                hold: format!("w0/sub{hold}"),
-                until: format!("w0/sub{until}"),
-                patience: Duration::from_secs(10),
-                ran_out: false.into(),
-            });
-            // 768-byte subgroups: 1.5 ms a read, 24 ms a write.
-            let tiers: Vec<SharedTier> = (0..2)
-                .map(|i| {
-                    let inner = MemBackend::throttled(format!("slow{i}"), 512e3, 32e3);
-                    let gate = Arc::clone(&gate);
-                    let backend: Arc<dyn Backend> = Arc::new(KeyGated { inner, gate });
-                    SharedTier::new(backend, 1.0).with_aio(AioConfig::deterministic())
-                })
-                .collect();
-            let cfg = (EngineConfig::mlp_offload().with_host_frames(SHARD / 4))
-                .with_tier_ratio(vec![2.0, 1.0]);
-            let engine = MlpFuncEngine::new(cfg, adam, &tiers, 0, init_states(SHARD, 64));
-            (engine.unwrap(), gate)
-        };
-        let run = |engine: &mut MlpFuncEngine, passes: std::ops::Range<usize>| {
-            for it in passes {
-                engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
-                engine.update().unwrap();
-            }
-        };
-        // The gated pass is the fourth; the second runs in its order.
-        let (mut engine, _) = build(SHARD, SHARD);
-        run(&mut engine, 0..2);
-        let steps = engine.pass_plan().steps.clone();
-        let fetches: Vec<(usize, usize, usize)> = (steps.iter().enumerate())
-            .filter_map(|(at, step)| match *step {
-                Step::Load { subgroup, load: Load::Fetch { tier, .. } } => Some((at, subgroup, tier)),
-                _ => None,
-            })
-            .collect();
-        let mut held = 0;
-        for w in fetches.windows(MIN_PIPELINE_FRAMES + 1) {
-            let ((_, k, tier), (load_at, l, l_tier)) = (w[0], w[MIN_PIPELINE_FRAMES]);
-            let update_at = steps.iter().position(|s| *s == Step::Update { subgroup: k });
-            let between = &steps[update_at.unwrap()..load_at];
-            let flush_first = between.iter().any(|s| matches!(*s, Step::Evict { tier: t, .. } if t == l_tier));
-            if l_tier != tier || flush_first {
-                continue;
-            }
-            held += 1;
-            let (mut engine, gate) = build(k, l);
-            run(&mut engine, 0..3);
-            engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
-            gate.armed.store(true, std::sync::atomic::Ordering::SeqCst);
-            engine.update().unwrap();
-            assert_eq!(&engine.pass_plan().steps, &steps, "the fourth pass ran another plan");
-            assert!(
-                !gate.ran_out.load(std::sync::atomic::Ordering::SeqCst),
-                "the load of subgroup {l} was not issued within {:?} while {k}'s was held",
-                gate.patience
-            );
-            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
-        }
-        assert!(held >= 2, "only {held} heads to hold");
     }
 
     /// Every span carries the thread that ran it: the engine's worker id

@@ -643,34 +643,30 @@ mod tests {
     }
 
     /// A same-length overwrite reuses the stored object — unless a reader
-    /// holds it: `read_into` clones the `Arc`, copies, then sleeps out the
-    /// throttle still holding it, and returns the bytes it found.
+    /// holds it: a reader inside `read`/`read_into` holds exactly the
+    /// handle `object` returns, from before its copy until its throttle
+    /// sleep ends, and the write must then give the key another object.
     #[test]
     fn mem_backend_overwrite_in_place_never_reaches_a_reader() {
         let (old, new) = (vec![1u8; 4096], vec![2u8; 4096]);
-        let b = Arc::new(MemBackend::throttled("slow-read", 4096.0 / 0.4, 1e12));
+        let b = MemBackend::new("mem");
         b.write("k", &old).unwrap(); // first write
-        let (entered, enter) = std::sync::mpsc::channel();
-        let reader = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || {
-                let mut dst = vec![0u8; 4096];
-                entered.send(()).unwrap();
-                b.read_into("k", &mut dst).unwrap(); // 0.4 s inside
-                dst
-            })
-        };
-        enter.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        let reader = b.object("k").unwrap(); // a reader, inside
         b.write("k", &new).unwrap(); // same length, reader inside
         assert_eq!(
-            reader.join().unwrap(),
+            reader.as_bytes(),
             old,
             "the reader's object changed under it"
         );
-        assert_eq!(b.read("k").unwrap(), new);
+        let stored = b.object("k").unwrap();
+        assert!(!Arc::ptr_eq(&stored, &reader), "written in place");
+        assert_eq!(stored.as_bytes(), new);
+        drop((reader, stored));
 
-        b.write("k", &old).unwrap(); // same length, nobody inside: in place
+        // Nobody inside: the stored object takes the bytes.
+        let at = Arc::as_ptr(&b.object("k").unwrap());
+        b.write("k", &old).unwrap(); // same length
+        assert_eq!(Arc::as_ptr(&b.object("k").unwrap()), at, "not in place");
         assert_eq!(b.read("k").unwrap(), old);
         b.write("k", &new[..100]).unwrap(); // different length
         assert_eq!(b.read("k").unwrap(), &new[..100]);
