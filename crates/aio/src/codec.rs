@@ -42,10 +42,13 @@
 use std::io;
 use std::time::{Duration, Instant};
 
+use mlp_storage::Clock;
 use mlp_sync::atomic::{AtomicU64, Ordering};
-use mlp_sync::Mutex;
+use mlp_sync::{Arc, Mutex};
 use mlp_tensor::{codec, HostBuffer};
 use mlp_trace::{Attrs, Counter, Phase, TraceSink};
+
+use crate::AioConfig;
 
 /// How long a tier whose rule says "raw" waits between trials.
 const TRIAL_EVERY: Duration = Duration::from_millis(100);
@@ -131,8 +134,9 @@ pub(crate) struct CodecStage {
     /// where an object did not code shorter): the ratio.
     coded: AtomicU64,
     framed: AtomicU64,
-    born: Instant,
-    /// Nanoseconds after `born` from which a trial may run.
+    /// The engine's clock, and its reading in nanoseconds from which a
+    /// trial may run.
+    clock: Arc<dyn Clock>,
     next_trial: AtomicU64,
     /// Where coding spans go, stamped with the engine's tier.
     trace: TraceSink,
@@ -142,19 +146,19 @@ pub(crate) struct CodecStage {
 }
 
 impl CodecStage {
-    /// The stage of tier `tier`, `backend`, whose coding `trace` meters.
-    pub(crate) fn new(trace: &TraceSink, backend: &str, tier: i32) -> Self {
-        let c = |meter: &str| trace.counter(&format!("aio.{backend}.{meter}"));
+    /// The stage of an engine of `config` over `backend`.
+    pub(crate) fn new(config: &AioConfig, backend: &str) -> Self {
+        let c = |meter: &str| config.trace.counter(&format!("aio.{backend}.{meter}"));
         CodecStage {
             transfer: Rate::default(),
             encode: Best::new(c("encode_ns"), Phase::CodecEncode),
             decode: Best::new(c("decode_ns"), Phase::CodecDecode),
             coded: AtomicU64::new(0),
             framed: AtomicU64::new(0),
-            born: Instant::now(),
+            clock: Arc::clone(&config.clock),
             next_trial: AtomicU64::new(0),
-            trace: trace.clone(),
-            tier,
+            trace: config.trace.clone(),
+            tier: config.trace_tier,
             scratch: Mutex::new(HostBuffer::default()),
         }
     }
@@ -278,7 +282,7 @@ impl CodecStage {
 
     /// Claims the trial slot if it is due.
     fn trial_due(&self) -> bool {
-        let now = self.born.elapsed().as_nanos() as u64;
+        let now = self.clock.now().as_nanos() as u64;
         // relaxed-ok: the slot is claimed by the exchange below; no memory
         // is published through it
         let due = self.next_trial.load(Ordering::Relaxed);
@@ -357,7 +361,7 @@ mod tests {
     /// Rates of a tier: `transfer_ns` per device byte, the codec's best
     /// `codec_ns` per raw byte each way, frames of `ratio`.
     fn rates(transfer_ns: u64, codec_ns: u64, ratio: f64) -> CodecStage {
-        let rates = CodecStage::new(&TraceSink::disabled(), "test", -1);
+        let rates = CodecStage::new(&AioConfig::default(), "test");
         let mib = 1 << 20;
         rates
             .transfer
@@ -382,7 +386,7 @@ mod tests {
         assert!(!rates(20, 1, 0.95).encodes(), "too little saved");
         assert!(!rates(1, 1, 0.875).encodes(), "a fast device stays raw");
         assert!(
-            !CodecStage::new(&TraceSink::disabled(), "test", -1).encodes(),
+            !CodecStage::new(&AioConfig::default(), "test").encodes(),
             "nothing measured yet"
         );
     }
@@ -397,7 +401,12 @@ mod tests {
 
     #[test]
     fn a_tier_that_stays_raw_trials_once_a_period() {
-        let rates = CodecStage::new(&TraceSink::disabled(), "test", -1);
+        let clock = Arc::new(mlp_testkit::ManualClock::new());
+        let config = AioConfig {
+            clock: clock.clone(),
+            ..AioConfig::default()
+        };
+        let rates = CodecStage::new(&config, "test");
         let mut scratch = HostBuffer::default();
         let payload: Vec<u8> = (0..8192u32)
             .flat_map(|i| (i as f32 * 1e-3).to_le_bytes())
@@ -414,6 +423,12 @@ mod tests {
         assert!(
             scratch.as_bytes().iter().all(|&b| b == 0),
             "no second trial"
+        );
+        clock.advance(TRIAL_EVERY);
+        assert_eq!(rates.encode(&payload, &mut scratch, None), None);
+        assert!(
+            scratch.as_bytes()[prefix..2 * prefix] == payload[..prefix],
+            "a period later, the next trial"
         );
     }
 }

@@ -35,7 +35,7 @@ use mlp_sync::atomic::{AtomicU64, Ordering};
 use mlp_sync::{thread, Arc, Mutex};
 
 use mlp_storage::fault::is_transient;
-use mlp_storage::{breaker_rejection, wall_clock, Backend, Sleeper, TierHealth};
+use mlp_storage::{breaker_rejection, Backend, Clock, TierHealth, WallClock};
 use mlp_tensor::{HostBuffer, PooledBuffer};
 use mlp_trace::{Attrs, Counter, Gauge, Phase, TraceSink};
 
@@ -91,13 +91,11 @@ impl RetryPolicy {
     }
 
     /// Runs `f` under this policy, bumping `retries` once per re-attempt.
-    /// Backoff delays go through the injected `sleeper`, so deterministic
-    /// fault suites substitute a recording fake and pay no wall-clock
-    /// time for injected retry storms.
+    /// Backoffs sleep on `clock`.
     pub(crate) fn run<T>(
         &self,
         retries: &AtomicU64,
-        sleeper: &dyn Sleeper,
+        clock: &dyn Clock,
         mut f: impl FnMut() -> io::Result<T>,
     ) -> io::Result<T> {
         let mut attempt = 1u32;
@@ -107,7 +105,7 @@ impl RetryPolicy {
                 Err(e) if attempt < self.max_attempts && is_transient(&e) => {
                     // relaxed-ok: monotonic retry counter, read only for reporting
                     retries.fetch_add(1, Ordering::Relaxed);
-                    sleeper.sleep(self.backoff_for(attempt));
+                    clock.sleep(self.backoff_for(attempt));
                     attempt += 1;
                 }
                 Err(e) if attempt > 1 => {
@@ -212,11 +210,10 @@ pub struct AioConfig {
     /// [`mlp_storage::breaker_rejection`] — then observed: its latency or
     /// its error; a deadline timeout counts as a failure.
     pub health: Option<Arc<TierHealth>>,
-    /// The sleeper behind retry backoff delays. Production uses the wall
-    /// clock; deterministic fault suites inject a
-    /// [`mlp_storage::FakeSleeper`] so injected retry storms cost no
-    /// real time.
-    pub sleeper: Arc<dyn Sleeper>,
+    /// The clock the engine schedules on: deadlines, the wait for a late
+    /// settlement, retry backoff and the codec's trials. A
+    /// [`WallClock`] by default; tests drive a `mlp_testkit::ManualClock`.
+    pub clock: Arc<dyn Clock>,
 }
 
 impl Default for AioConfig {
@@ -234,7 +231,7 @@ impl Default for AioConfig {
             trace_tier: -1,
             deadline: None,
             health: None,
-            sleeper: wall_clock(),
+            clock: Arc::new(WallClock::default()),
         }
     }
 }
@@ -433,27 +430,22 @@ impl OpHandle {
     }
 
     /// How an [`abandoned`](OpHandle::abandoned) write settled, once its
-    /// worker is done: waits up to `within` for that, and hands the
-    /// outcome out once — a failed pooled write's staging buffer with it.
-    /// `None` when nothing was handed out within `within` (the write is
-    /// still running, or its settlement was already taken), and at once
-    /// for an op that was not abandoned.
-    pub fn late_flush(&self, within: Duration) -> Option<FlushResult> {
+    /// worker is done: waits for that until the engine's clock reads
+    /// `until` ([`AioEngine::now`]), and hands the outcome out once — a
+    /// failed pooled write's staging buffer with it. `None` when nothing
+    /// was handed out by then (the write is still running, or its
+    /// settlement was already taken), and at once for an op that was not
+    /// abandoned.
+    pub fn late_flush(&self, until: Duration) -> Option<FlushResult> {
         if !self.abandoned() {
             return None;
         }
-        // Polled: a cold path, taken only after a deadline expired.
-        let until = Instant::now() + within;
-        loop {
-            if let Some(outcome) = self.state.slot.take_late() {
-                return Some(self.settled(outcome));
-            }
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            thread::sleep(left.min(Duration::from_millis(1)));
-        }
+        let mut late = None;
+        self.shared.clock.wait_until(until, &mut |_| {
+            late = self.state.slot.take_late();
+            late.is_some()
+        });
+        late.map(|outcome| self.settled(outcome))
     }
 
     /// Blocks until a pooled read completes and returns the staging
@@ -603,9 +595,8 @@ pub(crate) struct EngineShared {
     trace_tier: i32,
     /// The tier breaker that admits and hears every attempt, if any.
     health: Option<Arc<TierHealth>>,
-    /// Injected delay source for retry backoff (see
-    /// [`mlp_storage::Sleeper`]); the wall clock in production.
-    sleeper: Arc<dyn Sleeper>,
+    /// [`AioConfig::clock`].
+    pub(crate) clock: Arc<dyn Clock>,
     /// The tier's codec stage, run by submitters and waiters.
     codec: CodecStage,
 }
@@ -614,13 +605,13 @@ impl EngineShared {
     fn new(backend: Arc<dyn Backend>, config: &AioConfig) -> Self {
         EngineShared {
             stats: Stats::new(&config.trace, backend.name()),
-            codec: CodecStage::new(&config.trace, backend.name(), config.trace_tier),
+            codec: CodecStage::new(config, backend.name()),
             backend,
             retry: config.retry.clone(),
             trace: config.trace.clone(),
             trace_tier: config.trace_tier,
             health: config.health.clone(),
-            sleeper: Arc::clone(&config.sleeper),
+            clock: Arc::clone(&config.clock),
         }
     }
 
@@ -687,17 +678,17 @@ impl EngineShared {
         salvage: bool,
         mut attempt: impl FnMut() -> io::Result<T>,
     ) -> io::Result<T> {
-        self.retry.run(op_retries, &*self.sleeper, || {
+        self.retry.run(op_retries, &*self.clock, || {
             let Some(health) = &self.health else {
                 return attempt();
             };
             if !salvage && !health.allow() {
                 return Err(breaker_rejection(health.tier_name(), health.state()));
             }
-            let started = Instant::now();
+            let started = self.clock.now();
             let result = attempt();
             state.slot.if_unanswered(|| match &result {
-                Ok(_) => health.record_success(started.elapsed()),
+                Ok(_) => health.record_success(self.clock.now().saturating_sub(started)),
                 Err(e) => health.record_failure(e),
             });
             result
@@ -735,10 +726,12 @@ impl EngineShared {
     /// Publishes an op's outcome. Answering takes the op off `inflight`
     /// before its waiter can wake. The deadline watchdog may have answered
     /// the op already: this late outcome is then counted and kept as its
-    /// late settlement, and leaves `inflight` alone.
+    /// late settlement, whose waiter the clock wakes, and leaves
+    /// `inflight` alone.
     fn publish(&self, state: &OpState, result: Outcome) {
         if !state.slot.publish(result, || self.stats.inflight.sub(1)) {
             self.stats.late_completions.inc();
+            self.clock.notify();
         }
     }
 
@@ -1105,6 +1098,11 @@ impl AioEngine {
     /// retires an evacuated copy (see [`AioEngine::submit_salvage_read`]).
     pub fn submit_salvage_delete(&self, key: &str) -> OpHandle {
         self.submit(key, OpKind::Delete, true)
+    }
+
+    /// The reading of the engine's clock ([`AioConfig::clock`]).
+    pub fn now(&self) -> Duration {
+        self.shared.clock.now()
     }
 
     /// The tier breaker this engine admits and feeds
@@ -1875,15 +1873,12 @@ mod tests {
         assert_eq!(pool.outstanding(), 0, "buffer freed during unwind");
     }
 
-    /// Satellite fix: retry backoff used to `thread::sleep` wall-clock
-    /// inside the workers even under deterministic fault tests. With an
-    /// injected fake sleeper, a policy whose backoffs sum to 30 virtual
-    /// seconds must complete in real milliseconds while still recording
-    /// every requested delay.
+    /// Retry backoff sleeps on the engine's clock: a policy whose two
+    /// backoffs sum to 30 virtual seconds re-attempts only as the clock
+    /// passes each of them.
     #[test]
-    fn retry_backoff_routes_through_injected_sleeper() {
-        use mlp_storage::FakeSleeper;
-        let sleeper = FakeSleeper::shared();
+    fn retry_backoff_sleeps_on_the_engine_clock() {
+        let clock = Arc::new(mlp_testkit::ManualClock::new());
         let e = AioEngine::new(
             Arc::new(EventuallyBackend::new(2)) as Arc<dyn Backend>,
             AioConfig {
@@ -1895,21 +1890,23 @@ mod tests {
                     backoff_multiplier: 2.0,
                     max_backoff: Duration::from_secs(60),
                 },
-                sleeper: sleeper.clone(),
+                clock: clock.clone(),
                 ..AioConfig::default()
             },
         );
-        let t0 = std::time::Instant::now();
-        e.submit_write("k", vec![5u8; 16]).wait().unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "backoff slept wall-clock: {:?}",
-            t0.elapsed()
-        );
-        assert_eq!(e.retries(), 2);
-        assert_eq!(sleeper.sleeps(), 2, "one backoff per re-attempt");
+        let write = e.submit_write("k", vec![5u8; 16]);
         // 10 s after the first failure, 20 s after the second.
-        assert_eq!(sleeper.total_slept(), Duration::from_secs(30));
+        for backoff in [10, 20] {
+            let by = Duration::from_secs(backoff - 1);
+            while !clock.advance_if(by, |w| w.asleep == 1) {
+                std::thread::yield_now();
+            }
+            assert!(!write.is_done(), "re-attempted a second early");
+            clock.advance(Duration::from_secs(1));
+        }
+        write.wait().unwrap();
+        assert_eq!(e.retries(), 2);
+        assert_eq!(clock.now(), Duration::from_secs(30));
     }
 
     /// The engine's counters exist once: every `aio.<backend>.*` registry

@@ -27,9 +27,8 @@
 //! * [`engine::RetryPolicy`] — bounded exponential-backoff retry of
 //!   transient backend errors, executed inside the I/O workers; panicking
 //!   backends poison the op's completion handle instead of hanging
-//!   waiters. Backoff delays run on an injected
-//!   [`mlp_storage::Sleeper`], so deterministic fault suites pay no
-//!   wall-clock time.
+//!   waiters. Backoff, like every deadline, runs on the engine's
+//!   [`mlp_storage::Clock`] ([`engine::AioConfig::clock`]).
 //! * Deadline watchdog ([`engine::AioConfig::deadline`]) — a supervisor
 //!   thread that turns a hung backend into a typed
 //!   [`std::io::ErrorKind::TimedOut`] answer within the deadline, instead

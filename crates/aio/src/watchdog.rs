@@ -23,17 +23,19 @@
 //! settled ([`OpHandle::late_flush`](crate::OpHandle::late_flush)) — a
 //! write that landed late already changed the tier.
 //!
-//! Deadlines are registered in submission order and every op shares one
-//! configured deadline duration, so the internal queue is naturally
-//! sorted: the supervisor thread only ever sleeps until the front
-//! entry's expiry. Cost when idle: one parked thread.
+//! Deadlines are read off the engine's clock
+//! ([`AioConfig::clock`](crate::AioConfig::clock)) and registered in
+//! submission order, and every op shares one deadline duration, so the
+//! queue is sorted: the supervisor waits on the clock for the front
+//! entry's expiry and times ops out inside that wait, so a
+//! `mlp_testkit::ManualClock` that moves past a deadline returns only
+//! once the op is answered. Cost when idle: one parked thread.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Weak;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mlp_sync::{thread, Arc};
+use mlp_sync::{thread, Arc, Mutex};
 
 use crate::engine::{EngineShared, OpState};
 
@@ -42,13 +44,16 @@ use crate::engine::{EngineShared, OpState};
 struct Entry {
     state: Weak<OpState>,
     key: String,
-    expires: Instant,
+    expires: Duration,
 }
+
+/// The supervised ops, oldest first; `None` once the watchdog is dropped.
+type Queue = Mutex<Option<VecDeque<Entry>>>;
 
 /// Supervises in-flight ops for one engine; see the [module docs](self).
 pub(crate) struct Watchdog {
-    /// `Option` so Drop can disconnect the channel before joining.
-    tx: Option<Sender<Entry>>,
+    shared: Arc<EngineShared>,
+    queue: Arc<Queue>,
     handle: Option<thread::JoinHandle<()>>,
     deadline: Duration,
 }
@@ -57,14 +62,16 @@ impl Watchdog {
     /// Spawns the supervisor thread for `shared`, enforcing `deadline`
     /// on every subsequently registered op.
     pub(crate) fn spawn(shared: Arc<EngineShared>, deadline: Duration) -> Self {
-        let (tx, rx) = channel::<Entry>();
+        let queue = Arc::new(Mutex::new(Some(VecDeque::new())));
+        let (s, q) = (Arc::clone(&shared), Arc::clone(&queue));
         #[expect(clippy::expect_used, reason = "spawned once, at engine construction")]
         let handle = thread::Builder::new()
             .name(format!("aio-watchdog-{}", shared.backend.name()))
-            .spawn(move || supervise(&shared, &rx, deadline))
+            .spawn(move || supervise(&s, &q, deadline))
             .expect("spawn aio watchdog");
         Watchdog {
-            tx: Some(tx),
+            shared,
+            queue,
             handle: Some(handle),
             deadline,
         }
@@ -76,79 +83,48 @@ impl Watchdog {
         let entry = Entry {
             state: Arc::downgrade(state),
             key: key.to_string(),
-            expires: Instant::now() + self.deadline,
+            expires: self.shared.clock.now().saturating_add(self.deadline),
         };
-        if let Some(tx) = &self.tx {
-            // A send error means the supervisor exited (only possible
-            // mid-teardown); the op then simply runs unsupervised.
-            let _ = tx.send(entry);
+        let first = (self.queue.lock().as_mut()).is_some_and(|queue| {
+            queue.push_back(entry);
+            queue.len() == 1
+        });
+        // With none queued, the supervisor waits for this one.
+        if first {
+            self.shared.clock.notify();
         }
     }
 }
 
 impl Drop for Watchdog {
-    /// Disconnects the registration channel and joins the supervisor;
-    /// entries still queued are checked once more on the way out.
+    /// Closes the queue and joins the supervisor. The engine drops its
+    /// watchdog after joining its workers, so every op is answered by then.
     fn drop(&mut self) {
-        drop(self.tx.take());
+        self.queue.lock().take();
+        self.shared.clock.notify();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// The supervisor loop: accept registrations, time out the expired.
-/// Entries arrive in deadline order (one shared deadline duration), so
-/// only the front of the queue can expire next.
-fn supervise(shared: &EngineShared, rx: &Receiver<Entry>, deadline: Duration) {
-    let mut queue: VecDeque<Entry> = VecDeque::new();
-    loop {
-        let next = match queue.front() {
-            Some(front) => {
-                match rx.recv_timeout(front.expires.saturating_duration_since(Instant::now())) {
-                    Ok(entry) => Some(entry),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
+/// The supervisor loop: waits on the engine's clock for the front
+/// entry's expiry (with none queued, for a registration) and times out
+/// every expired entry, until the queue closes.
+fn supervise(shared: &EngineShared, queue: &Queue, deadline: Duration) {
+    // The expiry waited for: `MAX` with none queued, `None` once closed.
+    let mut front = Some(Duration::MAX);
+    while let Some(until) = front {
+        shared.clock.wait_until(until, &mut |now| {
+            front = queue.lock().as_mut().map(|queue| {
+                while let Some(entry) = queue.pop_front_if(|e| e.expires <= now) {
+                    if let Some(state) = entry.state.upgrade() {
+                        shared.time_out(&entry.key, &state, deadline);
+                    }
                 }
-            }
-            None => match rx.recv() {
-                Ok(entry) => Some(entry),
-                Err(_) => break,
-            },
-        };
-        if let Some(entry) = next {
-            queue.push_back(entry);
-        }
-        expire_front(shared, &mut queue, deadline);
-    }
-    // Teardown: the engine keeps the watchdog alive while it joins its
-    // workers, so a final sweep still times out ops a hung backend would
-    // otherwise strand mid-drop.
-    while let Some(front) = queue.front() {
-        let wait = front.expires.saturating_duration_since(Instant::now());
-        if !wait.is_zero() {
-            // Sleep at most one leg at a time so a completed op's entry
-            // (dead Weak) is discarded without waiting its full deadline.
-            mlp_sync::thread::sleep(wait.min(Duration::from_millis(10)));
-        }
-        expire_front(shared, &mut queue, deadline);
-        // Drop entries whose op already completed and was consumed.
-        while queue.front().is_some_and(|e| e.state.upgrade().is_none()) {
-            queue.pop_front();
-        }
-    }
-}
-
-/// Times out every expired entry at the front of the queue.
-fn expire_front(shared: &EngineShared, queue: &mut VecDeque<Entry>, deadline: Duration) {
-    let now = Instant::now();
-    while queue.front().is_some_and(|e| e.expires <= now) {
-        let Some(entry) = queue.pop_front() else {
-            break;
-        };
-        let Some(state) = entry.state.upgrade() else {
-            continue; // op completed and its handle was dropped
-        };
-        shared.time_out(&entry.key, &state, deadline);
+                queue.front().map_or(Duration::MAX, |e| e.expires)
+            });
+            front != Some(until)
+        });
     }
 }

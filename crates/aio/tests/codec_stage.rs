@@ -436,7 +436,7 @@ fn the_io_worker_never_codes() {
     assert!(write.abandoned() && back.is_none());
     backend.set(false, true);
     let late = write
-        .late_flush(Duration::from_secs(20))
+        .late_flush(engine.now() + Duration::from_secs(20))
         .expect("the write settles");
     let (err, back) = late.unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);

@@ -16,6 +16,7 @@ use mlp_storage::{
     MemBackend, TierHealth,
 };
 use mlp_tensor::PinnedPool;
+use mlp_testkit::ManualClock;
 use mlp_trace::TraceSink;
 
 /// Fast-backoff retry policy so fault tests sleep microseconds, not
@@ -291,51 +292,60 @@ fn links_retry_and_keep_their_bytes() {
     assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
 }
 
-/// Tentpole: a hung backend (latency fault far beyond the deadline)
-/// surfaces as a typed `TimedOut` within the configured deadline — not
-/// as a stuck `wait_flush`. The injected stall is 600 ms; the deadline
-/// 25 ms; the waiter must unblock in well under the stall. The stalled
-/// call eventually returns, is counted as a *late completion*, and its
-/// landed write is handed out once as the op's late settlement.
+/// A tier whose armed ops sleep their latency spikes on `clock`.
+fn spiking(clock: &Arc<ManualClock>, faults: FaultConfig) -> Arc<FaultInjectBackend> {
+    let mem = Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>;
+    Arc::new(FaultInjectBackend::new(mem, faults).with_clock(clock.clone()))
+}
+
+/// Moves `clock` on `by` once an I/O worker sleeps in a spike.
+fn pass_asleep(clock: &ManualClock, by: Duration) {
+    while !clock.advance_if(by, |w| w.asleep == 1) {
+        std::thread::yield_now();
+    }
+}
+
+/// A hung backend (a latency fault far beyond the deadline) surfaces as
+/// a typed `TimedOut` once the deadline passes, not as a stuck
+/// `wait_flush`: on the engine's clock the 600 s stall has not ended when
+/// the 25 ms deadline answers the waiter. The stalled call returns once
+/// the clock passes it, is counted as a *late completion*, and its landed
+/// write is handed out once as the op's late settlement.
 #[test]
 fn hung_backend_surfaces_typed_timeout() {
-    let fault = Arc::new(FaultInjectBackend::new(
-        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-        FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(600)),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let spikes = FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_secs(600));
+    let fault = spiking(&clock, spikes);
     let engine = AioEngine::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
         AioConfig {
             deadline: Some(Duration::from_millis(25)),
             retry: RetryPolicy::none(),
+            clock: clock.clone(),
             ..AioConfig::deterministic()
         },
     );
-    let t0 = std::time::Instant::now();
     let handle = engine.submit_write("k", vec![7u8; 64]);
+    pass_asleep(&clock, Duration::from_millis(25));
     let (err, _payload) = handle.wait_flush().unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert!(
         mlp_storage::is_transient(&err),
         "a deadline timeout must classify transient"
     );
-    assert!(
-        t0.elapsed() < Duration::from_millis(500),
-        "waiter blocked past the deadline ({:?})",
-        t0.elapsed()
-    );
     assert!(handle.abandoned());
     assert!(
-        handle.late_flush(Duration::ZERO).is_none(),
+        handle.late_flush(engine.now()).is_none(),
         "settled before the stall ended"
     );
     assert_eq!(engine.op_timeouts(), 1);
     assert_eq!(engine.op_errors(), 1);
-    // The stalled call eventually finishes; its publication answers no
-    // one and is counted as late, exactly once, and kept: the write
-    // landed.
-    wait_for_late_completion(&engine);
-    assert!(matches!(handle.late_flush(Duration::ZERO), Some(Ok(()))));
+    // The stalled call finishes once the clock passes its spike; its
+    // publication answers no one and is counted as late, exactly once,
+    // and kept: the write landed.
+    clock.advance(Duration::from_secs(600));
+    assert!(matches!(handle.late_flush(Duration::MAX), Some(Ok(()))));
+    assert_eq!(engine.late_completions(), 1);
     assert!(
         handle.late_flush(Duration::ZERO).is_none(),
         "handed out twice"
@@ -353,25 +363,23 @@ fn hung_backend_surfaces_typed_timeout() {
 /// breaker.
 #[test]
 fn hung_tier_timeout_reaches_the_breaker() {
-    let fault = Arc::new(FaultInjectBackend::new(
-        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-        FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(400)),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let spikes = FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(400));
     let health = TierHealth::new("mem", HealthConfig::hair_trigger());
     let engine = AioEngine::new(
-        fault as Arc<dyn Backend>,
+        spiking(&clock, spikes) as Arc<dyn Backend>,
         AioConfig {
             deadline: Some(Duration::from_millis(50)),
             retry: RetryPolicy::none(),
             workers: 1,
             health: Some(Arc::clone(&health)),
+            clock: clock.clone(),
             ..AioConfig::deterministic()
         },
     );
-    let (err, _payload) = engine
-        .submit_write("k", vec![7u8; 64])
-        .wait_flush()
-        .unwrap_err();
+    let write = engine.submit_write("k", vec![7u8; 64]);
+    pass_asleep(&clock, Duration::from_millis(50));
+    let (err, _payload) = write.wait_flush().unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert_ne!(
         health.state(),
@@ -379,7 +387,9 @@ fn hung_tier_timeout_reaches_the_breaker() {
         "the timeout never reached the breaker ({:?})",
         health.counts()
     );
-    wait_for_late_completion(&engine);
+    clock.advance(Duration::from_millis(350));
+    assert!(write.late_flush(Duration::MAX).is_some());
+    assert_eq!(engine.late_completions(), 1);
     assert_eq!(health.counts().failures, 1);
 }
 
@@ -390,10 +400,8 @@ fn hung_tier_timeout_reaches_the_breaker() {
 /// them recorded as nothing.
 #[test]
 fn late_return_of_a_timed_out_op_is_not_a_breaker_success() {
-    let fault = Arc::new(FaultInjectBackend::new(
-        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-        FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(300)),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let spikes = FaultConfig::none(42).with_latency_spikes(1.0, Duration::from_millis(300));
     let health = TierHealth::new(
         "mem",
         HealthConfig {
@@ -403,22 +411,29 @@ fn late_return_of_a_timed_out_op_is_not_a_breaker_success() {
         .with_latency_slo(Duration::from_millis(100), 1),
     );
     let engine = AioEngine::new(
-        fault as Arc<dyn Backend>,
+        spiking(&clock, spikes) as Arc<dyn Backend>,
         AioConfig {
             deadline: Some(Duration::from_millis(50)),
             retry: RetryPolicy::none(),
             workers: 1,
             health: Some(Arc::clone(&health)),
+            clock: clock.clone(),
             ..AioConfig::deterministic()
         },
     );
-    assert!(engine.submit_write("a", vec![1u8; 8]).wait().is_err());
-    wait_for_late_completion(&engine);
+    let a = engine.submit_write("a", vec![1u8; 8]);
+    pass_asleep(&clock, Duration::from_millis(50));
+    assert!(a.wait_flush().is_err());
+    clock.advance(Duration::from_millis(250));
+    assert!(a.late_flush(Duration::MAX).is_some());
     let counts = health.counts();
     assert_eq!((counts.failures, counts.slo_violations), (1, 0));
     assert_eq!(health.state(), BreakerState::Closed);
-    assert!(engine.submit_write("b", vec![2u8; 8]).wait().is_err());
+    let b = engine.submit_write("b", vec![2u8; 8]);
+    pass_asleep(&clock, Duration::from_millis(50));
+    assert!(b.wait_flush().is_err());
     assert_eq!(health.state(), BreakerState::Quarantined);
+    clock.advance(Duration::from_millis(250));
 }
 
 /// A pooled write that fails only after its deadline answered: the
@@ -427,15 +442,16 @@ fn late_return_of_a_timed_out_op_is_not_a_breaker_success() {
 /// contents intact, exactly once.
 #[test]
 fn a_late_failure_hands_its_frame_back_through_the_settlement() {
-    let fault = Arc::new(FaultInjectBackend::new(
-        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-        FaultConfig::permanent(9, 1.0).with_latency_spikes(1.0, Duration::from_millis(200)),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let faults =
+        FaultConfig::permanent(9, 1.0).with_latency_spikes(1.0, Duration::from_millis(200));
+    let fault = spiking(&clock, faults);
     let engine = AioEngine::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
         AioConfig {
             deadline: Some(Duration::from_millis(25)),
             retry: RetryPolicy::none(),
+            clock: clock.clone(),
             ..AioConfig::deterministic()
         },
     );
@@ -446,10 +462,12 @@ fn a_late_failure_hands_its_frame_back_through_the_settlement() {
         .as_bytes_mut()
         .copy_from_slice(b"payload!");
     let handle = engine.submit_write_pooled("k", frame, 8);
+    pass_asleep(&clock, Duration::from_millis(25));
     let (err, payload) = handle.wait_flush().unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert!(payload.is_none() && handle.abandoned());
-    let Some(Err((late, Some(frame)))) = handle.late_flush(Duration::from_secs(5)) else {
+    clock.advance(Duration::from_millis(175));
+    let Some(Err((late, Some(frame)))) = handle.late_flush(Duration::MAX) else {
         panic!("the late failure did not hand its frame back");
     };
     assert_eq!(late.kind(), io::ErrorKind::PermissionDenied, "{late}");
@@ -470,12 +488,11 @@ fn a_late_failure_hands_its_frame_back_through_the_settlement() {
 /// op's late completion, which must not take it off a second time.
 #[test]
 fn inflight_returns_to_zero_after_a_timeout_and_its_late_completion() {
-    let fault = Arc::new(FaultInjectBackend::new(
-        Arc::new(MemBackend::new("mem")) as Arc<dyn Backend>,
-        FaultConfig::none(5)
-            .with_latency_spikes(1.0, Duration::from_millis(200))
-            .with_ops(FaultOps::WritesOnly),
-    ));
+    let clock = Arc::new(ManualClock::new());
+    let spikes = FaultConfig::none(5)
+        .with_latency_spikes(1.0, Duration::from_millis(200))
+        .with_ops(FaultOps::WritesOnly);
+    let fault = spiking(&clock, spikes);
     let trace = TraceSink::enabled();
     let engine = AioEngine::new(
         Arc::clone(&fault) as Arc<dyn Backend>,
@@ -483,6 +500,7 @@ fn inflight_returns_to_zero_after_a_timeout_and_its_late_completion() {
             deadline: Some(Duration::from_millis(50)),
             retry: RetryPolicy::none(),
             trace: trace.clone(),
+            clock: clock.clone(),
             ..AioConfig::deterministic()
         },
     );
@@ -504,20 +522,14 @@ fn inflight_returns_to_zero_after_a_timeout_and_its_late_completion() {
     for (i, h) in reads.into_iter().enumerate() {
         assert_eq!(h.wait().unwrap().unwrap(), vec![i as u8; 16]);
     }
+    pass_asleep(&clock, Duration::from_millis(50));
     let err = stalled.wait_flush().unwrap_err().0;
     assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
     assert_eq!(inflight.get(), 0, "every op was answered");
-    wait_for_late_completion(&engine);
-    assert_eq!(inflight.get(), 0, "the late completion was taken off again");
-}
-
-/// Blocks until the engine has counted its one late completion.
-fn wait_for_late_completion(engine: &AioEngine) {
-    let t0 = std::time::Instant::now();
-    while engine.late_completions() == 0 && t0.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    clock.advance(Duration::from_millis(150));
+    assert!(stalled.late_flush(Duration::MAX).is_some());
     assert_eq!(engine.late_completions(), 1, "late completion lost");
+    assert_eq!(inflight.get(), 0, "the late completion was taken off again");
 }
 
 /// The breaker admits and observes every backend attempt, below retry:

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mlp_aio::engine::{AioConfig, AioEngine, Finish, FlushResult, OpHandle};
 use mlp_aio::lock::{ProcessExclusiveLock, TierGuard};
@@ -774,7 +774,7 @@ impl MlpFuncEngine {
 
     /// Settles eviction `idx`'s flush through the ledger's table — once
     /// it is answered, or for one the deadline answered, however it
-    /// settles `late` within that long — and executes the action: retire
+    /// settles by the clock reading `late` — and executes the action: retire
     /// what a landed write superseded, or carry one still running to
     /// [`MlpFuncEngine::settle_carried`]. Returns the flush's error.
     fn settle_flush(
@@ -786,8 +786,8 @@ impl MlpFuncEngine {
         let n = self.subgroup_lens[idx];
         let (outcome, err) = match late {
             None => flush_outcome(handle.wait_flush(), handle.abandoned(), n),
-            Some(within) => handle
-                .late_flush(within)
+            Some(until) => handle
+                .late_flush(until)
                 .map_or((Outcome::Late, None), |result| {
                     flush_outcome(result, false, n)
                 }),
@@ -820,28 +820,28 @@ impl MlpFuncEngine {
     }
 
     /// Settles the carried ops `which` picks, waiting up to one deadline
-    /// for them: each settlement takes its row of the ledger's table. Any
-    /// still running fails the call with `TimedOut` and is asked again by
-    /// the next one: re-planning while an eviction may still land could
-    /// fetch either copy, and a late delete or gradient write would undo
-    /// the caller's next write of its key on its tier. One on a tier the
-    /// planner excludes is let go: nothing writes there again. A late
+    /// on each tier's clock: each settlement takes its row of the ledger's
+    /// table. Any still running fails the call with `TimedOut` and is asked
+    /// again by the next one: re-planning while an eviction may still land
+    /// could fetch either copy, and a late delete or gradient write would
+    /// undo the caller's next write of its key on its tier. One on a tier
+    /// the planner excludes is let go: nothing writes there again. A late
     /// staging, migration or pin write leaves only an orphan copy.
     fn settle_carried(&mut self, which: impl Fn(&Carried) -> bool) -> io::Result<()> {
         let excluded = self.ledger.planner.excluded();
         (self.abandoned).retain(|&(_, t, op, _)| op == TierOp::Evict || !excluded[t]);
-        let deadline = self.tiers.iter().filter_map(|t| t.deadline).max();
-        let (deadline, started) = (deadline.unwrap_or_default(), Instant::now());
+        let until: Vec<_> = (self.tiers.iter())
+            .map(|t| t.engine.now() + t.deadline.unwrap_or_default())
+            .collect();
         let due: Vec<_> = self.abandoned.extract_if(.., |c| which(c)).collect();
         let mut deletes = InFlight::new();
         for (idx, tier, op, handle) in due {
-            let within = deadline.saturating_sub(started.elapsed());
             // A late failure is no error of this call: the re-drive's.
             if op == TierOp::Evict {
-                let _ = self.settle_flush((idx, tier, handle), Some(within), &mut deletes);
+                let _ = self.settle_flush((idx, tier, handle), Some(until[tier]), &mut deletes);
                 continue;
             }
-            let Some(result) = handle.late_flush(within) else {
+            let Some(result) = handle.late_flush(until[tier]) else {
                 self.abandoned.push((idx, tier, op, handle));
                 continue;
             };
@@ -854,11 +854,10 @@ impl MlpFuncEngine {
         let Some(&(idx, ..)) = still.next() else {
             return Ok(());
         };
-        let (count, waited) = (1 + still.count(), started.elapsed());
         let msg = format!(
-            "{count} writes or deletes the I/O deadline abandoned (subgroup {idx} first) are \
-             still running after another {waited:?}; nothing may touch their objects until they \
-             settle"
+            "{} writes or deletes the I/O deadline abandoned (subgroup {idx} first) are still \
+             running a deadline later; nothing may touch their objects until they settle",
+            1 + still.count()
         );
         Err(io::Error::new(io::ErrorKind::TimedOut, msg))
     }

@@ -1,105 +1,104 @@
-//! Injectable sleep/clock abstraction for deterministic delay handling.
+//! The one clock the I/O stack schedules time on.
 //!
-//! Two call sites in the I/O stack block the calling thread on purpose:
-//! the retry layer's exponential backoff (`mlp-aio`) and the fault
-//! injector's latency spikes ([`crate::fault::FaultInjectBackend`]).
-//! Both used to call `std::thread::sleep` directly, which meant seeded
-//! deterministic fault tests paid real wall-clock delays for every
-//! injected retry storm. Threading a [`Sleeper`] through instead keeps
-//! production behaviour identical (the default is
-//! [`WallClockSleeper`]) while tests swap in a [`FakeSleeper`] that
-//! records the requested delays and returns immediately — virtual time
-//! for the delay path, exactly like the simulation engines' virtual
-//! clock, without a global.
+//! Everything that *schedules* time reads a [`Clock`]: the deadline
+//! watchdog, the wait for an abandoned op's late settlement, retry
+//! backoff, the codec stage's trial period and the fault injector's
+//! latency spikes. What *measures* work (coding rates, busy time, spans)
+//! keeps `std::time::Instant`. Production runs on [`WallClock`]. A test
+//! runs on `mlp_testkit::ManualClock`, whose time moves only when the test
+//! advances it: a deadline, a backoff or a spike then costs no wall time
+//! and fires exactly when the test says, however loaded the host is.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::fmt;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-/// A source of blocking delays. Implementations must be cheap to share
-/// across I/O worker threads. (`Debug` is a supertrait so configs that
-/// embed an `Arc<dyn Sleeper>` can keep deriving `Debug`.)
-pub trait Sleeper: Send + Sync + std::fmt::Debug {
-    /// Blocks the calling thread for (up to) `d` — or merely records the
-    /// request, for virtual-time implementations.
-    fn sleep(&self, d: Duration);
+/// A source of time that threads can wait on. `Debug` is a supertrait so
+/// configs that embed an `Arc<dyn Clock>` can keep deriving `Debug`.
+pub trait Clock: Send + Sync + fmt::Debug {
+    /// The time since the clock's epoch.
+    fn now(&self) -> Duration;
+
+    /// Blocks until `ready` returns `true` or the clock reads `until`, and
+    /// returns whether `ready` ended the wait. `ready` gets the clock's
+    /// reading and runs under the clock's lock: first, then each time the
+    /// clock is notified or moves. A thread that changes what `ready`
+    /// reads and then calls [`Clock::notify`] is never missed.
+    fn wait_until(&self, until: Duration, ready: &mut dyn FnMut(Duration) -> bool) -> bool;
+
+    /// Has every wait call its `ready` again.
+    fn notify(&self);
+
+    /// Blocks for `d`.
+    fn sleep(&self, d: Duration) {
+        let until = self.now().saturating_add(d);
+        self.wait_until(until, &mut |_| false);
+    }
 }
 
-/// The production sleeper: a plain `std::thread::sleep`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WallClockSleeper;
+/// Locks `m`, whatever a panicking `ready` left behind.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
-impl Sleeper for WallClockSleeper {
-    fn sleep(&self, d: Duration) {
-        if !d.is_zero() {
-            std::thread::sleep(d);
+/// The production clock: the time since it was made.
+#[derive(Debug)]
+pub struct WallClock {
+    epoch: Instant,
+    lock: Mutex<()>,
+    changed: Condvar,
+}
+
+impl Default for WallClock {
+    fn default() -> Self {
+        WallClock {
+            epoch: Instant::now(),
+            lock: Mutex::new(()),
+            changed: Condvar::new(),
         }
     }
 }
 
-/// A recording sleeper for deterministic tests: never blocks, counts
-/// every request and accumulates the virtual nanoseconds that *would*
-/// have been slept. Fault-injection suites assert backoff engaged via
-/// [`FakeSleeper::total_slept`] instead of paying the delay.
-#[derive(Debug, Default)]
-pub struct FakeSleeper {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-}
-
-impl FakeSleeper {
-    /// A fresh recorder wrapped for sharing with engine config.
-    pub fn shared() -> Arc<FakeSleeper> {
-        Arc::new(FakeSleeper::default())
+impl Clock for WallClock {
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
     }
 
-    /// Number of sleep requests recorded.
-    pub fn sleeps(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // relaxed-ok: stats snapshot
+    fn wait_until(&self, until: Duration, ready: &mut dyn FnMut(Duration) -> bool) -> bool {
+        let mut guard = lock(&self.lock);
+        loop {
+            let now = self.now();
+            if ready(now) {
+                return true;
+            }
+            let Some(left) = until.checked_sub(now).filter(|d| !d.is_zero()) else {
+                return false;
+            };
+            guard = (self.changed.wait_timeout(guard, left))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
-    /// Total virtual time requested across all sleeps.
-    pub fn total_slept(&self) -> Duration {
-        Duration::from_nanos(self.total_ns.load(Ordering::Relaxed)) // relaxed-ok: stats snapshot
+    fn notify(&self) {
+        let _guard = lock(&self.lock);
+        self.changed.notify_all();
     }
-}
-
-impl Sleeper for FakeSleeper {
-    fn sleep(&self, d: Duration) {
-        self.count.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
-    }
-}
-
-/// The default production sleeper, shared.
-pub fn wall_clock() -> Arc<dyn Sleeper> {
-    Arc::new(WallClockSleeper)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
-    fn fake_sleeper_records_without_blocking() {
-        let s = FakeSleeper::shared();
-        let t0 = std::time::Instant::now();
-        s.sleep(Duration::from_secs(3600));
-        s.sleep(Duration::from_secs(1800));
-        assert!(
-            t0.elapsed() < Duration::from_millis(100),
-            "fake slept for real"
-        );
-        assert_eq!(s.sleeps(), 2);
-        assert_eq!(s.total_slept(), Duration::from_secs(5400));
-    }
-
-    #[test]
-    fn wall_clock_sleeper_actually_sleeps() {
-        let s = WallClockSleeper;
-        let t0 = std::time::Instant::now();
-        s.sleep(Duration::from_millis(10));
-        assert!(t0.elapsed() >= Duration::from_millis(5));
+    fn a_notify_ends_a_wait_whose_condition_now_holds() {
+        let (clock, flag) = (Arc::new(WallClock::default()), Arc::new(Mutex::new(false)));
+        let (c, f) = (Arc::clone(&clock), Arc::clone(&flag));
+        let waiter = std::thread::spawn(move || c.wait_until(Duration::MAX, &mut |_| *lock(&f)));
+        *lock(&flag) = true;
+        clock.notify();
+        assert!(waiter.join().unwrap());
+        assert!(!clock.wait_until(Duration::ZERO, &mut |_| false));
     }
 }

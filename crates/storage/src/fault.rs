@@ -34,7 +34,7 @@ use mlp_tensor::HostBuffer;
 use mlp_trace::{Attrs, Phase, TraceSink};
 
 use crate::backend::Backend;
-use crate::clock::{wall_clock, Sleeper};
+use crate::clock::{Clock, WallClock};
 
 // ---------------------------------------------------------------------------
 // Error taxonomy
@@ -267,9 +267,8 @@ pub struct FaultInjectBackend {
     seq: Mutex<HashMap<String, u64>>,
     stats: FaultStats,
     armed: AtomicBool,
-    /// Delay source for latency spikes; [`crate::clock::WallClockSleeper`]
-    /// by default, a recording fake under deterministic tests.
-    sleeper: Arc<dyn Sleeper>,
+    /// The clock latency spikes sleep on: a [`WallClock`] by default.
+    clock: Arc<dyn Clock>,
     /// Observability sink: each injected fault drops a
     /// [`mlp_trace::Phase::FaultInject`] instant on the timeline, so a
     /// retry storm in the trace can be lined up with the injections that
@@ -289,7 +288,7 @@ impl FaultInjectBackend {
             seq: Mutex::new(HashMap::new()),
             stats: FaultStats::default(),
             armed: AtomicBool::new(true),
-            sleeper: wall_clock(),
+            clock: Arc::new(WallClock::default()),
             trace: TraceSink::disabled(),
         }
     }
@@ -301,11 +300,10 @@ impl FaultInjectBackend {
         self
     }
 
-    /// Replaces the latency-spike delay source (a
-    /// [`crate::clock::FakeSleeper`] keeps deterministic suites off the
-    /// wall clock).
-    pub fn with_sleeper(mut self, sleeper: Arc<dyn Sleeper>) -> Self {
-        self.sleeper = sleeper;
+    /// Sleeps latency spikes on `clock` (a `mlp_testkit::ManualClock` keeps
+    /// deterministic suites off the wall clock).
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
         self
     }
 
@@ -379,7 +377,7 @@ impl FaultInjectBackend {
         if self.cfg.latency_spike_p > 0.0 && self.roll(kh, seq, 1) < self.cfg.latency_spike_p {
             self.stats.latency_spikes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic stats counter
             self.note_injection();
-            self.sleeper.sleep(self.cfg.latency_spike);
+            self.clock.sleep(self.cfg.latency_spike);
         }
         let r = self.roll(kh, seq, 2);
         if r < self.cfg.permanent_error_p {
@@ -652,27 +650,6 @@ mod tests {
         assert!(b.write("k", &[1]).is_err());
         assert!(b.delete("k").is_err());
         assert_eq!(b.counts().permanent, 2);
-    }
-
-    #[test]
-    fn latency_spikes_route_through_injected_sleeper() {
-        let sleeper = crate::clock::FakeSleeper::shared();
-        let inner = Arc::new(MemBackend::new("mem"));
-        inner.write("k", &[7u8; 64]).unwrap();
-        let b = FaultInjectBackend::new(
-            inner,
-            FaultConfig::none(3).with_latency_spikes(1.0, Duration::from_secs(30)),
-        )
-        .with_sleeper(sleeper.clone());
-        let t0 = std::time::Instant::now();
-        assert_eq!(b.read("k").unwrap().len(), 64);
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "fake sleeper must not block"
-        );
-        assert_eq!(sleeper.sleeps(), 1);
-        assert_eq!(sleeper.total_slept(), Duration::from_secs(30));
-        assert_eq!(b.counts().latency_spikes, 1);
     }
 
     #[test]

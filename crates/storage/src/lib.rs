@@ -27,9 +27,9 @@
 //! * [`fault`] — the transient/permanent error taxonomy shared with the
 //!   retry layer, and a deterministic (seeded) fault-injecting backend
 //!   decorator for exercising it.
-//! * [`clock`] — the injectable [`Sleeper`] behind every deliberate
-//!   delay (retry backoff, latency spikes), so deterministic suites run
-//!   off a fake instead of the wall clock.
+//! * [`clock`] — the one [`Clock`] everything that schedules time reads
+//!   (deadlines, backoff, trials, latency spikes): [`WallClock`] in
+//!   production, `mlp_testkit::ManualClock` in tests.
 //! * [`health`] — per-tier circuit breakers (closed/open/half-open/
 //!   quarantined) over the error taxonomy and latency SLOs; the signal
 //!   the quarantine-and-drain path reacts to.
@@ -45,7 +45,7 @@ pub mod spec;
 pub mod traced;
 
 pub use backend::{Backend, DirBackend, MemBackend, MemTouches};
-pub use clock::{wall_clock, FakeSleeper, Sleeper, WallClockSleeper};
+pub use clock::{Clock, WallClock};
 pub use fault::{
     classify, is_transient, ErrorClass, FaultConfig, FaultCounts, FaultInjectBackend, FaultOps,
 };

@@ -9,9 +9,15 @@
 //! reproducible from the case number in the panic message — there is no
 //! shrinking and no regression file: a case worth keeping becomes an
 //! explicit pinned test next to the property.
+//!
+//! Time in a test is a [`ManualClock`]: see [`clock`].
+
+pub mod clock;
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+pub use clock::{ManualClock, Waiters};
 
 /// Case count of a property that does not pin its own.
 pub const DEFAULT_CASES: u64 = 256;

@@ -95,8 +95,7 @@ fn run_cell(tier: &str, cp: CrashPoint, cell: &std::path::Path) {
         MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
     step(&mut engine, 0);
 
-    let staging: Arc<dyn Backend> =
-        Arc::new(DirBackend::new("stage", cell.join("stage")).unwrap());
+    let staging: Arc<dyn Backend> = Arc::new(DirBackend::new("stage", cell.join("stage")).unwrap());
     let object = object_tier(tier, cell);
     let mut pipe =
         CheckpointPipeline::new(Arc::clone(&staging), Arc::clone(&object), trace.clone());

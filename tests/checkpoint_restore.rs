@@ -268,14 +268,19 @@ fn kill_and_restore_resumes_from_nvme_plus_object_checkpoint() {
     let (manifest, stats) = pipe.drain(pending).unwrap();
     assert!(stats.copied_bytes > 0, "host-resident subgroups must copy");
     assert!(stats.prestaged_bytes > 0, "tier residents must pre-stage");
-    let (target, prestaged): (usize, usize) = manifest.subgroups.iter().fold((0, 0), |(t, p), l| {
-        match l {
+    let (target, prestaged): (usize, usize) =
+        manifest.subgroups.iter().fold((0, 0), |(t, p), l| match l {
             SubgroupLocation::Target { .. } => (t + 1, p),
             SubgroupLocation::Prestaged { .. } => (t, p + 1),
-        }
-    });
-    assert!(target > 0 && prestaged > 0, "checkpoint must span both tiers");
-    assert!(object.object_count() > 0, "trickle must reach the object store");
+        });
+    assert!(
+        target > 0 && prestaged > 0,
+        "checkpoint must span both tiers"
+    );
+    assert!(
+        object.object_count() > 0,
+        "trickle must reach the object store"
+    );
     // The kill: worker state is gone; only the shared tiers and the
     // object store survive.
     drop(engine);
@@ -574,7 +579,9 @@ fn checkpoint_refuses_tags_the_manifest_cannot_carry() {
         }
         let pinned = (0..SUBGROUPS).map(|idx| CheckpointManifest::subgroup_key(tag, 0, idx));
         assert!(
-            !pinned.into_iter().any(|key| shared.iter().any(|t| t.backend.contains(&key))),
+            !pinned
+                .into_iter()
+                .any(|key| shared.iter().any(|t| t.backend.contains(&key))),
             "a refused checkpoint pins nothing"
         );
     }

@@ -63,7 +63,10 @@ fn slow(name: &str) -> Arc<MemBackend> {
 }
 
 fn in_memory() -> Vec<SharedTier> {
-    let stores = [Arc::new(MemBackend::new("a")), Arc::new(MemBackend::new("b"))];
+    let stores = [
+        Arc::new(MemBackend::new("a")),
+        Arc::new(MemBackend::new("b")),
+    ];
     tiers(&stores.map(|s| s as Arc<dyn Backend>), &[2.0, 1.0])
 }
 
@@ -73,7 +76,11 @@ fn holds_frames(store: &MemBackend) -> bool {
 }
 
 /// Runs `engine` and its in-memory twin over `passes`, pass for pass equal.
-fn train_both(engine: &mut MlpFuncEngine, twin: &mut MlpFuncEngine, passes: std::ops::Range<usize>) {
+fn train_both(
+    engine: &mut MlpFuncEngine,
+    twin: &mut MlpFuncEngine,
+    passes: std::ops::Range<usize>,
+) {
     for it in passes {
         let want = pass(twin, it).unwrap();
         let got = pass(engine, it).unwrap();
@@ -93,7 +100,10 @@ fn train_until(
     let started = Instant::now();
     let mut next = from;
     while !coded() {
-        assert!(started.elapsed() < Duration::from_secs(30), "the tiers never coded");
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the tiers never coded"
+        );
         train_both(engine, twin, next..next + 1);
         next += 1;
     }
@@ -109,7 +119,9 @@ fn coded_tiers_train_checkpoint_and_restore_bit_identically() {
     let mut twin = MlpFuncEngine::new(cfg.clone(), adam, &in_memory(), 0, states()).unwrap();
     let mut engine = MlpFuncEngine::new(cfg.clone(), adam, &shared, 0, states()).unwrap();
     train_both(&mut engine, &mut twin, 0..4);
-    let next = train_until(&mut engine, &mut twin, 4, || stores.iter().all(|s| holds_frames(s)));
+    let next = train_until(&mut engine, &mut twin, 4, || {
+        stores.iter().all(|s| holds_frames(s))
+    });
 
     let mut pipe = CheckpointPipeline::new(
         Arc::new(MemBackend::new("staging")) as Arc<dyn Backend>,
@@ -118,12 +130,18 @@ fn coded_tiers_train_checkpoint_and_restore_bit_identically() {
     );
     let (_, stats) = pipe.checkpoint(&engine, "coded").unwrap();
     assert!(stats.prestaged_bytes > 0, "coded tier copies are pinned");
-    assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+    assert_eq!(
+        engine.master_params().unwrap(),
+        twin.master_params().unwrap()
+    );
     drop(engine);
 
     let mut resumed = pipe.restore(cfg, adam, &shared, 0, "coded").unwrap();
     train_both(&mut resumed, &mut twin, next..next + 2);
-    assert_eq!(resumed.master_params().unwrap(), twin.master_params().unwrap());
+    assert_eq!(
+        resumed.master_params().unwrap(),
+        twin.master_params().unwrap()
+    );
 }
 
 #[test]
@@ -139,8 +157,13 @@ fn a_migration_between_coded_tiers_stays_bit_identical() {
         MlpFuncEngine::new(cfg.with_adaptive_replan(2), adam, &shared, 0, states()).unwrap();
     train_both(&mut engine, &mut twin, 0..6);
     assert!(engine.migrations_done() > 0, "the planner never migrated");
-    train_until(&mut engine, &mut twin, 6, || stores.iter().all(|s| holds_frames(s)));
-    assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+    train_until(&mut engine, &mut twin, 6, || {
+        stores.iter().all(|s| holds_frames(s))
+    });
+    assert_eq!(
+        engine.master_params().unwrap(),
+        twin.master_params().unwrap()
+    );
 }
 
 /// A slow store whose writes fail once armed.
@@ -152,7 +175,10 @@ struct WritesFail {
 impl Backend for WritesFail {
     fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
         if self.armed.load(Ordering::SeqCst) {
-            return Err(io::Error::new(io::ErrorKind::PermissionDenied, "device gone"));
+            return Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "device gone",
+            ));
         }
         self.inner.write(key, data)
     }
@@ -209,5 +235,8 @@ fn a_quarantine_drain_of_a_coded_tier_stays_bit_identical() {
     assert_eq!(got.fp16_params, want.fp16_params, "the re-drive");
     assert!(engine.drains_done() > 0, "nothing was drained");
     train_both(&mut engine, &mut twin, next + 1..next + 3);
-    assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+    assert_eq!(
+        engine.master_params().unwrap(),
+        twin.master_params().unwrap()
+    );
 }

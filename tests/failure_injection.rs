@@ -9,18 +9,20 @@
 //! and leave the engines re-drivable to the bit-identical result.
 
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mlp_offload_suite::mlp_aio::{AioConfig, RetryPolicy};
 use mlp_offload_suite::mlp_offload::func::{MlpFuncEngine, SharedTier};
 use mlp_offload_suite::mlp_offload::EngineConfig;
 use mlp_offload_suite::mlp_optim::{AdamConfig, SubgroupState};
 use mlp_offload_suite::mlp_storage::{
-    classify, Backend, ErrorClass, FaultConfig, FaultInjectBackend, FaultOps, MemBackend,
+    classify, Backend, Clock, ErrorClass, FaultConfig, FaultInjectBackend, FaultOps, MemBackend,
 };
+use mlp_offload_suite::mlp_trace::TraceSink;
 use mlp_offload_suite::mlp_zero3::Zero3FuncEngine;
+use mlp_testkit::ManualClock;
 
 /// Fast-backoff retry policy for tests (real sleeps stay in microseconds).
 fn test_retry(max_attempts: u32) -> RetryPolicy {
@@ -278,8 +280,7 @@ fn transient_faults_are_invisible_to_training_on_every_engine() {
         SharedTier::new(Arc::new(MemBackend::new("a")) as Arc<dyn Backend>, 2.0),
         SharedTier::new(Arc::new(MemBackend::new("b")) as Arc<dyn Backend>, 1.0),
     ];
-    let mut want =
-        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(12, 16)).unwrap();
+    let mut want = MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(12, 16)).unwrap();
     let mut want_out = Vec::new();
     for _ in 0..3 {
         want.accumulate_gradients(&grads(12, 16));
@@ -340,8 +341,7 @@ fn migration_under_transient_faults_stays_bit_identical() {
         SharedTier::new(Arc::new(MemBackend::new("a")) as Arc<dyn Backend>, 2.0),
         SharedTier::new(Arc::new(MemBackend::new("b")) as Arc<dyn Backend>, 1.0),
     ];
-    let mut want =
-        MlpFuncEngine::new(base.clone(), adam, &clean_tiers, 0, states(10, 16)).unwrap();
+    let mut want = MlpFuncEngine::new(base.clone(), adam, &clean_tiers, 0, states(10, 16)).unwrap();
 
     let injectors: Vec<Arc<FaultInjectBackend>> = [("a", 11u64), ("b", 53u64)]
         .iter()
@@ -424,8 +424,7 @@ fn permanent_fault_on_one_tier_surfaces_typed_and_engine_redrives() {
         SharedTier::new(Arc::new(MemBackend::new("a")) as Arc<dyn Backend>, 2.0),
         SharedTier::new(Arc::new(MemBackend::new("b")) as Arc<dyn Backend>, 1.0),
     ];
-    let mut want =
-        MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(6, 16)).unwrap();
+    let mut want = MlpFuncEngine::new(cfg.clone(), adam, &clean_tiers, 0, states(6, 16)).unwrap();
 
     let inject = FaultInjectBackend::new(
         Arc::new(MemBackend::new("b")) as Arc<dyn Backend>,
@@ -604,14 +603,23 @@ fn zero3_rides_through_transient_faults_bit_identically() {
 
 #[test]
 fn a_flush_the_deadline_abandoned_is_applied_once() {
-    // Every write stalls 300 ms past a 50 ms deadline, so the update
-    // answers `TimedOut` while its evictions are still running; they land
-    // later, each carrying its subgroup's updated state. The re-drive must
-    // take those copies as updated — fetching one and applying the
-    // gradient again would double the step — and stay bit-identical to a
-    // fault-free twin and to plain in-memory Adam. In the last case the
-    // stalled writes fail instead, and their frames must come back to
-    // rest host-side as the updated state.
+    // Every write stalls a minute past a 50 ms deadline on the tier's
+    // clock, so the update answers `TimedOut` while its evictions are still
+    // running; they land later, each carrying its subgroup's updated
+    // state. The re-drive must take those copies as updated — fetching one
+    // and applying the gradient again would double the step — and stay
+    // bit-identical to a fault-free twin and to plain in-memory Adam. In
+    // the last case the stalled writes fail instead, and their frames must
+    // come back to rest host-side as the updated state.
+    //
+    // The tier has one I/O worker. A keeper thread moves the clock one
+    // deadline on when an op is in flight and that worker sleeps in a
+    // spike, or when nothing is in flight and the engine waits on the
+    // clock: a healthy op never times out, one queued behind a spike
+    // always does, and each move answers every op in flight, so a call
+    // moves the clock a deadline per op at most, never a spike's worth.
+    const DEADLINE: Duration = Duration::from_millis(50);
+    const SPIKE: Duration = Duration::from_secs(60);
     let (n, len) = (8, 24);
     let adam = AdamConfig::default();
     let cfg = EngineConfig::mlp_offload().with_host_frames(3);
@@ -622,7 +630,7 @@ fn a_flush_the_deadline_abandoned_is_applied_once() {
     ];
     for (retry, faults) in cases {
         let faults = faults
-            .with_latency_spikes(1.0, Duration::from_millis(300))
+            .with_latency_spikes(1.0, SPIKE)
             .with_ops(FaultOps::WritesOnly);
         let case = format!("{retry:?}, {faults:?}");
         let mut reference = states(n, len);
@@ -631,20 +639,50 @@ fn a_flush_the_deadline_abandoned_is_applied_once() {
             1.0,
         )];
         let mut want = MlpFuncEngine::new(cfg.clone(), adam, &clean, 0, states(n, len)).unwrap();
-        let inject = Arc::new(FaultInjectBackend::new(
-            Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>,
-            faults,
-        ));
+        let (clock, trace) = (Arc::new(ManualClock::new()), TraceSink::with_capacity(0));
+        let inject = Arc::new(
+            FaultInjectBackend::new(
+                Arc::new(MemBackend::new("nvme")) as Arc<dyn Backend>,
+                faults,
+            )
+            .with_clock(clock.clone()),
+        );
         inject.set_armed(false);
         let stalling = [
             SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, 1.0).with_aio(AioConfig {
-                deadline: Some(Duration::from_millis(50)),
+                workers: 1,
+                deadline: Some(DEADLINE),
                 retry,
+                clock: clock.clone(),
+                trace: trace.clone(),
                 ..AioConfig::deterministic()
             }),
         ];
         let mut engine =
             MlpFuncEngine::new(cfg.clone(), adam, &stalling, 0, states(n, len)).unwrap();
+        let meter = |name: &str| trace.counter(&format!("aio.nvme+faults.{name}"));
+        let (inflight, timeouts, late) = (
+            trace.gauge("aio.nvme+faults.inflight"),
+            meter("timeouts"),
+            meter("late_completions"),
+        );
+        let stop = Arc::new(AtomicBool::new(false));
+        let keeper = {
+            let (clock, stop) = (clock.clone(), Arc::clone(&stop));
+            let (inflight, timeouts, late) = (inflight.clone(), timeouts.clone(), late.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let settled = || timeouts.get() == late.get();
+                    let due = |w: mlp_testkit::Waiters| match inflight.get() {
+                        0 => w.waiting > 1 + w.asleep && (w.asleep == 1 || settled()),
+                        _ => w.asleep == 1,
+                    };
+                    if !clock.advance_if(DEADLINE, due) {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                }
+            })
+        };
         let mut step = |engine: &mut MlpFuncEngine, want: &mut MlpFuncEngine| {
             let g = grads(n, len);
             for (st, g) in reference.iter_mut().zip(&g) {
@@ -663,14 +701,21 @@ fn a_flush_the_deadline_abandoned_is_applied_once() {
         let err = engine.update().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{case}: {err}");
         assert!(engine.update_in_progress());
-        // Two workers take at least 900 ms for the five stalled writes, so
-        // straight away some are still running: the re-drive refuses,
+        // The stalled writes are still running, so the re-drive refuses,
         // typed, and asks again next time.
         let err = engine.update().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{case}: {err}");
         assert!(err.to_string().contains("still running"), "{case}: {err}");
-        // The abandoned writes settle meanwhile.
-        std::thread::sleep(Duration::from_millis(1500));
+        assert!(clock.now() < SPIKE, "{case}: a spike ended early");
+        // The abandoned writes settle meanwhile, one spike after another:
+        // every op the deadline answered completes late.
+        let started = Instant::now();
+        while late.get() < timeouts.get() {
+            assert!(started.elapsed() < Duration::from_secs(60), "{case}: hung");
+            if !clock.advance_if(SPIKE, |w| w.asleep == 1) {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
         inject.set_armed(false);
 
         let o = engine.update().unwrap();
@@ -680,5 +725,8 @@ fn a_flush_the_deadline_abandoned_is_applied_once() {
             assert_eq!(g, &r.params, "{case}: subgroup {idx} diverged");
         }
         assert_eq!(got, want.master_params().unwrap());
+        assert_eq!(inflight.get(), 0, "{case}");
+        stop.store(true, Ordering::SeqCst);
+        keeper.join().unwrap();
     }
 }

@@ -362,7 +362,12 @@ fn ablation_adaptive_bandwidth_helps_after_pfs_drift() {
         let mut cfg = EngineConfig::mlp_offload();
         cfg.adaptive_bandwidth = adaptive;
         cfg.cache_retention = false; // isolate the allocation effect
-        let subgroups = (0..40).map(|id| Subgroup { id, params: 100_000_000 }).collect();
+        let subgroups = (0..40)
+            .map(|id| Subgroup {
+                id,
+                params: 100_000_000,
+            })
+            .collect();
         let worker = SimWorker::new(env.clone(), 0, cfg, subgroups);
         let mut durations = Vec::new();
         for it in 0..6 {
