@@ -548,12 +548,12 @@ fn drive(engine: &mut MlpFuncEngine, script: &Script) -> io::Result<()> {
     let held = script.holds();
     let mut result = attempt(engine);
     script.after_call(&result);
-    if timed_out(&result) && !held {
-        let e = result.err().map_or_else(String::new, |e| e.to_string());
-        let unfaulted = format!("a pass the script does not fault timed out: {e}");
-        return Err(io::Error::other(unfaulted));
-    }
     if timed_out(&result) {
+        if !held {
+            let e = result.err().map_or_else(String::new, |e| e.to_string());
+            let unfaulted = format!("a pass the script does not fault timed out: {e}");
+            return Err(io::Error::other(unfaulted));
+        }
         result = attempt(engine);
         script.after_call(&result);
     }
