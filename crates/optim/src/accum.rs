@@ -373,7 +373,9 @@ mod tests {
                     .enumerate()
                     .map(|(id, &n)| {
                         // Every exponent, both signs, −0 and NaNs included.
-                        (0..n).map(|i| ((i + salt) * 2_654_435_761 + id * 40_503) as u16).collect()
+                        (0..n)
+                            .map(|i| ((i + salt) * 2_654_435_761 + id * 40_503) as u16)
+                            .collect()
                     })
                     .collect()
             };

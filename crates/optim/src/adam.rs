@@ -197,7 +197,11 @@ mod tests {
                 eps: 1e-8,
                 weight_decay: if g.bool() { 0.0 } else { g.range(1e-3f32..0.2) },
             };
-            let step = if g.bool() { g.range(1u64..20) } else { g.range(20u64..100_001) };
+            let step = if g.bool() {
+                g.range(1u64..20)
+            } else {
+                g.range(20u64..100_001)
+            };
             // Moments, gradient and parameter over seven decades, both
             // signs: everything a step computes stays a normal `f32`.
             let signed = |g: &mut Gen| g.range(-1.0f32..1.0) * magnitude(g);

@@ -135,7 +135,15 @@ mod tests {
             let (mut p2, mut m2, mut v2) = state(n);
             let mut out2 = vec![0u16; n];
             let state = view(&mut p2, &mut m2, &mut v2);
-            apply(&sink, 7, -1, &first(cfg), state, GradRef::Fp16(&grads), &mut out2);
+            apply(
+                &sink,
+                7,
+                -1,
+                &first(cfg),
+                state,
+                GradRef::Fp16(&grads),
+                &mut out2,
+            );
             assert_eq!(p1, p2);
             assert_eq!(m1, m2);
             assert_eq!(v1, v2);
@@ -152,7 +160,15 @@ mod tests {
         let grads = vec![0.01f32; n];
         let mut out = vec![0u16; n];
         let state = view(&mut p, &mut m, &mut v);
-        apply(&sink, 3, 1, &first(cfg), state, GradRef::Fp32(&grads), &mut out);
+        apply(
+            &sink,
+            3,
+            1,
+            &first(cfg),
+            state,
+            GradRef::Fp32(&grads),
+            &mut out,
+        );
 
         let events = sink.events();
         assert_eq!(events.len(), 1);

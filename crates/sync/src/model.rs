@@ -123,7 +123,11 @@ where
         report.deadlocks > 0,
         "expect_deadlock(): no deadlock in any of {} schedules{}",
         report.schedules,
-        if report.truncated { " (search truncated)" } else { "" },
+        if report.truncated {
+            " (search truncated)"
+        } else {
+            ""
+        },
     );
     report
 }
@@ -139,7 +143,10 @@ enum ThreadState {
     BlockedMutex(usize),
     /// Parked on a condvar; not runnable until a notify converts it to
     /// `BlockedMutex(mutex)`.
-    Waiting { cv: usize, mutex: usize },
+    Waiting {
+        cv: usize,
+        mutex: usize,
+    },
     /// Joining another thread; runnable once the target is finished.
     BlockedJoin(usize),
     Finished,
@@ -351,7 +358,10 @@ impl Exec {
         let mut st = plock(&self.state);
         st.push_trace(me, format!("wait cv{cvid} (releases m{mid})"));
         st.held[mid] = false;
-        st.threads[me] = ThreadState::Waiting { cv: cvid, mutex: mid };
+        st.threads[me] = ThreadState::Waiting {
+            cv: cvid,
+            mutex: mid,
+        };
         self.pick_next(&mut st, None);
         let mut st = self.wait_for_turn(st, me);
         debug_assert!(!st.held[mid]);
@@ -391,7 +401,6 @@ impl Exec {
         let mut st = self.wait_for_turn(st, me);
         st.threads[me] = ThreadState::Runnable;
     }
-
 }
 
 // ---------------------------------------------------------------------------
@@ -447,7 +456,12 @@ fn run_thread<F, T>(exec: StdArc<Exec>, id: usize, slot: StdArc<StdMutex<Option<
 where
     F: FnOnce() -> T,
 {
-    CTX.with(|c| *c.borrow_mut() = Some(Ctx { exec: exec.clone(), id }));
+    CTX.with(|c| {
+        *c.borrow_mut() = Some(Ctx {
+            exec: exec.clone(),
+            id,
+        })
+    });
     {
         let st = plock(&exec.state);
         // First scheduling: don't run until the token points here. The
@@ -798,8 +812,8 @@ pub mod sync {
     /// acceptable here and how the static lint covers the rest).
     pub mod atomic {
         use super::super::ctx;
-        pub use std::sync::atomic::Ordering;
         use std::sync::atomic as std_atomic;
+        pub use std::sync::atomic::Ordering;
 
         macro_rules! model_atomic {
             ($name:ident, $std:ident, $prim:ty, rmw) => {

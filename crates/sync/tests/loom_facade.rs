@@ -60,7 +60,10 @@ fn facade_atomics_are_explored() {
         let _ = t.join();
         assert_eq!(a.load(Ordering::Relaxed), 2);
     });
-    assert!(report.schedules > 1, "atomic accesses must be decision points");
+    assert!(
+        report.schedules > 1,
+        "atomic accesses must be decision points"
+    );
 }
 
 #[test]

@@ -192,7 +192,11 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
             "B" | "i" | "I" => {
                 let ev = TraceEvent {
                     seq,
-                    kind: if ph == "B" { EventKind::Span } else { EventKind::Instant },
+                    kind: if ph == "B" {
+                        EventKind::Span
+                    } else {
+                        EventKind::Instant
+                    },
                     phase,
                     pid,
                     tid,
@@ -211,9 +215,9 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
                 }
             }
             "E" => {
-                let mut ev = open.remove(&(pid, tid, seq)).ok_or_else(|| {
-                    format!("end without begin for seq {seq} on {pid}/{tid}")
-                })?;
+                let mut ev = open
+                    .remove(&(pid, tid, seq))
+                    .ok_or_else(|| format!("end without begin for seq {seq} on {pid}/{tid}"))?;
                 if ts_ns < ev.ts_ns {
                     return Err(format!("span seq {seq} ends before it begins"));
                 }

@@ -231,7 +231,10 @@ impl Attrs {
 
     /// `NONE` with a byte count.
     pub fn bytes(n: u64) -> Attrs {
-        Attrs { bytes: n, ..Attrs::NONE }
+        Attrs {
+            bytes: n,
+            ..Attrs::NONE
+        }
     }
 
     /// `NONE` with a storage tier and a byte count.

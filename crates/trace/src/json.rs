@@ -227,7 +227,10 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses one array or object, one level further down.
-    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
         if self.depth == MAX_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
         }
@@ -481,7 +484,11 @@ mod tests {
     fn nesting_is_bounded_and_the_error_names_the_depth() {
         let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
         assert!(parse(&nested(MAX_DEPTH)).is_ok());
-        for bad in [nested(MAX_DEPTH + 1), "[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+        for bad in [
+            nested(MAX_DEPTH + 1),
+            "[".repeat(1_000_000),
+            "{\"a\":".repeat(1_000_000),
+        ] {
             let err = parse(&bad).expect_err("too deep");
             assert!(err.contains("deeper than 128 levels"), "{err}");
         }

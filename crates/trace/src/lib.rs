@@ -62,8 +62,6 @@ pub mod summary;
 
 pub use chrome::{chrome_trace_json, chrome_trace_json_named, parse_chrome_trace};
 pub use event::{Attrs, EventKind, IoDirection, Phase, TraceEvent, ALL_PHASES};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use sink::{set_thread_lane, SpanGuard, TraceSink, DRIVER_TID};
 pub use summary::{human_bytes, IoSummary, TierIo};

@@ -135,7 +135,12 @@ impl Histogram {
     /// samples, which is fine at export time when producers quiesce).
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: self.0.buckets.iter().map(|b| b.load(Ordering::Acquire)).collect(),
+            buckets: self
+                .0
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Acquire))
+                .collect(),
             count: self.0.count.load(Ordering::Acquire),
             sum: self.0.sum.load(Ordering::Acquire),
         }
@@ -207,7 +212,11 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = self.inner.lock();
         MetricsSnapshot {
-            counters: g.counters.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            counters: g
+                .counters
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
             gauges: g.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
             histograms: g
                 .histograms

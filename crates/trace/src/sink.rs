@@ -198,7 +198,11 @@ impl TraceSink {
     /// inert guard when disabled.
     pub fn span(&self, phase: Phase, attrs: Attrs) -> SpanGuard {
         SpanGuard {
-            sink: if self.is_enabled() { Some(self.clone()) } else { None },
+            sink: if self.is_enabled() {
+                Some(self.clone())
+            } else {
+                None
+            },
             phase,
             attrs,
             start_ns: self.now_ns(),
@@ -322,7 +326,11 @@ mod tests {
         })
         .join()
         .unwrap();
-        let explicit = Attrs { pid: 2, tid: 5, ..Attrs::NONE };
+        let explicit = Attrs {
+            pid: 2,
+            tid: 5,
+            ..Attrs::NONE
+        };
         stamped.instant(Phase::Update, explicit, 4);
         sink.instant(Phase::Update, Attrs::NONE, 5);
         let tracks: Vec<_> = sink.events().iter().map(|e| (e.pid, e.tid)).collect();
@@ -356,7 +364,15 @@ mod tests {
         let s = TraceSink::with_capacity(16);
         s.complete_span(Phase::Fetch, Attrs::bytes(100), 10, 30);
         s.instant(Phase::AioRetry, Attrs::NONE, 40);
-        s.complete_span(Phase::Flush, Attrs { tier: 1, ..Attrs::bytes(200) }, 50, 90);
+        s.complete_span(
+            Phase::Flush,
+            Attrs {
+                tier: 1,
+                ..Attrs::bytes(200)
+            },
+            50,
+            90,
+        );
         let evs = s.events();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].seq, 0);

@@ -69,7 +69,10 @@ impl IoSummary {
 
     /// Totals for one tier and direction.
     pub fn tier(&self, tier: i32, dir: IoDirection) -> TierIo {
-        self.per_tier.get(&(tier, dir_key(dir))).copied().unwrap_or_default()
+        self.per_tier
+            .get(&(tier, dir_key(dir)))
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Total bytes moved across all tiers and directions.
@@ -157,13 +160,44 @@ mod tests {
     fn sample() -> Vec<TraceEvent> {
         let s = TraceSink::with_capacity(16);
         // Tier 0: two reads totalling 3000 bytes over 2 µs busy.
-        s.complete_span(Phase::Fetch, Attrs { tier: 0, ..Attrs::bytes(1000) }, 0, 1_000);
-        s.complete_span(Phase::Fetch, Attrs { tier: 0, ..Attrs::bytes(2000) }, 1_000, 2_000);
+        s.complete_span(
+            Phase::Fetch,
+            Attrs {
+                tier: 0,
+                ..Attrs::bytes(1000)
+            },
+            0,
+            1_000,
+        );
+        s.complete_span(
+            Phase::Fetch,
+            Attrs {
+                tier: 0,
+                ..Attrs::bytes(2000)
+            },
+            1_000,
+            2_000,
+        );
         // Tier 1: one write of 5000 bytes over 5 µs busy.
-        s.complete_span(Phase::Flush, Attrs { tier: 1, ..Attrs::bytes(5000) }, 0, 5_000);
+        s.complete_span(
+            Phase::Flush,
+            Attrs {
+                tier: 1,
+                ..Attrs::bytes(5000)
+            },
+            0,
+            5_000,
+        );
         // Compute span and instants are excluded from I/O totals.
         s.complete_span(Phase::Backward, Attrs::NONE, 0, 9_000);
-        s.instant(Phase::AioRetry, Attrs { tier: 0, ..Attrs::NONE }, 10);
+        s.instant(
+            Phase::AioRetry,
+            Attrs {
+                tier: 0,
+                ..Attrs::NONE
+            },
+            10,
+        );
         s.events()
     }
 

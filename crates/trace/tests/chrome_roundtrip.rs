@@ -19,7 +19,11 @@ fn mix(mut z: u64) -> u64 {
 fn event_from_seed(seq: u64, seed: u64) -> TraceEvent {
     let f = |salt: u64| mix(seed ^ salt.wrapping_mul(0xA24B_AED4_963E_E407));
     let phase = ALL_PHASES[(f(1) % ALL_PHASES.len() as u64) as usize];
-    let kind = if f(2) % 3 == 0 { EventKind::Instant } else { EventKind::Span };
+    let kind = if f(2) % 3 == 0 {
+        EventKind::Instant
+    } else {
+        EventKind::Span
+    };
     TraceEvent {
         seq,
         kind,
@@ -31,7 +35,11 @@ fn event_from_seed(seq: u64, seed: u64) -> TraceEvent {
         bytes: f(7) % (1 << 40),
         // Hundreds of virtual seconds, nanosecond resolution.
         ts_ns: f(8) % 500_000_000_000,
-        dur_ns: if kind == EventKind::Span { f(9) % 10_000_000_000 } else { 0 },
+        dur_ns: if kind == EventKind::Span {
+            f(9) % 10_000_000_000
+        } else {
+            0
+        },
     }
 }
 
