@@ -1909,6 +1909,43 @@ mod tests {
         assert_eq!(clock.now(), Duration::from_secs(30));
     }
 
+    /// A test that fails while an I/O worker sleeps on its manual clock
+    /// reports the failure: the clock's end-of-time guard, declared after
+    /// the engine, drops first and ends the backoff that the engine's drop
+    /// would otherwise wait on for good. A hang is the failure here, so a
+    /// liveness timeout bounds it.
+    #[test]
+    fn a_failure_while_a_worker_sleeps_on_the_clock_is_reported_not_hung() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let failed = std::panic::catch_unwind(|| {
+                let clock = Arc::new(mlp_testkit::ManualClock::new());
+                let backend = Arc::new(EventuallyBackend::new(2)) as Arc<dyn Backend>;
+                let aio = AioConfig {
+                    workers: 1,
+                    clock: clock.clone(),
+                    ..AioConfig::default()
+                };
+                let e = AioEngine::new(backend, aio);
+                let _end = clock.end_on_drop();
+                let _write = e.submit_write("k", vec![5u8; 16]);
+                while !clock.advance_if(Duration::ZERO, |w| w.asleep == 1) {
+                    std::thread::yield_now();
+                }
+                // An assert failing mid-backoff, without the panic hook's
+                // message.
+                std::panic::resume_unwind(Box::new("failed mid-backoff"));
+            });
+            let _ = done.send(failed.is_err());
+        });
+        let reported = outcome.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            reported,
+            Ok(true),
+            "the failing test hung in the engine's drop"
+        );
+    }
+
     /// The engine's counters exist once: every `aio.<backend>.*` registry
     /// counter of a traced engine is the cell its accessor reads, on every
     /// completion path — success, retried transient, permanent error,

@@ -67,12 +67,7 @@ impl SharedTier {
     /// Creates a shared tier over `backend` with allocation `weight` and
     /// the default I/O configuration.
     pub fn new(backend: Arc<dyn Backend>, weight: f64) -> Self {
-        SharedTier {
-            backend,
-            lock: ProcessExclusiveLock::new(),
-            weight,
-            aio: AioConfig::default(),
-        }
+        SharedTier { backend, lock: ProcessExclusiveLock::new(), weight, aio: AioConfig::default() }
     }
 
     /// Overrides the tier's I/O configuration (e.g. a tighter or looser
@@ -282,6 +277,9 @@ pub struct MlpFuncEngine {
     /// State evictions, retire-deletes and gradient writes that the I/O
     /// deadline answered while they still ran.
     abandoned: Vec<Carried>,
+    /// The next pass's leading state reads, issued as the last update
+    /// ended ([`MlpFuncEngine::prefetch`]), as `(subgroup, tier, read)`.
+    prefetched: InFlight,
     /// Per-tier cumulative `(bytes_moved, busy_seconds, retries)` counter
     /// snapshot from the tier I/O engines at the last planner feed, so
     /// each iteration records only its own deltas.
@@ -327,38 +325,16 @@ impl MlpFuncEngine {
         // The tier list, the ratio and the I/O settings come from user
         // configuration (`EngineConfig::from_deepspeed_json`): reject,
         // don't panic.
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if shared_tiers.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "the engine needs at least one storage tier",
-            ));
+            return invalid("the engine needs at least one storage tier".into());
         }
-        if let Some((ti, t)) = shared_tiers
-            .iter()
-            .enumerate()
-            .find(|(_, t)| t.aio.workers == 0)
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "tier {ti} (backend {}) has no I/O workers",
-                    t.backend.name()
-                ),
-            ));
+        if let Some((ti, t)) = shared_tiers.iter().enumerate().find(|(_, t)| t.aio.workers == 0) {
+            return invalid(format!("tier {ti} (backend {}) has no I/O workers", t.backend.name()));
         }
-        if let Some(ratio) = cfg
-            .tier_ratio
-            .as_ref()
-            .filter(|r| r.len() != shared_tiers.len())
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "tier ratio has {} components for {} tiers",
-                    ratio.len(),
-                    shared_tiers.len()
-                ),
-            ));
+        let (ratio, n) = (cfg.tier_ratio.as_ref().map(Vec::len), shared_tiers.len());
+        if let Some(ratio) = ratio.filter(|&r| r != n) {
+            return invalid(format!("tier ratio has {ratio} components for {n} tiers"));
         }
         // With an enabled sink, every event lands on this worker's track,
         // each tier's I/O engine stamps its spans with the tier index, and
@@ -370,28 +346,19 @@ impl MlpFuncEngine {
         // is wrapped and no per-op tracing work is done.
         cfg.trace = cfg.trace.for_process(worker_id as u32);
         let trace = cfg.trace.clone();
-        let tiers: Vec<TierRt> = shared_tiers
-            .iter()
-            .enumerate()
+        let tiers: Vec<TierRt> = (shared_tiers.iter().enumerate())
             .map(|(ti, t)| {
                 let mut aio = t.aio.clone();
                 let backend: Arc<dyn Backend> = if trace.is_enabled() && !aio.trace.is_enabled() {
                     aio.trace = trace.clone();
                     aio.trace_tier = ti as i32;
-                    Arc::new(TracedBackend::new(
-                        Arc::clone(&t.backend),
-                        ti as i32,
-                        trace.clone(),
-                    ))
+                    Arc::new(TracedBackend::new(Arc::clone(&t.backend), ti as i32, trace.clone()))
                 } else {
                     aio.trace = aio.trace.for_process(worker_id as u32);
                     Arc::clone(&t.backend)
                 };
-                TierRt {
-                    deadline: aio.deadline,
-                    engine: Arc::new(AioEngine::new(backend, aio)),
-                    lock: t.lock.clone(),
-                }
+                let (deadline, lock) = (aio.deadline, t.lock.clone());
+                TierRt { deadline, engine: Arc::new(AioEngine::new(backend, aio)), lock }
             })
             .collect();
         let weights: Vec<f64> = match &cfg.tier_ratio {
@@ -433,9 +400,7 @@ impl MlpFuncEngine {
             ledger,
             pass: PassPlan::default(),
             keys: (0..m).map(|idx| format!("w{worker_id}/sub{idx}")).collect(),
-            grad_keys: (0..m)
-                .map(|idx| format!("w{worker_id}/grad{idx}"))
-                .collect(),
+            grad_keys: (0..m).map(|idx| format!("w{worker_id}/grad{idx}")).collect(),
             subgroup_lens,
             tiers,
             cfg,
@@ -445,6 +410,7 @@ impl MlpFuncEngine {
             inv_loss_scale: 1.0,
             grad_clip_max_norm: None,
             abandoned: Vec::new(),
+            prefetched: InFlight::new(),
             io_snapshot: vec![(0, 0.0, 0); ntiers],
             migrations_done: 0,
             drains_done: 0,
@@ -713,7 +679,34 @@ impl MlpFuncEngine {
             self.feed_planner();
         }
         self.ledger.end_iteration();
+        self.prefetch();
         Ok(outcome)
+    }
+
+    /// Issues the next pass's leading state reads into the pool's free
+    /// buffers, in plan order, so the tiers work while the caller
+    /// accumulates gradients; the pass adopts each as its fetch. A load
+    /// that also reads a gradient object waits for its pass:
+    /// [`MlpFuncEngine::flush_gradients`] has not written it yet.
+    fn prefetch(&mut self) {
+        if let HostGrads::Fp32 { .. } = self.grads {
+            return;
+        }
+        let free = (self.state_pool.capacity()).saturating_sub(self.state_pool.outstanding());
+        for (idx, tier) in self.ledger.upcoming_pass().leading_fetches().take(free) {
+            let (trace, n) = (&self.cfg.trace, self.subgroup_lens[idx]);
+            let io = Attrs::tier_bytes(tier as i32, n as u64 * 12);
+            trace.instant(Phase::Prefetch, Attrs { subgroup: idx as i64, ..io }, trace.now_ns());
+            let read = self.submit_read(tier, self.key(idx), n * 12);
+            self.prefetched.push_back((idx, tier, read));
+        }
+    }
+
+    /// The reads the last update issued for the next pass, which no pass
+    /// has taken yet, in plan order as `(subgroup, tier, landed)`: each
+    /// holds a pooled buffer.
+    pub fn prefetched_reads(&self) -> Vec<(usize, usize, bool)> {
+        (self.prefetched.iter()).map(|(s, t, read)| (*s, *t, read.is_done())).collect()
     }
 
     /// The plan of the last update pass (or of the one awaiting re-drive).
@@ -870,7 +863,10 @@ impl MlpFuncEngine {
     /// encountered.
     fn drain_inflight(&mut self, mut run: PassRun) -> io::Result<UpdateOutcome> {
         let mut first_err = None;
-        for (idx, staged) in run.pending {
+        // A leading read a failed pass never reached settles as its fetch.
+        let leads = std::mem::take(&mut self.prefetched).into_iter();
+        let leads = leads.map(|(idx, _, read)| (idx, Staged::Fetch(read, None)));
+        for (idx, staged) in run.pending.into_iter().chain(leads) {
             // Buffers recycle on drop, an updated frame's too: the pass
             // never took it, so its update was only proposed.
             let (state, grad) = match staged {
@@ -946,19 +942,26 @@ impl MlpFuncEngine {
                     continue;
                 }
             };
+            // A hit takes the frame its subgroup rests in, so an empty pool
+            // never stops one; a born one has no frame yet and takes a
+            // buffer the way a fetch does. A fetch the last update issued
+            // is taken as it is.
+            let staged = match load {
+                Load::Hit => self.ledger.take_hit(idx).map(Staged::Hit),
+                Load::Fetch { tier, after: None } => (self.prefetched.iter())
+                    .position(|&(s, t, _)| (s, t) == (idx, tier))
+                    .and_then(|at| self.prefetched.remove(at))
+                    .map(|(.., read)| Staged::Fetch(read, None)),
+                Load::Fetch { .. } => None,
+            };
+            if let Some(staged) = staged {
+                run.pending.push_back((idx, staged));
+                run.load += 1;
+                continue;
+            }
             let (t, after) = match load {
-                // A hit takes the frame its subgroup rests in, so an
-                // empty pool never stops one; a born one has no frame yet
-                // and takes a buffer the way a fetch does.
-                Load::Hit => match self.ledger.take_hit(idx) {
-                    Some(res) => {
-                        run.pending.push_back((idx, Staged::Hit(res)));
-                        run.load += 1;
-                        continue;
-                    }
-                    None => (None, None),
-                },
                 Load::Fetch { tier, after } => (Some(tier), after),
+                Load::Hit => (None, None),
             };
             // A copy this pass evicted is read once its eviction has left.
             if after.is_some_and(|evicted| evicted >= run.evict) {
@@ -1150,16 +1153,13 @@ impl MlpFuncEngine {
     /// high-water mark — the proof that state buffers are recycled rather
     /// than reallocated per subgroup.
     pub fn state_pool_stats(&self) -> (u64, usize, usize) {
-        (
-            self.state_pool.acquires(),
-            self.state_pool.high_water(),
-            self.state_pool.capacity(),
-        )
+        (self.state_pool.acquires(), self.state_pool.high_water(), self.state_pool.capacity())
     }
 
-    /// Staging buffers currently checked out of the state pool. In steady
-    /// state (no update in flight) this equals the number of pooled
-    /// host-resident subgroups — anything beyond that is a leak.
+    /// Staging buffers currently checked out of the state pool. Between
+    /// update phases this equals the number of pooled host-resident
+    /// subgroups plus the [`MlpFuncEngine::prefetched_reads`] — anything
+    /// beyond that is a leak.
     pub fn state_pool_outstanding(&self) -> usize {
         self.state_pool.outstanding()
     }
@@ -1205,11 +1205,7 @@ impl MlpFuncEngine {
     fn read_durable(&self, tier: usize, idx: usize, salvage: bool) -> io::Result<Vec<u8>> {
         let engine = &self.tiers[tier].engine;
         let key = self.key(idx);
-        let read = if salvage {
-            engine.submit_salvage_read(key)
-        } else {
-            engine.submit_read(key)
-        };
+        let read = if salvage { engine.submit_salvage_read(key) } else { engine.submit_read(key) };
         let missing = || invariant_violation(format!("read of subgroup {idx} returned no payload"));
         read.wait()?.ok_or_else(missing)
     }
@@ -1222,6 +1218,12 @@ impl MlpFuncEngine {
     /// serves reads) — still through its I/O engine, so under its retry
     /// policy and deadline.
     fn move_durable_copy(&mut self, step: MigrationStep, salvage: bool) -> io::Result<()> {
+        // A leading read of the copy is waited for and dropped: the move
+        // changes its load.
+        let lead = self.prefetched.iter().position(|&(s, ..)| s == step.subgroup);
+        if let Some((.., read)) = lead.and_then(|at| self.prefetched.remove(at)) {
+            let _ = read.wait_pooled();
+        }
         let key = self.key(step.subgroup).to_owned();
         let started = self.cfg.trace.now_ns();
         let data = {
@@ -1248,13 +1250,8 @@ impl MlpFuncEngine {
             self.migrations_done += 1;
             Phase::Migrate
         };
-        let attrs = Attrs {
-            tier: step.to as i32,
-            subgroup: step.subgroup as i64,
-            bytes,
-            ..Attrs::NONE
-        };
-        self.span(phase, attrs, started);
+        let moved = Attrs::tier_bytes(step.to as i32, bytes);
+        self.span(phase, Attrs { subgroup: step.subgroup as i64, ..moved }, started);
         Ok(())
     }
 
@@ -1263,7 +1260,8 @@ impl MlpFuncEngine {
     /// current Eq. 1 split. Host-resident subgroups are never touched
     /// (the cache-hit sequence is unchanged).
     fn run_migrations(&mut self) -> io::Result<()> {
-        // Between update phases nothing is in flight: every tier copy is
+        // Between update phases only the next pass's leading reads are in
+        // flight, and a move drops the one of its copy: every tier copy is
         // settled.
         let steps = self.ledger.plan_migrations(|_| false);
         let (trace, planned) = (&self.cfg.trace, Attrs::bytes(steps.len() as u64));
@@ -1291,23 +1289,15 @@ impl MlpFuncEngine {
     /// panic.
     fn drain_quarantined(&mut self) -> io::Result<()> {
         for t in 0..self.tiers.len() {
-            if !self.ledger.planner.excluded()[t]
-                && self.tiers[t]
-                    .engine
-                    .health()
-                    .is_some_and(|h| h.is_quarantined())
-            {
+            let health = self.tiers[t].engine.health();
+            if !self.ledger.planner.excluded()[t] && health.is_some_and(|h| h.is_quarantined()) {
                 self.ledger.planner.exclude_tier(t);
                 if let HostGrads::Fp32 { on_tier, .. } = &mut self.grads {
                     for g in on_tier.iter_mut().filter(|g| **g == Some(t)) {
                         *g = None;
                     }
                 }
-                let attrs = Attrs {
-                    tier: t as i32,
-                    ..Attrs::NONE
-                };
-                let trace = &self.cfg.trace;
+                let (trace, attrs) = (&self.cfg.trace, Attrs { tier: t as i32, ..Attrs::NONE });
                 trace.instant(Phase::Quarantine, attrs, trace.now_ns());
             }
         }
@@ -1558,6 +1548,20 @@ mod tests {
             .collect()
     }
 
+    /// Pooled buffers an engine holds between updates: one per resting
+    /// frame and one per read issued for the next pass.
+    fn held(engine: &MlpFuncEngine) -> usize {
+        engine.resident_count() + engine.prefetched_reads().len()
+    }
+
+    /// Waits until every read the last update issued for the next pass
+    /// has landed on its tier.
+    fn prefetch_landed(engine: &MlpFuncEngine) {
+        while engine.prefetched_reads().iter().any(|&(.., landed)| !landed) {
+            std::thread::yield_now();
+        }
+    }
+
     /// Reference: plain in-memory mixed-precision Adam over the same
     /// subgroups.
     fn reference_update(states: &mut [SubgroupState], adam: &AdamConfig, grads: &[Vec<u16>]) {
@@ -1764,8 +1768,8 @@ mod tests {
             for t in 0..mems.len() {
                 assert_eq!(engine.io_counters(t), (0, 0.0, 0), "{what}: tier {t}");
             }
-            let held = (engine.resident_count(), engine.state_pool_outstanding());
-            assert_eq!(held, (0, 0), "{what}");
+            let out = (engine.resident_count(), engine.state_pool_outstanding());
+            assert_eq!(out, (0, 0), "{what}");
 
             // Before the first update: the caller's state, all of it host
             // bytes.
@@ -1792,7 +1796,7 @@ mod tests {
             for (idx, (g, want)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(g, &want.params, "{what}: subgroup {idx} diverged");
             }
-            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+            assert_eq!(engine.state_pool_outstanding(), held(&engine));
         }
     }
 
@@ -1963,10 +1967,11 @@ mod tests {
         }
         let (acquires, high_water, capacity) = engine.state_pool_stats();
         // Every born hit and every fetch acquired a staging buffer from
-        // the pool...
+        // the pool, the next pass's leading fetches already...
+        let leading = engine.prefetched_reads().len() as u64;
         assert_eq!(
             acquires,
-            subgroups as u64 + fetched,
+            subgroups as u64 + fetched + leading,
             "one pooled acquire per born hit and per fetch"
         );
         assert!(acquires > capacity as u64, "enough traffic to prove reuse");
@@ -1976,8 +1981,9 @@ mod tests {
             high_water <= capacity,
             "high water {high_water} within pool capacity {capacity}"
         );
-        // Steady state: only the retained residents still hold buffers.
-        assert_eq!(engine.state_pool.outstanding(), engine.resident_count());
+        // At rest: only the retained residents and the next pass's
+        // leading fetches hold buffers.
+        assert_eq!(engine.state_pool.outstanding(), held(&engine));
     }
 
     /// Touches per byte through a memory-class tier: a steady-state
@@ -2037,7 +2043,9 @@ mod tests {
                 engine.update().unwrap();
             }
 
-            // One more cycle, counted.
+            // One more cycle, counted from and to rest: each end has the
+            // same leading fetches landed.
+            prefetch_landed(&engine);
             let before = touches();
             let (mut fetches, mut flushes) = (0u64, 0u64);
             for it in 4..6 {
@@ -2049,6 +2057,7 @@ mod tests {
                 fetches += outcome.fetches as u64;
                 flushes += outcome.flushes as u64;
             }
+            prefetch_landed(&engine);
             let after = touches();
             let read = after.read_copied_bytes - before.read_copied_bytes;
             let copied = after.write_copied_bytes - before.write_copied_bytes;
@@ -2067,7 +2076,7 @@ mod tests {
             let (_, high_water, capacity) = engine.state_pool_stats();
             assert_eq!(capacity, pool.2);
             assert!(high_water <= capacity);
-            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+            assert_eq!(engine.state_pool_outstanding(), held(&engine));
             let got = engine.master_params().unwrap();
             for (idx, (g, r)) in got.iter().zip(&reference).enumerate() {
                 assert_eq!(g, &r.params, "subgroup {idx} diverged");
@@ -2376,15 +2385,20 @@ mod tests {
     /// applied wait in the window: the unwind drops those frames, and the
     /// re-drive applies each subgroup's update exactly once.
     ///
-    /// The schedule is fixed. The steady pass fetches subgroups 18 down
-    /// to 14 into the five free frames before it waits on anything, and
-    /// only then flushes 23, whose write fails. The tier's one I/O worker
-    /// runs its ops in order, so it reads (and updates) 15 and 14 before
-    /// it fails that write, and lands no later write before it: no frame
-    /// comes back, and at the latest at the update of 15 the pool is dry
-    /// and the pass waits for 23's flush, with 15 and 14 in the window.
+    /// The schedule is fixed. The born pass's update issues the steady
+    /// pass's reads of subgroups 18 down to 14 into the five free frames,
+    /// and they fail: the steady pass updates and evicts its five hits,
+    /// 23 to 19, and fails at 18. Its re-drive starts with all ten frames
+    /// free and every subgroup on the tier: it fetches 23 down to 14
+    /// before it waits on anything, and only then flushes 23, whose write
+    /// fails. The tier's one I/O worker runs its ops in order, so it reads
+    /// (and updates) 15 and 14 before it fails that write, and lands no
+    /// later write before it: no frame comes back, and at the latest at
+    /// the update of 15 the pool is dry and the pass waits for 23's flush,
+    /// with 15 and 14 in the window.
     #[test]
     fn a_failed_flush_drops_proposed_updates_and_the_redrive_applies_each_once() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend, FaultOps};
         const M: usize = 24;
         const N: usize = 256;
         let adam = AdamConfig::default();
@@ -2393,11 +2407,13 @@ mod tests {
             .with_host_frames(5)
             .with_trace(trace.clone());
         let dying = DoomedWrites::new(23..24, false);
+        let reads = FaultConfig::permanent(5, 1.0).with_ops(FaultOps::ReadsOnly);
+        let unread = Arc::new(FaultInjectBackend::new(Arc::clone(&dying) as Arc<dyn Backend>, reads));
         let one_worker = AioConfig {
             workers: 1,
             ..AioConfig::default()
         };
-        let tier = SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 1.0).with_aio(one_worker);
+        let tier = SharedTier::new(Arc::clone(&unread) as Arc<dyn Backend>, 1.0).with_aio(one_worker);
         let mut engine = MlpFuncEngine::new(cfg, adam, &[tier], 0, init_states(M, N)).unwrap();
         let mut reference = init_states(M, N);
         for it in 0..3 {
@@ -2406,14 +2422,18 @@ mod tests {
             engine.accumulate_gradients(&grads);
             if it != 1 {
                 engine.update().unwrap();
+                prefetch_landed(&engine);
+                unread.set_armed(false);
                 continue;
             }
+            let err = engine.update().unwrap_err();
+            assert!(err.to_string().contains("w0/sub18"), "{err}");
             drop(trace.events());
             dying.arm(true);
             let err = engine.update().unwrap_err();
             dying.arm(false);
-            assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
-            assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+            assert!(err.to_string().contains("w0/sub23: device gone"), "{err}");
+            assert_eq!(engine.state_pool_outstanding(), held(&engine));
             let proposed = kernels(&trace.events(), true);
             let got = engine.update().unwrap();
             let redriven = kernels(&trace.events(), false);
@@ -2431,7 +2451,7 @@ mod tests {
         }
         let want: Vec<Vec<f32>> = reference.into_iter().map(|st| st.params).collect();
         assert_eq!(engine.master_params().unwrap(), want);
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     /// The fused update runs on the I/O worker that fetched the subgroup
@@ -2501,7 +2521,7 @@ mod tests {
             0 < failed && failed < capacity as u64,
             "{failed} flushes went to the dead tier before the pass noticed (pool of {capacity})"
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
 
         // Healed, the re-drive finishes the same iteration exactly.
         dying.arm(false);
@@ -2523,7 +2543,7 @@ mod tests {
             engine.master_params().unwrap(),
             twin.master_params().unwrap()
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     /// A fault on the first pass's first eviction, the first write of any
@@ -2556,7 +2576,7 @@ mod tests {
         let err = engine.update().unwrap_err();
         assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
         assert!(engine.update_in_progress());
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
         let born = init_states(SHARD, 24).into_iter().map(|s| s.params);
         for (idx, (held, born)) in engine.master_params().unwrap().iter().zip(born).enumerate() {
             let kept = held == &born || held == &updated[idx];
@@ -2575,7 +2595,7 @@ mod tests {
             engine.master_params().unwrap(),
             twin.master_params().unwrap()
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     #[test]
@@ -2622,7 +2642,7 @@ mod tests {
         assert_eq!(classify(&err), ErrorClass::Permanent, "{err}");
         assert_eq!(engine.io_errors(), SHARD as u64);
         assert_eq!(dying.written(), before);
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
 
         // Healed, a second call moves exactly the objects that are missing
         // (a third none), out of the untouched accumulators.
@@ -2641,7 +2661,7 @@ mod tests {
             engine.master_params().unwrap(),
             twin.master_params().unwrap()
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     #[test]
@@ -2729,40 +2749,42 @@ mod tests {
             engine.master_params().unwrap(),
             twin.master_params().unwrap()
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     /// The order of one pass's tail I/O, forced instead of raced for:
-    /// once armed, the `reads`-th read to reach any backend sharing the
-    /// gate waits until `writes` writes have reached them, for at most
-    /// `patience`; a wait that runs out is recorded and the read goes on.
+    /// once armed with a read count, that read to reach any backend
+    /// sharing the gate waits until `writes` writes have reached them, for
+    /// at most `patience`; a wait that runs out is recorded and the read
+    /// goes on.
     struct TailGate {
-        /// `(armed, reads, writes)` seen since arming.
-        seen: std::sync::Mutex<(bool, usize, usize)>,
+        /// `(the read to hold once armed, reads, writes)` seen since
+        /// arming.
+        seen: std::sync::Mutex<(Option<usize>, usize, usize)>,
         moved: std::sync::Condvar,
-        expect: (usize, usize),
+        writes: usize,
         patience: Duration,
         ran_out: std::sync::atomic::AtomicBool,
     }
 
     impl TailGate {
-        fn new(reads: usize, writes: usize, patience: Duration) -> Arc<Self> {
+        fn new(writes: usize, patience: Duration) -> Arc<Self> {
             Arc::new(TailGate {
-                seen: std::sync::Mutex::new((false, 0, 0)),
+                seen: std::sync::Mutex::new((None, 0, 0)),
                 moved: std::sync::Condvar::new(),
-                expect: (reads, writes),
+                writes,
                 patience,
                 ran_out: false.into(),
             })
         }
 
-        fn arm(&self) {
-            *self.seen.lock().unwrap() = (true, 0, 0);
+        fn arm(&self, read: usize) {
+            *self.seen.lock().unwrap() = (Some(read), 0, 0);
         }
 
         fn wrote(&self) {
             let mut seen = self.seen.lock().unwrap();
-            if seen.0 {
+            if seen.0.is_some() {
                 seen.2 += 1;
                 self.moved.notify_all();
             }
@@ -2770,14 +2792,14 @@ mod tests {
 
         fn reading(&self) {
             let mut seen = self.seen.lock().unwrap();
-            if !seen.0 {
+            let Some(hold) = seen.0 else {
                 return;
-            }
+            };
             seen.1 += 1;
-            if seen.1 != self.expect.0 {
+            if seen.1 != hold {
                 return;
             }
-            let writes = self.expect.1;
+            let writes = self.writes;
             let (seen, waited) = self
                 .moved
                 .wait_timeout_while(seen, self.patience, |seen| seen.2 < writes)
@@ -2836,7 +2858,7 @@ mod tests {
         const SHARD: usize = 16;
         const MOVED: usize = SHARD - SHARD / 4;
         let adam = AdamConfig::default();
-        let gate = TailGate::new(MOVED, MOVED, Duration::from_secs(10));
+        let gate = TailGate::new(MOVED, Duration::from_secs(10));
         // 768-byte subgroups at 128 kB/s: 6 ms per fetch and per flush,
         // orders of magnitude above the kernel and the bookkeeping, on
         // two workers per tier.
@@ -2867,9 +2889,12 @@ mod tests {
             engine.accumulate_gradients(&grads_for(SHARD, 64, it as f32));
             engine.update().unwrap();
         }
+        prefetch_landed(&engine);
         trace.events(); // keep the steady-state iteration only
         engine.accumulate_gradients(&grads_for(SHARD, 64, 3.0));
-        gate.arm();
+        // The pass reads what the last update did not issue for it.
+        let lead = engine.prefetched_reads().len();
+        gate.arm(MOVED - lead);
         let outcome = engine.update().unwrap();
         assert_eq!(
             (outcome.cache_hits, outcome.fetches, outcome.flushes),
@@ -2880,8 +2905,11 @@ mod tests {
             "the last fetch waited {:?} for the last flush to reach a tier",
             gate.patience
         );
+        // The pass's events, not the reads it issues for the next one.
         let events = trace.events();
-        let of = |phase: Phase| events.iter().filter(move |e| e.phase == phase);
+        let update = events.iter().find(|e| e.phase == Phase::Update);
+        let ends = update.map(|e| e.end_ns()).unwrap();
+        let of = |phase: Phase| (events.iter()).filter(move |e| e.phase == phase && e.ts_ns < ends);
 
         // Hence the last flush began before the last fetch ended.
         let last_write_begins = of(Phase::AioWrite).map(|e| e.ts_ns).max().unwrap();
@@ -2899,7 +2927,7 @@ mod tests {
         read_ends.sort_unstable();
         let mut submits: Vec<u64> = of(Phase::PoolAcquire).map(|e| e.ts_ns).collect();
         submits.sort_unstable();
-        assert_eq!(submits.len(), outcome.fetches);
+        assert_eq!(submits.len() + lead, outcome.fetches);
         let deepest = submits
             .iter()
             .enumerate()
@@ -2915,7 +2943,7 @@ mod tests {
             high_water <= capacity,
             "{high_water} buffers out of a pool of {capacity}"
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
 
         // The eager-gradient rung prefetches two buffers per subgroup;
         // the deeper window must not ask the pool for more than it has
@@ -3339,7 +3367,7 @@ mod tests {
             engine.master_params().unwrap(),
             reference.master_params().unwrap()
         );
-        assert_eq!(engine.state_pool_outstanding(), engine.resident_count());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
     /// Resting in every host frame fills buffers the pool already had: its
@@ -3376,8 +3404,10 @@ mod tests {
                         engine.flush_gradients().unwrap();
                         engine.update().unwrap();
                         assert_eq!(engine.resident_count(), resting, "{what}, iteration {it}");
-                        assert_eq!(engine.state_pool_outstanding(), resting, "{what}");
-                        let free = capacity - engine.state_pool_outstanding();
+                        assert_eq!(engine.state_pool_outstanding(), held(&engine), "{what}");
+                        // The next pass's leading fetches hold buffers
+                        // of its window.
+                        let free = capacity - resting;
                         assert!(
                             free >= MIN_PIPELINE_FRAMES * buffers_per_slot,
                             "{what}: {free} buffers free at rest"
@@ -3407,5 +3437,306 @@ mod tests {
         let dist = engine.tier_distribution();
         assert_eq!(dist.host_bytes, 7 * 4 * 12, "7 retained × 4 params × 12 B");
         assert!((dist.fractions().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    /// A memory tier that logs when each read begins and ends, in order,
+    /// and holds the first read of one key until released, for at most
+    /// `patience`.
+    struct Watched {
+        inner: MemBackend,
+        /// `(read began, key)` per entry; `false` marks its end.
+        log: std::sync::Mutex<Vec<(bool, String)>>,
+        /// The key whose first read waits, and whether it waits now.
+        hold: std::sync::Mutex<(Option<String>, bool)>,
+        moved: std::sync::Condvar,
+        patience: Duration,
+    }
+
+    impl Watched {
+        fn new(inner: MemBackend, hold: Option<String>, patience: Duration) -> Arc<Self> {
+            Arc::new(Watched {
+                inner,
+                log: Default::default(),
+                hold: std::sync::Mutex::new((hold, false)),
+                moved: Default::default(),
+                patience,
+            })
+        }
+
+        /// The keys read so far, in the order the reads began.
+        fn reads(&self) -> Vec<String> {
+            let log = self.log.lock().unwrap();
+            log.iter().filter(|(began, _)| *began).map(|(_, key)| key.clone()).collect()
+        }
+
+        /// Where in the log the `nth` read of `key` began, or ended.
+        fn at(&self, key: &str, nth: usize, began: bool) -> Option<usize> {
+            let log = self.log.lock().unwrap();
+            let of_key = log.iter().enumerate().filter(|(_, e)| (e.0, &e.1[..]) == (began, key));
+            of_key.map(|(at, _)| at).nth(nth)
+        }
+
+        /// Waits until the held read has reached the tier.
+        fn holding(&self) {
+            let hold = self.hold.lock().unwrap();
+            let patience = Duration::from_secs(10);
+            drop(self.moved.wait_timeout_while(hold, patience, |h| !h.1).unwrap());
+        }
+
+        fn release(&self) {
+            *self.hold.lock().unwrap() = (None, false);
+            self.moved.notify_all();
+        }
+    }
+
+    impl Backend for Watched {
+        fn write(&self, key: &str, data: &[u8]) -> io::Result<()> {
+            self.inner.write(key, data)
+        }
+        fn read(&self, key: &str) -> io::Result<Vec<u8>> {
+            self.log.lock().unwrap().push((true, key.to_string()));
+            let read = self.inner.read(key);
+            self.log.lock().unwrap().push((false, key.to_string()));
+            read
+        }
+        fn read_into(&self, key: &str, dst: &mut [u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().push((true, key.to_string()));
+            let mut hold = self.hold.lock().unwrap();
+            if hold.0.as_deref() == Some(key) {
+                *hold = (Some(String::new()), true);
+                self.moved.notify_all();
+                hold = (self.moved.wait_timeout_while(hold, self.patience, |h| h.1)).unwrap().0;
+            }
+            drop(hold);
+            let read = self.inner.read_into(key, dst);
+            self.log.lock().unwrap().push((false, key.to_string()));
+            read
+        }
+        fn delete(&self, key: &str) -> io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &str) -> bool {
+            self.inner.contains(key)
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    /// The update that ends a pass issues the next pass's leading fetches
+    /// into the pool's free buffers, in plan order; the next pass takes
+    /// each as its fetch and reads none of those subgroups again, with the
+    /// hits, fetches and flushes of the closed form.
+    #[test]
+    fn an_update_issues_the_next_passs_leading_fetches_and_the_pass_reads_each_once() {
+        const M: usize = 24;
+        let adam = AdamConfig::default();
+        let tier = Watched::new(MemBackend::new("watched"), None, Duration::ZERO);
+        let shared = [SharedTier::new(Arc::clone(&tier) as Arc<dyn Backend>, 1.0)];
+        let cfg = EngineConfig::mlp_offload().with_host_frames(5);
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(M, 16)).unwrap();
+        let (mut reference, r) = (init_states(M, 16), engine.ledger.plan.rest_frames);
+        for it in 0..4 {
+            let grads = grads_for(M, 16, it as f32);
+            reference_update(&mut reference, &adam, &grads);
+            engine.accumulate_gradients(&grads);
+            let (lead, before) = (engine.prefetched_reads(), tier.reads().len());
+            assert!(lead.iter().all(|&(.., landed)| landed), "iteration {it}");
+            let o = engine.update().unwrap();
+            let steps = (o.cache_hits, o.fetches, o.flushes);
+            assert_eq!(steps, if it == 0 { (M, 0, M - r) } else { (r, M - r, M - r) });
+            prefetch_landed(&engine);
+            // What it issued for the next pass: its leading fetches, as
+            // many as the pool has free buffers.
+            let free = engine.state_pool_stats().2 - engine.resident_count();
+            let plan = engine.ledger.upcoming_pass();
+            let want: Vec<(usize, usize)> = plan.leading_fetches().take(free).collect();
+            let next = engine.prefetched_reads();
+            let got: Vec<(usize, usize)> = next.iter().map(|&(s, t, _)| (s, t)).collect();
+            assert_eq!((got.len(), &got), (free, &want), "iteration {it}");
+            // The pass read each of its fetches once, but those issued for
+            // it before it began; the reads it issued for the next pass
+            // came last.
+            let mut reads = tier.reads().split_off(before);
+            for &(s, ..) in &next {
+                let at = reads.iter().rposition(|k| *k == format!("w0/sub{s}"));
+                reads.remove(at.unwrap());
+            }
+            assert_eq!(reads.len(), o.fetches - lead.len(), "iteration {it}");
+            for s in 0..M {
+                let key = format!("w0/sub{s}");
+                let n = reads.iter().filter(|k| **k == key).count();
+                let lead = lead.iter().any(|r| r.0 == s);
+                assert!(n <= usize::from(!lead), "iteration {it}: {key} read {n} times");
+            }
+            for (idx, st) in reference.iter().enumerate() {
+                assert_eq!(o.fp16_params[idx], st.fp16_params(), "subgroup {idx}");
+            }
+        }
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
+    }
+
+    /// A read issued for the next pass that its tier fails for good fails
+    /// that pass, typed, leaks no buffer, and the re-drive ends
+    /// bit-identical to a twin that never failed.
+    #[test]
+    fn a_prefetched_read_that_fails_fails_its_pass_and_the_redrive_is_exact() {
+        use mlp_storage::{FaultConfig, FaultInjectBackend, FaultOps};
+        const M: usize = 12;
+        let adam = AdamConfig::default();
+        let reads = FaultConfig::permanent(3, 1.0).with_ops(FaultOps::ReadsOnly);
+        let mem = Arc::new(MemBackend::new("dying")) as Arc<dyn Backend>;
+        let dying = Arc::new(FaultInjectBackend::new(mem, reads));
+        dying.set_armed(false);
+        let shared = [
+            SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 2.0),
+            SharedTier::new(Arc::new(MemBackend::new("mem1")) as Arc<dyn Backend>, 1.0),
+        ];
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(3)
+            .with_tier_ratio(vec![2.0, 1.0]);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(M, 24)).unwrap();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(M, 24)).unwrap();
+        let grads = grads_for(M, 24, 0.0);
+        twin.accumulate_gradients(&grads);
+        twin.update().unwrap();
+        // The born pass reads nothing: only the reads its update issues
+        // for the next pass meet the dead tier.
+        engine.accumulate_gradients(&grads);
+        dying.set_armed(true);
+        engine.update().unwrap();
+        let lead = engine.prefetched_reads();
+        assert!(lead.iter().any(|r| r.1 == 0), "no read issued on the dead tier: {lead:?}");
+        prefetch_landed(&engine);
+        dying.set_armed(false);
+
+        let (want, got) = iterate_both(&mut twin, &mut engine, 1.0);
+        let err = got.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied, "{err}");
+        assert!(engine.prefetched_reads().is_empty());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
+        let redriven = engine.update().unwrap();
+        assert_eq!(redriven.fp16_params, want.fp16_params);
+        let (want, got) = iterate_both(&mut twin, &mut engine, 2.0);
+        assert_eq!(got.unwrap().fp16_params, want.fp16_params);
+        assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
+    }
+
+    /// `master_params` and a checkpoint read or pin only durable copies
+    /// and host frames: while a read issued for the next pass is held on
+    /// its tier, both answer as a twin's with that read landed does, and
+    /// the next pass takes the read once it lands.
+    #[test]
+    fn master_params_and_checkpoints_answer_while_a_prefetched_read_is_held() {
+        const M: usize = 12;
+        let adam = AdamConfig::default();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(3)
+            .with_tier_ratio(vec![2.0, 1.0]);
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(M, 24)).unwrap();
+        let grads = grads_for(M, 24, 0.0);
+        twin.accumulate_gradients(&grads);
+        twin.update().unwrap();
+        // The twin issues the same reads: hold the first on its tier, with
+        // a second I/O worker there for everything else.
+        let (s, t, _) = twin.prefetched_reads()[0];
+        // The patience only keeps a broken engine from hanging the suite.
+        let (key, patience) = (Some(format!("w0/sub{s}")), Duration::from_secs(10));
+        let gate = Watched::new(MemBackend::new("gated"), key, patience);
+        let two_workers = AioConfig {
+            workers: 2,
+            ..AioConfig::default()
+        };
+        let shared: Vec<SharedTier> = (0..2)
+            .map(|i| {
+                let backend = match i == t {
+                    true => Arc::clone(&gate) as Arc<dyn Backend>,
+                    false => Arc::new(MemBackend::new(format!("mem{i}"))) as Arc<dyn Backend>,
+                };
+                SharedTier::new(backend, (2 - i) as f64).with_aio(two_workers.clone())
+            })
+            .collect();
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(M, 24)).unwrap();
+        engine.accumulate_gradients(&grads);
+        engine.update().unwrap();
+        gate.holding();
+        assert!(engine.prefetched_reads().contains(&(s, t, false)));
+
+        assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+        let mem = |name| Arc::new(MemBackend::new(name)) as Arc<dyn Backend>;
+        let trace = mlp_trace::TraceSink::disabled;
+        let mut pipes = [0, 1].map(|_| CheckpointPipeline::new(mem("stage"), mem("ckpt"), trace()));
+        let got = pipes[0].checkpoint(&engine, "c").unwrap();
+        let want = pipes[1].checkpoint(&twin, "c").unwrap();
+        assert_eq!(got, want);
+        assert!(engine.prefetched_reads().contains(&(s, t, false)), "the read still waits");
+
+        gate.release();
+        let (want, got) = iterate_both(&mut twin, &mut engine, 1.0);
+        assert_eq!(got.unwrap().fp16_params, want.fp16_params);
+        assert_eq!(engine.master_params().unwrap(), twin.master_params().unwrap());
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
+    }
+
+    /// A tier quarantined between two updates: before the drain moves a
+    /// copy, the engine waits for the read of it that it issued for the
+    /// next pass, and drops it; training stays bit-identical.
+    #[test]
+    fn a_quarantine_between_updates_drops_the_reads_issued_on_the_dead_tier() {
+        use mlp_storage::HealthConfig;
+        const M: usize = 12;
+        let adam = AdamConfig::default();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(3)
+            .with_tier_ratio(vec![2.0, 1.0]);
+        // The born pass reads nothing, and the twin issues the same reads:
+        // hold the first one on the tier to quarantine for 200 ms, so a
+        // drain that did not wait for it would read the copy meanwhile, on
+        // the tier's second I/O worker.
+        let mut twin =
+            MlpFuncEngine::new(cfg.clone(), adam, &tiers(2), 0, init_states(M, 24)).unwrap();
+        twin.accumulate_gradients(&grads_for(M, 24, 0.0));
+        twin.update().unwrap();
+        let lead = twin.prefetched_reads().into_iter().find(|r| r.1 == 0);
+        let key = format!("w0/sub{}", lead.expect("a read issued on tier 0").0);
+        let patience = Duration::from_millis(200);
+        let dying = Watched::new(MemBackend::new("dying"), Some(key.clone()), patience);
+        let health = TierHealth::new("dying", HealthConfig::hair_trigger());
+        let two_workers = AioConfig {
+            workers: 2,
+            ..AioConfig::default()
+        };
+        let shared = [
+            SharedTier::new(Arc::clone(&dying) as Arc<dyn Backend>, 2.0)
+                .with_aio(two_workers.clone())
+                .with_health(Arc::clone(&health)),
+            SharedTier::new(Arc::new(MemBackend::new("mem1")) as Arc<dyn Backend>, 1.0)
+                .with_aio(two_workers),
+        ];
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(M, 24)).unwrap();
+        let mut reference = init_states(M, 24);
+        for it in 0..4 {
+            let grads = grads_for(M, 24, it as f32);
+            reference_update(&mut reference, &adam, &grads);
+            engine.accumulate_gradients(&grads);
+            if it == 1 {
+                health.quarantine();
+            }
+            let got = engine.update().unwrap();
+            for (idx, st) in reference.iter().enumerate() {
+                assert_eq!(got.fp16_params[idx], st.fp16_params(), "iteration {it}, {idx}");
+            }
+        }
+        assert_eq!(engine.quarantined_tiers(), vec![0]);
+        assert!(engine.drains_done() > 0);
+        // The held read ended before the drain read the copy.
+        let (ended, drained) = (dying.at(&key, 0, false), dying.at(&key, 1, true));
+        assert!(ended.is_some() && ended < drained, "{key}: {ended:?}, {drained:?}");
+        let want: Vec<Vec<f32>> = reference.into_iter().map(|st| st.params).collect();
+        assert_eq!(engine.master_params().unwrap(), want);
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 }

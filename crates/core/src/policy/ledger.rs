@@ -120,6 +120,20 @@ impl PassPlan {
             _ => None,
         })
     }
+
+    /// The fetches an executor may issue before the pass begins, in
+    /// order, as `(subgroup, tier)`: those of the leading loads, up to the
+    /// first that reads a copy the pass itself writes.
+    pub fn leading_fetches(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let leading = |(s, load)| match load {
+            Load::Fetch { after: Some(_), .. } => None,
+            load => Some((s, load)),
+        };
+        self.loads().map_while(leading).filter_map(|(s, load)| match load {
+            Load::Fetch { tier, .. } => Some((s, tier)),
+            Load::Hit => None,
+        })
+    }
 }
 
 /// Plans one update pass (see the module docs). `home[s]` is subgroup
@@ -375,16 +389,9 @@ impl<F> SubgroupLedger<F> {
     }
 
     /// Starts (or, after a failed attempt, restarts) the current
-    /// iteration and returns its update pass: the order, the Eq. 1 flush
-    /// proportions over the surviving tiers, and every load and eviction
-    /// from where the subgroups rest now ([`plan_pass`], at the
-    /// pipeline's floor of lookahead). A fresh start resets the facts
+    /// iteration and returns its update pass
+    /// ([`SubgroupLedger::upcoming_pass`]). A fresh start resets the facts
     /// [`SubgroupLedger::settle`] keeps: no state is updated yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every tier is excluded (callers surface "no surviving
-    /// tier" as a typed error before starting an iteration).
     pub fn begin_iteration(&mut self) -> PassPlan {
         if self.progress.is_empty() {
             let fresh = |slot: &Slot<F>| Progress {
@@ -394,6 +401,20 @@ impl<F> SubgroupLedger<F> {
             };
             self.progress = self.slots.iter().map(fresh).collect();
         }
+        self.upcoming_pass()
+    }
+
+    /// The current iteration's update pass, without starting it: the
+    /// order, the Eq. 1 flush proportions over the surviving tiers, and
+    /// every load and eviction from where the subgroups rest now
+    /// ([`plan_pass`], at the pipeline's floor of lookahead). Between
+    /// iterations, that is the next one's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every tier is excluded (callers surface "no surviving
+    /// tier" as a typed error before planning a pass).
+    pub fn upcoming_pass(&mut self) -> PassPlan {
         let m = self.slots.len();
         let order = self.order_policy.order(self.iterations_done, m);
         let weights = self

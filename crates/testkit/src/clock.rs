@@ -6,6 +6,11 @@
 //! on the wall: a test moves the clock past a deadline or a spike with
 //! [`ManualClock::advance`], and everything due then has happened when the
 //! call returns, however loaded the host is.
+//!
+//! Nothing moves such a clock once the test stops: a test that fails while
+//! an I/O worker sleeps on it would hang in the drop that joins the worker.
+//! Hold a [`ManualClock::end_on_drop`] guard, declared after the engine,
+//! and the failure is reported instead.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -61,12 +66,21 @@ impl ManualClock {
         if !ready(Waiters { waiting, asleep }) {
             return false;
         }
-        st.now += by;
+        st.now = st.now.saturating_add(by);
         st.moves += 1;
         st.unseen = st.waiting;
         self.changed.notify_all();
         drop(self.seen_by_all(st));
         true
+    }
+
+    /// A guard that, when it drops, moves the clock to the end of time,
+    /// past every sleep and deadline there is or will be. Locals drop in
+    /// reverse order: declared after an engine that sleeps on the clock,
+    /// it ends those sleeps before the engine's drop joins its workers,
+    /// however the test ends.
+    pub fn end_on_drop(&self) -> EndOfTime<'_> {
+        EndOfTime(self)
     }
 
     fn lock(&self) -> MutexGuard<'_, Manual> {
@@ -115,6 +129,17 @@ impl ManualClock {
         st.waiting -= 1;
         st.asleep -= usize::from(asleep);
         done
+    }
+}
+
+/// Moves its [`ManualClock`] to `Duration::MAX` when dropped
+/// ([`ManualClock::end_on_drop`]).
+#[derive(Debug)]
+pub struct EndOfTime<'a>(&'a ManualClock);
+
+impl Drop for EndOfTime<'_> {
+    fn drop(&mut self) {
+        self.0.advance(Duration::MAX);
     }
 }
 

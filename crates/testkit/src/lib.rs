@@ -17,7 +17,7 @@ pub mod clock;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-pub use clock::{ManualClock, Waiters};
+pub use clock::{EndOfTime, ManualClock, Waiters};
 
 /// Case count of a property that does not pin its own.
 pub const DEFAULT_CASES: u64 = 256;

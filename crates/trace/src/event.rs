@@ -91,6 +91,9 @@ pub enum Phase {
     /// placement, best-effort delete of the source. `tier` is the
     /// destination; `bytes` the copy size.
     Drain,
+    /// A state read issued as an update phase ends, for the next one's
+    /// pass (instant): `tier` and `subgroup` name it, `bytes` its size.
+    Prefetch,
 }
 
 /// All phases, in a fixed order (used by exporters and tests).
@@ -121,6 +124,7 @@ pub const ALL_PHASES: &[Phase] = &[
     Phase::CkptTrickle,
     Phase::Quarantine,
     Phase::Drain,
+    Phase::Prefetch,
 ];
 
 impl Phase {
@@ -153,6 +157,7 @@ impl Phase {
             Phase::CkptTrickle => "ckpt_trickle",
             Phase::Quarantine => "quarantine",
             Phase::Drain => "drain",
+            Phase::Prefetch => "prefetch",
         }
     }
 

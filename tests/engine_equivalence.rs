@@ -207,6 +207,18 @@ fn tier_bytes(trace: &TraceSink) -> u64 {
         .sum()
 }
 
+/// Waits until every read the last update issued for the next pass has
+/// landed on its tier.
+fn at_rest(engine: &MlpFuncEngine) {
+    while engine
+        .prefetched_reads()
+        .iter()
+        .any(|&(.., landed)| !landed)
+    {
+        std::thread::yield_now();
+    }
+}
+
 /// One iteration as every rung drives it: a single backward micro-step,
 /// the gradient-flush phase (a no-op from "+ Skip Gradients" up), update.
 fn iterate(engine: &mut MlpFuncEngine, grads: &[Vec<u16>]) -> (usize, usize, usize, u64) {
@@ -245,14 +257,18 @@ fn ablation_ladder_moves_the_closed_form_bytes_per_parameter() {
         .unwrap();
         // Two warm-up iterations fill the cache; then one iteration in
         // each direction of the alternating order.
+        // Counted from rest to rest, each end with the same reads issued
+        // for the next pass landed.
         let grads = grad_set(77, 4);
         for g in &grads[..2] {
             iterate(&mut engine, g);
         }
+        at_rest(&engine);
         tier_bytes(&trace);
         for g in &grads[2..] {
             iterate(&mut engine, g);
         }
+        at_rest(&engine);
         let per_iter = tier_bytes(&trace) / 2;
 
         // State is read and written at 12 B/param; FP32 gradients add a

@@ -164,20 +164,26 @@ fn engine_composes_with_checksummed_backend() {
         AdamConfig::default(),
         &tiers,
         0,
-        states(4, 8),
+        states(12, 8),
     )
     .unwrap();
-    engine.accumulate_gradients(&grads(4, 8));
+    engine.accumulate_gradients(&grads(12, 8));
     engine.update().unwrap();
 
-    // Corrupt one stored subgroup behind the checksum layer; the next
-    // fetch of it must fail loudly instead of feeding garbage to Adam.
-    let key = "w0/sub0";
-    let mut raw = inner.read(key).unwrap();
+    // Corrupt one stored subgroup behind the checksum layer — one the
+    // next pass reads itself, not one the update just read for it — and
+    // its fetch must fail loudly instead of feeding garbage to Adam.
+    let lead: Vec<usize> = engine.prefetched_reads().iter().map(|r| r.0).collect();
+    let key = (0..12)
+        .filter(|s| !lead.contains(s))
+        .map(|s| format!("w0/sub{s}"))
+        .find(|key| inner.contains(key))
+        .unwrap();
+    let mut raw = inner.read(&key).unwrap();
     raw[5] ^= 0x80;
-    inner.write(key, &raw).unwrap();
+    inner.write(&key, &raw).unwrap();
 
-    engine.accumulate_gradients(&grads(4, 8));
+    engine.accumulate_gradients(&grads(12, 8));
     let err = match engine.update() {
         Ok(_) => panic!("corruption must not pass silently"),
         Err(e) => e,

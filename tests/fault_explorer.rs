@@ -9,6 +9,10 @@
 //! does), under `mlp_offload()` and `deepspeed_zero3()`: both subgroup
 //! orders and both gradient paths.
 //!
+//! A pass's ops are those of its call, less the reads its update issues
+//! for the next pass, plus the reads the call before it issued for it:
+//! a fault on one of those surfaces from the pass it belongs to.
+//!
 //! A schedule that stalls runs its tiers on a `ManualClock`, which a
 //! [`Keeper`] moves one deadline on only when nothing but time can move
 //! the schedule: so a healthy op always lands, and a stalled op, or one
@@ -135,6 +139,9 @@ struct Stall {
 #[derive(Default)]
 struct ScriptState {
     armed: bool,
+    /// Until armed: the reads the call before the armed pass issues for
+    /// it, as `(tier, key, reads of the key on the tier to let by first)`.
+    leads: Vec<(usize, String, usize)>,
     seen: HashMap<(usize, Kind, String), usize>,
     /// Every op seen while armed, in the order the tiers saw them.
     log: Vec<Op>,
@@ -173,6 +180,25 @@ impl ScriptState {
     /// Whether a stall is held.
     fn holds(&self) -> bool {
         self.stalled.iter().any(|s| !self.lets_go(s))
+    }
+
+    /// Whether an op before the armed pass is a read issued for it.
+    fn takes_lead(&mut self, tier: usize, kind: Kind, key: &str) -> bool {
+        let lead = |(t, k, _): &(usize, String, usize)| (*t, &k[..]) == (tier, key);
+        let Some(at) = self
+            .leads
+            .iter()
+            .position(lead)
+            .filter(|_| kind == Kind::Read)
+        else {
+            return false;
+        };
+        if self.leads[at].2 > 0 {
+            self.leads[at].2 -= 1;
+            return false;
+        }
+        self.leads.remove(at);
+        true
     }
 }
 
@@ -221,12 +247,20 @@ impl Script {
         quiet && due
     }
 
-    /// Arms the script, counting ops afresh.
+    /// Counts ops afresh, from the `leads` the call before the pass issues
+    /// for it ([`ScriptState::leads`]), and arms the script once the call
+    /// of the pass begins ([`Script::arm`]).
+    fn open(&self, leads: &[(usize, String, usize)]) {
+        let mut st = self.state.lock().unwrap();
+        st.seen.clear();
+        st.log.clear();
+        st.leads = leads.to_vec();
+    }
+
+    /// Arms the script for the call of the pass it counts.
     fn arm(&self) {
         let mut st = self.state.lock().unwrap();
         st.armed = true;
-        st.seen.clear();
-        st.log.clear();
         st.hold = Hold::Held;
     }
 
@@ -234,6 +268,7 @@ impl Script {
     fn disarm(&self) -> (Vec<Op>, Vec<(Op, Fault)>) {
         let mut st = self.state.lock().unwrap();
         st.armed = false;
+        st.leads.clear();
         (std::mem::take(&mut st.log), st.fired.clone())
     }
 
@@ -291,7 +326,7 @@ impl Script {
     /// of it may outlive a call, counting and logging it while armed.
     fn fault(&self, tier: usize, kind: Kind, key: &str) -> Option<(Fault, bool)> {
         let mut st = self.state.lock().unwrap();
-        if !st.armed {
+        if !st.armed && !st.takes_lead(tier, kind, key) {
             return None;
         }
         let seen = st.seen.entry((tier, kind, key.to_string())).or_default();
@@ -577,11 +612,37 @@ struct Target {
     cfg: EngineConfig,
     what: String,
     pass: usize,
+    /// The reads the call before the pass issues for it
+    /// ([`Script::open`]).
+    leads: Vec<(usize, String, usize)>,
     /// The pass's ops, in the order a clean run saw them.
     ops: Vec<Op>,
     /// State writes whose lost payload strands their subgroup: its first
     /// eviction of the pass, when it was host-side as the pass began.
     strands: HashSet<Op>,
+}
+
+/// The reads a call's update issued for the next pass, out of the ops
+/// of the call, each the last read of its key on its tier: as
+/// [`ScriptState::leads`], and as the next pass's first reads of them.
+fn leads(engine: &MlpFuncEngine, ops: &[Op]) -> (Vec<(usize, String, usize)>, Vec<Op>) {
+    let issued = engine.prefetched_reads().into_iter();
+    let read = |op: &Op, tier: usize, key: &str| {
+        (op.tier, op.kind, &op.key[..]) == (tier, Kind::Read, key)
+    };
+    issued
+        .map(|(s, tier, _)| {
+            let key = format!("w0/sub{s}");
+            let before = ops.iter().filter(|op| read(op, tier, &key)).count() - 1;
+            let op = Op {
+                tier,
+                kind: Kind::Read,
+                key: key.clone(),
+                nth: 0,
+            };
+            ((tier, key, before), op)
+        })
+        .unzip()
 }
 
 /// Runs `cfg` clean and returns its born pass and the first steady-state
@@ -590,11 +651,46 @@ fn targets(cfg: &EngineConfig, preset: &str) -> Vec<Target> {
     let script = Script::new(&[]);
     let (mut engine, ..) = engine(cfg, &script, false);
     let mut found = Vec::new();
+    let (mut led, mut lead_ops) = (Vec::new(), Vec::new());
     for pass in 0..8 {
         engine.accumulate_gradients(&grads(pass));
+        script.open(&[]);
         script.arm();
         attempt(&mut engine).unwrap();
-        let (ops, _) = script.disarm();
+        // The reads issued for the next pass are ops of this call too.
+        while engine
+            .prefetched_reads()
+            .iter()
+            .any(|&(.., landed)| !landed)
+        {
+            std::thread::yield_now();
+        }
+        let (call, _) = script.disarm();
+        // This pass's ops: the reads the call before issued for it, then
+        // its call's, less what that issued for the next pass, each read
+        // of a key already read counted after those.
+        let (next, next_ops) = leads(&engine, &call);
+        let mut ops = std::mem::take(&mut lead_ops);
+        let first = |op: &Op| {
+            ops.iter()
+                .any(|l: &Op| (l.tier, l.kind, &l.key) == (op.tier, op.kind, &op.key))
+        };
+        let shift: Vec<usize> = call.iter().map(|op| usize::from(first(op))).collect();
+        let mine = |op: &Op| {
+            !next
+                .iter()
+                .any(|(t, k, n)| (op.tier, op.kind, &op.key, op.nth) == (*t, Kind::Read, k, *n))
+        };
+        let call: Vec<Op> = (call.into_iter().zip(shift))
+            .filter(|(op, _)| mine(op))
+            .map(|(op, by)| Op {
+                nth: op.nth + by,
+                ..op
+            })
+            .collect();
+        ops.extend(call);
+        let leads_in = std::mem::replace(&mut led, next);
+        lead_ops = next_ops;
         // An ascending scan with no cache evicts each subgroup at the
         // same point of every pass, so the split never re-places one:
         // its first steady pass stands in.
@@ -618,6 +714,7 @@ fn targets(cfg: &EngineConfig, preset: &str) -> Vec<Target> {
             cfg: cfg.clone(),
             what: format!("{preset}, {what} pass {pass}"),
             pass,
+            leads: leads_in,
             ops,
             strands,
         });
@@ -669,8 +766,15 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
     // schedule ends, a stalled op is let go before the engine's drop
     // joins the worker that runs it.
     let _release = Release(script);
+    if target.pass == 0 {
+        script.open(&[]);
+    }
     for pass in 0..target.pass {
         engine.accumulate_gradients(&grads(pass));
+        // The call before the faulted pass issues the pass's first reads.
+        if pass + 1 == target.pass {
+            script.open(&target.leads);
+        }
         drive(&mut engine, script).map_err(|e| format!("clean pass {pass}: {e}"))?;
     }
     engine.accumulate_gradients(&grads(target.pass));
@@ -754,18 +858,20 @@ fn schedule(target: &Target, script: &Arc<Script>) -> Result<Seen, String> {
     Ok(seen)
 }
 
-/// Every pooled buffer is back or resting, once the ops a released stall
-/// let go have finished on their workers.
+/// Every pooled buffer is back, resting or read for the next pass, once
+/// the ops a released stall let go have finished on their workers.
 fn check_pool(engine: &MlpFuncEngine) -> Result<(), String> {
     let started = Instant::now();
     loop {
         let (out, resting) = (engine.state_pool_outstanding(), engine.resident_count());
-        if out == resting {
+        let lead = engine.prefetched_reads().len();
+        if out == resting + lead {
             return Ok(());
         }
         if started.elapsed() > Duration::from_secs(2) {
             return Err(format!(
-                "{out} pooled buffers out for {resting} resting frames"
+                "{out} pooled buffers out for {resting} resting frames and {lead} reads for the \
+                 next pass"
             ));
         }
         std::thread::sleep(Duration::from_millis(1));
