@@ -622,27 +622,23 @@ struct Target {
     strands: HashSet<Op>,
 }
 
-/// The reads a call's update issued for the next pass, out of the ops
-/// of the call, each the last read of its key on its tier: as
-/// [`ScriptState::leads`], and as the next pass's first reads of them.
-fn leads(engine: &MlpFuncEngine, ops: &[Op]) -> (Vec<(usize, String, usize)>, Vec<Op>) {
+/// Whether `op` reads the key of `lead` on its tier.
+fn reads_lead(op: &Op, (tier, key, _): &(usize, String, usize)) -> bool {
+    (op.tier, op.kind, &op.key) == (*tier, Kind::Read, key)
+}
+
+/// The reads a call's update issued for the next pass, as
+/// [`ScriptState::leads`]: each is the last read of its key on its tier
+/// among the call's `ops`.
+fn leads(engine: &MlpFuncEngine, ops: &[Op]) -> Vec<(usize, String, usize)> {
     let issued = engine.prefetched_reads().into_iter();
-    let read = |op: &Op, tier: usize, key: &str| {
-        (op.tier, op.kind, &op.key[..]) == (tier, Kind::Read, key)
-    };
     issued
         .map(|(s, tier, _)| {
-            let key = format!("w0/sub{s}");
-            let before = ops.iter().filter(|op| read(op, tier, &key)).count() - 1;
-            let op = Op {
-                tier,
-                kind: Kind::Read,
-                key: key.clone(),
-                nth: 0,
-            };
-            ((tier, key, before), op)
+            let lead = (tier, format!("w0/sub{s}"), 0);
+            let before = ops.iter().filter(|op| reads_lead(op, &lead)).count() - 1;
+            (lead.0, lead.1, before)
         })
-        .unzip()
+        .collect()
 }
 
 /// Runs `cfg` clean and returns its born pass and the first steady-state
@@ -650,8 +646,7 @@ fn leads(engine: &MlpFuncEngine, ops: &[Op]) -> (Vec<(usize, String, usize)>, Ve
 fn targets(cfg: &EngineConfig, preset: &str) -> Vec<Target> {
     let script = Script::new(&[]);
     let (mut engine, ..) = engine(cfg, &script, false);
-    let mut found = Vec::new();
-    let (mut led, mut lead_ops) = (Vec::new(), Vec::new());
+    let (mut found, mut led) = (Vec::new(), Vec::new());
     for pass in 0..8 {
         engine.accumulate_gradients(&grads(pass));
         script.open(&[]);
@@ -666,31 +661,27 @@ fn targets(cfg: &EngineConfig, preset: &str) -> Vec<Target> {
             std::thread::yield_now();
         }
         let (call, _) = script.disarm();
-        // This pass's ops: the reads the call before issued for it, then
-        // its call's, less what that issued for the next pass, each read
-        // of a key already read counted after those.
-        let (next, next_ops) = leads(&engine, &call);
-        let mut ops = std::mem::take(&mut lead_ops);
-        let first = |op: &Op| {
-            ops.iter()
-                .any(|l: &Op| (l.tier, l.kind, &l.key) == (op.tier, op.kind, &op.key))
-        };
-        let shift: Vec<usize> = call.iter().map(|op| usize::from(first(op))).collect();
-        let mine = |op: &Op| {
-            !next
-                .iter()
-                .any(|(t, k, n)| (op.tier, op.kind, &op.key, op.nth) == (*t, Kind::Read, k, *n))
-        };
-        let call: Vec<Op> = (call.into_iter().zip(shift))
-            .filter(|(op, _)| mine(op))
-            .map(|(op, by)| Op {
-                nth: op.nth + by,
-                ..op
+        // This pass's ops: the reads the call before issued for it, each
+        // the pass's first read of its key, then its call's, less the
+        // reads that issued for the next pass.
+        let next = leads(&engine, &call);
+        let leads_in = std::mem::replace(&mut led, next);
+        let next = &led;
+        let mut ops: Vec<Op> = (leads_in.iter())
+            .map(|(tier, key, _)| Op {
+                tier: *tier,
+                kind: Kind::Read,
+                key: key.clone(),
+                nth: 0,
             })
             .collect();
-        ops.extend(call);
-        let leads_in = std::mem::replace(&mut led, next);
-        lead_ops = next_ops;
+        for op in call {
+            if next.iter().any(|l| reads_lead(&op, l) && op.nth == l.2) {
+                continue;
+            }
+            let nth = op.nth + usize::from(leads_in.iter().any(|l| reads_lead(&op, l)));
+            ops.push(Op { nth, ..op });
+        }
         // An ascending scan with no cache evicts each subgroup at the
         // same point of every pass, so the split never re-places one:
         // its first steady pass stands in.
