@@ -63,8 +63,8 @@ fn main() {
         std::process::exit(1);
     });
     let trace = TraceSink::enabled(); // for the `aio.*` retry/timeout counters
-    // Four host frames for the task's eight subgroups: half of them go
-    // through the tiers every iteration.
+                                      // Four host frames for the task's eight subgroups: half of them go
+                                      // through the tiers every iteration.
     cfg = cfg.with_host_frames(4).with_trace(trace.clone());
 
     // Open + microbenchmark each tier (the §3.3 B_i measurement).

@@ -188,28 +188,56 @@ fn measure_conversions_and_accumulation(n: usize) -> Vec<Measurement> {
     let mut acc = GradAccumulator::new(&lens);
     let widest = SimdLevel::widest();
     vec![
-        best_of("convert", n, "upscale", widest, SWEEP_BYTES_PER_ELEM, || {
-            at_host_width(
-                #[inline(always)]
-                || convert::upscale(&half, &mut single),
-            )
-        }),
-        best_of("convert", n, "upscale_scaled", widest, SWEEP_BYTES_PER_ELEM, || {
-            at_host_width(
-                #[inline(always)]
-                || convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0),
-            )
-        }),
-        best_of("convert", n, "downscale", widest, SWEEP_BYTES_PER_ELEM, || {
-            at_host_width(
-                #[inline(always)]
-                || convert::downscale(&single, &mut half_out),
-            )
-        }),
-        best_of("accumulate", n, "store", widest, STORE_BYTES_PER_ELEM, || {
-            acc.reset();
-            acc.accumulate(&micro_step);
-        }),
+        best_of(
+            "convert",
+            n,
+            "upscale",
+            widest,
+            SWEEP_BYTES_PER_ELEM,
+            || {
+                at_host_width(
+                    #[inline(always)]
+                    || convert::upscale(&half, &mut single),
+                )
+            },
+        ),
+        best_of(
+            "convert",
+            n,
+            "upscale_scaled",
+            widest,
+            SWEEP_BYTES_PER_ELEM,
+            || {
+                at_host_width(
+                    #[inline(always)]
+                    || convert::upscale_scaled(&half, &mut single, 1.0 / 1024.0),
+                )
+            },
+        ),
+        best_of(
+            "convert",
+            n,
+            "downscale",
+            widest,
+            SWEEP_BYTES_PER_ELEM,
+            || {
+                at_host_width(
+                    #[inline(always)]
+                    || convert::downscale(&single, &mut half_out),
+                )
+            },
+        ),
+        best_of(
+            "accumulate",
+            n,
+            "store",
+            widest,
+            STORE_BYTES_PER_ELEM,
+            || {
+                acc.reset();
+                acc.accumulate(&micro_step);
+            },
+        ),
         best_of("accumulate", n, "add", widest, SWEEP_BYTES_PER_ELEM, || {
             acc.accumulate(&micro_step)
         }),
@@ -230,34 +258,62 @@ fn measure_bodies_at(level: SimdLevel) -> Vec<Measurement> {
     let mut summed = vec![0u16; n];
     let mut step = 0u64;
     vec![
-        best_of("adam", n, "fused_chunk", level, FUSED_BYTES_PER_ELEM, || {
-            step += 1;
-            level.run(
-                #[inline(always)]
-                || {
-                    let (p, m, v) = (&mut params[..], &mut momentum[..], &mut variance[..]);
-                    fused_chunk_fp16(&adam, step, p, m, v, &half, 1.0 / 1024.0, &mut half_out)
-                },
-            )
-        }),
-        best_of("convert", n, "upscale_scaled", level, SWEEP_BYTES_PER_ELEM, || {
-            level.run(
-                #[inline(always)]
-                || convert::upscale_scaled(&half, &mut params, 1.0 / 1024.0),
-            )
-        }),
-        best_of("convert", n, "downscale", level, SWEEP_BYTES_PER_ELEM, || {
-            level.run(
-                #[inline(always)]
-                || convert::downscale(&params, &mut half_out),
-            )
-        }),
-        best_of("accumulate", n, "store", level, STORE_BYTES_PER_ELEM, || {
-            level.run(
-                #[inline(always)]
-                || store_f16(&mut summed, &half),
-            )
-        }),
+        best_of(
+            "adam",
+            n,
+            "fused_chunk",
+            level,
+            FUSED_BYTES_PER_ELEM,
+            || {
+                step += 1;
+                level.run(
+                    #[inline(always)]
+                    || {
+                        let (p, m, v) = (&mut params[..], &mut momentum[..], &mut variance[..]);
+                        fused_chunk_fp16(&adam, step, p, m, v, &half, 1.0 / 1024.0, &mut half_out)
+                    },
+                )
+            },
+        ),
+        best_of(
+            "convert",
+            n,
+            "upscale_scaled",
+            level,
+            SWEEP_BYTES_PER_ELEM,
+            || {
+                level.run(
+                    #[inline(always)]
+                    || convert::upscale_scaled(&half, &mut params, 1.0 / 1024.0),
+                )
+            },
+        ),
+        best_of(
+            "convert",
+            n,
+            "downscale",
+            level,
+            SWEEP_BYTES_PER_ELEM,
+            || {
+                level.run(
+                    #[inline(always)]
+                    || convert::downscale(&params, &mut half_out),
+                )
+            },
+        ),
+        best_of(
+            "accumulate",
+            n,
+            "store",
+            level,
+            STORE_BYTES_PER_ELEM,
+            || {
+                level.run(
+                    #[inline(always)]
+                    || store_f16(&mut summed, &half),
+                )
+            },
+        ),
         best_of("accumulate", n, "add", level, SWEEP_BYTES_PER_ELEM, || {
             level.run(
                 #[inline(always)]

@@ -127,9 +127,7 @@ pub fn export_timeline_trace_every(
     let process_names: Vec<(u32, &str)> = runs.iter().map(|r| (r.pid, r.name)).collect();
     let worker_labels: Vec<(u32, u32, String)> = runs
         .iter()
-        .flat_map(|r| {
-            (0..tb.gpus_per_node as u32).map(move |g| (r.pid, g, format!("worker {g}")))
-        })
+        .flat_map(|r| (0..tb.gpus_per_node as u32).map(move |g| (r.pid, g, format!("worker {g}"))))
         .collect();
     let thread_names: Vec<(u32, u32, &str)> = worker_labels
         .iter()

@@ -103,7 +103,9 @@ impl TrainSetup {
     /// `max_migrations_per_iter` durable subgroup copies migrate between
     /// tiers at each iteration boundary (§3.3 feedback loop).
     pub fn with_adaptive_replan(mut self, max_migrations_per_iter: usize) -> Self {
-        self.engine_cfg = self.engine_cfg.with_adaptive_replan(max_migrations_per_iter);
+        self.engine_cfg = self
+            .engine_cfg
+            .with_adaptive_replan(max_migrations_per_iter);
         self
     }
 }
@@ -223,10 +225,7 @@ pub fn run(setup: &TrainSetup) -> Vec<IterationResult> {
     // the object store when the tier set has one.
     let ckpt_every = setup.checkpoint_every;
     let ckpt_sync = setup.checkpoint_sync;
-    let ckpt_fast = setup
-        .tiers
-        .iter()
-        .position(|t| t.kind.is_persistent());
+    let ckpt_fast = setup.tiers.iter().position(|t| t.kind.is_persistent());
     let ckpt_object = setup
         .tiers
         .iter()
@@ -358,9 +357,9 @@ pub fn run(setup: &TrainSetup) -> Vec<IterationResult> {
                     .iter()
                     .map(|w| {
                         let w = w.clone();
-                        sim.spawn(async move {
-                            w.run_checkpoint(fast, ckpt_object, ckpt_sync).await
-                        })
+                        sim.spawn(
+                            async move { w.run_checkpoint(fast, ckpt_object, ckpt_sync).await },
+                        )
                     })
                     .collect();
                 let mut agg = CheckpointStats::default();
@@ -374,7 +373,9 @@ pub fn run(setup: &TrainSetup) -> Vec<IterationResult> {
                 if trace.is_enabled() {
                     trace.counter("ckpt.checkpoints").inc();
                     trace.counter("ckpt.flush_bytes").add(agg.copied_bytes);
-                    trace.counter("ckpt.prestaged_bytes").add(agg.prestaged_bytes);
+                    trace
+                        .counter("ckpt.prestaged_bytes")
+                        .add(agg.prestaged_bytes);
                 }
                 checkpoint = Some(agg);
             }
@@ -545,7 +546,10 @@ mod tests {
             assert_eq!(a.update.cache_hits, b.update.cache_hits);
             assert_eq!(a.update.flushes, b.update.flushes);
             assert!(b.update.migrations <= budget * workers);
-            assert_eq!(b.update.bytes_migrated, b.update.migrations as u64 * sub_bytes);
+            assert_eq!(
+                b.update.bytes_migrated,
+                b.update.migrations as u64 * sub_bytes
+            );
             total += b.update.migrations;
         }
         assert!(total > 0, "contention must trigger at least one migration");
@@ -619,9 +623,10 @@ mod tests {
                 .filter(|e| e.phase == Phase::CkptFlush)
                 .collect();
             assert!(!flushes.is_empty(), "no ckpt_flush spans");
-            let overlapped = events.iter().filter(|e| e.phase == Phase::Backward).any(
-                |b| flushes.iter().any(|f| f.overlaps(b)),
-            );
+            let overlapped = events
+                .iter()
+                .filter(|e| e.phase == Phase::Backward)
+                .any(|b| flushes.iter().any(|f| f.overlaps(b)));
             let snap = trace.metrics_snapshot();
             assert_eq!(
                 snap.counter("ckpt.checkpoints"),
@@ -631,7 +636,10 @@ mod tests {
             overlapped
         };
         assert!(run_mode(false), "async checkpoint must overlap backward");
-        assert!(!run_mode(true), "sync checkpoint must stay off the backward");
+        assert!(
+            !run_mode(true),
+            "sync checkpoint must stay off the backward"
+        );
     }
 
     #[test]

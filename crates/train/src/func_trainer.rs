@@ -197,14 +197,13 @@ pub fn train(
     for _ in 0..iterations {
         // RAII span: covers skipped (overflow) iterations too.
         let _iter_span = trace.span(Phase::Iteration, Attrs::NONE);
-        let params: Vec<f32> = with_redrives(
-            cfg.iteration_retries,
-            &mut report.redriven_phases,
-            || engine.master_params(),
-        )?
-        .into_iter()
-        .flatten()
-        .collect();
+        let params: Vec<f32> =
+            with_redrives(cfg.iteration_retries, &mut report.redriven_phases, || {
+                engine.master_params()
+            })?
+            .into_iter()
+            .flatten()
+            .collect();
         report.losses.push(task.loss(&params));
         let grads = task.grad_fp16(&params, scaler.scale());
         // Overflow check on the scaled FP16 gradients (Inf after rounding).
@@ -224,11 +223,9 @@ pub fn train(
         // A failed update unwinds cleanly and stays re-drivable: each
         // re-call continues the *same* iteration (gradient accumulators
         // untouched, durable subgroup updates not re-applied).
-        let outcome = with_redrives(
-            cfg.iteration_retries,
-            &mut report.redriven_phases,
-            || engine.update(),
-        )?;
+        let outcome = with_redrives(cfg.iteration_retries, &mut report.redriven_phases, || {
+            engine.update()
+        })?;
         report.cache_hits += outcome.cache_hits;
     }
     report.final_loss_scale = scaler.scale();
@@ -327,12 +324,10 @@ mod tests {
                 FaultConfig::transient(101 + 101 * i as u64, 0.2),
             ));
             faulty_tiers.push(
-                SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, *bw).with_aio(
-                    AioConfig {
-                        retry: retry.clone(),
-                        ..AioConfig::default()
-                    },
-                ),
+                SharedTier::new(Arc::clone(&inject) as Arc<dyn Backend>, *bw).with_aio(AioConfig {
+                    retry: retry.clone(),
+                    ..AioConfig::default()
+                }),
             );
             injectors.push(inject);
         }
