@@ -684,10 +684,10 @@ impl MlpFuncEngine {
     }
 
     /// Issues the next pass's leading state reads into the pool's free
-    /// buffers, in plan order, so the tiers work while the caller
-    /// accumulates gradients; the pass adopts each as its fetch. A load
-    /// that also reads a gradient object waits for its pass:
-    /// [`MlpFuncEngine::flush_gradients`] has not written it yet.
+    /// buffers, one per tier in turn (`PassPlan::leading_fetches`), so
+    /// every tier's queue has its head reads while the caller accumulates
+    /// gradients; the pass adopts each as its fetch. A load that also reads
+    /// a gradient object waits for its pass: `flush_gradients` writes it.
     fn prefetch(&mut self) {
         if let HostGrads::Fp32 { .. } = self.grads {
             return;
@@ -703,7 +703,7 @@ impl MlpFuncEngine {
     }
 
     /// The reads the last update issued for the next pass, which no pass
-    /// has taken yet, in plan order as `(subgroup, tier, landed)`: each
+    /// has taken yet, in issue order as `(subgroup, tier, landed)`: each
     /// holds a pooled buffer.
     pub fn prefetched_reads(&self) -> Vec<(usize, usize, bool)> {
         (self.prefetched.iter()).map(|(s, t, read)| (*s, *t, read.is_done())).collect()
@@ -3576,6 +3576,70 @@ mod tests {
         assert_eq!(engine.state_pool_outstanding(), held(&engine));
     }
 
+    /// Over two tiers at 2:1 the reads an update issues for the next pass
+    /// are dealt one per tier in turn, so whenever two buffers are free
+    /// every tier with a leading fetch has one in flight; the next pass
+    /// reads none of them again, and training stays bit-identical.
+    #[test]
+    fn reads_issued_for_the_next_pass_feed_every_tier_with_a_leading_fetch() {
+        const M: usize = 24;
+        let adam = AdamConfig::default();
+        let watched =
+            [0, 1].map(|i| Watched::new(MemBackend::new(format!("w{i}")), None, Duration::ZERO));
+        let shared: Vec<SharedTier> = (watched.iter().zip([2.0, 1.0]))
+            .map(|(tier, w)| SharedTier::new(Arc::clone(tier) as Arc<dyn Backend>, w))
+            .collect();
+        let cfg = EngineConfig::mlp_offload()
+            .with_host_frames(5)
+            .with_tier_ratio(vec![2.0, 1.0]);
+        let mut engine = MlpFuncEngine::new(cfg, adam, &shared, 0, init_states(M, 16)).unwrap();
+        let mut reference = init_states(M, 16);
+        let mut lead = Vec::new();
+        for it in 0..6 {
+            let grads = grads_for(M, 16, it as f32);
+            reference_update(&mut reference, &adam, &grads);
+            engine.accumulate_gradients(&grads);
+            let before = watched.each_ref().map(|t| t.reads().len());
+            let o = engine.update().unwrap();
+            prefetch_landed(&engine);
+            let next = engine.prefetched_reads();
+            let free = engine.state_pool_stats().2 - engine.resident_count();
+            let plan = engine.ledger.upcoming_pass();
+            let leading: Vec<(usize, usize)> = plan.leading_fetches().collect();
+            // Each tier's share is its leading fetches or one less than
+            // the other's, whichever is fewer: here 3 + 2 of 5, where
+            // plan order would give 4 + 1.
+            let on = |v: &[(usize, usize)], t| v.iter().filter(|r| r.1 == t).count();
+            let issued: Vec<(usize, usize)> = next.iter().map(|&(s, t, _)| (s, t)).collect();
+            assert_eq!(issued.len(), free.min(leading.len()), "iteration {it}");
+            for (t, u) in [(0, 1), (1, 0)] {
+                let share = on(&leading, t).min(on(&issued, u).saturating_sub(1));
+                assert!(on(&issued, t) >= share, "iteration {it}: tier {t} starved in {issued:?}");
+            }
+            // The pass read each subgroup at most once, and none whose
+            // read the update before it issued.
+            for (t, tier) in watched.iter().enumerate() {
+                let mut reads = tier.reads().split_off(before[t]);
+                for &(s, ..) in next.iter().filter(|r| r.1 == t) {
+                    let at = reads.iter().rposition(|k| *k == format!("w0/sub{s}"));
+                    reads.remove(at.unwrap());
+                }
+                for s in 0..M {
+                    let key = format!("w0/sub{s}");
+                    let n = reads.iter().filter(|k| **k == key).count();
+                    let issued = lead.iter().any(|&(l, lt, _)| (l, lt) == (s, t));
+                    let what = format!("iteration {it}: {key} read {n} times on tier {t}");
+                    assert!(n <= usize::from(!issued), "{what}");
+                }
+            }
+            for (idx, st) in reference.iter().enumerate() {
+                assert_eq!(o.fp16_params[idx], st.fp16_params(), "subgroup {idx}");
+            }
+            lead = next;
+        }
+        assert_eq!(engine.state_pool_outstanding(), held(&engine));
+    }
+
     /// A read issued for the next pass that its tier fails for good fails
     /// that pass, typed, leaks no buffer, and the re-drive ends
     /// bit-identical to a twin that never failed.
@@ -3723,6 +3787,9 @@ mod tests {
             reference_update(&mut reference, &adam, &grads);
             engine.accumulate_gradients(&grads);
             if it == 1 {
+                // The read reached the tier: a breaker that opened first
+                // would refuse it there, and the drain read the copy once.
+                dying.holding();
                 health.quarantine();
             }
             let got = engine.update().unwrap();

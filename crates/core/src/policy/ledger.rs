@@ -121,18 +121,33 @@ impl PassPlan {
         })
     }
 
-    /// The fetches an executor may issue before the pass begins, in
-    /// order, as `(subgroup, tier)`: those of the leading loads, up to the
-    /// first that reads a copy the pass itself writes.
-    pub fn leading_fetches(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    /// The fetches an executor may issue before the pass begins, as
+    /// `(subgroup, tier)`: those of the leading loads, up to the first
+    /// that reads a copy the pass itself writes, dealt one per tier in
+    /// turn. A fetch's turn is the count of earlier leading fetches on its
+    /// tier, and the list runs by turn, then plan order, so any prefix of
+    /// it gives each tier's queue its head reads: a tier's second read
+    /// does not wait behind another tier's fourth. Each tier still gets
+    /// its own reads in plan order.
+    pub fn leading_fetches(&self) -> impl Iterator<Item = (usize, usize)> {
         let leading = |(s, load)| match load {
             Load::Fetch { after: Some(_), .. } => None,
             load => Some((s, load)),
         };
-        self.loads().map_while(leading).filter_map(|(s, load)| match load {
-            Load::Fetch { tier, .. } => Some((s, tier)),
-            Load::Hit => None,
-        })
+        let mut turns: Vec<usize> = Vec::new();
+        let mut fetches: Vec<(usize, usize, usize)> = (self.loads().map_while(leading))
+            .filter_map(|(s, load)| match load {
+                Load::Fetch { tier, .. } => {
+                    turns.resize(turns.len().max(tier + 1), 0);
+                    let turn = turns.get_mut(tier).map_or(0, |n| std::mem::replace(n, *n + 1));
+                    Some((turn, s, tier))
+                }
+                Load::Hit => None,
+            })
+            .collect();
+        // Stable: within a turn, plan order.
+        fetches.sort_by_key(|&(turn, ..)| turn);
+        fetches.into_iter().map(|(_, s, tier)| (s, tier))
     }
 }
 
@@ -1455,5 +1470,98 @@ mod tests {
         assert!(matches!(l.place(6), Some(Place::Host(_))));
         let dist = l.tier_distribution(|_| 10);
         assert_eq!((dist.host_bytes, dist.tier_bytes), (20, vec![10, 50]));
+    }
+
+    /// A plan of `loads`, each `(subgroup, tier)` of a fetch or `None` for
+    /// a hit, with every fetch fenced on an eviction from `fenced` on.
+    fn plan_of(loads: &[Option<(usize, usize)>], fenced: usize) -> PassPlan {
+        let steps = (loads.iter().enumerate())
+            .map(|(at, load)| match *load {
+                Some((subgroup, tier)) => Step::Load {
+                    subgroup,
+                    load: Load::Fetch {
+                        tier,
+                        after: (at >= fenced).then_some(0),
+                    },
+                },
+                None => Step::Load {
+                    subgroup: 100 + at,
+                    load: Load::Hit,
+                },
+            })
+            .collect();
+        PassPlan { steps }
+    }
+
+    #[test]
+    fn leading_fetches_deal_one_read_per_tier_in_turn() {
+        let fetches = |loads: &[Option<(usize, usize)>], fenced| {
+            plan_of(loads, fenced).leading_fetches().collect::<Vec<_>>()
+        };
+        let (n, p) = (0, 1);
+        // One tier keeps plan order, hits skipped.
+        let one = [Some((4, n)), None, Some((3, n)), Some((2, n)), None];
+        assert_eq!(fetches(&one, usize::MAX), vec![(4, n), (3, n), (2, n)]);
+        // Tiers [n, n, p, n, n, p] give n, p, n, p, n, n.
+        let two = [
+            Some((20, n)),
+            None,
+            Some((19, n)),
+            Some((18, p)),
+            Some((17, n)),
+            None,
+            Some((16, n)),
+            Some((15, p)),
+        ];
+        let want = vec![(20, n), (18, p), (19, n), (15, p), (17, n), (16, n)];
+        assert_eq!(fetches(&two, usize::MAX), want);
+        // The list stops at the first fetch of a copy the pass writes.
+        assert_eq!(fetches(&two, 6), vec![(20, n), (18, p), (19, n), (17, n)]);
+        assert_eq!(fetches(&two, 0), vec![]);
+        // A tier with no leading fetch takes no turn.
+        let skip = [Some((9, 2)), Some((8, 2)), Some((7, 0)), Some((6, 2))];
+        assert_eq!(fetches(&skip, usize::MAX), vec![(9, 2), (7, 0), (8, 2), (6, 2)]);
+    }
+
+    /// Over real plans the interleave only reorders the leading loads'
+    /// fetches: the same set, each tier's in plan order, and no tier's
+    /// `k + 1`-th read before every other tier's `k`-th it has.
+    #[test]
+    fn leading_fetches_reorder_only_the_plans_leading_fetches() {
+        for order in ORDERS {
+            for (kind, ratio) in KINDS.into_iter().flat_map(|k| {
+                [vec![1.0], vec![2.0, 1.0], vec![1.0, 1.0, 1.0]].map(move |r| (k, r))
+            }) {
+                let tiers = ratio.len();
+                let mut l = ledger_for(kind, order, 24, 5, ratio);
+                for iter in 0..4 {
+                    let plan = l.begin_iteration();
+                    let prefix: Vec<(usize, usize)> = (plan.loads())
+                        .take_while(|(_, load)| !matches!(load, Load::Fetch { after: Some(_), .. }))
+                        .filter_map(|(s, load)| match load {
+                            Load::Fetch { tier, .. } => Some((s, tier)),
+                            Load::Hit => None,
+                        })
+                        .collect();
+                    let got: Vec<(usize, usize)> = plan.leading_fetches().collect();
+                    let what = format!("{order:?} {kind:?} {tiers} tiers, iteration {iter}");
+                    for t in 0..tiers {
+                        let on = |v: &[(usize, usize)]| {
+                            v.iter().filter(|r| r.1 == t).copied().collect::<Vec<_>>()
+                        };
+                        assert_eq!(on(&got), on(&prefix), "{what}: tier {t}");
+                    }
+                    let mut seen = vec![0; tiers];
+                    for &(_, t) in &got {
+                        seen[t] += 1;
+                        let left = |u: usize| prefix.iter().filter(|r| r.1 == u).count();
+                        for u in 0..tiers {
+                            assert!(seen[u] >= (seen[t] - 1).min(left(u)), "{what}: {got:?}");
+                        }
+                    }
+                    execute(&mut l, &plan, true);
+                }
+            }
+        }
     }
 }

@@ -28,7 +28,11 @@ fn tiers() -> Vec<SharedTier> {
 }
 
 fn states() -> Vec<SubgroupState> {
-    (0..SUBGROUPS)
+    states_of(SUBGROUPS)
+}
+
+fn states_of(subgroups: usize) -> Vec<SubgroupState> {
+    (0..subgroups)
         .map(|s| {
             SubgroupState::new(
                 (0..LEN)
@@ -40,7 +44,11 @@ fn states() -> Vec<SubgroupState> {
 }
 
 fn grads(seed: usize) -> Vec<Vec<u16>> {
-    (0..SUBGROUPS)
+    grads_of(SUBGROUPS, seed)
+}
+
+fn grads_of(subgroups: usize, seed: usize) -> Vec<Vec<u16>> {
+    (0..subgroups)
         .map(|s| {
             (0..LEN)
                 .map(|i| F16::from_f32(((s * LEN + i + seed) as f32 * 0.07).cos() * 0.1).to_bits())
@@ -483,26 +491,32 @@ fn torn_state_objects_surface_typed_errors_not_panics() {
 
     // A durable tier copy one whole record short: a multiple of 12, but not
     // this subgroup's length. A new engine is born holding every subgroup;
-    // its first (ascending) pass evicts the head of that order to a tier,
-    // where the second reads it back.
+    // its first (ascending) pass evicts the head of that order to the
+    // tiers, where the second reads it back. The first update has already
+    // read the second pass's leading fetches, as many as the pool has free
+    // buffers for: with more subgroups than that, cut a copy the second
+    // pass reads itself.
+    const M: usize = 16;
     let shared = tiers();
     let mut fresh =
-        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states()).unwrap();
-    step(&mut fresh, 0);
-    let first = "w0/sub0";
-    let tier = shared
-        .iter()
-        .find(|t| t.backend.contains(first))
-        .expect("the first subgroup is offloaded");
-    let bytes = tier.backend.read(first).unwrap();
+        MlpFuncEngine::new(cfg.clone(), AdamConfig::default(), &shared, 0, states_of(M)).unwrap();
+    fresh.accumulate_gradients(&grads_of(M, 0));
+    fresh.update().unwrap();
+    let lead: Vec<usize> = fresh.prefetched_reads().iter().map(|r| r.0).collect();
+    let (tier, key) = (0..M)
+        .filter(|s| !lead.contains(s))
+        .map(|s| format!("w0/sub{s}"))
+        .find_map(|key| Some((shared.iter().find(|t| t.backend.contains(&key))?, key)))
+        .expect("a subgroup the second pass reads itself is offloaded");
+    let bytes = tier.backend.read(&key).unwrap();
     tier.backend
-        .write(first, &bytes[..bytes.len() - 12])
+        .write(&key, &bytes[..bytes.len() - 12])
         .unwrap();
     let err = fresh
         .master_params()
         .expect_err("a short copy must not shrink the subgroup");
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-    fresh.accumulate_gradients(&grads(1));
+    fresh.accumulate_gradients(&grads_of(M, 1));
     let err = fresh
         .update()
         .expect_err("a short copy must not be updated");
